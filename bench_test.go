@@ -219,6 +219,32 @@ func BenchmarkAdvisorFormulation(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanSpacesRandwork isolates plan-space generation on the
+// benchmark's planner-heavy input (randwork factor 3, seed 42 — the
+// advise-randwork workload of bench/): enumeration runs once outside
+// the timer, each iteration replans every query, update and support
+// query at one worker. Its allocation counts are the gate on chain
+// generation staying free of per-candidate strings.
+func BenchmarkPlanSpacesRandwork(b *testing.B) {
+	w, err := randwork.Generate(randwork.Config{Factor: 3, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	enumRes, err := enumerator.EnumerateWorkload(w)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := benchAdvisorOptions()
+	opt.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := search.BuildPlans(w, enumRes, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAdvisorSolve isolates the two BIP solve phases across worker
 // counts: the problem is planned and formulated once outside the timer
 // (search.Prepare), then each iteration re-runs the solves.

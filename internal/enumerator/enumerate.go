@@ -167,7 +167,7 @@ func addViewFamily(pool *Pool, pq *workload.Query) {
 		return
 	}
 	pool.add(mv)
-	if ko := KeyOnlyView(pq); ko != nil {
+	if ko := KeyOnlyView(mv); ko != nil {
 		pool.add(ko)
 	}
 	for _, iv := range IDViews(pq) {

@@ -120,7 +120,7 @@ func TestMaterializedViewRequiresEquality(t *testing.T) {
 func TestSplitViews(t *testing.T) {
 	g := hotel.Graph()
 	q := workload.MustParseQuery(g, hotel.ExampleQuery)
-	ko := enumerator.KeyOnlyView(q)
+	ko := enumerator.KeyOnlyView(enumerator.MaterializedView(q))
 	if ko == nil || len(ko.Values) != 0 {
 		t.Fatalf("key-only view = %v", ko)
 	}

@@ -60,12 +60,12 @@ func MaterializedView(q *workload.Query) *schema.Index {
 	return schema.New(q.Path, partition, clustering, values)
 }
 
-// KeyOnlyView builds the materialized view of q stripped of its value
-// attributes: it answers the query's key portion (which entities match)
-// and leaves attribute retrieval to a separate id-keyed lookup (paper
-// §IV-A2's "one that returns only the key attributes").
-func KeyOnlyView(q *workload.Query) *schema.Index {
-	mv := MaterializedView(q)
+// KeyOnlyView strips a query's materialized view of its value
+// attributes: the result answers the query's key portion (which
+// entities match) and leaves attribute retrieval to a separate id-keyed
+// lookup (paper §IV-A2's "one that returns only the key attributes").
+// It returns nil when the view has no values to strip.
+func KeyOnlyView(mv *schema.Index) *schema.Index {
 	if mv == nil || len(mv.Values) == 0 {
 		return nil
 	}

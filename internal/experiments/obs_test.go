@@ -36,7 +36,7 @@ func quorumSnapshot(t *testing.T, workers int) *obs.Snapshot {
 // core contract: the deterministic sections of the metrics snapshot —
 // every counter and every histogram bucket count — are bit-identical
 // across advisor worker counts and across same-seed reruns. Volatile
-// counters (cache hit/miss races) and gauges (wall-clock timings) are
+// counters (scheduling-dependent) and gauges (wall-clock timings) are
 // exempt; DeterministicFingerprint covers exactly the guaranteed part.
 func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {

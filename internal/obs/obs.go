@@ -9,10 +9,10 @@
 //     totals are independent of scheduling (work *done*, never work
 //     *timed*), and parallel components aggregate by addition, which
 //     commutes. The determinism tests in internal/experiments pin this.
-//   - Volatile counters (timing-dependent quantities such as cache
-//     hits under racing workers, or lock contention) and gauges (wall
-//     clock timings) are excluded from the determinism contract and
-//     reported in their own snapshot sections.
+//   - Volatile counters (timing-dependent quantities such as how
+//     often a client polled the daemon, or lock contention) and gauges
+//     (wall clock timings) are excluded from the determinism contract
+//     and reported in their own snapshot sections.
 //
 // Every method is nil-receiver safe: a nil *Registry hands out nil
 // instruments whose updates are no-ops, so instrumented code needs no
@@ -196,8 +196,8 @@ func (r *Registry) Counter(name string) *Counter {
 }
 
 // VolatileCounter returns the named volatile counter: a counter whose
-// value legitimately varies with scheduling (cache hit/miss races,
-// lock contention). Volatile counters are reported in their own
+// value legitimately varies with scheduling (per-route HTTP request
+// counts, lock contention). Volatile counters are reported in their own
 // snapshot section and excluded from the deterministic fingerprint.
 func (r *Registry) VolatileCounter(name string) *Counter {
 	if r == nil {

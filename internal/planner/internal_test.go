@@ -1,11 +1,15 @@
 package planner
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"nose/internal/cost"
 	"nose/internal/enumerator"
 	"nose/internal/hotel"
+	"nose/internal/model"
+	"nose/internal/randwork"
 	"nose/internal/schema"
 	"nose/internal/workload"
 )
@@ -78,19 +82,188 @@ func TestPruneChainsKeepsCheapest(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := New(res.Pool, cost.Default(), Config{MaxPlansPerQuery: 2})
-	memo := newChainMemo()
-	chains := p.chains(q, memo)
+	gen := newGenerator(p)
+	chains := gen.chains(q, newChainMemo())
 	if len(chains) > 4*2 {
 		t.Errorf("chains not pruned to beam: %d", len(chains))
 	}
 	if len(chains) == 0 {
 		t.Fatal("no chains")
 	}
-	// The cheapest chain must include the single-lookup materialized
-	// view plan.
-	first := p.estimate(q, chains[0])
+	for i, c := range chains {
+		if c.steps == nil || c.head != nil || c.tail != nil {
+			t.Fatalf("beam chain %d is not materialized", i)
+		}
+		if want := gen.newChain(c.steps); c.id != want.id || c.cost != want.cost {
+			t.Errorf("beam chain %d carries id %x cost %+v, from scratch id %x cost %+v",
+				i, c.id, c.cost, want.id, want.cost)
+		}
+		if i > 0 && chains[i-1].cost.total > c.cost.total {
+			t.Errorf("beam not cheapest first at %d: %v > %v", i, chains[i-1].cost.total, c.cost.total)
+		}
+	}
+	// The cheapest chain must be the single-lookup materialized view
+	// plan.
+	first := &Plan{Query: q, Steps: chains[0].steps}
 	if len(first.Indexes()) != 1 {
 		t.Errorf("cheapest chain is not the single-lookup view:\n%s", first)
+	}
+}
+
+// DifferentialWorkloads builds the workloads both differential tests
+// walk: the hotel example extended with ordered and limited queries,
+// and a random workload. The external test adds RUBiS, which imports
+// this package.
+func DifferentialWorkloads(t *testing.T) map[string]*workload.Workload {
+	t.Helper()
+	g := hotel.Graph()
+	hw := workload.New(g)
+	for _, src := range []string{
+		hotel.ExampleQuery, hotel.PrefixQuery, hotel.POIQuery,
+		// Ordered and limited: the clustering-served lookup takes the
+		// limit itself, or a LimitStep when a filter follows it; the
+		// client-side sort variants end in sort + limit.
+		`SELECT Room.RoomNumber FROM Room WHERE Room.Hotel.HotelCity = ?c ORDER BY Room.RoomNumber LIMIT 5`,
+		`SELECT Room.RoomNumber FROM Room WHERE Room.Hotel.HotelCity = ?c AND Room.RoomRate > ?r ORDER BY Room.RoomNumber LIMIT 5`,
+		`SELECT Guest.GuestName FROM Guest WHERE Guest.Reservations.Room.Hotel.HotelCity = ?c LIMIT 3`,
+	} {
+		hw.Add(workload.MustParseQuery(g, src), 1)
+	}
+	for _, src := range hotel.UpdateStatements {
+		hw.Add(workload.MustParse(g, src), 1)
+	}
+	rw, err := randwork.Generate(randwork.Config{Factor: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*workload.Workload{"hotel": hw, "randwork": rw}
+}
+
+// AllQueries returns the workload's queries followed by every support
+// query enumeration derived for its writes.
+func AllQueries(w *workload.Workload, res *enumerator.Result) []*workload.Query {
+	var queries []*workload.Query
+	for _, ws := range w.Queries() {
+		queries = append(queries, ws.Statement.(*workload.Query))
+	}
+	for _, perIndex := range res.Support {
+		for _, sqs := range perIndex {
+			queries = append(queries, sqs...)
+		}
+	}
+	return queries
+}
+
+// TestBeamsMatchStringOracle: at every level of every decomposition,
+// the beam kept on carried costs and interned ids equals — same chains,
+// same order, same steps, bit-equal costs — the beam the oracle keeps
+// by sorting on (from-scratch cost, signature string). A narrow
+// plan-space cap makes sure the beams actually prune.
+func TestBeamsMatchStringOracle(t *testing.T) {
+	for name, w := range DifferentialWorkloads(t) {
+		res, err := enumerator.EnumerateWorkload(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := New(res.Pool, cost.Default(), Config{MaxPlansPerQuery: 3})
+		beams, pruned := 0, 0
+		for _, q := range AllQueries(w, res) {
+			q = enumerator.RelaxOrder(q)
+			gen, memo, oracle := newGenerator(p), newChainMemo(), newOracleMemo()
+			gen.chains(q, memo)
+			oracleChains(gen, q, oracle)
+			if len(memo.done) != len(oracle.done) {
+				t.Fatalf("%s %s: %d memoized beams, oracle %d", name, workload.Label(q), len(memo.done), len(oracle.done))
+			}
+			for key, want := range oracle.done {
+				got := memo.done[key]
+				if len(got) != len(want) {
+					t.Fatalf("%s %s beam %q: %d chains, oracle %d", name, workload.Label(q), key, len(got), len(want))
+				}
+				beams++
+				if len(got) == 4*3 {
+					pruned++
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i].steps, want[i]) {
+						t.Fatalf("%s %s beam %q chain %d: steps %s, oracle %s",
+							name, workload.Label(q), key, i, stepsSignature(got[i].steps), stepsSignature(want[i]))
+					}
+					if scratch := p.fold(costState{}, want[i]); got[i].cost != scratch {
+						t.Fatalf("%s %s beam %q chain %d: carried cost %+v, from scratch %+v",
+							name, workload.Label(q), key, i, got[i].cost, scratch)
+					}
+				}
+			}
+		}
+		if pruned == 0 {
+			t.Errorf("%s: none of %d beams reached the width limit; the test prunes nothing", name, beams)
+		}
+	}
+}
+
+// TestSignatureLessPrefixEdge: when one step signature is a strict
+// prefix of another, comparing the two signatures alone gives the wrong
+// answer — in the concatenated string the shorter one's '|' separator
+// meets the longer one's next byte. The id comparator must order such
+// chains exactly as the materialized strings do.
+func TestSignatureLessPrefixEdge(t *testing.T) {
+	g := model.NewGraph()
+	e := g.AddEntity("E", "ID", 100)
+	a := e.AddAttribute("A", model.IntegerType)
+	ab := e.AddAttribute("AB", model.IntegerType)
+	x := schema.New(model.NewPath(e), []*model.Attribute{a, ab}, []*model.Attribute{e.Key()}, nil)
+	eq := func(attr *model.Attribute) []workload.Predicate {
+		return []workload.Predicate{{Ref: workload.AttrRef{Attr: attr}, Op: workload.Eq, Param: "p"}}
+	}
+	ref := func(attr *model.Attribute) workload.AttrRef { return workload.AttrRef{Attr: attr} }
+
+	lookupA := &LookupStep{Index: x, EqPredicates: eq(a)}
+	lookupAB := &LookupStep{Index: x, EqPredicates: eq(ab)} // "…=E.A" + "B"
+	lookupAOrdered := &LookupStep{Index: x, EqPredicates: eq(a), ServesOrder: true}
+	sortA := &SortStep{By: []workload.AttrRef{ref(a)}}
+	sortAAB := &SortStep{By: []workload.AttrRef{ref(a), ref(ab)}} // "S:E.A," + "E.AB,"
+	limit := &LimitStep{N: 5}
+
+	gen := newGenerator(New(enumerator.NewPool(), cost.Default(), DefaultConfig()))
+	var chains []chain
+	for _, steps := range [][]Step{
+		{lookupA},
+		{lookupA, limit},
+		{lookupAB},
+		{lookupAB, limit},
+		{lookupAOrdered},
+		{lookupA, sortA},
+		{lookupA, sortA, limit},
+		{lookupA, sortAAB},
+		{lookupAB, sortAAB, limit},
+	} {
+		chains = append(chains, gen.newChain(steps))
+	}
+
+	// The edge is real: on signatures alone lookupA sorts before
+	// lookupAB and lookupAOrdered, on the joined strings after both.
+	for _, longer := range []Step{lookupAB, lookupAOrdered} {
+		short, long := lookupA.signature(), longer.signature()
+		if !strings.HasPrefix(long, short) || !(short < long) {
+			t.Fatalf("%q is not a strict prefix of %q", short, long)
+		}
+		if !(stepsSignature([]Step{longer}) < stepsSignature([]Step{lookupA})) {
+			t.Fatalf("joined strings do not invert the order of %q and %q", short, long)
+		}
+	}
+
+	for i := range chains {
+		for j := range chains {
+			if i == j {
+				continue
+			}
+			want := stepsSignature(chains[i].steps) < stepsSignature(chains[j].steps)
+			if got := gen.signatureLess(chains[i].id, chains[j].id); got != want {
+				t.Errorf("signatureLess(%q, %q) = %v, strings say %v",
+					stepsSignature(chains[i].steps), stepsSignature(chains[j].steps), got, want)
+			}
+		}
 	}
 }
 

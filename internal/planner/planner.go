@@ -2,7 +2,6 @@ package planner
 
 import (
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -25,11 +24,6 @@ type Config struct {
 	// SkipRelaxation disables predicate relaxation during planning
 	// (ablation): only fully-pushed lookups are considered.
 	SkipRelaxation bool
-	// Cache, when non-nil, memoizes (cost, rows) estimates across
-	// planner invocations, keyed by statement fingerprint plus plan
-	// signature. The cache must be scoped to one (schema, cost model,
-	// planner config) combination; nil disables memoization.
-	Cache *cost.Cache
 }
 
 // DefaultMaxPlansPerQuery bounds plan spaces when Config leaves
@@ -96,43 +90,23 @@ func (p *Planner) Pool() *enumerator.Pool { return p.pool }
 // CostModel returns the planner's cost model.
 func (p *Planner) CostModel() cost.Model { return p.model }
 
-// queryCacheKey fingerprints a query for the cost cache. It extends
-// the enumerator's structural signature with the limit, which the
-// signature ignores but lookup costing depends on. An empty string
-// means caching is off.
-func (p *Planner) queryCacheKey(q *workload.Query) string {
-	if p.cfg.Cache == nil {
-		return ""
-	}
-	return enumerator.QuerySignature(q) + "#L" + strconv.Itoa(q.Limit)
+// costState is the state of the costing fold: the expected row
+// cardinality after the steps walked so far, and the cost accumulated
+// over them under the planner's model.
+type costState struct {
+	rows, total float64
 }
 
-// estimatePlan costs a step sequence, consulting the shared cost cache
-// when configured, and returns the plan along with its signature (which
-// callers need anyway for deduplication — computing it here lets cache
-// hits skip the costing walk entirely). qkey comes from queryCacheKey;
-// empty disables the cache for this call.
-func (p *Planner) estimatePlan(q *workload.Query, qkey string, steps []Step) (*Plan, string) {
-	sig := stepsSignature(steps)
-	if qkey == "" {
-		return p.estimate(q, steps), sig
-	}
-	key := qkey + "\x00" + sig
-	if e, ok := p.cfg.Cache.Get(key); ok {
-		return &Plan{Query: q, Steps: steps, Cost: e.Cost, Rows: e.Rows}, sig
-	}
-	pl := p.estimate(q, steps)
-	p.cfg.Cache.Put(key, cost.Estimate{Cost: pl.Cost, Rows: pl.Rows})
-	return pl, sig
-}
-
-// estimate walks a plan's steps, tracking the expected row cardinality
-// and accumulating cost under the planner's model.
-func (p *Planner) estimate(q *workload.Query, steps []Step) *Plan {
-	rows := 0.0
-	total := 0.0
-	for _, st := range steps {
-		switch s := st.(type) {
+// fold continues the costing walk from st across steps. Costing a
+// sequence is fold from the zero state; because the state is all that
+// crosses a step boundary, folding f and then r from f's final state
+// performs exactly the float operations of folding f ++ r. That is
+// what lets chain generation carry costs instead of recomputing or
+// memoizing them.
+func (p *Planner) fold(st costState, steps []Step) costState {
+	rows, total := st.rows, st.total
+	for _, step := range steps {
+		switch s := step.(type) {
 		case *LookupStep:
 			sel := 1.0
 			for _, pr := range s.EqPredicates {
@@ -178,7 +152,7 @@ func (p *Planner) estimate(q *workload.Query, steps []Step) *Plan {
 			}
 		}
 	}
-	return &Plan{Query: q, Steps: steps, Cost: total, Rows: rows}
+	return costState{rows: rows, total: total}
 }
 
 // isJoinParam reports whether a predicate parameter is an internal id

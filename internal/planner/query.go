@@ -1,8 +1,11 @@
 package planner
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"nose/internal/enumerator"
 	"nose/internal/model"
@@ -20,95 +23,228 @@ func (p *Planner) PlanQuery(q *workload.Query) (*PlanSpace, error) {
 		return nil, fmt.Errorf("planner: query %q has no equality predicate", workload.Label(q))
 	}
 
-	var raw [][]Step
-	orientations := []*workload.Query{q}
+	g := newGenerator(p)
+	raw := g.orientedChains(q)
 	if !p.cfg.SkipReverse {
 		if rev := enumerator.ReverseQuery(q); rev != q {
-			orientations = append(orientations, rev)
+			raw = append(raw, g.orientedChains(rev)...)
 		}
 	}
-	for _, oq := range orientations {
-		raw = append(raw, p.orientedChains(oq)...)
-	}
-
-	qkey := p.queryCacheKey(q)
-	type costed struct {
-		plan *Plan
-		sig  string
-	}
-	plans := make([]costed, 0, len(raw))
-	seen := map[string]bool{}
-	for _, steps := range raw {
-		pl, sig := p.estimatePlan(q, qkey, steps)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		plans = append(plans, costed{plan: pl, sig: sig})
-	}
-	if len(plans) == 0 {
+	if len(raw) == 0 {
 		return nil, fmt.Errorf("planner: no plan found for query %q", workload.Label(q))
 	}
-	sort.Slice(plans, func(i, j int) bool {
-		if plans[i].plan.Cost != plans[j].plan.Cost {
-			return plans[i].plan.Cost < plans[j].plan.Cost
-		}
-		return plans[i].sig < plans[j].sig
-	})
-	if len(plans) > p.cfg.MaxPlansPerQuery {
-		plans = plans[:p.cfg.MaxPlansPerQuery]
+	best := g.cheapest(raw, p.cfg.MaxPlansPerQuery)
+	plans := make([]*Plan, len(best))
+	for i, c := range best {
+		plans[i] = &Plan{Query: q, Steps: c.steps, Cost: c.cost.total, Rows: c.cost.rows}
 	}
-	out := make([]*Plan, len(plans))
-	for i, c := range plans {
-		out[i] = c.plan
-	}
-	return &PlanSpace{Query: q, Plans: out}, nil
+	return &PlanSpace{Query: q, Plans: plans}, nil
 }
 
-// orientedChains generates the raw step sequences for one orientation
-// of a query.
-func (p *Planner) orientedChains(q *workload.Query) [][]Step {
-	var raw [][]Step
-	if len(q.Order) > 0 {
-		// Plans whose single lookup serves the ordering via clustering.
-		for _, steps := range p.segmentVariants(enumerator.PrefixQuery(q, 0), q.Order) {
-			if q.Limit > 0 {
-				if ls, ok := steps[0].(*LookupStep); ok && len(steps) == 1 {
-					ls.Limit = q.Limit
-				} else {
-					steps = appendSteps(steps, &LimitStep{N: q.Limit})
-				}
-			}
-			raw = append(raw, steps)
-		}
-		// Plans that sort client-side over the order-relaxed query.
-		memo := newChainMemo()
-		for _, chain := range p.chains(enumerator.RelaxOrder(q), memo) {
-			steps := appendSteps(chain, &SortStep{By: q.Order})
-			if q.Limit > 0 {
-				steps = append(steps, &LimitStep{N: q.Limit})
-			}
-			raw = append(raw, steps)
-		}
-	} else {
-		memo := newChainMemo()
-		for _, chain := range p.chains(q, memo) {
-			steps := chain
-			if q.Limit > 0 {
-				steps = appendSteps(chain, &LimitStep{N: q.Limit})
-			}
-			raw = append(raw, steps)
-		}
-	}
-	return raw
+// generator is the state of one PlanQuery call: the planner plus the
+// table that interns step signatures, so a chain is identified by a
+// short sequence of integers instead of a concatenated string.
+type generator struct {
+	*Planner
+	// ids maps a step signature to its index in sigs. Each step's
+	// signature string is built exactly once, when the step is interned.
+	ids  map[string]uint32
+	sigs []string
 }
 
-// appendSteps copies the step slice before appending so chains shared
+func newGenerator(p *Planner) *generator {
+	return &generator{Planner: p, ids: map[string]uint32{}}
+}
+
+// chain is a step sequence together with its identity and cost, both
+// carried along the decomposition so that neither is ever recomputed
+// from the steps.
+type chain struct {
+	// steps is nil while the chain is an unmaterialized candidate
+	// head ++ tail; only beam survivors get a slice of their own.
+	steps      []Step
+	head, tail *chain
+	// id packs the interned ids of the steps, four big-endian bytes
+	// each. Two chains have equal ids exactly when their signature
+	// strings are equal ('|' separates signatures and occurs in none).
+	id string
+	// cost is the costing fold's state after the last step.
+	cost costState
+}
+
+// intern returns the id of the step's signature.
+func (g *generator) intern(st Step) uint32 {
+	sig := st.signature()
+	id, ok := g.ids[sig]
+	if !ok {
+		id = uint32(len(g.sigs))
+		g.ids[sig] = id
+		g.sigs = append(g.sigs, sig)
+	}
+	return id
+}
+
+// newChain interns and costs a step sequence from scratch.
+func (g *generator) newChain(steps []Step) chain {
+	var buf [32]byte // most chains are a handful of steps: one allocation, for the string
+	id := buf[:0]
+	for _, st := range steps {
+		id = binary.BigEndian.AppendUint32(id, g.intern(st))
+	}
+	return chain{steps: steps, id: string(id), cost: g.fold(costState{}, steps)}
+}
+
+// join returns the candidate f ++ r without building its step slice:
+// the identity is a concatenation and the cost a continuation of f's
+// fold over r's steps — the same float operations, in the same order,
+// as costing the joined sequence from scratch. Both operands must be
+// materialized and must outlive the candidate.
+func (g *generator) join(f, r *chain) chain {
+	return chain{head: f, tail: r, id: f.id + r.id, cost: g.fold(f.cost, r.steps)}
+}
+
+// concat returns f ++ r with a step slice of its own.
+func (g *generator) concat(f, r *chain) chain {
+	c := g.join(f, r)
+	c.materialize()
+	return c
+}
+
+// materialize gives a candidate its own step slice. Chains shared
 // through memoization are never mutated.
-func appendSteps(steps []Step, more ...Step) []Step {
-	out := make([]Step, 0, len(steps)+len(more))
-	out = append(out, steps...)
-	out = append(out, more...)
+func (c *chain) materialize() {
+	if c.steps != nil {
+		return
+	}
+	c.steps = make([]Step, 0, len(c.head.steps)+len(c.tail.steps))
+	c.steps = append(append(c.steps, c.head.steps...), c.tail.steps...)
+	c.head, c.tail = nil, nil
+}
+
+// cheapest removes duplicate chains (keeping the first generated) and
+// returns the limit cheapest, ordered by cost and then by signature.
+// It reorders cs in place.
+func (g *generator) cheapest(cs []chain, limit int) []chain {
+	seen := make(map[string]struct{}, len(cs))
+	uniq := cs[:0]
+	for _, c := range cs {
+		if _, dup := seen[c.id]; dup {
+			continue
+		}
+		seen[c.id] = struct{}{}
+		uniq = append(uniq, c)
+	}
+	if len(uniq) > limit {
+		// Candidates outnumber the survivors many times over, and the
+		// signature tie-break is the expensive comparison: find the
+		// cost of the limit-th cheapest first, and order only the
+		// chains at or below it.
+		costs := make([]float64, len(uniq))
+		for i := range uniq {
+			costs[i] = uniq[i].cost.total
+		}
+		sort.Float64s(costs)
+		bound, within := costs[limit-1], uniq[:0]
+		for _, c := range uniq {
+			if c.cost.total <= bound {
+				within = append(within, c)
+			}
+		}
+		uniq = within
+	}
+	sort.Slice(uniq, func(i, j int) bool {
+		if uniq[i].cost.total != uniq[j].cost.total {
+			return uniq[i].cost.total < uniq[j].cost.total
+		}
+		return g.signatureLess(uniq[i].id, uniq[j].id)
+	})
+	if len(uniq) > limit {
+		uniq = uniq[:limit]
+	}
+	for i := range uniq {
+		uniq[i].materialize()
+	}
+	return uniq
+}
+
+// signatureLess orders two distinct chain ids exactly as comparing
+// their signature strings ("sig|sig|…") would. Equal leading ids are
+// skipped and the first differing pair of step signatures decides,
+// unless one is a prefix of the other: then the shorter one's '|'
+// meets the longer one's next byte, and the strings are built.
+func (g *generator) signatureLess(a, b string) bool {
+	n := min(len(a), len(b))
+	i := 0
+	for i < n && a[i] == b[i] {
+		i++
+	}
+	i &^= 3
+	if i == n {
+		return len(a) < len(b)
+	}
+	sa, sb := g.sigs[stepID(a, i)], g.sigs[stepID(b, i)]
+	if !strings.HasPrefix(sa, sb) && !strings.HasPrefix(sb, sa) {
+		return sa < sb
+	}
+	return g.signature(a[i:]) < g.signature(b[i:])
+}
+
+// stepID decodes the step id at byte offset i of a chain id.
+func stepID(id string, i int) uint32 {
+	return uint32(id[i])<<24 | uint32(id[i+1])<<16 | uint32(id[i+2])<<8 | uint32(id[i+3])
+}
+
+// signature expands a chain id into the signature string of its steps.
+func (g *generator) signature(id string) string {
+	var b strings.Builder
+	for i := 0; i < len(id); i += 4 {
+		b.WriteString(g.sigs[stepID(id, i)])
+		b.WriteByte('|')
+	}
+	return b.String()
+}
+
+// orientedChains generates the chains for one orientation of a query.
+func (g *generator) orientedChains(q *workload.Query) []chain {
+	if len(q.Order) == 0 {
+		chains := g.chains(q, newChainMemo())
+		if q.Limit == 0 {
+			return chains
+		}
+		return g.withTail(chains, &LimitStep{N: q.Limit})
+	}
+
+	// Plans whose single lookup serves the ordering via clustering.
+	raw := g.segmentVariants(enumerator.PrefixQuery(q, 0), q.Order)
+	if q.Limit > 0 {
+		limit := g.newChain([]Step{&LimitStep{N: q.Limit}})
+		for i := range raw {
+			c := &raw[i]
+			if ls, ok := c.steps[0].(*LookupStep); ok && len(c.steps) == 1 {
+				// The get itself stops at the limit, which changes
+				// what it fetches: cost the lookup again.
+				ls.Limit = q.Limit
+				c.cost = g.fold(costState{}, c.steps)
+			} else {
+				*c = g.concat(c, &limit)
+			}
+		}
+	}
+	// Plans that sort client-side over the order-relaxed query.
+	tail := []Step{&SortStep{By: q.Order}}
+	if q.Limit > 0 {
+		tail = append(tail, &LimitStep{N: q.Limit})
+	}
+	return append(raw, g.withTail(g.chains(enumerator.RelaxOrder(q), newChainMemo()), tail...)...)
+}
+
+// withTail returns every chain extended by the same trailing steps.
+func (g *generator) withTail(chains []chain, steps ...Step) []chain {
+	tail := g.newChain(steps)
+	out := make([]chain, len(chains))
+	for i := range chains {
+		out[i] = g.concat(&chains[i], &tail)
+	}
 	return out
 }
 
@@ -116,18 +252,19 @@ func appendSteps(steps []Step, more ...Step) []Step {
 // and breaks the cycle introduced by decomposing at the far end of a
 // path (which reproduces the parent query).
 type chainMemo struct {
-	done       map[string][][]Step
+	done       map[string][]chain
 	inProgress map[string]bool
 }
 
 func newChainMemo() *chainMemo {
-	return &chainMemo{done: map[string][][]Step{}, inProgress: map[string]bool{}}
+	return &chainMemo{done: map[string][]chain{}, inProgress: map[string]bool{}}
 }
 
 // chains enumerates step chains answering q, ignoring ordering: for
 // each decomposition point, every single-lookup variant of the prefix
-// query concatenated with every chain of the remainder query.
-func (p *Planner) chains(q *workload.Query, memo *chainMemo) [][]Step {
+// query concatenated with every chain of the remainder query. The
+// returned chains are materialized and shared through the memo.
+func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 	sig := enumerator.QuerySignature(q)
 	if res, ok := memo.done[sig]; ok {
 		return res
@@ -138,14 +275,14 @@ func (p *Planner) chains(q *workload.Query, memo *chainMemo) [][]Step {
 	memo.inProgress[sig] = true
 	defer func() { memo.inProgress[sig] = false }()
 
-	var out [][]Step
+	var out []chain
 	n := q.Path.Len() - 1
 	for s := 0; s <= n; s++ {
 		prefix := enumerator.PrefixQuery(q, s)
 		if len(prefix.EqualityPredicates()) == 0 {
 			continue
 		}
-		firsts := p.segmentVariants(prefix, nil)
+		firsts := g.segmentVariants(prefix, nil)
 		if s == 0 {
 			out = append(out, firsts...)
 			continue
@@ -153,14 +290,15 @@ func (p *Planner) chains(q *workload.Query, memo *chainMemo) [][]Step {
 		if len(firsts) == 0 {
 			continue
 		}
-		rems := p.chains(enumerator.RemainderQuery(q, s), memo)
-		for _, f := range firsts {
-			for _, r := range rems {
-				out = append(out, appendSteps(f, r...))
+		rems := g.chains(enumerator.RemainderQuery(q, s), memo)
+		out = slices.Grow(out, len(firsts)*len(rems))
+		for f := range firsts {
+			for r := range rems {
+				out = append(out, g.join(&firsts[f], &rems[r]))
 			}
 		}
 	}
-	out = p.pruneChains(q, out)
+	out = g.pruneChains(out)
 	memo.done[sig] = out
 	return out
 }
@@ -169,51 +307,28 @@ func (p *Planner) chains(q *workload.Query, memo *chainMemo) [][]Step {
 // duplicates are removed and only the cheapest chains are kept, at a
 // width comfortably above the final plan-space cap. Without this, the
 // cartesian combination of per-segment variants across decomposition
-// points grows multiplicatively with path length.
-func (p *Planner) pruneChains(q *workload.Query, out [][]Step) [][]Step {
-	limit := 4 * p.cfg.MaxPlansPerQuery
+// points grows multiplicatively with path length. A set already within
+// the beam is returned as generated.
+func (g *generator) pruneChains(out []chain) []chain {
+	limit := 4 * g.cfg.MaxPlansPerQuery
 	if len(out) <= limit {
+		for i := range out {
+			out[i].materialize()
+		}
 		return out
 	}
-	type scored struct {
-		steps []Step
-		cost  float64
-		sig   string
-	}
-	qkey := p.queryCacheKey(q)
-	uniq := make([]scored, 0, len(out))
-	seen := map[string]bool{}
-	for _, steps := range out {
-		pl, sig := p.estimatePlan(q, qkey, steps)
-		if seen[sig] {
-			continue
-		}
-		seen[sig] = true
-		uniq = append(uniq, scored{steps: steps, cost: pl.Cost, sig: sig})
-	}
-	sort.Slice(uniq, func(i, j int) bool {
-		if uniq[i].cost != uniq[j].cost {
-			return uniq[i].cost < uniq[j].cost
-		}
-		return uniq[i].sig < uniq[j].sig
-	})
-	if len(uniq) > limit {
-		uniq = uniq[:limit]
-	}
-	pruned := make([][]Step, len(uniq))
-	for i, s := range uniq {
-		pruned[i] = s.steps
-	}
-	return pruned
+	// Copy the survivors out of the candidate array, which is many
+	// times the beam and would otherwise live as long as the memo.
+	return slices.Clone(g.cheapest(out, limit))
 }
 
 // segmentVariants generates every single-lookup realization of a prefix
 // query: one per (relaxation, usable column family) combination, each a
 // lookup optionally followed by enrichment lookups and a filter.
-func (p *Planner) segmentVariants(pq *workload.Query, order []workload.AttrRef) [][]Step {
-	var out [][]Step
+func (g *generator) segmentVariants(pq *workload.Query, order []workload.AttrRef) []chain {
+	var out []chain
 	relaxable := enumerator.RelaxablePredicates(pq)
-	if p.cfg.SkipRelaxation {
+	if g.cfg.SkipRelaxation {
 		relaxable = nil
 	}
 	for mask := 0; mask < 1<<uint(len(relaxable)); mask++ {
@@ -230,7 +345,7 @@ func (p *Planner) segmentVariants(pq *workload.Query, order []workload.AttrRef) 
 		if len(rq.EqualityPredicates()) == 0 {
 			continue
 		}
-		out = append(out, p.lookupVariants(rq, removed, order)...)
+		out = append(out, g.lookupVariants(rq, removed, order)...)
 	}
 	return out
 }
@@ -242,7 +357,7 @@ func (p *Planner) segmentVariants(pq *workload.Query, order []workload.AttrRef) 
 // any needed attribute the family lacks is fetched by an id-keyed
 // enrichment lookup. Removed and unpushed range predicates become
 // client-side filters.
-func (p *Planner) lookupVariants(rq *workload.Query, removed []workload.Predicate, order []workload.AttrRef) [][]Step {
+func (g *generator) lookupVariants(rq *workload.Query, removed []workload.Predicate, order []workload.AttrRef) []chain {
 	eq := rq.EqualityPredicates()
 	partitionWant := attrKeySet(predAttrs(eq))
 	rangePreds := rq.RangePredicates()
@@ -267,8 +382,8 @@ func (p *Planner) lookupVariants(rq *workload.Query, removed []workload.Predicat
 		boundEq = append(boundEq, pr)
 	}
 
-	var out [][]Step
-	for _, cf := range p.candidatesFor(partitionWant) {
+	var out []chain
+	for _, cf := range g.candidatesFor(partitionWant) {
 		if !pathCoversSegment(cf.Path, rq.Path) {
 			continue
 		}
@@ -337,7 +452,7 @@ func (p *Planner) lookupVariants(rq *workload.Query, removed []workload.Predicat
 		if !ok {
 			continue
 		}
-		enrich, ok := p.enrichSteps(missing)
+		enrich, ok := g.enrichSteps(missing)
 		if !ok {
 			continue
 		}
@@ -354,7 +469,7 @@ func (p *Planner) lookupVariants(rq *workload.Query, removed []workload.Predicat
 		if len(filters) > 0 {
 			steps = append(steps, &FilterStep{Predicates: filters})
 		}
-		out = append(out, steps)
+		out = append(out, g.newChain(steps))
 	}
 	return out
 }

@@ -20,7 +20,8 @@ import (
 type Step interface {
 	// Describe renders the step for plan listings.
 	Describe() string
-	// signature is a canonical string for plan deduplication.
+	// signature is the step's canonical string. Plan generation builds
+	// it once per step, to intern the step; it never contains '|'.
 	signature() string
 }
 

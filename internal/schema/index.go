@@ -7,6 +7,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -108,13 +109,11 @@ func (x *Index) AllAttributes() []*model.Attribute {
 }
 
 // Contains reports whether the index stores the attribute anywhere.
+// Plan generation calls it once per (candidate, needed attribute), so
+// it walks the three components in place rather than through
+// AllAttributes.
 func (x *Index) Contains(a *model.Attribute) bool {
-	for _, b := range x.AllAttributes() {
-		if a == b {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(x.Partition, a) || slices.Contains(x.Clustering, a) || slices.Contains(x.Values, a)
 }
 
 // ContainsAll reports whether the index stores every given attribute.

@@ -90,6 +90,25 @@ func TestIndexAttributeQueries(t *testing.T) {
 	}
 }
 
+// TestContainmentDoesNotAllocate: plan generation asks Contains and
+// ContainsAll once per (candidate, needed attribute); both must answer
+// from the index's own slices.
+func TestContainmentDoesNotAllocate(t *testing.T) {
+	g := hotel.Graph()
+	x := figure3View(g)
+	guest := g.MustEntity("Guest")
+	stored := []*model.Attribute{guest.Attribute("GuestEmail"), guest.Key(), g.MustEntity("Hotel").Attribute("HotelCity")}
+	absent := g.MustEntity("Hotel").Attribute("HotelPhone")
+	var sink bool
+	if n := testing.AllocsPerRun(100, func() { sink = x.Contains(stored[0]) || x.Contains(absent) }); n != 0 {
+		t.Errorf("Contains allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = x.ContainsAll(stored) }); n != 0 {
+		t.Errorf("ContainsAll allocates %v times per call", n)
+	}
+	_ = sink
+}
+
 func TestIndexValidateErrors(t *testing.T) {
 	g := hotel.Graph()
 	guest := g.MustEntity("Guest")

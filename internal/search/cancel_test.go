@@ -1,6 +1,7 @@
 package search_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,10 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"nose/internal/cost"
 	"nose/internal/hotel"
 	"nose/internal/nosedsl"
+	"nose/internal/obs"
 	"nose/internal/search"
+	"nose/internal/service/api"
 	"nose/internal/workload"
 )
 
@@ -105,58 +107,57 @@ func TestAdviseCancelPrompt(t *testing.T) {
 	}
 }
 
-// TestCancelLeavesCacheUsable pins the service contract: a cost cache
-// shared with a cancelled run stays valid, and a later run over the same
-// cache produces the exact recommendation of a cache-free run.
-func TestCancelLeavesCacheUsable(t *testing.T) {
-	g := hotel.Graph()
-	w := workload.New(g)
-	for _, src := range []string{hotel.ExampleQuery, hotel.PrefixQuery, hotel.POIQuery} {
-		w.Add(workload.MustParseQuery(g, src), 1)
+// cancelInPlanning is a context that cancels itself at the third
+// check made after the tracer has recorded a span. The first span an
+// advise records is "enumerate", so with one worker the cancel lands on
+// the third item of the plan-space fan-out.
+type cancelInPlanning struct {
+	context.Context
+	cancel context.CancelFunc
+	trace  *obs.Tracer
+	checks int
+}
+
+func (c *cancelInPlanning) Err() error {
+	if c.trace.Len() > 0 {
+		if c.checks++; c.checks == 3 {
+			c.cancel()
+		}
 	}
-	for _, src := range hotel.UpdateStatements {
-		st, err := workload.Parse(g, src)
+	return c.Context.Err()
+}
+
+// TestAdviseAfterCancelledPlanning: an advise cancelled while plan
+// spaces are being generated leaves nothing behind on the workload, its
+// graph or the statistics they cache — a fresh advise of the same
+// workload object encodes to the bytes of a run that was never
+// preceded by a cancel.
+func TestAdviseAfterCancelledPlanning(t *testing.T) {
+	encode := func(w *workload.Workload) []byte {
+		data, err := api.Encode(api.Advise(w, adviseHotel(t, w, search.Options{})))
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Add(st, 1)
+		return data
 	}
+	pristine := encode(hotelWorkload(t))
 
-	pristine, err := search.Advise(w, search.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cache := cost.NewCache()
-	opt := func(ctx context.Context) search.Options {
-		o := search.Options{Ctx: ctx}
-		o.Planner.Cache = cache
-		return o
-	}
-
-	// Cancel immediately: the run dies somewhere in the pipeline having
-	// possibly half-filled the cache.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := search.Advise(w, opt(ctx)); !errors.Is(err, context.Canceled) {
+	w := hotelWorkload(t)
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	trace := obs.NewTracer()
+	ctx := &cancelInPlanning{Context: inner, cancel: cancel, trace: trace}
+	if _, err := search.Advise(w, search.Options{Workers: 1, Ctx: ctx, Trace: trace}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-
-	// And again mid-flight, for a non-empty partial fill.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel2()
-	if _, err := search.Advise(w, opt(ctx2)); err == nil {
-		t.Log("1ms advise finished before the deadline; cache fully warm")
+	// Enumeration finished, the plan-space span never closed, and the
+	// deferred root span closed on the way out.
+	events, _ := trace.EventsSince(0)
+	if len(events) != 2 || events[0].Name != "enumerate" || events[1].Name != "advise" {
+		t.Fatalf("cancel did not land in the plan-space stage: spans %+v", events)
 	}
 
-	rec, err := search.Advise(w, opt(context.Background()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Cost != pristine.Cost {
-		t.Fatalf("cost after cancelled runs = %v, pristine = %v", rec.Cost, pristine.Cost)
-	}
-	if rec.Schema.String() != pristine.Schema.String() {
-		t.Fatalf("schema after cancelled runs differs:\n%s\nvs pristine:\n%s", rec.Schema, pristine.Schema)
+	if got := encode(w); !bytes.Equal(got, pristine) {
+		t.Fatalf("advise after a cancelled one differs from a never-cancelled run:\n%s\nvs\n%s", got, pristine)
 	}
 }

@@ -58,14 +58,13 @@ type Options struct {
 	// every branch-and-bound batch boundary, so Advise and AdviseSeries
 	// return Ctx.Err() promptly (errors.Is recognizes context.Canceled
 	// / DeadlineExceeded) instead of finishing the solve. Cancellation
-	// is clean: no partial recommendation is returned, and a shared
-	// cost cache (Planner.Cache) remains valid for later runs — the
-	// cache only ever holds completed estimates. Nil means
-	// context.Background() (never cancelled).
+	// is clean: no partial recommendation is returned and nothing
+	// outlives the call, so the same workload can be advised again.
+	// Nil means context.Background() (never cancelled).
 	Ctx context.Context
 	// Obs, when non-nil, receives pipeline metrics: deterministic
-	// search.*/enum.*/bip.*/lp.* counters, wall-clock stage gauges, and
-	// volatile cost-cache counters. Nil disables metrics at no cost.
+	// search.*/enum.*/bip.*/lp.* counters and wall-clock stage gauges.
+	// Nil disables metrics at no cost.
 	Obs *obs.Registry
 	// Trace, when non-nil, records one wall-clock span per advisor
 	// stage, viewable in about:tracing/Perfetto.
@@ -152,10 +151,7 @@ type Recommendation struct {
 }
 
 // withDefaults resolves zero-valued options: the default cost model,
-// support-plan bound, worker count (spread to the BIP solver), and a
-// fresh per-run cost cache. The cache memo is shared by every planner
-// invocation of one run and is scoped to this (schema, model, config)
-// combination, so a fresh run gets a fresh cache.
+// support-plan bound, and worker count (spread to the BIP solver).
 func (opt Options) withDefaults() Options {
 	if opt.CostModel == nil {
 		opt.CostModel = cost.Default()
@@ -170,9 +166,6 @@ func (opt Options) withDefaults() Options {
 		opt.Ctx = context.Background()
 	}
 	opt.BIP.Ctx = opt.Ctx
-	if opt.Planner.Cache == nil {
-		opt.Planner.Cache = cost.NewCache()
-	}
 	return opt
 }
 
@@ -184,8 +177,7 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 	rec := &Recommendation{}
 	root := opt.Trace.Begin("advise", "advisor")
 	defer root.End()
-	cacheBefore := opt.Planner.Cache.Stats()
-	defer publishRun(opt, rec, cacheBefore)
+	defer publishRun(opt, rec)
 
 	// Candidate enumeration (Algorithm 1).
 	t := time.Now()
@@ -281,11 +273,8 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 }
 
 // publishRun records the run-level metrics that are only known at the
-// end: solver node totals, wall-clock stage gauges, and the cost-cache
-// deltas. Cache counters are volatile — racing planner workers can both
-// miss the same key — and deltas (not absolutes) are recorded so a
-// caller-supplied cache reused across runs is not double counted.
-func publishRun(opt Options, rec *Recommendation, cacheBefore cost.CacheStats) {
+// end: solver node totals and wall-clock stage gauges.
+func publishRun(opt Options, rec *Recommendation) {
 	if opt.Obs == nil {
 		return
 	}
@@ -300,10 +289,4 @@ func publishRun(opt Options, rec *Recommendation, cacheBefore cost.CacheStats) {
 	g("search.wall_ms.bip_construction", rec.Timings.BIPConstruction)
 	g("search.wall_ms.bip_solving", rec.Timings.BIPSolving)
 	g("search.wall_ms.total", rec.Timings.Total)
-
-	after := opt.Planner.Cache.Stats()
-	opt.Obs.VolatileCounter("cost.cache.hits").Add(int64(after.Hits - cacheBefore.Hits))
-	opt.Obs.VolatileCounter("cost.cache.misses").Add(int64(after.Misses - cacheBefore.Misses))
-	opt.Obs.VolatileCounter("cost.cache.contention").Add(int64(after.Contention - cacheBefore.Contention))
-	opt.Obs.VolatileCounter("cost.cache.entries").Add(int64(after.Entries - cacheBefore.Entries))
 }

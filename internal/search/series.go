@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"nose/internal/bip"
-	"nose/internal/cost"
 	"nose/internal/enumerator"
 	"nose/internal/lp"
 	"nose/internal/migrate"
@@ -97,8 +96,7 @@ func AdviseSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, err
 	sr := &SeriesRecommendation{}
 	root := opt.Trace.Begin("advise-series", "advisor")
 	defer root.End()
-	cacheBefore := opt.Planner.Cache.Stats()
-	defer publishSeries(opt, sr, cacheBefore)
+	defer publishSeries(opt, sr)
 
 	// Enumerate once over the union workload: every statement active in
 	// any phase, at its maximum phase weight. Weights only matter for
@@ -114,9 +112,9 @@ func AdviseSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, err
 	sr.Stats.Candidates = enumRes.Pool.Len()
 	sp.SetArg("candidates", sr.Stats.Candidates).End()
 
-	// One planner (and one cost cache) across all phases: schema.Index
-	// pointers are shared, so column family identity — and naming — is
-	// stable across the series.
+	// One planner across all phases: schema.Index pointers are shared,
+	// so column family identity — and naming — is stable across the
+	// series.
 	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)
 
 	t0 = time.Now()
@@ -472,7 +470,7 @@ func (sb *seriesBuilder) extract(res *bip.Result, sr *SeriesRecommendation) erro
 }
 
 // publishSeries records series-level metrics, mirroring publishRun.
-func publishSeries(opt Options, sr *SeriesRecommendation, cacheBefore cost.CacheStats) {
+func publishSeries(opt Options, sr *SeriesRecommendation) {
 	if opt.Obs == nil {
 		return
 	}
@@ -496,12 +494,6 @@ func publishSeries(opt Options, sr *SeriesRecommendation, cacheBefore cost.Cache
 	g("search.wall_ms.bip_construction", sr.Timings.BIPConstruction)
 	g("search.wall_ms.bip_solving", sr.Timings.BIPSolving)
 	g("search.wall_ms.total", sr.Timings.Total)
-
-	after := opt.Planner.Cache.Stats()
-	opt.Obs.VolatileCounter("cost.cache.hits").Add(int64(after.Hits - cacheBefore.Hits))
-	opt.Obs.VolatileCounter("cost.cache.misses").Add(int64(after.Misses - cacheBefore.Misses))
-	opt.Obs.VolatileCounter("cost.cache.contention").Add(int64(after.Contention - cacheBefore.Contention))
-	opt.Obs.VolatileCounter("cost.cache.entries").Add(int64(after.Entries - cacheBefore.Entries))
 }
 
 // Format renders the schema series as the nose CLI prints it: one block

@@ -3,7 +3,7 @@
 // deterministic: structs marshal in declaration order, maps marshal
 // with sorted keys (encoding/json's contract), slices preserve the
 // advisor's workload-order output, and nondeterministic fields (wall
-// clock timings, per-run cache statistics) are excluded. Because the
+// clock timings) are excluded. Because the
 // advisor itself is worker-count invariant, the same workload DSL and
 // knobs produce byte-identical encodings whether the run was submitted
 // over HTTP or executed by the CLI — that equality is pinned in CI by

@@ -63,13 +63,10 @@ func (m *Manager) advisorOptions(ctx context.Context, j *Job) search.Options {
 	return search.Options{
 		Workers:          j.req.Workers,
 		SpaceBudgetBytes: j.req.SpaceBytes,
-		Planner: planner.Config{
-			MaxPlansPerQuery: maxPlans,
-			Cache:            m.cacheFor(j.req),
-		},
-		Ctx:   ctx,
-		Obs:   j.reg,
-		Trace: j.tracer,
+		Planner:          planner.Config{MaxPlansPerQuery: maxPlans},
+		Ctx:              ctx,
+		Obs:              j.reg,
+		Trace:            j.tracer,
 	}
 }
 

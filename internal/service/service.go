@@ -17,28 +17,22 @@
 // canonical, and results never embed wall-clock readings. CI pins the
 // equality by diffing a daemon result against the CLI's.
 //
-// # Cache sharing
+// # Session isolation
 //
-// Concurrent sessions share sharded cost caches (internal/cost.Cache)
-// keyed by workload hash and plan-space bound: two jobs advising the
-// same DSL reuse each other's completed cost estimates, while jobs
-// with different models can never collide. Cancellation leaves a
-// shared cache valid — it only ever holds completed estimates.
+// Sessions share nothing but the manager's bookkeeping: each job parses
+// its own copy of the workload and owns its planner, registry and
+// tracer, so concurrent identical jobs cannot influence each other and
+// a cancelled one leaves nothing behind.
 package service
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"nose/internal/cost"
 	"nose/internal/obs"
-	"nose/internal/planner"
 )
 
 // State is a job's lifecycle state. Jobs move queued → running →
@@ -209,17 +203,13 @@ type Config struct {
 	// MaxSessions bounds concurrently running jobs; further submissions
 	// queue. Zero or negative means 2.
 	MaxSessions int
-	// MaxCaches bounds the distinct shared cost caches kept alive
-	// (one per (workload hash, plan bound)); zero means 8.
-	MaxCaches int
 }
 
 // DefaultMaxSessions is the default bound on concurrent sessions.
 const DefaultMaxSessions = 2
 
 // Manager owns the daemon's jobs: it validates submissions, bounds
-// concurrent advisor sessions, hands jobs per-(workload, plan-bound)
-// shared cost caches, and coordinates graceful shutdown.
+// concurrent advisor sessions, and coordinates graceful shutdown.
 type Manager struct {
 	cfg Config
 	sem chan struct{}
@@ -230,10 +220,6 @@ type Manager struct {
 	nextID int
 	closed bool
 	wg     sync.WaitGroup
-
-	cacheMu    sync.Mutex
-	caches     map[string]*cost.Cache
-	cacheOrder []string
 }
 
 // NewManager returns an empty manager.
@@ -241,14 +227,10 @@ func NewManager(cfg Config) *Manager {
 	if cfg.MaxSessions <= 0 {
 		cfg.MaxSessions = DefaultMaxSessions
 	}
-	if cfg.MaxCaches <= 0 {
-		cfg.MaxCaches = 8
-	}
 	return &Manager{
-		cfg:    cfg,
-		sem:    make(chan struct{}, cfg.MaxSessions),
-		jobs:   map[string]*Job{},
-		caches: map[string]*cost.Cache{},
+		cfg:  cfg,
+		sem:  make(chan struct{}, cfg.MaxSessions),
+		jobs: map[string]*Job{},
 	}
 }
 
@@ -383,44 +365,4 @@ func (m *Manager) Shutdown(ctx context.Context) {
 		j.cancel()
 	}
 	<-drained
-}
-
-// cacheFor returns the shared cost cache for a request: one cache per
-// (workload hash, plan-space bound), so identical sessions reuse each
-// other's estimates and differing ones can never collide. Cost-cache
-// keys are value-based plan signatures scoped to the schema statistics
-// and cost model, both fixed by the DSL, so sharing across separately
-// parsed copies of one workload is sound. Beyond MaxCaches distinct
-// workloads the oldest cache is dropped (it only loses warm-up time).
-func (m *Manager) cacheFor(req Request) *cost.Cache {
-	maxPlans := req.MaxPlans
-	if maxPlans <= 0 {
-		maxPlans = planner.DefaultMaxPlansPerQuery
-	}
-	sum := sha256.Sum256([]byte(req.DSL))
-	key := fmt.Sprintf("%s#%d", hex.EncodeToString(sum[:]), maxPlans)
-
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	if c, ok := m.caches[key]; ok {
-		return c
-	}
-	if len(m.cacheOrder) >= m.cfg.MaxCaches {
-		delete(m.caches, m.cacheOrder[0])
-		m.cacheOrder = m.cacheOrder[1:]
-	}
-	c := cost.NewCache()
-	m.caches[key] = c
-	m.cacheOrder = append(m.cacheOrder, key)
-	return c
-}
-
-// CacheKeys returns the live shared-cache keys, sorted — test and
-// debugging surface.
-func (m *Manager) CacheKeys() []string {
-	m.cacheMu.Lock()
-	defer m.cacheMu.Unlock()
-	out := append([]string(nil), m.cacheOrder...)
-	sort.Strings(out)
-	return out
 }

@@ -100,13 +100,13 @@ func TestHTTPAdviseByteIdenticalToCLI(t *testing.T) {
 	}
 }
 
-// TestConcurrentSessionsShareCache runs two identical advise jobs at
-// the same time: they must share one cost cache (same workload hash and
-// plan bound) and still produce byte-identical results. The CI race
-// pass runs this under -race, which is the real assertion — concurrent
-// sessions may not trip the detector anywhere in the shared pipeline.
-func TestConcurrentSessionsShareCache(t *testing.T) {
-	ts, m := newTestServer(t, service.Config{MaxSessions: 2})
+// TestConcurrentIdenticalSessions runs two identical advise jobs at the
+// same time at different worker counts: they must produce byte-identical
+// results. The CI race pass runs this under -race, which is the other
+// half of the assertion — concurrent sessions may not trip the detector
+// anywhere in the pipeline.
+func TestConcurrentIdenticalSessions(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{MaxSessions: 2})
 	dsl := hotelDSL(t)
 
 	var wg sync.WaitGroup
@@ -129,9 +129,6 @@ func TestConcurrentSessionsShareCache(t *testing.T) {
 	}
 	if !bytes.Equal(results[0], results[1]) {
 		t.Error("concurrent identical jobs returned different bytes")
-	}
-	if keys := m.CacheKeys(); len(keys) != 1 {
-		t.Errorf("cache keys = %d, want 1 shared cache", len(keys))
 	}
 }
 
