@@ -37,12 +37,11 @@ import (
 type Program struct {
 	lp     *lp.Problem
 	binary []int
-	isBin  map[int]bool
 }
 
 // New returns an empty program.
 func New() *Program {
-	return &Program{lp: lp.NewProblem(), isBin: map[int]bool{}}
+	return &Program{lp: lp.NewProblem()}
 }
 
 // AddRow appends a constraint row with activity bounds [lo, hi].
@@ -52,7 +51,6 @@ func (p *Program) AddRow(lo, hi float64) int { return p.lp.AddRow(lo, hi) }
 func (p *Program) AddBinary(obj float64, entries ...lp.Entry) int {
 	col := p.lp.AddCol(obj, 0, 1, entries...)
 	p.binary = append(p.binary, col)
-	p.isBin[col] = true
 	return col
 }
 
@@ -282,6 +280,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		opt.Obs.Counter("lp.pivots").Add(total.Pivots)
 		opt.Obs.Counter("lp.degenerate_pivots").Add(total.DegeneratePivots)
 		opt.Obs.Counter("lp.refactors").Add(total.Refactors)
+		opt.Obs.Counter("lp.refactor_nnz").Add(total.RefactorNNZ)
 		opt.Obs.Counter("lp.warm_starts").Add(total.WarmStarts)
 		opt.Obs.Counter("lp.dual_pivots").Add(total.DualPivots)
 		opt.Obs.Counter("lp.warm_fallbacks").Add(total.Fallbacks)
@@ -324,15 +323,17 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		return sol, err
 	}
 
+	// fixed marks the columns of the fix list under inspection; each
+	// user sets the marks along the list and clears them the same way,
+	// so it is all false between uses.
+	fixed := make([]bool, p.NumCols())
+
 	// roundAndRepair rounds fractional binaries and re-solves with all
 	// of them fixed; a feasible result becomes an incumbent.
 	roundAndRepair := func(x []float64, fixes []fix, from *lp.Basis) error {
 		rounded := make([]fix, 0, len(p.binary))
 		rounded = append(rounded, fixes...)
-		fixed := map[int]bool{}
-		for _, f := range fixes {
-			fixed[f.col] = true
-		}
+		markFixed(fixed, fixes, true)
 		for _, col := range p.binary {
 			if fixed[col] {
 				continue
@@ -343,6 +344,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 			}
 			rounded = append(rounded, fix{col: col, val: v})
 		}
+		markFixed(fixed, fixes, false)
 		// The parent basis stays dual feasible under any set of bound
 		// fixes, so even this all-binaries-fixed repair solve can
 		// warm-start.
@@ -398,7 +400,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	case lp.IterationLimit:
 		return nil, fmt.Errorf("bip: relaxation hit the iteration limit")
 	}
-	if col := p.mostFractional(rootSol.X, nil); col == -1 {
+	if col := p.mostFractional(rootSol.X, nil, fixed); col == -1 {
 		tryIncumbent(rootSol.X, rootSol.Objective)
 	} else {
 		rootBasis := solvers[0].Snapshot()
@@ -470,7 +472,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 				prunedC.Inc()
 				continue
 			}
-			col := p.mostFractional(sol.X, it.nd.fixes)
+			col := p.mostFractional(sol.X, it.nd.fixes, fixed)
 			if col == -1 {
 				tryIncumbent(sol.X, sol.Objective)
 				continue
@@ -506,6 +508,13 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	return res, nil
 }
 
+// markFixed sets the mark of every column in fixes to v.
+func markFixed(fixed []bool, fixes []fix, v bool) {
+	for _, f := range fixes {
+		fixed[f.col] = v
+	}
+}
+
 func gapSlack(gap, incumbent float64) float64 {
 	slack := 1e-7
 	if gap > 0 && !math.IsInf(incumbent, 1) {
@@ -522,12 +531,9 @@ func gapSlack(gap, incumbent float64) float64 {
 // it prefers the most connected one (most constraint entries): in
 // selection problems those are the structural variables whose fixing
 // propagates furthest, closing the gap in far fewer nodes than pure
-// most-fractional branching.
-func (p *Program) mostFractional(x []float64, fixes []fix) int {
-	fixed := map[int]bool{}
-	for _, f := range fixes {
-		fixed[f.col] = true
-	}
+// most-fractional branching. fixed is Solve's all-false column mark.
+func (p *Program) mostFractional(x []float64, fixes []fix, fixed []bool) int {
+	markFixed(fixed, fixes, true)
 	best, bestScore := -1, 0.0
 	for _, col := range p.binary {
 		if fixed[col] {
@@ -543,6 +549,7 @@ func (p *Program) mostFractional(x []float64, fixes []fix) int {
 			best = col
 		}
 	}
+	markFixed(fixed, fixes, false)
 	return best
 }
 

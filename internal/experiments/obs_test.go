@@ -65,7 +65,7 @@ func TestMetricsDeterministicAcrossWorkers(t *testing.T) {
 	// harness, coordinator, node stores, and fault domains all counted.
 	for _, name := range []string{
 		"enum.candidates_unique", "search.candidates", "bip.nodes", "lp.pivots",
-		"harness.statements", "coord.reads", "store.gets", "nodefaults.ops",
+		"lp.refactor_nnz", "harness.statements", "coord.reads", "store.gets", "nodefaults.ops",
 		"exec.queries",
 	} {
 		if base.Counters[name] == 0 {

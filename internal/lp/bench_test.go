@@ -1,6 +1,7 @@
 package lp_test
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -112,27 +113,93 @@ func BenchmarkSimplexCold(b *testing.B) {
 	}
 }
 
+// advisorProblem builds an LP of exactly rows rows shaped like the
+// advisor's formulation: per query one choose-exactly-one row over its
+// plan columns, and per (query, family) pair one link row on which the
+// plans reading that family carry +1 and the family's presence column
+// -1. Plan costs fall as a plan reads more families and presence
+// columns carry a maintenance cost, so the optimal basis mixes plan,
+// presence and slack columns the way a branch-and-bound node's does.
+func advisorProblem(rows int, rng *rand.Rand) *lp.Problem {
+	p := lp.NewProblem()
+	families := make([][]lp.Entry, rows/5)
+	for len(families) > 0 && p.NumRows() < rows {
+		choose := p.AddRow(1, 1)
+		// This query's families and their link rows, while rows remain.
+		var fams, links []int
+		for want := 2 + rng.Intn(4); len(fams) < want && p.NumRows() < rows; {
+			f := rng.Intn(len(families))
+			link := p.AddRow(math.Inf(-1), 0)
+			families[f] = append(families[f], lp.Entry{Row: link, Coef: -1})
+			fams, links = append(fams, f), append(links, link)
+		}
+		for k := 3 + rng.Intn(5); k > 0; k-- {
+			es := []lp.Entry{{Row: choose, Coef: 1}}
+			cost := 10 + 10*rng.Float64()
+			for i := range links {
+				if rng.Intn(2) == 0 {
+					es = append(es, lp.Entry{Row: links[i], Coef: 1})
+					cost *= 0.5
+				}
+			}
+			p.AddCol(cost, 0, 1, es...)
+		}
+	}
+	for _, es := range families {
+		p.AddCol(1+4*rng.Float64(), 0, 1, es...)
+	}
+	return p
+}
+
+// BenchmarkRefactor measures refactorizations of an optimal basis at
+// the two advisor scales bench/ exercises — RUBiS formulates 244 rows,
+// the factor-3 random workload 802 — which is the fixed cost branch and
+// bound pays per node before its handful of dual pivots. One op is 64
+// refactorizations, so that the gate's -benchtime=3x times milliseconds
+// and not a cold cache.
+func BenchmarkRefactor(b *testing.B) {
+	for _, rows := range []int{244, 802} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			p := advisorProblem(rows, rand.New(rand.NewSource(7)))
+			if p.NumRows() != rows {
+				b.Fatalf("generator built %d rows, want %d", p.NumRows(), rows)
+			}
+			s := lp.NewSolver()
+			if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal {
+				b.Fatalf("root solve: %v, %v", sol, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for rep := 0; rep < 64; rep++ {
+					if !s.Refactor() {
+						b.Fatal("optimal basis became singular")
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestSolverReuseMatchesFresh solves a sequence of differently-shaped
 // random problems with one reused Solver and compares every result
-// against a fresh per-problem solve.
+// against a fresh per-problem solve. Advisor-scale problems alternate
+// with tiny ones, so each refactorization starts from the per-row
+// scratch a basis of another size left behind. Each large problem is
+// also re-solved from its own optimal basis after every column the
+// optimum uses has had its coefficients cancelled: the basic ones among
+// them are now zero columns, the refactorization fails part-way, and
+// the cold fallback has to run on whatever the failure left.
 func TestSolverReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := lp.NewSolver()
-	for trial := 0; trial < 40; trial++ {
-		p := benchProblem(2+rng.Intn(8), 1+rng.Intn(5), rng)
-		reused, err := s.Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := p.Solve()
-		if err != nil {
-			t.Fatal(err)
-		}
+	same := func(trial int, reused, fresh *lp.Solution) {
+		t.Helper()
 		if reused.Status != fresh.Status {
 			t.Fatalf("trial %d: status %v vs %v", trial, reused.Status, fresh.Status)
 		}
 		if reused.Status != lp.Optimal {
-			continue
+			return
 		}
 		if math.Abs(reused.Objective-fresh.Objective) > 1e-9 {
 			t.Fatalf("trial %d: objective %v vs %v", trial, reused.Objective, fresh.Objective)
@@ -142,6 +209,53 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 				t.Fatalf("trial %d: x[%d] %v vs %v", trial, j, reused.X[j], fresh.X[j])
 			}
 		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		large := trial%2 == 0
+		var p *lp.Problem
+		if large {
+			p = advisorProblem(120+rng.Intn(300), rng)
+		} else {
+			p = benchProblem(2+rng.Intn(8), 1+rng.Intn(5), rng)
+		}
+		reused, err := s.Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := p.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(trial, reused, fresh)
+		if !large || reused.Status != lp.Optimal {
+			continue
+		}
+
+		snap := s.Snapshot()
+		broken := p.Clone()
+		for j, v := range reused.X {
+			if v > 1e-6 {
+				for _, e := range p.ColEntries(j) {
+					broken.AddEntry(j, e.Row, -e.Coef)
+				}
+			}
+		}
+		before := s.Stats().Fallbacks
+		reused, err = s.SolveFrom(broken, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Stats().Fallbacks == before {
+			continue // every cancelled column was nonbasic at its bound
+		}
+		fresh, err = broken.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		same(trial, reused, fresh)
+	}
+	if s.Stats().Fallbacks < 10 {
+		t.Errorf("%d failed basis loads; most large trials should produce one", s.Stats().Fallbacks)
 	}
 }
 

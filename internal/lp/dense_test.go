@@ -49,11 +49,9 @@ type denseSolver struct {
 	maxIters int
 }
 
-// SolveDense runs the reference dense-inverse simplex implementation.
-// It exists for differential testing of the eta-file Solver; production
-// callers should use Solver, which is faster on the sparse problems the
-// advisor generates and supports warm starts.
-func SolveDense(p *Problem) (*Solution, error) {
+// solveDense runs the reference dense-inverse simplex implementation;
+// export_test.go hands it to the differential tests as SolveDense.
+func solveDense(p *Problem) (*Solution, error) {
 	return (&denseSolver{}).solve(p)
 }
 

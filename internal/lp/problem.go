@@ -1,8 +1,9 @@
 // Package lp implements a linear programming solver: a bounded-variable
-// revised simplex method with a dense basis inverse, two phases
-// (artificial-variable feasibility search, then cost minimization),
-// Dantzig pricing with a Bland anti-cycling fallback, and periodic
-// refactorization for numerical stability.
+// revised simplex method with the basis inverse kept in product form
+// (an eta file), two phases (artificial-variable feasibility search,
+// then cost minimization), Dantzig pricing with a Bland anti-cycling
+// fallback, periodic refactorization for numerical stability, and a
+// bounded dual simplex that warm-starts from a basis snapshot.
 //
 // It exists because NoSE's schema optimizer solves binary integer
 // programs (paper §V); the original uses Gurobi, which has no pure-Go

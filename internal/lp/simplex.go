@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 )
 
 const (
@@ -91,6 +92,9 @@ type Solver struct {
 	pivoted  []bool
 	queue    []int32
 	newBasis []int
+	etaAt    []int32  // row → refactor-phase eta pivoting on it, -1 if none
+	touched  []uint64 // bitset of the rows of w written for one column
+	heap     []int32  // pending eta indices, a binary min-heap
 
 	pivots   int
 	degens   int
@@ -113,6 +117,10 @@ type SolverStats struct {
 	// Refactors counts eta-file rebuilds from the basis columns,
 	// including the initial basis load of each solve.
 	Refactors int64
+	// RefactorNNZ counts the off-pivot nonzeros refactorizations wrote
+	// into the eta file: the fill a better elimination order would
+	// have to reduce.
+	RefactorNNZ int64
 	// WarmStarts counts SolveFrom calls that completed on the
 	// warm-started dual simplex path.
 	WarmStarts int64
@@ -130,6 +138,7 @@ func (s *SolverStats) Add(o SolverStats) {
 	s.Pivots += o.Pivots
 	s.DegeneratePivots += o.DegeneratePivots
 	s.Refactors += o.Refactors
+	s.RefactorNNZ += o.RefactorNNZ
 	s.WarmStarts += o.WarmStarts
 	s.DualPivots += o.DualPivots
 	s.Fallbacks += o.Fallbacks
@@ -223,12 +232,18 @@ func (s *Solver) prepare(p *Problem) {
 	s.rowFill = growI32(s.rowFill, m)
 	s.colCnt = growI32(s.colCnt, m)
 	s.posRow = growI32(s.posRow, m)
+	s.etaAt = growI32(s.etaAt, m)
 	if cap(s.colDone) < m {
 		s.colDone = make([]bool, m)
 		s.pivoted = make([]bool, m)
 	} else {
 		s.colDone = s.colDone[:m]
 		s.pivoted = s.pivoted[:m]
+	}
+	if words := (m + 63) / 64; cap(s.touched) < words {
+		s.touched = make([]uint64, words)
+	} else {
+		s.touched = s.touched[:words]
 	}
 	s.etaRow = s.etaRow[:0]
 	s.etaPiv = s.etaPiv[:0]
@@ -605,6 +620,10 @@ func (s *Solver) iterate(c []float64) Status {
 	}
 }
 
+// testHookRefactor, when a test sets it, sees the solver at the top of
+// every refactorization, before the eta file is reset.
+var testHookRefactor func(*Solver)
+
 // refactor rebuilds the eta file from the current basis columns and
 // recomputes the basic values, clearing accumulated floating point
 // drift and truncating update fill. It reports false when the basis has
@@ -612,13 +631,16 @@ func (s *Solver) iterate(c []float64) Status {
 //
 // Columns are processed in a sparsity-friendly order: repeatedly peel
 // columns with a single remaining unpivoted row (the triangular part of
-// the basis, which for the advisor's flow-like matrices is most of it),
-// then eliminate the residual block in position order. Each column is
-// transformed by the etas recorded so far and pivots on its largest
-// remaining component, so the procedure is exactly Gauss-Jordan
-// elimination with a sparsity-driven pivot order. Pivot rows permute the
-// basis positions; basis and xb are remapped accordingly.
+// the basis), then eliminate the residual block in position order. Each
+// column is transformed by the etas recorded so far and pivots on its
+// largest remaining component (eliminate), so the procedure is exactly
+// Gauss-Jordan elimination with a sparsity-driven pivot order. Pivot
+// rows permute the basis positions; basis and xb are remapped
+// accordingly.
 func (s *Solver) refactor() bool {
+	if testHookRefactor != nil {
+		testHookRefactor(s)
+	}
 	s.stats.Refactors++
 	m := s.m
 	s.etaRow = s.etaRow[:0]
@@ -662,35 +684,18 @@ func (s *Solver) refactor() bool {
 		s.pivoted[i] = false
 		s.colDone[i] = false
 		s.posRow[i] = -1
+		s.etaAt[i] = -1
+		s.w[i] = 0
 	}
-	w := s.w
-	for i := range w {
-		w[i] = 0
+	for i := range s.touched {
+		s.touched[i] = 0
 	}
 
-	// process eliminates basis position k: transform its column by the
-	// etas so far, pivot on the largest unpivoted component, record the
-	// eta, and update peeling counts.
+	// process eliminates basis position k and updates peeling counts.
 	process := func(k int) bool {
-		for _, e := range s.entries[s.basis[k]] {
-			w[e.Row] += e.Coef
-		}
-		s.ftran(w)
-		r, maxAbs := -1, pivTol
-		for i := 0; i < m; i++ {
-			if s.pivoted[i] {
-				continue
-			}
-			if a := math.Abs(w[i]); a > maxAbs {
-				r, maxAbs = i, a
-			}
-		}
+		r := s.eliminate(k)
 		if r < 0 {
 			return false
-		}
-		s.appendEta(w, r)
-		for i := range w {
-			w[i] = 0
 		}
 		s.posRow[k] = int32(r)
 		s.colDone[k] = true
@@ -764,4 +769,137 @@ func (s *Solver) refactor() bool {
 		res[i] = 0
 	}
 	return true
+}
+
+// eliminate transforms the column at basis position k by the etas this
+// refactorization has recorded so far, pivots it on its largest
+// unpivoted component, records the eta and clears w. It returns the
+// pivot row, or -1 when no component exceeds pivTol.
+//
+// It performs the float operations of a whole-file ftran, an arg-max
+// over every row and appendEta, in their order, but only on the rows
+// the column reaches. Refactor-phase etas pivot on distinct rows, so
+// etaAt maps a row to the one eta that reads it; a row turns nonzero
+// only from the column itself or from an applied eta's off-pivot list,
+// so a min-heap holding the etaAt of every row written visits exactly
+// the etas ftran would not skip, in file order. The rows written are
+// kept as a bitset, a word per 64 rows: scanning it yields them in
+// ascending order, which reproduces the dense scans' lowest-row
+// tie-break and the order of etaIdx, hence btran's summation order.
+func (s *Solver) eliminate(k int) int {
+	w, etaAt, touched := s.w, s.etaAt, s.touched
+	heap := s.heap[:0]
+	for _, e := range s.entries[s.basis[k]] {
+		i := int32(e.Row)
+		w[i] += e.Coef
+		if bit := uint64(1) << (i & 63); touched[i>>6]&bit == 0 {
+			touched[i>>6] |= bit
+			if at := etaAt[i]; at >= 0 {
+				heap = heapPush(heap, at)
+			}
+		}
+	}
+	for len(heap) > 0 {
+		var at int32
+		at, heap = heapPop(heap)
+		r := s.etaRow[at]
+		xr := w[r]
+		if xr == 0 {
+			continue
+		}
+		xr /= s.etaPiv[at]
+		w[r] = xr
+		for t := s.etaStart[at]; t < s.etaStart[at+1]; t++ {
+			i := s.etaIdx[t]
+			w[i] -= s.etaVal[t] * xr
+			if bit := uint64(1) << (i & 63); touched[i>>6]&bit == 0 {
+				touched[i>>6] |= bit
+				// An earlier eta has already passed this row at zero.
+				if next := etaAt[i]; next > at {
+					heap = heapPush(heap, next)
+				}
+			}
+		}
+	}
+	s.heap = heap
+
+	r, maxAbs := -1, pivTol
+	for wi, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 | bits.TrailingZeros64(word)
+			if s.pivoted[i] {
+				continue
+			}
+			if a := math.Abs(w[i]); a > maxAbs {
+				r, maxAbs = i, a
+			}
+		}
+	}
+	if r < 0 {
+		return -1 // w and touched stay dirty; refactor clears them on entry
+	}
+	piv := w[r]
+	first := len(s.etaIdx)
+	for wi, word := range touched {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 | bits.TrailingZeros64(word)
+			v := w[i]
+			w[i] = 0
+			if i == r || v == 0 || (v < etaDropTol && v > -etaDropTol) {
+				continue
+			}
+			s.etaIdx = append(s.etaIdx, int32(i))
+			s.etaVal = append(s.etaVal, v)
+		}
+		touched[wi] = 0
+	}
+	s.stats.RefactorNNZ += int64(len(s.etaIdx) - first)
+	etaAt[r] = int32(len(s.etaRow))
+	s.etaRow = append(s.etaRow, int32(r))
+	s.etaPiv = append(s.etaPiv, piv)
+	s.etaStart = append(s.etaStart, int32(len(s.etaIdx)))
+	return r
+}
+
+// heapPush adds k to the binary min-heap h.
+func heapPush(h []int32, k int32) []int32 {
+	h = append(h, k)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= k {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = k
+	return h
+}
+
+// heapPop removes and returns the smallest element of the non-empty
+// binary min-heap h.
+func heapPop(h []int32) (int32, []int32) {
+	top, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	if len(h) == 0 {
+		return top, h
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] < h[c] {
+			c++
+		}
+		if h[c] >= last {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = last
+	return top, h
 }

@@ -224,11 +224,11 @@ func (s *Snapshot) Format() string {
 
 // FormatSolverStats renders the LP-solver portion of a snapshot as a
 // short human-readable block: solve and warm-start counts with the hit
-// rate, pivot breakdown, refactorizations, and the formulation-side
-// dominance pruning and cutting-plane counters. internal/bip publishes
-// the lp.* totals (aggregated lp.SolverStats) and internal/search the
-// search.* ones; the nose and nosebench -solver-stats flags print this
-// block after a run.
+// rate, pivot breakdown, refactorizations with the eta-file fill they
+// wrote, and the formulation-side dominance pruning and cutting-plane
+// counters. internal/bip publishes the lp.* totals (aggregated
+// lp.SolverStats) and internal/search the search.* ones; the nose and
+// nosebench -solver-stats flags print this block after a run.
 func (s *Snapshot) FormatSolverStats() string {
 	c := s.Counters
 	var b strings.Builder
@@ -241,7 +241,8 @@ func (s *Snapshot) FormatSolverStats() string {
 	fmt.Fprintf(&b, ", %d cold fallbacks)\n", c["lp.warm_fallbacks"])
 	fmt.Fprintf(&b, "  simplex pivots           %d (%d dual, %d degenerate)\n",
 		c["lp.pivots"], c["lp.dual_pivots"], c["lp.degenerate_pivots"])
-	fmt.Fprintf(&b, "  basis refactorizations   %d\n", c["lp.refactors"])
+	fmt.Fprintf(&b, "  basis refactorizations   %d (%d off-pivot nonzeros)\n",
+		c["lp.refactors"], c["lp.refactor_nnz"])
 	fmt.Fprintf(&b, "  dominated plans pruned   %d\n", c["search.plans_pruned_dominated"])
 	fmt.Fprintf(&b, "  budget cut rows          %d\n", c["search.cuts"])
 	return b.String()
