@@ -11,6 +11,7 @@ package nose_test
 //	go test -bench=Fig11 -users-scale 20000   (via cmd/nosebench instead)
 
 import (
+	"context"
 	"testing"
 
 	"nose/internal/baselines"
@@ -187,7 +188,7 @@ func BenchmarkAdvisorEnumeration(b *testing.B) {
 	for _, workers := range workerCounts {
 		b.Run("workers="+itoa(workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := enumerator.EnumerateWorkloadParallel(w, enumerator.Features{}, workers); err != nil {
+				if _, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, workers, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

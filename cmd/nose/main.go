@@ -7,11 +7,12 @@
 //
 //	nose -in workload.nose [-space bytes] [-mix name] [-max-plans n] [-workers n] [-phases] [-faults] [-rf n] [-drift-report] [-json] [-v]
 //
-// With -json the recommendation (or, with -phases, the schema series)
-// is printed as canonical JSON in the nosed wire format
-// (internal/service/api) instead of the human-readable report. The
-// bytes are deterministic and identical to what the nosed daemon
-// serves for the same request — CI diffs the two.
+// With -json the recommendation (or, with -phases, the schema series,
+// or, with -drift-report, the drift report document) is printed as
+// canonical JSON in the nosed wire format (internal/service/api)
+// instead of the human-readable report. The bytes are deterministic and
+// identical to what the nosed daemon serves for the same request: both
+// are produced by api.Request.Run, and CI still diffs the two.
 //
 // With -phases (and a workload whose .nose file declares phase blocks)
 // the advisor solves the time-dependent problem instead: one schema per
@@ -35,15 +36,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
-	"nose/internal/drift"
 	"nose/internal/executor"
-	"nose/internal/migrate"
-	"nose/internal/nosedsl"
 	"nose/internal/obs"
 	"nose/internal/planner"
 	"nose/internal/search"
@@ -76,12 +75,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	_, w, err := nosedsl.Parse(string(src))
-	if err != nil {
-		fatal(err)
-	}
-	if *mix != "" {
-		w.ActiveMix = *mix
+	req := api.Request{DSL: string(src), Mix: *mix, Workers: *workers, SpaceBytes: *space, MaxPlans: *maxPlans}
+	if err := req.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "nose:", err)
+		os.Exit(2)
 	}
 
 	var reg *obs.Registry
@@ -92,56 +89,46 @@ func main() {
 	if *tracePath != "" {
 		tracer = obs.NewTracer()
 	}
+	defer writeObservability(*metricsPath, reg, *tracePath, tracer, *solverStats)
 
-	opts := search.Options{
-		Workers:          *workers,
-		SpaceBudgetBytes: *space,
-		Planner:          planner.Config{MaxPlansPerQuery: *maxPlans},
-		Obs:              reg,
-		Trace:            tracer,
+	if *jsonOut {
+		kind := api.KindAdvise
+		switch {
+		case *phases:
+			kind = api.KindSeries
+		case *driftReport:
+			kind = api.KindDriftReport
+		}
+		data, err := req.Run(context.Background(), kind, reg, tracer)
+		if err != nil {
+			fatal(err)
+		}
+		os.Stdout.Write(data)
+		return
 	}
+
+	w, err := req.Workload()
+	if err != nil {
+		fatal(err)
+	}
+	opts := req.Options(context.Background(), reg, tracer)
 
 	if *phases {
 		series, err := search.AdviseSeries(w, opts)
 		if err != nil {
 			fatal(err)
 		}
-		if *jsonOut {
-			data, err := api.Encode(api.Series(w, series))
-			if err != nil {
-				fatal(err)
-			}
-			os.Stdout.Write(data)
-			writeObservability(*metricsPath, reg, *tracePath, tracer, *solverStats)
-			return
-		}
 		fmt.Printf("Schema series (%d phases):\n\n", len(series.Phases))
 		fmt.Print(series.Format())
 		if *verbose {
-			t := series.Timings
-			fmt.Printf("\nTimings: enumeration %v, cost calculation %v, BIP construction %v, BIP solving %v, total %v\n",
-				round(t.Enumeration), round(t.CostCalculation), round(t.BIPConstruction),
-				round(t.BIPSolving), round(t.Total))
-			fmt.Printf("Problem: %d candidates, %d plan variables, %d constraints, %d nodes\n",
-				series.Stats.Candidates, series.Stats.PlanVariables, series.Stats.Constraints, series.Stats.Nodes)
+			printRunStats(series.Timings, series.Stats)
 		}
-		writeObservability(*metricsPath, reg, *tracePath, tracer, *solverStats)
 		return
 	}
 
 	rec, err := search.Advise(w, opts)
 	if err != nil {
 		fatal(err)
-	}
-
-	if *jsonOut {
-		data, err := api.Encode(api.Advise(w, rec))
-		if err != nil {
-			fatal(err)
-		}
-		os.Stdout.Write(data)
-		writeObservability(*metricsPath, reg, *tracePath, tracer, *solverStats)
-		return
 	}
 
 	fmt.Printf("Recommended schema (%d column families, %.1f MB estimated):\n\n",
@@ -176,9 +163,11 @@ func main() {
 	}
 
 	if *driftReport {
-		if err := printDriftReport(w, rec, opts); err != nil {
+		report, err := api.Drift(w, rec, opts)
+		if err != nil {
 			fatal(err)
 		}
+		printDriftReport(report)
 	}
 
 	if *verbose {
@@ -189,58 +178,31 @@ func main() {
 				fmt.Printf("    support %s", sp)
 			}
 		}
-		t := rec.Timings
-		fmt.Printf("\nTimings: enumeration %v, cost calculation %v, BIP construction %v, BIP solving %v, total %v\n",
-			round(t.Enumeration), round(t.CostCalculation), round(t.BIPConstruction),
-			round(t.BIPSolving), round(t.Total))
-		fmt.Printf("Problem: %d candidates, %d plan variables, %d constraints, %d nodes\n",
-			rec.Stats.Candidates, rec.Stats.PlanVariables, rec.Stats.Constraints, rec.Stats.Nodes)
+		printRunStats(rec.Timings, rec.Stats)
 	}
-
-	writeObservability(*metricsPath, reg, *tracePath, tracer, *solverStats)
 }
 
-// printDriftReport advises each declared mix and reports, against the
-// active mix's recommendation: the total-variation divergence between
-// the two statement mixes (would the default online detector call it
-// drift?) and the migration the schema change would require.
-func printDriftReport(w *workload.Workload, rec *search.Recommendation, opts search.Options) error {
-	mixes := w.Mixes()
-	if len(mixes) < 2 {
-		return fmt.Errorf("-drift-report needs at least two declared mixes; workload has %d", len(mixes))
-	}
-	active := w.ActiveMix
-	threshold := drift.Config{}.Normalized().Threshold
-	fmt.Printf("\nDrift report (active mix %q, detector threshold %.2f):\n", active, threshold)
-	for _, mix := range mixes {
-		if mix == active {
-			continue
-		}
-		div := drift.TotalVariation(mixWeights(w, mix), mixWeights(w, active))
+// printDriftReport renders the drift-report document the daemon serves
+// as the CLI's text block: one line per declared non-active mix.
+func printDriftReport(r *api.DriftReport) {
+	fmt.Printf("\nDrift report (active mix %q, detector threshold %.2f):\n", r.ActiveMix, r.Threshold)
+	for _, m := range r.Mixes {
 		verdict := "steady"
-		if div >= threshold {
+		if m.Drift {
 			verdict = "DRIFT"
 		}
-		other := *w
-		other.ActiveMix = mix
-		otherRec, err := search.Advise(&other, opts)
-		if err != nil {
-			return fmt.Errorf("advise mix %q: %w", mix, err)
-		}
-		build, drop := migrate.Diff(rec.Schema, otherRec.Schema)
 		fmt.Printf("  %-16s divergence %.3f  %-6s  migration builds %d, drops %d of %d column families\n",
-			mix, div, verdict, len(build), len(drop), rec.Schema.Len())
+			m.Mix, m.Divergence, verdict, m.Builds, m.Drops, len(r.Schema.ColumnFamilies))
 	}
-	return nil
 }
 
-// mixWeights returns a mix's normalized statement-label mix.
-func mixWeights(w *workload.Workload, mix string) map[string]float64 {
-	out := map[string]float64{}
-	for _, ws := range w.Statements {
-		out[workload.Label(ws.Statement)] += ws.WeightIn(mix)
-	}
-	return drift.Normalize(out)
+// printRunStats is the -v footer: stage timings and problem size.
+func printRunStats(t search.Timings, st search.Stats) {
+	fmt.Printf("\nTimings: enumeration %v, cost calculation %v, BIP construction %v, BIP solving %v, total %v\n",
+		round(t.Enumeration), round(t.CostCalculation), round(t.BIPConstruction),
+		round(t.BIPSolving), round(t.Total))
+	fmt.Printf("Problem: %d candidates, %d plan variables, %d constraints, %d nodes\n",
+		st.Candidates, st.PlanVariables, st.Constraints, st.Nodes)
 }
 
 // writeObservability flushes the run's metrics snapshot and Chrome

@@ -330,22 +330,23 @@ func TotalVariation(p, q map[string]float64) float64 {
 
 // Normalize scales a weight map to sum to one, dropping non-positive
 // entries. A nil, empty, or all-non-positive input returns an empty
-// map.
+// map. The total is summed in label order, not map order, so the same
+// weights always normalize to the same bits.
 func Normalize(w map[string]float64) map[string]float64 {
-	total := 0.0
-	for _, v := range w {
-		if v > 0 {
-			total += v
-		}
-	}
-	out := make(map[string]float64, len(w))
-	if total <= 0 {
-		return out
-	}
+	labels := make([]string, 0, len(w))
 	for l, v := range w {
 		if v > 0 {
-			out[l] = v / total
+			labels = append(labels, l)
 		}
+	}
+	sort.Strings(labels)
+	total := 0.0
+	for _, l := range labels {
+		total += w[l]
+	}
+	out := make(map[string]float64, len(labels))
+	for _, l := range labels {
+		out[l] = w[l] / total
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package drift_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -248,5 +249,26 @@ func TestTotalVariation(t *testing.T) {
 	// Hand-checked: ½(|0.5−0.1|+|0.3−0.1|+|0.2−0.8|) = 0.6.
 	if d := drift.TotalVariation(p, q); math.Abs(d-0.6) > 1e-12 {
 		t.Errorf("TV(A,B) = %g, want 0.6", d)
+	}
+}
+
+// TestNormalizeIsOrderIndependent: the total is a float sum, so summing
+// in map iteration order made the last bit of every normalized weight
+// — and of the divergences and drift-report documents built on them —
+// vary from call to call. Weights whose sum depends on order must
+// normalize to the same bits every time.
+func TestNormalizeIsOrderIndependent(t *testing.T) {
+	w := map[string]float64{}
+	for i := 0; i < 40; i++ {
+		w[fmt.Sprintf("s%02d", i)] = math.Pow(10, float64(i%9-4)) / 3
+	}
+	want := drift.Normalize(w)
+	for i := 0; i < 50; i++ {
+		got := drift.Normalize(w)
+		for l, v := range want {
+			if got[l] != v {
+				t.Fatalf("call %d: %s normalized to %v, first call gave %v", i, l, got[l], v)
+			}
+		}
 	}
 }

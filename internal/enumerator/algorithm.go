@@ -33,46 +33,32 @@ type Features struct {
 // for every query in the workload, then — twice, to cover paths first
 // reached by support queries — enumerate candidates for the support
 // queries of every update against every candidate it modifies, and
-// finally supplement the pool with combined candidates.
+// finally supplement the pool with combined candidates. It is
+// EnumerateWorkloadCtx with every feature on, run inline, unobserved
+// and uncancellable.
 func EnumerateWorkload(w *workload.Workload) (*Result, error) {
-	return EnumerateWorkloadWith(w, Features{})
+	return EnumerateWorkloadCtx(context.Background(), w, Features{}, 1, nil)
 }
 
-// EnumerateWorkloadWith is EnumerateWorkload with feature toggles.
-func EnumerateWorkloadWith(w *workload.Workload, feats Features) (*Result, error) {
-	return EnumerateWorkloadParallel(w, feats, 1)
-}
-
-// EnumerateWorkloadParallel is EnumerateWorkloadWith fanned across a
-// bounded worker pool. Per-query (and, in the support passes,
-// per-candidate) enumeration runs into private local pools that are
-// merged into the shared pool in workload order, so the resulting pool —
-// content, insertion order, and assigned column family names — is
-// byte-identical for every worker count, including the serial path
-// (workers <= 1 runs inline with no goroutines).
+// EnumerateWorkloadCtx is Algorithm 1 with feature toggles, fanned
+// across a bounded worker pool, with enumeration counters recorded into
+// r (which may be nil), under a cancellable context.
 //
-// The fan-out is safe because candidate generation is purely additive:
-// it never reads the pool it adds to, so enumerating into a local pool
-// and merging afterwards reproduces exactly the serial insertion
-// sequence.
-func EnumerateWorkloadParallel(w *workload.Workload, feats Features, workers int) (*Result, error) {
-	return EnumerateWorkloadObs(w, feats, workers, nil)
-}
-
-// EnumerateWorkloadObs is EnumerateWorkloadParallel with enumeration
-// counters recorded into r (which may be nil). Every enum.* counter is
-// worker-count invariant: local pool contents depend only on the query
-// enumerated, and the merged pool is byte-identical at every worker
-// count.
-func EnumerateWorkloadObs(w *workload.Workload, feats Features, workers int, r *obs.Registry) (*Result, error) {
-	return EnumerateWorkloadCtx(context.Background(), w, feats, workers, r)
-}
-
-// EnumerateWorkloadCtx is EnumerateWorkloadObs with cancellation: the
-// context is checked before each fan-out batch (per-query enumeration
-// and every support sweep) and inside each batch item, so a cancelled
-// enumeration returns ctx.Err() promptly instead of finishing the
-// exponential candidate generation. A partial pool is never returned.
+// Per-query (and, in the support passes, per-candidate) enumeration
+// runs into private local pools that are merged into the shared pool in
+// workload order, so the resulting pool — content, insertion order, and
+// assigned column family names — and every enum.* counter is
+// byte-identical for every worker count, including the serial path
+// (workers <= 1 runs inline with no goroutines). The fan-out is safe
+// because candidate generation is purely additive: it never reads the
+// pool it adds to, so enumerating into a local pool and merging
+// afterwards reproduces exactly the serial insertion sequence.
+//
+// The context is checked before each fan-out batch (per-query
+// enumeration and every support sweep) and inside each batch item, so a
+// cancelled enumeration returns ctx.Err() promptly instead of finishing
+// the exponential candidate generation. A partial pool is never
+// returned.
 func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Features, workers int, r *obs.Registry) (*Result, error) {
 	pool := NewPool()
 	pool.feats = feats

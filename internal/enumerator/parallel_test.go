@@ -1,6 +1,7 @@
 package enumerator_test
 
 import (
+	"context"
 	"testing"
 
 	"nose/internal/enumerator"
@@ -65,13 +66,13 @@ func TestParallelEnumerationIdentical(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := tc.build(t)
-			serial, err := enumerator.EnumerateWorkloadWith(w, enumerator.Features{})
+			serial, err := enumerator.EnumerateWorkload(w)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := enumerationFingerprint(t, w, serial)
 			for _, workers := range []int{2, 4, 8} {
-				res, err := enumerator.EnumerateWorkloadParallel(w, enumerator.Features{}, workers)
+				res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, workers, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -86,9 +86,7 @@ type System struct {
 	// Coord drives Repl with quorum consistency; nil for single-store
 	// systems.
 	Coord *executor.Coordinator
-	// Exec executes plans against Store (or against the fault injector
-	// once EnableFaults has wrapped it, or against Coord for replicated
-	// systems).
+	// Exec executes plans against the system's layer stack; see compose.
 	Exec *executor.Executor
 
 	lat   cost.Params
@@ -96,6 +94,9 @@ type System struct {
 
 	inj     *faults.Injector
 	nodeInj *faults.Nodes
+	// retry is the policy the last EnableFaults or EnableNodeFaults
+	// gave; the zero value never retries.
+	retry executor.RetryPolicy
 
 	// inflight counts statements currently executing; migrating marks a
 	// stop-the-world Migrate holding the system. Together they form the
@@ -117,13 +118,12 @@ type System struct {
 	robust     robustCounters
 
 	// jr is the attached migration journal (nil without AttachJournal);
-	// verifier and tap are the attached invariant oracle and its
-	// acknowledgement-recording middleware (nil without AttachVerifier);
+	// verifier is the attached invariant oracle (nil without
+	// AttachVerifier), whose acknowledgement tap compose layers in;
 	// crashes is the armed crash-point set (nil without EnableCrashes).
 	// All are wired before statement execution starts.
 	jr       *journal.Journal
 	verifier *verify.Verifier
-	tap      *verify.Tap
 	crashes  *faults.Crashes
 
 	// reg collects every layer's metrics for this system: the store (or
@@ -187,12 +187,7 @@ func NewSystem(name string, ds *backend.Dataset, rec *search.Recommendation, lat
 			return nil, fmt.Errorf("harness: installing %s for %s: %w", x.Name, name, err)
 		}
 	}
-	s := newSystem(name, rec, lat)
-	s.Store = store
-	store.SetObs(s.reg)
-	s.Exec = executor.New(store, lat)
-	s.Exec.SetObs(s.reg)
-	return s, nil
+	return NewSystemFromStore(name, store, rec, lat), nil
 }
 
 // NewSystemFromStore wraps an existing store — typically one that
@@ -205,8 +200,7 @@ func NewSystemFromStore(name string, store *backend.Store, rec *search.Recommend
 	s := newSystem(name, rec, lat)
 	s.Store = store
 	store.SetObs(s.reg)
-	s.Exec = executor.New(store, lat)
-	s.Exec.SetObs(s.reg)
+	s.compose()
 	return s
 }
 
@@ -228,8 +222,7 @@ func NewReplicatedSystemFromStore(name string, repl *backend.ReplicatedStore, re
 	s.Coord = coord
 	repl.SetObs(s.reg)
 	coord.SetObs(s.reg)
-	s.Exec = executor.New(coord, lat)
-	s.Exec.SetObs(s.reg)
+	s.compose()
 	return s
 }
 
@@ -281,19 +274,7 @@ func NewReplicatedSystem(name string, ds *backend.Dataset, rec *search.Recommend
 			return nil, fmt.Errorf("harness: installing %s for %s: %w", x.Name, name, err)
 		}
 	}
-	coord := executor.NewCoordinator(repl, executor.CoordinatorOptions{
-		Read:  cfg.Read,
-		Write: cfg.Write,
-		Hedge: cfg.Hedge,
-	})
-	s := newSystem(name, rec, lat)
-	s.Repl = repl
-	s.Coord = coord
-	repl.SetObs(s.reg)
-	coord.SetObs(s.reg)
-	s.Exec = executor.New(coord, lat)
-	s.Exec.SetObs(s.reg)
-	return s, nil
+	return NewReplicatedSystemFromStore(name, repl, rec, lat, cfg), nil
 }
 
 // newSystem builds the plan bookkeeping shared by both storage modes.
@@ -404,6 +385,29 @@ func phaseName(pr *search.PhaseRecommendation) string {
 	return pr.Phase.Name
 }
 
+// compose rebuilds Exec from the pieces recorded so far, always in the
+// same order whatever order the setters ran in: the store (or the
+// replica coordinator), the verifier's acknowledgement tap, the
+// per-family fault injector, and on top an executor retrying under the
+// last policy given. The tap sits below the injector so an injected
+// failure is never recorded as an acknowledged write. Every constructor
+// and every setter that adds a piece ends here.
+func (s *System) compose() {
+	var be backend.KVBackend = s.Store
+	if s.Coord != nil {
+		be = s.Coord
+	}
+	if s.verifier != nil {
+		be = verify.NewTap(be, s.verifier)
+	}
+	if s.inj != nil {
+		s.inj.SetInner(be)
+		be = s.inj
+	}
+	s.Exec = executor.NewRetrying(be, s.lat, s.retry)
+	s.Exec.SetObs(s.reg)
+}
+
 // EnableFaults interposes a deterministic fault injector between the
 // executor and the store and switches execution to the retrying
 // executor. It returns the injector so callers can set per-family
@@ -411,13 +415,12 @@ func phaseName(pr *search.PhaseRecommendation) string {
 // On a replicated system the injector layers per-family weather on top
 // of the coordinator, above any node-level faults.
 func (s *System) EnableFaults(seed int64, def faults.Profile, policy executor.RetryPolicy) *faults.Injector {
-	inj := faults.New(s.innerBackend(), seed)
-	inj.SetDefaultProfile(def)
-	inj.SetObs(s.reg)
-	s.inj = inj
-	s.Exec = executor.NewRetrying(inj, s.lat, policy)
-	s.Exec.SetObs(s.reg)
-	return inj
+	s.inj = faults.New(nil, seed) // compose points it at the layer below
+	s.inj.SetDefaultProfile(def)
+	s.inj.SetObs(s.reg)
+	s.retry = policy
+	s.compose()
+	return s.inj
 }
 
 // EnableNodeFaults attaches seeded node-level fault domains to a
@@ -434,8 +437,8 @@ func (s *System) EnableNodeFaults(seed int64, def faults.NodeProfile, policy exe
 	ns.SetObs(s.reg)
 	s.nodeInj = ns
 	s.Coord.SetNodes(ns)
-	s.Exec = executor.NewRetrying(s.innerBackend(), s.lat, policy)
-	s.Exec.SetObs(s.reg)
+	s.retry = policy
+	s.compose()
 	return ns
 }
 
@@ -456,37 +459,15 @@ func (s *System) EnableQueues(capacity int) *backend.NodeQueues {
 	return q
 }
 
-// innerBackend is the layer statement execution sits on: the verifier
-// tap when one is attached (so every acknowledgement below retries and
-// injected weather is recorded), else the coordinator (replicated) or
-// the store.
-func (s *System) innerBackend() backend.KVBackend {
-	if s.tap != nil {
-		return s.tap
-	}
-	if s.Coord != nil {
-		return s.Coord
-	}
-	return s.Store
-}
-
 // AttachVerifier interposes v's acknowledgement tap between the
-// executor and the store (or coordinator) and registers v as the
-// system's invariant oracle for VerifyCheck. Attach BEFORE EnableFaults
-// or EnableNodeFaults: fault injectors must layer above the tap so an
-// injected failure is not recorded as an acknowledged write. The same
-// verifier can (and in crash experiments must) be attached to every
-// incarnation of a system — it is the cross-crash memory of what was
-// acknowledged.
+// executor and the store (or coordinator), below any fault injector,
+// and registers v as the system's invariant oracle for VerifyCheck. The
+// same verifier can (and in crash experiments must) be attached to
+// every incarnation of a system — it is the cross-crash memory of what
+// was acknowledged.
 func (s *System) AttachVerifier(v *verify.Verifier) {
 	s.verifier = v
-	var inner backend.KVBackend = s.Store
-	if s.Coord != nil {
-		inner = s.Coord
-	}
-	s.tap = verify.NewTap(inner, v)
-	s.Exec = executor.New(s.tap, s.lat)
-	s.Exec.SetObs(s.reg)
+	s.compose()
 }
 
 // Verifier returns the attached invariant oracle, or nil.

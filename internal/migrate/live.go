@@ -482,14 +482,6 @@ func (l *Live) Result() Result {
 	return res
 }
 
-// Cutover reports whether the controller is waiting for the caller to
-// swap its query plans onto the new schema. The caller performs the
-// atomic swap, then calls Step to move on to dropping the old
-// families.
-func (l *Live) Cutover() bool {
-	return l.State() == StateCutover
-}
-
 // Step advances the migration by one bounded unit of work:
 //
 //   - StateDualWrite: transition to StateBackfill (no records move).
@@ -498,7 +490,7 @@ func (l *Live) Cutover() bool {
 //     fault, does not advance the cursor (the record retries next
 //     Step), and ends the chunk early.
 //   - StateCutover: transition to StateDrop. The caller must have
-//     performed its atomic plan swap before this Step (see Cutover).
+//     performed its atomic plan swap before this Step (see StateCutover).
 //   - StateDrop: discard the superseded families, transition to
 //     StateDone.
 //

@@ -403,40 +403,62 @@ func (b *builder) paid(id string) bool {
 	return b.paidAll || b.maint[id] > 0 || b.opt.SpaceBudgetBytes > 0
 }
 
-// formulate builds the BIP. With pinCost nil it minimizes weighted
-// workload cost; with pinCost set it constrains the cost to that value
-// and minimizes the number of paid column families (paper §V's second
-// phase; free families enter the schema only when a chosen plan uses
-// them, so they need no minimization).
+// formulate builds the static BIP. With pinCost nil it minimizes
+// weighted workload cost; with pinCost set it constrains the cost to
+// that value and minimizes the number of paid column families (paper
+// §V's second phase; free families enter the schema only when a chosen
+// plan uses them, so they need no minimization).
 func (b *builder) formulate(pinCost *float64) (*bip.Program, *colRefs) {
 	prog := bip.New()
+	costRow := -1
+	if pinCost != nil {
+		slack := math.Max(1e-6, 1e-9*math.Abs(*pinCost))
+		costRow = prog.AddRow(math.Inf(-1), *pinCost+slack)
+	}
+	return prog, b.formulatePhase(prog, 1, costRow, nil)
+}
+
+// formulatePhase emits one workload interval into prog — presence
+// columns, the storage row and its budget cuts, one choose row per
+// query, the plan-to-presence link rows and the support-group gates —
+// and returns the interval's column map. It is the only formulation of
+// that structure: the static program is one interval at scale 1 (an
+// exact multiplication, so its objective is the raw workload cost), and
+// the series program repeats it once per phase with scale set to the
+// phase's duration share before linking the intervals (see
+// seriesBuilder.formulate). With costRow >= 0 every workload cost
+// coefficient moves onto that row and the objective becomes the number
+// of paid families. sink, when non-nil, is told every column's unscaled
+// cost, once per column in creation order.
+func (b *builder) formulatePhase(prog *bip.Program, scale float64, costRow int, sink func(raw float64)) *colRefs {
 	refs := &colRefs{
 		indexCol: map[string]int{},
 		planCols: map[int]planRef{},
 		planCol:  map[*planner.Plan]int{},
 		zCol:     map[*supportGroup]int{},
 	}
-
-	costRow := -1
-	if pinCost != nil {
-		slack := math.Max(1e-6, 1e-9*math.Abs(*pinCost))
-		costRow = prog.AddRow(math.Inf(-1), *pinCost+slack)
-	}
-	objEntry := func(entries []lp.Entry, c float64) ([]lp.Entry, float64) {
-		// In phase 2, objective coefficients move onto the pinned cost
-		// row and the true objective becomes the column family count.
+	price := func(entries []lp.Entry, raw float64) ([]lp.Entry, float64) {
+		c := scale * raw
 		if costRow >= 0 && c != 0 {
-			entries = append(entries, lp.Entry{Row: costRow, Coef: c})
-			return entries, 0
+			return append(entries, lp.Entry{Row: costRow, Coef: c}), 0
 		}
 		return entries, c
 	}
+	addBinary := func(obj, raw float64, entries ...lp.Entry) int {
+		col := prog.AddBinary(obj, entries...)
+		if sink != nil {
+			sink(raw)
+		}
+		return col
+	}
 
 	// Presence variables for paid indexes.
+	budgetMB := b.opt.SpaceBudgetBytes / 1e6
 	storageRow := -1
 	if b.opt.SpaceBudgetBytes > 0 {
-		storageRow = prog.AddRow(math.Inf(-1), b.opt.SpaceBudgetBytes/1e6)
+		storageRow = prog.AddRow(math.Inf(-1), budgetMB)
 	}
+	var items []budgetCutItem
 	for _, x := range b.pool {
 		if !b.paid(x.ID()) {
 			continue
@@ -445,24 +467,23 @@ func (b *builder) formulate(pinCost *float64) (*bip.Program, *colRefs) {
 		if storageRow >= 0 {
 			entries = append(entries, lp.Entry{Row: storageRow, Coef: x.SizeBytes() / 1e6})
 		}
-		entries, obj := objEntry(entries, b.maint[x.ID()])
+		raw := b.maint[x.ID()]
+		entries, obj := price(entries, raw)
 		if costRow >= 0 {
 			obj = 1 // phase 2 minimizes the number of paid families
 		}
-		refs.indexCol[x.ID()] = prog.AddBinary(obj, entries...)
+		col := addBinary(obj, raw, entries...)
+		refs.indexCol[x.ID()] = col
+		if storageRow >= 0 {
+			items = append(items, budgetCutItem{col: col, sizeMB: x.SizeBytes() / 1e6})
+		}
 	}
 	if storageRow >= 0 {
-		var items []budgetCutItem
-		for _, x := range b.pool {
-			if col, ok := refs.indexCol[x.ID()]; ok {
-				items = append(items, budgetCutItem{col: col, sizeMB: x.SizeBytes() / 1e6})
-			}
-		}
-		b.cuts += addBudgetCuts(prog, items, b.opt.SpaceBudgetBytes/1e6)
+		b.cuts += addBudgetCuts(prog, items, budgetMB)
 	}
 
-	// Query plan choice variables with linking constraints to paid
-	// indexes, aggregated per (query, index).
+	// Plan choice variables with linking constraints to paid indexes,
+	// aggregated per (plan space, index).
 	addPlanVars := func(space *planner.PlanSpace, chooseRow int, weight float64, mk func(*planner.Plan) planRef) {
 		linkRow := map[string]int{}
 		var linkOrder []string
@@ -480,8 +501,9 @@ func (b *builder) formulate(pinCost *float64) (*bip.Program, *colRefs) {
 				}
 				entries = append(entries, lp.Entry{Row: r, Coef: 1})
 			}
-			entries, obj := objEntry(entries, weight*plan.Cost)
-			col := prog.AddBinary(obj, entries...)
+			raw := weight * plan.Cost
+			entries, obj := price(entries, raw)
+			col := addBinary(obj, raw, entries...)
 			refs.planCols[col] = mk(plan)
 			refs.planCol[plan] = col
 		}
@@ -493,7 +515,6 @@ func (b *builder) formulate(pinCost *float64) (*bip.Program, *colRefs) {
 
 	for _, qb := range b.queries {
 		chooseRow := prog.AddRow(1, 1)
-		qb := qb
 		addPlanVars(qb.space, chooseRow, b.w.Weight(qb.ws), func(pl *planner.Plan) planRef {
 			return planRef{query: qb, plan: pl}
 		})
@@ -504,7 +525,7 @@ func (b *builder) formulate(pinCost *float64) (*bip.Program, *colRefs) {
 	// support plans to the paid families they read.
 	for _, ub := range b.updates {
 		for _, g := range ub.groups {
-			zCol := prog.AddBinary(0)
+			zCol := addBinary(0, 0)
 			refs.zCol[g] = zCol
 			gateRow := prog.AddRow(0, 0)
 			prog.AddColEntry(zCol, gateRow, -1)
@@ -518,14 +539,12 @@ func (b *builder) formulate(pinCost *float64) (*bip.Program, *colRefs) {
 			for _, x := range g.indexes {
 				prog.AddColEntry(refs.indexCol[x.ID()], force, 1)
 			}
-			ub, g := ub, g
 			addPlanVars(g.space, gateRow, b.w.Weight(ub.ws), func(pl *planner.Plan) planRef {
 				return planRef{group: g, ub: ub, plan: pl}
 			})
 		}
 	}
-
-	return prog, refs
+	return refs
 }
 
 // budgetCutItem pairs a presence column with its storage footprint.
@@ -604,13 +623,13 @@ func addBudgetCuts(prog *bip.Program, items []budgetCutItem, budgetMB float64) i
 	return cuts
 }
 
-// greedyIncumbent builds a feasible warm-start assignment: every query
-// takes its cheapest plan, the paid families those plans read are
-// selected, and every group forced by a selected family takes its
-// cheapest support plan — iterated to a fixpoint since support plans
-// may read further paid families.
-func (b *builder) greedyIncumbent(prog *bip.Program, refs *colRefs) []float64 {
-	x := make([]float64, prog.NumCols())
+// greedyPhase writes a feasible warm-start assignment for one interval
+// into x and returns the paid families it selects: every query takes
+// its cheapest plan, the paid families those plans read are selected,
+// and every group forced by a selected family takes its cheapest
+// support plan — iterated to a fixpoint since support plans may read
+// further paid families.
+func (b *builder) greedyPhase(x []float64, refs *colRefs) map[string]bool {
 	selected := map[string]bool{}
 	markPaid := func(pl *planner.Plan) {
 		for _, ix := range pl.Indexes() {
@@ -654,5 +673,5 @@ func (b *builder) greedyIncumbent(prog *bip.Program, refs *colRefs) []float64 {
 	for id := range selected {
 		x[refs.indexCol[id]] = 1
 	}
-	return x
+	return selected
 }

@@ -202,58 +202,10 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 	rec.Timings.CostCalculation = time.Since(t)
 	sp.End()
 
-	// Phase 1: minimize weighted workload cost.
-	t = time.Now()
-	sp = opt.Trace.Begin("formulate", "advisor")
-	prog1, refs1 := b.formulate(nil)
-	rec.Timings.BIPConstruction = time.Since(t)
-	rec.Stats.PlanVariables = len(refs1.planCols)
-	rec.Stats.Constraints = prog1.NumRows()
-	sp.SetArg("plan_variables", rec.Stats.PlanVariables).
-		SetArg("constraints", rec.Stats.Constraints).End()
-	opt.Obs.Counter("search.plan_variables").Add(int64(rec.Stats.PlanVariables))
-	opt.Obs.Counter("search.constraints").Add(int64(rec.Stats.Constraints))
-
-	phase1Opts := opt.BIP
-	phase1Opts.Incumbent = b.greedyIncumbent(prog1, refs1)
-	t = time.Now()
-	sp = opt.Trace.Begin("solve phase 1", "advisor")
-	res1, err := prog1.Solve(phase1Opts)
-	rec.Timings.BIPSolving = time.Since(t)
+	p := b.prepare(rec)
+	chosen, refs, err := p.solve(rec)
 	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("search: phase 1 solve: %w", err)
-	}
-	sp.SetArg("nodes", res1.Nodes).End()
-	if !res1.HasSolution {
-		return nil, fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
-	}
-	rec.Stats.Nodes = res1.Nodes
-	rec.Cost = res1.Objective
-	chosen := res1
-
-	// Phase 2: among minimum-cost schemas, prefer the fewest column
-	// families (paper §V).
-	if !opt.SkipMinimizeSchema {
-		t = time.Now()
-		sp = opt.Trace.Begin("formulate phase 2", "advisor")
-		pin := res1.Objective
-		prog2, refs2 := b.formulate(&pin)
-		rec.Timings.BIPConstruction += time.Since(t)
-		sp.End()
-
-		phase2Opts := opt.BIP
-		phase2Opts.Incumbent = res1.X
-		t = time.Now()
-		sp = opt.Trace.Begin("solve phase 2", "advisor")
-		res2, err := prog2.Solve(phase2Opts)
-		rec.Timings.BIPSolving += time.Since(t)
-		sp.End()
-		if err == nil && res2.HasSolution {
-			chosen = res2
-			refs1 = refs2
-			rec.Stats.Nodes += res2.Nodes
-		}
+		return nil, err
 	}
 
 	opt.Obs.Counter("search.plans_pruned_dominated").Add(int64(b.prunedPlans))
@@ -262,7 +214,7 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 	// Extraction.
 	t = time.Now()
 	sp = opt.Trace.Begin("extract", "advisor")
-	if err := b.extract(chosen, refs1, rec); err != nil {
+	if err := b.extract(chosen, refs, rec); err != nil {
 		sp.End()
 		return nil, err
 	}
@@ -270,6 +222,74 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 	rec.Timings.Total = time.Since(start)
 	sp.End()
 	return rec, nil
+}
+
+// prepare formulates the phase-1 program (minimize weighted workload
+// cost) and its greedy warm start, recording the problem size in rec.
+func (b *builder) prepare(rec *Recommendation) *Prepared {
+	opt := b.opt
+	t := time.Now()
+	sp := opt.Trace.Begin("formulate", "advisor")
+	prog, refs := b.formulate(nil)
+	rec.Timings.BIPConstruction = time.Since(t)
+	rec.Stats.PlanVariables = len(refs.planCols)
+	rec.Stats.Constraints = prog.NumRows()
+	sp.SetArg("plan_variables", rec.Stats.PlanVariables).
+		SetArg("constraints", rec.Stats.Constraints).End()
+	opt.Obs.Counter("search.plan_variables").Add(int64(rec.Stats.PlanVariables))
+	opt.Obs.Counter("search.constraints").Add(int64(rec.Stats.Constraints))
+
+	incumbent := make([]float64, prog.NumCols())
+	b.greedyPhase(incumbent, refs)
+	return &Prepared{b: b, prog: prog, refs: refs, incumbent: incumbent}
+}
+
+// solve runs both solver phases — minimize workload cost, then, unless
+// SkipMinimizeSchema, pin that cost and minimize the number of paid
+// column families (paper §V) — and returns the assignment to extract
+// with the column map it is expressed in. The optimal cost, node count
+// and stage timings land in rec. A phase-2 failure is not an error: the
+// phase-1 assignment is already optimal in cost.
+func (p *Prepared) solve(rec *Recommendation) (*bip.Result, *colRefs, error) {
+	opt := p.b.opt
+	phase1 := opt.BIP
+	phase1.Incumbent = p.incumbent
+	t := time.Now()
+	sp := opt.Trace.Begin("solve phase 1", "advisor")
+	res1, err := p.prog.Solve(phase1)
+	rec.Timings.BIPSolving = time.Since(t)
+	if err != nil {
+		sp.End()
+		return nil, nil, fmt.Errorf("search: phase 1 solve: %w", err)
+	}
+	sp.SetArg("nodes", res1.Nodes).End()
+	if !res1.HasSolution {
+		return nil, nil, fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
+	}
+	rec.Stats.Nodes = res1.Nodes
+	rec.Cost = res1.Objective
+	if opt.SkipMinimizeSchema {
+		return res1, p.refs, nil
+	}
+
+	t = time.Now()
+	sp = opt.Trace.Begin("formulate phase 2", "advisor")
+	prog2, refs2 := p.b.formulate(&res1.Objective)
+	rec.Timings.BIPConstruction += time.Since(t)
+	sp.End()
+
+	phase2 := opt.BIP
+	phase2.Incumbent = res1.X
+	t = time.Now()
+	sp = opt.Trace.Begin("solve phase 2", "advisor")
+	res2, err := prog2.Solve(phase2)
+	rec.Timings.BIPSolving += time.Since(t)
+	sp.End()
+	if err != nil || !res2.HasSolution {
+		return res1, p.refs, nil
+	}
+	rec.Stats.Nodes += res2.Nodes
+	return res2, refs2, nil
 }
 
 // publishRun records the run-level metrics that are only known at the
@@ -280,13 +300,18 @@ func publishRun(opt Options, rec *Recommendation) {
 	}
 	opt.Obs.Counter("search.nodes").Add(int64(rec.Stats.Nodes))
 	opt.Obs.Counter("search.advise_runs").Inc()
+	publishTimings(opt.Obs, rec.Timings)
+}
 
+// publishTimings adds a run's wall-clock stage times to the stage
+// gauges.
+func publishTimings(r *obs.Registry, t Timings) {
 	g := func(name string, d time.Duration) {
-		opt.Obs.Gauge(name).Add(float64(d.Nanoseconds()) / 1e6)
+		r.Gauge(name).Add(float64(d.Nanoseconds()) / 1e6)
 	}
-	g("search.wall_ms.enumeration", rec.Timings.Enumeration)
-	g("search.wall_ms.cost_calculation", rec.Timings.CostCalculation)
-	g("search.wall_ms.bip_construction", rec.Timings.BIPConstruction)
-	g("search.wall_ms.bip_solving", rec.Timings.BIPSolving)
-	g("search.wall_ms.total", rec.Timings.Total)
+	g("search.wall_ms.enumeration", t.Enumeration)
+	g("search.wall_ms.cost_calculation", t.CostCalculation)
+	g("search.wall_ms.bip_construction", t.BIPConstruction)
+	g("search.wall_ms.bip_solving", t.BIPSolving)
+	g("search.wall_ms.total", t.Total)
 }

@@ -118,7 +118,7 @@ func AdviseSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, err
 	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)
 
 	t0 = time.Now()
-	sb := &seriesBuilder{w: w, opt: opt, mig: mig}
+	sb := &seriesBuilder{w: w, mig: mig}
 	total := w.TotalDuration()
 	for i, p := range w.Phases {
 		if err := opt.Ctx.Err(); err != nil {
@@ -233,10 +233,14 @@ func unionWorkload(w *workload.Workload) *workload.Workload {
 	return u
 }
 
-// seriesBuilder assembles and decodes the joint multi-interval program.
+// seriesBuilder links the per-phase formulations into the joint
+// multi-interval program and decodes its solution. Everything inside a
+// phase is builder.formulatePhase and builder.greedyPhase; what lives
+// here is only what a single schema does not have: migration columns
+// between adjacent phases, share-weighted cost accounting, and the
+// build/drop schedule.
 type seriesBuilder struct {
 	w        *workload.Workload
-	opt      Options
 	mig      migrate.CostParams
 	builders []*builder
 	shares   []float64
@@ -244,112 +248,25 @@ type seriesBuilder struct {
 	prog *bip.Program
 	refs []*colRefs // per phase; indexCol is that phase's y columns
 
-	// Per-column bookkeeping, indexed by BIP column, appended in
-	// creation order so post-solve sums are accumulated
-	// deterministically.
-	colPhase []int     // owning phase, -1 for none
+	// Per-column bookkeeping for the phases' columns, indexed by BIP
+	// column (they precede every migration column), so post-solve sums
+	// accumulate in creation order.
+	colPhase []int     // owning phase
 	colRaw   []float64 // unscaled in-phase workload cost contribution
-	colMig   []float64 // migration build charge
 
 	migCols []map[string]int // per phase: index ID -> migration column
 }
 
-// addBinary wraps Program.AddBinary, keeping the per-column bookkeeping
-// slices aligned with the program's columns.
-func (sb *seriesBuilder) addBinary(obj float64, phase int, raw, mig float64, entries ...lp.Entry) int {
-	col := sb.prog.AddBinary(obj, entries...)
-	sb.colPhase = append(sb.colPhase, phase)
-	sb.colRaw = append(sb.colRaw, raw)
-	sb.colMig = append(sb.colMig, mig)
-	return col
-}
-
-// formulate builds the joint BIP: per phase, the same presence, plan
-// choice and support-group structure as the static formulation (with
-// every family paid and objective coefficients scaled by the phase's
-// duration share), then one migration variable per (phase, candidate)
-// linking adjacent phases' presence.
+// formulate builds the joint BIP: each phase's formulation with its
+// objective scaled by the phase's duration share, then one migration
+// variable per (phase, candidate) linking adjacent phases' presence.
 func (sb *seriesBuilder) formulate() {
 	sb.prog = bip.New()
 	for t, b := range sb.builders {
-		share := sb.shares[t]
-		refs := &colRefs{
-			indexCol: map[string]int{},
-			planCols: map[int]planRef{},
-			planCol:  map[*planner.Plan]int{},
-			zCol:     map[*supportGroup]int{},
-		}
-		sb.refs = append(sb.refs, refs)
-
-		storageRow := -1
-		if sb.opt.SpaceBudgetBytes > 0 {
-			storageRow = sb.prog.AddRow(math.Inf(-1), sb.opt.SpaceBudgetBytes/1e6)
-		}
-		for _, x := range b.pool {
-			var entries []lp.Entry
-			if storageRow >= 0 {
-				entries = append(entries, lp.Entry{Row: storageRow, Coef: x.SizeBytes() / 1e6})
-			}
-			raw := b.maint[x.ID()]
-			refs.indexCol[x.ID()] = sb.addBinary(share*raw, t, raw, 0, entries...)
-		}
-		if storageRow >= 0 {
-			var items []budgetCutItem
-			for _, x := range b.pool {
-				items = append(items, budgetCutItem{col: refs.indexCol[x.ID()], sizeMB: x.SizeBytes() / 1e6})
-			}
-			b.cuts += addBudgetCuts(sb.prog, items, sb.opt.SpaceBudgetBytes/1e6)
-		}
-
-		addPlanVars := func(space *planner.PlanSpace, chooseRow int, weight float64, mk func(*planner.Plan) planRef) {
-			linkRow := map[string]int{}
-			var linkOrder []string
-			for _, plan := range space.Plans {
-				entries := []lp.Entry{{Row: chooseRow, Coef: 1}}
-				for _, x := range plan.Indexes() {
-					r, ok := linkRow[x.ID()]
-					if !ok {
-						r = sb.prog.AddRow(math.Inf(-1), 0)
-						linkRow[x.ID()] = r
-						linkOrder = append(linkOrder, x.ID())
-					}
-					entries = append(entries, lp.Entry{Row: r, Coef: 1})
-				}
-				raw := weight * plan.Cost
-				col := sb.addBinary(share*raw, t, raw, 0, entries...)
-				refs.planCols[col] = mk(plan)
-				refs.planCol[plan] = col
-			}
-			sort.Strings(linkOrder)
-			for _, id := range linkOrder {
-				sb.prog.AddColEntry(refs.indexCol[id], linkRow[id], -1)
-			}
-		}
-
-		for _, qb := range b.queries {
-			chooseRow := sb.prog.AddRow(1, 1)
-			qb := qb
-			addPlanVars(qb.space, chooseRow, b.w.Weight(qb.ws), func(pl *planner.Plan) planRef {
-				return planRef{query: qb, plan: pl}
-			})
-		}
-		for _, ub := range b.updates {
-			for _, g := range ub.groups {
-				zCol := sb.addBinary(0, t, 0, 0)
-				refs.zCol[g] = zCol
-				gateRow := sb.prog.AddRow(0, 0)
-				sb.prog.AddColEntry(zCol, gateRow, -1)
-				force := sb.prog.AddRow(math.Inf(-1), 0)
-				sb.prog.AddColEntry(zCol, force, -float64(len(g.indexes)))
-				for _, x := range g.indexes {
-					sb.prog.AddColEntry(refs.indexCol[x.ID()], force, 1)
-				}
-				ub, g := ub, g
-				addPlanVars(g.space, gateRow, b.w.Weight(ub.ws), func(pl *planner.Plan) planRef {
-					return planRef{group: g, ub: ub, plan: pl}
-				})
-			}
-		}
+		sb.refs = append(sb.refs, b.formulatePhase(sb.prog, sb.shares[t], -1, func(raw float64) {
+			sb.colPhase = append(sb.colPhase, t)
+			sb.colRaw = append(sb.colRaw, raw)
+		}))
 	}
 
 	// Migration linking: m[t][i] must cover any presence not inherited
@@ -360,10 +277,8 @@ func (sb *seriesBuilder) formulate() {
 		sb.migCols = append(sb.migCols, mcols)
 		for _, x := range b.pool {
 			id := x.ID()
-			buildCost := migrate.BuildCost(x, sb.mig)
 			row := sb.prog.AddRow(math.Inf(-1), 0)
-			mcol := sb.addBinary(buildCost, t, 0, buildCost, lp.Entry{Row: row, Coef: -1})
-			mcols[id] = mcol
+			mcols[id] = sb.prog.AddBinary(migrate.BuildCost(x, sb.mig), lp.Entry{Row: row, Coef: -1})
 			sb.prog.AddColEntry(sb.refs[t].indexCol[id], row, 1)
 			if t > 0 {
 				if prev, ok := sb.refs[t-1].indexCol[id]; ok {
@@ -375,53 +290,14 @@ func (sb *seriesBuilder) formulate() {
 }
 
 // greedyIncumbent warm-starts the joint solve: each phase takes its
-// cheapest plans (the static greedy), and migration variables cover the
-// resulting presence transitions.
+// greedy assignment, and migration variables cover the resulting
+// presence transitions.
 func (sb *seriesBuilder) greedyIncumbent() []float64 {
 	x := make([]float64, sb.prog.NumCols())
 	prev := map[string]bool{}
 	for t, b := range sb.builders {
-		refs := sb.refs[t]
-		selected := map[string]bool{}
-		mark := func(pl *planner.Plan) {
-			for _, ix := range pl.Indexes() {
-				selected[ix.ID()] = true
-			}
-		}
-		for _, qb := range b.queries {
-			pl := qb.space.Plans[0]
-			x[refs.planCol[pl]] = 1
-			mark(pl)
-		}
-		chosen := map[*supportGroup]bool{}
-		for changed := true; changed; {
-			changed = false
-			for _, ub := range b.updates {
-				for _, g := range ub.groups {
-					if chosen[g] {
-						continue
-					}
-					forced := false
-					for _, ix := range g.indexes {
-						if selected[ix.ID()] {
-							forced = true
-							break
-						}
-					}
-					if !forced {
-						continue
-					}
-					chosen[g] = true
-					changed = true
-					pl := g.space.Plans[0]
-					x[refs.planCol[pl]] = 1
-					x[refs.zCol[g]] = 1
-					mark(pl)
-				}
-			}
-		}
+		selected := b.greedyPhase(x, sb.refs[t])
 		for id := range selected {
-			x[refs.indexCol[id]] = 1
 			if !prev[id] {
 				x[sb.migCols[t][id]] = 1
 			}
@@ -436,12 +312,9 @@ func (sb *seriesBuilder) greedyIncumbent() []float64 {
 // reported numbers are bit-identical across runs and worker counts.
 func (sb *seriesBuilder) extract(res *bip.Result, sr *SeriesRecommendation) error {
 	phaseCost := make([]float64, len(sb.builders))
-	for col := 0; col < len(sb.colRaw); col++ {
-		if res.X[col] < 0.5 {
-			continue
-		}
-		if t := sb.colPhase[col]; t >= 0 {
-			phaseCost[t] += sb.colRaw[col]
+	for col, raw := range sb.colRaw {
+		if res.X[col] >= 0.5 {
+			phaseCost[sb.colPhase[col]] += raw
 		}
 	}
 
@@ -469,7 +342,7 @@ func (sb *seriesBuilder) extract(res *bip.Result, sr *SeriesRecommendation) erro
 	return nil
 }
 
-// publishSeries records series-level metrics, mirroring publishRun.
+// publishSeries records the series-level metrics known only at the end.
 func publishSeries(opt Options, sr *SeriesRecommendation) {
 	if opt.Obs == nil {
 		return
@@ -485,15 +358,7 @@ func publishSeries(opt Options, sr *SeriesRecommendation) {
 	}
 	opt.Obs.Counter("search.series_migrations").Add(int64(migrations))
 	opt.Obs.Gauge("search.series_migration_cost").Add(sr.MigrationCost)
-
-	g := func(name string, d time.Duration) {
-		opt.Obs.Gauge(name).Add(float64(d.Nanoseconds()) / 1e6)
-	}
-	g("search.wall_ms.enumeration", sr.Timings.Enumeration)
-	g("search.wall_ms.cost_calculation", sr.Timings.CostCalculation)
-	g("search.wall_ms.bip_construction", sr.Timings.BIPConstruction)
-	g("search.wall_ms.bip_solving", sr.Timings.BIPSolving)
-	g("search.wall_ms.total", sr.Timings.Total)
+	publishTimings(opt.Obs, sr.Timings)
 }
 
 // Format renders the schema series as the nose CLI prints it: one block

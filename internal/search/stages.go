@@ -1,8 +1,6 @@
 package search
 
 import (
-	"fmt"
-
 	"nose/internal/bip"
 	"nose/internal/enumerator"
 	"nose/internal/planner"
@@ -22,10 +20,10 @@ func BuildPlans(w *workload.Workload, enumRes *enumerator.Result, opt Options) e
 
 // Prepared is a formulated advisor problem whose solve stage can be run
 // repeatedly — benchmarks use it to time the branch and bound phases
-// in isolation from enumeration and plan-space generation.
+// in isolation from enumeration and plan-space generation. Advise runs
+// on the same value.
 type Prepared struct {
 	b         *builder
-	opt       Options
 	prog      *bip.Program
 	refs      *colRefs
 	incumbent []float64
@@ -39,47 +37,13 @@ func Prepare(w *workload.Workload, enumRes *enumerator.Result, opt Options) (*Pr
 	if err != nil {
 		return nil, err
 	}
-	prog, refs := b.formulate(nil)
-	return &Prepared{
-		b:         b,
-		opt:       opt,
-		prog:      prog,
-		refs:      refs,
-		incumbent: b.greedyIncumbent(prog, refs),
-	}, nil
+	return b.prepare(&Recommendation{}), nil
 }
 
-// Solve runs both solver phases, mirroring Advise: minimize workload
-// cost, then minimize the number of paid column families at that cost
-// (the phase-2 program is formulated here, matching Advise's split of
-// work between construction and solving).
+// Solve runs both solver phases exactly as Advise does (the phase-2
+// program is formulated here, so the split of work between construction
+// and solving is Advise's too) and discards the assignment.
 func (p *Prepared) Solve() error {
-	phase1 := p.opt.BIP
-	phase1.Incumbent = p.incumbent
-	res1, err := p.prog.Solve(phase1)
-	if err != nil {
-		return fmt.Errorf("search: phase 1 solve: %w", err)
-	}
-	if !res1.HasSolution {
-		return fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
-	}
-	if p.opt.SkipMinimizeSchema {
-		return nil
-	}
-	pin := res1.Objective
-	prog2, _ := p.b.formulate(&pin)
-	phase2 := p.opt.BIP
-	phase2.Incumbent = res1.X
-	_, err = prog2.Solve(phase2)
+	_, _, err := p.solve(&Recommendation{})
 	return err
-}
-
-// SolvePhases is Prepare followed by one Solve, for callers that do not
-// need to amortize formulation across repeated solves.
-func SolvePhases(w *workload.Workload, enumRes *enumerator.Result, opt Options) error {
-	p, err := Prepare(w, enumRes, opt)
-	if err != nil {
-		return err
-	}
-	return p.Solve()
 }

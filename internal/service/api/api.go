@@ -1,13 +1,15 @@
 // Package api defines the canonical JSON wire format shared by the
-// nosed service and the nose CLI's -json mode. Every encoder here is
-// deterministic: structs marshal in declaration order, maps marshal
-// with sorted keys (encoding/json's contract), slices preserve the
-// advisor's workload-order output, and nondeterministic fields (wall
-// clock timings) are excluded. Because the
-// advisor itself is worker-count invariant, the same workload DSL and
+// nosed service and the nose CLI's -json mode, and the one front door
+// both go through to produce it (Request: validation, DSL → workload,
+// knobs → search.Options, Run). Every encoder here is deterministic:
+// structs marshal in declaration order, maps marshal with sorted keys
+// (encoding/json's contract), slices preserve the advisor's
+// workload-order output, and nondeterministic fields (wall clock
+// timings) are excluded. Because the advisor itself is worker-count
+// invariant and both doors call Request.Run, the same workload DSL and
 // knobs produce byte-identical encodings whether the run was submitted
-// over HTTP or executed by the CLI — that equality is pinned in CI by
-// diffing `nose -json` output against the daemon's stored result.
+// over HTTP or executed by the CLI; CI diffs `nose -json` output
+// against the daemon's stored result as a tripwire.
 package api
 
 import (

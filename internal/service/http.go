@@ -127,10 +127,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // parseRequest decodes the submission query parameters and body.
 func parseRequest(r *http.Request) (Request, error) {
 	q := r.URL.Query()
-	req := Request{
-		Kind: q.Get("kind"),
-		Mix:  q.Get("mix"),
-	}
+	req := Request{Kind: q.Get("kind")}
+	req.Mix = q.Get("mix")
 	if req.Kind == "" {
 		req.Kind = "advise"
 	}

@@ -2,18 +2,13 @@ package service
 
 import (
 	"context"
-	"fmt"
 
 	"nose/internal/bip"
-	"nose/internal/drift"
 	"nose/internal/experiments"
-	"nose/internal/migrate"
-	"nose/internal/nosedsl"
 	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/search"
 	"nose/internal/service/api"
-	"nose/internal/workload"
 )
 
 // Simulate job defaults, scaled down from the paper's figures so a
@@ -37,128 +32,13 @@ const (
 // run executes one job and returns its canonical result document. The
 // job's context cancels the solve at the next advisor checkpoint;
 // run then returns the context error and the caller marks the job
-// cancelled.
+// cancelled. The advisor kinds go through api.Request.Run, the same
+// call `nose -json` makes.
 func (m *Manager) run(ctx context.Context, j *Job) ([]byte, error) {
-	switch j.req.Kind {
-	case "advise":
-		return m.runAdvise(ctx, j)
-	case "advise-series":
-		return m.runSeries(ctx, j)
-	case "drift-report":
-		return m.runDriftReport(ctx, j)
-	case "simulate":
+	if j.req.Kind == "simulate" {
 		return m.runSimulate(ctx, j)
 	}
-	return nil, fmt.Errorf("unknown job kind %q", j.req.Kind)
-}
-
-// advisorOptions builds the search options for a request, mirroring
-// cmd/nose's defaults exactly — any divergence here would break the
-// byte-identity between daemon results and CLI output.
-func (m *Manager) advisorOptions(ctx context.Context, j *Job) search.Options {
-	maxPlans := j.req.MaxPlans
-	if maxPlans <= 0 {
-		maxPlans = planner.DefaultMaxPlansPerQuery
-	}
-	return search.Options{
-		Workers:          j.req.Workers,
-		SpaceBudgetBytes: j.req.SpaceBytes,
-		Planner:          planner.Config{MaxPlansPerQuery: maxPlans},
-		Ctx:              ctx,
-		Obs:              j.reg,
-		Trace:            j.tracer,
-	}
-}
-
-// parseWorkload parses the request DSL and applies the mix override.
-func parseWorkload(req Request) (*workload.Workload, error) {
-	_, w, err := nosedsl.Parse(req.DSL)
-	if err != nil {
-		return nil, err
-	}
-	if req.Mix != "" {
-		w.ActiveMix = req.Mix
-	}
-	return w, nil
-}
-
-func (m *Manager) runAdvise(ctx context.Context, j *Job) ([]byte, error) {
-	w, err := parseWorkload(j.req)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := search.Advise(w, m.advisorOptions(ctx, j))
-	if err != nil {
-		return nil, err
-	}
-	return api.Encode(api.Advise(w, rec))
-}
-
-func (m *Manager) runSeries(ctx context.Context, j *Job) ([]byte, error) {
-	w, err := parseWorkload(j.req)
-	if err != nil {
-		return nil, err
-	}
-	sr, err := search.AdviseSeries(w, m.advisorOptions(ctx, j))
-	if err != nil {
-		return nil, err
-	}
-	return api.Encode(api.Series(w, sr))
-}
-
-// runDriftReport mirrors cmd/nose's -drift-report: advise the active
-// mix, then for each other declared mix compute the total-variation
-// divergence, the default detector's verdict, and the migration diff
-// between the two schemas.
-func (m *Manager) runDriftReport(ctx context.Context, j *Job) ([]byte, error) {
-	w, err := parseWorkload(j.req)
-	if err != nil {
-		return nil, err
-	}
-	mixes := w.Mixes()
-	if len(mixes) < 2 {
-		return nil, fmt.Errorf("drift-report needs at least two declared mixes; workload has %d", len(mixes))
-	}
-	opts := m.advisorOptions(ctx, j)
-	rec, err := search.Advise(w, opts)
-	if err != nil {
-		return nil, err
-	}
-	report := &api.DriftReport{
-		ActiveMix: w.ActiveMix,
-		Threshold: drift.Config{}.Normalized().Threshold,
-		Schema:    *api.Advise(w, rec),
-	}
-	for _, mix := range mixes {
-		if mix == w.ActiveMix {
-			continue
-		}
-		div := drift.TotalVariation(mixWeights(w, mix), mixWeights(w, w.ActiveMix))
-		other := *w
-		other.ActiveMix = mix
-		otherRec, err := search.Advise(&other, opts)
-		if err != nil {
-			return nil, fmt.Errorf("advise mix %q: %w", mix, err)
-		}
-		build, drop := migrate.Diff(rec.Schema, otherRec.Schema)
-		report.Mixes = append(report.Mixes, api.MixDrift{
-			Mix:        mix,
-			Divergence: div,
-			Drift:      div >= report.Threshold,
-			Builds:     len(build),
-			Drops:      len(drop),
-		})
-	}
-	return api.Encode(report)
-}
-
-// mixWeights returns a mix's normalized statement-label mix.
-func mixWeights(w *workload.Workload, mix string) map[string]float64 {
-	out := map[string]float64{}
-	for _, ws := range w.Statements {
-		out[workload.Label(ws.Statement)] += ws.WeightIn(mix)
-	}
-	return drift.Normalize(out)
+	return j.req.Run(ctx, j.req.Kind, j.reg, j.tracer)
 }
 
 // simulateResult is the simulate job's wire form: the regenerated

@@ -12,10 +12,11 @@
 // The same request (workload DSL, kind, and knobs — workers excluded)
 // and seed produce byte-identical result documents, equal to what the
 // corresponding CLI prints: an advise job's result is exactly `nose
-// -json -in <dsl>` output. This holds because the advisor is
-// worker-count invariant, the wire encoding (internal/service/api) is
-// canonical, and results never embed wall-clock readings. CI pins the
-// equality by diffing a daemon result against the CLI's.
+// -json -in <dsl>` output. This holds because both run
+// api.Request.Run, the advisor is worker-count invariant, the wire
+// encoding (internal/service/api) is canonical, and results never embed
+// wall-clock readings. CI diffs a daemon result against the CLI's for
+// each advisor kind, as a tripwire.
 //
 // # Session isolation
 //
@@ -33,6 +34,7 @@ import (
 	"time"
 
 	"nose/internal/obs"
+	"nose/internal/service/api"
 )
 
 // State is a job's lifecycle state. Jobs move queued → running →
@@ -58,26 +60,16 @@ func (s State) Terminal() bool { return s == Done || s == Failed || s == Cancell
 
 // Kinds enumerates the job kinds the manager accepts, in documentation
 // order.
-var Kinds = []string{"advise", "advise-series", "drift-report", "simulate"}
+var Kinds = []string{api.KindAdvise, api.KindSeries, api.KindDriftReport, "simulate"}
 
 // Request is a parsed job submission.
 type Request struct {
 	// Kind selects the job type; see Kinds.
 	Kind string
-	// DSL is the workload source (.nose format). Required for every
-	// kind except simulate, which runs the built-in RUBiS workload.
-	DSL string
-	// Workers bounds advisor goroutines; 0 means all CPUs. Results are
-	// identical for every value.
-	Workers int
-	// SpaceBytes is the advisor storage budget; 0 means unlimited.
-	SpaceBytes float64
-	// Mix selects the workload mix to optimize for; empty keeps the
-	// DSL's active mix.
-	Mix string
-	// MaxPlans bounds the plan space per query; 0 means the planner
-	// default.
-	MaxPlans int
+	// Request carries the workload DSL and the advisor knobs shared with
+	// the nose CLI. The DSL is required for every kind except simulate,
+	// which runs the built-in RUBiS workload.
+	api.Request
 	// Seed seeds the simulate job's dataset generation; 0 means 1.
 	Seed int64
 	// Users scales the simulate job's RUBiS dataset; 0 means 2000.
@@ -248,13 +240,10 @@ func (r Request) Validate() error {
 	if r.Kind != "simulate" && strings.TrimSpace(r.DSL) == "" {
 		return fmt.Errorf("%s needs a workload DSL request body", r.Kind)
 	}
-	if r.SpaceBytes < 0 {
-		return fmt.Errorf("space budget %g must not be negative", r.SpaceBytes)
+	if r.Users < 0 || r.Executions < 0 {
+		return fmt.Errorf("users and executions must not be negative")
 	}
-	if r.MaxPlans < 0 || r.Users < 0 || r.Executions < 0 {
-		return fmt.Errorf("max-plans, users and executions must not be negative")
-	}
-	return nil
+	return r.Request.Validate()
 }
 
 // Submit validates and enqueues a job. The job starts as soon as a

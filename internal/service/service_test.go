@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	"nose/internal/service"
+	"nose/internal/service/api"
 )
 
 // hotelDSL loads the repo's canonical example workload.
@@ -75,28 +77,67 @@ func fetchResult(t *testing.T, ts *httptest.Server, id string) []byte {
 	return data
 }
 
-// TestHTTPAdviseByteIdenticalToCLI pins the determinism contract end to
-// end: an advise job submitted over HTTP must return the exact bytes
-// `nose -json` prints for the same workload and knobs.
-func TestHTTPAdviseByteIdenticalToCLI(t *testing.T) {
+// buildCLI compiles cmd/nose into the test's temp directory, skipping
+// the test when no go tool is on the path.
+func buildCLI(t *testing.T) string {
+	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go tool unavailable; CI's smoke step covers the CLI diff")
 	}
-	ts, _ := newTestServer(t, service.Config{})
-	st := submit(t, ts, "kind=advise&workers=2&wait=1", hotelDSL(t))
-	if st.State != service.Done {
-		t.Fatalf("job state = %s (%s), want done", st.State, st.Error)
-	}
-	got := fetchResult(t, ts, st.ID)
-
-	cmd := exec.Command("go", "run", "./cmd/nose", "-json", "-workers", "3", "-in", "testdata/hotel.nose")
+	bin := filepath.Join(t.TempDir(), "nose")
+	cmd := exec.Command("go", "build", "-o", bin, "./cmd/nose")
 	cmd.Dir = filepath.Join("..", "..")
-	want, err := cmd.Output()
-	if err != nil {
-		t.Fatalf("nose -json: %v", err)
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("build cmd/nose: %v\n%s", err, out)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("HTTP result differs from CLI output:\nHTTP:\n%s\nCLI:\n%s", got, want)
+	return bin
+}
+
+// TestHTTPAdviseByteIdenticalToCLI pins the determinism contract end to
+// end: a job submitted over HTTP must return the exact bytes `nose
+// -json` prints for the same workload and knobs, for every DSL-driven
+// kind and at a different worker count on each side. Both doors call
+// api.Request.Run, so this is a tripwire for a door growing its own
+// path, not the mechanism.
+func TestHTTPAdviseByteIdenticalToCLI(t *testing.T) {
+	bin := buildCLI(t)
+	ts, _ := newTestServer(t, service.Config{})
+	for _, tc := range []struct {
+		query, file string
+		flags       []string
+	}{
+		{"kind=advise&workers=2", "hotel.nose", []string{"-workers", "3"}},
+		{"kind=advise-series&workers=1", "hotel-phases.nose", []string{"-phases", "-workers", "4"}},
+		// The file's statements carry mix weights only, so the mix is named.
+		{"kind=drift-report&mix=browse&workers=4", "hotel-mixes.nose", []string{"-drift-report", "-mix", "browse", "-workers", "1"}},
+	} {
+		path := filepath.Join("..", "..", "testdata", tc.file)
+		dsl, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := submit(t, ts, tc.query+"&wait=1", string(dsl))
+		if st.State != service.Done {
+			t.Fatalf("%s: job state = %s (%s), want done", tc.query, st.State, st.Error)
+		}
+		got := fetchResult(t, ts, st.ID)
+
+		want, err := exec.Command(bin, append([]string{"-json", "-in", path}, tc.flags...)...).Output()
+		if err != nil {
+			t.Fatalf("nose -json %v: %v", tc.flags, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: HTTP result differs from CLI output:\nHTTP:\n%s\nCLI:\n%s", tc.query, got, want)
+		}
+	}
+
+	// Validation is shared too: what the daemon answers with a 400 (see
+	// TestErrorEnvelope) the CLI refuses with a usage exit, instead of
+	// reading it as "no budget".
+	err := exec.Command(bin, "-space", "NaN", "-in", filepath.Join("..", "..", "testdata", "hotel.nose")).Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("nose -space NaN: %v, want exit status 2", err)
 	}
 }
 
@@ -389,6 +430,17 @@ func TestErrorEnvelope(t *testing.T) {
 		t.Fatalf("empty DSL: HTTP %d", resp3.StatusCode)
 	}
 
+	// NaN compares false with everything, so a plain "< 0" check lets it
+	// through as "no budget".
+	resp5, err := http.Post(ts.URL+"/v1/jobs?kind=advise&space=NaN", "text/plain", strings.NewReader(hotelDSL(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp5.Body.Close()
+	if resp5.StatusCode != http.StatusBadRequest {
+		t.Fatalf("space=NaN: HTTP %d, want 400", resp5.StatusCode)
+	}
+
 	// Result of an unfinished job is a 409.
 	st := submit(t, ts, "kind=advise&space=2000000", slowDSL())
 	resp4, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
@@ -426,7 +478,7 @@ func TestShutdownAbortsInFlight(t *testing.T) {
 	if s := j.Status().State; s != service.Cancelled {
 		t.Fatalf("job state after abort shutdown = %s", s)
 	}
-	if _, err := m.Submit(service.Request{Kind: "advise", DSL: "x"}); err == nil {
+	if _, err := m.Submit(service.Request{Kind: "advise", Request: api.Request{DSL: "x"}}); err == nil {
 		t.Fatal("submit after shutdown succeeded")
 	}
 }
