@@ -205,26 +205,37 @@ func (d *Dataset) Install(s Installer, x *schema.Index) error {
 	if x.Name == "" {
 		return fmt.Errorf("backend: index %s has no name", x)
 	}
-	def := DefFromIndex(x)
-	if err := s.Create(def); err != nil {
+	if err := s.Create(DefFromIndex(x)); err != nil {
 		return err
 	}
-	return d.ForEachCombination(x.Path, func(tuple map[string]Value) error {
-		partition := make([]Value, len(def.PartitionCols))
-		for i, c := range def.PartitionCols {
-			partition[i] = tuple[c]
-		}
-		clustering := make([]Value, len(def.ClusteringCols))
-		for i, c := range def.ClusteringCols {
-			clustering[i] = tuple[c]
-		}
-		values := make([]Value, len(def.ValueCols))
-		for i, c := range def.ValueCols {
-			values[i] = tuple[c]
-		}
-		_, err := s.Put(def.Name, partition, clustering, values)
+	return d.ForEachRecord(x, func(partition, clustering, values []Value) error {
+		_, err := s.Put(x.Name, partition, clustering, values)
 		return err
 	})
+}
+
+// ForEachRecord is the one materializer: it enumerates the records the
+// dataset yields for index x — one per combination of connected
+// entities along x's path, in the dataset's deterministic iteration
+// order — calling fn with each record's partition, clustering and value
+// cells in definition order (see DefFromIndex). The slices are fresh per
+// record; fn may retain them. Installing a family, backfilling it during
+// a migration and reconstructing a backfill snapshot after a crash all
+// read from here, so they agree on every record by construction.
+func (d *Dataset) ForEachRecord(x *schema.Index, fn func(partition, clustering, values []Value) error) error {
+	def := DefFromIndex(x)
+	return d.ForEachCombination(x.Path, func(tuple map[string]Value) error {
+		return fn(cells(tuple, def.PartitionCols), cells(tuple, def.ClusteringCols), cells(tuple, def.ValueCols))
+	})
+}
+
+// cells copies the named columns out of a combination tuple.
+func cells(tuple map[string]Value, cols []string) []Value {
+	out := make([]Value, len(cols))
+	for i, c := range cols {
+		out[i] = tuple[c]
+	}
+	return out
 }
 
 // ForEachCombination enumerates the connected entity combinations

@@ -40,16 +40,15 @@ type Result struct {
 // Executor executes plans against one store — any backend.KVBackend,
 // including a fault-injecting wrapper from internal/faults.
 type Executor struct {
-	store   backend.KVBackend
-	lat     cost.Params
-	retry   RetryPolicy
-	metrics *Metrics
-	eo      execObs
+	store backend.KVBackend
+	lat   cost.Params
+	retry RetryPolicy
+	eo    execObs
 }
 
-// execObs holds the executor's registry instruments. The zero value —
-// all nil instruments — is a valid no-op set, so an executor without
-// SetObs pays only nil checks.
+// execObs holds the executor's instruments — its only counters. A new
+// executor counts into a registry of its own; SetObs re-points it at a
+// shared one.
 type execObs struct {
 	queries, writes           *obs.Counter
 	queryErrors, writeErrors  *obs.Counter
@@ -61,8 +60,9 @@ type execObs struct {
 
 // SetObs routes the executor's metrics into a registry: exec.* counters
 // for statements and retries, and exec.{query,write}.sim_ms latency
-// histograms in simulated milliseconds. The existing Metrics snapshot
-// keeps working; the registry sees the same increments.
+// histograms in simulated milliseconds. Metrics reads the same
+// instruments, so executors sharing a registry report shared totals —
+// a system that rebuilds its executor mid-run keeps its retry history.
 func (e *Executor) SetObs(r *obs.Registry) {
 	e.eo = execObs{
 		queries:        r.Counter("exec.queries"),
@@ -90,11 +90,20 @@ func New(store backend.KVBackend, lat cost.Params) *Executor {
 // the given policy, charging wasted attempts and backoff into each
 // statement's simulated time.
 func NewRetrying(store backend.KVBackend, lat cost.Params, policy RetryPolicy) *Executor {
-	return &Executor{store: store, lat: lat, retry: policy.normalized(), metrics: &Metrics{}}
+	e := &Executor{store: store, lat: lat, retry: policy.normalized()}
+	e.SetObs(obs.NewRegistry())
+	return e
 }
 
-// Metrics returns a snapshot of the executor's retry counters.
-func (e *Executor) Metrics() MetricsSnapshot { return e.metrics.Snapshot() }
+// Metrics returns a snapshot of the retry counters.
+func (e *Executor) Metrics() MetricsSnapshot {
+	return MetricsSnapshot{
+		Retries:       e.eo.retries.Value(),
+		Exhausted:     e.eo.retryExhausted.Value(),
+		BackoffMillis: e.eo.backoffSimMs.Value(),
+		WastedMillis:  e.eo.wastedSimMs.Value(),
+	}
+}
 
 // Put writes one record into a column family through the executor's
 // store under a fresh per-operation retry budget. It is the backfill

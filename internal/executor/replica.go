@@ -184,12 +184,12 @@ type Coordinator struct {
 	crashes *faults.Crashes
 	queues  *backend.NodeQueues
 	hints   map[hintKey][]hint
-	stats   ReplicaStats
 	co      coordObs
 }
 
-// coordObs holds the coordinator's registry instruments; the zero value
-// is a valid no-op set.
+// coordObs holds the coordinator's instruments — its only counters. A
+// new coordinator counts into a registry of its own; SetObs re-points
+// it at a shared one.
 type coordObs struct {
 	reads, writes                     *obs.Counter
 	replicaReads, replicaWrites       *obs.Counter
@@ -200,8 +200,8 @@ type coordObs struct {
 	readLat, writeLat                 *obs.Histogram
 }
 
-// SetObs routes coordination metrics into a registry: coord.* counters
-// mirroring ReplicaStats, plus per-consistency-level latency histograms
+// SetObs routes coordination metrics into a registry: the coord.*
+// counters Stats reads, plus per-consistency-level latency histograms
 // (coord.read.<LEVEL>.sim_ms / coord.write.<LEVEL>.sim_ms) of
 // successful coordinated operations in simulated milliseconds.
 func (c *Coordinator) SetObs(r *obs.Registry) {
@@ -227,7 +227,7 @@ func (c *Coordinator) SetObs(r *obs.Registry) {
 
 // NewCoordinator wraps a replicated store with quorum coordination.
 func NewCoordinator(repl *backend.ReplicatedStore, opts CoordinatorOptions) *Coordinator {
-	return &Coordinator{
+	c := &Coordinator{
 		repl:  repl,
 		read:  opts.Read,
 		write: opts.Write,
@@ -235,6 +235,8 @@ func NewCoordinator(repl *backend.ReplicatedStore, opts CoordinatorOptions) *Coo
 		nodes: opts.Nodes,
 		hints: map[hintKey][]hint{},
 	}
+	c.SetObs(obs.NewRegistry())
+	return c
 }
 
 // SetNodes swaps in a node fault set (e.g. when a harness enables
@@ -300,7 +302,21 @@ func (c *Coordinator) refused(node int) bool {
 func (c *Coordinator) Stats() ReplicaStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	co := c.co
+	return ReplicaStats{
+		Reads:            co.reads.Value(),
+		Writes:           co.writes.Value(),
+		ReplicaReads:     co.replicaReads.Value(),
+		ReplicaWrites:    co.replicaWrites.Value(),
+		ReadUnavailable:  co.readUnavailable.Value(),
+		WriteUnavailable: co.writeUnavailable.Value(),
+		Hedges:           co.hedges.Value(),
+		HedgeWins:        co.hedgeWins.Value(),
+		HintsQueued:      co.hintsQueued.Value(),
+		HintsReplayed:    co.hintsReplayed.Value(),
+		ReadRepairs:      co.readRepairs.Value(),
+		StaleReads:       co.staleReads.Value(),
+	}
 }
 
 // PendingHints returns the number of hinted writes not yet replayed.
@@ -348,7 +364,6 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.Reads++
 	c.co.reads.Inc()
 
 	// Each of the `need` parallel requests occupies a slot; a failed
@@ -369,7 +384,6 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 		for idx < len(replicas) {
 			node := replicas[idx]
 			idx++
-			c.stats.ReplicaReads++
 			c.co.replicaReads.Inc()
 			if c.refused(node) {
 				// A zero-capacity node can never start the work: same
@@ -399,7 +413,6 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 			worst = t
 		}
 		if !filled {
-			c.stats.ReadUnavailable++
 			c.co.readUnavailable.Inc()
 			return nil, coordFault(sawDown, name, "get", worst)
 		}
@@ -419,9 +432,7 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 	if c.hedge.Enabled && latency > c.hedge.DelayMillis && idx < len(replicas) && !c.refused(replicas[idx]) {
 		node := replicas[idx]
 		idx++
-		c.stats.Hedges++
 		c.co.hedges.Inc()
-		c.stats.ReplicaReads++
 		c.co.replicaReads.Inc()
 		fe, factor := c.decide(node, name, "get")
 		if fe == nil {
@@ -433,7 +444,6 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 			hedged := c.hedge.DelayMillis + c.admit(node, service) + service
 			if hedged < latency {
 				contacts[slowest] = contact{node: node, res: res, millis: hedged}
-				c.stats.HedgeWins++
 				c.co.hedgeWins.Inc()
 				latency = 0
 				for i := range contacts {
@@ -460,7 +470,6 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 	}
 	if chosen < 0 {
 		chosen = 0
-		c.stats.StaleReads++
 		c.co.staleReads.Inc()
 	}
 
@@ -482,7 +491,6 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 			return nil, err
 		}
 		repair += ms
-		c.stats.ReadRepairs++
 		c.co.readRepairs.Inc()
 	}
 
@@ -516,7 +524,6 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stats.Writes++
 	c.co.writes.Inc()
 
 	ackTimes := make([]float64, 0, len(replicas))
@@ -524,7 +531,6 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 	sawDown := false
 	existed := false
 	for _, node := range replicas {
-		c.stats.ReplicaWrites++
 		c.co.replicaWrites.Inc()
 		if c.refused(node) {
 			// Zero service capacity: the replica misses the write, like
@@ -534,7 +540,6 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 			c.hints[k] = append(c.hints[k], hint{
 				partition: partition, clustering: clustering, values: values, delete: del,
 			})
-			c.stats.HintsQueued++
 			c.co.hintsQueued.Inc()
 			continue
 		}
@@ -554,7 +559,6 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 			c.hints[k] = append(c.hints[k], hint{
 				partition: partition, clustering: clustering, values: values, delete: del,
 			})
-			c.stats.HintsQueued++
 			c.co.hintsQueued.Inc()
 			continue
 		}
@@ -591,7 +595,6 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 	}
 
 	if len(ackTimes) < need {
-		c.stats.WriteUnavailable++
 		c.co.writeUnavailable.Inc()
 		worst := worstFail
 		for _, t := range ackTimes {
@@ -632,7 +635,6 @@ func (c *Coordinator) replayLocked(k hintKey) (float64, error) {
 			}
 			t += pr.SimMillis
 		}
-		c.stats.HintsReplayed++
 		c.co.hintsReplayed.Inc()
 	}
 	return t, nil

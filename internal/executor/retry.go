@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"nose/internal/faults"
 )
@@ -88,35 +87,6 @@ type MetricsSnapshot struct {
 	WastedMillis float64
 }
 
-// Metrics accumulates retry counters across an executor's lifetime. It
-// is safe for concurrent use.
-type Metrics struct {
-	mu   sync.Mutex
-	snap MetricsSnapshot
-}
-
-// Snapshot returns a copy of the counters.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snap
-}
-
-func (m *Metrics) addRetry(backoff, wasted float64) {
-	m.mu.Lock()
-	m.snap.Retries++
-	m.snap.BackoffMillis += backoff
-	m.snap.WastedMillis += wasted
-	m.mu.Unlock()
-}
-
-func (m *Metrics) addExhausted(wasted float64) {
-	m.mu.Lock()
-	m.snap.Exhausted++
-	m.snap.WastedMillis += wasted
-	m.mu.Unlock()
-}
-
 // stmtBudget tracks one statement execution's retry spend. Each
 // statement gets a fresh budget so a burst of faults on one statement
 // cannot starve the next.
@@ -173,13 +143,11 @@ func (e *Executor) retryOp(bgt *stmtBudget, cf string, do func() (float64, error
 			return total, err
 		}
 		if attempt+1 >= e.retry.MaxAttempts {
-			e.metrics.addExhausted(wasted)
 			e.eo.retryExhausted.Inc()
 			e.eo.wastedSimMs.Add(wasted)
 			return total, fmt.Errorf("retries exhausted after %d attempts: %w", attempt+1, err)
 		}
 		if bgt.spentMillis >= e.retry.BudgetMillis {
-			e.metrics.addExhausted(wasted)
 			e.eo.retryExhausted.Inc()
 			e.eo.wastedSimMs.Add(wasted)
 			return total, fmt.Errorf("retry budget (%.0fms) exhausted: %w", e.retry.BudgetMillis, err)
@@ -193,7 +161,6 @@ func (e *Executor) retryOp(bgt *stmtBudget, cf string, do func() (float64, error
 		}
 		total += backoff
 		bgt.spentMillis += backoff
-		e.metrics.addRetry(backoff, wasted)
 		e.eo.retries.Inc()
 		e.eo.backoffSimMs.Add(backoff)
 		e.eo.wastedSimMs.Add(wasted)

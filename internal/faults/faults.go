@@ -205,19 +205,19 @@ type Injector struct {
 	seed   int64
 	def    Profile
 	states map[string]*cfState
-	counts Counts
 	fo     faultObs
 }
 
-// faultObs holds the injector's registry instruments; the zero value is
-// a valid no-op set.
+// faultObs holds the injector's instruments — its only counters. A new
+// injector counts into a registry of its own; SetObs re-points it at a
+// shared one.
 type faultObs struct {
 	ops, transients, timeouts, unavailables *obs.Counter
 }
 
-// SetObs mirrors the injector's fault counters into a registry as
+// SetObs routes the injector's fault counters into a registry as
 // faults.ops / faults.transients / faults.timeouts /
-// faults.unavailables.
+// faults.unavailables; Counts reads them back.
 func (i *Injector) SetObs(r *obs.Registry) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -233,7 +233,9 @@ func (i *Injector) SetObs(r *obs.Registry) {
 // the injector is transparent: every operation passes through with its
 // service time unchanged.
 func New(inner backend.KVBackend, seed int64) *Injector {
-	return &Injector{inner: inner, seed: seed, states: map[string]*cfState{}}
+	i := &Injector{inner: inner, seed: seed, states: map[string]*cfState{}}
+	i.SetObs(obs.NewRegistry())
+	return i
 }
 
 // SetInner re-points the injector at another backend, keeping its
@@ -288,7 +290,12 @@ func (i *Injector) Down(cf string) bool {
 func (i *Injector) Counts() Counts {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.counts
+	return Counts{
+		Ops:          i.fo.ops.Value(),
+		Transients:   i.fo.transients.Value(),
+		Timeouts:     i.fo.timeouts.Value(),
+		Unavailables: i.fo.unavailables.Value(),
+	}
 }
 
 // state returns (creating if needed) the per-family state; callers hold
@@ -316,11 +323,9 @@ func (i *Injector) decide(cf, op string) (*Error, float64) {
 	}
 	p = p.normalized()
 	st.ops++
-	i.counts.Ops++
 	i.fo.ops.Inc()
 
 	if st.manualDown || st.ops <= st.downUntil {
-		i.counts.Unavailables++
 		i.fo.unavailables.Inc()
 		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: -1, SimMillis: p.TransientMillis}, 1
 	}
@@ -329,16 +334,13 @@ func (i *Injector) decide(cf, op string) (*Error, float64) {
 	r := st.rng.Float64()
 	switch {
 	case r < p.TransientRate:
-		i.counts.Transients++
 		i.fo.transients.Inc()
 		return &Error{Kind: Transient, CF: cf, Op: op, Node: -1, SimMillis: p.TransientMillis}, 1
 	case r < p.TransientRate+p.TimeoutRate:
-		i.counts.Timeouts++
 		i.fo.timeouts.Inc()
 		return &Error{Kind: Timeout, CF: cf, Op: op, Node: -1, SimMillis: p.TimeoutMillis}, 1
 	case r < p.TransientRate+p.TimeoutRate+p.UnavailableRate:
 		st.downUntil = st.ops + int64(p.UnavailableOps)
-		i.counts.Unavailables++
 		i.fo.unavailables.Inc()
 		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: -1, SimMillis: p.TransientMillis}, 1
 	}

@@ -115,18 +115,18 @@ type Nodes struct {
 	seed   int64
 	def    NodeProfile
 	states []*nodeState
-	counts NodeCounts
 	no     nodeObs
 }
 
-// nodeObs holds the node fault set's registry instruments; the zero
-// value is a valid no-op set.
+// nodeObs holds the node fault set's instruments — its only counters.
+// A new set counts into a registry of its own; SetObs re-points it at
+// a shared one.
 type nodeObs struct {
 	ops, flaky, downRejections, downWindows, slowWindows *obs.Counter
 }
 
-// SetObs mirrors the node fault counters into a registry as
-// nodefaults.*.
+// SetObs routes the node fault counters into a registry as
+// nodefaults.*; Counts reads them back.
 func (ns *Nodes) SetObs(r *obs.Registry) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -153,6 +153,7 @@ func NewNodes(seed int64, n int) *Nodes {
 		s := seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)
 		ns.states[i] = &nodeState{rng: rand.New(rand.NewSource(s))}
 	}
+	ns.SetObs(obs.NewRegistry())
 	return ns
 }
 
@@ -222,7 +223,13 @@ func (ns *Nodes) Down(node int) bool {
 func (ns *Nodes) Counts() NodeCounts {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	return ns.counts
+	return NodeCounts{
+		Ops:            ns.no.ops.Value(),
+		Flaky:          ns.no.flaky.Value(),
+		DownRejections: ns.no.downRejections.Value(),
+		DownWindows:    ns.no.downWindows.Value(),
+		SlowWindows:    ns.no.slowWindows.Value(),
+	}
 }
 
 // state returns the per-node state; callers hold ns.mu.
@@ -252,11 +259,9 @@ func (ns *Nodes) Decide(node int, cf, op string) (*Error, float64) {
 	}
 	p = p.normalized()
 	st.ops++
-	ns.counts.Ops++
 	ns.no.ops.Inc()
 
 	if st.manualDown || st.ops <= st.downUntil {
-		ns.counts.DownRejections++
 		ns.no.downRejections.Inc()
 		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: node, SimMillis: p.DownMillis}, 1
 	}
@@ -269,19 +274,15 @@ func (ns *Nodes) Decide(node int, cf, op string) (*Error, float64) {
 	r := st.rng.Float64()
 	switch {
 	case r < p.FlakyRate:
-		ns.counts.Flaky++
 		ns.no.flaky.Inc()
 		return &Error{Kind: Transient, CF: cf, Op: op, Node: node, SimMillis: p.TransientMillis}, 1
 	case r < p.FlakyRate+p.DownRate:
 		st.downUntil = st.ops + int64(p.DownOps)
-		ns.counts.DownWindows++
-		ns.counts.DownRejections++
 		ns.no.downWindows.Inc()
 		ns.no.downRejections.Inc()
 		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: node, SimMillis: p.DownMillis}, 1
 	case r < p.FlakyRate+p.DownRate+p.SlowRate:
 		st.slowUntil = st.ops + int64(p.SlowOps)
-		ns.counts.SlowWindows++
 		ns.no.slowWindows.Inc()
 		return nil, p.SlowFactor
 	}

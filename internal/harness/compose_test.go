@@ -93,3 +93,42 @@ func TestSetterOrderDoesNotChangeTheStack(t *testing.T) {
 		}
 	}
 }
+
+// TestRetryHistorySurvivesRecompose: a setter that runs mid-run rebuilds
+// the executor, and the robustness report must not lose the retries the
+// previous executor made — the registry's exec.* instruments are the
+// only retry counters, so the new executor picks up where the old one
+// stopped. (A private struct per executor used to restart at zero while
+// the registry kept counting.)
+func TestRetryHistorySurvivesRecompose(t *testing.T) {
+	f := newReplFixture(t)
+	sys, err := harness.NewSystem("single", f.ds, f.rec, cost.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.EnableFaults(7, faults.Profile{TransientRate: 0.3}, executor.DefaultRetryPolicy())
+	run := func() {
+		for i := 0; i < 40; i++ {
+			_, _ = sys.ExecStatement(f.query, f.params) // failures are part of the weather
+		}
+	}
+	run()
+	before := sys.Robustness()
+	if before.Retries == 0 || before.WastedMillis == 0 {
+		t.Fatalf("no retries under a 30%% transient rate: %+v", before)
+	}
+
+	sys.AttachVerifier(verify.New()) // rebuilds sys.Exec
+	if got := sys.Robustness(); got.Retries != before.Retries || got.WastedMillis != before.WastedMillis ||
+		got.BackoffMillis != before.BackoffMillis || got.RetryExhausted != before.RetryExhausted {
+		t.Errorf("recompose reset the retry ledger: %+v, was %+v", got, before)
+	}
+	run()
+	after := sys.Robustness()
+	if after.Retries <= before.Retries {
+		t.Errorf("retries did not keep accumulating after recompose: %d then %d", before.Retries, after.Retries)
+	}
+	if reg := sys.Obs().Counter("exec.retries").Value(); reg != after.Retries {
+		t.Errorf("report says %d retries, registry %d", after.Retries, reg)
+	}
+}

@@ -41,14 +41,6 @@ import (
 // rest of the workload.
 var ErrUnavailable = errors.New("statement unavailable: no surviving plan")
 
-// ErrMigrating reports that a stop-the-world migration and statement
-// execution collided: Migrate was called with statements in flight, or
-// a statement arrived while Migrate held the system. Either side gets
-// this error instead of racing on the store. Background migrations
-// (StartLiveMigration) never raise it — running under traffic is their
-// job.
-var ErrMigrating = errors.New("stop-the-world migration in progress")
-
 // ErrNoPlan reports that the serving schema has no plan at all for a
 // statement — the schema was never advised for it. For a query that
 // means no column family can answer it; for a write it means no column
@@ -97,15 +89,6 @@ type System struct {
 	// retry is the policy the last EnableFaults or EnableNodeFaults
 	// gave; the zero value never retries.
 	retry executor.RetryPolicy
-
-	// inflight counts statements currently executing; migrating marks a
-	// stop-the-world Migrate holding the system. Together they form the
-	// in-flight guard: ExecStatement increments inflight before reading
-	// migrating, Migrate sets migrating before reading inflight, so
-	// (under sequentially consistent atomics) at least one side of any
-	// collision observes the other and errors out.
-	inflight  atomic.Int64
-	migrating atomic.Bool
 
 	// live is the background migration in progress, nil when idle; det
 	// is the attached drift detector, nil unless EnableDrift ran.
@@ -321,61 +304,66 @@ func (s *System) adoptRecommendation(rec *search.Recommendation) {
 }
 
 // Migrate moves the running system to the next phase of a schema
-// series: it builds the phase's new column families from the dataset
-// record by record (every put charged at the store's simulated service
-// time), drops the families the new schema abandons, and swaps the
-// system onto the phase's plans. The returned result carries the
-// simulated milliseconds the migration consumed; the time also lands on
-// the system's trace lane and in its metric registry, so mid-run
-// migrations are visible in the same places statement executions are.
-// Migrate is a stop-the-world step: calling it with statements in
-// flight (or while a live migration is running) returns ErrMigrating
-// instead of corrupting plan state; use StartLiveMigration to change
-// schema under traffic.
+// series inside one call: a live migration (see StartLiveMigration)
+// stepped to completion on the spot. What sets it apart is the write
+// path of the copy — the store's own bulk-load put, charged at the
+// store's simulated service time, instead of the executor: no
+// coordinator, no fault injector, no retries, so the first failed put
+// rolls the whole migration back, and nothing is journaled. Statements
+// may overlap the call as they overlap a background migration (dual
+// writes are armed for its duration); it refuses while another
+// migration holds the system.
+//
+// The result carries the simulated milliseconds consumed; they also
+// land on the system's trace lane as one event and in the
+// harness.migration* instruments — not harness.live.*, which book
+// background migrations only.
 func (s *System) Migrate(ds *backend.Dataset, pr *search.PhaseRecommendation, p migrate.CostParams) (*migrate.Result, error) {
-	if !s.migrating.CompareAndSwap(false, true) {
-		return nil, fmt.Errorf("harness: %s: migrate to phase %q: %w", s.Name, phaseName(pr), ErrMigrating)
-	}
-	defer s.migrating.Store(false)
-	if n := s.inflight.Load(); n != 0 {
-		return nil, fmt.Errorf("harness: %s: migrate to phase %q: %d statements in flight: %w",
-			s.Name, phaseName(pr), n, ErrMigrating)
-	}
-	if s.live.Load() != nil {
-		return nil, fmt.Errorf("harness: %s: migrate to phase %q: a live migration is running", s.Name, phaseName(pr))
-	}
-	// Align the target schema's index names with the serving schema's
-	// before touching the store (see Schema.AlignTo).
-	pr.Rec.Schema.AlignTo(s.Rec().Schema)
-	var store migrate.Store = s.Store
-	if s.Repl != nil {
-		store = s.Repl
-	}
-	res, err := migrate.Apply(ds, store, pr.Build, pr.Drop, p)
-	if err != nil {
+	fail := func(err error) (*migrate.Result, error) {
 		return nil, fmt.Errorf("harness: %s: migrate to phase %q: %w", s.Name, phaseName(pr), err)
 	}
-	s.adoptRecommendation(pr.Rec)
-	if s.verifier != nil {
-		for _, name := range res.Dropped {
-			s.verifier.NoteDropped(name)
+	store := s.migrateStore()
+	var putErr error
+	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
+		// The executor's tap acknowledges a background backfill's puts
+		// to the verifier; this copy bypasses the executor, and a write
+		// the verifier never saw would read as a lost one where it lands
+		// on an overlapping statement's dual write.
+		res, err := s.verifier.AckPut(store.Put, cf, partition, clustering, values)
+		if err != nil {
+			putErr = err
+			return 0, err
+		}
+		return res.SimMillis, nil
+	}
+	lm, err := s.beginLive(ds, pr, put, migrate.LiveOptions{Params: p}, nil)
+	if err != nil {
+		return fail(err)
+	}
+	for lm.ctrl.State() != migrate.StateDone {
+		sr, err := lm.ctrl.Step()
+		if err == nil && putErr != nil {
+			lm.ctrl.Abort()
+			err = putErr
+		}
+		if err != nil {
+			return fail(err)
+		}
+		if sr.State == migrate.StateCutover && sr.Transitioned {
+			s.cutover(lm)
 		}
 	}
+	s.retire(lm)
+	res := lm.ctrl.Result()
 
 	s.reg.Counter("harness.migrations").Inc()
 	s.reg.Counter("harness.migration_families_built").Add(int64(len(res.Built)))
 	s.reg.Counter("harness.migration_families_dropped").Add(int64(len(res.Dropped)))
 	s.reg.Counter("harness.migration_records").Add(int64(res.Records))
 	s.reg.Gauge("harness.migration_sim_ms").Add(res.SimMillis)
-
-	s.traceMu.Lock()
-	if s.tracer != nil {
-		s.tracer.SimEvent("migrate -> "+phaseName(pr), "migration", s.traceTid, s.traceCursor, res.SimMillis,
-			map[string]any{"built": len(res.Built), "dropped": len(res.Dropped), "records": res.Records})
-		s.traceCursor += res.SimMillis
-	}
-	s.traceMu.Unlock()
-	return res, nil
+	s.traceSpan("migrate -> "+phaseName(pr), "migration", res.SimMillis,
+		map[string]any{"built": len(res.Built), "dropped": len(res.Dropped), "records": res.Records})
+	return &res, nil
 }
 
 func phaseName(pr *search.PhaseRecommendation) string {
@@ -612,14 +600,8 @@ func pickPlan(plans []*planner.Plan, avoid map[string]bool, tried map[*planner.P
 // parameters, returning the simulated response time in milliseconds.
 // On error the returned time still carries the simulated work consumed
 // (failed plan attempts, retries, backoff), so degraded executions are
-// costed rather than hidden. While a stop-the-world Migrate holds the
-// system, statements fail fast with ErrMigrating.
+// costed rather than hidden.
 func (s *System) ExecStatement(st workload.Statement, params executor.Params) (float64, error) {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.migrating.Load() {
-		return 0, fmt.Errorf("harness: %s: statement %q: %w", s.Name, workload.Label(st), ErrMigrating)
-	}
 	ms, err := s.execStatement(st, params)
 	s.observeDrift(st)
 	s.traceStatement(st, ms, err)

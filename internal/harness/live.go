@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -11,8 +12,8 @@ import (
 	"nose/internal/journal"
 	"nose/internal/migrate"
 	"nose/internal/obs"
+	"nose/internal/schema"
 	"nose/internal/search"
-	"nose/internal/verify"
 	"nose/internal/workload"
 )
 
@@ -21,6 +22,7 @@ import (
 // construction current while backfill runs.
 type liveMigration struct {
 	ctrl *migrate.Live
+	ds   *backend.Dataset
 	pr   *search.PhaseRecommendation
 	// dual maps each write statement to the target schema's maintenance
 	// of the families being built. dualDone flips when forwarding stops:
@@ -34,8 +36,7 @@ type liveMigration struct {
 
 // StartLiveMigration begins migrating the running system to a phase
 // recommendation in the background: the phase's new column families
-// are created empty (ErrMigrating if a stop-the-world Migrate holds
-// the system, an error if another live migration is running), writes
+// are created empty (an error if another migration is running), writes
 // executed from now on are forwarded to them, and the historical
 // records are copied by repeated LiveStep calls interleaved with
 // statement execution. Backfill writes flow through the system's
@@ -45,12 +46,28 @@ type liveMigration struct {
 // Abort, or inspect Progress; drive it with LiveStep rather than
 // calling Step directly so cutover swaps the system's plans.
 func (s *System) StartLiveMigration(ds *backend.Dataset, pr *search.PhaseRecommendation, opts migrate.LiveOptions) (*migrate.Live, error) {
-	if s.migrating.Load() {
-		return nil, fmt.Errorf("harness: %s: start live migration to %q: %w", s.Name, phaseName(pr), ErrMigrating)
+	opts.Journal = s.jr
+	lm, err := s.beginLive(ds, pr, s.Exec.Put, opts, s.reg)
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: start live migration to %q: %w", s.Name, phaseName(pr), err)
 	}
+	s.reg.Counter("harness.live.started").Inc()
+	p := lm.ctrl.Progress()
+	s.traceSpan("live-migrate start -> "+phaseName(pr), "migration", 0,
+		map[string]any{"build": len(pr.Build), "drop": len(pr.Drop), "records": p.TotalRecords})
+	return lm.ctrl, nil
+}
+
+// beginLive is how every migration starts, background or not: claim
+// the idle system, align the target schema's names, create the new
+// families and snapshot their backfill on the system's store, and arm
+// dual-write forwarding. put is the write path of the copy — what
+// Migrate and StartLiveMigration choose differently. ledger books the
+// background-migration instruments (harness.live.*); Migrate, which has
+// its own, passes nil. A journal in opts gets the migration's intent.
+func (s *System) beginLive(ds *backend.Dataset, pr *search.PhaseRecommendation, put migrate.PutFunc, opts migrate.LiveOptions, ledger *obs.Registry) (*liveMigration, error) {
 	if s.live.Load() != nil {
-		return nil, fmt.Errorf("harness: %s: start live migration to %q: a live migration is already running",
-			s.Name, phaseName(pr))
+		return nil, errors.New("a live migration is already running")
 	}
 	// The target schema comes from its own advise run, whose "cfN" names
 	// need not agree with the serving schema's: align them so structural
@@ -58,47 +75,33 @@ func (s *System) StartLiveMigration(ds *backend.Dataset, pr *search.PhaseRecomme
 	// shadow an installed one. The phase's plans share the renamed Index
 	// objects, so they stay consistent.
 	pr.Rec.Schema.AlignTo(s.Rec().Schema)
-	var store migrate.Store = s.Store
-	if s.Repl != nil {
-		store = s.Repl
-	}
-	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
-		return s.Exec.Put(cf, partition, clustering, values)
-	}
-	// Journal the migration's intent before any family exists: the
-	// start record names the build and drop sets, so recovery can
+	// The start record names the build and drop sets, so recovery can
 	// reconstruct the migration from the journal alone. Dying at this
 	// append leaves the store untouched and the journal without a start
 	// record — recovery correctly finds nothing to do.
-	opts.Journal = s.jr
-	if s.jr != nil {
-		buildNames := make([]string, 0, len(pr.Build))
-		for _, x := range pr.Build {
-			buildNames = append(buildNames, x.Name)
-		}
-		dropNames := make([]string, 0, len(pr.Drop))
-		for _, x := range pr.Drop {
-			dropNames = append(dropNames, x.Name)
-		}
-		ms, err := s.jr.Append(journal.Record{
-			Kind: journal.KindStart, Name: phaseName(pr), Build: buildNames, Drop: dropNames,
+	if opts.Journal != nil {
+		ms, err := opts.Journal.Append(journal.Record{
+			Kind: journal.KindStart, Name: phaseName(pr), Build: indexNames(pr.Build), Drop: indexNames(pr.Drop),
 		})
-		s.reg.Gauge("harness.live.sim_ms").Add(ms)
+		ledger.Gauge("harness.live.sim_ms").Add(ms)
 		if err != nil {
-			return nil, fmt.Errorf("harness: %s: start live migration to %q: %w", s.Name, phaseName(pr), err)
+			return nil, err
 		}
 	}
-	ctrl, err := migrate.StartLive(ds, store, pr.Build, pr.Drop, put, opts)
+	ctrl, err := migrate.StartLive(ds, s.migrateStore(), pr.Build, pr.Drop, put, opts)
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s: start live migration to %q: %w", s.Name, phaseName(pr), err)
+		return nil, err
 	}
+	return s.armLive(ctrl, ds, pr, ledger), nil
+}
 
-	s.armLive(ctrl, pr)
-	s.reg.Counter("harness.live.started").Inc()
-	p := ctrl.Progress()
-	s.traceSpan("live-migrate start -> "+phaseName(pr), "migration", 0,
-		map[string]any{"build": len(pr.Build), "drop": len(pr.Drop), "records": p.TotalRecords})
-	return ctrl, nil
+// indexNames lists the indexes' family names in order.
+func indexNames(xs []*schema.Index) []string {
+	names := make([]string, 0, len(xs))
+	for _, x := range xs {
+		names = append(names, x.Name)
+	}
+	return names
 }
 
 // armLive wires a (fresh or recovered) live-migration controller into
@@ -106,8 +109,9 @@ func (s *System) StartLiveMigration(ds *backend.Dataset, pr *search.PhaseRecomme
 // and the abort hook that tears that routing down atomically with the
 // controller's rollback. Without the hook, ctrl.Abort() called directly
 // on the controller would drop the new families while the harness kept
-// forwarding writes to them — re-creating them as orphans.
-func (s *System) armLive(ctrl *migrate.Live, pr *search.PhaseRecommendation) *liveMigration {
+// forwarding writes to them — re-creating them as orphans. ledger is
+// where forwarded writes and the abort are counted; see beginLive.
+func (s *System) armLive(ctrl *migrate.Live, ds *backend.Dataset, pr *search.PhaseRecommendation, ledger *obs.Registry) *liveMigration {
 	building := map[string]bool{}
 	for _, name := range ctrl.Building() {
 		building[name] = true
@@ -121,10 +125,11 @@ func (s *System) armLive(ctrl *migrate.Live, pr *search.PhaseRecommendation) *li
 	}
 	lm := &liveMigration{
 		ctrl:              ctrl,
+		ds:                ds,
 		pr:                pr,
 		dual:              dual,
-		dualWrites:        s.reg.Counter("harness.live.dual_writes"),
-		dualWriteFailures: s.reg.Counter("harness.live.dual_write_failures"),
+		dualWrites:        ledger.Counter("harness.live.dual_writes"),
+		dualWriteFailures: ledger.Counter("harness.live.dual_write_failures"),
 	}
 	ctrl.SetOnAbort(func(created []string) {
 		// Runs under the controller's lock, atomically with the
@@ -133,7 +138,7 @@ func (s *System) armLive(ctrl *migrate.Live, pr *search.PhaseRecommendation) *li
 		// newer migration took the slot.
 		lm.dualDone.Store(true)
 		s.live.CompareAndSwap(lm, nil)
-		s.reg.Counter("harness.live.aborted").Inc()
+		ledger.Counter("harness.live.aborted").Inc()
 		if s.verifier != nil {
 			for _, cf := range created {
 				s.verifier.NoteDropped(cf)
@@ -142,6 +147,28 @@ func (s *System) armLive(ctrl *migrate.Live, pr *search.PhaseRecommendation) *li
 	})
 	s.live.Store(lm)
 	return lm
+}
+
+// cutover swaps the system onto the migration's plans once every record
+// has landed. From this load-linearization point statements execute the
+// new schema's plans, which maintain the new families directly —
+// forwarding is over.
+func (s *System) cutover(lm *liveMigration) {
+	s.adoptRecommendation(lm.pr.Rec)
+	lm.dualDone.Store(true)
+	if s.verifier != nil {
+		s.verifier.NoteCutover(snapshotRows(lm.ds, lm.pr))
+	}
+}
+
+// retire releases the system from a finished migration.
+func (s *System) retire(lm *liveMigration) {
+	s.live.Store(nil)
+	if s.verifier != nil {
+		for _, x := range lm.pr.Drop {
+			s.verifier.NoteDropped(x.Name)
+		}
+	}
 }
 
 // LiveActive reports whether a background migration is running.
@@ -188,16 +215,8 @@ func (s *System) LiveStep() (migrate.StepResult, error) {
 		s.live.CompareAndSwap(lm, nil)
 		return sr, fmt.Errorf("harness: %s: live migration to %q: %w", s.Name, phaseName(lm.pr), err)
 	case sr.State == migrate.StateCutover && sr.Transitioned:
-		// Every record has landed: swap the plans atomically. From this
-		// load-linearization point statements execute the new schema's
-		// plans, which maintain the new families directly — forwarding
-		// is over.
-		s.adoptRecommendation(lm.pr.Rec)
-		lm.dualDone.Store(true)
+		s.cutover(lm)
 		s.reg.Counter("harness.live.cutovers").Inc()
-		if s.verifier != nil {
-			s.verifier.NoteCutover(snapshotToRows(lm.ctrl.Snapshot()))
-		}
 		s.traceSpan("live-migrate plan cutover -> "+phaseName(lm.pr), "migration", 0, nil)
 		// Journal that the plan swap happened: recovery distinguishes
 		// "cutover reached but plans never swapped" (roll forward,
@@ -210,25 +229,10 @@ func (s *System) LiveStep() (migrate.StepResult, error) {
 			}
 		}
 	case sr.State == migrate.StateDone:
-		s.live.Store(nil)
+		s.retire(lm)
 		s.reg.Counter("harness.live.completed").Inc()
-		if s.verifier != nil {
-			for _, x := range lm.pr.Drop {
-				s.verifier.NoteDropped(x.Name)
-			}
-		}
 	}
 	return sr, nil
-}
-
-// snapshotToRows converts a controller's backfill snapshot to the
-// verifier's row type.
-func snapshotToRows(snap []migrate.SnapshotRow) []verify.Row {
-	rows := make([]verify.Row, len(snap))
-	for i, r := range snap {
-		rows[i] = verify.Row{CF: r.CF, Partition: r.Partition, Clustering: r.Clustering}
-	}
-	return rows
 }
 
 // drainStallLimit is how many consecutive zero-progress steps

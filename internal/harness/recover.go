@@ -169,10 +169,7 @@ func (s *System) Recover(ds *backend.Dataset, recs []journal.Record, pr *search.
 		return nil, fmt.Errorf("harness: %s: recover %q: %w", s.Name, startRec.Name, err)
 	}
 
-	rows, err := snapshotRowsFromDataset(ds, pr)
-	if err != nil {
-		return nil, fmt.Errorf("harness: %s: recover %q: %w", s.Name, startRec.Name, err)
-	}
+	rows := snapshotRows(ds, pr)
 	rep.TotalRecords = len(rows)
 	if watermark > rep.TotalRecords {
 		return nil, fmt.Errorf("harness: %s: recover %q: journal watermark %d exceeds the %d backfill records the dataset yields",
@@ -225,14 +222,11 @@ func (s *System) Recover(ds *backend.Dataset, recs []journal.Record, pr *search.
 	// the last durable chunk record are re-put (idempotent).
 	opts := ropts.Live
 	opts.Journal = s.jr
-	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
-		return s.Exec.Put(cf, partition, clustering, values)
-	}
-	ctrl, err := migrate.ResumeLive(ds, s.migrateStore(), pr.Build, pr.Drop, watermark, put, opts)
+	ctrl, err := migrate.ResumeLive(ds, s.migrateStore(), pr.Build, pr.Drop, watermark, s.Exec.Put, opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: recover %q: %w", s.Name, startRec.Name, err)
 	}
-	s.armLive(ctrl, pr)
+	s.armLive(ctrl, ds, pr, s.reg)
 	return s.finishRecover(rep, RecoverResumed)
 }
 
@@ -305,31 +299,18 @@ func matchNames(what string, xs []*schema.Index, names []string) error {
 	return nil
 }
 
-// snapshotRowsFromDataset reconstructs the migration's backfill
-// snapshot — same families, same deterministic iteration order the
-// controller uses — without touching the store.
-func snapshotRowsFromDataset(ds *backend.Dataset, pr *search.PhaseRecommendation) ([]verify.Row, error) {
+// snapshotRows lists the primary keys of the records the migration
+// backfills — same families, same records in the same order as the
+// controller's snapshot, both read from the dataset's materializer —
+// without touching the store. The verifier holds them from cutover on.
+func snapshotRows(ds *backend.Dataset, pr *search.PhaseRecommendation) []verify.Row {
 	var rows []verify.Row
 	for _, x := range pr.Build {
-		def := backend.DefFromIndex(x)
-		err := ds.ForEachCombination(x.Path, func(tuple map[string]backend.Value) error {
-			row := verify.Row{
-				CF:         def.Name,
-				Partition:  make([]backend.Value, len(def.PartitionCols)),
-				Clustering: make([]backend.Value, len(def.ClusteringCols)),
-			}
-			for i, c := range def.PartitionCols {
-				row.Partition[i] = tuple[c]
-			}
-			for i, c := range def.ClusteringCols {
-				row.Clustering[i] = tuple[c]
-			}
-			rows = append(rows, row)
+		// The callback never fails, so neither does the iteration.
+		_ = ds.ForEachRecord(x, func(partition, clustering, _ []backend.Value) error {
+			rows = append(rows, verify.Row{CF: x.Name, Partition: partition, Clustering: clustering})
 			return nil
 		})
-		if err != nil {
-			return nil, fmt.Errorf("snapshot %s: %w", x.Name, err)
-		}
 	}
-	return rows, nil
+	return rows
 }

@@ -35,8 +35,8 @@ type RobustnessReport struct {
 	// DegradedMillis is the total simulated response time of those
 	// degraded statements — what serving through the weather cost.
 	DegradedMillis float64
-	// Retries, RetryExhausted, BackoffMillis and WastedMillis mirror
-	// the executor's retry counters.
+	// Retries, RetryExhausted, BackoffMillis and WastedMillis are the
+	// executor's retry counters.
 	Retries        int64
 	RetryExhausted int64
 	BackoffMillis  float64

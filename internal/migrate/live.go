@@ -187,7 +187,6 @@ type Live struct {
 	created []string
 	drop    []string
 	res     Result
-	err     error
 	onAbort func(created []string)
 }
 
@@ -225,6 +224,19 @@ func (l *Live) journalLocked(r journal.Record) (float64, error) {
 // dropped and the error returned — nothing is left installed. Families
 // in drop are only discarded after cutover.
 func StartLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, put PutFunc, opts LiveOptions) (*Live, error) {
+	return open(ds, s, build, drop, put, opts, false)
+}
+
+// open is the one constructor body: it creates the families in build
+// and snapshots every family's backfill records through the dataset's
+// materializer, in the dataset's deterministic iteration order. A fresh
+// migration owns every family it creates — an existing one is a name
+// collision, and any failure drops what was created so far. A resumed
+// migration (resume) creates only the families its store lacks and
+// never drops anything: survivors hold dual-written rows that a
+// re-create would silently wipe (exactly the loss the verifier's I1
+// exists to catch).
+func open(ds *backend.Dataset, s Store, build, drop []*schema.Index, put PutFunc, opts LiveOptions, resume bool) (*Live, error) {
 	l := &Live{
 		state: StateDualWrite,
 		put:   put,
@@ -234,131 +246,61 @@ func StartLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, put Pu
 	for _, x := range drop {
 		l.drop = append(l.drop, x.Name)
 	}
-	for _, x := range build {
-		if x.Name == "" {
+	fail := func(err error) (*Live, error) {
+		if !resume {
 			l.rollbackLocked()
-			return nil, fmt.Errorf("migrate: index %s has no name", x)
 		}
-		def := backend.DefFromIndex(x)
-		if err := s.Create(def); err != nil {
-			l.rollbackLocked()
-			return nil, fmt.Errorf("migrate: create %s: %w", x.Name, err)
-		}
-		l.created = append(l.created, def.Name)
-		l.res.SimMillis += l.opts.Params.PerFamilyMillis
-		// Journal the creation after it succeeded: recovery garbage-
-		// collects created-but-unjournaled families by diffing the store
-		// against the journal. A crash here skips rollback — the
-		// simulated process is dead and recovery owns cleanup.
-		if _, err := l.journalLocked(journal.Record{Kind: journal.KindCreated, Name: def.Name}); err != nil {
-			return nil, err
-		}
-		if err := l.snapshotLocked(ds, x, def); err != nil {
-			l.rollbackLocked()
-			return nil, fmt.Errorf("migrate: snapshot %s: %w", x.Name, err)
-		}
-	}
-	return l, nil
-}
-
-// snapshotLocked materializes one family's backfill records from the
-// dataset in the dataset's deterministic iteration order.
-func (l *Live) snapshotLocked(ds *backend.Dataset, x *schema.Index, def backend.ColumnFamilyDef) error {
-	return ds.ForEachCombination(x.Path, func(tuple map[string]backend.Value) error {
-		rec := liveRecord{
-			cf:         def.Name,
-			partition:  make([]backend.Value, len(def.PartitionCols)),
-			clustering: make([]backend.Value, len(def.ClusteringCols)),
-			values:     make([]backend.Value, len(def.ValueCols)),
-		}
-		for i, c := range def.PartitionCols {
-			rec.partition[i] = tuple[c]
-		}
-		for i, c := range def.ClusteringCols {
-			rec.clustering[i] = tuple[c]
-		}
-		for i, c := range def.ValueCols {
-			rec.values[i] = tuple[c]
-		}
-		l.records = append(l.records, rec)
-		return nil
-	})
-}
-
-// ResumeLive reconstructs a live migration from its journal after a
-// crash: build and drop are the index sets the journal's start record
-// named, and cursor is the last durable chunk watermark. Families the
-// crash left missing are created; survivors are NEVER dropped and
-// re-created — they hold dual-written rows that a re-create would
-// silently wipe (exactly the loss the verifier's I1 exists to catch).
-// The backfill snapshot is rebuilt from the dataset (deterministic
-// iteration order makes the cursor meaningful across incarnations) and
-// copying resumes from the watermark; records that landed after the
-// last durable chunk record are re-put, which is idempotent. The
-// controller starts in StateBackfill, or StateCutover when the
-// watermark already covers every record.
-func ResumeLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, cursor int, put PutFunc, opts LiveOptions) (*Live, error) {
-	l := &Live{
-		state: StateBackfill,
-		put:   put,
-		store: s,
-		opts:  opts.normalized(),
-	}
-	for _, x := range drop {
-		l.drop = append(l.drop, x.Name)
+		return nil, err
 	}
 	for _, x := range build {
 		if x.Name == "" {
-			return nil, fmt.Errorf("migrate: index %s has no name", x)
+			return fail(fmt.Errorf("migrate: index %s has no name", x))
 		}
 		def := backend.DefFromIndex(x)
-		if _, err := s.Def(def.Name); err != nil {
+		if _, missing := s.Def(def.Name); missing != nil || !resume {
 			if err := s.Create(def); err != nil {
-				return nil, fmt.Errorf("migrate: re-create %s: %w", x.Name, err)
+				return fail(fmt.Errorf("migrate: create %s: %w", x.Name, err))
 			}
 			l.res.SimMillis += l.opts.Params.PerFamilyMillis
+			// Journal the creation after it succeeded: recovery garbage-
+			// collects created-but-unjournaled families by diffing the
+			// store against the journal. A crash here skips rollback —
+			// the simulated process is dead and recovery owns cleanup.
 			if _, err := l.journalLocked(journal.Record{Kind: journal.KindCreated, Name: def.Name}); err != nil {
 				return nil, err
 			}
 		}
 		l.created = append(l.created, def.Name)
-		if err := l.snapshotLocked(ds, x, def); err != nil {
-			return nil, fmt.Errorf("migrate: snapshot %s: %w", x.Name, err)
-		}
-	}
-	if cursor < 0 {
-		cursor = 0
-	}
-	if cursor > len(l.records) {
-		cursor = len(l.records)
-	}
-	l.cursor = cursor
-	if l.cursor == len(l.records) {
-		l.state = StateCutover
+		// The callback never fails, so neither does the iteration.
+		_ = ds.ForEachRecord(x, func(partition, clustering, values []backend.Value) error {
+			l.records = append(l.records, liveRecord{def.Name, partition, clustering, values})
+			return nil
+		})
 	}
 	return l, nil
 }
 
-// SnapshotRow identifies one backfilled record by primary key; the
-// harness hands the full snapshot to the verifier at cutover so the
-// old and new families can be checked for agreement.
-type SnapshotRow struct {
-	// CF is the destination column family.
-	CF string
-	// Partition and Clustering form the record's primary key.
-	Partition, Clustering []backend.Value
-}
-
-// Snapshot returns the primary keys of every record this migration
-// backfills, in copy order.
-func (l *Live) Snapshot() []SnapshotRow {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]SnapshotRow, len(l.records))
-	for i, rec := range l.records {
-		out[i] = SnapshotRow{CF: rec.cf, Partition: rec.partition, Clustering: rec.clustering}
+// ResumeLive reconstructs a live migration from its journal after a
+// crash: build and drop are the index sets the journal's start record
+// named, and cursor is the last durable chunk watermark. Families the
+// crash left missing are created; survivors are kept as they are (see
+// open). The backfill snapshot is rebuilt from the dataset
+// (deterministic iteration order makes the cursor meaningful across
+// incarnations) and copying resumes from the watermark; records that
+// landed after the last durable chunk record are re-put, which is
+// idempotent. The controller starts in StateBackfill, or StateCutover
+// when the watermark already covers every record.
+func ResumeLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, cursor int, put PutFunc, opts LiveOptions) (*Live, error) {
+	l, err := open(ds, s, build, drop, put, opts, true)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	l.cursor = min(max(cursor, 0), len(l.records))
+	l.state = StateBackfill
+	if l.cursor == len(l.records) {
+		l.state = StateCutover
+	}
+	return l, nil
 }
 
 // Building returns the names of the families this migration is
@@ -431,7 +373,6 @@ func (l *Live) abortLocked() error {
 	}
 	l.rollbackLocked()
 	l.state = StateAborted
-	l.err = ErrAborted
 	if l.onAbort != nil {
 		fn := l.onAbort
 		l.onAbort = nil
@@ -501,11 +442,11 @@ func (l *Live) Result() Result {
 // Step returns ErrAborted. Step on a paused,
 // done, or aborted controller is a no-op (an aborted controller keeps
 // returning ErrAborted).
-func (l *Live) Step() (StepResult, error) {
+func (l *Live) Step() (sr StepResult, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	defer func() { sr.State = l.state }()
 
-	sr := StepResult{State: l.state}
 	switch l.state {
 	case StateDone:
 		return sr, nil
@@ -524,25 +465,13 @@ func (l *Live) Step() (StepResult, error) {
 	l.faults += l.extern
 	l.extern = 0
 	if l.overBudgetLocked() && (l.state == StateDualWrite || l.state == StateBackfill) {
-		if err := l.abortLocked(); err != nil {
-			sr.State = l.state
-			return sr, err // crashed at the abort-intent append
-		}
-		sr.State = l.state
-		sr.Transitioned = true
-		return sr, ErrAborted
+		err = l.abortStepLocked(&sr)
+		return sr, err
 	}
 
 	switch l.state {
 	case StateDualWrite:
-		l.state = StateBackfill
-		sr.Transitioned = true
-		ms, err := l.journalLocked(journal.Record{Kind: journal.KindState, State: uint8(StateBackfill)})
-		sr.SimMillis += ms
-		if err != nil {
-			sr.State = l.state
-			return sr, err
-		}
+		err = l.enterLocked(&sr, StateBackfill)
 	case StateBackfill:
 		for sr.Copied < l.opts.ChunkRecords && l.cursor < len(l.records) {
 			rec := l.records[l.cursor]
@@ -554,7 +483,6 @@ func (l *Live) Step() (StepResult, error) {
 				// coordinator's handoff path) is not a fault to retry:
 				// the process is dead and the error surfaces.
 				if faults.IsCrash(err) {
-					sr.State = l.state
 					return sr, err
 				}
 				// The cursor stays put: this record is retried by the
@@ -563,13 +491,8 @@ func (l *Live) Step() (StepResult, error) {
 				l.faults++
 				sr.Faults++
 				if l.overBudgetLocked() {
-					if aerr := l.abortLocked(); aerr != nil {
-						sr.State = l.state
-						return sr, aerr
-					}
-					sr.State = l.state
-					sr.Transitioned = true
-					return sr, ErrAborted
+					err = l.abortStepLocked(&sr)
+					return sr, err
 				}
 				break
 			}
@@ -581,49 +504,51 @@ func (l *Live) Step() (StepResult, error) {
 		// from here on; a crash at the append itself loses only this
 		// chunk's watermark and recovery re-copies it (idempotent).
 		if sr.Copied > 0 {
-			ms, err := l.journalLocked(journal.Record{Kind: journal.KindChunk, Cursor: uint64(l.cursor)})
-			sr.SimMillis += ms
-			if err != nil {
-				sr.State = l.state
+			if err := l.journalStepLocked(&sr, journal.Record{Kind: journal.KindChunk, Cursor: uint64(l.cursor)}); err != nil {
 				return sr, err
 			}
 		}
 		if l.cursor == len(l.records) {
-			l.state = StateCutover
-			sr.Transitioned = true
-			ms, err := l.journalLocked(journal.Record{Kind: journal.KindState, State: uint8(StateCutover)})
-			sr.SimMillis += ms
-			if err != nil {
-				sr.State = l.state
-				return sr, err
-			}
+			err = l.enterLocked(&sr, StateCutover)
 		}
 	case StateCutover:
-		l.state = StateDrop
-		sr.Transitioned = true
-		ms, err := l.journalLocked(journal.Record{Kind: journal.KindState, State: uint8(StateDrop)})
-		sr.SimMillis += ms
-		if err != nil {
-			sr.State = l.state
-			return sr, err
-		}
+		err = l.enterLocked(&sr, StateDrop)
 	case StateDrop:
 		for _, name := range l.drop {
 			l.store.Drop(name)
 			l.res.Dropped = append(l.res.Dropped, name)
 		}
 		l.res.Built = append([]string(nil), l.created...)
-		l.state = StateDone
-		sr.Transitioned = true
-		ms, err := l.journalLocked(journal.Record{Kind: journal.KindState, State: uint8(StateDone)})
-		sr.SimMillis += ms
-		if err != nil {
-			sr.State = l.state
-			return sr, err
-		}
+		err = l.enterLocked(&sr, StateDone)
 	}
-	sr.State = l.state
-	return sr, nil
+	return sr, err
+}
+
+// journalStepLocked journals on behalf of a Step, charging the append
+// to the step as well as to the migration.
+func (l *Live) journalStepLocked(sr *StepResult, r journal.Record) error {
+	ms, err := l.journalLocked(r)
+	sr.SimMillis += ms
+	return err
+}
+
+// enterLocked moves a Step to the next state and journals the
+// transition.
+func (l *Live) enterLocked(sr *StepResult, to State) error {
+	l.state = to
+	sr.Transitioned = true
+	return l.journalStepLocked(sr, journal.Record{Kind: journal.KindState, State: uint8(to)})
+}
+
+// abortStepLocked rolls the migration back from inside a Step and
+// returns what the Step reports: ErrAborted, or the crash that hit the
+// abort-intent append.
+func (l *Live) abortStepLocked(sr *StepResult) error {
+	if err := l.abortLocked(); err != nil {
+		return err
+	}
+	sr.Transitioned = true
+	return ErrAborted
 }
 
 func (l *Live) overBudgetLocked() bool {

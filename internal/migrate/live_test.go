@@ -2,18 +2,21 @@ package migrate_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"nose/internal/backend"
+	"nose/internal/baselines"
 	"nose/internal/cost"
 	"nose/internal/hotel"
 	"nose/internal/migrate"
+	"nose/internal/rubis"
 	"nose/internal/schema"
 )
 
 // flakyStore wraps a real store and fails every Put after the first
-// failAfter successes — an injected mid-build failure for the Apply
-// rollback regression test.
+// failAfter successes — an injected mid-build failure for the rollback
+// regression test.
 type flakyStore struct {
 	*backend.Store
 	failAfter int
@@ -37,8 +40,8 @@ func readable(s *backend.Store, name string) bool {
 	return err == nil
 }
 
-// TestApplyDropsPartialFamilyOnFailure: a Put failing mid-build must
-// not leave the half-built family — or any family this Apply call
+// TestApplyDropsPartialFamilyOnFailure: a Put failing mid-backfill
+// must not leave the half-built family — or any family this migration
 // already installed — behind.
 func TestApplyDropsPartialFamilyOnFailure(t *testing.T) {
 	g := hotel.Graph()
@@ -51,12 +54,12 @@ func TestApplyDropsPartialFamilyOnFailure(t *testing.T) {
 	// the middle of the second family's build.
 	inner := backend.NewStore(cost.DefaultParams())
 	s := &flakyStore{Store: inner, failAfter: 6}
-	_, err := migrate.Apply(ds, s, []*schema.Index{view, pk}, nil, migrate.DefaultCostParams())
+	_, err := apply(ds, s, []*schema.Index{view, pk}, nil, migrate.DefaultCostParams())
 	if !errors.Is(err, errInjectedPut) {
-		t.Fatalf("Apply error = %v, want the injected put failure", err)
+		t.Fatalf("migration error = %v, want the injected put failure", err)
 	}
 	if readable(inner, pk.Name) {
-		t.Errorf("partially built family %s still installed after failed Apply", pk.Name)
+		t.Errorf("partially built family %s still installed after the failed migration", pk.Name)
 	}
 	if readable(inner, view.Name) {
 		t.Errorf("family %s from the failed migration still installed", view.Name)
@@ -65,8 +68,8 @@ func TestApplyDropsPartialFamilyOnFailure(t *testing.T) {
 	// Failing inside the very first family must drop it too.
 	inner = backend.NewStore(cost.DefaultParams())
 	s = &flakyStore{Store: inner, failAfter: 2}
-	if _, err := migrate.Apply(ds, s, []*schema.Index{view}, nil, migrate.DefaultCostParams()); !errors.Is(err, errInjectedPut) {
-		t.Fatalf("Apply error = %v, want the injected put failure", err)
+	if _, err := apply(ds, s, []*schema.Index{view}, nil, migrate.DefaultCostParams()); !errors.Is(err, errInjectedPut) {
+		t.Fatalf("migration error = %v, want the injected put failure", err)
 	}
 	if readable(inner, view.Name) {
 		t.Errorf("partially built family %s still installed", view.Name)
@@ -99,7 +102,7 @@ func TestLiveMigrationWalksStateMachine(t *testing.T) {
 	old := schema.NewSchema()
 	oldPK := old.Add(guestPK(t, g))
 	oldPK.Name = "old_guest_pk"
-	if _, err := migrate.Apply(ds, s, []*schema.Index{oldPK}, nil, migrate.DefaultCostParams()); err != nil {
+	if err := ds.Install(s, oldPK); err != nil {
 		t.Fatal(err)
 	}
 
@@ -230,7 +233,7 @@ func TestLiveMigrationAbortsOverBudget(t *testing.T) {
 	old := schema.NewSchema()
 	oldPK := old.Add(guestPK(t, g))
 	oldPK.Name = "old_guest_pk"
-	if _, err := migrate.Apply(ds, s, []*schema.Index{oldPK}, nil, migrate.DefaultCostParams()); err != nil {
+	if err := ds.Install(s, oldPK); err != nil {
 		t.Fatal(err)
 	}
 
@@ -242,12 +245,16 @@ func TestLiveMigrationAbortsOverBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var last migrate.StepResult
 	var lastErr error
 	for i := 0; i < 10 && lastErr == nil; i++ {
-		_, lastErr = l.Step()
+		last, lastErr = l.Step()
 	}
 	if !errors.Is(lastErr, migrate.ErrAborted) {
 		t.Fatalf("over-budget migration returned %v, want ErrAborted", lastErr)
+	}
+	if !last.Transitioned || last.State != migrate.StateAborted {
+		t.Errorf("aborting step = %+v, want a transition to aborted", last)
 	}
 	if l.State() != migrate.StateAborted {
 		t.Fatalf("state = %v, want aborted", l.State())
@@ -378,5 +385,81 @@ func TestLivePauseResume(t *testing.T) {
 	}
 	if p := l.Progress(); p.CopiedRecords != 3 {
 		t.Fatalf("resumed migration copied %d, want 3", p.CopiedRecords)
+	}
+}
+
+// TestInstallAndBackfillAgree: installing a family straight from the
+// dataset and backfilling it through the live controller read the same
+// materializer, so for every RUBiS expert family the two stores must
+// end with the same statistics and, partition by partition, the same
+// records.
+func TestInstallAndBackfillAgree(t *testing.T) {
+	ds, err := rubis.Generate(rubis.Config{Users: 200, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := baselines.ExpertRUBiS(ds.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sch := schema.NewSchema()
+	for _, x := range pool.Indexes() {
+		sch.Add(x)
+	}
+	families := sch.Indexes()
+
+	installed := backend.NewStore(cost.DefaultParams())
+	for _, x := range families {
+		if err := ds.Install(installed, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backfilled := backend.NewStore(cost.DefaultParams())
+	l, err := migrate.StartLive(ds, backfilled, families, nil, storePut(backfilled),
+		migrate.LiveOptions{Params: migrate.DefaultCostParams()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l.State() != migrate.StateDone {
+		if _, err := l.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	records := 0
+	for _, x := range families {
+		want, err := installed.CFStats(x.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := backfilled.CFStats(x.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || want.Records == 0 {
+			t.Errorf("%s: backfilled stats %+v, installed %+v", x.Name, got, want)
+		}
+		records += want.Records
+		err = ds.ForEachRecord(x, func(partition, _, _ []backend.Value) error {
+			req := backend.GetRequest{Partition: partition}
+			a, err := installed.Get(x.Name, req)
+			if err != nil {
+				return err
+			}
+			b, err := backfilled.Get(x.Name, req)
+			if err != nil {
+				return err
+			}
+			if len(a.Records) == 0 || !reflect.DeepEqual(a.Records, b.Records) {
+				t.Errorf("%s partition %v: installed %v, backfilled %v", x.Name, partition, a.Records, b.Records)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := l.Result(); res.Records < records {
+		t.Errorf("controller reports %d records copied, stores hold %d", res.Records, records)
 	}
 }

@@ -3,7 +3,8 @@
 // recommendation adds or removes relative to the installed one, what
 // building each new family is estimated to cost (derived from the
 // schema size statistics in internal/schema), and how to materialize
-// the change against a record store under simulated-time accounting.
+// the change against a record store under simulated-time accounting
+// (Live, the one migration driver: see live.go).
 //
 // The estimated build cost feeds the multi-interval BIP in
 // search.AdviseSeries, where it is the link between adjacent phases:
@@ -14,8 +15,6 @@
 package migrate
 
 import (
-	"fmt"
-
 	"nose/internal/backend"
 	"nose/internal/cost"
 	"nose/internal/schema"
@@ -113,61 +112,4 @@ type Result struct {
 	// SimMillis is the simulated time the builds consumed: the summed
 	// service time of every put, plus the per-family setup charge.
 	SimMillis float64
-}
-
-// Apply executes a migration against a store: each family in build is
-// created and materialized from the dataset record by record (every put
-// charged at the store's simulated service time), then the families in
-// drop are discarded. Unlike Dataset.Install, Apply accounts the
-// simulated cost of the data it moves.
-func Apply(ds *backend.Dataset, s Store, build, drop []*schema.Index, p CostParams) (*Result, error) {
-	res := &Result{}
-	for _, x := range build {
-		if x.Name == "" {
-			return nil, fmt.Errorf("migrate: index %s has no name", x)
-		}
-		def := backend.DefFromIndex(x)
-		if err := s.Create(def); err != nil {
-			return nil, fmt.Errorf("migrate: create %s: %w", x.Name, err)
-		}
-		res.SimMillis += p.PerFamilyMillis
-		err := ds.ForEachCombination(x.Path, func(tuple map[string]backend.Value) error {
-			partition := make([]backend.Value, len(def.PartitionCols))
-			for i, c := range def.PartitionCols {
-				partition[i] = tuple[c]
-			}
-			clustering := make([]backend.Value, len(def.ClusteringCols))
-			for i, c := range def.ClusteringCols {
-				clustering[i] = tuple[c]
-			}
-			values := make([]backend.Value, len(def.ValueCols))
-			for i, c := range def.ValueCols {
-				values[i] = tuple[c]
-			}
-			pr, err := s.Put(def.Name, partition, clustering, values)
-			if err != nil {
-				return err
-			}
-			res.SimMillis += pr.SimMillis
-			res.Records++
-			return nil
-		})
-		if err != nil {
-			// A failed build must not leave schema debris: drop the
-			// half-built family and everything this migration already
-			// installed, so the caller's schema is exactly what it was
-			// before Apply ran.
-			s.Drop(def.Name)
-			for _, name := range res.Built {
-				s.Drop(name)
-			}
-			return nil, fmt.Errorf("migrate: build %s: %w", x.Name, err)
-		}
-		res.Built = append(res.Built, x.Name)
-	}
-	for _, x := range drop {
-		s.Drop(x.Name)
-		res.Dropped = append(res.Dropped, x.Name)
-	}
-	return res, nil
 }

@@ -131,6 +131,36 @@ func TestDiff(t *testing.T) {
 	}
 }
 
+// apply drives a live migration from StartLive to StateDone in one go,
+// the way harness.System.Migrate does: the copy is the store's own put,
+// and the first failed put aborts the migration and is returned.
+func apply(ds *backend.Dataset, s migrate.Store, build, drop []*schema.Index, p migrate.CostParams) (*migrate.Result, error) {
+	var putErr error
+	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
+		pr, err := s.Put(cf, partition, clustering, values)
+		if err != nil {
+			putErr = err
+			return 0, err
+		}
+		return pr.SimMillis, nil
+	}
+	l, err := migrate.StartLive(ds, s, build, drop, put, migrate.LiveOptions{Params: p})
+	if err != nil {
+		return nil, err
+	}
+	for l.State() != migrate.StateDone {
+		if _, err := l.Step(); err != nil {
+			return nil, err
+		}
+		if putErr != nil {
+			l.Abort()
+			return nil, putErr
+		}
+	}
+	res := l.Result()
+	return &res, nil
+}
+
 func TestApplyBuildsAndCharges(t *testing.T) {
 	g := hotel.Graph()
 	ds := tinyDataset(t, g)
@@ -141,7 +171,7 @@ func TestApplyBuildsAndCharges(t *testing.T) {
 	view := sch.Add(guestView(t, g))
 	pk := sch.Add(guestPK(t, g))
 
-	res, err := migrate.Apply(ds, s, []*schema.Index{view, pk}, nil, p)
+	res, err := apply(ds, s, []*schema.Index{view, pk}, nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +195,7 @@ func TestApplyBuildsAndCharges(t *testing.T) {
 	}
 
 	// A second migration drops the view; reading it must fail.
-	res, err = migrate.Apply(ds, s, nil, []*schema.Index{view}, p)
+	res, err = apply(ds, s, nil, []*schema.Index{view}, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +211,7 @@ func TestApplyRejectsUnnamedIndex(t *testing.T) {
 	g := hotel.Graph()
 	ds := tinyDataset(t, g)
 	s := backend.NewStore(cost.DefaultParams())
-	if _, err := migrate.Apply(ds, s, []*schema.Index{guestPK(t, g)}, nil, migrate.DefaultCostParams()); err == nil {
+	if _, err := apply(ds, s, []*schema.Index{guestPK(t, g)}, nil, migrate.DefaultCostParams()); err == nil {
 		t.Error("unnamed index accepted")
 	}
 }

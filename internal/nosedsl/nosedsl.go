@@ -15,8 +15,8 @@
 //
 // Statements may continue across lines: continuation lines are those
 // starting with whitespace. Lines starting with '#' are comments. The
-// optional per-mix form "stmt mix(name)=w,name2=w2 label: ..." attaches
-// mix weights.
+// optional per-mix form "stmt mix(name=w,name2=w2) label: ..." attaches
+// mix weights; until a mix is selected the first one written applies.
 //
 // Time-dependent workloads add phase directives after the statements:
 //
@@ -210,7 +210,10 @@ func parseStmtLine(g *model.Graph, w *workload.Workload, line string) error {
 			}
 			weights[name] = f
 		}
-		w.AddMixed(st, weights)
+		// With no mix selected, a file's statements weigh what its first
+		// mix as written says.
+		first, _, _ := strings.Cut(mixes, "=")
+		w.AddMixed(st, weights).Weight = weights[first]
 		return nil
 	}
 	weight, err := strconv.ParseFloat(spec, 64)

@@ -21,7 +21,7 @@ stmt 0.8 RoomsByCity: SELECT Room.RoomID FROM Room
     WHERE Room.Hotel.HotelCity = ?city
     AND Room.RoomRate > ?rate
 stmt 0.2: UPDATE Room SET RoomRate = ? WHERE Room.RoomID = ?
-stmt mix(read=1,write=0) AllHotels: SELECT Hotel.HotelName FROM Hotel WHERE Hotel.HotelCity = ?c
+stmt mix(read=1,batch=0) AllHotels: SELECT Hotel.HotelName FROM Hotel WHERE Hotel.HotelCity = ?c
 `
 
 func TestParseDSL(t *testing.T) {
@@ -55,8 +55,13 @@ func TestParseDSL(t *testing.T) {
 	}
 	// Mix weights.
 	mixed := w.StatementByLabel("AllHotels")
-	if mixed.WeightIn("read") != 1 || mixed.WeightIn("write") != 0 {
+	if mixed.WeightIn("read") != 1 || mixed.WeightIn("batch") != 0 {
 		t.Errorf("mix weights = %v", mixed.MixWeights)
+	}
+	// With no mix selected, the first mix as written applies — "read",
+	// though "batch" sorts before it.
+	if got := mixed.WeightIn(""); got != 1 {
+		t.Errorf("default weight = %v, want the first written mix's 1", got)
 	}
 }
 

@@ -1,7 +1,11 @@
 package api_test
 
 import (
+	"bytes"
+	"context"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"nose/internal/service/api"
@@ -27,6 +31,30 @@ func TestRequestValidate(t *testing.T) {
 	} {
 		if err := tc.req.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestMixOnlyFileAdvisesReproducibly: a .nose file that weights its
+// statements per mix only, advised with no mix named, takes the first
+// mix as written — every time. The default used to be whichever mix Go's
+// map iteration produced first, per statement, so the same request could
+// return different schemas.
+func TestMixOnlyFileAdvisesReproducibly(t *testing.T) {
+	dsl, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "hotel-mixes.nose"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		doc, err := api.Request{DSL: string(dsl), Workers: 1}.Run(context.Background(), api.KindAdvise, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = doc
+		} else if !bytes.Equal(doc, first) {
+			t.Fatalf("run %d returned a different document:\n%s\nvs\n%s", i, doc, first)
 		}
 	}
 }

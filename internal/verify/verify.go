@@ -104,30 +104,47 @@ func (v *Verifier) NoteCutover(rows []Row) {
 	v.snaps = append(v.snaps, snap{rows: rows, seq: v.seq})
 }
 
-// notePut records one acknowledged put.
-func (v *Verifier) notePut(cf string, partition, clustering, values []backend.Value) {
+// AckPut writes one record through put and, when the write succeeds,
+// records it as the row's latest acknowledged value. The write and the
+// record happen under the verifier's lock, so two writers of one row —
+// a client's dual write and a migration's copy — are recorded in the
+// order their writes reached the store; noted separately, the later
+// record could name the overwritten value and read as a lost write. The
+// Tap routes every put here; a copy that bypasses the tap (a bulk load)
+// calls it directly. A nil verifier just performs the write.
+func (v *Verifier) AckPut(put func(cf string, partition, clustering, values []backend.Value) (*backend.PutResult, error),
+	cf string, partition, clustering, values []backend.Value) (*backend.PutResult, error) {
+	if v == nil {
+		return put(cf, partition, clustering, values)
+	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.seq++
-	v.last[rowKey{cf, backend.EncodeKey(partition), backend.EncodeKey(clustering)}] = entry{
-		seq:        v.seq,
-		partition:  append([]backend.Value(nil), partition...),
-		clustering: append([]backend.Value(nil), clustering...),
-		values:     append([]backend.Value(nil), values...),
+	pr, err := put(cf, partition, clustering, values)
+	if err == nil {
+		v.ackLocked(cf, partition, clustering, entry{values: append([]backend.Value(nil), values...)})
 	}
+	return pr, err
 }
 
-// noteDelete records one acknowledged delete.
-func (v *Verifier) noteDelete(cf string, partition, clustering []backend.Value) {
+// ackDelete is AckPut for a delete.
+func (v *Verifier) ackDelete(del func(cf string, partition, clustering []backend.Value) (bool, *backend.PutResult, error),
+	cf string, partition, clustering []backend.Value) (bool, *backend.PutResult, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.seq++
-	v.last[rowKey{cf, backend.EncodeKey(partition), backend.EncodeKey(clustering)}] = entry{
-		seq:        v.seq,
-		delete:     true,
-		partition:  append([]backend.Value(nil), partition...),
-		clustering: append([]backend.Value(nil), clustering...),
+	existed, pr, err := del(cf, partition, clustering)
+	if err == nil {
+		v.ackLocked(cf, partition, clustering, entry{delete: true})
 	}
+	return existed, pr, err
+}
+
+// ackLocked records e as the row's latest acknowledged operation.
+func (v *Verifier) ackLocked(cf string, partition, clustering []backend.Value, e entry) {
+	v.seq++
+	e.seq = v.seq
+	e.partition = append([]backend.Value(nil), partition...)
+	e.clustering = append([]backend.Value(nil), clustering...)
+	v.last[rowKey{cf, backend.EncodeKey(partition), backend.EncodeKey(clustering)}] = e
 }
 
 // Tap is a backend.KVBackend middleware that records every operation
@@ -154,20 +171,12 @@ func (t *Tap) Get(name string, req backend.GetRequest) (*backend.GetResult, erro
 
 // Put implements backend.KVBackend, recording acknowledged puts.
 func (t *Tap) Put(name string, partition, clustering []backend.Value, values []backend.Value) (*backend.PutResult, error) {
-	pr, err := t.inner.Put(name, partition, clustering, values)
-	if err == nil {
-		t.v.notePut(name, partition, clustering, values)
-	}
-	return pr, err
+	return t.v.AckPut(t.inner.Put, name, partition, clustering, values)
 }
 
 // Delete implements backend.KVBackend, recording acknowledged deletes.
 func (t *Tap) Delete(name string, partition, clustering []backend.Value) (bool, *backend.PutResult, error) {
-	existed, pr, err := t.inner.Delete(name, partition, clustering)
-	if err == nil {
-		t.v.noteDelete(name, partition, clustering)
-	}
-	return existed, pr, err
+	return t.v.ackDelete(t.inner.Delete, name, partition, clustering)
 }
 
 var _ backend.KVBackend = (*Tap)(nil)

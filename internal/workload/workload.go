@@ -59,12 +59,15 @@ func (w *Workload) Add(s Statement, weight float64) *WeightedStatement {
 }
 
 // AddMixed appends a statement with per-mix weights; the default weight
-// is the first mix's weight.
+// is that of the lexicographically first mix, the one Mixes lists
+// first.
 func (w *Workload) AddMixed(s Statement, mixWeights map[string]float64) *WeightedStatement {
 	ws := &WeightedStatement{Statement: s, MixWeights: mixWeights}
-	for _, v := range mixWeights {
-		ws.Weight = v
-		break
+	first, found := "", false
+	for name, v := range mixWeights {
+		if !found || name < first {
+			first, ws.Weight, found = name, v, true
+		}
 	}
 	w.Statements = append(w.Statements, ws)
 	return ws

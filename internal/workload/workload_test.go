@@ -52,8 +52,13 @@ func TestWorkloadMixes(t *testing.T) {
 	if got := ws.WeightIn("bidding"); got != 0.3 {
 		t.Errorf("bidding weight = %v", got)
 	}
-	if got := ws.WeightIn(""); got == 0 {
-		t.Errorf("default weight = %v, want nonzero", got)
+	// The default weight is the lexicographically first mix's, not
+	// whichever one map iteration happens to produce.
+	for i := 0; i < 50; i++ {
+		again := workload.New(g).AddMixed(q, map[string]float64{"browsing": 0.7, "bidding": 0.3, "selling": 0.1})
+		if got := again.WeightIn(""); got != 0.3 {
+			t.Fatalf("default weight = %v, want bidding's 0.3", got)
+		}
 	}
 	if got := upd.WeightIn("unknown-mix"); got != 0.5 {
 		t.Errorf("fallback weight = %v, want 0.5", got)
