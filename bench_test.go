@@ -12,6 +12,8 @@ package nose_test
 
 import (
 	"context"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"nose/internal/baselines"
@@ -466,6 +468,57 @@ func BenchmarkLoadSteadyState(b *testing.B) {
 	b.ReportMetric(last.ThroughputPerSec, "tx-per-s")
 	b.ReportMetric(last.P99Millis, "p99-ms")
 	b.ReportMetric(last.MaxUtilization, "max-util")
+}
+
+// BenchmarkExecStatementRUBiS measures the second end-to-end path alone:
+// one op is one RUBiS transaction of the bidding mix — parameters drawn,
+// then every statement through harness.ExecTransaction on a single
+// store — so allocs/op and B/op are the data plane's per-transaction
+// allocation, the number bench/'s op_alloc_kb reports for
+// txn-rubis-single.
+func BenchmarkExecStatementRUBiS(b *testing.B) {
+	cfg := rubis.Config{Users: 300, Seed: 1}
+	ds, err := rubis.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, txns, err := rubis.Workload(ds.Graph)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := search.Advise(w, benchAdvisorOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := harness.NewSystem("NoSE", ds, rec, cost.DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	// A fixed weighted schedule, so every run executes the same mix.
+	var cum []float64
+	total := 0.0
+	for _, txn := range txns {
+		total += rubis.TransactionWeight(txn, rubis.MixBidding)
+		cum = append(cum, total)
+	}
+	rng := rand.New(rand.NewSource(7))
+	schedule := make([]*rubis.Transaction, 4096)
+	for i := range schedule {
+		schedule[i] = txns[sort.SearchFloat64s(cum, rng.Float64()*total)]
+	}
+	ps := rubis.NewParamSource(cfg, 4242)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim := 0.0
+	for i := 0; i < b.N; i++ {
+		txn := schedule[i%len(schedule)]
+		ms, err := sys.ExecTransaction(txn.Statements, ps.Params(txn.Name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sim += ms
+	}
+	b.ReportMetric(sim/float64(b.N), "sim-ms/txn")
 }
 
 // BenchmarkBudgetSweep is the storage-budget ablation (paper §III-D,

@@ -30,8 +30,9 @@ func NewDataset(g *model.Graph) *Dataset {
 	}
 }
 
-// zeroValue returns the Value-domain zero for an attribute type.
-func zeroValue(t model.AttributeType) Value {
+// ZeroValue returns the Value-domain zero for an attribute type: what
+// a cell holds when an insert leaves it unset.
+func ZeroValue(t model.AttributeType) Value {
 	switch t {
 	case model.FloatType:
 		return float64(0)
@@ -83,7 +84,7 @@ func (d *Dataset) AddEntity(e *model.Entity, row map[string]Value) error {
 	for _, a := range e.Attributes() {
 		raw, ok := row[a.Name]
 		if !ok {
-			qualified[a.QualifiedName()] = zeroValue(a.Type)
+			qualified[a.QualifiedName()] = ZeroValue(a.Type)
 			continue
 		}
 		v, err := coerce(a, raw)

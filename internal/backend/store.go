@@ -31,6 +31,14 @@ type columnFamily struct {
 	parts map[string]*btree
 }
 
+// part returns a partition's tree, nil when the partition is empty; the
+// caller holds cf.mu. The key is encoded into a stack buffer, so the
+// probe builds no string.
+func (cf *columnFamily) part(partition []Value) *btree {
+	var buf [keyBufSize]byte
+	return cf.parts[string(AppendKey(buf[:0], partition))]
+}
+
 // Store is the simulated extensible record store.
 type Store struct {
 	mu  sync.RWMutex
@@ -178,9 +186,26 @@ func (s *Store) Get(name string, req GetRequest) (*GetResult, error) {
 	defer cf.mu.RUnlock()
 
 	res := &GetResult{}
-	tree := cf.parts[EncodeKey(req.Partition)]
-	if tree != nil {
+	if tree := cf.part(req.Partition); tree != nil {
 		from, to := scanBounds(req.Ranges, len(cf.def.ClusteringCols))
+		// Size the result once: a get returns the whole partition, its
+		// first Limit records, or — ranged without a limit — the matches
+		// a first pass counts. The records alias the tree, so the slice
+		// is all a get allocates, and growing it by append costs three
+		// times its final size in discarded arrays; counting is cheaper.
+		size := tree.Len()
+		if req.Limit > 0 {
+			size = min(req.Limit, size)
+		} else if len(req.Ranges) > 0 {
+			size = 0
+			tree.Scan(from, to, func(key []Value, _ []Value) bool {
+				if matchRanges(key, req.Ranges) {
+					size++
+				}
+				return true
+			})
+		}
+		res.Records = make([]Record, 0, size)
 		tree.Scan(from, to, func(key []Value, vals []Value) bool {
 			if !matchRanges(key, req.Ranges) {
 				return true
@@ -273,11 +298,10 @@ func (s *Store) Put(name string, partition, clustering []Value, values []Value) 
 		return nil, fmt.Errorf("backend: put on %q has mismatched arity", name)
 	}
 	cf.mu.Lock()
-	pk := EncodeKey(partition)
-	tree := cf.parts[pk]
+	tree := cf.part(partition)
 	if tree == nil {
 		tree = newBTree()
-		cf.parts[pk] = tree
+		cf.parts[EncodeKey(partition)] = tree
 	}
 	tree.Set(clustering, values)
 	cf.mu.Unlock()
@@ -295,7 +319,7 @@ func (s *Store) Delete(name string, partition, clustering []Value) (bool, *PutRe
 	}
 	cf.mu.Lock()
 	existed := false
-	if tree := cf.parts[EncodeKey(partition)]; tree != nil {
+	if tree := cf.part(partition); tree != nil {
 		existed = tree.Delete(clustering)
 	}
 	cf.mu.Unlock()

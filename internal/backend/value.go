@@ -102,33 +102,37 @@ func CompareKeys(a, b []Value) int {
 // EncodeKey serializes a composite key to a string usable as a map key.
 // The encoding is injective: distinct keys encode distinctly.
 func EncodeKey(key []Value) string {
-	var b strings.Builder
-	var buf [8]byte
+	var buf [keyBufSize]byte
+	return string(AppendKey(buf[:0], key))
+}
+
+// keyBufSize sizes the stack buffers keys are encoded into before a
+// map probe or a string conversion; longer keys spill to the heap.
+const keyBufSize = 64
+
+// AppendKey appends EncodeKey's encoding of key to b, so a caller with
+// a buffer to reuse can probe a map with m[string(b)] without building
+// a string per lookup. Each component is self-delimiting (a tag byte,
+// then a fixed width or a length prefix), so appending several keys one
+// after another is injective over the concatenated components too.
+func AppendKey(b []byte, key []Value) []byte {
 	for _, v := range key {
 		switch x := v.(type) {
 		case int64:
-			b.WriteByte('i')
-			binary.BigEndian.PutUint64(buf[:], uint64(x))
-			b.Write(buf[:])
+			b = binary.BigEndian.AppendUint64(append(b, 'i'), uint64(x))
 		case float64:
-			b.WriteByte('f')
-			binary.BigEndian.PutUint64(buf[:], math.Float64bits(x))
-			b.Write(buf[:])
+			b = binary.BigEndian.AppendUint64(append(b, 'f'), math.Float64bits(x))
 		case string:
-			b.WriteByte('s')
-			binary.BigEndian.PutUint64(buf[:], uint64(len(x)))
-			b.Write(buf[:])
-			b.WriteString(x)
+			b = append(binary.BigEndian.AppendUint64(append(b, 's'), uint64(len(x))), x...)
 		case bool:
-			b.WriteByte('b')
 			if x {
-				b.WriteByte(1)
+				b = append(b, 'b', 1)
 			} else {
-				b.WriteByte(0)
+				b = append(b, 'b', 0)
 			}
 		default:
 			panic(fmt.Sprintf("backend: unsupported key value %T", v))
 		}
 	}
-	return b.String()
+	return b
 }

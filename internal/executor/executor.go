@@ -11,13 +11,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"nose/internal/backend"
 	"nose/internal/cost"
-	"nose/internal/model"
 	"nose/internal/obs"
 	"nose/internal/planner"
-	"nose/internal/schema"
 	"nose/internal/search"
 	"nose/internal/workload"
 )
@@ -25,13 +24,31 @@ import (
 // Params binds statement parameter names to values.
 type Params map[string]backend.Value
 
-// Tuple is one intermediate or final result row, keyed by qualified
-// attribute name.
-type Tuple map[string]backend.Value
+// Tuple is one result row: its values under the column header every row
+// of the result shares.
+type Tuple struct {
+	cols *columns
+	vals []backend.Value
+}
+
+// columns is a result's header: qualified attribute names, ascending.
+type columns struct{ names []string }
+
+// Get returns the value of a column by qualified attribute name.
+func (t Tuple) Get(name string) (backend.Value, bool) {
+	if t.cols != nil {
+		for i, n := range t.cols.names {
+			if n == name {
+				return t.vals[i], true
+			}
+		}
+	}
+	return nil, false
+}
 
 // Result carries a statement execution's rows and simulated time.
 type Result struct {
-	// Rows are the result tuples.
+	// Rows are a query's result tuples; a write returns none.
 	Rows []Tuple
 	// SimMillis is the accumulated simulated service plus client time.
 	SimMillis float64
@@ -44,6 +61,12 @@ type Executor struct {
 	lat   cost.Params
 	retry RetryPolicy
 	eo    execObs
+	// progs memoizes compiled programs by *planner.Plan and
+	// *search.UpdateRecommendation for the executor's lifetime; pool
+	// holds scratch, taken per call so that concurrent statements never
+	// share rows.
+	progs sync.Map
+	pool  sync.Pool
 }
 
 // execObs holds the executor's instruments — its only counters. A new
@@ -124,486 +147,397 @@ func (e *Executor) Put(cf string, partition, clustering, values []backend.Value)
 	return ms, err
 }
 
+// compiled returns the program of a plan or update recommendation,
+// compiling it on first use. Racing first uses compile equal programs
+// and either may be kept.
+func compiled[K any](e *Executor, key *K, compile func(*K) (*program, error)) (*program, error) {
+	if p, ok := e.progs.Load(key); ok {
+		return p.(*program), nil
+	}
+	p, err := compile(key)
+	if err == nil {
+		e.progs.Store(key, p)
+	}
+	return p, err
+}
+
+// scratch is one statement execution's working memory. Rows are
+// prog.width-value windows of one arena; a step rewrites rows in place
+// or builds next and swaps. Nothing in it outlives the call: results
+// are copied out and written cells are allocated fresh.
+type scratch struct {
+	prog       *program
+	pv         []backend.Value // prog's parameters by index; absent{} marks an unbound one
+	vals       []backend.Value // arena
+	rows, next [][]backend.Value
+	ranges     [1]backend.ClusterRange
+	key        []byte              // dedupe key under construction
+	seen       map[string]struct{} // projections already emitted
+	writes     []pendingWrite
+	bgt        stmtBudget
+}
+
+// absent marks a parameter the caller did not bind.
+type absent struct{}
+
+func (e *Executor) scratch() *scratch {
+	sc, _ := e.pool.Get().(*scratch)
+	if sc == nil {
+		sc = &scratch{seen: map[string]struct{}{}}
+	}
+	sc.writes, sc.bgt = sc.writes[:0], stmtBudget{}
+	return sc
+}
+
+// window cuts n nil values from the arena. Growing the arena leaves
+// earlier windows on the old array, which stays valid.
+func (sc *scratch) window(n int) []backend.Value {
+	sc.vals = append(sc.vals, make([]backend.Value, n)...)
+	return sc.vals[len(sc.vals)-n:]
+}
+
+// enter resolves prog's parameters once and starts it on one empty row.
+func (sc *scratch) enter(prog *program, params Params) {
+	sc.prog, sc.vals = prog, sc.vals[:0]
+	sc.pv = sc.window(len(prog.params))
+	for i, name := range prog.params {
+		if v, ok := params[name]; ok {
+			sc.pv[i] = v
+		} else {
+			sc.pv[i] = absent{}
+		}
+	}
+	sc.rows = append(sc.rows[:0], sc.window(prog.width))
+}
+
+// param returns parameter i; false when i is -1 or the caller left the
+// parameter unbound.
+func (sc *scratch) param(i int) (backend.Value, bool) {
+	if i < 0 {
+		return nil, false
+	}
+	_, unbound := sc.pv[i].(absent)
+	return sc.pv[i], !unbound
+}
+
+func (sc *scratch) missing(i int) error {
+	return fmt.Errorf("missing parameter ?%s", sc.prog.params[i])
+}
+
 // ExecuteQuery runs a query plan with the given parameter bindings.
-// On error the returned result, when non-nil, carries the simulated
-// time consumed before the failure so callers can charge partial work
-// (e.g. a failed plan attempt before failing over to another plan).
+// On error the returned result carries the simulated time consumed
+// before the failure so callers can charge partial work (e.g. a failed
+// plan attempt before failing over to another plan).
 func (e *Executor) ExecuteQuery(plan *planner.Plan, params Params) (*Result, error) {
-	res, err := e.run(plan.Steps, params, []Tuple{{}}, &stmtBudget{})
+	res := &Result{}
+	prog, err := compiled(e, plan, compileQuery)
+	if err == nil {
+		sc := e.scratch()
+		sc.enter(prog, params)
+		if res.SimMillis, err = e.run(prog.plans[0], sc); err == nil {
+			res.Rows = sc.project()
+		}
+		e.pool.Put(sc)
+	}
 	if err != nil {
 		e.eo.queryErrors.Inc()
 		return res, fmt.Errorf("executor: query %q: %w", workload.Label(plan.Query), err)
 	}
-	// Project to the selected attributes and discard duplicates
-	// (paper §IV-B step 3).
-	res.Rows = projectDistinct(res.Rows, plan.Query.Select, plan.Query.Order)
 	e.eo.queries.Inc()
 	e.eo.queryLat.Observe(res.SimMillis)
 	return res, nil
 }
 
-// run executes a step sequence over seed tuples. On error the returned
-// result carries the simulated time consumed so far (and no rows).
-func (e *Executor) run(steps []planner.Step, params Params, seeds []Tuple, bgt *stmtBudget) (*Result, error) {
-	tuples := seeds
+// run executes one plan's steps over sc.rows. On error the returned
+// millis carry the simulated time consumed so far.
+func (e *Executor) run(ops []any, sc *scratch) (float64, error) {
 	sim := 0.0
-	for _, st := range steps {
-		switch s := st.(type) {
-		case *planner.LookupStep:
-			next, millis, err := e.lookup(s, params, tuples, bgt)
+	for _, o := range ops {
+		switch o := o.(type) {
+		case *lookupOp:
+			millis, err := e.lookup(o, sc)
 			sim += millis
 			if err != nil {
-				return &Result{SimMillis: sim}, err
+				return sim, err
 			}
-			tuples = next
-		case *planner.FilterStep:
-			sim += e.lat.FilterRowCost * float64(len(tuples))
-			kept := tuples[:0:0]
-			for _, t := range tuples {
-				ok, err := evalPredicates(s.Predicates, t, params)
+		case filterOp:
+			sim += e.lat.FilterRowCost * float64(len(sc.rows))
+			kept := sc.rows[:0]
+			for _, row := range sc.rows {
+				ok, err := o.eval(row, sc)
 				if err != nil {
-					return &Result{SimMillis: sim}, err
+					return sim, err
 				}
 				if ok {
-					kept = append(kept, t)
+					kept = append(kept, row)
 				}
 			}
-			tuples = kept
-		case *planner.SortStep:
-			n := float64(len(tuples))
-			if n > 1 {
+			sc.rows = kept
+		case sortOp:
+			if n := float64(len(sc.rows)); n > 1 {
 				sim += e.lat.SortRowCost * n * math.Log2(n)
 			}
-			sortTuples(tuples, s.By)
-		case *planner.LimitStep:
-			if len(tuples) > s.N {
-				tuples = tuples[:s.N]
-			}
-		default:
-			return &Result{SimMillis: sim}, fmt.Errorf("unknown step %T", st)
-		}
-	}
-	return &Result{Rows: tuples, SimMillis: sim}, nil
-}
-
-// lookup executes one LookupStep: one get per driving tuple, merging
-// fetched records into the driving tuples. The returned millis are
-// meaningful even on error: they carry the simulated time of the gets
-// completed plus any retry spend of the failed one.
-func (e *Executor) lookup(s *planner.LookupStep, params Params, driving []Tuple, bgt *stmtBudget) ([]Tuple, float64, error) {
-	def, err := e.store.Def(s.Index.Name)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Map partition columns to their value sources.
-	eqByAttr := map[string]string{} // qualified attr -> param name
-	for _, p := range s.EqPredicates {
-		eqByAttr[p.Ref.Attr.QualifiedName()] = p.Param
-	}
-	joinCol := ""
-	if s.JoinKey != nil {
-		joinCol = s.JoinKey.QualifiedName()
-	}
-
-	var ranges []backend.ClusterRange
-	if rp := s.RangePredicate; rp != nil {
-		v, ok := params[rp.Param]
-		if !ok {
-			return nil, 0, fmt.Errorf("missing parameter ?%s", rp.Param)
-		}
-		op, err := rangeOp(rp.Op)
-		if err != nil {
-			return nil, 0, err
-		}
-		ranges = append(ranges, backend.ClusterRange{Op: op, Value: v})
-	}
-
-	var out []Tuple
-	sim := 0.0
-	for _, t := range driving {
-		partition := make([]backend.Value, len(def.PartitionCols))
-		for i, col := range def.PartitionCols {
-			switch {
-			case col == joinCol:
-				v, ok := t[col]
-				if !ok {
-					return nil, sim, fmt.Errorf("driving tuple lacks join key %s", col)
-				}
-				partition[i] = v
-			default:
-				if pname, ok := eqByAttr[col]; ok {
-					if v, ok := params[pname]; ok {
-						partition[i] = v
-						continue
+			rows := sc.rows
+			sort.SliceStable(rows, func(i, j int) bool {
+				for _, slot := range o {
+					// A sort key is skipped when either side is nil.
+					if av, bv := rows[i][slot], rows[j][slot]; av != nil && bv != nil {
+						if c := backend.CompareValues(av, bv); c != 0 {
+							return c < 0
+						}
 					}
 				}
-				v, ok := t[col]
-				if !ok {
-					return nil, sim, fmt.Errorf("no binding for partition column %s of %s", col, s.Index.Name)
-				}
-				partition[i] = v
-			}
-		}
-		var res *backend.GetResult
-		millis, err := e.retryOp(bgt, s.Index.Name, func() (float64, error) {
-			var err error
-			res, err = e.store.Get(s.Index.Name, backend.GetRequest{
-				Partition: partition,
-				Ranges:    ranges,
-				Limit:     s.Limit,
+				return false
 			})
-			if err != nil {
-				return 0, err
-			}
-			return res.SimMillis, nil
-		})
-		sim += millis
-		if err != nil {
-			return nil, sim, err
-		}
-		for _, rec := range res.Records {
-			merged := make(Tuple, len(t)+len(def.PartitionCols)+len(rec.Clustering)+len(rec.Values))
-			for k, v := range t {
-				merged[k] = v
-			}
-			for i, col := range def.PartitionCols {
-				merged[col] = partition[i]
-			}
-			for i, col := range def.ClusteringCols {
-				merged[col] = rec.Clustering[i]
-			}
-			for i, col := range def.ValueCols {
-				merged[col] = rec.Values[i]
-			}
-			out = append(out, merged)
-		}
-	}
-	return out, sim, nil
-}
-
-func rangeOp(op workload.Op) (backend.RangeOp, error) {
-	switch op {
-	case workload.Gt:
-		return backend.GT, nil
-	case workload.Ge:
-		return backend.GE, nil
-	case workload.Lt:
-		return backend.LT, nil
-	case workload.Le:
-		return backend.LE, nil
-	default:
-		return 0, fmt.Errorf("operator %v is not a range", op)
-	}
-}
-
-// evalPredicates applies predicates to one tuple.
-func evalPredicates(preds []workload.Predicate, t Tuple, params Params) (bool, error) {
-	for _, p := range preds {
-		have, ok := t[p.Ref.Attr.QualifiedName()]
-		if !ok {
-			return false, fmt.Errorf("tuple lacks attribute %s for filtering", p.Ref.Attr.QualifiedName())
-		}
-		want, ok := params[p.Param]
-		if !ok {
-			return false, fmt.Errorf("missing parameter ?%s", p.Param)
-		}
-		c := backend.CompareValues(have, want)
-		var pass bool
-		switch p.Op {
-		case workload.Eq:
-			pass = c == 0
-		case workload.Gt:
-			pass = c > 0
-		case workload.Ge:
-			pass = c >= 0
-		case workload.Lt:
-			pass = c < 0
-		case workload.Le:
-			pass = c <= 0
-		}
-		if !pass {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func sortTuples(tuples []Tuple, by []workload.AttrRef) {
-	sort.SliceStable(tuples, func(i, j int) bool {
-		for _, a := range by {
-			av, bv := tuples[i][a.Attr.QualifiedName()], tuples[j][a.Attr.QualifiedName()]
-			if av == nil || bv == nil {
-				continue
-			}
-			if c := backend.CompareValues(av, bv); c != 0 {
-				return c < 0
-			}
-		}
-		return false
-	})
-}
-
-// projectDistinct keeps only the selected attributes (plus ordering
-// attributes) and removes duplicate rows, preserving order.
-func projectDistinct(rows []Tuple, sel []workload.AttrRef, order []workload.AttrRef) []Tuple {
-	cols := make([]string, 0, len(sel)+len(order))
-	seenCol := map[string]bool{}
-	for _, refs := range [][]workload.AttrRef{sel, order} {
-		for _, r := range refs {
-			n := r.Attr.QualifiedName()
-			if !seenCol[n] {
-				seenCol[n] = true
-				cols = append(cols, n)
-			}
-		}
-	}
-	out := make([]Tuple, 0, len(rows))
-	seen := map[string]bool{}
-	for _, t := range rows {
-		proj := make(Tuple, len(cols))
-		key := ""
-		for _, c := range cols {
-			v := t[c]
-			proj[c] = v
-			key += backend.EncodeKey([]backend.Value{normalizeForKey(v)}) + "\x00"
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, proj)
-	}
-	return out
-}
-
-// normalizeForKey makes nil values encodable for deduplication.
-func normalizeForKey(v backend.Value) backend.Value {
-	if v == nil {
-		return ""
-	}
-	return v
-}
-
-// attrZero returns the zero value for an attribute's type, used when an
-// insert leaves cells unset.
-func attrZero(a *model.Attribute) backend.Value {
-	switch a.Type {
-	case model.FloatType:
-		return float64(0)
-	case model.StringType:
-		return ""
-	case model.BooleanType:
-		return false
-	default:
-		return int64(0)
-	}
-}
-
-// valueOf reads an attribute's value from a tuple, applying overrides
-// first and defaulting to the type's zero value.
-func valueOf(t Tuple, a *model.Attribute, overrides Tuple) backend.Value {
-	q := a.QualifiedName()
-	if overrides != nil {
-		if v, ok := overrides[q]; ok {
-			return v
-		}
-	}
-	if v, ok := t[q]; ok && v != nil {
-		return v
-	}
-	return attrZero(a)
-}
-
-// ExecuteUpdate runs one update recommendation: support plans first to
-// assemble the affected record contexts, then the delete and put
-// requests against the maintained column family.
-//
-// When one statement maintains several column families, use
-// ExecuteWrite instead: it performs every family's support reads before
-// any family's writes, so maintenance of one family cannot destroy the
-// data another family's support queries need.
-func (e *Executor) ExecuteUpdate(ur *search.UpdateRecommendation, params Params) (*Result, error) {
-	return e.ExecuteWrite([]*search.UpdateRecommendation{ur}, params)
-}
-
-// ExecuteWrite runs all maintenance of one statement execution across
-// its column families: all support queries first, then all deletes and
-// puts. On error the returned result, when non-nil, carries the
-// simulated time consumed before the failure.
-func (e *Executor) ExecuteWrite(urs []*search.UpdateRecommendation, params Params) (*Result, error) {
-	type pending struct {
-		ur                 *search.UpdateRecommendation
-		tuples             []Tuple
-		overrides          Tuple
-		doDelete, doInsert bool
-	}
-	bgt := &stmtBudget{}
-	sim := 0.0
-	var last []Tuple
-	staged := make([]pending, 0, len(urs))
-	for _, ur := range urs {
-		stmt := ur.Plan.Statement
-		seeds, overrides, doDelete, doInsert, err := e.updateContext(stmt, params)
-		if err != nil {
-			e.eo.writeErrors.Inc()
-			return &Result{SimMillis: sim}, err
-		}
-		tuples := seeds
-		for _, sp := range ur.SupportPlans {
-			res, err := e.run(sp.Steps, params, tuples, bgt)
-			if res != nil {
-				sim += res.SimMillis
-			}
-			if err != nil {
-				e.eo.writeErrors.Inc()
-				return &Result{SimMillis: sim}, fmt.Errorf("executor: support query for %q: %w", workload.Label(stmt), err)
-			}
-			tuples = res.Rows
-		}
-		staged = append(staged, pending{
-			ur: ur, tuples: tuples, overrides: overrides,
-			doDelete: doDelete, doInsert: doInsert,
-		})
-		last = tuples
-	}
-
-	for _, p := range staged {
-		millis, err := e.applyWrites(p.ur, p.tuples, p.overrides, p.doDelete, p.doInsert, bgt)
-		sim += millis
-		if err != nil {
-			e.eo.writeErrors.Inc()
-			return &Result{SimMillis: sim}, err
-		}
-	}
-	e.eo.writes.Inc()
-	e.eo.writeLat.Observe(sim)
-	return &Result{Rows: last, SimMillis: sim}, nil
-}
-
-// applyWrites issues the delete and put requests for one maintained
-// column family given its context tuples. The returned millis are
-// meaningful even on error.
-func (e *Executor) applyWrites(ur *search.UpdateRecommendation, tuples []Tuple, overrides Tuple, doDelete, doInsert bool, bgt *stmtBudget) (float64, error) {
-	sim := 0.0
-	x := ur.Plan.Index
-	for _, t := range tuples {
-		if doDelete {
-			partition, clustering := recordKey(x, t, nil)
-			millis, err := e.retryOp(bgt, x.Name, func() (float64, error) {
-				_, pr, err := e.store.Delete(x.Name, partition, clustering)
-				if err != nil {
-					return 0, err
-				}
-				return pr.SimMillis, nil
-			})
-			sim += millis
-			if err != nil {
-				return sim, err
-			}
-		}
-		if doInsert {
-			partition, clustering := recordKey(x, t, overrides)
-			values := make([]backend.Value, len(x.Values))
-			for i, a := range x.Values {
-				values[i] = valueOf(t, a, overrides)
-			}
-			millis, err := e.retryOp(bgt, x.Name, func() (float64, error) {
-				pr, err := e.store.Put(x.Name, partition, clustering, values)
-				if err != nil {
-					return 0, err
-				}
-				return pr.SimMillis, nil
-			})
-			sim += millis
-			if err != nil {
-				return sim, err
+		case limitOp:
+			if len(sc.rows) > int(o) {
+				sc.rows = sc.rows[:o]
 			}
 		}
 	}
 	return sim, nil
 }
 
-// recordKey builds a record's partition and clustering keys from a
-// context tuple.
-func recordKey(x *schema.Index, t Tuple, overrides Tuple) (partition, clustering []backend.Value) {
-	partition = make([]backend.Value, len(x.Partition))
-	for i, a := range x.Partition {
-		partition[i] = valueOf(t, a, overrides)
+// lookup executes one lookup step: one get per driving row, each fetched
+// record extending a copy of its driving row. The returned millis are
+// meaningful even on error: they carry the simulated time of the gets
+// completed plus any retry spend of the failed one.
+func (e *Executor) lookup(o *lookupOp, sc *scratch) (float64, error) {
+	req := backend.GetRequest{Limit: o.limit}
+	if o.rangeParam >= 0 {
+		v, ok := sc.param(o.rangeParam)
+		if !ok {
+			return 0, sc.missing(o.rangeParam)
+		}
+		sc.ranges[0] = backend.ClusterRange{Op: o.rangeOp, Value: v}
+		req.Ranges = sc.ranges[:]
 	}
-	clustering = make([]backend.Value, len(x.Clustering))
-	for i, a := range x.Clustering {
-		clustering[i] = valueOf(t, a, overrides)
+	var res *backend.GetResult
+	get := func() (float64, error) {
+		var err error
+		if res, err = e.store.Get(o.cf, req); err != nil {
+			return 0, err
+		}
+		return res.SimMillis, nil
 	}
-	return partition, clustering
+	sim := 0.0
+	sc.next = sc.next[:0]
+	for _, row := range sc.rows {
+		req.Partition = make([]backend.Value, len(o.part))
+		for i, src := range o.part {
+			v, ok := sc.param(src.param)
+			if !ok {
+				v = row[src.slot]
+			}
+			if v == nil {
+				return sim, fmt.Errorf("no binding for partition column %s of %s", o.cols[i], o.cf)
+			}
+			req.Partition[i] = v
+		}
+		millis, err := e.retryOp(&sc.bgt, o.cf, get)
+		sim += millis
+		if err != nil {
+			return sim, err
+		}
+		for _, rec := range res.Records {
+			sc.vals = append(sc.vals, row...)
+			out := sc.vals[len(sc.vals)-len(row):]
+			for _, m := range o.fromPart {
+				out[m[1]] = req.Partition[m[0]]
+			}
+			for _, m := range o.fromClus {
+				out[m[1]] = rec.Clustering[m[0]]
+			}
+			for _, m := range o.fromVals {
+				out[m[1]] = rec.Values[m[0]]
+			}
+			sc.next = append(sc.next, out)
+		}
+	}
+	sc.rows, sc.next = sc.next, sc.rows
+	return sim, nil
 }
 
-// updateContext derives the seed tuples, new-value overrides, and
-// delete/insert behavior for a write statement.
-func (e *Executor) updateContext(stmt workload.WriteStatement, params Params) (seeds []Tuple, overrides Tuple, doDelete, doInsert bool, err error) {
-	seed := Tuple{}
-	bind := func(a *model.Attribute, param string, into Tuple) error {
-		v, ok := params[param]
+// holds reports whether a comparison result satisfies an operator.
+func holds(op workload.Op, c int) bool {
+	return op == workload.Eq && c == 0 || op == workload.Gt && c > 0 || op == workload.Ge && c >= 0 ||
+		op == workload.Lt && c < 0 || op == workload.Le && c <= 0
+}
+
+// eval applies the predicates to one row.
+func (preds filterOp) eval(row []backend.Value, sc *scratch) (bool, error) {
+	for _, p := range preds {
+		if row[p.slot] == nil {
+			return false, fmt.Errorf("no step provides the attribute filtered on ?%s", sc.prog.params[p.param])
+		}
+		want, ok := sc.param(p.param)
 		if !ok {
-			return fmt.Errorf("executor: %q missing parameter ?%s", workload.Label(stmt), param)
+			return false, sc.missing(p.param)
 		}
-		into[a.QualifiedName()] = v
-		return nil
+		if !holds(p.op, backend.CompareValues(row[p.slot], want)) {
+			return false, nil
+		}
 	}
-	switch st := stmt.(type) {
-	case *workload.Update:
-		doDelete, doInsert = true, true
-		overrides = Tuple{}
-		for _, asg := range st.Set {
-			if err := bind(asg.Attr, asg.Param, overrides); err != nil {
-				return nil, nil, false, false, err
-			}
-		}
-		for _, p := range st.Where {
-			if p.Op == workload.Eq && p.Ref.Attr == st.Entity().Key() {
-				if err := bind(p.Ref.Attr, p.Param, seed); err != nil {
-					return nil, nil, false, false, err
+	return true, nil
+}
+
+// nilCell stands in for a nil value in a dedupe key.
+var nilCell = []backend.Value{""}
+
+// project keeps the first row of each distinct projection, in order
+// (paper §IV-B step 3), and copies those out into one value arena and
+// one tuple slice the caller owns. Two rows are the same when their
+// projected cells encode to the same key bytes.
+func (sc *scratch) project() []Tuple {
+	proj, rows := sc.prog.proj, sc.rows
+	if len(rows) > 1 {
+		clear(sc.seen)
+		kept := rows[:0]
+		for _, row := range rows {
+			key := sc.key[:0]
+			for _, s := range proj {
+				if row[s] == nil {
+					key = backend.AppendKey(key, nilCell)
+				} else {
+					key = backend.AppendKey(key, row[s:s+1])
 				}
 			}
-		}
-	case *workload.Delete:
-		doDelete = true
-		for _, p := range st.Where {
-			if p.Op == workload.Eq && p.Ref.Attr == st.Entity().Key() {
-				if err := bind(p.Ref.Attr, p.Param, seed); err != nil {
-					return nil, nil, false, false, err
-				}
+			sc.key = key
+			if _, dup := sc.seen[string(key)]; !dup {
+				sc.seen[string(key)] = struct{}{}
+				kept = append(kept, row)
 			}
 		}
-	case *workload.Insert:
-		doInsert = true
-		if err := bind(st.Entity.Key(), st.KeyParam, seed); err != nil {
-			return nil, nil, false, false, err
-		}
-		for _, asg := range st.Set {
-			if err := bind(asg.Attr, asg.Param, seed); err != nil {
-				return nil, nil, false, false, err
-			}
-		}
-		for _, c := range st.Connections {
-			if err := bind(c.Edge.To.Key(), c.Param, seed); err != nil {
-				return nil, nil, false, false, err
-			}
-		}
-	case *workload.Connect:
-		if st.Disconnect {
-			doDelete = true
-		} else {
-			doInsert = true
-		}
-		if err := bind(st.Edge.From.Key(), st.FromParam, seed); err != nil {
-			return nil, nil, false, false, err
-		}
-		if err := bind(st.Edge.To.Key(), st.ToParam, seed); err != nil {
-			return nil, nil, false, false, err
-		}
-	default:
-		return nil, nil, false, false, fmt.Errorf("executor: unsupported statement %T", stmt)
+		rows = kept
 	}
-	return []Tuple{seed}, overrides, doDelete, doInsert, nil
+	vals := make([]backend.Value, 0, len(rows)*len(proj))
+	out := make([]Tuple, len(rows))
+	for i, row := range rows {
+		for _, s := range proj {
+			vals = append(vals, row[s])
+		}
+		out[i] = Tuple{sc.prog.cols, vals[len(vals)-len(proj):]}
+	}
+	return out
+}
+
+// pendingWrite is one put or delete of a write statement, built while
+// its family's support rows are at hand and issued once every family's
+// support queries have run. The cells are freshly allocated: the store,
+// hint queues and verifier retain them.
+type pendingWrite struct {
+	prog  *program
+	ur    int // index of the update recommendation it maintains
+	del   bool
+	cells []backend.Value // the record's cells; a delete's stop at the key
+}
+
+// ExecuteWrite runs all maintenance of one statement execution across
+// its column families: all support queries first, then all deletes and
+// puts, so maintenance of one family cannot destroy the data another
+// family's support queries need. The result carries no rows; on error
+// it carries the simulated time consumed before the failure.
+func (e *Executor) ExecuteWrite(urs []*search.UpdateRecommendation, params Params) (*Result, error) {
+	sc := e.scratch()
+	res := &Result{}
+	err := e.read(urs, params, sc, &res.SimMillis)
+	if err == nil {
+		err = e.write(sc, &res.SimMillis)
+	}
+	e.pool.Put(sc)
+	if err != nil {
+		e.eo.writeErrors.Inc()
+		return res, err
+	}
+	e.eo.writes.Inc()
+	e.eo.writeLat.Observe(res.SimMillis)
+	return res, nil
+}
+
+// read runs each recommendation's support plans over the row its
+// parameters seed and queues the writes of the rows that come out.
+func (e *Executor) read(urs []*search.UpdateRecommendation, params Params, sc *scratch, sim *float64) error {
+	for i, ur := range urs {
+		prog, err := compiled(e, ur, compileWrite)
+		if err != nil {
+			return err
+		}
+		sc.enter(prog, params)
+		for _, b := range prog.binds {
+			v, ok := sc.param(b.param)
+			if !ok {
+				return fmt.Errorf("executor: %q %w", workload.Label(ur.Plan.Statement), sc.missing(b.param))
+			}
+			if b.slot >= 0 {
+				sc.rows[0][b.slot] = v
+			}
+		}
+		for _, ops := range prog.plans {
+			millis, err := e.run(ops, sc)
+			*sim += millis
+			if err != nil {
+				return fmt.Errorf("executor: support query for %q: %w", workload.Label(ur.Plan.Statement), err)
+			}
+		}
+		for _, row := range sc.rows {
+			if prog.doDelete {
+				sc.writes = append(sc.writes, pendingWrite{prog, i, true, sc.record(row, prog.cells[:prog.nKey], false)})
+			}
+			if prog.doInsert {
+				sc.writes = append(sc.writes, pendingWrite{prog, i, false, sc.record(row, prog.cells, true)})
+			}
+		}
+	}
+	return nil
+}
+
+// record builds the cells of one written record from a support row: an
+// UPDATE's new value beats the row, and a cell the row leaves unset is
+// its type's zero value.
+func (sc *scratch) record(row []backend.Value, cells []cell, overrides bool) []backend.Value {
+	out := make([]backend.Value, len(cells))
+	for i, c := range cells {
+		switch {
+		case overrides && c.param >= 0:
+			out[i] = sc.pv[c.param]
+		case row[c.slot] != nil:
+			out[i] = row[c.slot]
+		default:
+			out[i] = c.zero
+		}
+	}
+	return out
+}
+
+// write issues the queued deletes and puts in order. Each family's time
+// is summed on its own before it joins the statement's, as its puts and
+// deletes always were; on error sim carries the time consumed so far.
+func (e *Executor) write(sc *scratch, sim *float64) error {
+	family := 0.0
+	for i, w := range sc.writes {
+		if i > 0 && w.ur != sc.writes[i-1].ur {
+			*sim, family = *sim+family, 0
+		}
+		p, c := w.prog, w.cells
+		millis, err := e.retryOp(&sc.bgt, p.cf, func() (float64, error) {
+			var pr *backend.PutResult
+			var err error
+			if w.del {
+				_, pr, err = e.store.Delete(p.cf, c[:p.nPart:p.nPart], c[p.nPart:])
+			} else {
+				pr, err = e.store.Put(p.cf, c[:p.nPart:p.nPart], c[p.nPart:p.nKey:p.nKey], c[p.nKey:])
+			}
+			if err != nil {
+				return 0, err
+			}
+			return pr.SimMillis, nil
+		})
+		family += millis
+		if err != nil {
+			*sim += family
+			return err
+		}
+	}
+	*sim += family
+	return nil
 }

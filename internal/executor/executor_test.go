@@ -224,7 +224,11 @@ func TestOrderedQueryReturnsSortedRows(t *testing.T) {
 	}
 	last := -1.0
 	for _, row := range got.Rows {
-		r := row["Room.RoomRate"].(float64)
+		v, ok := row.Get("Room.RoomRate")
+		if !ok {
+			t.Fatal("row has no Room.RoomRate column")
+		}
+		r := v.(float64)
 		if r < last {
 			t.Fatalf("rows not sorted: %v after %v", r, last)
 		}

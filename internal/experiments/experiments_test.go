@@ -22,6 +22,26 @@ func fastOptions() search.Options {
 	}
 }
 
+// tinyBase is the shared tiny RUBiS configuration of the chaos and
+// quorum sweeps' tests and goldens.
+func tinyBase(workers int) experiments.Fig11Config {
+	opts := fastOptions()
+	opts.Workers = workers
+	return experiments.Fig11Config{
+		RUBiS:      rubis.Config{Users: 200, Seed: 1},
+		Executions: 3,
+		Advisor:    opts,
+	}
+}
+
+func chaosTestConfig(workers int) experiments.ChaosConfig {
+	return experiments.ChaosConfig{Base: tinyBase(workers), Rates: []float64{0, 0.02}, Seed: 7}
+}
+
+func quorumTestConfig(workers int) experiments.QuorumConfig {
+	return experiments.QuorumConfig{Base: tinyBase(workers), Rates: []float64{0, 0.05}, Seed: 7}
+}
+
 func TestRunFig11TinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")
@@ -65,15 +85,7 @@ func TestRunChaosDeterministicSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")
 	}
-	cfg := experiments.ChaosConfig{
-		Base: experiments.Fig11Config{
-			RUBiS:      rubis.Config{Users: 200, Seed: 1},
-			Executions: 3,
-			Advisor:    fastOptions(),
-		},
-		Rates: []float64{0, 0.02},
-		Seed:  7,
-	}
+	cfg := chaosTestConfig(0)
 	res, err := experiments.RunChaos(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -200,15 +212,7 @@ func TestRunQuorumDeterministicSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")
 	}
-	cfg := experiments.QuorumConfig{
-		Base: experiments.Fig11Config{
-			RUBiS:      rubis.Config{Users: 200, Seed: 1},
-			Executions: 3,
-			Advisor:    fastOptions(),
-		},
-		Rates: []float64{0, 0.05},
-		Seed:  7,
-	}
+	cfg := quorumTestConfig(0)
 	res, err := experiments.RunQuorum(cfg)
 	if err != nil {
 		t.Fatal(err)

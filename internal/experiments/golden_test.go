@@ -42,6 +42,27 @@ func TestSweepTablesGolden(t *testing.T) {
 			}
 			return res.Format(), nil
 		}},
+		{"load-tiny.golden.txt", func(workers int) (string, error) {
+			res, err := experiments.RunLoad(loadTestConfig(workers))
+			if err != nil {
+				return "", err
+			}
+			return res.Format(), nil
+		}},
+		{"quorum-tiny.golden.txt", func(workers int) (string, error) {
+			res, err := experiments.RunQuorum(quorumTestConfig(workers))
+			if err != nil {
+				return "", err
+			}
+			return res.Format(), nil
+		}},
+		{"chaos-tiny.golden.txt", func(workers int) (string, error) {
+			res, err := experiments.RunChaos(chaosTestConfig(workers))
+			if err != nil {
+				return "", err
+			}
+			return res.Format(), nil
+		}},
 	}
 	for _, tc := range cases {
 		path := filepath.Join("..", "..", "testdata", tc.golden)

@@ -3,7 +3,7 @@ package harness_test
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"reflect"
 	"testing"
 
 	"nose/internal/backend"
@@ -99,16 +99,6 @@ func planCF(t *testing.T, p *planner.Plan) string {
 	return xs[0].Name
 }
 
-// rowKey canonicalizes result rows for set comparison.
-func rowsKey(rows []executor.Tuple) string {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = fmt.Sprint(r)
-	}
-	sort.Strings(keys)
-	return fmt.Sprint(keys)
-}
-
 func TestFailoverPlansReturnIdenticalRows(t *testing.T) {
 	f := newRedundantFixture(t)
 	r0, err := f.sys.Exec.ExecuteQuery(f.plans[0], f.params)
@@ -122,8 +112,8 @@ func TestFailoverPlansReturnIdenticalRows(t *testing.T) {
 	if len(r0.Rows) == 0 {
 		t.Fatal("fixture query returned no rows")
 	}
-	if rowsKey(r0.Rows) != rowsKey(r1.Rows) {
-		t.Errorf("alternative plan rows differ:\n%v\n%v", r0.Rows, r1.Rows)
+	if c0, c1 := executor.CanonicalRows(r0.Rows), executor.CanonicalRows(r1.Rows); !reflect.DeepEqual(c0, c1) {
+		t.Errorf("alternative plan rows differ:\n%v\n%v", c0, c1)
 	}
 }
 

@@ -553,10 +553,14 @@ func (s *System) MarkUp(cf string) {
 	}
 }
 
-// downSnapshot copies the down set for one statement execution.
+// downSnapshot copies the down set for one statement execution; nil
+// while nothing is down, so a healthy statement allocates no map.
 func (s *System) downSnapshot() map[string]bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.down) == 0 {
+		return nil
+	}
 	avoid := make(map[string]bool, len(s.down))
 	for cf := range s.down {
 		avoid[cf] = true
@@ -567,6 +571,9 @@ func (s *System) downSnapshot() map[string]bool {
 // planSurvives reports whether a plan touches none of the avoided
 // column families.
 func planSurvives(p *planner.Plan, avoid map[string]bool) bool {
+	if len(avoid) == 0 {
+		return true
+	}
 	for _, x := range p.Indexes() {
 		if avoid[x.Name] {
 			return false
@@ -579,7 +586,8 @@ func planSurvives(p *planner.Plan, avoid map[string]bool) bool {
 // plus the number of plans it disqualified on the way — each one is a
 // failover away from the preferred plan. Disqualified plans are added
 // to tried so repeated picks within one statement never recount them
-// (the avoid set only grows).
+// (the avoid set only grows). tried may be nil while avoid is empty:
+// nothing is disqualified then.
 func pickPlan(plans []*planner.Plan, avoid map[string]bool, tried map[*planner.Plan]bool) (*planner.Plan, int64) {
 	skipped := int64(0)
 	for _, p := range plans {
@@ -638,8 +646,13 @@ func (s *System) execStatement(st workload.Statement, params executor.Params) (f
 // family.
 func (s *System) execQuery(st workload.Statement, plans []*planner.Plan, params executor.Params) (float64, error) {
 	retries0 := s.Exec.Metrics().Retries
+	// Both sets stay nil until a family is down or a fault survives the
+	// executor's retries.
 	avoid := s.downSnapshot()
-	tried := map[*planner.Plan]bool{}
+	var tried map[*planner.Plan]bool
+	if avoid != nil {
+		tried = map[*planner.Plan]bool{}
+	}
 	total := 0.0
 	failovers := int64(0)
 	for {
@@ -667,6 +680,9 @@ func (s *System) execQuery(st workload.Statement, plans []*planner.Plan, params 
 		// The fault survived the executor's retries (or is an outright
 		// unavailability): take the family out of this execution's
 		// rotation and fail over.
+		if tried == nil {
+			avoid, tried = map[string]bool{}, map[*planner.Plan]bool{}
+		}
 		tried[plan] = true
 		avoid[fe.CF] = true
 		failovers++
