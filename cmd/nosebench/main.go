@@ -64,8 +64,10 @@ import (
 	"nose/internal/search"
 )
 
+// result is what every experiment returns: its data table.
+type result interface{ Format() string }
+
 func main() {
-	experiment := flag.String("experiment", "fig11", "fig11, fig12, fig13, budget, ablation, chaos, quorum, load, crashchaos, drift or online")
 	users := flag.Int("users", 20_000, "RUBiS users (the paper used 200000)")
 	executions := flag.Int("executions", 50, "measured executions per transaction type")
 	factors := flag.Int("factors", 4, "max scale factor for fig13 (the paper used 10; factors above 3 can take tens of minutes with the built-in solver)")
@@ -74,9 +76,9 @@ func main() {
 	maxNodes := flag.Int("max-nodes", 500, "branch and bound node budget per solve")
 	workers := flag.Int("workers", 0, "advisor worker goroutines; 0 means all CPUs (results are identical for every value)")
 	faultRates := flag.String("faults", "", "comma-separated fault rates for the chaos, quorum and crashchaos experiments")
-	seed := flag.Int64("seed", 7, "seed for the chaos, quorum, crashchaos, drift and online experiments; the same seed reproduces a table bit for bit")
-	nodes := flag.Int("nodes", 5, "cluster size for the quorum and crashchaos experiments")
-	rf := flag.Int("rf", 3, "replication factor for the quorum and crashchaos experiments")
+	seed := flag.Int64("seed", 7, "seed for the chaos, quorum, load, crashchaos, drift and online experiments; the same seed reproduces a table bit for bit")
+	nodes := flag.Int("nodes", 5, "cluster size for the quorum, load and crashchaos experiments")
+	rf := flag.Int("rf", 3, "replication factor for the quorum, load and crashchaos experiments")
 	clients := flag.String("clients", "", "comma-separated closed-loop client populations for the load experiment; empty means 1,2,4,8,16,32,64")
 	capacity := flag.Int("capacity", experiments.DefaultLoadCapacity, "parallel servers per node for the load experiment's service queues")
 	think := flag.Float64("think", experiments.DefaultLoadThinkMillis, "mean client think time in simulated ms for the load experiment")
@@ -92,6 +94,70 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file and print a summary on exit")
 	solverStats := flag.Bool("solver-stats", false, "print LP solver statistics on exit: solves, warm-start hit rate, pivots, refactorizations, pruning and cuts")
 	tracePath := flag.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) of the run to this file")
+
+	// The experiments, in the order the help text lists them. Every run
+	// reads its flags when called, after flag.Parse.
+	var (
+		opts           search.Options
+		cfg            experiments.Fig11Config
+		faults, drifts []float64
+		populations    []int
+	)
+	table := []struct {
+		name, title string
+		run         func() (result, error)
+	}{
+		{"fig11", "Fig. 11 — bidding workload, average response time per transaction (simulated ms)",
+			func() (result, error) { return experiments.RunFig11(cfg) }},
+		{"fig12", "Fig. 12 — weighted average response time per workload mix (simulated ms)",
+			func() (result, error) { return experiments.RunFig12(cfg) }},
+		{"fig13", "Fig. 13 — advisor runtime vs workload scale factor",
+			func() (result, error) {
+				return experiments.RunFig13(experiments.Fig13Config{MaxFactor: *factors, Seed: 5, Advisor: opts})
+			}},
+		{"budget", "Ablation — workload cost vs storage budget (hotel booking workload)",
+			func() (result, error) { return experiments.RunBudgetSweep(cfg, nil) }},
+		{"ablation", "Ablation — advisor design choices on the bidding workload",
+			func() (result, error) { return experiments.RunAblation(cfg) }},
+		{"chaos", "Chaos — graceful degradation under injected store faults (bidding workload)",
+			func() (result, error) {
+				return experiments.RunChaos(experiments.ChaosConfig{Base: cfg, Rates: faults, Seed: *seed})
+			}},
+		{"quorum", "Quorum — availability/consistency sweep on a replicated cluster (NoSE schema, bidding workload)",
+			func() (result, error) {
+				return experiments.RunQuorum(experiments.QuorumConfig{Base: cfg, Rates: faults, Nodes: *nodes, RF: *rf, Seed: *seed})
+			}},
+		{"load", "Load — closed-loop latency under load with per-node service queues (NoSE schema, bidding workload)",
+			func() (result, error) {
+				return experiments.RunLoad(experiments.LoadConfig{
+					Base: cfg, Clients: populations, Capacity: *capacity, Nodes: *nodes, RF: *rf,
+					Seed: *seed, ThinkMillis: *think, HorizonMillis: *horizon,
+				})
+			}},
+		{"crashchaos", "Crashchaos — crash-point sweep of a live migration with journal recovery and invariant verification (hotel workload)",
+			func() (result, error) {
+				return experiments.RunCrashChaos(experiments.CrashChaosConfig{
+					Rates: faults, Nodes: *nodes, RF: *rf, Seed: *seed, Advisor: opts, Obs: cfg.Obs,
+				})
+			}},
+		{"drift", "Drift — static-once vs re-advised schemas under workload drift (total simulated ms, migrations charged)",
+			func() (result, error) {
+				return experiments.RunDrift(experiments.DriftConfig{Base: cfg, Rates: drifts, Phases: *phases, Seed: *seed})
+			}},
+		{"online", "Online — advise-once vs phase oracle vs drift-detected live migration (total simulated ms, lost transactions penalized)",
+			func() (result, error) {
+				return experiments.RunOnline(experiments.OnlineConfig{
+					Base: cfg, Rates: drifts, Phases: *phases, Seed: *seed,
+					FaultRate: *faultRate, PenaltyMillis: *penalty,
+					Detector: drift.Config{WindowStatements: *driftWindow, ConfirmWindows: *driftConfirm},
+				})
+			}},
+	}
+	var names []string
+	for _, e := range table {
+		names = append(names, e.name)
+	}
+	experiment := flag.String("experiment", "fig11", "one of "+strings.Join(names, ", "))
 	flag.Parse()
 
 	if *cpuProfile != "" {
@@ -129,7 +195,7 @@ func main() {
 	}
 	defer writeObservability(*metricsPath, reg, *tracePath, tracer, *solverStats)
 
-	opts := search.Options{
+	opts = search.Options{
 		Workers:          *workers,
 		Planner:          planner.Config{MaxPlansPerQuery: *maxPlans},
 		MaxSupportPlans:  6,
@@ -138,165 +204,37 @@ func main() {
 		Obs:              reg,
 		Trace:            tracer,
 	}
-	cfg := experiments.Fig11Config{
+	cfg = experiments.Fig11Config{
 		RUBiS:      rubis.Config{Users: *users, Seed: 1},
 		Executions: *executions,
 		Advisor:    opts,
 		Obs:        reg,
 		Trace:      tracer,
 	}
-
-	switch *experiment {
-	case "fig11":
-		res, err := experiments.RunFig11(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Fig. 11 — bidding workload, average response time per transaction (simulated ms)")
-		fmt.Print(res.Format())
-	case "fig12":
-		res, err := experiments.RunFig12(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Fig. 12 — weighted average response time per workload mix (simulated ms)")
-		fmt.Print(res.Format())
-	case "ablation":
-		res, err := experiments.RunAblation(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Ablation — advisor design choices on the bidding workload")
-		fmt.Print(res.Format())
-	case "budget":
-		res, err := experiments.RunBudgetSweep(cfg, nil)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Ablation — workload cost vs storage budget (hotel booking workload)")
-		fmt.Print(res.Format())
-	case "chaos":
-		rates, err := parseRates(*faultRates)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := experiments.RunChaos(experiments.ChaosConfig{
-			Base:  cfg,
-			Rates: rates,
-			Seed:  *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Chaos — graceful degradation under injected store faults (bidding workload)")
-		fmt.Print(res.Format())
-	case "quorum":
-		rates, err := parseRates(*faultRates)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := experiments.RunQuorum(experiments.QuorumConfig{
-			Base:  cfg,
-			Rates: rates,
-			Nodes: *nodes,
-			RF:    *rf,
-			Seed:  *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Quorum — availability/consistency sweep on a replicated cluster (NoSE schema, bidding workload)")
-		fmt.Print(res.Format())
-	case "load":
-		populations, err := parseCounts(*clients)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := experiments.RunLoad(experiments.LoadConfig{
-			Base:          cfg,
-			Clients:       populations,
-			Capacity:      *capacity,
-			Nodes:         *nodes,
-			RF:            *rf,
-			Seed:          *seed,
-			ThinkMillis:   *think,
-			HorizonMillis: *horizon,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Load — closed-loop latency under load with per-node service queues (NoSE schema, bidding workload)")
-		fmt.Print(res.Format())
-	case "crashchaos":
-		rates, err := parseRates(*faultRates)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := experiments.RunCrashChaos(experiments.CrashChaosConfig{
-			Rates:   rates,
-			Nodes:   *nodes,
-			RF:      *rf,
-			Seed:    *seed,
-			Advisor: opts,
-			Obs:     reg,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Crashchaos — crash-point sweep of a live migration with journal recovery and invariant verification (hotel workload)")
-		fmt.Print(res.Format())
-	case "drift":
-		rates, err := parseRates(*driftRates)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := experiments.RunDrift(experiments.DriftConfig{
-			Base:   cfg,
-			Rates:  rates,
-			Phases: *phases,
-			Seed:   *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Drift — static-once vs re-advised schemas under workload drift (total simulated ms, migrations charged)")
-		fmt.Print(res.Format())
-	case "online":
-		rates, err := parseRates(*driftRates)
-		if err != nil {
-			fatal(err)
-		}
-		res, err := experiments.RunOnline(experiments.OnlineConfig{
-			Base:          cfg,
-			Rates:         rates,
-			Phases:        *phases,
-			Seed:          *seed,
-			FaultRate:     *faultRate,
-			PenaltyMillis: *penalty,
-			Detector: drift.Config{
-				WindowStatements: *driftWindow,
-				ConfirmWindows:   *driftConfirm,
-			},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Online — advise-once vs phase oracle vs drift-detected live migration (total simulated ms, lost transactions penalized)")
-		fmt.Print(res.Format())
-	case "fig13":
-		res, err := experiments.RunFig13(experiments.Fig13Config{
-			MaxFactor: *factors,
-			Seed:      5,
-			Advisor:   opts,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println("Fig. 13 — advisor runtime vs workload scale factor")
-		fmt.Print(res.Format())
-	default:
-		fatal(fmt.Errorf("unknown experiment %q", *experiment))
+	var err error
+	if faults, err = parseRates(*faultRates); err != nil {
+		fatal(err)
 	}
+	if drifts, err = parseRates(*driftRates); err != nil {
+		fatal(err)
+	}
+	if populations, err = parseCounts(*clients); err != nil {
+		fatal(err)
+	}
+
+	for _, e := range table {
+		if e.name != *experiment {
+			continue
+		}
+		res, err := e.run()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Println(e.title)
+		fmt.Print(res.Format())
+		return
+	}
+	fatal(fmt.Errorf("unknown experiment %q; want one of %s", *experiment, strings.Join(names, ", ")))
 }
 
 // parseRates parses a comma-separated rate list (fault or drift rates);

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"nose/internal/enumerator"
-	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/search"
 )
@@ -57,12 +55,12 @@ func RunAblation(cfg Fig11Config) (*AblationResult, error) {
 	res := &AblationResult{}
 	base := 0.0
 	for _, v := range variants {
-		opt := cfg.Advisor
+		opt := advisorOptions(cfg.Advisor, cfg.Obs, cfg.Trace)
 		v.mutate(&opt)
 		rec, err := search.Advise(w, opt)
 		if err != nil {
 			// A variant unable to cover the workload is itself a
-			// finding: record it with an infinite ratio.
+			// finding: record why under its name, with a zero ratio.
 			res.Rows = append(res.Rows, AblationRow{Variant: v.name + " (infeasible: " + err.Error() + ")"})
 			continue
 		}
@@ -91,9 +89,3 @@ func (r *AblationResult) Format() string {
 	}
 	return b.String()
 }
-
-// Compile-time assertions that the toggles exist where expected.
-var (
-	_ = enumerator.Features{}
-	_ = planner.Config{}.SkipReverse
-)

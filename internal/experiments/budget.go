@@ -48,21 +48,20 @@ type BudgetResult struct {
 // (On RUBiS the unconstrained optimum is already the minimal covering
 // schema, so its sweep is flat until infeasibility.)
 func RunBudgetSweep(cfg Fig11Config, fractions []float64) (*BudgetResult, error) {
-	if len(fractions) == 0 {
-		fractions = []float64{1, 0.75, 0.5, 0.35, 0.25}
-	}
+	fractions = nonEmpty(fractions, []float64{1, 0.75, 0.5, 0.35, 0.25})
 	g := hotel.Graph()
 	w := workload.New(g)
 	w.Add(workload.MustParseQuery(g, hotel.ExampleQuery), 0.6)
 	w.Add(workload.MustParseQuery(g, hotel.PrefixQuery), 0.3)
 	w.Add(workload.MustParse(g, hotel.UpdateStatements[0]), 0.1)
-	free, err := search.Advise(w, cfg.Advisor)
+	advisor := advisorOptions(cfg.Advisor, cfg.Obs, cfg.Trace)
+	free, err := search.Advise(w, advisor)
 	if err != nil {
 		return nil, err
 	}
 	res := &BudgetResult{UnconstrainedMB: free.Schema.TotalSizeBytes() / 1e6}
 	for _, f := range fractions {
-		opt := cfg.Advisor
+		opt := advisor
 		opt.SpaceBudgetBytes = free.Schema.TotalSizeBytes() * f
 		rec, err := search.Advise(w, opt)
 		if err != nil {

@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
-	"nose/internal/executor"
-	"nose/internal/faults"
 	"nose/internal/harness"
-	"nose/internal/rubis"
 )
 
 // ChaosConfig parameterizes the fault-rate sweep. The sweep reuses
@@ -26,9 +22,6 @@ type ChaosConfig struct {
 	// Seed seeds the fault injectors; the same seed reproduces the
 	// whole sweep bit for bit.
 	Seed int64
-	// Retry is the executor retry policy; the zero value means
-	// executor.DefaultRetryPolicy().
-	Retry executor.RetryPolicy
 }
 
 // DefaultChaosRates is the default fault-rate sweep, from a healthy
@@ -73,75 +66,53 @@ type ChaosResult struct {
 // reproduce the same result, and rate 0 executes the exact unfaulted
 // harness path.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
-	if cfg.Base.Executions <= 0 {
-		cfg.Base.Executions = 20
-	}
-	rates := cfg.Rates
-	if len(rates) == 0 {
-		rates = DefaultChaosRates
-	}
-	retry := cfg.Retry
-	if retry == (executor.RetryPolicy{}) {
-		retry = executor.DefaultRetryPolicy()
-	}
-
-	ds, txns, recs, err := buildRecommendations(cfg.Base)
+	cfg.Base.Executions = positive(cfg.Base.Executions, 20)
+	rates := nonEmpty(cfg.Rates, DefaultChaosRates)
+	f, err := newAdvisedFixture(cfg.Base)
 	if err != nil {
 		return nil, err
 	}
-	mix := cfg.Base.Mix
-	if mix == "" {
-		mix = rubis.MixBidding
-	}
 
+	sw := f.sweep("chaos")
 	res := &ChaosResult{}
-	// Each (rate, system) cell gets its own simulated-clock trace lane
-	// and merges its private registry into the run registry when done.
-	lane := 0
 	for _, rate := range rates {
+		row := ChaosRow{Rate: rate, Cells: map[string]ChaosCell{}}
 		// Fresh systems per rate: each rate mutates its own stores, so
 		// rates never contaminate each other and any single rate can be
 		// reproduced in isolation.
-		systems, err := installSystems(ds, recs)
-		if err != nil {
-			return nil, err
-		}
-		row := ChaosRow{Rate: rate, Cells: map[string]ChaosCell{}}
-		for _, sys := range systems {
-			if rate > 0 {
-				sys.EnableFaults(cfg.Seed, faults.Rate(rate), retry)
-			}
-			lane++
-			sys.EnableTrace(cfg.Base.Trace, lane, fmt.Sprintf("chaos rate=%g %s", rate, sys.Name))
-			cell := ChaosCell{}
-			totalMillis := 0.0
-			for _, txn := range txns {
-				if rubis.TransactionWeight(txn, mix) <= 0 {
-					continue
+		err := sw.cell(fmt.Sprintf("rate=%g", rate), func(c *cell) error {
+			for _, name := range SystemNames {
+				spec := systemSpec{name: name, rec: f.recs[name]}
+				if rate > 0 {
+					spec.weather = &weather{seed: cfg.Seed, rate: rate}
 				}
-				ps := rubis.NewParamSource(cfg.Base.RUBiS, 4242)
-				for i := 0; i < cfg.Base.Executions; i++ {
-					ms, err := sys.ExecTransaction(txn.Statements, ps.Params(txn.Name))
-					switch {
-					case err == nil:
-						cell.Completed++
+				sys, err := c.system(spec)
+				if err != nil {
+					return err
+				}
+				cell := ChaosCell{}
+				totalMillis := 0.0
+				for _, txn := range f.active {
+					millis, lost, err := measure(sys, txn, cfg.Base.Executions, f.params(paramSeed), harness.ErrUnavailable)
+					if err != nil {
+						return err
+					}
+					cell.Completed += int64(len(millis))
+					cell.Unavailable += lost
+					for _, ms := range millis {
 						totalMillis += ms
-					case errors.Is(err, harness.ErrUnavailable):
-						// The degraded outcome under test: count it and
-						// keep serving the rest of the workload.
-						cell.Unavailable++
-					default:
-						return nil, fmt.Errorf("experiments: chaos %s rate %g: %s: %w",
-							sys.Name, rate, txn.Name, err)
 					}
 				}
+				if cell.Completed > 0 {
+					cell.AvgMillis = totalMillis / float64(cell.Completed)
+				}
+				cell.Report = sys.Robustness()
+				row.Cells[name] = cell
 			}
-			if cell.Completed > 0 {
-				cell.AvgMillis = totalMillis / float64(cell.Completed)
-			}
-			cell.Report = sys.Robustness()
-			cfg.Base.Obs.Merge(sys.Obs())
-			row.Cells[sys.Name] = cell
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}

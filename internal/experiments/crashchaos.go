@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"nose/internal/backend"
-	"nose/internal/cost"
 	"nose/internal/executor"
 	"nose/internal/faults"
 	"nose/internal/harness"
@@ -28,9 +27,6 @@ import (
 // the replica coordinator inside its hinted-handoff and read-repair
 // paths and restarts over the surviving cluster.
 type CrashChaosConfig struct {
-	// Levels are the consistency levels swept (reads and writes);
-	// empty means ONE, QUORUM, ALL.
-	Levels []executor.Consistency
 	// Rates is the node fault rate sweep; empty means
 	// DefaultCrashChaosRates.
 	Rates []float64
@@ -42,12 +38,14 @@ type CrashChaosConfig struct {
 	Seed int64
 	// Advisor tunes the schema advisor for the two recommendations.
 	Advisor search.Options
-	// ChunkRecords bounds records per backfill step; zero means 5 —
-	// small, so the sweep has many distinct crash points.
-	ChunkRecords int
-	// Obs, when set, collects each system's merged metric registry.
+	// Obs, when set, collects the run's metrics: the advisor's stage
+	// counters and each system's merged registry.
 	Obs *obs.Registry
 }
+
+// crashChaosChunkRecords bounds records per backfill step — small, so
+// the sweep has many distinct crash points.
+const crashChaosChunkRecords = 5
 
 // DefaultCrashChaosRates sweeps a healthy cluster and one with flaky
 // replica operations, so crashes land both in calm and bad weather.
@@ -143,7 +141,7 @@ type chaosFixture struct {
 // example) and advises schema A (city query + reservation insert) and
 // schema B (adding the prefix query), aligning B's family names onto
 // A's so the migration's journal records are stable across runs.
-func buildChaosFixture(cfg CrashChaosConfig) (*chaosFixture, error) {
+func buildChaosFixture(advisor search.Options) (*chaosFixture, error) {
 	g := hotel.Graph()
 	ds := backend.NewDataset(g)
 
@@ -206,7 +204,7 @@ func buildChaosFixture(cfg CrashChaosConfig) (*chaosFixture, error) {
 	wA := workload.New(g)
 	wA.Add(q1, 1)
 	wA.Add(ins, 0.5)
-	recA, err := search.Advise(wA, cfg.Advisor)
+	recA, err := search.Advise(wA, advisor)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: crashchaos: advise A: %w", err)
 	}
@@ -217,7 +215,7 @@ func buildChaosFixture(cfg CrashChaosConfig) (*chaosFixture, error) {
 	wB.Add(q1, 1)
 	wB.Add(q2, 1)
 	wB.Add(ins, 0.5)
-	recB, err := search.Advise(wB, cfg.Advisor)
+	recB, err := search.Advise(wB, advisor)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: crashchaos: advise B: %w", err)
 	}
@@ -254,50 +252,85 @@ func chaosInsertParams(base, i int) executor.Params {
 	}
 }
 
-// chaosRun executes one A -> B live migration on a fresh replicated
+// restart is the tail every crashed run shares: the process comes back
+// over the surviving cluster with a fresh coordinator (in-memory hints
+// lost), the journal reopened from its durable bytes and the
+// cross-crash verifier re-attached; it replays, settle finishes what
+// recovery decided, the invariants are checked and — whatever recovery
+// decided — the restarted system must serve.
+func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc harness.ReplicationConfig, v *verify.Verifier,
+	durable []byte, pr *search.PhaseRecommendation, ropts harness.RecoverOptions,
+	settle func(*harness.System, *harness.RecoverReport) error) error {
+	j, recs, err := journal.Open(durable, journal.Options{})
+	if err != nil {
+		return fmt.Errorf("reopen journal: %w", err)
+	}
+	sys, err := c.system(systemSpec{name: name, repl: &rc, restart: crashed, verifier: v, journal: j})
+	if err != nil {
+		return err
+	}
+	rep, err := sys.Recover(f.ds, recs, pr, ropts)
+	if err != nil {
+		return fmt.Errorf("recover: %w", err)
+	}
+	if err := settle(sys, rep); err != nil {
+		return err
+	}
+	vrep, err := sys.VerifyCheck()
+	if err != nil {
+		return fmt.Errorf("verify: %w", err)
+	}
+	if !vrep.OK() {
+		return fmt.Errorf("invariants violated after recovery (outcome %v):\n%s", rep.Outcome, vrep.Format())
+	}
+	if _, err := sys.ExecStatement(f.query, f.queryParams); err != nil {
+		return fmt.Errorf("query after recovery: %w", err)
+	}
+	return nil
+}
+
+// migrationRun executes one A -> B live migration on a fresh replicated
 // cluster with the journal crash armed at append index armAt (negative
 // arms nothing), interleaving a query and an insert per step. A crash
 // restarts over the surviving cluster, recovers from the reopened
 // journal, drains a resumed migration, and runs the invariant check.
-func chaosRun(f *chaosFixture, cfg CrashChaosConfig, rc harness.ReplicationConfig,
-	rate float64, seed, armAt int64, cell *CrashChaosCell) error {
-	sys, err := harness.NewReplicatedSystem("crashchaos", f.ds, f.recA, cost.DefaultParams(), rc)
-	if err != nil {
-		return err
-	}
+func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w weather, armAt int64, cell *CrashChaosCell) error {
 	v := verify.New()
-	sys.AttachVerifier(v)
-	sys.EnableNodeFaults(seed, faults.NodeRate(rate), executor.DefaultRetryPolicy())
 	cr := faults.NewCrashes()
 	if armAt >= 0 {
 		cr.Arm(faults.SiteJournal, armAt)
 	}
 	j := journal.New(journal.Options{Crashes: cr})
-	sys.AttachJournal(j)
-	sys.EnableCrashes(cr)
+	sys, err := c.system(systemSpec{
+		name: "crashchaos", rec: f.recA, repl: &rc, weather: &w,
+		verifier: v, journal: j, crashes: cr,
+	})
+	if err != nil {
+		return err
+	}
 
 	// Unlimited fault budget: bad-weather backfill retries instead of
 	// aborting, so the sweep measures crashes, not budget policy (the
 	// budget boundary has its own tests).
-	liveOpts := migrate.LiveOptions{ChunkRecords: cfg.ChunkRecords, FaultBudget: -1, Params: migrate.DefaultCostParams()}
+	liveOpts := migrate.LiveOptions{ChunkRecords: crashChaosChunkRecords, FaultBudget: -1, Params: migrate.DefaultCostParams()}
 	pr := &search.PhaseRecommendation{Rec: f.recB, Build: f.build, Drop: f.drop}
 	crashed := false
 	if _, err := sys.StartLiveMigration(f.ds, pr, liveOpts); err != nil {
 		if !faults.IsCrash(err) {
-			return fmt.Errorf("arm %d: start: %w", armAt, err)
+			return fmt.Errorf("start: %w", err)
 		}
 		crashed = true
 	}
 	for i := 0; !crashed && sys.LiveActive(); i++ {
 		if i > 10_000 {
-			return fmt.Errorf("arm %d: migration neither finished nor crashed", armAt)
+			return errors.New("migration neither finished nor crashed")
 		}
 		if _, err := sys.LiveStep(); err != nil {
 			if faults.IsCrash(err) {
 				crashed = true
 				break
 			}
-			return fmt.Errorf("arm %d: step %d: %w", armAt, i, err)
+			return fmt.Errorf("step %d: %w", i, err)
 		}
 		for _, stmt := range []struct {
 			s workload.Statement
@@ -312,13 +345,13 @@ func chaosRun(f *chaosFixture, cfg CrashChaosConfig, rc harness.ReplicationConfi
 			case faults.IsCrash(err):
 				crashed = true
 			default:
-				return fmt.Errorf("arm %d: statement at step %d: %w", armAt, i, err)
+				return fmt.Errorf("statement at step %d: %w", i, err)
 			}
 		}
 	}
 	if !crashed {
 		if armAt >= 0 {
-			return fmt.Errorf("arm %d: armed crash never fired", armAt)
+			return errors.New("armed crash never fired")
 		}
 		rep, err := sys.VerifyCheck()
 		if err != nil {
@@ -329,81 +362,59 @@ func chaosRun(f *chaosFixture, cfg CrashChaosConfig, rc harness.ReplicationConfi
 		}
 		cell.JournalRecords = j.Records()
 		cell.Verified++
-		cfg.Obs.Merge(sys.Obs())
 		return nil
 	}
 
-	// Restart: reopen the durable journal over the surviving cluster
-	// with a fresh coordinator, re-attach the cross-crash verifier,
-	// replay, finish what recovery decided, verify.
-	j2, recs, err := journal.Open(j.Durable(), journal.Options{})
+	err = f.restart(c, "recovered", sys, rc, v, j.Durable(), pr, harness.RecoverOptions{Live: liveOpts},
+		func(recovered *harness.System, rep *harness.RecoverReport) error {
+			cell.CrashRuns++
+			cell.RecoverySimMillis += rep.SimMillis
+			switch rep.Outcome {
+			case harness.RecoverResumed:
+				cell.Resumed++
+				cell.RecopiedRecords += rep.TotalRecords - rep.Watermark
+				if st, err := recovered.DrainLiveMigration(0); err != nil || st != migrate.StateDone {
+					return fmt.Errorf("drain resumed migration: state %v, err %w", st, err)
+				}
+			case harness.RecoverCompleted:
+				cell.Completed++
+			case harness.RecoverRolledBack:
+				cell.RolledBack++
+			case harness.RecoverNone:
+				cell.None++
+			}
+			return nil
+		})
 	if err != nil {
-		return fmt.Errorf("arm %d: reopen journal: %w", armAt, err)
-	}
-	sys2 := harness.NewReplicatedSystemFromStore("recovered", sys.Repl, sys.Rec(), cost.DefaultParams(), rc)
-	sys2.AttachVerifier(v)
-	sys2.AttachJournal(j2)
-	rep, err := sys2.Recover(f.ds, recs, pr, harness.RecoverOptions{Live: liveOpts})
-	if err != nil {
-		return fmt.Errorf("arm %d: recover: %w", armAt, err)
-	}
-	cell.CrashRuns++
-	cell.RecoverySimMillis += rep.SimMillis
-	switch rep.Outcome {
-	case harness.RecoverResumed:
-		cell.Resumed++
-		cell.RecopiedRecords += rep.TotalRecords - rep.Watermark
-		if st, err := sys2.DrainLiveMigration(0); err != nil || st != migrate.StateDone {
-			return fmt.Errorf("arm %d: drain resumed migration: state %v, err %w", armAt, st, err)
-		}
-	case harness.RecoverCompleted:
-		cell.Completed++
-	case harness.RecoverRolledBack:
-		cell.RolledBack++
-	case harness.RecoverNone:
-		cell.None++
-	}
-	vrep, err := sys2.VerifyCheck()
-	if err != nil {
-		return fmt.Errorf("arm %d: verify: %w", armAt, err)
-	}
-	if !vrep.OK() {
-		return fmt.Errorf("arm %d: invariants violated after recovery (outcome %v):\n%s",
-			armAt, rep.Outcome, vrep.Format())
+		return err
 	}
 	cell.Verified++
-	// Whatever recovery decided, the recovered system must serve.
-	if _, err := sys2.ExecStatement(f.query, f.queryParams); err != nil {
-		return fmt.Errorf("arm %d: query after recovery: %w", armAt, err)
-	}
-	cfg.Obs.Merge(sys2.Obs())
 	return nil
 }
 
-// chaosSiteRun is one coordinator crash-restart episode at QUORUM: a
+// siteRun is one coordinator crash-restart episode at QUORUM: a
 // replica of the query family's c0 partition goes down, writes queue
 // hints against it, it comes back, and the armed crash fires inside
 // hint replay (handoff) or divergence repair (read repair). The
 // cluster then restarts with a fresh coordinator — hints die with the
 // process — and the verifier checks every acknowledged write is still
 // durable somewhere.
-func chaosSiteRun(f *chaosFixture, cfg CrashChaosConfig, rc harness.ReplicationConfig,
-	rate float64, seed int64, site string) (CrashChaosSiteCell, error) {
-	out := CrashChaosSiteCell{Site: site, Rate: rate}
+func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w weather, site string) (CrashChaosSiteCell, error) {
+	out := CrashChaosSiteCell{Site: site, Rate: w.rate}
 	rc.Read, rc.Write = executor.Quorum, executor.Quorum
-	sys, err := harness.NewReplicatedSystem("crashchaos-site", f.ds, f.recA, cost.DefaultParams(), rc)
+	v := verify.New()
+	cr := faults.NewCrashes()
+	sys, err := c.system(systemSpec{
+		name: "crashchaos-site", rec: f.recA, repl: &rc, weather: &w,
+		verifier: v, crashes: cr,
+	})
 	if err != nil {
 		return out, err
 	}
-	v := verify.New()
-	sys.AttachVerifier(v)
-	sys.EnableNodeFaults(seed, faults.NodeRate(rate), executor.DefaultRetryPolicy())
-	cr := faults.NewCrashes()
-	sys.EnableCrashes(cr)
 
 	replicas := sys.Repl.ReplicasFor(f.queryCF, []backend.Value{"c0"})
 	if len(replicas) == 0 {
-		return out, fmt.Errorf("%s: no replicas for %s", site, f.queryCF)
+		return out, fmt.Errorf("no replicas for %s", f.queryCF)
 	}
 	if err := sys.MarkNodeDown(replicas[0]); err != nil {
 		return out, err
@@ -415,12 +426,12 @@ func chaosSiteRun(f *chaosFixture, cfg CrashChaosConfig, rc harness.ReplicationC
 		case err == nil:
 		case errors.Is(err, harness.ErrUnavailable):
 		default:
-			return out, fmt.Errorf("%s: write with a replica down: %w", site, err)
+			return out, fmt.Errorf("write with a replica down: %w", err)
 		}
 	}
 	out.HintsQueued = sys.Robustness().Replica.HintsQueued
 	if out.HintsQueued == 0 {
-		return out, fmt.Errorf("%s: no hints queued against the downed replica", site)
+		return out, errors.New("no hints queued against the downed replica")
 	}
 	if err := sys.MarkNodeUp(replicas[0]); err != nil {
 		return out, err
@@ -451,36 +462,24 @@ func chaosSiteRun(f *chaosFixture, cfg CrashChaosConfig, rc harness.ReplicationC
 			out.OpsToCrash = i + 1
 		case err == nil, errors.Is(err, harness.ErrUnavailable):
 		default:
-			return out, fmt.Errorf("%s: non-crash error: %w", site, err)
+			return out, fmt.Errorf("non-crash error: %w", err)
 		}
 	}
 	if !crashed {
-		return out, fmt.Errorf("%s: armed crash never fired", site)
+		return out, errors.New("armed crash never fired")
 	}
 
-	sys2 := harness.NewReplicatedSystemFromStore("restarted", sys.Repl, sys.Rec(), cost.DefaultParams(), rc)
-	sys2.AttachVerifier(v)
-	sys2.AttachJournal(journal.New(journal.Options{}))
-	rep, err := sys2.Recover(f.ds, nil, nil, harness.RecoverOptions{})
-	if err != nil {
-		return out, fmt.Errorf("%s: recover: %w", site, err)
-	}
-	if rep.Outcome != harness.RecoverNone {
-		return out, fmt.Errorf("%s: recover outcome %v, want none (no migration in flight)", site, rep.Outcome)
-	}
-	vrep, err := sys2.VerifyCheck()
-	if err != nil {
-		return out, err
-	}
-	if !vrep.OK() {
-		return out, fmt.Errorf("%s: invariants violated after restart:\n%s", site, vrep.Format())
-	}
-	if _, err := sys2.ExecStatement(f.query, f.queryParams); err != nil {
-		return out, fmt.Errorf("%s: query after restart: %w", site, err)
-	}
-	out.Verified = true
-	cfg.Obs.Merge(sys2.Obs())
-	return out, nil
+	// No journal was attached, so nothing durable to replay and no
+	// migration in flight for recovery to find.
+	err = f.restart(c, "restarted", sys, rc, v, nil, nil, harness.RecoverOptions{},
+		func(_ *harness.System, rep *harness.RecoverReport) error {
+			if rep.Outcome != harness.RecoverNone {
+				return fmt.Errorf("recover outcome %v, want none (no migration in flight)", rep.Outcome)
+			}
+			return nil
+		})
+	out.Verified = err == nil
+	return out, err
 }
 
 // RunCrashChaos is the deterministic crash-recovery chaos sweep: per
@@ -495,55 +494,55 @@ func chaosSiteRun(f *chaosFixture, cfg CrashChaosConfig, rc harness.ReplicationC
 // the same config and seed reproduce every byte at any advisor worker
 // count.
 func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosResult, error) {
-	levels := cfg.Levels
-	if len(levels) == 0 {
-		levels = []executor.Consistency{executor.One, executor.Quorum, executor.All}
-	}
-	rates := cfg.Rates
-	if len(rates) == 0 {
-		rates = DefaultCrashChaosRates
-	}
-	if cfg.ChunkRecords <= 0 {
-		cfg.ChunkRecords = 5
-	}
-	f, err := buildChaosFixture(cfg)
+	rates := nonEmpty(cfg.Rates, DefaultCrashChaosRates)
+	f, err := buildChaosFixture(advisorOptions(cfg.Advisor, cfg.Obs, nil))
 	if err != nil {
 		return nil, err
 	}
 
 	repl := harness.ReplicationConfig{Nodes: cfg.Nodes, RF: cfg.RF}.Normalized()
-	res := &CrashChaosResult{Levels: levels, Nodes: repl.Nodes, RF: repl.RF, ChunkRecords: cfg.ChunkRecords}
-	lane := int64(0)
+	sw := &sweep{name: "crashchaos", ds: f.ds, obs: cfg.Obs}
+	res := &CrashChaosResult{Levels: DefaultQuorumLevels, Nodes: repl.Nodes, RF: repl.RF, ChunkRecords: crashChaosChunkRecords}
+	// Every cell draws its node faults from its own stream: the seed
+	// plus the cell's ordinal.
+	cells := int64(0)
 	for _, rate := range rates {
 		row := CrashChaosRow{Rate: rate, Cells: map[string]CrashChaosCell{}}
-		for _, level := range levels {
-			rc := repl
-			rc.Read, rc.Write = level, level
-			lane++
-			seed := cfg.Seed + lane
-			cell := CrashChaosCell{}
-			// Clean run first: its append count is the sweep's crash
-			// point list.
-			if err := chaosRun(f, cfg, rc, rate, seed, -1, &cell); err != nil {
-				return nil, fmt.Errorf("experiments: crashchaos %s rate %g: %w", level, rate, err)
-			}
-			for k := 0; k < cell.JournalRecords; k++ {
-				if err := chaosRun(f, cfg, rc, rate, seed, int64(k), &cell); err != nil {
-					return nil, fmt.Errorf("experiments: crashchaos %s rate %g: %w", level, rate, err)
+		for _, level := range res.Levels {
+			cells++
+			w := weather{seed: cfg.Seed + cells, rate: rate}
+			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, level), func(c *cell) error {
+				rc := repl
+				rc.Read, rc.Write = level, level
+				cell := CrashChaosCell{}
+				// The clean run (arm -1) goes first: its append count is
+				// the list of crash points the armed runs sweep.
+				for arm := -1; arm < cell.JournalRecords; arm++ {
+					if err := f.migrationRun(c, rc, w, int64(arm), &cell); err != nil {
+						return fmt.Errorf("arm %d: %w", arm, err)
+					}
 				}
+				row.Cells[level.String()] = cell
+				return nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			row.Cells[level.String()] = cell
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	for _, rate := range rates {
 		for _, site := range []string{faults.SiteHandoff, faults.SiteReadRepair} {
-			lane++
-			cell, err := chaosSiteRun(f, cfg, repl, rate, cfg.Seed+lane, site)
+			cells++
+			w := weather{seed: cfg.Seed + cells, rate: rate}
+			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, site), func(c *cell) error {
+				cell, err := f.siteRun(c, repl, w, site)
+				res.Sites = append(res.Sites, cell)
+				return err
+			})
 			if err != nil {
-				return nil, fmt.Errorf("experiments: crashchaos site sweep rate %g: %w", rate, err)
+				return nil, err
 			}
-			res.Sites = append(res.Sites, cell)
 		}
 	}
 	return res, nil

@@ -6,11 +6,9 @@ import (
 	"strings"
 
 	"nose/internal/backend"
-	"nose/internal/cost"
 	"nose/internal/harness"
 	"nose/internal/migrate"
 	"nose/internal/rubis"
-	"nose/internal/schema"
 	"nose/internal/search"
 	"nose/internal/workload"
 )
@@ -35,12 +33,6 @@ type DriftConfig struct {
 	// Seed drives the transaction parameter sequences; both systems see
 	// identical sequences, so the comparison is paired.
 	Seed int64
-	// Migration prices column family builds. The zero value means
-	// migrate.DefaultCostParams(). The advisor sees these prices scaled
-	// by 1/(Phases·Executions) so its per-execution workload costs and
-	// the one-time build charges are on the same footing as the
-	// measured run.
-	Migration migrate.CostParams
 }
 
 // DefaultDriftRates sweeps from no drift to full browsing→write100
@@ -163,6 +155,88 @@ func averageWorkload(w *workload.Workload, txns []*rubis.Transaction, weights []
 	return avg
 }
 
+// withDefaults fills the timeline shape RunDrift and RunOnline share.
+func (cfg DriftConfig) withDefaults() DriftConfig {
+	cfg.Base.Executions = positive(cfg.Base.Executions, 60)
+	cfg.Rates = nonEmpty(cfg.Rates, DefaultDriftRates)
+	if cfg.Phases < 2 {
+		cfg.Phases = DefaultDriftPhases
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 7
+	}
+	return cfg
+}
+
+// timeline is one drift rate's phased workload and the two advices
+// every strategy of RunDrift and RunOnline starts from.
+type timeline struct {
+	// weights are each transaction's normalized weights per phase.
+	weights []map[string]float64
+	// start is advised once, on the mean of the phases a strategy that
+	// never re-advises may know.
+	start *search.Recommendation
+	// series is AdviseSeries over the declared phases. Column family
+	// builds are priced at migrate.DefaultCostParams(); the advisor sees
+	// those prices scaled by 1/(phases·executions) so its per-execution
+	// workload costs and the one-time build charges are on the same
+	// footing as the measured run.
+	series *search.SeriesRecommendation
+}
+
+// newTimeline advises one drift rate: start on the mean of the first
+// known phases, series on all of them.
+func newTimeline(f *fixture, rate float64, phases, known int) (*timeline, error) {
+	tl := &timeline{weights: driftWeights(f.txns, rate, phases)}
+	var err error
+	tl.start, err = search.Advise(averageWorkload(f.w, f.txns, tl.weights[:known]), f.advisor)
+	if err != nil {
+		return nil, fmt.Errorf("static advise: %w", err)
+	}
+	phased := *f.w
+	phased.Phases = driftPhases(f.w, f.txns, tl.weights)
+	opts := f.advisor
+	opts.Migration = migrate.DefaultCostParams().Scale(1 / (float64(phases) * float64(f.cfg.Executions)))
+	tl.series, err = search.AdviseSeries(&phased, opts)
+	if err != nil {
+		return nil, fmt.Errorf("series advise: %w", err)
+	}
+	return tl, nil
+}
+
+// installOnce is the migration plan of a strategy that builds rec
+// before phase 0 and never changes schema again.
+func installOnce(rec *search.Recommendation, phases int) []*search.PhaseRecommendation {
+	plan := make([]*search.PhaseRecommendation, phases)
+	plan[0] = &search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()}
+	return plan
+}
+
+// serve drives sys through a timeline: before phase t it migrates
+// stop-the-world to plan[t] where that is set, booking the charge into
+// cell, then run executes the phase's transactions. Systems start empty
+// and build their first schema through this same accounted path, so
+// initial installation is charged to every strategy compared.
+func serve(sys *harness.System, ds *backend.Dataset, plan []*search.PhaseRecommendation, cell *OnlineCell, run func(t int) error) error {
+	for t, pr := range plan {
+		if pr != nil {
+			res, err := sys.Migrate(ds, pr, migrate.DefaultCostParams())
+			if err != nil {
+				return err
+			}
+			cell.MigrationMillis += res.SimMillis
+			cell.FamiliesBuilt += len(res.Built)
+			if len(res.Built) > 0 {
+				cell.Migrations++
+			}
+		}
+		if err := run(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // RunDrift sweeps drift rates over RUBiS and measures advise-once
 // versus re-advise-per-phase on total simulated cost, migration charges
 // included. Everything is deterministic: the same config and seed
@@ -171,154 +245,65 @@ func averageWorkload(w *workload.Workload, txns []*rubis.Transaction, weights []
 // should keep one schema; as the rate grows, the phase workloads pull
 // apart and mid-run migrations start paying for themselves.
 func RunDrift(cfg DriftConfig) (*DriftResult, error) {
-	if cfg.Base.Executions <= 0 {
-		cfg.Base.Executions = 60
-	}
-	if cfg.Phases < 2 {
-		cfg.Phases = DefaultDriftPhases
-	}
-	rates := cfg.Rates
-	if len(rates) == 0 {
-		rates = DefaultDriftRates
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 7
-	}
-	migMeasured := cfg.Migration
-	if migMeasured == (migrate.CostParams{}) {
-		migMeasured = migrate.DefaultCostParams()
-	}
-	migAdvisor := migMeasured.Scale(1 / (float64(cfg.Phases) * float64(cfg.Base.Executions)))
-
-	ds, err := rubis.Generate(cfg.Base.RUBiS)
+	cfg = cfg.withDefaults()
+	f, err := newFixture(cfg.Base)
 	if err != nil {
 		return nil, err
 	}
-	w, txns, err := rubis.Workload(ds.Graph)
-	if err != nil {
-		return nil, err
-	}
-
+	sw := f.sweep("drift")
 	res := &DriftResult{Phases: cfg.Phases, Executions: cfg.Base.Executions}
-	for _, rate := range rates {
-		row, err := runDriftRate(cfg, ds, w, txns, rate, migMeasured, migAdvisor)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: drift rate %g: %w", rate, err)
-		}
-		res.Rows = append(res.Rows, *row)
-	}
-	return res, nil
-}
-
-// runDriftRate measures one drift rate: advise both strategies, install
-// both systems through the accounted migration path, then execute the
-// same phased transaction schedule against each.
-func runDriftRate(cfg DriftConfig, ds *backend.Dataset, w *workload.Workload, txns []*rubis.Transaction, rate float64, migMeasured, migAdvisor migrate.CostParams) (*DriftRow, error) {
-	weights := driftWeights(txns, rate, cfg.Phases)
-
-	phased := *w
-	phased.Phases = driftPhases(w, txns, weights)
-	avg := averageWorkload(w, txns, weights)
-
-	advOpts := cfg.Base.Advisor
-	if cfg.Base.Obs != nil {
-		advOpts.Obs = cfg.Base.Obs
-	}
-	if cfg.Base.Trace != nil {
-		advOpts.Trace = cfg.Base.Trace
-	}
-	staticRec, err := search.Advise(avg, advOpts)
-	if err != nil {
-		return nil, fmt.Errorf("static advise: %w", err)
-	}
-	seriesOpts := advOpts
-	seriesOpts.Migration = migAdvisor
-	series, err := search.AdviseSeries(&phased, seriesOpts)
-	if err != nil {
-		return nil, fmt.Errorf("series advise: %w", err)
-	}
-
-	// Both systems start empty and build their first schema through the
-	// same accounted migration path, so initial installation is charged
-	// on both sides of the comparison.
-	lat := cost.DefaultParams()
-	emptyRec := func() *search.Recommendation {
-		return &search.Recommendation{Schema: schema.NewSchema()}
-	}
-	staticSys, err := harness.NewSystem("Static", ds, emptyRec(), lat)
-	if err != nil {
-		return nil, err
-	}
-	readvSys, err := harness.NewSystem("Readvised", ds, emptyRec(), lat)
-	if err != nil {
-		return nil, err
-	}
-	staticSys.EnableTrace(cfg.Base.Trace, 1, fmt.Sprintf("drift/%.2f/static", rate))
-	readvSys.EnableTrace(cfg.Base.Trace, 2, fmt.Sprintf("drift/%.2f/readvised", rate))
-	defer func() {
-		cfg.Base.Obs.Merge(staticSys.Obs())
-		cfg.Base.Obs.Merge(readvSys.Obs())
-	}()
-
-	row := &DriftRow{Rate: rate}
-	record := func(cell *DriftCell, mres *migrate.Result) {
-		cell.MigrationMillis += mres.SimMillis
-		cell.FamiliesBuilt += len(mres.Built)
-		if len(mres.Built) > 0 {
-			cell.Migrations++
-		}
-	}
-	mres, err := staticSys.Migrate(ds, &search.PhaseRecommendation{
-		Rec:   staticRec,
-		Build: staticRec.Schema.Indexes(),
-	}, migMeasured)
-	if err != nil {
-		return nil, err
-	}
-	record(&row.Static, mres)
-
-	for t := 0; t < cfg.Phases; t++ {
-		mres, err := readvSys.Migrate(ds, series.Phases[t], migMeasured)
+	for _, rate := range cfg.Rates {
+		err := sw.cell(fmt.Sprintf("rate=%g", rate), func(c *cell) error {
+			tl, err := newTimeline(f, rate, cfg.Phases, cfg.Phases)
+			if err != nil {
+				return err
+			}
+			row := DriftRow{Rate: rate}
+			for _, strategy := range []struct {
+				name string
+				plan []*search.PhaseRecommendation
+				cell *DriftCell
+			}{
+				{"Static", installOnce(tl.start, cfg.Phases), &row.Static},
+				{"Readvised", tl.series.Phases, &row.Readvised},
+			} {
+				sys, err := c.system(systemSpec{name: strategy.name})
+				if err != nil {
+					return err
+				}
+				// A drift cell is an online cell that can lose nothing.
+				var total OnlineCell
+				err = serve(sys, f.ds, strategy.plan, &total, func(t int) error {
+					for ti, txn := range f.txns {
+						// The same (seed, n) gives both systems identical
+						// parameters.
+						n := int(math.Round(tl.weights[t][txn.Name] * float64(cfg.Base.Executions)))
+						millis, _, err := measure(sys, txn, n, f.params(cfg.Seed+int64(1000*t+ti)))
+						if err != nil {
+							return err
+						}
+						total.WorkloadMillis += sum(millis)
+					}
+					return nil
+				})
+				if err != nil {
+					return err
+				}
+				*strategy.cell = DriftCell{
+					WorkloadMillis:  total.WorkloadMillis,
+					MigrationMillis: total.MigrationMillis,
+					Migrations:      total.Migrations,
+					FamiliesBuilt:   total.FamiliesBuilt,
+				}
+			}
+			res.Rows = append(res.Rows, row)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		record(&row.Readvised, mres)
-
-		for ti, txn := range txns {
-			n := int(math.Round(weights[t][txn.Name] * float64(cfg.Base.Executions)))
-			if n <= 0 {
-				continue
-			}
-			seed := cfg.Seed + int64(1000*t+ti)
-			sms, err := runDriftTxn(staticSys, txn, n, cfg.Base.RUBiS, seed)
-			if err != nil {
-				return nil, err
-			}
-			row.Static.WorkloadMillis += sms
-			rms, err := runDriftTxn(readvSys, txn, n, cfg.Base.RUBiS, seed)
-			if err != nil {
-				return nil, err
-			}
-			row.Readvised.WorkloadMillis += rms
-		}
 	}
-	return row, nil
-}
-
-// runDriftTxn executes n instances of a transaction with a fresh,
-// seeded parameter sequence — the same (seed, n) gives both systems
-// identical parameters.
-func runDriftTxn(sys *harness.System, txn *rubis.Transaction, n int, rc rubis.Config, seed int64) (float64, error) {
-	ps := rubis.NewParamSource(rc, seed)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		ms, err := sys.ExecTransaction(txn.Statements, ps.Params(txn.Name))
-		if err != nil {
-			return total, fmt.Errorf("%s on %s: %w", txn.Name, sys.Name, err)
-		}
-		total += ms
-	}
-	return total, nil
+	return res, nil
 }
 
 // Format renders the sweep as a comparison table.

@@ -1,22 +1,11 @@
-// Package experiments regenerates the paper's evaluation figures
-// (§VII): per-transaction response times under three schemas
-// (Fig. 11), weighted response times across workload mixes (Fig. 12),
-// and advisor runtime versus workload scale (Fig. 13). Absolute
-// numbers come from the simulated record store, so the reproduction
-// target is the shape of each figure — which schema wins where, and by
-// roughly what factor — not the paper's absolute milliseconds.
 package experiments
 
 import (
 	"fmt"
 	"strings"
 
-	"nose/internal/backend"
-	"nose/internal/baselines"
-	"nose/internal/cost"
 	"nose/internal/harness"
 	"nose/internal/obs"
-	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/search"
 )
@@ -70,148 +59,59 @@ type Fig11Config struct {
 	Trace *obs.Tracer
 }
 
-// buildRecommendations generates the dataset and derives the three
-// schemas' recommendations — the expensive, fault-independent half of
-// system construction. Chaos sweeps reuse one set of recommendations
-// across many fault rates.
-func buildRecommendations(cfg Fig11Config) (*backend.Dataset, []*rubis.Transaction, map[string]*search.Recommendation, error) {
-	ds, err := rubis.Generate(cfg.RUBiS)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	g := ds.Graph
-	w, txns, err := rubis.Workload(g)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if cfg.Mix != "" {
-		w.ActiveMix = cfg.Mix
-	}
-	if cfg.Obs != nil {
-		cfg.Advisor.Obs = cfg.Obs
-	}
-	if cfg.Trace != nil {
-		cfg.Advisor.Trace = cfg.Trace
-	}
-
-	noseRec, err := search.Advise(w, cfg.Advisor)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("experiments: NoSE advise: %w", err)
-	}
-	normPool, err := baselines.Normalized(w)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	normRec, err := baselines.Recommend(w, normPool, cost.Default(), planner.DefaultConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	expPool, err := baselines.ExpertRUBiS(g)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	expRec, err := baselines.Recommend(w, expPool, cost.Default(), planner.DefaultConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	recs := map[string]*search.Recommendation{
-		"NoSE": noseRec, "Normalized": normRec, "Expert": expRec,
-	}
-	return ds, txns, recs, nil
-}
-
-// installSystems loads each recommendation into a fresh store,
-// returning the systems in SystemNames order. Fresh stores per call
-// keep repeated runs (e.g. one per fault rate) independent of earlier
-// runs' mutations.
-func installSystems(ds *backend.Dataset, recs map[string]*search.Recommendation) ([]*harness.System, error) {
-	var systems []*harness.System
-	for _, name := range SystemNames {
-		sys, err := harness.NewSystem(name, ds, recs[name], cost.DefaultParams())
-		if err != nil {
-			return nil, err
-		}
-		systems = append(systems, sys)
-	}
-	return systems, nil
-}
-
-// buildSystems generates the dataset once and installs the three
-// schemas, returning them in SystemNames order.
-func buildSystems(cfg Fig11Config) (*backend.Dataset, []*rubis.Transaction, []*harness.System, error) {
-	ds, txns, recs, err := buildRecommendations(cfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	systems, err := installSystems(ds, recs)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ds, txns, systems, nil
-}
-
 // RunFig11 measures per-transaction average response times on the
 // three schemas.
 func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
-	if cfg.Executions <= 0 {
-		cfg.Executions = 50
-	}
-	_, txns, systems, err := buildSystems(cfg)
+	f, err := newFixture(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for i, sys := range systems {
-		sys.EnableTrace(cfg.Trace, i+1, "fig11/"+sys.Name)
-	}
-	// Each system's registry merges into the run registry once its
-	// measurement is done; addition commutes, so the totals are
-	// independent of how the advisor split its work.
-	defer func() {
-		for _, sys := range systems {
-			cfg.Obs.Merge(sys.Obs())
-		}
-	}()
+	return fig11Mix(f, f.sweep("fig11"), cfg.Mix)
+}
 
-	mix := cfg.Mix
-	if mix == "" {
-		mix = rubis.MixBidding
+// fig11Mix is one cell of Fig. 11 and Fig. 12: advise the three schemas
+// for a mix, install each in a fresh store, measure every transaction
+// of the mix on each.
+func fig11Mix(f *fixture, sw *sweep, mix string) (*Fig11Result, error) {
+	f.cfg.Executions = positive(f.cfg.Executions, 50)
+	if err := f.advise(mix); err != nil {
+		return nil, err
 	}
-
 	res := &Fig11Result{WeightedAvg: map[string]float64{}}
-	totalsBySystem := map[string]float64{}
-	weightSum := 0.0
-
-	for _, txn := range txns {
-		weight := rubis.TransactionWeight(txn, mix)
-		if weight <= 0 {
-			continue // not part of this mix; no plan exists for it
-		}
-		row := Fig11Row{Transaction: txn.Name, Millis: map[string]float64{}}
-		// Identical parameter sequences per system keep the comparison
-		// fair and the mutations identical.
-		for _, sys := range systems {
-			ps := rubis.NewParamSource(cfg.RUBiS, 4242)
-			total := 0.0
-			for i := 0; i < cfg.Executions; i++ {
-				ms, err := sys.ExecTransaction(txn.Statements, ps.Params(txn.Name))
-				if err != nil {
-					return nil, fmt.Errorf("experiments: %s on %s: %w", txn.Name, sys.Name, err)
-				}
-				total += ms
+	err := sw.cell(f.mix, func(c *cell) error {
+		var systems []*harness.System
+		for _, name := range SystemNames {
+			sys, err := c.system(systemSpec{name: name, rec: f.recs[name]})
+			if err != nil {
+				return err
 			}
-			row.Millis[sys.Name] = total / float64(cfg.Executions)
+			systems = append(systems, sys)
 		}
-		res.Rows = append(res.Rows, row)
-		if weight > 0 {
+		totalsBySystem := map[string]float64{}
+		weightSum := 0.0
+		for _, txn := range f.active {
+			row := Fig11Row{Transaction: txn.Name, Millis: map[string]float64{}}
+			for _, sys := range systems {
+				millis, _, err := measure(sys, txn, f.cfg.Executions, f.params(paramSeed))
+				if err != nil {
+					return err
+				}
+				row.Millis[sys.Name] = sum(millis) / float64(f.cfg.Executions)
+			}
+			res.Rows = append(res.Rows, row)
+			weight := rubis.TransactionWeight(txn, f.mix)
 			weightSum += weight
 			for name, ms := range row.Millis {
 				totalsBySystem[name] += weight * ms
 			}
 		}
-	}
-	for name, total := range totalsBySystem {
-		res.WeightedAvg[name] = total / weightSum
+		for name, total := range totalsBySystem {
+			res.WeightedAvg[name] = total / weightSum
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	for _, row := range res.Rows {

@@ -29,13 +29,16 @@ type Fig12Result struct {
 // mix ("each of these workload mixes leads to a different NoSE
 // schema"); the baselines are fixed designs.
 func RunFig12(cfg Fig11Config) (*Fig12Result, error) {
+	f, err := newFixture(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sw := f.sweep("fig12")
 	res := &Fig12Result{}
 	for _, mix := range rubis.Mixes {
-		sub := cfg
-		sub.Mix = mix
-		f11, err := RunFig11(sub)
+		f11, err := fig11Mix(f, sw, mix)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: mix %s: %w", mix, err)
+			return nil, err
 		}
 		res.Rows = append(res.Rows, Fig12Row{Mix: mix, Millis: f11.WeightedAvg})
 	}

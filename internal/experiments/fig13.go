@@ -49,30 +49,35 @@ type Fig13Config struct {
 // RunFig13 measures advisor runtime on random workloads of growing
 // scale.
 func RunFig13(cfg Fig13Config) (*Fig13Result, error) {
-	if cfg.MaxFactor <= 0 {
-		cfg.MaxFactor = 5
-	}
+	cfg.MaxFactor = positive(cfg.MaxFactor, 5)
+	sw := &sweep{name: "fig13"}
 	res := &Fig13Result{}
 	for factor := 1; factor <= cfg.MaxFactor; factor++ {
-		w, err := randwork.Generate(randwork.Config{Factor: factor, Seed: cfg.Seed})
+		err := sw.cell(fmt.Sprintf("factor=%d", factor), func(*cell) error {
+			w, err := randwork.Generate(randwork.Config{Factor: factor, Seed: cfg.Seed})
+			if err != nil {
+				return err
+			}
+			rec, err := search.Advise(w, cfg.Advisor)
+			if err != nil {
+				return err
+			}
+			t := rec.Timings
+			res.Rows = append(res.Rows, Fig13Row{
+				Factor:          factor,
+				CostCalculation: t.CostCalculation,
+				BIPConstruction: t.BIPConstruction,
+				BIPSolving:      t.BIPSolving,
+				Other:           t.Enumeration + t.Other,
+				Total:           t.Total,
+				Candidates:      rec.Stats.Candidates,
+				Constraints:     rec.Stats.Constraints,
+			})
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		rec, err := search.Advise(w, cfg.Advisor)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: factor %d: %w", factor, err)
-		}
-		t := rec.Timings
-		res.Rows = append(res.Rows, Fig13Row{
-			Factor:          factor,
-			CostCalculation: t.CostCalculation,
-			BIPConstruction: t.BIPConstruction,
-			BIPSolving:      t.BIPSolving,
-			Other:           t.Enumeration + t.Other,
-			Total:           t.Total,
-			Candidates:      rec.Stats.Candidates,
-			Constraints:     rec.Stats.Constraints,
-		})
 	}
 	return res, nil
 }

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"nose/internal/cost"
 	"nose/internal/executor"
 	"nose/internal/harness"
 	"nose/internal/load"
-	"nose/internal/rubis"
 )
 
 // LoadConfig parameterizes the latency-under-load sweep: the
@@ -19,9 +17,6 @@ type LoadConfig struct {
 	// Base configures the dataset, mix and advisor as in Fig. 11
 	// (Executions is unused — the horizon bounds the run instead).
 	Base Fig11Config
-	// Levels are the consistency levels compared (used for both reads
-	// and writes); empty means ONE, QUORUM, ALL.
-	Levels []executor.Consistency
 	// Clients is the swept closed-loop population sizes; empty means
 	// DefaultLoadClients.
 	Clients []int
@@ -106,7 +101,8 @@ type LoadResult struct {
 	Nodes, RF, Capacity int
 	// ThinkMillis and HorizonMillis record the client shape.
 	ThinkMillis, HorizonMillis float64
-	// Curves has one entry per consistency level, in Levels order.
+	// Curves has one entry per consistency level, in DefaultQuorumLevels
+	// order.
 	Curves []LoadCurve
 }
 
@@ -119,91 +115,61 @@ type LoadResult struct {
 // cost. Everything is deterministic: the same config and seed
 // reproduce the same table bit for bit at any advisor worker count.
 func RunLoad(cfg LoadConfig) (*LoadResult, error) {
-	levels := cfg.Levels
-	if len(levels) == 0 {
-		levels = DefaultQuorumLevels
-	}
-	clients := cfg.Clients
-	if len(clients) == 0 {
-		clients = DefaultLoadClients
-	}
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = DefaultLoadCapacity
-	}
-	think := cfg.ThinkMillis
-	if think <= 0 {
-		think = DefaultLoadThinkMillis
-	}
-	horizon := cfg.HorizonMillis
-	if horizon <= 0 {
-		horizon = DefaultLoadHorizonMillis
-	}
-
-	ds, txns, recs, err := buildRecommendations(cfg.Base)
+	clients := nonEmpty(cfg.Clients, DefaultLoadClients)
+	capacity := positive(cfg.Capacity, DefaultLoadCapacity)
+	think := positive(cfg.ThinkMillis, DefaultLoadThinkMillis)
+	horizon := positive(cfg.HorizonMillis, DefaultLoadHorizonMillis)
+	f, err := newAdvisedFixture(cfg.Base)
 	if err != nil {
 		return nil, err
 	}
-	rec := recs["NoSE"]
-	mix := cfg.Base.Mix
-	if mix == "" {
-		mix = rubis.MixBidding
-	}
-	var work []load.Transaction
-	for _, txn := range txns {
-		work = append(work, load.Transaction{
-			Name:       txn.Name,
-			Statements: txn.Statements,
-			Weight:     rubis.TransactionWeight(txn, mix),
-		})
-	}
 
 	repl := harness.ReplicationConfig{Nodes: cfg.Nodes, RF: cfg.RF}.Normalized()
+	sw := f.sweep("load")
 	res := &LoadResult{
 		Nodes: repl.Nodes, RF: repl.RF, Capacity: capacity,
 		ThinkMillis: think, HorizonMillis: horizon,
 	}
-	lane := 0
-	for _, level := range levels {
+	for _, level := range DefaultQuorumLevels {
 		curve := LoadCurve{Level: level}
 		for _, n := range clients {
 			// A fresh cluster per cell: each cell mutates its own stores
 			// and queues, so cells reproduce in isolation.
-			rc := repl
-			rc.Read, rc.Write = level, level
-			sys, err := harness.NewReplicatedSystem("NoSE", ds, rec, cost.DefaultParams(), rc)
+			err := sw.cell(fmt.Sprintf("%s clients=%d", level, n), func(c *cell) error {
+				rc := repl
+				rc.Read, rc.Write = level, level
+				sys, q, err := c.queuedSystem(systemSpec{name: "NoSE", rec: f.recs["NoSE"], repl: &rc}, capacity)
+				if err != nil {
+					return err
+				}
+				r, err := load.Run(sys, f.work, f.params(paramSeed).Params, q, load.Options{
+					Clients:       n,
+					ThinkMillis:   think,
+					HorizonMillis: horizon,
+					WarmupMillis:  horizon / 10,
+					Seed:          cfg.Seed,
+				})
+				if err != nil {
+					return err
+				}
+				curve.Cells = append(curve.Cells, LoadCell{
+					Clients:          n,
+					Started:          r.Started,
+					Completed:        r.Completed,
+					Unavailable:      r.Unavailable,
+					Lost:             r.Lost,
+					ThroughputPerSec: r.ThroughputPerSec,
+					P50Millis:        r.P50Millis,
+					P99Millis:        r.P99Millis,
+					QueueDelayMillis: r.QueueDelayMillis,
+					MaxUtilization:   r.MaxUtilization,
+					MaxDepth:         r.MaxDepth,
+				})
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			q := sys.EnableQueues(capacity)
-			lane++
-			sys.EnableTrace(cfg.Base.Trace, lane, fmt.Sprintf("load %s clients=%d", level, n))
-
-			ps := rubis.NewParamSource(cfg.Base.RUBiS, 4242)
-			r, err := load.Run(sys, work, ps.Params, q, load.Options{
-				Clients:       n,
-				ThinkMillis:   think,
-				HorizonMillis: horizon,
-				WarmupMillis:  horizon / 10,
-				Seed:          cfg.Seed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: load %s clients=%d: %w", level, n, err)
-			}
-			cfg.Base.Obs.Merge(sys.Obs())
-			curve.Cells = append(curve.Cells, LoadCell{
-				Clients:          n,
-				Started:          r.Started,
-				Completed:        r.Completed,
-				Unavailable:      r.Unavailable,
-				Lost:             r.Lost,
-				ThroughputPerSec: r.ThroughputPerSec,
-				P50Millis:        r.P50Millis,
-				P99Millis:        r.P99Millis,
-				QueueDelayMillis: r.QueueDelayMillis,
-				MaxUtilization:   r.MaxUtilization,
-				MaxDepth:         r.MaxDepth,
-			})
 		}
 		measureCapacity(&curve)
 		res.Curves = append(res.Curves, curve)

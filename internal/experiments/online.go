@@ -7,15 +7,11 @@ import (
 	"sort"
 	"strings"
 
-	"nose/internal/backend"
-	"nose/internal/cost"
 	"nose/internal/drift"
 	"nose/internal/executor"
-	"nose/internal/faults"
 	"nose/internal/harness"
 	"nose/internal/migrate"
 	"nose/internal/rubis"
-	"nose/internal/schema"
 	"nose/internal/search"
 	"nose/internal/workload"
 )
@@ -54,10 +50,6 @@ type OnlineConfig struct {
 	// sequences, and the fault streams; every strategy sees identical
 	// sequences, so comparisons are paired.
 	Seed int64
-	// Migration prices column family builds; the zero value means
-	// migrate.DefaultCostParams(). The oracle's advisor sees these
-	// prices scaled exactly as in RunDrift.
-	Migration migrate.CostParams
 	// FaultRate is the node fault rate for each drift rate's faulted
 	// row; 0 skips the faulted rows, negative means
 	// DefaultOnlineFaultRate.
@@ -65,9 +57,6 @@ type OnlineConfig struct {
 	// Detector tunes the drift detector; the zero value takes the
 	// drift package defaults.
 	Detector drift.Config
-	// FaultBudget is the live migration's abort budget per migration;
-	// 0 means migrate.DefaultFaultBudget.
-	FaultBudget int
 	// PenaltyMillis is the SLA penalty charged per transaction lost to
 	// unavailability — a query with no surviving plan under faults, or
 	// no plan at all because the serving schema was never advised for
@@ -277,19 +266,8 @@ func readviseWorkload(w *workload.Workload, txns []*rubis.Transaction, mix map[s
 // actually sees, and the oracle bounds online from below because it
 // knows the timeline in advance and pays no detection lag.
 func RunOnline(cfg OnlineConfig) (*OnlineResult, error) {
-	if cfg.Base.Executions <= 0 {
-		cfg.Base.Executions = 60
-	}
-	if cfg.Phases < 2 {
-		cfg.Phases = DefaultDriftPhases
-	}
-	rates := cfg.Rates
-	if len(rates) == 0 {
-		rates = DefaultDriftRates
-	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 7
-	}
+	d := DriftConfig{Base: cfg.Base, Rates: cfg.Rates, Phases: cfg.Phases, Seed: cfg.Seed}.withDefaults()
+	cfg.Base, cfg.Rates, cfg.Phases, cfg.Seed = d.Base, d.Rates, d.Phases, d.Seed
 	if cfg.FaultRate < 0 {
 		cfg.FaultRate = DefaultOnlineFaultRate
 	}
@@ -298,157 +276,113 @@ func RunOnline(cfg OnlineConfig) (*OnlineResult, error) {
 	} else if cfg.PenaltyMillis < 0 {
 		cfg.PenaltyMillis = 0
 	}
-	migMeasured := cfg.Migration
-	if migMeasured == (migrate.CostParams{}) {
-		migMeasured = migrate.DefaultCostParams()
-	}
-	migAdvisor := migMeasured.Scale(1 / (float64(cfg.Phases) * float64(cfg.Base.Executions)))
-
-	ds, err := rubis.Generate(cfg.Base.RUBiS)
-	if err != nil {
-		return nil, err
-	}
-	w, txns, err := rubis.Workload(ds.Graph)
+	f, err := newFixture(cfg.Base)
 	if err != nil {
 		return nil, err
 	}
 
+	sw := f.sweep("online")
 	res := &OnlineResult{
 		Phases:        cfg.Phases,
 		Executions:    cfg.Base.Executions,
 		FaultRate:     cfg.FaultRate,
 		PenaltyMillis: cfg.PenaltyMillis,
 	}
-	for _, rate := range rates {
+	for _, rate := range cfg.Rates {
 		for _, faulted := range []bool{false, true} {
 			if faulted && cfg.FaultRate == 0 {
 				continue
 			}
-			row, err := runOnlineRate(cfg, onlineRun{
-				ds: ds, w: w, txns: txns,
-				rate: rate, faulted: faulted,
-				migMeasured: migMeasured, migAdvisor: migAdvisor,
+			err := sw.cell(fmt.Sprintf("rate=%g faulted=%t", rate, faulted), func(c *cell) error {
+				// once and online both start from the phase-0 advice:
+				// neither may know the future, so statements with no
+				// phase-0 traffic are absent and their views unbuilt —
+				// when drift brings them, they are unanswerable
+				// (penalized) until a migration covers them. The oracle
+				// sees the declared timeline.
+				tl, err := newTimeline(f, rate, cfg.Phases, 1)
+				if err != nil {
+					return err
+				}
+				run := &onlineRun{
+					cfg: cfg, f: f, c: c, tl: tl, faulted: faulted,
+					schedule: onlineSchedule(f.txns, tl.weights, cfg.Base.Executions, cfg.Seed),
+				}
+				row := OnlineRow{Rate: rate, Faulted: faulted, Cells: map[string]OnlineCell{}}
+				for _, strategy := range []struct {
+					name string
+					plan []*search.PhaseRecommendation
+					live bool
+				}{
+					{"once", installOnce(tl.start, cfg.Phases), false},
+					{"oracle", tl.series.Phases, false},
+					{"online", installOnce(tl.start, cfg.Phases), true},
+				} {
+					cell, err := run.strategy(strategy.name, strategy.plan, strategy.live)
+					if err != nil {
+						return fmt.Errorf("%s: %w", strategy.name, err)
+					}
+					row.Cells[strategy.name] = cell
+				}
+				res.Rows = append(res.Rows, row)
+				return nil
 			})
 			if err != nil {
-				return nil, fmt.Errorf("experiments: online rate %g (faulted=%t): %w", rate, faulted, err)
+				return nil, err
 			}
-			res.Rows = append(res.Rows, *row)
 		}
 	}
 	return res, nil
 }
 
-// onlineRun carries one row's shared inputs.
+// onlineRun carries one row's shared inputs: the advised timeline and
+// the identical shuffled transaction schedule every strategy is driven
+// through.
 type onlineRun struct {
-	ds                      *backend.Dataset
-	w                       *workload.Workload
-	txns                    []*rubis.Transaction
-	rate                    float64
-	faulted                 bool
-	migMeasured, migAdvisor migrate.CostParams
+	cfg      OnlineConfig
+	f        *fixture
+	c        *cell
+	tl       *timeline
+	schedule [][]int
+	faulted  bool
 }
 
-// runOnlineRate measures one (drift rate, fault mode) row: advise the
-// three strategies, then drive each through the identical shuffled
-// transaction schedule.
-func runOnlineRate(cfg OnlineConfig, run onlineRun) (*OnlineRow, error) {
-	weights := driftWeights(run.txns, run.rate, cfg.Phases)
-	schedule := onlineSchedule(run.txns, weights, cfg.Base.Executions, cfg.Seed)
-
-	advOpts := cfg.Base.Advisor
-	if cfg.Base.Obs != nil {
-		advOpts.Obs = cfg.Base.Obs
+// system builds one strategy's system: empty schema (the initial
+// installation is charged through the migration path), plain store for
+// clean rows, replicated QUORUM cluster with node faults for faulted
+// rows.
+func (r *onlineRun) system(name string) (*harness.System, error) {
+	spec := systemSpec{name: name}
+	if r.faulted {
+		spec.repl = &harness.ReplicationConfig{
+			Read:  executor.Quorum,
+			Write: executor.Quorum,
+			Hedge: executor.HedgePolicy{Enabled: true},
+		}
+		spec.weather = &weather{seed: r.cfg.Seed, rate: r.cfg.FaultRate}
 	}
-	if cfg.Base.Trace != nil {
-		advOpts.Trace = cfg.Base.Trace
-	}
-
-	// once and online both start from the phase-0 advice: neither may
-	// know the future, so statements with no phase-0 traffic are
-	// absent and their views unbuilt — when drift brings them, they
-	// are unanswerable (penalized) until a migration covers them. The
-	// oracle sees the declared timeline.
-	startRec, err := search.Advise(averageWorkload(run.w, run.txns, weights[:1]), advOpts)
-	if err != nil {
-		return nil, fmt.Errorf("phase-0 advise: %w", err)
-	}
-	phased := *run.w
-	phased.Phases = driftPhases(run.w, run.txns, weights)
-	seriesOpts := advOpts
-	seriesOpts.Migration = run.migAdvisor
-	series, err := search.AdviseSeries(&phased, seriesOpts)
-	if err != nil {
-		return nil, fmt.Errorf("series advise: %w", err)
-	}
-
-	row := &OnlineRow{Rate: run.rate, Faulted: run.faulted, Cells: map[string]OnlineCell{}}
-
-	onceCell, err := runOnlineOnce(cfg, run, schedule, startRec)
-	if err != nil {
-		return nil, fmt.Errorf("once: %w", err)
-	}
-	row.Cells["once"] = *onceCell
-
-	oracleCell, err := runOnlineOracle(cfg, run, schedule, series)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: %w", err)
-	}
-	row.Cells["oracle"] = *oracleCell
-
-	onlineCell, err := runOnlineLive(cfg, run, schedule, weights, startRec, advOpts)
-	if err != nil {
-		return nil, fmt.Errorf("online: %w", err)
-	}
-	row.Cells["online"] = *onlineCell
-	return row, nil
+	return r.c.system(spec)
 }
 
-// newOnlineSystem builds one strategy's system: empty schema (the
-// initial installation is charged through the migration path), plain
-// store for clean rows, replicated QUORUM cluster with node faults for
-// faulted rows.
-func newOnlineSystem(cfg OnlineConfig, run onlineRun, name string) (*harness.System, error) {
-	empty := &search.Recommendation{Schema: schema.NewSchema()}
-	lat := cost.DefaultParams()
-	if !run.faulted {
-		return harness.NewSystem(name, run.ds, empty, lat)
-	}
-	rc := harness.ReplicationConfig{
-		Read:  executor.Quorum,
-		Write: executor.Quorum,
-		Hedge: executor.HedgePolicy{Enabled: true},
-	}
-	sys, err := harness.NewReplicatedSystem(name, run.ds, empty, lat, rc)
-	if err != nil {
-		return nil, err
-	}
-	sys.EnableNodeFaults(cfg.Seed, faults.NodeRate(cfg.FaultRate), executor.DefaultRetryPolicy())
-	return sys, nil
-}
-
-// execPhase runs one phase of the schedule against a system: paired
+// phase runs phase t of the schedule against a system: paired
 // parameter sequences per transaction type, lost transactions (no
 // surviving plan under faults, no plan at all on a stale schema)
 // counted and penalized rather than fatal, and an optional between
 // callback invoked after every transaction (the online strategy
 // advances its background migration there).
-func execPhase(cfg OnlineConfig, run onlineRun, sys *harness.System, cell *OnlineCell, t int, sched []int, between func() error) error {
-	sources := make([]*rubis.ParamSource, len(run.txns))
-	for ti := range run.txns {
-		sources[ti] = rubis.NewParamSource(cfg.Base.RUBiS, cfg.Seed+int64(1000*t+ti))
+func (r *onlineRun) phase(sys *harness.System, cell *OnlineCell, t int, between func() error) error {
+	sources := make([]*rubis.ParamSource, len(r.f.txns))
+	for ti := range sources {
+		sources[ti] = r.f.params(r.cfg.Seed + int64(1000*t+ti))
 	}
-	for _, ti := range sched {
-		txn := run.txns[ti]
-		ms, err := sys.ExecTransaction(txn.Statements, sources[ti].Params(txn.Name))
-		switch {
-		case err == nil:
-			cell.WorkloadMillis += ms
-		case errors.Is(err, harness.ErrUnavailable), errors.Is(err, harness.ErrNoPlan):
-			cell.Unavailable++
-			cell.PenaltyMillis += cfg.PenaltyMillis
-		default:
-			return fmt.Errorf("%s on %s: %w", txn.Name, sys.Name, err)
+	for _, ti := range r.schedule[t] {
+		millis, lost, err := measure(sys, r.f.txns[ti], 1, sources[ti], harness.ErrUnavailable, harness.ErrNoPlan)
+		if err != nil {
+			return err
 		}
+		cell.WorkloadMillis += sum(millis)
+		cell.Unavailable += lost
+		cell.PenaltyMillis += float64(lost) * r.cfg.PenaltyMillis
 		if between != nil {
 			if err := between(); err != nil {
 				return err
@@ -458,87 +392,57 @@ func execPhase(cfg OnlineConfig, run onlineRun, sys *harness.System, cell *Onlin
 	return nil
 }
 
-// recordMigrate books a stop-the-world migration result into a cell.
-func recordMigrate(cell *OnlineCell, res *migrate.Result) {
-	cell.MigrationMillis += res.SimMillis
-	cell.FamiliesBuilt += len(res.Built)
-	if len(res.Built) > 0 {
-		cell.Migrations++
-	}
-}
-
-// runOnlineOnce measures the advise-once baseline: install the phase-0
-// schema, never change it.
-func runOnlineOnce(cfg OnlineConfig, run onlineRun, schedule [][]int, rec *search.Recommendation) (*OnlineCell, error) {
-	sys, err := newOnlineSystem(cfg, run, "once")
-	if err != nil {
-		return nil, err
-	}
-	defer func() { cfg.Base.Obs.Merge(sys.Obs()) }()
-	cell := &OnlineCell{}
-	res, err := sys.Migrate(run.ds, &search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()}, run.migMeasured)
-	if err != nil {
-		return nil, err
-	}
-	recordMigrate(cell, res)
-	for t, sched := range schedule {
-		if err := execPhase(cfg, run, sys, cell, t, sched, nil); err != nil {
-			return nil, err
-		}
-	}
-	return cell, nil
-}
-
-// runOnlineOracle measures the phase oracle: the AdviseSeries schedule
-// with a stop-the-world migration at every phase boundary.
-func runOnlineOracle(cfg OnlineConfig, run onlineRun, schedule [][]int, series *search.SeriesRecommendation) (*OnlineCell, error) {
-	sys, err := newOnlineSystem(cfg, run, "oracle")
-	if err != nil {
-		return nil, err
-	}
-	defer func() { cfg.Base.Obs.Merge(sys.Obs()) }()
-	cell := &OnlineCell{}
-	for t, sched := range schedule {
-		res, err := sys.Migrate(run.ds, series.Phases[t], run.migMeasured)
-		if err != nil {
-			return nil, err
-		}
-		recordMigrate(cell, res)
-		if err := execPhase(cfg, run, sys, cell, t, sched, nil); err != nil {
-			return nil, err
-		}
-	}
-	return cell, nil
-}
-
 // onlineDrainSteps bounds the post-workload drain of a still-running
 // live migration; hitting the bound is an error, not a truncation.
 const onlineDrainSteps = 100_000
 
-// runOnlineLive measures the online loop: start on the phase-0 schema,
-// watch the executed mix, and on every drift trigger re-advise on the
-// observed window mix and migrate live — dual writes forwarded,
-// backfill interleaved one bounded chunk per transaction.
-func runOnlineLive(cfg OnlineConfig, run onlineRun, schedule [][]int, weights []map[string]float64, startRec *search.Recommendation, advOpts search.Options) (*OnlineCell, error) {
-	sys, err := newOnlineSystem(cfg, run, "online")
+// strategy measures one strategy on its own system. plan holds the
+// schema changes known ahead: advise-once installs the phase-0 schema
+// and never changes it, the phase oracle follows the AdviseSeries
+// schedule with a stop-the-world migration at every phase boundary. A
+// live strategy also starts on the phase-0 schema, then runs the online
+// loop between transactions.
+func (r *onlineRun) strategy(name string, plan []*search.PhaseRecommendation, live bool) (OnlineCell, error) {
+	var cell OnlineCell
+	sys, err := r.system(name)
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
-	defer func() { cfg.Base.Obs.Merge(sys.Obs()) }()
-	cell := &OnlineCell{}
-
-	res, err := sys.Migrate(run.ds, &search.PhaseRecommendation{Rec: startRec, Build: startRec.Schema.Indexes()}, run.migMeasured)
+	var step, between func() error
+	if live {
+		step, between = r.onlineLoop(sys, &cell)
+	}
+	err = serve(sys, r.f.ds, plan, &cell, func(t int) error { return r.phase(sys, &cell, t, between) })
 	if err != nil {
-		return nil, err
+		return cell, err
 	}
-	recordMigrate(cell, res)
+	// The workload is over; let an in-flight migration finish (or
+	// abort) so its full cost lands in the cell.
+	for i := 0; sys.LiveActive(); i++ {
+		if i >= onlineDrainSteps {
+			return cell, fmt.Errorf("live migration not finished after %d drain steps", onlineDrainSteps)
+		}
+		if err := step(); err != nil {
+			return cell, err
+		}
+	}
+	return cell, nil
+}
 
+// onlineLoop arms the online strategy on sys: watch the executed mix,
+// and on every drift trigger re-advise on the observed window mix and
+// migrate live — dual writes forwarded, backfill interleaved one
+// bounded chunk per transaction. step advances an in-flight migration
+// by one chunk; between is the per-transaction callback that calls it
+// or, with no migration in flight, polls the detector.
+func (r *onlineRun) onlineLoop(sys *harness.System, cell *OnlineCell) (step, between func() error) {
+	f := r.f
 	// servingMix is the traffic mix the serving schema was advised for —
 	// the detector's target; knownMix is the ratcheting union of every
 	// mix the system has been advised on (see unionMix).
-	servingMix := statementMix(run.txns, weights[0])
+	servingMix := statementMix(f.txns, r.tl.weights[0])
 	knownMix := servingMix
-	det := drift.New(cfg.Detector, servingMix)
+	det := drift.New(r.cfg.Detector, servingMix)
 	sys.EnableDrift(det)
 
 	// pendingBuild is the family count of the in-flight live migration,
@@ -546,7 +450,7 @@ func runOnlineLive(cfg OnlineConfig, run onlineRun, schedule [][]int, weights []
 	pendingBuild := 0
 	var pendingMix map[string]float64
 
-	liveStep := func() error {
+	step = func() error {
 		sr, err := sys.LiveStep()
 		cell.MigrationMillis += sr.SimMillis
 		switch {
@@ -567,9 +471,9 @@ func runOnlineLive(cfg OnlineConfig, run onlineRun, schedule [][]int, weights []
 		return nil
 	}
 
-	between := func() error {
+	between = func() error {
 		if sys.LiveActive() {
-			return liveStep()
+			return step()
 		}
 		mix := sys.TakeDriftTrigger()
 		if mix == nil {
@@ -577,7 +481,7 @@ func runOnlineLive(cfg OnlineConfig, run onlineRun, schedule [][]int, weights []
 		}
 		cell.Triggers++
 		knownMix = unionMix(knownMix, mix)
-		rec, err := search.Advise(readviseWorkload(run.w, run.txns, knownMix), advOpts)
+		rec, err := search.Advise(readviseWorkload(f.w, f.txns, knownMix), f.advisor)
 		if err != nil {
 			return fmt.Errorf("re-advise: %w", err)
 		}
@@ -589,31 +493,15 @@ func runOnlineLive(cfg OnlineConfig, run onlineRun, schedule [][]int, weights []
 			servingMix = mix
 			return nil
 		}
-		if _, err := sys.StartLiveMigration(run.ds, &search.PhaseRecommendation{Rec: rec, Build: build, Drop: drop},
-			migrate.LiveOptions{Params: run.migMeasured, FaultBudget: cfg.FaultBudget}); err != nil {
+		if _, err := sys.StartLiveMigration(f.ds, &search.PhaseRecommendation{Rec: rec, Build: build, Drop: drop},
+			migrate.LiveOptions{Params: migrate.DefaultCostParams()}); err != nil {
 			return err
 		}
 		pendingBuild = len(build)
 		pendingMix = mix
 		return nil
 	}
-
-	for t, sched := range schedule {
-		if err := execPhase(cfg, run, sys, cell, t, sched, between); err != nil {
-			return nil, err
-		}
-	}
-	// The workload is over; let an in-flight migration finish (or
-	// abort) so its full cost lands in the cell.
-	for i := 0; sys.LiveActive(); i++ {
-		if i >= onlineDrainSteps {
-			return nil, fmt.Errorf("live migration not finished after %d drain steps", onlineDrainSteps)
-		}
-		if err := liveStep(); err != nil {
-			return nil, err
-		}
-	}
-	return cell, nil
+	return step, between
 }
 
 // Format renders the sweep as a comparison table; its exact bytes are

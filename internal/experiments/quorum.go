@@ -1,17 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
-	"nose/internal/cost"
 	"nose/internal/executor"
-	"nose/internal/faults"
 	"nose/internal/harness"
-	"nose/internal/rubis"
+	"nose/internal/load"
 )
 
 // QuorumConfig parameterizes the availability/consistency sweep. The
@@ -27,28 +23,20 @@ type QuorumConfig struct {
 	// flaky/slow/down bands by faults.NodeRate); empty means
 	// DefaultQuorumRates.
 	Rates []float64
-	// Levels are the consistency levels compared (used for both reads
-	// and writes); empty means ONE, QUORUM, ALL.
-	Levels []executor.Consistency
 	// Nodes and RF shape the cluster; zero means the harness defaults
 	// (5 nodes, RF 3).
 	Nodes, RF int
 	// Seed seeds the node fault domains; the same seed reproduces the
 	// whole sweep bit for bit.
 	Seed int64
-	// Retry is the executor retry policy; the zero value means
-	// executor.DefaultRetryPolicy().
-	Retry executor.RetryPolicy
-	// Hedge configures speculative reads; the zero value enables
-	// hedging at the default delay.
-	Hedge executor.HedgePolicy
 }
 
 // DefaultQuorumRates is the default node fault sweep, from a healthy
 // cluster to one where a tenth of replica operations fault.
 var DefaultQuorumRates = []float64{0, 0.02, 0.05, 0.1}
 
-// DefaultQuorumLevels compares the three classic consistency levels.
+// DefaultQuorumLevels compares the three classic consistency levels,
+// each used for both reads and writes.
 var DefaultQuorumLevels = []executor.Consistency{executor.One, executor.Quorum, executor.All}
 
 // QuorumCell is one (consistency level, node fault rate) measurement.
@@ -87,22 +75,6 @@ type QuorumResult struct {
 	Rows []QuorumRow
 }
 
-// percentile returns the q-quantile of the values using the
-// nearest-rank method — deterministic, no interpolation.
-func percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(q * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
 // RunQuorum sweeps node fault rates and consistency levels over the
 // NoSE-recommended schema on a replicated cluster. It measures the
 // availability/consistency trade the paper's target systems expose as
@@ -112,92 +84,59 @@ func percentile(sorted []float64, q float64) float64 {
 // latency for both. Everything is deterministic: the same config and
 // seed reproduce the same result at any advisor worker count.
 func RunQuorum(cfg QuorumConfig) (*QuorumResult, error) {
-	if cfg.Base.Executions <= 0 {
-		cfg.Base.Executions = 20
-	}
-	rates := cfg.Rates
-	if len(rates) == 0 {
-		rates = DefaultQuorumRates
-	}
-	levels := cfg.Levels
-	if len(levels) == 0 {
-		levels = DefaultQuorumLevels
-	}
-	retry := cfg.Retry
-	if retry == (executor.RetryPolicy{}) {
-		retry = executor.DefaultRetryPolicy()
-	}
-	hedge := cfg.Hedge
-	if hedge == (executor.HedgePolicy{}) {
-		hedge = executor.HedgePolicy{Enabled: true}
-	}
-
-	ds, txns, recs, err := buildRecommendations(cfg.Base)
+	cfg.Base.Executions = positive(cfg.Base.Executions, 20)
+	rates := nonEmpty(cfg.Rates, DefaultQuorumRates)
+	f, err := newAdvisedFixture(cfg.Base)
 	if err != nil {
 		return nil, err
 	}
-	rec := recs["NoSE"]
-	mix := cfg.Base.Mix
-	if mix == "" {
-		mix = rubis.MixBidding
-	}
 
 	repl := harness.ReplicationConfig{Nodes: cfg.Nodes, RF: cfg.RF}.Normalized()
-	res := &QuorumResult{Levels: levels, Nodes: repl.Nodes, RF: repl.RF}
-	// Each (rate, level) cell gets its own simulated-clock trace lane
-	// and merges its private registry into the run registry when done.
-	lane := 0
+	sw := f.sweep("quorum")
+	res := &QuorumResult{Levels: DefaultQuorumLevels, Nodes: repl.Nodes, RF: repl.RF}
 	for _, rate := range rates {
 		row := QuorumRow{Rate: rate, Cells: map[string]QuorumCell{}}
-		for _, level := range levels {
+		for _, level := range res.Levels {
 			// A fresh cluster per cell: each cell mutates its own
 			// stores and fault streams, so cells never contaminate
 			// each other and any one cell reproduces in isolation.
-			rc := repl
-			rc.Read, rc.Write, rc.Hedge = level, level, hedge
-			sys, err := harness.NewReplicatedSystem("NoSE", ds, rec, cost.DefaultParams(), rc)
+			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, level), func(c *cell) error {
+				rc := repl
+				rc.Read, rc.Write, rc.Hedge = level, level, executor.HedgePolicy{Enabled: true}
+				sys, err := c.system(systemSpec{
+					name: "NoSE", rec: f.recs["NoSE"], repl: &rc,
+					weather: &weather{seed: cfg.Seed, rate: rate},
+				})
+				if err != nil {
+					return err
+				}
+				cell := QuorumCell{}
+				var latencies []float64
+				for _, txn := range f.active {
+					millis, lost, err := measure(sys, txn, cfg.Base.Executions, f.params(paramSeed), harness.ErrUnavailable)
+					if err != nil {
+						return err
+					}
+					latencies = append(latencies, millis...)
+					cell.Unavailable += lost
+				}
+				cell.Completed = int64(len(latencies))
+				sort.Float64s(latencies)
+				cell.P50Millis = load.Percentile(latencies, 0.50)
+				cell.P99Millis = load.Percentile(latencies, 0.99)
+				if n := cell.Completed + cell.Unavailable; n > 0 {
+					cell.UnavailableRate = float64(cell.Unavailable) / float64(n)
+				}
+				cell.Report = sys.Robustness()
+				if cell.Report.Replica.Reads > 0 {
+					cell.StaleReadRate = float64(cell.Report.Replica.StaleReads) / float64(cell.Report.Replica.Reads)
+				}
+				row.Cells[level.String()] = cell
+				return nil
+			})
 			if err != nil {
 				return nil, err
 			}
-			sys.EnableNodeFaults(cfg.Seed, faults.NodeRate(rate), retry)
-			lane++
-			sys.EnableTrace(cfg.Base.Trace, lane, fmt.Sprintf("quorum rate=%g %s", rate, level))
-
-			cell := QuorumCell{}
-			var latencies []float64
-			for _, txn := range txns {
-				if rubis.TransactionWeight(txn, mix) <= 0 {
-					continue
-				}
-				ps := rubis.NewParamSource(cfg.Base.RUBiS, 4242)
-				for i := 0; i < cfg.Base.Executions; i++ {
-					ms, err := sys.ExecTransaction(txn.Statements, ps.Params(txn.Name))
-					switch {
-					case err == nil:
-						cell.Completed++
-						latencies = append(latencies, ms)
-					case errors.Is(err, harness.ErrUnavailable):
-						// The degraded outcome under test: count it and
-						// keep serving the rest of the workload.
-						cell.Unavailable++
-					default:
-						return nil, fmt.Errorf("experiments: quorum %s rate %g: %s: %w",
-							level, rate, txn.Name, err)
-					}
-				}
-			}
-			sort.Float64s(latencies)
-			cell.P50Millis = percentile(latencies, 0.50)
-			cell.P99Millis = percentile(latencies, 0.99)
-			if n := cell.Completed + cell.Unavailable; n > 0 {
-				cell.UnavailableRate = float64(cell.Unavailable) / float64(n)
-			}
-			cell.Report = sys.Robustness()
-			cfg.Base.Obs.Merge(sys.Obs())
-			if cell.Report.Replica.Reads > 0 {
-				cell.StaleReadRate = float64(cell.Report.Replica.StaleReads) / float64(cell.Report.Replica.Reads)
-			}
-			row.Cells[level.String()] = cell
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -290,8 +290,8 @@ func Run(sys *harness.System, txns []Transaction, params ParamFunc, q *backend.N
 		}
 		res.MeanMillis = sum / float64(len(latencies))
 		sort.Float64s(latencies)
-		res.P50Millis = percentile(latencies, 0.50)
-		res.P99Millis = percentile(latencies, 0.99)
+		res.P50Millis = Percentile(latencies, 0.50)
+		res.P99Millis = Percentile(latencies, 0.99)
 	}
 	if q != nil {
 		for n := 0; n < q.NodeCount(); n++ {
@@ -309,9 +309,9 @@ func Run(sys *harness.System, txns []Transaction, params ParamFunc, q *backend.N
 	return res, nil
 }
 
-// percentile returns the q-quantile of the sorted values using the
+// Percentile returns the q-quantile of the sorted values using the
 // nearest-rank method — deterministic, no interpolation.
-func percentile(sorted []float64, q float64) float64 {
+func Percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
