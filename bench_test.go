@@ -248,6 +248,25 @@ func BenchmarkPlanSpacesRandwork(b *testing.B) {
 	}
 }
 
+// BenchmarkEnumerationRandwork isolates candidate enumeration on the
+// same input (randwork factor 3, seed 42) at one worker: Algorithm 1
+// asks for 3,253 query enumerations there over 485 distinct signatures,
+// so its allocation counts are the gate on each distinct query being
+// enumerated once.
+func BenchmarkEnumerationRandwork(b *testing.B) {
+	w, err := randwork.Generate(randwork.Config{Factor: 3, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enumerator.EnumerateWorkload(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAdvisorSolve isolates the two BIP solve phases across worker
 // counts: the problem is planned and formulated once outside the timer
 // (search.Prepare), then each iteration re-runs the solves.

@@ -167,6 +167,25 @@ type Result struct {
 	X []float64
 	// Nodes is the number of branch and bound nodes explored.
 	Nodes int
+	// Bound is the best proven lower bound on the optimal objective
+	// when HasSolution: the incumbent itself when the search ran to
+	// completion (to within Options.Gap), else the least relaxation
+	// bound among the nodes still open at the node limit.
+	Bound float64
+}
+
+// Gap returns the relative gap between the incumbent and the best
+// proven bound: zero for a search that ran to completion, and for one
+// stopped at the node limit how far, as a fraction of the incumbent,
+// the optimum may still lie below it. Without an incumbent it is +Inf.
+func (r *Result) Gap() float64 {
+	if !r.HasSolution {
+		return math.Inf(1)
+	}
+	if r.Bound >= r.Objective {
+		return 0
+	}
+	return (r.Objective - r.Bound) / math.Max(math.Abs(r.Objective), 1e-12)
 }
 
 const intTol = 1e-6
@@ -496,6 +515,10 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	}
 	res.HasSolution = true
 	res.Objective = incumbent
+	res.Bound = incumbent
+	if res.Status == NodeLimit && open.len() > 0 {
+		res.Bound = math.Min(incumbent, open.ns[0].bound)
+	}
 	res.X = append([]float64(nil), incumbentX...)
 	// Snap binaries exactly.
 	for _, col := range p.binary {

@@ -331,3 +331,44 @@ func TestIncumbentSeeding(t *testing.T) {
 		t.Errorf("short seed broke the solve: %v %v", res, err)
 	}
 }
+
+// TestBoundBracketsOptimum: a solve stopped at the node limit reports a
+// bound that, with its incumbent, brackets the optimum a full solve
+// finds, and a relative gap consistent with the two; a solve that ran to
+// completion reports its own objective as the bound and no gap.
+func TestBoundBracketsOptimum(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	truncated := 0
+	for trial := 0; trial < 40; trial++ {
+		p := bip.New()
+		r := p.AddRow(math.Inf(-1), 9.5)
+		for i := 0; i < 14; i++ {
+			p.AddBinary(-(1 + rng.Float64()), lp.Entry{Row: r, Coef: 1 + rng.Float64()})
+		}
+		full, err := p.Solve(bip.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Status != bip.Optimal || full.Bound != full.Objective || full.Gap() != 0 {
+			t.Fatalf("trial %d: full solve status %v objective %v bound %v gap %v", trial, full.Status, full.Objective, full.Bound, full.Gap())
+		}
+		cut, err := p.Solve(bip.Options{MaxNodes: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cut.Status != bip.NodeLimit || !cut.HasSolution {
+			continue
+		}
+		truncated++
+		if cut.Bound > full.Objective+1e-9 || full.Objective > cut.Objective+1e-9 {
+			t.Fatalf("trial %d: bound %v, optimum %v, incumbent %v do not nest", trial, cut.Bound, full.Objective, cut.Objective)
+		}
+		want := (cut.Objective - cut.Bound) / math.Abs(cut.Objective)
+		if g := cut.Gap(); g < 0 || math.Abs(g-want) > 1e-12 {
+			t.Fatalf("trial %d: gap %v, want %v", trial, g, want)
+		}
+	}
+	if truncated == 0 {
+		t.Fatal("no trial was truncated with an incumbent; the test checks nothing")
+	}
+}

@@ -44,15 +44,24 @@ func EnumerateWorkload(w *workload.Workload) (*Result, error) {
 // across a bounded worker pool, with enumeration counters recorded into
 // r (which may be nil), under a cancellable context.
 //
-// Per-query (and, in the support passes, per-candidate) enumeration
-// runs into private local pools that are merged into the shared pool in
-// workload order, so the resulting pool — content, insertion order, and
-// assigned column family names — and every enum.* counter is
-// byte-identical for every worker count, including the serial path
-// (workers <= 1 runs inline with no goroutines). The fan-out is safe
-// because candidate generation is purely additive: it never reads the
-// pool it adds to, so enumerating into a local pool and merging
-// afterwards reproduces exactly the serial insertion sequence.
+// Algorithm 1 poses the same query again and again (every (update,
+// candidate) pair has support queries, few of them new), so the call
+// owns one run: each distinct QuerySignature is enumerated once, by
+// whichever worker asks first, into a list of the run's canonical
+// candidate instances, and every other request replays that list.
+//
+// Each workload item (a query, or in the support passes one candidate's
+// support queries) collects its candidates as an ordered set of
+// pointers, and the items are merged into the pool in workload order, so
+// the resulting pool — content, insertion order, and assigned column
+// family names — and every enum.* counter is byte-identical for every
+// worker count, including the serial path (workers <= 1 runs inline with
+// no goroutines). The fan-out is safe because candidate generation is
+// purely additive: it never reads the pool it adds to, and a signature's
+// list is the same whoever computes it, so collecting per item and
+// merging afterwards reproduces exactly the serial insertion sequence.
+// Canonical instances stay unnamed until the merge, which runs on the
+// calling goroutine.
 //
 // The context is checked before each fan-out batch (per-query
 // enumeration and every support sweep) and inside each batch item, so a
@@ -61,20 +70,17 @@ func EnumerateWorkload(w *workload.Workload) (*Result, error) {
 // returned.
 func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Features, workers int, r *obs.Registry) (*Result, error) {
 	pool := NewPool()
-	pool.feats = feats
+	memo := newRun(feats)
 	emittedC := r.Counter("enum.candidates_emitted")
 
 	queries := w.Queries()
-	locals := make([]*Pool, len(queries))
+	lists := make([][]*schema.Index, len(queries))
 	errs := make([]error, len(queries))
 	par.Do(len(queries), workers, func(i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		local := NewPool()
-		local.feats = feats
-		errs[i] = EnumerateQuery(local, queries[i].Statement.(*workload.Query))
-		locals[i] = local
+		lists[i], errs[i] = memo.enumerate(queries[i].Statement.(*workload.Query))
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -84,8 +90,8 @@ func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Featu
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
-		emittedC.Add(int64(locals[i].Len()))
-		pool.merge(locals[i])
+		emittedC.Add(int64(len(lists[i])))
+		pool.merge(lists[i])
 	}
 
 	res := &Result{
@@ -97,13 +103,13 @@ func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Featu
 	// for support queries in the first pass may themselves require
 	// support queries with paths not yet covered. Each update sweeps a
 	// fixed snapshot of the pool, so the (update, candidate) pairs of
-	// one sweep are independent and fan out; their local pools merge in
+	// one sweep are independent and fan out; their candidates merge in
 	// snapshot order. Updates stay sequential because each update's
 	// snapshot must include the candidates the previous one added.
 	type supportItem struct {
 		x    *schema.Index
 		sqs  []*workload.Query
-		pool *Pool
+		list []*schema.Index
 	}
 	var items []*supportItem
 	for pass := 0; pass < 2; pass++ {
@@ -133,14 +139,14 @@ func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Featu
 				}
 				it := items[i]
 				it.sqs = SupportQueries(u, it.x)
-				it.pool = NewPool()
-				it.pool.feats = feats
-				for _, sq := range it.sqs {
+				lists := make([][]*schema.Index, len(it.sqs))
+				for j, sq := range it.sqs {
 					// Support queries always carry an equality
 					// predicate by construction, so enumeration
 					// cannot fail; ignore the error defensively.
-					_ = EnumerateQuery(it.pool, sq)
+					lists[j], _ = memo.enumerate(sq)
 				}
+				it.list = union(lists)
 			})
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -148,8 +154,8 @@ func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Featu
 			for _, it := range items {
 				perIndex[it.x.ID()] = it.sqs
 				r.Counter("enum.support_queries").Add(int64(len(it.sqs)))
-				emittedC.Add(int64(it.pool.Len()))
-				pool.merge(it.pool)
+				emittedC.Add(int64(len(it.list)))
+				pool.merge(it.list)
 			}
 		}
 	}
@@ -162,5 +168,11 @@ func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Featu
 	// Emitted minus unique is the dedup saving; both sides are recorded
 	// so the ratio is readable straight off a snapshot.
 	r.Counter("enum.candidates_unique").Add(int64(pool.Len()))
+	// How much of Algorithm 1 was repetition: the distinct signatures
+	// behind enum.queries + enum.support_queries requests, and the
+	// distinct prefix queries whose view families were built. Both are
+	// sizes of the memo, not events, so no worker count moves them.
+	r.Counter("enum.signatures").Add(int64(len(memo.queries.m)))
+	r.Counter("enum.view_families").Add(int64(len(memo.views.m)))
 	return res, nil
 }

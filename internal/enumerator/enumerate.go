@@ -2,6 +2,7 @@ package enumerator
 
 import (
 	"fmt"
+	"sync"
 
 	"nose/internal/model"
 	"nose/internal/schema"
@@ -11,8 +12,7 @@ import (
 // Pool is the candidate column family pool built up during enumeration.
 // Structurally identical candidates are stored once.
 type Pool struct {
-	s     *schema.Schema
-	feats Features
+	s *schema.Schema
 }
 
 // NewPool returns an empty candidate pool.
@@ -36,14 +36,13 @@ func (p *Pool) add(x *schema.Index) *schema.Index {
 	return got
 }
 
-// merge absorbs a local pool's candidates in their insertion order.
-// Provisional names the local pool assigned are cleared so the
-// receiving pool numbers new candidates by its own insertion sequence —
-// this is what keeps parallel enumeration's naming byte-identical to a
-// serial run (enumeration itself never assigns names).
-func (p *Pool) merge(local *Pool) {
-	for _, x := range local.Indexes() {
-		x.Name = ""
+// merge absorbs one workload item's candidates in their first-occurrence
+// order. They are a run's canonical instances, validated when interned
+// and still unnamed unless already pooled, so the pool numbers them by
+// its own insertion sequence — this is what keeps parallel
+// enumeration's naming byte-identical to a serial run.
+func (p *Pool) merge(item []*schema.Index) {
+	for _, x := range item {
 		p.s.Add(x)
 	}
 }
@@ -58,6 +57,114 @@ func (p *Pool) Len() int { return p.s.Len() }
 // candidate, or nil.
 func (p *Pool) Lookup(x *schema.Index) *schema.Index { return p.s.Lookup(x) }
 
+// run is the state of one enumeration (one EnumerateWorkloadCtx or
+// EnumerateQuery call), shared by its workers: the canonical instance of
+// every candidate structure generated so far, and the memos of the two
+// pure functions of Algorithm 1. A workload asks for the same
+// enumeration over and over — every (update, candidate) pair poses
+// support queries, and most pose ones already seen — so each distinct
+// QuerySignature is enumerated exactly once, by whichever worker asks
+// first, and replayed as a list of pointers. The run dies with the call.
+type run struct {
+	feats Features
+
+	// byID interns candidates: one validated, unnamed *schema.Index per
+	// structure, so the memoised lists and every worker's item compare
+	// and dedupe by pointer.
+	mu   sync.Mutex
+	byID map[string]*schema.Index
+
+	// views memoises wholeQueryCandidates by prefix-query signature.
+	views memo
+	// queries memoises top-level enumeration (both orientations, one
+	// visited set) by query signature.
+	queries memo
+}
+
+func newRun(feats Features) *run {
+	return &run{
+		feats:   feats,
+		byID:    map[string]*schema.Index{},
+		views:   memo{m: map[string]*memoEntry{}},
+		queries: memo{m: map[string]*memoEntry{}},
+	}
+}
+
+// memo holds one list per signature. The first worker to ask for a
+// signature computes its list; one that asks meanwhile waits for it
+// rather than computing a second copy, so the work a run does — and
+// with it the time and memory — does not depend on how its workers
+// interleave. Neither memoised function calls back into its own memo
+// (enumerate is the top level, wholeQueryCandidates only interns), so a
+// waiter never waits on itself.
+type memo struct {
+	mu sync.Mutex
+	m  map[string]*memoEntry
+}
+
+type memoEntry struct {
+	once sync.Once
+	list []*schema.Index
+}
+
+func (m *memo) entry(sig string) *memoEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.m[sig]
+	if e == nil {
+		e = &memoEntry{}
+		m.m[sig] = e
+	}
+	return e
+}
+
+// intern returns the run's canonical instance of a freshly built
+// candidate, validating it if it is the first of its structure.
+func (r *run) intern(x *schema.Index) *schema.Index {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if first, ok := r.byID[x.ID()]; ok {
+		return first
+	}
+	if err := x.Validate(); err != nil {
+		panic(fmt.Sprintf("enumerator: generated invalid candidate: %v", err))
+	}
+	r.byID[x.ID()] = x
+	return x
+}
+
+// candidates is an ordered set of canonical instances: what one query,
+// or one workload item, contributes, in first-occurrence order.
+type candidates struct {
+	list []*schema.Index
+	seen map[*schema.Index]struct{}
+}
+
+func (c *candidates) add(xs ...*schema.Index) {
+	if c.seen == nil {
+		c.seen = make(map[*schema.Index]struct{}, len(xs))
+	}
+	for _, x := range xs {
+		if _, dup := c.seen[x]; !dup {
+			c.seen[x] = struct{}{}
+			c.list = append(c.list, x)
+		}
+	}
+}
+
+// union returns the lists' candidates in first-occurrence order. A
+// single list is returned as it is, not copied.
+func union(lists [][]*schema.Index) []*schema.Index {
+	if len(lists) == 1 {
+		return lists[0]
+	}
+	var out candidates
+	for _, list := range lists {
+		out.add(list...)
+	}
+	return out.list
+}
+
 // EnumerateQuery adds to the pool every candidate column family the
 // paper's Enumerate(q) generates for one query: for each decomposition
 // point along the query path, the prefix query's materialized view, its
@@ -65,23 +172,51 @@ func (p *Pool) Lookup(x *schema.Index) *schema.Index { return p.s.Lookup(x) }
 // variants; then recursively the candidates of the remainder query
 // (paper §IV-A2 and Fig. 5).
 func EnumerateQuery(pool *Pool, q *workload.Query) error {
-	if len(q.EqualityPredicates()) == 0 {
-		return fmt.Errorf("enumerator: query %q has no equality predicate; no valid get request can anchor it", workload.Label(q))
+	list, err := newRun(Features{}).enumerate(q)
+	if err != nil {
+		return err
 	}
-	visited := map[string]bool{}
-	enumerateQuery(pool, q, visited)
-	if !pool.feats.SkipReverse {
-		enumerateQuery(pool, ReverseQuery(q), visited)
-	}
+	pool.merge(list)
 	return nil
 }
 
-// enumerateQuery decomposes q at every path position. The visited set
-// memoizes sub-queries by structural signature: decomposing at the far
-// end of the path produces a remainder structurally identical to its
-// parent (only the predicate at the end changes to an id equality),
-// which would otherwise recurse forever.
-func enumerateQuery(pool *Pool, q *workload.Query, visited map[string]bool) {
+// enumerate returns Enumerate(q) as an ordered list of distinct
+// canonical candidates, computing it on the first request for q's
+// signature. Callers must not modify the list.
+//
+// Only this top level is memoised, not the recursion below it. What
+// decompose contributes for a sub-query depends on where the walk
+// stands: the visited set skips sub-queries an earlier sibling already
+// finished and, since decomposing at the far end reproduces the
+// parent's signature, ones still in progress. A list recorded for a
+// sub-query in one walk is therefore short of candidates in another
+// (or, recorded stand-alone, inserts candidates earlier than the
+// depth-first walk does), and pool order assigns the cfN names, so it
+// must not move. A whole walk from an empty visited set is a pure
+// function of the signature.
+func (r *run) enumerate(q *workload.Query) ([]*schema.Index, error) {
+	if len(q.EqualityPredicates()) == 0 {
+		return nil, fmt.Errorf("enumerator: query %q has no equality predicate; no valid get request can anchor it", workload.Label(q))
+	}
+	e := r.queries.entry(QuerySignature(q))
+	e.once.Do(func() {
+		var out candidates
+		visited := map[string]bool{}
+		r.decompose(&out, q, visited)
+		if !r.feats.SkipReverse {
+			r.decompose(&out, ReverseQuery(q), visited)
+		}
+		e.list = out.list
+	})
+	return e.list, nil
+}
+
+// decompose splits q at every path position. The visited set records
+// sub-queries by structural signature: decomposing at the far end of
+// the path produces a remainder structurally identical to its parent
+// (only the predicate at the end changes to an id equality), which
+// would otherwise recurse forever.
+func (r *run) decompose(out *candidates, q *workload.Query, visited map[string]bool) {
 	sig := QuerySignature(q)
 	if visited[sig] {
 		return
@@ -91,10 +226,10 @@ func enumerateQuery(pool *Pool, q *workload.Query, visited map[string]bool) {
 	for s := 0; s <= n; s++ {
 		prefix := PrefixQuery(q, s)
 		if len(prefix.EqualityPredicates()) > 0 {
-			wholeQueryCandidates(pool, prefix)
+			out.add(r.wholeQueryCandidates(prefix)...)
 		}
 		if s > 0 {
-			enumerateQuery(pool, RemainderQuery(q, s), visited)
+			r.decompose(out, RemainderQuery(q, s), visited)
 		}
 	}
 }
@@ -104,7 +239,8 @@ func enumerateQuery(pool *Pool, q *workload.Query, visited map[string]bool) {
 // (two sub-queries differing only in parameter naming decompose
 // identically).
 func QuerySignature(q *workload.Query) string {
-	var b []byte
+	var buf [256]byte
+	b := buf[:0]
 	b = append(b, q.Path.String()...)
 	b = append(b, '/')
 	for _, s := range q.Select {
@@ -125,11 +261,21 @@ func QuerySignature(q *workload.Query) string {
 	return string(b)
 }
 
-// wholeQueryCandidates adds the candidates for answering pq with a
-// single get plus client-side steps: the materialized view, the
-// key-only and id-to-attribute splits, and all relaxed variants.
-func wholeQueryCandidates(pool *Pool, pq *workload.Query) {
-	addViewFamily(pool, pq)
+// wholeQueryCandidates returns the candidates for answering pq with a
+// single get plus client-side steps — the materialized view, the
+// key-only and id-to-attribute splits, and all relaxed variants — as an
+// ordered list of distinct canonical instances, computed on the first
+// request for pq's signature.
+func (r *run) wholeQueryCandidates(pq *workload.Query) []*schema.Index {
+	e := r.views.entry(QuerySignature(pq))
+	e.once.Do(func() { e.list = r.viewFamilies(pq) })
+	return e.list
+}
+
+// viewFamilies computes wholeQueryCandidates.
+func (r *run) viewFamilies(pq *workload.Query) []*schema.Index {
+	var out candidates
+	r.addViewFamily(&out, pq)
 
 	// Predicate relaxation: every non-empty subset of the relaxable
 	// predicates may be removed, provided at least one equality
@@ -151,27 +297,28 @@ func wholeQueryCandidates(pool *Pool, pq *workload.Query) {
 			if len(relaxed.EqualityPredicates()) == 0 {
 				continue
 			}
-			addViewFamily(pool, relaxed)
+			r.addViewFamily(&out, relaxed)
 		}
 		if base != pq {
-			addViewFamily(pool, base)
+			r.addViewFamily(&out, base)
 		}
 	}
+	return out.list
 }
 
 // addViewFamily adds the materialized view of pq plus its split
 // variants.
-func addViewFamily(pool *Pool, pq *workload.Query) {
+func (r *run) addViewFamily(out *candidates, pq *workload.Query) {
 	mv := MaterializedView(pq)
 	if mv == nil {
 		return
 	}
-	pool.add(mv)
+	out.add(r.intern(mv))
 	if ko := KeyOnlyView(mv); ko != nil {
-		pool.add(ko)
+		out.add(r.intern(ko))
 	}
 	for _, iv := range IDViews(pq) {
-		pool.add(iv)
+		out.add(r.intern(iv))
 	}
 }
 

@@ -110,11 +110,18 @@ type Attribute struct {
 	// as a city name should set this explicitly: the cost model derives
 	// equality-predicate selectivity as 1/Cardinality.
 	Cardinality int
+
+	// qualified caches QualifiedName for attributes an entity created;
+	// a hand-built literal leaves it empty.
+	qualified string
 }
 
 // QualifiedName returns "Entity.Attribute", the form used in statements
 // and in column family descriptions.
 func (a *Attribute) QualifiedName() string {
+	if a.qualified != "" {
+		return a.qualified
+	}
 	return a.Entity.Name + "." + a.Name
 }
 

@@ -225,10 +225,13 @@ func (s *Snapshot) Format() string {
 // FormatSolverStats renders the LP-solver portion of a snapshot as a
 // short human-readable block: solve and warm-start counts with the hit
 // rate, pivot breakdown, refactorizations with the eta-file fill they
-// wrote, and the formulation-side dominance pruning and cutting-plane
-// counters. internal/bip publishes the lp.* totals (aggregated
-// lp.SolverStats) and internal/search the search.* ones; the nose and
-// nosebench -solver-stats flags print this block after a run.
+// wrote, per solver phase how many solves ran and how many of them
+// stopped at the node limit with what relative gap (a truncated solve's
+// recommendation is its best incumbent, not a proven optimum), and the
+// formulation-side dominance pruning and cutting-plane counters.
+// internal/bip publishes the lp.* totals (aggregated lp.SolverStats)
+// and internal/search the search.* ones; the nose and nosebench
+// -solver-stats flags print this block after a run.
 func (s *Snapshot) FormatSolverStats() string {
 	c := s.Counters
 	var b strings.Builder
@@ -243,6 +246,19 @@ func (s *Snapshot) FormatSolverStats() string {
 		c["lp.pivots"], c["lp.dual_pivots"], c["lp.degenerate_pivots"])
 	fmt.Fprintf(&b, "  basis refactorizations   %d (%d off-pivot nonzeros)\n",
 		c["lp.refactors"], c["lp.refactor_nnz"])
+	for i, phase := range []string{"phase1", "phase2"} {
+		solves, cut := c["search."+phase+".solves"], c["search."+phase+".node_limit"]
+		if solves == 0 {
+			continue
+		}
+		fmt.Fprintf(&b, "  phase %d solves           %d (", i+1, solves)
+		if cut == 0 {
+			b.WriteString("proven optimal)\n")
+		} else {
+			fmt.Fprintf(&b, "%d stopped at the node limit, mean relative gap %.3g%%)\n",
+				cut, 100*s.Gauges["search."+phase+".gap"]/float64(cut))
+		}
+	}
 	fmt.Fprintf(&b, "  dominated plans pruned   %d\n", c["search.plans_pruned_dominated"])
 	fmt.Fprintf(&b, "  budget cut rows          %d\n", c["search.cuts"])
 	return b.String()

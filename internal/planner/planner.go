@@ -46,14 +46,19 @@ type Planner struct {
 	model cost.Model
 	cfg   Config
 
-	// mu guards the lazily-rebuilt partition map below; everything else
-	// on the Planner is read-only after New.
+	// mu guards the lazily-rebuilt partition map and the scratch list
+	// below; everything else on the Planner is read-only after New.
 	mu sync.Mutex
 	// byPartition indexes the pool by canonical partition key so
 	// lookup-variant generation touches only structurally compatible
 	// candidates. It is rebuilt lazily when the pool grows.
 	byPartition map[string][]*schema.Index
 	indexed     int
+
+	// idle holds the working memory of finished PlanQuery calls for the
+	// next ones: as many as ever ran at once, kept for the planner's
+	// life. See the scratch type.
+	idle []*scratch
 }
 
 // New returns a planner over the given candidate pool and cost model.

@@ -24,6 +24,7 @@ func (p *Planner) PlanQuery(q *workload.Query) (*PlanSpace, error) {
 	}
 
 	g := newGenerator(p)
+	defer g.release()
 	raw := g.orientedChains(q)
 	if !p.cfg.SkipReverse {
 		if rev := enumerator.ReverseQuery(q); rev != q {
@@ -50,10 +51,40 @@ type generator struct {
 	// signature string is built exactly once, when the step is interned.
 	ids  map[string]uint32
 	sigs []string
+	*scratch
+}
+
+// scratch is what generation would otherwise allocate and discard per
+// chains or cheapest call. A generator borrows one from its planner for
+// the length of the call; nothing in it outlives a call as data, so
+// which one a call gets changes no result.
+type scratch struct {
+	// seen and costs are cheapest's duplicate set and cost column.
+	seen  map[string]struct{}
+	costs []float64
+	// free holds the candidate arrays finished chains calls have handed
+	// back: a stack, since chains recurses while its own array is live.
+	free [][]chain
 }
 
 func newGenerator(p *Planner) *generator {
-	return &generator{Planner: p, ids: map[string]uint32{}}
+	var sc *scratch
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		sc, p.idle = p.idle[n-1], p.idle[:n-1]
+	}
+	p.mu.Unlock()
+	if sc == nil {
+		sc = &scratch{seen: map[string]struct{}{}}
+	}
+	return &generator{Planner: p, ids: map[string]uint32{}, scratch: sc}
+}
+
+// release returns the generator's scratch to the planner.
+func (g *generator) release() {
+	g.mu.Lock()
+	g.idle = append(g.idle, g.scratch)
+	g.mu.Unlock()
 }
 
 // chain is a step sequence together with its identity and cost, both
@@ -125,7 +156,8 @@ func (c *chain) materialize() {
 // returns the limit cheapest, ordered by cost and then by signature.
 // It reorders cs in place.
 func (g *generator) cheapest(cs []chain, limit int) []chain {
-	seen := make(map[string]struct{}, len(cs))
+	seen := g.seen
+	clear(seen)
 	uniq := cs[:0]
 	for _, c := range cs {
 		if _, dup := seen[c.id]; dup {
@@ -139,10 +171,11 @@ func (g *generator) cheapest(cs []chain, limit int) []chain {
 		// signature tie-break is the expensive comparison: find the
 		// cost of the limit-th cheapest first, and order only the
 		// chains at or below it.
-		costs := make([]float64, len(uniq))
+		costs := g.costs[:0]
 		for i := range uniq {
-			costs[i] = uniq[i].cost.total
+			costs = append(costs, uniq[i].cost.total)
 		}
+		g.costs = costs
 		sort.Float64s(costs)
 		bound, within := costs[limit-1], uniq[:0]
 		for _, c := range uniq {
@@ -276,6 +309,9 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 	defer func() { memo.inProgress[sig] = false }()
 
 	var out []chain
+	if n := len(g.free); n > 0 {
+		out, g.free = g.free[n-1], g.free[:n-1]
+	}
 	n := q.Path.Len() - 1
 	for s := 0; s <= n; s++ {
 		prefix := enumerator.PrefixQuery(q, s)
@@ -308,18 +344,21 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 // width comfortably above the final plan-space cap. Without this, the
 // cartesian combination of per-segment variants across decomposition
 // points grows multiplicatively with path length. A set already within
-// the beam is returned as generated.
+// the beam is kept as generated.
 func (g *generator) pruneChains(out []chain) []chain {
-	limit := 4 * g.cfg.MaxPlansPerQuery
-	if len(out) <= limit {
+	kept := out
+	if limit := 4 * g.cfg.MaxPlansPerQuery; len(out) > limit {
+		kept = g.cheapest(out, limit)
+	} else {
 		for i := range out {
 			out[i].materialize()
 		}
-		return out
 	}
 	// Copy the survivors out of the candidate array, which is many
-	// times the beam and would otherwise live as long as the memo.
-	return slices.Clone(g.cheapest(out, limit))
+	// times the beam, and hand the array to the next chains call.
+	kept = slices.Clone(kept)
+	g.free = append(g.free, out[:0])
+	return kept
 }
 
 // segmentVariants generates every single-lookup realization of a prefix

@@ -8,7 +8,6 @@ package schema
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"nose/internal/model"
@@ -23,7 +22,9 @@ import (
 // path linking the entities the attributes come from.
 type Index struct {
 	// Name is a short generated identifier (e.g. "cf12") assigned when
-	// the index joins a schema or candidate pool.
+	// the index joins a schema or candidate pool. Candidate enumeration
+	// shares one unnamed instance per structure between its workers and
+	// names it only at that point, on one goroutine.
 	Name string
 	// Path is the entity-graph path linking the index's entities.
 	Path model.Path
@@ -40,7 +41,9 @@ type Index struct {
 }
 
 // New constructs an index, canonicalizing the partition and value
-// attribute order (both are sets; clustering order is significant).
+// attribute order (both are sets; clustering order is significant). The
+// identity string is computed here, so an index built by New is
+// read-only under ID and may be shared between goroutines.
 func New(path model.Path, partition, clustering, values []*model.Attribute) *Index {
 	idx := &Index{
 		Path:       path,
@@ -50,27 +53,33 @@ func New(path model.Path, partition, clustering, values []*model.Attribute) *Ind
 	}
 	sortAttrs(idx.Partition)
 	sortAttrs(idx.Values)
+	idx.id = idx.identity()
 	return idx
 }
 
 func sortAttrs(attrs []*model.Attribute) {
-	sort.Slice(attrs, func(i, j int) bool {
-		return attrs[i].QualifiedName() < attrs[j].QualifiedName()
+	slices.SortFunc(attrs, func(a, b *model.Attribute) int {
+		return strings.Compare(a.QualifiedName(), b.QualifiedName())
 	})
 }
 
 // ID returns a canonical identity string: two indexes with the same
-// path, partition key, clustering key and values have equal IDs.
+// path, partition key, clustering key and values have equal IDs. Only
+// an index assembled as a literal computes it here, on first use.
 func (x *Index) ID() string {
 	if x.id == "" {
-		var b strings.Builder
-		b.WriteString(x.Path.String())
-		writeAttrList(&b, x.Partition)
-		writeAttrList(&b, x.Clustering)
-		writeAttrList(&b, x.Values)
-		x.id = b.String()
+		x.id = x.identity()
 	}
 	return x.id
+}
+
+func (x *Index) identity() string {
+	var b strings.Builder
+	b.WriteString(x.Path.String())
+	writeAttrList(&b, x.Partition)
+	writeAttrList(&b, x.Clustering)
+	writeAttrList(&b, x.Values)
+	return b.String()
 }
 
 func writeAttrList(b *strings.Builder, attrs []*model.Attribute) {

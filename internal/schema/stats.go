@@ -42,11 +42,15 @@ func (x *Index) RowsPerPartition() float64 {
 }
 
 // RowSize returns the storage footprint in bytes of one record: the sum
-// of all attribute sizes.
+// of all attribute sizes. Plan generation compares row sizes once per
+// pair of interchangeable lookups, so like Contains it walks the three
+// components in place.
 func (x *Index) RowSize() float64 {
 	total := 0
-	for _, a := range x.AllAttributes() {
-		total += a.StorageSize()
+	for _, attrs := range [3][]*model.Attribute{x.Partition, x.Clustering, x.Values} {
+		for _, a := range attrs {
+			total += a.StorageSize()
+		}
 	}
 	return float64(total)
 }

@@ -102,6 +102,36 @@ type Stats struct {
 	Constraints int
 	// Nodes is the number of branch and bound nodes explored.
 	Nodes int
+	// Phase1 and Phase2 report how the two solver phases ended (a
+	// series has one joint solve, reported as Phase1). A phase stopped
+	// at the node limit recommends its best incumbent, which is not
+	// proven optimal: Gap bounds how far off it can be.
+	Phase1, Phase2 Solve
+}
+
+// Solve is how one branch and bound solve ended.
+type Solve struct {
+	// Ran is false for a phase that was skipped or failed.
+	Ran bool
+	// Status is bip.Optimal for a search that ran to completion and
+	// bip.NodeLimit for one truncated at Options.BIP.MaxNodes.
+	Status bip.Status
+	// Gap is the relative gap between the solve's incumbent and its best
+	// proven bound: zero when Status is bip.Optimal.
+	Gap float64
+}
+
+// endSolve closes a solve's span with its node count, status and gap,
+// and returns the same outcome for Stats.
+func endSolve(sp *obs.Span, res *bip.Result) Solve {
+	out := Solve{Ran: true, Status: res.Status}
+	sp.SetArg("nodes", res.Nodes).SetArg("status", res.Status.String())
+	if res.HasSolution {
+		out.Gap = res.Gap()
+		sp.SetArg("gap", out.Gap)
+	}
+	sp.End()
+	return out
 }
 
 // QueryRecommendation pairs a workload query with its chosen plan.
@@ -262,7 +292,7 @@ func (p *Prepared) solve(rec *Recommendation) (*bip.Result, *colRefs, error) {
 		sp.End()
 		return nil, nil, fmt.Errorf("search: phase 1 solve: %w", err)
 	}
-	sp.SetArg("nodes", res1.Nodes).End()
+	rec.Stats.Phase1 = endSolve(sp, res1)
 	if !res1.HasSolution {
 		return nil, nil, fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
 	}
@@ -284,8 +314,12 @@ func (p *Prepared) solve(rec *Recommendation) (*bip.Result, *colRefs, error) {
 	sp = opt.Trace.Begin("solve phase 2", "advisor")
 	res2, err := prog2.Solve(phase2)
 	rec.Timings.BIPSolving += time.Since(t)
-	sp.End()
-	if err != nil || !res2.HasSolution {
+	if err != nil {
+		sp.End()
+		return res1, p.refs, nil
+	}
+	rec.Stats.Phase2 = endSolve(sp, res2)
+	if !res2.HasSolution {
 		return res1, p.refs, nil
 	}
 	rec.Stats.Nodes += res2.Nodes
@@ -300,7 +334,23 @@ func publishRun(opt Options, rec *Recommendation) {
 	}
 	opt.Obs.Counter("search.nodes").Add(int64(rec.Stats.Nodes))
 	opt.Obs.Counter("search.advise_runs").Inc()
+	publishSolve(opt.Obs, "phase1", rec.Stats.Phase1)
+	publishSolve(opt.Obs, "phase2", rec.Stats.Phase2)
 	publishTimings(opt.Obs, rec.Timings)
+}
+
+// publishSolve counts one solver phase, whether it was truncated, and
+// adds its gap to the phase's gauge (the sum over a registry's runs;
+// -solver-stats divides it by the truncated count).
+func publishSolve(r *obs.Registry, phase string, s Solve) {
+	if !s.Ran {
+		return
+	}
+	r.Counter("search." + phase + ".solves").Inc()
+	if s.Status == bip.NodeLimit {
+		r.Counter("search." + phase + ".node_limit").Inc()
+	}
+	r.Gauge("search." + phase + ".gap").Add(s.Gap)
 }
 
 // publishTimings adds a run's wall-clock stage times to the stage

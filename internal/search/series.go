@@ -158,7 +158,7 @@ func AdviseSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, err
 		sp.End()
 		return nil, fmt.Errorf("search: series solve: %w", err)
 	}
-	sp.SetArg("nodes", res.Nodes).End()
+	sr.Stats.Phase1 = endSolve(sp, res)
 	if !res.HasSolution {
 		return nil, fmt.Errorf("search: series %v: no feasible schema series", res.Status)
 	}
@@ -350,6 +350,7 @@ func publishSeries(opt Options, sr *SeriesRecommendation) {
 	opt.Obs.Counter("search.advise_series_runs").Inc()
 	opt.Obs.Counter("search.series_phases").Add(int64(len(sr.Phases)))
 	opt.Obs.Counter("search.nodes").Add(int64(sr.Stats.Nodes))
+	publishSolve(opt.Obs, "phase1", sr.Stats.Phase1)
 	migrations := 0
 	for t, pr := range sr.Phases {
 		if t > 0 && len(pr.Build) > 0 {
