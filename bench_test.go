@@ -26,6 +26,7 @@ import (
 	"nose/internal/hotel"
 	"nose/internal/load"
 	"nose/internal/migrate"
+	"nose/internal/obs"
 	"nose/internal/planner"
 	"nose/internal/randwork"
 	"nose/internal/rubis"
@@ -135,6 +136,32 @@ func BenchmarkAdvisorRUBiS(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAdvisorRUBiSExact is the advise a daemon request runs: RUBiS
+// at the daemon's defaults — the default plan bound, an exact search,
+// both solver phases to completion. BenchmarkAdvisorRUBiS stops each
+// phase at 60 nodes and a 1 % gap and so never meets the tie-break
+// phase's tree, which is most of a daemon request's nodes; this one
+// does, and reports the explored nodes and LP solves per advise beside
+// the time.
+func BenchmarkAdvisorRUBiSExact(b *testing.B) {
+	w := rubisWorkload(b)
+	reg := obs.NewRegistry()
+	opt := search.Options{
+		Planner: planner.Config{MaxPlansPerQuery: planner.DefaultMaxPlansPerQuery},
+		Obs:     reg,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := search.Advise(w, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	c := reg.Snapshot().Counters
+	b.ReportMetric(float64(c["bip.nodes"])/float64(b.N), "bip.nodes/op")
+	b.ReportMetric(float64(c["lp.solves"])/float64(b.N), "lp.solves/op")
 }
 
 // BenchmarkAdvisorHotel measures the advisor on the small hotel

@@ -4,7 +4,7 @@
 // event whose Output fields carry the benchmark lines), so a committed
 // baseline can be produced with:
 //
-//	go test -run '^$' -bench '^(BenchmarkAdvisorRUBiS|BenchmarkAdvisorFormulation|BenchmarkAdvisorSolve|BenchmarkAdvisorLargeRandwork|BenchmarkPlanSpacesRandwork|BenchmarkSimplex|BenchmarkRefactor|BenchmarkDualWriteOverhead|BenchmarkJournalAppend|BenchmarkLoadSteadyState)$' -benchtime=3x -benchmem -json . ./internal/lp ./internal/journal > BENCH_baseline.json
+//	go test -run '^$' -bench '^(BenchmarkAdvisorRUBiS|BenchmarkAdvisorRUBiSExact|BenchmarkAdvisorFormulation|BenchmarkAdvisorSolve|BenchmarkAdvisorLargeRandwork|BenchmarkPlanSpacesRandwork|BenchmarkSimplex|BenchmarkRefactor|BenchmarkDualWriteOverhead|BenchmarkJournalAppend|BenchmarkLoadSteadyState)$' -benchtime=3x -benchmem -json . ./internal/lp ./internal/journal > BENCH_baseline.json
 //
 // and compared against a fresh run with:
 //
@@ -43,7 +43,7 @@ func main() {
 	baselinePath := flag.String("baseline", "BENCH_baseline.json", "baseline benchmark results (raw text or go test -json)")
 	currentPath := flag.String("current", "", "current benchmark results to compare (raw text or go test -json)")
 	threshold := flag.Float64("threshold", 0.25, "allowed fractional regression in ns/op and allocs/op before failing")
-	gate := flag.String("gate", "AdvisorRUBiS,AdvisorFormulation,AdvisorSolve,AdvisorLargeRandwork,PlanSpacesRandwork,Simplex,Refactor,DualWriteOverhead,JournalAppend,LoadSteadyState", "comma-separated benchmark names (top level, Benchmark prefix stripped) that fail the run on regression")
+	gate := flag.String("gate", "AdvisorRUBiS,AdvisorRUBiSExact,AdvisorFormulation,AdvisorSolve,AdvisorLargeRandwork,PlanSpacesRandwork,Simplex,Refactor,DualWriteOverhead,JournalAppend,LoadSteadyState", "comma-separated benchmark names (top level, Benchmark prefix stripped) that fail the run on regression")
 	flag.Parse()
 
 	if *currentPath == "" {

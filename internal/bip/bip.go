@@ -16,6 +16,13 @@
 // function of (problem, fixes, parent basis), the speedup does not
 // disturb worker-count invariance.
 //
+// A node is meant to cost its pivots and nothing else, so three kinds
+// of LP are never solved: a node whose bound, rounded up, cannot beat
+// the incumbent of a program with an integer-valued objective; a
+// program whose every column is fixed, which is evaluated; and the
+// second factorization of a basis both siblings start from, which the
+// pair's worker reuses.
+//
 // NoSE's schema optimizer (paper §V) formulates column family selection
 // as such a program; the paper hands it to Gurobi, whose parallel
 // branch and bound has no pure-Go counterpart, so this package provides
@@ -170,7 +177,8 @@ type Result struct {
 	// Bound is the best proven lower bound on the optimal objective
 	// when HasSolution: the incumbent itself when the search ran to
 	// completion (to within Options.Gap), else the least relaxation
-	// bound among the nodes still open at the node limit.
+	// bound among the nodes still open at the node limit — rounded up
+	// when the objective can only take integer values.
 	Bound float64
 }
 
@@ -279,11 +287,19 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	// Each worker owns a clone of the LP and a reusable solver, so
 	// relaxations with different bound fixes solve concurrently with no
 	// shared mutable state. Worker 0's context also serves the serial
-	// parts (root, seeding, rounding heuristic).
+	// parts (root, seeding, rounding heuristic). The first clone is
+	// validated and the rest copy it, so the column entries — which no
+	// bound fix changes — are walked once per call, not once per node.
 	probs := make([]*lp.Problem, workers)
 	solvers := make([]*lp.Solver, workers)
+	probs[0] = p.lp.Clone()
+	if err := probs[0].Validate(); err != nil {
+		return nil, err
+	}
 	for w := range probs {
-		probs[w] = p.lp.Clone()
+		if w > 0 {
+			probs[w] = probs[0].Clone()
+		}
 		solvers[w] = lp.NewSolver()
 	}
 
@@ -296,18 +312,26 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 			total.Add(s.Stats())
 		}
 		opt.Obs.Counter("lp.solves").Add(total.Solves)
+		opt.Obs.Counter("lp.cold_solves").Add(total.ColdSolves)
 		opt.Obs.Counter("lp.pivots").Add(total.Pivots)
 		opt.Obs.Counter("lp.degenerate_pivots").Add(total.DegeneratePivots)
 		opt.Obs.Counter("lp.refactors").Add(total.Refactors)
 		opt.Obs.Counter("lp.refactor_nnz").Add(total.RefactorNNZ)
+		opt.Obs.Counter("lp.factor_reuses").Add(total.FactorReuses)
 		opt.Obs.Counter("lp.warm_starts").Add(total.WarmStarts)
+		opt.Obs.Counter("lp.warm_infeasible").Add(total.WarmInfeasible)
 		opt.Obs.Counter("lp.dual_pivots").Add(total.DualPivots)
 		opt.Obs.Counter("lp.warm_fallbacks").Add(total.Fallbacks)
 	}()
 	nodesC := opt.Obs.Counter("bip.nodes")
 	batchesC := opt.Obs.Counter("bip.batches")
 	prunedC := opt.Obs.Counter("bip.pruned_bound")
+	prunedIntC := opt.Obs.Counter("bip.pruned_integral")
+	fixedEvalsC := opt.Obs.Counter("bip.fixed_evals")
 	incumbentsC := opt.Obs.Counter("bip.incumbents")
+
+	allBinary := len(p.binary) == p.NumCols()
+	integral := allBinary && !testNoRounding && p.integerObjective()
 
 	res := &Result{Status: Optimal}
 	incumbent := math.Inf(1)
@@ -319,6 +343,31 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 			incumbentX = append(incumbentX[:0], x...)
 			incumbentsC.Inc()
 		}
+	}
+
+	// lift rounds a relaxation bound up to the next value the objective
+	// can take: with every column binary and every objective coefficient
+	// an integer, no solution below a node lies strictly between two
+	// integers.
+	lift := func(bound float64) float64 {
+		if integral {
+			return math.Ceil(bound - intTol)
+		}
+		return bound
+	}
+	// dominated reports, and counts, a node whose bound says its subtree
+	// holds nothing better than the incumbent.
+	dominated := func(bound float64) bool {
+		cutoff := incumbent - gapSlack(opt.Gap, incumbent)
+		switch {
+		case bound >= cutoff:
+			prunedC.Inc()
+		case lift(bound) >= cutoff:
+			prunedIntC.Inc()
+		default:
+			return false
+		}
+		return true
 	}
 
 	// solveWith applies fixes on the worker's clone, solves the
@@ -342,31 +391,41 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		return sol, err
 	}
 
-	// fixed marks the columns of the fix list under inspection; each
-	// user sets the marks along the list and clears them the same way,
-	// so it is all false between uses.
-	fixed := make([]bool, p.NumCols())
-
-	// roundAndRepair rounds fractional binaries and re-solves with all
-	// of them fixed; a feasible result becomes an incumbent.
-	roundAndRepair := func(x []float64, fixes []fix, from *lp.Basis) error {
-		rounded := make([]fix, 0, len(p.binary))
-		rounded = append(rounded, fixes...)
-		markFixed(fixed, fixes, true)
+	// tryRounded rounds every binary of x — a seeded assignment, or a
+	// relaxation's solution, which reports a column its node fixed at
+	// exactly the fixed value — and offers the resulting point as an
+	// incumbent. When the binaries are all the columns there are,
+	// nothing is left to optimize and the point is evaluated: one pass
+	// over the entries with the LP's feasibility tolerance and its
+	// objective summation order, so the incumbent is the one the LP
+	// would have reported. Otherwise the continuous columns are
+	// re-optimized by the LP, from the given basis if any: it stays dual
+	// feasible under any set of bound fixes.
+	rounded := make([]fix, 0, len(p.binary))
+	var point, activity []float64
+	if allBinary {
+		point = make([]float64, p.NumCols())
+		activity = make([]float64, p.NumRows())
+	}
+	tryRounded := func(x []float64, from *lp.Basis) error {
+		rounded = rounded[:0]
 		for _, col := range p.binary {
-			if fixed[col] {
-				continue
-			}
 			v := 0.0
 			if x[col] >= 0.5 {
 				v = 1
 			}
 			rounded = append(rounded, fix{col: col, val: v})
 		}
-		markFixed(fixed, fixes, false)
-		// The parent basis stays dual feasible under any set of bound
-		// fixes, so even this all-binaries-fixed repair solve can
-		// warm-start.
+		if allBinary {
+			fixedEvalsC.Inc()
+			for _, f := range rounded {
+				point[f.col] = f.val
+			}
+			if obj, ok := probs[0].Eval(point, activity); ok {
+				tryIncumbent(point, obj)
+			}
+			return nil
+		}
 		sol, err := solveWith(0, rounded, from)
 		if err != nil {
 			return err
@@ -390,20 +449,8 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 
 	// Validate and adopt the seeded incumbent, if any.
 	if len(opt.Incumbent) == p.NumCols() {
-		fixes := make([]fix, 0, len(p.binary))
-		for _, col := range p.binary {
-			v := 0.0
-			if opt.Incumbent[col] >= 0.5 {
-				v = 1
-			}
-			fixes = append(fixes, fix{col: col, val: v})
-		}
-		sol, err := solveWith(0, fixes, nil)
-		if err != nil {
+		if err := tryRounded(opt.Incumbent, nil); err != nil {
 			return nil, err
-		}
-		if sol.Status == lp.Optimal {
-			tryIncumbent(sol.X, sol.Objective)
 		}
 	}
 
@@ -419,11 +466,11 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	case lp.IterationLimit:
 		return nil, fmt.Errorf("bip: relaxation hit the iteration limit")
 	}
-	if col := p.mostFractional(rootSol.X, nil, fixed); col == -1 {
+	if col := p.mostFractional(rootSol.X); col == -1 {
 		tryIncumbent(rootSol.X, rootSol.Objective)
 	} else {
 		rootBasis := solvers[0].Snapshot()
-		if err := roundAndRepair(rootSol.X, nil, rootBasis); err != nil {
+		if err := tryRounded(rootSol.X, rootBasis); err != nil {
 			return nil, err
 		}
 		push(rootSol.Objective, nil, rootBasis)
@@ -432,18 +479,32 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	// Expansion rounds: pop up to batchWidthFor(round) admissible
 	// nodes, solve their relaxations in parallel, then branch in batch
 	// order. The incumbent is read during batch formation and updated
-	// only in the (sequential, deterministic) branching pass. Each
-	// optimal relaxation's basis is snapshotted inside the parallel
-	// section — the worker's solver state is overwritten by its next
-	// node — and handed to both children as their warm-start point.
+	// only in the (sequential, deterministic) branching pass. The basis
+	// of an optimal relaxation that will branch is snapshotted inside
+	// the parallel section — the worker's solver state is overwritten by
+	// its next node — and handed to both children as their warm-start
+	// point.
+	//
+	// The two children of a node carry the same bound and consecutive
+	// seq, so they leave the heap side by side, and since every batch
+	// width is even and the root pops alone they land in the same batch
+	// (a pair split by MaxNodes leaves its second child unexplored). The
+	// unit handed to a worker is therefore the sibling pair: the second
+	// child finds the factorization the first one loaded on the same
+	// solver. A unit starts by dropping whatever its solver had loaded
+	// before, so whether a factorization is reused depends on the pair
+	// alone, never on which worker took it or what that worker solved
+	// last, and the LP work counters stay worker-count invariant.
 	type batchItem struct {
 		nd   *node
 		num  int // this node's 1-based exploration number
 		sol  *lp.Solution
-		snap *lp.Basis
+		col  int       // branching column of an optimal relaxation, -1 if integral
+		snap *lp.Basis // its basis, when it may branch
 		err  error
 	}
 	batch := make([]batchItem, 0, batchWidth)
+	units := make([]int, 0, batchWidth+1) // unit u is batch[units[u]:units[u+1]]
 
 	for round := 0; open.len() > 0; round++ {
 		if err := ctx.Err(); err != nil {
@@ -454,27 +515,42 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 			break
 		}
 		width := batchWidthFor(round)
-		batch = batch[:0]
+		batch, units = batch[:0], units[:0]
 		for open.len() > 0 && len(batch) < width && res.Nodes < maxNodes {
 			nd := open.pop()
-			if nd.bound >= incumbent-gapSlack(opt.Gap, incumbent) {
-				prunedC.Inc()
-				continue // bound-dominated
+			if dominated(nd.bound) {
+				continue
 			}
 			res.Nodes++
 			nodesC.Inc()
+			if n := len(batch); n == 0 || n-units[len(units)-1] == 2 || batch[n-1].nd.basis != nd.basis {
+				units = append(units, n)
+			}
 			batch = append(batch, batchItem{nd: nd, num: res.Nodes})
 		}
 		if len(batch) == 0 {
 			continue
 		}
 		batchesC.Inc()
+		units = append(units, len(batch))
 
-		par.DoWorker(len(batch), workers, func(w, i int) {
-			it := &batch[i]
-			it.sol, it.err = solveWith(w, it.nd.fixes, it.nd.basis)
-			if it.err == nil && it.sol.Status == lp.Optimal {
-				it.snap = solvers[w].Snapshot()
+		// An optimal relaxation hands its basis on only if it branches:
+		// not when it is integral, nor when the incumbent this batch was
+		// formed under — which can only fall before the branching pass
+		// looks again — already dominates it.
+		cutoff := incumbent - gapSlack(opt.Gap, incumbent)
+		par.DoWorker(len(units)-1, workers, func(w, u int) {
+			solvers[w].ForgetLoad()
+			for i := units[u]; i < units[u+1]; i++ {
+				it := &batch[i]
+				it.sol, it.err = solveWith(w, it.nd.fixes, it.nd.basis)
+				if it.err != nil || it.sol.Status != lp.Optimal {
+					continue
+				}
+				it.col = p.mostFractional(it.sol.X)
+				if it.col != -1 && lift(it.sol.Objective) < cutoff {
+					it.snap = solvers[w].Snapshot()
+				}
 			}
 		})
 
@@ -487,17 +563,16 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 			if sol.Status != lp.Optimal {
 				continue // infeasible or numerically stuck subtree
 			}
-			if sol.Objective >= incumbent-gapSlack(opt.Gap, incumbent) {
-				prunedC.Inc()
+			if dominated(sol.Objective) {
 				continue
 			}
-			col := p.mostFractional(sol.X, it.nd.fixes, fixed)
+			col := it.col
 			if col == -1 {
 				tryIncumbent(sol.X, sol.Objective)
 				continue
 			}
 			if it.num%16 == 1 {
-				if err := roundAndRepair(sol.X, it.nd.fixes, it.snap); err != nil {
+				if err := tryRounded(sol.X, it.snap); err != nil {
 					return nil, err
 				}
 			}
@@ -517,7 +592,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	res.Objective = incumbent
 	res.Bound = incumbent
 	if res.Status == NodeLimit && open.len() > 0 {
-		res.Bound = math.Min(incumbent, open.ns[0].bound)
+		res.Bound = math.Min(incumbent, lift(open.ns[0].bound))
 	}
 	res.X = append([]float64(nil), incumbentX...)
 	// Snap binaries exactly.
@@ -531,13 +606,6 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	return res, nil
 }
 
-// markFixed sets the mark of every column in fixes to v.
-func markFixed(fixed []bool, fixes []fix, v bool) {
-	for _, f := range fixes {
-		fixed[f.col] = v
-	}
-}
-
 func gapSlack(gap, incumbent float64) float64 {
 	slack := 1e-7
 	if gap > 0 && !math.IsInf(incumbent, 1) {
@@ -549,19 +617,33 @@ func gapSlack(gap, incumbent float64) float64 {
 	return slack
 }
 
-// mostFractional returns the unfixed fractional binary column to
-// branch on, or -1 when all are integral. Among fractional variables
-// it prefers the most connected one (most constraint entries): in
-// selection problems those are the structural variables whose fixing
-// propagates furthest, closing the gap in far fewer nodes than pure
-// most-fractional branching. fixed is Solve's all-false column mark.
-func (p *Program) mostFractional(x []float64, fixes []fix, fixed []bool) int {
-	markFixed(fixed, fixes, true)
+// testNoRounding, when a test sets it, makes Solve treat every
+// objective as real-valued: the oracle the bound rounding is checked
+// against.
+var testNoRounding bool
+
+// integerObjective reports whether every objective coefficient is an
+// integer, so that an all-binary program's objective takes integer
+// values only.
+func (p *Program) integerObjective() bool {
+	for col := 0; col < p.NumCols(); col++ {
+		if c := p.lp.Obj(col); c != math.Trunc(c) || math.IsInf(c, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// mostFractional returns the fractional binary column of the LP
+// solution x to branch on, or -1 when all are integral. (A column the
+// node fixed is reported at exactly its fixed value, so it never
+// qualifies.) Among fractional variables it prefers the most connected
+// one (most constraint entries): in selection problems those are the
+// structural variables whose fixing propagates furthest, closing the
+// gap in far fewer nodes than pure most-fractional branching.
+func (p *Program) mostFractional(x []float64) int {
 	best, bestScore := -1, 0.0
 	for _, col := range p.binary {
-		if fixed[col] {
-			continue
-		}
 		frac := math.Abs(x[col] - math.Round(x[col]))
 		if frac <= intTol {
 			continue
@@ -572,7 +654,6 @@ func (p *Program) mostFractional(x []float64, fixes []fix, fixed []bool) int {
 			best = col
 		}
 	}
-	markFixed(fixed, fixes, false)
 	return best
 }
 

@@ -49,6 +49,11 @@ func (s *Solver) Snapshot() *Basis {
 // falls back deterministically to a cold Solve, so callers may use
 // SolveFrom from any worker without affecting reproducibility. An
 // unusable snapshot (nil or wrong shape) also falls back cold.
+//
+// A call that follows, on this solver, a SolveFrom of the same problem
+// from the same snapshot skips the load-time refactorization when the
+// earlier solve never refactorized again (see loadMark): the state it
+// starts from is identical either way, only the work differs.
 func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -97,16 +102,33 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 			}
 		}
 	}
-	for i := 0; i < m; i++ {
-		s.basis[i] = int(from.basis[i])
-	}
-	if !s.refactor() {
-		s.stats.Fallbacks++
-		return s.solveCold(p)
+	if mark := &s.loaded; mark.from == from && mark.prob == p {
+		s.etaRow = s.etaRow[:mark.etas]
+		s.etaPiv = s.etaPiv[:mark.etas]
+		s.etaStart = s.etaStart[:mark.etas+1]
+		s.etaIdx = s.etaIdx[:mark.nnz]
+		s.etaVal = s.etaVal[:mark.nnz]
+		s.updates, s.updNNZ = 0, 0
+		copy(s.basis, mark.basis)
+		s.computeBasics()
+		s.stats.FactorReuses++
+	} else {
+		for i := 0; i < m; i++ {
+			s.basis[i] = int(from.basis[i])
+		}
+		if !s.refactor() {
+			s.stats.Fallbacks++
+			return s.solveCold(p)
+		}
+		mark.from, mark.prob = from, p
+		mark.etas, mark.nnz = len(s.etaRow), len(s.etaIdx)
+		mark.basis = append(mark.basis[:0], s.basis...)
 	}
 
 	switch s.dualIterate(s.obj) {
 	case Infeasible:
+		s.stats.WarmStarts++
+		s.stats.WarmInfeasible++
 		return &Solution{Status: Infeasible}, nil
 	case IterationLimit:
 		s.stats.Fallbacks++
@@ -114,16 +136,23 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 	}
 	// Primal cleanup certifies optimality (and mops up any dual
 	// infeasibility introduced by tolerance drift); usually 0 pivots.
-	switch s.iterate(s.obj) {
-	case Unbounded:
-		return &Solution{Status: Unbounded}, nil
-	case IterationLimit:
+	st := s.iterate(s.obj)
+	if st == IterationLimit {
 		s.stats.Fallbacks++
 		return s.solveCold(p)
 	}
 	s.stats.WarmStarts++
+	if st == Unbounded {
+		return &Solution{Status: Unbounded}, nil
+	}
 	return s.extract(p), nil
 }
+
+// ForgetLoad drops the factorization the last SolveFrom marked for
+// reuse, so the next one refactorizes whatever snapshot it is given.
+// Branch and bound calls it between sibling pairs, which makes reuse a
+// property of the pair rather than of what its worker solved before.
+func (s *Solver) ForgetLoad() { s.loaded.from = nil }
 
 // dualIterate runs bounded dual simplex pivots until primal feasibility
 // (returns Optimal), a proof that no feasible point exists (returns

@@ -1,5 +1,10 @@
 package lp
 
+import (
+	"fmt"
+	"slices"
+)
+
 // SolveDense runs the dense reference engine of dense_test.go.
 func SolveDense(p *Problem) (*Solution, error) { return solveDense(p) }
 
@@ -23,3 +28,44 @@ func SetRefactorHook(f func(*Solver)) (restore func()) {
 // ColEntries returns column j's coefficients; the slice is the
 // problem's own.
 func (p *Problem) ColEntries(j int) []Entry { return p.cols[j].entries }
+
+// SameSolverState compares, by bit pattern, everything a solve leaves in
+// a solver that a later one could read: the eta file, the basis order,
+// the basic and nonbasic values and the statuses.
+func SameSolverState(want, got *Solver) error {
+	for _, c := range []struct {
+		name      string
+		want, got []int32
+	}{
+		{"etaRow", want.etaRow, got.etaRow},
+		{"etaStart", want.etaStart, got.etaStart},
+		{"etaIdx", want.etaIdx, got.etaIdx},
+	} {
+		if err := sameInt32(c.name, c.want, c.got); err != nil {
+			return err
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		want, got []float64
+	}{
+		{"etaPiv", want.etaPiv, got.etaPiv},
+		{"etaVal", want.etaVal, got.etaVal},
+		{"xb", want.xb, got.xb},
+		{"xval", want.xval, got.xval},
+	} {
+		if err := sameFloats(c.name, c.want, c.got); err != nil {
+			return err
+		}
+	}
+	if !slices.Equal(want.basis, got.basis) {
+		return fmt.Errorf("basis order %v, want %v", got.basis, want.basis)
+	}
+	if !slices.Equal(want.status, got.status) {
+		return fmt.Errorf("statuses differ")
+	}
+	if want.updates != got.updates || want.updNNZ != got.updNNZ {
+		return fmt.Errorf("update counts %d/%d, want %d/%d", got.updates, got.updNNZ, want.updates, want.updNNZ)
+	}
+	return nil
+}

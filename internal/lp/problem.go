@@ -36,6 +36,11 @@ type Entry struct {
 type Problem struct {
 	cols []column
 	rows []rowBounds
+	// entriesOK records that every entry's row index has been checked
+	// since the last AddCol or AddEntry, so that Validate, which runs on
+	// every solve, walks the entries of a problem once, not once per
+	// branch and bound node.
+	entriesOK bool
 }
 
 type column struct {
@@ -65,11 +70,15 @@ func (p *Problem) AddRow(lo, hi float64) int {
 func (p *Problem) AddCol(obj, lo, hi float64, entries ...Entry) int {
 	es := append([]Entry(nil), entries...)
 	p.cols = append(p.cols, column{obj: obj, lo: lo, hi: hi, entries: es})
+	p.entriesOK = false
 	return len(p.cols) - 1
 }
 
 // SetObj changes a column's objective coefficient.
 func (p *Problem) SetObj(col int, obj float64) { p.cols[col].obj = obj }
+
+// Obj returns a column's objective coefficient.
+func (p *Problem) Obj(col int) float64 { return p.cols[col].obj }
 
 // SetColBounds changes a column's bounds.
 func (p *Problem) SetColBounds(col int, lo, hi float64) {
@@ -87,7 +96,9 @@ func (p *Problem) NumRows() int { return len(p.rows) }
 // NumCols returns the number of variables.
 func (p *Problem) NumCols() int { return len(p.cols) }
 
-// Validate checks bound sanity and entry indices.
+// Validate checks bound sanity and entry indices. The entry indices are
+// walked only when a column or an entry was added since the last
+// successful call; bounds and objective are checked every time.
 func (p *Problem) Validate() error {
 	for i, r := range p.rows {
 		if r.lo > r.hi {
@@ -101,13 +112,56 @@ func (p *Problem) Validate() error {
 		if math.IsNaN(c.obj) {
 			return fmt.Errorf("lp: col %d has NaN objective", j)
 		}
+	}
+	if p.entriesOK {
+		return nil
+	}
+	for j, c := range p.cols {
 		for _, e := range c.entries {
 			if e.Row < 0 || e.Row >= len(p.rows) {
 				return fmt.Errorf("lp: col %d references row %d of %d", j, e.Row, len(p.rows))
 			}
 		}
 	}
+	p.entriesOK = true
 	return nil
+}
+
+// Eval evaluates the point x, one value per column: it reports whether
+// x satisfies every column bound and row activity bound to within the
+// solver's feasibility tolerance, and the objective at x. A program
+// whose every column is fixed has exactly one candidate point, so
+// branch and bound evaluates it here instead of running the simplex
+// method on it: the objective is summed in the order Solver uses to
+// report a solution, so for a feasible point it equals, bit for bit,
+// the Objective of a solve with every column fixed at x. act is scratch
+// for the row activities, at least NumRows long.
+func (p *Problem) Eval(x, act []float64) (obj float64, feasible bool) {
+	act = act[:len(p.rows)]
+	for i := range act {
+		act[i] = 0
+	}
+	feasible = true
+	for j := range p.cols {
+		c := &p.cols[j]
+		v := x[j]
+		if v < c.lo-feasTol || v > c.hi+feasTol {
+			feasible = false
+		}
+		obj += c.obj * v
+		if v == 0 {
+			continue
+		}
+		for _, e := range c.entries {
+			act[e.Row] += e.Coef * v
+		}
+	}
+	for i, r := range p.rows {
+		if a := act[i]; a < r.lo-feasTol || a > r.hi+feasTol {
+			feasible = false
+		}
+	}
+	return obj, feasible
 }
 
 // Status reports the outcome of a solve.
@@ -155,6 +209,7 @@ type Solution struct {
 // attaching columns to rows created after the column was added.
 func (p *Problem) AddEntry(col, row int, coef float64) {
 	p.cols[col].entries = append(p.cols[col].entries, Entry{Row: row, Coef: coef})
+	p.entriesOK = false
 }
 
 // ColEntryCount returns the number of nonzero coefficients of a column;
@@ -169,6 +224,8 @@ func (p *Problem) Clone() *Problem {
 	cp := &Problem{
 		cols: make([]column, len(p.cols)),
 		rows: append([]rowBounds(nil), p.rows...),
+
+		entriesOK: p.entriesOK,
 	}
 	copy(cp.cols, p.cols)
 	for i := range cp.cols {

@@ -100,7 +100,29 @@ type Solver struct {
 	degens   int
 	maxIters int
 
+	// loaded marks the factorization SolveFrom last loaded, while the
+	// eta file still starts with it (see loadMark).
+	loaded loadMark
+
 	stats SolverStats
+}
+
+// loadMark remembers the one factorization a solver may reuse: the
+// extent of the eta file right after SolveFrom refactorized a snapshot's
+// basis, and the basis order that refactorization left. Pivots only
+// append to the eta file, so until the next refactorization the file
+// still begins with those etas, and a second SolveFrom from the same
+// snapshot on the same problem — the sibling of a branch and bound
+// node — truncates back to the mark instead of refactorizing. The
+// refactorization is a pure function of the basis order and the
+// problem's columns, neither of which a bound fix touches, so the
+// restored state is bit for bit what refactor would rebuild.
+type loadMark struct {
+	from  *Basis   // nil: nothing to reuse
+	prob  *Problem // the problem the snapshot was loaded into
+	etas  int      // len(etaRow) after the load-time refactor
+	nnz   int      // len(etaIdx) after the load-time refactor
+	basis []int    // basis order after that refactor's permutation
 }
 
 // SolverStats accumulates work counters across every solve call on one
@@ -108,22 +130,34 @@ type Solver struct {
 // summing them across per-worker solvers yields the same totals at any
 // worker count.
 type SolverStats struct {
-	// Solves is the number of solve requests (Solve and SolveFrom).
+	// Solves is the number of solve requests (Solve and SolveFrom):
+	// ColdSolves + WarmStarts + Fallbacks.
 	Solves int64
+	// ColdSolves counts Solve calls, which start from the all-artificial
+	// basis by request.
+	ColdSolves int64
 	// Pivots is the total number of simplex pivots, primal and dual.
 	Pivots int64
 	// DegeneratePivots counts pivots with (near-)zero step length.
 	DegeneratePivots int64
 	// Refactors counts eta-file rebuilds from the basis columns,
-	// including the initial basis load of each solve.
+	// including the initial basis load of each solve that did not reuse
+	// the previous load's.
 	Refactors int64
+	// FactorReuses counts SolveFrom calls that found the snapshot's
+	// factorization still at the head of the eta file and skipped the
+	// load-time refactorization.
+	FactorReuses int64
 	// RefactorNNZ counts the off-pivot nonzeros refactorizations wrote
 	// into the eta file: the fill a better elimination order would
 	// have to reduce.
 	RefactorNNZ int64
 	// WarmStarts counts SolveFrom calls that completed on the
-	// warm-started dual simplex path.
+	// warm-started dual simplex path, whatever the answer.
 	WarmStarts int64
+	// WarmInfeasible counts the WarmStarts whose answer was the dual
+	// simplex's proof that the problem is infeasible.
+	WarmInfeasible int64
 	// DualPivots counts pivots taken by the dual simplex.
 	DualPivots int64
 	// Fallbacks counts SolveFrom calls that abandoned the warm start
@@ -135,11 +169,14 @@ type SolverStats struct {
 // solvers.
 func (s *SolverStats) Add(o SolverStats) {
 	s.Solves += o.Solves
+	s.ColdSolves += o.ColdSolves
 	s.Pivots += o.Pivots
 	s.DegeneratePivots += o.DegeneratePivots
 	s.Refactors += o.Refactors
+	s.FactorReuses += o.FactorReuses
 	s.RefactorNNZ += o.RefactorNNZ
 	s.WarmStarts += o.WarmStarts
+	s.WarmInfeasible += o.WarmInfeasible
 	s.DualPivots += o.DualPivots
 	s.Fallbacks += o.Fallbacks
 }
@@ -183,7 +220,9 @@ func growI32(s []int32, n int) []int32 {
 	return s
 }
 
-// prepare sizes and initializes the solver's state for one problem.
+// prepare sizes and initializes the solver's state for one problem. It
+// leaves the eta file alone: every path into a solve either rebuilds it
+// (refactor) or restores it (SolveFrom's factorization reuse).
 func (s *Solver) prepare(p *Problem) {
 	m, n := len(p.rows), len(p.cols)
 	s.m, s.n = m, n
@@ -245,12 +284,6 @@ func (s *Solver) prepare(p *Problem) {
 	} else {
 		s.touched = s.touched[:words]
 	}
-	s.etaRow = s.etaRow[:0]
-	s.etaPiv = s.etaPiv[:0]
-	s.etaIdx = s.etaIdx[:0]
-	s.etaVal = s.etaVal[:0]
-	s.etaStart = append(s.etaStart[:0], 0)
-	s.updates, s.updNNZ = 0, 0
 	s.fillMax = 16*m + 2048
 	s.pivots, s.degens = 0, 0
 	s.maxIters = 2000 + 40*(m+n)
@@ -320,6 +353,7 @@ func (s *Solver) Solve(p *Problem) (*Solution, error) {
 		return nil, err
 	}
 	s.stats.Solves++
+	s.stats.ColdSolves++
 	return s.solveCold(p)
 }
 
@@ -627,7 +661,8 @@ var testHookRefactor func(*Solver)
 // refactor rebuilds the eta file from the current basis columns and
 // recomputes the basic values, clearing accumulated floating point
 // drift and truncating update fill. It reports false when the basis has
-// become numerically singular.
+// become numerically singular. Whatever factorization SolveFrom had
+// marked for reuse is gone afterwards.
 //
 // Columns are processed in a sparsity-friendly order: repeatedly peel
 // columns with a single remaining unpivoted row (the triangular part of
@@ -642,6 +677,7 @@ func (s *Solver) refactor() bool {
 		testHookRefactor(s)
 	}
 	s.stats.Refactors++
+	s.loaded.from = nil
 	m := s.m
 	s.etaRow = s.etaRow[:0]
 	s.etaPiv = s.etaPiv[:0]
@@ -741,8 +777,14 @@ func (s *Solver) refactor() bool {
 		s.newBasis[s.posRow[k]] = s.basis[k]
 	}
 	copy(s.basis, s.newBasis)
+	s.computeBasics()
+	return true
+}
 
-	// Recompute basic values: B x_B = -A_N x_N.
+// computeBasics recomputes the basic values from the nonbasic ones and
+// the current factorization: B x_B = -A_N x_N.
+func (s *Solver) computeBasics() {
+	m := s.m
 	res := s.res
 	for k := range res {
 		res[k] = 0
@@ -768,7 +810,6 @@ func (s *Solver) refactor() bool {
 		s.xval[s.basis[i]] = res[i]
 		res[i] = 0
 	}
-	return true
 }
 
 // eliminate transforms the column at basis position k by the etas this

@@ -225,8 +225,11 @@ func (s *Snapshot) Format() string {
 // FormatSolverStats renders the LP-solver portion of a snapshot as a
 // short human-readable block: solve and warm-start counts with the hit
 // rate, pivot breakdown, refactorizations with the eta-file fill they
-// wrote, per solver phase how many solves ran and how many of them
-// stopped at the node limit with what relative gap (a truncated solve's
+// wrote and how many more were reused, the LPs branch and bound never
+// solved (fixed programs it evaluated, nodes it dropped only because an
+// integer-valued objective lets a bound round up), per solver phase how
+// many solves ran over how many nodes and how many of them stopped at
+// the node limit with what relative gap (a truncated solve's
 // recommendation is its best incumbent, not a proven optimum), and the
 // formulation-side dominance pruning and cutting-plane counters.
 // internal/bip publishes the lp.* totals (aggregated lp.SolverStats)
@@ -241,11 +244,14 @@ func (s *Snapshot) FormatSolverStats() string {
 	if solves > 0 {
 		fmt.Fprintf(&b, " = %.0f%%", 100*float64(warm)/float64(solves))
 	}
-	fmt.Fprintf(&b, ", %d cold fallbacks)\n", c["lp.warm_fallbacks"])
+	fmt.Fprintf(&b, ", %d of them proved infeasible, %d cold fallbacks)\n",
+		c["lp.warm_infeasible"], c["lp.warm_fallbacks"])
 	fmt.Fprintf(&b, "  simplex pivots           %d (%d dual, %d degenerate)\n",
 		c["lp.pivots"], c["lp.dual_pivots"], c["lp.degenerate_pivots"])
-	fmt.Fprintf(&b, "  basis refactorizations   %d (%d off-pivot nonzeros)\n",
-		c["lp.refactors"], c["lp.refactor_nnz"])
+	fmt.Fprintf(&b, "  basis refactorizations   %d (%d off-pivot nonzeros), %d reused by a sibling\n",
+		c["lp.refactors"], c["lp.refactor_nnz"], c["lp.factor_reuses"])
+	fmt.Fprintf(&b, "  LPs not solved           %d fixed programs evaluated, %d nodes pruned by integer rounding\n",
+		c["bip.fixed_evals"], c["bip.pruned_integral"])
 	for i, phase := range []string{"phase1", "phase2"} {
 		solves, cut := c["search."+phase+".solves"], c["search."+phase+".node_limit"]
 		if solves == 0 {
@@ -253,11 +259,12 @@ func (s *Snapshot) FormatSolverStats() string {
 		}
 		fmt.Fprintf(&b, "  phase %d solves           %d (", i+1, solves)
 		if cut == 0 {
-			b.WriteString("proven optimal)\n")
+			b.WriteString("proven optimal)")
 		} else {
-			fmt.Fprintf(&b, "%d stopped at the node limit, mean relative gap %.3g%%)\n",
+			fmt.Fprintf(&b, "%d stopped at the node limit, mean relative gap %.3g%%)",
 				cut, 100*s.Gauges["search."+phase+".gap"]/float64(cut))
 		}
+		fmt.Fprintf(&b, " over %d nodes\n", c["search."+phase+".nodes"])
 	}
 	fmt.Fprintf(&b, "  dominated plans pruned   %d\n", c["search.plans_pruned_dominated"])
 	fmt.Fprintf(&b, "  budget cut rows          %d\n", c["search.cuts"])

@@ -2,9 +2,13 @@ package search_test
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
+	"nose/internal/bip"
 	"nose/internal/hotel"
+	"nose/internal/obs"
 	"nose/internal/randwork"
 	"nose/internal/rubis"
 	"nose/internal/search"
@@ -50,8 +54,12 @@ func TestAdviseDeterministic(t *testing.T) {
 
 // TestAdviseWorkerInvariance: the recommendation must be byte-identical
 // for every worker count — schema rendering, objective bits, plan
-// signatures, and node counts. Parallelism may only change wall-clock
-// time, never the answer.
+// signatures, and node counts — and so must every bip.*, lp.* and
+// search.* counter: they count the explored tree and the LP work on it
+// (pivots, refactorizations and the ones a sibling reused, evaluated
+// fixed programs, nodes pruned by rounding), which sibling-pair
+// scheduling keeps independent of who solved what. Parallelism may only
+// change wall-clock time, never the answer nor the work.
 func TestAdviseWorkerInvariance(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -102,9 +110,10 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(workers int) *search.Recommendation {
+			run := func(workers int) (*search.Recommendation, map[string]int64) {
 				opt := tc.opt
 				opt.Workers = workers
+				opt.Obs = obs.NewRegistry()
 				if tc.name == "rubis" || tc.name == "randwork" {
 					opt.Planner.MaxPlansPerQuery = 16
 					opt.MaxSupportPlans = 4
@@ -115,11 +124,34 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return rec
+				counters := map[string]int64{}
+				for name, v := range opt.Obs.Snapshot().Counters {
+					for _, layer := range []string{"bip.", "lp.", "search."} {
+						if strings.HasPrefix(name, layer) {
+							counters[name] = v
+						}
+					}
+				}
+				return rec, counters
 			}
-			base := run(1)
+			base, baseCounters := run(1)
+			for _, name := range []string{"bip.nodes", "bip.fixed_evals", "lp.solves", "lp.factor_reuses", "search.phase1.nodes"} {
+				if baseCounters[name] == 0 {
+					t.Errorf("counter %s is zero: the comparison below would be vacuous", name)
+				}
+			}
 			for _, workers := range []int{2, 4, 8} {
-				rec := run(workers)
+				rec, counters := run(workers)
+				if !reflect.DeepEqual(counters, baseCounters) {
+					for name, want := range baseCounters {
+						if got := counters[name]; got != want {
+							t.Errorf("workers=%d: counter %s = %d, %d at workers=1", workers, name, got, want)
+						}
+					}
+					if len(counters) != len(baseCounters) {
+						t.Errorf("workers=%d: %d counters, %d at workers=1", workers, len(counters), len(baseCounters))
+					}
+				}
 				if got, want := rec.Schema.String(), base.Schema.String(); got != want {
 					t.Errorf("workers=%d: schema differs:\n%s\nvs workers=1:\n%s", workers, got, want)
 				}
@@ -159,5 +191,59 @@ func TestAdviseCostMatchesChosenPlans(t *testing.T) {
 	want := 2.5 * rec.Queries[0].Plan.Cost
 	if diff := rec.Cost - want; diff > 1e-6 || diff < -1e-6 {
 		t.Errorf("cost %v, plans sum to %v", rec.Cost, want)
+	}
+}
+
+// TestLPSolveAccounting: every LP solve request ends in exactly one of
+// three ways — cold by request, on the warm-started path (whatever its
+// answer, a proof of infeasibility included), or warm-started and
+// fallen back cold — so the three counters add up to lp.solves, and
+// -solver-stats' warm-start share is a share of everything.
+func TestLPSolveAccounting(t *testing.T) {
+	var infeasible int64
+	for _, tc := range []struct {
+		name  string
+		build func() (*workload.Workload, error)
+	}{
+		{"rubis", func() (*workload.Workload, error) {
+			w, _, err := rubis.Workload(rubis.Graph(rubis.DefaultConfig()))
+			return w, err
+		}},
+		{"hotel", func() (*workload.Workload, error) {
+			g := hotel.Graph()
+			w := workload.New(g)
+			for _, src := range []string{hotel.ExampleQuery, hotel.PrefixQuery, hotel.POIQuery} {
+				w.Add(workload.MustParseQuery(g, src), 1)
+			}
+			w.Add(workload.MustParse(g, hotel.UpdateStatements[0]), 0.5)
+			return w, nil
+		}},
+		{"randwork", func() (*workload.Workload, error) {
+			return randwork.Generate(randwork.Config{Factor: 1, Seed: 7})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			if _, err := search.Advise(w, search.Options{Workers: 2, Obs: reg, BIP: bip.Options{MaxNodes: 400}}); err != nil {
+				t.Fatal(err)
+			}
+			c := reg.Snapshot().Counters
+			solves, cold, warm, fallbacks := c["lp.solves"], c["lp.cold_solves"], c["lp.warm_starts"], c["lp.warm_fallbacks"]
+			if solves == 0 || cold+warm+fallbacks != solves {
+				t.Errorf("lp.solves %d != %d cold + %d warm + %d fallbacks", solves, cold, warm, fallbacks)
+			}
+			inf := c["lp.warm_infeasible"]
+			if inf > warm {
+				t.Errorf("lp.warm_infeasible %d exceeds the %d warm starts it is a part of", inf, warm)
+			}
+			infeasible += inf
+		})
+	}
+	if infeasible == 0 {
+		t.Error("no input had a warm start prove infeasibility: the case this test is for never ran")
 	}
 }

@@ -119,12 +119,14 @@ type Solve struct {
 	// Gap is the relative gap between the solve's incumbent and its best
 	// proven bound: zero when Status is bip.Optimal.
 	Gap float64
+	// Nodes is the number of branch and bound nodes the solve explored.
+	Nodes int
 }
 
 // endSolve closes a solve's span with its node count, status and gap,
 // and returns the same outcome for Stats.
 func endSolve(sp *obs.Span, res *bip.Result) Solve {
-	out := Solve{Ran: true, Status: res.Status}
+	out := Solve{Ran: true, Status: res.Status, Nodes: res.Nodes}
 	sp.SetArg("nodes", res.Nodes).SetArg("status", res.Status.String())
 	if res.HasSolution {
 		out.Gap = res.Gap()
@@ -339,14 +341,15 @@ func publishRun(opt Options, rec *Recommendation) {
 	publishTimings(opt.Obs, rec.Timings)
 }
 
-// publishSolve counts one solver phase, whether it was truncated, and
-// adds its gap to the phase's gauge (the sum over a registry's runs;
+// publishSolve counts one solver phase, its nodes, whether it was
+// truncated, and adds its gap to the phase's gauge (the sum over a registry's runs;
 // -solver-stats divides it by the truncated count).
 func publishSolve(r *obs.Registry, phase string, s Solve) {
 	if !s.Ran {
 		return
 	}
 	r.Counter("search." + phase + ".solves").Inc()
+	r.Counter("search." + phase + ".nodes").Add(int64(s.Nodes))
 	if s.Status == bip.NodeLimit {
 		r.Counter("search." + phase + ".node_limit").Inc()
 	}
