@@ -52,6 +52,9 @@ type Result struct {
 	Rows []Tuple
 	// SimMillis is the accumulated simulated service plus client time.
 	SimMillis float64
+	// Retries counts the operations this statement retried, failed
+	// executions included: the statement's own share of exec.retries.
+	Retries int64
 }
 
 // Executor executes plans against one store — any backend.KVBackend,
@@ -84,8 +87,7 @@ type execObs struct {
 // SetObs routes the executor's metrics into a registry: exec.* counters
 // for statements and retries, and exec.{query,write}.sim_ms latency
 // histograms in simulated milliseconds. Metrics reads the same
-// instruments, so executors sharing a registry report shared totals —
-// a system that rebuilds its executor mid-run keeps its retry history.
+// instruments, so executors sharing a registry report shared totals.
 func (e *Executor) SetObs(r *obs.Registry) {
 	e.eo = execObs{
 		queries:        r.Counter("exec.queries"),
@@ -237,6 +239,7 @@ func (e *Executor) ExecuteQuery(plan *planner.Plan, params Params) (*Result, err
 		if res.SimMillis, err = e.run(prog.plans[0], sc); err == nil {
 			res.Rows = sc.project()
 		}
+		res.Retries = sc.bgt.retries
 		e.pool.Put(sc)
 	}
 	if err != nil {
@@ -444,6 +447,7 @@ func (e *Executor) ExecuteWrite(urs []*search.UpdateRecommendation, params Param
 	if err == nil {
 		err = e.write(sc, &res.SimMillis)
 	}
+	res.Retries = sc.bgt.retries
 	e.pool.Put(sc)
 	if err != nil {
 		e.eo.writeErrors.Inc()

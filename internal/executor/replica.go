@@ -145,6 +145,12 @@ type CoordinatorOptions struct {
 	// Nodes supplies node-level fault domains; nil means a healthy
 	// cluster.
 	Nodes *faults.Nodes
+	// Crashes arms deterministic crash injection inside the hinted-handoff
+	// and read-repair paths: a crash fires just before a pending hint
+	// batch is replayed, so the hints are lost with the process — exactly
+	// the window where an acknowledged write's durability rests on the
+	// replicas that already applied it. Nil never crashes.
+	Crashes *faults.Crashes
 }
 
 // Coordinator drives a ReplicatedStore the way a Cassandra coordinator
@@ -174,17 +180,17 @@ type CoordinatorOptions struct {
 // Simulated latency models concurrent fan-out: a coordinated operation
 // costs as much as the k-th fastest replica it waited for, not the sum.
 type Coordinator struct {
-	repl  *backend.ReplicatedStore
-	read  Consistency
-	write Consistency
-	hedge HedgePolicy
-
-	mu      sync.Mutex
+	repl    *backend.ReplicatedStore
+	read    Consistency
+	write   Consistency
+	hedge   HedgePolicy
 	nodes   *faults.Nodes
 	crashes *faults.Crashes
-	queues  *backend.NodeQueues
-	hints   map[hintKey][]hint
-	co      coordObs
+
+	mu     sync.Mutex
+	queues *backend.NodeQueues
+	hints  map[hintKey][]hint
+	co     coordObs
 }
 
 // coordObs holds the coordinator's instruments — its only counters. A
@@ -228,34 +234,16 @@ func (c *Coordinator) SetObs(r *obs.Registry) {
 // NewCoordinator wraps a replicated store with quorum coordination.
 func NewCoordinator(repl *backend.ReplicatedStore, opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
-		repl:  repl,
-		read:  opts.Read,
-		write: opts.Write,
-		hedge: opts.Hedge.normalized(),
-		nodes: opts.Nodes,
-		hints: map[hintKey][]hint{},
+		repl:    repl,
+		read:    opts.Read,
+		write:   opts.Write,
+		hedge:   opts.Hedge.normalized(),
+		nodes:   opts.Nodes,
+		crashes: opts.Crashes,
+		hints:   map[hintKey][]hint{},
 	}
 	c.SetObs(obs.NewRegistry())
 	return c
-}
-
-// SetNodes swaps in a node fault set (e.g. when a harness enables
-// faults after installing data).
-func (c *Coordinator) SetNodes(ns *faults.Nodes) {
-	c.mu.Lock()
-	c.nodes = ns
-	c.mu.Unlock()
-}
-
-// SetCrashes arms deterministic crash injection inside the
-// coordinator's hinted-handoff and read-repair paths: a crash fires
-// just before a pending hint batch is replayed, so the hints are lost
-// with the process — exactly the window where an acknowledged write's
-// durability rests on the replicas that already applied it.
-func (c *Coordinator) SetCrashes(cr *faults.Crashes) {
-	c.mu.Lock()
-	c.crashes = cr
-	c.mu.Unlock()
 }
 
 // SetQueues attaches per-node FIFO service queues: every foreground

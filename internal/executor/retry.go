@@ -93,6 +93,7 @@ type MetricsSnapshot struct {
 type stmtBudget struct {
 	spentMillis float64
 	ops         int64
+	retries     int64
 }
 
 // jitter01 returns a deterministic pseudo-uniform value in [0, 1)
@@ -161,6 +162,7 @@ func (e *Executor) retryOp(bgt *stmtBudget, cf string, do func() (float64, error
 		}
 		total += backoff
 		bgt.spentMillis += backoff
+		bgt.retries++
 		e.eo.retries.Inc()
 		e.eo.backoffSimMs.Add(backoff)
 		e.eo.wastedSimMs.Add(wasted)

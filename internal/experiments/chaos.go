@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"nose/internal/faults"
 	"nose/internal/harness"
 )
 
@@ -82,11 +83,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		// reproduced in isolation.
 		err := sw.cell(fmt.Sprintf("rate=%g", rate), func(c *cell) error {
 			for _, name := range SystemNames {
-				spec := systemSpec{name: name, rec: f.recs[name]}
+				sc := harness.Config{Name: name, Rec: f.recs[name]}
 				if rate > 0 {
-					spec.weather = &weather{seed: cfg.Seed, rate: rate}
+					sc.FamilyWeather = &harness.FamilyWeather{Seed: cfg.Seed, Profile: faults.Rate(rate)}
 				}
-				sys, err := c.system(spec)
+				sys, err := c.system(sc)
 				if err != nil {
 					return err
 				}

@@ -265,7 +265,10 @@ func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc
 	if err != nil {
 		return fmt.Errorf("reopen journal: %w", err)
 	}
-	sys, err := c.system(systemSpec{name: name, repl: &rc, restart: crashed, verifier: v, journal: j})
+	sys, err := c.system(harness.Config{
+		Name: name, Rec: crashed.Rec(), Repl: crashed.Repl, Replication: &rc,
+		Verifier: v, Journal: j,
+	})
 	if err != nil {
 		return err
 	}
@@ -294,16 +297,16 @@ func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc
 // arms nothing), interleaving a query and an insert per step. A crash
 // restarts over the surviving cluster, recovers from the reopened
 // journal, drains a resumed migration, and runs the invariant check.
-func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w weather, armAt int64, cell *CrashChaosCell) error {
+func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w harness.NodeWeather, armAt int64, cell *CrashChaosCell) error {
 	v := verify.New()
 	cr := faults.NewCrashes()
 	if armAt >= 0 {
 		cr.Arm(faults.SiteJournal, armAt)
 	}
 	j := journal.New(journal.Options{Crashes: cr})
-	sys, err := c.system(systemSpec{
-		name: "crashchaos", rec: f.recA, repl: &rc, weather: &w,
-		verifier: v, journal: j, crashes: cr,
+	sys, err := c.system(harness.Config{
+		Name: "crashchaos", Rec: f.recA, Replication: &rc, NodeWeather: &w,
+		Verifier: v, Journal: j, Crashes: cr,
 	})
 	if err != nil {
 		return err
@@ -399,14 +402,14 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w wea
 // cluster then restarts with a fresh coordinator — hints die with the
 // process — and the verifier checks every acknowledged write is still
 // durable somewhere.
-func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w weather, site string) (CrashChaosSiteCell, error) {
-	out := CrashChaosSiteCell{Site: site, Rate: w.rate}
+func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w harness.NodeWeather, site string) (CrashChaosSiteCell, error) {
+	out := CrashChaosSiteCell{Site: site}
 	rc.Read, rc.Write = executor.Quorum, executor.Quorum
 	v := verify.New()
 	cr := faults.NewCrashes()
-	sys, err := c.system(systemSpec{
-		name: "crashchaos-site", rec: f.recA, repl: &rc, weather: &w,
-		verifier: v, crashes: cr,
+	sys, err := c.system(harness.Config{
+		Name: "crashchaos-site", Rec: f.recA, Replication: &rc, NodeWeather: &w,
+		Verifier: v, Crashes: cr,
 	})
 	if err != nil {
 		return out, err
@@ -510,7 +513,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosResult, error) {
 		row := CrashChaosRow{Rate: rate, Cells: map[string]CrashChaosCell{}}
 		for _, level := range res.Levels {
 			cells++
-			w := weather{seed: cfg.Seed + cells, rate: rate}
+			w := harness.NodeWeather{Seed: cfg.Seed + cells, Profile: faults.NodeRate(rate)}
 			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, level), func(c *cell) error {
 				rc := repl
 				rc.Read, rc.Write = level, level
@@ -534,9 +537,10 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosResult, error) {
 	for _, rate := range rates {
 		for _, site := range []string{faults.SiteHandoff, faults.SiteReadRepair} {
 			cells++
-			w := weather{seed: cfg.Seed + cells, rate: rate}
+			w := harness.NodeWeather{Seed: cfg.Seed + cells, Profile: faults.NodeRate(rate)}
 			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, site), func(c *cell) error {
 				cell, err := f.siteRun(c, repl, w, site)
+				cell.Rate = rate
 				res.Sites = append(res.Sites, cell)
 				return err
 			})

@@ -267,7 +267,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 				{"Static", installOnce(tl.start, cfg.Phases), &row.Static},
 				{"Readvised", tl.series.Phases, &row.Readvised},
 			} {
-				sys, err := c.system(systemSpec{name: strategy.name})
+				sys, err := c.system(harness.Config{Name: strategy.name})
 				if err != nil {
 					return err
 				}

@@ -81,7 +81,7 @@ func fig11Mix(f *fixture, sw *sweep, mix string) (*Fig11Result, error) {
 	err := sw.cell(f.mix, func(c *cell) error {
 		var systems []*harness.System
 		for _, name := range SystemNames {
-			sys, err := c.system(systemSpec{name: name, rec: f.recs[name]})
+			sys, err := c.system(harness.Config{Name: name, Rec: f.recs[name]})
 			if err != nil {
 				return err
 			}

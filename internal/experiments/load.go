@@ -138,10 +138,11 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			err := sw.cell(fmt.Sprintf("%s clients=%d", level, n), func(c *cell) error {
 				rc := repl
 				rc.Read, rc.Write = level, level
-				sys, q, err := c.queuedSystem(systemSpec{name: "NoSE", rec: f.recs["NoSE"], repl: &rc}, capacity)
+				sys, err := c.system(harness.Config{Name: "NoSE", Rec: f.recs["NoSE"], Replication: &rc})
 				if err != nil {
 					return err
 				}
+				q := sys.EnableQueues(capacity)
 				r, err := load.Run(sys, f.work, f.params(paramSeed).Params, q, load.Options{
 					Clients:       n,
 					ThinkMillis:   think,

@@ -9,6 +9,7 @@ import (
 
 	"nose/internal/drift"
 	"nose/internal/executor"
+	"nose/internal/faults"
 	"nose/internal/harness"
 	"nose/internal/migrate"
 	"nose/internal/rubis"
@@ -352,16 +353,16 @@ type onlineRun struct {
 // clean rows, replicated QUORUM cluster with node faults for faulted
 // rows.
 func (r *onlineRun) system(name string) (*harness.System, error) {
-	spec := systemSpec{name: name}
+	sc := harness.Config{Name: name}
 	if r.faulted {
-		spec.repl = &harness.ReplicationConfig{
+		sc.Replication = &harness.ReplicationConfig{
 			Read:  executor.Quorum,
 			Write: executor.Quorum,
 			Hedge: executor.HedgePolicy{Enabled: true},
 		}
-		spec.weather = &weather{seed: r.cfg.Seed, rate: r.cfg.FaultRate}
+		sc.NodeWeather = &harness.NodeWeather{Seed: r.cfg.Seed, Profile: faults.NodeRate(r.cfg.FaultRate)}
 	}
-	return r.c.system(spec)
+	return r.c.system(sc)
 }
 
 // phase runs phase t of the schedule against a system: paired

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"nose/internal/executor"
+	"nose/internal/faults"
 	"nose/internal/harness"
 	"nose/internal/load"
 )
@@ -103,9 +104,9 @@ func RunQuorum(cfg QuorumConfig) (*QuorumResult, error) {
 			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, level), func(c *cell) error {
 				rc := repl
 				rc.Read, rc.Write, rc.Hedge = level, level, executor.HedgePolicy{Enabled: true}
-				sys, err := c.system(systemSpec{
-					name: "NoSE", rec: f.recs["NoSE"], repl: &rc,
-					weather: &weather{seed: cfg.Seed, rate: rate},
+				sys, err := c.system(harness.Config{
+					Name: "NoSE", Rec: f.recs["NoSE"], Replication: &rc,
+					NodeWeather: &harness.NodeWeather{Seed: cfg.Seed, Profile: faults.NodeRate(rate)},
 				})
 				if err != nil {
 					return err

@@ -22,10 +22,11 @@
 //     such as "rate=0.02 QUORUM". Cells run sequentially. The driver
 //     merges the registries of the systems the cell built into the run
 //     registry and wraps the cell's error with the experiment and label.
-//   - A cell function: it builds what it measures through (*cell).system
-//     — the one place harness constructors and Enable*/Attach* switches
-//     are called, and where each system gets its own trace lane — runs
-//     transactions through measure, and writes its row of the result.
+//   - A cell function: it declares what it measures as a harness.Config
+//     and builds it through (*cell).system — the one place a harness
+//     constructor is called, and where each system gets its own trace
+//     lane — runs transactions through measure, and writes its row of
+//     the result.
 //     Fresh systems per cell keep cells independent and reproducible in
 //     isolation.
 //   - A result type with a Format method printing the table, and one
@@ -47,17 +48,13 @@ import (
 	"nose/internal/backend"
 	"nose/internal/baselines"
 	"nose/internal/cost"
-	"nose/internal/executor"
-	"nose/internal/faults"
 	"nose/internal/harness"
-	"nose/internal/journal"
 	"nose/internal/load"
 	"nose/internal/obs"
 	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/schema"
 	"nose/internal/search"
-	"nose/internal/verify"
 	"nose/internal/workload"
 )
 
@@ -101,94 +98,34 @@ func (sw *sweep) cell(label string, fn func(c *cell) error) error {
 	return nil
 }
 
-// weather is a seeded fault stream: family-level faults on a single
-// store (faults.Rate), node-level fault domains on a cluster
-// (faults.NodeRate).
-type weather struct {
-	seed int64
-	rate float64
-}
-
-// systemSpec says what c.system assembles. The zero value of every
-// field but name means "without".
-type systemSpec struct {
-	name string
-	// rec is the schema installed from the sweep's dataset before the
-	// first statement; nil starts empty, for cells that charge the
-	// installation through System.Migrate.
-	rec *search.Recommendation
-	// repl makes the system a replicated cluster.
-	repl *harness.ReplicationConfig
-	// restart builds the system over the surviving cluster of a crashed
-	// one, serving the recommendation that one served. The crashed
-	// incarnation's registry dies with its process: the restarted one is
-	// merged in its place.
-	restart *harness.System
-	// weather injects faults under the default retry policy.
-	weather *weather
-	// verifier, journal and crashes are shared across the incarnations
-	// of one simulated process, so the cell makes them.
-	verifier *verify.Verifier
-	journal  *journal.Journal
-	crashes  *faults.Crashes
-}
-
-// system assembles one measured system — the only place the package
-// calls harness's constructors and Enable*/Attach* switches — gives it
-// the sweep's next simulated-clock lane, named "<experiment> <cell
-// label> <system name>", and registers it for the merge at the end of
-// the cell.
-func (c *cell) system(spec systemSpec) (*harness.System, error) {
-	rec := spec.rec
-	if rec == nil {
-		rec = &search.Recommendation{Schema: schema.NewSchema()}
+// system builds the measured system cfg declares — the only place the
+// package calls a harness constructor. It fills in what every cell
+// shares: the sweep's dataset unless cfg names a surviving store, the
+// default latency parameters, and an empty schema for a cell that
+// charges the installation through System.Migrate (nil Rec). The system
+// gets the sweep's next simulated-clock lane, named "<experiment> <cell
+// label> <system name>", and is registered for the merge at the end of
+// the cell. A system restarted over a surviving cluster is merged in
+// place of the crashed incarnation that built the cluster, whose
+// registry died with its process.
+func (c *cell) system(cfg harness.Config) (*harness.System, error) {
+	if cfg.Rec == nil {
+		cfg.Rec = &search.Recommendation{Schema: schema.NewSchema()}
 	}
-	lat := cost.DefaultParams()
-	var sys *harness.System
-	var err error
-	switch {
-	case spec.restart != nil:
-		sys = harness.NewReplicatedSystemFromStore(spec.name, spec.restart.Repl, spec.restart.Rec(), lat, *spec.repl)
-		c.systems = slices.DeleteFunc(c.systems, func(s *harness.System) bool { return s == spec.restart })
-	case spec.repl != nil:
-		sys, err = harness.NewReplicatedSystem(spec.name, c.sw.ds, rec, lat, *spec.repl)
-	default:
-		sys, err = harness.NewSystem(spec.name, c.sw.ds, rec, lat)
+	cfg.Latency = cost.DefaultParams()
+	if cfg.Repl != nil {
+		c.systems = slices.DeleteFunc(c.systems, func(s *harness.System) bool { return s.Repl == cfg.Repl })
+	} else {
+		cfg.Dataset = c.sw.ds
 	}
+	sys, err := harness.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if spec.verifier != nil {
-		sys.AttachVerifier(spec.verifier)
-	}
-	if spec.journal != nil {
-		sys.AttachJournal(spec.journal)
-	}
-	if spec.crashes != nil {
-		sys.EnableCrashes(spec.crashes)
-	}
-	if w := spec.weather; w != nil {
-		if sys.Repl != nil {
-			sys.EnableNodeFaults(w.seed, faults.NodeRate(w.rate), executor.DefaultRetryPolicy())
-		} else {
-			sys.EnableFaults(w.seed, faults.Rate(w.rate), executor.DefaultRetryPolicy())
-		}
-	}
 	c.sw.lanes++
-	sys.EnableTrace(c.sw.trace, c.sw.lanes, fmt.Sprintf("%s %s %s", c.sw.name, c.label, spec.name))
+	sys.EnableTrace(c.sw.trace, c.sw.lanes, fmt.Sprintf("%s %s %s", c.sw.name, c.label, cfg.Name))
 	c.systems = append(c.systems, sys)
 	return sys, nil
-}
-
-// queuedSystem is system on a cluster whose nodes serve through FIFO
-// queues of the given capacity; the load generator advances the queues'
-// clock, so they come back with the system.
-func (c *cell) queuedSystem(spec systemSpec, capacity int) (*harness.System, *backend.NodeQueues, error) {
-	sys, err := c.system(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sys, sys.EnableQueues(capacity), nil
 }
 
 // measure runs n executions of txn on sys, drawing each execution's

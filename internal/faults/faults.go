@@ -238,12 +238,6 @@ func New(inner backend.KVBackend, seed int64) *Injector {
 	return i
 }
 
-// SetInner re-points the injector at another backend, keeping its
-// profiles, down marks, counts and fault stream. It exists so a stack
-// can be re-layered under an injector its callers already hold; call it
-// before any operation runs.
-func (i *Injector) SetInner(inner backend.KVBackend) { i.inner = inner }
-
 // SetDefaultProfile applies a profile to every column family without an
 // explicit one.
 func (i *Injector) SetDefaultProfile(p Profile) {

@@ -145,19 +145,19 @@ func (f *sweepFixture) insertParams(i int) executor.Params {
 // recovery outcome (RecoverNone for clean runs).
 func runSweep(t *testing.T, f *sweepFixture, armAt int64) (appends int, outcome harness.RecoverOutcome) {
 	t.Helper()
-	sys, err := harness.NewSystem("sweep", f.ds, f.recA, cost.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
 	v := verify.New()
-	sys.AttachVerifier(v)
 	cr := faults.NewCrashes()
 	if armAt >= 0 {
 		cr.Arm(faults.SiteJournal, armAt)
 	}
 	j := journal.New(journal.Options{Crashes: cr})
-	sys.AttachJournal(j)
-	sys.EnableCrashes(cr)
+	sys, err := harness.New(harness.Config{
+		Name: "sweep", Rec: f.recA, Latency: cost.DefaultParams(), Dataset: f.ds,
+		Verifier: v, Journal: j,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	pr := &search.PhaseRecommendation{Rec: f.recB, Build: f.build, Drop: f.drop}
 	crashed := false
@@ -195,15 +195,13 @@ func runSweep(t *testing.T, f *sweepFixture, armAt int64) (appends int, outcome 
 		return j.Records(), harness.RecoverNone
 	}
 
-	// Restart: reopen the durable journal, wrap the surviving store,
-	// re-attach the cross-crash verifier, replay.
+	// Restart: reopen the durable journal, declare the surviving store
+	// and the cross-crash verifier, replay.
 	j2, recs, err := journal.Open(j.Durable(), journal.Options{})
 	if err != nil {
 		t.Fatalf("arm %d: reopen journal: %v", armAt, err)
 	}
-	sys2 := harness.NewSystemFromStore("recovered", sys.Store, sys.Rec(), cost.DefaultParams())
-	sys2.AttachVerifier(v)
-	sys2.AttachJournal(j2)
+	sys2 := restartOver(t, "recovered", sys, v, j2)
 	rep, err := sys2.Recover(f.ds, recs, pr, harness.RecoverOptions{Live: f.liveOpts})
 	if err != nil {
 		t.Fatalf("arm %d: recover: %v", armAt, err)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"nose/internal/backend"
@@ -29,7 +30,7 @@ type redundantFixture struct {
 	params executor.Params
 }
 
-func newRedundantFixture(t *testing.T) *redundantFixture {
+func newRedundantFixture(t *testing.T, declare ...func(*harness.Config)) *redundantFixture {
 	t.Helper()
 	g := model.NewGraph()
 	u := g.AddEntity("User", "UserID", 100)
@@ -73,7 +74,11 @@ func newRedundantFixture(t *testing.T) *redundantFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := harness.NewSystem("redundant", ds, rec, cost.DefaultParams())
+	sc := harness.Config{Name: "redundant", Rec: rec, Latency: cost.DefaultParams(), Dataset: ds}
+	for _, d := range declare {
+		d(&sc)
+	}
+	sys, err := harness.New(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +180,8 @@ func TestAllPlansDownYieldsErrUnavailable(t *testing.T) {
 // injector does), so the primary plan is attempted, fails Unavailable,
 // and the statement reroutes — charging the wasted attempt.
 func TestInjectedUnavailabilityDiscoversFailover(t *testing.T) {
-	f := newRedundantFixture(t)
-	inj := f.sys.EnableFaults(1, faults.Profile{}, executor.DefaultRetryPolicy())
+	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
+	inj := f.sys.Faults()
 
 	healthy, err := f.sys.ExecStatement(f.query, f.params)
 	if err != nil {
@@ -204,8 +209,8 @@ func TestInjectedUnavailabilityDiscoversFailover(t *testing.T) {
 // transient errors: the executor retries, gives up, and the harness
 // reroutes to the healthy family.
 func TestRetryExhaustionFailsOver(t *testing.T) {
-	f := newRedundantFixture(t)
-	inj := f.sys.EnableFaults(1, faults.Profile{}, executor.DefaultRetryPolicy())
+	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
+	inj := f.sys.Faults()
 	inj.SetProfile(planCF(t, f.plans[0]), faults.Profile{TransientRate: 1})
 
 	ms, err := f.sys.ExecStatement(f.query, f.params)
@@ -299,11 +304,13 @@ func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 	if err := ds.AddEntity(u, map[string]backend.Value{"UserID": 1, "UserName": "n"}); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := harness.NewSystem("writes", ds, rec, cost.DefaultParams())
+	sys, err := harness.New(harness.Config{
+		Name: "writes", Rec: rec, Latency: cost.DefaultParams(), Dataset: ds,
+		FamilyWeather: &harness.FamilyWeather{Seed: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.EnableFaults(1, faults.Profile{}, executor.DefaultRetryPolicy())
 	params := executor.Params{"id": int64(2), "name": "m"}
 	if _, err := sys.ExecStatement(ins, params); err != nil {
 		t.Fatalf("healthy write: %v", err)
@@ -323,8 +330,7 @@ func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 // modest transient rate is absorbed by retries without failing over,
 // and the degraded statements cost more than healthy ones.
 func TestTransientFaultRetriedInPlace(t *testing.T) {
-	f := newRedundantFixture(t)
-	f.sys.EnableFaults(1, faults.Profile{TransientRate: 0.3}, executor.DefaultRetryPolicy())
+	f := newRedundantFixture(t, familyWeather(1, faults.Profile{TransientRate: 0.3}))
 	for i := 0; i < 50; i++ {
 		if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
 			t.Fatal(err)
@@ -336,5 +342,61 @@ func TestTransientFaultRetriedInPlace(t *testing.T) {
 	}
 	if r.DegradedStatements == 0 || r.DegradedMillis <= 0 {
 		t.Error("degraded statements not costed")
+	}
+}
+
+// parkingKV scripts three gets over a healthy store: the first parks
+// until released, the second fails with a transient fault, the rest
+// pass through.
+type parkingKV struct {
+	backend.KVBackend
+	gets            atomic.Int64
+	parked, release chan struct{}
+}
+
+func (k *parkingKV) Get(name string, req backend.GetRequest) (*backend.GetResult, error) {
+	switch k.gets.Add(1) {
+	case 1:
+		close(k.parked)
+		<-k.release
+	case 2:
+		return nil, &faults.Error{Kind: faults.Transient, CF: name, Op: "get", Node: -1, SimMillis: faults.DefaultTransientMillis}
+	}
+	return k.KVBackend.Get(name, req)
+}
+
+// TestDegradedCountsTheStatementsOwnRetries: whether a statement was
+// degraded is a fact about that statement. B's only get is parked while
+// A runs from start to finish with one retried get; B then completes
+// without a fault of its own, so exactly one statement is degraded.
+// (The harness used to compare two snapshots of the system-wide
+// exec.retries counter around each statement, so A's retry, landing
+// between B's snapshots, marked B degraded too.)
+func TestDegradedCountsTheStatementsOwnRetries(t *testing.T) {
+	f := newRedundantFixture(t)
+	kv := &parkingKV{KVBackend: f.sys.Store, parked: make(chan struct{}), release: make(chan struct{})}
+	f.sys.Exec = executor.NewRetrying(kv, cost.DefaultParams(), executor.DefaultRetryPolicy())
+	f.sys.Exec.SetObs(f.sys.Obs())
+
+	bDone := make(chan error)
+	go func() {
+		_, err := f.sys.ExecStatement(f.query, f.params)
+		bDone <- err
+	}()
+	<-kv.parked
+	if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
+		t.Fatalf("statement A: %v", err)
+	}
+	close(kv.release)
+	if err := <-bDone; err != nil {
+		t.Fatalf("statement B: %v", err)
+	}
+
+	r := f.sys.Robustness()
+	if r.Statements != 2 || r.Retries != 1 {
+		t.Fatalf("fixture: %d statements, %d retries; want 2 and 1", r.Statements, r.Retries)
+	}
+	if r.DegradedStatements != 1 {
+		t.Errorf("%d degraded statements, want 1: only A retried", r.DegradedStatements)
 	}
 }

@@ -2,7 +2,8 @@
 // record store into a runnable system, and executes statements and
 // whole transactions against it while accounting simulated response
 // time. The evaluation harnesses for paper Figs. 11 and 12 run one
-// System per schema under comparison.
+// System per schema under comparison. A System is declared as a Config
+// and built by New, which stacks its layers once (config.go).
 //
 // A System also implements graceful degradation: it keeps every
 // query's ranked alternative plans (the planner retains up to
@@ -21,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"nose/internal/backend"
-	"nose/internal/cost"
 	"nose/internal/drift"
 	"nose/internal/executor"
 	"nose/internal/faults"
@@ -73,22 +73,24 @@ type System struct {
 	// systems (see Repl).
 	Store *backend.Store
 	// Repl holds the installed column families of a replicated system
-	// built with NewReplicatedSystem; nil for single-store systems.
+	// (Config.Replication); nil for single-store systems.
 	Repl *backend.ReplicatedStore
 	// Coord drives Repl with quorum consistency; nil for single-store
 	// systems.
 	Coord *executor.Coordinator
-	// Exec executes plans against the system's layer stack; see compose.
+	// Exec executes plans against the layer stack New built; the stack
+	// and Exec's compiled-program memo live as long as the system.
 	Exec *executor.Executor
 
-	lat   cost.Params
 	plans atomic.Pointer[planTable]
 
-	inj     *faults.Injector
-	nodeInj *faults.Nodes
-	// retry is the policy the last EnableFaults or EnableNodeFaults
-	// gave; the zero value never retries.
-	retry executor.RetryPolicy
+	// What Config declared, nil where it declared nothing: the family and
+	// node fault injectors, the migration journal and the invariant
+	// oracle.
+	inj      *faults.Injector
+	nodeInj  *faults.Nodes
+	jr       *journal.Journal
+	verifier *verify.Verifier
 
 	// live is the background migration in progress, nil when idle; det
 	// is the attached drift detector, nil unless EnableDrift ran.
@@ -99,15 +101,6 @@ type System struct {
 	down       map[string]bool
 	pendingMix map[string]float64
 	robust     robustCounters
-
-	// jr is the attached migration journal (nil without AttachJournal);
-	// verifier is the attached invariant oracle (nil without
-	// AttachVerifier), whose acknowledgement tap compose layers in;
-	// crashes is the armed crash-point set (nil without EnableCrashes).
-	// All are wired before statement execution starts.
-	jr       *journal.Journal
-	verifier *verify.Verifier
-	crashes  *faults.Crashes
 
 	// reg collects every layer's metrics for this system: the store (or
 	// all replica node stores), the coordinator, the executor, the fault
@@ -159,119 +152,6 @@ func (s *System) traceStatement(st workload.Statement, ms float64, err error) {
 		args = map[string]any{"error": err.Error()}
 	}
 	s.tracer.SimEvent(workload.Label(st), "statement", s.traceTid, start, ms, args)
-}
-
-// NewSystem installs a recommendation's schema into a fresh store,
-// loading every column family from the dataset.
-func NewSystem(name string, ds *backend.Dataset, rec *search.Recommendation, lat cost.Params) (*System, error) {
-	store := backend.NewStore(lat)
-	for _, x := range rec.Schema.Indexes() {
-		if err := ds.Install(store, x); err != nil {
-			return nil, fmt.Errorf("harness: installing %s for %s: %w", x.Name, name, err)
-		}
-	}
-	return NewSystemFromStore(name, store, rec, lat), nil
-}
-
-// NewSystemFromStore wraps an existing store — typically one that
-// survived a simulated crash — into a system serving rec's plans,
-// without re-installing anything. The store's contents are taken as-is;
-// rec must be the recommendation the store was serving when the crash
-// hit, so its plans match the installed families. Use harness.Recover
-// afterwards to finish or roll back an interrupted live migration.
-func NewSystemFromStore(name string, store *backend.Store, rec *search.Recommendation, lat cost.Params) *System {
-	s := newSystem(name, rec, lat)
-	s.Store = store
-	store.SetObs(s.reg)
-	s.compose()
-	return s
-}
-
-// NewReplicatedSystemFromStore wraps an existing replicated cluster
-// after a simulated crash. The coordinator is rebuilt fresh — its
-// in-memory hint queues die with the process, which is exactly the
-// restart semantics hinted handoff has in real stores: replicas that
-// missed writes stay stale until read repair finds them. Only cfg's
-// consistency levels and hedge policy are used; the cluster shape comes
-// from repl itself.
-func NewReplicatedSystemFromStore(name string, repl *backend.ReplicatedStore, rec *search.Recommendation, lat cost.Params, cfg ReplicationConfig) *System {
-	coord := executor.NewCoordinator(repl, executor.CoordinatorOptions{
-		Read:  cfg.Read,
-		Write: cfg.Write,
-		Hedge: cfg.Hedge,
-	})
-	s := newSystem(name, rec, lat)
-	s.Repl = repl
-	s.Coord = coord
-	repl.SetObs(s.reg)
-	coord.SetObs(s.reg)
-	s.compose()
-	return s
-}
-
-// ReplicationConfig shapes a replicated system: cluster size,
-// replication factor, and the consistency levels its coordinator
-// enforces.
-type ReplicationConfig struct {
-	// Nodes is the cluster size; zero means DefaultReplicationNodes.
-	Nodes int
-	// RF is the replication factor; zero means DefaultReplicationFactor
-	// (clamped to Nodes).
-	RF int
-	// Read and Write are the coordinator's consistency levels.
-	Read, Write executor.Consistency
-	// Hedge configures speculative reads.
-	Hedge executor.HedgePolicy
-}
-
-// Default replication shape: a small cluster with the RF the paper's
-// target systems ship as their availability default.
-const (
-	DefaultReplicationNodes  = 5
-	DefaultReplicationFactor = 3
-)
-
-// Normalized fills replication defaults.
-func (c ReplicationConfig) Normalized() ReplicationConfig {
-	if c.Nodes <= 0 {
-		c.Nodes = DefaultReplicationNodes
-	}
-	if c.RF <= 0 {
-		c.RF = DefaultReplicationFactor
-	}
-	return c
-}
-
-// NewReplicatedSystem installs a recommendation's schema into a fresh
-// replicated cluster: every partition lands on its RF ring replicas,
-// and statements execute through a quorum coordinator. On a healthy
-// cluster at consistency ALL, execution is indistinguishable from a
-// single-store System — same rows, same simulated time — because every
-// replica charges the same deterministic service times; degradation
-// appears only once node faults are enabled.
-func NewReplicatedSystem(name string, ds *backend.Dataset, rec *search.Recommendation, lat cost.Params, cfg ReplicationConfig) (*System, error) {
-	cfg = cfg.Normalized()
-	repl := backend.NewReplicatedStore(lat, cfg.Nodes, cfg.RF)
-	for _, x := range rec.Schema.Indexes() {
-		if err := ds.Install(repl, x); err != nil {
-			return nil, fmt.Errorf("harness: installing %s for %s: %w", x.Name, name, err)
-		}
-	}
-	return NewReplicatedSystemFromStore(name, repl, rec, lat, cfg), nil
-}
-
-// newSystem builds the plan bookkeeping shared by both storage modes.
-func newSystem(name string, rec *search.Recommendation, lat cost.Params) *System {
-	reg := obs.NewRegistry()
-	s := &System{
-		Name:   name,
-		lat:    lat,
-		down:   map[string]bool{},
-		reg:    reg,
-		robust: newRobustCounters(reg),
-	}
-	s.adoptRecommendation(rec)
-	return s
 }
 
 // adoptRecommendation swaps the system onto a recommendation's schema
@@ -373,63 +253,6 @@ func phaseName(pr *search.PhaseRecommendation) string {
 	return pr.Phase.Name
 }
 
-// compose rebuilds Exec from the pieces recorded so far, always in the
-// same order whatever order the setters ran in: the store (or the
-// replica coordinator), the verifier's acknowledgement tap, the
-// per-family fault injector, and on top an executor retrying under the
-// last policy given. The tap sits below the injector so an injected
-// failure is never recorded as an acknowledged write. Every constructor
-// and every setter that adds a piece ends here.
-func (s *System) compose() {
-	var be backend.KVBackend = s.Store
-	if s.Coord != nil {
-		be = s.Coord
-	}
-	if s.verifier != nil {
-		be = verify.NewTap(be, s.verifier)
-	}
-	if s.inj != nil {
-		s.inj.SetInner(be)
-		be = s.inj
-	}
-	s.Exec = executor.NewRetrying(be, s.lat, s.retry)
-	s.Exec.SetObs(s.reg)
-}
-
-// EnableFaults interposes a deterministic fault injector between the
-// executor and the store and switches execution to the retrying
-// executor. It returns the injector so callers can set per-family
-// profiles or mark families down. Call before executing statements.
-// On a replicated system the injector layers per-family weather on top
-// of the coordinator, above any node-level faults.
-func (s *System) EnableFaults(seed int64, def faults.Profile, policy executor.RetryPolicy) *faults.Injector {
-	s.inj = faults.New(nil, seed) // compose points it at the layer below
-	s.inj.SetDefaultProfile(def)
-	s.inj.SetObs(s.reg)
-	s.retry = policy
-	s.compose()
-	return s.inj
-}
-
-// EnableNodeFaults attaches seeded node-level fault domains to a
-// replicated system's coordinator and switches execution to the
-// retrying executor. It returns the fault set so callers can set
-// per-node profiles or mark nodes down. Panics on a single-store
-// system — node fault domains only exist under replication.
-func (s *System) EnableNodeFaults(seed int64, def faults.NodeProfile, policy executor.RetryPolicy) *faults.Nodes {
-	if s.Repl == nil || s.Coord == nil {
-		panic("harness: EnableNodeFaults on a non-replicated system; use NewReplicatedSystem")
-	}
-	ns := faults.NewNodes(seed, s.Repl.NodeCount())
-	ns.SetDefaultProfile(def)
-	ns.SetObs(s.reg)
-	s.nodeInj = ns
-	s.Coord.SetNodes(ns)
-	s.retry = policy
-	s.compose()
-	return ns
-}
-
 // EnableQueues attaches per-node FIFO service queues with the given
 // per-node capacity (parallel servers) to a replicated system's
 // coordinator and returns them. Once attached, every replica-level
@@ -447,49 +270,13 @@ func (s *System) EnableQueues(capacity int) *backend.NodeQueues {
 	return q
 }
 
-// AttachVerifier interposes v's acknowledgement tap between the
-// executor and the store (or coordinator), below any fault injector,
-// and registers v as the system's invariant oracle for VerifyCheck. The
-// same verifier can (and in crash experiments must) be attached to
-// every incarnation of a system — it is the cross-crash memory of what
-// was acknowledged.
-func (s *System) AttachVerifier(v *verify.Verifier) {
-	s.verifier = v
-	s.compose()
-}
-
-// Verifier returns the attached invariant oracle, or nil.
-func (s *System) Verifier() *verify.Verifier { return s.verifier }
-
-// AttachJournal sets the migration journal StartLiveMigration writes
-// through and Recover appends recovery outcomes to. For a recovered
-// incarnation, pass the journal returned by journal.Open over the
-// crashed incarnation's durable bytes — with a fresh (or nil) crash
-// set, since a crash is per-incarnation.
-func (s *System) AttachJournal(j *journal.Journal) { s.jr = j }
-
-// Journal returns the attached migration journal, or nil.
-func (s *System) Journal() *journal.Journal { return s.jr }
-
-// EnableCrashes arms deterministic crash injection: the set is handed
-// to the replica coordinator (hinted-handoff and read-repair crash
-// points) and should be the same set the attached journal was built
-// with, so one armed index kills the whole simulated process whichever
-// site reaches it first.
-func (s *System) EnableCrashes(cr *faults.Crashes) {
-	s.crashes = cr
-	if s.Coord != nil {
-		s.Coord.SetCrashes(cr)
-	}
-}
-
-// VerifyCheck runs the attached verifier's invariants against the
+// VerifyCheck runs the declared verifier's invariants against the
 // system's current store state. The expected family set is the serving
 // schema's indexes plus anything an in-flight live migration is
 // building or still holding for its drop phase.
 func (s *System) VerifyCheck() (*verify.Report, error) {
 	if s.verifier == nil {
-		return nil, fmt.Errorf("harness: %s: VerifyCheck without AttachVerifier", s.Name)
+		return nil, fmt.Errorf("harness: %s: VerifyCheck without Config.Verifier", s.Name)
 	}
 	expected := map[string]bool{}
 	for _, x := range s.Rec().Schema.Indexes() {
@@ -515,7 +302,7 @@ func (s *System) VerifyCheck() (*verify.Report, error) {
 // MarkNodeDown takes a whole node out of service on a replicated
 // system: every replica operation against it fails Unavailable until
 // MarkNodeUp, and its missed writes queue as hints. Requires
-// EnableNodeFaults first.
+// Config.NodeWeather.
 func (s *System) MarkNodeDown(node int) error {
 	if s.nodeInj == nil {
 		return fmt.Errorf("harness: MarkNodeDown(%d): node faults not enabled", node)
@@ -645,7 +432,6 @@ func (s *System) execStatement(st workload.Statement, params executor.Params) (f
 // and reroutes to the cheapest remaining plan that avoids every down
 // family.
 func (s *System) execQuery(st workload.Statement, plans []*planner.Plan, params executor.Params) (float64, error) {
-	retries0 := s.Exec.Metrics().Retries
 	// Both sets stay nil until a family is down or a fault survives the
 	// executor's retries.
 	avoid := s.downSnapshot()
@@ -654,7 +440,7 @@ func (s *System) execQuery(st workload.Statement, plans []*planner.Plan, params 
 		tried = map[*planner.Plan]bool{}
 	}
 	total := 0.0
-	failovers := int64(0)
+	failovers, retries := int64(0), int64(0)
 	for {
 		plan, skipped := pickPlan(plans, avoid, tried)
 		failovers += skipped
@@ -665,10 +451,10 @@ func (s *System) execQuery(st workload.Statement, plans []*planner.Plan, params 
 		res, err := s.Exec.ExecuteQuery(plan, params)
 		if res != nil {
 			total += res.SimMillis
+			retries += res.Retries
 		}
 		if err == nil {
-			degraded := failovers > 0 || s.Exec.Metrics().Retries > retries0
-			s.robust.record(total, failovers, false, degraded)
+			s.robust.record(total, failovers, false, retries > 0)
 			return total, nil
 		}
 		fe, ok := faults.AsFault(err)
@@ -694,17 +480,15 @@ func (s *System) execQuery(st workload.Statement, plans []*planner.Plan, params 
 // so a surviving fault degrades to ErrUnavailable instead of failing
 // over.
 func (s *System) execWrite(st workload.Statement, urs []*search.UpdateRecommendation, params executor.Params) (float64, error) {
-	retries0 := s.Exec.Metrics().Retries
 	res, err := s.Exec.ExecuteWrite(urs, params)
 	total := 0.0
 	if res != nil {
 		total = res.SimMillis
 	}
 	if err == nil {
-		degraded := s.Exec.Metrics().Retries > retries0
 		fms, _ := s.forwardDualWrites(st, params)
 		total += fms
-		s.robust.record(total, 0, false, degraded)
+		s.robust.record(total, 0, false, res.Retries > 0)
 		return total, nil
 	}
 	if _, ok := faults.AsFault(err); ok {

@@ -9,7 +9,6 @@ import (
 	"nose/internal/baselines"
 	"nose/internal/cost"
 	"nose/internal/drift"
-	"nose/internal/executor"
 	"nose/internal/faults"
 	"nose/internal/harness"
 	"nose/internal/migrate"
@@ -23,8 +22,9 @@ import (
 )
 
 // liveFixture builds a small RUBiS dataset with its transactions and an
-// expert recommendation, plus an empty-schema system to migrate.
-func liveFixture(t *testing.T) (*backend.Dataset, []*rubis.Transaction, *search.Recommendation, *harness.System, rubis.Config) {
+// expert recommendation, plus an empty-schema system to migrate: healthy
+// and bare unless a declare hook adds layers to its Config.
+func liveFixture(t *testing.T, declare ...func(*harness.Config)) (*backend.Dataset, []*rubis.Transaction, *search.Recommendation, *harness.System, rubis.Config) {
 	t.Helper()
 	cfg := rubis.Config{Users: 200, Seed: 3}
 	ds, err := rubis.Generate(cfg)
@@ -43,12 +43,25 @@ func liveFixture(t *testing.T) (*backend.Dataset, []*rubis.Transaction, *search.
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := harness.NewSystem("live", ds,
-		&search.Recommendation{Schema: schema.NewSchema()}, cost.DefaultParams())
+	sc := harness.Config{
+		Name: "live", Rec: &search.Recommendation{Schema: schema.NewSchema()},
+		Latency: cost.DefaultParams(), Dataset: ds,
+	}
+	for _, d := range declare {
+		d(&sc)
+	}
+	sys, err := harness.New(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ds, txns, rec, sys, cfg
+}
+
+// familyWeather declares a family fault injector for liveFixture.
+func familyWeather(seed int64, p faults.Profile) func(*harness.Config) {
+	return func(c *harness.Config) {
+		c.FamilyWeather = &harness.FamilyWeather{Seed: seed, Profile: p}
+	}
 }
 
 // TestLiveMigrationServesWhileMigrating: statements keep executing on
@@ -146,11 +159,14 @@ func TestLiveMigrationAbortRollsBackUnderFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Start on the real schema so "old keeps serving" is observable.
-	sys, err := harness.NewSystem("aborting", ds, rec, cost.DefaultParams())
+	sys, err := harness.New(harness.Config{
+		Name: "aborting", Rec: rec, Latency: cost.DefaultParams(), Dataset: ds,
+		FamilyWeather: &harness.FamilyWeather{Seed: 7},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := sys.EnableFaults(7, faults.Profile{}, executor.DefaultRetryPolicy())
+	inj := sys.Faults()
 
 	// The target schema adds one extra family; make every operation on
 	// it fail permanently.
@@ -235,8 +251,7 @@ func TestLiveMigrationAbortRollsBackUnderFaults(t *testing.T) {
 // writes and the bulk-loaded copy alike — must find nothing lost and
 // nothing orphaned afterwards. Run under -race in CI.
 func TestMigrateUnderConcurrentStatements(t *testing.T) {
-	ds, txns, rec, sys, cfg := liveFixture(t)
-	sys.AttachVerifier(verify.New())
+	ds, txns, rec, sys, cfg := liveFixture(t, func(c *harness.Config) { c.Verifier = verify.New() })
 	pr := &search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()}
 
 	var wg sync.WaitGroup

@@ -21,16 +21,15 @@ import (
 // no outcome is lost or double-counted under contention.
 func TestConcurrentStatementsUnderNodeFaults(t *testing.T) {
 	f := newReplFixture(t)
-	sys, err := harness.NewReplicatedSystem("race", f.ds, f.rec, cost.DefaultParams(),
-		harness.ReplicationConfig{
+	sys := f.system(t, harness.Config{
+		Name: "race",
+		Replication: &harness.ReplicationConfig{
 			Read:  executor.Quorum,
 			Write: executor.Quorum,
 			Hedge: executor.HedgePolicy{Enabled: true},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.EnableNodeFaults(11, faults.NodeRate(0.15), executor.DefaultRetryPolicy())
+		},
+		NodeWeather: &harness.NodeWeather{Seed: 11, Profile: faults.NodeRate(0.15)},
+	})
 
 	const goroutines = 8
 	const perGoroutine = 25

@@ -81,15 +81,16 @@ type RecoverReport struct {
 }
 
 // Recover replays a crashed incarnation's migration journal and brings
-// this system — freshly built over the surviving store with
-// NewSystemFromStore or NewReplicatedSystemFromStore — to a consistent
-// state. recs is the record list journal.Open returned over the
-// crashed incarnation's durable bytes; pr is the phase recommendation
-// of the migration the journal describes (nil is allowed when the
-// journal holds no migration). Attach the reopened journal first
-// (AttachJournal) so recovery's own decisions are journaled, and attach
-// the run's verifier (AttachVerifier) so legitimate drops are exempted
-// from the no-lost-writes invariant.
+// this system — built by New over the surviving store (Config.Store or
+// Config.Repl), serving the recommendation the crashed incarnation
+// served — to a consistent state. recs is the record list journal.Open
+// returned over the crashed incarnation's durable bytes; pr is the
+// phase recommendation of the migration the journal describes (nil is
+// allowed when the journal holds no migration). Declare the reopened
+// journal in the Config so recovery's own decisions are journaled, the
+// run's verifier so legitimate drops are exempted from the
+// no-lost-writes invariant, and the same weather as the crashed
+// incarnation so a resumed backfill crosses the same layers.
 //
 // Recovery is idempotent: it re-runs cleanly over a journal that
 // already contains recovery records, because every action it takes —

@@ -26,21 +26,21 @@ import (
 // families so callers can address indexes relative to the journal's
 // prologue (Start, Created x build, State(backfill), chunks...). It
 // stops at the crash (or at completion) and returns the pieces a
-// recovered incarnation needs: the surviving system, the phase
-// recommendation, and the cross-crash verifier. crashed reports
-// whether the armed crash actually fired.
-func crashRun(t *testing.T, arm func(buildFamilies int) int64) (ds *backend.Dataset, sys *harness.System, pr *search.PhaseRecommendation, v *verify.Verifier, crashed bool) {
+// recovered incarnation needs: the surviving system with its journal,
+// the phase recommendation, and the cross-crash verifier. crashed
+// reports whether the armed crash actually fired.
+func crashRun(t *testing.T, arm func(buildFamilies int) int64) (ds *backend.Dataset, sys incarnation, pr *search.PhaseRecommendation, v *verify.Verifier, crashed bool) {
 	t.Helper()
-	ds, txns, rec, sys, cfg := liveFixture(t)
-
 	v = verify.New()
-	sys.AttachVerifier(v)
 	cr := faults.NewCrashes()
+	sys.journal = journal.New(journal.Options{Crashes: cr})
+	ds, txns, rec, live, cfg := liveFixture(t, func(c *harness.Config) {
+		c.Verifier, c.Journal = v, sys.journal
+	})
+	sys.System = live
 	if arm != nil {
 		cr.Arm(faults.SiteJournal, arm(len(rec.Schema.Indexes())))
 	}
-	sys.AttachJournal(journal.New(journal.Options{Crashes: cr}))
-	sys.EnableCrashes(cr)
 
 	pr = &search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()}
 	_, err := sys.StartLiveMigration(ds, pr,
@@ -74,19 +74,37 @@ func crashRun(t *testing.T, arm func(buildFamilies int) int64) (ds *backend.Data
 	return ds, sys, pr, v, false
 }
 
-// recoverSystem restarts a crashed incarnation: it re-reads the durable
-// journal bytes, wraps the surviving store into a fresh system serving
-// whatever the crashed incarnation served, re-attaches the same
-// verifier, and replays the journal.
-func recoverSystem(t *testing.T, ds *backend.Dataset, crashed *harness.System, pr *search.PhaseRecommendation, v *verify.Verifier, ropts harness.RecoverOptions) (*harness.System, *harness.RecoverReport) {
+// incarnation is one life of a simulated process: a system and the
+// journal it was declared with, whose durable bytes outlive it.
+type incarnation struct {
+	*harness.System
+	journal *journal.Journal
+}
+
+// restartOver declares the next incarnation over a crashed one's
+// surviving store, serving what it served.
+func restartOver(t *testing.T, name string, crashed *harness.System, v *verify.Verifier, j *journal.Journal) *harness.System {
 	t.Helper()
-	j2, recs, err := journal.Open(crashed.Journal().Durable(), journal.Options{})
+	sys, err := harness.New(harness.Config{
+		Name: name, Rec: crashed.Rec(), Latency: cost.DefaultParams(), Store: crashed.Store,
+		Verifier: v, Journal: j,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys2 := harness.NewSystemFromStore("recovered", crashed.Store, crashed.Rec(), cost.DefaultParams())
-	sys2.AttachVerifier(v)
-	sys2.AttachJournal(j2)
+	return sys
+}
+
+// recoverSystem restarts a crashed incarnation: it re-reads the durable
+// journal bytes, declares a fresh system over the surviving store with
+// the reopened journal and the same verifier, and replays the journal.
+func recoverSystem(t *testing.T, ds *backend.Dataset, crashed incarnation, pr *search.PhaseRecommendation, v *verify.Verifier, ropts harness.RecoverOptions) (incarnation, *harness.RecoverReport) {
+	t.Helper()
+	j2, recs, err := journal.Open(crashed.journal.Durable(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys2 := incarnation{restartOver(t, "recovered", crashed.System, v, j2), j2}
 	if ropts.Live.Params == (migrate.CostParams{}) {
 		ropts.Live = migrate.LiveOptions{ChunkRecords: 40, Params: migrate.DefaultCostParams()}
 	}
@@ -97,7 +115,7 @@ func recoverSystem(t *testing.T, ds *backend.Dataset, crashed *harness.System, p
 	return sys2, rep
 }
 
-// mustVerify asserts the attached verifier passes all invariants.
+// mustVerify asserts the declared verifier passes all invariants.
 func mustVerify(t *testing.T, sys *harness.System) {
 	t.Helper()
 	rep, err := sys.VerifyCheck()
@@ -136,7 +154,7 @@ func TestRecoverResumesMidBackfill(t *testing.T) {
 	if sys2.Rec() != pr.Rec {
 		t.Fatal("recovered system did not adopt the migrated recommendation")
 	}
-	mustVerify(t, sys2)
+	mustVerify(t, sys2.System)
 	r := sys2.Robustness().Recovery
 	if r.Attempts != 1 || r.Resumed != 1 {
 		t.Fatalf("recovery stats = %+v, want one resumed attempt", r)
@@ -158,7 +176,7 @@ func TestRecoverRollsForwardAtCutover(t *testing.T) {
 	if crashed {
 		t.Fatal("clean run crashed")
 	}
-	recs, err := journal.Replay(clean.Journal().Durable())
+	recs, err := journal.Replay(clean.journal.Durable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +206,7 @@ func TestRecoverRollsForwardAtCutover(t *testing.T) {
 		if sys2.Rec() != pr.Rec {
 			t.Fatalf("arm %d: recovered system not serving the new schema", armAt)
 		}
-		mustVerify(t, sys2)
+		mustVerify(t, sys2.System)
 		if r := sys2.Robustness().Recovery; r.Completed != 1 {
 			t.Fatalf("arm %d: recovery stats = %+v, want one completed attempt", armAt, r)
 		}
@@ -220,7 +238,7 @@ func TestRecoverRollBackOption(t *testing.T) {
 	if sys2.Rec() != oldRec {
 		t.Fatal("rollback changed the serving recommendation")
 	}
-	mustVerify(t, sys2)
+	mustVerify(t, sys2.System)
 
 	// Idempotency: recover again over the journal that now carries the
 	// abort intent and the recovery record. Same decision, nothing left
@@ -232,7 +250,7 @@ func TestRecoverRollBackOption(t *testing.T) {
 	if len(rep3.OrphansDropped) != 0 {
 		t.Fatalf("second recovery dropped %v again", rep3.OrphansDropped)
 	}
-	mustVerify(t, sys3)
+	mustVerify(t, sys3.System)
 }
 
 // TestRecoverNoneAndValidation: a finished journal (and an empty one)
@@ -248,11 +266,10 @@ func TestRecoverNoneAndValidation(t *testing.T) {
 	if rep.Outcome != harness.RecoverNone {
 		t.Fatalf("outcome over a finished journal = %v, want RecoverNone", rep.Outcome)
 	}
-	mustVerify(t, sys2)
+	mustVerify(t, sys2.System)
 
 	// Empty journal: nothing to do.
-	empty := harness.NewSystemFromStore("empty", clean.Store, clean.Rec(), cost.DefaultParams())
-	empty.AttachJournal(journal.New(journal.Options{}))
+	empty := restartOver(t, "empty", clean.System, nil, journal.New(journal.Options{}))
 	rep2, err := empty.Recover(ds, nil, nil, harness.RecoverOptions{})
 	if err != nil || rep2.Outcome != harness.RecoverNone {
 		t.Fatalf("empty journal: outcome %v, err %v", rep2, err)
@@ -263,12 +280,11 @@ func TestRecoverNoneAndValidation(t *testing.T) {
 	if !crashed {
 		t.Fatal("armed crash never fired")
 	}
-	j2, recs, err := journal.Open(sys3.Journal().Durable(), journal.Options{})
+	j2, recs, err := journal.Open(sys3.journal.Durable(), journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys4 := harness.NewSystemFromStore("norec", sys3.Store, sys3.Rec(), cost.DefaultParams())
-	sys4.AttachJournal(j2)
+	sys4 := restartOver(t, "norec", sys3.System, nil, j2)
 	if _, err := sys4.Recover(ds3, recs, nil, harness.RecoverOptions{}); err == nil {
 		t.Fatal("recover of an in-flight migration without a recommendation succeeded")
 	}
@@ -287,16 +303,13 @@ func TestRecoverNoneAndValidation(t *testing.T) {
 func TestReplicatedCrashRecovery(t *testing.T) {
 	for _, site := range []string{faults.SiteHandoff, faults.SiteReadRepair} {
 		f := newReplFixture(t)
-		sys, err := harness.NewReplicatedSystem("repl", f.ds, f.rec, cost.DefaultParams(),
-			harness.ReplicationConfig{Read: executor.Quorum, Write: executor.Quorum})
-		if err != nil {
-			t.Fatal(err)
-		}
+		quorum := &harness.ReplicationConfig{Read: executor.Quorum, Write: executor.Quorum}
 		v := verify.New()
-		sys.AttachVerifier(v)
-		sys.EnableNodeFaults(1, faults.NodeProfile{}, executor.DefaultRetryPolicy())
 		cr := faults.NewCrashes()
-		sys.EnableCrashes(cr)
+		sys := f.system(t, harness.Config{
+			Name: "repl", Replication: quorum, NodeWeather: &harness.NodeWeather{Seed: 1},
+			Verifier: v, Crashes: cr,
+		})
 
 		// Queue hints: a replica of the written partition goes down, a
 		// write misses it and is acknowledged at QUORUM anyway.
@@ -341,10 +354,13 @@ func TestReplicatedCrashRecovery(t *testing.T) {
 		// Restart over the surviving cluster: fresh coordinator (hints
 		// lost), same verifier, empty journal — recovery is a no-op and
 		// every acknowledged write must still be durable somewhere.
-		sys2 := harness.NewReplicatedSystemFromStore("restarted", sys.Repl, f.rec, cost.DefaultParams(),
-			harness.ReplicationConfig{Read: executor.Quorum, Write: executor.Quorum})
-		sys2.AttachVerifier(v)
-		sys2.AttachJournal(journal.New(journal.Options{}))
+		sys2, err := harness.New(harness.Config{
+			Name: "restarted", Rec: f.rec, Latency: cost.DefaultParams(), Repl: sys.Repl,
+			Replication: quorum, Verifier: v, Journal: journal.New(journal.Options{}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		rep, err := sys2.Recover(f.ds, nil, nil, harness.RecoverOptions{})
 		if err != nil || rep.Outcome != harness.RecoverNone {
 			t.Fatalf("%s: recover: outcome %v, err %v", site, rep, err)
@@ -405,8 +421,8 @@ func TestDrainExactFaultBudgetBoundary(t *testing.T) {
 // it aborts the stalled migration and surfaces ErrAborted instead of
 // burning its whole step budget on no-progress steps.
 func TestDrainStallAborts(t *testing.T) {
-	ds, _, _, sys, _ := liveFixture(t)
-	inj := sys.EnableFaults(7, faults.Profile{}, executor.DefaultRetryPolicy())
+	ds, _, _, sys, _ := liveFixture(t, familyWeather(7, faults.Profile{}))
+	inj := sys.Faults()
 
 	// Build one family and make every operation on it fail permanently.
 	var added []*schema.Index

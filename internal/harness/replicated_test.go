@@ -10,7 +10,6 @@ import (
 	"nose/internal/cost"
 	"nose/internal/enumerator"
 	"nose/internal/executor"
-	"nose/internal/faults"
 	"nose/internal/harness"
 	"nose/internal/model"
 	"nose/internal/planner"
@@ -74,6 +73,18 @@ func newReplFixture(t *testing.T) *replFixture {
 	}
 }
 
+// system builds the system cfg declares over the fixture's dataset and
+// recommendation.
+func (f *replFixture) system(t *testing.T, cfg harness.Config) *harness.System {
+	t.Helper()
+	cfg.Rec, cfg.Latency, cfg.Dataset = f.rec, cost.DefaultParams(), f.ds
+	sys, err := harness.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // TestReplicatedHealthyAllMatchesSingleStore pins the system-level
 // equivalence invariant: a healthy replicated system at consistency ALL
 // charges exactly the simulated time a single-store system charges for
@@ -132,12 +143,11 @@ func queryReplicas(t *testing.T, sys *harness.System, rec *search.Recommendation
 func TestReplicatedNodeDownPerLevel(t *testing.T) {
 	f := newReplFixture(t)
 	for _, level := range []executor.Consistency{executor.One, executor.Quorum, executor.All} {
-		sys, err := harness.NewReplicatedSystem("repl", f.ds, f.rec, cost.DefaultParams(),
-			harness.ReplicationConfig{Read: level, Write: level})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.EnableNodeFaults(1, faults.NodeProfile{}, executor.DefaultRetryPolicy())
+		sys := f.system(t, harness.Config{
+			Name:        "repl",
+			Replication: &harness.ReplicationConfig{Read: level, Write: level},
+			NodeWeather: &harness.NodeWeather{Seed: 1},
+		})
 		healthy, err := sys.ExecStatement(f.query, f.params)
 		if err != nil {
 			t.Fatalf("%v healthy: %v", level, err)
@@ -204,22 +214,6 @@ func TestReplicatedNodeDownPerLevel(t *testing.T) {
 	}
 }
 
-// TestEnableNodeFaultsPanicsOnSingleStore pins the guard: node fault
-// domains only exist under replication.
-func TestEnableNodeFaultsPanicsOnSingleStore(t *testing.T) {
-	f := newReplFixture(t)
-	sys, err := harness.NewSystem("single", f.ds, f.rec, cost.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("EnableNodeFaults on a single-store system did not panic")
-		}
-	}()
-	sys.EnableNodeFaults(1, faults.NodeProfile{}, executor.DefaultRetryPolicy())
-}
-
 // TestMarkNodeDownRequiresNodeFaults: marking nodes needs the fault set.
 func TestMarkNodeDownRequiresNodeFaults(t *testing.T) {
 	f := newReplFixture(t)
@@ -228,27 +222,27 @@ func TestMarkNodeDownRequiresNodeFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := sys.MarkNodeDown(0); err == nil {
-		t.Error("MarkNodeDown before EnableNodeFaults should fail")
+		t.Error("MarkNodeDown without declared node weather should fail")
 	}
 	if err := sys.MarkNodeUp(0); err == nil {
-		t.Error("MarkNodeUp before EnableNodeFaults should fail")
+		t.Error("MarkNodeUp without declared node weather should fail")
 	}
 }
 
 // TestFamilyFaultsLayerOverReplication: the per-family injector still
 // wraps a replicated system's coordinator, so column-family weather and
-// plan-level failover compose with replication.
+// plan-level failover work on top of replication.
 func TestFamilyFaultsLayerOverReplication(t *testing.T) {
 	f := newReplFixture(t)
-	sys, err := harness.NewReplicatedSystem("repl", f.ds, f.rec, cost.DefaultParams(),
-		harness.ReplicationConfig{Read: executor.Quorum, Write: executor.Quorum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := sys.EnableFaults(1, faults.Profile{}, executor.DefaultRetryPolicy())
+	sys := f.system(t, harness.Config{
+		Name:          "repl",
+		Replication:   &harness.ReplicationConfig{Read: executor.Quorum, Write: executor.Quorum},
+		FamilyWeather: &harness.FamilyWeather{Seed: 1},
+	})
+	inj := sys.Faults()
 	cf := f.rec.Schema.Indexes()[0].Name
 	inj.MarkDown(cf)
-	_, err = sys.ExecStatement(f.query, f.params)
+	_, err := sys.ExecStatement(f.query, f.params)
 	if !errors.Is(err, harness.ErrUnavailable) {
 		t.Fatalf("query against a down family on a replicated system: err = %v, want ErrUnavailable", err)
 	}

@@ -1,6 +1,6 @@
 // Package load is a deterministic discrete-event load generator: it
 // drives a harness.System with N simulated concurrent clients on the
-// simulated clock, so statement costs compose into latency-under-load
+// simulated clock, so statement costs add up to latency-under-load
 // curves instead of isolated per-statement sums. Two arrival processes
 // are modeled, both drawn from one seeded RNG:
 //
