@@ -89,7 +89,11 @@ func main() {
 	if *tracePath != "" {
 		tracer = obs.NewTracer()
 	}
-	defer writeObservability(*metricsPath, reg, *tracePath, tracer, *solverStats)
+	defer func() {
+		if err := obs.WriteFiles(os.Stdout, *metricsPath, reg, *tracePath, tracer, *solverStats); err != nil {
+			fatal(err)
+		}
+	}()
 
 	if *jsonOut {
 		kind := api.KindAdvise
@@ -203,43 +207,6 @@ func printRunStats(t search.Timings, st search.Stats) {
 		round(t.BIPSolving), round(t.Total))
 	fmt.Printf("Problem: %d candidates, %d plan variables, %d constraints, %d nodes\n",
 		st.Candidates, st.PlanVariables, st.Constraints, st.Nodes)
-}
-
-// writeObservability flushes the run's metrics snapshot and Chrome
-// trace to their files and prints the human-readable metrics summary
-// and, with -solver-stats, the LP solver statistics block.
-func writeObservability(metricsPath string, reg *obs.Registry, tracePath string, tracer *obs.Tracer, solverStats bool) {
-	if reg != nil {
-		snap := reg.Snapshot()
-		if solverStats {
-			fmt.Printf("\n%s", snap.FormatSolverStats())
-		}
-		if metricsPath != "" {
-			data, err := snap.WriteJSON()
-			if err != nil {
-				fatal(err)
-			}
-			if err := os.WriteFile(metricsPath, data, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("\nMetrics (written to %s):\n%s", metricsPath, snap.Format())
-		}
-	}
-	if tracer != nil {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := tracer.WriteTrace(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("trace: %d events written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n",
-			tracer.Len(), tracePath)
-	}
 }
 
 func round(d time.Duration) time.Duration { return d.Round(time.Millisecond) }

@@ -145,9 +145,6 @@ func (d *Dataset) link(edge *model.Edge, fromID, toID Value) {
 	m[k] = append(m[k], toID)
 }
 
-// EntityCount returns the number of live instances of an entity.
-func (d *Dataset) EntityCount(e *model.Entity) int { return len(d.byID[e]) }
-
 // EntityRow returns the instance with the given id (qualified attr
 // names), or nil.
 func (d *Dataset) EntityRow(e *model.Entity, id Value) map[string]Value {
@@ -156,17 +153,6 @@ func (d *Dataset) EntityRow(e *model.Entity, id Value) map[string]Value {
 		return nil
 	}
 	return d.rows[e][idx]
-}
-
-// EntityRows returns all live instances of an entity.
-func (d *Dataset) EntityRows(e *model.Entity) []map[string]Value {
-	out := make([]map[string]Value, 0, len(d.byID[e]))
-	for _, row := range d.rows[e] {
-		if row != nil {
-			out = append(out, row)
-		}
-	}
-	return out
 }
 
 // Neighbors returns the ids reachable from fromID along edge.
@@ -279,6 +265,12 @@ func (d *Dataset) ForEachCombination(path model.Path, fn func(map[string]Value) 
 
 // UpdateEntity modifies attributes of an existing instance (bare
 // attribute names). The key attribute cannot be changed.
+//
+// UpdateEntity, Disconnect and RemoveEntity are the write side of the
+// reference data: production generates a dataset once and sends writes
+// to the store, but the executor's differential tests mirror every
+// write they execute into the dataset so that Oracle answers over the
+// data those writes should have left.
 func (d *Dataset) UpdateEntity(e *model.Entity, id Value, attrs map[string]Value) error {
 	row := d.EntityRow(e, id)
 	if row == nil {
@@ -301,7 +293,8 @@ func (d *Dataset) UpdateEntity(e *model.Entity, id Value, attrs map[string]Value
 	return nil
 }
 
-// Disconnect removes one relationship instance in both directions.
+// Disconnect removes one relationship instance in both directions (see
+// UpdateEntity for who calls it).
 func (d *Dataset) Disconnect(edge *model.Edge, fromID, toID Value) error {
 	fromID, err := coerce(edge.From.Key(), fromID)
 	if err != nil {
@@ -327,7 +320,8 @@ func (d *Dataset) unlink(edge *model.Edge, fromID, toID Value) {
 	}
 }
 
-// RemoveEntity deletes an instance and all its relationship instances.
+// RemoveEntity deletes an instance and all its relationship instances
+// (see UpdateEntity for who calls it).
 func (d *Dataset) RemoveEntity(e *model.Entity, id Value) error {
 	id, err := coerce(e.Key(), id)
 	if err != nil {

@@ -120,13 +120,6 @@ func (q *NodeQueues) SetNow(t float64) {
 	q.mu.Unlock()
 }
 
-// Now returns the current simulated arrival clock.
-func (q *NodeQueues) Now() float64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.now
-}
-
 // NodeCount returns the number of nodes the queues cover.
 func (q *NodeQueues) NodeCount() int { return len(q.nodes) }
 
@@ -135,22 +128,6 @@ func (q *NodeQueues) Capacity(node int) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.nodes[node].servers)
-}
-
-// SetCapacity resizes one node's server pool. Shrinking forgets the
-// dropped servers' backlog; it exists to model capacity loss (and to
-// drive the zero-capacity boundary in tests), not to rebalance work.
-func (q *NodeQueues) SetCapacity(node, capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := &q.nodes[node]
-	for len(n.servers) < capacity {
-		n.servers = append(n.servers, q.now)
-	}
-	n.servers = n.servers[:capacity]
 }
 
 // Admit charges one operation with the given service time to a node's

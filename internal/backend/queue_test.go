@@ -97,13 +97,8 @@ func TestQueueZeroCapacityRefuses(t *testing.T) {
 	}
 
 	// Exact boundary: capacity 1 is the smallest admitting pool.
-	q.SetCapacity(1, 1)
-	if delay, err := q.Admit(1, 2); err != nil || delay != 0 {
+	if delay, err := NewNodeQueues(2, 1).Admit(1, 2); err != nil || delay != 0 {
 		t.Fatalf("capacity 1 idle admit: delay=%v err=%v", delay, err)
-	}
-	q.SetCapacity(1, 0)
-	if _, err := q.Admit(1, 1); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("after SetCapacity(1, 0): err = %v, want ErrNoCapacity", err)
 	}
 }
 

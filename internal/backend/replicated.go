@@ -50,7 +50,9 @@ func NewReplicatedStore(lat cost.Params, n, rf int) *ReplicatedStore {
 // NodeCount returns the number of nodes in the cluster.
 func (r *ReplicatedStore) NodeCount() int { return len(r.nodes) }
 
-// RF returns the replication factor.
+// RF returns the replication factor. No production caller asks — the
+// coordinator reads ReplicasFor — but the clamping tests here and in
+// harness assert the factor a configuration actually got.
 func (r *ReplicatedStore) RF() int { return r.rf }
 
 // Node returns one node's store for replica-level access.
@@ -114,7 +116,8 @@ func (r *ReplicatedStore) ReplicasFor(cf string, partition []Value) []int {
 // partition — the bulk-load path. Runtime writes go through
 // executor.Coordinator instead. The returned time is one replica's
 // write cost: replicas apply in parallel and loading is not charged
-// against any statement.
+// against any statement. Production reaches it only through Installer
+// (Dataset.Install), never by name.
 func (r *ReplicatedStore) Put(name string, partition, clustering []Value, values []Value) (*PutResult, error) {
 	var last *PutResult
 	for _, node := range r.ReplicasFor(name, partition) {
@@ -127,25 +130,11 @@ func (r *ReplicatedStore) Put(name string, partition, clustering []Value, values
 	return last, nil
 }
 
-// Delete removes one record from every replica of its partition — the
-// bulk-load counterpart of Put.
-func (r *ReplicatedStore) Delete(name string, partition, clustering []Value) (bool, *PutResult, error) {
-	existed := false
-	var last *PutResult
-	for _, node := range r.ReplicasFor(name, partition) {
-		ex, pr, err := r.nodes[node].Delete(name, partition, clustering)
-		if err != nil {
-			return false, nil, err
-		}
-		existed = existed || ex
-		last = pr
-	}
-	return existed, last, nil
-}
-
 // CFStats aggregates a column family's contents across nodes. Each
 // record is counted once per replica holding it, so a fully replicated
-// family reports RF times its logical record count.
+// family reports RF times its logical record count. Nothing in
+// production reads family statistics; the bulk-load, backfill and
+// crash-recovery tests count records with it.
 func (r *ReplicatedStore) CFStats(name string) (Stats, error) {
 	total := Stats{}
 	for _, n := range r.nodes {

@@ -7,6 +7,7 @@ import (
 	"nose/internal/cost"
 	"nose/internal/enumerator"
 	"nose/internal/hotel"
+	"nose/internal/model"
 	"nose/internal/workload"
 )
 
@@ -227,8 +228,12 @@ func TestDatasetValidation(t *testing.T) {
 	if err := ds.Connect(guest.Edge("Reservations"), int64(99), int64(0)); err == nil {
 		t.Error("connect with missing endpoint accepted")
 	}
-	if got := ds.EntityCount(guest); got != 3 {
-		t.Errorf("EntityCount = %d", got)
+	guests := 0
+	if err := ds.ForEachCombination(model.NewPath(guest), func(map[string]backend.Value) error { guests++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if guests != 3 {
+		t.Errorf("guests = %d after three rejected inserts, want 3", guests)
 	}
 	if ds.EntityRow(guest, int64(99)) != nil {
 		t.Error("phantom row")

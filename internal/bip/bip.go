@@ -39,11 +39,10 @@ import (
 	"nose/internal/par"
 )
 
-// Program is a 0-1 integer program under construction. It wraps an LP
-// and records which columns are binary.
+// Program is a 0-1 integer program under construction: an LP every
+// column of which is a binary variable.
 type Program struct {
-	lp     *lp.Problem
-	binary []int
+	lp *lp.Problem
 }
 
 // New returns an empty program.
@@ -56,21 +55,8 @@ func (p *Program) AddRow(lo, hi float64) int { return p.lp.AddRow(lo, hi) }
 
 // AddBinary appends a binary variable and returns its column index.
 func (p *Program) AddBinary(obj float64, entries ...lp.Entry) int {
-	col := p.lp.AddCol(obj, 0, 1, entries...)
-	p.binary = append(p.binary, col)
-	return col
+	return p.lp.AddCol(obj, 0, 1, entries...)
 }
-
-// AddCol appends a continuous variable.
-func (p *Program) AddCol(obj, lo, hi float64, entries ...lp.Entry) int {
-	return p.lp.AddCol(obj, lo, hi, entries...)
-}
-
-// SetObj changes a column's objective coefficient.
-func (p *Program) SetObj(col int, obj float64) { p.lp.SetObj(col, obj) }
-
-// SetRowBounds changes a row's activity bounds.
-func (p *Program) SetRowBounds(row int, lo, hi float64) { p.lp.SetRowBounds(row, lo, hi) }
 
 // NumRows returns the number of constraint rows.
 func (p *Program) NumRows() int { return p.lp.NumRows() }
@@ -114,9 +100,8 @@ type Options struct {
 	// means exact (up to numerical tolerance).
 	Gap float64
 	// Incumbent optionally seeds the search with a known feasible
-	// assignment of the binary variables (continuous variables are
-	// re-optimized). A good warm start lets the search prune
-	// aggressively from the first node.
+	// assignment of the variables. A good warm start lets the search
+	// prune aggressively from the first node.
 	Incumbent []float64
 	// Workers is the number of goroutines solving LP relaxations
 	// concurrently; zero or negative means one. Nodes are expanded in
@@ -169,8 +154,7 @@ type Result struct {
 	HasSolution bool
 	// Objective is the incumbent objective value.
 	Objective float64
-	// X holds the incumbent variable values; binary variables are
-	// exactly 0 or 1.
+	// X holds the incumbent variable values, each exactly 0 or 1.
 	X []float64
 	// Nodes is the number of branch and bound nodes explored.
 	Nodes int
@@ -330,8 +314,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	fixedEvalsC := opt.Obs.Counter("bip.fixed_evals")
 	incumbentsC := opt.Obs.Counter("bip.incumbents")
 
-	allBinary := len(p.binary) == p.NumCols()
-	integral := allBinary && !testNoRounding && p.integerObjective()
+	integral := !testNoRounding && p.integerObjective()
 
 	res := &Result{Status: Optimal}
 	incumbent := math.Inf(1)
@@ -346,9 +329,9 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	}
 
 	// lift rounds a relaxation bound up to the next value the objective
-	// can take: with every column binary and every objective coefficient
-	// an integer, no solution below a node lies strictly between two
-	// integers.
+	// can take: every column is binary, so with every objective
+	// coefficient an integer no solution below a node lies strictly
+	// between two integers.
 	lift := func(bound float64) float64 {
 		if integral {
 			return math.Ceil(bound - intTol)
@@ -391,49 +374,27 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		return sol, err
 	}
 
-	// tryRounded rounds every binary of x — a seeded assignment, or a
-	// relaxation's solution, which reports a column its node fixed at
-	// exactly the fixed value — and offers the resulting point as an
-	// incumbent. When the binaries are all the columns there are,
-	// nothing is left to optimize and the point is evaluated: one pass
-	// over the entries with the LP's feasibility tolerance and its
-	// objective summation order, so the incumbent is the one the LP
-	// would have reported. Otherwise the continuous columns are
-	// re-optimized by the LP, from the given basis if any: it stays dual
-	// feasible under any set of bound fixes.
-	rounded := make([]fix, 0, len(p.binary))
-	var point, activity []float64
-	if allBinary {
-		point = make([]float64, p.NumCols())
-		activity = make([]float64, p.NumRows())
-	}
-	tryRounded := func(x []float64, from *lp.Basis) error {
-		rounded = rounded[:0]
-		for _, col := range p.binary {
-			v := 0.0
+	// tryRounded rounds x — a seeded assignment, or a relaxation's
+	// solution, which reports a column its node fixed at exactly the
+	// fixed value — to the nearest 0-1 point and offers it as an
+	// incumbent. The binaries are all the columns there are, so nothing
+	// is left to optimize and the point is evaluated: one pass over the
+	// entries with the LP's feasibility tolerance and its objective
+	// summation order, so the incumbent is the one the LP would have
+	// reported.
+	point := make([]float64, p.NumCols())
+	activity := make([]float64, p.NumRows())
+	tryRounded := func(x []float64) {
+		fixedEvalsC.Inc()
+		for col := range point {
+			point[col] = 0
 			if x[col] >= 0.5 {
-				v = 1
+				point[col] = 1
 			}
-			rounded = append(rounded, fix{col: col, val: v})
 		}
-		if allBinary {
-			fixedEvalsC.Inc()
-			for _, f := range rounded {
-				point[f.col] = f.val
-			}
-			if obj, ok := probs[0].Eval(point, activity); ok {
-				tryIncumbent(point, obj)
-			}
-			return nil
+		if obj, ok := probs[0].Eval(point, activity); ok {
+			tryIncumbent(point, obj)
 		}
-		sol, err := solveWith(0, rounded, from)
-		if err != nil {
-			return err
-		}
-		if sol.Status == lp.Optimal {
-			tryIncumbent(sol.X, sol.Objective)
-		}
-		return nil
 	}
 
 	open := &nodeHeap{}
@@ -449,9 +410,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 
 	// Validate and adopt the seeded incumbent, if any.
 	if len(opt.Incumbent) == p.NumCols() {
-		if err := tryRounded(opt.Incumbent, nil); err != nil {
-			return nil, err
-		}
+		tryRounded(opt.Incumbent)
 	}
 
 	rootSol, err := solveWith(0, nil, nil)
@@ -470,9 +429,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		tryIncumbent(rootSol.X, rootSol.Objective)
 	} else {
 		rootBasis := solvers[0].Snapshot()
-		if err := tryRounded(rootSol.X, rootBasis); err != nil {
-			return nil, err
-		}
+		tryRounded(rootSol.X)
 		push(rootSol.Objective, nil, rootBasis)
 	}
 
@@ -572,9 +529,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 				continue
 			}
 			if it.num%16 == 1 {
-				if err := tryRounded(sol.X, it.snap); err != nil {
-					return nil, err
-				}
+				tryRounded(sol.X)
 			}
 			for _, v := range [2]float64{1, 0} {
 				push(sol.Objective, append(append([]fix(nil), it.nd.fixes...), fix{col: col, val: v}), it.snap)
@@ -596,7 +551,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	}
 	res.X = append([]float64(nil), incumbentX...)
 	// Snap binaries exactly.
-	for _, col := range p.binary {
+	for col := range res.X {
 		if res.X[col] >= 0.5 {
 			res.X[col] = 1
 		} else {
@@ -623,8 +578,7 @@ func gapSlack(gap, incumbent float64) float64 {
 var testNoRounding bool
 
 // integerObjective reports whether every objective coefficient is an
-// integer, so that an all-binary program's objective takes integer
-// values only.
+// integer, so that the objective takes integer values only.
 func (p *Program) integerObjective() bool {
 	for col := 0; col < p.NumCols(); col++ {
 		if c := p.lp.Obj(col); c != math.Trunc(c) || math.IsInf(c, 0) {
@@ -643,7 +597,7 @@ func (p *Program) integerObjective() bool {
 // gap in far fewer nodes than pure most-fractional branching.
 func (p *Program) mostFractional(x []float64) int {
 	best, bestScore := -1, 0.0
-	for _, col := range p.binary {
+	for col := range x {
 		frac := math.Abs(x[col] - math.Round(x[col]))
 		if frac <= intTol {
 			continue

@@ -77,22 +77,6 @@ func TestInfeasibleProgram(t *testing.T) {
 	}
 }
 
-func TestMixedIntegerContinuous(t *testing.T) {
-	// minimize 5b + c s.t. b + c >= 1.5, 0 <= c <= 1: must open b
-	// (c alone reaches only 1). Optimum b=1, c=0.5 -> 5.5.
-	p := bip.New()
-	r := p.AddRow(1.5, math.Inf(1))
-	p.AddBinary(5, lp.Entry{Row: r, Coef: 1})
-	p.AddCol(1, 0, 1, lp.Entry{Row: r, Coef: 1})
-	res, err := p.Solve(bip.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Objective-5.5) > 1e-6 {
-		t.Errorf("objective = %v, want 5.5 (x=%v)", res.Objective, res.X)
-	}
-}
-
 func TestEqualityGating(t *testing.T) {
 	// The support-query gating shape: sum of plan vars equals the
 	// index presence var. When the index is worth opening, exactly one

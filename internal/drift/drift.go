@@ -193,35 +193,13 @@ func (d *Detector) SetTarget(target map[string]float64) {
 	d.armed = true
 }
 
-// Rearm re-arms a disarmed detector without waiting for divergence to
-// fall below RearmBelow, and restarts the cooldown. Callers use it
-// after an aborted migration: the trigger was consumed but the schema
-// never changed, so the detector must be able to fire again once the
-// cooldown passes.
-func (d *Detector) Rearm() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.armed = true
-	d.streak = 0
-	d.cooldown = d.cfg.CooldownWindows
-}
-
-// Stats returns the detector's counters.
+// Stats returns the detector's counters. Production reads the obs
+// instruments instead; kept for the drift and harness tests, which
+// assert trigger and suppression counts without a registry.
 func (d *Detector) Stats() Stats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.stats
-}
-
-// Target returns a copy of the current normalized target mix.
-func (d *Detector) Target() map[string]float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	t := make(map[string]float64, len(d.target))
-	for k, v := range d.target {
-		t[k] = v
-	}
-	return t
 }
 
 // Observe records one executed statement by label and returns the

@@ -163,9 +163,10 @@ func TestHysteresisSuppressesOscillation(t *testing.T) {
 	}
 }
 
-// TestCooldownBoundsTriggerRate: with SetTarget never called and
-// Rearm forced after every trigger, the cooldown still spaces triggers
-// at least CooldownWindows+ConfirmWindows windows apart.
+// TestCooldownBoundsTriggerRate: re-armed after every trigger by a
+// SetTarget onto the unchanged mix — what the online loop does when a
+// migration aborts — the cooldown still spaces triggers at least
+// CooldownWindows+ConfirmWindows windows apart.
 func TestCooldownBoundsTriggerRate(t *testing.T) {
 	cfg := testConfig()
 	d := drift.New(cfg, mixA)
@@ -174,7 +175,7 @@ func TestCooldownBoundsTriggerRate(t *testing.T) {
 		dec := feed(t, d, 40, mixB)
 		if dec.Triggered {
 			triggerAt = append(triggerAt, i)
-			d.Rearm() // aborted-migration path: consume the trigger, try again
+			d.SetTarget(mixA) // aborted-migration path: consume the trigger, try again
 		}
 	}
 	if len(triggerAt) < 2 {

@@ -35,7 +35,9 @@ type Features struct {
 // queries of every update against every candidate it modifies, and
 // finally supplement the pool with combined candidates. It is
 // EnumerateWorkloadCtx with every feature on, run inline, unobserved
-// and uncancellable.
+// and uncancellable. Production always passes options; this form is the
+// benchmark hook (root bench_test.go) and the fixture of the planner and
+// executor tests.
 func EnumerateWorkload(w *workload.Workload) (*Result, error) {
 	return EnumerateWorkloadCtx(context.Background(), w, Features{}, 1, nil)
 }

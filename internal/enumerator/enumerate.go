@@ -53,12 +53,8 @@ func (p *Pool) Indexes() []*schema.Index { return p.s.Indexes() }
 // Len returns the number of distinct candidates.
 func (p *Pool) Len() int { return p.s.Len() }
 
-// Lookup returns the pool's instance of a structurally identical
-// candidate, or nil.
-func (p *Pool) Lookup(x *schema.Index) *schema.Index { return p.s.Lookup(x) }
-
-// run is the state of one enumeration (one EnumerateWorkloadCtx or
-// EnumerateQuery call), shared by its workers: the canonical instance of
+// run is the state of one enumeration (one EnumerateWorkloadCtx
+// call), shared by its workers: the canonical instance of
 // every candidate structure generated so far, and the memos of the two
 // pure functions of Algorithm 1. A workload asks for the same
 // enumeration over and over — every (update, candidate) pair poses
@@ -163,21 +159,6 @@ func union(lists [][]*schema.Index) []*schema.Index {
 		out.add(list...)
 	}
 	return out.list
-}
-
-// EnumerateQuery adds to the pool every candidate column family the
-// paper's Enumerate(q) generates for one query: for each decomposition
-// point along the query path, the prefix query's materialized view, its
-// split (key-only plus id-to-attributes) variants, and the relaxed
-// variants; then recursively the candidates of the remainder query
-// (paper §IV-A2 and Fig. 5).
-func EnumerateQuery(pool *Pool, q *workload.Query) error {
-	list, err := newRun(Features{}).enumerate(q)
-	if err != nil {
-		return err
-	}
-	pool.merge(list)
-	return nil
 }
 
 // enumerate returns Enumerate(q) as an ordered list of distinct

@@ -7,6 +7,7 @@ import (
 	"nose/internal/backend"
 	"nose/internal/executor"
 	"nose/internal/hotel"
+	"nose/internal/model"
 	"nose/internal/search"
 	"nose/internal/workload"
 )
@@ -76,14 +77,13 @@ func TestExecuteDisconnectRemovesRecords(t *testing.T) {
 	guest := g.MustEntity("Guest")
 	var gid, rid int64
 	found := false
-	for _, row := range ds.EntityRows(guest) {
+	must(t, ds.ForEachCombination(model.NewPath(guest), func(row map[string]backend.Value) error {
 		id := row["Guest.GuestID"].(int64)
-		if ns := ds.Neighbors(guest.Edge("Reservations"), id); len(ns) > 0 {
-			gid, rid = id, ns[0].(int64)
-			found = true
-			break
+		if ns := ds.Neighbors(guest.Edge("Reservations"), id); len(ns) > 0 && !found {
+			gid, rid, found = id, ns[0].(int64), true
 		}
-	}
+		return nil
+	}))
 	if !found {
 		t.Fatal("no connected pair in dataset")
 	}

@@ -25,7 +25,7 @@ import (
 type Params map[string]backend.Value
 
 // Tuple is one result row: its values under the column header every row
-// of the result shares.
+// of the result shares. Callers compare rows through CanonicalRows.
 type Tuple struct {
 	cols *columns
 	vals []backend.Value
@@ -33,18 +33,6 @@ type Tuple struct {
 
 // columns is a result's header: qualified attribute names, ascending.
 type columns struct{ names []string }
-
-// Get returns the value of a column by qualified attribute name.
-func (t Tuple) Get(name string) (backend.Value, bool) {
-	if t.cols != nil {
-		for i, n := range t.cols.names {
-			if n == name {
-				return t.vals[i], true
-			}
-		}
-	}
-	return nil, false
-}
 
 // Result carries a statement execution's rows and simulated time.
 type Result struct {

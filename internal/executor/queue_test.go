@@ -77,9 +77,7 @@ func TestCoordinatorZeroCapacityUnavailable(t *testing.T) {
 			t.Fatalf("%v: capacity 1 get: %v", level, err)
 		}
 
-		for n := 0; n < q.NodeCount(); n++ {
-			q.SetCapacity(n, 0)
-		}
+		coord.SetQueues(backend.NewNodeQueues(repl.NodeCount(), 0))
 		_, err := coord.Get("cf1", backend.GetRequest{Partition: p})
 		var fe *faults.Error
 		if !errors.As(err, &fe) || fe.Kind != faults.Unavailable {

@@ -3,7 +3,6 @@ package executor
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"nose/internal/backend"
@@ -56,21 +55,8 @@ func (c Consistency) String() string {
 	}
 }
 
-// ParseConsistency reads a consistency level name (case-insensitive).
-func ParseConsistency(s string) (Consistency, error) {
-	switch strings.ToUpper(strings.TrimSpace(s)) {
-	case "ONE":
-		return One, nil
-	case "QUORUM":
-		return Quorum, nil
-	case "ALL":
-		return All, nil
-	}
-	return One, fmt.Errorf("executor: unknown consistency %q (want ONE, QUORUM or ALL)", s)
-}
-
 // HedgePolicy configures hedged (speculative) reads: when the critical
-// path of a coordinated read exceeds DelayMillis — a replica stuck in a
+// path of a coordinated read exceeds hedgeDelayMillis — a replica stuck in a
 // slow window, typically — the coordinator dispatches the same read to
 // one spare replica and takes whichever answer lands first. Hedging
 // trades a little extra replica load for tail-latency robustness; it
@@ -78,23 +64,13 @@ func ParseConsistency(s string) (Consistency, error) {
 type HedgePolicy struct {
 	// Enabled turns hedging on.
 	Enabled bool
-	// DelayMillis is the simulated latency above which a spare replica
-	// is tried; zero means DefaultHedgeDelayMillis.
-	DelayMillis float64
 }
 
-// DefaultHedgeDelayMillis is a few multiples of a healthy get's
-// service time under cost.DefaultParams — late enough that healthy
-// reads never hedge, early enough to beat a slow-window replica.
-const DefaultHedgeDelayMillis = 2.0
-
-// normalized fills hedge defaults.
-func (h HedgePolicy) normalized() HedgePolicy {
-	if h.Enabled && h.DelayMillis <= 0 {
-		h.DelayMillis = DefaultHedgeDelayMillis
-	}
-	return h
-}
+// hedgeDelayMillis is the simulated latency above which a spare replica
+// is tried: a few multiples of a healthy get's service time under
+// cost.DefaultParams — late enough that healthy reads never hedge,
+// early enough to beat a slow-window replica.
+const hedgeDelayMillis = 2.0
 
 // ReplicaStats counts the distributed-systems work a coordinator
 // performed. Everything here is also charged into statement SimMillis;
@@ -237,7 +213,7 @@ func NewCoordinator(repl *backend.ReplicatedStore, opts CoordinatorOptions) *Coo
 		repl:    repl,
 		read:    opts.Read,
 		write:   opts.Write,
-		hedge:   opts.Hedge.normalized(),
+		hedge:   opts.Hedge,
 		nodes:   opts.Nodes,
 		crashes: opts.Crashes,
 		hints:   map[hintKey][]hint{},
@@ -308,6 +284,9 @@ func (c *Coordinator) Stats() ReplicaStats {
 }
 
 // PendingHints returns the number of hinted writes not yet replayed.
+// Production reports the hints_queued and hints_replayed counters; the
+// handoff, read-repair and crash-recovery tests need the difference at
+// one instant.
 func (c *Coordinator) PendingHints() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -417,7 +396,7 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 
 	// Hedge: if the critical path is slow and a spare replica remains,
 	// race it against the slow slot and keep the faster answer.
-	if c.hedge.Enabled && latency > c.hedge.DelayMillis && idx < len(replicas) && !c.refused(replicas[idx]) {
+	if c.hedge.Enabled && latency > hedgeDelayMillis && idx < len(replicas) && !c.refused(replicas[idx]) {
 		node := replicas[idx]
 		idx++
 		c.co.hedges.Inc()
@@ -429,7 +408,7 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 				return nil, err
 			}
 			service := res.SimMillis * factor
-			hedged := c.hedge.DelayMillis + c.admit(node, service) + service
+			hedged := hedgeDelayMillis + c.admit(node, service) + service
 			if hedged < latency {
 				contacts[slowest] = contact{node: node, res: res, millis: hedged}
 				c.co.hedgeWins.Inc()
@@ -626,46 +605,6 @@ func (c *Coordinator) replayLocked(k hintKey) (float64, error) {
 		c.co.hintsReplayed.Inc()
 	}
 	return t, nil
-}
-
-// FlushHints replays every pending hint whose node is currently up —
-// background anti-entropy between statements. It charges no statement
-// time (the work is off the request path) and returns the number of
-// hinted writes applied. Hints for nodes still down stay queued.
-func (c *Coordinator) FlushHints() (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Deterministic order: sort the keys before replaying.
-	keys := make([]hintKey, 0, len(c.hints))
-	for k := range c.hints {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		if a.cf != b.cf {
-			return a.cf < b.cf
-		}
-		return a.part < b.part
-	})
-	applied := 0
-	for _, k := range keys {
-		if c.nodes != nil && c.nodes.Down(k.node) {
-			continue
-		}
-		// Crash point: background anti-entropy dies between batches.
-		if err := c.crashes.Point(faults.SiteHandoff); err != nil {
-			return applied, err
-		}
-		n := len(c.hints[k])
-		if _, err := c.replayLocked(k); err != nil {
-			return applied, err
-		}
-		applied += n
-	}
-	return applied, nil
 }
 
 var _ backend.KVBackend = (*Coordinator)(nil)

@@ -52,14 +52,6 @@ func TestConsistencyRequired(t *testing.T) {
 			t.Errorf("%v.Required(%d) = %d, want %d", c.c, c.rf, got, c.want)
 		}
 	}
-	for _, name := range []string{"one", "QUORUM", " all "} {
-		if _, err := executor.ParseConsistency(name); err != nil {
-			t.Errorf("ParseConsistency(%q): %v", name, err)
-		}
-	}
-	if _, err := executor.ParseConsistency("TWO"); err == nil {
-		t.Error("ParseConsistency(TWO) should fail")
-	}
 }
 
 // TestHealthyAllMatchesSingleStore pins the core equivalence: on a
@@ -371,36 +363,5 @@ func TestCoordinatorDeterminism(t *testing.T) {
 		if math.Float64bits(t1[i]) != math.Float64bits(t2[i]) {
 			t.Fatalf("op %d: %.9f != %.9f", i, t1[i], t2[i])
 		}
-	}
-}
-
-// TestFlushHints drains pending hints off the request path once their
-// nodes are back up, but leaves hints for down nodes queued.
-func TestFlushHints(t *testing.T) {
-	repl, coord, ns := newCluster(t, 3, 3, executor.One, executor.Quorum, executor.HedgePolicy{})
-	p := vals(int64(11))
-	primary := repl.ReplicasFor("cf1", p)[0]
-	if err := ns.MarkDown(primary); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.Put("cf1", p, vals(int64(1)), vals("v")); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := coord.FlushHints(); err != nil || n != 0 {
-		t.Fatalf("flush with the node down applied %d hints (err %v), want 0", n, err)
-	}
-	if err := ns.MarkUp(primary); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := coord.FlushHints(); err != nil || n != 1 {
-		t.Fatalf("flush after recovery applied %d hints (err %v), want 1", n, err)
-	}
-	r, err := coord.Get("cf1", backend.GetRequest{Partition: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coord.Stats().StaleReads != 0 || len(r.Records) != 1 {
-		t.Errorf("read after flush: %d records, %d stale; want 1 record, 0 stale",
-			len(r.Records), coord.Stats().StaleReads)
 	}
 }

@@ -27,10 +27,6 @@ type RetryPolicy struct {
 	// spend on failed attempts and backoff before giving up; zero means
 	// DefaultRetryBudgetMillis.
 	BudgetMillis float64
-	// JitterSeed perturbs the deterministic jitter stream, so two
-	// systems with identical op sequences need not back off in
-	// lockstep.
-	JitterSeed int64
 }
 
 // Default retry tuning, in the cost model's abstract milliseconds.
@@ -118,8 +114,7 @@ func (p RetryPolicy) backoffFor(cf string, attempt int, op int64) float64 {
 	}
 	h := fnv.New64a()
 	h.Write([]byte(cf))
-	seed := h.Sum64() ^ uint64(p.JitterSeed)*0x9e3779b97f4a7c15 ^
-		uint64(attempt)*0xff51afd7ed558ccd ^ uint64(op)*0xc4ceb9fe1a85ec53
+	seed := h.Sum64() ^ uint64(attempt)*0xff51afd7ed558ccd ^ uint64(op)*0xc4ceb9fe1a85ec53
 	return b * (0.5 + 0.5*jitter01(seed))
 }
 

@@ -47,13 +47,6 @@ func IsCrash(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// AsCrash extracts the injected crash from an error chain.
-func AsCrash(err error) (*CrashError, bool) {
-	var ce *CrashError
-	ok := errors.As(err, &ce)
-	return ce, ok
-}
-
 // Crashes is a deterministic crash-point scheduler: Arm names the
 // zero-based Point call at which a site's process dies, and Point —
 // called from the instrumented code paths — returns the CrashError at
@@ -108,6 +101,8 @@ func (c *Crashes) Point(site string) error {
 }
 
 // Fired returns the crash that killed the process, or nil while alive.
+// Production learns of a crash from the error Point returns; the journal
+// and scheduler tests ask which point fired.
 func (c *Crashes) Fired() *CrashError {
 	if c == nil {
 		return nil

@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -20,8 +21,8 @@ func TestCrashesDeterministicAndSticky(t *testing.T) {
 		t.Fatalf("handoff point 0 crashed: %v", err)
 	}
 	err := c.Point(faults.SiteHandoff)
-	ce, ok := faults.AsCrash(err)
-	if !ok || ce.Site != faults.SiteHandoff || ce.Index != 1 {
+	var ce *faults.CrashError
+	if !errors.As(err, &ce) || ce.Site != faults.SiteHandoff || ce.Index != 1 {
 		t.Fatalf("handoff point 1: %v", err)
 	}
 	if !faults.IsCrash(fmt.Errorf("wrapped: %w", err)) {

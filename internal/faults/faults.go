@@ -33,8 +33,8 @@ const (
 	// Transient is a momentary replica error; an immediate retry is
 	// likely to succeed.
 	Transient Kind = iota
-	// Timeout is a request that timed out after Profile.TimeoutMillis
-	// of simulated waiting; retrying after backoff may succeed.
+	// Timeout is a request that timed out after timeoutMillis of
+	// simulated waiting; retrying after backoff may succeed.
 	Timeout
 	// Unavailable means the column family is down — either inside an
 	// injected unavailability window or marked down explicitly. Retries
@@ -128,36 +128,29 @@ type Profile struct {
 	// UnavailableOps is the window length in operations; zero means
 	// DefaultUnavailableOps.
 	UnavailableOps int
-	// TimeoutMillis is the simulated time a timed-out request wastes;
-	// zero means DefaultTimeoutMillis.
-	TimeoutMillis float64
-	// TransientMillis is the simulated time a transient error wastes
-	// (fast failure); zero means DefaultTransientMillis.
-	TransientMillis float64
 	// LatencyFactor multiplies the service time of successful
 	// operations (latency inflation for a degraded but serving family);
 	// zero or one means no inflation.
 	LatencyFactor float64
 }
 
-// Default simulated costs, in the same abstract milliseconds as
-// cost.Params.
+// DefaultUnavailableOps is the unavailability window length a profile
+// gets when it names none.
+const DefaultUnavailableOps = 25
+
+// Simulated time a failed attempt wastes, in the same abstract
+// milliseconds as cost.Params: a timeout runs the full client timeout;
+// a transient error, and an attempt refused by a down family or node,
+// fail fast.
 const (
-	DefaultUnavailableOps  = 25
-	DefaultTimeoutMillis   = 50.0
-	DefaultTransientMillis = 0.5
+	timeoutMillis   = 50.0
+	transientMillis = 0.5
 )
 
 // normalized fills profile defaults.
 func (p Profile) normalized() Profile {
 	if p.UnavailableOps <= 0 {
 		p.UnavailableOps = DefaultUnavailableOps
-	}
-	if p.TimeoutMillis <= 0 {
-		p.TimeoutMillis = DefaultTimeoutMillis
-	}
-	if p.TransientMillis <= 0 {
-		p.TransientMillis = DefaultTransientMillis
 	}
 	if p.LatencyFactor <= 0 {
 		p.LatencyFactor = 1
@@ -246,7 +239,9 @@ func (i *Injector) SetDefaultProfile(p Profile) {
 	i.def = p.normalized()
 }
 
-// SetProfile applies a profile to one column family.
+// SetProfile applies a profile to one column family. Production
+// declares weather once through harness.Config (SetDefaultProfile); the
+// failover tests degrade a single family.
 func (i *Injector) SetProfile(cf string, p Profile) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -270,14 +265,6 @@ func (i *Injector) MarkUp(cf string) {
 	st := i.state(cf)
 	st.manualDown = false
 	st.downUntil = 0
-}
-
-// Down reports whether the column family is currently unavailable.
-func (i *Injector) Down(cf string) bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	st := i.state(cf)
-	return st.manualDown || st.ops < st.downUntil
 }
 
 // Counts returns the fault counters so far.
@@ -321,7 +308,7 @@ func (i *Injector) decide(cf, op string) (*Error, float64) {
 
 	if st.manualDown || st.ops <= st.downUntil {
 		i.fo.unavailables.Inc()
-		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: -1, SimMillis: p.TransientMillis}, 1
+		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: -1, SimMillis: transientMillis}, 1
 	}
 	// One draw per operation, partitioned into fault bands, keeps the
 	// stream deterministic regardless of which band fires.
@@ -329,14 +316,14 @@ func (i *Injector) decide(cf, op string) (*Error, float64) {
 	switch {
 	case r < p.TransientRate:
 		i.fo.transients.Inc()
-		return &Error{Kind: Transient, CF: cf, Op: op, Node: -1, SimMillis: p.TransientMillis}, 1
+		return &Error{Kind: Transient, CF: cf, Op: op, Node: -1, SimMillis: transientMillis}, 1
 	case r < p.TransientRate+p.TimeoutRate:
 		i.fo.timeouts.Inc()
-		return &Error{Kind: Timeout, CF: cf, Op: op, Node: -1, SimMillis: p.TimeoutMillis}, 1
+		return &Error{Kind: Timeout, CF: cf, Op: op, Node: -1, SimMillis: timeoutMillis}, 1
 	case r < p.TransientRate+p.TimeoutRate+p.UnavailableRate:
 		st.downUntil = st.ops + int64(p.UnavailableOps)
 		i.fo.unavailables.Inc()
-		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: -1, SimMillis: p.TransientMillis}, 1
+		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: -1, SimMillis: transientMillis}, 1
 	}
 	return nil, p.LatencyFactor
 }

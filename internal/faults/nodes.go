@@ -34,13 +34,6 @@ type NodeProfile struct {
 	// SlowFactor multiplies service times inside a slow window; zero
 	// means DefaultSlowFactor.
 	SlowFactor float64
-	// TransientMillis is the simulated time a flaky failure wastes;
-	// zero means DefaultTransientMillis.
-	TransientMillis float64
-	// DownMillis is the simulated time an attempt against a down node
-	// wastes (fast connection refusal); zero means
-	// DefaultTransientMillis.
-	DownMillis float64
 }
 
 // Default node fault tuning, in the cost model's abstract milliseconds.
@@ -60,12 +53,6 @@ func (p NodeProfile) normalized() NodeProfile {
 	}
 	if p.SlowFactor <= 0 {
 		p.SlowFactor = DefaultSlowFactor
-	}
-	if p.TransientMillis <= 0 {
-		p.TransientMillis = DefaultTransientMillis
-	}
-	if p.DownMillis <= 0 {
-		p.DownMillis = DefaultTransientMillis
 	}
 	return p
 }
@@ -157,9 +144,6 @@ func NewNodes(seed int64, n int) *Nodes {
 	return ns
 }
 
-// Len returns the number of node fault domains.
-func (ns *Nodes) Len() int { return len(ns.states) }
-
 // SetDefaultProfile applies a profile to every node without an explicit
 // one.
 func (ns *Nodes) SetDefaultProfile(p NodeProfile) {
@@ -168,7 +152,9 @@ func (ns *Nodes) SetDefaultProfile(p NodeProfile) {
 	ns.def = p.normalized()
 }
 
-// SetProfile applies a profile to one node.
+// SetProfile applies a profile to one node. Production declares weather
+// once through harness.Config (SetDefaultProfile); the hedging and
+// read-repair tests slow or drop a single node.
 func (ns *Nodes) SetProfile(node int, p NodeProfile) error {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -205,18 +191,6 @@ func (ns *Nodes) MarkUp(node int) error {
 	st.manualDown = false
 	st.downUntil = 0
 	return nil
-}
-
-// Down reports whether the node is currently inside a down window or
-// marked down. It consumes no random draw.
-func (ns *Nodes) Down(node int) bool {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	st, err := ns.state(node)
-	if err != nil {
-		return false
-	}
-	return st.manualDown || st.ops < st.downUntil
 }
 
 // Counts returns the node fault counters so far.
@@ -263,7 +237,7 @@ func (ns *Nodes) Decide(node int, cf, op string) (*Error, float64) {
 
 	if st.manualDown || st.ops <= st.downUntil {
 		ns.no.downRejections.Inc()
-		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: node, SimMillis: p.DownMillis}, 1
+		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: node, SimMillis: transientMillis}, 1
 	}
 	factor := 1.0
 	if st.ops <= st.slowUntil {
@@ -275,12 +249,12 @@ func (ns *Nodes) Decide(node int, cf, op string) (*Error, float64) {
 	switch {
 	case r < p.FlakyRate:
 		ns.no.flaky.Inc()
-		return &Error{Kind: Transient, CF: cf, Op: op, Node: node, SimMillis: p.TransientMillis}, 1
+		return &Error{Kind: Transient, CF: cf, Op: op, Node: node, SimMillis: transientMillis}, 1
 	case r < p.FlakyRate+p.DownRate:
 		st.downUntil = st.ops + int64(p.DownOps)
 		ns.no.downWindows.Inc()
 		ns.no.downRejections.Inc()
-		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: node, SimMillis: p.DownMillis}, 1
+		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: node, SimMillis: transientMillis}, 1
 	case r < p.FlakyRate+p.DownRate+p.SlowRate:
 		st.slowUntil = st.ops + int64(p.SlowOps)
 		ns.no.slowWindows.Inc()

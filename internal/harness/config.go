@@ -267,9 +267,6 @@ func NewReplicatedSystem(name string, ds *backend.Dataset, rec *search.Recommend
 }
 
 // Faults returns the per-family fault injector Config.FamilyWeather
-// declared, or nil.
+// declared, or nil. Production never reaches past the System for it;
+// the failover tests do, to degrade one family or read its counts.
 func (s *System) Faults() *faults.Injector { return s.inj }
-
-// NodeFaults returns the node fault set Config.NodeWeather declared, or
-// nil.
-func (s *System) NodeFaults() *faults.Nodes { return s.nodeInj }

@@ -360,7 +360,7 @@ func (k *parkingKV) Get(name string, req backend.GetRequest) (*backend.GetResult
 		close(k.parked)
 		<-k.release
 	case 2:
-		return nil, &faults.Error{Kind: faults.Transient, CF: name, Op: "get", Node: -1, SimMillis: faults.DefaultTransientMillis}
+		return nil, &faults.Error{Kind: faults.Transient, CF: name, Op: "get", Node: -1, SimMillis: 0.5}
 	}
 	return k.KVBackend.Get(name, req)
 }

@@ -320,7 +320,9 @@ func (s *System) MarkNodeUp(node int) error {
 
 // MarkDown takes a column family out of service: query plans touching
 // it are skipped in favor of surviving alternatives, and (when faults
-// are enabled) operations against it fail Unavailable.
+// are enabled) operations against it fail Unavailable. Production
+// outages come from declared weather; MarkDown and MarkUp are how the
+// deterministic failover tests take a named family out and back.
 func (s *System) MarkDown(cf string) {
 	s.mu.Lock()
 	s.down[cf] = true

@@ -42,9 +42,9 @@ type liveMigration struct {
 // statement execution. Backfill writes flow through the system's
 // executor — fault injector, coordinator, and retry policy included —
 // so migrating under weather is charged and endangered like any other
-// traffic. The returned controller can be used to Pause, Resume,
-// Abort, or inspect Progress; drive it with LiveStep rather than
-// calling Step directly so cutover swaps the system's plans.
+// traffic. The returned controller can be used to Abort or inspect
+// Progress; drive it with LiveStep rather than calling Step directly so
+// cutover swaps the system's plans.
 func (s *System) StartLiveMigration(ds *backend.Dataset, pr *search.PhaseRecommendation, opts migrate.LiveOptions) (*migrate.Live, error) {
 	opts.Journal = s.jr
 	lm, err := s.beginLive(ds, pr, s.Exec.Put, opts, s.reg)
@@ -239,8 +239,8 @@ func (s *System) LiveStep() (migrate.StepResult, error) {
 // DrainLiveMigration tolerates before giving up on the migration. A
 // healthy step always makes progress (copies records, transitions
 // state, or aborts on a budget breach); repeated no-op steps mean the
-// migration can never finish under Drain — a paused controller, or an
-// unlimited fault budget with a permanently failing backfill put.
+// migration can never finish under Drain — an unlimited fault budget
+// with a permanently failing backfill put.
 const drainStallLimit = 3
 
 // DrainLiveMigration runs LiveStep until the migration finishes or
@@ -252,9 +252,9 @@ const drainStallLimit = 3
 // state transition for drainStallLimit consecutive steps — is aborted
 // and the abort surfaced, instead of Drain spinning its entire step
 // budget (or, unbounded, forever) on a migration that cannot finish.
-// The two ways to get there are a controller someone left paused and a
-// permanently failing backfill put under an unlimited fault budget; a
-// bounded budget aborts on its own when the failures exhaust it.
+// The way to get there is a permanently failing backfill put under an
+// unlimited fault budget; a bounded budget aborts on its own when the
+// failures exhaust it.
 func (s *System) DrainLiveMigration(maxSteps int) (migrate.State, error) {
 	stalled := 0
 	for i := 0; maxSteps <= 0 || i < maxSteps; i++ {
@@ -269,15 +269,9 @@ func (s *System) DrainLiveMigration(maxSteps int) (migrate.State, error) {
 		if sr.Copied == 0 && !sr.Transitioned {
 			stalled++
 			if stalled >= drainStallLimit {
-				if lm.ctrl.Progress().Paused {
-					// Draining means finishing: un-pause and keep going.
-					lm.ctrl.Resume()
-					stalled = 0
-					continue
-				}
-				// Still abortable and not progressing: the backfill put
-				// fails permanently under an unlimited budget. Abort (the
-				// OnAbort hook detaches the migration) and surface it.
+				// Not progressing: the backfill put fails permanently
+				// under an unlimited budget. Abort (the OnAbort hook
+				// detaches the migration) and surface it.
 				lm.ctrl.Abort()
 				s.live.CompareAndSwap(lm, nil)
 				return migrate.StateAborted, fmt.Errorf("harness: %s: live migration stalled: no progress in %d consecutive steps: %w",
@@ -333,9 +327,6 @@ func (s *System) EnableDrift(det *drift.Detector) {
 	det.SetObs(s.reg)
 	s.det.Store(det)
 }
-
-// Drift returns the attached drift detector, or nil.
-func (s *System) Drift() *drift.Detector { return s.det.Load() }
 
 // observeDrift feeds one executed statement to the attached detector.
 func (s *System) observeDrift(st workload.Statement) {

@@ -529,24 +529,3 @@ func TestAbortStopsDualWriteForwardingRace(t *testing.T) {
 		t.Fatalf("dual-writes still flowing after abort: %d -> %d", before, after)
 	}
 }
-
-// TestDrainResumesPausedController: draining a paused migration means
-// finishing it — the stall guard un-pauses instead of spinning forever
-// (or aborting a perfectly healthy migration).
-func TestDrainResumesPausedController(t *testing.T) {
-	ds, _, rec, sys, _ := liveFixture(t)
-	ctrl, err := sys.StartLiveMigration(ds,
-		&search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()},
-		migrate.LiveOptions{ChunkRecords: 40, Params: migrate.DefaultCostParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.Pause()
-	st, err := sys.DrainLiveMigration(0)
-	if err != nil || st != migrate.StateDone {
-		t.Fatalf("drain of a paused migration: state %v, err %v", st, err)
-	}
-	if sys.Rec() != rec {
-		t.Fatal("drained migration did not adopt the recommendation")
-	}
-}

@@ -109,17 +109,14 @@ func (e *CorruptError) Error() string {
 // corruption, not records (and keep hostile inputs from ballooning).
 const maxFrameBytes = 1 << 20
 
-// DefaultSyncMillis is the simulated time one synchronous journal
-// append (write + fsync) charges.
-const DefaultSyncMillis = 0.05
+// syncMillis is the simulated time one synchronous journal append
+// (write + fsync) charges.
+const syncMillis = 0.05
 
 // Options configures a journal.
 type Options struct {
 	// Crashes injects crashes at the append point; nil never crashes.
 	Crashes *faults.Crashes
-	// SyncMillis is the simulated cost per durable append; <= 0 means
-	// DefaultSyncMillis.
-	SyncMillis float64
 	// Obs, when set, counts appends and bytes into a registry.
 	Obs *obs.Registry
 }
@@ -133,17 +130,13 @@ type Journal struct {
 	records   int
 	simMillis float64
 	crashes   *faults.Crashes
-	syncMs    float64
 
 	appends, bytes *obs.Counter
 }
 
 // New returns an empty journal.
 func New(opts Options) *Journal {
-	j := &Journal{crashes: opts.Crashes, syncMs: opts.SyncMillis}
-	if j.syncMs <= 0 {
-		j.syncMs = DefaultSyncMillis
-	}
+	j := &Journal{crashes: opts.Crashes}
 	if opts.Obs != nil {
 		j.appends = opts.Obs.Counter("journal.appends")
 		j.bytes = opts.Obs.Counter("journal.bytes")
@@ -188,12 +181,12 @@ func (j *Journal) Append(r Record) (float64, error) {
 	j.nextSeq++
 	j.records++
 	j.data = append(j.data, frame...)
-	j.simMillis += j.syncMs
+	j.simMillis += syncMillis
 	if j.appends != nil {
 		j.appends.Inc()
 		j.bytes.Add(int64(len(frame)))
 	}
-	return j.syncMs, nil
+	return syncMillis, nil
 }
 
 // Durable returns a copy of the journal's durable byte stream — what a
@@ -212,6 +205,8 @@ func (j *Journal) Records() int {
 }
 
 // SimMillis returns the simulated time spent on durable appends.
+// Production books each append's cost as Append returns it; the journal
+// tests check the running total against that sum.
 func (j *Journal) SimMillis() float64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -221,7 +216,9 @@ func (j *Journal) SimMillis() float64 {
 // Replay decodes a journal byte stream into its records. A truncated
 // final record is tolerated (the crash artifact); every other
 // inconsistency — bad checksum, sequence gap or duplicate, unknown
-// kind, oversized frame — returns a *CorruptError.
+// kind, oversized frame — returns a *CorruptError. Production reopens a
+// journal with Open, which also resumes appending; Replay is the
+// read-only form the recovery tests and FuzzJournalReplay drive.
 func Replay(data []byte) ([]Record, error) {
 	recs, _, err := replay(data)
 	return recs, err

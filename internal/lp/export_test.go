@@ -5,6 +5,14 @@ import (
 	"slices"
 )
 
+// Solve runs the two-phase bounded revised simplex method on a fresh
+// solver. Production always holds a Solver (bip keeps one per worker);
+// the tests solve one problem at a time.
+func (p *Problem) Solve() (*Solution, error) { return NewSolver().Solve(p) }
+
+// SetObj changes a column's objective coefficient.
+func (p *Problem) SetObj(col int, obj float64) { p.cols[col].obj = obj }
+
 // SolveDense runs the dense reference engine of dense_test.go.
 func SolveDense(p *Problem) (*Solution, error) { return solveDense(p) }
 

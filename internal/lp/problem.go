@@ -74,20 +74,12 @@ func (p *Problem) AddCol(obj, lo, hi float64, entries ...Entry) int {
 	return len(p.cols) - 1
 }
 
-// SetObj changes a column's objective coefficient.
-func (p *Problem) SetObj(col int, obj float64) { p.cols[col].obj = obj }
-
 // Obj returns a column's objective coefficient.
 func (p *Problem) Obj(col int) float64 { return p.cols[col].obj }
 
 // SetColBounds changes a column's bounds.
 func (p *Problem) SetColBounds(col int, lo, hi float64) {
 	p.cols[col].lo, p.cols[col].hi = lo, hi
-}
-
-// SetRowBounds changes a row's activity bounds.
-func (p *Problem) SetRowBounds(row int, lo, hi float64) {
-	p.rows[row].lo, p.rows[row].hi = lo, hi
 }
 
 // NumRows returns the number of constraint rows.

@@ -188,13 +188,6 @@ func (s *Solver) Stats() SolverStats { return s.stats }
 // problem solved and are reused afterwards.
 func NewSolver() *Solver { return &Solver{} }
 
-// Solve runs the two-phase bounded revised simplex method, reusing a
-// fresh solver. Loops that solve many problems should hold a Solver and
-// call its Solve method instead.
-func (p *Problem) Solve() (*Solution, error) {
-	return NewSolver().Solve(p)
-}
-
 // growF returns s resized to n, zeroed, reusing capacity when possible.
 func growF(s []float64, n int) []float64 {
 	if cap(s) < n {

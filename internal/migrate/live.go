@@ -158,8 +158,6 @@ type Progress struct {
 	Faults, Budget int
 	// SimMillis is the simulated time consumed so far.
 	SimMillis float64
-	// Paused reports that Step is currently a no-op.
-	Paused bool
 }
 
 // Live is a fault-tolerant, resumable schema migration that runs
@@ -176,7 +174,6 @@ type Progress struct {
 type Live struct {
 	mu      sync.Mutex
 	state   State
-	paused  bool
 	put     PutFunc
 	store   Store
 	opts    LiveOptions
@@ -327,21 +324,6 @@ func (l *Live) NoteExternalFault() {
 	l.extern++
 }
 
-// Pause makes Step a no-op until Resume; the migration holds its
-// position and dual-writes keep flowing.
-func (l *Live) Pause() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.paused = true
-}
-
-// Resume undoes Pause.
-func (l *Live) Resume() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.paused = false
-}
-
 // Abort rolls the migration back: every family it created is dropped
 // and the state becomes StateAborted. The old schema is untouched and
 // keeps serving. Aborting is a no-op once the migration is finished or
@@ -407,7 +389,6 @@ func (l *Live) Progress() Progress {
 		Faults:        l.faults + l.extern,
 		Budget:        l.opts.FaultBudget,
 		SimMillis:     l.res.SimMillis,
-		Paused:        l.paused,
 	}
 }
 
@@ -439,9 +420,8 @@ func (l *Live) Result() Result {
 // folded into the fault ledger; if the total exceeds the budget while
 // the migration is still abortable (before StateCutover) it aborts —
 // every created family is dropped, the state becomes StateAborted, and
-// Step returns ErrAborted. Step on a paused,
-// done, or aborted controller is a no-op (an aborted controller keeps
-// returning ErrAborted).
+// Step returns ErrAborted. Step on a done or aborted controller is a
+// no-op (an aborted controller keeps returning ErrAborted).
 func (l *Live) Step() (sr StepResult, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -452,9 +432,6 @@ func (l *Live) Step() (sr StepResult, err error) {
 		return sr, nil
 	case StateAborted:
 		return sr, ErrAborted
-	}
-	if l.paused {
-		return sr, nil
 	}
 
 	// Fold in dual-write failures and re-check the budget first: a

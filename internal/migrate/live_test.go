@@ -344,50 +344,6 @@ func TestLiveMigrationCannotAbortAfterCutover(t *testing.T) {
 	}
 }
 
-// TestLivePauseResume: a paused controller holds position; resuming
-// picks up exactly where it stopped.
-func TestLivePauseResume(t *testing.T) {
-	g := hotel.Graph()
-	ds := tinyDataset(t, g)
-	s := backend.NewStore(cost.DefaultParams())
-	sch := schema.NewSchema()
-	pk := sch.Add(guestPK(t, g))
-
-	l, err := migrate.StartLive(ds, s, []*schema.Index{pk}, nil, storePut(s),
-		migrate.LiveOptions{ChunkRecords: 1, Params: migrate.DefaultCostParams()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Step(); err != nil { // → backfill
-		t.Fatal(err)
-	}
-	if _, err := l.Step(); err != nil { // first record
-		t.Fatal(err)
-	}
-	l.Pause()
-	for i := 0; i < 5; i++ {
-		sr, err := l.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr.Copied != 0 || sr.Transitioned {
-			t.Fatalf("paused Step did work: %+v", sr)
-		}
-	}
-	if p := l.Progress(); !p.Paused || p.CopiedRecords != 1 {
-		t.Fatalf("paused progress = %+v", p)
-	}
-	l.Resume()
-	for l.State() != migrate.StateDone {
-		if _, err := l.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p := l.Progress(); p.CopiedRecords != 3 {
-		t.Fatalf("resumed migration copied %d, want 3", p.CopiedRecords)
-	}
-}
-
 // TestInstallAndBackfillAgree: installing a family straight from the
 // dataset and backfilling it through the live controller read the same
 // materializer, so for every RUBiS expert family the two stores must

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Entity is one entity set (a box in the entity graph). Entities own
@@ -98,18 +97,6 @@ func (e *Entity) Edges() []*Edge {
 	return out
 }
 
-// Member resolves a name that may be either an attribute or an edge of
-// the entity. Exactly one of the return values is non-nil on success.
-func (e *Entity) Member(name string) (*Attribute, *Edge, error) {
-	if a, ok := e.attrs[name]; ok {
-		return a, nil, nil
-	}
-	if ed, ok := e.edges[name]; ok {
-		return nil, ed, nil
-	}
-	return nil, nil, fmt.Errorf("model: entity %s has no attribute or relationship %q", e.Name, name)
-}
-
 func (e *Entity) addEdge(ed *Edge) error {
 	if _, ok := e.attrs[ed.Name]; ok {
 		return fmt.Errorf("model: relationship %s.%s collides with an attribute", e.Name, ed.Name)
@@ -120,22 +107,4 @@ func (e *Entity) addEdge(ed *Edge) error {
 	e.edges[ed.Name] = ed
 	e.edgeOrder = append(e.edgeOrder, ed.Name)
 	return nil
-}
-
-// RecordSize returns the total storage footprint in bytes of one entity
-// instance with all attributes present.
-func (e *Entity) RecordSize() int {
-	total := 0
-	for _, n := range e.attrOrder {
-		total += e.attrs[n].StorageSize()
-	}
-	return total
-}
-
-// SortedAttributeNames returns the attribute names in lexicographic
-// order; useful for deterministic output.
-func (e *Entity) SortedAttributeNames() []string {
-	out := append([]string(nil), e.attrOrder...)
-	sort.Strings(out)
-	return out
 }

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Graph is an entity graph: a set of entity sets plus the relationships
@@ -85,28 +84,6 @@ func (g *Graph) MustAddRelationship(from, forwardName, to, inverseName string, k
 		panic(err)
 	}
 	return ed
-}
-
-// ResolveAttribute resolves a dotted reference such as
-// "Guest.Reservation.Room.RoomRate": the first segment names an entity,
-// middle segments name relationship edges, and the final segment names
-// an attribute of the entity reached. It returns the traversal path
-// (which may have no edges) and the attribute.
-func (g *Graph) ResolveAttribute(ref string) (Path, *Attribute, error) {
-	parts := strings.Split(ref, ".")
-	if len(parts) < 2 {
-		return Path{}, nil, fmt.Errorf("model: attribute reference %q must have at least Entity.Attribute", ref)
-	}
-	path, err := g.ResolvePath(parts[:len(parts)-1])
-	if err != nil {
-		return Path{}, nil, fmt.Errorf("model: resolving %q: %w", ref, err)
-	}
-	last := parts[len(parts)-1]
-	attr := path.End().Attribute(last)
-	if attr == nil {
-		return Path{}, nil, fmt.Errorf("model: entity %s has no attribute %q (in %q)", path.End().Name, last, ref)
-	}
-	return path, attr, nil
 }
 
 // ResolvePath resolves a sequence of names where the first names an

@@ -101,17 +101,6 @@ func (p Path) Append(ed *Edge) Path {
 	return Path{Start: p.Start, Edges: edges}
 }
 
-// Fanout estimates the average number of end-entity instances reachable
-// from one start-entity instance: the product of average degrees along
-// the path.
-func (p Path) Fanout() float64 {
-	f := 1.0
-	for _, ed := range p.Edges {
-		f *= ed.AvgDegree()
-	}
-	return f
-}
-
 // String renders the path as "Start.edge1.edge2…".
 func (p Path) String() string {
 	var b strings.Builder
@@ -121,32 +110,4 @@ func (p Path) String() string {
 		b.WriteString(ed.Name)
 	}
 	return b.String()
-}
-
-// Equal reports whether two paths traverse the same edges from the same
-// start entity.
-func (p Path) Equal(q Path) bool {
-	if p.Start != q.Start || len(p.Edges) != len(q.Edges) {
-		return false
-	}
-	for i := range p.Edges {
-		if p.Edges[i] != q.Edges[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// HasPrefix reports whether q is a prefix of p (same start, and p's
-// first edges equal q's edges).
-func (p Path) HasPrefix(q Path) bool {
-	if p.Start != q.Start || len(q.Edges) > len(p.Edges) {
-		return false
-	}
-	for i := range q.Edges {
-		if p.Edges[i] != q.Edges[i] {
-			return false
-		}
-	}
-	return true
 }

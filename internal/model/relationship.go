@@ -36,23 +36,12 @@ type Edge struct {
 	Card Degree
 	// Inverse is the opposite direction of the same relationship.
 	Inverse *Edge
-	// avgDegree, when positive, overrides the computed average number
-	// of To entities per From entity.
-	avgDegree float64
 }
 
-// SetAvgDegree overrides the estimated average number of target entities
-// per source entity. Use it for many-to-many relationships whose fan-out
-// is not well approximated by the ratio of entity counts.
-func (ed *Edge) SetAvgDegree(d float64) { ed.avgDegree = d }
-
 // AvgDegree estimates the average number of To entities associated with
-// each From entity. One edges have degree 1; Many edges default to the
+// each From entity. One edges have degree 1; Many edges have the
 // ratio of entity counts, floored at 1.
 func (ed *Edge) AvgDegree() float64 {
-	if ed.avgDegree > 0 {
-		return ed.avgDegree
-	}
 	if ed.Card == One {
 		return 1
 	}

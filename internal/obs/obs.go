@@ -42,15 +42,6 @@ func (c *Counter) Add(n int64) {
 // Inc increases the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Store overwrites the counter, for metrics published as point-in-time
-// copies of counters owned elsewhere.
-func (c *Counter) Store(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Store(n)
-}
-
 // Value returns the current count.
 func (c *Counter) Value() int64 {
 	if c == nil {

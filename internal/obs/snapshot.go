@@ -3,6 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -279,4 +281,44 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
+}
+
+// WriteFiles flushes a CLI run's observability: the registry's snapshot
+// as JSON to metricsPath with its human-readable summary on out, the
+// LP solver statistics block on out when solverStats is set, and the
+// tracer's Chrome trace to tracePath. A nil registry or tracer, or an
+// empty metricsPath, skips its part.
+func WriteFiles(out io.Writer, metricsPath string, reg *Registry, tracePath string, tracer *Tracer, solverStats bool) error {
+	if reg != nil {
+		snap := reg.Snapshot()
+		if solverStats {
+			fmt.Fprintf(out, "\n%s", snap.FormatSolverStats())
+		}
+		if metricsPath != "" {
+			data, err := snap.WriteJSON()
+			if err != nil {
+				return err
+			}
+			if err := os.WriteFile(metricsPath, data, 0o644); err != nil {
+				return err
+			}
+			fmt.Fprintf(out, "\nMetrics (written to %s):\n%s", metricsPath, snap.Format())
+		}
+	}
+	if tracer != nil {
+		f, err := os.Create(tracePath)
+		if err != nil {
+			return err
+		}
+		if err := tracer.WriteTrace(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "trace: %d events written to %s (load in chrome://tracing or https://ui.perfetto.dev)\n",
+			tracer.Len(), tracePath)
+	}
+	return nil
 }

@@ -37,7 +37,9 @@ func (p *Plan) Indexes() []*schema.Index {
 }
 
 // Signature canonically identifies the plan's structure for
-// deduplication.
+// deduplication. The planner dedupes chains by interned step ids before
+// a Plan exists (query.go); the planner and search tests compare
+// finished plans by this string.
 func (p *Plan) Signature() string { return stepsSignature(p.Steps) }
 
 // stepsSignature canonically identifies a step sequence.

@@ -92,9 +92,6 @@ func (p *Planner) candidatesFor(partitionKey string) []*schema.Index {
 // Pool returns the candidate pool the planner plans over.
 func (p *Planner) Pool() *enumerator.Pool { return p.pool }
 
-// CostModel returns the planner's cost model.
-func (p *Planner) CostModel() cost.Model { return p.model }
-
 // costState is the state of the costing fold: the expected row
 // cardinality after the steps walked so far, and the cost accumulated
 // over them under the planner's model.

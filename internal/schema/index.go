@@ -135,11 +135,6 @@ func (x *Index) ContainsAll(attrs []*model.Attribute) bool {
 	return true
 }
 
-// ContainsEntity reports whether the entity lies on the index's path.
-func (x *Index) ContainsEntity(e *model.Entity) bool {
-	return x.Path.Contains(e)
-}
-
 // Validate checks structural invariants: at least one partition
 // attribute, no attribute in more than one component, and every
 // attribute's entity on the path.
@@ -160,6 +155,3 @@ func (x *Index) Validate() error {
 	}
 	return nil
 }
-
-// Equal reports whether two indexes are structurally identical.
-func (x *Index) Equal(y *Index) bool { return x.ID() == y.ID() }

@@ -46,9 +46,6 @@ func (s *Schema) Indexes() []*Index { return s.indexes }
 // Len returns the number of column families.
 func (s *Schema) Len() int { return len(s.indexes) }
 
-// ByName returns the named column family, or nil.
-func (s *Schema) ByName(name string) *Index { return s.byName[name] }
-
 // Lookup returns the schema's instance of a structurally identical
 // index, or nil.
 func (s *Schema) Lookup(x *Index) *Index { return s.byID[x.ID()] }

@@ -18,29 +18,6 @@ func (x *Index) Records() float64 {
 	return n
 }
 
-// Partitions estimates the number of distinct partition key values: the
-// product of the partition attributes' distinct counts, capped by the
-// total record count.
-func (x *Index) Partitions() float64 {
-	p := 1.0
-	for _, a := range x.Partition {
-		p *= float64(a.DistinctValues())
-	}
-	if r := x.Records(); p > r {
-		return r
-	}
-	if p < 1 {
-		return 1
-	}
-	return p
-}
-
-// RowsPerPartition estimates the average number of clustering cells per
-// partition.
-func (x *Index) RowsPerPartition() float64 {
-	return x.Records() / x.Partitions()
-}
-
 // RowSize returns the storage footprint in bytes of one record: the sum
 // of all attribute sizes. Plan generation compares row sizes once per
 // pair of interchangeable lookups, so like Contains it walks the three

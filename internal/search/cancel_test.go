@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -60,12 +61,30 @@ func TestAdviseCancelledBeforeStart(t *testing.T) {
 	g := hotel.Graph()
 	w := workload.New(g)
 	w.Add(workload.MustParseQuery(g, hotel.ExampleQuery), 1)
-	if _, err := search.Advise(w, search.Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	trace := obs.NewTracer()
+	if _, err := search.Advise(w, search.Options{Ctx: ctx, Trace: trace}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if _, err := search.AdviseSeries(w, search.Options{Ctx: ctx}); !errors.Is(err, context.Canceled) {
+	if got := spanNames(trace); !slices.Equal(got, []string{"enumerate", "advise"}) {
+		t.Errorf("cancelled advise traced %v, want the stage it died in and the root", got)
+	}
+	trace = obs.NewTracer()
+	if _, err := search.AdviseSeries(loadPhasedHotel(t), search.Options{Ctx: ctx, Trace: trace}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("series err = %v, want context.Canceled", err)
 	}
+	if got := spanNames(trace); !slices.Equal(got, []string{"enumerate", "advise-series"}) {
+		t.Errorf("cancelled series traced %v, want the stage it died in and the root", got)
+	}
+}
+
+// spanNames lists the spans a tracer recorded, in the order they ended.
+func spanNames(trace *obs.Tracer) []string {
+	events, _ := trace.EventsSince(0)
+	names := make([]string, len(events))
+	for i, e := range events {
+		names[i] = e.Name
+	}
+	return names
 }
 
 // TestAdviseCancelPrompt proves a cancelled solve returns quickly: the
@@ -150,11 +169,11 @@ func TestAdviseAfterCancelledPlanning(t *testing.T) {
 	if _, err := search.Advise(w, search.Options{Workers: 1, Ctx: ctx, Trace: trace}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// Enumeration finished, the plan-space span never closed, and the
-	// deferred root span closed on the way out.
-	events, _ := trace.EventsSince(0)
-	if len(events) != 2 || events[0].Name != "enumerate" || events[1].Name != "advise" {
-		t.Fatalf("cancel did not land in the plan-space stage: spans %+v", events)
+	// Enumeration finished, the plan-space stage the cancel landed in
+	// closed its span on the error path, and the deferred root span
+	// closed on the way out.
+	if got := spanNames(trace); !slices.Equal(got, []string{"enumerate", "plan-spaces", "advise"}) {
+		t.Fatalf("cancel did not land in the plan-space stage: spans %v", got)
 	}
 
 	if got := encode(w); !bytes.Equal(got, pristine) {

@@ -216,6 +216,7 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 	sp := opt.Trace.Begin("enumerate", "advisor")
 	enumRes, err := enumerator.EnumerateWorkloadCtx(opt.Ctx, w, opt.Enumerator, opt.Workers, opt.Obs)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
 	rec.Timings.Enumeration = time.Since(t)
@@ -229,6 +230,7 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)
 	b, err := newBuilder(w, pl, enumRes, opt)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
 	rec.Timings.CostCalculation = time.Since(t)

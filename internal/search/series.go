@@ -106,6 +106,7 @@ func AdviseSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, err
 	union := unionWorkload(w)
 	enumRes, err := enumerator.EnumerateWorkloadCtx(opt.Ctx, union, opt.Enumerator, opt.Workers, opt.Obs)
 	if err != nil {
+		sp.End()
 		return nil, err
 	}
 	sr.Timings.Enumeration = time.Since(t0)

@@ -29,7 +29,9 @@ type Prepared struct {
 	incumbent []float64
 }
 
-// Prepare plans the workload and formulates the phase-1 program.
+// Prepare plans the workload and formulates the phase-1 program: with
+// Prepared.Solve, the benchmark hook that times the solver alone (root
+// bench_test.go).
 func Prepare(w *workload.Workload, enumRes *enumerator.Result, opt Options) (*Prepared, error) {
 	opt = opt.withDefaults()
 	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)

@@ -23,21 +23,19 @@ type Route struct {
 	Method string
 	// Pattern is the net/http ServeMux pattern (Go 1.22 syntax).
 	Pattern string
-	// Doc is a one-line description.
-	Doc string
 }
 
 // Routes lists every endpoint the daemon serves, in documentation
 // order.
 var Routes = []Route{
-	{"POST", "/v1/jobs", "submit a job: workload DSL body, kind and knobs as query parameters"},
-	{"GET", "/v1/jobs", "list all jobs in submission order"},
-	{"GET", "/v1/jobs/{id}", "poll one job's status"},
-	{"GET", "/v1/jobs/{id}/result", "fetch a finished job's canonical result document"},
-	{"GET", "/v1/jobs/{id}/events", "stream the job's lifecycle and trace events (NDJSON or SSE)"},
-	{"GET", "/v1/jobs/{id}/metrics", "fetch the job's obs metrics snapshot"},
-	{"DELETE", "/v1/jobs/{id}", "cancel a queued or running job"},
-	{"GET", "/v1/healthz", "liveness probe"},
+	{"POST", "/v1/jobs"},             // submit a job: workload DSL body, kind and knobs as query parameters
+	{"GET", "/v1/jobs"},              // list all jobs in submission order
+	{"GET", "/v1/jobs/{id}"},         // poll one job's status
+	{"GET", "/v1/jobs/{id}/result"},  // fetch a finished job's canonical result document
+	{"GET", "/v1/jobs/{id}/events"},  // stream the job's lifecycle and trace events (NDJSON or SSE)
+	{"GET", "/v1/jobs/{id}/metrics"}, // fetch the job's obs metrics snapshot
+	{"DELETE", "/v1/jobs/{id}"},      // cancel a queued or running job
+	{"GET", "/v1/healthz"},           // liveness probe
 }
 
 // Server serves the HTTP API over a Manager.
@@ -75,9 +73,6 @@ func NewServer(m *Manager, reg *obs.Registry) *Server {
 
 // ServeHTTP dispatches to the registered routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
-
-// Manager exposes the underlying job manager (for shutdown wiring).
-func (s *Server) Manager() *Manager { return s.manager }
 
 // instrument wraps a handler with per-route metrics: a volatile
 // request counter and latency histogram per route (volatile because

@@ -77,9 +77,8 @@ func TestParseAnonymousParamsAutoNamed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := q.Parameters()
-	if len(params) != 2 || params[0] == params[1] {
-		t.Errorf("params = %v", params)
+	if len(q.Where) != 2 || q.Where[0].Param == "" || q.Where[0].Param == q.Where[1].Param {
+		t.Errorf("predicates = %v", q.Where)
 	}
 }
 

@@ -173,28 +173,6 @@ func filterPreds(preds []Predicate, wantRange bool) []Predicate {
 	return out
 }
 
-// PredicatesAt returns the predicates whose attribute lives at the given
-// path index.
-func (q *Query) PredicatesAt(idx int) []Predicate {
-	var out []Predicate
-	for _, p := range q.Where {
-		if p.Ref.Index == idx {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Parameters returns the parameter names of the query's predicates plus
-// limit, in statement order.
-func (q *Query) Parameters() []string {
-	out := make([]string, 0, len(q.Where))
-	for _, p := range q.Where {
-		out = append(out, p.Param)
-	}
-	return out
-}
-
 // Validate checks internal consistency: every reference lies on the
 // path, every attribute belongs to the entity at its index, range
 // predicates use ordered attributes, and at least one attribute is

@@ -182,9 +182,6 @@ type Connect struct {
 
 func (*Connect) statement() {}
 
-// Entity returns the statement's target entity (the edge source).
-func (s *Connect) Entity() *model.Entity { return s.Edge.From }
-
 // String renders the statement in the workload language.
 func (s *Connect) String() string {
 	verb, prep := "CONNECT", "TO"
@@ -200,6 +197,9 @@ func (s *Connect) String() string {
 type WriteStatement interface {
 	Statement
 	// WriteEntity returns the entity set modified by the statement.
+	// Nothing calls it: it is kept because it is the method that makes
+	// WriteStatement a distinct interface — the type switches and
+	// assertions that tell writes from queries rest on it.
 	WriteEntity() *model.Entity
 }
 

@@ -87,17 +87,6 @@ func TestWorkloadValidateRejectsNegativeWeight(t *testing.T) {
 	}
 }
 
-func TestPredicatesAt(t *testing.T) {
-	g := hotel.Graph()
-	q := workload.MustParseQuery(g, hotel.ExampleQuery)
-	if got := len(q.PredicatesAt(3)); got != 1 {
-		t.Errorf("predicates at hotel = %d", got)
-	}
-	if got := len(q.PredicatesAt(0)); got != 0 {
-		t.Errorf("predicates at guest = %d", got)
-	}
-}
-
 func TestOpHelpers(t *testing.T) {
 	if workload.Eq.IsRange() {
 		t.Error("Eq is not a range op")
