@@ -275,6 +275,42 @@ func BenchmarkPlanSpacesRandwork(b *testing.B) {
 	}
 }
 
+// planSpacesAllocCeiling bounds the allocations of one search.BuildPlans
+// on randwork factor 3 seed 42 at one worker: 603,610 before the planner
+// interned steps and memoised segments, about 140,000 since (go1.24).
+// The headroom is for other toolchains' maps and slices, not for a
+// string, map or closure per candidate family, which costs more than it.
+const planSpacesAllocCeiling = 200_000
+
+// TestPlanSpacesAllocCeiling is BenchmarkPlanSpacesRandwork's
+// allocation count as a test, so that per-candidate garbage cannot creep
+// back into plan-space generation unnoticed. CI runs it by name with
+// -count=1.
+func TestPlanSpacesAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("plans a 75-statement workload several times")
+	}
+	w, err := randwork.Generate(randwork.Config{Factor: 3, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enumRes, err := enumerator.EnumerateWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := benchAdvisorOptions()
+	opt.Workers = 1
+	allocs := testing.AllocsPerRun(3, func() {
+		if err := search.BuildPlans(w, enumRes, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > planSpacesAllocCeiling {
+		t.Errorf("search.BuildPlans allocates %.0f times on randwork f3 s42, ceiling %d", allocs, planSpacesAllocCeiling)
+	}
+	t.Logf("search.BuildPlans: %.0f allocations (ceiling %d)", allocs, planSpacesAllocCeiling)
+}
+
 // BenchmarkEnumerationRandwork isolates candidate enumeration on the
 // same input (randwork factor 3, seed 42) at one worker: Algorithm 1
 // asks for 3,253 query enumerations there over 485 distinct signatures,

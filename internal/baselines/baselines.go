@@ -102,10 +102,7 @@ func Recommend(w *workload.Workload, pool *enumerator.Pool, m cost.Model, cfg pl
 			if !enumerator.Modifies(u, x) {
 				continue
 			}
-			up, err := pl.PlanUpdate(u, x, nil)
-			if err != nil {
-				return nil, err
-			}
+			up := pl.PlanUpdate(u, x)
 			ur := &search.UpdateRecommendation{Statement: ws, Plan: up}
 			for _, sq := range enumerator.SupportQueries(u, x) {
 				space, err := pl.PlanQuery(sq)

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -91,9 +92,6 @@ func TestPruneChainsKeepsCheapest(t *testing.T) {
 		t.Fatal("no chains")
 	}
 	for i, c := range chains {
-		if c.steps == nil || c.head != nil || c.tail != nil {
-			t.Fatalf("beam chain %d is not materialized", i)
-		}
 		if want := gen.newChain(c.steps); c.id != want.id || c.cost != want.cost {
 			t.Errorf("beam chain %d carries id %x cost %+v, from scratch id %x cost %+v",
 				i, c.id, c.cost, want.id, want.cost)
@@ -110,11 +108,36 @@ func TestPruneChainsKeepsCheapest(t *testing.T) {
 	}
 }
 
+// newChain interns and costs a step sequence from scratch.
+func (g *generator) newChain(steps []Step) chain {
+	sts := make([]interned, len(steps))
+	for i, st := range steps {
+		switch s := st.(type) {
+		case *LookupStep:
+			sts[i] = g.table.lookupStep(s)
+		case *FilterStep:
+			sts[i] = g.table.filter(s.Predicates)
+		case *SortStep:
+			sts[i] = g.table.sort(s.By)
+		case *LimitStep:
+			sts[i] = g.table.limit(s.N)
+		}
+	}
+	return g.chainOf(sts...)
+}
+
+// NamedWorkload is one input of the differential tests.
+type NamedWorkload struct {
+	Name string
+	W    *workload.Workload
+}
+
 // DifferentialWorkloads builds the workloads both differential tests
 // walk: the hotel example extended with ordered and limited queries,
-// and a random workload. The external test adds RUBiS, which imports
-// this package.
-func DifferentialWorkloads(t *testing.T) map[string]*workload.Workload {
+// and random workloads — factor 2 seed 42, the benchmark's factor 3
+// seed 42, and six more seeds at factors 1 to 3 (two of them under
+// -short). The external test adds RUBiS, which imports this package.
+func DifferentialWorkloads(t *testing.T) []NamedWorkload {
 	t.Helper()
 	g := hotel.Graph()
 	hw := workload.New(g)
@@ -132,26 +155,55 @@ func DifferentialWorkloads(t *testing.T) map[string]*workload.Workload {
 	for _, src := range hotel.UpdateStatements {
 		hw.Add(workload.MustParse(g, src), 1)
 	}
-	rw, err := randwork.Generate(randwork.Config{Factor: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
+	out := []NamedWorkload{{"hotel", hw}}
+	configs := []randwork.Config{
+		{Factor: 1, Seed: 3}, {Factor: 1, Seed: 17},
+		{Factor: 2, Seed: 42}, {Factor: 3, Seed: 42}, {Factor: 1, Seed: 7},
+		{Factor: 2, Seed: 23}, {Factor: 2, Seed: 31}, {Factor: 3, Seed: 7},
 	}
-	return map[string]*workload.Workload{"hotel": hw, "randwork": rw}
+	if testing.Short() {
+		configs = configs[:2]
+	}
+	for _, cfg := range configs {
+		rw, err := randwork.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, NamedWorkload{fmt.Sprintf("randwork-f%ds%d", cfg.Factor, cfg.Seed), rw})
+	}
+	return out
 }
 
 // AllQueries returns the workload's queries followed by every support
-// query enumeration derived for its writes.
+// query enumeration derived for its writes, in workload and pool order.
+// Many support queries recur, statement for statement.
 func AllQueries(w *workload.Workload, res *enumerator.Result) []*workload.Query {
 	var queries []*workload.Query
 	for _, ws := range w.Queries() {
 		queries = append(queries, ws.Statement.(*workload.Query))
 	}
-	for _, perIndex := range res.Support {
-		for _, sqs := range perIndex {
-			queries = append(queries, sqs...)
+	for _, ws := range w.Updates() {
+		perIndex := res.Support[ws.Statement.(workload.WriteStatement)]
+		for _, x := range res.Pool.Indexes() {
+			queries = append(queries, perIndex[x.ID()]...)
 		}
 	}
 	return queries
+}
+
+// DistinctQueries returns the first of every run of queries that read
+// the same: same path, selection, predicates, parameter names, order
+// and limit, hence the same plan space.
+func DistinctQueries(queries []*workload.Query) []*workload.Query {
+	seen := map[string]bool{}
+	var out []*workload.Query
+	for _, q := range queries {
+		if !seen[q.String()] {
+			seen[q.String()] = true
+			out = append(out, q)
+		}
+	}
+	return out
 }
 
 // TestBeamsMatchStringOracle: at every level of every decomposition,
@@ -160,18 +212,20 @@ func AllQueries(w *workload.Workload, res *enumerator.Result) []*workload.Query 
 // by sorting on (from-scratch cost, signature string). A narrow
 // plan-space cap makes sure the beams actually prune.
 func TestBeamsMatchStringOracle(t *testing.T) {
-	for name, w := range DifferentialWorkloads(t) {
+	for _, nw := range DifferentialWorkloads(t) {
+		name, w := nw.Name, nw.W
 		res, err := enumerator.EnumerateWorkload(w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := New(res.Pool, cost.Default(), Config{MaxPlansPerQuery: 3})
+		ref := NewOracle(p)
 		beams, pruned := 0, 0
-		for _, q := range AllQueries(w, res) {
+		for _, q := range DistinctQueries(AllQueries(w, res)) {
 			q = enumerator.RelaxOrder(q)
 			gen, memo, oracle := newGenerator(p), newChainMemo(), newOracleMemo()
 			gen.chains(q, memo)
-			oracleChains(gen, q, oracle)
+			oracleChains(ref, q, oracle)
 			if len(memo.done) != len(oracle.done) {
 				t.Fatalf("%s %s: %d memoized beams, oracle %d", name, workload.Label(q), len(memo.done), len(oracle.done))
 			}
@@ -258,13 +312,30 @@ func TestSignatureLessPrefixEdge(t *testing.T) {
 			if i == j {
 				continue
 			}
+			// Every split of a chain into head ++ tail must compare the
+			// same: a candidate's id is read across the seam.
 			want := stepsSignature(chains[i].steps) < stepsSignature(chains[j].steps)
-			if got := gen.signatureLess(chains[i].id, chains[j].id); got != want {
-				t.Errorf("signatureLess(%q, %q) = %v, strings say %v",
-					stepsSignature(chains[i].steps), stepsSignature(chains[j].steps), got, want)
+			for _, a := range splits(gen, &chains[i]) {
+				for _, b := range splits(gen, &chains[j]) {
+					if got := gen.signatureLess(&a, &b); got != want {
+						t.Errorf("signatureLess(%q, %q) = %v, strings say %v",
+							stepsSignature(chains[i].steps), stepsSignature(chains[j].steps), got, want)
+					}
+				}
 			}
 		}
 	}
+}
+
+// splits returns c as a whole candidate and as every join of a proper
+// head with the rest.
+func splits(g *generator, c *chain) []candidate {
+	out := []candidate{whole(c)}
+	for k := 1; k < len(c.steps); k++ {
+		head, tail := g.newChain(c.steps[:k]), g.newChain(c.steps[k:])
+		out = append(out, g.join(&head, &tail))
+	}
+	return out
 }
 
 func TestEnrichBetterOrdering(t *testing.T) {

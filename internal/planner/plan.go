@@ -100,9 +100,6 @@ type UpdatePlan struct {
 	Statement workload.WriteStatement
 	// Index is the column family maintained.
 	Index *schema.Index
-	// SupportSpaces are the plan spaces of the update's support
-	// queries against this column family.
-	SupportSpaces []*PlanSpace
 	// DeleteRequests estimates the delete operations issued per
 	// execution.
 	DeleteRequests float64

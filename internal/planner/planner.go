@@ -2,11 +2,13 @@ package planner
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
 	"nose/internal/cost"
 	"nose/internal/enumerator"
+	"nose/internal/model"
 	"nose/internal/schema"
 	"nose/internal/workload"
 )
@@ -41,27 +43,52 @@ func DefaultConfig() Config {
 // Planner generates plan spaces for statements over a candidate pool.
 // It is safe for concurrent use: plan-space generation for different
 // statements may run on separate goroutines sharing one Planner.
+//
+// A planner lives for one advise or one series and remembers, for that
+// long, every step and every segment it has generated (stepTable,
+// segment): a statement, support query or series phase that needs one
+// again gets the same immutable value. What it remembers changes no
+// plan space, only how much of it is built anew.
 type Planner struct {
 	pool  *enumerator.Pool
 	model cost.Model
 	cfg   Config
 
-	// mu guards the lazily-rebuilt partition map and the scratch list
-	// below; everything else on the Planner is read-only after New.
-	mu sync.Mutex
-	// byPartition indexes the pool by canonical partition key so
-	// lookup-variant generation touches only structurally compatible
-	// candidates. It is rebuilt lazily when the pool grows.
+	// byPartition indexes the pool, as it stood at New, by canonical
+	// partition key so lookup-variant generation touches only
+	// structurally compatible candidates. Read-only after New.
 	byPartition map[string][]*schema.Index
-	indexed     int
 
+	table stepTable
+
+	// mu guards what follows.
+	mu       sync.Mutex
+	segments map[string]*segment
 	// idle holds the working memory of finished PlanQuery calls for the
 	// next ones: as many as ever ran at once, kept for the planner's
 	// life. See the scratch type.
 	idle []*scratch
+	// counts sums what finished PlanQuery calls counted.
+	counts Counts
+}
+
+// Counts sizes the generation work a planner has done so far: how many
+// segments and steps its plan spaces asked for and how many distinct
+// ones that made it build, how many candidate families segment
+// generation examined and how many candidate chains decomposition
+// joined. Every field is a request count or a table size — none depends
+// on which worker got where first — so they are equal at any worker
+// count.
+type Counts struct {
+	SegmentRequests, Segments int64
+	StepRequests, Steps       int64
+	CandidatesExamined        int64
+	ChainsJoined              int64
 }
 
 // New returns a planner over the given candidate pool and cost model.
+// The pool must be complete: families added to it later are not
+// planned over.
 func New(pool *enumerator.Pool, m cost.Model, cfg Config) *Planner {
 	if cfg.RangeSelectivity <= 0 || cfg.RangeSelectivity > 1 {
 		cfg.RangeSelectivity = enumerator.RangeSelectivity
@@ -69,28 +96,54 @@ func New(pool *enumerator.Pool, m cost.Model, cfg Config) *Planner {
 	if cfg.MaxPlansPerQuery <= 0 {
 		cfg.MaxPlansPerQuery = DefaultMaxPlansPerQuery
 	}
-	return &Planner{pool: pool, model: m, cfg: cfg}
+	p := &Planner{
+		pool: pool, model: m, cfg: cfg,
+		byPartition: map[string][]*schema.Index{},
+		segments:    map[string]*segment{},
+	}
+	p.table.init()
+	for _, x := range pool.Indexes() {
+		k := string(appendAttrKey(nil, x.Partition))
+		p.byPartition[k] = append(p.byPartition[k], x)
+	}
+	return p
 }
 
-// candidatesFor returns the pool candidates whose partition key equals
-// the given canonical attribute set. The returned slice is shared and
-// must be treated as read-only.
-func (p *Planner) candidatesFor(partitionKey string) []*schema.Index {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if all := p.pool.Indexes(); len(all) != p.indexed {
-		p.byPartition = map[string][]*schema.Index{}
-		for _, x := range all {
-			k := attrKeySet(x.Partition)
-			p.byPartition[k] = append(p.byPartition[k], x)
-		}
-		p.indexed = len(all)
+// candidatesFor returns the pool candidates whose partition key is
+// exactly the given attributes. The returned slice is shared and must
+// be treated as read-only.
+func (p *Planner) candidatesFor(partition []*model.Attribute) []*schema.Index {
+	var buf [128]byte
+	return p.byPartition[string(appendAttrKey(buf[:0], partition))]
+}
+
+// appendAttrKey appends the canonical form of an attribute set: the
+// qualified names, sorted, each followed by '|'.
+func appendAttrKey(dst []byte, attrs []*model.Attribute) []byte {
+	var buf [8]string
+	names := buf[:0]
+	for _, a := range attrs {
+		names = append(names, a.QualifiedName())
 	}
-	return p.byPartition[partitionKey]
+	slices.Sort(names)
+	for _, n := range names {
+		dst = append(append(dst, n...), '|')
+	}
+	return dst
 }
 
 // Pool returns the candidate pool the planner plans over.
 func (p *Planner) Pool() *enumerator.Pool { return p.pool }
+
+// Counts returns the planner's generation counts so far.
+func (p *Planner) Counts() Counts {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := p.counts
+	c.Segments = int64(len(p.segments))
+	c.Steps = int64(p.table.size())
+	return c
+}
 
 // costState is the state of the costing fold: the expected row
 // cardinality after the steps walked so far, and the cost accumulated

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 
 	"nose/internal/enumerator"
 	"nose/internal/model"
@@ -25,46 +27,56 @@ func (p *Planner) PlanQuery(q *workload.Query) (*PlanSpace, error) {
 
 	g := newGenerator(p)
 	defer g.release()
-	raw := g.orientedChains(q)
+	raw := g.orientedChains(g.raw[:0], q)
 	if !p.cfg.SkipReverse {
 		if rev := enumerator.ReverseQuery(q); rev != q {
-			raw = append(raw, g.orientedChains(rev)...)
+			raw = g.orientedChains(raw, rev)
 		}
 	}
+	g.raw = raw[:0]
 	if len(raw) == 0 {
 		return nil, fmt.Errorf("planner: no plan found for query %q", workload.Label(q))
 	}
 	best := g.cheapest(raw, p.cfg.MaxPlansPerQuery)
 	plans := make([]*Plan, len(best))
-	for i, c := range best {
+	for i := range best {
+		c := best[i].chain()
 		plans[i] = &Plan{Query: q, Steps: c.steps, Cost: c.cost.total, Rows: c.cost.rows}
 	}
 	return &PlanSpace{Query: q, Plans: plans}, nil
 }
 
-// generator is the state of one PlanQuery call: the planner plus the
-// table that interns step signatures, so a chain is identified by a
-// short sequence of integers instead of a concatenated string.
+// generator is the state of one PlanQuery call: the planner, working
+// memory borrowed from it, and what the call has counted.
 type generator struct {
 	*Planner
-	// ids maps a step signature to its index in sigs. Each step's
-	// signature string is built exactly once, when the step is interned.
-	ids  map[string]uint32
-	sigs []string
 	*scratch
+	// counts is added to the planner's when the call ends. Only the
+	// request fields are used.
+	counts Counts
 }
 
 // scratch is what generation would otherwise allocate and discard per
-// chains or cheapest call. A generator borrows one from its planner for
-// the length of the call; nothing in it outlives a call as data, so
-// which one a call gets changes no result.
+// chains, cheapest or lookupVariants call. A generator borrows one from
+// its planner for the length of the call; nothing in it outlives a call
+// as data, so which one a call gets changes no result.
 type scratch struct {
 	// seen and costs are cheapest's duplicate set and cost column.
-	seen  map[string]struct{}
+	seen  map[uint64]int32
 	costs []float64
 	// free holds the candidate arrays finished chains calls have handed
 	// back: a stack, since chains recurses while its own array is live.
-	free [][]chain
+	free [][]candidate
+	// raw is PlanQuery's candidate array and segBuf the array a segment
+	// is generated in before it is copied out at its final size.
+	raw    []candidate
+	segBuf []chain
+	// sigs holds the signature strings sig has fetched from the step
+	// table, by class, so that ordering chains seldom takes its lock.
+	sigs []string
+	// missing, group and variant are lookupVariants' per-family lists.
+	missing, group []*model.Attribute
+	variant        []interned
 }
 
 func newGenerator(p *Planner) *generator {
@@ -75,95 +87,164 @@ func newGenerator(p *Planner) *generator {
 	}
 	p.mu.Unlock()
 	if sc == nil {
-		sc = &scratch{seen: map[string]struct{}{}}
+		sc = &scratch{seen: map[uint64]int32{}}
 	}
-	return &generator{Planner: p, ids: map[string]uint32{}, scratch: sc}
+	return &generator{Planner: p, scratch: sc}
 }
 
-// release returns the generator's scratch to the planner.
+// release returns the generator's scratch to the planner and reports
+// its counts.
 func (g *generator) release() {
 	g.mu.Lock()
 	g.idle = append(g.idle, g.scratch)
+	g.Planner.counts.SegmentRequests += g.counts.SegmentRequests
+	g.Planner.counts.StepRequests += g.counts.StepRequests
+	g.Planner.counts.CandidatesExamined += g.counts.CandidatesExamined
+	g.Planner.counts.ChainsJoined += g.counts.ChainsJoined
 	g.mu.Unlock()
 }
 
 // chain is a step sequence together with its identity and cost, both
 // carried along the decomposition so that neither is ever recomputed
-// from the steps.
+// from the steps. Chains are shared — through the planner's segments
+// and an orientation's memo — and never modified.
 type chain struct {
-	// steps is nil while the chain is an unmaterialized candidate
-	// head ++ tail; only beam survivors get a slice of their own.
-	steps      []Step
-	head, tail *chain
-	// id packs the interned ids of the steps, four big-endian bytes
-	// each. Two chains have equal ids exactly when their signature
+	steps []Step
+	// id packs the signature classes of the steps, four big-endian
+	// bytes each. Two chains have equal ids exactly when their signature
 	// strings are equal ('|' separates signatures and occurs in none).
 	id string
 	// cost is the costing fold's state after the last step.
 	cost costState
 }
 
-// intern returns the id of the step's signature.
-func (g *generator) intern(st Step) uint32 {
-	sig := st.signature()
-	id, ok := g.ids[sig]
-	if !ok {
-		id = uint32(len(g.sigs))
-		g.ids[sig] = id
-		g.sigs = append(g.sigs, sig)
-	}
-	return id
+// candidate is the chain head ++ tail (or head alone when tail is nil)
+// before anyone has built its steps or its id: decomposition generates
+// many times more of them than survive a beam, so a candidate is only
+// what choosing among them needs. Both operands must outlive it.
+type candidate struct {
+	head, tail *chain
+	// hash is a hash of the candidate's id.
+	hash uint64
+	// cost is the costing fold's state after the last step.
+	cost costState
 }
 
-// newChain interns and costs a step sequence from scratch.
-func (g *generator) newChain(steps []Step) chain {
+// chainOf costs a sequence of interned steps from scratch.
+func (g *generator) chainOf(sts ...interned) chain {
+	g.counts.StepRequests += int64(len(sts))
+	steps := make([]Step, len(sts))
 	var buf [32]byte // most chains are a handful of steps: one allocation, for the string
 	id := buf[:0]
-	for _, st := range steps {
-		id = binary.BigEndian.AppendUint32(id, g.intern(st))
+	for i, st := range sts {
+		steps[i] = st.Step
+		id = binary.BigEndian.AppendUint32(id, st.class)
 	}
 	return chain{steps: steps, id: string(id), cost: g.fold(costState{}, steps)}
 }
 
-// join returns the candidate f ++ r without building its step slice:
-// the identity is a concatenation and the cost a continuation of f's
-// fold over r's steps — the same float operations, in the same order,
-// as costing the joined sequence from scratch. Both operands must be
-// materialized and must outlive the candidate.
-func (g *generator) join(f, r *chain) chain {
-	return chain{head: f, tail: r, id: f.id + r.id, cost: g.fold(f.cost, r.steps)}
-}
-
-// concat returns f ++ r with a step slice of its own.
-func (g *generator) concat(f, r *chain) chain {
-	c := g.join(f, r)
-	c.materialize()
-	return c
-}
-
-// materialize gives a candidate its own step slice. Chains shared
-// through memoization are never mutated.
-func (c *chain) materialize() {
-	if c.steps != nil {
-		return
+// hashID continues an FNV-1a hash, begun at fnvOffset, over the bytes
+// of a chain id.
+func hashID(h uint64, id string) uint64 {
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint64(id[i])) * 1099511628211
 	}
-	c.steps = make([]Step, 0, len(c.head.steps)+len(c.tail.steps))
-	c.steps = append(append(c.steps, c.head.steps...), c.tail.steps...)
-	c.head, c.tail = nil, nil
+	return h
 }
 
-// cheapest removes duplicate chains (keeping the first generated) and
-// returns the limit cheapest, ordered by cost and then by signature.
-// It reorders cs in place.
-func (g *generator) cheapest(cs []chain, limit int) []chain {
+const fnvOffset = 14695981039346656037
+
+// whole returns c as a candidate.
+func whole(c *chain) candidate {
+	return candidate{head: c, hash: hashID(fnvOffset, c.id), cost: c.cost}
+}
+
+// appendWhole appends every chain as a candidate of its own.
+func appendWhole(out []candidate, chains []chain) []candidate {
+	for i := range chains {
+		out = append(out, whole(&chains[i]))
+	}
+	return out
+}
+
+// join returns the candidate f ++ r: its cost is a continuation of f's
+// fold over r's steps — the same float operations, in the same order,
+// as costing the joined sequence from scratch.
+func (g *generator) join(f, r *chain) candidate {
+	return candidate{head: f, tail: r, hash: hashID(hashID(fnvOffset, f.id), r.id), cost: g.fold(f.cost, r.steps)}
+}
+
+// chain builds the candidate's chain.
+func (c *candidate) chain() chain {
+	if c.tail == nil {
+		return *c.head
+	}
+	steps := make([]Step, 0, len(c.head.steps)+len(c.tail.steps))
+	return chain{
+		steps: append(append(steps, c.head.steps...), c.tail.steps...),
+		id:    c.head.id + c.tail.id,
+		cost:  c.cost,
+	}
+}
+
+// idLen returns the length of the candidate's id.
+func (c *candidate) idLen() int {
+	if c.tail == nil {
+		return len(c.head.id)
+	}
+	return len(c.head.id) + len(c.tail.id)
+}
+
+// class decodes the signature class at byte offset i of the
+// candidate's id.
+func (c *candidate) class(i int) uint32 {
+	id := c.head.id
+	if i >= len(id) {
+		i -= len(id)
+		id = c.tail.id
+	}
+	return uint32(id[i])<<24 | uint32(id[i+1])<<16 | uint32(id[i+2])<<8 | uint32(id[i+3])
+}
+
+// sameID reports whether two candidates' ids are equal.
+func sameID(a, b *candidate) bool {
+	return a.idLen() == b.idLen() && firstDifference(a, b) == a.idLen()
+}
+
+// firstDifference returns the byte offset of the first signature class
+// two candidates' ids differ in, or the shorter id's length.
+func firstDifference(a, b *candidate) int {
+	n := min(a.idLen(), b.idLen())
+	i := 0
+	for i < n && a.class(i) == b.class(i) {
+		i += 4
+	}
+	return i
+}
+
+// cheapest removes duplicate candidates (keeping the first generated)
+// and returns the limit cheapest, ordered by cost and then by
+// signature. It reorders cs in place.
+func (g *generator) cheapest(cs []candidate, limit int) []candidate {
+	// seen maps an id's hash to the first candidate carrying it; two
+	// ids that share a hash are told apart by comparing them, and the
+	// later one takes the next free slot.
 	seen := g.seen
 	clear(seen)
 	uniq := cs[:0]
-	for _, c := range cs {
-		if _, dup := seen[c.id]; dup {
-			continue
+next:
+	for i := range cs {
+		c := cs[i]
+		for h := c.hash; ; h++ {
+			first, ok := seen[h]
+			if !ok {
+				seen[h] = int32(len(uniq))
+				break
+			}
+			if sameID(&uniq[first], &c) {
+				continue next
+			}
 		}
-		seen[c.id] = struct{}{}
 		uniq = append(uniq, c)
 	}
 	if len(uniq) > limit {
@@ -189,94 +270,97 @@ func (g *generator) cheapest(cs []chain, limit int) []chain {
 		if uniq[i].cost.total != uniq[j].cost.total {
 			return uniq[i].cost.total < uniq[j].cost.total
 		}
-		return g.signatureLess(uniq[i].id, uniq[j].id)
+		return g.signatureLess(&uniq[i], &uniq[j])
 	})
 	if len(uniq) > limit {
 		uniq = uniq[:limit]
 	}
-	for i := range uniq {
-		uniq[i].materialize()
-	}
 	return uniq
 }
 
-// signatureLess orders two distinct chain ids exactly as comparing
-// their signature strings ("sig|sig|…") would. Equal leading ids are
-// skipped and the first differing pair of step signatures decides,
-// unless one is a prefix of the other: then the shorter one's '|'
-// meets the longer one's next byte, and the strings are built.
-func (g *generator) signatureLess(a, b string) bool {
-	n := min(len(a), len(b))
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
+// signatureLess orders two candidates of different ids exactly as
+// comparing their signature strings ("sig|sig|…") would. Equal leading
+// classes are skipped and the first differing pair of step signatures
+// decides, unless one is a prefix of the other: then the shorter one's
+// '|' meets the longer one's next byte, and the strings are built.
+func (g *generator) signatureLess(a, b *candidate) bool {
+	i := firstDifference(a, b)
+	if i == a.idLen() || i == b.idLen() {
+		return a.idLen() < b.idLen()
 	}
-	i &^= 3
-	if i == n {
-		return len(a) < len(b)
-	}
-	sa, sb := g.sigs[stepID(a, i)], g.sigs[stepID(b, i)]
+	sa, sb := g.sig(a.class(i)), g.sig(b.class(i))
 	if !strings.HasPrefix(sa, sb) && !strings.HasPrefix(sb, sa) {
 		return sa < sb
 	}
-	return g.signature(a[i:]) < g.signature(b[i:])
+	return g.signatureFrom(a, i) < g.signatureFrom(b, i)
 }
 
-// stepID decodes the step id at byte offset i of a chain id.
-func stepID(id string, i int) uint32 {
-	return uint32(id[i])<<24 | uint32(id[i+1])<<16 | uint32(id[i+2])<<8 | uint32(id[i+3])
+// sig returns the signature string of a class.
+func (g *generator) sig(class uint32) string {
+	if int(class) >= len(g.sigs) {
+		g.sigs = append(g.sigs, make([]string, int(class)+1-len(g.sigs))...)
+	}
+	if g.sigs[class] == "" {
+		g.sigs[class] = g.table.signature(class)
+	}
+	return g.sigs[class]
 }
 
-// signature expands a chain id into the signature string of its steps.
-func (g *generator) signature(id string) string {
+// signatureFrom expands a candidate's id, from byte offset i on, into
+// the signature string of its steps.
+func (g *generator) signatureFrom(c *candidate, i int) string {
 	var b strings.Builder
-	for i := 0; i < len(id); i += 4 {
-		b.WriteString(g.sigs[stepID(id, i)])
+	for ; i < c.idLen(); i += 4 {
+		b.WriteString(g.sig(c.class(i)))
 		b.WriteByte('|')
 	}
 	return b.String()
 }
 
-// orientedChains generates the chains for one orientation of a query.
-func (g *generator) orientedChains(q *workload.Query) []chain {
+// orientedChains appends the candidates for one orientation of a query.
+func (g *generator) orientedChains(out []candidate, q *workload.Query) []candidate {
 	if len(q.Order) == 0 {
 		chains := g.chains(q, newChainMemo())
 		if q.Limit == 0 {
-			return chains
+			return appendWhole(out, chains)
 		}
-		return g.withTail(chains, &LimitStep{N: q.Limit})
+		return g.withTail(out, chains, g.table.limit(q.Limit))
 	}
 
 	// Plans whose single lookup serves the ordering via clustering.
-	raw := g.segmentVariants(enumerator.PrefixQuery(q, 0), q.Order)
-	if q.Limit > 0 {
-		limit := g.newChain([]Step{&LimitStep{N: q.Limit}})
-		for i := range raw {
-			c := &raw[i]
+	firsts := g.segmentVariants(enumerator.PrefixQuery(q, 0), q.Order)
+	if q.Limit == 0 {
+		out = appendWhole(out, firsts)
+	} else {
+		limit := g.chainOf(g.table.limit(q.Limit))
+		for i := range firsts {
+			c := &firsts[i]
 			if ls, ok := c.steps[0].(*LookupStep); ok && len(c.steps) == 1 {
-				// The get itself stops at the limit, which changes
-				// what it fetches: cost the lookup again.
-				ls.Limit = q.Limit
-				c.cost = g.fold(costState{}, c.steps)
+				// The get itself stops at the limit, which changes what
+				// it fetches: another step — the segment's is shared,
+				// with statements that have no limit too — costed again.
+				limited := *ls
+				limited.Limit = q.Limit
+				lc := g.chainOf(g.table.lookupStep(&limited))
+				out = append(out, whole(&lc))
 			} else {
-				*c = g.concat(c, &limit)
+				out = append(out, g.join(c, &limit))
 			}
 		}
 	}
 	// Plans that sort client-side over the order-relaxed query.
-	tail := []Step{&SortStep{By: q.Order}}
+	tail := []interned{g.table.sort(q.Order)}
 	if q.Limit > 0 {
-		tail = append(tail, &LimitStep{N: q.Limit})
+		tail = append(tail, g.table.limit(q.Limit))
 	}
-	return append(raw, g.withTail(g.chains(enumerator.RelaxOrder(q), newChainMemo()), tail...)...)
+	return g.withTail(out, g.chains(enumerator.RelaxOrder(q), newChainMemo()), tail...)
 }
 
-// withTail returns every chain extended by the same trailing steps.
-func (g *generator) withTail(chains []chain, steps ...Step) []chain {
-	tail := g.newChain(steps)
-	out := make([]chain, len(chains))
+// withTail appends every chain extended by the same trailing steps.
+func (g *generator) withTail(out []candidate, chains []chain, steps ...interned) []candidate {
+	tail := g.chainOf(steps...)
 	for i := range chains {
-		out[i] = g.concat(&chains[i], &tail)
+		out = append(out, g.join(&chains[i], &tail))
 	}
 	return out
 }
@@ -296,7 +380,7 @@ func newChainMemo() *chainMemo {
 // chains enumerates step chains answering q, ignoring ordering: for
 // each decomposition point, every single-lookup variant of the prefix
 // query concatenated with every chain of the remainder query. The
-// returned chains are materialized and shared through the memo.
+// returned chains are shared through the memo.
 func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 	sig := enumerator.QuerySignature(q)
 	if res, ok := memo.done[sig]; ok {
@@ -308,7 +392,7 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 	memo.inProgress[sig] = true
 	defer func() { memo.inProgress[sig] = false }()
 
-	var out []chain
+	var out []candidate
 	if n := len(g.free); n > 0 {
 		out, g.free = g.free[n-1], g.free[:n-1]
 	}
@@ -320,13 +404,14 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 		}
 		firsts := g.segmentVariants(prefix, nil)
 		if s == 0 {
-			out = append(out, firsts...)
+			out = appendWhole(out, firsts)
 			continue
 		}
 		if len(firsts) == 0 {
 			continue
 		}
 		rems := g.chains(enumerator.RemainderQuery(q, s), memo)
+		g.counts.ChainsJoined += int64(len(firsts) * len(rems))
 		out = slices.Grow(out, len(firsts)*len(rems))
 		for f := range firsts {
 			for r := range rems {
@@ -334,9 +419,9 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 			}
 		}
 	}
-	out = g.pruneChains(out)
-	memo.done[sig] = out
-	return out
+	kept := g.pruneChains(out)
+	memo.done[sig] = kept
+	return kept
 }
 
 // pruneChains bounds the chain set of one (sub)query with a beam:
@@ -344,28 +429,69 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 // width comfortably above the final plan-space cap. Without this, the
 // cartesian combination of per-segment variants across decomposition
 // points grows multiplicatively with path length. A set already within
-// the beam is kept as generated.
-func (g *generator) pruneChains(out []chain) []chain {
+// the beam is kept as generated. Only what is kept gets built; the
+// candidate array, many times the beam, goes to the next chains call.
+func (g *generator) pruneChains(out []candidate) []chain {
 	kept := out
 	if limit := 4 * g.cfg.MaxPlansPerQuery; len(out) > limit {
 		kept = g.cheapest(out, limit)
-	} else {
-		for i := range out {
-			out[i].materialize()
-		}
 	}
-	// Copy the survivors out of the candidate array, which is many
-	// times the beam, and hand the array to the next chains call.
-	kept = slices.Clone(kept)
+	chains := make([]chain, len(kept))
+	for i := range kept {
+		chains[i] = kept[i].chain()
+	}
 	g.free = append(g.free, out[:0])
-	return kept
+	return chains
 }
 
-// segmentVariants generates every single-lookup realization of a prefix
+// segment is one memoised segmentVariants result.
+type segment struct {
+	once   sync.Once
+	chains []chain
+}
+
+// segmentVariants returns every single-lookup realization of a prefix
 // query: one per (relaxation, usable column family) combination, each a
-// lookup optionally followed by enrichment lookups and a filter.
+// lookup optionally followed by enrichment lookups and a filter. The
+// planner generates them once per distinct (query, parameter names,
+// ordering) — a worker that asks while another generates waits — and
+// the chains returned are shared: read-only, steps included.
 func (g *generator) segmentVariants(pq *workload.Query, order []workload.AttrRef) []chain {
-	var out []chain
+	g.counts.SegmentRequests++
+	key := segmentKey(pq, order)
+	g.mu.Lock()
+	seg := g.segments[key]
+	if seg == nil {
+		seg = &segment{}
+		g.segments[key] = seg
+	}
+	g.mu.Unlock()
+	seg.once.Do(func() { seg.chains = g.generateSegment(pq, order) })
+	return seg.chains
+}
+
+// segmentKey identifies what segmentVariants' result depends on: the
+// query's structure and, because the steps carry them, each
+// predicate's parameter name and path position.
+func segmentKey(pq *workload.Query, order []workload.AttrRef) string {
+	var buf [256]byte
+	b := append(buf[:0], enumerator.QuerySignature(pq)...)
+	for _, pr := range pq.Where {
+		b = append(b, 0)
+		b = append(b, pr.Param...)
+		b = append(b, 0)
+		b = strconv.AppendInt(b, int64(pr.Ref.Index), 10)
+	}
+	b = append(b, 0, 0)
+	for _, o := range order {
+		b = append(b, o.Attr.QualifiedName()...)
+		b = append(b, 0)
+	}
+	return string(b)
+}
+
+func (g *generator) generateSegment(pq *workload.Query, order []workload.AttrRef) []chain {
+	out := g.segBuf[:0]
 	relaxable := enumerator.RelaxablePredicates(pq)
 	if g.cfg.SkipRelaxation {
 		relaxable = nil
@@ -384,30 +510,36 @@ func (g *generator) segmentVariants(pq *workload.Query, order []workload.AttrRef
 		if len(rq.EqualityPredicates()) == 0 {
 			continue
 		}
-		out = append(out, g.lookupVariants(rq, removed, order)...)
+		out = g.lookupVariants(out, rq, removed, order)
 	}
-	return out
+	g.segBuf = out
+	return slices.Clone(out)
 }
 
-// lookupVariants generates the step sequences answering rq with one
-// lookup per usable column family: the partition key must equal the
+// lookupVariants appends to out the step sequences answering rq with
+// one lookup per usable column family: the partition key must equal the
 // equality predicate attributes, selected entity keys must be stored,
 // ordering (when required) must be served by a clustering prefix, and
 // any needed attribute the family lacks is fetched by an id-keyed
 // enrichment lookup. Removed and unpushed range predicates become
 // client-side filters.
-func (g *generator) lookupVariants(rq *workload.Query, removed []workload.Predicate, order []workload.AttrRef) []chain {
+func (g *generator) lookupVariants(out []chain, rq *workload.Query, removed []workload.Predicate, order []workload.AttrRef) []chain {
 	eq := rq.EqualityPredicates()
-	partitionWant := attrKeySet(predAttrs(eq))
 	rangePreds := rq.RangePredicates()
 
-	var keyOut []*model.Attribute
-	var deferrable []*model.Attribute
+	// Attributes that must be available beyond the keys whichever
+	// family answers: non-key outputs and relaxed predicate attributes.
+	var keyOut, needed []*model.Attribute
 	for _, s := range rq.Select {
 		if s.Attr.IsKey() {
 			keyOut = append(keyOut, s.Attr)
-		} else {
-			deferrable = append(deferrable, s.Attr)
+		} else if !slices.Contains(needed, s.Attr) {
+			needed = append(needed, s.Attr)
+		}
+	}
+	for _, pr := range removed {
+		if !slices.Contains(needed, pr.Ref.Attr) {
+			needed = append(needed, pr.Ref.Attr)
 		}
 	}
 
@@ -420,63 +552,46 @@ func (g *generator) lookupVariants(rq *workload.Query, removed []workload.Predic
 		}
 		boundEq = append(boundEq, pr)
 	}
+	eqList := g.table.list(boundEq)
 
-	var out []chain
-	for _, cf := range g.candidatesFor(partitionWant) {
+	// A family differs from the next only in which range predicate it
+	// pushes — none, or the one on its first clustering column — so what
+	// follows the lookup is one of len(rangePreds)+1 shapes, each worked
+	// out when the first family needs it.
+	shapes := make([]variantShape, len(rangePreds)+1)
+
+	for _, cf := range g.candidatesFor(predAttrs(eq)) {
+		g.counts.CandidatesExamined++
 		if !pathCoversSegment(cf.Path, rq.Path) {
 			continue
 		}
 		if !cf.ContainsAll(keyOut) {
 			continue
 		}
-		servesOrder := false
-		if len(order) > 0 {
-			if !clusteringPrefixMatches(cf, order) {
-				continue
-			}
-			servesOrder = true
+		if len(order) > 0 && !clusteringPrefixMatches(cf, order) {
+			continue
 		}
 
 		// Push at most one range predicate: its attribute must be the
 		// first clustering column so the get's clustering range stays
 		// contiguous. When ordering is served this still holds only if
 		// the ordering attribute is the range attribute itself.
-		var pushed *workload.Predicate
-		var pending []workload.Predicate
-		for i := range rangePreds {
-			rp := rangePreds[i]
-			if pushed == nil && len(cf.Clustering) > 0 && cf.Clustering[0] == rp.Ref.Attr {
-				cp := rp
-				pushed = &cp
-				continue
-			}
-			pending = append(pending, rp)
-		}
-
-		// Attributes that must be available beyond the keys: non-key
-		// outputs, relaxed predicate attributes, and unpushed range
-		// attributes.
-		needed := map[*model.Attribute]bool{}
-		var neededOrder []*model.Attribute
-		addNeeded := func(a *model.Attribute) {
-			if !needed[a] {
-				needed[a] = true
-				neededOrder = append(neededOrder, a)
+		push := -1
+		if len(cf.Clustering) > 0 {
+			for i := range rangePreds {
+				if rangePreds[i].Ref.Attr == cf.Clustering[0] {
+					push = i
+					break
+				}
 			}
 		}
-		for _, a := range deferrable {
-			addNeeded(a)
-		}
-		for _, pr := range removed {
-			addNeeded(pr.Ref.Attr)
-		}
-		for _, pr := range pending {
-			addNeeded(pr.Ref.Attr)
+		sh := &shapes[push+1]
+		if !sh.built {
+			*sh = g.variantShape(rangePreds, push, needed, removed)
 		}
 
-		var missing []*model.Attribute
-		ok := true
-		for _, a := range neededOrder {
+		missing, ok := g.missing[:0], true
+		for _, a := range sh.needed {
 			if cf.Contains(a) {
 				continue
 			}
@@ -488,65 +603,98 @@ func (g *generator) lookupVariants(rq *workload.Query, removed []workload.Predic
 			}
 			missing = append(missing, a)
 		}
+		g.missing = missing
 		if !ok {
 			continue
 		}
-		enrich, ok := g.enrichSteps(missing)
+		// The lookup goes first, but is interned only once the
+		// enrichment it needs is known to exist.
+		variant, ok := g.enrichment(append(g.variant[:0], interned{}), missing)
+		g.variant = variant
 		if !ok {
 			continue
 		}
-
-		steps := []Step{&LookupStep{
+		variant[0] = g.table.lookup(&LookupStep{
 			Index:          cf,
 			EqPredicates:   boundEq,
 			JoinKey:        joinKey,
-			RangePredicate: pushed,
-			ServesOrder:    servesOrder,
-		}}
-		steps = append(steps, enrich...)
-		filters := append(append([]workload.Predicate{}, removed...), pending...)
-		if len(filters) > 0 {
-			steps = append(steps, &FilterStep{Predicates: filters})
+			RangePredicate: sh.pushed,
+			ServesOrder:    len(order) > 0,
+		}, eqList, sh.pushedList)
+		if sh.filter.Step != nil {
+			variant = append(variant, sh.filter)
+			g.variant = variant
 		}
-		out = append(out, g.newChain(steps))
+		out = append(out, g.chainOf(variant...))
 	}
 	return out
 }
 
-// enrichSteps builds id-keyed lookups supplying the missing attributes,
-// one per entity, choosing for each entity the pool family with the
-// least read amplification. It reports failure when some attribute has
-// no id-keyed family in the pool.
-func (p *Planner) enrichSteps(missing []*model.Attribute) ([]Step, bool) {
-	if len(missing) == 0 {
-		return nil, true
-	}
-	perEntity := map[*model.Entity][]*model.Attribute{}
-	var entities []*model.Entity
-	for _, a := range missing {
-		if perEntity[a.Entity] == nil {
-			entities = append(entities, a.Entity)
+// variantShape is what a lookup variant has besides its family, given
+// which range predicate the family pushes.
+type variantShape struct {
+	built bool
+	// pushed is the predicate taken into the get's clustering range,
+	// nil when there is none, and pushedList its list number.
+	pushed     *workload.Predicate
+	pushedList uint32
+	// needed lists the attributes the family or an enrichment lookup
+	// must supply: the query's, then those of the unpushed range
+	// predicates.
+	needed []*model.Attribute
+	// filter applies the removed and unpushed range predicates
+	// client-side; its step is nil when there are none.
+	filter interned
+}
+
+// variantShape works out the shape for pushing rangePreds[push], or
+// nothing when push is -1.
+func (g *generator) variantShape(rangePreds []workload.Predicate, push int, needed []*model.Attribute, removed []workload.Predicate) variantShape {
+	sh := variantShape{built: true, needed: slices.Grow(needed[:len(needed):len(needed)], len(rangePreds))}
+	filters := append(make([]workload.Predicate, 0, len(removed)+len(rangePreds)), removed...)
+	for i := range rangePreds {
+		if i == push {
+			sh.pushed = &rangePreds[i]
+			sh.pushedList = g.table.list(rangePreds[i : i+1])
+			continue
 		}
-		perEntity[a.Entity] = append(perEntity[a.Entity], a)
+		filters = append(filters, rangePreds[i])
+		if a := rangePreds[i].Ref.Attr; !slices.Contains(sh.needed, a) {
+			sh.needed = append(sh.needed, a)
+		}
 	}
-	var steps []Step
-	for _, e := range entities {
-		want := attrKeySet([]*model.Attribute{e.Key()})
-		var best *schema.Index
-		for _, cf := range p.candidatesFor(want) {
-			if !cf.ContainsAll(perEntity[e]) {
-				continue
+	if len(filters) > 0 {
+		sh.filter = g.table.filter(filters)
+	}
+	return sh
+}
+
+// enrichment appends to variant the id-keyed lookups supplying the
+// missing attributes, one per entity in order of first appearance. It
+// reports failure when some entity has no id-keyed family in the pool
+// storing all of its missing attributes.
+func (g *generator) enrichment(variant []interned, missing []*model.Attribute) ([]interned, bool) {
+next:
+	for i, a := range missing {
+		for _, b := range missing[:i] {
+			if b.Entity == a.Entity {
+				continue next
 			}
-			if best == nil || enrichBetter(cf, best, e) {
-				best = cf
+		}
+		group := g.group[:0]
+		for _, b := range missing[i:] {
+			if b.Entity == a.Entity {
+				group = append(group, b)
 			}
 		}
-		if best == nil {
-			return nil, false
+		g.group = group
+		st := g.enrichStep(a.Entity, group)
+		if st.Step == nil {
+			return variant, false
 		}
-		steps = append(steps, &LookupStep{Index: best, JoinKey: e.Key()})
+		variant = append(variant, st)
 	}
-	return steps, true
+	return variant, true
 }
 
 // enrichBetter orders enrichment candidates: least read amplification
@@ -583,12 +731,13 @@ func clusteringPrefixMatches(cf *schema.Index, order []workload.AttrRef) bool {
 // keyed by the same partition attributes but materializing a different
 // relationship would silently answer with wrong combinations.
 func pathCoversSegment(cfPath, segment model.Path) bool {
-	for _, e := range segment.Entities() {
-		if !cfPath.Contains(e) {
-			return false
-		}
+	if !cfPath.Contains(segment.Start) {
+		return false
 	}
 	for _, se := range segment.Edges {
+		if !cfPath.Contains(se.To) {
+			return false
+		}
 		found := false
 		for _, ce := range cfPath.Edges {
 			if ce == se || ce == se.Inverse {
@@ -609,18 +758,4 @@ func predAttrs(preds []workload.Predicate) []*model.Attribute {
 		out = append(out, p.Ref.Attr)
 	}
 	return out
-}
-
-// attrKeySet canonicalizes an attribute set as a sorted joined string.
-func attrKeySet(attrs []*model.Attribute) string {
-	names := make([]string, 0, len(attrs))
-	for _, a := range attrs {
-		names = append(names, a.QualifiedName())
-	}
-	sort.Strings(names)
-	key := ""
-	for _, n := range names {
-		key += n + "|"
-	}
-	return key
 }

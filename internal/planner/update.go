@@ -7,11 +7,11 @@ import (
 )
 
 // PlanUpdate builds the update plan for maintaining one column family
-// under one write statement (paper §VI-B): plan spaces for each support
-// query, plus the estimated delete and put work. The support plans'
-// costs are priced by the optimizer through their plan variables; the
+// under one write statement (paper §VI-B): the estimated delete and put
+// work. The update's support queries are planned as queries (PlanQuery)
+// and priced by the optimizer through their plan variables; the
 // WriteCost field carries only the write-side cost.
-func (p *Planner) PlanUpdate(u workload.WriteStatement, x *schema.Index, supportQueries []*workload.Query) (*UpdatePlan, error) {
+func (p *Planner) PlanUpdate(u workload.WriteStatement, x *schema.Index) *UpdatePlan {
 	affected := enumerator.AffectedRecords(u, x)
 	up := &UpdatePlan{Statement: u, Index: x}
 
@@ -40,13 +40,5 @@ func (p *Planner) PlanUpdate(u workload.WriteStatement, x *schema.Index, support
 		up.InsertCells = affected * float64(len(x.AllAttributes()))
 	}
 	up.WriteCost = p.model.Delete(up.DeleteRequests) + p.model.Insert(up.InsertRequests, up.InsertCells)
-
-	for _, sq := range supportQueries {
-		ps, err := p.PlanQuery(sq)
-		if err != nil {
-			return nil, err
-		}
-		up.SupportSpaces = append(up.SupportSpaces, ps)
-	}
-	return up, nil
+	return up
 }

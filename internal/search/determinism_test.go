@@ -54,11 +54,13 @@ func TestAdviseDeterministic(t *testing.T) {
 
 // TestAdviseWorkerInvariance: the recommendation must be byte-identical
 // for every worker count — schema rendering, objective bits, plan
-// signatures, and node counts — and so must every bip.*, lp.* and
-// search.* counter: they count the explored tree and the LP work on it
-// (pivots, refactorizations and the ones a sibling reused, evaluated
-// fixed programs, nodes pruned by rounding), which sibling-pair
-// scheduling keeps independent of who solved what. Parallelism may only
+// signatures, and node counts — and so must every bip.*, lp.*,
+// search.* and planner.* counter: they count the explored tree and the
+// LP work on it (pivots, refactorizations and the ones a sibling reused,
+// evaluated fixed programs, nodes pruned by rounding), which
+// sibling-pair scheduling keeps independent of who solved what, and the
+// planner's requests and table sizes, which do not depend on which
+// worker generated a shared segment or step first. Parallelism may only
 // change wall-clock time, never the answer nor the work.
 func TestAdviseWorkerInvariance(t *testing.T) {
 	for _, tc := range []struct {
@@ -108,13 +110,25 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 				return w
 			},
 		},
+		{
+			// The benchmark's advise-randwork input, where the planner's
+			// segment memo and step table are busiest.
+			name: "randwork-f3s42",
+			build: func(t *testing.T) *workload.Workload {
+				w, err := randwork.Generate(randwork.Config{Factor: 3, Seed: 42})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return w
+			},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(workers int) (*search.Recommendation, map[string]int64) {
 				opt := tc.opt
 				opt.Workers = workers
 				opt.Obs = obs.NewRegistry()
-				if tc.name == "rubis" || tc.name == "randwork" {
+				if tc.name != "hotel" {
 					opt.Planner.MaxPlansPerQuery = 16
 					opt.MaxSupportPlans = 4
 					opt.BIP.MaxNodes = 60
@@ -126,7 +140,7 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 				}
 				counters := map[string]int64{}
 				for name, v := range opt.Obs.Snapshot().Counters {
-					for _, layer := range []string{"bip.", "lp.", "search."} {
+					for _, layer := range []string{"bip.", "lp.", "search.", "planner."} {
 						if strings.HasPrefix(name, layer) {
 							counters[name] = v
 						}
@@ -135,7 +149,9 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 				return rec, counters
 			}
 			base, baseCounters := run(1)
-			for _, name := range []string{"bip.nodes", "bip.fixed_evals", "lp.solves", "lp.factor_reuses", "search.phase1.nodes"} {
+			for _, name := range []string{"bip.nodes", "bip.fixed_evals", "lp.solves", "lp.factor_reuses", "search.phase1.nodes",
+				"planner.segment_requests", "planner.segments", "planner.step_requests", "planner.steps",
+				"planner.candidates_examined", "planner.chains_joined"} {
 				if baseCounters[name] == 0 {
 					t.Errorf("counter %s is zero: the comparison below would be vacuous", name)
 				}

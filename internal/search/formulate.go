@@ -237,10 +237,7 @@ func (b *builder) buildUpdateBlock(ws *workload.WeightedStatement, enumRes *enum
 			}
 			sqs = enumerator.SupportQueries(u, x)
 		}
-		up, err := b.pl.PlanUpdate(u, x, nil)
-		if err != nil {
-			return nil, nil, err
-		}
+		up := b.pl.PlanUpdate(u, x)
 		ub.plans[x.ID()] = up
 		ub.order = append(ub.order, x)
 		maint[x.ID()] += b.w.Weight(ws) * up.WriteCost

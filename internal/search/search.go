@@ -235,6 +235,7 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 	}
 	rec.Timings.CostCalculation = time.Since(t)
 	sp.End()
+	publishPlanner(opt.Obs, pl.Counts())
 
 	p := b.prepare(rec)
 	chosen, refs, err := p.solve(rec)
@@ -341,6 +342,18 @@ func publishRun(opt Options, rec *Recommendation) {
 	publishSolve(opt.Obs, "phase1", rec.Stats.Phase1)
 	publishSolve(opt.Obs, "phase2", rec.Stats.Phase2)
 	publishTimings(opt.Obs, rec.Timings)
+}
+
+// publishPlanner reports how much generation a run's planner did: the
+// segments and steps its plan spaces asked for against the distinct ones
+// it built, the candidate families it examined and the chains it joined.
+func publishPlanner(r *obs.Registry, c planner.Counts) {
+	r.Counter("planner.segment_requests").Add(c.SegmentRequests)
+	r.Counter("planner.segments").Add(c.Segments)
+	r.Counter("planner.step_requests").Add(c.StepRequests)
+	r.Counter("planner.steps").Add(c.Steps)
+	r.Counter("planner.candidates_examined").Add(c.CandidatesExamined)
+	r.Counter("planner.chains_joined").Add(c.ChainsJoined)
 }
 
 // publishSolve counts one solver phase, its nodes, whether it was

@@ -137,6 +137,7 @@ func AdviseSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, err
 		psp.End()
 	}
 	sr.Timings.CostCalculation = time.Since(t0)
+	publishPlanner(opt.Obs, pl.Counts())
 
 	t0 = time.Now()
 	sp = opt.Trace.Begin("formulate series", "advisor")
