@@ -106,22 +106,6 @@ type Decision struct {
 	Mix map[string]float64
 }
 
-// Stats is a point-in-time copy of the detector's counters.
-type Stats struct {
-	// Observed is the total number of statements observed.
-	Observed int64
-	// Windows is the number of closed windows.
-	Windows int64
-	// Triggers is the number of drift triggers fired.
-	Triggers int64
-	// Suppressed counts over-threshold windows that did not trigger
-	// because of hysteresis, confirmation, or cooldown.
-	Suppressed int64
-	// LastDivergence is the divergence of the most recently closed
-	// window.
-	LastDivergence float64
-}
-
 // Detector is a windowed drift detector. It is safe for concurrent
 // use; determinism of the decision sequence requires that the
 // observation sequence itself is deterministic (the harness feeds it
@@ -138,13 +122,11 @@ type Detector struct {
 	streak   int
 	cooldown int
 
-	stats Stats
-
 	do detectorObs
 }
 
-// detectorObs holds the detector's registry instruments; the zero
-// value is a valid no-op set.
+// detectorObs holds the detector's instruments — its only counters.
+// They start as nil no-op handles; SetObs binds them to a registry.
 type detectorObs struct {
 	observed, windows, triggers, suppressed *obs.Counter
 	lastDivergence                          *obs.Gauge
@@ -154,18 +136,20 @@ type detectorObs struct {
 // advised-for mix. The target is normalized; a nil or empty target
 // matches nothing, so any traffic diverges fully.
 func New(cfg Config, target map[string]float64) *Detector {
-	d := &Detector{
+	return &Detector{
 		cfg:    cfg.Normalized(),
 		target: Normalize(target),
 		window: map[string]int64{},
 		armed:  true,
 	}
-	return d
 }
 
-// SetObs mirrors the detector's counters into a registry as
-// drift.observed / drift.windows / drift.triggers / drift.suppressed
-// counters and the drift.last_divergence gauge.
+// SetObs routes the detector's counters into a registry:
+// drift.observed counts statements, drift.windows closed windows,
+// drift.triggers fired triggers and drift.suppressed the
+// over-threshold windows that did not trigger (hysteresis,
+// confirmation or cooldown); the drift.last_divergence gauge holds the
+// latest closed window's divergence.
 func (d *Detector) SetObs(r *obs.Registry) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -193,15 +177,6 @@ func (d *Detector) SetTarget(target map[string]float64) {
 	d.armed = true
 }
 
-// Stats returns the detector's counters. Production reads the obs
-// instruments instead; kept for the drift and harness tests, which
-// assert trigger and suppression counts without a registry.
-func (d *Detector) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
 // Observe records one executed statement by label and returns the
 // decision it caused. Most observations return the zero Decision; the
 // one that closes a window carries the divergence and, possibly, a
@@ -212,7 +187,6 @@ func (d *Detector) Observe(label string) Decision {
 
 	d.window[label]++
 	d.windowN++
-	d.stats.Observed++
 	d.do.observed.Inc()
 	if d.windowN < d.cfg.WindowStatements {
 		return Decision{}
@@ -226,8 +200,6 @@ func (d *Detector) closeWindow() Decision {
 	div := TotalVariation(mix, d.target)
 	d.window = map[string]int64{}
 	d.windowN = 0
-	d.stats.Windows++
-	d.stats.LastDivergence = div
 	d.do.windows.Inc()
 	d.do.lastDivergence.Set(div)
 
@@ -241,7 +213,6 @@ func (d *Detector) closeWindow() Decision {
 			d.streak = 0
 		}
 		if over {
-			d.stats.Suppressed++
 			d.do.suppressed.Inc()
 		}
 		return dec
@@ -251,14 +222,12 @@ func (d *Detector) closeWindow() Decision {
 	case over && d.armed:
 		d.streak++
 		if d.streak < d.cfg.ConfirmWindows {
-			d.stats.Suppressed++
 			d.do.suppressed.Inc()
 			return dec
 		}
 		d.streak = 0
 		d.armed = false
 		d.cooldown = d.cfg.CooldownWindows
-		d.stats.Triggers++
 		d.do.triggers.Inc()
 		dec.Triggered = true
 		dec.Mix = mix
@@ -266,7 +235,6 @@ func (d *Detector) closeWindow() Decision {
 		// Disarmed: sustained drift past an un-acted-on (or already
 		// acted-on) trigger never re-fires until divergence first
 		// drops below the re-arm level.
-		d.stats.Suppressed++
 		d.do.suppressed.Inc()
 	default:
 		d.streak = 0

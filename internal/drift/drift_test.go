@@ -3,11 +3,27 @@ package drift_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"nose/internal/drift"
 	"nose/internal/obs"
 )
+
+// counter reads a counter by name from a registry the test bound with
+// SetObs. A name the registry never registered fails the test:
+// Registry.Counter would create it, and a misspelt name would read as a
+// silent zero.
+func counter(t *testing.T, r *obs.Registry, name string) int64 {
+	t.Helper()
+	v, ok := r.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("counter %q is not registered", name)
+	}
+	return v
+}
 
 // feed drives a deterministic synthetic schedule: each call emits one
 // window's worth of statements drawn proportionally from the mix using
@@ -87,9 +103,6 @@ func TestStableWorkloadNeverTriggers(t *testing.T) {
 			t.Fatalf("window %d: divergence %.3f for matching mix", i, dec.Divergence)
 		}
 	}
-	if s := d.Stats(); s.Triggers != 0 || s.Windows != 200 {
-		t.Fatalf("stats = %+v, want 200 windows and 0 triggers", s)
-	}
 }
 
 // TestStepChangeTriggersExactlyOnce: a sustained step from mix A to
@@ -145,6 +158,8 @@ func TestStepChangeTriggersExactlyOnce(t *testing.T) {
 // over-threshold windows are counted as suppressed.
 func TestHysteresisSuppressesOscillation(t *testing.T) {
 	d := drift.New(testConfig(), mixA)
+	reg := obs.NewRegistry()
+	d.SetObs(reg)
 	for i := 0; i < 60; i++ {
 		m := mixA
 		if i%2 == 1 {
@@ -154,11 +169,7 @@ func TestHysteresisSuppressesOscillation(t *testing.T) {
 			t.Fatalf("oscillating traffic triggered at window %d", i)
 		}
 	}
-	s := d.Stats()
-	if s.Triggers != 0 {
-		t.Fatalf("oscillation fired %d triggers", s.Triggers)
-	}
-	if s.Suppressed == 0 {
+	if counter(t, reg, "drift.suppressed") == 0 {
 		t.Fatal("no window counted as suppressed despite over-threshold flaps")
 	}
 }
@@ -207,29 +218,82 @@ func TestSetTargetAdoptsNewMix(t *testing.T) {
 			t.Fatalf("window %d: retargeted detector triggered on matching traffic", i)
 		}
 	}
-	if s := d.Stats(); s.Triggers != 1 {
-		t.Fatalf("triggers = %d, want 1", s.Triggers)
+}
+
+// TestObsInstruments: the registry is the detector's only ledger, and
+// binding it changes nothing. A seeded random label stream, drifting
+// between two mixes, yields the identical Decision sequence with and
+// without SetObs; with it, drift.windows and drift.triggers count the
+// WindowClosed and Triggered decisions and drift.observed the
+// statements.
+func TestObsInstruments(t *testing.T) {
+	const statements = 4000
+	labels := func(seed int64) []string {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([]string, statements)
+		for i := range out {
+			mix := mixA
+			if (i/400)%2 == 1 {
+				mix = mixB
+			}
+			out[i] = draw(rng, mix)
+		}
+		return out
+	}(11)
+	run := func(reg *obs.Registry) []drift.Decision {
+		d := drift.New(testConfig(), mixA)
+		if reg != nil {
+			d.SetObs(reg)
+		}
+		decisions := make([]drift.Decision, len(labels))
+		for i, l := range labels {
+			decisions[i] = d.Observe(l)
+		}
+		return decisions
+	}
+	reg := obs.NewRegistry()
+	bound, bare := run(reg), run(nil)
+	if !reflect.DeepEqual(bound, bare) {
+		t.Fatal("SetObs changed the decision sequence")
+	}
+	windows, triggers := int64(0), int64(0)
+	for _, dec := range bound {
+		if dec.WindowClosed {
+			windows++
+		}
+		if dec.Triggered {
+			triggers++
+		}
+	}
+	if triggers == 0 {
+		t.Fatal("fixture: the drifting stream never triggered")
+	}
+	if got := counter(t, reg, "drift.windows"); got != windows {
+		t.Errorf("drift.windows = %d, want %d closed windows", got, windows)
+	}
+	if got := counter(t, reg, "drift.triggers"); got != triggers {
+		t.Errorf("drift.triggers = %d, want %d triggers", got, triggers)
+	}
+	if got := counter(t, reg, "drift.observed"); got != statements {
+		t.Errorf("drift.observed = %d, want %d", got, statements)
 	}
 }
 
-// TestObsInstruments: the registry mirrors the detector's ledger.
-func TestObsInstruments(t *testing.T) {
-	reg := obs.NewRegistry()
-	d := drift.New(testConfig(), mixA)
-	d.SetObs(reg)
-	for i := 0; i < 10; i++ {
-		feed(t, d, 40, mixB)
+// draw samples one label from a mix, walking labels in sorted order so
+// a seed always draws the same stream.
+func draw(rng *rand.Rand, mix map[string]float64) string {
+	labels := make([]string, 0, len(mix))
+	for l := range mix {
+		labels = append(labels, l)
 	}
-	s := d.Stats()
-	if got := reg.Counter("drift.windows").Value(); got != s.Windows {
-		t.Errorf("drift.windows = %d, want %d", got, s.Windows)
+	sort.Strings(labels)
+	r := rng.Float64()
+	for _, l := range labels {
+		if r -= mix[l]; r < 0 {
+			return l
+		}
 	}
-	if got := reg.Counter("drift.triggers").Value(); got != s.Triggers || s.Triggers == 0 {
-		t.Errorf("drift.triggers = %d, want %d (nonzero)", got, s.Triggers)
-	}
-	if got := reg.Counter("drift.observed").Value(); got != 400 {
-		t.Errorf("drift.observed = %d, want 400", got)
-	}
+	return labels[len(labels)-1]
 }
 
 // TestTotalVariation pins the divergence measure's edge cases.

@@ -60,9 +60,8 @@ type Executor struct {
 	pool  sync.Pool
 }
 
-// execObs holds the executor's instruments — its only counters. A new
-// executor counts into a registry of its own; SetObs re-points it at a
-// shared one.
+// execObs holds the executor's instruments — its only counters. They
+// start as nil no-op handles; SetObs binds them to a registry.
 type execObs struct {
 	queries, writes           *obs.Counter
 	queryErrors, writeErrors  *obs.Counter
@@ -73,9 +72,9 @@ type execObs struct {
 }
 
 // SetObs routes the executor's metrics into a registry: exec.* counters
-// for statements and retries, and exec.{query,write}.sim_ms latency
-// histograms in simulated milliseconds. Metrics reads the same
-// instruments, so executors sharing a registry report shared totals.
+// for statements and retries (retries, retry_exhausted), the
+// exec.{backoff,wasted}_sim_ms gauges, and exec.{query,write}.sim_ms
+// latency histograms in simulated milliseconds.
 func (e *Executor) SetObs(r *obs.Registry) {
 	e.eo = execObs{
 		queries:        r.Counter("exec.queries"),
@@ -103,19 +102,7 @@ func New(store backend.KVBackend, lat cost.Params) *Executor {
 // the given policy, charging wasted attempts and backoff into each
 // statement's simulated time.
 func NewRetrying(store backend.KVBackend, lat cost.Params, policy RetryPolicy) *Executor {
-	e := &Executor{store: store, lat: lat, retry: policy.normalized()}
-	e.SetObs(obs.NewRegistry())
-	return e
-}
-
-// Metrics returns a snapshot of the retry counters.
-func (e *Executor) Metrics() MetricsSnapshot {
-	return MetricsSnapshot{
-		Retries:       e.eo.retries.Value(),
-		Exhausted:     e.eo.retryExhausted.Value(),
-		BackoffMillis: e.eo.backoffSimMs.Value(),
-		WastedMillis:  e.eo.wastedSimMs.Value(),
-	}
+	return &Executor{store: store, lat: lat, retry: policy.normalized()}
 }
 
 // Put writes one record into a column family through the executor's

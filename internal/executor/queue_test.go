@@ -14,8 +14,8 @@ import (
 // simulated instant contend — the first is charged its bare service
 // time, the second additionally waits for the servers to free up.
 func TestCoordinatorChargesQueueDelay(t *testing.T) {
-	_, bare, _ := newCluster(t, 3, 3, executor.All, executor.All, executor.HedgePolicy{})
-	repl, coord, _ := newCluster(t, 3, 3, executor.All, executor.All, executor.HedgePolicy{})
+	_, bare, _, _ := newCluster(t, 3, 3, executor.All, executor.All, executor.HedgePolicy{})
+	repl, coord, _, _ := newCluster(t, 3, 3, executor.All, executor.All, executor.HedgePolicy{})
 	q := backend.NewNodeQueues(repl.NodeCount(), 1)
 	coord.SetQueues(q)
 
@@ -66,7 +66,7 @@ func TestCoordinatorChargesQueueDelay(t *testing.T) {
 // queueing forever — while capacity 1 on the same cluster serves them.
 func TestCoordinatorZeroCapacityUnavailable(t *testing.T) {
 	for _, level := range []executor.Consistency{executor.One, executor.Quorum, executor.All} {
-		repl, coord, _ := newCluster(t, 3, 3, level, level, executor.HedgePolicy{})
+		repl, coord, _, reg := newCluster(t, 3, 3, level, level, executor.HedgePolicy{})
 		q := backend.NewNodeQueues(repl.NodeCount(), 1)
 		coord.SetQueues(q)
 		p := vals(int64(9))
@@ -87,8 +87,8 @@ func TestCoordinatorZeroCapacityUnavailable(t *testing.T) {
 		if !errors.As(err, &fe) || fe.Kind != faults.Unavailable {
 			t.Fatalf("%v: put with zero capacity: err = %v, want faults.Unavailable", level, err)
 		}
-		if st := coord.Stats(); st.ReadUnavailable == 0 || st.WriteUnavailable == 0 {
-			t.Errorf("%v: unavailability not counted: %+v", level, st)
+		if r, w := executor.RegisteredCounter(t, reg, "coord.read_unavailable"), executor.RegisteredCounter(t, reg, "coord.write_unavailable"); r == 0 || w == 0 {
+			t.Errorf("%v: unavailability not counted: %d reads, %d writes", level, r, w)
 		}
 	}
 }

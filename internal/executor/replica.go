@@ -72,31 +72,6 @@ type HedgePolicy struct {
 // early enough to beat a slow-window replica.
 const hedgeDelayMillis = 2.0
 
-// ReplicaStats counts the distributed-systems work a coordinator
-// performed. Everything here is also charged into statement SimMillis;
-// the counters exist so reports can attribute the latency.
-type ReplicaStats struct {
-	// Reads and Writes count coordinated operations.
-	Reads, Writes int64
-	// ReplicaReads and ReplicaWrites count per-replica attempts,
-	// including failed ones and hedges.
-	ReplicaReads, ReplicaWrites int64
-	// ReadUnavailable and WriteUnavailable count coordinated operations
-	// that could not reach their consistency level.
-	ReadUnavailable, WriteUnavailable int64
-	// Hedges counts speculative reads dispatched; HedgeWins counts those
-	// that beat the slow replica.
-	Hedges, HedgeWins int64
-	// HintsQueued counts writes stored as hints for an unreachable
-	// replica; HintsReplayed counts hinted writes later applied.
-	HintsQueued, HintsReplayed int64
-	// ReadRepairs counts replicas brought up to date during a read.
-	ReadRepairs int64
-	// StaleReads counts coordinated reads whose every contacted replica
-	// had hinted writes pending — the answer may predate those writes.
-	StaleReads int64
-}
-
 // hint is one write a replica missed, queued for handoff.
 type hint struct {
 	partition, clustering []backend.Value
@@ -146,7 +121,7 @@ type CoordinatorOptions struct {
 //   - Read repair: a read that contacts a replica with pending hints
 //     replays them after answering, charging the repair into the read's
 //     simulated time. The answering read itself may be stale (counted
-//     in ReplicaStats.StaleReads) — exactly the weak-consistency window
+//     in coord.stale_reads) — exactly the weak-consistency window
 //     the real systems have — but the next read of the partition is
 //     fresh.
 //
@@ -169,9 +144,8 @@ type Coordinator struct {
 	co     coordObs
 }
 
-// coordObs holds the coordinator's instruments — its only counters. A
-// new coordinator counts into a registry of its own; SetObs re-points
-// it at a shared one.
+// coordObs holds the coordinator's instruments — its only counters.
+// They start as nil no-op handles; SetObs binds them to a registry.
 type coordObs struct {
 	reads, writes                     *obs.Counter
 	replicaReads, replicaWrites       *obs.Counter
@@ -183,9 +157,14 @@ type coordObs struct {
 }
 
 // SetObs routes coordination metrics into a registry: the coord.*
-// counters Stats reads, plus per-consistency-level latency histograms
-// (coord.read.<LEVEL>.sim_ms / coord.write.<LEVEL>.sim_ms) of
-// successful coordinated operations in simulated milliseconds.
+// counters — coordinated reads and writes, per-replica attempts,
+// unavailability, hedges and hedge wins, hints queued and replayed,
+// read repairs, and stale reads (reads whose every contacted replica
+// had hinted writes pending) — plus per-consistency-level latency
+// histograms (coord.read.<LEVEL>.sim_ms / coord.write.<LEVEL>.sim_ms)
+// of successful coordinated operations in simulated milliseconds. All
+// of it is also charged into statement SimMillis; the counters
+// attribute the latency.
 func (c *Coordinator) SetObs(r *obs.Registry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -209,7 +188,7 @@ func (c *Coordinator) SetObs(r *obs.Registry) {
 
 // NewCoordinator wraps a replicated store with quorum coordination.
 func NewCoordinator(repl *backend.ReplicatedStore, opts CoordinatorOptions) *Coordinator {
-	c := &Coordinator{
+	return &Coordinator{
 		repl:    repl,
 		read:    opts.Read,
 		write:   opts.Write,
@@ -218,8 +197,6 @@ func NewCoordinator(repl *backend.ReplicatedStore, opts CoordinatorOptions) *Coo
 		crashes: opts.Crashes,
 		hints:   map[hintKey][]hint{},
 	}
-	c.SetObs(obs.NewRegistry())
-	return c
 }
 
 // SetQueues attaches per-node FIFO service queues: every foreground
@@ -260,27 +237,6 @@ func (c *Coordinator) admit(node int, service float64) float64 {
 // (zero capacity). Callers hold c.mu.
 func (c *Coordinator) refused(node int) bool {
 	return c.queues != nil && c.queues.Capacity(node) == 0
-}
-
-// Stats returns a snapshot of the coordination counters.
-func (c *Coordinator) Stats() ReplicaStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	co := c.co
-	return ReplicaStats{
-		Reads:            co.reads.Value(),
-		Writes:           co.writes.Value(),
-		ReplicaReads:     co.replicaReads.Value(),
-		ReplicaWrites:    co.replicaWrites.Value(),
-		ReadUnavailable:  co.readUnavailable.Value(),
-		WriteUnavailable: co.writeUnavailable.Value(),
-		Hedges:           co.hedges.Value(),
-		HedgeWins:        co.hedgeWins.Value(),
-		HintsQueued:      co.hintsQueued.Value(),
-		HintsReplayed:    co.hintsReplayed.Value(),
-		ReadRepairs:      co.readRepairs.Value(),
-		StaleReads:       co.staleReads.Value(),
-	}
 }
 
 // PendingHints returns the number of hinted writes not yet replayed.

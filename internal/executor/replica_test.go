@@ -1,6 +1,7 @@
 package executor_test
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -8,12 +9,14 @@ import (
 	"nose/internal/cost"
 	"nose/internal/executor"
 	"nose/internal/faults"
+	"nose/internal/obs"
 )
 
 // newCluster builds a replicated store with one column family and a
 // coordinator at the given consistency levels, returning both plus the
-// node fault set.
-func newCluster(t *testing.T, n, rf int, read, write executor.Consistency, hedge executor.HedgePolicy) (*backend.ReplicatedStore, *executor.Coordinator, *faults.Nodes) {
+// node fault set and the registry the coordinator and the fault set
+// count into.
+func newCluster(t *testing.T, n, rf int, read, write executor.Consistency, hedge executor.HedgePolicy) (*backend.ReplicatedStore, *executor.Coordinator, *faults.Nodes, *obs.Registry) {
 	t.Helper()
 	repl := backend.NewReplicatedStore(cost.DefaultParams(), n, rf)
 	err := repl.Create(backend.ColumnFamilyDef{
@@ -29,7 +32,10 @@ func newCluster(t *testing.T, n, rf int, read, write executor.Consistency, hedge
 	coord := executor.NewCoordinator(repl, executor.CoordinatorOptions{
 		Read: read, Write: write, Hedge: hedge, Nodes: ns,
 	})
-	return repl, coord, ns
+	reg := obs.NewRegistry()
+	coord.SetObs(reg)
+	ns.SetObs(reg)
+	return repl, coord, ns, reg
 }
 
 func vals(vs ...backend.Value) []backend.Value { return vs }
@@ -69,7 +75,7 @@ func TestHealthyAllMatchesSingleStore(t *testing.T) {
 	if err := single.Create(def); err != nil {
 		t.Fatal(err)
 	}
-	_, coord, _ := newCluster(t, 5, 3, executor.All, executor.All, executor.HedgePolicy{})
+	_, coord, _, _ := newCluster(t, 5, 3, executor.All, executor.All, executor.HedgePolicy{})
 
 	for i := 0; i < 10; i++ {
 		p := vals(int64(i))
@@ -104,7 +110,7 @@ func TestHealthyAllMatchesSingleStore(t *testing.T) {
 // down replica's failure charged), ALL reports unavailability.
 func TestQuorumSurvivesOneNodeDownAllDoesNot(t *testing.T) {
 	for _, level := range []executor.Consistency{executor.One, executor.Quorum, executor.All} {
-		repl, coord, ns := newCluster(t, 3, 3, level, level, executor.HedgePolicy{})
+		repl, coord, ns, reg := newCluster(t, 3, 3, level, level, executor.HedgePolicy{})
 		p := vals(int64(7))
 		if _, err := coord.Put("cf1", p, vals(int64(0)), vals("fresh")); err != nil {
 			t.Fatalf("%v: healthy put: %v", level, err)
@@ -135,11 +141,10 @@ func TestQuorumSurvivesOneNodeDownAllDoesNot(t *testing.T) {
 				t.Errorf("%v: got %d records, want 2", level, len(gr.Records))
 			}
 		}
-		st := coord.Stats()
-		if level == executor.All && st.WriteUnavailable == 0 {
-			t.Error("ALL: WriteUnavailable not counted")
+		if level == executor.All && executor.RegisteredCounter(t, reg, "coord.write_unavailable") == 0 {
+			t.Error("ALL: coord.write_unavailable not counted")
 		}
-		if level != executor.All && st.HintsQueued == 0 {
+		if level != executor.All && executor.RegisteredCounter(t, reg, "coord.hints_queued") == 0 {
 			t.Errorf("%v: missed write on the down replica should queue a hint", level)
 		}
 	}
@@ -149,7 +154,7 @@ func TestQuorumSurvivesOneNodeDownAllDoesNot(t *testing.T) {
 // (charged) latency": the failed attempt against the down replica
 // charges its waste into the coordinated read that re-dispatches.
 func TestQuorumDownReplicaElevatesLatency(t *testing.T) {
-	repl, coord, ns := newCluster(t, 4, 3, executor.Quorum, executor.Quorum, executor.HedgePolicy{})
+	repl, coord, ns, _ := newCluster(t, 4, 3, executor.Quorum, executor.Quorum, executor.HedgePolicy{})
 	p := vals(int64(3))
 	if _, err := coord.Put("cf1", p, vals(int64(0)), vals("v")); err != nil {
 		t.Fatal(err)
@@ -177,7 +182,8 @@ func TestQuorumDownReplicaElevatesLatency(t *testing.T) {
 // triggers read repair; every read after that is fresh. Stale-read
 // rate therefore falls to zero once the fault window closes.
 func TestHintedHandoffAndReadRepair(t *testing.T) {
-	repl, coord, ns := newCluster(t, 3, 3, executor.One, executor.Quorum, executor.HedgePolicy{})
+	repl, coord, ns, reg := newCluster(t, 3, 3, executor.One, executor.Quorum, executor.HedgePolicy{})
+	counter := func(name string) int64 { return executor.RegisteredCounter(t, reg, name) }
 	p := vals(int64(11))
 	if _, err := coord.Put("cf1", p, vals(int64(0)), vals("old")); err != nil {
 		t.Fatal(err)
@@ -195,8 +201,8 @@ func TestHintedHandoffAndReadRepair(t *testing.T) {
 	if _, err := coord.Put("cf1", p, vals(int64(2)), vals("new2")); err != nil {
 		t.Fatal(err)
 	}
-	if got := coord.Stats().HintsQueued; got != 2 {
-		t.Fatalf("HintsQueued = %d, want 2", got)
+	if got := counter("coord.hints_queued"); got != 2 {
+		t.Fatalf("coord.hints_queued = %d, want 2", got)
 	}
 	if coord.PendingHints() != 2 {
 		t.Fatalf("PendingHints = %d, want 2", coord.PendingHints())
@@ -211,7 +217,7 @@ func TestHintedHandoffAndReadRepair(t *testing.T) {
 	if len(r.Records) != 3 {
 		t.Fatalf("read during outage: %d records, want 3", len(r.Records))
 	}
-	if coord.Stats().StaleReads != 0 {
+	if counter("coord.stale_reads") != 0 {
 		t.Error("read served by a fresh replica must not count stale")
 	}
 
@@ -224,16 +230,14 @@ func TestHintedHandoffAndReadRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := coord.Stats()
-	if st.StaleReads != 1 {
-		t.Fatalf("StaleReads = %d, want 1 (first post-recovery read)", st.StaleReads)
+	if got := counter("coord.stale_reads"); got != 1 {
+		t.Fatalf("coord.stale_reads = %d, want 1 (first post-recovery read)", got)
 	}
 	if len(stale.Records) != 1 {
 		t.Errorf("stale read returned %d records, want the primary's 1", len(stale.Records))
 	}
-	if st.ReadRepairs != 1 || st.HintsReplayed != 2 {
-		t.Errorf("repair not booked: ReadRepairs=%d HintsReplayed=%d, want 1 and 2",
-			st.ReadRepairs, st.HintsReplayed)
+	if repairs, replayed := counter("coord.read_repairs"), counter("coord.hints_replayed"); repairs != 1 || replayed != 2 {
+		t.Errorf("repair not booked: coord.read_repairs=%d coord.hints_replayed=%d, want 1 and 2", repairs, replayed)
 	}
 	if coord.PendingHints() != 0 {
 		t.Errorf("PendingHints = %d after repair, want 0", coord.PendingHints())
@@ -250,8 +254,8 @@ func TestHintedHandoffAndReadRepair(t *testing.T) {
 			t.Fatalf("post-repair read %d: %d records, want 3", i, len(r.Records))
 		}
 	}
-	if got := coord.Stats().StaleReads; got != 1 {
-		t.Errorf("StaleReads grew to %d after repair; recovery must stop staleness", got)
+	if got := counter("coord.stale_reads"); got != 1 {
+		t.Errorf("coord.stale_reads grew to %d after repair; recovery must stop staleness", got)
 	}
 }
 
@@ -259,7 +263,7 @@ func TestHintedHandoffAndReadRepair(t *testing.T) {
 // write contacting a replica with pending hints replays them before
 // applying, so a ONE read of that replica is already fresh.
 func TestHandoffOnWrite(t *testing.T) {
-	repl, coord, ns := newCluster(t, 3, 3, executor.One, executor.Quorum, executor.HedgePolicy{})
+	repl, coord, ns, reg := newCluster(t, 3, 3, executor.One, executor.Quorum, executor.HedgePolicy{})
 	p := vals(int64(11))
 	primary := repl.ReplicasFor("cf1", p)[0]
 	if err := ns.MarkDown(primary); err != nil {
@@ -276,17 +280,15 @@ func TestHandoffOnWrite(t *testing.T) {
 	if _, err := coord.Put("cf1", p, vals(int64(1)), vals("applied")); err != nil {
 		t.Fatal(err)
 	}
-	st := coord.Stats()
-	if st.HintsReplayed != 1 {
-		t.Fatalf("HintsReplayed = %d, want 1 (handoff on write)", st.HintsReplayed)
+	if got := executor.RegisteredCounter(t, reg, "coord.hints_replayed"); got != 1 {
+		t.Fatalf("coord.hints_replayed = %d, want 1 (handoff on write)", got)
 	}
 	r, err := coord.Get("cf1", backend.GetRequest{Partition: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Records) != 2 || coord.Stats().StaleReads != 0 {
-		t.Errorf("read after write-path handoff: %d records, stale=%d; want 2 records, 0 stale",
-			len(r.Records), coord.Stats().StaleReads)
+	if stale := executor.RegisteredCounter(t, reg, "coord.stale_reads"); len(r.Records) != 2 || stale != 0 {
+		t.Errorf("read after write-path handoff: %d records, stale=%d; want 2 records, 0 stale", len(r.Records), stale)
 	}
 }
 
@@ -297,8 +299,8 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	slowFactor := 50.0
 	profile := faults.NodeProfile{SlowFactor: slowFactor}
 
-	run := func(hedge executor.HedgePolicy) (float64, executor.ReplicaStats) {
-		repl, coord, ns := newCluster(t, 3, 3, executor.One, executor.Quorum, hedge)
+	run := func(hedge executor.HedgePolicy) (float64, *obs.Registry) {
+		repl, coord, ns, reg := newCluster(t, 3, 3, executor.One, executor.Quorum, hedge)
 		p := vals(int64(5))
 		if _, err := coord.Put("cf1", p, vals(int64(0)), vals("v")); err != nil {
 			t.Fatal(err)
@@ -314,13 +316,13 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.SimMillis, coord.Stats()
+		return r.SimMillis, reg
 	}
 
 	slow, _ := run(executor.HedgePolicy{})
-	hedged, st := run(executor.HedgePolicy{Enabled: true})
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Fatalf("hedge counters = %+v, want 1 hedge, 1 win", st)
+	hedged, reg := run(executor.HedgePolicy{Enabled: true})
+	if h, w := executor.RegisteredCounter(t, reg, "coord.hedges"), executor.RegisteredCounter(t, reg, "coord.hedge_wins"); h != 1 || w != 1 {
+		t.Fatalf("%d hedges, %d wins; want 1 and 1", h, w)
 	}
 	if hedged >= slow {
 		t.Errorf("hedged read %.3fms not faster than unhedged %.3fms", hedged, slow)
@@ -333,10 +335,10 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 }
 
 // TestCoordinatorDeterminism: identical op sequences with the same seed
-// produce bit-identical charged times and stats.
+// produce bit-identical charged times and counters.
 func TestCoordinatorDeterminism(t *testing.T) {
-	run := func() ([]float64, executor.ReplicaStats) {
-		_, coord, ns := newCluster(t, 5, 3, executor.Quorum, executor.Quorum, executor.HedgePolicy{Enabled: true})
+	run := func() ([]float64, map[string]int64) {
+		_, coord, ns, reg := newCluster(t, 5, 3, executor.Quorum, executor.Quorum, executor.HedgePolicy{Enabled: true})
 		ns.SetDefaultProfile(faults.NodeRate(0.2))
 		var times []float64
 		for i := 0; i < 200; i++ {
@@ -352,12 +354,12 @@ func TestCoordinatorDeterminism(t *testing.T) {
 				times = append(times, faults.SimCost(err))
 			}
 		}
-		return times, coord.Stats()
+		return times, reg.Snapshot().Counters
 	}
 	t1, s1 := run()
 	t2, s2 := run()
-	if s1 != s2 {
-		t.Fatalf("stats differ across identical runs:\n%+v\n%+v", s1, s2)
+	if !maps.Equal(s1, s2) {
+		t.Fatalf("counters differ across identical runs:\n%v\n%v", s1, s2)
 	}
 	for i := range t1 {
 		if math.Float64bits(t1[i]) != math.Float64bits(t2[i]) {

@@ -67,22 +67,6 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	return p
 }
 
-// MetricsSnapshot is a point-in-time copy of an executor's retry
-// counters.
-type MetricsSnapshot struct {
-	// Retries counts retried operations (each extra attempt counts
-	// once).
-	Retries int64
-	// Exhausted counts operations abandoned after exhausting attempts
-	// or the statement retry budget.
-	Exhausted int64
-	// BackoffMillis is the total simulated backoff wait charged.
-	BackoffMillis float64
-	// WastedMillis is the total simulated time of failed attempts
-	// (timeout waits, transient error turnarounds) charged.
-	WastedMillis float64
-}
-
 // stmtBudget tracks one statement execution's retry spend. Each
 // statement gets a fresh budget so a burst of faults on one statement
 // cannot starve the next.

@@ -7,27 +7,31 @@ import (
 
 	"nose/internal/cost"
 	"nose/internal/faults"
+	"nose/internal/obs"
 )
 
 // retryingExecutor builds an executor for retry tests, which drive
-// retryOp with closures and never touch a store.
-func retryingExecutor(p RetryPolicy) *Executor {
-	return NewRetrying(nil, cost.Params{}, p)
+// retryOp with closures and never touch a store, counting into the
+// returned registry.
+func retryingExecutor(p RetryPolicy) (*Executor, *obs.Registry) {
+	e, reg := NewRetrying(nil, cost.Params{}, p), obs.NewRegistry()
+	e.SetObs(reg)
+	return e, reg
 }
 
 func TestRetryOpSuccessFirstTry(t *testing.T) {
-	e := retryingExecutor(DefaultRetryPolicy())
+	e, reg := retryingExecutor(DefaultRetryPolicy())
 	total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) { return 1.5, nil })
 	if err != nil || total != 1.5 {
 		t.Fatalf("total=%v err=%v, want 1.5, nil", total, err)
 	}
-	if m := e.Metrics(); m.Retries != 0 || m.WastedMillis != 0 {
-		t.Errorf("unexpected metrics %+v", m)
+	if r, w := RegisteredCounter(t, reg, "exec.retries"), RegisteredGauge(t, reg, "exec.wasted_sim_ms"); r != 0 || w != 0 {
+		t.Errorf("exec.retries = %d, exec.wasted_sim_ms = %v; want 0 and 0", r, w)
 	}
 }
 
 func TestRetryOpTransientThenSuccess(t *testing.T) {
-	e := retryingExecutor(DefaultRetryPolicy())
+	e, reg := retryingExecutor(DefaultRetryPolicy())
 	fails := 2
 	total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) {
 		if fails > 0 {
@@ -43,21 +47,20 @@ func TestRetryOpTransientThenSuccess(t *testing.T) {
 	if total <= 2.0+2*0.5 {
 		t.Errorf("total %v does not include backoff", total)
 	}
-	m := e.Metrics()
-	if m.Retries != 2 {
-		t.Errorf("retries = %d, want 2", m.Retries)
+	if got := RegisteredCounter(t, reg, "exec.retries"); got != 2 {
+		t.Errorf("retries = %d, want 2", got)
 	}
-	if m.WastedMillis != 1.0 {
-		t.Errorf("wasted = %v, want 1.0", m.WastedMillis)
+	if got := RegisteredGauge(t, reg, "exec.wasted_sim_ms"); got != 1.0 {
+		t.Errorf("wasted = %v, want 1.0", got)
 	}
-	if m.BackoffMillis <= 0 {
+	if RegisteredGauge(t, reg, "exec.backoff_sim_ms") <= 0 {
 		t.Error("no backoff charged")
 	}
 }
 
 func TestRetryOpDeterministic(t *testing.T) {
 	run := func() float64 {
-		e := retryingExecutor(DefaultRetryPolicy())
+		e, _ := retryingExecutor(DefaultRetryPolicy())
 		fails := 3
 		total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) {
 			if fails > 0 {
@@ -77,7 +80,7 @@ func TestRetryOpDeterministic(t *testing.T) {
 }
 
 func TestRetryOpNonRetryable(t *testing.T) {
-	e := retryingExecutor(DefaultRetryPolicy())
+	e, _ := retryingExecutor(DefaultRetryPolicy())
 
 	calls := 0
 	boom := errors.New("arity mismatch")
@@ -103,7 +106,7 @@ func TestRetryOpNonRetryable(t *testing.T) {
 func TestRetryOpExhaustsAttempts(t *testing.T) {
 	p := DefaultRetryPolicy()
 	p.MaxAttempts = 3
-	e := retryingExecutor(p)
+	e, reg := retryingExecutor(p)
 	calls := 0
 	total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) {
 		calls++
@@ -123,8 +126,8 @@ func TestRetryOpExhaustsAttempts(t *testing.T) {
 	if total < 1.5 {
 		t.Errorf("total %v does not charge the wasted attempts", total)
 	}
-	if m := e.Metrics(); m.Exhausted != 1 || m.Retries != 2 {
-		t.Errorf("metrics %+v, want 1 exhausted, 2 retries", m)
+	if x, r := RegisteredCounter(t, reg, "exec.retry_exhausted"), RegisteredCounter(t, reg, "exec.retries"); x != 1 || r != 2 {
+		t.Errorf("%d exhausted, %d retries; want 1 and 2", x, r)
 	}
 }
 
@@ -132,7 +135,7 @@ func TestRetryOpBudget(t *testing.T) {
 	p := DefaultRetryPolicy()
 	p.MaxAttempts = 100
 	p.BudgetMillis = 60
-	e := retryingExecutor(p)
+	e, _ := retryingExecutor(p)
 	bgt := &stmtBudget{}
 	_, err := e.retryOp(bgt, "cf", func() (float64, error) {
 		return 0, &faults.Error{Kind: faults.Timeout, CF: "cf", Op: "get", SimMillis: 50}
@@ -184,7 +187,7 @@ func TestRetryOpBudgetBoundaryExact(t *testing.T) {
 		MaxBackoffMillis:  8,
 		BudgetMillis:      10,
 	}
-	e := retryingExecutor(p)
+	e, reg := retryingExecutor(p)
 	bgt := &stmtBudget{}
 	// The fault itself wastes no simulated time, so every charged
 	// millisecond is backoff and the total is exactly the budget spend.
@@ -200,8 +203,8 @@ func TestRetryOpBudgetBoundaryExact(t *testing.T) {
 	if bgt.spentMillis != p.BudgetMillis {
 		t.Errorf("budget spend %v, want exactly %v", bgt.spentMillis, p.BudgetMillis)
 	}
-	if m := e.Metrics(); m.BackoffMillis != p.BudgetMillis {
-		t.Errorf("backoff charged %v, want exactly %v", m.BackoffMillis, p.BudgetMillis)
+	if got := RegisteredGauge(t, reg, "exec.backoff_sim_ms"); got != p.BudgetMillis {
+		t.Errorf("backoff charged %v, want exactly %v", got, p.BudgetMillis)
 	}
 }
 
@@ -210,7 +213,7 @@ func TestRetryOpBudgetBoundaryExact(t *testing.T) {
 func TestRetryOpBudgetNeverOvershoots(t *testing.T) {
 	for _, budget := range []float64{1, 2.5, 7, 10, 33.25, 100} {
 		p := RetryPolicy{MaxAttempts: 1000, BaseBackoffMillis: 4, MaxBackoffMillis: 16, BudgetMillis: budget}
-		e := retryingExecutor(p)
+		e, _ := retryingExecutor(p)
 		total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) {
 			return 0, &faults.Error{Kind: faults.Transient, CF: "cf", Op: "get"}
 		})

@@ -39,9 +39,10 @@ type ChaosCell struct {
 	// surviving plan.
 	Completed   int64
 	Unavailable int64
-	// Report is the system's cumulative robustness ledger for this
-	// rate.
-	Report harness.RobustnessReport
+	// Counters is the system's registry counters at the end of the
+	// rate: retries (exec.*), failovers (harness.*), injected faults
+	// (faults.*).
+	Counters map[string]int64
 }
 
 // ChaosRow is one fault rate's measurements across the systems.
@@ -107,7 +108,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 				if cell.Completed > 0 {
 					cell.AvgMillis = totalMillis / float64(cell.Completed)
 				}
-				cell.Report = sys.Robustness()
+				cell.Counters = sys.Obs().Snapshot().Counters
 				row.Cells[name] = cell
 			}
 			return nil
@@ -132,7 +133,7 @@ func (r *ChaosResult) Format() string {
 			c := row.Cells[name]
 			fmt.Fprintf(&b, "%-8.3f %-12s %12.3f %10d %12d %10d %10d\n",
 				row.Rate, name, c.AvgMillis, c.Completed, c.Unavailable,
-				c.Report.Retries, c.Report.Failovers)
+				c.Counters["exec.retries"], c.Counters["harness.failovers"])
 		}
 	}
 	return b.String()

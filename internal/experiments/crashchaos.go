@@ -432,7 +432,7 @@ func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w harness.
 			return out, fmt.Errorf("write with a replica down: %w", err)
 		}
 	}
-	out.HintsQueued = sys.Robustness().Replica.HintsQueued
+	out.HintsQueued = sys.Obs().Counter("coord.hints_queued").Value()
 	if out.HintsQueued == 0 {
 		return out, errors.New("no hints queued against the downed replica")
 	}

@@ -13,6 +13,18 @@ import (
 	"nose/internal/search"
 )
 
+// counter reads a counter by name from a cell's registry snapshot. A
+// name the system never registered fails the test instead of reading as
+// a silent zero.
+func counter(t *testing.T, counters map[string]int64, name string) int64 {
+	t.Helper()
+	v, ok := counters[name]
+	if !ok {
+		t.Fatalf("counter %q is not registered", name)
+	}
+	return v
+}
+
 func fastOptions() search.Options {
 	return search.Options{
 		Planner:            planner.Config{MaxPlansPerQuery: 12},
@@ -99,9 +111,11 @@ func TestRunChaosDeterministicSweep(t *testing.T) {
 	healthy := res.Rows[0]
 	for _, name := range experiments.SystemNames {
 		c := healthy.Cells[name]
-		if c.Unavailable != 0 || c.Report.Retries != 0 || c.Report.Failovers != 0 ||
-			c.Report.Injected.Ops != 0 {
-			t.Errorf("rate 0 on %s not clean: %+v", name, c.Report)
+		if c.Unavailable != 0 || counter(t, c.Counters, "exec.retries") != 0 || counter(t, c.Counters, "harness.failovers") != 0 {
+			t.Errorf("rate 0 on %s not clean: %v", name, c.Counters)
+		}
+		if _, ok := c.Counters["faults.ops"]; ok {
+			t.Errorf("rate 0 on %s declared a fault injector", name)
 		}
 		if c.Completed == 0 || c.AvgMillis <= 0 {
 			t.Errorf("rate 0 on %s completed nothing", name)
@@ -113,12 +127,13 @@ func TestRunChaosDeterministicSweep(t *testing.T) {
 	faulted := res.Rows[1]
 	for _, name := range experiments.SystemNames {
 		c := faulted.Cells[name]
-		if c.Report.Injected.Ops == 0 {
+		if counter(t, c.Counters, "faults.ops") == 0 {
 			t.Errorf("rate 0.02 on %s: injector saw no operations", name)
 		}
-		work := c.Report.Retries + c.Report.Failovers + c.Unavailable
-		if c.Report.Injected.Transients+c.Report.Injected.Timeouts+c.Report.Injected.Unavailables > 0 && work == 0 {
-			t.Errorf("rate 0.02 on %s: faults injected but no degradation recorded: %+v", name, c.Report)
+		work := counter(t, c.Counters, "exec.retries") + counter(t, c.Counters, "harness.failovers") + c.Unavailable
+		injected := counter(t, c.Counters, "faults.transients") + counter(t, c.Counters, "faults.timeouts") + counter(t, c.Counters, "faults.unavailables")
+		if injected > 0 && work == 0 {
+			t.Errorf("rate 0.02 on %s: faults injected but no degradation recorded: %v", name, c.Counters)
 		}
 	}
 
@@ -231,8 +246,8 @@ func TestRunQuorumDeterministicSweep(t *testing.T) {
 		if c.Completed == 0 || c.Unavailable != 0 {
 			t.Errorf("rate 0 at %v: completed=%d unavailable=%d", level, c.Completed, c.Unavailable)
 		}
-		if c.StaleReadRate != 0 {
-			t.Errorf("rate 0 at %v: stale read rate %v", level, c.StaleReadRate)
+		if stale := counter(t, c.Counters, "coord.stale_reads"); stale != 0 {
+			t.Errorf("rate 0 at %v: %d stale reads", level, stale)
 		}
 		if c.P50Millis <= 0 || c.P99Millis < c.P50Millis {
 			t.Errorf("rate 0 at %v: bad percentiles p50=%v p99=%v", level, c.P50Millis, c.P99Millis)
@@ -243,8 +258,8 @@ func TestRunQuorumDeterministicSweep(t *testing.T) {
 	// replicas and paid for the weather somewhere.
 	for _, level := range res.Levels {
 		c := res.Rows[1].Cells[level.String()]
-		if c.Report.Replica.ReplicaReads == 0 || c.Report.NodeFaults.Ops == 0 {
-			t.Errorf("rate 0.05 at %v: replica/node counters empty: %+v", level, c.Report)
+		if counter(t, c.Counters, "coord.replica_reads") == 0 || counter(t, c.Counters, "nodefaults.ops") == 0 {
+			t.Errorf("rate 0.05 at %v: replica/node counters empty: %v", level, c.Counters)
 		}
 	}
 

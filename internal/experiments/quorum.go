@@ -49,12 +49,10 @@ type QuorumCell struct {
 	Completed, Unavailable int64
 	// UnavailableRate is Unavailable over all attempts.
 	UnavailableRate float64
-	// StaleReadRate is the coordinator's stale reads over its
-	// coordinated reads.
-	StaleReadRate float64
-	// Report is the system's cumulative robustness ledger for this
-	// cell, replication counters included.
-	Report harness.RobustnessReport
+	// Counters is the system's registry counters at the end of the
+	// cell: coordination (coord.*), node faults (nodefaults.*), and the
+	// rest of the data plane.
+	Counters map[string]int64
 }
 
 // QuorumRow is one node fault rate's measurements across consistency
@@ -128,10 +126,7 @@ func RunQuorum(cfg QuorumConfig) (*QuorumResult, error) {
 				if n := cell.Completed + cell.Unavailable; n > 0 {
 					cell.UnavailableRate = float64(cell.Unavailable) / float64(n)
 				}
-				cell.Report = sys.Robustness()
-				if cell.Report.Replica.Reads > 0 {
-					cell.StaleReadRate = float64(cell.Report.Replica.StaleReads) / float64(cell.Report.Replica.Reads)
-				}
+				cell.Counters = sys.Obs().Snapshot().Counters
 				row.Cells[level.String()] = cell
 				return nil
 			})
@@ -156,10 +151,14 @@ func (r *QuorumResult) Format() string {
 	for _, row := range r.Rows {
 		for _, level := range r.Levels {
 			c := row.Cells[level.String()]
+			stale := 0.0
+			if reads := c.Counters["coord.reads"]; reads > 0 {
+				stale = float64(c.Counters["coord.stale_reads"]) / float64(reads)
+			}
 			fmt.Fprintf(&b, "%-8.3f %-8s %10.3f %10.3f %8.1f%% %7.2f%% %8d %8d %8d\n",
 				row.Rate, level, c.P50Millis, c.P99Millis,
-				100*c.UnavailableRate, 100*c.StaleReadRate,
-				c.Report.Replica.HintsQueued, c.Report.Replica.ReadRepairs, c.Report.Replica.Hedges)
+				100*c.UnavailableRate, 100*stale,
+				c.Counters["coord.hints_queued"], c.Counters["coord.read_repairs"], c.Counters["coord.hedges"])
 		}
 	}
 	return b.String()

@@ -169,16 +169,6 @@ func Rate(rate float64) Profile {
 	}
 }
 
-// Counts reports how many faults an injector has produced.
-type Counts struct {
-	// Ops is the total number of operations seen (including failed
-	// ones).
-	Ops int64
-	// Transients, Timeouts and Unavailables count injected faults by
-	// kind.
-	Transients, Timeouts, Unavailables int64
-}
-
 // cfState is the per-column-family fault state.
 type cfState struct {
 	rng        *rand.Rand
@@ -201,16 +191,16 @@ type Injector struct {
 	fo     faultObs
 }
 
-// faultObs holds the injector's instruments — its only counters. A new
-// injector counts into a registry of its own; SetObs re-points it at a
-// shared one.
+// faultObs holds the injector's instruments — its only counters. They
+// start as nil no-op handles; SetObs binds them to a registry.
 type faultObs struct {
 	ops, transients, timeouts, unavailables *obs.Counter
 }
 
-// SetObs routes the injector's fault counters into a registry as
-// faults.ops / faults.transients / faults.timeouts /
-// faults.unavailables; Counts reads them back.
+// SetObs routes the injector's fault counters into a registry:
+// faults.ops counts every operation seen, failed ones included, and
+// faults.transients / faults.timeouts / faults.unavailables the
+// injected faults by kind.
 func (i *Injector) SetObs(r *obs.Registry) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -226,9 +216,7 @@ func (i *Injector) SetObs(r *obs.Registry) {
 // the injector is transparent: every operation passes through with its
 // service time unchanged.
 func New(inner backend.KVBackend, seed int64) *Injector {
-	i := &Injector{inner: inner, seed: seed, states: map[string]*cfState{}}
-	i.SetObs(obs.NewRegistry())
-	return i
+	return &Injector{inner: inner, seed: seed, states: map[string]*cfState{}}
 }
 
 // SetDefaultProfile applies a profile to every column family without an
@@ -265,18 +253,6 @@ func (i *Injector) MarkUp(cf string) {
 	st := i.state(cf)
 	st.manualDown = false
 	st.downUntil = 0
-}
-
-// Counts returns the fault counters so far.
-func (i *Injector) Counts() Counts {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return Counts{
-		Ops:          i.fo.ops.Value(),
-		Transients:   i.fo.transients.Value(),
-		Timeouts:     i.fo.timeouts.Value(),
-		Unavailables: i.fo.unavailables.Value(),
-	}
 }
 
 // state returns (creating if needed) the per-family state; callers hold

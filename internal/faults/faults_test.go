@@ -9,7 +9,21 @@ import (
 	"nose/internal/backend"
 	"nose/internal/cost"
 	"nose/internal/faults"
+	"nose/internal/obs"
 )
+
+// counter reads a counter by name from a registry the test bound with
+// SetObs. A name the registry never registered fails the test:
+// Registry.Counter would create it, and a misspelt name would read as a
+// silent zero.
+func counter(t *testing.T, r *obs.Registry, name string) int64 {
+	t.Helper()
+	v, ok := r.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("counter %q is not registered", name)
+	}
+	return v
+}
 
 func newTestStore(t *testing.T) *backend.Store {
 	t.Helper()
@@ -187,15 +201,16 @@ func TestLatencyInflation(t *testing.T) {
 func TestCounts(t *testing.T) {
 	s := newTestStore(t)
 	inj := faults.New(s, 9)
+	reg := obs.NewRegistry()
+	inj.SetObs(reg)
 	inj.SetDefaultProfile(faults.Rate(0.5))
 	for i := 0; i < 100; i++ {
 		get(inj)
 	}
-	c := inj.Counts()
-	if c.Ops != 100 {
-		t.Errorf("ops = %d, want 100", c.Ops)
+	if ops := counter(t, reg, "faults.ops"); ops != 100 {
+		t.Errorf("faults.ops = %d, want 100", ops)
 	}
-	if c.Transients+c.Timeouts+c.Unavailables == 0 {
+	if counter(t, reg, "faults.transients")+counter(t, reg, "faults.timeouts")+counter(t, reg, "faults.unavailables") == 0 {
 		t.Error("no faults counted at 50% rate")
 	}
 }
@@ -205,6 +220,8 @@ func TestCounts(t *testing.T) {
 func TestConcurrentInjection(t *testing.T) {
 	s := newTestStore(t)
 	inj := faults.New(s, 3)
+	reg := obs.NewRegistry()
+	inj.SetObs(reg)
 	inj.SetDefaultProfile(faults.Rate(0.2))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -224,7 +241,7 @@ func TestConcurrentInjection(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c := inj.Counts(); c.Ops != 8*200 {
-		t.Errorf("ops = %d, want %d", c.Ops, 8*200)
+	if ops := counter(t, reg, "faults.ops"); ops != 8*200 {
+		t.Errorf("faults.ops = %d, want %d", ops, 8*200)
 	}
 }

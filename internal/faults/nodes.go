@@ -68,20 +68,6 @@ func NodeRate(rate float64) NodeProfile {
 	}
 }
 
-// NodeCounts reports how many node-level faults a Nodes set produced.
-type NodeCounts struct {
-	// Ops is the total number of replica operations seen (including
-	// rejected ones).
-	Ops int64
-	// Flaky counts transient per-operation failures.
-	Flaky int64
-	// DownRejections counts operations rejected because the node was
-	// inside a down window (or marked down).
-	DownRejections int64
-	// DownWindows and SlowWindows count windows opened.
-	DownWindows, SlowWindows int64
-}
-
 // nodeState is the per-node fault state.
 type nodeState struct {
 	rng        *rand.Rand
@@ -106,14 +92,17 @@ type Nodes struct {
 }
 
 // nodeObs holds the node fault set's instruments — its only counters.
-// A new set counts into a registry of its own; SetObs re-points it at
-// a shared one.
+// They start as nil no-op handles; SetObs binds them to a registry.
 type nodeObs struct {
 	ops, flaky, downRejections, downWindows, slowWindows *obs.Counter
 }
 
-// SetObs routes the node fault counters into a registry as
-// nodefaults.*; Counts reads them back.
+// SetObs routes the node fault counters into a registry:
+// nodefaults.ops counts every replica operation seen, rejected ones
+// included; nodefaults.flaky the transient failures;
+// nodefaults.down_rejections the operations refused inside a down
+// window or while marked down; nodefaults.{down,slow}_windows the
+// windows opened.
 func (ns *Nodes) SetObs(r *obs.Registry) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -140,7 +129,6 @@ func NewNodes(seed int64, n int) *Nodes {
 		s := seed ^ int64(uint64(i+1)*0x9e3779b97f4a7c15)
 		ns.states[i] = &nodeState{rng: rand.New(rand.NewSource(s))}
 	}
-	ns.SetObs(obs.NewRegistry())
 	return ns
 }
 
@@ -191,19 +179,6 @@ func (ns *Nodes) MarkUp(node int) error {
 	st.manualDown = false
 	st.downUntil = 0
 	return nil
-}
-
-// Counts returns the node fault counters so far.
-func (ns *Nodes) Counts() NodeCounts {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return NodeCounts{
-		Ops:            ns.no.ops.Value(),
-		Flaky:          ns.no.flaky.Value(),
-		DownRejections: ns.no.downRejections.Value(),
-		DownWindows:    ns.no.downWindows.Value(),
-		SlowWindows:    ns.no.slowWindows.Value(),
-	}
 }
 
 // state returns the per-node state; callers hold ns.mu.

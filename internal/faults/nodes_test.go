@@ -1,9 +1,11 @@
 package faults_test
 
 import (
+	"maps"
 	"testing"
 
 	"nose/internal/faults"
+	"nose/internal/obs"
 )
 
 // drive runs a fixed op sequence against a node set and returns the
@@ -13,8 +15,8 @@ type nodeOutcome struct {
 	factor float64
 }
 
-func driveNodes(seed int64, n int, p faults.NodeProfile, ops int) ([]nodeOutcome, faults.NodeCounts) {
-	ns := faults.NewNodes(seed, n)
+func driveNodes(seed int64, n int, p faults.NodeProfile, ops int) ([]nodeOutcome, map[string]int64) {
+	ns, reg := newNodes(seed, n)
 	ns.SetDefaultProfile(p)
 	var trace []nodeOutcome
 	for i := 0; i < ops; i++ {
@@ -25,15 +27,22 @@ func driveNodes(seed int64, n int, p faults.NodeProfile, ops int) ([]nodeOutcome
 		}
 		trace = append(trace, nodeOutcome{kind, factor})
 	}
-	return trace, ns.Counts()
+	return trace, reg.Snapshot().Counters
+}
+
+// newNodes builds a node fault set counting into the returned registry.
+func newNodes(seed int64, n int) (*faults.Nodes, *obs.Registry) {
+	ns, reg := faults.NewNodes(seed, n), obs.NewRegistry()
+	ns.SetObs(reg)
+	return ns, reg
 }
 
 func TestNodesDeterministicPerSeed(t *testing.T) {
 	p := faults.NodeRate(0.3)
 	t1, c1 := driveNodes(99, 5, p, 2000)
 	t2, c2 := driveNodes(99, 5, p, 2000)
-	if c1 != c2 {
-		t.Fatalf("counts differ for the same seed: %+v vs %+v", c1, c2)
+	if !maps.Equal(c1, c2) {
+		t.Fatalf("counters differ for the same seed: %v vs %v", c1, c2)
 	}
 	for i := range t1 {
 		if t1[i] != t2[i] {
@@ -54,15 +63,15 @@ func TestNodesDeterministicPerSeed(t *testing.T) {
 }
 
 func TestNodesTransparentWithoutProfile(t *testing.T) {
-	ns := faults.NewNodes(1, 3)
+	ns, reg := newNodes(1, 3)
 	for i := 0; i < 100; i++ {
 		if ferr, factor := ns.Decide(i%3, "cf", "get"); ferr != nil || factor != 1 {
 			t.Fatalf("unconfigured node set injected a fault: %v factor %v", ferr, factor)
 		}
 	}
-	c := ns.Counts()
-	if c.Ops != 100 || c.Flaky != 0 || c.DownRejections != 0 {
-		t.Errorf("counts = %+v, want 100 clean ops", c)
+	ops, flaky, down := counter(t, reg, "nodefaults.ops"), counter(t, reg, "nodefaults.flaky"), counter(t, reg, "nodefaults.down_rejections")
+	if ops != 100 || flaky != 0 || down != 0 {
+		t.Errorf("%d ops, %d flaky, %d down rejections; want 100 clean ops", ops, flaky, down)
 	}
 }
 
@@ -93,7 +102,7 @@ func TestNodesMarkDownUp(t *testing.T) {
 // opens a down window on the first op; the node rejects operations for
 // DownOps ops and then recovers on its own.
 func TestNodesDownWindow(t *testing.T) {
-	ns := faults.NewNodes(1, 1)
+	ns, reg := newNodes(1, 1)
 	ns.SetProfile(0, faults.NodeProfile{DownRate: 1, DownOps: 3})
 	ferr, _ := ns.Decide(0, "cf", "get")
 	if ferr == nil || ferr.Kind != faults.Unavailable {
@@ -104,9 +113,8 @@ func TestNodesDownWindow(t *testing.T) {
 			t.Fatalf("op %d inside the window passed", i)
 		}
 	}
-	c := ns.Counts()
-	if c.DownWindows != 1 {
-		t.Errorf("DownWindows = %d, want 1", c.DownWindows)
+	if got := counter(t, reg, "nodefaults.down_windows"); got != 1 {
+		t.Errorf("nodefaults.down_windows = %d, want 1", got)
 	}
 	// The window has elapsed; with DownRate=1 the next healthy draw
 	// opens a new one — so assert via a zero-rate profile instead.
@@ -118,7 +126,7 @@ func TestNodesDownWindow(t *testing.T) {
 
 // TestNodesSlowWindow pins slow-window latency inflation.
 func TestNodesSlowWindow(t *testing.T) {
-	ns := faults.NewNodes(1, 1)
+	ns, reg := newNodes(1, 1)
 	ns.SetProfile(0, faults.NodeProfile{SlowRate: 1, SlowOps: 2, SlowFactor: 4})
 	if ferr, factor := ns.Decide(0, "cf", "get"); ferr != nil || factor != 4 {
 		t.Fatalf("opening op: fault %v factor %v, want nil and 4", ferr, factor)
@@ -132,13 +140,13 @@ func TestNodesSlowWindow(t *testing.T) {
 	if _, factor := ns.Decide(0, "cf", "get"); factor != 1 {
 		t.Fatalf("factor %v after the slow window, want 1", factor)
 	}
-	if c := ns.Counts(); c.SlowWindows != 1 {
-		t.Errorf("SlowWindows = %d, want 1", c.SlowWindows)
+	if got := counter(t, reg, "nodefaults.slow_windows"); got != 1 {
+		t.Errorf("nodefaults.slow_windows = %d, want 1", got)
 	}
 }
 
 func TestNodesFlaky(t *testing.T) {
-	ns := faults.NewNodes(1, 1)
+	ns, reg := newNodes(1, 1)
 	ns.SetProfile(0, faults.NodeProfile{FlakyRate: 1})
 	ferr, _ := ns.Decide(0, "cf", "put")
 	if ferr == nil || ferr.Kind != faults.Transient {
@@ -150,8 +158,8 @@ func TestNodesFlaky(t *testing.T) {
 	if ferr.Node != 0 {
 		t.Errorf("fault attributed to node %d, want 0", ferr.Node)
 	}
-	if c := ns.Counts(); c.Flaky != 1 {
-		t.Errorf("Flaky = %d, want 1", c.Flaky)
+	if got := counter(t, reg, "nodefaults.flaky"); got != 1 {
+		t.Errorf("nodefaults.flaky = %d, want 1", got)
 	}
 }
 

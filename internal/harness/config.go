@@ -268,5 +268,5 @@ func NewReplicatedSystem(name string, ds *backend.Dataset, rec *search.Recommend
 
 // Faults returns the per-family fault injector Config.FamilyWeather
 // declared, or nil. Production never reaches past the System for it;
-// the failover tests do, to degrade one family or read its counts.
+// the failover tests do, to degrade one family or mark it down.
 func (s *System) Faults() *faults.Injector { return s.inj }

@@ -138,22 +138,21 @@ func TestMarkDownFailsOverToSurvivingPlan(t *testing.T) {
 	if ms <= 0 {
 		t.Error("failover execution charged no time")
 	}
-	r := f.sys.Robustness()
-	if r.Failovers == 0 {
+	if counter(t, f.sys, "harness.failovers") == 0 {
 		t.Error("no failover recorded for rerouted statement")
 	}
-	if r.DegradedStatements == 0 {
+	if counter(t, f.sys, "harness.degraded_statements") == 0 {
 		t.Error("rerouted statement not counted as degraded")
 	}
 
 	// Recovery: marking the family back up restores the primary plan
 	// path and stops accumulating failovers.
 	f.sys.MarkUp(primary)
-	before := f.sys.Robustness().Failovers
+	before := counter(t, f.sys, "harness.failovers")
 	if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.sys.Robustness().Failovers; got != before {
+	if got := counter(t, f.sys, "harness.failovers"); got != before {
 		t.Errorf("failovers grew after recovery: %d -> %d", before, got)
 	}
 }
@@ -169,9 +168,8 @@ func TestAllPlansDownYieldsErrUnavailable(t *testing.T) {
 	if !errors.Is(err, harness.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
-	r := f.sys.Robustness()
-	if r.Unavailable != 1 {
-		t.Errorf("unavailable = %d, want 1", r.Unavailable)
+	if got := counter(t, f.sys, "harness.unavailable"); got != 1 {
+		t.Errorf("harness.unavailable = %d, want 1", got)
 	}
 }
 
@@ -196,11 +194,10 @@ func TestInjectedUnavailabilityDiscoversFailover(t *testing.T) {
 	if ms <= healthy {
 		t.Errorf("degraded execution (%.3fms) should cost more than healthy (%.3fms)", ms, healthy)
 	}
-	r := f.sys.Robustness()
-	if r.Failovers == 0 {
+	if counter(t, f.sys, "harness.failovers") == 0 {
 		t.Error("no failover recorded")
 	}
-	if r.Injected.Unavailables == 0 {
+	if counter(t, f.sys, "faults.unavailables") == 0 {
 		t.Error("injector counted no unavailability")
 	}
 }
@@ -220,14 +217,13 @@ func TestRetryExhaustionFailsOver(t *testing.T) {
 	if ms <= 0 {
 		t.Error("no time charged")
 	}
-	r := f.sys.Robustness()
-	if r.Retries == 0 || r.RetryExhausted == 0 {
-		t.Errorf("retry counters %+v, want retries and exhaustion", r)
+	if retries, exhausted := counter(t, f.sys, "exec.retries"), counter(t, f.sys, "exec.retry_exhausted"); retries == 0 || exhausted == 0 {
+		t.Errorf("%d retries, %d exhausted; want both", retries, exhausted)
 	}
-	if r.Failovers == 0 {
+	if counter(t, f.sys, "harness.failovers") == 0 {
 		t.Error("no failover recorded")
 	}
-	if r.BackoffMillis <= 0 || r.WastedMillis <= 0 {
+	if gauge(t, f.sys, "exec.backoff_sim_ms") <= 0 || gauge(t, f.sys, "exec.wasted_sim_ms") <= 0 {
 		t.Error("retry latency not charged")
 	}
 }
@@ -321,7 +317,7 @@ func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 	if !errors.Is(err, harness.ErrUnavailable) {
 		t.Fatalf("write to down family: err = %v, want ErrUnavailable", err)
 	}
-	if r := sys.Robustness(); r.Unavailable == 0 {
+	if counter(t, sys, "harness.unavailable") == 0 {
 		t.Error("unavailable write not counted")
 	}
 }
@@ -336,11 +332,10 @@ func TestTransientFaultRetriedInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := f.sys.Robustness()
-	if r.Retries == 0 {
+	if counter(t, f.sys, "exec.retries") == 0 {
 		t.Error("no retries at 30% transient rate over 50 statements")
 	}
-	if r.DegradedStatements == 0 || r.DegradedMillis <= 0 {
+	if counter(t, f.sys, "harness.degraded_statements") == 0 || gauge(t, f.sys, "harness.degraded_sim_ms") <= 0 {
 		t.Error("degraded statements not costed")
 	}
 }
@@ -392,11 +387,10 @@ func TestDegradedCountsTheStatementsOwnRetries(t *testing.T) {
 		t.Fatalf("statement B: %v", err)
 	}
 
-	r := f.sys.Robustness()
-	if r.Statements != 2 || r.Retries != 1 {
-		t.Fatalf("fixture: %d statements, %d retries; want 2 and 1", r.Statements, r.Retries)
+	if statements, retries := counter(t, f.sys, "harness.statements"), counter(t, f.sys, "exec.retries"); statements != 2 || retries != 1 {
+		t.Fatalf("fixture: %d statements, %d retries; want 2 and 1", statements, retries)
 	}
-	if r.DegradedStatements != 1 {
-		t.Errorf("%d degraded statements, want 1: only A retried", r.DegradedStatements)
+	if got := counter(t, f.sys, "harness.degraded_statements"); got != 1 {
+		t.Errorf("%d degraded statements, want 1: only A retried", got)
 	}
 }

@@ -12,7 +12,7 @@
 // fails over to the cheapest surviving plan that avoids the family.
 // Statements with no surviving plan fail with ErrUnavailable rather
 // than an opaque error, and every retry, failover and unavailability is
-// counted in the system's RobustnessReport.
+// counted in the system's registry (see Obs).
 package harness
 
 import (
@@ -118,11 +118,55 @@ type System struct {
 // background migration cuts over.
 func (s *System) Rec() *search.Recommendation { return s.plans.Load().rec }
 
-// Obs returns the system's private metric registry. Callers merge it
-// into a run-wide registry with Registry.Merge; the per-system counters
-// are scheduling-invariant, so merged totals are identical at any
-// worker count.
+// Obs returns the system's metric registry — the one ledger of what the
+// system endured: every layer New stacked counts into it (store.*,
+// coord.*, exec.*, faults.*, nodefaults.*), next to the harness's own
+// statement outcomes and migration work (harness.*). Callers read it by
+// name or merge it into a run-wide registry with Registry.Merge; the
+// per-system counters are scheduling-invariant, so merged totals are
+// identical at any worker count.
 func (s *System) Obs() *obs.Registry { return s.reg }
+
+// robustCounters pre-binds the harness.* statement-outcome instruments:
+// record runs once per statement, so it adds to handles rather than
+// looking names up. Outcomes from concurrent goroutines aggregate by
+// atomic addition.
+type robustCounters struct {
+	statements         *obs.Counter
+	failovers          *obs.Counter
+	unavailable        *obs.Counter
+	degradedStatements *obs.Counter
+	degradedSimMs      *obs.Gauge
+	statementLat       *obs.Histogram
+}
+
+// newRobustCounters binds the harness.* instruments in a registry.
+func newRobustCounters(r *obs.Registry) robustCounters {
+	return robustCounters{
+		statements:         r.Counter("harness.statements"),
+		failovers:          r.Counter("harness.failovers"),
+		unavailable:        r.Counter("harness.unavailable"),
+		degradedStatements: r.Counter("harness.degraded_statements"),
+		degradedSimMs:      r.Gauge("harness.degraded_sim_ms"),
+		statementLat:       r.Histogram("harness.statement.sim_ms"),
+	}
+}
+
+// record books one statement execution's outcome: a statement that
+// needed a retry or a failover is degraded, and its simulated time adds
+// to harness.degraded_sim_ms.
+func (c *robustCounters) record(millis float64, failovers int64, unavailable, degraded bool) {
+	c.statements.Inc()
+	c.failovers.Add(failovers)
+	c.statementLat.Observe(millis)
+	if unavailable {
+		c.unavailable.Inc()
+	}
+	if degraded || failovers > 0 {
+		c.degradedStatements.Inc()
+		c.degradedSimMs.Add(millis)
+	}
+}
 
 // EnableTrace emits one Chrome-trace event per executed statement onto
 // the tracer's simulated-clock timeline: events for this system land on

@@ -67,7 +67,8 @@ func familyWeather(seed int64, p faults.Profile) func(*harness.Config) {
 // TestLiveMigrationServesWhileMigrating: statements keep executing on
 // the old plans during backfill, the plan cutover happens exactly when
 // every record has landed, and afterward the system serves the new
-// schema — with the whole ledger visible in the RobustnessReport.
+// schema — with the whole ledger visible in the harness.live.*
+// instruments.
 func TestLiveMigrationServesWhileMigrating(t *testing.T) {
 	ds, txns, rec, sys, cfg := liveFixture(t)
 
@@ -124,15 +125,19 @@ func TestLiveMigrationServesWhileMigrating(t *testing.T) {
 	if res.Records <= 0 || res.SimMillis <= 0 {
 		t.Errorf("live migration charged nothing: %+v", res)
 	}
-	r := sys.Robustness()
-	if r.Migration.Started != 1 || r.Migration.CutOver != 1 || r.Migration.Completed != 1 || r.Migration.Aborted != 0 {
-		t.Errorf("migration stats = %+v", r.Migration)
+	for _, name := range []string{"harness.live.started", "harness.live.cutovers", "harness.live.completed"} {
+		if got := counter(t, sys, name); got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
 	}
-	if r.Migration.BackfillRecords != int64(res.Records) {
-		t.Errorf("BackfillRecords = %d, want %d", r.Migration.BackfillRecords, res.Records)
+	if _, aborted := sys.Obs().Snapshot().Counters["harness.live.aborted"]; aborted {
+		t.Error("a completed migration counted an abort")
 	}
-	if r.Migration.SimMillis <= 0 {
-		t.Error("migration SimMillis not charged into the report")
+	if got := counter(t, sys, "harness.live.backfill_records"); got != int64(res.Records) {
+		t.Errorf("harness.live.backfill_records = %d, want %d", got, res.Records)
+	}
+	if gauge(t, sys, "harness.live.sim_ms") <= 0 {
+		t.Error("migration simulated time not charged into harness.live.sim_ms")
 	}
 }
 
@@ -229,14 +234,19 @@ func TestLiveMigrationAbortRollsBackUnderFaults(t *testing.T) {
 			t.Fatalf("%s after abort: %v", txn.Name, err)
 		}
 	}
-	r := sys.Robustness()
-	if r.Migration.Aborted != 1 || r.Migration.CutOver != 0 || r.Migration.Completed != 0 {
-		t.Errorf("migration stats = %+v, want exactly one abort", r.Migration)
+	if got := counter(t, sys, "harness.live.aborted"); got != 1 {
+		t.Errorf("harness.live.aborted = %d, want exactly one abort", got)
 	}
-	if r.Migration.BackfillFaults == 0 {
+	counters := sys.Obs().Snapshot().Counters
+	for _, name := range []string{"harness.live.cutovers", "harness.live.completed"} {
+		if _, ok := counters[name]; ok {
+			t.Errorf("an aborted migration counted %s", name)
+		}
+	}
+	if counter(t, sys, "harness.live.faults") == 0 {
 		t.Error("abort charged no faults")
 	}
-	if r.Migration.SimMillis <= 0 {
+	if gauge(t, sys, "harness.live.sim_ms") <= 0 {
 		t.Error("failed backfill attempts charged no simulated time")
 	}
 	_ = w
@@ -326,7 +336,8 @@ func TestMigrateRefusedDuringLiveMigration(t *testing.T) {
 }
 
 // TestDriftDetectorWiring: EnableDrift observes executed statements,
-// mirrors the mix into harness.mix.* counters, and parks exactly one
+// mirrors the mix into harness.mix.* counters, binds the detector's
+// drift.* instruments to the system registry, and parks exactly one
 // trigger for TakeDriftTrigger.
 func TestDriftDetectorWiring(t *testing.T) {
 	ds, txns, rec, sys, cfg := liveFixture(t)
@@ -357,11 +368,11 @@ func TestDriftDetectorWiring(t *testing.T) {
 	if sys.TakeDriftTrigger() != nil {
 		t.Fatal("trigger consumed twice")
 	}
-	if det.Stats().Triggers == 0 {
+	if counter(t, sys, "drift.triggers") == 0 {
 		t.Fatal("detector counted no trigger")
 	}
 	label := workload.Label(other.Statements[0])
-	if got := sys.Obs().Counter("harness.mix." + label).Value(); got < 30 {
+	if got := counter(t, sys, "harness.mix."+label); got < 30 {
 		t.Errorf("harness.mix.%s = %d, want >= 30", label, got)
 	}
 }

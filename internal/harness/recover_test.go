@@ -155,9 +155,8 @@ func TestRecoverResumesMidBackfill(t *testing.T) {
 		t.Fatal("recovered system did not adopt the migrated recommendation")
 	}
 	mustVerify(t, sys2.System)
-	r := sys2.Robustness().Recovery
-	if r.Attempts != 1 || r.Resumed != 1 {
-		t.Fatalf("recovery stats = %+v, want one resumed attempt", r)
+	if attempts, resumed := counter(t, sys2.System, "harness.recover.attempts"), counter(t, sys2.System, "harness.recover.resumed"); attempts != 1 || resumed != 1 {
+		t.Fatalf("%d recovery attempts, %d resumed; want one resumed attempt", attempts, resumed)
 	}
 }
 
@@ -207,8 +206,8 @@ func TestRecoverRollsForwardAtCutover(t *testing.T) {
 			t.Fatalf("arm %d: recovered system not serving the new schema", armAt)
 		}
 		mustVerify(t, sys2.System)
-		if r := sys2.Robustness().Recovery; r.Completed != 1 {
-			t.Fatalf("arm %d: recovery stats = %+v, want one completed attempt", armAt, r)
+		if got := counter(t, sys2.System, "harness.recover.completed"); got != 1 {
+			t.Fatalf("arm %d: harness.recover.completed = %d, want one completed attempt", armAt, got)
 		}
 	}
 }
@@ -321,7 +320,7 @@ func TestReplicatedCrashRecovery(t *testing.T) {
 		if _, err := sys.ExecStatement(f.insert, wp); err != nil {
 			t.Fatalf("%s: write with a replica down: %v", site, err)
 		}
-		if sys.Robustness().Replica.HintsQueued == 0 {
+		if counter(t, sys, "coord.hints_queued") == 0 {
 			t.Fatalf("%s: no hints queued", site)
 		}
 		if err := sys.MarkNodeUp(replicas[0]); err != nil {
@@ -401,7 +400,7 @@ func TestDrainExactFaultBudgetBoundary(t *testing.T) {
 				if !errors.Is(err, migrate.ErrAborted) || st != migrate.StateAborted {
 					t.Fatalf("state %v, err %v, want abort", st, err)
 				}
-				if sys.Robustness().Migration.Aborted != 1 {
+				if counter(t, sys, "harness.live.aborted") != 1 {
 					t.Fatal("abort not counted")
 				}
 			} else {
@@ -513,19 +512,18 @@ func TestAbortStopsDualWriteForwardingRace(t *testing.T) {
 			t.Errorf("family %s survived the direct abort", x.Name)
 		}
 	}
-	r := sys.Robustness().Migration
-	if r.Aborted != 1 {
-		t.Fatalf("migration stats = %+v, want exactly one abort", r)
+	if got := counter(t, sys, "harness.live.aborted"); got != 1 {
+		t.Fatalf("harness.live.aborted = %d, want exactly one abort", got)
 	}
 	// With the system quiet, forwarding must be provably off: more write
 	// traffic adds no dual-writes.
-	before := sys.Robustness().Migration.DualWrites
+	before := counter(t, sys, "harness.live.dual_writes")
 	ps := rubis.NewParamSource(cfg, 3)
 	for i := 0; i < 50; i++ {
 		txn := txns[i%len(txns)]
 		_, _ = sys.ExecTransaction(txn.Statements, ps.Params(txn.Name))
 	}
-	if after := sys.Robustness().Migration.DualWrites; after != before {
+	if after := counter(t, sys, "harness.live.dual_writes"); after != before {
 		t.Fatalf("dual-writes still flowing after abort: %d -> %d", before, after)
 	}
 }

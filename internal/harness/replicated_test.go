@@ -162,8 +162,8 @@ func TestReplicatedNodeDownPerLevel(t *testing.T) {
 			if !errors.Is(err, harness.ErrUnavailable) {
 				t.Fatalf("ALL with a replica down: err = %v, want ErrUnavailable", err)
 			}
-			if r := sys.Robustness(); r.Unavailable == 0 || r.Replica.ReadUnavailable == 0 {
-				t.Errorf("ALL: unavailability not counted: %+v", r)
+			if counter(t, sys, "harness.unavailable") == 0 || counter(t, sys, "coord.read_unavailable") == 0 {
+				t.Error("ALL: unavailability not counted")
 			}
 			continue
 		}
@@ -179,12 +179,11 @@ func TestReplicatedNodeDownPerLevel(t *testing.T) {
 		if _, err := sys.ExecStatement(f.insert, wp); err != nil {
 			t.Fatalf("%v write with a replica down: %v", level, err)
 		}
-		r := sys.Robustness()
-		if r.Replica.HintsQueued == 0 {
+		if counter(t, sys, "coord.hints_queued") == 0 {
 			t.Errorf("%v: write missed a replica but queued no hint", level)
 		}
-		if r.NodeFaults.DownRejections == 0 {
-			t.Errorf("%v: node fault counters empty: %+v", level, r.NodeFaults)
+		if counter(t, sys, "nodefaults.down_rejections") == 0 {
+			t.Errorf("%v: the down node rejected nothing", level)
 		}
 
 		// Recovery: the node returns, hints replay, and stale reads stop
@@ -197,18 +196,16 @@ func TestReplicatedNodeDownPerLevel(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r = sys.Robustness()
-		if r.Replica.HintsReplayed != r.Replica.HintsQueued {
-			t.Errorf("%v: %d hints queued but %d replayed after recovery",
-				level, r.Replica.HintsQueued, r.Replica.HintsReplayed)
+		if queued, replayed := counter(t, sys, "coord.hints_queued"), counter(t, sys, "coord.hints_replayed"); replayed != queued {
+			t.Errorf("%v: %d hints queued but %d replayed after recovery", level, queued, replayed)
 		}
-		stale := r.Replica.StaleReads
+		stale := counter(t, sys, "coord.stale_reads")
 		for i := 0; i < 3; i++ {
 			if _, err := sys.ExecStatement(f.query, f.params); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if got := sys.Robustness().Replica.StaleReads; got != stale {
+		if got := counter(t, sys, "coord.stale_reads"); got != stale {
 			t.Errorf("%v: stale reads still growing after recovery: %d -> %d", level, stale, got)
 		}
 	}
