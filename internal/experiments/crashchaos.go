@@ -254,19 +254,21 @@ func chaosInsertParams(base, i int) executor.Params {
 
 // restart is the tail every crashed run shares: the process comes back
 // over the surviving cluster with a fresh coordinator (in-memory hints
-// lost), the journal reopened from its durable bytes and the
-// cross-crash verifier re-attached; it replays, settle finishes what
-// recovery decided, the invariants are checked and — whatever recovery
-// decided — the restarted system must serve.
-func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc harness.ReplicationConfig, v *verify.Verifier,
-	durable []byte, pr *search.PhaseRecommendation, ropts harness.RecoverOptions,
-	settle func(*harness.System, *harness.RecoverReport) error) error {
+// lost) under the weather w the crashed incarnation ran in, the journal
+// reopened from its durable bytes and the cross-crash verifier
+// re-attached; it replays, settle finishes what recovery decided, the
+// invariants are checked and — whatever recovery decided — the
+// restarted system must serve. Under that weather serving may end in
+// ErrUnavailable, the degraded outcome: it adds one to *unavailable.
+func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc harness.ReplicationConfig, w harness.NodeWeather,
+	v *verify.Verifier, durable []byte, pr *search.PhaseRecommendation, ropts harness.RecoverOptions,
+	settle func(*harness.System, *harness.RecoverReport) error, unavailable *int64) error {
 	j, recs, err := journal.Open(durable, journal.Options{})
 	if err != nil {
 		return fmt.Errorf("reopen journal: %w", err)
 	}
 	sys, err := c.system(harness.Config{
-		Name: name, Rec: crashed.Rec(), Repl: crashed.Repl, Replication: &rc,
+		Name: name, Rec: crashed.Rec(), Repl: crashed.Repl, Replication: &rc, NodeWeather: &w,
 		Verifier: v, Journal: j,
 	})
 	if err != nil {
@@ -286,7 +288,11 @@ func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc
 	if !vrep.OK() {
 		return fmt.Errorf("invariants violated after recovery (outcome %v):\n%s", rep.Outcome, vrep.Format())
 	}
-	if _, err := sys.ExecStatement(f.query, f.queryParams); err != nil {
+	switch _, err := sys.ExecStatement(f.query, f.queryParams); {
+	case err == nil:
+	case errors.Is(err, harness.ErrUnavailable):
+		*unavailable++
+	default:
 		return fmt.Errorf("query after recovery: %w", err)
 	}
 	return nil
@@ -368,7 +374,7 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w har
 		return nil
 	}
 
-	err = f.restart(c, "recovered", sys, rc, v, j.Durable(), pr, harness.RecoverOptions{Live: liveOpts},
+	err = f.restart(c, "recovered", sys, rc, w, v, j.Durable(), pr, harness.RecoverOptions{Live: liveOpts},
 		func(recovered *harness.System, rep *harness.RecoverReport) error {
 			cell.CrashRuns++
 			cell.RecoverySimMillis += rep.SimMillis
@@ -376,8 +382,17 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w har
 			case harness.RecoverResumed:
 				cell.Resumed++
 				cell.RecopiedRecords += rep.TotalRecords - rep.Watermark
-				if st, err := recovered.DrainLiveMigration(0); err != nil || st != migrate.StateDone {
-					return fmt.Errorf("drain resumed migration: state %v, err %w", st, err)
+				// Stepped under a bound like the crashed run, not drained:
+				// a node-down window at ALL fails every backfill put for a
+				// few steps, which DrainLiveMigration's stall guard would
+				// abort as a dead migration.
+				for i := 0; recovered.LiveActive(); i++ {
+					if i > 10_000 {
+						return errors.New("resumed migration never finished")
+					}
+					if _, err := recovered.LiveStep(); err != nil {
+						return fmt.Errorf("resumed migration step %d: %w", i, err)
+					}
 				}
 			case harness.RecoverCompleted:
 				cell.Completed++
@@ -387,7 +402,7 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w har
 				cell.None++
 			}
 			return nil
-		})
+		}, &cell.Unavailable)
 	if err != nil {
 		return err
 	}
@@ -474,13 +489,14 @@ func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w harness.
 
 	// No journal was attached, so nothing durable to replay and no
 	// migration in flight for recovery to find.
-	err = f.restart(c, "restarted", sys, rc, v, nil, nil, harness.RecoverOptions{},
+	var unavailable int64 // the site table does not count unavailability
+	err = f.restart(c, "restarted", sys, rc, w, v, nil, nil, harness.RecoverOptions{},
 		func(_ *harness.System, rep *harness.RecoverReport) error {
 			if rep.Outcome != harness.RecoverNone {
 				return fmt.Errorf("recover outcome %v, want none (no migration in flight)", rep.Outcome)
 			}
 			return nil
-		})
+		}, &unavailable)
 	out.Verified = err == nil
 	return out, err
 }

@@ -254,7 +254,10 @@ const drainStallLimit = 3
 // budget (or, unbounded, forever) on a migration that cannot finish.
 // The way to get there is a permanently failing backfill put under an
 // unlimited fault budget; a bounded budget aborts on its own when the
-// failures exhaust it.
+// failures exhaust it. A node-down window under declared node weather
+// also stalls a few steps, so crashchaos steps its resumed migrations
+// under its own bound instead; the harness tests drain, and pin the
+// stall guard.
 func (s *System) DrainLiveMigration(maxSteps int) (migrate.State, error) {
 	stalled := 0
 	for i := 0; maxSteps <= 0 || i < maxSteps; i++ {

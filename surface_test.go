@@ -26,6 +26,7 @@ var surfaceKeep = map[string]string{
 	"executor.PendingHints":        "handoff, read-repair and crash-recovery tests read the hint backlog at one instant",
 	"faults.Fired":                 "journal and crash-scheduler tests ask which crash point fired",
 	"faults.SetProfile":            "failover, hedging and read-repair tests degrade one family or one node",
+	"harness.DrainLiveMigration":   "harness tests finish a migration after their workload and pin its stall guard; crashchaos steps under its own bound",
 	"journal.Replay":               "read-only decode the recovery tests and FuzzJournalReplay drive",
 	"planner.Signature":            "planner and search tests compare finished plans by structure",
 	"search.BuildPlans":            "benchmark hook: plan-space stage alone (root bench_test.go)",
