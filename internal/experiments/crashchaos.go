@@ -259,50 +259,51 @@ func chaosInsertParams(base, i int) executor.Params {
 // re-attached; it replays, settle finishes what recovery decided, the
 // invariants are checked and — whatever recovery decided — the
 // restarted system must serve. Under that weather serving may end in
-// ErrUnavailable, the degraded outcome: it adds one to *unavailable.
+// ErrUnavailable, the degraded outcome, which restart reports as
+// unavailable rather than as an error.
 func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc harness.ReplicationConfig, w harness.NodeWeather,
 	v *verify.Verifier, durable []byte, pr *search.PhaseRecommendation, ropts harness.RecoverOptions,
-	settle func(*harness.System, *harness.RecoverReport) error, unavailable *int64) error {
+	settle func(*harness.System, *harness.RecoverReport) error) (unavailable bool, err error) {
 	j, recs, err := journal.Open(durable, journal.Options{})
 	if err != nil {
-		return fmt.Errorf("reopen journal: %w", err)
+		return false, fmt.Errorf("reopen journal: %w", err)
 	}
 	sys, err := c.system(harness.Config{
 		Name: name, Rec: crashed.Rec(), Repl: crashed.Repl, Replication: &rc, NodeWeather: &w,
 		Verifier: v, Journal: j,
 	})
 	if err != nil {
-		return err
+		return false, err
 	}
 	rep, err := sys.Recover(f.ds, recs, pr, ropts)
 	if err != nil {
-		return fmt.Errorf("recover: %w", err)
+		return false, fmt.Errorf("recover: %w", err)
 	}
 	if err := settle(sys, rep); err != nil {
-		return err
+		return false, err
 	}
 	vrep, err := sys.VerifyCheck()
 	if err != nil {
-		return fmt.Errorf("verify: %w", err)
+		return false, fmt.Errorf("verify: %w", err)
 	}
 	if !vrep.OK() {
-		return fmt.Errorf("invariants violated after recovery (outcome %v):\n%s", rep.Outcome, vrep.Format())
+		return false, fmt.Errorf("invariants violated after recovery (outcome %v):\n%s", rep.Outcome, vrep.Format())
 	}
 	switch _, err := sys.ExecStatement(f.query, f.queryParams); {
 	case err == nil:
+		return false, nil
 	case errors.Is(err, harness.ErrUnavailable):
-		*unavailable++
+		return true, nil
 	default:
-		return fmt.Errorf("query after recovery: %w", err)
+		return false, fmt.Errorf("query after recovery: %w", err)
 	}
-	return nil
 }
 
 // migrationRun executes one A -> B live migration on a fresh replicated
 // cluster with the journal crash armed at append index armAt (negative
 // arms nothing), interleaving a query and an insert per step. A crash
 // restarts over the surviving cluster, recovers from the reopened
-// journal, drains a resumed migration, and runs the invariant check.
+// journal, finishes a resumed migration, and runs the invariant check.
 func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w harness.NodeWeather, armAt int64, cell *CrashChaosCell) error {
 	v := verify.New()
 	cr := faults.NewCrashes()
@@ -374,7 +375,7 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w har
 		return nil
 	}
 
-	err = f.restart(c, "recovered", sys, rc, w, v, j.Durable(), pr, harness.RecoverOptions{Live: liveOpts},
+	unavailable, err := f.restart(c, "recovered", sys, rc, w, v, j.Durable(), pr, harness.RecoverOptions{Live: liveOpts},
 		func(recovered *harness.System, rep *harness.RecoverReport) error {
 			cell.CrashRuns++
 			cell.RecoverySimMillis += rep.SimMillis
@@ -402,9 +403,12 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w har
 				cell.None++
 			}
 			return nil
-		}, &cell.Unavailable)
+		})
 	if err != nil {
 		return err
+	}
+	if unavailable {
+		cell.Unavailable++
 	}
 	cell.Verified++
 	return nil
@@ -488,15 +492,15 @@ func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w harness.
 	}
 
 	// No journal was attached, so nothing durable to replay and no
-	// migration in flight for recovery to find.
-	var unavailable int64 // the site table does not count unavailability
-	err = f.restart(c, "restarted", sys, rc, w, v, nil, nil, harness.RecoverOptions{},
+	// migration in flight for recovery to find. The site table does not
+	// count unavailability.
+	_, err = f.restart(c, "restarted", sys, rc, w, v, nil, nil, harness.RecoverOptions{},
 		func(_ *harness.System, rep *harness.RecoverReport) error {
 			if rep.Outcome != harness.RecoverNone {
 				return fmt.Errorf("recover outcome %v, want none (no migration in flight)", rep.Outcome)
 			}
 			return nil
-		}, &unavailable)
+		})
 	out.Verified = err == nil
 	return out, err
 }

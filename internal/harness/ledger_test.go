@@ -34,9 +34,8 @@ func gauge(t *testing.T, sys *harness.System, name string) float64 {
 	return v
 }
 
-// TestRegistryVocabulary pins the names the data plane counts under —
-// every number the deleted report structs used to copy. A replicated
-// system declaring family weather, node weather and a verifier serves a
+// TestRegistryVocabulary pins the names the data plane counts under. A
+// replicated system declaring family weather, node weather and a verifier serves a
 // faulted mix at ONE reads (so a read can land on a replica with hints
 // pending) and QUORUM writes; its registry must hold every retry,
 // coordination, fault and statement-outcome instrument, and the mix

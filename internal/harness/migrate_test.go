@@ -79,14 +79,13 @@ func TestMigrateInstallsAndAdoptsRecommendation(t *testing.T) {
 		}
 	}
 
-	reg := sys.Obs()
-	if got := reg.Counter("harness.migrations").Value(); got != 1 {
+	if got := counter(t, sys, "harness.migrations"); got != 1 {
 		t.Errorf("harness.migrations = %d, want 1", got)
 	}
-	if got := reg.Counter("harness.migration_families_built").Value(); got != int64(len(res.Built)) {
+	if got := counter(t, sys, "harness.migration_families_built"); got != int64(len(res.Built)) {
 		t.Errorf("harness.migration_families_built = %d, want %d", got, len(res.Built))
 	}
-	if got := reg.Gauge("harness.migration_sim_ms").Value(); got != res.SimMillis {
+	if got := gauge(t, sys, "harness.migration_sim_ms"); got != res.SimMillis {
 		t.Errorf("harness.migration_sim_ms = %v, want %v", got, res.SimMillis)
 	}
 }
