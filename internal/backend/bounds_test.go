@@ -6,83 +6,10 @@ import (
 	"nose/internal/cost"
 )
 
-// scanVisited counts the records a bounded scan touches, mirroring the
-// Get scan loop without the matchRanges filter.
-func scanVisited(t *btree, from, to Bound) int {
-	n := 0
-	t.Scan(from, to, func([]Value, []Value) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-// TestScanBoundsGTExclusive is the regression test for the GT lower
-// bound: with a single clustering column the bound must exclude keys
-// equal to the bound value instead of scanning and discarding them.
-func TestScanBoundsGTExclusive(t *testing.T) {
-	tree := newBTree()
-	for i := int64(0); i < 10; i++ {
-		tree.Set([]Value{i}, []Value{i})
-	}
-
-	from, to := scanBounds([]ClusterRange{{Op: GT, Value: int64(4)}}, 1)
-	if from.Inclusive {
-		t.Error("GT lower bound over a single clustering column should be exclusive")
-	}
-	if got := scanVisited(tree, from, to); got != 5 {
-		t.Errorf("GT 4 visited %d records, want 5 (keys 5..9)", got)
-	}
-
-	// GE keeps the equal key.
-	from, to = scanBounds([]ClusterRange{{Op: GE, Value: int64(4)}}, 1)
-	if !from.Inclusive {
-		t.Error("GE lower bound should be inclusive")
-	}
-	if got := scanVisited(tree, from, to); got != 6 {
-		t.Errorf("GE 4 visited %d records, want 6 (keys 4..9)", got)
-	}
-
-	// Single-column upper bounds are exact too.
-	from, to = scanBounds([]ClusterRange{{Op: LT, Value: int64(4)}}, 1)
-	if got := scanVisited(tree, from, to); got != 4 {
-		t.Errorf("LT 4 visited %d records, want 4 (keys 0..3)", got)
-	}
-	from, to = scanBounds([]ClusterRange{{Op: LE, Value: int64(4)}}, 1)
-	if got := scanVisited(tree, from, to); got != 5 {
-		t.Errorf("LE 4 visited %d records, want 5 (keys 0..4)", got)
-	}
-}
-
-// TestScanBoundsCompositeGT checks that composite clustering keys that
-// share the bounded first value are still scanned (the bound cannot
-// express a prefix-exclusive cut) and that matchRanges discards them,
-// so results stay correct.
-func TestScanBoundsCompositeGT(t *testing.T) {
-	tree := newBTree()
-	for i := int64(0); i < 4; i++ {
-		for j := int64(0); j < 3; j++ {
-			tree.Set([]Value{i, j}, []Value{i * 10})
-		}
-	}
-	ranges := []ClusterRange{{Op: GT, Value: int64(1)}}
-	from, to := scanBounds(ranges, 2)
-	kept := 0
-	tree.Scan(from, to, func(key []Value, _ []Value) bool {
-		if matchRanges(key, ranges) {
-			kept++
-		}
-		return true
-	})
-	if kept != 6 {
-		t.Errorf("composite GT 1 kept %d records, want 6 (first col 2..3)", kept)
-	}
-}
-
-// TestGetRangesAgainstFlatFamily is the regression test for the
-// matchRanges panic: a ranged get against a column family with zero
-// clustering columns must return a descriptive error, not index key[0]
-// of an empty key.
+// TestGetRangesAgainstFlatFamily is the regression test for a ranged
+// get against a column family with zero clustering columns: it must
+// return a descriptive error, not index the first value of an empty
+// clustering key.
 func TestGetRangesAgainstFlatFamily(t *testing.T) {
 	s := NewStore(cost.DefaultParams())
 	def := ColumnFamilyDef{
@@ -110,7 +37,7 @@ func TestGetRangesAgainstFlatFamily(t *testing.T) {
 	}
 }
 
-// TestGetRangeEquivalence cross-checks the tightened bounds against a
+// TestGetRangeEquivalence cross-checks each single bound against a
 // brute-force filter over every record.
 func TestGetRangeEquivalence(t *testing.T) {
 	s := NewStore(cost.DefaultParams())

@@ -75,47 +75,3 @@ func TestEncodeKeyInjectiveProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestBTreeScanMatchesSortInvariant: after random inserts, a scan with
-// random bounds returns exactly the in-bound keys in order.
-func TestBTreeScanMatchesSortInvariant(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 200; trial++ {
-		tr := newBTree()
-		present := map[int64]bool{}
-		n := 1 + r.Intn(300)
-		for i := 0; i < n; i++ {
-			k := int64(r.Intn(500))
-			present[k] = true
-			tr.Set([]Value{k}, []Value{k})
-		}
-		lo := int64(r.Intn(500))
-		hi := lo + int64(r.Intn(100))
-		want := 0
-		for k := range present {
-			if k >= lo && k <= hi {
-				want++
-			}
-		}
-		got := 0
-		prev := int64(-1 << 62)
-		tr.Scan(
-			Bound{Key: []Value{lo}, Inclusive: true},
-			Bound{Key: []Value{hi, int64(1 << 62)}, Inclusive: true},
-			func(key, _ []Value) bool {
-				k := key[0].(int64)
-				if k < lo || k > hi {
-					t.Fatalf("out of bounds key %d not in [%d,%d]", k, lo, hi)
-				}
-				if k <= prev {
-					t.Fatalf("scan out of order")
-				}
-				prev = k
-				got++
-				return true
-			})
-		if got != want {
-			t.Fatalf("trial %d: scan returned %d keys, want %d", trial, got, want)
-		}
-	}
-}

@@ -1,8 +1,9 @@
 // Package backend implements a simulated extensible record store with
 // the Cassandra-style column family model the paper targets (§III-C):
 // column families map a composite partition key to clustering-ordered
-// records of cells, accessed only through get, put and delete. Data
-// lives in real per-partition B+trees and operations do real work; in
+// records of cells, accessed only through get, put and delete. Each
+// partition's records live in one slice sorted by clustering key, found
+// by binary search, and operations do real work; in
 // addition, every operation is charged a deterministic service time
 // from the same coefficients as the advisor's cost model, so measured
 // "response times" compare schemas the way the paper's Cassandra
