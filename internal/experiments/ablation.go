@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -58,11 +59,14 @@ func RunAblation(cfg Fig11Config) (*AblationResult, error) {
 		opt := advisorOptions(cfg.Advisor, cfg.Obs, cfg.Trace)
 		v.mutate(&opt)
 		rec, err := search.Advise(w, opt)
-		if err != nil {
-			// A variant unable to cover the workload is itself a
+		if errors.Is(err, search.ErrInfeasible) {
+			// A variant proven unable to cover the workload is itself a
 			// finding: record why under its name, with a zero ratio.
 			res.Rows = append(res.Rows, AblationRow{Variant: v.name + " (infeasible: " + err.Error() + ")"})
 			continue
+		}
+		if err != nil {
+			return nil, err
 		}
 		if v.name == "full" {
 			base = rec.Cost

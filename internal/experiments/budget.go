@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -24,9 +25,10 @@ type BudgetRow struct {
 	Families int
 	// UsedMB is the estimated size of the recommended schema.
 	UsedMB float64
-	// Infeasible records that no covering schema fits the budget —
-	// possible because denormalized views can be smaller than the
-	// normalized alternatives that would replace them.
+	// Infeasible records that the solver proved no covering schema fits
+	// the budget — possible because denormalized views can be smaller
+	// than the normalized alternatives that would replace them. Any
+	// other advise error fails the sweep.
 	Infeasible bool
 }
 
@@ -64,13 +66,16 @@ func RunBudgetSweep(cfg Fig11Config, fractions []float64) (*BudgetResult, error)
 		opt := advisor
 		opt.SpaceBudgetBytes = free.Schema.TotalSizeBytes() * f
 		rec, err := search.Advise(w, opt)
-		if err != nil {
+		if errors.Is(err, search.ErrInfeasible) {
 			res.Rows = append(res.Rows, BudgetRow{
 				Fraction:   f,
 				BudgetMB:   opt.SpaceBudgetBytes / 1e6,
 				Infeasible: true,
 			})
 			continue
+		}
+		if err != nil {
+			return nil, err
 		}
 		res.Rows = append(res.Rows, BudgetRow{
 			Fraction:  f,

@@ -218,6 +218,22 @@ func TestRunFig13SmallFactors(t *testing.T) {
 	}
 }
 
+// TestBudgetSweepFailsOnNodeLimit: only a phase 1 that proves no
+// schema fits may print as "no covering schema fits". Under a 3-node
+// limit the 75 % budget runs out of nodes before it finds a schema (500
+// nodes find one with 3 families), which proves nothing, so the sweep
+// must fail through its error path.
+func TestBudgetSweepFailsOnNodeLimit(t *testing.T) {
+	cfg := experiments.Fig11Config{Advisor: search.Options{BIP: bip.Options{MaxNodes: 3}}}
+	res, err := experiments.RunBudgetSweep(cfg, []float64{0.75})
+	if err == nil {
+		t.Fatalf("sweep under a 3-node limit succeeded:\n%s", res.Format())
+	}
+	if !strings.Contains(err.Error(), "node-limit") {
+		t.Errorf("err = %v, want the phase 1 node-limit failure", err)
+	}
+}
+
 // TestRunQuorumDeterministicSweep drives the availability/consistency
 // sweep at tiny scale and pins its contract: identical config and seed
 // reproduce the result bit for bit (at any advisor worker count), ALL

@@ -8,6 +8,7 @@ package search
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -21,6 +22,12 @@ import (
 	"nose/internal/schema"
 	"nose/internal/workload"
 )
+
+// ErrInfeasible is wrapped by the error Advise returns when phase 1
+// proves that no schema satisfies the constraints, as when no covering
+// schema fits a space budget. A node limit reached before any schema
+// was found proves nothing and does not wrap it.
+var ErrInfeasible = errors.New("no feasible schema")
 
 // Options configures an advisor run.
 type Options struct {
@@ -299,6 +306,9 @@ func (p *Prepared) solve(rec *Recommendation) (*bip.Result, *colRefs, error) {
 	}
 	rec.Stats.Phase1 = endSolve(sp, res1)
 	if !res1.HasSolution {
+		if res1.Status == bip.Infeasible {
+			return nil, nil, fmt.Errorf("search: phase 1 %v: %w", res1.Status, ErrInfeasible)
+		}
 		return nil, nil, fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
 	}
 	rec.Stats.Nodes = res1.Nodes
