@@ -15,9 +15,6 @@ import (
 
 // Config tunes plan-space generation.
 type Config struct {
-	// RangeSelectivity is the assumed fraction of rows matching an
-	// inequality predicate.
-	RangeSelectivity float64
 	// MaxPlansPerQuery bounds each query's plan space; the cheapest
 	// plans are kept. Zero means DefaultMaxPlansPerQuery.
 	MaxPlansPerQuery int
@@ -35,7 +32,6 @@ const DefaultMaxPlansPerQuery = 64
 // DefaultConfig returns the default planner configuration.
 func DefaultConfig() Config {
 	return Config{
-		RangeSelectivity: enumerator.RangeSelectivity,
 		MaxPlansPerQuery: DefaultMaxPlansPerQuery,
 	}
 }
@@ -90,9 +86,6 @@ type Counts struct {
 // The pool must be complete: families added to it later are not
 // planned over.
 func New(pool *enumerator.Pool, m cost.Model, cfg Config) *Planner {
-	if cfg.RangeSelectivity <= 0 || cfg.RangeSelectivity > 1 {
-		cfg.RangeSelectivity = enumerator.RangeSelectivity
-	}
 	if cfg.MaxPlansPerQuery <= 0 {
 		cfg.MaxPlansPerQuery = DefaultMaxPlansPerQuery
 	}
@@ -169,7 +162,7 @@ func (p *Planner) fold(st costState, steps []Step) costState {
 			}
 			rangeFac := 1.0
 			if s.RangePredicate != nil {
-				rangeFac = p.cfg.RangeSelectivity
+				rangeFac = enumerator.RangeSelectivity
 			}
 			var requests, fetched float64
 			if s.JoinKey == nil {
@@ -193,7 +186,7 @@ func (p *Planner) fold(st costState, steps []Step) costState {
 				if pr.Op == workload.Eq {
 					rows *= pr.Ref.Attr.Selectivity()
 				} else {
-					rows *= p.cfg.RangeSelectivity
+					rows *= enumerator.RangeSelectivity
 				}
 			}
 			if rows < 1 {

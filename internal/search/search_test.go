@@ -3,7 +3,6 @@ package search_test
 import (
 	"testing"
 
-	"nose/internal/enumerator"
 	"nose/internal/hotel"
 	"nose/internal/planner"
 	"nose/internal/schema"
@@ -195,7 +194,7 @@ func TestAdviseRespectsPlannerConfig(t *testing.T) {
 	w := workload.New(g)
 	w.Add(workload.MustParseQuery(g, hotel.ExampleQuery), 1)
 	rec := adviseHotel(t, w, search.Options{
-		Planner: planner.Config{MaxPlansPerQuery: 4, RangeSelectivity: 0.5},
+		Planner: planner.Config{MaxPlansPerQuery: 4},
 	})
 	if rec.Schema.Len() == 0 {
 		t.Fatal("empty schema under tightened planner config")
@@ -231,5 +230,4 @@ func TestAdviseCoversEveryStatement(t *testing.T) {
 	if rec.Stats.Candidates < rec.Schema.Len() {
 		t.Error("stats inconsistent")
 	}
-	_ = enumerator.RangeSelectivity
 }
