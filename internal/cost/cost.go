@@ -128,23 +128,3 @@ func (m *Linear) Sort(rows float64) float64 {
 	}
 	return rows * math.Log2(rows) * m.P.SortRowCost
 }
-
-// HBaseParams returns coefficients sketching an HBase-style backend
-// (paper §IX suggests retargeting NoSE by substituting the cost model):
-// region lookups carry a higher per-request cost than Cassandra
-// coordinator hops, sequential row reads are comparatively cheaper, and
-// deletes cost as much as writes (HBase deletes write tombstones).
-// The values are illustrative presets for experimentation, not
-// measurements.
-func HBaseParams() Params {
-	return Params{
-		RequestCost:       0.80,
-		PartitionCost:     0.15,
-		RowCost:           0.003,
-		InsertRequestCost: 0.20,
-		InsertCellCost:    0.002,
-		DeleteRequestCost: 0.20,
-		FilterRowCost:     0.0005,
-		SortRowCost:       0.0005,
-	}
-}

@@ -75,19 +75,3 @@ func TestCustomParams(t *testing.T) {
 		t.Errorf("Lookup = %v, want 3", got)
 	}
 }
-
-func TestHBaseParamsShape(t *testing.T) {
-	h := cost.NewLinear(cost.HBaseParams())
-	c := cost.Default()
-	// Requests are pricier on the HBase preset, rows cheaper.
-	if h.Lookup(1, 1, 0) <= c.Lookup(1, 1, 0) {
-		t.Error("HBase per-request cost should exceed the Cassandra preset")
-	}
-	if h.Lookup(0, 0, 0) != 0 {
-		t.Error("zero requests should cost nothing")
-	}
-	// Deletes and inserts cost the same per request (tombstones).
-	if h.Delete(1) != cost.HBaseParams().InsertRequestCost {
-		t.Error("HBase delete should equal insert request cost")
-	}
-}

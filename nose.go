@@ -140,12 +140,6 @@ type (
 // model with default coefficients.
 func DefaultCostModel() CostModel { return cost.Default() }
 
-// HBaseCostModel returns a linear cost model with HBase-flavored preset
-// coefficients, demonstrating the paper's §IX suggestion that NoSE
-// retargets to other extensible record stores by substituting the cost
-// model.
-func HBaseCostModel() CostModel { return cost.NewLinear(cost.HBaseParams()) }
-
 // Advise recommends a schema and per-statement implementation plans
 // for the workload (paper Fig. 2's end-to-end pipeline).
 func Advise(w *Workload, opt Options) (*Recommendation, error) {

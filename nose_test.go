@@ -77,17 +77,36 @@ func Example() {
 	_ = rec.Schema // rec.Schema.String() lists the column families
 }
 
+// pricierLookups is a caller-defined cost model: the default one with
+// every get priced twice as high, as for a backend whose lookups cost
+// more than Cassandra's (HBase's region lookups, say).
+type pricierLookups struct{ nose.CostModel }
+
+func (m pricierLookups) Lookup(requests, partitions, rows float64) float64 {
+	return 2 * m.CostModel.Lookup(requests, partitions, rows)
+}
+
+// TestHBaseCostModelUsableInAdvise: retargeting the advisor (paper §IX)
+// means passing a caller-defined cost model through Options.CostModel,
+// and the recommendation is priced by it.
 func TestHBaseCostModelUsableInAdvise(t *testing.T) {
 	g := nose.NewGraph()
 	e := g.AddEntity("T", "TID", 100)
 	e.AddAttributeCard("TKind", nose.StringType, 5)
 	w := nose.NewWorkload(g)
 	w.Add(nose.MustParse(g, `SELECT T.TID FROM T WHERE T.TKind = ?k`), 1)
-	rec, err := nose.Advise(w, nose.Options{CostModel: nose.HBaseCostModel()})
+	rec, err := nose.Advise(w, nose.Options{CostModel: pricierLookups{nose.DefaultCostModel()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Schema.Len() == 0 {
-		t.Fatal("no schema under the HBase cost model")
+		t.Fatal("no schema under a caller-defined cost model")
+	}
+	base, err := nose.Advise(w, nose.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Cost <= base.Cost {
+		t.Errorf("cost %v under pricier lookups, want more than the default model's %v", rec.Cost, base.Cost)
 	}
 }
