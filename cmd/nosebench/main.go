@@ -3,7 +3,9 @@
 //
 //	nosebench -experiment fig11 [-users 20000] [-executions 50]
 //	nosebench -experiment fig12 [-users 20000] [-executions 50]
-//	nosebench -experiment fig13 [-factors 5]
+//	nosebench -experiment fig13 [-factors 4]
+//	nosebench -experiment budget
+//	nosebench -experiment ablation
 //	nosebench -experiment chaos [-faults 0,0.005,0.02,0.05] [-seed 7]
 //	nosebench -experiment quorum [-faults 0,0.02,0.05,0.1] [-seed 7] [-nodes 5] [-rf 3]
 //	nosebench -experiment crashchaos [-faults 0,0.02] [-seed 7] [-nodes 5] [-rf 3]
@@ -13,9 +15,10 @@
 //
 // Every experiment accepts -workers n to bound advisor parallelism
 // (0 uses all CPUs; results are identical for every value), and
-// -cpuprofile/-memprofile to write pprof profiles of the run. The
-// fault-driven experiments (chaos, quorum) take a single -seed that
-// makes every published table reproducible bit for bit.
+// -cpuprofile/-memprofile to write pprof profiles of the run. The six
+// experiments that draw random numbers (chaos, quorum, crashchaos, load,
+// drift, online) take a single -seed that makes every published table
+// reproducible bit for bit.
 //
 // Fig. 11: per-transaction response times for the RUBiS bidding
 // workload on the NoSE, normalized, and expert schemas. Fig. 12:
