@@ -14,7 +14,11 @@
 // fix, so re-optimization typically takes a handful of pivots instead
 // of a full two-phase solve. Because a warm-started solve is a pure
 // function of (problem, fixes, parent basis), the speedup does not
-// disturb worker-count invariance.
+// disturb worker-count invariance. The root itself starts warm when the
+// program extends an already solved one by leading rows, as the
+// advisor's second phase extends its first by the pinned cost row: it
+// runs primal simplex from the first program's root basis
+// (Options.RootBasis).
 //
 // A node is meant to cost its pivots and nothing else, so three kinds
 // of LP are never solved: a node whose bound, rounded up, cannot beat
@@ -121,6 +125,14 @@ type Options struct {
 	// a batch already in flight runs to completion first, bounding
 	// cancel latency to one batch of LP re-solves.
 	Ctx context.Context
+	// RootBasis, when non-nil, warm-starts the root relaxation from the
+	// optimal root basis (Result.RootBasis) of a program this one extends
+	// by leading rows, as many as it has more: the same columns with the
+	// same bounds, and any objective. The root then runs primal simplex
+	// from that basis with the new rows' slacks basic (lp.Solver.
+	// SolvePrepended), falling back to a cold solve when that point
+	// violates a new row.
+	RootBasis *lp.Basis
 }
 
 // DefaultMaxNodes bounds the search when Options leaves MaxNodes zero.
@@ -164,6 +176,10 @@ type Result struct {
 	// bound among the nodes still open at the node limit — rounded up
 	// when the objective can only take integer values.
 	Bound float64
+	// RootBasis is the root relaxation's optimal basis, nil when the root
+	// was not solved to optimality. A program that extends this one by
+	// leading rows warm-starts its own root from it (Options.RootBasis).
+	RootBasis *lp.Basis
 }
 
 // Gap returns the relative gap between the incumbent and the best
@@ -305,6 +321,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		opt.Obs.Counter("lp.warm_starts").Add(total.WarmStarts)
 		opt.Obs.Counter("lp.warm_infeasible").Add(total.WarmInfeasible)
 		opt.Obs.Counter("lp.dual_pivots").Add(total.DualPivots)
+		opt.Obs.Counter("lp.primal_warm_starts").Add(total.PrimalWarmStarts)
 		opt.Obs.Counter("lp.warm_fallbacks").Add(total.Fallbacks)
 	}()
 	nodesC := opt.Obs.Counter("bip.nodes")
@@ -413,7 +430,13 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		tryRounded(opt.Incumbent)
 	}
 
-	rootSol, err := solveWith(0, nil, nil)
+	var rootSol *lp.Solution
+	var err error
+	if opt.RootBasis != nil {
+		rootSol, err = solvers[0].SolvePrepended(probs[0], opt.RootBasis)
+	} else {
+		rootSol, err = solvers[0].Solve(probs[0])
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -425,12 +448,12 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	case lp.IterationLimit:
 		return nil, fmt.Errorf("bip: relaxation hit the iteration limit")
 	}
+	res.RootBasis = solvers[0].Snapshot()
 	if col := p.mostFractional(rootSol.X); col == -1 {
 		tryIncumbent(rootSol.X, rootSol.Objective)
 	} else {
-		rootBasis := solvers[0].Snapshot()
 		tryRounded(rootSol.X)
-		push(rootSol.Objective, nil, rootBasis)
+		push(rootSol.Objective, nil, res.RootBasis)
 	}
 
 	// Expansion rounds: pop up to batchWidthFor(round) admissible
@@ -539,9 +562,9 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 
 	if math.IsInf(incumbent, 1) {
 		if res.Status == NodeLimit {
-			return &Result{Status: NodeLimit}, nil
+			return &Result{Status: NodeLimit, RootBasis: res.RootBasis}, nil
 		}
-		return &Result{Status: Infeasible}, nil
+		return &Result{Status: Infeasible, RootBasis: res.RootBasis}, nil
 	}
 	res.HasSolution = true
 	res.Objective = incumbent

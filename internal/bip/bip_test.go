@@ -7,6 +7,7 @@ import (
 
 	"nose/internal/bip"
 	"nose/internal/lp"
+	"nose/internal/obs"
 )
 
 func TestKnapsack(t *testing.T) {
@@ -354,5 +355,110 @@ func TestBoundBracketsOptimum(t *testing.T) {
 	}
 	if truncated == 0 {
 		t.Fatal("no trial was truncated with an incumbent; the test checks nothing")
+	}
+}
+
+// selectionProgram builds a random plan-selection program in the shape
+// internal/search formulates: one choose-one row per query over its
+// plans, a link row per (query, index) and index presence columns with
+// a maintenance cost. With pin nil it minimizes the total cost; with pin
+// set, a leading row holds that cost at or below *pin and the objective
+// counts indexes, as the advisor's second phase does.
+func selectionProgram(seed int64, pin *float64) *bip.Program {
+	rng := rand.New(rand.NewSource(seed))
+	p := bip.New()
+	costRow := -1
+	if pin != nil {
+		costRow = p.AddRow(math.Inf(-1), *pin+1e-6)
+	}
+	price := func(es []lp.Entry, c float64) ([]lp.Entry, float64) {
+		if costRow >= 0 {
+			return append(es, lp.Entry{Row: costRow, Coef: c}), 0
+		}
+		return es, c
+	}
+	indexes := 3 + rng.Intn(4)
+	cols := make([]int, indexes)
+	for x := range cols {
+		es, obj := price(nil, float64(1+rng.Intn(5)))
+		if costRow >= 0 {
+			obj = 1
+		}
+		cols[x] = p.AddBinary(obj, es...)
+	}
+	for q, queries := 0, 3+rng.Intn(4); q < queries; q++ {
+		choose := p.AddRow(1, 1)
+		for k, plans := 0, 2+rng.Intn(3); k < plans; k++ {
+			es := []lp.Entry{{Row: choose, Coef: 1}}
+			x := rng.Intn(indexes + 1)
+			if x < indexes {
+				link := p.AddRow(math.Inf(-1), 0)
+				es = append(es, lp.Entry{Row: link, Coef: 1})
+				p.AddColEntry(cols[x], link, -1)
+			}
+			es, obj := price(es, float64(1+rng.Intn(9)))
+			p.AddBinary(obj, es...)
+		}
+	}
+	return p
+}
+
+// TestRootBasisWarmStartsExtendedProgram: the second phase of a
+// two-phase selection starts its root from the first phase's root basis
+// and ends as a cold second phase does. A pin at the first phase's
+// optimum is satisfied by its root and runs on the primal warm path; a
+// pin below the root relaxation's bound cuts that point off and takes
+// the counted cold fallback to the same proof of infeasibility.
+func TestRootBasisWarmStartsExtendedProgram(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		res1, err := selectionProgram(seed, nil).Solve(bip.Options{})
+		if err != nil || !res1.HasSolution {
+			t.Fatalf("seed %d: phase 1: %v %v", seed, res1, err)
+		}
+		if res1.RootBasis == nil {
+			t.Fatalf("seed %d: phase 1 kept no root basis", seed)
+		}
+		for _, pin := range []float64{res1.Objective, -1} {
+			reg := obs.NewRegistry()
+			warm, err := selectionProgram(seed, &pin).Solve(bip.Options{RootBasis: res1.RootBasis, Obs: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := selectionProgram(seed, &pin).Solve(bip.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The pin's 1e-6 slack lets an incumbent's relaxation sit a
+			// hair off its 0-1 point, so the two may report the same count
+			// a millionth apart.
+			if warm.Status != cold.Status || warm.HasSolution != cold.HasSolution || math.Abs(warm.Objective-cold.Objective) > 1e-5 {
+				t.Fatalf("seed %d pin %v: warm %v %v, cold %v %v", seed, pin, warm.Status, warm.Objective, cold.Status, cold.Objective)
+			}
+			c := reg.Snapshot().Counters
+			wantPrimal, wantFallbacks := int64(1), int64(0)
+			if pin < 0 {
+				wantPrimal, wantFallbacks = 0, 1
+			}
+			if c["lp.primal_warm_starts"] != wantPrimal || c["lp.warm_fallbacks"] != wantFallbacks || c["lp.cold_solves"] != 0 {
+				t.Fatalf("seed %d pin %v: %d primal warm starts, %d fallbacks, %d cold solves; want %d, %d, 0",
+					seed, pin, c["lp.primal_warm_starts"], c["lp.warm_fallbacks"], c["lp.cold_solves"], wantPrimal, wantFallbacks)
+			}
+		}
+	}
+}
+
+// TestRootBasisKeptWhenRootIntegral: a program whose root relaxation is
+// already integral ends at its root and still hands the root's basis on.
+func TestRootBasisKeptWhenRootIntegral(t *testing.T) {
+	p := bip.New()
+	r := p.AddRow(1, 1)
+	p.AddBinary(1, lp.Entry{Row: r, Coef: 1})
+	p.AddBinary(2, lp.Entry{Row: r, Coef: 1})
+	res, err := p.Solve(bip.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Nodes != 0 || res.Objective != 1 || res.RootBasis == nil {
+		t.Fatalf("%d nodes, objective %v, root basis %v", res.Nodes, res.Objective, res.RootBasis)
 	}
 }

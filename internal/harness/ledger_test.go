@@ -9,6 +9,9 @@ import (
 	"nose/internal/executor"
 	"nose/internal/faults"
 	"nose/internal/harness"
+	"nose/internal/hotel"
+	"nose/internal/obs"
+	"nose/internal/search"
 	"nose/internal/verify"
 	"nose/internal/workload"
 )
@@ -39,7 +42,10 @@ func gauge(t *testing.T, sys *harness.System, name string) float64 {
 // faulted mix at ONE reads (so a read can land on a replica with hints
 // pending) and QUORUM writes; its registry must hold every retry,
 // coordination, fault and statement-outcome instrument, and the mix
-// exercises each one, so each must have counted something.
+// exercises each one, so each must have counted something. The advise
+// that recommends a system's schema counts its LP work under the lp.*
+// names pinned last: every one registered, and those the hotel example's
+// two solver phases exercise non-zero.
 func TestRegistryVocabulary(t *testing.T) {
 	f := newReplFixture(t)
 	sys := f.system(t, harness.Config{
@@ -82,6 +88,37 @@ func TestRegistryVocabulary(t *testing.T) {
 			t.Errorf("gauge %s = 0: the faulted mix should exercise it", name)
 		}
 	}
+
+	reg := obs.NewRegistry()
+	if _, err := search.Advise(hotelWorkload(), search.Options{Workers: 1, Obs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	advise := reg.Snapshot().Counters
+	for name, exercised := range map[string]bool{
+		"lp.solves": true, "lp.cold_solves": true, "lp.warm_starts": true, "lp.primal_warm_starts": true,
+		"lp.warm_infeasible": false, "lp.warm_fallbacks": false, "lp.pivots": true, "lp.dual_pivots": true,
+		"lp.degenerate_pivots": true, "lp.refactors": true, "lp.refactor_nnz": true, "lp.factor_reuses": true,
+	} {
+		v, ok := advise[name]
+		switch {
+		case !ok:
+			t.Errorf("advise counter %q is not registered", name)
+		case exercised && v == 0:
+			t.Errorf("advise counter %s = 0: the hotel advise should exercise it", name)
+		}
+	}
+}
+
+// hotelWorkload is the hotel example's three queries and two updates.
+func hotelWorkload() *workload.Workload {
+	g := hotel.Graph()
+	w := workload.New(g)
+	for _, src := range []string{hotel.ExampleQuery, hotel.PrefixQuery, hotel.POIQuery} {
+		w.Add(workload.MustParseQuery(g, src), 1)
+	}
+	w.Add(workload.MustParse(g, hotel.UpdateStatements[0]), 0.5)
+	w.Add(workload.MustParse(g, hotel.UpdateStatements[2]), 0.25)
+	return w
 }
 
 // TestRobustnessFailoverCountersGolden pins the exact counter values a

@@ -59,49 +59,11 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 		return nil, err
 	}
 	s.stats.Solves++
-	m, n := len(p.rows), len(p.cols)
-	if from == nil || len(from.basis) != m || len(from.status) != n+2*m {
+	if k, ok := fits(p, from); !ok || k != 0 {
 		s.stats.Fallbacks++
 		return s.solveCold(p)
 	}
-	s.prepare(p)
-
-	for j, c := range p.cols {
-		s.lo[j], s.hi[j] = c.lo, c.hi
-		s.entries[j] = c.entries
-		s.obj[j] = c.obj
-	}
-	for i, r := range p.rows {
-		j := n + i
-		s.lo[j], s.hi[j] = -r.hi, -r.lo
-		s.single[i] = Entry{Row: i, Coef: 1}
-		s.entries[j] = s.single[i : i+1]
-	}
-	// Artificials keep the snapshot's column signs and stay pinned at
-	// zero, as the parent solve left them after phase 1.
-	for i := 0; i < m; i++ {
-		j := n + m + i
-		s.single[m+i] = Entry{Row: i, Coef: float64(from.asign[i])}
-		s.entries[j] = s.single[m+i : m+i+1]
-		s.lo[j], s.hi[j] = 0, 0
-	}
-
-	// Restore statuses; nonbasic variables sit at the bound their
-	// status names under the *new* bounds — that shift is exactly the
-	// primal infeasibility dual simplex repairs.
-	copy(s.status, from.status)
-	for j := 0; j < n+2*m; j++ {
-		switch s.status[j] {
-		case atLower:
-			if lo := s.lo[j]; !math.IsInf(lo, -1) {
-				s.xval[j] = lo
-			}
-		case atUpper:
-			if hi := s.hi[j]; !math.IsInf(hi, 1) {
-				s.xval[j] = hi
-			}
-		}
-	}
+	s.install(p, from, 0)
 	if mark := &s.loaded; mark.from == from && mark.prob == p {
 		s.etaRow = s.etaRow[:mark.etas]
 		s.etaPiv = s.etaPiv[:mark.etas]
@@ -113,9 +75,6 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 		s.computeBasics()
 		s.stats.FactorReuses++
 	} else {
-		for i := 0; i < m; i++ {
-			s.basis[i] = int(from.basis[i])
-		}
 		if !s.refactor() {
 			s.stats.Fallbacks++
 			return s.solveCold(p)
@@ -146,6 +105,143 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 		return &Solution{Status: Unbounded}, nil
 	}
 	return s.extract(p), nil
+}
+
+// SolvePrepended solves p starting from the optimal basis of a program
+// p extends: p's rows are k new rows followed by the old program's rows
+// in order, where k is how many more rows p has than from, its columns
+// are the old program's, with the same bounds and possibly entries on
+// the new rows, and its objective is arbitrary. The old basis with each
+// new row's slack basic is a basis of p. When its point satisfies the
+// new rows and every bound to within feasTol — as phase 1's root
+// relaxation satisfies the cost row that pins its own integer optimum in
+// phase 2 — it is primal feasible, and primal simplex runs from it; only
+// the new objective's pivots remain.
+//
+// Like SolveFrom the result is a pure function of (p, from): an
+// unusable snapshot, a singular load, a primal-infeasible load or the
+// iteration limit falls back deterministically to a cold solve, and is
+// counted as a fallback.
+func (s *Solver) SolvePrepended(p *Problem, from *Basis) (*Solution, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	s.stats.Solves++
+	k, ok := fits(p, from)
+	if !ok {
+		s.stats.Fallbacks++
+		return s.solveCold(p)
+	}
+	s.install(p, from, k)
+	if !s.refactor() || !s.primalFeasible() {
+		s.stats.Fallbacks++
+		return s.solveCold(p)
+	}
+	st := s.iterate(s.obj)
+	if st == IterationLimit {
+		s.stats.Fallbacks++
+		return s.solveCold(p)
+	}
+	s.stats.PrimalWarmStarts++
+	if st == Unbounded {
+		return &Solution{Status: Unbounded}, nil
+	}
+	return s.extract(p), nil
+}
+
+// fits reports whether from has the shape of a basis of a program that
+// p extends by k ≥ 0 leading rows, k being how many more rows p has: one
+// status per structural, slack and artificial variable of that program
+// and one basic variable per row.
+func fits(p *Problem, from *Basis) (k int, ok bool) {
+	if from == nil {
+		return 0, false
+	}
+	m0 := len(from.basis)
+	k = len(p.rows) - m0
+	return k, k >= 0 && len(from.status) == len(p.cols)+2*m0
+}
+
+// install loads p's columns and the basis from, taken on a program p
+// extends by k leading rows (see SolvePrepended; k is 0 for SolveFrom).
+// Every artificial is pinned at zero, as the solve that took the
+// snapshot left them after its phase 1, under the column sign that solve
+// chose; a new row's artificial is nonbasic and its slack basic. Old
+// slacks and artificials move up k rows. Nonbasic variables sit at the
+// bound their status names under p's bounds, and the basis is left in
+// s.basis for refactor.
+func (s *Solver) install(p *Problem, from *Basis, k int) {
+	s.prepare(p)
+	m, n := s.m, s.n
+	m0 := m - k
+	for j, c := range p.cols {
+		s.lo[j], s.hi[j] = c.lo, c.hi
+		s.entries[j] = c.entries
+		s.obj[j] = c.obj
+	}
+	for i, r := range p.rows {
+		j := n + i
+		s.lo[j], s.hi[j] = -r.hi, -r.lo
+		s.single[i] = Entry{Row: i, Coef: 1}
+		s.entries[j] = s.single[i : i+1]
+	}
+	for i := 0; i < m; i++ {
+		j := n + m + i
+		sign := 1.0
+		if i >= k {
+			sign = float64(from.asign[i-k])
+		}
+		s.single[m+i] = Entry{Row: i, Coef: sign}
+		s.entries[j] = s.single[m+i : m+i+1]
+		s.lo[j], s.hi[j] = 0, 0
+	}
+
+	// Old variable j is new variable j, j+k (a slack) or j+2k (an
+	// artificial).
+	shift := func(j int) int {
+		switch {
+		case j < n:
+			return j
+		case j < n+m0:
+			return j + k
+		default:
+			return j + 2*k
+		}
+	}
+	for j, st := range from.status {
+		s.status[shift(j)] = st
+	}
+	for i := 0; i < k; i++ {
+		s.status[n+i] = basic
+		s.status[n+m+i] = atLower
+		s.basis[i] = n + i
+	}
+	for i, j := range from.basis {
+		s.basis[k+i] = shift(int(j))
+	}
+	for j := 0; j < n+2*m; j++ {
+		switch s.status[j] {
+		case atLower:
+			if lo := s.lo[j]; !math.IsInf(lo, -1) {
+				s.xval[j] = lo
+			}
+		case atUpper:
+			if hi := s.hi[j]; !math.IsInf(hi, 1) {
+				s.xval[j] = hi
+			}
+		}
+	}
+}
+
+// primalFeasible reports whether every basic variable lies within its
+// bounds to within feasTol.
+func (s *Solver) primalFeasible() bool {
+	for i, j := range s.basis {
+		if v := s.xb[i]; v < s.lo[j]-feasTol || v > s.hi[j]+feasTol {
+			return false
+		}
+	}
+	return true
 }
 
 // ForgetLoad drops the factorization the last SolveFrom marked for

@@ -77,3 +77,32 @@ func SameSolverState(want, got *Solver) error {
 	}
 	return nil
 }
+
+// WithLeadingRows returns a copy of p extended by len(lo) leading rows:
+// row i has activity bounds [lo[i], hi[i]] and column j enters it with
+// coefficient a[i][j] when that is nonzero. p's rows follow in order,
+// and the copy's objective is obj.
+func WithLeadingRows(p *Problem, lo, hi []float64, a [][]float64, obj []float64) *Problem {
+	k := len(lo)
+	cp := p.Clone()
+	cp.rows = make([]rowBounds, 0, k+len(p.rows))
+	for i := range lo {
+		cp.rows = append(cp.rows, rowBounds{lo: lo[i], hi: hi[i]})
+	}
+	cp.rows = append(cp.rows, p.rows...)
+	for j := range cp.cols {
+		es := make([]Entry, 0, k+len(cp.cols[j].entries))
+		for i := range a {
+			if c := a[i][j]; c != 0 {
+				es = append(es, Entry{Row: i, Coef: c})
+			}
+		}
+		for _, e := range cp.cols[j].entries {
+			es = append(es, Entry{Row: e.Row + k, Coef: e.Coef})
+		}
+		cp.cols[j].entries = es
+		cp.cols[j].obj = obj[j]
+	}
+	cp.entriesOK = false
+	return cp
+}

@@ -130,8 +130,9 @@ type loadMark struct {
 // summing them across per-worker solvers yields the same totals at any
 // worker count.
 type SolverStats struct {
-	// Solves is the number of solve requests (Solve and SolveFrom):
-	// ColdSolves + WarmStarts + Fallbacks.
+	// Solves is the number of solve requests (Solve, SolveFrom and
+	// SolvePrepended): ColdSolves + WarmStarts + PrimalWarmStarts +
+	// Fallbacks.
 	Solves int64
 	// ColdSolves counts Solve calls, which start from the all-artificial
 	// basis by request.
@@ -160,8 +161,13 @@ type SolverStats struct {
 	WarmInfeasible int64
 	// DualPivots counts pivots taken by the dual simplex.
 	DualPivots int64
-	// Fallbacks counts SolveFrom calls that abandoned the warm start
-	// (unusable snapshot or numerical trouble) and re-solved cold.
+	// PrimalWarmStarts counts SolvePrepended calls that completed on the
+	// primal simplex path from the extended snapshot, whatever the
+	// answer.
+	PrimalWarmStarts int64
+	// Fallbacks counts SolveFrom and SolvePrepended calls that abandoned
+	// the warm start (unusable snapshot, a primal-infeasible load or
+	// numerical trouble) and re-solved cold.
 	Fallbacks int64
 }
 
@@ -178,6 +184,7 @@ func (s *SolverStats) Add(o SolverStats) {
 	s.WarmStarts += o.WarmStarts
 	s.WarmInfeasible += o.WarmInfeasible
 	s.DualPivots += o.DualPivots
+	s.PrimalWarmStarts += o.PrimalWarmStarts
 	s.Fallbacks += o.Fallbacks
 }
 

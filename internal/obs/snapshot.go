@@ -226,7 +226,8 @@ func (s *Snapshot) Format() string {
 
 // FormatSolverStats renders the LP-solver portion of a snapshot as a
 // short human-readable block: solve and warm-start counts with the hit
-// rate, pivot breakdown, refactorizations with the eta-file fill they
+// rate, the phase-2 roots started from phase 1's root basis, pivot
+// breakdown, refactorizations with the eta-file fill they
 // wrote and how many more were reused, the LPs branch and bound never
 // solved (fixed programs it evaluated, nodes it dropped only because an
 // integer-valued objective lets a bound round up), per solver phase how
@@ -246,8 +247,8 @@ func (s *Snapshot) FormatSolverStats() string {
 	if solves > 0 {
 		fmt.Fprintf(&b, " = %.0f%%", 100*float64(warm)/float64(solves))
 	}
-	fmt.Fprintf(&b, ", %d of them proved infeasible, %d cold fallbacks)\n",
-		c["lp.warm_infeasible"], c["lp.warm_fallbacks"])
+	fmt.Fprintf(&b, ", %d of them proved infeasible; %d phase-2 roots started from phase 1's basis; %d cold fallbacks)\n",
+		c["lp.warm_infeasible"], c["lp.primal_warm_starts"], c["lp.warm_fallbacks"])
 	fmt.Fprintf(&b, "  simplex pivots           %d (%d dual, %d degenerate)\n",
 		c["lp.pivots"], c["lp.dual_pivots"], c["lp.degenerate_pivots"])
 	fmt.Fprintf(&b, "  basis refactorizations   %d (%d off-pivot nonzeros), %d reused by a sibling\n",

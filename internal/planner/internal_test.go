@@ -2,7 +2,10 @@ package planner
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -360,5 +363,38 @@ func TestEnrichBetterOrdering(t *testing.T) {
 	}
 	if got := best.EntityFanout(guest); got != 1 {
 		t.Errorf("best enrich candidate has fanout %v, want 1", got)
+	}
+}
+
+// TestNthSmallestMatchesSort: the quickselect cheapest takes its cost
+// bound from returns, for every rank, the value sorting would leave
+// there — over random columns with ties, signed zeros, infinities and
+// NaNs, and over sorted and reversed ones.
+func TestNthSmallestMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pool := []float64{0, math.Copysign(0, -1), 1, 1, 2.5, math.Inf(1), math.Inf(-1), math.NaN(), 1e-300}
+	for trial := 0; trial < 400; trial++ {
+		xs := make([]float64, 1+rng.Intn(40))
+		for i := range xs {
+			if rng.Intn(3) == 0 {
+				xs[i] = pool[rng.Intn(len(pool))]
+			} else {
+				xs[i] = math.Round(rng.Float64()*20) / 4
+			}
+		}
+		switch trial % 4 {
+		case 1:
+			sort.Float64s(xs)
+		case 2:
+			sort.Sort(sort.Reverse(sort.Float64Slice(xs)))
+		}
+		want := append([]float64(nil), xs...)
+		sort.Float64s(want)
+		for n := range xs {
+			got := nthSmallest(append([]float64(nil), xs...), n)
+			if got != want[n] && !(math.IsNaN(got) && math.IsNaN(want[n])) {
+				t.Fatalf("trial %d: nthSmallest(%v, %d) = %v, sorting gives %v", trial, xs, n, got, want[n])
+			}
+		}
 	}
 }

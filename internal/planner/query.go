@@ -62,7 +62,7 @@ type generator struct {
 // as data, so which one a call gets changes no result.
 type scratch struct {
 	// seen and costs are cheapest's duplicate set and cost column.
-	seen  map[uint64]int32
+	seen  []seenSlot
 	costs []float64
 	// free holds the candidate arrays finished chains calls have handed
 	// back: a stack, since chains recurses while its own array is live.
@@ -87,7 +87,7 @@ func newGenerator(p *Planner) *generator {
 	}
 	p.mu.Unlock()
 	if sc == nil {
-		sc = &scratch{seen: map[uint64]int32{}}
+		sc = &scratch{}
 	}
 	return &generator{Planner: p, scratch: sc}
 }
@@ -224,24 +224,36 @@ func firstDifference(a, b *candidate) int {
 
 // cheapest removes duplicate candidates (keeping the first generated)
 // and returns the limit cheapest, ordered by cost and then by
-// signature. It reorders cs in place.
+// signature. It reorders cs in place. Its work is proportional to
+// len(cs), whatever the size of earlier calls.
 func (g *generator) cheapest(cs []candidate, limit int) []candidate {
-	// seen maps an id's hash to the first candidate carrying it; two
-	// ids that share a hash are told apart by comparing them, and the
-	// later one takes the next free slot.
+	// seen is an open-addressing set of the kept candidates' hashes, at
+	// most half full; two ids that share a hash are told apart by
+	// comparing them, and the later one probes on.
+	bits := 1
+	for 1<<bits < 2*len(cs) {
+		bits++
+	}
 	seen := g.seen
-	clear(seen)
+	if cap(seen) < 1<<bits {
+		seen = make([]seenSlot, 1<<bits)
+	} else {
+		seen = seen[:1<<bits]
+		clear(seen)
+	}
+	g.seen = seen
+	mask := uint64(len(seen) - 1)
 	uniq := cs[:0]
 next:
 	for i := range cs {
 		c := cs[i]
-		for h := c.hash; ; h++ {
-			first, ok := seen[h]
-			if !ok {
-				seen[h] = int32(len(uniq))
+		for h := (c.hash * 0x9e3779b97f4a7c15) >> (64 - bits); ; h = (h + 1) & mask {
+			sl := &seen[h]
+			if sl.at == 0 {
+				*sl = seenSlot{hash: c.hash, at: int32(len(uniq)) + 1}
 				break
 			}
-			if sameID(&uniq[first], &c) {
+			if sl.hash == c.hash && sameID(&uniq[sl.at-1], &c) {
 				continue next
 			}
 		}
@@ -257,8 +269,7 @@ next:
 			costs = append(costs, uniq[i].cost.total)
 		}
 		g.costs = costs
-		sort.Float64s(costs)
-		bound, within := costs[limit-1], uniq[:0]
+		bound, within := nthSmallest(costs, limit-1), uniq[:0]
 		for _, c := range uniq {
 			if c.cost.total <= bound {
 				within = append(within, c)
@@ -276,6 +287,59 @@ next:
 		uniq = uniq[:limit]
 	}
 	return uniq
+}
+
+// seenSlot is one slot of cheapest's duplicate set: a candidate's hash
+// and 1 + its index among the kept candidates, 0 for an empty slot.
+type seenSlot struct {
+	hash uint64
+	at   int32
+}
+
+// nthSmallest returns the value sort.Float64s would leave at xs[n] — the
+// n-th smallest, NaNs first — by quickselect, reordering xs.
+func nthSmallest(xs []float64, n int) float64 {
+	less := func(a, b float64) bool { return a < b || (a != a && b == b) }
+	lo, hi := 0, len(xs)-1
+	for lo < hi {
+		// Median of three as the pivot value, which also leaves xs[lo]
+		// and xs[hi] as sentinels for the scans below.
+		mid := lo + (hi-lo)/2
+		if less(xs[mid], xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if less(xs[hi], xs[lo]) {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if less(xs[hi], xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		pivot := xs[mid]
+		i, j := lo, hi
+		for i <= j {
+			for less(xs[i], pivot) {
+				i++
+			}
+			for less(pivot, xs[j]) {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		// xs[lo..j] ≤ pivot ≤ xs[i..hi], and what lies between equals it.
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return xs[n]
+		}
+	}
+	return xs[n]
 }
 
 // signatureLess orders two candidates of different ids exactly as

@@ -180,3 +180,42 @@ func TestAdviseAfterCancelledPlanning(t *testing.T) {
 		t.Fatalf("advise after a cancelled one differs from a never-cancelled run:\n%s\nvs\n%s", got, pristine)
 	}
 }
+
+// cancelInPhase2 is a context that cancels itself at the first check
+// made after the "formulate phase 2" span has ended: the next span to
+// begin is "solve phase 2", and branch and bound checks its context
+// before the root relaxation, so the cancel lands inside phase 2.
+type cancelInPhase2 struct {
+	context.Context
+	cancel context.CancelFunc
+	trace  *obs.Tracer
+}
+
+func (c *cancelInPhase2) Err() error {
+	if names := spanNames(c.trace); len(names) > 0 && names[len(names)-1] == "formulate phase 2" {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestAdviseCancelledInPhase2: a cancel that lands in the second solver
+// phase is the caller's error, not a phase-2 failure to recover from
+// with phase 1's answer. Advise returns context.Canceled and no
+// recommendation.
+func TestAdviseCancelledInPhase2(t *testing.T) {
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	trace := obs.NewTracer()
+	ctx := &cancelInPhase2{Context: inner, cancel: cancel, trace: trace}
+	rec, err := search.Advise(hotelWorkload(t), search.Options{Workers: 1, Ctx: ctx, Trace: trace})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rec != nil {
+		t.Fatal("an advise cancelled in phase 2 returned a recommendation")
+	}
+	want := []string{"enumerate", "plan-spaces", "formulate", "solve phase 1", "formulate phase 2", "solve phase 2", "advise"}
+	if got := spanNames(trace); !slices.Equal(got, want) {
+		t.Fatalf("cancel did not land in phase 2: spans %v, want %v", got, want)
+	}
+}

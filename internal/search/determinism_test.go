@@ -54,7 +54,9 @@ func TestAdviseDeterministic(t *testing.T) {
 
 // TestAdviseWorkerInvariance: the recommendation must be byte-identical
 // for every worker count — schema rendering, objective bits, plan
-// signatures, and node counts — and so must every bip.*, lp.*,
+// signatures, node counts, and how each solver phase ended (phase 2's
+// root starts from phase 1's root basis, which worker 0 alone solves,
+// whatever the count) — and so must every bip.*, lp.*,
 // search.* and planner.* counter: they count the explored tree and the
 // LP work on it (pivots, refactorizations and the ones a sibling reused,
 // evaluated fixed programs, nodes pruned by rounding), which
@@ -149,7 +151,8 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 				return rec, counters
 			}
 			base, baseCounters := run(1)
-			for _, name := range []string{"bip.nodes", "bip.fixed_evals", "lp.solves", "lp.factor_reuses", "search.phase1.nodes",
+			for _, name := range []string{"bip.nodes", "bip.fixed_evals", "lp.solves", "lp.factor_reuses", "lp.primal_warm_starts",
+				"search.phase1.nodes", "search.phase2.solves",
 				"planner.segment_requests", "planner.segments", "planner.step_requests", "planner.steps",
 				"planner.candidates_examined", "planner.chains_joined"} {
 				if baseCounters[name] == 0 {
@@ -176,6 +179,10 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 				}
 				if rec.Stats.Nodes != base.Stats.Nodes {
 					t.Errorf("workers=%d: explored %d nodes vs %d", workers, rec.Stats.Nodes, base.Stats.Nodes)
+				}
+				if rec.Stats.Phase1 != base.Stats.Phase1 || rec.Stats.Phase2 != base.Stats.Phase2 {
+					t.Errorf("workers=%d: phases ended %+v / %+v vs %+v / %+v", workers,
+						rec.Stats.Phase1, rec.Stats.Phase2, base.Stats.Phase1, base.Stats.Phase2)
 				}
 				if len(rec.Queries) != len(base.Queries) {
 					t.Fatalf("workers=%d: %d query plans vs %d", workers, len(rec.Queries), len(base.Queries))
@@ -211,10 +218,14 @@ func TestAdviseCostMatchesChosenPlans(t *testing.T) {
 }
 
 // TestLPSolveAccounting: every LP solve request ends in exactly one of
-// three ways — cold by request, on the warm-started path (whatever its
-// answer, a proof of infeasibility included), or warm-started and
-// fallen back cold — so the three counters add up to lp.solves, and
-// -solver-stats' warm-start share is a share of everything.
+// four ways — cold by request, on the dual warm-started path of a node
+// (whatever its answer, a proof of infeasibility included), on the
+// primal warm-started path of phase 2's root, or warm-started and fallen
+// back cold — so the four counters add up to lp.solves, and
+// -solver-stats' warm-start share is a share of everything. Every input
+// here runs phase 2, whose root starts from phase 1's root basis, which
+// satisfies the pinned cost row: that root is one primal warm start and
+// never a fallback.
 func TestLPSolveAccounting(t *testing.T) {
 	var infeasible int64
 	for _, tc := range []struct {
@@ -249,8 +260,12 @@ func TestLPSolveAccounting(t *testing.T) {
 			}
 			c := reg.Snapshot().Counters
 			solves, cold, warm, fallbacks := c["lp.solves"], c["lp.cold_solves"], c["lp.warm_starts"], c["lp.warm_fallbacks"]
-			if solves == 0 || cold+warm+fallbacks != solves {
-				t.Errorf("lp.solves %d != %d cold + %d warm + %d fallbacks", solves, cold, warm, fallbacks)
+			primal := c["lp.primal_warm_starts"]
+			if solves == 0 || cold+warm+primal+fallbacks != solves {
+				t.Errorf("lp.solves %d != %d cold + %d warm + %d primal warm + %d fallbacks", solves, cold, warm, primal, fallbacks)
+			}
+			if primal != 1 || fallbacks != 0 {
+				t.Errorf("phase 2's root: %d primal warm starts and %d fallbacks, want 1 and 0", primal, fallbacks)
 			}
 			inf := c["lp.warm_infeasible"]
 			if inf > warm {

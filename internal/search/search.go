@@ -291,7 +291,8 @@ func (b *builder) prepare(rec *Recommendation) *Prepared {
 // column families (paper §V) — and returns the assignment to extract
 // with the column map it is expressed in. The optimal cost, node count
 // and stage timings land in rec. A phase-2 failure is not an error: the
-// phase-1 assignment is already optimal in cost.
+// phase-1 assignment is already optimal in cost. A cancelled or timed-out
+// phase 2 is, since the caller asked for no answer.
 func (p *Prepared) solve(rec *Recommendation) (*bip.Result, *colRefs, error) {
 	opt := p.b.opt
 	phase1 := opt.BIP
@@ -323,14 +324,21 @@ func (p *Prepared) solve(rec *Recommendation) (*bip.Result, *colRefs, error) {
 	rec.Timings.BIPConstruction += time.Since(t)
 	sp.End()
 
+	// Phase 2's program is phase 1's with the cost row in front, and
+	// phase 1's root relaxation costs no more than its incumbent, so its
+	// root basis with the cost row's slack basic is primal feasible there.
 	phase2 := opt.BIP
 	phase2.Incumbent = res1.X
+	phase2.RootBasis = res1.RootBasis
 	t = time.Now()
 	sp = opt.Trace.Begin("solve phase 2", "advisor")
 	res2, err := prog2.Solve(phase2)
 	rec.Timings.BIPSolving += time.Since(t)
 	if err != nil {
 		sp.End()
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			return nil, nil, fmt.Errorf("search: phase 2 solve: %w", err)
+		}
 		return res1, p.refs, nil
 	}
 	rec.Stats.Phase2 = endSolve(sp, res2)
