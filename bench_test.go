@@ -170,7 +170,11 @@ func BenchmarkAdvisorRUBiSExact(b *testing.B) {
 // from the all-artificial basis; 421 and 50 from the slack crash basis.
 // Both counts are pure functions of the program, the same at every
 // worker count, so the headroom is for deliberate formulation changes,
-// not for noise.
+// not for noise. Full pricing passes are capped at two per solve plus
+// one per refactorization (a solve prices when it loads its basis and
+// once to confirm optimality; a cold solve prices each phase's objective
+// and confirms only phase 2, and its basis load is a refactorization),
+// so pricing every pivot again would fail by name.
 const (
 	rubisPivotCeiling       = 500
 	rubisPhase1PivotCeiling = 80
@@ -178,8 +182,8 @@ const (
 
 // TestAdvisorRUBiSPivotCeiling is BenchmarkAdvisorRUBiSExact's LP work
 // as a test, so that a start or pricing change that sends the cold root
-// back into degenerate feasibility pivots fails by name. CI runs it by
-// name with -count=1.
+// back into degenerate feasibility pivots, or that prices every pivot
+// from scratch again, fails by name. CI runs it by name with -count=1.
 func TestAdvisorRUBiSPivotCeiling(t *testing.T) {
 	w, _, err := rubis.Workload(rubis.Graph(rubis.DefaultConfig()))
 	if err != nil {
@@ -200,8 +204,12 @@ func TestAdvisorRUBiSPivotCeiling(t *testing.T) {
 	if phase1 > rubisPhase1PivotCeiling {
 		t.Errorf("RUBiS advise took %d phase-1 pivots in cold solves, ceiling %d", phase1, rubisPhase1PivotCeiling)
 	}
-	t.Logf("RUBiS advise: %d pivots (ceiling %d), %d in cold phase 1 (ceiling %d)",
-		pivots, rubisPivotCeiling, phase1, rubisPhase1PivotCeiling)
+	prices, priceCeiling := c["lp.prices"], 2*c["lp.solves"]+c["lp.refactors"]
+	if prices == 0 || prices > priceCeiling {
+		t.Errorf("RUBiS advise ran %d full pricing passes, ceiling %d (2·lp.solves + lp.refactors)", prices, priceCeiling)
+	}
+	t.Logf("RUBiS advise: %d pivots (ceiling %d), %d in cold phase 1 (ceiling %d), %d full prices (ceiling %d)",
+		pivots, rubisPivotCeiling, phase1, rubisPhase1PivotCeiling, prices, priceCeiling)
 }
 
 // BenchmarkAdvisorHotel measures the advisor on the small hotel

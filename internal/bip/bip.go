@@ -317,6 +317,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		opt.Obs.Counter("lp.phase1_pivots").Add(total.Phase1Pivots)
 		opt.Obs.Counter("lp.degenerate_pivots").Add(total.DegeneratePivots)
 		opt.Obs.Counter("lp.refactors").Add(total.Refactors)
+		opt.Obs.Counter("lp.prices").Add(total.Prices)
 		opt.Obs.Counter("lp.refactor_nnz").Add(total.RefactorNNZ)
 		opt.Obs.Counter("lp.factor_reuses").Add(total.FactorReuses)
 		opt.Obs.Counter("lp.warm_starts").Add(total.WarmStarts)

@@ -98,6 +98,7 @@ func TestRegistryVocabulary(t *testing.T) {
 		"lp.solves": true, "lp.cold_solves": true, "lp.warm_starts": true, "lp.primal_warm_starts": true,
 		"lp.warm_infeasible": false, "lp.warm_fallbacks": false, "lp.pivots": true, "lp.phase1_pivots": true, "lp.dual_pivots": true,
 		"lp.degenerate_pivots": true, "lp.refactors": true, "lp.refactor_nnz": true, "lp.factor_reuses": true,
+		"lp.prices": true,
 	} {
 		v, ok := advise[name]
 		switch {

@@ -260,17 +260,29 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 }
 
 // TestCloneIsolation verifies that mutating a clone's bounds, objective
-// and entries leaves the original untouched and vice versa.
+// and entries leaves the original untouched and vice versa. A clone of a
+// validated problem shares its row-major copy of the entries, and an
+// entry added to the clone drops the clone's copy only.
 func TestCloneIsolation(t *testing.T) {
 	p := lp.NewProblem()
 	r := p.AddRow(math.Inf(-1), 10)
 	c0 := p.AddCol(1, 0, 1, lp.Entry{Row: r, Coef: 2})
 	c1 := p.AddCol(-1, 0, 5, lp.Entry{Row: r, Coef: 1})
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
 
 	cp := p.Clone()
+	if !lp.SharesRowCopy(p, cp) {
+		t.Error("the clone of a validated problem does not share its row copy")
+	}
 	cp.SetColBounds(c0, 1, 1)
 	cp.SetObj(c1, 3)
 	cp.AddEntry(c1, r, 4)
+	if lp.HasRowCopy(cp) || !lp.HasRowCopy(p) {
+		t.Errorf("after AddEntry on the clone: clone holds a row copy %v, source %v; want false, true",
+			lp.HasRowCopy(cp), lp.HasRowCopy(p))
+	}
 
 	orig, err := p.Solve()
 	if err != nil {
@@ -288,5 +300,8 @@ func TestCloneIsolation(t *testing.T) {
 	// Clone: minimize x0 + 3x1 with x0 fixed at 1 -> x0=1, x1=0.
 	if mod.Status != lp.Optimal || math.Abs(mod.Objective-1) > 1e-9 {
 		t.Fatalf("clone did not carry mutations: %+v", mod)
+	}
+	if !lp.HasRowCopy(cp) || lp.SharesRowCopy(p, cp) {
+		t.Error("solving the clone did not build it a row copy of its own")
 	}
 }

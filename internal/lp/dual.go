@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 )
 
 // Basis is an immutable snapshot of a solved problem's basis: the
@@ -84,6 +85,7 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 		mark.basis = append(mark.basis[:0], s.basis...)
 	}
 
+	s.price(s.obj)
 	switch s.dualIterate(s.obj) {
 	case Infeasible:
 		s.stats.WarmStarts++
@@ -93,9 +95,10 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 		s.stats.Fallbacks++
 		return s.solveCold(p)
 	}
-	// Primal cleanup certifies optimality (and mops up any dual
-	// infeasibility introduced by tolerance drift); usually 0 pivots.
-	st := s.iterate(s.obj)
+	// Primal cleanup certifies optimality against freshly priced reduced
+	// costs (and mops up any dual infeasibility introduced by tolerance
+	// drift); usually 0 pivots.
+	st := s.iterate(s.obj, true)
 	if st == IterationLimit {
 		s.stats.Fallbacks++
 		return s.solveCold(p)
@@ -137,7 +140,8 @@ func (s *Solver) SolvePrepended(p *Problem, from *Basis) (*Solution, error) {
 		s.stats.Fallbacks++
 		return s.solveCold(p)
 	}
-	st := s.iterate(s.obj)
+	s.price(s.obj)
+	st := s.iterate(s.obj, true)
 	if st == IterationLimit {
 		s.stats.Fallbacks++
 		return s.solveCold(p)
@@ -253,7 +257,8 @@ func (s *Solver) ForgetLoad() { s.loaded.from = nil }
 // dualIterate runs bounded dual simplex pivots until primal feasibility
 // (returns Optimal), a proof that no feasible point exists (returns
 // Infeasible), or trouble (returns IterationLimit; the caller falls
-// back to a cold solve).
+// back to a cold solve). It starts from the reduced costs in d and
+// keeps them current.
 func (s *Solver) dualIterate(c []float64) Status {
 	m := s.m
 	iters := 0
@@ -281,59 +286,43 @@ func (s *Solver) dualIterate(c []float64) Status {
 			return Optimal // primal feasible
 		}
 
-		// Row r of B⁻¹ and the simplex multipliers, via two btrans.
-		rho := s.rho
-		for i := range rho {
-			rho[i] = 0
-		}
-		rho[r] = 1
-		s.btran(rho)
-		y := s.y
-		for i := 0; i < m; i++ {
-			y[i] = c[s.basis[i]]
-		}
-		s.btran(y)
-
-		// Entering variable: bounded dual ratio test. A nonbasic j can
-		// absorb the violation when moving it shrinks xb[r] toward its
-		// bound, i.e. sigma·(row r of B⁻¹A)_j has the right sign for
-		// j's status; among those, the smallest reduced-cost ratio
-		// keeps the basis dual feasible (tie → larger pivot, then
-		// lower index).
+		// Entering variable: bounded dual ratio test over the columns
+		// row r of B⁻¹A reaches, in index order. A nonbasic j can absorb
+		// the violation when moving it shrinks xb[r] toward its bound,
+		// i.e. sigma·α_rj has the right sign for j's status; among those,
+		// the smallest reduced-cost ratio keeps the basis dual feasible
+		// (tie → larger pivot, then lower index).
+		s.pivotRow(r)
 		q := -1
 		bestRatio := math.Inf(1)
 		bestAlpha := 0.0
-		for j := 0; j < len(s.xval); j++ {
-			st := s.status[j]
-			if st == basic || s.lo[j] == s.hi[j] {
-				continue
-			}
-			alpha := 0.0
-			for _, e := range s.entries[j] {
-				alpha += rho[e.Row] * e.Coef
-			}
-			a := sigma * alpha
-			if st == atLower {
-				if a <= tol {
+		for wi, word := range s.reach {
+			for ; word != 0; word &= word - 1 {
+				j := wi<<6 | bits.TrailingZeros64(word)
+				st := s.status[j]
+				if st == basic || s.lo[j] == s.hi[j] {
 					continue
 				}
-			} else {
-				if a >= -tol {
-					continue
+				alpha := s.alpha[j]
+				a := sigma * alpha
+				if st == atLower {
+					if a <= tol {
+						continue
+					}
+				} else {
+					if a >= -tol {
+						continue
+					}
 				}
-			}
-			d := c[j]
-			for _, e := range s.entries[j] {
-				d -= y[e.Row] * e.Coef
-			}
-			ratio := d / a
-			if ratio < 0 {
-				ratio = 0 // clamp tolerance-level dual infeasibility
-			}
-			if ratio < bestRatio-1e-12 {
-				q, bestRatio, bestAlpha = j, ratio, alpha
-			} else if q >= 0 && ratio < bestRatio+1e-12 && math.Abs(alpha) > math.Abs(bestAlpha) {
-				q, bestRatio, bestAlpha = j, ratio, alpha
+				ratio := s.d[j] / a
+				if ratio < 0 {
+					ratio = 0 // clamp tolerance-level dual infeasibility
+				}
+				if ratio < bestRatio-1e-12 {
+					q, bestRatio, bestAlpha = j, ratio, alpha
+				} else if q >= 0 && ratio < bestRatio+1e-12 && math.Abs(alpha) > math.Abs(bestAlpha) {
+					q, bestRatio, bestAlpha = j, ratio, alpha
+				}
 			}
 		}
 		if q == -1 {
@@ -355,6 +344,7 @@ func (s *Solver) dualIterate(c []float64) Status {
 		if math.Abs(piv) < pivTol {
 			return IterationLimit // numerically lost pivot
 		}
+		s.updateDuals(q, r, piv)
 		jl := s.basis[r]
 		var bound float64
 		leaveAt := atLower
@@ -392,6 +382,10 @@ func (s *Solver) dualIterate(c []float64) Status {
 			if !s.refactor() {
 				return IterationLimit
 			}
+			s.price(c)
+		}
+		if testHookPivot != nil {
+			testHookPivot(s, c)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -32,6 +33,48 @@ func SetRefactorHook(f func(*Solver)) (restore func()) {
 	testHookRefactor = f
 	return func() { testHookRefactor = nil }
 }
+
+// SetPivotHook installs f after every simplex pivot of every solver —
+// primal and dual, after any refactorization the pivot triggered — and
+// returns the function that removes it. f sees the objective being
+// minimized.
+func SetPivotHook(f func(s *Solver, c []float64)) (restore func()) {
+	testHookPivot = f
+	return func() { testHookPivot = nil }
+}
+
+// CheckReducedCosts prices s's current basis under c from scratch and
+// reports the first nonbasic variable that can move whose maintained
+// reduced cost differs from the fresh one by more than
+// rel·max(1, |fresh|). It leaves s untouched.
+func CheckReducedCosts(s *Solver, c []float64, rel float64) error {
+	y := make([]float64, s.m)
+	for i, j := range s.basis {
+		y[i] = c[j]
+	}
+	s.btran(y)
+	for j, st := range s.status {
+		if st == basic || s.lo[j] == s.hi[j] {
+			continue
+		}
+		fresh := c[j]
+		for _, e := range s.entries[j] {
+			fresh -= y[e.Row] * e.Coef
+		}
+		if diff := math.Abs(s.d[j] - fresh); diff > rel*math.Max(1, math.Abs(fresh)) {
+			return fmt.Errorf("variable %d: maintained reduced cost %v, fresh %v (off by %.3g)", j, s.d[j], fresh, diff)
+		}
+	}
+	return nil
+}
+
+// HasRowCopy reports whether p holds the row-major copy of its entries
+// that Validate builds.
+func HasRowCopy(p *Problem) bool { return p.byRow != nil }
+
+// SharesRowCopy reports whether a and b hold one and the same row-major
+// copy of their entries.
+func SharesRowCopy(a, b *Problem) bool { return a.byRow != nil && a.byRow == b.byRow }
 
 // ColEntries returns column j's coefficients; the slice is the
 // problem's own.
@@ -106,6 +149,6 @@ func WithLeadingRows(p *Problem, lo, hi []float64, a [][]float64, obj []float64)
 		cp.cols[j].entries = es
 		cp.cols[j].obj = obj[j]
 	}
-	cp.entriesOK = false
+	cp.byRow = nil
 	return cp
 }

@@ -1,7 +1,8 @@
 // Package lp implements a linear programming solver: a bounded-variable
 // revised simplex method with the basis inverse kept in product form
 // (an eta file), two phases (artificial-variable feasibility search,
-// then cost minimization), Dantzig pricing with a Bland anti-cycling
+// then cost minimization), Dantzig pricing over maintained reduced
+// costs, pivot row computed row-wise, with a Bland anti-cycling
 // fallback, periodic refactorization for numerical stability, and a
 // bounded dual simplex that warm-starts from a basis snapshot. A cold
 // solve starts from a slack crash basis: a row that the starting point
@@ -39,11 +40,23 @@ type Entry struct {
 type Problem struct {
 	cols []column
 	rows []rowBounds
-	// entriesOK records that every entry's row index has been checked
-	// since the last AddCol or AddEntry, so that Validate, which runs on
-	// every solve, walks the entries of a problem once, not once per
-	// branch and bound node.
-	entriesOK bool
+	// byRow is the structural entries in row-major order. Validate builds
+	// it once it has checked every entry's row index, and AddRow, AddCol
+	// and AddEntry drop it, so nil means unchecked: Validate, which runs
+	// on every solve, walks the entries of a problem once, not once per
+	// branch and bound node. It is never written after it is built, so
+	// clones share it.
+	byRow *rowMajor
+}
+
+// rowMajor holds a problem's structural entries by row: row i's are
+// (col[t], coef[t]) for t in [start[i], start[i+1]), in column order.
+// The solver computes a pivot row ρ·A from it over ρ's nonzero rows
+// only.
+type rowMajor struct {
+	start []int32
+	col   []int32
+	coef  []float64
 }
 
 type column struct {
@@ -64,6 +77,7 @@ func NewProblem() *Problem { return &Problem{} }
 // equalities.
 func (p *Problem) AddRow(lo, hi float64) int {
 	p.rows = append(p.rows, rowBounds{lo: lo, hi: hi})
+	p.byRow = nil
 	return len(p.rows) - 1
 }
 
@@ -73,7 +87,7 @@ func (p *Problem) AddRow(lo, hi float64) int {
 func (p *Problem) AddCol(obj, lo, hi float64, entries ...Entry) int {
 	es := append([]Entry(nil), entries...)
 	p.cols = append(p.cols, column{obj: obj, lo: lo, hi: hi, entries: es})
-	p.entriesOK = false
+	p.byRow = nil
 	return len(p.cols) - 1
 }
 
@@ -92,8 +106,9 @@ func (p *Problem) NumRows() int { return len(p.rows) }
 func (p *Problem) NumCols() int { return len(p.cols) }
 
 // Validate checks bound sanity and entry indices. The entry indices are
-// walked only when a column or an entry was added since the last
-// successful call; bounds and objective are checked every time.
+// walked, and the row-major copy of the entries built, only when a row,
+// a column or an entry was added since the last successful call; bounds
+// and objective are checked every time.
 func (p *Problem) Validate() error {
 	for i, r := range p.rows {
 		if r.lo > r.hi {
@@ -108,17 +123,34 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("lp: col %d has NaN objective", j)
 		}
 	}
-	if p.entriesOK {
+	if p.byRow != nil {
 		return nil
 	}
+	// Counting sort by row: count row i at start[i+2], so that the
+	// prefix sums leave row i's first slot at start[i+1], which the fill
+	// then advances to its end — row i+1's start.
+	m := len(p.rows)
+	start := make([]int32, m+2)
 	for j, c := range p.cols {
 		for _, e := range c.entries {
-			if e.Row < 0 || e.Row >= len(p.rows) {
-				return fmt.Errorf("lp: col %d references row %d of %d", j, e.Row, len(p.rows))
+			if e.Row < 0 || e.Row >= m {
+				return fmt.Errorf("lp: col %d references row %d of %d", j, e.Row, m)
 			}
+			start[e.Row+2]++
 		}
 	}
-	p.entriesOK = true
+	for i := 2; i < m+2; i++ {
+		start[i] += start[i-1]
+	}
+	rows := &rowMajor{start: start[:m+1], col: make([]int32, start[m+1]), coef: make([]float64, start[m+1])}
+	for j, c := range p.cols {
+		for _, e := range c.entries {
+			t := start[e.Row+1]
+			rows.col[t], rows.coef[t] = int32(j), e.Coef
+			start[e.Row+1]++
+		}
+	}
+	p.byRow = rows
 	return nil
 }
 
@@ -204,7 +236,7 @@ type Solution struct {
 // attaching columns to rows created after the column was added.
 func (p *Problem) AddEntry(col, row int, coef float64) {
 	p.cols[col].entries = append(p.cols[col].entries, Entry{Row: row, Coef: coef})
-	p.entriesOK = false
+	p.byRow = nil
 }
 
 // ColEntryCount returns the number of nonzero coefficients of a column;
@@ -212,15 +244,15 @@ func (p *Problem) AddEntry(col, row int, coef float64) {
 // branching variable.
 func (p *Problem) ColEntryCount(col int) int { return len(p.cols[col].entries) }
 
-// Clone returns a deep copy of the problem. Parallel branch and bound
-// gives each worker its own clone so column bounds can be fixed and
-// reverted concurrently without synchronization.
+// Clone returns a deep copy of the problem, sharing only the read-only
+// row-major copy of the entries. Parallel branch and bound gives each
+// worker its own clone so column bounds can be fixed and reverted
+// concurrently without synchronization.
 func (p *Problem) Clone() *Problem {
 	cp := &Problem{
-		cols: make([]column, len(p.cols)),
-		rows: append([]rowBounds(nil), p.rows...),
-
-		entriesOK: p.entriesOK,
+		cols:  make([]column, len(p.cols)),
+		rows:  append([]rowBounds(nil), p.rows...),
+		byRow: p.byRow,
 	}
 	copy(cp.cols, p.cols)
 	for i := range cp.cols {

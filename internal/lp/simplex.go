@@ -46,6 +46,14 @@ const (
 // rebuilt from the basis columns (refactor) on a fixed cadence and
 // whenever update fill grows past a budget.
 //
+// Every variable's reduced cost is kept across pivots rather than
+// re-derived from the simplex multipliers on every one: a pivot updates
+// it from the pivot row (updateDuals), which costs one btran of a unit
+// vector and a walk over that row's nonzero rows of the problem's
+// row-major entries (pivotRow). A full price — a btran of c_B and a pass
+// over every column — runs only when a solve loads its basis, after each
+// refactorization and once to confirm optimality.
+//
 // A Solver is not safe for concurrent use; create one per worker
 // goroutine.
 type Solver struct {
@@ -77,10 +85,22 @@ type Solver struct {
 
 	single []Entry // backing for slack/artificial single-entry columns
 
-	y, w, res []float64 // per-iteration multiplier/direction/residual scratch
-	rho       []float64 // dual simplex row scratch
+	y, w, res []float64 // multiplier/direction/residual scratch
+	rho       []float64 // row r of B⁻¹, for the pivot row
 	phase1    []float64
 	isBasic   []bool
+
+	// Reduced costs and the pivot row. d holds the reduced cost, under
+	// the objective being minimized, of every nonbasic variable that can
+	// move; its other entries are never read. fresh records that price
+	// computed d and no pivot has moved it since. alpha holds row r of
+	// B⁻¹A where reach marks it written, and is zero elsewhere between
+	// pivots.
+	d     []float64
+	fresh bool
+	alpha []float64
+	reach []uint64
+	byRow *rowMajor // the problem's row-major entries
 
 	// Refactorization scratch.
 	rowStart []int32 // CSR row → basis-position adjacency
@@ -148,6 +168,12 @@ type SolverStats struct {
 	// including the initial basis load of each solve that did not reuse
 	// the previous load's.
 	Refactors int64
+	// Prices counts full pricing passes — a btran of the basic costs and
+	// a pass over every column. A solve runs one when it loads its basis
+	// or changes objective, one after each refactorization and one to
+	// confirm optimality; every other pivot updates the reduced costs
+	// from its pivot row.
+	Prices int64
 	// FactorReuses counts SolveFrom calls that found the snapshot's
 	// factorization still at the head of the eta file and skipped the
 	// load-time refactorization.
@@ -183,6 +209,7 @@ func (s *SolverStats) Add(o SolverStats) {
 	s.Phase1Pivots += o.Phase1Pivots
 	s.DegeneratePivots += o.DegeneratePivots
 	s.Refactors += o.Refactors
+	s.Prices += o.Prices
 	s.FactorReuses += o.FactorReuses
 	s.RefactorNNZ += o.RefactorNNZ
 	s.WarmStarts += o.WarmStarts
@@ -241,6 +268,10 @@ func (s *Solver) prepare(p *Problem) {
 	s.res = growF(s.res, m)
 	s.rho = growF(s.rho, m)
 	s.phase1 = growF(s.phase1, total)
+	s.d = growF(s.d, total)
+	s.alpha = growF(s.alpha, total)
+	s.fresh = false
+	s.byRow = p.byRow
 	if cap(s.entries) < total {
 		s.entries = make([][]Entry, total)
 	} else {
@@ -287,6 +318,14 @@ func (s *Solver) prepare(p *Problem) {
 		s.touched = make([]uint64, words)
 	} else {
 		s.touched = s.touched[:words]
+	}
+	if words := (total + 63) / 64; cap(s.reach) < words {
+		s.reach = make([]uint64, words)
+	} else {
+		s.reach = s.reach[:words]
+		for i := range s.reach {
+			s.reach[i] = 0
+		}
 	}
 	s.fillMax = 16*m + 2048
 	s.pivots, s.degens = 0, 0
@@ -436,7 +475,13 @@ func (s *Solver) solveCold(p *Problem) (*Solution, error) {
 	}
 	if needPhase1 {
 		before := s.stats.Pivots
-		st := s.iterate(phase1)
+		s.price(phase1)
+		st := s.iterate(phase1, false)
+		if st == Optimal && s.objectiveOf(phase1) > 1e-6 {
+			// Confirm against fresh reduced costs before declaring the
+			// program infeasible; a feasible end needs no confirmation.
+			st = s.iterate(phase1, true)
+		}
 		s.stats.Phase1Pivots += s.stats.Pivots - before
 		if st == IterationLimit {
 			return &Solution{Status: IterationLimit}, nil
@@ -454,7 +499,8 @@ func (s *Solver) solveCold(p *Problem) (*Solution, error) {
 	for j, c := range p.cols {
 		s.obj[j] = c.obj
 	}
-	st := s.iterate(s.obj)
+	s.price(s.obj)
+	st := s.iterate(s.obj, true)
 	switch st {
 	case Unbounded:
 		return &Solution{Status: Unbounded}, nil
@@ -507,9 +553,93 @@ func (s *Solver) objectiveOf(c []float64) float64 {
 	return total
 }
 
+// price recomputes every reduced cost from scratch: the simplex
+// multipliers y = c_B·B⁻¹ by one btran, then d_j = c_j − y·a_j for each
+// nonbasic variable that can move, and zero for the rest.
+func (s *Solver) price(c []float64) {
+	y := s.y
+	for i, j := range s.basis {
+		y[i] = c[j]
+	}
+	s.btran(y)
+	for j := range s.d {
+		if s.status[j] == basic || s.lo[j] == s.hi[j] {
+			s.d[j] = 0
+			continue
+		}
+		dj := c[j]
+		for _, e := range s.entries[j] {
+			dj -= y[e.Row] * e.Coef
+		}
+		s.d[j] = dj
+	}
+	s.fresh = true
+	s.stats.Prices++
+}
+
+// pivotRow computes row r of B⁻¹A into alpha and marks the variables it
+// writes in reach: ρ = e_r·B⁻¹ by one btran, then α_j = ρ·a_j summed
+// over ρ's nonzero rows only, through the problem's row-major entries.
+// Slack i and artificial i have the one entry (i, ±1), so they take ρ_i
+// directly. updateDuals clears alpha and reach again; a solve that ends
+// between the two leaves them to the next solve's prepare.
+func (s *Solver) pivotRow(r int) {
+	rho := s.rho
+	for i := range rho {
+		rho[i] = 0
+	}
+	rho[r] = 1
+	s.btran(rho)
+	n, m := s.n, s.m
+	alpha, reach, rows := s.alpha, s.reach, s.byRow
+	for i, v := range rho {
+		if v == 0 {
+			continue
+		}
+		for t := rows.start[i]; t < rows.start[i+1]; t++ {
+			j := rows.col[t]
+			alpha[j] += v * rows.coef[t]
+			reach[j>>6] |= 1 << (j & 63)
+		}
+		for _, j := range [2]int{n + i, n + m + i} {
+			alpha[j] = v * s.entries[j][0].Coef
+			reach[j>>6] |= 1 << (j & 63)
+		}
+	}
+}
+
+// updateDuals carries the reduced costs across the pivot that makes q
+// basic at row r, with pivot element piv, from the row pivotRow left:
+// d_j −= θ·α_rj with θ = d_q/piv for every nonbasic j the row reaches,
+// the leaving variable takes −θ and q zero. It clears the row.
+func (s *Solver) updateDuals(q, r int, piv float64) {
+	d, alpha, reach := s.d, s.alpha, s.reach
+	theta := d[q] / piv
+	for wi, word := range reach {
+		for ; word != 0; word &= word - 1 {
+			j := wi<<6 | bits.TrailingZeros64(word)
+			if s.status[j] != basic {
+				d[j] -= theta * alpha[j]
+			}
+			alpha[j] = 0
+		}
+		reach[wi] = 0
+	}
+	d[s.basis[r]] = -theta
+	d[q] = 0
+	s.fresh = false
+}
+
+// testHookPivot, when a test sets it, sees the solver after every pivot,
+// with the objective being minimized.
+var testHookPivot func(s *Solver, c []float64)
+
 // iterate runs primal simplex iterations for the given objective until
-// optimality, unboundedness, or the iteration limit.
-func (s *Solver) iterate(c []float64) Status {
+// optimality, unboundedness, or the iteration limit, starting from the
+// reduced costs in d (the caller prices them). With confirm set, an
+// optimum the maintained reduced costs show is re-priced from scratch
+// before it is accepted, unless no pivot happened since the last price.
+func (s *Solver) iterate(c []float64, confirm bool) Status {
 	iters := 0
 	for {
 		iters++
@@ -517,32 +647,18 @@ func (s *Solver) iterate(c []float64) Status {
 			return IterationLimit
 		}
 
-		// Simplex multipliers y = c_B · B⁻¹, via one btran.
-		y := s.y
-		for k := range y {
-			y[k] = 0
-		}
-		for i := 0; i < s.m; i++ {
-			y[i] = c[s.basis[i]]
-		}
-		s.btran(y)
-
 		// Pricing: choose the entering variable.
 		entering := -1
 		enterDir := 1.0
 		best := tol
 		bland := s.degens >= blandAfter
-		for j := 0; j < len(s.xval); j++ {
+		for j, d := range s.d {
 			st := s.status[j]
 			if st == basic {
 				continue
 			}
 			if s.lo[j] == s.hi[j] {
 				continue // fixed variable
-			}
-			d := c[j]
-			for _, e := range s.entries[j] {
-				d -= y[e.Row] * e.Coef
 			}
 			var viol float64
 			var dir float64
@@ -564,7 +680,11 @@ func (s *Solver) iterate(c []float64) Status {
 			}
 		}
 		if entering == -1 {
-			return Optimal
+			if !confirm || s.fresh {
+				return Optimal
+			}
+			s.price(c)
+			continue
 		}
 
 		// Direction w = B⁻¹ A_entering, via one ftran.
@@ -646,8 +766,11 @@ func (s *Solver) iterate(c []float64) Status {
 			continue
 		}
 
-		// Pivot: replace basis[leaving] with the entering variable and
-		// append the eta recording this basis change.
+		// Pivot: carry the reduced costs across it from the pivot row,
+		// replace basis[leaving] with the entering variable and append the
+		// eta recording this basis change.
+		s.pivotRow(leaving)
+		s.updateDuals(entering, leaving, w[leaving])
 		out := s.basis[leaving]
 		s.status[out] = leaveAt
 		if leaveAt == atUpper {
@@ -668,6 +791,10 @@ func (s *Solver) iterate(c []float64) Status {
 			if !s.refactor() {
 				return IterationLimit
 			}
+			s.price(c)
+		}
+		if testHookPivot != nil {
+			testHookPivot(s, c)
 		}
 	}
 }

@@ -228,10 +228,12 @@ func (s *Snapshot) Format() string {
 // short human-readable block: solve and warm-start counts with the hit
 // rate, the phase-2 roots started from phase 1's root basis, pivot
 // breakdown (dual, degenerate, and the feasibility pivots cold solves
-// spent in their phase 1), refactorizations with the eta-file fill they
-// wrote and how many more were reused, the LPs branch and bound never
-// solved (fixed programs it evaluated, nodes it dropped only because an
-// integer-valued objective lets a bound round up), per solver phase how
+// spent in their phase 1), the full pricing passes (every other pivot
+// updates the reduced costs from its pivot row), refactorizations with
+// the eta-file fill they wrote and how many more were reused, the LPs
+// branch and bound never solved (fixed programs it evaluated, nodes it
+// dropped only because an integer-valued objective lets a bound round
+// up), per solver phase how
 // many solves ran over how many nodes and how many of them stopped at
 // the node limit with what relative gap (a truncated solve's
 // recommendation is its best incumbent, not a proven optimum), and the
@@ -252,6 +254,8 @@ func (s *Snapshot) FormatSolverStats() string {
 		c["lp.warm_infeasible"], c["lp.primal_warm_starts"], c["lp.warm_fallbacks"])
 	fmt.Fprintf(&b, "  simplex pivots           %d (%d dual, %d degenerate, %d in cold solves' phase 1)\n",
 		c["lp.pivots"], c["lp.dual_pivots"], c["lp.degenerate_pivots"], c["lp.phase1_pivots"])
+	fmt.Fprintf(&b, "  full pricing passes      %d (the other pivots update reduced costs from the pivot row)\n",
+		c["lp.prices"])
 	fmt.Fprintf(&b, "  basis refactorizations   %d (%d off-pivot nonzeros), %d reused by a sibling\n",
 		c["lp.refactors"], c["lp.refactor_nnz"], c["lp.factor_reuses"])
 	fmt.Fprintf(&b, "  LPs not solved           %d fixed programs evaluated, %d nodes pruned by integer rounding\n",

@@ -23,17 +23,26 @@ type Plan struct {
 }
 
 // Indexes returns the distinct column families the plan reads, in first
-// use order.
+// use order. A plan has a handful of lookups, so a linear scan dedupes
+// them by ID.
 func (p *Plan) Indexes() []*schema.Index {
-	seen := map[string]bool{}
 	var out []*schema.Index
 	for _, s := range p.Steps {
-		if ls, ok := s.(*LookupStep); ok && !seen[ls.Index.ID()] {
-			seen[ls.Index.ID()] = true
+		if ls, ok := s.(*LookupStep); ok && !containsIndex(out, ls.Index) {
 			out = append(out, ls.Index)
 		}
 	}
 	return out
+}
+
+// containsIndex reports whether xs holds a family with x's ID.
+func containsIndex(xs []*schema.Index, x *schema.Index) bool {
+	for _, y := range xs {
+		if y.ID() == x.ID() {
+			return true
+		}
+	}
+	return false
 }
 
 // Signature canonically identifies the plan's structure for

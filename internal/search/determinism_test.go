@@ -58,8 +58,9 @@ func TestAdviseDeterministic(t *testing.T) {
 // root starts from phase 1's root basis, which worker 0 alone solves,
 // whatever the count) — and so must every bip.*, lp.*,
 // search.* and planner.* counter: they count the explored tree and the
-// LP work on it (pivots, refactorizations and the ones a sibling reused,
-// evaluated fixed programs, nodes pruned by rounding), which
+// LP work on it (pivots, full pricing passes, refactorizations and the
+// ones a sibling reused, evaluated fixed programs, nodes pruned by
+// rounding), which
 // sibling-pair scheduling keeps independent of who solved what, and the
 // planner's requests and table sizes, which do not depend on which
 // worker generated a shared segment or step first. Parallelism may only
@@ -151,7 +152,7 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 				return rec, counters
 			}
 			base, baseCounters := run(1)
-			for _, name := range []string{"bip.nodes", "bip.fixed_evals", "lp.solves", "lp.phase1_pivots", "lp.factor_reuses", "lp.primal_warm_starts",
+			for _, name := range []string{"bip.nodes", "bip.fixed_evals", "lp.solves", "lp.phase1_pivots", "lp.prices", "lp.factor_reuses", "lp.primal_warm_starts",
 				"search.phase1.nodes", "search.phase2.solves",
 				"planner.segment_requests", "planner.segments", "planner.step_requests", "planner.steps",
 				"planner.candidates_examined", "planner.chains_joined"} {

@@ -166,25 +166,12 @@ func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.R
 func (b *builder) pruneDominatedPlans() {
 	pruneSpace := func(space *planner.PlanSpace) {
 		kept := make([]*planner.Plan, 0, len(space.Plans))
-		keptSets := make([]map[string]bool, 0, len(space.Plans))
+		keptSets := make([][]*schema.Index, 0, len(space.Plans))
 		for _, pl := range space.Plans {
-			set := map[string]bool{}
-			for _, x := range pl.Indexes() {
-				set[x.ID()] = true
-			}
+			set := pl.Indexes()
 			dominated := false
 			for _, ks := range keptSets {
-				if len(ks) > len(set) {
-					continue
-				}
-				subset := true
-				for id := range ks {
-					if !set[id] {
-						subset = false
-						break
-					}
-				}
-				if subset {
+				if len(ks) <= len(set) && subsetByID(ks, set) {
 					dominated = true
 					break
 				}
@@ -206,6 +193,24 @@ func (b *builder) pruneDominatedPlans() {
 			pruneSpace(g.space)
 		}
 	}
+}
+
+// subsetByID reports whether every family in a has an ID in b. Plans
+// read a handful of families, so nested scans beat building a set.
+func subsetByID(a, b []*schema.Index) bool {
+	for _, x := range a {
+		found := false
+		for _, y := range b {
+			if y.ID() == x.ID() {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // buildUpdateBlock plans one write statement's maintenance against every
