@@ -325,7 +325,9 @@ func BenchmarkPlanSpacesRandwork(b *testing.B) {
 
 // planSpacesAllocCeiling bounds the allocations of one search.BuildPlans
 // on randwork factor 3 seed 42 at one worker: 603,610 before the planner
-// interned steps and memoised segments, about 140,000 since (go1.24).
+// interned steps and memoised segments, about 140,000 after, and about
+// 105,000 since its sub-queries and keys are built in reused storage
+// (go1.24).
 // The headroom is for other toolchains' maps and slices, not for a
 // string, map or closure per candidate family, which costs more than it.
 const planSpacesAllocCeiling = 200_000

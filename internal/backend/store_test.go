@@ -5,9 +5,9 @@ import (
 
 	"nose/internal/backend"
 	"nose/internal/cost"
-	"nose/internal/enumerator"
 	"nose/internal/hotel"
 	"nose/internal/model"
+	"nose/internal/schema"
 	"nose/internal/workload"
 )
 
@@ -191,7 +191,15 @@ func TestDatasetInstallMaterializesView(t *testing.T) {
 	ds := hotelDataset(t)
 	g := ds.Graph
 	q := workload.MustParseQuery(g, hotel.ExampleQuery)
-	mv := enumerator.MaterializedView(q)
+	// The query's materialized view (paper §IV-A1): the equality
+	// attribute, then the range attribute and the path's ids, then the
+	// selected attributes.
+	attr := func(entity, name string) *model.Attribute { return g.MustEntity(entity).Attribute(name) }
+	key := func(entity string) *model.Attribute { return g.MustEntity(entity).Key() }
+	mv := schema.New(q.Path,
+		[]*model.Attribute{attr("Hotel", "HotelCity")},
+		[]*model.Attribute{attr("Room", "RoomRate"), key("Guest"), key("Reservation"), key("Room"), key("Hotel")},
+		[]*model.Attribute{attr("Guest", "GuestName"), attr("Guest", "GuestEmail")})
 	mv.Name = "mv"
 
 	s := testStore(t)

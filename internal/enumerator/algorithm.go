@@ -2,6 +2,7 @@ package enumerator
 
 import (
 	"context"
+	"slices"
 
 	"nose/internal/obs"
 	"nose/internal/par"
@@ -71,18 +72,40 @@ func EnumerateWorkload(w *workload.Workload) (*Result, error) {
 // the exponential candidate generation. A partial pool is never
 // returned.
 func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Features, workers int, r *obs.Registry) (*Result, error) {
+	return newRun(feats).enumerateWorkload(ctx, w, workers, r)
+}
+
+// enumerateWorkload is EnumerateWorkloadCtx over the run memo.
+func (memo *run) enumerateWorkload(ctx context.Context, w *workload.Workload, workers int, r *obs.Registry) (*Result, error) {
 	pool := NewPool()
-	memo := newRun(feats)
+	works := make([]*work, max(workers, 1))
+	worker := func(i int) *work {
+		if works[i] == nil {
+			works[i] = memo.newWork()
+		}
+		return works[i]
+	}
 	emittedC := r.Counter("enum.candidates_emitted")
+	// pooled marks the run's candidates the pool already holds. Only the
+	// run's candidates join it before Combine, each interned once, so
+	// a number stands for an ID.
+	var pooled collector
+	merge := func(list []*cand) {
+		for _, c := range list {
+			if pooled.mark(c) {
+				pool.s.Add(c.x)
+			}
+		}
+	}
 
 	queries := w.Queries()
-	lists := make([][]*schema.Index, len(queries))
+	lists := make([][]*cand, len(queries))
 	errs := make([]error, len(queries))
-	par.Do(len(queries), workers, func(i int) {
+	par.DoWorker(len(queries), workers, func(wk, i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		lists[i], errs[i] = memo.enumerate(queries[i].Statement.(*workload.Query))
+		lists[i], errs[i] = worker(wk).enumerate(queries[i].Statement.(*workload.Query))
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -93,7 +116,7 @@ func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Featu
 			return nil, errs[i]
 		}
 		emittedC.Add(int64(len(lists[i])))
-		pool.merge(lists[i])
+		merge(lists[i])
 	}
 
 	res := &Result{
@@ -107,15 +130,23 @@ func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Featu
 	// fixed snapshot of the pool, so the (update, candidate) pairs of
 	// one sweep are independent and fan out; their candidates merge in
 	// snapshot order. Updates stay sequential because each update's
-	// snapshot must include the candidates the previous one added.
+	// snapshot must include the candidates the previous one added. A
+	// sweep starts where the update's previous one stopped: the pool
+	// only grows, and a candidate the update did not modify then it
+	// does not modify now. An item keeps its support queries'
+	// memoised lists; the merge takes their union, which is what the
+	// pool would receive from the lists one after another.
 	type supportItem struct {
-		x    *schema.Index
-		sqs  []*workload.Query
-		list []*schema.Index
+		x     *schema.Index
+		sqs   []*workload.Query
+		lists [][]*cand
 	}
-	var items []*supportItem
+	var items []supportItem
+	var union collector
+	swept := map[workload.WriteStatement]int{}
+	updates := w.Updates()
 	for pass := 0; pass < 2; pass++ {
-		for _, ws := range w.Updates() {
+		for _, ws := range updates {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -126,43 +157,49 @@ func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Featu
 				res.Support[u] = perIndex
 			}
 			items = items[:0]
-			for _, x := range pool.Indexes() {
-				if _, done := perIndex[x.ID()]; done {
-					continue
-				}
+			from := swept[u]
+			swept[u] = pool.Len()
+			for _, x := range pool.Indexes()[from:] {
 				if !Modifies(u, x) {
 					continue
 				}
-				items = append(items, &supportItem{x: x})
+				// Reuse the lists array a previous sweep left in the slot.
+				items = slices.Grow(items, 1)[:len(items)+1]
+				it := &items[len(items)-1]
+				it.x, it.sqs, it.lists = x, nil, it.lists[:0]
 			}
-			par.Do(len(items), workers, func(i int) {
+			par.DoWorker(len(items), workers, func(wk, i int) {
 				if ctx.Err() != nil {
 					return
 				}
-				it := items[i]
+				it := &items[i]
 				it.sqs = SupportQueries(u, it.x)
-				lists := make([][]*schema.Index, len(it.sqs))
-				for j, sq := range it.sqs {
+				for _, sq := range it.sqs {
 					// Support queries always carry an equality
 					// predicate by construction, so enumeration
 					// cannot fail; ignore the error defensively.
-					lists[j], _ = memo.enumerate(sq)
+					list, _ := worker(wk).enumerate(sq)
+					it.lists = append(it.lists, list)
 				}
-				it.list = union(lists)
 			})
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			for _, it := range items {
+			for i := range items {
+				it := &items[i]
 				perIndex[it.x.ID()] = it.sqs
 				r.Counter("enum.support_queries").Add(int64(len(it.sqs)))
-				emittedC.Add(int64(len(it.list)))
-				pool.merge(it.list)
+				for _, list := range it.lists {
+					union.add(list...)
+				}
+				emittedC.Add(int64(len(union.list)))
+				merge(union.list)
+				union.reset()
 			}
 		}
 	}
 
-	if !feats.SkipCombine {
+	if !memo.feats.SkipCombine {
 		before := pool.Len()
 		Combine(pool)
 		r.Counter("enum.combined").Add(int64(pool.Len() - before))

@@ -2,6 +2,8 @@ package enumerator
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 
 	"nose/internal/model"
@@ -36,17 +38,6 @@ func (p *Pool) add(x *schema.Index) *schema.Index {
 	return got
 }
 
-// merge absorbs one workload item's candidates in their first-occurrence
-// order. They are a run's canonical instances, validated when interned
-// and still unnamed unless already pooled, so the pool numbers them by
-// its own insertion sequence — this is what keeps parallel
-// enumeration's naming byte-identical to a serial run.
-func (p *Pool) merge(item []*schema.Index) {
-	for _, x := range item {
-		p.s.Add(x)
-	}
-}
-
 // Indexes returns the pool's candidates in insertion order.
 func (p *Pool) Indexes() []*schema.Index { return p.s.Indexes() }
 
@@ -59,16 +50,22 @@ func (p *Pool) Len() int { return p.s.Len() }
 // pure functions of Algorithm 1. A workload asks for the same
 // enumeration over and over — every (update, candidate) pair poses
 // support queries, and most pose ones already seen — so each distinct
-// QuerySignature is enumerated exactly once, by whichever worker asks
+// query signature is enumerated exactly once, by whichever worker asks
 // first, and replayed as a list of pointers. The run dies with the call.
+//
+// Every key is built in a worker's buffer and looked up as
+// m[string(buf)], which allocates nothing; a key string is allocated
+// only when an entry is first stored.
 type run struct {
 	feats Features
 
-	// byID interns candidates: one validated, unnamed *schema.Index per
-	// structure, so the memoised lists and every worker's item compare
-	// and dedupe by pointer.
-	mu   sync.Mutex
-	byID map[string]*schema.Index
+	// byID interns candidates by schema ID: one validated, unnamed
+	// *schema.Index per structure, numbered in interning order, so the
+	// memoised lists and every worker's item compare and dedupe by
+	// number.
+	mu    sync.Mutex
+	byID  map[string]*cand
+	cands []cand
 
 	// views memoises wholeQueryCandidates by prefix-query signature.
 	views memo
@@ -77,10 +74,16 @@ type run struct {
 	queries memo
 }
 
+// cand is an interned candidate with its run-local number.
+type cand struct {
+	x *schema.Index
+	n int
+}
+
 func newRun(feats Features) *run {
 	return &run{
 		feats:   feats,
-		byID:    map[string]*schema.Index{},
+		byID:    map[string]*cand{},
 		views:   memo{m: map[string]*memoEntry{}},
 		queries: memo{m: map[string]*memoEntry{}},
 	}
@@ -96,69 +99,131 @@ func newRun(feats Features) *run {
 type memo struct {
 	mu sync.Mutex
 	m  map[string]*memoEntry
+	// entries is the block new entries are carved from.
+	entries []memoEntry
 }
 
 type memoEntry struct {
 	once sync.Once
-	list []*schema.Index
+	list []*cand
 }
 
-func (m *memo) entry(sig string) *memoEntry {
+func (m *memo) entry(sig []byte) *memoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	e := m.m[sig]
+	e := m.m[string(sig)]
 	if e == nil {
-		e = &memoEntry{}
-		m.m[sig] = e
+		if len(m.entries) == cap(m.entries) {
+			m.entries = make([]memoEntry, 0, 64)
+		}
+		m.entries = append(m.entries, memoEntry{})
+		e = &m.entries[len(m.entries)-1]
+		m.m[string(sig)] = e
 	}
 	return e
 }
 
-// intern returns the run's canonical instance of a freshly built
-// candidate, validating it if it is the first of its structure.
-func (r *run) intern(x *schema.Index) *schema.Index {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if first, ok := r.byID[x.ID()]; ok {
-		return first
+// work is one worker's view of a run: the run plus the scratch its
+// requests build keys, sub-queries and lists in. Nothing in the scratch
+// outlives a request as data; what a request keeps it copies out.
+type work struct {
+	*run
+	// sig and id are the signature and schema ID buffers.
+	sig, id []byte
+	// visited numbers the sub-query signatures this worker's walks have
+	// decomposed, and lastWalk holds, per number, the last walk that
+	// did: a signature is visited in the walk in progress when that is
+	// walks. Keys are allocated once per worker, not once per walk.
+	visited  map[string]int
+	lastWalk []int
+	walks    int
+	// sub builds the walk's sub-queries.
+	sub                SubQueries
+	relaxable, removed []workload.Predicate
+	// part, clust and vals are a view's key and values.
+	part, clust, vals []*model.Attribute
+	// walk and view collect one walk's and one view family's list.
+	walk, view collector
+}
+
+func (r *run) newWork() *work {
+	return &work{run: r, visited: map[string]int{}}
+}
+
+// intern returns the run's candidate for the structure (path,
+// partition, clustering, values), building, validating and numbering
+// it with schema.New if it is the first of its structure. partition and
+// values are reordered canonically in place; path may be scratch, as a
+// new candidate gets its own copy.
+func (w *work) intern(path model.Path, partition, clustering, values []*model.Attribute) *cand {
+	w.id = schema.AppendID(w.id[:0], path, partition, clustering, values)
+	w.mu.Lock()
+	c := w.byID[string(w.id)]
+	w.mu.Unlock()
+	if c != nil {
+		return c
 	}
+	x := schema.New(model.Path{Start: path.Start, Edges: slices.Clone(path.Edges)}, partition, clustering, values)
 	if err := x.Validate(); err != nil {
 		panic(fmt.Sprintf("enumerator: generated invalid candidate: %v", err))
 	}
-	r.byID[x.ID()] = x
-	return x
-}
-
-// candidates is an ordered set of canonical instances: what one query,
-// or one workload item, contributes, in first-occurrence order.
-type candidates struct {
-	list []*schema.Index
-	seen map[*schema.Index]struct{}
-}
-
-func (c *candidates) add(xs ...*schema.Index) {
-	if c.seen == nil {
-		c.seen = make(map[*schema.Index]struct{}, len(xs))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if c := w.byID[x.ID()]; c != nil {
+		return c
 	}
+	if len(w.cands) == cap(w.cands) {
+		// A new block rather than a grown one: interned candidates are
+		// referred to by pointer.
+		w.cands = make([]cand, 0, 256)
+	}
+	w.cands = append(w.cands, cand{x: x, n: len(w.byID)})
+	c = &w.cands[len(w.cands)-1]
+	w.byID[x.ID()] = c
+	return c
+}
+
+// collector gathers an ordered set of candidates — what one walk, one
+// view family or one workload item contributes, in first-occurrence
+// order — marking members by run-local number.
+type collector struct {
+	list []*cand
+	in   []bool
+}
+
+func (c *collector) add(xs ...*cand) {
 	for _, x := range xs {
-		if _, dup := c.seen[x]; !dup {
-			c.seen[x] = struct{}{}
+		if c.mark(x) {
 			c.list = append(c.list, x)
 		}
 	}
 }
 
-// union returns the lists' candidates in first-occurrence order. A
-// single list is returned as it is, not copied.
-func union(lists [][]*schema.Index) []*schema.Index {
-	if len(lists) == 1 {
-		return lists[0]
+// mark marks x and reports whether it was unmarked.
+func (c *collector) mark(x *cand) bool {
+	if x.n >= len(c.in) {
+		c.in = append(c.in, make([]bool, x.n+1-len(c.in))...)
 	}
-	var out candidates
-	for _, list := range lists {
-		out.add(list...)
+	if c.in[x.n] {
+		return false
 	}
-	return out.list
+	c.in[x.n] = true
+	return true
+}
+
+// reset empties the collector for its next list.
+func (c *collector) reset() {
+	for _, x := range c.list {
+		c.in[x.n] = false
+	}
+	c.list = c.list[:0]
+}
+
+// take returns a copy of the collected list and resets the collector.
+func (c *collector) take() []*cand {
+	out := slices.Clone(c.list)
+	c.reset()
+	return out
 }
 
 // enumerate returns Enumerate(q) as an ordered list of distinct
@@ -175,19 +240,19 @@ func union(lists [][]*schema.Index) []*schema.Index {
 // depth-first walk does), and pool order assigns the cfN names, so it
 // must not move. A whole walk from an empty visited set is a pure
 // function of the signature.
-func (r *run) enumerate(q *workload.Query) ([]*schema.Index, error) {
-	if len(q.EqualityPredicates()) == 0 {
+func (w *work) enumerate(q *workload.Query) ([]*cand, error) {
+	if !q.HasEquality() {
 		return nil, fmt.Errorf("enumerator: query %q has no equality predicate; no valid get request can anchor it", workload.Label(q))
 	}
-	e := r.queries.entry(QuerySignature(q))
+	w.sig = AppendSignature(w.sig[:0], q)
+	e := w.queries.entry(w.sig)
 	e.once.Do(func() {
-		var out candidates
-		visited := map[string]bool{}
-		r.decompose(&out, q, visited)
-		if !r.feats.SkipReverse {
-			r.decompose(&out, ReverseQuery(q), visited)
+		w.walks++
+		w.decompose(q, 0)
+		if !w.feats.SkipReverse && len(q.Path.Edges) > 0 {
+			w.decompose(w.sub.Reverse(q), 0)
 		}
-		e.list = out.list
+		e.list = w.walk.take()
 	})
 	return e.list, nil
 }
@@ -196,50 +261,69 @@ func (r *run) enumerate(q *workload.Query) ([]*schema.Index, error) {
 // sub-queries by structural signature: decomposing at the far end of
 // the path produces a remainder structurally identical to its parent
 // (only the predicate at the end changes to an id equality), which
-// would otherwise recurse forever.
-func (r *run) decompose(out *candidates, q *workload.Query, visited map[string]bool) {
-	sig := QuerySignature(q)
-	if visited[sig] {
+// would otherwise recurse forever. depth is q's recursion depth, which
+// picks the scratch its own prefix and remainder queries are built in.
+func (w *work) decompose(q *workload.Query, depth int) {
+	w.sig = AppendSignature(w.sig[:0], q)
+	v, ok := w.visited[string(w.sig)]
+	if !ok {
+		v = len(w.lastWalk)
+		w.visited[string(w.sig)] = v
+		w.lastWalk = append(w.lastWalk, 0)
+	}
+	if w.lastWalk[v] == w.walks {
 		return
 	}
-	visited[sig] = true
+	w.lastWalk[v] = w.walks
 	n := q.Path.Len() - 1
 	for s := 0; s <= n; s++ {
-		prefix := PrefixQuery(q, s)
-		if len(prefix.EqualityPredicates()) > 0 {
-			out.add(r.wholeQueryCandidates(prefix)...)
+		if prefix := w.sub.Prefix(depth, q, s); prefix.HasEquality() {
+			w.walk.add(w.wholeQueryCandidates(prefix)...)
 		}
 		if s > 0 {
-			r.decompose(out, RemainderQuery(q, s), visited)
+			w.decompose(w.sub.Remainder(depth, q, s), depth+1)
 		}
 	}
 }
 
-// QuerySignature canonicalizes a query for memoization: the path, the
-// selected attributes, and the predicates with parameter names ignored
-// (two sub-queries differing only in parameter naming decompose
-// identically).
+// QuerySignature canonicalizes a query for memoization: AppendSignature
+// as a string.
 func QuerySignature(q *workload.Query) string {
 	var buf [256]byte
-	b := buf[:0]
-	b = append(b, q.Path.String()...)
+	return string(AppendSignature(buf[:0], q))
+}
+
+// AppendSignature appends q's signature to b: the path, then the
+// selected attributes, the predicates with their operators, and the
+// ordering attributes, each attribute with its path position. Parameter
+// names and the limit are left out (two sub-queries differing only in
+// them decompose identically). The positions matter on a path that
+// visits an entity twice, where one attribute can stand at two places.
+func AppendSignature(b []byte, q *workload.Query) []byte {
+	b = q.Path.AppendTo(b)
 	b = append(b, '/')
 	for _, s := range q.Select {
-		b = append(b, s.Attr.QualifiedName()...)
+		b = appendRef(b, s)
 		b = append(b, ',')
 	}
 	b = append(b, '/')
 	for _, p := range q.Where {
-		b = append(b, p.Ref.Attr.QualifiedName()...)
+		b = appendRef(b, p.Ref)
 		b = append(b, p.Op.String()...)
 		b = append(b, ';')
 	}
 	b = append(b, '/')
 	for _, o := range q.Order {
-		b = append(b, o.Attr.QualifiedName()...)
+		b = appendRef(b, o)
 		b = append(b, ',')
 	}
-	return string(b)
+	return b
+}
+
+func appendRef(b []byte, r workload.AttrRef) []byte {
+	b = strconv.AppendInt(b, int64(r.Index), 10)
+	b = append(b, ':')
+	return append(b, r.Attr.QualifiedName()...)
 }
 
 // wholeQueryCandidates returns the candidates for answering pq with a
@@ -247,60 +331,42 @@ func QuerySignature(q *workload.Query) string {
 // key-only and id-to-attribute splits, and all relaxed variants — as an
 // ordered list of distinct canonical instances, computed on the first
 // request for pq's signature.
-func (r *run) wholeQueryCandidates(pq *workload.Query) []*schema.Index {
-	e := r.views.entry(QuerySignature(pq))
-	e.once.Do(func() { e.list = r.viewFamilies(pq) })
+func (w *work) wholeQueryCandidates(pq *workload.Query) []*cand {
+	w.sig = AppendSignature(w.sig[:0], pq)
+	e := w.views.entry(w.sig)
+	e.once.Do(func() { e.list = w.viewFamilies(pq) })
 	return e.list
 }
 
 // viewFamilies computes wholeQueryCandidates.
-func (r *run) viewFamilies(pq *workload.Query) []*schema.Index {
-	var out candidates
-	r.addViewFamily(&out, pq)
+func (w *work) viewFamilies(pq *workload.Query) []*cand {
+	w.addViewFamily(pq)
 
 	// Predicate relaxation: every non-empty subset of the relaxable
 	// predicates may be removed, provided at least one equality
 	// predicate remains (paper §IV-A2).
-	relaxable := RelaxablePredicates(pq)
-	variants := []*workload.Query{pq}
+	w.relaxable = appendRelaxable(w.relaxable[:0], pq)
+	relaxable := w.relaxable
+	variants, n := [2]*workload.Query{pq}, 1
 	if len(pq.Order) > 0 {
-		variants = append(variants, RelaxOrder(pq))
+		variants[1], n = w.sub.RelaxOrder(pq), 2
 	}
-	for _, base := range variants {
+	for _, base := range variants[:n] {
 		for mask := 1; mask < 1<<len(relaxable); mask++ {
-			var removed []workload.Predicate
+			removed := w.removed[:0]
 			for i, p := range relaxable {
 				if mask&(1<<i) != 0 {
 					removed = append(removed, p)
 				}
 			}
-			relaxed := RelaxQuery(base, removed)
-			if len(relaxed.EqualityPredicates()) == 0 {
-				continue
-			}
-			r.addViewFamily(&out, relaxed)
+			w.removed = removed
+			w.addViewFamily(w.sub.Relax(base, removed))
 		}
 		if base != pq {
-			r.addViewFamily(&out, base)
+			w.addViewFamily(base)
 		}
 	}
-	return out.list
-}
-
-// addViewFamily adds the materialized view of pq plus its split
-// variants.
-func (r *run) addViewFamily(out *candidates, pq *workload.Query) {
-	mv := MaterializedView(pq)
-	if mv == nil {
-		return
-	}
-	out.add(r.intern(mv))
-	if ko := KeyOnlyView(mv); ko != nil {
-		out.add(r.intern(ko))
-	}
-	for _, iv := range IDViews(pq) {
-		out.add(r.intern(iv))
-	}
+	return w.view.take()
 }
 
 // Combine supplements the pool with candidates merged from compatible
@@ -309,59 +375,55 @@ func (r *run) addViewFamily(out *candidates, pq *workload.Query) {
 // candidate with the union of their values. The full union of each
 // compatible group is added as well.
 func Combine(pool *Pool) {
-	type groupKey struct {
-		path      string
-		partition string
-	}
-	groups := map[groupKey][]*schema.Index{}
-	var order []groupKey
+	// A group is keyed by path and partition key, whose attribute order
+	// is canonical after schema.New.
+	groups := map[string]int{}
+	var members [][]*schema.Index
+	var key []byte
 	for _, x := range pool.Indexes() {
 		if len(x.Clustering) != 0 {
 			continue
 		}
-		k := groupKey{path: x.Path.String(), partition: attrSetKey(x.Partition)}
-		if groups[k] == nil {
-			order = append(order, k)
+		key = x.Path.AppendTo(key[:0])
+		for _, a := range x.Partition {
+			key = append(key, '|')
+			key = append(key, a.QualifiedName()...)
 		}
-		groups[k] = append(groups[k], x)
+		g, ok := groups[string(key)]
+		if !ok {
+			g = len(members)
+			groups[string(key)] = g
+			members = append(members, nil)
+		}
+		members[g] = append(members[g], x)
 	}
-	for _, k := range order {
-		members := groups[k]
-		if len(members) < 2 {
+	var values []*model.Attribute
+	for _, group := range members {
+		if len(group) < 2 {
 			continue
 		}
 		// Pairwise unions.
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				pool.add(mergeValues(members[i], members[j]))
+		for i := 0; i < len(group); i++ {
+			for j := i + 1; j < len(group); j++ {
+				values = unionValues(values[:0], group[i], group[j])
+				pool.add(schema.New(group[i].Path, group[i].Partition, nil, values))
 			}
 		}
 		// Full-group union.
-		merged := members[0]
-		for _, m := range members[1:] {
-			merged = mergeValues(merged, m)
-		}
-		pool.add(merged)
+		values = unionValues(values[:0], group...)
+		pool.add(schema.New(group[0].Path, group[0].Partition, nil, values))
 	}
 }
 
-func mergeValues(a, b *schema.Index) *schema.Index {
-	seen := map[*model.Attribute]bool{}
-	var values []*model.Attribute
-	for _, v := range append(append([]*model.Attribute{}, a.Values...), b.Values...) {
-		if !seen[v] {
-			seen[v] = true
-			values = append(values, v)
+// unionValues appends to out the distinct values of the given
+// candidates.
+func unionValues(out []*model.Attribute, xs ...*schema.Index) []*model.Attribute {
+	for _, x := range xs {
+		for _, v := range x.Values {
+			if !slices.Contains(out, v) {
+				out = append(out, v)
+			}
 		}
 	}
-	return schema.New(a.Path, a.Partition, nil, values)
-}
-
-func attrSetKey(attrs []*model.Attribute) string {
-	// Partition attribute order is canonical after schema.New.
-	s := ""
-	for _, a := range attrs {
-		s += a.QualifiedName() + "|"
-	}
-	return s
+	return out
 }

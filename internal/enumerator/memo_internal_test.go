@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"nose/internal/randwork"
-	"nose/internal/schema"
 	"nose/internal/workload"
 )
 
@@ -36,9 +35,10 @@ func TestMemoSharedByWorkers(t *testing.T) {
 	}
 
 	serial := newRun(Features{})
-	want := make([][]*schema.Index, len(asks))
+	serialWork := serial.newWork()
+	want := make([][]*cand, len(asks))
 	for i, q := range asks {
-		if want[i], err = serial.enumerate(q); err != nil {
+		if want[i], err = serialWork.enumerate(q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,16 +48,17 @@ func TestMemoSharedByWorkers(t *testing.T) {
 
 	const workers = 8
 	shared := newRun(Features{})
-	got := make([][][]*schema.Index, workers)
+	got := make([][][]*cand, workers)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for g := 0; g < workers; g++ {
 		go func(g int) {
 			defer wg.Done()
-			got[g] = make([][]*schema.Index, len(asks))
+			work := shared.newWork()
+			got[g] = make([][]*cand, len(asks))
 			for k := range asks {
 				i := (k + g*len(asks)/workers) % len(asks)
-				list, err := shared.enumerate(asks[i])
+				list, err := work.enumerate(asks[i])
 				if err != nil {
 					t.Error(err)
 					return
@@ -76,11 +77,12 @@ func TestMemoSharedByWorkers(t *testing.T) {
 		if len(first) != len(want[i]) {
 			t.Fatalf("request %d: %d candidates, serial run has %d", i, len(first), len(want[i]))
 		}
-		for j, x := range first {
-			if x.ID() != want[i][j].ID() {
-				t.Fatalf("request %d candidate %d: %s, serial run has %s", i, j, x.ID(), want[i][j].ID())
+		for j, c := range first {
+			x := c.x
+			if x.ID() != want[i][j].x.ID() {
+				t.Fatalf("request %d candidate %d: %s, serial run has %s", i, j, x.ID(), want[i][j].x.ID())
 			}
-			if shared.byID[x.ID()] != x {
+			if shared.byID[x.ID()] != c {
 				t.Fatalf("request %d candidate %d: %s is not the run's canonical instance", i, j, x.ID())
 			}
 			if x.Name != "" {

@@ -199,3 +199,32 @@ func cyclicWorkload(t *testing.T) *workload.Workload {
 func TestEnumerationMatchesReferenceCyclic(t *testing.T) {
 	compareWithReference(t, cyclicWorkload(t), enumerator.Features{}, 1, 2, 4, 8)
 }
+
+// TestSignaturesKeepPathPositions: over A.peers, a relationship from A
+// to A, the same predicate at position 1 or at position 0 makes two
+// different queries. A signature that spells attributes without their
+// positions gives both one memo entry, and the second query then
+// replays the first one's candidates (9 where the reference finds 11).
+func TestSignaturesKeepPathPositions(t *testing.T) {
+	g := model.NewGraph()
+	a := g.AddEntity("A", "AID", 1000)
+	ax := a.AddAttribute("AX", model.StringType)
+	peers := g.MustAddRelationship("A", "peers", "A", "peerOf", model.ManyToMany)
+	query := func(label string, at int) *workload.Query {
+		return &workload.Query{
+			Label:  label,
+			Graph:  g,
+			Path:   model.NewPath(a).Append(peers),
+			Select: []workload.AttrRef{{Index: 0, Attr: ax}},
+			Where:  []workload.Predicate{{Ref: workload.AttrRef{Index: at, Attr: a.Key()}, Op: workload.Eq, Param: "a"}},
+		}
+	}
+	q1, q2 := query("q1", 1), query("q2", 0)
+	if enumerator.QuerySignature(q1) == enumerator.QuerySignature(q2) {
+		t.Fatalf("q1 and q2 share the signature %q", enumerator.QuerySignature(q1))
+	}
+	w := workload.New(g)
+	w.Add(q1, 1)
+	w.Add(q2, 1)
+	compareWithReference(t, w, enumerator.Features{}, 1, 2, 4, 8)
+}

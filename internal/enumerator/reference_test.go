@@ -33,7 +33,14 @@ type refEnumerator struct {
 	views map[string]bool
 }
 
+// refBuilt, when set, sees every candidate the reference builds,
+// repeats included.
+var refBuilt func(*schema.Index)
+
 func refAdd(pool *schema.Schema, x *schema.Index) {
+	if refBuilt != nil {
+		refBuilt(x)
+	}
 	if err := x.Validate(); err != nil {
 		panic(fmt.Sprintf("reference enumerator: generated invalid candidate: %v", err))
 	}

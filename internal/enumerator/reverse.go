@@ -1,6 +1,7 @@
 package enumerator
 
 import (
+	"nose/internal/model"
 	"nose/internal/workload"
 )
 
@@ -19,24 +20,37 @@ func ReverseQuery(q *workload.Query) *workload.Query {
 	if len(q.Path.Edges) == 0 {
 		return q
 	}
+	out := reverseInto(&workload.Query{}, q)
+	out.Label = q.Label + "/rev"
+	return out
+}
+
+// reverseInto builds ReverseQuery(q), without its label, in dst,
+// reusing dst's slices; dst must share no storage with q.
+func reverseInto(dst, q *workload.Query) *workload.Query {
 	n := q.Path.Len() - 1
 	flip := func(r workload.AttrRef) workload.AttrRef {
 		return workload.AttrRef{Index: n - r.Index, Attr: r.Attr}
 	}
-	out := &workload.Query{
-		Label: q.Label + "/rev",
-		Graph: q.Graph,
-		Path:  q.Path.Reverse(),
-		Limit: q.Limit,
+	*dst = workload.Query{
+		Graph:  q.Graph,
+		Path:   model.Path{Start: q.Path.End(), Edges: dst.Path.Edges[:0]},
+		Select: dst.Select[:0],
+		Where:  dst.Where[:0],
+		Order:  dst.Order[:0],
+		Limit:  q.Limit,
+	}
+	for i := len(q.Path.Edges) - 1; i >= 0; i-- {
+		dst.Path.Edges = append(dst.Path.Edges, q.Path.Edges[i].Inverse)
 	}
 	for _, s := range q.Select {
-		out.Select = append(out.Select, flip(s))
+		dst.Select = append(dst.Select, flip(s))
 	}
 	for _, p := range q.Where {
-		out.Where = append(out.Where, workload.Predicate{Ref: flip(p.Ref), Op: p.Op, Param: p.Param})
+		dst.Where = append(dst.Where, workload.Predicate{Ref: flip(p.Ref), Op: p.Op, Param: p.Param})
 	}
 	for _, o := range q.Order {
-		out.Order = append(out.Order, flip(o))
+		dst.Order = append(dst.Order, flip(o))
 	}
-	return out
+	return dst
 }

@@ -1,7 +1,7 @@
 package enumerator
 
 import (
-	"fmt"
+	"slices"
 
 	"nose/internal/model"
 	"nose/internal/schema"
@@ -22,8 +22,8 @@ func Modifies(u workload.WriteStatement, x *schema.Index) bool {
 		if !x.Path.Contains(st.Entity()) {
 			return false
 		}
-		for _, a := range st.WrittenAttributes() {
-			if x.Contains(a) {
+		for _, a := range st.Set {
+			if x.Contains(a.Attr) {
 				return true
 			}
 		}
@@ -82,113 +82,135 @@ func SupportQueries(u workload.WriteStatement, x *schema.Index) []*workload.Quer
 	if !Modifies(u, x) {
 		return nil
 	}
+	// Attribute lists are built on the stack; a query copies what it
+	// keeps.
+	var buf [2][16]*model.Attribute
 	switch st := u.(type) {
 	case *workload.Update:
-		return entitySupportQueries(st.Graph, x, st.Entity(), st.Path, st.Where, st.WrittenAttributes(), workload.Label(st))
+		written := buf[1][:0]
+		for _, a := range st.Set {
+			written = append(written, a.Attr)
+		}
+		return entitySupportQueries(buf[0][:0], st.Graph, x, st.Entity(), st.Path, st.Where, written, workload.Label(st))
 	case *workload.Delete:
-		return entitySupportQueries(st.Graph, x, st.Entity(), st.Path, st.Where, nil, workload.Label(st))
+		return entitySupportQueries(buf[0][:0], st.Graph, x, st.Entity(), st.Path, st.Where, nil, workload.Label(st))
 	case *workload.Connect:
-		return connectSupportQueries(x, st)
+		return connectSupportQueries(neededAttrs(buf[0][:0], x, nil), x, st)
 	case *workload.Insert:
-		return insertSupportQueries(x, st)
+		written := append(buf[1][:0], st.Entity.Key())
+		for _, a := range st.Set {
+			written = append(written, a.Attr)
+		}
+		return insertSupportQueries(neededAttrs(buf[0][:0], x, written), x, st)
 	default:
 		return nil
 	}
 }
 
-// neededAttrs returns the attributes of x that must be obtained from the
-// record store to rebuild affected records: everything x stores except
-// attributes the statement itself supplies.
-func neededAttrs(x *schema.Index, supplied []*model.Attribute) []*model.Attribute {
-	isSupplied := map[*model.Attribute]bool{}
-	for _, a := range supplied {
-		isSupplied[a] = true
-	}
-	var out []*model.Attribute
-	for _, a := range x.AllAttributes() {
-		if !isSupplied[a] {
-			out = append(out, a)
+// neededAttrs appends to out the attributes of x that must be obtained
+// from the record store to rebuild affected records: everything x
+// stores, keys first, except attributes the statement itself supplies.
+func neededAttrs(out []*model.Attribute, x *schema.Index, supplied []*model.Attribute) []*model.Attribute {
+	for _, attrs := range [...][]*model.Attribute{x.Partition, x.Clustering, x.Values} {
+		for _, a := range attrs {
+			if !slices.Contains(supplied, a) {
+				out = append(out, a)
+			}
 		}
 	}
 	return out
 }
 
 // entitySupportQueries builds support queries for updates and deletes
-// anchored at entity e with the given selection predicates.
-func entitySupportQueries(g *model.Graph, x *schema.Index, e *model.Entity, stPath model.Path, where []workload.Predicate, written []*model.Attribute, label string) []*workload.Query {
+// anchored at entity e with the given selection predicates, collecting
+// the needed attributes in buf.
+func entitySupportQueries(buf []*model.Attribute, g *model.Graph, x *schema.Index, e *model.Entity, stPath model.Path, where []workload.Predicate, written []*model.Attribute, label string) []*workload.Query {
 	// Written attributes are supplied by the statement, except when
 	// they sit in x's primary key: deleting the stale record then
-	// requires their old values, which must be fetched.
-	inKey := map[*model.Attribute]bool{}
-	for _, a := range x.KeyAttributes() {
-		inKey[a] = true
-	}
-	var supplied []*model.Attribute
+	// requires their old values, which must be fetched. written is
+	// filtered in place into the supplied list.
+	supplied := written[:0]
 	for _, a := range written {
-		if !inKey[a] {
+		if !slices.Contains(x.Partition, a) && !slices.Contains(x.Clustering, a) {
 			supplied = append(supplied, a)
 		}
 	}
-	if keyGiven(where, e) {
+	given := keyGiven(where, e)
+	if given {
 		supplied = append(supplied, e.Key())
 	}
-	needed := neededAttrs(x, supplied)
+	needed := neededAttrs(buf, x, supplied)
 	k := x.Path.IndexOf(e)
 
 	var out []*workload.Query
 
 	// Locate affected entities (and pick up e's own needed attributes).
-	ownAttrs := attrsOfEntity(needed, e)
-	if !keyGiven(where, e) {
+	if !given {
 		q := &workload.Query{
-			Label: fmt.Sprintf("%s/locate", label),
+			Label: label + "/locate",
 			Graph: g,
 			Path:  stPath,
 			Where: where,
 		}
 		q.Select = append(q.Select, workload.AttrRef{Index: 0, Attr: e.Key()})
-		for _, a := range ownAttrs {
-			if a != e.Key() {
+		for _, a := range needed {
+			if a.Entity == e && a != e.Key() {
 				q.Select = append(q.Select, workload.AttrRef{Index: 0, Attr: a})
 			}
 		}
 		out = append(out, q)
-	} else if len(nonKey(ownAttrs, e)) > 0 {
-		out = append(out, IDQuery(g, e, nonKey(ownAttrs, e)))
+	} else if q := ownQuery(g, e, needed); q != nil {
+		out = append(out, q)
 	}
 
 	// Gather needed attributes on each side of e along x's path.
-	if q := sideSupportQuery(g, x, k, e, needed, false, label); q != nil {
-		out = append(out, q)
+	if k > 0 {
+		if q := sideQueryFrom(g, reversedPrefix(x.Path, k), needed, label); q != nil {
+			out = append(out, q)
+		}
 	}
-	if q := sideSupportQuery(g, x, k, e, needed, true, label); q != nil {
-		out = append(out, q)
+	if k < len(x.Path.Edges) {
+		if q := sideQueryFrom(g, x.Path.SuffixFrom(k), needed, label); q != nil {
+			out = append(out, q)
+		}
 	}
 	return out
 }
 
-// sideSupportQuery builds the support query covering one side of x's
-// path relative to position k, keyed by e's id. forward selects the
-// suffix [k..end]; otherwise the reversed prefix [0..k].
-func sideSupportQuery(g *model.Graph, x *schema.Index, k int, e *model.Entity, needed []*model.Attribute, forward bool, label string) *workload.Query {
-	var side model.Path
-	if forward {
-		side = x.Path.SuffixFrom(k)
-	} else {
-		side = x.Path.Prefix(k).Reverse()
+// ownQuery returns the IDQuery fetching e's needed non-key attributes,
+// or nil when there are none.
+func ownQuery(g *model.Graph, e *model.Entity, needed []*model.Attribute) *workload.Query {
+	var buf [16]*model.Attribute
+	own := buf[:0]
+	for _, a := range needed {
+		if a.Entity == e && a != e.Key() {
+			own = append(own, a)
+		}
 	}
-	if len(side.Edges) == 0 {
+	if len(own) == 0 {
 		return nil
 	}
-	return sideQueryFrom(g, side, e, needed, label)
+	return IDQuery(g, e, own)
 }
 
-// sideQueryFrom builds a query over the given path (anchored at e)
-// selecting the needed attributes and entity ids of the path's non-root
-// entities, keyed by e's id.
-func sideQueryFrom(g *model.Graph, side model.Path, e *model.Entity, needed []*model.Attribute, label string) *workload.Query {
+// reversedPrefix returns p.Prefix(k).Reverse(): the path from entity k
+// back to p's start.
+func reversedPrefix(p model.Path, k int) model.Path {
+	rev := model.Path{Start: p.EntityAt(k), Edges: make([]*model.Edge, 0, k)}
+	for i := k - 1; i >= 0; i-- {
+		rev.Edges = append(rev.Edges, p.Edges[i].Inverse)
+	}
+	return rev
+}
+
+// sideQueryFrom builds a query over the given path (anchored at its
+// start) selecting the needed attributes and entity ids of the path's
+// non-root entities, keyed by the start's id.
+func sideQueryFrom(g *model.Graph, side model.Path, needed []*model.Attribute, label string) *workload.Query {
+	var name [128]byte
+	var sel [32]workload.AttrRef
 	q := &workload.Query{
-		Label: fmt.Sprintf("%s/side@%s", label, side),
+		Label: string(side.AppendTo(append(append(name[:0], label...), "/side@"...))),
 		Graph: g,
 		Path:  side,
 		Where: []workload.Predicate{{
@@ -197,56 +219,57 @@ func sideQueryFrom(g *model.Graph, side model.Path, e *model.Entity, needed []*m
 			Param: SplitParamPrefix + side.Start.Name,
 		}},
 	}
-	selected := map[*model.Attribute]bool{}
+	// The selection is gathered on the stack and copied at its size.
+	selected := sel[:0]
+	has := func(a *model.Attribute) bool {
+		return slices.ContainsFunc(selected, func(r workload.AttrRef) bool { return r.Attr == a })
+	}
 	for i := 1; i < side.Len(); i++ {
 		ent := side.EntityAt(i)
 		for _, a := range needed {
-			if a.Entity == ent && !selected[a] {
-				selected[a] = true
-				q.Select = append(q.Select, workload.AttrRef{Index: i, Attr: a})
+			if a.Entity == ent && !has(a) {
+				selected = append(selected, workload.AttrRef{Index: i, Attr: a})
 			}
 		}
-		if !selected[ent.Key()] {
-			selected[ent.Key()] = true
-			q.Select = append(q.Select, workload.AttrRef{Index: i, Attr: ent.Key()})
+		if !has(ent.Key()) {
+			selected = append(selected, workload.AttrRef{Index: i, Attr: ent.Key()})
 		}
 	}
-	if len(q.Select) == 0 {
+	if len(selected) == 0 {
 		return nil
 	}
+	q.Select = slices.Clone(selected)
 	return q
 }
 
 // connectSupportQueries builds the side queries for CONNECT and
 // DISCONNECT: both endpoint keys are statement parameters, and each
 // side of the traversed edge is gathered starting from its endpoint.
-func connectSupportQueries(x *schema.Index, st *workload.Connect) []*workload.Query {
+func connectSupportQueries(needed []*model.Attribute, x *schema.Index, st *workload.Connect) []*workload.Query {
 	i := edgePosition(x.Path, st.Edge)
-	needed := neededAttrs(x, nil)
 	label := workload.Label(st)
 
 	// Orient: which endpoint of x.Path.Edges[i] is the statement's From?
 	pathEdge := x.Path.Edges[i]
-	lowEntity, highEntity := pathEdge.From, pathEdge.To
 
 	var out []*workload.Query
-	// Low side: reversed prefix [0..i] anchored at lowEntity.
-	lowSide := x.Path.Prefix(i).Reverse()
-	// High side: suffix [i+1..end] anchored at highEntity.
-	highSide := x.Path.SuffixFrom(i + 1)
-
+	// Low side: reversed prefix [0..i] anchored at the edge's From.
 	// Each endpoint also contributes its own non-key needed attributes.
-	for _, pair := range []struct {
-		e    *model.Entity
-		side model.Path
-	}{{lowEntity, lowSide}, {highEntity, highSide}} {
-		if own := nonKey(attrsOfEntity(needed, pair.e), pair.e); len(own) > 0 {
-			out = append(out, IDQuery(st.Graph, pair.e, own))
+	if q := ownQuery(st.Graph, pathEdge.From, needed); q != nil {
+		out = append(out, q)
+	}
+	if i > 0 {
+		if q := sideQueryFrom(st.Graph, reversedPrefix(x.Path, i), needed, label); q != nil {
+			out = append(out, q)
 		}
-		if len(pair.side.Edges) > 0 {
-			if q := sideQueryFrom(st.Graph, pair.side, pair.e, needed, label); q != nil {
-				out = append(out, q)
-			}
+	}
+	// High side: suffix [i+1..end] anchored at the edge's To.
+	if q := ownQuery(st.Graph, pathEdge.To, needed); q != nil {
+		out = append(out, q)
+	}
+	if i+1 < len(x.Path.Edges) {
+		if q := sideQueryFrom(st.Graph, x.Path.SuffixFrom(i+1), needed, label); q != nil {
+			out = append(out, q)
 		}
 	}
 	return out
@@ -256,35 +279,40 @@ func connectSupportQueries(x *schema.Index, st *workload.Connect) []*workload.Qu
 // entity's own attributes come from parameters, and each side of x's
 // path is gathered starting from the connected entity named by the
 // insert's matching connection.
-func insertSupportQueries(x *schema.Index, st *workload.Insert) []*workload.Query {
+func insertSupportQueries(needed []*model.Attribute, x *schema.Index, st *workload.Insert) []*workload.Query {
 	k := x.Path.IndexOf(st.Entity)
-	needed := neededAttrs(x, st.WrittenAttributes())
 	label := workload.Label(st)
 	var out []*workload.Query
 
 	if k > 0 {
 		// The connection crosses x.Path.Edges[k-1].Inverse; the far
 		// entity anchors the remaining low side.
-		far := x.Path.EntityAt(k - 1)
-		side := x.Path.Prefix(k - 1).Reverse()
-		out = appendInsertSide(st.Graph, out, far, side, needed, label)
+		out = appendInsertSide(st.Graph, out, x.Path, k-1, false, needed, label)
 	}
 	if k < len(x.Path.Edges) {
-		far := x.Path.EntityAt(k + 1)
-		side := x.Path.SuffixFrom(k + 1)
-		out = appendInsertSide(st.Graph, out, far, side, needed, label)
+		out = appendInsertSide(st.Graph, out, x.Path, k+1, true, needed, label)
 	}
 	return out
 }
 
-func appendInsertSide(g *model.Graph, out []*workload.Query, far *model.Entity, side model.Path, needed []*model.Attribute, label string) []*workload.Query {
-	if own := nonKey(attrsOfEntity(needed, far), far); len(own) > 0 {
-		out = append(out, IDQuery(g, far, own))
+// appendInsertSide appends the queries anchored at the far entity at
+// path position k: its own needed attributes, then the side beyond it,
+// toward the path's end if forward and toward its start otherwise.
+func appendInsertSide(g *model.Graph, out []*workload.Query, p model.Path, k int, forward bool, needed []*model.Attribute, label string) []*workload.Query {
+	if q := ownQuery(g, p.EntityAt(k), needed); q != nil {
+		out = append(out, q)
 	}
-	if len(side.Edges) > 0 {
-		if q := sideQueryFrom(g, side, far, needed, label); q != nil {
-			out = append(out, q)
-		}
+	var side model.Path
+	switch {
+	case forward && k < len(p.Edges):
+		side = p.SuffixFrom(k)
+	case !forward && k > 0:
+		side = reversedPrefix(p, k)
+	default:
+		return out
+	}
+	if q := sideQueryFrom(g, side, needed, label); q != nil {
+		out = append(out, q)
 	}
 	return out
 }
@@ -346,24 +374,4 @@ func keyGiven(where []workload.Predicate, e *model.Entity) bool {
 		}
 	}
 	return false
-}
-
-func attrsOfEntity(attrs []*model.Attribute, e *model.Entity) []*model.Attribute {
-	var out []*model.Attribute
-	for _, a := range attrs {
-		if a.Entity == e {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func nonKey(attrs []*model.Attribute, e *model.Entity) []*model.Attribute {
-	var out []*model.Attribute
-	for _, a := range attrs {
-		if a != e.Key() {
-			out = append(out, a)
-		}
-	}
-	return out
 }

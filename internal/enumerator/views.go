@@ -1,143 +1,115 @@
 package enumerator
 
 import (
-	"fmt"
+	"slices"
 
 	"nose/internal/model"
-	"nose/internal/schema"
 	"nose/internal/workload"
 )
 
-// MaterializedView builds the column family that answers q with a
-// single get request (paper §IV-A1):
+// addViewFamily adds to the view collector the materialized view of pq
+// plus its split variants (paper §IV-A1 and §IV-A2), interning each
+// structure before building it:
 //
-//	partition key  = the attributes of q's equality predicates
-//	clustering key = ORDER BY attributes, then range-predicate
-//	                 attributes, then the ids of every entity along the
-//	                 path (target first) to make records unique
-//	values         = the selected attributes not already in the key
+//	materialized view  [equality predicate attributes]
+//	                   [ORDER BY attributes, then range-predicate
+//	                    attributes, then the ids of every entity along
+//	                    the path, target first, to make records unique]
+//	                   [the selected attributes not already in the key]
+//	key-only view      the same without its values, answering which
+//	                   entities match and leaving attribute retrieval to
+//	                   an id-keyed lookup; only when there are values
+//	id views           per entity with selected non-key attributes, in
+//	                   order of first selection: [entity id][][those
+//	                   attributes]
 //
-// It returns nil when q has no equality predicate, since no valid get
-// request could then be constructed.
-func MaterializedView(q *workload.Query) *schema.Index {
-	eq := q.EqualityPredicates()
-	if len(eq) == 0 {
-		return nil
+// A query without an equality predicate has none: no valid get request
+// could be constructed.
+func (w *work) addViewFamily(pq *workload.Query) {
+	if !pq.HasEquality() {
+		return
 	}
-	var partition []*model.Attribute
-	inKey := map[*model.Attribute]bool{}
-	for _, p := range eq {
-		if !inKey[p.Ref.Attr] {
-			inKey[p.Ref.Attr] = true
-			partition = append(partition, p.Ref.Attr)
+	part, clust, vals := w.part[:0], w.clust[:0], w.vals[:0]
+	inKey := func(a *model.Attribute) bool {
+		return slices.Contains(part, a) || slices.Contains(clust, a) || slices.Contains(vals, a)
+	}
+	for _, p := range pq.Where {
+		if p.Op == workload.Eq && !inKey(p.Ref.Attr) {
+			part = append(part, p.Ref.Attr)
 		}
 	}
-
-	var clustering []*model.Attribute
 	addClust := func(a *model.Attribute) {
-		if !inKey[a] {
-			inKey[a] = true
-			clustering = append(clustering, a)
+		if !inKey(a) {
+			clust = append(clust, a)
 		}
 	}
-	for _, o := range q.Order {
+	for _, o := range pq.Order {
 		addClust(o.Attr)
 	}
-	for _, p := range q.RangePredicates() {
-		addClust(p.Ref.Attr)
-	}
-	for _, e := range q.Path.Entities() {
-		addClust(e.Key())
-	}
-
-	var values []*model.Attribute
-	for _, s := range q.Select {
-		if !inKey[s.Attr] {
-			inKey[s.Attr] = true
-			values = append(values, s.Attr)
+	for _, p := range pq.Where {
+		if p.Op.IsRange() {
+			addClust(p.Ref.Attr)
 		}
 	}
-	return schema.New(q.Path, partition, clustering, values)
-}
-
-// KeyOnlyView strips a query's materialized view of its value
-// attributes: the result answers the query's key portion (which
-// entities match) and leaves attribute retrieval to a separate id-keyed
-// lookup (paper §IV-A2's "one that returns only the key attributes").
-// It returns nil when the view has no values to strip.
-func KeyOnlyView(mv *schema.Index) *schema.Index {
-	if mv == nil || len(mv.Values) == 0 {
-		return nil
+	addClust(pq.Path.Start.Key())
+	for _, ed := range pq.Path.Edges {
+		addClust(ed.To.Key())
 	}
-	return schema.New(mv.Path, mv.Partition, mv.Clustering, nil)
-}
+	for _, s := range pq.Select {
+		if !inKey(s.Attr) {
+			vals = append(vals, s.Attr)
+		}
+	}
+	w.part, w.clust, w.vals = part, clust, vals
+	w.view.add(w.intern(pq.Path, part, clust, vals))
+	if len(vals) > 0 {
+		w.view.add(w.intern(pq.Path, part, clust, nil))
+	}
 
-// IDViews builds, for each entity of q's path with selected non-key
-// attributes, the column family mapping the entity's key to those
-// attributes (paper §IV-A2's "a second that returns the attributes from
-// the SELECT clause, given a key").
-func IDViews(q *workload.Query) []*schema.Index {
-	perEntity := map[*model.Entity][]*model.Attribute{}
-	var order []*model.Entity
-	for _, s := range q.Select {
+	for i, s := range pq.Select {
 		e := s.Attr.Entity
-		if s.Attr == e.Key() {
+		if s.Attr == e.Key() || slices.ContainsFunc(pq.Select[:i], func(r workload.AttrRef) bool {
+			return r.Attr.Entity == e && r.Attr != e.Key()
+		}) {
 			continue
 		}
-		if perEntity[e] == nil {
-			order = append(order, e)
-		}
-		perEntity[e] = append(perEntity[e], s.Attr)
-	}
-	var out []*schema.Index
-	for _, e := range order {
-		out = append(out, schema.New(
-			model.NewPath(e),
-			[]*model.Attribute{e.Key()},
-			nil,
-			perEntity[e],
-		))
-	}
-	return out
-}
-
-// RelaxQuery removes the given predicates from q and adds their
-// attributes to the SELECT list (paper §IV-A2): plans answering the
-// relaxed query retrieve a superset of q's result and filter
-// client-side. Removed attributes become selected so the filter has
-// them available.
-func RelaxQuery(q *workload.Query, removed []workload.Predicate) *workload.Query {
-	isRemoved := func(p workload.Predicate) bool {
-		for _, r := range removed {
-			if r.Ref == p.Ref && r.Op == p.Op && r.Param == p.Param {
-				return true
+		w.part = append(w.part[:0], e.Key())
+		w.vals = w.vals[:0]
+		for _, r := range pq.Select[i:] {
+			if r.Attr.Entity == e && r.Attr != e.Key() {
+				w.vals = append(w.vals, r.Attr)
 			}
 		}
-		return false
+		w.view.add(w.intern(model.NewPath(e), w.part, nil, w.vals))
 	}
-	out := &workload.Query{
-		Label: fmt.Sprintf("%s/relaxed", workload.Label(q)),
-		Graph: q.Graph,
-		Path:  q.Path,
-		Order: q.Order,
-		Limit: q.Limit,
-	}
-	out.Select = append(out.Select, q.Select...)
-	selected := map[workload.AttrRef]bool{}
-	for _, s := range q.Select {
-		selected[s] = true
+}
+
+// relaxInto builds in dst q with the given predicates removed and
+// their attributes added to the SELECT list (paper §IV-A2): plans
+// answering the relaxed query retrieve a superset of q's result and
+// filter client-side, so removed attributes become selected for the
+// filter to have them. It reuses dst's slices except the path and the
+// ordering, which it shares with q; dst must share no other storage
+// with q.
+func relaxInto(dst, q *workload.Query, removed []workload.Predicate) *workload.Query {
+	*dst = workload.Query{
+		Graph:  q.Graph,
+		Path:   q.Path,
+		Select: append(dst.Select[:0], q.Select...),
+		Where:  dst.Where[:0],
+		Order:  q.Order,
+		Limit:  q.Limit,
 	}
 	for _, p := range q.Where {
-		if isRemoved(p) {
-			if !selected[p.Ref] {
-				selected[p.Ref] = true
-				out.Select = append(out.Select, p.Ref)
+		if slices.Contains(removed, p) {
+			if !slices.Contains(dst.Select, p.Ref) {
+				dst.Select = append(dst.Select, p.Ref)
 			}
 			continue
 		}
-		out.Where = append(out.Where, p)
+		dst.Where = append(dst.Where, p)
 	}
-	return out
+	return dst
 }
 
 // RelaxOrder drops q's ORDER BY clause and selects its attributes so a
@@ -146,25 +118,26 @@ func RelaxOrder(q *workload.Query) *workload.Query {
 	if len(q.Order) == 0 {
 		return q
 	}
-	out := &workload.Query{
-		Label: fmt.Sprintf("%s/unordered", workload.Label(q)),
-		Graph: q.Graph,
-		Path:  q.Path,
-		Where: q.Where,
-		Limit: q.Limit,
-	}
-	out.Select = append(out.Select, q.Select...)
-	selected := map[workload.AttrRef]bool{}
-	for _, s := range q.Select {
-		selected[s] = true
+	return relaxOrderInto(&workload.Query{}, q)
+}
+
+// relaxOrderInto builds RelaxOrder(q) for an ordered q in dst, reusing
+// dst's slices except the path and the predicates, which it shares
+// with q; dst must share no other storage with q.
+func relaxOrderInto(dst, q *workload.Query) *workload.Query {
+	*dst = workload.Query{
+		Graph:  q.Graph,
+		Path:   q.Path,
+		Select: append(dst.Select[:0], q.Select...),
+		Where:  q.Where,
+		Limit:  q.Limit,
 	}
 	for _, o := range q.Order {
-		if !selected[o] {
-			selected[o] = true
-			out.Select = append(out.Select, o)
+		if !slices.Contains(dst.Select, o) {
+			dst.Select = append(dst.Select, o)
 		}
 	}
-	return out
+	return dst
 }
 
 // RelaxablePredicates returns the predicates eligible for relaxation:
@@ -173,7 +146,10 @@ func RelaxOrder(q *workload.Query) *workload.Query {
 // are excluded — removing them never helps since the key is already in
 // the clustering key.
 func RelaxablePredicates(q *workload.Query) []workload.Predicate {
-	var out []workload.Predicate
+	return appendRelaxable(nil, q)
+}
+
+func appendRelaxable(out []workload.Predicate, q *workload.Query) []workload.Predicate {
 	for _, p := range q.Where {
 		if p.Ref.Index != 0 {
 			continue

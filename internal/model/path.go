@@ -111,3 +111,14 @@ func (p Path) String() string {
 	}
 	return b.String()
 }
+
+// AppendTo appends String's rendering of the path to b, for callers
+// that build keys in a reusable buffer.
+func (p Path) AppendTo(b []byte) []byte {
+	b = append(b, p.Start.Name...)
+	for _, ed := range p.Edges {
+		b = append(b, '.')
+		b = append(b, ed.Name...)
+	}
+	return b
+}

@@ -87,7 +87,7 @@ func TestPruneChainsKeepsCheapest(t *testing.T) {
 	}
 	p := New(res.Pool, cost.Default(), Config{MaxPlansPerQuery: 2})
 	gen := newGenerator(p)
-	chains := gen.chains(q, newChainMemo())
+	chains := gen.chains(q, newChainMemo(), 0)
 	if len(chains) > 4*2 {
 		t.Errorf("chains not pruned to beam: %d", len(chains))
 	}
@@ -227,7 +227,7 @@ func TestBeamsMatchStringOracle(t *testing.T) {
 		for _, q := range DistinctQueries(AllQueries(w, res)) {
 			q = enumerator.RelaxOrder(q)
 			gen, memo, oracle := newGenerator(p), newChainMemo(), newOracleMemo()
-			gen.chains(q, memo)
+			gen.chains(q, memo, 0)
 			oracleChains(ref, q, oracle)
 			if len(memo.done) != len(oracle.done) {
 				t.Fatalf("%s %s: %d memoized beams, oracle %d", name, workload.Label(q), len(memo.done), len(oracle.done))

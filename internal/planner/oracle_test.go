@@ -76,7 +76,7 @@ func (o *Oracle) segmentVariants(pq *workload.Query, order []workload.AttrRef) [
 		}
 		rq := pq
 		if len(removed) > 0 {
-			rq = enumerator.RelaxQuery(pq, removed)
+			rq = new(enumerator.SubQueries).Relax(pq, removed)
 		}
 		if len(rq.EqualityPredicates()) == 0 {
 			continue
@@ -391,7 +391,9 @@ func oracleChains(o *Oracle, q *workload.Query, memo *oracleMemo) [][]Step {
 		if len(firsts) == 0 {
 			continue
 		}
-		rems := oracleChains(o, enumerator.RemainderQuery(q, s), memo)
+		// A SubQueries of its own gives the oracle a remainder it may
+		// keep across the recursion.
+		rems := oracleChains(o, new(enumerator.SubQueries).Remainder(0, q, s), memo)
 		for _, f := range firsts {
 			for _, r := range rems {
 				out = append(out, oracleAppend(f, r...))

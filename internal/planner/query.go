@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -21,7 +20,7 @@ import (
 // with client-side filters for relaxed predicates and a client-side
 // sort when no clustering key serves the ordering (paper §IV-C).
 func (p *Planner) PlanQuery(q *workload.Query) (*PlanSpace, error) {
-	if len(q.EqualityPredicates()) == 0 {
+	if !q.HasEquality() {
 		return nil, fmt.Errorf("planner: query %q has no equality predicate", workload.Label(q))
 	}
 
@@ -74,9 +73,17 @@ type scratch struct {
 	// sigs holds the signature strings sig has fetched from the step
 	// table, by class, so that ordering chains seldom takes its lock.
 	sigs []string
-	// missing, group and variant are lookupVariants' per-family lists.
-	missing, group []*model.Attribute
-	variant        []interned
+	// keyOut, needed and partition are lookupVariants' per-query lists,
+	// missing, group and variant its per-family ones.
+	keyOut, needed, partition []*model.Attribute
+	missing, group            []*model.Attribute
+	variant                   []interned
+	// sub builds chains' sub-queries, key holds a signature or segment
+	// key while it is looked up, and removed is generateSegment's
+	// relaxation.
+	sub     enumerator.SubQueries
+	key     []byte
+	removed []workload.Predicate
 }
 
 func newGenerator(p *Planner) *generator {
@@ -384,7 +391,7 @@ func (g *generator) signatureFrom(c *candidate, i int) string {
 // orientedChains appends the candidates for one orientation of a query.
 func (g *generator) orientedChains(out []candidate, q *workload.Query) []candidate {
 	if len(q.Order) == 0 {
-		chains := g.chains(q, newChainMemo())
+		chains := g.chains(q, newChainMemo(), 0)
 		if q.Limit == 0 {
 			return appendWhole(out, chains)
 		}
@@ -417,7 +424,7 @@ func (g *generator) orientedChains(out []candidate, q *workload.Query) []candida
 	if q.Limit > 0 {
 		tail = append(tail, g.table.limit(q.Limit))
 	}
-	return g.withTail(out, g.chains(enumerator.RelaxOrder(q), newChainMemo()), tail...)
+	return g.withTail(out, g.chains(enumerator.RelaxOrder(q), newChainMemo(), 0), tail...)
 }
 
 // withTail appends every chain extended by the same trailing steps.
@@ -444,15 +451,17 @@ func newChainMemo() *chainMemo {
 // chains enumerates step chains answering q, ignoring ordering: for
 // each decomposition point, every single-lookup variant of the prefix
 // query concatenated with every chain of the remainder query. The
-// returned chains are shared through the memo.
-func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
-	sig := enumerator.QuerySignature(q)
-	if res, ok := memo.done[sig]; ok {
+// returned chains are shared through the memo. depth is q's recursion
+// depth, which picks the storage its sub-queries are built in.
+func (g *generator) chains(q *workload.Query, memo *chainMemo, depth int) []chain {
+	g.key = enumerator.AppendSignature(g.key[:0], q)
+	if res, ok := memo.done[string(g.key)]; ok {
 		return res
 	}
-	if memo.inProgress[sig] {
+	if memo.inProgress[string(g.key)] {
 		return nil
 	}
+	sig := string(g.key)
 	memo.inProgress[sig] = true
 	defer func() { memo.inProgress[sig] = false }()
 
@@ -462,8 +471,8 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 	}
 	n := q.Path.Len() - 1
 	for s := 0; s <= n; s++ {
-		prefix := enumerator.PrefixQuery(q, s)
-		if len(prefix.EqualityPredicates()) == 0 {
+		prefix := g.sub.Prefix(depth, q, s)
+		if !prefix.HasEquality() {
 			continue
 		}
 		firsts := g.segmentVariants(prefix, nil)
@@ -474,7 +483,7 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo) []chain {
 		if len(firsts) == 0 {
 			continue
 		}
-		rems := g.chains(enumerator.RemainderQuery(q, s), memo)
+		rems := g.chains(g.sub.Remainder(depth, q, s), memo, depth+1)
 		g.counts.ChainsJoined += int64(len(firsts) * len(rems))
 		out = slices.Grow(out, len(firsts)*len(rems))
 		for f := range firsts {
@@ -522,36 +531,33 @@ type segment struct {
 // the chains returned are shared: read-only, steps included.
 func (g *generator) segmentVariants(pq *workload.Query, order []workload.AttrRef) []chain {
 	g.counts.SegmentRequests++
-	key := segmentKey(pq, order)
+	g.key = segmentKey(g.key[:0], pq, order)
 	g.mu.Lock()
-	seg := g.segments[key]
+	seg := g.segments[string(g.key)]
 	if seg == nil {
 		seg = &segment{}
-		g.segments[key] = seg
+		g.segments[string(g.key)] = seg
 	}
 	g.mu.Unlock()
 	seg.once.Do(func() { seg.chains = g.generateSegment(pq, order) })
 	return seg.chains
 }
 
-// segmentKey identifies what segmentVariants' result depends on: the
-// query's structure and, because the steps carry them, each
-// predicate's parameter name and path position.
-func segmentKey(pq *workload.Query, order []workload.AttrRef) string {
-	var buf [256]byte
-	b := append(buf[:0], enumerator.QuerySignature(pq)...)
+// segmentKey appends to b what segmentVariants' result depends on: the
+// query's signature (its structure, path positions included) and,
+// because the steps carry them, each predicate's parameter name.
+func segmentKey(b []byte, pq *workload.Query, order []workload.AttrRef) []byte {
+	b = enumerator.AppendSignature(b, pq)
 	for _, pr := range pq.Where {
 		b = append(b, 0)
 		b = append(b, pr.Param...)
-		b = append(b, 0)
-		b = strconv.AppendInt(b, int64(pr.Ref.Index), 10)
 	}
 	b = append(b, 0, 0)
 	for _, o := range order {
 		b = append(b, o.Attr.QualifiedName()...)
 		b = append(b, 0)
 	}
-	return string(b)
+	return b
 }
 
 func (g *generator) generateSegment(pq *workload.Query, order []workload.AttrRef) []chain {
@@ -561,17 +567,18 @@ func (g *generator) generateSegment(pq *workload.Query, order []workload.AttrRef
 		relaxable = nil
 	}
 	for mask := 0; mask < 1<<uint(len(relaxable)); mask++ {
-		var removed []workload.Predicate
+		removed := g.removed[:0]
 		for i, pr := range relaxable {
 			if mask&(1<<uint(i)) != 0 {
 				removed = append(removed, pr)
 			}
 		}
+		g.removed = removed
 		rq := pq
 		if len(removed) > 0 {
-			rq = enumerator.RelaxQuery(pq, removed)
+			rq = g.sub.Relax(pq, removed)
 		}
-		if len(rq.EqualityPredicates()) == 0 {
+		if !rq.HasEquality() {
 			continue
 		}
 		out = g.lookupVariants(out, rq, removed, order)
@@ -593,7 +600,7 @@ func (g *generator) lookupVariants(out []chain, rq *workload.Query, removed []wo
 
 	// Attributes that must be available beyond the keys whichever
 	// family answers: non-key outputs and relaxed predicate attributes.
-	var keyOut, needed []*model.Attribute
+	keyOut, needed := g.keyOut[:0], g.needed[:0]
 	for _, s := range rq.Select {
 		if s.Attr.IsKey() {
 			keyOut = append(keyOut, s.Attr)
@@ -607,15 +614,19 @@ func (g *generator) lookupVariants(out []chain, rq *workload.Query, removed []wo
 		}
 	}
 
+	// A family's partition key must be the equality attributes.
+	partition := g.partition[:0]
 	var joinKey *model.Attribute
 	var boundEq []workload.Predicate
 	for _, pr := range eq {
+		partition = append(partition, pr.Ref.Attr)
 		if joinKey == nil && isJoinParam(pr.Param) {
 			joinKey = pr.Ref.Attr
 			continue
 		}
 		boundEq = append(boundEq, pr)
 	}
+	g.keyOut, g.needed, g.partition = keyOut, needed, partition
 	eqList := g.table.list(boundEq)
 
 	// A family differs from the next only in which range predicate it
@@ -624,7 +635,7 @@ func (g *generator) lookupVariants(out []chain, rq *workload.Query, removed []wo
 	// out when the first family needs it.
 	shapes := make([]variantShape, len(rangePreds)+1)
 
-	for _, cf := range g.candidatesFor(predAttrs(eq)) {
+	for _, cf := range g.candidatesFor(partition) {
 		g.counts.CandidatesExamined++
 		if !pathCoversSegment(cf.Path, rq.Path) {
 			continue
@@ -814,12 +825,4 @@ func pathCoversSegment(cfPath, segment model.Path) bool {
 		}
 	}
 	return true
-}
-
-func predAttrs(preds []workload.Predicate) []*model.Attribute {
-	out := make([]*model.Attribute, 0, len(preds))
-	for _, p := range preds {
-		out = append(out, p.Ref.Attr)
-	}
-	return out
 }

@@ -45,11 +45,20 @@ type Index struct {
 // identity string is computed here, so an index built by New is
 // read-only under ID and may be shared between goroutines.
 func New(path model.Path, partition, clustering, values []*model.Attribute) *Index {
+	// One array holds all three lists, each capped at its length.
+	attrs := make([]*model.Attribute, 0, len(partition)+len(clustering)+len(values))
+	cut := func(list []*model.Attribute) []*model.Attribute {
+		if len(list) == 0 {
+			return nil
+		}
+		attrs = append(attrs, list...)
+		return attrs[len(attrs)-len(list) : len(attrs) : len(attrs)]
+	}
 	idx := &Index{
 		Path:       path,
-		Partition:  append([]*model.Attribute(nil), partition...),
-		Clustering: append([]*model.Attribute(nil), clustering...),
-		Values:     append([]*model.Attribute(nil), values...),
+		Partition:  cut(partition),
+		Clustering: cut(clustering),
+		Values:     cut(values),
 	}
 	sortAttrs(idx.Partition)
 	sortAttrs(idx.Values)
@@ -74,33 +83,46 @@ func (x *Index) ID() string {
 }
 
 func (x *Index) identity() string {
-	var b strings.Builder
-	b.WriteString(x.Path.String())
-	writeAttrList(&b, x.Partition)
-	writeAttrList(&b, x.Clustering)
-	writeAttrList(&b, x.Values)
-	return b.String()
+	var buf [256]byte
+	return string(appendIdentity(buf[:0], x.Path, x.Partition, x.Clustering, x.Values))
 }
 
-func writeAttrList(b *strings.Builder, attrs []*model.Attribute) {
-	b.WriteByte('[')
+// AppendID appends to b the ID that New(path, partition, clustering,
+// values) would give its index, without building the index, so a
+// caller can look a structure up before constructing a twin. Like New
+// it orders partition and values canonically, but in place: pass slices
+// the caller owns.
+func AppendID(b []byte, path model.Path, partition, clustering, values []*model.Attribute) []byte {
+	sortAttrs(partition)
+	sortAttrs(values)
+	return appendIdentity(b, path, partition, clustering, values)
+}
+
+func appendIdentity(b []byte, path model.Path, partition, clustering, values []*model.Attribute) []byte {
+	b = path.AppendTo(b)
+	b = appendAttrList(b, partition)
+	b = appendAttrList(b, clustering)
+	return appendAttrList(b, values)
+}
+
+func appendAttrList(b []byte, attrs []*model.Attribute) []byte {
+	b = append(b, '[')
 	for i, a := range attrs {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		b.WriteString(a.QualifiedName())
+		b = append(b, a.QualifiedName()...)
 	}
-	b.WriteByte(']')
+	return append(b, ']')
 }
 
 // String renders the index in the paper's triple notation, e.g.
 // "[Hotel.HotelCity][Room.RoomRate, Guest.GuestID][Guest.GuestName]".
 func (x *Index) String() string {
-	var b strings.Builder
-	writeAttrList(&b, x.Partition)
-	writeAttrList(&b, x.Clustering)
-	writeAttrList(&b, x.Values)
-	return b.String()
+	var buf [256]byte
+	b := appendAttrList(buf[:0], x.Partition)
+	b = appendAttrList(b, x.Clustering)
+	return string(appendAttrList(b, x.Values))
 }
 
 // KeyAttributes returns the partition then clustering attributes; these
@@ -142,15 +164,20 @@ func (x *Index) Validate() error {
 	if len(x.Partition) == 0 {
 		return fmt.Errorf("schema: index %s has an empty partition key", x)
 	}
-	seen := map[*model.Attribute]bool{}
-	for _, a := range x.AllAttributes() {
-		if seen[a] {
-			return fmt.Errorf("schema: index %s repeats attribute %s", x, a.QualifiedName())
-		}
-		seen[a] = true
-		if !x.Path.Contains(a.Entity) {
-			return fmt.Errorf("schema: index %s stores attribute %s whose entity is off the path %s",
-				x, a.QualifiedName(), x.Path)
+	lists := [...][]*model.Attribute{x.Partition, x.Clustering, x.Values}
+	for l, attrs := range lists {
+		for i, a := range attrs {
+			repeated := slices.Contains(attrs[:i], a)
+			for _, earlier := range lists[:l] {
+				repeated = repeated || slices.Contains(earlier, a)
+			}
+			if repeated {
+				return fmt.Errorf("schema: index %s repeats attribute %s", x, a.QualifiedName())
+			}
+			if !x.Path.Contains(a.Entity) {
+				return fmt.Errorf("schema: index %s stores attribute %s whose entity is off the path %s",
+					x, a.QualifiedName(), x.Path)
+			}
 		}
 	}
 	return nil

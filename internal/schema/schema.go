@@ -3,6 +3,7 @@ package schema
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -28,7 +29,8 @@ func (s *Schema) Add(x *Index) *Index {
 		return existing
 	}
 	if x.Name == "" {
-		x.Name = fmt.Sprintf("cf%d", s.counter)
+		var buf [24]byte
+		x.Name = string(strconv.AppendInt(append(buf[:0], "cf"...), int64(s.counter), 10))
 	}
 	s.counter++
 	if _, taken := s.byName[x.Name]; taken {

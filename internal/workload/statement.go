@@ -158,6 +158,17 @@ func (q *Query) EqualityPredicates() []Predicate {
 	return filterPreds(q.Where, false)
 }
 
+// HasEquality reports whether the query has an equality predicate,
+// without collecting them.
+func (q *Query) HasEquality() bool {
+	for _, p := range q.Where {
+		if p.Op == Eq {
+			return true
+		}
+	}
+	return false
+}
+
 // RangePredicates returns the inequality predicates of the query.
 func (q *Query) RangePredicates() []Predicate {
 	return filterPreds(q.Where, true)

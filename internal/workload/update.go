@@ -79,16 +79,6 @@ func (s *Insert) String() string {
 	return b.String()
 }
 
-// WrittenAttributes returns all attributes the insert provides values
-// for, including the key.
-func (s *Insert) WrittenAttributes() []*model.Attribute {
-	out := []*model.Attribute{s.Entity.Key()}
-	for _, a := range s.Set {
-		out = append(out, a.Attr)
-	}
-	return out
-}
-
 // Update modifies attributes of existing entity instances selected by
 // predicates over a path anchored at the updated entity (paper §VI-A).
 type Update struct {
@@ -125,15 +115,6 @@ func (s *Update) String() string {
 	}
 	writeWhere(&b, s.Where)
 	return b.String()
-}
-
-// WrittenAttributes returns the attributes modified by the update.
-func (s *Update) WrittenAttributes() []*model.Attribute {
-	out := make([]*model.Attribute, 0, len(s.Set))
-	for _, a := range s.Set {
-		out = append(out, a.Attr)
-	}
-	return out
 }
 
 // Delete removes entity instances selected by predicates over a path
