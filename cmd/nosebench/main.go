@@ -3,7 +3,7 @@
 //
 //	nosebench -experiment fig11 [-users 20000] [-executions 50]
 //	nosebench -experiment fig12 [-users 20000] [-executions 50]
-//	nosebench -experiment fig13 [-factors 4]
+//	nosebench -experiment fig13 [-factors 4] [-max-nodes 500]
 //	nosebench -experiment budget
 //	nosebench -experiment ablation
 //	nosebench -experiment chaos [-faults 0,0.005,0.02,0.05] [-seed 7]
@@ -23,7 +23,9 @@
 // Fig. 11: per-transaction response times for the RUBiS bidding
 // workload on the NoSE, normalized, and expert schemas. Fig. 12:
 // weighted average response times across workload mixes. Fig. 13:
-// advisor runtime versus workload scale factor. Chaos: graceful
+// advisor runtime versus workload scale factor, with each solver
+// phase's status, relative gap and node count, so a time reads as a
+// time to proof only where the phase ended optimal. Chaos: graceful
 // degradation of the three schemas under injected store faults.
 // Quorum: the availability/consistency trade of the NoSE schema on a
 // replicated cluster (ONE/QUORUM/ALL, hedged reads, hinted handoff,
@@ -73,7 +75,7 @@ type result interface{ Format() string }
 func main() {
 	users := flag.Int("users", 20_000, "RUBiS users (the paper used 200000)")
 	executions := flag.Int("executions", 50, "measured executions per transaction type")
-	factors := flag.Int("factors", 4, "max scale factor for fig13 (the paper used 10; factors above 3 can take tens of minutes with the built-in solver)")
+	factors := flag.Int("factors", 4, "max scale factor for fig13 (the paper used 10; all ten run in seconds, most ending at the -max-nodes limit with the gap fig13 prints)")
 	maxPlans := flag.Int("max-plans", 24, "plan space bound per query for the advisor")
 	space := flag.Float64("space", 0, "advisor space budget in MB; 0 means unlimited")
 	maxNodes := flag.Int("max-nodes", 500, "branch and bound node budget per solve")
@@ -140,7 +142,7 @@ func main() {
 		{"crashchaos", "Crashchaos — crash-point sweep of a live migration with journal recovery and invariant verification (hotel workload)",
 			func() (result, error) {
 				return experiments.RunCrashChaos(experiments.CrashChaosConfig{
-					Rates: faults, Nodes: *nodes, RF: *rf, Seed: *seed, Advisor: opts, Obs: cfg.Obs,
+					Rates: faults, Nodes: *nodes, RF: *rf, Seed: *seed, Advisor: opts,
 				})
 			}},
 		{"drift", "Drift — static-once vs re-advised schemas under workload drift (total simulated ms, migrations charged)",
@@ -215,8 +217,6 @@ func main() {
 		RUBiS:      rubis.Config{Users: *users, Seed: 1},
 		Executions: *executions,
 		Advisor:    opts,
-		Obs:        reg,
-		Trace:      tracer,
 	}
 	var err error
 	if faults, err = parseRates(*faultRates); err != nil {

@@ -56,7 +56,7 @@ func RunAblation(cfg Fig11Config) (*AblationResult, error) {
 	res := &AblationResult{}
 	base := 0.0
 	for _, v := range variants {
-		opt := advisorOptions(cfg.Advisor, cfg.Obs, cfg.Trace)
+		opt := cfg.Advisor
 		v.mutate(&opt)
 		rec, err := search.Advise(w, opt)
 		if errors.Is(err, search.ErrInfeasible) {

@@ -56,7 +56,7 @@ func RunBudgetSweep(cfg Fig11Config, fractions []float64) (*BudgetResult, error)
 	w.Add(workload.MustParseQuery(g, hotel.ExampleQuery), 0.6)
 	w.Add(workload.MustParseQuery(g, hotel.PrefixQuery), 0.3)
 	w.Add(workload.MustParse(g, hotel.UpdateStatements[0]), 0.1)
-	advisor := advisorOptions(cfg.Advisor, cfg.Obs, cfg.Trace)
+	advisor := cfg.Advisor
 	free, err := search.Advise(w, advisor)
 	if err != nil {
 		return nil, err

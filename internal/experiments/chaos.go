@@ -29,8 +29,12 @@ type ChaosConfig struct {
 // store to one where a twentieth of operations fault.
 var DefaultChaosRates = []float64{0, 0.005, 0.02, 0.05}
 
-// ChaosCell is one (system, fault rate) measurement.
+// ChaosCell is one (fault rate, system) measurement.
 type ChaosCell struct {
+	// Rate is the overall injected fault rate.
+	Rate float64
+	// System names the measured schema (see SystemNames).
+	System string
 	// AvgMillis is the average simulated response time of the
 	// transactions that completed, retries and failovers included.
 	AvgMillis float64
@@ -45,18 +49,11 @@ type ChaosCell struct {
 	Counters map[string]int64
 }
 
-// ChaosRow is one fault rate's measurements across the systems.
-type ChaosRow struct {
-	// Rate is the overall injected fault rate.
-	Rate float64
-	// Cells maps system name to its measurement.
-	Cells map[string]ChaosCell
-}
-
 // ChaosResult is the full sweep.
 type ChaosResult struct {
-	// Rows has one entry per fault rate, in Rates order.
-	Rows []ChaosRow
+	// Cells has one entry per (fault rate, system): rates in Rates
+	// order, and within a rate the systems in SystemNames order.
+	Cells []ChaosCell
 }
 
 // RunChaos sweeps fault rates over the three schemas of Fig. 11 and
@@ -75,10 +72,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, err
 	}
 
-	sw := f.sweep("chaos")
+	sw := newSweep("chaos", f.ds, f.cfg.Advisor)
 	res := &ChaosResult{}
 	for _, rate := range rates {
-		row := ChaosRow{Rate: rate, Cells: map[string]ChaosCell{}}
 		// Fresh systems per rate: each rate mutates its own stores, so
 		// rates never contaminate each other and any single rate can be
 		// reproduced in isolation.
@@ -92,31 +88,22 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 				if err != nil {
 					return err
 				}
-				cell := ChaosCell{}
-				totalMillis := 0.0
-				for _, txn := range f.active {
-					millis, lost, err := measure(sys, txn, cfg.Base.Executions, f.params(paramSeed), harness.ErrUnavailable)
-					if err != nil {
-						return err
-					}
-					cell.Completed += int64(len(millis))
-					cell.Unavailable += lost
-					for _, ms := range millis {
-						totalMillis += ms
-					}
+				millis, lost, err := f.measureMix(sys)
+				if err != nil {
+					return err
 				}
+				cell := ChaosCell{Rate: rate, System: name, Completed: int64(len(millis)), Unavailable: lost}
 				if cell.Completed > 0 {
-					cell.AvgMillis = totalMillis / float64(cell.Completed)
+					cell.AvgMillis = sum(millis) / float64(cell.Completed)
 				}
 				cell.Counters = sys.Obs().Snapshot().Counters
-				row.Cells[name] = cell
+				res.Cells = append(res.Cells, cell)
 			}
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -128,13 +115,10 @@ func (r *ChaosResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-8s %-12s %12s %10s %12s %10s %10s\n",
 		"Rate", "System", "Avg(ms)", "Completed", "Unavailable", "Retries", "Failovers")
-	for _, row := range r.Rows {
-		for _, name := range SystemNames {
-			c := row.Cells[name]
-			fmt.Fprintf(&b, "%-8.3f %-12s %12.3f %10d %12d %10d %10d\n",
-				row.Rate, name, c.AvgMillis, c.Completed, c.Unavailable,
-				c.Counters["exec.retries"], c.Counters["harness.failovers"])
-		}
+	for _, c := range r.Cells {
+		fmt.Fprintf(&b, "%-8.3f %-12s %12.3f %10d %12d %10d %10d\n",
+			c.Rate, c.System, c.AvgMillis, c.Completed, c.Unavailable,
+			c.Counters["exec.retries"], c.Counters["harness.failovers"])
 	}
 	return b.String()
 }

@@ -12,7 +12,6 @@ import (
 	"nose/internal/hotel"
 	"nose/internal/journal"
 	"nose/internal/migrate"
-	"nose/internal/obs"
 	"nose/internal/schema"
 	"nose/internal/search"
 	"nose/internal/verify"
@@ -37,10 +36,8 @@ type CrashChaosConfig struct {
 	// whole sweep bit for bit at any advisor worker count.
 	Seed int64
 	// Advisor tunes the schema advisor for the two recommendations.
+	// Its Obs and Trace are the run's sinks, as in Fig11Config.
 	Advisor search.Options
-	// Obs, when set, collects the run's metrics: the advisor's stage
-	// counters and each system's merged registry.
-	Obs *obs.Registry
 }
 
 // crashChaosChunkRecords bounds records per backfill step — small, so
@@ -51,10 +48,14 @@ const crashChaosChunkRecords = 5
 // replica operations, so crashes land both in calm and bad weather.
 var DefaultCrashChaosRates = []float64{0, 0.02}
 
-// CrashChaosCell is one (consistency level, node fault rate) journal
+// CrashChaosCell is one (node fault rate, consistency level) journal
 // crash sweep: a clean migration counts the journal appends, then one
 // migration per append index is crashed exactly there and recovered.
 type CrashChaosCell struct {
+	// Rate is the injected node fault rate.
+	Rate float64
+	// Level is the consistency level used for both reads and writes.
+	Level executor.Consistency
 	// JournalRecords is the clean run's journal append count — the
 	// number of crash points swept.
 	JournalRecords int
@@ -78,15 +79,6 @@ type CrashChaosCell struct {
 	Unavailable int64
 }
 
-// CrashChaosRow is one node fault rate's cells, keyed by consistency
-// level name (ONE/QUORUM/ALL).
-type CrashChaosRow struct {
-	// Rate is the injected node fault rate.
-	Rate float64
-	// Cells maps consistency level name to its sweep.
-	Cells map[string]CrashChaosCell
-}
-
 // CrashChaosSiteCell is one coordinator crash-restart episode: hints
 // are queued against a downed replica, the crash is armed inside the
 // coordinator's handoff or read-repair path, and after it fires the
@@ -108,13 +100,14 @@ type CrashChaosSiteCell struct {
 
 // CrashChaosResult is the full chaos sweep.
 type CrashChaosResult struct {
-	// Levels orders the swept consistency levels; Nodes and RF record
-	// the cluster shape; ChunkRecords the backfill chunk bound.
-	Levels       []executor.Consistency
+	// Nodes and RF record the cluster shape; ChunkRecords the backfill
+	// chunk bound.
 	Nodes, RF    int
 	ChunkRecords int
-	// Rows has one entry per node fault rate, in Rates order.
-	Rows []CrashChaosRow
+	// Cells has one entry per (node fault rate, consistency level):
+	// rates in Rates order, and within a rate the levels in
+	// DefaultQuorumLevels order.
+	Cells []CrashChaosCell
 	// Sites holds the coordinator crash-restart episodes, handoff and
 	// read repair per fault rate, all at QUORUM (the level where both
 	// paths are deterministically exercisable: ONE never repairs on
@@ -304,15 +297,19 @@ func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc
 // arms nothing), interleaving a query and an insert per step. A crash
 // restarts over the surviving cluster, recovers from the reopened
 // journal, finishes a resumed migration, and runs the invariant check.
+// The system is named for its run ("clean", "arm=3") and its restart
+// "arm=3 recovered", so each incarnation has its own trace lane name.
 func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w harness.NodeWeather, armAt int64, cell *CrashChaosCell) error {
 	v := verify.New()
 	cr := faults.NewCrashes()
+	name := "clean"
 	if armAt >= 0 {
 		cr.Arm(faults.SiteJournal, armAt)
+		name = fmt.Sprintf("arm=%d", armAt)
 	}
 	j := journal.New(journal.Options{Crashes: cr})
 	sys, err := c.system(harness.Config{
-		Name: "crashchaos", Rec: f.recA, Replication: &rc, NodeWeather: &w,
+		Name: name, Rec: f.recA, Replication: &rc, NodeWeather: &w,
 		Verifier: v, Journal: j, Crashes: cr,
 	})
 	if err != nil {
@@ -375,7 +372,7 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w har
 		return nil
 	}
 
-	unavailable, err := f.restart(c, "recovered", sys, rc, w, v, j.Durable(), pr, harness.RecoverOptions{Live: liveOpts},
+	unavailable, err := f.restart(c, name+" recovered", sys, rc, w, v, j.Durable(), pr, harness.RecoverOptions{Live: liveOpts},
 		func(recovered *harness.System, rep *harness.RecoverReport) error {
 			cell.CrashRuns++
 			cell.RecoverySimMillis += rep.SimMillis
@@ -518,26 +515,25 @@ func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w harness.
 // count.
 func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosResult, error) {
 	rates := nonEmpty(cfg.Rates, DefaultCrashChaosRates)
-	f, err := buildChaosFixture(advisorOptions(cfg.Advisor, cfg.Obs, nil))
+	f, err := buildChaosFixture(cfg.Advisor)
 	if err != nil {
 		return nil, err
 	}
 
 	repl := harness.ReplicationConfig{Nodes: cfg.Nodes, RF: cfg.RF}.Normalized()
-	sw := &sweep{name: "crashchaos", ds: f.ds, obs: cfg.Obs}
-	res := &CrashChaosResult{Levels: DefaultQuorumLevels, Nodes: repl.Nodes, RF: repl.RF, ChunkRecords: crashChaosChunkRecords}
+	sw := newSweep("crashchaos", f.ds, cfg.Advisor)
+	res := &CrashChaosResult{Nodes: repl.Nodes, RF: repl.RF, ChunkRecords: crashChaosChunkRecords}
 	// Every cell draws its node faults from its own stream: the seed
 	// plus the cell's ordinal.
 	cells := int64(0)
 	for _, rate := range rates {
-		row := CrashChaosRow{Rate: rate, Cells: map[string]CrashChaosCell{}}
-		for _, level := range res.Levels {
+		for _, level := range DefaultQuorumLevels {
 			cells++
 			w := harness.NodeWeather{Seed: cfg.Seed + cells, Profile: faults.NodeRate(rate)}
 			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, level), func(c *cell) error {
 				rc := repl
 				rc.Read, rc.Write = level, level
-				cell := CrashChaosCell{}
+				cell := CrashChaosCell{Rate: rate, Level: level}
 				// The clean run (arm -1) goes first: its append count is
 				// the list of crash points the armed runs sweep.
 				for arm := -1; arm < cell.JournalRecords; arm++ {
@@ -545,14 +541,13 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosResult, error) {
 						return fmt.Errorf("arm %d: %w", arm, err)
 					}
 				}
-				row.Cells[level.String()] = cell
+				res.Cells = append(res.Cells, cell)
 				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	for _, rate := range rates {
 		for _, site := range []string{faults.SiteHandoff, faults.SiteReadRepair} {
@@ -584,14 +579,11 @@ func (r *CrashChaosResult) Format() string {
 		r.Nodes, r.RF, r.ChunkRecords)
 	fmt.Fprintf(&b, "%-8s %-8s %8s %6s %8s %8s %8s %5s %7s %9s %12s %9s\n",
 		"Rate", "Level", "Records", "Runs", "Resumed", "RollFwd", "RollBack", "NoOp", "Unavail", "Recopied", "Recovery(ms)", "Verified")
-	for _, row := range r.Rows {
-		for _, level := range r.Levels {
-			c := row.Cells[level.String()]
-			fmt.Fprintf(&b, "%-8.3f %-8s %8d %6d %8d %8d %8d %5d %7d %9d %12.3f %6d/%d\n",
-				row.Rate, level, c.JournalRecords, c.CrashRuns,
-				c.Resumed, c.Completed, c.RolledBack, c.None, c.Unavailable,
-				c.RecopiedRecords, c.RecoverySimMillis, c.Verified, c.CrashRuns+1)
-		}
+	for _, c := range r.Cells {
+		fmt.Fprintf(&b, "%-8.3f %-8s %8d %6d %8d %8d %8d %5d %7d %9d %12.3f %6d/%d\n",
+			c.Rate, c.Level, c.JournalRecords, c.CrashRuns,
+			c.Resumed, c.Completed, c.RolledBack, c.None, c.Unavailable,
+			c.RecopiedRecords, c.RecoverySimMillis, c.Verified, c.CrashRuns+1)
 	}
 	fmt.Fprintf(&b, "coordinator crash-restart (QUORUM): crash inside hint replay and read repair, restart, verify\n")
 	fmt.Fprintf(&b, "%-8s %-12s %6s %11s %9s\n", "Rate", "Site", "Hints", "OpsToCrash", "Verified")

@@ -32,29 +32,28 @@ func TestRunCrashChaosDeterministicSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(experiments.DefaultCrashChaosRates) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(experiments.DefaultCrashChaosRates))
+	levels := len(experiments.DefaultQuorumLevels)
+	if want := len(experiments.DefaultCrashChaosRates) * levels; len(res.Cells) != want {
+		t.Fatalf("cells = %d, want %d", len(res.Cells), want)
 	}
-	for _, row := range res.Rows {
-		for _, level := range res.Levels {
-			c, ok := row.Cells[level.String()]
-			if !ok {
-				t.Fatalf("rate %g: missing %s cell", row.Rate, level)
-			}
-			if c.JournalRecords < 6 {
-				t.Errorf("rate %g %s: only %d journal records — the sweep proves little", row.Rate, level, c.JournalRecords)
-			}
-			if c.CrashRuns != c.JournalRecords {
-				t.Errorf("rate %g %s: %d crash runs over %d crash points", row.Rate, level, c.CrashRuns, c.JournalRecords)
-			}
-			if c.Verified != c.CrashRuns+1 {
-				t.Errorf("rate %g %s: %d/%d runs verified", row.Rate, level, c.Verified, c.CrashRuns+1)
-			}
-			// Both recovery regimes must appear: early crashes resume
-			// from the watermark, late ones roll forward.
-			if c.Resumed == 0 || c.Completed == 0 {
-				t.Errorf("rate %g %s: outcome histogram missed a regime: %+v", row.Rate, level, c)
-			}
+	for i, c := range res.Cells {
+		rate, level := experiments.DefaultCrashChaosRates[i/levels], experiments.DefaultQuorumLevels[i%levels]
+		if c.Rate != rate || c.Level != level {
+			t.Fatalf("cell %d is (%g, %s), want (%g, %s)", i, c.Rate, c.Level, rate, level)
+		}
+		if c.JournalRecords < 6 {
+			t.Errorf("rate %g %s: only %d journal records — the sweep proves little", rate, level, c.JournalRecords)
+		}
+		if c.CrashRuns != c.JournalRecords {
+			t.Errorf("rate %g %s: %d crash runs over %d crash points", rate, level, c.CrashRuns, c.JournalRecords)
+		}
+		if c.Verified != c.CrashRuns+1 {
+			t.Errorf("rate %g %s: %d/%d runs verified", rate, level, c.Verified, c.CrashRuns+1)
+		}
+		// Both recovery regimes must appear: early crashes resume
+		// from the watermark, late ones roll forward.
+		if c.Resumed == 0 || c.Completed == 0 {
+			t.Errorf("rate %g %s: outcome histogram missed a regime: %+v", rate, level, c)
 		}
 	}
 	// Handoff and read repair per rate, all restarts verified.

@@ -42,28 +42,6 @@ var DefaultDriftRates = []float64{0, 0.25, 0.5, 1}
 // DefaultDriftPhases is the default timeline length.
 const DefaultDriftPhases = 4
 
-// DriftCell is one system's measured totals across the whole timeline
-// of one drift rate.
-type DriftCell struct {
-	// WorkloadMillis is the summed simulated response time of every
-	// executed transaction.
-	WorkloadMillis float64
-	// MigrationMillis is the summed simulated time of schema changes,
-	// including the initial installation (both systems build their
-	// first schema through the same accounted path).
-	MigrationMillis float64
-	// Migrations counts schema changes that built at least one family,
-	// initial installation included.
-	Migrations int
-	// FamiliesBuilt totals the column families built.
-	FamiliesBuilt int
-}
-
-// TotalMillis is the cell's bottom line: workload plus migration time.
-func (c DriftCell) TotalMillis() float64 {
-	return c.WorkloadMillis + c.MigrationMillis
-}
-
 // DriftRow compares the two strategies at one drift rate.
 type DriftRow struct {
 	// Rate is the drift rate.
@@ -71,10 +49,10 @@ type DriftRow struct {
 	// Static is the advise-once baseline: one schema, advised on the
 	// duration-weighted average of the phases, installed before phase 0
 	// and never changed.
-	Static DriftCell
+	Static OnlineCell
 	// Readvised is the AdviseSeries schedule: per-phase schemas with
 	// mid-run migrations.
-	Readvised DriftCell
+	Readvised OnlineCell
 }
 
 // DriftResult is the full sweep.
@@ -162,9 +140,6 @@ func (cfg DriftConfig) withDefaults() DriftConfig {
 	if cfg.Phases < 2 {
 		cfg.Phases = DefaultDriftPhases
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 7
-	}
 	return cfg
 }
 
@@ -189,13 +164,13 @@ type timeline struct {
 func newTimeline(f *fixture, rate float64, phases, known int) (*timeline, error) {
 	tl := &timeline{weights: driftWeights(f.txns, rate, phases)}
 	var err error
-	tl.start, err = search.Advise(averageWorkload(f.w, f.txns, tl.weights[:known]), f.advisor)
+	tl.start, err = search.Advise(averageWorkload(f.w, f.txns, tl.weights[:known]), f.cfg.Advisor)
 	if err != nil {
 		return nil, fmt.Errorf("static advise: %w", err)
 	}
 	phased := *f.w
 	phased.Phases = driftPhases(f.w, f.txns, tl.weights)
-	opts := f.advisor
+	opts := f.cfg.Advisor
 	opts.Migration = migrate.DefaultCostParams().Scale(1 / (float64(phases) * float64(f.cfg.Executions)))
 	tl.series, err = search.AdviseSeries(&phased, opts)
 	if err != nil {
@@ -250,7 +225,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := f.sweep("drift")
+	sw := newSweep("drift", f.ds, f.cfg.Advisor)
 	res := &DriftResult{Phases: cfg.Phases, Executions: cfg.Base.Executions}
 	for _, rate := range cfg.Rates {
 		err := sw.cell(fmt.Sprintf("rate=%g", rate), func(c *cell) error {
@@ -262,7 +237,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 			for _, strategy := range []struct {
 				name string
 				plan []*search.PhaseRecommendation
-				cell *DriftCell
+				cell *OnlineCell
 			}{
 				{"Static", installOnce(tl.start, cfg.Phases), &row.Static},
 				{"Readvised", tl.series.Phases, &row.Readvised},
@@ -272,8 +247,7 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 					return err
 				}
 				// A drift cell is an online cell that can lose nothing.
-				var total OnlineCell
-				err = serve(sys, f.ds, strategy.plan, &total, func(t int) error {
+				err = serve(sys, f.ds, strategy.plan, strategy.cell, func(t int) error {
 					for ti, txn := range f.txns {
 						// The same (seed, n) gives both systems identical
 						// parameters.
@@ -282,18 +256,12 @@ func RunDrift(cfg DriftConfig) (*DriftResult, error) {
 						if err != nil {
 							return err
 						}
-						total.WorkloadMillis += sum(millis)
+						strategy.cell.WorkloadMillis += sum(millis)
 					}
 					return nil
 				})
 				if err != nil {
 					return err
-				}
-				*strategy.cell = DriftCell{
-					WorkloadMillis:  total.WorkloadMillis,
-					MigrationMillis: total.MigrationMillis,
-					Migrations:      total.Migrations,
-					FamiliesBuilt:   total.FamiliesBuilt,
 				}
 			}
 			res.Rows = append(res.Rows, row)

@@ -40,7 +40,7 @@ func TestRunDriftDeterministicSweep(t *testing.T) {
 		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		for name, cell := range map[string]experiments.DriftCell{
+		for name, cell := range map[string]experiments.OnlineCell{
 			"static": row.Static, "readvised": row.Readvised,
 		} {
 			if cell.WorkloadMillis <= 0 {
@@ -82,5 +82,27 @@ func TestRunDriftDeterministicSweep(t *testing.T) {
 	out := res.Format()
 	if !strings.Contains(out, "winner") || !strings.Contains(out, "3 phases") {
 		t.Errorf("format output incomplete:\n%s", out)
+	}
+}
+
+// TestDriftSeedZeroIsASeed: seed 0 drives the parameter streams like any
+// other seed. The sweep once rewrote it to 7, so -seed 0 printed the
+// seed-7 table.
+func TestDriftSeedZeroIsASeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment harness is slow")
+	}
+	tables := map[int64]string{}
+	for _, seed := range []int64{0, 7} {
+		cfg := driftTestConfig(1)
+		cfg.Seed = seed
+		res, err := experiments.RunDrift(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		tables[seed] = res.Format()
+	}
+	if tables[0] == tables[7] {
+		t.Errorf("seeds 0 and 7 print the same drift table:\n%s", tables[0])
 	}
 }

@@ -102,15 +102,18 @@ func TestRunChaosDeterministicSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	if want := 2 * len(experiments.SystemNames); len(res.Cells) != want {
+		t.Fatalf("cells = %d, want %d", len(res.Cells), want)
 	}
+	healthy, faulted := res.Cells[:len(experiments.SystemNames)], res.Cells[len(experiments.SystemNames):]
 
 	// Rate 0 must be indistinguishable from the unfaulted harness: no
 	// retries, no failovers, nothing injected, nothing lost.
-	healthy := res.Rows[0]
-	for _, name := range experiments.SystemNames {
-		c := healthy.Cells[name]
+	for i, c := range healthy {
+		name := c.System
+		if c.Rate != 0 || name != experiments.SystemNames[i] {
+			t.Errorf("cell %d is (%g, %s), want (0, %s)", i, c.Rate, name, experiments.SystemNames[i])
+		}
 		if c.Unavailable != 0 || counter(t, c.Counters, "exec.retries") != 0 || counter(t, c.Counters, "harness.failovers") != 0 {
 			t.Errorf("rate 0 on %s not clean: %v", name, c.Counters)
 		}
@@ -124,9 +127,8 @@ func TestRunChaosDeterministicSweep(t *testing.T) {
 
 	// At a nonzero rate the injector must have fired and the systems
 	// must have paid for it (retries or failovers or losses).
-	faulted := res.Rows[1]
-	for _, name := range experiments.SystemNames {
-		c := faulted.Cells[name]
+	for _, c := range faulted {
+		name := c.System
 		if counter(t, c.Counters, "faults.ops") == 0 {
 			t.Errorf("rate 0.02 on %s: injector saw no operations", name)
 		}
@@ -173,13 +175,13 @@ func TestChaosRateZeroMatchesFig11(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range experiments.SystemNames {
+	for i, name := range experiments.SystemNames {
 		mean := 0.0
 		for _, row := range fig11.Rows {
 			mean += row.Millis[name]
 		}
 		mean /= float64(len(fig11.Rows))
-		got := chaos.Rows[0].Cells[name].AvgMillis
+		got := chaos.Cells[i].AvgMillis
 		if math.Abs(got-mean) > 1e-9*math.Max(1, mean) {
 			t.Errorf("%s: chaos rate-0 avg %.9f != fig11 mean %.9f", name, got, mean)
 		}
@@ -248,8 +250,9 @@ func TestRunQuorumDeterministicSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	levels := len(experiments.DefaultQuorumLevels)
+	if len(res.Cells) != 2*levels {
+		t.Fatalf("cells = %d, want %d", len(res.Cells), 2*levels)
 	}
 	if res.Nodes != 5 || res.RF != 3 {
 		t.Fatalf("cluster shape %d/%d, want default 5 nodes RF 3", res.Nodes, res.RF)
@@ -257,8 +260,11 @@ func TestRunQuorumDeterministicSweep(t *testing.T) {
 
 	// Rate 0: every consistency level completes everything, nothing is
 	// stale, nothing is unavailable.
-	for _, level := range res.Levels {
-		c := res.Rows[0].Cells[level.String()]
+	for i, c := range res.Cells[:levels] {
+		level := c.Level
+		if c.Rate != 0 || level != experiments.DefaultQuorumLevels[i] {
+			t.Errorf("cell %d is (%g, %v), want (0, %v)", i, c.Rate, level, experiments.DefaultQuorumLevels[i])
+		}
 		if c.Completed == 0 || c.Unavailable != 0 {
 			t.Errorf("rate 0 at %v: completed=%d unavailable=%d", level, c.Completed, c.Unavailable)
 		}
@@ -272,8 +278,8 @@ func TestRunQuorumDeterministicSweep(t *testing.T) {
 
 	// Under node faults the coordinator must have fanned out to
 	// replicas and paid for the weather somewhere.
-	for _, level := range res.Levels {
-		c := res.Rows[1].Cells[level.String()]
+	for _, c := range res.Cells[levels:] {
+		level := c.Level
 		if counter(t, c.Counters, "coord.replica_reads") == 0 || counter(t, c.Counters, "nodefaults.ops") == 0 {
 			t.Errorf("rate 0.05 at %v: replica/node counters empty: %v", level, c.Counters)
 		}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"nose/internal/harness"
-	"nose/internal/obs"
 	"nose/internal/rubis"
 	"nose/internal/search"
 )
@@ -46,17 +45,14 @@ type Fig11Config struct {
 	Executions int
 	// Mix selects the workload mix; empty means bidding.
 	Mix string
-	// Advisor tunes the NoSE run.
+	// Advisor tunes the NoSE run. Its Obs and Trace are the run's
+	// sinks: Obs collects the advisor's stage counters directly and
+	// each measured system's registry merged in after its measurement
+	// (deterministic counters are bit-identical across reruns and
+	// worker counts); Trace collects advisor stages on the wall-clock
+	// process and executed statements on per-system simulated-clock
+	// lanes.
 	Advisor search.Options
-	// Obs, when set, collects the run's metrics: the advisor's stage
-	// counters directly, and each measured system's registry merged in
-	// after its measurement. Deterministic counters in the merged
-	// registry are bit-identical across reruns and worker counts.
-	Obs *obs.Registry
-	// Trace, when set, collects Chrome-trace events: advisor stages on
-	// the wall-clock process and executed statements on per-system
-	// simulated-clock lanes.
-	Trace *obs.Tracer
 }
 
 // RunFig11 measures per-transaction average response times on the
@@ -66,7 +62,7 @@ func RunFig11(cfg Fig11Config) (*Fig11Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig11Mix(f, f.sweep("fig11"), cfg.Mix)
+	return fig11Mix(f, newSweep("fig11", f.ds, f.cfg.Advisor), cfg.Mix)
 }
 
 // fig11Mix is one cell of Fig. 11 and Fig. 12: advise the three schemas

@@ -33,7 +33,7 @@ func RunFig12(cfg Fig11Config) (*Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := f.sweep("fig12")
+	sw := newSweep("fig12", f.ds, f.cfg.Advisor)
 	res := &Fig12Result{}
 	for _, mix := range rubis.Mixes {
 		f11, err := fig11Mix(f, sw, mix)

@@ -9,24 +9,15 @@ import (
 	"nose/internal/search"
 )
 
-// Fig13Row is one scale factor's advisor runtime breakdown, mirroring
-// the stacked bars of paper Fig. 13.
+// Fig13Row is one scale factor's advise, mirroring the stacked bars of
+// paper Fig. 13: the advisor's stage timings (the figure's categories
+// are CostCalculation, BIPConstruction, BIPSolving, and Enumeration
+// plus Other) and its problem sizes and per-phase solve outcomes.
 type Fig13Row struct {
 	// Factor is the workload scale factor.
 	Factor int
-	// CostCalculation is time spent generating and costing plan
-	// spaces.
-	CostCalculation time.Duration
-	// BIPConstruction is time spent formulating the integer program.
-	BIPConstruction time.Duration
-	// BIPSolving is time spent in the solver.
-	BIPSolving time.Duration
-	// Other covers enumeration, extraction and bookkeeping.
-	Other time.Duration
-	// Total is the end-to-end advisor runtime.
-	Total time.Duration
-	// Candidates and Constraints report problem sizes.
-	Candidates, Constraints int
+	search.Timings
+	search.Stats
 }
 
 // Fig13Result is the regenerated paper Fig. 13.
@@ -62,17 +53,7 @@ func RunFig13(cfg Fig13Config) (*Fig13Result, error) {
 			if err != nil {
 				return err
 			}
-			t := rec.Timings
-			res.Rows = append(res.Rows, Fig13Row{
-				Factor:          factor,
-				CostCalculation: t.CostCalculation,
-				BIPConstruction: t.BIPConstruction,
-				BIPSolving:      t.BIPSolving,
-				Other:           t.Enumeration + t.Other,
-				Total:           t.Total,
-				Candidates:      rec.Stats.Candidates,
-				Constraints:     rec.Stats.Constraints,
-			})
+			res.Rows = append(res.Rows, Fig13Row{Factor: factor, Timings: rec.Timings, Stats: rec.Stats})
 			return nil
 		})
 		if err != nil {
@@ -82,20 +63,30 @@ func RunFig13(cfg Fig13Config) (*Fig13Result, error) {
 	return res, nil
 }
 
-// Format renders the result as the figure's data table.
+// Format renders the result as the figure's data table, with each
+// solver phase's outcome: a time is a time to proof only where both
+// phases ended optimal, and otherwise comes with its relative gap.
 func (r *Fig13Result) Format() string {
+	phase := func(s search.Solve) string {
+		if !s.Ran {
+			return fmt.Sprintf(" %-10s %7s %7s", "skipped", "-", "-")
+		}
+		return fmt.Sprintf(" %-10s %6.1f%% %7d", s.Status, 100*s.Gap, s.Nodes)
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-7s %12s %12s %12s %12s %12s %10s %11s\n",
-		"Factor", "CostCalc", "BIPBuild", "BIPSolve", "Other", "Total", "Candidates", "Constraints")
+	fmt.Fprintf(&b, "%-7s %12s %12s %12s %12s %12s %10s %11s %-10s %7s %7s %-10s %7s %7s\n",
+		"Factor", "CostCalc", "BIPBuild", "BIPSolve", "Other", "Total", "Candidates", "Constraints",
+		"P1", "P1gap", "P1nodes", "P2", "P2gap", "P2nodes")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-7d %12s %12s %12s %12s %12s %10d %11d\n",
+		fmt.Fprintf(&b, "%-7d %12s %12s %12s %12s %12s %10d %11d%s%s\n",
 			row.Factor,
 			row.CostCalculation.Round(time.Millisecond),
 			row.BIPConstruction.Round(time.Millisecond),
 			row.BIPSolving.Round(time.Millisecond),
-			row.Other.Round(time.Millisecond),
+			(row.Enumeration + row.Other).Round(time.Millisecond),
 			row.Total.Round(time.Millisecond),
-			row.Candidates, row.Constraints)
+			row.Candidates, row.Constraints,
+			phase(row.Phase1), phase(row.Phase2))
 	}
 	return b.String()
 }

@@ -27,52 +27,52 @@ var sweepCases = []struct {
 }{
 	{"drift", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := driftTestConfig(workers)
-		cfg.Base.Obs = reg
+		cfg.Base.Advisor.Obs = reg
 		return experiments.RunDrift(cfg)
 	}},
 	{"online", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := onlineTestConfig(workers)
-		cfg.Base.Obs = reg
+		cfg.Base.Advisor.Obs = reg
 		return experiments.RunOnline(cfg)
 	}},
 	{"load", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := loadTestConfig(workers)
-		cfg.Base.Obs = reg
+		cfg.Base.Advisor.Obs = reg
 		return experiments.RunLoad(cfg)
 	}},
 	{"quorum", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := quorumTestConfig(workers)
-		cfg.Base.Obs = reg
+		cfg.Base.Advisor.Obs = reg
 		return experiments.RunQuorum(cfg)
 	}},
 	{"chaos", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := chaosTestConfig(workers)
-		cfg.Base.Obs = reg
+		cfg.Base.Advisor.Obs = reg
 		return experiments.RunChaos(cfg)
 	}},
 	{"crashchaos", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := crashChaosTestConfig(workers)
-		cfg.Obs = reg
+		cfg.Advisor.Obs = reg
 		return experiments.RunCrashChaos(cfg)
 	}},
 	{"budget", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := tinyBase(workers)
-		cfg.Obs = reg
+		cfg.Advisor.Obs = reg
 		return experiments.RunBudgetSweep(cfg, nil)
 	}},
 	{"ablation", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := tinyBase(workers)
-		cfg.Obs = reg
+		cfg.Advisor.Obs = reg
 		return experiments.RunAblation(cfg)
 	}},
 	{"fig11", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := tinyBase(workers)
-		cfg.Obs = reg
+		cfg.Advisor.Obs = reg
 		return experiments.RunFig11(cfg)
 	}},
 	{"fig12", func(workers int, reg *obs.Registry) (formatter, error) {
 		cfg := tinyBase(workers)
-		cfg.Obs = reg
+		cfg.Advisor.Obs = reg
 		return experiments.RunFig12(cfg)
 	}},
 }

@@ -57,24 +57,12 @@ const (
 	loadKneeP99Factor = 3.0
 )
 
-// LoadCell is one (consistency level, client population) measurement.
+// LoadCell is one (consistency level, client population) measurement:
+// the population and what the load generator measured under it.
 type LoadCell struct {
 	// Clients is the closed-loop population.
 	Clients int
-	// Started, Completed, Unavailable and Lost count transactions.
-	Started, Completed, Unavailable, Lost int64
-	// ThroughputPerSec is completed transactions per simulated second
-	// in the measurement window.
-	ThroughputPerSec float64
-	// P50Millis and P99Millis are response-time percentiles, queue
-	// delay included.
-	P50Millis, P99Millis float64
-	// QueueDelayMillis is the total simulated queue wait charged;
-	// MaxUtilization is the busiest node's service utilization;
-	// MaxDepth is the deepest queue observed on any node.
-	QueueDelayMillis float64
-	MaxUtilization   float64
-	MaxDepth         int
+	load.Result
 }
 
 // LoadCurve is one consistency level's throughput/latency curve plus
@@ -125,7 +113,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	}
 
 	repl := harness.ReplicationConfig{Nodes: cfg.Nodes, RF: cfg.RF}.Normalized()
-	sw := f.sweep("load")
+	sw := newSweep("load", f.ds, f.cfg.Advisor)
 	res := &LoadResult{
 		Nodes: repl.Nodes, RF: repl.RF, Capacity: capacity,
 		ThinkMillis: think, HorizonMillis: horizon,
@@ -153,19 +141,7 @@ func RunLoad(cfg LoadConfig) (*LoadResult, error) {
 				if err != nil {
 					return err
 				}
-				curve.Cells = append(curve.Cells, LoadCell{
-					Clients:          n,
-					Started:          r.Started,
-					Completed:        r.Completed,
-					Unavailable:      r.Unavailable,
-					Lost:             r.Lost,
-					ThroughputPerSec: r.ThroughputPerSec,
-					P50Millis:        r.P50Millis,
-					P99Millis:        r.P99Millis,
-					QueueDelayMillis: r.QueueDelayMillis,
-					MaxUtilization:   r.MaxUtilization,
-					MaxDepth:         r.MaxDepth,
-				})
+				curve.Cells = append(curve.Cells, LoadCell{Clients: n, Result: *r})
 				return nil
 			})
 			if err != nil {

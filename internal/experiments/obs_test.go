@@ -16,12 +16,12 @@ func quorumSnapshot(t *testing.T, workers int) *obs.Snapshot {
 	reg := obs.NewRegistry()
 	adv := fastOptions()
 	adv.Workers = workers
+	adv.Obs = reg
 	_, err := experiments.RunQuorum(experiments.QuorumConfig{
 		Base: experiments.Fig11Config{
 			RUBiS:      rubis.Config{Users: 200, Seed: 1},
 			Executions: 2,
 			Advisor:    adv,
-			Obs:        reg,
 		},
 		Rates: []float64{0, 0.05},
 		Seed:  7,

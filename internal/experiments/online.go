@@ -76,9 +76,6 @@ const DefaultOnlineFaultRate = 0.02
 // typical served transaction.
 const DefaultOnlinePenaltyMillis = 10
 
-// OnlineStrategies orders the compared strategies in every row.
-var OnlineStrategies = []string{"once", "oracle", "online"}
-
 // OnlineCell is one strategy's measured totals across one row's
 // timeline.
 type OnlineCell struct {
@@ -124,9 +121,9 @@ type OnlineRow struct {
 	// Faulted reports whether this row ran on a replicated cluster
 	// with node faults injected.
 	Faulted bool
-	// Cells maps strategy name (see OnlineStrategies) to its
-	// measurement.
-	Cells map[string]OnlineCell
+	// Once, Oracle and Online are the three strategies' measurements
+	// (see OnlineConfig).
+	Once, Oracle, Online OnlineCell
 }
 
 // OnlineResult is the full sweep.
@@ -282,7 +279,7 @@ func RunOnline(cfg OnlineConfig) (*OnlineResult, error) {
 		return nil, err
 	}
 
-	sw := f.sweep("online")
+	sw := newSweep("online", f.ds, f.cfg.Advisor)
 	res := &OnlineResult{
 		Phases:        cfg.Phases,
 		Executions:    cfg.Base.Executions,
@@ -309,21 +306,20 @@ func RunOnline(cfg OnlineConfig) (*OnlineResult, error) {
 					cfg: cfg, f: f, c: c, tl: tl, faulted: faulted,
 					schedule: onlineSchedule(f.txns, tl.weights, cfg.Base.Executions, cfg.Seed),
 				}
-				row := OnlineRow{Rate: rate, Faulted: faulted, Cells: map[string]OnlineCell{}}
+				row := OnlineRow{Rate: rate, Faulted: faulted}
 				for _, strategy := range []struct {
 					name string
 					plan []*search.PhaseRecommendation
 					live bool
+					cell *OnlineCell
 				}{
-					{"once", installOnce(tl.start, cfg.Phases), false},
-					{"oracle", tl.series.Phases, false},
-					{"online", installOnce(tl.start, cfg.Phases), true},
+					{"once", installOnce(tl.start, cfg.Phases), false, &row.Once},
+					{"oracle", tl.series.Phases, false, &row.Oracle},
+					{"online", installOnce(tl.start, cfg.Phases), true, &row.Online},
 				} {
-					cell, err := run.strategy(strategy.name, strategy.plan, strategy.live)
-					if err != nil {
+					if err := run.strategy(strategy.name, strategy.plan, strategy.live, strategy.cell); err != nil {
 						return fmt.Errorf("%s: %w", strategy.name, err)
 					}
-					row.Cells[strategy.name] = cell
 				}
 				res.Rows = append(res.Rows, row)
 				return nil
@@ -397,37 +393,36 @@ func (r *onlineRun) phase(sys *harness.System, cell *OnlineCell, t int, between 
 // live migration; hitting the bound is an error, not a truncation.
 const onlineDrainSteps = 100_000
 
-// strategy measures one strategy on its own system. plan holds the
-// schema changes known ahead: advise-once installs the phase-0 schema
-// and never changes it, the phase oracle follows the AdviseSeries
-// schedule with a stop-the-world migration at every phase boundary. A
-// live strategy also starts on the phase-0 schema, then runs the online
-// loop between transactions.
-func (r *onlineRun) strategy(name string, plan []*search.PhaseRecommendation, live bool) (OnlineCell, error) {
-	var cell OnlineCell
+// strategy measures one strategy on its own system into cell. plan
+// holds the schema changes known ahead: advise-once installs the
+// phase-0 schema and never changes it, the phase oracle follows the
+// AdviseSeries schedule with a stop-the-world migration at every phase
+// boundary. A live strategy also starts on the phase-0 schema, then
+// runs the online loop between transactions.
+func (r *onlineRun) strategy(name string, plan []*search.PhaseRecommendation, live bool, cell *OnlineCell) error {
 	sys, err := r.system(name)
 	if err != nil {
-		return cell, err
+		return err
 	}
 	var step, between func() error
 	if live {
-		step, between = r.onlineLoop(sys, &cell)
+		step, between = r.onlineLoop(sys, cell)
 	}
-	err = serve(sys, r.f.ds, plan, &cell, func(t int) error { return r.phase(sys, &cell, t, between) })
+	err = serve(sys, r.f.ds, plan, cell, func(t int) error { return r.phase(sys, cell, t, between) })
 	if err != nil {
-		return cell, err
+		return err
 	}
 	// The workload is over; let an in-flight migration finish (or
 	// abort) so its full cost lands in the cell.
 	for i := 0; sys.LiveActive(); i++ {
 		if i >= onlineDrainSteps {
-			return cell, fmt.Errorf("live migration not finished after %d drain steps", onlineDrainSteps)
+			return fmt.Errorf("live migration not finished after %d drain steps", onlineDrainSteps)
 		}
 		if err := step(); err != nil {
-			return cell, err
+			return err
 		}
 	}
-	return cell, nil
+	return nil
 }
 
 // onlineLoop arms the online strategy on sys: watch the executed mix,
@@ -482,7 +477,7 @@ func (r *onlineRun) onlineLoop(sys *harness.System, cell *OnlineCell) (step, bet
 		}
 		cell.Triggers++
 		knownMix = unionMix(knownMix, mix)
-		rec, err := search.Advise(readviseWorkload(f.w, f.txns, knownMix), f.advisor)
+		rec, err := search.Advise(readviseWorkload(f.w, f.txns, knownMix), f.cfg.Advisor)
 		if err != nil {
 			return fmt.Errorf("re-advise: %w", err)
 		}
@@ -519,7 +514,7 @@ func (r *OnlineResult) Format() string {
 		"onln-total", "onln-mig", "lost", "trig", "abort",
 		"winner")
 	for _, row := range r.Rows {
-		once, oracle, online := row.Cells["once"], row.Cells["oracle"], row.Cells["online"]
+		once, oracle, online := row.Once, row.Oracle, row.Online
 		winner := "once"
 		best := once.TotalMillis()
 		if oracle.TotalMillis() < best {

@@ -47,11 +47,9 @@ func TestRunOnlineDeterministicSweep(t *testing.T) {
 		t.Fatalf("rows = %d, want 4", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		for _, name := range experiments.OnlineStrategies {
-			cell, ok := row.Cells[name]
-			if !ok {
-				t.Fatalf("rate %g faulted=%t: missing %s cell", row.Rate, row.Faulted, name)
-			}
+		for name, cell := range map[string]experiments.OnlineCell{
+			"once": row.Once, "oracle": row.Oracle, "online": row.Online,
+		} {
 			if cell.WorkloadMillis <= 0 {
 				t.Errorf("rate %g faulted=%t %s: no workload time", row.Rate, row.Faulted, name)
 			}
@@ -65,7 +63,7 @@ func TestRunOnlineDeterministicSweep(t *testing.T) {
 	// At rate 0 the workload never drifts: the detector must not fire
 	// and the online strategy must keep its initial schema.
 	for _, row := range res.Rows[:2] {
-		online := row.Cells["online"]
+		online := row.Online
 		if online.Triggers != 0 || online.Migrations != 1 {
 			t.Errorf("rate 0 faulted=%t: %d triggers, %d migrations; want 0 and 1 (initial only)",
 				row.Faulted, online.Triggers, online.Migrations)
@@ -75,7 +73,7 @@ func TestRunOnlineDeterministicSweep(t *testing.T) {
 	// At full drift the detector must notice and act: the online loop
 	// re-advises at least once and beats advise-once on total cost.
 	for _, row := range res.Rows[2:] {
-		online, once := row.Cells["online"], row.Cells["once"]
+		online, once := row.Online, row.Once
 		if online.Triggers < 1 {
 			t.Errorf("rate 1 faulted=%t: drift never triggered", row.Faulted)
 		}

@@ -40,8 +40,12 @@ var DefaultQuorumRates = []float64{0, 0.02, 0.05, 0.1}
 // each used for both reads and writes.
 var DefaultQuorumLevels = []executor.Consistency{executor.One, executor.Quorum, executor.All}
 
-// QuorumCell is one (consistency level, node fault rate) measurement.
+// QuorumCell is one (node fault rate, consistency level) measurement.
 type QuorumCell struct {
+	// Rate is the injected node fault rate.
+	Rate float64
+	// Level is the consistency level used for both reads and writes.
+	Level executor.Consistency
 	// P50Millis and P99Millis are latency percentiles over the
 	// simulated response times of completed transactions.
 	P50Millis, P99Millis float64
@@ -55,23 +59,14 @@ type QuorumCell struct {
 	Counters map[string]int64
 }
 
-// QuorumRow is one node fault rate's measurements across consistency
-// levels, keyed by level name (ONE/QUORUM/ALL).
-type QuorumRow struct {
-	// Rate is the injected node fault rate.
-	Rate float64
-	// Cells maps consistency level name to its measurement.
-	Cells map[string]QuorumCell
-}
-
 // QuorumResult is the full sweep.
 type QuorumResult struct {
-	// Levels orders the compared consistency levels.
-	Levels []executor.Consistency
 	// Nodes and RF record the cluster shape measured.
 	Nodes, RF int
-	// Rows has one entry per node fault rate, in Rates order.
-	Rows []QuorumRow
+	// Cells has one entry per (node fault rate, consistency level):
+	// rates in Rates order, and within a rate the levels in
+	// DefaultQuorumLevels order.
+	Cells []QuorumCell
 }
 
 // RunQuorum sweeps node fault rates and consistency levels over the
@@ -91,11 +86,10 @@ func RunQuorum(cfg QuorumConfig) (*QuorumResult, error) {
 	}
 
 	repl := harness.ReplicationConfig{Nodes: cfg.Nodes, RF: cfg.RF}.Normalized()
-	sw := f.sweep("quorum")
-	res := &QuorumResult{Levels: DefaultQuorumLevels, Nodes: repl.Nodes, RF: repl.RF}
+	sw := newSweep("quorum", f.ds, f.cfg.Advisor)
+	res := &QuorumResult{Nodes: repl.Nodes, RF: repl.RF}
 	for _, rate := range rates {
-		row := QuorumRow{Rate: rate, Cells: map[string]QuorumCell{}}
-		for _, level := range res.Levels {
+		for _, level := range DefaultQuorumLevels {
 			// A fresh cluster per cell: each cell mutates its own
 			// stores and fault streams, so cells never contaminate
 			// each other and any one cell reproduces in isolation.
@@ -109,17 +103,11 @@ func RunQuorum(cfg QuorumConfig) (*QuorumResult, error) {
 				if err != nil {
 					return err
 				}
-				cell := QuorumCell{}
-				var latencies []float64
-				for _, txn := range f.active {
-					millis, lost, err := measure(sys, txn, cfg.Base.Executions, f.params(paramSeed), harness.ErrUnavailable)
-					if err != nil {
-						return err
-					}
-					latencies = append(latencies, millis...)
-					cell.Unavailable += lost
+				latencies, lost, err := f.measureMix(sys)
+				if err != nil {
+					return err
 				}
-				cell.Completed = int64(len(latencies))
+				cell := QuorumCell{Rate: rate, Level: level, Completed: int64(len(latencies)), Unavailable: lost}
 				sort.Float64s(latencies)
 				cell.P50Millis = load.Percentile(latencies, 0.50)
 				cell.P99Millis = load.Percentile(latencies, 0.99)
@@ -127,14 +115,13 @@ func RunQuorum(cfg QuorumConfig) (*QuorumResult, error) {
 					cell.UnavailableRate = float64(cell.Unavailable) / float64(n)
 				}
 				cell.Counters = sys.Obs().Snapshot().Counters
-				row.Cells[level.String()] = cell
+				res.Cells = append(res.Cells, cell)
 				return nil
 			})
 			if err != nil {
 				return nil, err
 			}
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -148,18 +135,15 @@ func (r *QuorumResult) Format() string {
 	fmt.Fprintf(&b, "cluster: %d nodes, RF %d\n", r.Nodes, r.RF)
 	fmt.Fprintf(&b, "%-8s %-8s %10s %10s %9s %8s %8s %8s %8s\n",
 		"Rate", "Level", "p50(ms)", "p99(ms)", "Unavail", "Stale", "Hints", "Repairs", "Hedges")
-	for _, row := range r.Rows {
-		for _, level := range r.Levels {
-			c := row.Cells[level.String()]
-			stale := 0.0
-			if reads := c.Counters["coord.reads"]; reads > 0 {
-				stale = float64(c.Counters["coord.stale_reads"]) / float64(reads)
-			}
-			fmt.Fprintf(&b, "%-8.3f %-8s %10.3f %10.3f %8.1f%% %7.2f%% %8d %8d %8d\n",
-				row.Rate, level, c.P50Millis, c.P99Millis,
-				100*c.UnavailableRate, 100*stale,
-				c.Counters["coord.hints_queued"], c.Counters["coord.read_repairs"], c.Counters["coord.hedges"])
+	for _, c := range r.Cells {
+		stale := 0.0
+		if reads := c.Counters["coord.reads"]; reads > 0 {
+			stale = float64(c.Counters["coord.stale_reads"]) / float64(reads)
 		}
+		fmt.Fprintf(&b, "%-8.3f %-8s %10.3f %10.3f %8.1f%% %7.2f%% %8d %8d %8d\n",
+			c.Rate, c.Level, c.P50Millis, c.P99Millis,
+			100*c.UnavailableRate, 100*stale,
+			c.Counters["coord.hints_queued"], c.Counters["coord.read_repairs"], c.Counters["coord.hedges"])
 	}
 	return b.String()
 }

@@ -13,24 +13,28 @@
 // A sweep is a Run function over four things, all in this file:
 //
 //   - A fixture: newFixture generates the RUBiS dataset, workload and
-//     transactions once per run and wires the run's registry and tracer
-//     into the advisor options; advise adds the three compared schemas
-//     for a mix. A sweep over another application builds its own (see
-//     crashchaos's hotel fixture) and starts a sweep value by hand.
+//     transactions once per run; advise adds the three compared schemas
+//     for a mix, and measureMix runs the mix on one system. A sweep over
+//     another application builds its own (see crashchaos's hotel
+//     fixture). Either starts its sweep with newSweep.
 //   - Cells: the Run function loops over its sweep points in the order
 //     the table prints them and hands each to (*sweep).cell with a label
 //     such as "rate=0.02 QUORUM". Cells run sequentially. The driver
 //     merges the registries of the systems the cell built into the run
 //     registry and wraps the cell's error with the experiment and label.
+//     The run's registry and tracer are the advisor's: Advisor.Obs and
+//     Advisor.Trace are the one place a caller hands a sweep its sinks.
 //   - A cell function: it declares what it measures as a harness.Config
 //     and builds it through (*cell).system — the one place a harness
 //     constructor is called, and where each system gets its own trace
-//     lane — runs transactions through measure, and writes its row of
+//     lane — runs transactions through measure, and appends its cell to
 //     the result.
 //     Fresh systems per cell keep cells independent and reproducible in
 //     isolation.
-//   - A result type with a Format method printing the table, and one
-//     row in cmd/nosebench's experiment table.
+//   - A result type holding flat cells that carry their own coordinates
+//     (rate, system or level), in the order the table prints them, with
+//     a Format method that prints one line per cell, and one row in
+//     cmd/nosebench's experiment table.
 //
 // Sweeps that only call the advisor (fig13, budget, ablation) build no
 // system; budget and ablation record a failing variant as a finding
@@ -189,28 +193,21 @@ func nonEmpty[T any](v, def []T) []T {
 	return def
 }
 
-// advisorOptions wires the run's registry and tracer into the advisor
-// options, so advisor stages count and trace next to the measured
-// systems.
-func advisorOptions(opts search.Options, reg *obs.Registry, tr *obs.Tracer) search.Options {
-	if reg != nil {
-		opts.Obs = reg
-	}
-	if tr != nil {
-		opts.Trace = tr
-	}
-	return opts
+// newSweep starts the named experiment's sweep over ds, collecting into
+// the advisor's registry and tracer so advisor stages and measured
+// systems land in the same sinks.
+func newSweep(name string, ds *backend.Dataset, advisor search.Options) *sweep {
+	return &sweep{name: name, ds: ds, obs: advisor.Obs, trace: advisor.Trace}
 }
 
 // fixture is the RUBiS half of a run, built once: the generated
-// dataset, the workload and its transactions, and the advisor options
-// with observability wired. advise adds the mix-dependent half.
+// dataset, the workload and its transactions. advise adds the
+// mix-dependent half.
 type fixture struct {
-	cfg     Fig11Config
-	ds      *backend.Dataset
-	w       *workload.Workload
-	txns    []*rubis.Transaction
-	advisor search.Options
+	cfg  Fig11Config
+	ds   *backend.Dataset
+	w    *workload.Workload
+	txns []*rubis.Transaction
 
 	// Set by advise: the resolved mix name, the three compared schemas'
 	// recommendations by SystemNames entry, the mix's transactions (the
@@ -231,10 +228,7 @@ func newFixture(cfg Fig11Config) (*fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &fixture{
-		cfg: cfg, ds: ds, w: w, txns: txns,
-		advisor: advisorOptions(cfg.Advisor, cfg.Obs, cfg.Trace),
-	}, nil
+	return &fixture{cfg: cfg, ds: ds, w: w, txns: txns}, nil
 }
 
 // newAdvisedFixture is newFixture plus advise for cfg.Mix: what a sweep
@@ -247,12 +241,6 @@ func newAdvisedFixture(cfg Fig11Config) (*fixture, error) {
 	return f, f.advise(cfg.Mix)
 }
 
-// sweep starts the named experiment's sweep over the fixture's dataset
-// and observability sinks.
-func (f *fixture) sweep(name string) *sweep {
-	return &sweep{name: name, ds: f.ds, obs: f.cfg.Obs, trace: f.cfg.Trace}
-}
-
 // advise derives the three schemas' recommendations for a workload mix
 // (empty means bidding) — the expensive, fault-independent half of
 // system construction, shared by every cell of a sweep.
@@ -261,7 +249,7 @@ func (f *fixture) advise(mix string) error {
 	if mix != "" {
 		f.mix, f.w.ActiveMix = mix, mix
 	}
-	nose, err := search.Advise(f.w, f.advisor)
+	nose, err := search.Advise(f.w, f.cfg.Advisor)
 	if err != nil {
 		return fmt.Errorf("experiments: NoSE advise: %w", err)
 	}
@@ -292,6 +280,22 @@ func (f *fixture) advise(mix string) error {
 		}
 	}
 	return nil
+}
+
+// measureMix runs every transaction of the mix on sys, f.cfg.Executions
+// times each from the shared parameter stream, and returns the response
+// times of the executions that completed, in mix order, and the count
+// lost to harness.ErrUnavailable.
+func (f *fixture) measureMix(sys *harness.System) (millis []float64, lost int64, err error) {
+	for _, txn := range f.active {
+		m, l, err := measure(sys, txn, f.cfg.Executions, f.params(paramSeed), harness.ErrUnavailable)
+		if err != nil {
+			return nil, 0, err
+		}
+		millis = append(millis, m...)
+		lost += l
+	}
+	return millis, lost, nil
 }
 
 // params is a fresh parameter stream at the given seed.

@@ -3,6 +3,7 @@ package experiments_test
 import (
 	"bytes"
 	"encoding/json"
+	"regexp"
 	"testing"
 
 	"nose/internal/experiments"
@@ -14,7 +15,8 @@ import (
 // end to end from its own cursor, so two systems sharing a tid overlay
 // their events from zero (drift re-used tids 1 and 2 for every rate,
 // fig12 tids 1-3 for every mix) and a system without a lane is missing
-// from the trace altogether (online named none).
+// from the trace altogether (online named none, crashchaos none of its
+// systems).
 func TestTraceLanesOnePerSystem(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")
@@ -23,28 +25,63 @@ func TestTraceLanesOnePerSystem(t *testing.T) {
 		name    string
 		systems int
 		run     func(tr *obs.Tracer) error
+		// empty matches the lanes that may carry no event; nil means
+		// every lane must carry one.
+		empty *regexp.Regexp
 	}{
 		// 2 rates x (static, readvised).
 		{"drift", 4, func(tr *obs.Tracer) error {
 			cfg := driftTestConfig(1)
-			cfg.Base.Trace = tr
+			cfg.Base.Advisor.Trace = tr
 			_, err := experiments.RunDrift(cfg)
 			return err
-		}},
+		}, nil},
 		// 4 mixes x 3 schemas.
 		{"fig12", 12, func(tr *obs.Tracer) error {
 			cfg := tinyBase(1)
-			cfg.Trace = tr
+			cfg.Advisor.Trace = tr
 			_, err := experiments.RunFig12(cfg)
 			return err
-		}},
+		}, nil},
 		// 2 rates x (clean, faulted) x 3 strategies.
 		{"online", 12, func(tr *obs.Tracer) error {
 			cfg := onlineTestConfig(1)
-			cfg.Base.Trace = tr
+			cfg.Base.Advisor.Trace = tr
 			_, err := experiments.RunOnline(cfg)
 			return err
-		}},
+		}, nil},
+		// 2 rates x 3 schemas.
+		{"chaos", 6, func(tr *obs.Tracer) error {
+			cfg := chaosTestConfig(1)
+			cfg.Base.Advisor.Trace = tr
+			_, err := experiments.RunChaos(cfg)
+			return err
+		}, nil},
+		// 2 rates x 3 levels.
+		{"quorum", 6, func(tr *obs.Tracer) error {
+			cfg := quorumTestConfig(1)
+			cfg.Base.Advisor.Trace = tr
+			_, err := experiments.RunQuorum(cfg)
+			return err
+		}, nil},
+		// 3 levels x 3 populations.
+		{"load", 9, func(tr *obs.Tracer) error {
+			cfg := loadTestConfig(1)
+			cfg.Base.Advisor.Trace = tr
+			_, err := experiments.RunLoad(cfg)
+			return err
+		}, nil},
+		// Per (rate, level) cell a clean run plus, per journal append
+		// index, a crashed run and its restart; per (rate, site) a
+		// crashed coordinator and its restart. An incarnation crashed at
+		// append 0 or 1 died inside StartLiveMigration, before any
+		// statement ran.
+		{"crashchaos", 134, func(tr *obs.Tracer) error {
+			cfg := crashChaosTestConfig(1)
+			cfg.Advisor.Trace = tr
+			_, err := experiments.RunCrashChaos(cfg)
+			return err
+		}, regexp.MustCompile(`^crashchaos rate=\S+ \S+ arm=[01]$`)},
 	}
 	for _, tc := range cases {
 		tr := obs.NewTracer()
@@ -106,7 +143,7 @@ func TestTraceLanesOnePerSystem(t *testing.T) {
 			t.Errorf("%s: %d simulated-clock lanes for %d systems built: %v", tc.name, len(lanes), tc.systems, lanes)
 		}
 		for tid, name := range lanes {
-			if events[tid] == 0 {
+			if events[tid] == 0 && (tc.empty == nil || !tc.empty.MatchString(name)) {
 				t.Errorf("%s: lane %d (%s) carries no event", tc.name, tid, name)
 			}
 		}

@@ -94,9 +94,9 @@ func (m *Manager) runSimulate(ctx context.Context, j *Job) ([]byte, error) {
 			MaxSupportPlans:  6,
 			BIP:              bip.Options{MaxNodes: simulateMaxNodes},
 			Ctx:              ctx,
+			Obs:              j.reg,
+			Trace:            j.tracer,
 		},
-		Obs:   j.reg,
-		Trace: j.tracer,
 	})
 	if err != nil {
 		if ctx.Err() != nil {
