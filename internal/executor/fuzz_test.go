@@ -87,10 +87,9 @@ func FuzzExecutorAgainstOracle(f *testing.F) {
 			t.Fatal(err)
 		}
 		rec, err := search.Advise(w, search.Options{
-			Planner:            planner.Config{MaxPlansPerQuery: 6},
-			MaxSupportPlans:    2,
-			BIP:                bip.Options{MaxNodes: 5, Gap: 0.05},
-			SkipMinimizeSchema: true,
+			Planner:         planner.Config{MaxPlansPerQuery: 6},
+			MaxSupportPlans: 2,
+			BIP:             bip.Options{MaxNodes: 5, Gap: 0.05},
 		})
 		if err != nil {
 			t.Skip(err)

@@ -27,10 +27,9 @@ func counter(t *testing.T, counters map[string]int64, name string) int64 {
 
 func fastOptions() search.Options {
 	return search.Options{
-		Planner:            planner.Config{MaxPlansPerQuery: 12},
-		MaxSupportPlans:    4,
-		BIP:                bip.Options{MaxNodes: 30, Gap: 0.05},
-		SkipMinimizeSchema: true,
+		Planner:         planner.Config{MaxPlansPerQuery: 12},
+		MaxSupportPlans: 4,
+		BIP:             bip.Options{MaxNodes: 30, Gap: 0.05},
 	}
 }
 

@@ -90,10 +90,9 @@ func TestAdvisorHandlesRandomWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, err := search.Advise(w, search.Options{
-		Planner:            planner.Config{MaxPlansPerQuery: 12},
-		MaxSupportPlans:    4,
-		BIP:                bip.Options{MaxNodes: 20, Gap: 0.05},
-		SkipMinimizeSchema: true,
+		Planner:         planner.Config{MaxPlansPerQuery: 12},
+		MaxSupportPlans: 4,
+		BIP:             bip.Options{MaxNodes: 20, Gap: 0.05},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -405,21 +405,6 @@ func (b *builder) paid(id string) bool {
 	return b.paidAll || b.maint[id] > 0 || b.opt.SpaceBudgetBytes > 0
 }
 
-// formulate builds the static BIP. With pinCost nil it minimizes
-// weighted workload cost; with pinCost set it constrains the cost to
-// that value and minimizes the number of paid column families (paper
-// §V's second phase; free families enter the schema only when a chosen
-// plan uses them, so they need no minimization).
-func (b *builder) formulate(pinCost *float64) (*bip.Program, *colRefs) {
-	prog := bip.New()
-	costRow := -1
-	if pinCost != nil {
-		slack := math.Max(1e-6, 1e-9*math.Abs(*pinCost))
-		costRow = prog.AddRow(math.Inf(-1), *pinCost+slack)
-	}
-	return prog, b.formulatePhase(prog, 1, costRow, nil)
-}
-
 // formulatePhase emits one workload interval into prog — presence
 // columns, the storage row and its budget cuts, one choose row per
 // query, the plan-to-presence link rows and the support-group gates —
@@ -428,7 +413,7 @@ func (b *builder) formulate(pinCost *float64) (*bip.Program, *colRefs) {
 // exact multiplication, so its objective is the raw workload cost), and
 // the series program repeats it once per phase with scale set to the
 // phase's duration share before linking the intervals (see
-// seriesBuilder.formulate). With costRow >= 0 every workload cost
+// Prepared.formulate). With costRow >= 0 every workload cost
 // coefficient moves onto that row and the objective becomes the number
 // of paid families. sink, when non-nil, is told every column's unscaled
 // cost, once per column in creation order.

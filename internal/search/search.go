@@ -9,7 +9,6 @@ package search
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"nose/internal/bip"
@@ -23,10 +22,10 @@ import (
 	"nose/internal/workload"
 )
 
-// ErrInfeasible is wrapped by the error Advise returns when phase 1
-// proves that no schema satisfies the constraints, as when no covering
-// schema fits a space budget. A node limit reached before any schema
-// was found proves nothing and does not wrap it.
+// ErrInfeasible is wrapped by the error Advise or AdviseSeries returns
+// when phase 1 proves that no schema satisfies the constraints, as when
+// no covering schema fits a space budget. A node limit reached before
+// any schema was found proves nothing and does not wrap it.
 var ErrInfeasible = errors.New("no feasible schema")
 
 // Options configures an advisor run.
@@ -53,9 +52,6 @@ type Options struct {
 	SpaceBudgetBytes float64
 	// BIP tunes the integer solver.
 	BIP bip.Options
-	// SkipMinimizeSchema disables the second solver phase that
-	// minimizes the number of column families at optimal cost.
-	SkipMinimizeSchema bool
 	// Migration prices the column family builds AdviseSeries charges at
 	// phase boundaries; the zero value means
 	// migrate.DefaultCostParams(). Ignored by Advise.
@@ -190,7 +186,8 @@ type Recommendation struct {
 }
 
 // withDefaults resolves zero-valued options: the default cost model,
-// support-plan bound, and worker count (spread to the BIP solver).
+// support-plan bound, migration prices, and worker count (spread to the
+// BIP solver).
 func (opt Options) withDefaults() Options {
 	if opt.CostModel == nil {
 		opt.CostModel = cost.Default()
@@ -205,161 +202,114 @@ func (opt Options) withDefaults() Options {
 		opt.Ctx = context.Background()
 	}
 	opt.BIP.Ctx = opt.Ctx
+	if opt.Migration == (migrate.CostParams{}) {
+		opt.Migration = migrate.DefaultCostParams()
+	}
 	return opt
 }
 
 // Advise runs the full pipeline on a workload and returns the
-// recommendation.
+// recommendation: the static problem is a one-interval series.
 func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
+	sr, err := advise(w, nil, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sr.Phases[0].Rec, nil
+}
+
+// advise is the one advisor driver. It solves w itself when phases is
+// nil and w.ForPhase(p) for each phase otherwise: one interval is paper
+// §V's static problem, several are the joint series program (see
+// AdviseSeries). It enumerates candidates once, then runs Prepared's
+// stages — plan and formulate, solve, extract — recording the run's
+// timings, problem sizes, spans and metrics.
+func advise(w *workload.Workload, phases []*workload.Phase, opt Options) (*SeriesRecommendation, error) {
 	opt = opt.withDefaults()
 	start := time.Now()
-	rec := &Recommendation{}
-	root := opt.Trace.Begin("advise", "advisor")
+	sr := &SeriesRecommendation{}
+	rootName := "advise"
+	if phases != nil {
+		rootName = "advise-series"
+	}
+	root := opt.Trace.Begin(rootName, "advisor")
 	defer root.End()
-	defer publishRun(opt, rec)
+	defer publishRun(opt, phases != nil, sr)
 
-	// Candidate enumeration (Algorithm 1).
+	// Candidate enumeration (Algorithm 1), once over every statement
+	// active in any interval: weights do not enter it.
 	t := time.Now()
 	sp := opt.Trace.Begin("enumerate", "advisor")
-	enumRes, err := enumerator.EnumerateWorkloadCtx(opt.Ctx, w, opt.Enumerator, opt.Workers, opt.Obs)
+	ew := w
+	if phases != nil {
+		ew = unionWorkload(w)
+	}
+	enumRes, err := enumerator.EnumerateWorkloadCtx(opt.Ctx, ew, opt.Enumerator, opt.Workers, opt.Obs)
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	rec.Timings.Enumeration = time.Since(t)
-	rec.Stats.Candidates = enumRes.Pool.Len()
-	sp.SetArg("candidates", rec.Stats.Candidates).End()
-	opt.Obs.Counter("search.candidates").Add(int64(rec.Stats.Candidates))
+	sr.Timings.Enumeration = time.Since(t)
+	sr.Stats.Candidates = enumRes.Pool.Len()
+	sp.SetArg("candidates", sr.Stats.Candidates).End()
+	opt.Obs.Counter("search.candidates").Add(int64(sr.Stats.Candidates))
 
-	// Plan-space generation and cost estimation.
-	t = time.Now()
-	sp = opt.Trace.Begin("plan-spaces", "advisor")
-	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)
-	b, err := newBuilder(w, pl, enumRes, opt)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	rec.Timings.CostCalculation = time.Since(t)
-	sp.End()
-	publishPlanner(opt.Obs, pl.Counts())
-
-	p := b.prepare(rec)
-	chosen, refs, err := p.solve(rec)
+	p, err := prepare(w, phases, enumRes, opt, sr)
 	if err != nil {
 		return nil, err
 	}
+	res, refs, costs, err := p.solve(sr)
+	if err != nil {
+		return nil, err
+	}
+	var pruned, cuts int
+	for _, b := range p.builders {
+		pruned += b.prunedPlans
+		cuts += b.cuts
+	}
+	opt.Obs.Counter("search.plans_pruned_dominated").Add(int64(pruned))
+	opt.Obs.Counter("search.cuts").Add(int64(cuts))
 
-	opt.Obs.Counter("search.plans_pruned_dominated").Add(int64(b.prunedPlans))
-	opt.Obs.Counter("search.cuts").Add(int64(b.cuts))
-
-	// Extraction.
 	t = time.Now()
 	sp = opt.Trace.Begin("extract", "advisor")
-	if err := b.extract(chosen, refs, rec); err != nil {
+	if err := p.extract(res, refs, costs, sr); err != nil {
 		sp.End()
 		return nil, err
 	}
-	rec.Timings.Other = time.Since(t)
-	rec.Timings.Total = time.Since(start)
+	sr.Timings.Other = time.Since(t)
+	sr.Timings.Total = time.Since(start)
 	sp.End()
-	return rec, nil
-}
-
-// prepare formulates the phase-1 program (minimize weighted workload
-// cost) and its greedy warm start, recording the problem size in rec.
-func (b *builder) prepare(rec *Recommendation) *Prepared {
-	opt := b.opt
-	t := time.Now()
-	sp := opt.Trace.Begin("formulate", "advisor")
-	prog, refs := b.formulate(nil)
-	rec.Timings.BIPConstruction = time.Since(t)
-	rec.Stats.PlanVariables = len(refs.planCols)
-	rec.Stats.Constraints = prog.NumRows()
-	sp.SetArg("plan_variables", rec.Stats.PlanVariables).
-		SetArg("constraints", rec.Stats.Constraints).End()
-	opt.Obs.Counter("search.plan_variables").Add(int64(rec.Stats.PlanVariables))
-	opt.Obs.Counter("search.constraints").Add(int64(rec.Stats.Constraints))
-
-	incumbent := make([]float64, prog.NumCols())
-	b.greedyPhase(incumbent, refs)
-	return &Prepared{b: b, prog: prog, refs: refs, incumbent: incumbent}
-}
-
-// solve runs both solver phases — minimize workload cost, then, unless
-// SkipMinimizeSchema, pin that cost and minimize the number of paid
-// column families (paper §V) — and returns the assignment to extract
-// with the column map it is expressed in. The optimal cost, node count
-// and stage timings land in rec. A phase-2 failure is not an error: the
-// phase-1 assignment is already optimal in cost. A cancelled or timed-out
-// phase 2 is, since the caller asked for no answer.
-func (p *Prepared) solve(rec *Recommendation) (*bip.Result, *colRefs, error) {
-	opt := p.b.opt
-	phase1 := opt.BIP
-	phase1.Incumbent = p.incumbent
-	t := time.Now()
-	sp := opt.Trace.Begin("solve phase 1", "advisor")
-	res1, err := p.prog.Solve(phase1)
-	rec.Timings.BIPSolving = time.Since(t)
-	if err != nil {
-		sp.End()
-		return nil, nil, fmt.Errorf("search: phase 1 solve: %w", err)
+	if len(sr.Phases) == 1 {
+		sr.Phases[0].Rec.Timings, sr.Phases[0].Rec.Stats = sr.Timings, sr.Stats
 	}
-	rec.Stats.Phase1 = endSolve(sp, res1)
-	if !res1.HasSolution {
-		if res1.Status == bip.Infeasible {
-			return nil, nil, fmt.Errorf("search: phase 1 %v: %w", res1.Status, ErrInfeasible)
-		}
-		return nil, nil, fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
-	}
-	rec.Stats.Nodes = res1.Nodes
-	rec.Cost = res1.Objective
-	if opt.SkipMinimizeSchema {
-		return res1, p.refs, nil
-	}
-
-	t = time.Now()
-	sp = opt.Trace.Begin("formulate phase 2", "advisor")
-	prog2, refs2 := p.b.formulate(&res1.Objective)
-	rec.Timings.BIPConstruction += time.Since(t)
-	sp.End()
-
-	// Phase 2's program is phase 1's with the cost row in front, and
-	// phase 1's root relaxation costs no more than its incumbent, so its
-	// root basis with the cost row's slack basic is primal feasible there.
-	phase2 := opt.BIP
-	phase2.Incumbent = res1.X
-	phase2.RootBasis = res1.RootBasis
-	t = time.Now()
-	sp = opt.Trace.Begin("solve phase 2", "advisor")
-	res2, err := prog2.Solve(phase2)
-	rec.Timings.BIPSolving += time.Since(t)
-	if err != nil {
-		sp.End()
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, nil, fmt.Errorf("search: phase 2 solve: %w", err)
-		}
-		return res1, p.refs, nil
-	}
-	rec.Stats.Phase2 = endSolve(sp, res2)
-	if !res2.HasSolution {
-		return res1, p.refs, nil
-	}
-	rec.Stats.Nodes += res2.Nodes
-	return res2, refs2, nil
+	return sr, nil
 }
 
 // publishRun records the run-level metrics that are only known at the
-// end: solver node totals and wall-clock stage gauges.
-func publishRun(opt Options, rec *Recommendation) {
+// end: solver node totals, wall-clock stage gauges and, for a series,
+// its phases and migrations.
+func publishRun(opt Options, series bool, sr *SeriesRecommendation) {
 	if opt.Obs == nil {
 		return
 	}
-	opt.Obs.Counter("search.nodes").Add(int64(rec.Stats.Nodes))
-	opt.Obs.Counter("search.advise_runs").Inc()
-	publishSolve(opt.Obs, "phase1", rec.Stats.Phase1)
-	publishSolve(opt.Obs, "phase2", rec.Stats.Phase2)
-	publishTimings(opt.Obs, rec.Timings)
+	opt.Obs.Counter("search.nodes").Add(int64(sr.Stats.Nodes))
+	publishSolve(opt.Obs, "phase1", sr.Stats.Phase1)
+	publishSolve(opt.Obs, "phase2", sr.Stats.Phase2)
+	publishTimings(opt.Obs, sr.Timings)
+	if !series {
+		opt.Obs.Counter("search.advise_runs").Inc()
+		return
+	}
+	opt.Obs.Counter("search.advise_series_runs").Inc()
+	opt.Obs.Counter("search.series_phases").Add(int64(len(sr.Phases)))
+	migrations := 0
+	for t, pr := range sr.Phases {
+		if t > 0 && len(pr.Build) > 0 {
+			migrations++
+		}
+	}
+	opt.Obs.Counter("search.series_migrations").Add(int64(migrations))
+	opt.Obs.Gauge("search.series_migration_cost").Add(sr.MigrationCost)
 }
 
 // publishPlanner reports how much generation a run's planner did: the

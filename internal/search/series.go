@@ -2,16 +2,9 @@ package search
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
-	"time"
 
-	"nose/internal/bip"
-	"nose/internal/enumerator"
-	"nose/internal/lp"
-	"nose/internal/migrate"
-	"nose/internal/planner"
 	"nose/internal/schema"
 	"nose/internal/workload"
 )
@@ -34,6 +27,11 @@ type PhaseRecommendation struct {
 	// MigrationCost is the estimated charge for Build under the
 	// migration cost parameters. Drops are free.
 	MigrationCost float64
+	// Share is the phase's share of the timeline: its effective
+	// duration over the phases' total, and 1 for a workload without
+	// phases. The series objective scales the phase's workload cost by
+	// it.
+	Share float64
 }
 
 // SeriesRecommendation is the advisor's output for a time-dependent
@@ -74,144 +72,16 @@ type SeriesRecommendation struct {
 // charges decides both the per-phase schemas and when changing them
 // pays for itself.
 //
-// A workload with zero or one phase delegates to Advise — the series
-// machinery reduces exactly to the static problem — so the result is
-// bit-identical to the single-schema advisor and no migration is
-// charged (there is no series decision for it to influence). Like
-// Advise, the result is bit-identical for every worker count.
+// Advise and AdviseSeries share one driver. A workload with zero or one
+// phase is one interval, the static problem itself, so the result is
+// bit-identical to Advise's and no migration is charged (there is no
+// series decision for it to influence). Like Advise, the result is
+// bit-identical for every worker count.
 func AdviseSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, error) {
 	if err := w.ValidatePhases(); err != nil {
 		return nil, err
 	}
-	if len(w.Phases) <= 1 {
-		return adviseSingleSeries(w, opt)
-	}
-	opt = opt.withDefaults()
-	mig := opt.Migration
-	if mig == (migrate.CostParams{}) {
-		mig = migrate.DefaultCostParams()
-	}
-
-	start := time.Now()
-	sr := &SeriesRecommendation{}
-	root := opt.Trace.Begin("advise-series", "advisor")
-	defer root.End()
-	defer publishSeries(opt, sr)
-
-	// Enumerate once over the union workload: every statement active in
-	// any phase, at its maximum phase weight. Weights only matter for
-	// which statements appear; per-phase weights are applied below.
-	t0 := time.Now()
-	sp := opt.Trace.Begin("enumerate", "advisor")
-	union := unionWorkload(w)
-	enumRes, err := enumerator.EnumerateWorkloadCtx(opt.Ctx, union, opt.Enumerator, opt.Workers, opt.Obs)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sr.Timings.Enumeration = time.Since(t0)
-	sr.Stats.Candidates = enumRes.Pool.Len()
-	sp.SetArg("candidates", sr.Stats.Candidates).End()
-
-	// One planner across all phases: schema.Index pointers are shared,
-	// so column family identity — and naming — is stable across the
-	// series.
-	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)
-
-	t0 = time.Now()
-	sb := &seriesBuilder{w: w, mig: mig}
-	total := w.TotalDuration()
-	for i, p := range w.Phases {
-		if err := opt.Ctx.Err(); err != nil {
-			return nil, err
-		}
-		psp := opt.Trace.Begin(fmt.Sprintf("plan-spaces phase %d", i), "advisor")
-		b, err := newBuilder(w.ForPhase(p), pl, enumRes, opt)
-		if err != nil {
-			psp.End()
-			return nil, fmt.Errorf("search: phase %q: %w", p.Name, err)
-		}
-		b.paidAll = true
-		sb.builders = append(sb.builders, b)
-		sb.shares = append(sb.shares, p.EffectiveDuration()/total)
-		psp.End()
-	}
-	sr.Timings.CostCalculation = time.Since(t0)
-	publishPlanner(opt.Obs, pl.Counts())
-
-	t0 = time.Now()
-	sp = opt.Trace.Begin("formulate series", "advisor")
-	sb.formulate()
-	sr.Timings.BIPConstruction = time.Since(t0)
-	for _, refs := range sb.refs {
-		sr.Stats.PlanVariables += len(refs.planCols)
-	}
-	sr.Stats.Constraints = sb.prog.NumRows()
-	sp.SetArg("plan_variables", sr.Stats.PlanVariables).
-		SetArg("constraints", sr.Stats.Constraints).End()
-
-	solveOpts := opt.BIP
-	solveOpts.Incumbent = sb.greedyIncumbent()
-	t0 = time.Now()
-	sp = opt.Trace.Begin("solve series", "advisor")
-	res, err := sb.prog.Solve(solveOpts)
-	sr.Timings.BIPSolving = time.Since(t0)
-	if err != nil {
-		sp.End()
-		return nil, fmt.Errorf("search: series solve: %w", err)
-	}
-	sr.Stats.Phase1 = endSolve(sp, res)
-	if !res.HasSolution {
-		return nil, fmt.Errorf("search: series %v: no feasible schema series", res.Status)
-	}
-	sr.Stats.Nodes = res.Nodes
-	var pruned, cuts int
-	for _, b := range sb.builders {
-		pruned += b.prunedPlans
-		cuts += b.cuts
-	}
-	opt.Obs.Counter("search.plans_pruned_dominated").Add(int64(pruned))
-	opt.Obs.Counter("search.cuts").Add(int64(cuts))
-
-	// Extraction: the series follows the solver's presence assignment
-	// literally, so the migrations reported (and later executed) are
-	// exactly the ones the objective charged. There is no second
-	// minimize-schema pass: with migration charges in the objective,
-	// gratuitous families already cost their build.
-	t0 = time.Now()
-	sp = opt.Trace.Begin("extract series", "advisor")
-	if err := sb.extract(res, sr); err != nil {
-		sp.End()
-		return nil, err
-	}
-	sr.Timings.Other = time.Since(t0)
-	sr.Timings.Total = time.Since(start)
-	sp.End()
-	return sr, nil
-}
-
-// adviseSingleSeries handles the degenerate zero- or one-phase series
-// by delegating to Advise, guaranteeing bit-identical output to the
-// static advisor.
-func adviseSingleSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, error) {
-	var phase *workload.Phase
-	ww := w
-	if len(w.Phases) == 1 {
-		phase = w.Phases[0]
-		ww = w.ForPhase(phase)
-	}
-	rec, err := Advise(ww, opt)
-	if err != nil {
-		return nil, err
-	}
-	pr := &PhaseRecommendation{Phase: phase, Rec: rec, Build: rec.Schema.Indexes()}
-	return &SeriesRecommendation{
-		Phases:       []*PhaseRecommendation{pr},
-		WorkloadCost: rec.Cost,
-		TotalCost:    rec.Cost,
-		Timings:      rec.Timings,
-		Stats:        rec.Stats,
-	}, nil
+	return advise(w, w.Phases, opt)
 }
 
 // unionWorkload flattens a phased workload to the statements active in
@@ -233,135 +103,6 @@ func unionWorkload(w *workload.Workload) *workload.Workload {
 		})
 	}
 	return u
-}
-
-// seriesBuilder links the per-phase formulations into the joint
-// multi-interval program and decodes its solution. Everything inside a
-// phase is builder.formulatePhase and builder.greedyPhase; what lives
-// here is only what a single schema does not have: migration columns
-// between adjacent phases, share-weighted cost accounting, and the
-// build/drop schedule.
-type seriesBuilder struct {
-	w        *workload.Workload
-	mig      migrate.CostParams
-	builders []*builder
-	shares   []float64
-
-	prog *bip.Program
-	refs []*colRefs // per phase; indexCol is that phase's y columns
-
-	// Per-column bookkeeping for the phases' columns, indexed by BIP
-	// column (they precede every migration column), so post-solve sums
-	// accumulate in creation order.
-	colPhase []int     // owning phase
-	colRaw   []float64 // unscaled in-phase workload cost contribution
-
-	migCols []map[string]int // per phase: index ID -> migration column
-}
-
-// formulate builds the joint BIP: each phase's formulation with its
-// objective scaled by the phase's duration share, then one migration
-// variable per (phase, candidate) linking adjacent phases' presence.
-func (sb *seriesBuilder) formulate() {
-	sb.prog = bip.New()
-	for t, b := range sb.builders {
-		sb.refs = append(sb.refs, b.formulatePhase(sb.prog, sb.shares[t], -1, func(raw float64) {
-			sb.colPhase = append(sb.colPhase, t)
-			sb.colRaw = append(sb.colRaw, raw)
-		}))
-	}
-
-	// Migration linking: m[t][i] must cover any presence not inherited
-	// from the previous phase. The first phase inherits nothing, so its
-	// whole schema is charged as the initial build.
-	for t, b := range sb.builders {
-		mcols := map[string]int{}
-		sb.migCols = append(sb.migCols, mcols)
-		for _, x := range b.pool {
-			id := x.ID()
-			row := sb.prog.AddRow(math.Inf(-1), 0)
-			mcols[id] = sb.prog.AddBinary(migrate.BuildCost(x, sb.mig), lp.Entry{Row: row, Coef: -1})
-			sb.prog.AddColEntry(sb.refs[t].indexCol[id], row, 1)
-			if t > 0 {
-				if prev, ok := sb.refs[t-1].indexCol[id]; ok {
-					sb.prog.AddColEntry(prev, row, -1)
-				}
-			}
-		}
-	}
-}
-
-// greedyIncumbent warm-starts the joint solve: each phase takes its
-// greedy assignment, and migration variables cover the resulting
-// presence transitions.
-func (sb *seriesBuilder) greedyIncumbent() []float64 {
-	x := make([]float64, sb.prog.NumCols())
-	prev := map[string]bool{}
-	for t, b := range sb.builders {
-		selected := b.greedyPhase(x, sb.refs[t])
-		for id := range selected {
-			if !prev[id] {
-				x[sb.migCols[t][id]] = 1
-			}
-		}
-		prev = selected
-	}
-	return x
-}
-
-// extract decodes the joint solution into per-phase recommendations and
-// the migration schedule, accumulating costs in column order so the
-// reported numbers are bit-identical across runs and worker counts.
-func (sb *seriesBuilder) extract(res *bip.Result, sr *SeriesRecommendation) error {
-	phaseCost := make([]float64, len(sb.builders))
-	for col, raw := range sb.colRaw {
-		if res.X[col] >= 0.5 {
-			phaseCost[sb.colPhase[col]] += raw
-		}
-	}
-
-	var prevSchema *schema.Schema
-	for t, b := range sb.builders {
-		rec := &Recommendation{}
-		if err := b.extract(res, sb.refs[t], rec); err != nil {
-			return fmt.Errorf("search: phase %q: %w", sb.w.Phases[t].Name, err)
-		}
-		rec.Cost = phaseCost[t]
-		build, drop := migrate.Diff(prevSchema, rec.Schema)
-		pr := &PhaseRecommendation{
-			Phase:         sb.w.Phases[t],
-			Rec:           rec,
-			Build:         build,
-			Drop:          drop,
-			MigrationCost: migrate.EstimatedCost(build, sb.mig),
-		}
-		sr.Phases = append(sr.Phases, pr)
-		sr.WorkloadCost += sb.shares[t] * phaseCost[t]
-		sr.MigrationCost += pr.MigrationCost
-		prevSchema = rec.Schema
-	}
-	sr.TotalCost = sr.WorkloadCost + sr.MigrationCost
-	return nil
-}
-
-// publishSeries records the series-level metrics known only at the end.
-func publishSeries(opt Options, sr *SeriesRecommendation) {
-	if opt.Obs == nil {
-		return
-	}
-	opt.Obs.Counter("search.advise_series_runs").Inc()
-	opt.Obs.Counter("search.series_phases").Add(int64(len(sr.Phases)))
-	opt.Obs.Counter("search.nodes").Add(int64(sr.Stats.Nodes))
-	publishSolve(opt.Obs, "phase1", sr.Stats.Phase1)
-	migrations := 0
-	for t, pr := range sr.Phases {
-		if t > 0 && len(pr.Build) > 0 {
-			migrations++
-		}
-	}
-	opt.Obs.Counter("search.series_migrations").Add(int64(migrations))
-	opt.Obs.Gauge("search.series_migration_cost").Add(sr.MigrationCost)
-	publishTimings(opt.Obs, sr.Timings)
 }
 
 // Format renders the schema series as the nose CLI prints it: one block

@@ -1,13 +1,16 @@
 package search_test
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"nose/internal/hotel"
 	"nose/internal/nosedsl"
+	"nose/internal/obs"
 	"nose/internal/planner"
 	"nose/internal/search"
 	"nose/internal/workload"
@@ -181,5 +184,59 @@ func TestAdviseSeriesChargesInitialBuild(t *testing.T) {
 	}
 	if sr.TotalCost != sr.WorkloadCost+sr.MigrationCost {
 		t.Errorf("total %v != workload %v + migration %v", sr.TotalCost, sr.WorkloadCost, sr.MigrationCost)
+	}
+}
+
+// TestAdviseSeriesInfeasibleWrapsErrInfeasible: a series whose space
+// budget no covering schema fits is proven infeasible, and the error
+// says so the way Advise's does, so callers can branch on it.
+func TestAdviseSeriesInfeasibleWrapsErrInfeasible(t *testing.T) {
+	opt := seriesTestOptions()
+	opt.SpaceBudgetBytes = 1
+	sr, err := search.AdviseSeries(loadPhasedHotel(t), opt)
+	if !errors.Is(err, search.ErrInfeasible) {
+		t.Fatalf("err = %v, want one wrapping search.ErrInfeasible", err)
+	}
+	if sr != nil {
+		t.Fatal("an infeasible series returned a recommendation")
+	}
+}
+
+// TestAdviseSeriesPublishesProblemSize: a series counts its problem
+// size in the registry as an advise does, equal to what it reports in
+// its Stats.
+func TestAdviseSeriesPublishesProblemSize(t *testing.T) {
+	opt := seriesTestOptions()
+	opt.Obs = obs.NewRegistry()
+	sr, err := search.AdviseSeries(loadPhasedHotel(t), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := opt.Obs.Snapshot().Counters
+	for name, want := range map[string]int{
+		"search.candidates":     sr.Stats.Candidates,
+		"search.plan_variables": sr.Stats.PlanVariables,
+		"search.constraints":    sr.Stats.Constraints,
+	} {
+		got, ok := counters[name]
+		if !ok {
+			t.Errorf("%s not registered", name)
+		} else if got != int64(want) {
+			t.Errorf("%s = %d, want Stats' %d", name, got, want)
+		}
+	}
+}
+
+// TestAdviseSeriesTracesAdviseStages: a series runs the advisor's
+// stages under their own names, with no phase 2, below its root span.
+func TestAdviseSeriesTracesAdviseStages(t *testing.T) {
+	opt := seriesTestOptions()
+	opt.Trace = obs.NewTracer()
+	if _, err := search.AdviseSeries(loadPhasedHotel(t), opt); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"enumerate", "plan-spaces", "formulate", "solve phase 1", "extract", "advise-series"}
+	if got := spanNames(opt.Trace); !slices.Equal(got, want) {
+		t.Fatalf("series traced %v, want %v", got, want)
 	}
 }

@@ -222,10 +222,6 @@ func Series(w *workload.Workload, sr *search.SeriesRecommendation) *SeriesResult
 			Nodes:         sr.Stats.Nodes,
 		},
 	}
-	total := 0.0
-	for _, p := range w.Phases {
-		total += p.EffectiveDuration()
-	}
 	for _, pr := range sr.Phases {
 		view := w
 		if pr.Phase != nil {
@@ -236,13 +232,10 @@ func Series(w *workload.Workload, sr *search.SeriesRecommendation) *SeriesResult
 			Build:         indexNames(pr.Build),
 			Drop:          indexNames(pr.Drop),
 			MigrationCost: pr.MigrationCost,
-			Share:         1,
+			Share:         pr.Share,
 		}
 		if pr.Phase != nil {
 			wp.Phase = pr.Phase.Name
-			if total > 0 {
-				wp.Share = pr.Phase.EffectiveDuration() / total
-			}
 		}
 		out.Phases = append(out.Phases, wp)
 	}
