@@ -13,6 +13,7 @@ package nose_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -323,22 +324,32 @@ func BenchmarkPlanSpacesRandwork(b *testing.B) {
 	}
 }
 
-// planSpacesAllocCeiling bounds the allocations of one search.BuildPlans
-// on randwork factor 3 seed 42 at one worker: 603,610 before the planner
-// interned steps and memoised segments, about 140,000 after, and about
-// 105,000 since its sub-queries and keys are built in reused storage
-// (go1.24).
-// The headroom is for other toolchains' maps and slices, not for a
-// string, map or closure per candidate family, which costs more than it.
-const planSpacesAllocCeiling = 200_000
+// planSpacesAllocCeiling and planSpacesByteCeiling bound the
+// allocations and the bytes of one search.BuildPlans on randwork factor
+// 3 seed 42 at one worker. The count was 603,610 before the planner
+// interned steps and memoised segments, about 140,000 after, about
+// 105,000 once its sub-queries and keys were built in reused storage,
+// and is 78,747 since chains keeps a bounded beam and lookup variants
+// split predicates in scratch (go1.24); the bytes went from 11.5 MB to
+// 6.32 MB with that change. Both ceilings are 1.3 times the measured
+// value: headroom for other toolchains' maps and slices, not for a
+// string, map or closure per candidate family, or an array as large as
+// the candidates a chains call joins.
+const (
+	planSpacesAllocCeiling = 102_400
+	planSpacesByteCeiling  = 8_220_000
+)
 
 // TestPlanSpacesAllocCeiling is BenchmarkPlanSpacesRandwork's
-// allocation count as a test, so that per-candidate garbage cannot creep
-// back into plan-space generation unnoticed. CI runs it by name with
-// -count=1.
+// allocation count and bytes as a test, so that per-candidate garbage
+// cannot creep back into plan-space generation unnoticed. CI runs it by
+// name with -count=1.
 func TestPlanSpacesAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans a 75-statement workload several times")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	w, err := randwork.Generate(randwork.Config{Factor: 3, Seed: 42})
 	if err != nil {
@@ -350,15 +361,34 @@ func TestPlanSpacesAllocCeiling(t *testing.T) {
 	}
 	opt := benchAdvisorOptions()
 	opt.Workers = 1
-	allocs := testing.AllocsPerRun(3, func() {
+	allocs, bytes := allocsPerRun(3, func() {
 		if err := search.BuildPlans(w, enumRes, opt); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > planSpacesAllocCeiling {
-		t.Errorf("search.BuildPlans allocates %.0f times on randwork f3 s42, ceiling %d", allocs, planSpacesAllocCeiling)
+		t.Errorf("search.BuildPlans allocates %d times on randwork f3 s42, ceiling %d", allocs, planSpacesAllocCeiling)
 	}
-	t.Logf("search.BuildPlans: %.0f allocations (ceiling %d)", allocs, planSpacesAllocCeiling)
+	if bytes > planSpacesByteCeiling {
+		t.Errorf("search.BuildPlans allocates %d B on randwork f3 s42, ceiling %d", bytes, planSpacesByteCeiling)
+	}
+	t.Logf("search.BuildPlans: %d allocations (ceiling %d), %d B (ceiling %d)",
+		allocs, planSpacesAllocCeiling, bytes, planSpacesByteCeiling)
+}
+
+// allocsPerRun is testing.AllocsPerRun that also returns the bytes: the
+// mean number of allocations and of bytes allocated by one call of f,
+// after a warm-up call, with GOMAXPROCS at 1.
+func allocsPerRun(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
 // BenchmarkEnumerationRandwork isolates candidate enumeration on the

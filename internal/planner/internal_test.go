@@ -341,6 +341,142 @@ func splits(g *generator, c *chain) []candidate {
 	return out
 }
 
+// TestBeamMatchesCheapest: a beam fed candidates one at a time keeps
+// exactly what cheapest keeps over the fully materialized list — the
+// same candidates (by head and tail, so the first of each id), in the
+// same order — or, when no more than the width were offered, that list
+// as generated. The candidates are synthetic: step sequences over
+// classes whose signatures are prefixes of one another ("…=E.A",
+// "…=E.AB", "…=E.A!o"; "T:5", "T:50"), split into head ++ tail at every
+// seam, offered in random order with repeats, at costs drawn per id
+// from one value, three, or a thousand. Equal ids get equal costs, as
+// they do in chains.
+func TestBeamMatchesCheapest(t *testing.T) {
+	g := model.NewGraph()
+	e := g.AddEntity("E", "ID", 100)
+	a := e.AddAttribute("A", model.IntegerType)
+	ab := e.AddAttribute("AB", model.IntegerType)
+	x := schema.New(model.NewPath(e), []*model.Attribute{a, ab}, []*model.Attribute{e.Key()}, nil)
+	eq := func(attr *model.Attribute) []workload.Predicate {
+		return []workload.Predicate{{Ref: workload.AttrRef{Attr: attr}, Op: workload.Eq, Param: "p"}}
+	}
+	ref := func(attr *model.Attribute) workload.AttrRef { return workload.AttrRef{Attr: attr} }
+	steps := []Step{
+		&LookupStep{Index: x, EqPredicates: eq(a)},
+		&LookupStep{Index: x, EqPredicates: eq(ab)},
+		&LookupStep{Index: x, EqPredicates: eq(a), ServesOrder: true},
+		&SortStep{By: []workload.AttrRef{ref(a)}},
+		&SortStep{By: []workload.AttrRef{ref(a), ref(ab)}},
+		&LimitStep{N: 5},
+		&LimitStep{N: 50},
+	}
+
+	const maxPlans = 2
+	gen := newGenerator(New(enumerator.NewPool(), cost.Default(), Config{MaxPlansPerQuery: maxPlans}))
+	width := 4 * maxPlans
+	rng := rand.New(rand.NewSource(11))
+	var asGenerated, straddling, firstKept int
+	for trial := 0; trial < 600; trial++ {
+		// Distinct step sequences, then every split of each into
+		// candidates, each split built afresh so that repeats of one id
+		// are told apart by their chains.
+		seqs := make([][]Step, 1+rng.Intn(3*width))
+		for i := range seqs {
+			seq := make([]Step, 1+rng.Intn(3))
+			for j := range seq {
+				seq[j] = steps[rng.Intn(len(steps))]
+			}
+			seqs[i] = seq
+		}
+		costs := map[string]costState{}
+		spread := []int{1, 3, 1000}[trial%3]
+		offer := func(seq []Step) candidate {
+			k := rng.Intn(len(seq))
+			var c candidate
+			if k == 0 {
+				whole := gen.newChain(seq)
+				c = candidate{head: &whole}
+			} else {
+				head, tail := gen.newChain(seq[:k]), gen.newChain(seq[k:])
+				c = candidate{head: &head, tail: &tail}
+			}
+			id := c.head.id
+			if c.tail != nil {
+				id += c.tail.id
+			}
+			if _, ok := costs[id]; !ok {
+				costs[id] = costState{rows: 1, total: float64(rng.Intn(spread))}
+			}
+			c.cost = costs[id]
+			return c
+		}
+		n := 1 + rng.Intn(width)
+		if trial%4 != 0 {
+			n = width + rng.Intn(6*beamSlack*width)
+		}
+		offered := make([]candidate, n)
+		for i := range offered {
+			offered[i] = offer(seqs[rng.Intn(len(seqs))])
+		}
+
+		b := gen.newBeam()
+		for _, c := range offered {
+			b.add(c)
+		}
+		got := b.finish()
+		want := append([]candidate(nil), offered...)
+		if len(want) > width {
+			want = gen.cheapest(want, width)
+		} else {
+			asGenerated++
+		}
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: beam keeps %d of %d candidates, cheapest %d", trial, len(got), n, len(want))
+		}
+		for i := range got {
+			if got[i].head != want[i].head || got[i].tail != want[i].tail || got[i].cost != want[i].cost {
+				t.Fatalf("trial %d (%d offered, costs from %d values): candidate %d differs from cheapest's",
+					trial, n, spread, i)
+			}
+		}
+		gen.free = append(gen.free, b.buf[:0])
+
+		// What the trial exercised: an id offered on both sides of the
+		// first compaction, and a kept candidate whose id recurs later.
+		firstAt := map[string]int{}
+		for i := range offered {
+			id := offered[i].head.id
+			if offered[i].tail != nil {
+				id += offered[i].tail.id
+			}
+			if at, ok := firstAt[id]; !ok {
+				firstAt[id] = i
+			} else if at < beamSlack*width && i >= beamSlack*width {
+				straddling++
+			}
+		}
+		if len(offered) > width {
+			for _, c := range got {
+				for i := range offered {
+					if offered[i].head == c.head && offered[i].tail == c.tail {
+						for _, later := range offered[i+1:] {
+							if sameID(&later, &c) {
+								firstKept++
+								break
+							}
+						}
+						break
+					}
+				}
+			}
+		}
+	}
+	if asGenerated == 0 || straddling == 0 || firstKept == 0 {
+		t.Errorf("trials kept %d sets as generated, offered %d ids across a compaction and kept %d firsts of a repeated id; each must be nonzero",
+			asGenerated, straddling, firstKept)
+	}
+}
+
 func TestEnrichBetterOrdering(t *testing.T) {
 	g := hotel.Graph()
 	w := workload.New(g)

@@ -94,7 +94,7 @@ func New(pool *enumerator.Pool, m cost.Model, cfg Config) *Planner {
 		byPartition: map[string][]*schema.Index{},
 		segments:    map[string]*segment{},
 	}
-	p.table.init()
+	p.table.init(pool.Len())
 	for _, x := range pool.Indexes() {
 		k := string(appendAttrKey(nil, x.Partition))
 		p.byPartition[k] = append(p.byPartition[k], x)

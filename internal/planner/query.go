@@ -3,9 +3,8 @@ package planner
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
-	"sort"
-	"strings"
 	"sync"
 
 	"nose/internal/enumerator"
@@ -60,11 +59,11 @@ type generator struct {
 // its planner for the length of the call; nothing in it outlives a call
 // as data, so which one a call gets changes no result.
 type scratch struct {
-	// seen and costs are cheapest's duplicate set and cost column.
+	// seen and costs are dedupe's duplicate set and cut's cost column.
 	seen  []seenSlot
 	costs []float64
-	// free holds the candidate arrays finished chains calls have handed
-	// back: a stack, since chains recurses while its own array is live.
+	// free holds the beam buffers finished chains calls have handed
+	// back: a stack, since chains recurses while its own beam is live.
 	free [][]candidate
 	// raw is PlanQuery's candidate array and segBuf the array a segment
 	// is generated in before it is copied out at its final size.
@@ -73,9 +72,15 @@ type scratch struct {
 	// sigs holds the signature strings sig has fetched from the step
 	// table, by class, so that ordering chains seldom takes its lock.
 	sigs []string
-	// keyOut, needed and partition are lookupVariants' per-query lists,
-	// missing, group and variant its per-family ones.
+	// keyOut, needed, partition, boundEq, rangePreds and shapes are
+	// lookupVariants' per-query lists, shapeAttrs and filters its
+	// shapes' attributes and predicates, and missing, group and variant
+	// its per-family lists. The step table copies what a step keeps.
 	keyOut, needed, partition []*model.Attribute
+	boundEq, rangePreds       []workload.Predicate
+	shapes                    []variantShape
+	shapeAttrs                []*model.Attribute
+	filters                   []workload.Predicate
 	missing, group            []*model.Attribute
 	variant                   []interned
 	// sub builds chains' sub-queries, key holds a signature or segment
@@ -131,8 +136,6 @@ type chain struct {
 // what choosing among them needs. Both operands must outlive it.
 type candidate struct {
 	head, tail *chain
-	// hash is a hash of the candidate's id.
-	hash uint64
 	// cost is the costing fold's state after the last step.
 	cost costState
 }
@@ -150,8 +153,16 @@ func (g *generator) chainOf(sts ...interned) chain {
 	return chain{steps: steps, id: string(id), cost: g.fold(costState{}, steps)}
 }
 
-// hashID continues an FNV-1a hash, begun at fnvOffset, over the bytes
-// of a chain id.
+// hash returns an FNV-1a hash of the candidate's id.
+func (c *candidate) hash() uint64 {
+	h := hashID(14695981039346656037, c.head.id)
+	if c.tail != nil {
+		h = hashID(h, c.tail.id)
+	}
+	return h
+}
+
+// hashID continues an FNV-1a hash over the bytes of a chain id.
 func hashID(h uint64, id string) uint64 {
 	for i := 0; i < len(id); i++ {
 		h = (h ^ uint64(id[i])) * 1099511628211
@@ -159,11 +170,9 @@ func hashID(h uint64, id string) uint64 {
 	return h
 }
 
-const fnvOffset = 14695981039346656037
-
 // whole returns c as a candidate.
 func whole(c *chain) candidate {
-	return candidate{head: c, hash: hashID(fnvOffset, c.id), cost: c.cost}
+	return candidate{head: c, cost: c.cost}
 }
 
 // appendWhole appends every chain as a candidate of its own.
@@ -178,7 +187,7 @@ func appendWhole(out []candidate, chains []chain) []candidate {
 // fold over r's steps — the same float operations, in the same order,
 // as costing the joined sequence from scratch.
 func (g *generator) join(f, r *chain) candidate {
-	return candidate{head: f, tail: r, hash: hashID(hashID(fnvOffset, f.id), r.id), cost: g.fold(f.cost, r.steps)}
+	return candidate{head: f, tail: r, cost: g.fold(f.cost, r.steps)}
 }
 
 // chain builds the candidate's chain.
@@ -234,6 +243,14 @@ func firstDifference(a, b *candidate) int {
 // signature. It reorders cs in place. Its work is proportional to
 // len(cs), whatever the size of earlier calls.
 func (g *generator) cheapest(cs []candidate, limit int) []candidate {
+	kept, _ := g.cut(g.dedupe(cs), limit)
+	slices.SortFunc(kept, g.compare)
+	return kept
+}
+
+// dedupe removes duplicate candidates in place, keeping the first of
+// each id, and returns the rest in their order.
+func (g *generator) dedupe(cs []candidate) []candidate {
 	// seen is an open-addressing set of the kept candidates' hashes, at
 	// most half full; two ids that share a hash are told apart by
 	// comparing them, and the later one probes on.
@@ -253,60 +270,89 @@ func (g *generator) cheapest(cs []candidate, limit int) []candidate {
 	uniq := cs[:0]
 next:
 	for i := range cs {
-		c := cs[i]
-		for h := (c.hash * 0x9e3779b97f4a7c15) >> (64 - bits); ; h = (h + 1) & mask {
+		c, hash := cs[i], cs[i].hash()
+		for h := (hash * 0x9e3779b97f4a7c15) >> (64 - bits); ; h = (h + 1) & mask {
 			sl := &seen[h]
 			if sl.at == 0 {
-				*sl = seenSlot{hash: c.hash, at: int32(len(uniq)) + 1}
+				*sl = seenSlot{hash: hash, at: int32(len(uniq)) + 1}
 				break
 			}
-			if sl.hash == c.hash && sameID(&uniq[sl.at-1], &c) {
+			if sl.hash == hash && sameID(&uniq[sl.at-1], &c) {
 				continue next
 			}
 		}
 		uniq = append(uniq, c)
 	}
-	if len(uniq) > limit {
-		// Candidates outnumber the survivors many times over, and the
-		// signature tie-break is the expensive comparison: find the
-		// cost of the limit-th cheapest first, and order only the
-		// chains at or below it.
-		costs := g.costs[:0]
-		for i := range uniq {
-			costs = append(costs, uniq[i].cost.total)
-		}
-		g.costs = costs
-		bound, within := nthSmallest(costs, limit-1), uniq[:0]
-		for _, c := range uniq {
-			if c.cost.total <= bound {
-				within = append(within, c)
-			}
-		}
-		uniq = within
-	}
-	sort.Slice(uniq, func(i, j int) bool {
-		if uniq[i].cost.total != uniq[j].cost.total {
-			return uniq[i].cost.total < uniq[j].cost.total
-		}
-		return g.signatureLess(&uniq[i], &uniq[j])
-	})
-	if len(uniq) > limit {
-		uniq = uniq[:limit]
-	}
 	return uniq
 }
 
-// seenSlot is one slot of cheapest's duplicate set: a candidate's hash
+// cut reorders candidates of distinct ids so that the first limit are
+// the limit cheapest, by cost and then by signature, and returns those
+// — in no particular order — with the cost of the costliest. Candidates
+// outnumber the survivors many times over, and the signature tie-break
+// is the expensive comparison: the cost at the cut is found by
+// quickselect, and only the candidates tied at it are ordered. When cs
+// holds no more than limit, it is returned whole with an infinite cost.
+func (g *generator) cut(cs []candidate, limit int) ([]candidate, float64) {
+	if len(cs) <= limit {
+		return cs, math.Inf(1)
+	}
+	costs := g.costs[:0]
+	for i := range cs {
+		costs = append(costs, cs[i].cost.total)
+	}
+	g.costs = costs
+	bound := nthSmallest(costs, limit-1)
+	// Partition into cs[:lt] cheaper than the bound, cs[lt:gt] equal to
+	// it and cs[gt:] costlier; lt < limit <= gt.
+	lt, gt := 0, len(cs)
+	for i := 0; i < gt; {
+		switch x := cs[i].cost.total; {
+		case costLess(x, bound):
+			cs[lt], cs[i] = cs[i], cs[lt]
+			lt++
+			i++
+		case costLess(bound, x):
+			gt--
+			cs[i], cs[gt] = cs[gt], cs[i]
+		default:
+			i++
+		}
+	}
+	if gt > limit {
+		slices.SortFunc(cs[lt:gt], g.compare)
+	}
+	return cs[:limit], bound
+}
+
+// compare orders candidates of distinct ids by cost, NaNs first, then
+// by signature.
+func (g *generator) compare(a, b candidate) int {
+	switch {
+	case costLess(a.cost.total, b.cost.total):
+		return -1
+	case costLess(b.cost.total, a.cost.total):
+		return 1
+	case g.signatureLess(&a, &b):
+		return -1
+	}
+	return 1
+}
+
+// seenSlot is one slot of dedupe's duplicate set: a candidate's hash
 // and 1 + its index among the kept candidates, 0 for an empty slot.
 type seenSlot struct {
 	hash uint64
 	at   int32
 }
 
+// costLess is sort.Float64s' order: NaNs first.
+func costLess(a, b float64) bool { return a < b || (a != a && b == b) }
+
 // nthSmallest returns the value sort.Float64s would leave at xs[n] — the
 // n-th smallest, NaNs first — by quickselect, reordering xs.
 func nthSmallest(xs []float64, n int) float64 {
-	less := func(a, b float64) bool { return a < b || (a != a && b == b) }
+	less := costLess
 	lo, hi := 0, len(xs)-1
 	for lo < hi {
 		// Median of three as the pivot value, which also leaves xs[lo]
@@ -352,40 +398,34 @@ func nthSmallest(xs []float64, n int) float64 {
 // signatureLess orders two candidates of different ids exactly as
 // comparing their signature strings ("sig|sig|…") would. Equal leading
 // classes are skipped and the first differing pair of step signatures
-// decides, unless one is a prefix of the other: then the shorter one's
-// '|' meets the longer one's next byte, and the strings are built.
+// decides. When one of the two is a prefix of the other, the shorter
+// one's '|' meets the longer one's next byte, which is not '|': no
+// signature contains it.
 func (g *generator) signatureLess(a, b *candidate) bool {
 	i := firstDifference(a, b)
 	if i == a.idLen() || i == b.idLen() {
 		return a.idLen() < b.idLen()
 	}
 	sa, sb := g.sig(a.class(i)), g.sig(b.class(i))
-	if !strings.HasPrefix(sa, sb) && !strings.HasPrefix(sb, sa) {
-		return sa < sb
+	switch {
+	case len(sa) < len(sb) && sb[:len(sa)] == sa:
+		return '|' < sb[len(sa)]
+	case len(sb) < len(sa) && sa[:len(sb)] == sb:
+		return sa[len(sb)] < '|'
 	}
-	return g.signatureFrom(a, i) < g.signatureFrom(b, i)
+	return sa < sb
 }
 
 // sig returns the signature string of a class.
 func (g *generator) sig(class uint32) string {
 	if int(class) >= len(g.sigs) {
-		g.sigs = append(g.sigs, make([]string, int(class)+1-len(g.sigs))...)
+		n := max(int(class)+1, classesFor(g.pool.Len()))
+		g.sigs = append(g.sigs, make([]string, n-len(g.sigs))...)
 	}
 	if g.sigs[class] == "" {
 		g.sigs[class] = g.table.signature(class)
 	}
 	return g.sigs[class]
-}
-
-// signatureFrom expands a candidate's id, from byte offset i on, into
-// the signature string of its steps.
-func (g *generator) signatureFrom(c *candidate, i int) string {
-	var b strings.Builder
-	for ; i < c.idLen(); i += 4 {
-		b.WriteString(g.sig(c.class(i)))
-		b.WriteByte('|')
-	}
-	return b.String()
 }
 
 // orientedChains appends the candidates for one orientation of a query.
@@ -450,9 +490,10 @@ func newChainMemo() *chainMemo {
 
 // chains enumerates step chains answering q, ignoring ordering: for
 // each decomposition point, every single-lookup variant of the prefix
-// query concatenated with every chain of the remainder query. The
-// returned chains are shared through the memo. depth is q's recursion
-// depth, which picks the storage its sub-queries are built in.
+// query concatenated with every chain of the remainder query, offered
+// to a beam. The returned chains are shared through the memo. depth is
+// q's recursion depth, which picks the storage its sub-queries are
+// built in.
 func (g *generator) chains(q *workload.Query, memo *chainMemo, depth int) []chain {
 	g.key = enumerator.AppendSignature(g.key[:0], q)
 	if res, ok := memo.done[string(g.key)]; ok {
@@ -465,10 +506,7 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo, depth int) []chai
 	memo.inProgress[sig] = true
 	defer func() { memo.inProgress[sig] = false }()
 
-	var out []candidate
-	if n := len(g.free); n > 0 {
-		out, g.free = g.free[n-1], g.free[:n-1]
-	}
+	b := g.newBeam()
 	n := q.Path.Len() - 1
 	for s := 0; s <= n; s++ {
 		prefix := g.sub.Prefix(depth, q, s)
@@ -477,7 +515,9 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo, depth int) []chai
 		}
 		firsts := g.segmentVariants(prefix, nil)
 		if s == 0 {
-			out = appendWhole(out, firsts)
+			for i := range firsts {
+				b.add(whole(&firsts[i]))
+			}
 			continue
 		}
 		if len(firsts) == 0 {
@@ -485,36 +525,82 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo, depth int) []chai
 		}
 		rems := g.chains(g.sub.Remainder(depth, q, s), memo, depth+1)
 		g.counts.ChainsJoined += int64(len(firsts) * len(rems))
-		out = slices.Grow(out, len(firsts)*len(rems))
 		for f := range firsts {
 			for r := range rems {
-				out = append(out, g.join(&firsts[f], &rems[r]))
+				b.add(g.join(&firsts[f], &rems[r]))
 			}
 		}
 	}
-	kept := g.pruneChains(out)
-	memo.done[sig] = kept
-	return kept
-}
-
-// pruneChains bounds the chain set of one (sub)query with a beam:
-// duplicates are removed and only the cheapest chains are kept, at a
-// width comfortably above the final plan-space cap. Without this, the
-// cartesian combination of per-segment variants across decomposition
-// points grows multiplicatively with path length. A set already within
-// the beam is kept as generated. Only what is kept gets built; the
-// candidate array, many times the beam, goes to the next chains call.
-func (g *generator) pruneChains(out []candidate) []chain {
-	kept := out
-	if limit := 4 * g.cfg.MaxPlansPerQuery; len(out) > limit {
-		kept = g.cheapest(out, limit)
-	}
+	kept := b.finish()
 	chains := make([]chain, len(kept))
 	for i := range kept {
 		chains[i] = kept[i].chain()
 	}
-	g.free = append(g.free, out[:0])
+	g.free = append(g.free, b.buf[:0])
+	memo.done[sig] = chains
 	return chains
+}
+
+// beam bounds the chain set of one (sub)query: duplicates are removed
+// and only the width cheapest chains are kept, at a width comfortably
+// above the final plan-space cap. Without this, the cartesian
+// combination of per-segment variants across decomposition points grows
+// multiplicatively with path length. A set that never exceeds the width
+// is kept as generated, duplicates included; a larger one is exactly
+// cheapest over everything offered, in beamSlack times the width.
+//
+// Candidates are stored as offered. When the buffer fills, the beam
+// compacts: it dedupes, keeping the first of each id, and cuts to the
+// width. From the first cut on, a candidate costlier than the costliest
+// kept one cannot be among the width cheapest and is dropped unstored.
+// A duplicate of a candidate an earlier compaction cut is dropped too,
+// by the same bound or the next cut, because duplicates cost the same:
+// a chain's id fixes every step property its costing reads. (A
+// LookupStep's Limit does not, but chains never sets one.)
+type beam struct {
+	g     *generator
+	width int
+	buf   []candidate
+	// compacted records that the buffer has filled; bound is the cost
+	// of the costliest candidate kept by the last cut, +Inf before one.
+	compacted bool
+	bound     float64
+}
+
+// beamSlack is how many times its width a beam's buffer holds.
+const beamSlack = 4
+
+// newBeam returns an empty beam over a candidate buffer the
+// generator's earlier chains calls have handed back.
+func (g *generator) newBeam() beam {
+	b := beam{g: g, width: 4 * g.cfg.MaxPlansPerQuery, bound: math.Inf(1)}
+	if n := len(g.free); n > 0 {
+		b.buf, g.free = g.free[n-1], g.free[:n-1]
+	}
+	return b
+}
+
+// add offers a candidate, which the beam drops unstored when it is
+// costlier than the costliest kept by a cut.
+func (b *beam) add(c candidate) {
+	if c.cost.total > b.bound {
+		return
+	}
+	b.buf = append(b.buf, c)
+	if len(b.buf) == beamSlack*b.width {
+		kept, bound := b.g.cut(b.g.dedupe(b.buf), b.width)
+		b.buf, b.compacted, b.bound = b.buf[:len(kept)], true, bound
+	}
+}
+
+// finish returns what the beam keeps: the candidates as offered when
+// there were no more than its width, else the width cheapest ordered by
+// cost and then by signature.
+func (b *beam) finish() []candidate {
+	if !b.compacted && len(b.buf) <= b.width {
+		return b.buf
+	}
+	return b.g.cheapest(b.buf, b.width)
 }
 
 // segment is one memoised segmentVariants result.
@@ -595,8 +681,13 @@ func (g *generator) generateSegment(pq *workload.Query, order []workload.AttrRef
 // enrichment lookup. Removed and unpushed range predicates become
 // client-side filters.
 func (g *generator) lookupVariants(out []chain, rq *workload.Query, removed []workload.Predicate, order []workload.AttrRef) []chain {
-	eq := rq.EqualityPredicates()
-	rangePreds := rq.RangePredicates()
+	rangePreds := g.rangePreds[:0]
+	for _, pr := range rq.Where {
+		if pr.Op.IsRange() {
+			rangePreds = append(rangePreds, pr)
+		}
+	}
+	g.rangePreds = rangePreds
 
 	// Attributes that must be available beyond the keys whichever
 	// family answers: non-key outputs and relaxed predicate attributes.
@@ -615,10 +706,12 @@ func (g *generator) lookupVariants(out []chain, rq *workload.Query, removed []wo
 	}
 
 	// A family's partition key must be the equality attributes.
-	partition := g.partition[:0]
+	partition, boundEq := g.partition[:0], g.boundEq[:0]
 	var joinKey *model.Attribute
-	var boundEq []workload.Predicate
-	for _, pr := range eq {
+	for _, pr := range rq.Where {
+		if pr.Op.IsRange() {
+			continue
+		}
 		partition = append(partition, pr.Ref.Attr)
 		if joinKey == nil && isJoinParam(pr.Param) {
 			joinKey = pr.Ref.Attr
@@ -626,14 +719,16 @@ func (g *generator) lookupVariants(out []chain, rq *workload.Query, removed []wo
 		}
 		boundEq = append(boundEq, pr)
 	}
-	g.keyOut, g.needed, g.partition = keyOut, needed, partition
+	g.keyOut, g.needed, g.partition, g.boundEq = keyOut, needed, partition, boundEq
 	eqList := g.table.list(boundEq)
 
 	// A family differs from the next only in which range predicate it
 	// pushes — none, or the one on its first clustering column — so what
 	// follows the lookup is one of len(rangePreds)+1 shapes, each worked
 	// out when the first family needs it.
-	shapes := make([]variantShape, len(rangePreds)+1)
+	shapes := slices.Grow(g.shapes[:0], len(rangePreds)+1)[:len(rangePreds)+1]
+	clear(shapes)
+	g.shapes, g.shapeAttrs = shapes, g.shapeAttrs[:0]
 
 	for _, cf := range g.candidatesFor(partition) {
 		g.counts.CandidatesExamined++
@@ -723,10 +818,12 @@ type variantShape struct {
 }
 
 // variantShape works out the shape for pushing rangePreds[push], or
-// nothing when push is -1.
+// nothing when push is -1. The shape's lists live in the generator's
+// scratch until the next lookupVariants call.
 func (g *generator) variantShape(rangePreds []workload.Predicate, push int, needed []*model.Attribute, removed []workload.Predicate) variantShape {
-	sh := variantShape{built: true, needed: slices.Grow(needed[:len(needed):len(needed)], len(rangePreds))}
-	filters := append(make([]workload.Predicate, 0, len(removed)+len(rangePreds)), removed...)
+	sh := variantShape{built: true}
+	start := len(g.shapeAttrs)
+	attrs, filters := append(g.shapeAttrs, needed...), append(g.filters[:0], removed...)
 	for i := range rangePreds {
 		if i == push {
 			sh.pushed = &rangePreds[i]
@@ -734,10 +831,12 @@ func (g *generator) variantShape(rangePreds []workload.Predicate, push int, need
 			continue
 		}
 		filters = append(filters, rangePreds[i])
-		if a := rangePreds[i].Ref.Attr; !slices.Contains(sh.needed, a) {
-			sh.needed = append(sh.needed, a)
+		if a := rangePreds[i].Ref.Attr; !slices.Contains(attrs[start:], a) {
+			attrs = append(attrs, a)
 		}
 	}
+	sh.needed = attrs[start:]
+	g.shapeAttrs, g.filters = attrs, filters
 	if len(filters) > 0 {
 		sh.filter = g.table.filter(filters)
 	}

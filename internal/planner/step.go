@@ -10,6 +10,7 @@ package planner
 import (
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -78,22 +79,21 @@ func (s *LookupStep) Describe() string {
 }
 
 func (s *LookupStep) signature() string {
-	var b strings.Builder
-	b.WriteString("L:")
-	b.WriteString(s.Index.ID())
+	var buf [256]byte
+	b := append(append(buf[:0], "L:"...), s.Index.ID()...)
 	if s.JoinKey != nil {
-		b.WriteString("@" + s.JoinKey.QualifiedName())
+		b = append(append(b, '@'), s.JoinKey.QualifiedName()...)
 	}
 	for _, p := range s.EqPredicates {
-		b.WriteString("=" + p.Ref.Attr.QualifiedName())
+		b = append(append(b, '='), p.Ref.Attr.QualifiedName()...)
 	}
 	if s.RangePredicate != nil {
-		b.WriteString("~" + s.RangePredicate.Ref.Attr.QualifiedName())
+		b = append(append(b, '~'), s.RangePredicate.Ref.Attr.QualifiedName()...)
 	}
 	if s.ServesOrder {
-		b.WriteString("!o")
+		b = append(b, "!o"...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // FilterStep applies predicates to the current rows client-side.
@@ -112,12 +112,12 @@ func (s *FilterStep) Describe() string {
 }
 
 func (s *FilterStep) signature() string {
-	var b strings.Builder
-	b.WriteString("F:")
+	var buf [128]byte
+	b := append(buf[:0], "F:"...)
 	for _, p := range s.Predicates {
-		b.WriteString(p.Ref.Attr.QualifiedName() + p.Op.String())
+		b = append(append(b, p.Ref.Attr.QualifiedName()...), p.Op.String()...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // SortStep orders the current rows client-side.
@@ -136,12 +136,12 @@ func (s *SortStep) Describe() string {
 }
 
 func (s *SortStep) signature() string {
-	var b strings.Builder
-	b.WriteString("S:")
+	var buf [128]byte
+	b := append(buf[:0], "S:"...)
 	for _, a := range s.By {
-		b.WriteString(a.Attr.QualifiedName() + ",")
+		b = append(append(b, a.Attr.QualifiedName()...), ',')
 	}
-	return b.String()
+	return string(b)
 }
 
 // LimitStep truncates the current rows.
@@ -153,7 +153,10 @@ type LimitStep struct {
 // Describe implements Step.
 func (s *LimitStep) Describe() string { return fmt.Sprintf("limit %d", s.N) }
 
-func (s *LimitStep) signature() string { return fmt.Sprintf("T:%d", s.N) }
+func (s *LimitStep) signature() string {
+	var buf [24]byte
+	return string(strconv.AppendInt(append(buf[:0], "T:"...), int64(s.N), 10))
+}
 
 // stepTable interns the steps one planner generates: every structurally
 // distinct step exists once, immutable, for the planner's life, however
@@ -173,14 +176,16 @@ type stepTable struct {
 	mu sync.Mutex
 	// lists numbers predicate sequences: a sequence is its last
 	// predicate and the number of the sequence before it, 0 being empty.
+	// kept holds, by number, the copy of a sequence that steps keep,
+	// nil until a step keeps it.
 	lists map[listKey]uint32
+	kept  [][]workload.Predicate
 	steps map[stepKey]interned
 	// classes numbers signatures, each keyed by the part of a step's
 	// structure its signature spells out (classKey); reps holds a step
-	// of each class and sigs its string, empty until asked for.
+	// of each class and its string, empty until asked for.
 	classes map[stepKey]uint32
-	reps    []Step
-	sigs    []string
+	reps    []classRep
 	// enrich memoises enrichStep per entity and attribute set.
 	enrich map[*model.Entity][]enrichment
 }
@@ -197,16 +202,23 @@ type listKey struct {
 }
 
 // stepKey is a step's structure in comparable form, variable-length
-// parts replaced by their list numbers.
+// parts replaced by their list numbers; its fields are ordered to pack
+// into 40 bytes.
 type stepKey struct {
-	kind    byte // 'L', 'F', 'S' or 'T', as in the signature
 	index   *schema.Index
 	joinKey *model.Attribute
+	n       int // LookupStep.Limit or LimitStep.N
 	// list numbers EqPredicates, Predicates or By (as predicates with
 	// only Ref set); pushed numbers the one-element RangePredicate.
 	list, pushed uint32
+	kind         byte // 'L', 'F', 'S' or 'T', as in the signature
 	servesOrder  bool
-	n            int // LookupStep.Limit or LimitStep.N
+}
+
+// classRep is a step of a class and the class's signature string.
+type classRep struct {
+	step Step
+	sig  string
 }
 
 type enrichment struct {
@@ -214,12 +226,23 @@ type enrichment struct {
 	step  interned
 }
 
-func (t *stepTable) init() {
-	t.lists = map[listKey]uint32{}
-	t.steps = map[stepKey]interned{}
-	t.classes = map[stepKey]uint32{}
+// init sizes the table for planning over a pool of n families. A
+// workload's plan spaces take between one and a half and two and a half
+// steps per family and somewhat more classes than families, but far
+// fewer predicate lists; sizing the maps up front spares growing them
+// from empty in every planner.
+func (t *stepTable) init(n int) {
+	t.lists = make(map[listKey]uint32, n/4)
+	t.kept = make([][]workload.Predicate, 0, n/4)
+	t.steps = make(map[stepKey]interned, 2*n)
+	t.classes = make(map[stepKey]uint32, classesFor(n))
+	t.reps = make([]classRep, 0, classesFor(n))
 	t.enrich = map[*model.Entity][]enrichment{}
 }
+
+// classesFor is how many signature classes the table expects of a pool
+// of n families.
+func classesFor(n int) int { return n + n/4 }
 
 // list numbers a predicate sequence.
 func (t *stepTable) list(preds []workload.Predicate) uint32 {
@@ -245,6 +268,22 @@ func (t *stepTable) cons(prev uint32, pr workload.Predicate) uint32 {
 		t.lists[k] = id
 	}
 	return id
+}
+
+// keep returns the table's copy of preds, the sequence numbered id:
+// nil for the empty one. The steps that keep a sequence share the copy,
+// so callers may pass predicates in reused storage.
+func (t *stepTable) keep(id uint32, preds []workload.Predicate) []workload.Predicate {
+	if id == 0 {
+		return nil
+	}
+	if int(id) >= len(t.kept) {
+		t.kept = append(t.kept, make([][]workload.Predicate, int(id)+1-len(t.kept))...)
+	}
+	if t.kept[id] == nil {
+		t.kept[id] = slices.Clone(preds)
+	}
+	return t.kept[id]
 }
 
 // attrList numbers the attributes of a predicate sequence, with or
@@ -290,8 +329,7 @@ func (t *stepTable) add(k stepKey, st Step) interned {
 	if !ok {
 		class = uint32(len(t.reps))
 		t.classes[ck] = class
-		t.reps = append(t.reps, st)
-		t.sigs = append(t.sigs, "")
+		t.reps = append(t.reps, classRep{step: st})
 	}
 	e := interned{st, class}
 	t.steps[k] = e
@@ -302,17 +340,19 @@ func (t *stepTable) add(k stepKey, st Step) interned {
 func (t *stepTable) signature(class uint32) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.sigs[class] == "" {
-		t.sigs[class] = t.reps[class].signature()
+	r := &t.reps[class]
+	if r.sig == "" {
+		r.sig = r.step.signature()
 	}
-	return t.sigs[class]
+	return r.sig
 }
 
 // lookup interns a lookup step given as a value the caller keeps: a new
-// structure is copied, so ls may live on the caller's stack and be
-// reused. eq and pushed must be the list numbers of ls.EqPredicates and
-// of ls.RangePredicate, which callers generating many lookups over the
-// same predicates compute once.
+// structure is copied, its predicates included, so ls and what it
+// points to may live in the caller's reused storage. eq and pushed must
+// be the list numbers of ls.EqPredicates and of ls.RangePredicate,
+// which callers generating many lookups over the same predicates
+// compute once.
 func (t *stepTable) lookup(ls *LookupStep, eq, pushed uint32) interned {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -325,6 +365,10 @@ func (t *stepTable) lookupLocked(ls *LookupStep, eq, pushed uint32) interned {
 		return e
 	}
 	st := *ls
+	st.EqPredicates = t.keep(eq, ls.EqPredicates)
+	if ls.RangePredicate != nil {
+		st.RangePredicate = &t.keep(pushed, []workload.Predicate{*ls.RangePredicate})[0]
+	}
 	return t.add(k, &st)
 }
 
@@ -340,7 +384,7 @@ func (t *stepTable) lookupStep(ls *LookupStep) interned {
 	return t.lookupLocked(ls, t.listLocked(ls.EqPredicates), pushed)
 }
 
-// filter interns the filter applying preds, which the step keeps.
+// filter interns the filter applying preds, which a new step copies.
 func (t *stepTable) filter(preds []workload.Predicate) interned {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -348,7 +392,7 @@ func (t *stepTable) filter(preds []workload.Predicate) interned {
 	if e, ok := t.steps[k]; ok {
 		return e
 	}
-	return t.add(k, &FilterStep{Predicates: preds})
+	return t.add(k, &FilterStep{Predicates: t.keep(k.list, preds)})
 }
 
 // sort interns the sort by the given attributes, which the step keeps.

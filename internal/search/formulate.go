@@ -233,7 +233,8 @@ func (b *builder) buildUpdateBlock(ws *workload.WeightedStatement, enumRes *enum
 		indexes   []*schema.Index
 	}
 	groupByShape := map[string]*pendingGroup{}
-	var groupOrder []string
+	var groupOrder []*pendingGroup
+	var shape []byte
 	for _, x := range b.pool {
 		sqs, modified := enumRes.Support[u][x.ID()]
 		if !modified {
@@ -247,12 +248,12 @@ func (b *builder) buildUpdateBlock(ws *workload.WeightedStatement, enumRes *enum
 		ub.order = append(ub.order, x)
 		maint[x.ID()] += b.w.Weight(ws) * up.WriteCost
 		for _, sq := range sqs {
-			shape := shapeSignature(sq)
-			g := groupByShape[shape]
+			shape = appendShape(shape[:0], sq)
+			g := groupByShape[string(shape)]
 			if g == nil {
 				g = &pendingGroup{merged: cloneQuery(sq)}
-				groupByShape[shape] = g
-				groupOrder = append(groupOrder, shape)
+				groupByShape[string(shape)] = g
+				groupOrder = append(groupOrder, g)
 			} else {
 				mergeSelects(g.merged, sq)
 			}
@@ -260,8 +261,7 @@ func (b *builder) buildUpdateBlock(ws *workload.WeightedStatement, enumRes *enum
 			g.indexes = append(g.indexes, x)
 		}
 	}
-	for _, shape := range groupOrder {
-		pg := groupByShape[shape]
+	for _, pg := range groupOrder {
 		groups, err := b.planSupportGroup(pg.merged, pg.originals, pg.indexes)
 		if err != nil {
 			return nil, nil, err
@@ -366,16 +366,17 @@ func (b *builder) capSupport(space *planner.PlanSpace) {
 	}
 }
 
-// shapeSignature canonicalizes a query ignoring its SELECT list.
-func shapeSignature(q *workload.Query) string {
-	sig := q.Path.String() + "/"
+// appendShape appends to b a canonical form of a query that ignores
+// its SELECT list.
+func appendShape(b []byte, q *workload.Query) []byte {
+	b = append(q.Path.AppendTo(b), '/')
 	for _, p := range q.Where {
-		sig += p.Ref.Attr.QualifiedName() + p.Op.String() + ";"
+		b = append(append(append(b, p.Ref.Attr.QualifiedName()...), p.Op.String()...), ';')
 	}
 	for _, o := range q.Order {
-		sig += "|" + o.Attr.QualifiedName()
+		b = append(append(b, '|'), o.Attr.QualifiedName()...)
 	}
-	return sig
+	return b
 }
 
 func cloneQuery(q *workload.Query) *workload.Query {

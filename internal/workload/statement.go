@@ -153,7 +153,9 @@ func writeWhere(b *strings.Builder, preds []Predicate) {
 	}
 }
 
-// EqualityPredicates returns the equality predicates of the query.
+// EqualityPredicates returns the equality predicates of the query. The
+// planner splits predicates in reused storage instead; the reference
+// generators of its and the enumerator's tests call this.
 func (q *Query) EqualityPredicates() []Predicate {
 	return filterPreds(q.Where, false)
 }
@@ -169,7 +171,8 @@ func (q *Query) HasEquality() bool {
 	return false
 }
 
-// RangePredicates returns the inequality predicates of the query.
+// RangePredicates returns the inequality predicates of the query: the
+// other half of EqualityPredicates' split.
 func (q *Query) RangePredicates() []Predicate {
 	return filterPreds(q.Where, true)
 }

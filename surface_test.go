@@ -31,6 +31,8 @@ var surfaceKeep = map[string]string{
 	"planner.Signature":            "planner and search tests compare finished plans by structure",
 	"search.BuildPlans":            "benchmark hook: plan-space stage alone (root bench_test.go)",
 	"search.Prepare":               "benchmark hook: formulate once, time the solver alone (root bench_test.go)",
+	"workload.EqualityPredicates":  "the reference generators of the enumerator and planner tests split a query's predicates with it",
+	"workload.RangePredicates":     "the other half of that split, as EqualityPredicates",
 	"workload.WriteEntity":         "never called: the method that makes WriteStatement a distinct interface",
 }
 
