@@ -14,6 +14,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -374,6 +375,60 @@ func TestPlanSpacesAllocCeiling(t *testing.T) {
 	}
 	t.Logf("search.BuildPlans: %d allocations (ceiling %d), %d B (ceiling %d)",
 		allocs, planSpacesAllocCeiling, bytes, planSpacesByteCeiling)
+}
+
+// solveAllocCeiling and solveByteCeiling bound the allocations and the
+// bytes of one search.Prepared.Solve — both branch-and-bound phases and
+// phase 2's formulation — on RUBiS at the daemon's defaults and one
+// worker. They were 2,755 and 678,457 B while each solve grew its own LP
+// solvers, cloned the program and allocated every relaxation's point,
+// and are 1,923 and 234,105 B (go1.24) with pooled solvers, one shared
+// program and points in solver storage. Both ceilings are 1.3 times the
+// measured value: headroom for other toolchains, not for any of those
+// three coming back.
+const (
+	solveAllocCeiling = 2_500
+	solveByteCeiling  = 304_400
+)
+
+// TestSolveAllocCeiling counts what one Prepared.Solve allocates, with
+// the collector off so that the solvers an earlier solve returned to the
+// pool are still there: a solve that grows its own solvers again, copies
+// the program per worker or allocates a point per relaxation fails it.
+// CI runs it by name with -count=1.
+func TestSolveAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	w, _, err := rubis.Workload(rubis.Graph(rubis.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enumRes, err := enumerator.EnumerateWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := search.Prepare(w, enumRes, search.Options{
+		Workers: 1,
+		Planner: planner.Config{MaxPlansPerQuery: planner.DefaultMaxPlansPerQuery},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs, bytes := allocsPerRun(5, func() {
+		if err := prepared.Solve(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > solveAllocCeiling {
+		t.Errorf("Prepared.Solve allocates %d times on RUBiS, ceiling %d", allocs, solveAllocCeiling)
+	}
+	if bytes > solveByteCeiling {
+		t.Errorf("Prepared.Solve allocates %d B on RUBiS, ceiling %d", bytes, solveByteCeiling)
+	}
+	t.Logf("Prepared.Solve: %d allocations (ceiling %d), %d B (ceiling %d)",
+		allocs, solveAllocCeiling, bytes, solveByteCeiling)
 }
 
 // allocsPerRun is testing.AllocsPerRun that also returns the bytes: the

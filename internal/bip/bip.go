@@ -27,6 +27,19 @@
 // second factorization of a basis both siblings start from, which the
 // pair's worker reuses.
 //
+// Nor does a node allocate for its solve. Every worker reads the one
+// validated program and hands its solver the node's fixes, which the
+// solver applies when it loads the node. The per-worker lp.Solvers come
+// from a pool shared by every Solve call and go back to it on every exit
+// path, so their buffers grow once per process, not once per call. A
+// relaxation's point is read in the solver's storage and copied out, into
+// a buffer per batch slot, only where the branching pass keeps it: at an
+// integral node and at every 16th, which the rounding heuristic reads.
+// What a node does allocate is its own record: its relaxation's Solution
+// header, the basis snapshot a branching node hands its children
+// (statuses and basis order; the artificial signs are shared with the
+// basis it was loaded from), and each child's fix list.
+//
 // NoSE's schema optimizer (paper §V) formulates column family selection
 // as such a program; the paper hands it to Gurobi, whose parallel
 // branch and bound has no pure-Go counterpart, so this package provides
@@ -37,6 +50,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"nose/internal/lp"
 	"nose/internal/obs"
@@ -198,17 +212,12 @@ func (r *Result) Gap() float64 {
 
 const intTol = 1e-6
 
-// fix pins one binary column to a value.
-type fix struct {
-	col int
-	val float64
-}
-
-// node is one branch and bound subproblem.
+// node is one branch and bound subproblem: the program with some
+// binary columns fixed.
 type node struct {
 	bound float64
 	seq   int // creation order, the deterministic heap tie-break
-	fixes []fix
+	fixes []lp.Fix
 	basis *lp.Basis // parent relaxation's optimal basis; nil → cold solve
 }
 
@@ -264,9 +273,18 @@ func (h *nodeHeap) pop() *node {
 	return top
 }
 
+// solverPool holds the LP solvers of finished Solve calls, each Reset:
+// a solve takes one per worker, so the buffers a relaxation needs are
+// grown by the first solves of a process and reused by every later one.
+// The collector may empty it at any time, which costs a regrowth and
+// nothing else: a reset solver's results and counters are a new one's.
+var solverPool = sync.Pool{New: func() any { return lp.NewSolver() }}
+
 // Solve runs branch and bound and returns the best integer solution.
 // When Options.Ctx is cancelled the search stops at the next batch
-// boundary and returns the context's error.
+// boundary and returns the context's error. Solve leaves the program
+// unchanged, but its first call on a program builds the LP's row-major
+// index, so a program is solved from one goroutine at a time.
 func (p *Program) Solve(opt Options) (*Result, error) {
 	ctx := opt.Ctx
 	if ctx == nil {
@@ -284,32 +302,29 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		workers = batchWidth
 	}
 
-	// Each worker owns a clone of the LP and a reusable solver, so
-	// relaxations with different bound fixes solve concurrently with no
-	// shared mutable state. Worker 0's context also serves the serial
-	// parts (root, seeding, rounding heuristic). The first clone is
-	// validated and the rest copy it, so the column entries — which no
-	// bound fix changes — are walked once per call, not once per node.
-	probs := make([]*lp.Problem, workers)
-	solvers := make([]*lp.Solver, workers)
-	probs[0] = p.lp.Clone()
-	if err := probs[0].Validate(); err != nil {
+	// Every worker reads the one program, validated here so that the
+	// entries are walked once per call and the solves only read it; a
+	// node's bound fixes live in its worker's solver. Each worker owns a
+	// pooled solver, and worker 0's also serves the serial parts (root,
+	// seeding, rounding heuristic).
+	if err := p.lp.Validate(); err != nil {
 		return nil, err
 	}
-	for w := range probs {
-		if w > 0 {
-			probs[w] = probs[0].Clone()
-		}
-		solvers[w] = lp.NewSolver()
+	solvers := make([]*lp.Solver, workers)
+	for w := range solvers {
+		solvers[w] = solverPool.Get().(*lp.Solver)
 	}
 
-	// Publish the aggregated LP work on every exit path. Summing the
-	// per-worker solver stats is worker-count invariant because the set
-	// of relaxations solved is, and addition commutes.
+	// Publish the aggregated LP work and return the solvers on every
+	// exit path. Summing the per-worker solver stats is worker-count
+	// invariant because the set of relaxations solved is, and addition
+	// commutes.
 	defer func() {
 		var total lp.SolverStats
 		for _, s := range solvers {
 			total.Add(s.Stats())
+			s.Reset()
+			solverPool.Put(s)
 		}
 		opt.Obs.Counter("lp.solves").Add(total.Solves)
 		opt.Obs.Counter("lp.cold_solves").Add(total.ColdSolves)
@@ -372,25 +387,13 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		return true
 	}
 
-	// solveWith applies fixes on the worker's clone, solves the
-	// relaxation — warm-started from a parent basis when one is given —
-	// and reverts.
-	solveWith := func(w int, fixes []fix, from *lp.Basis) (*lp.Solution, error) {
-		prob := probs[w]
-		for _, f := range fixes {
-			prob.SetColBounds(f.col, f.val, f.val)
-		}
-		var sol *lp.Solution
-		var err error
+	// solveWith solves a node's relaxation on worker w's solver,
+	// warm-started from a parent basis when one is given.
+	solveWith := func(w int, fixes []lp.Fix, from *lp.Basis) (*lp.Solution, error) {
 		if from != nil {
-			sol, err = solvers[w].SolveFrom(prob, from)
-		} else {
-			sol, err = solvers[w].Solve(prob)
+			return solvers[w].SolveFrom(p.lp, from, fixes...)
 		}
-		for _, f := range fixes {
-			prob.SetColBounds(f.col, 0, 1)
-		}
-		return sol, err
+		return solvers[w].Solve(p.lp, fixes...)
 	}
 
 	// tryRounded rounds x — a seeded assignment, or a relaxation's
@@ -411,14 +414,14 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 				point[col] = 1
 			}
 		}
-		if obj, ok := probs[0].Eval(point, activity); ok {
+		if obj, ok := p.lp.Eval(point, activity); ok {
 			tryIncumbent(point, obj)
 		}
 	}
 
 	open := &nodeHeap{}
 	seq := 0
-	push := func(bound float64, fixes []fix, from *lp.Basis) {
+	push := func(bound float64, fixes []lp.Fix, from *lp.Basis) {
 		seq++
 		open.push(&node{bound: bound, seq: seq, fixes: fixes, basis: from})
 	}
@@ -432,12 +435,14 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		tryRounded(opt.Incumbent)
 	}
 
+	// The root's point is read in its solver's storage: everything
+	// below that reads it runs before worker 0 solves again.
 	var rootSol *lp.Solution
 	var err error
 	if opt.RootBasis != nil {
-		rootSol, err = solvers[0].SolvePrepended(probs[0], opt.RootBasis)
+		rootSol, err = solvers[0].SolvePrepended(p.lp, opt.RootBasis)
 	} else {
-		rootSol, err = solvers[0].Solve(probs[0])
+		rootSol, err = solvers[0].Solve(p.lp)
 	}
 	if err != nil {
 		return nil, err
@@ -477,16 +482,24 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	// before, so whether a factorization is reused depends on the pair
 	// alone, never on which worker took it or what that worker solved
 	// last, and the LP work counters stay worker-count invariant.
+	//
+	// A relaxation's point lives in its solver until that solver's next
+	// solve, so the worker decides the branching column in place and
+	// copies the point into its batch slot's buffer only when the
+	// branching pass will read it: at an integral node, which offers it
+	// as an incumbent, and at every 16th, which rounds it.
 	type batchItem struct {
 		nd   *node
 		num  int // this node's 1-based exploration number
 		sol  *lp.Solution
+		x    []float64 // sol.X, copied when the branching pass reads it
 		col  int       // branching column of an optimal relaxation, -1 if integral
 		snap *lp.Basis // its basis, when it may branch
 		err  error
 	}
 	batch := make([]batchItem, 0, batchWidth)
 	units := make([]int, 0, batchWidth+1) // unit u is batch[units[u]:units[u+1]]
+	xs := make([][]float64, batchWidth)   // slot i's buffer for batch[i].x
 
 	for round := 0; open.len() > 0; round++ {
 		if err := ctx.Err(); err != nil {
@@ -530,6 +543,10 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 					continue
 				}
 				it.col = p.mostFractional(it.sol.X)
+				if it.col == -1 || it.num%16 == 1 {
+					xs[i] = append(xs[i][:0], it.sol.X...)
+					it.x = xs[i]
+				}
 				if it.col != -1 && lift(it.sol.Objective) < cutoff {
 					it.snap = solvers[w].Snapshot()
 				}
@@ -550,14 +567,14 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 			}
 			col := it.col
 			if col == -1 {
-				tryIncumbent(sol.X, sol.Objective)
+				tryIncumbent(it.x, sol.Objective)
 				continue
 			}
 			if it.num%16 == 1 {
-				tryRounded(sol.X)
+				tryRounded(it.x)
 			}
 			for _, v := range [2]float64{1, 0} {
-				push(sol.Objective, append(append([]fix(nil), it.nd.fixes...), fix{col: col, val: v}), it.snap)
+				push(sol.Objective, append(append([]lp.Fix(nil), it.nd.fixes...), lp.Fix{Col: col, Val: v}), it.snap)
 			}
 		}
 	}

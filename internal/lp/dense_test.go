@@ -60,15 +60,15 @@ func (s *denseSolver) prepare(p *Problem) {
 	m, n := len(p.rows), len(p.cols)
 	s.m, s.n = m, n
 	total := n + m + m // structural + slack + artificial
-	s.obj = growF(s.obj, total)
-	s.lo = growF(s.lo, total)
-	s.hi = growF(s.hi, total)
-	s.xval = growF(s.xval, total)
-	s.xb = growF(s.xb, m)
-	s.y = growF(s.y, m)
-	s.w = growF(s.w, m)
-	s.res = growF(s.res, m)
-	s.phase1 = growF(s.phase1, total)
+	s.obj = grow(s.obj, total)
+	s.lo = grow(s.lo, total)
+	s.hi = grow(s.hi, total)
+	s.xval = grow(s.xval, total)
+	s.xb = grow(s.xb, m)
+	s.y = grow(s.y, m)
+	s.w = grow(s.w, m)
+	s.res = grow(s.res, m)
+	s.phase1 = grow(s.phase1, total)
 	if cap(s.entries) < total {
 		s.entries = make([][]Entry, total)
 	} else {
@@ -98,14 +98,14 @@ func (s *denseSolver) prepare(p *Problem) {
 		s.single = s.single[:2*m]
 	}
 	for buf := 0; buf < 2; buf++ {
-		s.invData[buf] = growF(s.invData[buf], m*m)
+		s.invData[buf] = grow(s.invData[buf], m*m)
 		if cap(s.invRows[buf]) < m {
 			s.invRows[buf] = make([][]float64, m)
 		} else {
 			s.invRows[buf] = s.invRows[buf][:m]
 		}
 	}
-	s.bData = growF(s.bData, m*m)
+	s.bData = grow(s.bData, m*m)
 	if cap(s.bRows) < m {
 		s.bRows = make([][]float64, m)
 	} else {

@@ -22,49 +22,56 @@ type Basis struct {
 // Snapshot captures the current basis. It must be called directly after
 // a Solve or SolveFrom on this solver that returned Optimal; the
 // snapshot then warm-starts later solves of the same problem shape with
-// modified column bounds.
+// modified column bounds. The artificial signs never change below one
+// cold solve, so a snapshot of a solve that SolveFrom loaded shares the
+// loaded basis's signs instead of copying them.
 func (s *Solver) Snapshot() *Basis {
 	b := &Basis{
 		status: append([]varStatus(nil), s.status...),
 		basis:  make([]int32, s.m),
-		asign:  make([]int8, s.m),
+		asign:  s.asign,
 	}
 	for i, j := range s.basis {
 		b.basis[i] = int32(j)
 	}
-	for i := 0; i < s.m; i++ {
-		b.asign[i] = int8(s.single[s.m+i].Coef)
+	if b.asign == nil {
+		b.asign = make([]int8, s.m)
+		for i := range b.asign {
+			b.asign[i] = int8(s.single[s.m+i].Coef)
+		}
 	}
 	return b
 }
 
-// SolveFrom solves p starting from a basis snapshot taken at the
-// optimum of a problem identical to p except for column bounds. Such a
-// basis stays dual feasible — bound changes never touch reduced costs —
-// so the bounded dual simplex drives out the (typically one or two)
-// primal bound violations in a handful of pivots instead of a full
-// two-phase solve. Both phases of work are skipped entirely when the
-// old optimum is still primal feasible.
+// SolveFrom solves p, with each of fixes pinning its column, starting
+// from a basis snapshot taken at the optimum of a problem identical to p
+// except for column bounds (its own fixes included). Such a basis stays
+// dual feasible — bound changes never touch reduced costs — so the
+// bounded dual simplex drives out the (typically one or two) primal
+// bound violations in a handful of pivots instead of a full two-phase
+// solve. Both phases of work are skipped entirely when the old optimum
+// is still primal feasible.
 //
-// The result is a pure function of (p, from): any numerical trouble
-// falls back deterministically to a cold Solve, so callers may use
-// SolveFrom from any worker without affecting reproducibility. An
-// unusable snapshot (nil or wrong shape) also falls back cold.
+// The result is a pure function of (p, from, fixes): any numerical
+// trouble falls back deterministically to a cold Solve with the same
+// fixes, so callers may use SolveFrom from any worker without affecting
+// reproducibility. An unusable snapshot (nil or wrong shape) also falls
+// back cold.
 //
 // A call that follows, on this solver, a SolveFrom of the same problem
 // from the same snapshot skips the load-time refactorization when the
 // earlier solve never refactorized again (see loadMark): the state it
 // starts from is identical either way, only the work differs.
-func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, error) {
+	if err := validate(p, fixes); err != nil {
 		return nil, err
 	}
 	s.stats.Solves++
 	if k, ok := fits(p, from); !ok || k != 0 {
 		s.stats.Fallbacks++
-		return s.solveCold(p)
+		return s.solveCold(p, fixes)
 	}
-	s.install(p, from, 0)
+	s.install(p, from, 0, fixes)
 	if mark := &s.loaded; mark.from == from && mark.prob == p {
 		s.etaRow = s.etaRow[:mark.etas]
 		s.etaPiv = s.etaPiv[:mark.etas]
@@ -78,7 +85,7 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 	} else {
 		if !s.refactor() {
 			s.stats.Fallbacks++
-			return s.solveCold(p)
+			return s.solveCold(p, fixes)
 		}
 		mark.from, mark.prob = from, p
 		mark.etas, mark.nnz = len(s.etaRow), len(s.etaIdx)
@@ -93,7 +100,7 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 		return &Solution{Status: Infeasible}, nil
 	case IterationLimit:
 		s.stats.Fallbacks++
-		return s.solveCold(p)
+		return s.solveCold(p, fixes)
 	}
 	// Primal cleanup certifies optimality against freshly priced reduced
 	// costs (and mops up any dual infeasibility introduced by tolerance
@@ -101,7 +108,7 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis) (*Solution, error) {
 	st := s.iterate(s.obj, true)
 	if st == IterationLimit {
 		s.stats.Fallbacks++
-		return s.solveCold(p)
+		return s.solveCold(p, fixes)
 	}
 	s.stats.WarmStarts++
 	if st == Unbounded {
@@ -133,18 +140,18 @@ func (s *Solver) SolvePrepended(p *Problem, from *Basis) (*Solution, error) {
 	k, ok := fits(p, from)
 	if !ok {
 		s.stats.Fallbacks++
-		return s.solveCold(p)
+		return s.solveCold(p, nil)
 	}
-	s.install(p, from, k)
+	s.install(p, from, k, nil)
 	if !s.refactor() || !s.primalFeasible() {
 		s.stats.Fallbacks++
-		return s.solveCold(p)
+		return s.solveCold(p, nil)
 	}
 	s.price(s.obj)
 	st := s.iterate(s.obj, true)
 	if st == IterationLimit {
 		s.stats.Fallbacks++
-		return s.solveCold(p)
+		return s.solveCold(p, nil)
 	}
 	s.stats.PrimalWarmStarts++
 	if st == Unbounded {
@@ -166,15 +173,16 @@ func fits(p *Problem, from *Basis) (k int, ok bool) {
 	return k, k >= 0 && len(from.status) == len(p.cols)+2*m0
 }
 
-// install loads p's columns and the basis from, taken on a program p
-// extends by k leading rows (see SolvePrepended; k is 0 for SolveFrom).
+// install loads p's columns, each of fixes pinning its own, and the
+// basis from, taken on a program p extends by k leading rows (see
+// SolvePrepended; k is 0 for SolveFrom).
 // Every artificial is pinned at zero, as the solve that took the
 // snapshot left them after its phase 1, under the column sign that solve
 // chose; a new row's artificial is nonbasic and its slack basic. Old
 // slacks and artificials move up k rows. Nonbasic variables sit at the
 // bound their status names under p's bounds, and the basis is left in
 // s.basis for refactor.
-func (s *Solver) install(p *Problem, from *Basis, k int) {
+func (s *Solver) install(p *Problem, from *Basis, k int, fixes []Fix) {
 	s.prepare(p)
 	m, n := s.m, s.n
 	m0 := m - k
@@ -182,6 +190,11 @@ func (s *Solver) install(p *Problem, from *Basis, k int) {
 		s.lo[j], s.hi[j] = c.lo, c.hi
 		s.entries[j] = c.entries
 		s.obj[j] = c.obj
+	}
+	s.fix(fixes)
+	s.asign = nil
+	if k == 0 {
+		s.asign = from.asign
 	}
 	for i, r := range p.rows {
 		j := n + i

@@ -11,6 +11,27 @@ import (
 // the tests solve one problem at a time.
 func (p *Problem) Solve() (*Solution, error) { return NewSolver().Solve(p) }
 
+// SetColBounds changes a column's bounds.
+func (p *Problem) SetColBounds(col int, lo, hi float64) {
+	p.cols[col].lo, p.cols[col].hi = lo, hi
+}
+
+// Clone returns a deep copy of the problem, sharing only the read-only
+// row-major copy of the entries: the tests mutate a copy's bounds,
+// objective and entries and compare it with the original.
+func (p *Problem) Clone() *Problem {
+	cp := &Problem{
+		cols:  make([]column, len(p.cols)),
+		rows:  append([]rowBounds(nil), p.rows...),
+		byRow: p.byRow,
+	}
+	copy(cp.cols, p.cols)
+	for i := range cp.cols {
+		cp.cols[i].entries = append([]Entry(nil), cp.cols[i].entries...)
+	}
+	return cp
+}
+
 // SetObj changes a column's objective coefficient.
 func (p *Problem) SetObj(col int, obj float64) { p.cols[col].obj = obj }
 
@@ -151,4 +172,31 @@ func WithLeadingRows(p *Problem, lo, hi []float64, a [][]float64, obj []float64)
 	}
 	cp.byRow = nil
 	return cp
+}
+
+// CopiedSnapshot is Snapshot with the artificial signs always read
+// back out of the solver, never shared with the basis it was loaded
+// from.
+func CopiedSnapshot(s *Solver) *Basis {
+	b := s.Snapshot()
+	b.asign = make([]int8, s.m)
+	for i := range b.asign {
+		b.asign[i] = int8(s.single[s.m+i].Coef)
+	}
+	return b
+}
+
+// SameBasis compares two snapshots by content: every status, the basis
+// order and the artificial signs.
+func SameBasis(want, got *Basis) error {
+	if !slices.Equal(want.status, got.status) {
+		return fmt.Errorf("snapshot statuses differ")
+	}
+	if err := sameInt32("snapshot basis", want.basis, got.basis); err != nil {
+		return err
+	}
+	if !slices.Equal(want.asign, got.asign) {
+		return fmt.Errorf("snapshot artificial signs %v, want %v", got.asign, want.asign)
+	}
+	return nil
 }

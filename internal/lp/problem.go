@@ -44,8 +44,7 @@ type Problem struct {
 	// it once it has checked every entry's row index, and AddRow, AddCol
 	// and AddEntry drop it, so nil means unchecked: Validate, which runs
 	// on every solve, walks the entries of a problem once, not once per
-	// branch and bound node. It is never written after it is built, so
-	// clones share it.
+	// branch and bound node. It is never written after it is built.
 	byRow *rowMajor
 }
 
@@ -94,11 +93,6 @@ func (p *Problem) AddCol(obj, lo, hi float64, entries ...Entry) int {
 // Obj returns a column's objective coefficient.
 func (p *Problem) Obj(col int) float64 { return p.cols[col].obj }
 
-// SetColBounds changes a column's bounds.
-func (p *Problem) SetColBounds(col int, lo, hi float64) {
-	p.cols[col].lo, p.cols[col].hi = lo, hi
-}
-
 // NumRows returns the number of constraint rows.
 func (p *Problem) NumRows() int { return len(p.rows) }
 
@@ -108,7 +102,9 @@ func (p *Problem) NumCols() int { return len(p.cols) }
 // Validate checks bound sanity and entry indices. The entry indices are
 // walked, and the row-major copy of the entries built, only when a row,
 // a column or an entry was added since the last successful call; bounds
-// and objective are checked every time.
+// and objective are checked every time. Once it has succeeded, and until
+// the next AddRow, AddCol or AddEntry, it only reads the problem, so
+// several solvers may then solve one problem concurrently.
 func (p *Problem) Validate() error {
 	for i, r := range p.rows {
 		if r.lo > r.hi {
@@ -228,7 +224,9 @@ type Solution struct {
 	Status Status
 	// Objective is the optimal objective value.
 	Objective float64
-	// X holds the variable values.
+	// X holds the variable values. It is the solver's own storage,
+	// valid until that solver's next solve: a caller that keeps the
+	// point past it copies X.
 	X []float64
 }
 
@@ -244,19 +242,13 @@ func (p *Problem) AddEntry(col, row int, coef float64) {
 // branching variable.
 func (p *Problem) ColEntryCount(col int) int { return len(p.cols[col].entries) }
 
-// Clone returns a deep copy of the problem, sharing only the read-only
-// row-major copy of the entries. Parallel branch and bound gives each
-// worker its own clone so column bounds can be fixed and reverted
-// concurrently without synchronization.
-func (p *Problem) Clone() *Problem {
-	cp := &Problem{
-		cols:  make([]column, len(p.cols)),
-		rows:  append([]rowBounds(nil), p.rows...),
-		byRow: p.byRow,
-	}
-	copy(cp.cols, p.cols)
-	for i := range cp.cols {
-		cp.cols[i].entries = append([]Entry(nil), cp.cols[i].entries...)
-	}
-	return cp
+// Fix pins a column at one value for a single solve, overriding its
+// bounds in the solver and leaving the problem untouched: branch and
+// bound solves every node of a program from one shared, read-only
+// Problem by passing the node's fixes to Solve or SolveFrom.
+type Fix struct {
+	// Col is the fixed column.
+	Col int
+	// Val is the value it is fixed at, its lower and upper bound both.
+	Val float64
 }

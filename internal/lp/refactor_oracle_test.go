@@ -40,7 +40,7 @@ func (s *Solver) refactorOracle() bool {
 	for i := 0; i < m; i++ {
 		rowStart[i+1] += rowStart[i]
 	}
-	s.rowPos = growI32(s.rowPos, nnz)
+	s.rowPos = grow(s.rowPos, nnz)
 	fill := s.rowFill
 	for i := range fill {
 		fill[i] = 0

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"nose/internal/lp"
@@ -181,4 +183,154 @@ func TestFactorReuseIsKeyedAndForgettable(t *testing.T) {
 	if reuses() != 2 {
 		t.Errorf("reuse across a cold solve: %d reuses", reuses())
 	}
+}
+
+// reuseStep is one solve of solveSequence: its solution, with X copied
+// out of the solver, and the snapshot taken after it when it was optimal.
+type reuseStep struct {
+	sol  lp.Solution
+	snap *lp.Basis
+}
+
+// solveSequence makes on s the solves branch and bound makes of one
+// program p: a cold root, a sibling pair warm-started from the root's
+// snapshot under opposite fixes of one column (the second reuses the
+// first's load), a cold solve under two fixes, and the warm root of p2,
+// which extends p by leading rows, from the root's snapshot.
+func solveSequence(t *testing.T, s *lp.Solver, p, p2 *lp.Problem, a, b int) []reuseStep {
+	t.Helper()
+	var steps []reuseStep
+	record := func(sol *lp.Solution, err error) *lp.Basis {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := reuseStep{sol: *sol}
+		st.sol.X = append([]float64(nil), sol.X...)
+		if sol.Status == lp.Optimal {
+			st.snap = s.Snapshot()
+			if err := lp.SameBasis(lp.CopiedSnapshot(s), st.snap); err != nil {
+				t.Fatalf("solve %d: shared signs are not the solver's: %v", len(steps), err)
+			}
+		}
+		steps = append(steps, st)
+		return st.snap
+	}
+	root := record(s.Solve(p))
+	if root == nil {
+		t.Fatalf("root solve ended %v", steps[0].sol.Status)
+	}
+	record(s.SolveFrom(p, root, lp.Fix{Col: a, Val: 1}))
+	record(s.SolveFrom(p, root, lp.Fix{Col: a, Val: 0}))
+	record(s.Solve(p, lp.Fix{Col: a, Val: 0}, lp.Fix{Col: b, Val: 1}))
+	record(s.SolvePrepended(p2, root))
+	return steps
+}
+
+// statsDelta returns after − before, counter by counter.
+func statsDelta(before, after lp.SolverStats) lp.SolverStats {
+	d := after
+	bv, dv := reflect.ValueOf(before), reflect.ValueOf(&d).Elem()
+	for i := 0; i < dv.NumField(); i++ {
+		dv.Field(i).SetInt(dv.Field(i).Int() - bv.Field(i).Int())
+	}
+	return d
+}
+
+// TestReusedSolverMatchesFresh: a solver that has already solved a
+// larger and a smaller unrelated program — cold, warm from a snapshot
+// under fixes, and warm from a prepended root — solves a third exactly
+// as a new solver does: every objective, point and snapshot bit for bit,
+// the same work counted, and the same state left behind. After Reset its
+// counters are a new solver's too. Branch and bound pools its solvers on
+// this. Every snapshot's artificial signs, shared or copied, are the
+// ones the solver holds.
+func TestReusedSolverMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	type program struct {
+		p, p2 *lp.Problem
+		a, b  int
+	}
+	build := func(rows int) program {
+		p := advisorProblem(rows, rng)
+		sol, err := lp.NewSolver().Solve(p)
+		if err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("%d rows: root solve: %v %v", rows, sol, err)
+		}
+		return program{p: p, p2: prependRows(rng, p, sol.X, 2, false), a: rng.Intn(p.NumCols()), b: rng.Intn(p.NumCols())}
+	}
+	large, small, target := build(400), build(60), build(200)
+
+	fresh := lp.NewSolver()
+	want := solveSequence(t, fresh, target.p, target.p2, target.a, target.b)
+	compare := func(what string, s *lp.Solver, before lp.SolverStats) {
+		t.Helper()
+		got := solveSequence(t, s, target.p, target.p2, target.a, target.b)
+		for i := range want {
+			step := fmt.Sprintf("%s, solve %d", what, i)
+			sameSolution(t, step, &want[i].sol, &got[i].sol)
+			if (want[i].snap == nil) != (got[i].snap == nil) {
+				t.Fatalf("%s: snapshot taken %v, want %v", step, got[i].snap != nil, want[i].snap != nil)
+			}
+			if want[i].snap != nil {
+				if err := lp.SameBasis(want[i].snap, got[i].snap); err != nil {
+					t.Fatalf("%s: %v", step, err)
+				}
+			}
+		}
+		if d := statsDelta(before, s.Stats()); d != fresh.Stats() {
+			t.Errorf("%s: counted %+v, a new solver %+v", what, d, fresh.Stats())
+		}
+		if err := lp.SameSolverState(fresh, s); err != nil {
+			t.Errorf("%s: %v", what, err)
+		}
+	}
+
+	s := lp.NewSolver()
+	for _, pr := range []program{large, small} {
+		solveSequence(t, s, pr.p, pr.p2, pr.a, pr.b)
+	}
+	if st := s.Stats(); st.WarmStarts == 0 || st.PrimalWarmStarts == 0 || st.FactorReuses == 0 {
+		t.Fatalf("the unrelated solves took no warm path: %+v", st)
+	}
+	compare("after a larger and a smaller program", s, s.Stats())
+	s.Reset()
+	compare("after Reset", s, lp.SolverStats{})
+}
+
+// TestOneMoreRowFitsBuffers: a solver sized by one program also fits
+// that program extended by a leading row, as the advisor's phase 2
+// extends its phase 1, so a pooled solver carries its buffers from the
+// one to the other. The warm solve of the extended program on the
+// solver that solved the original allocates under a quarter of what the
+// same solve allocates on a new solver, which grows every buffer: what
+// is left is the eta file outgrowing the original's, since the new row
+// is dense.
+func TestOneMoreRowFitsBuffers(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	p := advisorProblem(244, rng)
+	s := lp.NewSolver()
+	sol, err := s.Solve(p)
+	if err != nil || sol.Status != lp.Optimal {
+		t.Fatalf("root solve: %v %v", sol, err)
+	}
+	snap := s.Snapshot()
+	p2 := prependRows(rng, p, sol.X, 1, false)
+	if err := p2.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bytes := func(s *lp.Solver) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if sol, err := s.SolvePrepended(p2, snap); err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("warm solve: %v %v", sol, err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	reused, fresh := bytes(s), bytes(lp.NewSolver())
+	if 4*reused > fresh {
+		t.Errorf("the extended program's solve allocates %d B on the solver that solved the original, %d B on a new one", reused, fresh)
+	}
+	t.Logf("%d B reused, %d B fresh", reused, fresh)
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -34,9 +35,12 @@ const (
 )
 
 // Solver runs two-phase bounded revised simplex solves, retaining every
-// scratch buffer between calls: branch and bound (internal/bip) solves
-// thousands of same-shaped relaxations, and reusing the storage removes
-// all per-solve and per-iteration allocation from that hot path.
+// buffer between calls: branch and bound (internal/bip) solves thousands
+// of same-shaped relaxations. Its buffers grow to fit the largest
+// problem it has solved and the longest eta file it has built; once they
+// have, a solve allocates only its Solution, whose X is the solver's own
+// storage, and a Snapshot only the statuses and basis order it copies.
+// Reset readies a solver for reuse on unrelated problems.
 //
 // The basis inverse is kept in product form as an eta file — a sequence
 // of Gauss-Jordan elimination columns — rather than as a dense matrix.
@@ -84,6 +88,13 @@ type Solver struct {
 	fillMax  int // update fill budget before a forced refactorization
 
 	single []Entry // backing for slack/artificial single-entry columns
+	// asign is the artificial signs of the basis the current solve was
+	// installed from, which install copied into single unchanged; nil when
+	// this solve chose its own (a cold solve, or a load that prepended
+	// rows). Snapshot shares it instead of copying the signs out again.
+	asign []int8
+
+	x []float64 // the point extract reports, Solution.X
 
 	y, w, res []float64 // multiplier/direction/residual scratch
 	rho       []float64 // row r of B⁻¹, for the pivot row
@@ -222,33 +233,44 @@ func (s *SolverStats) Add(o SolverStats) {
 // Stats returns the cumulative work counters for this solver.
 func (s *Solver) Stats() SolverStats { return s.stats }
 
+// Reset zeroes the work counters, drops the factorization marked for
+// reuse and every reference to the last problem solved, and keeps the
+// buffers: a reset solver solves exactly as a new one does, bit for bit
+// and counter for counter, only without growing its storage again.
+// Branch and bound pools its solvers across calls through it.
+func (s *Solver) Reset() {
+	s.stats = SolverStats{}
+	s.loaded = loadMark{basis: s.loaded.basis[:0]}
+	s.asign = nil
+	s.byRow = nil
+	clear(s.entries)
+}
+
 // NewSolver returns an empty solver; its buffers grow to fit the first
 // problem solved and are reused afterwards.
 func NewSolver() *Solver { return &Solver{} }
 
-// growF returns s resized to n, zeroed, reusing capacity when possible.
-func growF(s []float64, n int) []float64 {
+// grow returns s resized to n and zeroed, reusing its storage when it
+// is large enough. New storage has an eighth to spare, so that a solver
+// sized by one program also fits a slightly larger one solved after it:
+// the advisor's phase 2 is its phase 1 with one row more, and a pooled
+// solver carries its buffers from the one to the other.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n, n+n/8)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
-// growI32 returns s resized to n, zeroed, reusing capacity when
-// possible.
-func growI32(s []int32, n int) []int32 {
+// fit is grow for storage whose every element is written before it is
+// read: its contents are left as they were.
+func fit[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n, n+n/8)
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	return s[:n]
 }
 
 // prepare sizes and initializes the solver's state for one problem. It
@@ -258,75 +280,35 @@ func (s *Solver) prepare(p *Problem) {
 	m, n := len(p.rows), len(p.cols)
 	s.m, s.n = m, n
 	total := n + m + m // structural + slack + artificial
-	s.obj = growF(s.obj, total)
-	s.lo = growF(s.lo, total)
-	s.hi = growF(s.hi, total)
-	s.xval = growF(s.xval, total)
-	s.xb = growF(s.xb, m)
-	s.y = growF(s.y, m)
-	s.w = growF(s.w, m)
-	s.res = growF(s.res, m)
-	s.rho = growF(s.rho, m)
-	s.phase1 = growF(s.phase1, total)
-	s.d = growF(s.d, total)
-	s.alpha = growF(s.alpha, total)
+	s.obj = grow(s.obj, total)
+	s.lo = grow(s.lo, total)
+	s.hi = grow(s.hi, total)
+	s.xval = grow(s.xval, total)
+	s.xb = grow(s.xb, m)
+	s.y = grow(s.y, m)
+	s.w = grow(s.w, m)
+	s.res = grow(s.res, m)
+	s.rho = grow(s.rho, m)
+	s.phase1 = grow(s.phase1, total)
+	s.d = grow(s.d, total)
+	s.alpha = grow(s.alpha, total)
 	s.fresh = false
 	s.byRow = p.byRow
-	if cap(s.entries) < total {
-		s.entries = make([][]Entry, total)
-	} else {
-		s.entries = s.entries[:total]
-	}
-	if cap(s.status) < total {
-		s.status = make([]varStatus, total)
-	} else {
-		s.status = s.status[:total]
-		for i := range s.status {
-			s.status[i] = atLower
-		}
-	}
-	if cap(s.basis) < m {
-		s.basis = make([]int, m)
-		s.newBasis = make([]int, m)
-	} else {
-		s.basis = s.basis[:m]
-		s.newBasis = s.newBasis[:m]
-	}
-	if cap(s.isBasic) < total {
-		s.isBasic = make([]bool, total)
-	} else {
-		s.isBasic = s.isBasic[:total]
-	}
-	if cap(s.single) < 2*m {
-		s.single = make([]Entry, 2*m)
-	} else {
-		s.single = s.single[:2*m]
-	}
-	s.rowStart = growI32(s.rowStart, m+1)
-	s.rowFill = growI32(s.rowFill, m)
-	s.colCnt = growI32(s.colCnt, m)
-	s.posRow = growI32(s.posRow, m)
-	s.etaAt = growI32(s.etaAt, m)
-	if cap(s.colDone) < m {
-		s.colDone = make([]bool, m)
-		s.pivoted = make([]bool, m)
-	} else {
-		s.colDone = s.colDone[:m]
-		s.pivoted = s.pivoted[:m]
-	}
-	if words := (m + 63) / 64; cap(s.touched) < words {
-		s.touched = make([]uint64, words)
-	} else {
-		s.touched = s.touched[:words]
-	}
-	if words := (total + 63) / 64; cap(s.reach) < words {
-		s.reach = make([]uint64, words)
-	} else {
-		s.reach = s.reach[:words]
-		for i := range s.reach {
-			s.reach[i] = 0
-		}
-	}
+	s.entries = fit(s.entries, total)
+	s.status = grow(s.status, total) // atLower
+	s.basis = fit(s.basis, m)
+	s.newBasis = fit(s.newBasis, m)
+	s.isBasic = fit(s.isBasic, total)
+	s.single = fit(s.single, 2*m)
+	s.rowStart = grow(s.rowStart, m+1)
+	s.rowFill = grow(s.rowFill, m)
+	s.colCnt = grow(s.colCnt, m)
+	s.posRow = grow(s.posRow, m)
+	s.etaAt = grow(s.etaAt, m)
+	s.colDone = fit(s.colDone, m)
+	s.pivoted = fit(s.pivoted, m)
+	s.touched = fit(s.touched, (m+63)/64)
+	s.reach = grow(s.reach, (total+63)/64)
 	s.fillMax = 16*m + 2048
 	s.pivots, s.degens = 0, 0
 	s.maxIters = 2000 + 40*(m+n)
@@ -389,29 +371,51 @@ func (s *Solver) appendEta(w []float64, r int) int {
 	return nnz
 }
 
-// Solve runs the two-phase bounded revised simplex method on p, reusing
-// the solver's buffers.
-func (s *Solver) Solve(p *Problem) (*Solution, error) {
-	if err := p.Validate(); err != nil {
+// Solve runs the two-phase bounded revised simplex method on p with
+// each of fixes pinning its column, reusing the solver's buffers.
+func (s *Solver) Solve(p *Problem, fixes ...Fix) (*Solution, error) {
+	if err := validate(p, fixes); err != nil {
 		return nil, err
 	}
 	s.stats.Solves++
 	s.stats.ColdSolves++
-	return s.solveCold(p)
+	return s.solveCold(p, fixes)
+}
+
+// validate checks p, and that every fix names one of its columns.
+func validate(p *Problem, fixes []Fix) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	for _, f := range fixes {
+		if f.Col < 0 || f.Col >= len(p.cols) {
+			return fmt.Errorf("lp: fix of col %d of %d", f.Col, len(p.cols))
+		}
+	}
+	return nil
+}
+
+// fix pins each fixed column's bounds at its value, over the problem's.
+func (s *Solver) fix(fixes []Fix) {
+	for _, f := range fixes {
+		s.lo[f.Col], s.hi[f.Col] = f.Val, f.Val
+	}
 }
 
 // solveCold runs the standard two-phase solve from a slack crash basis:
 // every structural starts nonbasic at a finite bound, a row whose
 // activity there already lies within its bounds starts on its slack,
 // and only the rows that point violates start on an artificial.
-func (s *Solver) solveCold(p *Problem) (*Solution, error) {
+func (s *Solver) solveCold(p *Problem, fixes []Fix) (*Solution, error) {
 	s.prepare(p)
+	s.asign = nil
 	m, n := s.m, s.n
 
 	for j, c := range p.cols {
 		s.lo[j], s.hi[j] = c.lo, c.hi
 		s.entries[j] = c.entries
 	}
+	s.fix(fixes)
 	// Slack variable for row i: a·x + s_i = 0 with s_i in [-hi, -lo].
 	for i, r := range p.rows {
 		j := n + i
@@ -510,9 +514,14 @@ func (s *Solver) solveCold(p *Problem) (*Solution, error) {
 	return s.extract(p), nil
 }
 
-// extract reads the optimal point back out of the solver state.
+// extract reads the optimal point back out of the solver state, into
+// the solver's own storage.
 func (s *Solver) extract(p *Problem) *Solution {
-	sol := &Solution{Status: Optimal, X: make([]float64, s.n)}
+	if cap(s.x) < s.n {
+		s.x = make([]float64, s.n)
+	}
+	s.x = s.x[:s.n]
+	sol := &Solution{Status: Optimal, X: s.x}
 	for j := 0; j < s.n; j++ {
 		v := s.xval[j]
 		// Clamp tiny numerical noise back into bounds.
@@ -849,7 +858,7 @@ func (s *Solver) refactor() bool {
 	for i := 0; i < m; i++ {
 		rowStart[i+1] += rowStart[i]
 	}
-	s.rowPos = growI32(s.rowPos, nnz)
+	s.rowPos = grow(s.rowPos, nnz)
 	fill := s.rowFill
 	for i := range fill {
 		fill[i] = 0

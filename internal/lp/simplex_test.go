@@ -289,6 +289,17 @@ func TestValidateErrors(t *testing.T) {
 	if _, err := p3.Solve(); err == nil {
 		t.Error("expected validation error for bad row index")
 	}
+	p4 := lp.NewProblem()
+	p4.AddCol(1, 0, 1)
+	s := lp.NewSolver()
+	for _, col := range []int{-1, 1} {
+		if _, err := s.Solve(p4, lp.Fix{Col: col}); err == nil {
+			t.Errorf("expected validation error for a fix of column %d of 1", col)
+		}
+		if _, err := s.SolveFrom(p4, nil, lp.Fix{Col: col}); err == nil {
+			t.Errorf("expected validation error for a warm fix of column %d of 1", col)
+		}
+	}
 }
 
 func TestEmptyProblem(t *testing.T) {
