@@ -580,7 +580,7 @@ func BenchmarkDualWriteOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	from, err := baselines.Recommend(w, expertPool, cost.Default(), planner.DefaultConfig())
+	from, err := baselines.Recommend(w, expertPool)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func BenchmarkDualWriteOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	to, err := baselines.Recommend(w, normPool, cost.Default(), planner.DefaultConfig())
+	to, err := baselines.Recommend(w, normPool)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -76,9 +76,9 @@ func main() {
 	users := flag.Int("users", 20_000, "RUBiS users (the paper used 200000)")
 	executions := flag.Int("executions", 50, "measured executions per transaction type")
 	factors := flag.Int("factors", 4, "max scale factor for fig13 (the paper used 10; all ten run in seconds, most ending at the -max-nodes limit with the gap fig13 prints)")
-	maxPlans := flag.Int("max-plans", 24, "plan space bound per query for the advisor")
+	maxPlans := flag.Int("max-plans", experiments.DefaultMaxPlans, "plan space bound per query for the advisor")
 	space := flag.Float64("space", 0, "advisor space budget in MB; 0 means unlimited")
-	maxNodes := flag.Int("max-nodes", 500, "branch and bound node budget per solve")
+	maxNodes := flag.Int("max-nodes", experiments.DefaultMaxNodes, "branch and bound node budget per solve")
 	workers := flag.Int("workers", 0, "advisor worker goroutines; 0 means all CPUs (results are identical for every value)")
 	faultRates := flag.String("faults", "", "comma-separated fault rates for the chaos, quorum and crashchaos experiments")
 	seed := flag.Int64("seed", 7, "seed for the chaos, quorum, load, crashchaos, drift and online experiments; the same seed reproduces a table bit for bit")
@@ -207,7 +207,7 @@ func main() {
 	opts = search.Options{
 		Workers:          *workers,
 		Planner:          planner.Config{MaxPlansPerQuery: *maxPlans},
-		MaxSupportPlans:  6,
+		MaxSupportPlans:  experiments.DefaultMaxSupportPlans,
 		SpaceBudgetBytes: *space * 1e6,
 		BIP:              bip.Options{MaxNodes: *maxNodes},
 		Obs:              reg,

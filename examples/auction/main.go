@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	normRec, err := baselines.Recommend(w, normPool, cost.Default(), planner.DefaultConfig())
+	normRec, err := baselines.Recommend(w, normPool)
 	if err != nil {
 		log.Fatal(err)
 	}

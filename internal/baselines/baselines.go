@@ -73,9 +73,10 @@ func Normalized(w *workload.Workload) (*enumerator.Pool, error) {
 // plan over the pool, and every write statement gets maintenance plans
 // (with support queries planned over the same pool). It mirrors what a
 // developer does when implementing a workload against a hand-designed
-// schema.
-func Recommend(w *workload.Workload, pool *enumerator.Pool, m cost.Model, cfg planner.Config) (*search.Recommendation, error) {
-	pl := planner.New(pool, m, cfg)
+// schema. Plans are costed by cost.Default under planner.DefaultConfig,
+// as the advisor's defaults cost them.
+func Recommend(w *workload.Workload, pool *enumerator.Pool) (*search.Recommendation, error) {
+	pl := planner.New(pool, cost.Default(), planner.DefaultConfig())
 	rec := &search.Recommendation{Schema: schema.NewSchema()}
 	for _, x := range pool.Indexes() {
 		rec.Schema.Add(x)

@@ -67,7 +67,7 @@ func getFixture(t *testing.T) *fixtureT {
 			fixErr = err
 			return
 		}
-		normRec, err := baselines.Recommend(w, normPool, cost.Default(), planner.DefaultConfig())
+		normRec, err := baselines.Recommend(w, normPool)
 		if err != nil {
 			fixErr = err
 			return
@@ -77,7 +77,7 @@ func getFixture(t *testing.T) *fixtureT {
 			fixErr = err
 			return
 		}
-		expRec, err := baselines.Recommend(w, expPool, cost.Default(), planner.DefaultConfig())
+		expRec, err := baselines.Recommend(w, expPool)
 		if err != nil {
 			fixErr = err
 			return
@@ -100,7 +100,7 @@ func TestNormalizedCoversRUBiS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestExpertCoversRUBiS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,14 +311,14 @@ var rubisRecommendations = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+		return baselines.Recommend(w, pool)
 	}},
 	{"Expert", func(w *workload.Workload) (*search.Recommendation, error) {
 		pool, err := baselines.ExpertRUBiS(w.Graph)
 		if err != nil {
 			return nil, err
 		}
-		return baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+		return baselines.Recommend(w, pool)
 	}},
 }
 

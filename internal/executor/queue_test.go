@@ -14,8 +14,8 @@ import (
 // simulated instant contend — the first is charged its bare service
 // time, the second additionally waits for the servers to free up.
 func TestCoordinatorChargesQueueDelay(t *testing.T) {
-	_, bare, _, _ := newCluster(t, 3, 3, executor.All, executor.All, executor.HedgePolicy{})
-	repl, coord, _, _ := newCluster(t, 3, 3, executor.All, executor.All, executor.HedgePolicy{})
+	_, bare, _, _ := newCluster(t, 3, 3, executor.All, executor.All, false)
+	repl, coord, _, _ := newCluster(t, 3, 3, executor.All, executor.All, false)
 	q := backend.NewNodeQueues(repl.NodeCount(), 1)
 	coord.SetQueues(q)
 
@@ -66,7 +66,7 @@ func TestCoordinatorChargesQueueDelay(t *testing.T) {
 // queueing forever — while capacity 1 on the same cluster serves them.
 func TestCoordinatorZeroCapacityUnavailable(t *testing.T) {
 	for _, level := range []executor.Consistency{executor.One, executor.Quorum, executor.All} {
-		repl, coord, _, reg := newCluster(t, 3, 3, level, level, executor.HedgePolicy{})
+		repl, coord, _, reg := newCluster(t, 3, 3, level, level, false)
 		q := backend.NewNodeQueues(repl.NodeCount(), 1)
 		coord.SetQueues(q)
 		p := vals(int64(9))

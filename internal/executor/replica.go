@@ -55,17 +55,6 @@ func (c Consistency) String() string {
 	}
 }
 
-// HedgePolicy configures hedged (speculative) reads: when the critical
-// path of a coordinated read exceeds hedgeDelayMillis — a replica stuck in a
-// slow window, typically — the coordinator dispatches the same read to
-// one spare replica and takes whichever answer lands first. Hedging
-// trades a little extra replica load for tail-latency robustness; it
-// never changes results, only timing.
-type HedgePolicy struct {
-	// Enabled turns hedging on.
-	Enabled bool
-}
-
 // hedgeDelayMillis is the simulated latency above which a spare replica
 // is tried: a few multiples of a healthy get's service time under
 // cost.DefaultParams — late enough that healthy reads never hedge,
@@ -91,10 +80,15 @@ type CoordinatorOptions struct {
 	// Read and Write are the consistency levels for coordinated reads
 	// and writes.
 	Read, Write Consistency
-	// Hedge configures speculative reads.
-	Hedge HedgePolicy
+	// Hedge turns on hedged (speculative) reads: when the critical path
+	// of a coordinated read exceeds hedgeDelayMillis — a replica stuck in
+	// a slow window, typically — the coordinator dispatches the same read
+	// to one spare replica and takes whichever answer lands first.
+	// Hedging trades a little extra replica load for tail-latency
+	// robustness; it never changes results, only timing.
+	Hedge bool
 	// Nodes supplies node-level fault domains; nil means a healthy
-	// cluster.
+	// cluster (a nil *faults.Nodes decides every operation healthy).
 	Nodes *faults.Nodes
 	// Crashes arms deterministic crash injection inside the hinted-handoff
 	// and read-repair paths: a crash fires just before a pending hint
@@ -134,7 +128,7 @@ type Coordinator struct {
 	repl    *backend.ReplicatedStore
 	read    Consistency
 	write   Consistency
-	hedge   HedgePolicy
+	hedge   bool
 	nodes   *faults.Nodes
 	crashes *faults.Crashes
 
@@ -258,14 +252,6 @@ func (c *Coordinator) Def(name string) (backend.ColumnFamilyDef, error) {
 	return c.repl.Def(name)
 }
 
-// decide consults the node fault domains; callers hold c.mu.
-func (c *Coordinator) decide(node int, cf, op string) (*faults.Error, float64) {
-	if c.nodes == nil {
-		return nil, 1
-	}
-	return c.nodes.Decide(node, cf, op)
-}
-
 // coordFault builds the coordinator-level error for an operation that
 // could not reach its consistency level. The kind follows the worst
 // replica failure seen: any down replica makes the whole operation
@@ -314,7 +300,7 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 				sawDown = true
 				continue
 			}
-			fe, factor := c.decide(node, name, "get")
+			fe, factor := c.nodes.Decide(node, name, "get")
 			if fe != nil {
 				t += fe.SimMillis
 				if fe.Kind == faults.Unavailable {
@@ -352,12 +338,12 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 
 	// Hedge: if the critical path is slow and a spare replica remains,
 	// race it against the slow slot and keep the faster answer.
-	if c.hedge.Enabled && latency > hedgeDelayMillis && idx < len(replicas) && !c.refused(replicas[idx]) {
+	if c.hedge && latency > hedgeDelayMillis && idx < len(replicas) && !c.refused(replicas[idx]) {
 		node := replicas[idx]
 		idx++
 		c.co.hedges.Inc()
 		c.co.replicaReads.Inc()
-		fe, factor := c.decide(node, name, "get")
+		fe, factor := c.nodes.Decide(node, name, "get")
 		if fe == nil {
 			res, err := c.repl.Node(node).Get(name, req)
 			if err != nil {
@@ -466,7 +452,7 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 			c.co.hintsQueued.Inc()
 			continue
 		}
-		fe, factor := c.decide(node, name, op)
+		fe, factor := c.nodes.Decide(node, name, op)
 		if fe != nil {
 			if fe.Kind == faults.Unavailable {
 				sawDown = true

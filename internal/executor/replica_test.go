@@ -16,7 +16,7 @@ import (
 // coordinator at the given consistency levels, returning both plus the
 // node fault set and the registry the coordinator and the fault set
 // count into.
-func newCluster(t *testing.T, n, rf int, read, write executor.Consistency, hedge executor.HedgePolicy) (*backend.ReplicatedStore, *executor.Coordinator, *faults.Nodes, *obs.Registry) {
+func newCluster(t *testing.T, n, rf int, read, write executor.Consistency, hedge bool) (*backend.ReplicatedStore, *executor.Coordinator, *faults.Nodes, *obs.Registry) {
 	t.Helper()
 	repl := backend.NewReplicatedStore(cost.DefaultParams(), n, rf)
 	err := repl.Create(backend.ColumnFamilyDef{
@@ -75,7 +75,7 @@ func TestHealthyAllMatchesSingleStore(t *testing.T) {
 	if err := single.Create(def); err != nil {
 		t.Fatal(err)
 	}
-	_, coord, _, _ := newCluster(t, 5, 3, executor.All, executor.All, executor.HedgePolicy{})
+	_, coord, _, _ := newCluster(t, 5, 3, executor.All, executor.All, false)
 
 	for i := 0; i < 10; i++ {
 		p := vals(int64(i))
@@ -110,7 +110,7 @@ func TestHealthyAllMatchesSingleStore(t *testing.T) {
 // down replica's failure charged), ALL reports unavailability.
 func TestQuorumSurvivesOneNodeDownAllDoesNot(t *testing.T) {
 	for _, level := range []executor.Consistency{executor.One, executor.Quorum, executor.All} {
-		repl, coord, ns, reg := newCluster(t, 3, 3, level, level, executor.HedgePolicy{})
+		repl, coord, ns, reg := newCluster(t, 3, 3, level, level, false)
 		p := vals(int64(7))
 		if _, err := coord.Put("cf1", p, vals(int64(0)), vals("fresh")); err != nil {
 			t.Fatalf("%v: healthy put: %v", level, err)
@@ -154,7 +154,7 @@ func TestQuorumSurvivesOneNodeDownAllDoesNot(t *testing.T) {
 // (charged) latency": the failed attempt against the down replica
 // charges its waste into the coordinated read that re-dispatches.
 func TestQuorumDownReplicaElevatesLatency(t *testing.T) {
-	repl, coord, ns, _ := newCluster(t, 4, 3, executor.Quorum, executor.Quorum, executor.HedgePolicy{})
+	repl, coord, ns, _ := newCluster(t, 4, 3, executor.Quorum, executor.Quorum, false)
 	p := vals(int64(3))
 	if _, err := coord.Put("cf1", p, vals(int64(0)), vals("v")); err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func TestQuorumDownReplicaElevatesLatency(t *testing.T) {
 // triggers read repair; every read after that is fresh. Stale-read
 // rate therefore falls to zero once the fault window closes.
 func TestHintedHandoffAndReadRepair(t *testing.T) {
-	repl, coord, ns, reg := newCluster(t, 3, 3, executor.One, executor.Quorum, executor.HedgePolicy{})
+	repl, coord, ns, reg := newCluster(t, 3, 3, executor.One, executor.Quorum, false)
 	counter := func(name string) int64 { return executor.RegisteredCounter(t, reg, name) }
 	p := vals(int64(11))
 	if _, err := coord.Put("cf1", p, vals(int64(0)), vals("old")); err != nil {
@@ -263,7 +263,7 @@ func TestHintedHandoffAndReadRepair(t *testing.T) {
 // write contacting a replica with pending hints replays them before
 // applying, so a ONE read of that replica is already fresh.
 func TestHandoffOnWrite(t *testing.T) {
-	repl, coord, ns, reg := newCluster(t, 3, 3, executor.One, executor.Quorum, executor.HedgePolicy{})
+	repl, coord, ns, reg := newCluster(t, 3, 3, executor.One, executor.Quorum, false)
 	p := vals(int64(11))
 	primary := repl.ReplicasFor("cf1", p)[0]
 	if err := ns.MarkDown(primary); err != nil {
@@ -297,9 +297,9 @@ func TestHandoffOnWrite(t *testing.T) {
 // delay plus a healthy replica's time instead of the inflated time.
 func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 	slowFactor := 50.0
-	profile := faults.NodeProfile{SlowFactor: slowFactor}
+	profile := faults.Profile{SlowFactor: slowFactor}
 
-	run := func(hedge executor.HedgePolicy) (float64, *obs.Registry) {
+	run := func(hedge bool) (float64, *obs.Registry) {
 		repl, coord, ns, reg := newCluster(t, 3, 3, executor.One, executor.Quorum, hedge)
 		p := vals(int64(5))
 		if _, err := coord.Put("cf1", p, vals(int64(0)), vals("v")); err != nil {
@@ -319,8 +319,8 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 		return r.SimMillis, reg
 	}
 
-	slow, _ := run(executor.HedgePolicy{})
-	hedged, reg := run(executor.HedgePolicy{Enabled: true})
+	slow, _ := run(false)
+	hedged, reg := run(true)
 	if h, w := executor.RegisteredCounter(t, reg, "coord.hedges"), executor.RegisteredCounter(t, reg, "coord.hedge_wins"); h != 1 || w != 1 {
 		t.Fatalf("%d hedges, %d wins; want 1 and 1", h, w)
 	}
@@ -338,7 +338,7 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 // produce bit-identical charged times and counters.
 func TestCoordinatorDeterminism(t *testing.T) {
 	run := func() ([]float64, map[string]int64) {
-		_, coord, ns, reg := newCluster(t, 5, 3, executor.Quorum, executor.Quorum, executor.HedgePolicy{Enabled: true})
+		_, coord, ns, reg := newCluster(t, 5, 3, executor.Quorum, executor.Quorum, true)
 		ns.SetDefaultProfile(faults.NodeRate(0.2))
 		var times []float64
 		for i := 0; i < 200; i++ {

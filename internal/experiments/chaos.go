@@ -82,7 +82,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			for _, name := range SystemNames {
 				sc := harness.Config{Name: name, Rec: f.recs[name]}
 				if rate > 0 {
-					sc.FamilyWeather = &harness.FamilyWeather{Seed: cfg.Seed, Profile: faults.Rate(rate)}
+					sc.FamilyWeather = &harness.Weather{Seed: cfg.Seed, Profile: faults.Rate(rate)}
 				}
 				sys, err := c.system(sc)
 				if err != nil {

@@ -254,7 +254,7 @@ func chaosInsertParams(base, i int) executor.Params {
 // restarted system must serve. Under that weather serving may end in
 // ErrUnavailable, the degraded outcome, which restart reports as
 // unavailable rather than as an error.
-func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc harness.ReplicationConfig, w harness.NodeWeather,
+func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc harness.ReplicationConfig, w harness.Weather,
 	v *verify.Verifier, durable []byte, pr *search.PhaseRecommendation, ropts harness.RecoverOptions,
 	settle func(*harness.System, *harness.RecoverReport) error) (unavailable bool, err error) {
 	j, recs, err := journal.Open(durable, journal.Options{})
@@ -299,7 +299,7 @@ func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc
 // journal, finishes a resumed migration, and runs the invariant check.
 // The system is named for its run ("clean", "arm=3") and its restart
 // "arm=3 recovered", so each incarnation has its own trace lane name.
-func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w harness.NodeWeather, armAt int64, cell *CrashChaosCell) error {
+func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w harness.Weather, armAt int64, cell *CrashChaosCell) error {
 	v := verify.New()
 	cr := faults.NewCrashes()
 	name := "clean"
@@ -418,7 +418,7 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w har
 // cluster then restarts with a fresh coordinator — hints die with the
 // process — and the verifier checks every acknowledged write is still
 // durable somewhere.
-func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w harness.NodeWeather, site string) (CrashChaosSiteCell, error) {
+func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w harness.Weather, site string) (CrashChaosSiteCell, error) {
 	out := CrashChaosSiteCell{Site: site}
 	rc.Read, rc.Write = executor.Quorum, executor.Quorum
 	v := verify.New()
@@ -529,7 +529,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosResult, error) {
 	for _, rate := range rates {
 		for _, level := range DefaultQuorumLevels {
 			cells++
-			w := harness.NodeWeather{Seed: cfg.Seed + cells, Profile: faults.NodeRate(rate)}
+			w := harness.Weather{Seed: cfg.Seed + cells, Profile: faults.NodeRate(rate)}
 			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, level), func(c *cell) error {
 				rc := repl
 				rc.Read, rc.Write = level, level
@@ -552,7 +552,7 @@ func RunCrashChaos(cfg CrashChaosConfig) (*CrashChaosResult, error) {
 	for _, rate := range rates {
 		for _, site := range []string{faults.SiteHandoff, faults.SiteReadRepair} {
 			cells++
-			w := harness.NodeWeather{Seed: cfg.Seed + cells, Profile: faults.NodeRate(rate)}
+			w := harness.Weather{Seed: cfg.Seed + cells, Profile: faults.NodeRate(rate)}
 			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, site), func(c *cell) error {
 				cell, err := f.siteRun(c, repl, w, site)
 				cell.Rate = rate

@@ -36,6 +36,17 @@ type Fig11Result struct {
 	WeightedSpeedupVsExpert float64
 }
 
+// Advisor defaults of the paper-figure runs, shared by nosebench's
+// -max-plans and -max-nodes flags and the daemon's simulate job.
+const (
+	// DefaultMaxPlans bounds each query's plan space.
+	DefaultMaxPlans = 24
+	// DefaultMaxNodes bounds each branch-and-bound solve.
+	DefaultMaxNodes = 500
+	// DefaultMaxSupportPlans bounds the plans kept per support query.
+	DefaultMaxSupportPlans = 6
+)
+
 // Fig11Config parameterizes the experiment.
 type Fig11Config struct {
 	// RUBiS scales the dataset.

@@ -354,9 +354,9 @@ func (r *onlineRun) system(name string) (*harness.System, error) {
 		sc.Replication = &harness.ReplicationConfig{
 			Read:  executor.Quorum,
 			Write: executor.Quorum,
-			Hedge: executor.HedgePolicy{Enabled: true},
+			Hedge: true,
 		}
-		sc.NodeWeather = &harness.NodeWeather{Seed: r.cfg.Seed, Profile: faults.NodeRate(r.cfg.FaultRate)}
+		sc.NodeWeather = &harness.Weather{Seed: r.cfg.Seed, Profile: faults.NodeRate(r.cfg.FaultRate)}
 	}
 	return r.c.system(sc)
 }

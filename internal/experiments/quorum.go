@@ -95,10 +95,10 @@ func RunQuorum(cfg QuorumConfig) (*QuorumResult, error) {
 			// each other and any one cell reproduces in isolation.
 			err := sw.cell(fmt.Sprintf("rate=%g %s", rate, level), func(c *cell) error {
 				rc := repl
-				rc.Read, rc.Write, rc.Hedge = level, level, executor.HedgePolicy{Enabled: true}
+				rc.Read, rc.Write, rc.Hedge = level, level, true
 				sys, err := c.system(harness.Config{
 					Name: "NoSE", Rec: f.recs["NoSE"], Replication: &rc,
-					NodeWeather: &harness.NodeWeather{Seed: cfg.Seed, Profile: faults.NodeRate(rate)},
+					NodeWeather: &harness.Weather{Seed: cfg.Seed, Profile: faults.NodeRate(rate)},
 				})
 				if err != nil {
 					return err

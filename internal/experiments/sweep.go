@@ -55,7 +55,6 @@ import (
 	"nose/internal/harness"
 	"nose/internal/load"
 	"nose/internal/obs"
-	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/schema"
 	"nose/internal/search"
@@ -257,7 +256,7 @@ func (f *fixture) advise(mix string) error {
 	if err != nil {
 		return err
 	}
-	norm, err := baselines.Recommend(f.w, normPool, cost.Default(), planner.DefaultConfig())
+	norm, err := baselines.Recommend(f.w, normPool)
 	if err != nil {
 		return err
 	}
@@ -265,7 +264,7 @@ func (f *fixture) advise(mix string) error {
 	if err != nil {
 		return err
 	}
-	exp, err := baselines.Recommend(f.w, expPool, cost.Default(), planner.DefaultConfig())
+	exp, err := baselines.Recommend(f.w, expPool)
 	if err != nil {
 		return err
 	}

@@ -1,18 +1,19 @@
 // Package faults injects deterministic, seeded failures into a
 // simulated record store. The target systems of the paper — Cassandra
 // and its relatives — routinely surface transient replica errors,
-// coordinator timeouts, and temporarily unavailable partitions; the
-// injector reproduces those conditions on top of any backend.KVBackend
-// so the harness can measure how gracefully a recommended schema
-// degrades.
+// coordinator timeouts, temporarily unavailable partitions and slow
+// machines; this package reproduces those conditions so the harness can
+// measure how gracefully a recommended schema degrades.
 //
-// Every column family gets its own random stream seeded from the
-// injector seed and the family name, and exactly one draw is consumed
-// per operation, so a fixed seed and operation sequence always yields
-// the same faults. Faults are classified by Kind: transient errors and
-// timeouts are worth retrying, while an unavailable column family stays
-// down for a window of operations and calls for plan-level failover
-// instead.
+// There is one fault model: a fault domain with its own seeded random
+// stream, drawing once per healthy operation against one Profile. Two
+// front ends key domains differently. Injector wraps any
+// backend.KVBackend and makes each column family a domain; Nodes makes
+// each node of a replicated store one. A fixed seed and operation
+// sequence always yields the same faults. Faults are classified by
+// Kind: transient errors and timeouts are worth retrying, while an
+// unavailable domain stays down for a window of operations and calls
+// for plan-level failover instead.
 package faults
 
 import (
@@ -114,29 +115,39 @@ func SimCost(err error) float64 {
 	return 0
 }
 
-// Profile describes the fault behavior of one column family. Rates are
-// per-operation probabilities and must sum to at most 1.
+// Profile describes the fault behavior of one fault domain, a column
+// family or a node. Rates are per-operation probabilities and must sum
+// to at most 1. One draw per healthy operation falls into the
+// transient, timeout, down-window and slow-window bands in that order,
+// or into none.
 type Profile struct {
-	// TransientRate is the probability of a transient replica error.
+	// TransientRate is the probability of a transient error.
 	TransientRate float64
 	// TimeoutRate is the probability of a request timeout.
 	TimeoutRate float64
-	// UnavailableRate is the probability that an operation opens an
-	// unavailability window covering the next UnavailableOps operations
-	// against the family.
-	UnavailableRate float64
-	// UnavailableOps is the window length in operations; zero means
-	// DefaultUnavailableOps.
-	UnavailableOps int
-	// LatencyFactor multiplies the service time of successful
-	// operations (latency inflation for a degraded but serving family);
-	// zero or one means no inflation.
-	LatencyFactor float64
+	// DownRate is the probability an operation opens a down window
+	// covering the next DownOps operations against the domain.
+	DownRate float64
+	// DownOps is the down-window length in operations; zero means
+	// DefaultDownOps.
+	DownOps int
+	// SlowRate is the probability an operation opens a slow window
+	// covering the next SlowOps operations against the domain.
+	SlowRate float64
+	// SlowOps is the slow-window length in operations; zero means
+	// DefaultSlowOps.
+	SlowOps int
+	// SlowFactor multiplies service times inside a slow window; zero
+	// means DefaultSlowFactor.
+	SlowFactor float64
 }
 
-// DefaultUnavailableOps is the unavailability window length a profile
-// gets when it names none.
-const DefaultUnavailableOps = 25
+// Default window tuning, in operations and service-time multiples.
+const (
+	DefaultDownOps    = 40
+	DefaultSlowOps    = 40
+	DefaultSlowFactor = 8.0
+)
 
 // Simulated time a failed attempt wastes, in the same abstract
 // milliseconds as cost.Params: a timeout runs the full client timeout;
@@ -149,52 +160,169 @@ const (
 
 // normalized fills profile defaults.
 func (p Profile) normalized() Profile {
-	if p.UnavailableOps <= 0 {
-		p.UnavailableOps = DefaultUnavailableOps
+	if p.DownOps <= 0 {
+		p.DownOps = DefaultDownOps
 	}
-	if p.LatencyFactor <= 0 {
-		p.LatencyFactor = 1
+	if p.SlowOps <= 0 {
+		p.SlowOps = DefaultSlowOps
+	}
+	if p.SlowFactor <= 0 {
+		p.SlowFactor = DefaultSlowFactor
 	}
 	return p
 }
 
-// Rate builds a mixed profile from one overall fault rate: mostly
-// transient errors, some timeouts, and a small chance of opening an
-// unavailability window — the blend a flaky replica set produces.
+// Rate builds a column family's profile from one overall fault rate:
+// mostly transient errors, some timeouts, and a small chance of a
+// 25-operation down window — the blend a flaky replica set produces.
 func Rate(rate float64) Profile {
 	return Profile{
-		TransientRate:   0.7 * rate,
-		TimeoutRate:     0.2 * rate,
-		UnavailableRate: 0.1 * rate,
+		TransientRate: 0.7 * rate,
+		TimeoutRate:   0.2 * rate,
+		DownRate:      0.1 * rate,
+		DownOps:       25,
 	}
 }
 
-// cfState is the per-column-family fault state.
-type cfState struct {
-	rng        *rand.Rand
-	profile    Profile
-	hasProfile bool
-	ops        int64
-	downUntil  int64 // ops counter below which the family is unavailable
-	manualDown bool
+// NodeRate builds a node's profile from one overall fault rate: mostly
+// transient errors, some slow windows, and a small chance of a down
+// window — the blend a degrading cluster produces.
+func NodeRate(rate float64) Profile {
+	return Profile{
+		TransientRate: 0.6 * rate,
+		SlowRate:      0.3 * rate,
+		DownRate:      0.1 * rate,
+	}
 }
 
-// Injector wraps a KVBackend, injecting faults per column family.
-// It is safe for concurrent use.
-type Injector struct {
-	inner backend.KVBackend
+// outcome is what one decision did in a domain. Each front end maps
+// outcomes to its own counters.
+type outcome int
 
-	mu     sync.Mutex
-	seed   int64
-	def    Profile
-	states map[string]*cfState
-	fo     faultObs
+const (
+	healthy    outcome = iota
+	rejected           // inside a down window, or marked down
+	transient          // the transient band
+	timedOut           // the timeout band
+	downOpened         // the down-window band: this operation fails too
+	slowOpened         // the slow-window band: this operation is slow too
+	outcomes
+)
+
+// fault is the error an outcome surfaces, nil for a success.
+func (o outcome) fault(cf, op string, node int) *Error {
+	kind, ms := Unavailable, transientMillis
+	switch o {
+	case healthy, slowOpened:
+		return nil
+	case transient:
+		kind = Transient
+	case timedOut:
+		kind, ms = Timeout, timeoutMillis
+	}
+	return &Error{Kind: kind, CF: cf, Op: op, Node: node, SimMillis: ms}
 }
 
-// faultObs holds the injector's instruments — its only counters. They
+// domain is one fault domain's state.
+type domain struct {
+	rng       *rand.Rand
+	profile   *Profile // nil means the front end's default
+	ops       int64
+	downUntil int64 // ops counter up to which the domain is down
+	slowUntil int64 // ops counter up to which the domain is slow
+	down      bool  // marked down
+}
+
+// newDomain starts a domain on its own seeded stream.
+func newDomain(seed int64) *domain {
+	return &domain{rng: rand.New(rand.NewSource(seed))}
+}
+
+// decide counts one operation against the domain and returns its
+// outcome and the latency factor for a success. It draws exactly once
+// unless the domain is down, and the bands are a prefix-sum split of
+// that draw, so the stream stays deterministic whichever band fires.
+func (d *domain) decide(def *Profile) (outcome, float64) {
+	p := def
+	if d.profile != nil {
+		p = d.profile
+	}
+	d.ops++
+	if d.down || d.ops <= d.downUntil {
+		return rejected, 1
+	}
+	factor := 1.0
+	if d.ops <= d.slowUntil {
+		factor = p.SlowFactor
+	}
+	r := d.rng.Float64()
+	switch {
+	case r < p.TransientRate:
+		return transient, 1
+	case r < p.TransientRate+p.TimeoutRate:
+		return timedOut, 1
+	case r < p.TransientRate+p.TimeoutRate+p.DownRate:
+		d.downUntil = d.ops + int64(p.DownOps)
+		return downOpened, 1
+	case r < p.TransientRate+p.TimeoutRate+p.DownRate+p.SlowRate:
+		d.slowUntil = d.ops + int64(p.SlowOps)
+		return slowOpened, p.SlowFactor
+	}
+	return healthy, factor
+}
+
+// setProfile gives d a profile of its own; callers hold the lock.
+func (d *domain) setProfile(p Profile) {
+	p = p.normalized()
+	d.profile = &p
+}
+
+// markDown and markUp set and clear a mark-down, markUp closing any open
+// down window too; callers hold the lock.
+func (d *domain) markDown() { d.down = true }
+
+func (d *domain) markUp() {
+	d.down = false
+	d.downUntil = 0
+}
+
+// model is what both front ends share: the lock over their domains, the
+// default profile, and the counters each outcome bumps. The counters
 // start as nil no-op handles; SetObs binds them to a registry.
-type faultObs struct {
-	ops, transients, timeouts, unavailables *obs.Counter
+type model struct {
+	mu     sync.Mutex
+	def    Profile
+	ops    *obs.Counter
+	counts [outcomes][]*obs.Counter
+}
+
+// SetDefaultProfile applies a profile to every domain without an
+// explicit one.
+func (m *model) SetDefaultProfile(p Profile) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.def = p.normalized()
+}
+
+// step decides one operation in d and counts it; callers hold m.mu.
+// A fault's latency factor is 1.
+func (m *model) step(d *domain, cf, op string, node int) (*Error, float64) {
+	m.ops.Inc()
+	o, factor := d.decide(&m.def)
+	for _, c := range m.counts[o] {
+		c.Inc()
+	}
+	return o.fault(cf, op, node), factor
+}
+
+// Injector wraps a KVBackend and makes every column family a fault
+// domain, its stream seeded from the injector seed and the family name
+// on first use. It is safe for concurrent use.
+type Injector struct {
+	model
+	inner   backend.KVBackend
+	seed    int64
+	domains map[string]*domain
 }
 
 // SetObs routes the injector's fault counters into a registry:
@@ -204,11 +332,13 @@ type faultObs struct {
 func (i *Injector) SetObs(r *obs.Registry) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.fo = faultObs{
-		ops:          r.Counter("faults.ops"),
-		transients:   r.Counter("faults.transients"),
-		timeouts:     r.Counter("faults.timeouts"),
-		unavailables: r.Counter("faults.unavailables"),
+	un := r.Counter("faults.unavailables")
+	i.ops = r.Counter("faults.ops")
+	i.counts = [outcomes][]*obs.Counter{
+		transient:  {r.Counter("faults.transients")},
+		timedOut:   {r.Counter("faults.timeouts")},
+		rejected:   {un},
+		downOpened: {un},
 	}
 }
 
@@ -216,92 +346,49 @@ func (i *Injector) SetObs(r *obs.Registry) {
 // the injector is transparent: every operation passes through with its
 // service time unchanged.
 func New(inner backend.KVBackend, seed int64) *Injector {
-	return &Injector{inner: inner, seed: seed, states: map[string]*cfState{}}
-}
-
-// SetDefaultProfile applies a profile to every column family without an
-// explicit one.
-func (i *Injector) SetDefaultProfile(p Profile) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.def = p.normalized()
+	return &Injector{inner: inner, seed: seed, domains: map[string]*domain{}}
 }
 
 // SetProfile applies a profile to one column family. Production
 // declares weather once through harness.Config (SetDefaultProfile); the
 // failover tests degrade a single family.
 func (i *Injector) SetProfile(cf string, p Profile) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	st := i.state(cf)
-	st.profile = p.normalized()
-	st.hasProfile = true
+	i.with(cf, func(d *domain) { d.setProfile(p) })
 }
 
 // MarkDown makes every operation against the column family fail
 // Unavailable until MarkUp.
-func (i *Injector) MarkDown(cf string) {
+func (i *Injector) MarkDown(cf string) { i.with(cf, (*domain).markDown) }
+
+// MarkUp clears a MarkDown and any open down window.
+func (i *Injector) MarkUp(cf string) { i.with(cf, (*domain).markUp) }
+
+// with applies f to a family's domain under the lock.
+func (i *Injector) with(cf string, f func(*domain)) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.state(cf).manualDown = true
+	f(i.domain(cf))
 }
 
-// MarkUp clears a MarkDown and any open unavailability window.
-func (i *Injector) MarkUp(cf string) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	st := i.state(cf)
-	st.manualDown = false
-	st.downUntil = 0
-}
-
-// state returns (creating if needed) the per-family state; callers hold
+// domain returns (creating if needed) the family's domain; callers hold
 // i.mu.
-func (i *Injector) state(cf string) *cfState {
-	st := i.states[cf]
-	if st == nil {
+func (i *Injector) domain(cf string) *domain {
+	d := i.domains[cf]
+	if d == nil {
 		h := fnv.New64a()
 		h.Write([]byte(cf))
-		st = &cfState{rng: rand.New(rand.NewSource(i.seed ^ int64(h.Sum64())))}
-		i.states[cf] = st
+		d = newDomain(i.seed ^ int64(h.Sum64()))
+		i.domains[cf] = d
 	}
-	return st
+	return d
 }
 
-// decide consumes exactly one random draw for the operation and returns
-// the injected fault, if any, plus the latency factor for a success.
+// decide decides one operation against a family: the injected fault, if
+// any, plus the latency factor for a success.
 func (i *Injector) decide(cf, op string) (*Error, float64) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	st := i.state(cf)
-	p := st.profile
-	if !st.hasProfile {
-		p = i.def
-	}
-	p = p.normalized()
-	st.ops++
-	i.fo.ops.Inc()
-
-	if st.manualDown || st.ops <= st.downUntil {
-		i.fo.unavailables.Inc()
-		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: -1, SimMillis: transientMillis}, 1
-	}
-	// One draw per operation, partitioned into fault bands, keeps the
-	// stream deterministic regardless of which band fires.
-	r := st.rng.Float64()
-	switch {
-	case r < p.TransientRate:
-		i.fo.transients.Inc()
-		return &Error{Kind: Transient, CF: cf, Op: op, Node: -1, SimMillis: transientMillis}, 1
-	case r < p.TransientRate+p.TimeoutRate:
-		i.fo.timeouts.Inc()
-		return &Error{Kind: Timeout, CF: cf, Op: op, Node: -1, SimMillis: timeoutMillis}, 1
-	case r < p.TransientRate+p.TimeoutRate+p.UnavailableRate:
-		st.downUntil = st.ops + int64(p.UnavailableOps)
-		i.fo.unavailables.Inc()
-		return &Error{Kind: Unavailable, CF: cf, Op: op, Node: -1, SimMillis: transientMillis}, 1
-	}
-	return nil, p.LatencyFactor
+	return i.step(i.domain(cf), cf, op, -1)
 }
 
 // Def passes through: definitions are client-side metadata, not a

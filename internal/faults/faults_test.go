@@ -162,7 +162,7 @@ func TestMarkDownAndWindow(t *testing.T) {
 	// configured number of operations, then the family recovers.
 	s2 := newTestStore(t)
 	inj2 := faults.New(s2, 7)
-	inj2.SetProfile("cf", faults.Profile{UnavailableRate: 1, UnavailableOps: 3})
+	inj2.SetProfile("cf", faults.Profile{DownRate: 1, DownOps: 3})
 	if _, err := inj2.Get("cf", backend.GetRequest{Partition: []backend.Value{int64(1)}}); err == nil {
 		t.Fatal("window-opening op should fail")
 	}
@@ -188,13 +188,24 @@ func TestLatencyInflation(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := faults.New(s, 1)
-	inj.SetProfile("cf", faults.Profile{LatencyFactor: 3})
+	inj.SetProfile("cf", faults.Profile{SlowRate: 1, SlowOps: 1, SlowFactor: 3})
 	res, err := get(inj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.SimMillis != 3*direct.SimMillis {
 		t.Errorf("inflated sim %v, want %v", res.SimMillis, 3*direct.SimMillis)
+	}
+	// The window covers one more operation, then the family recovers.
+	inj.SetProfile("cf", faults.Profile{SlowFactor: 3})
+	for i, want := range []float64{3, 1} {
+		res, err := get(inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SimMillis != want*direct.SimMillis {
+			t.Errorf("op %d after the opening one: sim %v, want %v", i, res.SimMillis, want*direct.SimMillis)
+		}
 	}
 }
 

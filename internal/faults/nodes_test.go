@@ -15,7 +15,7 @@ type nodeOutcome struct {
 	factor float64
 }
 
-func driveNodes(seed int64, n int, p faults.NodeProfile, ops int) ([]nodeOutcome, map[string]int64) {
+func driveNodes(seed int64, n int, p faults.Profile, ops int) ([]nodeOutcome, map[string]int64) {
 	ns, reg := newNodes(seed, n)
 	ns.SetDefaultProfile(p)
 	var trace []nodeOutcome
@@ -103,7 +103,7 @@ func TestNodesMarkDownUp(t *testing.T) {
 // DownOps ops and then recovers on its own.
 func TestNodesDownWindow(t *testing.T) {
 	ns, reg := newNodes(1, 1)
-	ns.SetProfile(0, faults.NodeProfile{DownRate: 1, DownOps: 3})
+	ns.SetProfile(0, faults.Profile{DownRate: 1, DownOps: 3})
 	ferr, _ := ns.Decide(0, "cf", "get")
 	if ferr == nil || ferr.Kind != faults.Unavailable {
 		t.Fatalf("first op should open the down window, got %v", ferr)
@@ -118,7 +118,7 @@ func TestNodesDownWindow(t *testing.T) {
 	}
 	// The window has elapsed; with DownRate=1 the next healthy draw
 	// opens a new one — so assert via a zero-rate profile instead.
-	ns.SetProfile(0, faults.NodeProfile{})
+	ns.SetProfile(0, faults.Profile{})
 	if ferr, _ := ns.Decide(0, "cf", "get"); ferr != nil {
 		t.Fatalf("node did not recover after the window: %v", ferr)
 	}
@@ -127,11 +127,11 @@ func TestNodesDownWindow(t *testing.T) {
 // TestNodesSlowWindow pins slow-window latency inflation.
 func TestNodesSlowWindow(t *testing.T) {
 	ns, reg := newNodes(1, 1)
-	ns.SetProfile(0, faults.NodeProfile{SlowRate: 1, SlowOps: 2, SlowFactor: 4})
+	ns.SetProfile(0, faults.Profile{SlowRate: 1, SlowOps: 2, SlowFactor: 4})
 	if ferr, factor := ns.Decide(0, "cf", "get"); ferr != nil || factor != 4 {
 		t.Fatalf("opening op: fault %v factor %v, want nil and 4", ferr, factor)
 	}
-	ns.SetProfile(0, faults.NodeProfile{SlowFactor: 4})
+	ns.SetProfile(0, faults.Profile{SlowFactor: 4})
 	for i := 0; i < 2; i++ {
 		if ferr, factor := ns.Decide(0, "cf", "get"); ferr != nil || factor != 4 {
 			t.Fatalf("op %d inside the slow window: fault %v factor %v", i, ferr, factor)
@@ -147,10 +147,10 @@ func TestNodesSlowWindow(t *testing.T) {
 
 func TestNodesFlaky(t *testing.T) {
 	ns, reg := newNodes(1, 1)
-	ns.SetProfile(0, faults.NodeProfile{FlakyRate: 1})
+	ns.SetProfile(0, faults.Profile{TransientRate: 1})
 	ferr, _ := ns.Decide(0, "cf", "put")
 	if ferr == nil || ferr.Kind != faults.Transient {
-		t.Fatalf("FlakyRate=1 returned %v, want Transient", ferr)
+		t.Fatalf("TransientRate=1 returned %v, want Transient", ferr)
 	}
 	if ferr.SimMillis <= 0 {
 		t.Error("flaky fault should waste simulated time")
@@ -165,11 +165,11 @@ func TestNodesFlaky(t *testing.T) {
 
 func TestNodeRateBands(t *testing.T) {
 	p := faults.NodeRate(0.1)
-	total := p.FlakyRate + p.SlowRate + p.DownRate
+	total := p.TransientRate + p.SlowRate + p.DownRate
 	if total <= 0.0999 || total >= 0.1001 {
 		t.Errorf("NodeRate(0.1) bands sum to %v, want 0.1", total)
 	}
-	if p.FlakyRate <= p.SlowRate || p.SlowRate <= p.DownRate {
-		t.Errorf("NodeRate ordering wrong: %+v (want flaky > slow > down)", p)
+	if p.TransientRate <= p.SlowRate || p.SlowRate <= p.DownRate {
+		t.Errorf("NodeRate ordering wrong: %+v (want transient > slow > down)", p)
 	}
 }

@@ -101,7 +101,7 @@ func injectorDecisions(t *testing.T, seed int64, p faults.Profile, n int) string
 
 // nodeDecisions drives n decisions round-robin over a node set whose
 // default profile is p.
-func nodeDecisions(seed int64, nodes int, p faults.NodeProfile, n int) string {
+func nodeDecisions(seed int64, nodes int, p faults.Profile, n int) string {
 	ns := faults.NewNodes(seed, nodes)
 	ns.SetDefaultProfile(p)
 	return decisions(n, func(i int) (*faults.Error, float64) {
@@ -120,9 +120,9 @@ func TestFaultStreamsPinned(t *testing.T) {
 	}{
 		{"injector Rate(0.3) seed 42", injectorDecisions(t, 42, faults.Rate(0.3), 400), pinInjectorRate},
 		{"nodes NodeRate(0.3) seed 7", nodeDecisions(7, 5, faults.NodeRate(0.3), 400), pinNodesRate},
-		{"injector down window 3", injectorDecisions(t, 3, faults.Profile{TransientRate: 0.1, UnavailableRate: 0.1, UnavailableOps: 3}, 400), pinInjectorDown},
-		{"nodes down window 3", nodeDecisions(3, 2, faults.NodeProfile{FlakyRate: 0.1, DownRate: 0.1, DownOps: 3}, 400), pinNodesDown},
-		{"nodes slow window 2 x4", nodeDecisions(3, 2, faults.NodeProfile{FlakyRate: 0.1, SlowRate: 0.1, SlowOps: 2, SlowFactor: 4}, 400), pinNodesSlow},
+		{"injector down window 3", injectorDecisions(t, 3, faults.Profile{TransientRate: 0.1, DownRate: 0.1, DownOps: 3}, 400), pinInjectorDown},
+		{"nodes down window 3", nodeDecisions(3, 2, faults.Profile{TransientRate: 0.1, DownRate: 0.1, DownOps: 3}, 400), pinNodesDown},
+		{"nodes slow window 2 x4", nodeDecisions(3, 2, faults.Profile{TransientRate: 0.1, SlowRate: 0.1, SlowOps: 2, SlowFactor: 4}, 400), pinNodesSlow},
 	}
 	for _, c := range cases {
 		if want := strings.Join(strings.Fields(c.want), " "); c.got != want {

@@ -57,11 +57,11 @@ type Config struct {
 	// FamilyWeather injects seeded faults per column family above the
 	// store or coordinator; nil means none. Faults returns the injector
 	// for per-family profiles and down marks.
-	FamilyWeather *FamilyWeather
+	FamilyWeather *Weather
 	// NodeWeather injects seeded faults per node inside the coordinator;
-	// nil means a healthy cluster. Requires Replication. NodeFaults
-	// returns the fault set for per-node profiles and down marks.
-	NodeWeather *NodeWeather
+	// nil means a healthy cluster. Requires Replication. MarkNodeDown
+	// and MarkNodeUp take a node out and back.
+	NodeWeather *Weather
 
 	// Verifier is the invariant oracle VerifyCheck runs. Its tap sees
 	// every acknowledged write. Crash experiments pass the same verifier
@@ -80,20 +80,13 @@ type Config struct {
 	Crashes *faults.Crashes
 }
 
-// FamilyWeather is a seeded per-column-family fault stream.
-type FamilyWeather struct {
+// Weather is a seeded fault stream per fault domain: per column family
+// as Config.FamilyWeather, per node as Config.NodeWeather.
+type Weather struct {
 	Seed int64
-	// Profile applies to every family without a profile of its own; the
-	// zero profile is transparent until a family is marked down.
+	// Profile applies to every domain without a profile of its own; the
+	// zero profile is healthy until a domain is marked down.
 	Profile faults.Profile
-}
-
-// NodeWeather is a seeded per-node fault stream.
-type NodeWeather struct {
-	Seed int64
-	// Profile applies to every node without a profile of its own; the
-	// zero profile is healthy until a node is marked down.
-	Profile faults.NodeProfile
 }
 
 // ReplicationConfig shapes a replicated system: cluster size,
@@ -107,8 +100,8 @@ type ReplicationConfig struct {
 	RF int
 	// Read and Write are the coordinator's consistency levels.
 	Read, Write executor.Consistency
-	// Hedge configures speculative reads.
-	Hedge executor.HedgePolicy
+	// Hedge turns on the coordinator's hedged reads.
+	Hedge bool
 }
 
 // Default replication shape: a small cluster with the RF the paper's
@@ -179,7 +172,6 @@ func New(cfg Config) (*System, error) {
 		Repl:     cfg.Repl,
 		jr:       cfg.Journal,
 		verifier: cfg.Verifier,
-		down:     map[string]bool{},
 		reg:      reg,
 		robust:   newRobustCounters(reg),
 	}
@@ -268,5 +260,6 @@ func NewReplicatedSystem(name string, ds *backend.Dataset, rec *search.Recommend
 
 // Faults returns the per-family fault injector Config.FamilyWeather
 // declared, or nil. Production never reaches past the System for it;
-// the failover tests do, to degrade one family or mark it down.
+// the failover tests do, to degrade one family or mark it down: a
+// family is down exactly where its injector says so.
 func (s *System) Faults() *faults.Injector { return s.inj }

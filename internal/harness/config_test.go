@@ -38,8 +38,8 @@ func TestConfigPutsEveryLayerInThePath(t *testing.T) {
 		sys := f.system(t, harness.Config{
 			Name:          "repl",
 			Replication:   &harness.ReplicationConfig{Read: executor.Quorum, Write: executor.Quorum},
-			NodeWeather:   &harness.NodeWeather{Seed: 11, Profile: faults.NodeRate(0.15)},
-			FamilyWeather: &harness.FamilyWeather{Seed: 7, Profile: faults.Rate(0.3)},
+			NodeWeather:   &harness.Weather{Seed: 11, Profile: faults.NodeRate(0.15)},
+			FamilyWeather: &harness.Weather{Seed: 7, Profile: faults.Rate(0.3)},
 			Verifier:      verify.New(),
 		})
 		var out outcome
@@ -101,7 +101,7 @@ func TestBackfillCrossesTheDeclaredStack(t *testing.T) {
 		}
 		total := int64(ctrl.Progress().TotalRecords)
 		if down {
-			sys.MarkDown(ctrl.Building()[0])
+			sys.Faults().MarkDown(ctrl.Building()[0])
 		}
 		st, err := sys.DrainLiveMigration(0)
 		ops := counter(t, sys, "faults.ops")
@@ -142,7 +142,7 @@ func TestNewRejectsContradictoryConfigs(t *testing.T) {
 		want string
 	}{
 		{"node weather without replication",
-			harness.Config{Rec: f.rec, Dataset: f.ds, NodeWeather: &harness.NodeWeather{Seed: 1}},
+			harness.Config{Rec: f.rec, Dataset: f.ds, NodeWeather: &harness.Weather{Seed: 1}},
 			"node weather without Replication"},
 		{"surviving cluster without replication",
 			harness.Config{Rec: f.rec, Repl: backend.NewReplicatedStore(lat, 3, 2)},
@@ -194,7 +194,7 @@ func TestRestartOverSurvivingCluster(t *testing.T) {
 	f := newReplFixture(t)
 	quorum := &harness.ReplicationConfig{Read: executor.Quorum, Write: executor.Quorum}
 	crashed := f.system(t, harness.Config{
-		Name: "crashed", Replication: quorum, NodeWeather: &harness.NodeWeather{Seed: 1},
+		Name: "crashed", Replication: quorum, NodeWeather: &harness.Weather{Seed: 1},
 	})
 	cf, replicas := queryReplicas(t, crashed, f.rec)
 	if err := crashed.MarkNodeDown(replicas[0]); err != nil {

@@ -70,7 +70,7 @@ func newRedundantFixture(t *testing.T, declare ...func(*harness.Config)) *redund
 		}
 	}
 
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +123,14 @@ func TestFailoverPlansReturnIdenticalRows(t *testing.T) {
 }
 
 func TestMarkDownFailsOverToSurvivingPlan(t *testing.T) {
-	f := newRedundantFixture(t)
+	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
 	ms, err := f.sys.ExecStatement(f.query, f.params)
 	if err != nil || ms <= 0 {
 		t.Fatalf("healthy execution: ms=%v err=%v", ms, err)
 	}
 
 	primary := planCF(t, f.plans[0])
-	f.sys.MarkDown(primary)
+	f.sys.Faults().MarkDown(primary)
 	ms, err = f.sys.ExecStatement(f.query, f.params)
 	if err != nil {
 		t.Fatalf("failover execution: %v", err)
@@ -147,7 +147,7 @@ func TestMarkDownFailsOverToSurvivingPlan(t *testing.T) {
 
 	// Recovery: marking the family back up restores the primary plan
 	// path and stops accumulating failovers.
-	f.sys.MarkUp(primary)
+	f.sys.Faults().MarkUp(primary)
 	before := counter(t, f.sys, "harness.failovers")
 	if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
 		t.Fatal(err)
@@ -158,10 +158,10 @@ func TestMarkDownFailsOverToSurvivingPlan(t *testing.T) {
 }
 
 func TestAllPlansDownYieldsErrUnavailable(t *testing.T) {
-	f := newRedundantFixture(t)
+	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
 	for _, p := range f.plans {
 		for _, x := range p.Indexes() {
-			f.sys.MarkDown(x.Name)
+			f.sys.Faults().MarkDown(x.Name)
 		}
 	}
 	_, err := f.sys.ExecStatement(f.query, f.params)
@@ -252,7 +252,7 @@ func TestNewSystemSurfacesInstallErrors(t *testing.T) {
 		[]*model.Attribute{u.Key()}, nil, []*model.Attribute{name, email})); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 		[]*model.Attribute{u.Key()}, nil, []*model.Attribute{u.Attribute("UserName")})); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 	}
 	sys, err := harness.New(harness.Config{
 		Name: "writes", Rec: rec, Latency: cost.DefaultParams(), Dataset: ds,
-		FamilyWeather: &harness.FamilyWeather{Seed: 1},
+		FamilyWeather: &harness.Weather{Seed: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 		t.Fatalf("healthy write: %v", err)
 	}
 
-	sys.MarkDown(rec.Schema.Indexes()[0].Name)
+	sys.Faults().MarkDown(rec.Schema.Indexes()[0].Name)
 	_, err = sys.ExecStatement(ins, executor.Params{"id": int64(3), "name": "p"})
 	if !errors.Is(err, harness.ErrUnavailable) {
 		t.Fatalf("write to down family: err = %v, want ErrUnavailable", err)

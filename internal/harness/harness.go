@@ -7,9 +7,10 @@
 //
 // A System also implements graceful degradation: it keeps every
 // query's ranked alternative plans (the planner retains up to
-// MaxPlansPerQuery of them), and when a column family is down — marked
-// explicitly with MarkDown or discovered through injected faults — it
-// fails over to the cheapest surviving plan that avoids the family.
+// MaxPlansPerQuery of them), and when a plan attempt dies on a column
+// family that is down — inside an injected down window, or marked down
+// through Faults — it fails over to the cheapest surviving plan that
+// avoids the family.
 // Statements with no surviving plan fail with ErrUnavailable rather
 // than an opaque error, and every retry, failover and unavailability is
 // counted in the system's registry (see Obs).
@@ -98,7 +99,6 @@ type System struct {
 	det  atomic.Pointer[drift.Detector]
 
 	mu         sync.Mutex
-	down       map[string]bool
 	pendingMix map[string]float64
 	robust     robustCounters
 
@@ -362,45 +362,6 @@ func (s *System) MarkNodeUp(node int) error {
 	return s.nodeInj.MarkUp(node)
 }
 
-// MarkDown takes a column family out of service: query plans touching
-// it are skipped in favor of surviving alternatives, and (when faults
-// are enabled) operations against it fail Unavailable. Production
-// outages come from declared weather; MarkDown and MarkUp are how the
-// deterministic failover tests take a named family out and back.
-func (s *System) MarkDown(cf string) {
-	s.mu.Lock()
-	s.down[cf] = true
-	s.mu.Unlock()
-	if s.inj != nil {
-		s.inj.MarkDown(cf)
-	}
-}
-
-// MarkUp returns a column family to service.
-func (s *System) MarkUp(cf string) {
-	s.mu.Lock()
-	delete(s.down, cf)
-	s.mu.Unlock()
-	if s.inj != nil {
-		s.inj.MarkUp(cf)
-	}
-}
-
-// downSnapshot copies the down set for one statement execution; nil
-// while nothing is down, so a healthy statement allocates no map.
-func (s *System) downSnapshot() map[string]bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.down) == 0 {
-		return nil
-	}
-	avoid := make(map[string]bool, len(s.down))
-	for cf := range s.down {
-		avoid[cf] = true
-	}
-	return avoid
-}
-
 // planSurvives reports whether a plan touches none of the avoided
 // column families.
 func planSurvives(p *planner.Plan, avoid map[string]bool) bool {
@@ -478,13 +439,9 @@ func (s *System) execStatement(st workload.Statement, params executor.Params) (f
 // and reroutes to the cheapest remaining plan that avoids every down
 // family.
 func (s *System) execQuery(st workload.Statement, plans []*planner.Plan, params executor.Params) (float64, error) {
-	// Both sets stay nil until a family is down or a fault survives the
-	// executor's retries.
-	avoid := s.downSnapshot()
+	// Both sets stay nil until a fault survives the executor's retries.
+	var avoid map[string]bool
 	var tried map[*planner.Plan]bool
-	if avoid != nil {
-		tried = map[*planner.Plan]bool{}
-	}
 	total := 0.0
 	failovers, retries := int64(0), int64(0)
 	for {

@@ -6,7 +6,6 @@ import (
 	"nose/internal/baselines"
 	"nose/internal/cost"
 	"nose/internal/harness"
-	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/workload"
 )
@@ -26,7 +25,7 @@ func buildSystem(t *testing.T) (*harness.System, []*rubis.Transaction, rubis.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

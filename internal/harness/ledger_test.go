@@ -51,10 +51,10 @@ func TestRegistryVocabulary(t *testing.T) {
 	sys := f.system(t, harness.Config{
 		Name: "vocabulary",
 		Replication: &harness.ReplicationConfig{
-			Read: executor.One, Write: executor.Quorum, Hedge: executor.HedgePolicy{Enabled: true},
+			Read: executor.One, Write: executor.Quorum, Hedge: true,
 		},
-		FamilyWeather: &harness.FamilyWeather{Seed: 7, Profile: faults.Rate(0.2)},
-		NodeWeather:   &harness.NodeWeather{Seed: 11, Profile: faults.NodeRate(0.1)},
+		FamilyWeather: &harness.Weather{Seed: 7, Profile: faults.Rate(0.2)},
+		NodeWeather:   &harness.Weather{Seed: 11, Profile: faults.NodeRate(0.1)},
 		Verifier:      verify.New(),
 	})
 	for i := 0; i < 400; i++ {
@@ -127,15 +127,15 @@ func hotelWorkload() *workload.Workload {
 // rerouted execution (one failover, degraded), one unavailable
 // execution with every family down.
 func TestRobustnessFailoverCountersGolden(t *testing.T) {
-	f := newRedundantFixture(t)
+	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
 	if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
 		t.Fatal(err)
 	}
-	f.sys.MarkDown(planCF(t, f.plans[0]))
+	f.sys.Faults().MarkDown(planCF(t, f.plans[0]))
 	if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
 		t.Fatal(err)
 	}
-	f.sys.MarkDown(planCF(t, f.plans[1]))
+	f.sys.Faults().MarkDown(planCF(t, f.plans[1]))
 	if _, err := f.sys.ExecStatement(f.query, f.params); err == nil {
 		t.Fatal("expected unavailability with every family down")
 	}

@@ -13,7 +13,6 @@ import (
 	"nose/internal/harness"
 	"nose/internal/migrate"
 	"nose/internal/model"
-	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/schema"
 	"nose/internal/search"
@@ -39,7 +38,7 @@ func liveFixture(t *testing.T, declare ...func(*harness.Config)) (*backend.Datas
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func liveFixture(t *testing.T, declare ...func(*harness.Config)) (*backend.Datas
 // familyWeather declares a family fault injector for liveFixture.
 func familyWeather(seed int64, p faults.Profile) func(*harness.Config) {
 	return func(c *harness.Config) {
-		c.FamilyWeather = &harness.FamilyWeather{Seed: seed, Profile: p}
+		c.FamilyWeather = &harness.Weather{Seed: seed, Profile: p}
 	}
 }
 
@@ -159,14 +158,14 @@ func TestLiveMigrationAbortRollsBackUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Start on the real schema so "old keeps serving" is observable.
 	sys, err := harness.New(harness.Config{
 		Name: "aborting", Rec: rec, Latency: cost.DefaultParams(), Dataset: ds,
-		FamilyWeather: &harness.FamilyWeather{Seed: 7},
+		FamilyWeather: &harness.Weather{Seed: 7},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,7 +15,6 @@ import (
 	"nose/internal/executor"
 	"nose/internal/harness"
 	"nose/internal/migrate"
-	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/schema"
 	"nose/internal/search"
@@ -40,7 +39,7 @@ func TestMigrateInstallsAndAdoptsRecommendation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func TestMigrateResultGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+		rec, err := baselines.Recommend(w, pool)
 		if err != nil {
 			t.Fatal(err)
 		}

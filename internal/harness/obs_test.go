@@ -26,9 +26,9 @@ func TestConcurrentStatementsUnderNodeFaults(t *testing.T) {
 		Replication: &harness.ReplicationConfig{
 			Read:  executor.Quorum,
 			Write: executor.Quorum,
-			Hedge: executor.HedgePolicy{Enabled: true},
+			Hedge: true,
 		},
-		NodeWeather: &harness.NodeWeather{Seed: 11, Profile: faults.NodeRate(0.15)},
+		NodeWeather: &harness.Weather{Seed: 11, Profile: faults.NodeRate(0.15)},
 	})
 
 	const goroutines = 8

@@ -306,7 +306,7 @@ func TestReplicatedCrashRecovery(t *testing.T) {
 		v := verify.New()
 		cr := faults.NewCrashes()
 		sys := f.system(t, harness.Config{
-			Name: "repl", Replication: quorum, NodeWeather: &harness.NodeWeather{Seed: 1},
+			Name: "repl", Replication: quorum, NodeWeather: &harness.Weather{Seed: 1},
 			Verifier: v, Crashes: cr,
 		})
 

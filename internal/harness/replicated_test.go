@@ -12,7 +12,6 @@ import (
 	"nose/internal/executor"
 	"nose/internal/harness"
 	"nose/internal/model"
-	"nose/internal/planner"
 	"nose/internal/schema"
 	"nose/internal/search"
 	"nose/internal/workload"
@@ -48,7 +47,7 @@ func newReplFixture(t *testing.T) *replFixture {
 		[]*model.Attribute{u.Attribute("UserName")})); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +145,7 @@ func TestReplicatedNodeDownPerLevel(t *testing.T) {
 		sys := f.system(t, harness.Config{
 			Name:        "repl",
 			Replication: &harness.ReplicationConfig{Read: level, Write: level},
-			NodeWeather: &harness.NodeWeather{Seed: 1},
+			NodeWeather: &harness.Weather{Seed: 1},
 		})
 		healthy, err := sys.ExecStatement(f.query, f.params)
 		if err != nil {
@@ -234,7 +233,7 @@ func TestFamilyFaultsLayerOverReplication(t *testing.T) {
 	sys := f.system(t, harness.Config{
 		Name:          "repl",
 		Replication:   &harness.ReplicationConfig{Read: executor.Quorum, Write: executor.Quorum},
-		FamilyWeather: &harness.FamilyWeather{Seed: 1},
+		FamilyWeather: &harness.Weather{Seed: 1},
 	})
 	inj := sys.Faults()
 	cf := f.rec.Schema.Indexes()[0].Name

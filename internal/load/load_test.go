@@ -14,7 +14,6 @@ import (
 	"nose/internal/harness"
 	"nose/internal/load"
 	"nose/internal/model"
-	"nose/internal/planner"
 	"nose/internal/schema"
 	"nose/internal/search"
 	"nose/internal/workload"
@@ -49,7 +48,7 @@ func newFixture(tb testing.TB) *fixture {
 		[]*model.Attribute{u.Attribute("UserName")})); err != nil {
 		tb.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool, cost.Default(), planner.DefaultConfig())
+	rec, err := baselines.Recommend(w, pool)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -21,12 +21,6 @@ const (
 	DefaultSimulateExecutions = 20
 	// DefaultSimulateSeed seeds dataset generation.
 	DefaultSimulateSeed = 1
-	// simulateMaxNodes bounds the advisor's branch and bound inside a
-	// simulate job, mirroring cmd/nosebench's default.
-	simulateMaxNodes = 500
-	// simulateMaxPlans is the simulate job's default plan-space bound,
-	// mirroring cmd/nosebench.
-	simulateMaxPlans = 24
 )
 
 // run executes one job and returns its canonical result document. The
@@ -81,7 +75,7 @@ func (m *Manager) runSimulate(ctx context.Context, j *Job) ([]byte, error) {
 	}
 	maxPlans := j.req.MaxPlans
 	if maxPlans <= 0 {
-		maxPlans = simulateMaxPlans
+		maxPlans = experiments.DefaultMaxPlans
 	}
 	res, err := experiments.RunFig11(experiments.Fig11Config{
 		RUBiS:      rubis.Config{Users: users, Seed: seed},
@@ -91,8 +85,8 @@ func (m *Manager) runSimulate(ctx context.Context, j *Job) ([]byte, error) {
 			Workers:          j.req.Workers,
 			SpaceBudgetBytes: j.req.SpaceBytes,
 			Planner:          planner.Config{MaxPlansPerQuery: maxPlans},
-			MaxSupportPlans:  6,
-			BIP:              bip.Options{MaxNodes: simulateMaxNodes},
+			MaxSupportPlans:  experiments.DefaultMaxSupportPlans,
+			BIP:              bip.Options{MaxNodes: experiments.DefaultMaxNodes},
 			Ctx:              ctx,
 			Obs:              j.reg,
 			Trace:            j.tracer,
