@@ -685,31 +685,29 @@ func BenchmarkLoadSteadyState(b *testing.B) {
 	b.ReportMetric(last.MaxUtilization, "max-util")
 }
 
-// BenchmarkExecStatementRUBiS measures the second end-to-end path alone:
-// one op is one RUBiS transaction of the bidding mix — parameters drawn,
-// then every statement through harness.ExecTransaction on a single
-// store — so allocs/op and B/op are the data plane's per-transaction
-// allocation, the number bench/'s op_alloc_kb reports for
-// txn-rubis-single.
-func BenchmarkExecStatementRUBiS(b *testing.B) {
+// biddingSchedule is the second end-to-end path's fixed input: a
+// single-store system on RUBiS at 300 users under the advisor's bench
+// options, 4,096 transactions drawn from the bidding mix by a seeded
+// weighted schedule, and the parameter source that binds them.
+func biddingSchedule(tb testing.TB) (*harness.System, []*rubis.Transaction, *rubis.ParamSource) {
+	tb.Helper()
 	cfg := rubis.Config{Users: 300, Seed: 1}
 	ds, err := rubis.Generate(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	w, txns, err := rubis.Workload(ds.Graph)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rec, err := search.Advise(w, benchAdvisorOptions())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sys, err := harness.NewSystem("NoSE", ds, rec, cost.DefaultParams())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// A fixed weighted schedule, so every run executes the same mix.
 	var cum []float64
 	total := 0.0
 	for _, txn := range txns {
@@ -721,7 +719,17 @@ func BenchmarkExecStatementRUBiS(b *testing.B) {
 	for i := range schedule {
 		schedule[i] = txns[sort.SearchFloat64s(cum, rng.Float64()*total)]
 	}
-	ps := rubis.NewParamSource(cfg, 4242)
+	return sys, schedule, rubis.NewParamSource(cfg, 4242)
+}
+
+// BenchmarkExecStatementRUBiS measures the second end-to-end path alone:
+// one op is one RUBiS transaction of the bidding mix — parameters drawn,
+// then every statement through harness.ExecTransaction on a single
+// store — so allocs/op and B/op are the data plane's per-transaction
+// allocation, the number bench/'s op_alloc_kb reports for
+// txn-rubis-single.
+func BenchmarkExecStatementRUBiS(b *testing.B) {
+	sys, schedule, ps := biddingSchedule(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sim := 0.0
@@ -734,6 +742,59 @@ func BenchmarkExecStatementRUBiS(b *testing.B) {
 		sim += ms
 	}
 	b.ReportMetric(sim/float64(b.N), "sim-ms/txn")
+}
+
+// execTransactionAllocCeiling and execTransactionByteCeiling bound the
+// mean allocations and bytes of one harness.ExecTransaction over the
+// bidding schedule, parameters drawn beforehand. A transaction took 12.51
+// allocations and 1,034 B while every get copied its records and a
+// partition key and the harness projected rows it dropped, and takes
+// 3.54 and 157 B (go1.24) with gets reading into the executor's buffers
+// and the harness running plans without rows. Both ceilings are 1.3
+// times the measured value.
+const (
+	execTransactionAllocCeiling = 4.6
+	execTransactionByteCeiling  = 204.0
+)
+
+// TestExecTransactionAllocCeiling counts what the data plane allocates
+// per transaction: BenchmarkExecStatementRUBiS's schedule runs once
+// through ExecTransaction with its parameter maps drawn outside the
+// measured region and the collector off, so the executor's pooled
+// scratch stays warm. A get that copies its records again, a lookup
+// that allocates a partition key per driving row, or a harness query
+// that builds rows it drops fails it. CI runs it by name with -count=1.
+func TestExecTransactionAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	sys, schedule, ps := biddingSchedule(t)
+	params := make([]executor.Params, len(schedule))
+	for i, txn := range schedule {
+		params[i] = ps.Params(txn.Name)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// allocsPerRun's warm-up call runs the schedule's first half and its
+	// measured call the second, so every measured write is as fresh as in
+	// the benchmark.
+	half, next := len(schedule)/2, 0
+	total, totalBytes := allocsPerRun(1, func() {
+		for i := next; i < next+half; i++ {
+			if _, err := sys.ExecTransaction(schedule[i].Statements, params[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next += half
+	})
+	allocs, bytes := float64(total)/float64(half), float64(totalBytes)/float64(half)
+	if allocs > execTransactionAllocCeiling {
+		t.Errorf("ExecTransaction allocates %.2f times per RUBiS transaction, ceiling %v", allocs, execTransactionAllocCeiling)
+	}
+	if bytes > execTransactionByteCeiling {
+		t.Errorf("ExecTransaction allocates %.0f B per RUBiS transaction, ceiling %v", bytes, execTransactionByteCeiling)
+	}
+	t.Logf("ExecTransaction: %.2f allocations (ceiling %v), %.0f B (ceiling %v) per transaction",
+		allocs, execTransactionAllocCeiling, bytes, execTransactionByteCeiling)
 }
 
 // BenchmarkBudgetSweep is the storage-budget ablation (paper §III-D,

@@ -8,7 +8,9 @@ package backend
 type KVBackend interface {
 	// Def returns a column family's definition.
 	Def(name string) (ColumnFamilyDef, error)
-	// Get executes one get request against a column family.
+	// Get executes one get request against a column family. It
+	// retains neither req.Partition nor req.Into past the call; with
+	// req.Into set, the result's Records may share its array.
 	Get(name string, req GetRequest) (*GetResult, error)
 	// Put inserts or replaces one record.
 	Put(name string, partition, clustering []Value, values []Value) (*PutResult, error)

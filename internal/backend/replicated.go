@@ -2,7 +2,6 @@ package backend
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"nose/internal/cost"
 	"nose/internal/obs"
@@ -96,20 +95,33 @@ func (r *ReplicatedStore) Names() []string {
 	return r.nodes[0].Names()
 }
 
-// ReplicasFor returns the RF node indices holding a partition, primary
-// first, in the deterministic ring order the coordinator contacts them.
-func (r *ReplicatedStore) ReplicasFor(cf string, partition []Value) []int {
-	h := fnv.New64a()
-	h.Write([]byte(cf))
-	h.Write([]byte{0})
-	h.Write([]byte(EncodeKey(partition)))
-	n := len(r.nodes)
-	start := int(h.Sum64() % uint64(n))
-	out := make([]int, r.rf)
-	for i := range out {
-		out[i] = (start + i) % n
+// FNV-1a's 64-bit parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// ReplicasFor appends to dst the RF node indices holding a partition,
+// primary first, in the deterministic ring order the coordinator
+// contacts them. The primary is FNV-1a of the family name, a zero byte
+// and the partition's EncodeKey bytes, hashed in place over a stack
+// buffer so that placing a key allocates nothing beyond dst's growth.
+func (r *ReplicatedStore) ReplicasFor(dst []int, cf string, partition []Value) []int {
+	var buf [keyBufSize]byte
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(cf); i++ {
+		h = (h ^ uint64(cf[i])) * fnvPrime64
 	}
-	return out
+	h *= fnvPrime64 // the zero byte: h ^ 0 is h
+	for _, b := range AppendKey(buf[:0], partition) {
+		h = (h ^ uint64(b)) * fnvPrime64
+	}
+	n := len(r.nodes)
+	start := int(h % uint64(n))
+	for i := 0; i < r.rf; i++ {
+		dst = append(dst, (start+i)%n)
+	}
+	return dst
 }
 
 // Put writes one record synchronously to every replica of its
@@ -120,7 +132,7 @@ func (r *ReplicatedStore) ReplicasFor(cf string, partition []Value) []int {
 // (Dataset.Install), never by name.
 func (r *ReplicatedStore) Put(name string, partition, clustering []Value, values []Value) (*PutResult, error) {
 	var last *PutResult
-	for _, node := range r.ReplicasFor(name, partition) {
+	for _, node := range r.ReplicasFor(nil, name, partition) {
 		pr, err := r.nodes[node].Put(name, partition, clustering, values)
 		if err != nil {
 			return nil, err

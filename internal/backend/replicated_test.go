@@ -1,7 +1,11 @@
 package backend_test
 
 import (
+	"hash/fnv"
+	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"nose/internal/backend"
@@ -36,8 +40,8 @@ func TestPlacementDeterministicAndSpread(t *testing.T) {
 	seen := map[int]int{}
 	for i := 0; i < 100; i++ {
 		p := []backend.Value{int64(i)}
-		r1 := s.ReplicasFor("cf1", p)
-		r2 := s.ReplicasFor("cf1", p)
+		r1 := s.ReplicasFor(nil, "cf1", p)
+		r2 := s.ReplicasFor(nil, "cf1", p)
 		if !reflect.DeepEqual(r1, r2) {
 			t.Fatalf("placement for partition %d not deterministic: %v vs %v", i, r1, r2)
 		}
@@ -79,7 +83,7 @@ func TestBulkLoadWritesEveryReplica(t *testing.T) {
 	if _, err := s.Put("cf1", p, []backend.Value{int64(0)}, []backend.Value{"v"}); err != nil {
 		t.Fatal(err)
 	}
-	replicas := s.ReplicasFor("cf1", p)
+	replicas := s.ReplicasFor(nil, "cf1", p)
 	for n := 0; n < s.NodeCount(); n++ {
 		r, err := s.Node(n).Get("cf1", backend.GetRequest{Partition: p})
 		if err != nil {
@@ -126,5 +130,40 @@ func TestCreateDropEveryNode(t *testing.T) {
 		if _, err := s.Node(n).Def("cf1"); err == nil {
 			t.Errorf("node %d still has cf1 after Drop", n)
 		}
+	}
+}
+
+// TestReplicasForMatchesFNV: placement hashes in place, without
+// hash/fnv, and must stay bit-identical to FNV-1a over the family name,
+// a zero byte and the partition's EncodeKey bytes — on 1,000 seeded keys
+// of every value kind, and of two-column keys mixing them.
+func TestReplicasForMatchesFNV(t *testing.T) {
+	s := backend.NewReplicatedStore(cost.DefaultParams(), 7, 3)
+	rng := rand.New(rand.NewSource(42))
+	kinds := []func() backend.Value{
+		func() backend.Value { return rng.Int63() - rng.Int63() },
+		func() backend.Value { return rng.NormFloat64() * 1e6 },
+		func() backend.Value { return strings.Repeat("k", rng.Intn(80)) + strconv.Itoa(rng.Int()) },
+		func() backend.Value { return rng.Intn(2) == 0 },
+	}
+	for i := 0; i < 1000; i++ {
+		cf := "cf" + strconv.Itoa(rng.Intn(50))
+		for k, kind := range kinds {
+			for _, part := range [][]backend.Value{{kind()}, {kind(), kinds[(k+i)%len(kinds)]()}} {
+				h := fnv.New64a()
+				h.Write([]byte(cf))
+				h.Write([]byte{0})
+				h.Write([]byte(backend.EncodeKey(part)))
+				start := int(h.Sum64() % 7)
+				want := []int{start, (start + 1) % 7, (start + 2) % 7}
+				if got := s.ReplicasFor(nil, cf, part); !reflect.DeepEqual(got, want) {
+					t.Fatalf("ReplicasFor(%q, %v) = %v, hash/fnv places it on %v", cf, part, got, want)
+				}
+			}
+		}
+	}
+	// Appending: the caller's slice is extended, not replaced.
+	if got := s.ReplicasFor([]int{-1}, "cf1", []backend.Value{int64(1)}); len(got) != 4 || got[0] != -1 {
+		t.Errorf("ReplicasFor appended to [-1]: %v", got)
 	}
 }

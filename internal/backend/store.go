@@ -155,7 +155,8 @@ type ClusterRange struct {
 
 // GetRequest is one get operation: fetch records of a single partition,
 // optionally bounded on the first clustering column and truncated to
-// Limit records.
+// Limit records. A backend retains neither Partition nor Into past the
+// call, so a caller may reuse both for its next get.
 type GetRequest struct {
 	// Partition supplies the full partition key.
 	Partition []Value
@@ -164,6 +165,11 @@ type GetRequest struct {
 	Ranges []ClusterRange
 	// Limit, when positive, bounds the number of records returned.
 	Limit int
+	// Into, when non-nil, is a buffer the caller owns: the records are
+	// appended to Into[:0] and the result's Records is that slice, on
+	// Into's array when its capacity suffices. Nil gets a fresh, exactly
+	// sized slice.
+	Into []Record
 }
 
 // Record is one clustering row of a partition.
@@ -200,7 +206,7 @@ func (s *Store) Get(name string, req GetRequest) (*GetResult, error) {
 	cf.mu.RLock()
 	defer cf.mu.RUnlock()
 
-	res := &GetResult{}
+	res := &GetResult{Records: req.Into[:0]}
 	if part := cf.part(req.Partition); part != nil {
 		// Records sort by their first clustering value first, so each
 		// range cuts the partition at one binary search, exactly, for any
@@ -224,8 +230,12 @@ func (s *Store) Get(name string, req GetRequest) (*GetResult, error) {
 			hi = min(hi, lo+req.Limit)
 		}
 		// The records alias the partition's keys and cells, so the copy
-		// of the slice is all a get allocates.
-		res.Records = append(make([]Record, 0, hi-lo), recs[lo:hi]...)
+		// of the slice is all a get allocates, and nothing when the
+		// caller's buffer holds it.
+		if res.Records == nil {
+			res.Records = make([]Record, 0, hi-lo)
+		}
+		res.Records = append(res.Records, recs[lo:hi]...)
 	}
 	res.SimMillis = s.lat.RequestCost + s.lat.PartitionCost + s.lat.RowCost*float64(len(res.Records))
 	s.so.gets.Inc()

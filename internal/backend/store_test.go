@@ -1,6 +1,7 @@
 package backend_test
 
 import (
+	"reflect"
 	"testing"
 
 	"nose/internal/backend"
@@ -248,5 +249,61 @@ func TestDatasetValidation(t *testing.T) {
 	}
 	if got := len(ds.Neighbors(guest.Edge("Reservations"), int64(0))); got != 2 {
 		t.Errorf("neighbors = %d, want 2", got)
+	}
+}
+
+// TestGetIntoReusesTheCallersBuffer: a get with Into returns the records
+// a get without it returns, on Into's own array when its capacity
+// suffices, so a reused buffer leaves the GetResult as the get's only
+// allocation.
+func TestGetIntoReusesTheCallersBuffer(t *testing.T) {
+	s := testStore(t)
+	createGuests(t, s)
+	for i := int64(0); i < 5; i++ {
+		if _, err := s.Put("guests_by_city", []backend.Value{"Waterloo"},
+			[]backend.Value{float64(100 + i), i}, []backend.Value{"guest"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]backend.Record, 3, 8) // stale length: a get starts at Into[:0]
+	for _, req := range []backend.GetRequest{
+		{Partition: []backend.Value{"Waterloo"}},
+		{Partition: []backend.Value{"Waterloo"}, Limit: 2},
+		{Partition: []backend.Value{"Waterloo"}, Ranges: []backend.ClusterRange{{Op: backend.GE, Value: float64(103)}}},
+		{Partition: []backend.Value{"Nowhere"}},
+	} {
+		fresh, err := s.Get("guests_by_city", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Into = buf
+		into, err := s.Get("guests_by_city", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(into.Records, append([]backend.Record{}, fresh.Records...)) || into.SimMillis != fresh.SimMillis {
+			t.Errorf("%+v: Into read %v in %v ms, a fresh get %v in %v ms",
+				req, into.Records, into.SimMillis, fresh.Records, fresh.SimMillis)
+		}
+		if cap(into.Records) != cap(buf) || &into.Records[:1][0] != &buf[:1][0] {
+			t.Errorf("%+v: the records left the caller's buffer", req)
+		}
+	}
+
+	req := backend.GetRequest{Partition: []backend.Value{"Waterloo"}, Into: buf}
+	if n := testing.AllocsPerRun(100, func() {
+		res, err := s.Get("guests_by_city", req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Into = res.Records
+	}); n != 1 {
+		t.Errorf("a get into a large enough buffer allocates %v times, want 1 (the GetResult)", n)
+	}
+
+	// A buffer too small is outgrown, as append would.
+	res, err := s.Get("guests_by_city", backend.GetRequest{Partition: []backend.Value{"Waterloo"}, Into: buf[:0:2]})
+	if err != nil || len(res.Records) != 5 {
+		t.Fatalf("outgrown buffer: %v records, %v", len(res.Records), err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"nose/internal/backend"
 	"nose/internal/cost"
@@ -33,13 +34,18 @@ func synth(a *model.Attribute, i int) backend.Value {
 // TestExecuteQueryAllocationBudget holds the compiled executor to what
 // it may allocate: per call the result (its value arena, its []Tuple,
 // the Result), one closure set per lookup step and the dedupe keys' map
-// entries' strings; per get the partition key and the store's GetResult
-// and []Record — and nothing per row. On the expert RUBiS schema, a
-// single-lookup plan (a user's comments) and a two-lookup plan (an
-// item's bids, then each bidder) run over 10 and then 100 matching
-// records: allocations beyond three per get are the same small constant
-// at both sizes, and bytes stay within twice the irreducible 16 B per
-// returned cell plus 48 B per record read.
+// entries' strings; per get the store's GetResult alone — the partition
+// key and the records reuse the scratch's buffers — and nothing per row.
+// On the expert RUBiS schema, a single-lookup plan (a user's comments)
+// and a two-lookup plan (an item's bids, then each bidder) run over 10
+// and then 100 matching records: ExecuteQuery's allocations beyond one
+// per get and one dedupe key per row are the same small constant at
+// both sizes, and its bytes stay within twice what the API makes
+// irreducible — 16 B per returned cell, a 32 B Tuple per returned row and
+// a 32 B GetResult per get — with nothing per record read. RunQuery,
+// which builds no rows, allocates the same constant beyond one per get
+// at both sizes, and its bytes beyond the GetResults' do not grow with
+// the records read.
 func TestExecuteQueryAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -89,7 +95,18 @@ func TestExecuteQueryAllocationBudget(t *testing.T) {
 
 	comments := plan("ViewUserInfo/1", 1)
 	history := plan("ViewBidHistory/1", 2)
-	const perGet = 3 // partition key, GetResult, []Record
+	const perGet = 1 // the store's GetResult
+	getResult := float64(unsafe.Sizeof(backend.GetResult{}))
+	bytesPerCall := func(f func()) float64 {
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
 	for _, tc := range []struct {
 		name string
 		plan *planner.Plan
@@ -113,16 +130,15 @@ func TestExecuteQueryAllocationBudget(t *testing.T) {
 			return executor.Params{"item": item}
 		}},
 	} {
-		var fixed [2]float64
+		var fixed, bare, bareBytes [2]float64
 		for k, n := range []int{10, 100} {
 			params := tc.load(n)
-			gets0, read0 := reg.Counter("store.gets").Value(), reg.Counter("store.records_read").Value()
+			gets0 := reg.Counter("store.gets").Value()
 			res, err := ex.ExecuteQuery(tc.plan, params)
 			if err != nil {
 				t.Fatal(err)
 			}
 			gets := float64(reg.Counter("store.gets").Value() - gets0)
-			read := float64(reg.Counter("store.records_read").Value() - read0)
 			cells := 0
 			for _, qr := range rec.Queries {
 				if qr.Plan == tc.plan {
@@ -133,34 +149,49 @@ func TestExecuteQueryAllocationBudget(t *testing.T) {
 				t.Fatalf("%s over %d records: %d rows", tc.name, n, len(res.Rows))
 			}
 
-			allocs := testing.AllocsPerRun(100, func() {
+			execute := func() {
 				if _, err := ex.ExecuteQuery(tc.plan, params); err != nil {
 					t.Fatal(err)
 				}
-			})
+			}
+			allocs := testing.AllocsPerRun(100, execute)
 			fixed[k] = allocs - perGet*gets - float64(n) // one dedupe key string per distinct row
 			if fixed[k] > 12 {
 				t.Errorf("%s over %d records: %.0f allocations per call, %.0f beyond %d per get and one key per row",
 					tc.name, n, allocs, fixed[k], perGet)
 			}
+			bytes := bytesPerCall(execute)
+			tuple := float64(unsafe.Sizeof(executor.Tuple{}))
+			if floor := 16*float64(cells) + tuple*float64(n) + getResult*gets; bytes > 2*floor {
+				t.Errorf("%s over %d records: %.0f B per call, over twice the %.0f B of %d returned cells, %d rows and %.0f gets",
+					tc.name, n, bytes, floor, cells, n, gets)
+			}
 
-			const runs = 200
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				ex.ExecuteQuery(tc.plan, params)
+			run := func() {
+				res, err := ex.RunQuery(tc.plan, params)
+				if err != nil || res.Rows != nil {
+					t.Fatalf("RunQuery: %d rows, %v", len(res.Rows), err)
+				}
 			}
-			runtime.ReadMemStats(&after)
-			bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
-			if floor := 16*float64(cells) + 48*read; bytes > 2*floor {
-				t.Errorf("%s over %d records: %.0f B per call, over twice the %.0f B of %d returned cells and %.0f records read",
-					tc.name, n, bytes, floor, cells, read)
-			}
-			t.Logf("%s over %d records: %.0f allocs (%.0f fixed), %.0f B per call, %.0f gets", tc.name, n, allocs, fixed[k], bytes, gets)
+			runAllocs := testing.AllocsPerRun(100, run)
+			bare[k] = runAllocs - perGet*gets
+			bareBytes[k] = bytesPerCall(run) - getResult*gets
+			t.Logf("%s over %d records: ExecuteQuery %.0f allocs (%.0f fixed), %.0f B; RunQuery %.0f allocs (%.0f fixed), %.0f B (%.0f beyond the GetResults); %.0f gets",
+				tc.name, n, allocs, fixed[k], bytes, runAllocs, bare[k], bareBytes[k]+getResult*gets, bareBytes[k], gets)
 		}
 		if fixed[0] != fixed[1] {
 			t.Errorf("%s: %.0f fixed allocations per call over 10 records, %.0f over 100: something allocates per row",
 				tc.name, fixed[0], fixed[1])
+		}
+		if bare[0] != bare[1] {
+			t.Errorf("%s: RunQuery allocates %.0f times beyond one per get over 10 records, %.0f over 100: something allocates per row",
+				tc.name, bare[0], bare[1])
+		}
+		// 16 B of slack: the runtime allocates a little of its own while
+		// the calls are counted.
+		if bareBytes[1] > bareBytes[0]+16 {
+			t.Errorf("%s: RunQuery allocates %.0f B beyond the GetResults over 10 records, %.0f B over 100: bytes grow with the records read",
+				tc.name, bareBytes[0], bareBytes[1])
 		}
 	}
 }

@@ -148,6 +148,8 @@ type scratch struct {
 	vals       []backend.Value // arena
 	rows, next [][]backend.Value
 	ranges     [1]backend.ClusterRange
+	part       []backend.Value     // the partition key of the get in flight
+	recs       []backend.Record    // the buffer every get appends into
 	key        []byte              // dedupe key under construction
 	seen       map[string]struct{} // projections already emitted
 	writes     []pendingWrite
@@ -206,12 +208,27 @@ func (sc *scratch) missing(i int) error {
 // before the failure so callers can charge partial work (e.g. a failed
 // plan attempt before failing over to another plan).
 func (e *Executor) ExecuteQuery(plan *planner.Plan, params Params) (*Result, error) {
+	return e.query(plan, params, true)
+}
+
+// RunQuery runs a query plan exactly as ExecuteQuery does — the same
+// gets, simulated time, retries and errors — but builds no rows: the
+// result's Rows is nil. Projection charges no simulated time, so a
+// caller that only times the query, as the harness does, loses nothing
+// by skipping it.
+func (e *Executor) RunQuery(plan *planner.Plan, params Params) (*Result, error) {
+	return e.query(plan, params, false)
+}
+
+// query backs ExecuteQuery and RunQuery; rows selects whether the
+// surviving rows are projected and copied out.
+func (e *Executor) query(plan *planner.Plan, params Params, rows bool) (*Result, error) {
 	res := &Result{}
 	prog, err := compiled(e, plan, compileQuery)
 	if err == nil {
 		sc := e.scratch()
 		sc.enter(prog, params)
-		if res.SimMillis, err = e.run(prog.plans[0], sc); err == nil {
+		if res.SimMillis, err = e.run(prog.plans[0], sc); err == nil && rows {
 			res.Rows = sc.project()
 		}
 		res.Retries = sc.bgt.retries
@@ -277,9 +294,12 @@ func (e *Executor) run(ops []any, sc *scratch) (float64, error) {
 }
 
 // lookup executes one lookup step: one get per driving row, each fetched
-// record extending a copy of its driving row. The returned millis are
-// meaningful even on error: they carry the simulated time of the gets
-// completed plus any retry spend of the failed one.
+// record extending a copy of its driving row. Every get reuses the
+// scratch's partition key and reads into its record buffer: the store
+// retains neither, and a get's records are consumed before the next get
+// (or a retry of the same one) rewrites the buffer. The returned millis
+// are meaningful even on error: they carry the simulated time of the
+// gets completed plus any retry spend of the failed one.
 func (e *Executor) lookup(o *lookupOp, sc *scratch) (float64, error) {
 	req := backend.GetRequest{Limit: o.limit}
 	if o.rangeParam >= 0 {
@@ -301,7 +321,7 @@ func (e *Executor) lookup(o *lookupOp, sc *scratch) (float64, error) {
 	sim := 0.0
 	sc.next = sc.next[:0]
 	for _, row := range sc.rows {
-		req.Partition = make([]backend.Value, len(o.part))
+		sc.part = sc.part[:0]
 		for i, src := range o.part {
 			v, ok := sc.param(src.param)
 			if !ok {
@@ -310,8 +330,9 @@ func (e *Executor) lookup(o *lookupOp, sc *scratch) (float64, error) {
 			if v == nil {
 				return sim, fmt.Errorf("no binding for partition column %s of %s", o.cols[i], o.cf)
 			}
-			req.Partition[i] = v
+			sc.part = append(sc.part, v)
 		}
+		req.Partition, req.Into = sc.part, sc.recs
 		millis, err := e.retryOp(&sc.bgt, o.cf, get)
 		sim += millis
 		if err != nil {
@@ -331,6 +352,7 @@ func (e *Executor) lookup(o *lookupOp, sc *scratch) (float64, error) {
 			}
 			sc.next = append(sc.next, out)
 		}
+		sc.recs = res.Records[:0]
 	}
 	sc.rows, sc.next = sc.next, sc.rows
 	return sim, nil

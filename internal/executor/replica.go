@@ -2,7 +2,7 @@ package executor
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"nose/internal/backend"
@@ -60,6 +60,12 @@ func (c Consistency) String() string {
 // cost.DefaultParams — late enough that healthy reads never hedge,
 // early enough to beat a slow-window replica.
 const hedgeDelayMillis = 2.0
+
+// stackReplicas sizes the stack arrays a coordinated operation keeps
+// its replica list, contacts and acknowledgement times in, so that a
+// replica walk allocates nothing at any replication factor up to it;
+// a larger factor spills them to the heap.
+const stackReplicas = 8
 
 // hint is one write a replica missed, queued for handoff.
 type hint struct {
@@ -266,9 +272,13 @@ func coordFault(sawDown bool, cf, op string, simMillis float64) *faults.Error {
 }
 
 // Get implements backend.KVBackend with read-consistency fan-out,
-// hedged reads and read repair.
+// hedged reads and read repair. The caller's req.Into goes to the first
+// replica read issued and to no other: each further slot and the hedge
+// read into their own slices, so a second replica's answer can never
+// overwrite the first's.
 func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResult, error) {
-	replicas := c.repl.ReplicasFor(name, req.Partition)
+	var rbuf [stackReplicas]int
+	replicas := c.repl.ReplicasFor(rbuf[:0], name, req.Partition)
 	need := c.read.Required(len(replicas))
 
 	c.mu.Lock()
@@ -283,7 +293,8 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 		res    *backend.GetResult
 		millis float64
 	}
-	contacts := make([]contact, 0, need)
+	var cbuf [stackReplicas]contact
+	contacts := cbuf[:0]
 	idx := 0
 	worst := 0.0
 	sawDown := false
@@ -309,6 +320,7 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 				continue
 			}
 			res, err := c.repl.Node(node).Get(name, req)
+			req.Into = nil
 			if err != nil {
 				return nil, err
 			}
@@ -368,43 +380,50 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 
 	// Answer from a replica with no pending hints when one was
 	// contacted; otherwise every contacted replica may predate hinted
-	// writes — a stale read.
-	pk := backend.EncodeKey(req.Partition)
-	chosen := -1
-	for i := range contacts {
-		if len(c.hints[hintKey{node: contacts[i].node, cf: name, part: pk}]) == 0 {
-			chosen = i
-			break
+	// writes — a stale read. With no hint pending anywhere the first
+	// contact answers, and the partition's key is never encoded.
+	chosen, repair := 0, 0.0
+	if len(c.hints) > 0 {
+		pk := backend.EncodeKey(req.Partition)
+		chosen = -1
+		for i := range contacts {
+			if len(c.hints[hintKey{node: contacts[i].node, cf: name, part: pk}]) == 0 {
+				chosen = i
+				break
+			}
 		}
-	}
-	if chosen < 0 {
-		chosen = 0
-		c.co.staleReads.Inc()
+		if chosen < 0 {
+			chosen = 0
+			c.co.staleReads.Inc()
+		}
+
+		// Read repair: bring every contacted stale replica up to date,
+		// charging the repair writes into this read's time.
+		for i := range contacts {
+			k := hintKey{node: contacts[i].node, cf: name, part: pk}
+			if len(c.hints[k]) == 0 {
+				continue
+			}
+			// Crash point: dying here loses the pending hints with the
+			// process while the stale replica stays stale.
+			if err := c.crashes.Point(faults.SiteReadRepair); err != nil {
+				return nil, err
+			}
+			ms, err := c.replayLocked(k)
+			if err != nil {
+				return nil, err
+			}
+			repair += ms
+			c.co.readRepairs.Inc()
+		}
 	}
 
-	// Read repair: bring every contacted stale replica up to date,
-	// charging the repair writes into this read's time.
-	repair := 0.0
-	for i := range contacts {
-		k := hintKey{node: contacts[i].node, cf: name, part: pk}
-		if len(c.hints[k]) == 0 {
-			continue
-		}
-		// Crash point: dying here loses the pending hints with the
-		// process while the stale replica stays stale.
-		if err := c.crashes.Point(faults.SiteReadRepair); err != nil {
-			return nil, err
-		}
-		ms, err := c.replayLocked(k)
-		if err != nil {
-			return nil, err
-		}
-		repair += ms
-		c.co.readRepairs.Inc()
-	}
-
+	// The answering replica's result is fresh and no one else's: it
+	// carries the coordinated time back.
 	c.co.readLat.Observe(latency + repair)
-	return &backend.GetResult{Records: contacts[chosen].res.Records, SimMillis: latency + repair}, nil
+	res := contacts[chosen].res
+	res.SimMillis = latency + repair
+	return res, nil
 }
 
 // Put implements backend.KVBackend with write-consistency fan-out and
@@ -427,15 +446,25 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 	if del {
 		op = "delete"
 	}
-	replicas := c.repl.ReplicasFor(name, partition)
+	var rbuf [stackReplicas]int
+	replicas := c.repl.ReplicasFor(rbuf[:0], name, partition)
 	need := c.write.Required(len(replicas))
-	pk := backend.EncodeKey(partition)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.co.writes.Inc()
 
-	ackTimes := make([]float64, 0, len(replicas))
+	// Hints are keyed by the encoded partition, which is built only once
+	// a hint is pending somewhere or one is queued.
+	pk := ""
+	hintKeyOf := func(node int) hintKey {
+		if pk == "" {
+			pk = backend.EncodeKey(partition)
+		}
+		return hintKey{node: node, cf: name, part: pk}
+	}
+	var abuf [stackReplicas]float64
+	ackTimes := abuf[:0]
 	worstFail := 0.0
 	sawDown := false
 	existed := false
@@ -445,7 +474,7 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 			// Zero service capacity: the replica misses the write, like
 			// a downed node, and converges later via hinted handoff.
 			sawDown = true
-			k := hintKey{node: node, cf: name, part: pk}
+			k := hintKeyOf(node)
 			c.hints[k] = append(c.hints[k], hint{
 				partition: partition, clustering: clustering, values: values, delete: del,
 			})
@@ -464,7 +493,7 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 			// can converge it later. Hints are queued even when the
 			// coordinated write will fail — any replica that did apply
 			// the write has diverged, and convergence must win.
-			k := hintKey{node: node, cf: name, part: pk}
+			k := hintKeyOf(node)
 			c.hints[k] = append(c.hints[k], hint{
 				partition: partition, clustering: clustering, values: values, delete: del,
 			})
@@ -473,16 +502,19 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 		}
 		// Handoff: replay this partition's pending hints first so the
 		// replica applies writes in order.
-		hk := hintKey{node: node, cf: name, part: pk}
-		if len(c.hints[hk]) > 0 {
-			// Crash point: dying mid-handoff loses the queued hints.
-			if err := c.crashes.Point(faults.SiteHandoff); err != nil {
+		t := 0.0
+		if len(c.hints) > 0 {
+			hk := hintKeyOf(node)
+			if len(c.hints[hk]) > 0 {
+				// Crash point: dying mid-handoff loses the queued hints.
+				if err := c.crashes.Point(faults.SiteHandoff); err != nil {
+					return false, nil, err
+				}
+			}
+			var err error
+			if t, err = c.replayLocked(hk); err != nil {
 				return false, nil, err
 			}
-		}
-		t, err := c.replayLocked(hk)
-		if err != nil {
-			return false, nil, err
 		}
 		if del {
 			ex, pr, derr := c.repl.Node(node).Delete(name, partition, clustering)
@@ -515,7 +547,7 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 	}
 	// Replicas ack in parallel; the coordinator returns once `need`
 	// acks are in, so latency is the need-th fastest ack.
-	sort.Float64s(ackTimes)
+	slices.Sort(ackTimes)
 	c.co.writeLat.Observe(ackTimes[need-1])
 	return existed, &backend.PutResult{SimMillis: ackTimes[need-1]}, nil
 }

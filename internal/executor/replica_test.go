@@ -115,7 +115,7 @@ func TestQuorumSurvivesOneNodeDownAllDoesNot(t *testing.T) {
 		if _, err := coord.Put("cf1", p, vals(int64(0)), vals("fresh")); err != nil {
 			t.Fatalf("%v: healthy put: %v", level, err)
 		}
-		replicas := repl.ReplicasFor("cf1", p)
+		replicas := repl.ReplicasFor(nil, "cf1", p)
 		if err := ns.MarkDown(replicas[0]); err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestQuorumDownReplicaElevatesLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ns.MarkDown(repl.ReplicasFor("cf1", p)[0]); err != nil {
+	if err := ns.MarkDown(repl.ReplicasFor(nil, "cf1", p)[0]); err != nil {
 		t.Fatal(err)
 	}
 	degraded, err := coord.Get("cf1", backend.GetRequest{Partition: p})
@@ -188,7 +188,7 @@ func TestHintedHandoffAndReadRepair(t *testing.T) {
 	if _, err := coord.Put("cf1", p, vals(int64(0)), vals("old")); err != nil {
 		t.Fatal(err)
 	}
-	replicas := repl.ReplicasFor("cf1", p)
+	replicas := repl.ReplicasFor(nil, "cf1", p)
 	primary := replicas[0] // ONE reads contact the primary first
 
 	if err := ns.MarkDown(primary); err != nil {
@@ -265,7 +265,7 @@ func TestHintedHandoffAndReadRepair(t *testing.T) {
 func TestHandoffOnWrite(t *testing.T) {
 	repl, coord, ns, reg := newCluster(t, 3, 3, executor.One, executor.Quorum, false)
 	p := vals(int64(11))
-	primary := repl.ReplicasFor("cf1", p)[0]
+	primary := repl.ReplicasFor(nil, "cf1", p)[0]
 	if err := ns.MarkDown(primary); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestHedgedReadBeatsSlowReplica(t *testing.T) {
 		if _, err := coord.Put("cf1", p, vals(int64(0)), vals("v")); err != nil {
 			t.Fatal(err)
 		}
-		primary := repl.ReplicasFor("cf1", p)[0]
+		primary := repl.ReplicasFor(nil, "cf1", p)[0]
 		// A guaranteed slow window on the primary: SlowRate 1 opens it
 		// on the first post-configure operation.
 		profile.SlowRate = 1
@@ -365,5 +365,44 @@ func TestCoordinatorDeterminism(t *testing.T) {
 		if math.Float64bits(t1[i]) != math.Float64bits(t2[i]) {
 			t.Fatalf("op %d: %.9f != %.9f", i, t1[i], t2[i])
 		}
+	}
+}
+
+// TestCoordinatorGetIntoHoldsTheFreshAnswer: a caller's buffer is filled
+// by the first replica read and by no other. At RF 3 and QUORUM, a
+// replace the second-contacted replica misses leaves it holding a hint;
+// once it is back, a read contacts the fresh first replica and the stale
+// second, and must answer the first's records from the caller's buffer.
+// Were both reads appending into that buffer, the stale record would
+// overwrite the fresh one in place.
+func TestCoordinatorGetIntoHoldsTheFreshAnswer(t *testing.T) {
+	repl, coord, ns, reg := newCluster(t, 3, 3, executor.Quorum, executor.Quorum, false)
+	p := vals(int64(11))
+	if _, err := coord.Put("cf1", p, vals(int64(0)), vals("old")); err != nil {
+		t.Fatal(err)
+	}
+	second := repl.ReplicasFor(nil, "cf1", p)[1]
+	must(t, ns.MarkDown(second))
+	if _, err := coord.Put("cf1", p, vals(int64(0)), vals("new")); err != nil {
+		t.Fatal(err)
+	}
+	if coord.PendingHints() != 1 {
+		t.Fatalf("PendingHints = %d, want the second replica's 1", coord.PendingHints())
+	}
+	must(t, ns.MarkUp(second))
+
+	buf := make([]backend.Record, 0, 4)
+	r, err := coord.Get("cf1", backend.GetRequest{Partition: p, Into: buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Records) != 1 || r.Records[0].Values[0] != "new" {
+		t.Fatalf("QUORUM read with a caller buffer = %v, want the fresh replica's [new]", r.Records)
+	}
+	if &r.Records[0] != &buf[:1][0] {
+		t.Error("the answering first replica's records are not in the caller's buffer")
+	}
+	if got := executor.RegisteredCounter(t, reg, "coord.read_repairs"); got != 1 {
+		t.Errorf("coord.read_repairs = %d, want 1 (the second replica repaired after answering)", got)
 	}
 }

@@ -431,7 +431,7 @@ func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w harness.
 		return out, err
 	}
 
-	replicas := sys.Repl.ReplicasFor(f.queryCF, []backend.Value{"c0"})
+	replicas := sys.Repl.ReplicasFor(nil, f.queryCF, []backend.Value{"c0"})
 	if len(replicas) == 0 {
 		return out, fmt.Errorf("no replicas for %s", f.queryCF)
 	}

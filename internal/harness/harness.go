@@ -451,7 +451,7 @@ func (s *System) execQuery(st workload.Statement, plans []*planner.Plan, params 
 			s.robust.record(total, failovers, true, false)
 			return total, fmt.Errorf("harness: %s: query %q: %w", s.Name, workload.Label(st), ErrUnavailable)
 		}
-		res, err := s.Exec.ExecuteQuery(plan, params)
+		res, err := s.Exec.RunQuery(plan, params)
 		if res != nil {
 			total += res.SimMillis
 			retries += res.Retries

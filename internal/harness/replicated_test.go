@@ -132,7 +132,7 @@ func TestReplicatedHealthyAllMatchesSingleStore(t *testing.T) {
 func queryReplicas(t *testing.T, sys *harness.System, rec *search.Recommendation) (string, []int) {
 	t.Helper()
 	cf := rec.Schema.Indexes()[0].Name
-	return cf, sys.Repl.ReplicasFor(cf, []backend.Value{"c1"})
+	return cf, sys.Repl.ReplicasFor(nil, cf, []backend.Value{"c1"})
 }
 
 // TestReplicatedNodeDownPerLevel is the acceptance scenario at harness

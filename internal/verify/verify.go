@@ -223,7 +223,7 @@ func (r ReplicatedReader) Families() []string { return r.Repl.Names() }
 
 // Lookup implements Reader.
 func (r ReplicatedReader) Lookup(cf string, partition, clustering []backend.Value) ([][]backend.Value, int, error) {
-	replicas := r.Repl.ReplicasFor(cf, partition)
+	replicas := r.Repl.ReplicasFor(nil, cf, partition)
 	var hits [][]backend.Value
 	for _, node := range replicas {
 		vals, found, err := lookupNode(r.Repl.Node(node), cf, partition, clustering)

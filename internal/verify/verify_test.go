@@ -215,7 +215,7 @@ func TestReplicatedReader(t *testing.T) {
 	}
 
 	// Wipe the row from one replica: still on the other, so I1 holds.
-	replicas := repl.ReplicasFor("cf", part)
+	replicas := repl.ReplicasFor(nil, "cf", part)
 	if len(replicas) != 2 {
 		t.Fatalf("replicas = %v", replicas)
 	}
