@@ -18,6 +18,7 @@ import (
 	"sort"
 	"testing"
 
+	"nose/internal/backend"
 	"nose/internal/baselines"
 	"nose/internal/bip"
 	"nose/internal/cost"
@@ -683,6 +684,55 @@ func BenchmarkLoadSteadyState(b *testing.B) {
 	b.ReportMetric(last.ThroughputPerSec, "tx-per-s")
 	b.ReportMetric(last.P99Millis, "p99-ms")
 	b.ReportMetric(last.MaxUtilization, "max-util")
+}
+
+// BenchmarkDatasetMaterialize times the dataset's materializer, the
+// data plane's set-up: one op installs the NoSE RUBiS schema (2,000
+// users) into a fresh store and runs executor.Oracle for every query
+// under one binding, so every family's path and every query's path is
+// walked once.
+func BenchmarkDatasetMaterialize(b *testing.B) {
+	cfg := rubis.Config{Users: 2_000, Seed: 1}
+	ds, err := rubis.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, _, err := rubis.Workload(ds.Graph)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := search.Advise(w, benchAdvisorOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := rubis.NewParamSource(cfg, 4242).Params("")
+	b.ResetTimer()
+	records, rows := 0, 0
+	for i := 0; i < b.N; i++ {
+		store := backend.NewStore(cost.DefaultParams())
+		records, rows = 0, 0
+		for _, x := range rec.Schema.Indexes() {
+			if err := ds.Install(store, x); err != nil {
+				b.Fatal(err)
+			}
+			st, err := store.CFStats(x.Name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			records += st.Records
+		}
+		for _, ws := range w.Statements {
+			if q, ok := ws.Statement.(*workload.Query); ok {
+				out, err := executor.Oracle(ds, q, params)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows += len(out)
+			}
+		}
+	}
+	b.ReportMetric(float64(records), "records")
+	b.ReportMetric(float64(rows), "oracle-rows")
 }
 
 // biddingSchedule is the second end-to-end path's fixed input: a

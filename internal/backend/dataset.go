@@ -2,6 +2,7 @@ package backend
 
 import (
 	"fmt"
+	"math"
 
 	"nose/internal/model"
 	"nose/internal/schema"
@@ -11,13 +12,18 @@ import (
 // relationship adjacency. It is the single source of truth from which
 // any schema's column families are materialized, so executing the same
 // query against different schemas must return identical answers.
+//
+// Rows are addressed by index: an entity's rows sit in insertion order,
+// a removed row leaves a nil tombstone so later indices stay valid, and
+// adjacency links row indices, so a path walk follows integers and
+// hashes nothing. Ids are hashed only where they come in, through byID.
 type Dataset struct {
 	// Graph is the conceptual model the data instantiates.
 	Graph *model.Graph
 
-	rows map[*model.Entity][]map[string]Value // qualified attr name -> value
+	rows map[*model.Entity][]map[string]Value // qualified attr name -> value; nil once removed
 	byID map[*model.Entity]map[string]int     // encoded id -> row index
-	adj  map[*model.Edge]map[string][]Value   // encoded from-id -> to ids
+	adj  map[*model.Edge][][]int32            // from-row index -> to-row indices, in link order
 }
 
 // NewDataset returns an empty dataset over the model.
@@ -26,7 +32,7 @@ func NewDataset(g *model.Graph) *Dataset {
 		Graph: g,
 		rows:  map[*model.Entity][]map[string]Value{},
 		byID:  map[*model.Entity]map[string]int{},
-		adj:   map[*model.Edge]map[string][]Value{},
+		adj:   map[*model.Edge][][]int32{},
 	}
 }
 
@@ -108,6 +114,9 @@ func (d *Dataset) AddEntity(e *model.Entity, row map[string]Value) error {
 	if _, dup := ids[ek]; dup {
 		return fmt.Errorf("backend: duplicate %s id %v", e.Name, id)
 	}
+	if len(d.rows[e]) >= math.MaxInt32 {
+		return fmt.Errorf("backend: %s already has %d rows, adjacency addresses no more", e.Name, len(d.rows[e]))
+	}
 	ids[ek] = len(d.rows[e])
 	d.rows[e] = append(d.rows[e], qualified)
 	return nil
@@ -116,48 +125,62 @@ func (d *Dataset) AddEntity(e *model.Entity, row map[string]Value) error {
 // Connect records one relationship instance between existing entities,
 // in both directions.
 func (d *Dataset) Connect(edge *model.Edge, fromID, toID Value) error {
-	fromID, err := coerce(edge.From.Key(), fromID)
+	from, to, err := d.endpoints(edge, fromID, toID)
 	if err != nil {
 		return err
 	}
-	toID, err = coerce(edge.To.Key(), toID)
-	if err != nil {
-		return err
-	}
-	if _, ok := d.byID[edge.From][EncodeKey([]Value{fromID})]; !ok {
+	if from < 0 {
 		return fmt.Errorf("backend: connect: no %s with id %v", edge.From.Name, fromID)
 	}
-	if _, ok := d.byID[edge.To][EncodeKey([]Value{toID})]; !ok {
+	if to < 0 {
 		return fmt.Errorf("backend: connect: no %s with id %v", edge.To.Name, toID)
 	}
-	d.link(edge, fromID, toID)
-	d.link(edge.Inverse, toID, fromID)
+	d.link(edge, from, to)
+	d.link(edge.Inverse, to, from)
 	return nil
 }
 
-func (d *Dataset) link(edge *model.Edge, fromID, toID Value) {
-	m := d.adj[edge]
-	if m == nil {
-		m = map[string][]Value{}
-		d.adj[edge] = m
+// endpoints resolves a relationship instance's ids to row indices, -1
+// for an id with no row.
+func (d *Dataset) endpoints(edge *model.Edge, fromID, toID Value) (from, to int32, err error) {
+	fromID, err = coerce(edge.From.Key(), fromID)
+	if err != nil {
+		return 0, 0, err
 	}
-	k := EncodeKey([]Value{fromID})
-	m[k] = append(m[k], toID)
+	toID, err = coerce(edge.To.Key(), toID)
+	if err != nil {
+		return 0, 0, err
+	}
+	return d.rowIndex(edge.From, fromID), d.rowIndex(edge.To, toID), nil
+}
+
+// rowIndex returns the row index of the instance with the given
+// (coerced) id, or -1.
+func (d *Dataset) rowIndex(e *model.Entity, id Value) int32 {
+	idx, ok := d.byID[e][EncodeKey([]Value{id})]
+	if !ok {
+		return -1
+	}
+	return int32(idx)
+}
+
+func (d *Dataset) link(edge *model.Edge, from, to int32) {
+	lists := d.adj[edge]
+	if int(from) >= len(lists) {
+		lists = append(lists, make([][]int32, int(from)+1-len(lists))...)
+		d.adj[edge] = lists
+	}
+	lists[from] = append(lists[from], to)
 }
 
 // EntityRow returns the instance with the given id (qualified attr
 // names), or nil.
 func (d *Dataset) EntityRow(e *model.Entity, id Value) map[string]Value {
-	idx, ok := d.byID[e][EncodeKey([]Value{id})]
-	if !ok {
+	idx := d.rowIndex(e, id)
+	if idx < 0 {
 		return nil
 	}
 	return d.rows[e][idx]
-}
-
-// Neighbors returns the ids reachable from fromID along edge.
-func (d *Dataset) Neighbors(edge *model.Edge, fromID Value) []Value {
-	return d.adj[edge][EncodeKey([]Value{fromID})]
 }
 
 // DefFromIndex derives the store definition of a column family from
@@ -210,53 +233,131 @@ func (d *Dataset) Install(s Installer, x *schema.Index) error {
 // a migration and reconstructing a backfill snapshot after a crash all
 // read from here, so they agree on every record by construction.
 func (d *Dataset) ForEachRecord(x *schema.Index, fn func(partition, clustering, values []Value) error) error {
-	def := DefFromIndex(x)
-	return d.ForEachCombination(x.Path, func(tuple map[string]Value) error {
-		return fn(cells(tuple, def.PartitionCols), cells(tuple, def.ClusteringCols), cells(tuple, def.ValueCols))
+	partition, clustering, values := columnsOf(x.Path, x.Partition), columnsOf(x.Path, x.Clustering), columnsOf(x.Path, x.Values)
+	return d.ForEachCombination(x.Path, func(c *Combination) error {
+		return fn(c.cells(partition), c.cells(clustering), c.cells(values))
 	})
 }
 
-// cells copies the named columns out of a combination tuple.
-func cells(tuple map[string]Value, cols []string) []Value {
+// column is where a combination holds one attribute: the path position
+// whose row carries it (-1 when none does) and its qualified name.
+type column struct {
+	pos  int
+	name string
+}
+
+// columnsOf resolves attributes to the path positions that hold them.
+func columnsOf(path model.Path, attrs []*model.Attribute) []column {
+	out := make([]column, len(attrs))
+	for i, a := range attrs {
+		out[i] = column{lastPosition(path, a.Entity), a.QualifiedName()}
+	}
+	return out
+}
+
+// lastPosition is the last position of e on the path, or -1: the row
+// whose value a merge of the path's rows in order would keep.
+func lastPosition(path model.Path, e *model.Entity) int {
+	for i := len(path.Edges); i >= 0; i-- {
+		if path.EntityAt(i) == e {
+			return i
+		}
+	}
+	return -1
+}
+
+// Combination is one complete combination of connected entity
+// instances along a path: the row at each path position.
+// ForEachCombination reuses it across calls, so a caller reads what it
+// needs during the call and copies values it retains.
+type Combination struct {
+	path model.Path
+	rows []map[string]Value
+}
+
+// Value returns attribute a's value in the combination: from the row at
+// the last path position holding a's entity, the value a merge of the
+// rows in path order keeps. ok is false when no position holds it.
+func (c *Combination) Value(a *model.Attribute) (Value, bool) {
+	pos := lastPosition(c.path, a.Entity)
+	if pos < 0 {
+		return nil, false
+	}
+	v, ok := c.rows[pos][a.QualifiedName()]
+	return v, ok
+}
+
+// Tuple returns a fresh map of the combination's rows merged in path
+// order, keyed by qualified attribute name.
+func (c *Combination) Tuple() map[string]Value {
+	n := 0
+	for _, row := range c.rows {
+		n += len(row)
+	}
+	t := make(map[string]Value, n)
+	for _, row := range c.rows {
+		for k, v := range row {
+			t[k] = v
+		}
+	}
+	return t
+}
+
+// cells copies resolved columns out of a combination.
+func (c *Combination) cells(cols []column) []Value {
 	out := make([]Value, len(cols))
-	for i, c := range cols {
-		out[i] = tuple[c]
+	for i, col := range cols {
+		if col.pos >= 0 {
+			out[i] = c.rows[col.pos][col.name]
+		}
 	}
 	return out
 }
 
 // ForEachCombination enumerates the connected entity combinations
-// along a path, calling fn with the merged qualified-attribute tuple of
-// each complete combination. The tuple is reused across calls; callers
-// must copy values they retain.
-func (d *Dataset) ForEachCombination(path model.Path, fn func(map[string]Value) error) error {
-	tuple := map[string]Value{}
-	var rec func(pos int, row map[string]Value) error
-	rec = func(pos int, row map[string]Value) error {
-		for k, v := range row {
-			tuple[k] = v
+// along a path, calling fn with each complete combination. It walks row
+// indices: the start entity's rows in order, then each edge's
+// adjacency of the row before it in link order, skipping removed rows,
+// so it neither hashes an id nor merges a row on the way. The
+// Combination is reused across calls.
+func (d *Dataset) ForEachCombination(path model.Path, fn func(*Combination) error) error {
+	n := path.Len()
+	c := &Combination{path: path, rows: make([]map[string]Value, n)}
+	rows := make([][]map[string]Value, n)
+	adj := make([][][]int32, n-1)
+	for i := range rows {
+		rows[i] = d.rows[path.EntityAt(i)]
+		if i > 0 {
+			adj[i-1] = d.adj[path.Edges[i-1]]
 		}
-		if pos == path.Len()-1 {
-			return fn(tuple)
+	}
+	// step fills position pos from the neighbours of row from at pos-1.
+	var step func(pos int, from int32) error
+	step = func(pos int, from int32) error {
+		if pos == n {
+			return fn(c)
 		}
-		edge := path.Edges[pos]
-		id := row[path.EntityAt(pos).Key().QualifiedName()]
-		for _, nid := range d.Neighbors(edge, id) {
-			next := d.EntityRow(edge.To, nid)
-			if next == nil {
+		if int(from) >= len(adj[pos-1]) {
+			return nil
+		}
+		for _, to := range adj[pos-1][from] {
+			row := rows[pos][to]
+			if row == nil {
 				continue
 			}
-			if err := rec(pos+1, next); err != nil {
+			c.rows[pos] = row
+			if err := step(pos+1, to); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for _, row := range d.rows[path.Start] {
+	for i, row := range rows[0] {
 		if row == nil {
 			continue // removed instance
 		}
-		if err := rec(0, row); err != nil {
+		c.rows[0] = row
+		if err := step(1, int32(i)); err != nil {
 			return err
 		}
 	}
@@ -294,27 +395,26 @@ func (d *Dataset) UpdateEntity(e *model.Entity, id Value, attrs map[string]Value
 }
 
 // Disconnect removes one relationship instance in both directions (see
-// UpdateEntity for who calls it).
+// UpdateEntity for who calls it). A link that is not there is a no-op.
 func (d *Dataset) Disconnect(edge *model.Edge, fromID, toID Value) error {
-	fromID, err := coerce(edge.From.Key(), fromID)
-	if err != nil {
+	from, to, err := d.endpoints(edge, fromID, toID)
+	if err != nil || from < 0 || to < 0 {
 		return err
 	}
-	toID, err = coerce(edge.To.Key(), toID)
-	if err != nil {
-		return err
-	}
-	d.unlink(edge, fromID, toID)
-	d.unlink(edge.Inverse, toID, fromID)
+	d.unlink(edge, from, to)
+	d.unlink(edge.Inverse, to, from)
 	return nil
 }
 
-func (d *Dataset) unlink(edge *model.Edge, fromID, toID Value) {
-	k := EncodeKey([]Value{fromID})
-	ids := d.adj[edge][k]
-	for i, v := range ids {
-		if CompareValues(v, toID) == 0 {
-			d.adj[edge][k] = append(ids[:i], ids[i+1:]...)
+// unlink removes the first link from row from to row to along edge.
+func (d *Dataset) unlink(edge *model.Edge, from, to int32) {
+	lists := d.adj[edge]
+	if int(from) >= len(lists) {
+		return
+	}
+	for i, v := range lists[from] {
+		if v == to {
+			lists[from] = append(lists[from][:i], lists[from][i+1:]...)
 			return
 		}
 	}
@@ -327,19 +427,20 @@ func (d *Dataset) RemoveEntity(e *model.Entity, id Value) error {
 	if err != nil {
 		return err
 	}
-	k := EncodeKey([]Value{id})
-	idx, ok := d.byID[e][k]
-	if !ok {
+	idx := d.rowIndex(e, id)
+	if idx < 0 {
 		return fmt.Errorf("backend: no %s with id %v", e.Name, id)
 	}
 	for _, edge := range e.Edges() {
-		for _, nid := range append([]Value(nil), d.adj[edge][k]...) {
-			d.unlink(edge, id, nid)
-			d.unlink(edge.Inverse, nid, id)
+		if lists := d.adj[edge]; int(idx) < len(lists) {
+			for _, to := range append([]int32(nil), lists[idx]...) {
+				d.unlink(edge, idx, to)
+				d.unlink(edge.Inverse, to, idx)
+			}
 		}
 	}
 	// Tombstone the row; index positions of other rows stay valid.
 	d.rows[e][idx] = nil
-	delete(d.byID[e], k)
+	delete(d.byID[e], EncodeKey([]Value{id}))
 	return nil
 }

@@ -238,7 +238,7 @@ func TestDatasetValidation(t *testing.T) {
 		t.Error("connect with missing endpoint accepted")
 	}
 	guests := 0
-	if err := ds.ForEachCombination(model.NewPath(guest), func(map[string]backend.Value) error { guests++; return nil }); err != nil {
+	if err := ds.ForEachCombination(model.NewPath(guest), func(*backend.Combination) error { guests++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if guests != 3 {
@@ -247,8 +247,19 @@ func TestDatasetValidation(t *testing.T) {
 	if ds.EntityRow(guest, int64(99)) != nil {
 		t.Error("phantom row")
 	}
-	if got := len(ds.Neighbors(guest.Edge("Reservations"), int64(0))); got != 2 {
-		t.Errorf("neighbors = %d, want 2", got)
+	var reservations []backend.Value
+	err := ds.ForEachCombination(model.NewPath(guest).Append(guest.Edge("Reservations")), func(c *backend.Combination) error {
+		if id, _ := c.Value(guest.Key()); id == int64(0) {
+			rid, _ := c.Value(guest.Edge("Reservations").To.Key())
+			reservations = append(reservations, rid)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reservations, []backend.Value{int64(0), int64(3)}) {
+		t.Errorf("guest 0's reservations = %v, want [0 3]", reservations)
 	}
 }
 

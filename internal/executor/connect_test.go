@@ -77,10 +77,11 @@ func TestExecuteDisconnectRemovesRecords(t *testing.T) {
 	guest := g.MustEntity("Guest")
 	var gid, rid int64
 	found := false
-	must(t, ds.ForEachCombination(model.NewPath(guest), func(row map[string]backend.Value) error {
-		id := row["Guest.GuestID"].(int64)
-		if ns := ds.Neighbors(guest.Edge("Reservations"), id); len(ns) > 0 && !found {
-			gid, rid, found = id, ns[0].(int64), true
+	must(t, ds.ForEachCombination(model.NewPath(guest).Append(guest.Edge("Reservations")), func(c *backend.Combination) error {
+		if !found {
+			g, _ := c.Value(guest.Key())
+			r, _ := c.Value(guest.Edge("Reservations").To.Key())
+			gid, rid, found = g.(int64), r.(int64), true
 		}
 		return nil
 	}))

@@ -2,7 +2,6 @@ package executor
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"nose/internal/backend"
@@ -15,19 +14,22 @@ import (
 // sorts, projects to distinct rows, and applies the limit. Integration
 // tests compare every schema's execution against this ground truth.
 //
-// It shares nothing with the compiled executor but the Tuple it hands
-// back: rows are maps keyed by qualified attribute name, every name is
-// hashed per row, and duplicates are found by concatenating per-cell
-// EncodeKey strings — the reference stays independent of what it checks.
+// Predicates read each combination in place, through
+// backend.Combination.Value; only a combination that passes them
+// becomes a map row. Past that it shares nothing with the compiled
+// executor but the Tuple it hands back: rows are maps keyed by
+// qualified attribute name, every name is hashed per row, and
+// duplicates are found by concatenating per-cell EncodeKey strings —
+// the reference stays independent of what it checks.
 func Oracle(ds *backend.Dataset, q *workload.Query, params Params) ([]Tuple, error) {
 	var rows []map[string]backend.Value
-	err := ds.ForEachCombination(q.Path, func(t map[string]backend.Value) error {
-		ok, err := evalPredicates(q.Where, t, params)
+	err := ds.ForEachCombination(q.Path, func(c *backend.Combination) error {
+		ok, err := evalPredicates(q.Where, c, params)
 		if err != nil {
 			return err
 		}
 		if ok {
-			rows = append(rows, maps.Clone(t))
+			rows = append(rows, c.Tuple())
 		}
 		return nil
 	})
@@ -42,10 +44,10 @@ func Oracle(ds *backend.Dataset, q *workload.Query, params Params) ([]Tuple, err
 	return out, nil
 }
 
-// evalPredicates applies predicates to one map row.
-func evalPredicates(preds []workload.Predicate, t map[string]backend.Value, params Params) (bool, error) {
+// evalPredicates applies predicates to one combination.
+func evalPredicates(preds []workload.Predicate, c *backend.Combination, params Params) (bool, error) {
 	for _, p := range preds {
-		have, ok := t[p.Ref.Attr.QualifiedName()]
+		have, ok := c.Value(p.Ref.Attr)
 		if !ok {
 			return false, fmt.Errorf("tuple lacks attribute %s for filtering", p.Ref.Attr.QualifiedName())
 		}
