@@ -433,10 +433,10 @@ func (d *Dataset) RemoveEntity(e *model.Entity, id Value) error {
 	}
 	for _, edge := range e.Edges() {
 		if lists := d.adj[edge]; int(idx) < len(lists) {
-			for _, to := range append([]int32(nil), lists[idx]...) {
-				d.unlink(edge, idx, to)
+			for _, to := range lists[idx] {
 				d.unlink(edge.Inverse, to, idx)
 			}
+			lists[idx] = nil
 		}
 	}
 	// Tombstone the row; index positions of other rows stay valid.
