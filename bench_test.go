@@ -628,7 +628,7 @@ func BenchmarkDualWriteOverhead(b *testing.B) {
 		// Nothing steps the migration, so it stays in its dual-write
 		// window and every write transaction pays the forwarding cost.
 		if _, err := sys.StartLiveMigration(ds, &search.PhaseRecommendation{Rec: to, Build: build, Drop: drop},
-			migrate.LiveOptions{Params: migrate.DefaultCostParams()}); err != nil {
+			migrate.LiveOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

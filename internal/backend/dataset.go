@@ -143,25 +143,29 @@ func (d *Dataset) Connect(edge *model.Edge, fromID, toID Value) error {
 // endpoints resolves a relationship instance's ids to row indices, -1
 // for an id with no row.
 func (d *Dataset) endpoints(edge *model.Edge, fromID, toID Value) (from, to int32, err error) {
-	fromID, err = coerce(edge.From.Key(), fromID)
-	if err != nil {
+	if from, err = d.rowIndex(edge.From, fromID); err != nil {
 		return 0, 0, err
 	}
-	toID, err = coerce(edge.To.Key(), toID)
-	if err != nil {
+	if to, err = d.rowIndex(edge.To, toID); err != nil {
 		return 0, 0, err
 	}
-	return d.rowIndex(edge.From, fromID), d.rowIndex(edge.To, toID), nil
+	return from, to, nil
 }
 
-// rowIndex returns the row index of the instance with the given
-// (coerced) id, or -1.
-func (d *Dataset) rowIndex(e *model.Entity, id Value) int32 {
+// rowIndex resolves an id as the caller passed it: coerced to the
+// entity's key type, as AddEntity stored it, then looked up. It returns
+// the row index of the instance with that id, or -1. Every entry point
+// that takes an id goes through it.
+func (d *Dataset) rowIndex(e *model.Entity, id Value) (int32, error) {
+	id, err := coerce(e.Key(), id)
+	if err != nil {
+		return -1, err
+	}
 	idx, ok := d.byID[e][EncodeKey([]Value{id})]
 	if !ok {
-		return -1
+		return -1, nil
 	}
-	return int32(idx)
+	return int32(idx), nil
 }
 
 func (d *Dataset) link(edge *model.Edge, from, to int32) {
@@ -174,10 +178,11 @@ func (d *Dataset) link(edge *model.Edge, from, to int32) {
 }
 
 // EntityRow returns the instance with the given id (qualified attr
-// names), or nil.
+// names), or nil when there is none or the id cannot be the entity's
+// key.
 func (d *Dataset) EntityRow(e *model.Entity, id Value) map[string]Value {
-	idx := d.rowIndex(e, id)
-	if idx < 0 {
+	idx, err := d.rowIndex(e, id)
+	if err != nil || idx < 0 {
 		return nil
 	}
 	return d.rows[e][idx]
@@ -423,14 +428,14 @@ func (d *Dataset) unlink(edge *model.Edge, from, to int32) {
 // RemoveEntity deletes an instance and all its relationship instances
 // (see UpdateEntity for who calls it).
 func (d *Dataset) RemoveEntity(e *model.Entity, id Value) error {
-	id, err := coerce(e.Key(), id)
+	idx, err := d.rowIndex(e, id)
 	if err != nil {
 		return err
 	}
-	idx := d.rowIndex(e, id)
 	if idx < 0 {
 		return fmt.Errorf("backend: no %s with id %v", e.Name, id)
 	}
+	key := d.rows[e][idx][e.Key().QualifiedName()]
 	for _, edge := range e.Edges() {
 		if lists := d.adj[edge]; int(idx) < len(lists) {
 			for _, to := range lists[idx] {
@@ -441,6 +446,6 @@ func (d *Dataset) RemoveEntity(e *model.Entity, id Value) error {
 	}
 	// Tombstone the row; index positions of other rows stay valid.
 	d.rows[e][idx] = nil
-	delete(d.byID[e], EncodeKey([]Value{id}))
+	delete(d.byID[e], EncodeKey([]Value{key}))
 	return nil
 }

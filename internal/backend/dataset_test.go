@@ -314,3 +314,65 @@ func FuzzDatasetAgainstReference(f *testing.F) {
 		checkDatasetAgainstReference(t, &c, ops, ops+1)
 	})
 }
+
+// TestEveryEntryPointTakesAnIntID: an id reaches the dataset as whatever
+// integer type the caller holds. Every entry point that takes an id
+// coerces it to the key's type as AddEntity stores it, so a plain int
+// names the same instance as an int64 at AddEntity, Connect, EntityRow,
+// UpdateEntity, Disconnect and RemoveEntity alike; an id that cannot be
+// the key is an error (nil at EntityRow), never a panic.
+func TestEveryEntryPointTakesAnIntID(t *testing.T) {
+	g := refGraph()
+	a, b := g.MustEntity("A"), g.MustEntity("B")
+	bs := a.Edge("Bs")
+	ds := backend.NewDataset(g)
+	for _, e := range []*model.Entity{a, b} {
+		for id := 1; id <= 2; id++ {
+			if err := ds.AddEntity(e, map[string]backend.Value{e.Key().Name: id, "N": id}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	must := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	must("Connect", ds.Connect(bs, 1, 2))
+	must("Connect", ds.Connect(bs, 1, 1))
+	if row := ds.EntityRow(a, 1); row == nil || row["A.N"] != int64(1) {
+		t.Fatalf("EntityRow(A, int 1) = %v, want the row with A.N = 1", row)
+	}
+	must("UpdateEntity", ds.UpdateEntity(a, 1, map[string]backend.Value{"N": 7}))
+	if row := ds.EntityRow(a, int64(1)); row["A.N"] != int64(7) {
+		t.Fatalf("after UpdateEntity(A, int 1): A.N = %v, want 7", row["A.N"])
+	}
+	must("Disconnect", ds.Disconnect(bs, 1, 2))
+	must("RemoveEntity", ds.RemoveEntity(b, 1))
+	if ds.EntityRow(b, 1) != nil {
+		t.Fatal("EntityRow(B, int 1) found a removed instance")
+	}
+	// A(1) kept no link: one was disconnected, the other removed with B(1).
+	var walked int
+	must("ForEachCombination", ds.ForEachCombination(model.NewPath(a).Append(bs), func(*backend.Combination) error {
+		walked++
+		return nil
+	}))
+	if walked != 0 {
+		t.Fatalf("A.Bs walked %d combinations, want 0", walked)
+	}
+
+	if ds.EntityRow(a, "1") != nil {
+		t.Error("EntityRow(A, string id) found an instance")
+	}
+	if err := ds.UpdateEntity(a, "1", nil); err == nil {
+		t.Error("UpdateEntity(A, string id) succeeded")
+	}
+	if err := ds.Disconnect(bs, 1.5, 2); err == nil {
+		t.Error("Disconnect with a float id succeeded")
+	}
+	if err := ds.RemoveEntity(a, "1"); err == nil {
+		t.Error("RemoveEntity(A, string id) succeeded")
+	}
+}

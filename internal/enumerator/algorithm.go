@@ -78,12 +78,21 @@ func EnumerateWorkloadCtx(ctx context.Context, w *workload.Workload, feats Featu
 // enumerateWorkload is EnumerateWorkloadCtx over the run memo.
 func (memo *run) enumerateWorkload(ctx context.Context, w *workload.Workload, workers int, r *obs.Registry) (*Result, error) {
 	pool := NewPool()
-	works := make([]*work, max(workers, 1))
-	worker := func(i int) *work {
-		if works[i] == nil {
-			works[i] = memo.newWork()
+	// works holds each worker's state, made on the worker's first item.
+	// It grows to the workers a fan-out can run (par.DoWorker runs at
+	// most one per item), never to the requested count, which is
+	// outside input.
+	var works []*work
+	fanOut := func(n int, fn func(w *work, i int)) {
+		if k := min(max(workers, 1), n); len(works) < k {
+			works = append(works, make([]*work, k-len(works))...)
 		}
-		return works[i]
+		par.DoWorker(n, workers, func(wk, i int) {
+			if works[wk] == nil {
+				works[wk] = memo.newWork()
+			}
+			fn(works[wk], i)
+		})
 	}
 	emittedC := r.Counter("enum.candidates_emitted")
 	// pooled marks the run's candidates the pool already holds. Only the
@@ -101,11 +110,11 @@ func (memo *run) enumerateWorkload(ctx context.Context, w *workload.Workload, wo
 	queries := w.Queries()
 	lists := make([][]*cand, len(queries))
 	errs := make([]error, len(queries))
-	par.DoWorker(len(queries), workers, func(wk, i int) {
+	fanOut(len(queries), func(wk *work, i int) {
 		if ctx.Err() != nil {
 			return
 		}
-		lists[i], errs[i] = worker(wk).enumerate(queries[i].Statement.(*workload.Query))
+		lists[i], errs[i] = wk.enumerate(queries[i].Statement.(*workload.Query))
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -168,7 +177,7 @@ func (memo *run) enumerateWorkload(ctx context.Context, w *workload.Workload, wo
 				it := &items[len(items)-1]
 				it.x, it.sqs, it.lists = x, nil, it.lists[:0]
 			}
-			par.DoWorker(len(items), workers, func(wk, i int) {
+			fanOut(len(items), func(wk *work, i int) {
 				if ctx.Err() != nil {
 					return
 				}
@@ -178,7 +187,7 @@ func (memo *run) enumerateWorkload(ctx context.Context, w *workload.Workload, wo
 					// Support queries always carry an equality
 					// predicate by construction, so enumeration
 					// cannot fail; ignore the error defensively.
-					list, _ := worker(wk).enumerate(sq)
+					list, _ := wk.enumerate(sq)
 					it.lists = append(it.lists, list)
 				}
 			})

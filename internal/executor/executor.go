@@ -50,7 +50,6 @@ type Result struct {
 type Executor struct {
 	store backend.KVBackend
 	lat   cost.Params
-	retry RetryPolicy
 	eo    execObs
 	// progs memoizes compiled programs by *planner.Plan and
 	// *search.UpdateRecommendation for the executor's lifetime; pool
@@ -92,17 +91,11 @@ func (e *Executor) SetObs(r *obs.Registry) {
 }
 
 // New returns an executor over the store, charging client-side work
-// with the same coefficients as the advisor's cost model. Operations
-// are not retried; use NewRetrying against a faulty backend.
-func New(store backend.KVBackend, lat cost.Params) *Executor {
-	return NewRetrying(store, lat, RetryPolicy{})
-}
-
-// NewRetrying returns an executor that retries retryable faults under
-// the given policy, charging wasted attempts and backoff into each
+// with the same coefficients as the advisor's cost model. It retries
+// retryable faults, charging wasted attempts and backoff into each
 // statement's simulated time.
-func NewRetrying(store backend.KVBackend, lat cost.Params, policy RetryPolicy) *Executor {
-	return &Executor{store: store, lat: lat, retry: policy.normalized()}
+func New(store backend.KVBackend, lat cost.Params) *Executor {
+	return &Executor{store: store, lat: lat}
 }
 
 // Put writes one record into a column family through the executor's

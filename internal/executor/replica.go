@@ -109,7 +109,7 @@ type CoordinatorOptions struct {
 // the read consistency level, every Put/Delete to all replicas waiting
 // for enough acknowledgements, with node-level faults (from
 // faults.Nodes) injected per replica attempt. It implements
-// backend.KVBackend, so the executor, retry policy and plan-level
+// backend.KVBackend, so the executor, its retries and plan-level
 // failover all work unchanged on top of it.
 //
 // Recovery is modeled after the real systems:

@@ -7,65 +7,25 @@ import (
 	"nose/internal/faults"
 )
 
-// RetryPolicy governs how the executor retries operations that fail
-// with retryable injected faults (transient errors and timeouts).
-// Backoff is capped exponential with deterministic jitter, and both the
-// wasted operation time and the backoff waits are charged into the
-// statement's simulated response time — a degraded store makes
-// statements measurably slower, never silently fault-free.
-type RetryPolicy struct {
-	// MaxAttempts bounds the tries per operation (first attempt
-	// included). Zero or one disables retries.
-	MaxAttempts int
-	// BaseBackoffMillis is the simulated wait before the first retry;
-	// zero means DefaultBaseBackoffMillis when retries are enabled.
-	BaseBackoffMillis float64
-	// MaxBackoffMillis caps the exponential backoff; zero means
-	// DefaultMaxBackoffMillis.
-	MaxBackoffMillis float64
-	// BudgetMillis bounds the total simulated time one statement may
-	// spend on failed attempts and backoff before giving up; zero means
-	// DefaultRetryBudgetMillis.
-	BudgetMillis float64
-}
-
-// Default retry tuning, in the cost model's abstract milliseconds.
+// The executor retries operations that fail with retryable injected
+// faults (transient errors and timeouts). Backoff is capped exponential
+// with deterministic jitter, and both the wasted operation time and the
+// backoff waits are charged into the statement's simulated response
+// time: a degraded store makes statements measurably slower, never
+// silently fault-free. A store without weather never fails retryably,
+// so on a healthy stack the retry path is never taken. The tuning is in
+// the cost model's abstract milliseconds.
 const (
-	DefaultMaxAttempts       = 4
-	DefaultBaseBackoffMillis = 1.0
-	DefaultMaxBackoffMillis  = 16.0
-	DefaultRetryBudgetMillis = 250.0
+	// maxAttempts bounds the tries per operation, the first included.
+	maxAttempts = 4
+	// baseBackoffMillis is the wait before the first retry;
+	// maxBackoffMillis caps the doubling.
+	baseBackoffMillis = 1.0
+	maxBackoffMillis  = 16.0
+	// retryBudgetMillis bounds the simulated time one statement may
+	// spend on failed attempts and backoff before giving up.
+	retryBudgetMillis = 250.0
 )
-
-// DefaultRetryPolicy returns the standard retry tuning.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:       DefaultMaxAttempts,
-		BaseBackoffMillis: DefaultBaseBackoffMillis,
-		MaxBackoffMillis:  DefaultMaxBackoffMillis,
-		BudgetMillis:      DefaultRetryBudgetMillis,
-	}
-}
-
-// enabled reports whether the policy retries at all.
-func (p RetryPolicy) enabled() bool { return p.MaxAttempts > 1 }
-
-// normalized fills policy defaults for enabled policies.
-func (p RetryPolicy) normalized() RetryPolicy {
-	if !p.enabled() {
-		return p
-	}
-	if p.BaseBackoffMillis <= 0 {
-		p.BaseBackoffMillis = DefaultBaseBackoffMillis
-	}
-	if p.MaxBackoffMillis <= 0 {
-		p.MaxBackoffMillis = DefaultMaxBackoffMillis
-	}
-	if p.BudgetMillis <= 0 {
-		p.BudgetMillis = DefaultRetryBudgetMillis
-	}
-	return p
-}
 
 // stmtBudget tracks one statement execution's retry spend. Each
 // statement gets a fresh budget so a burst of faults on one statement
@@ -88,13 +48,13 @@ func jitter01(seed uint64) float64 {
 
 // backoffFor computes the capped exponential backoff for a retry
 // attempt with deterministic jitter in [½·b, b].
-func (p RetryPolicy) backoffFor(cf string, attempt int, op int64) float64 {
-	b := p.BaseBackoffMillis
-	for i := 0; i < attempt && b < p.MaxBackoffMillis; i++ {
+func backoffFor(cf string, attempt int, op int64) float64 {
+	b := baseBackoffMillis
+	for i := 0; i < attempt && b < maxBackoffMillis; i++ {
 		b *= 2
 	}
-	if b > p.MaxBackoffMillis {
-		b = p.MaxBackoffMillis
+	if b > maxBackoffMillis {
+		b = maxBackoffMillis
 	}
 	h := fnv.New64a()
 	h.Write([]byte(cf))
@@ -102,7 +62,8 @@ func (p RetryPolicy) backoffFor(cf string, attempt int, op int64) float64 {
 	return b * (0.5 + 0.5*jitter01(seed))
 }
 
-// retryOp runs one store operation under the retry policy. do returns
+// retryOp runs one store operation, retrying it while it fails
+// retryably. do returns
 // the operation's own simulated service time on success. retryOp
 // returns the total simulated time consumed — service time plus any
 // wasted attempts and backoff — and the final error, whose own wasted
@@ -119,24 +80,24 @@ func (e *Executor) retryOp(bgt *stmtBudget, cf string, do func() (float64, error
 		wasted := faults.SimCost(err)
 		total += wasted
 		bgt.spentMillis += wasted
-		if !e.retry.enabled() || !faults.Retryable(err) {
+		if !faults.Retryable(err) {
 			return total, err
 		}
-		if attempt+1 >= e.retry.MaxAttempts {
+		if attempt+1 >= maxAttempts {
 			e.eo.retryExhausted.Inc()
 			e.eo.wastedSimMs.Add(wasted)
 			return total, fmt.Errorf("retries exhausted after %d attempts: %w", attempt+1, err)
 		}
-		if bgt.spentMillis >= e.retry.BudgetMillis {
+		if bgt.spentMillis >= retryBudgetMillis {
 			e.eo.retryExhausted.Inc()
 			e.eo.wastedSimMs.Add(wasted)
-			return total, fmt.Errorf("retry budget (%.0fms) exhausted: %w", e.retry.BudgetMillis, err)
+			return total, fmt.Errorf("retry budget (%.0fms) exhausted: %w", retryBudgetMillis, err)
 		}
-		backoff := e.retry.backoffFor(cf, attempt, bgt.ops)
+		backoff := backoffFor(cf, attempt, bgt.ops)
 		// Never charge past the budget: the final backoff truncates to
 		// the remaining allowance, so backoff spend lands exactly on
-		// BudgetMillis instead of overshooting the charged SimMillis.
-		if rem := e.retry.BudgetMillis - bgt.spentMillis; backoff > rem {
+		// the budget instead of overshooting the charged SimMillis.
+		if rem := retryBudgetMillis - bgt.spentMillis; backoff > rem {
 			backoff = rem
 		}
 		total += backoff

@@ -13,14 +13,14 @@ import (
 // retryingExecutor builds an executor for retry tests, which drive
 // retryOp with closures and never touch a store, counting into the
 // returned registry.
-func retryingExecutor(p RetryPolicy) (*Executor, *obs.Registry) {
-	e, reg := NewRetrying(nil, cost.Params{}, p), obs.NewRegistry()
+func retryingExecutor() (*Executor, *obs.Registry) {
+	e, reg := New(nil, cost.Params{}), obs.NewRegistry()
 	e.SetObs(reg)
 	return e, reg
 }
 
 func TestRetryOpSuccessFirstTry(t *testing.T) {
-	e, reg := retryingExecutor(DefaultRetryPolicy())
+	e, reg := retryingExecutor()
 	total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) { return 1.5, nil })
 	if err != nil || total != 1.5 {
 		t.Fatalf("total=%v err=%v, want 1.5, nil", total, err)
@@ -31,7 +31,7 @@ func TestRetryOpSuccessFirstTry(t *testing.T) {
 }
 
 func TestRetryOpTransientThenSuccess(t *testing.T) {
-	e, reg := retryingExecutor(DefaultRetryPolicy())
+	e, reg := retryingExecutor()
 	fails := 2
 	total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) {
 		if fails > 0 {
@@ -60,7 +60,7 @@ func TestRetryOpTransientThenSuccess(t *testing.T) {
 
 func TestRetryOpDeterministic(t *testing.T) {
 	run := func() float64 {
-		e, _ := retryingExecutor(DefaultRetryPolicy())
+		e, _ := retryingExecutor()
 		fails := 3
 		total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) {
 			if fails > 0 {
@@ -80,7 +80,7 @@ func TestRetryOpDeterministic(t *testing.T) {
 }
 
 func TestRetryOpNonRetryable(t *testing.T) {
-	e, _ := retryingExecutor(DefaultRetryPolicy())
+	e, _ := retryingExecutor()
 
 	calls := 0
 	boom := errors.New("arity mismatch")
@@ -103,17 +103,17 @@ func TestRetryOpNonRetryable(t *testing.T) {
 	}
 }
 
+// TestRetryOpExhaustsAttempts: a cheap fault that never clears stops
+// at the attempt cap, long before the budget.
 func TestRetryOpExhaustsAttempts(t *testing.T) {
-	p := DefaultRetryPolicy()
-	p.MaxAttempts = 3
-	e, reg := retryingExecutor(p)
+	e, reg := retryingExecutor()
 	calls := 0
 	total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) {
 		calls++
 		return 0, &faults.Error{Kind: faults.Transient, CF: "cf", Op: "get", SimMillis: 0.5}
 	})
-	if calls != 3 {
-		t.Errorf("calls = %d, want 3", calls)
+	if calls != maxAttempts {
+		t.Errorf("calls = %d, want %d", calls, maxAttempts)
 	}
 	if err == nil || !strings.Contains(err.Error(), "retries exhausted") {
 		t.Errorf("err = %v, want retries exhausted", err)
@@ -123,29 +123,30 @@ func TestRetryOpExhaustsAttempts(t *testing.T) {
 		// distinguish weather from bugs.
 		t.Error("exhausted error lost its fault classification")
 	}
-	if total < 1.5 {
+	if total < maxAttempts*0.5 {
 		t.Errorf("total %v does not charge the wasted attempts", total)
 	}
-	if x, r := RegisteredCounter(t, reg, "exec.retry_exhausted"), RegisteredCounter(t, reg, "exec.retries"); x != 1 || r != 2 {
-		t.Errorf("%d exhausted, %d retries; want 1 and 2", x, r)
+	if x, r := RegisteredCounter(t, reg, "exec.retry_exhausted"), RegisteredCounter(t, reg, "exec.retries"); x != 1 || r != maxAttempts-1 {
+		t.Errorf("%d exhausted, %d retries; want 1 and %d", x, r, maxAttempts-1)
 	}
 }
 
+// TestRetryOpBudget: a fault that wastes 100 ms a try spends the
+// statement's budget on its third try, before the attempt cap.
 func TestRetryOpBudget(t *testing.T) {
-	p := DefaultRetryPolicy()
-	p.MaxAttempts = 100
-	p.BudgetMillis = 60
-	e, _ := retryingExecutor(p)
+	e, _ := retryingExecutor()
 	bgt := &stmtBudget{}
+	calls := 0
 	_, err := e.retryOp(bgt, "cf", func() (float64, error) {
-		return 0, &faults.Error{Kind: faults.Timeout, CF: "cf", Op: "get", SimMillis: 50}
+		calls++
+		return 0, &faults.Error{Kind: faults.Timeout, CF: "cf", Op: "get", SimMillis: 100}
 	})
-	if err == nil || !strings.Contains(err.Error(), "retry budget") {
-		t.Errorf("err = %v, want retry budget exhausted", err)
+	if err == nil || !strings.Contains(err.Error(), "retry budget") || calls != 3 {
+		t.Errorf("calls=%d err=%v, want retry budget exhausted on the third call", calls, err)
 	}
 	// The budget persists across operations of the same statement: a
 	// second op on the same budget gives up immediately.
-	calls := 0
+	calls = 0
 	_, err = e.retryOp(bgt, "cf", func() (float64, error) {
 		calls++
 		return 0, &faults.Error{Kind: faults.Timeout, CF: "cf", Op: "get", SimMillis: 50}
@@ -156,72 +157,75 @@ func TestRetryOpBudget(t *testing.T) {
 }
 
 func TestBackoffCapAndJitterBounds(t *testing.T) {
-	p := DefaultRetryPolicy().normalized()
 	for attempt := 0; attempt < 12; attempt++ {
-		b := p.backoffFor("some.cf", attempt, int64(attempt*7))
-		if b > p.MaxBackoffMillis {
-			t.Errorf("attempt %d: backoff %v above cap %v", attempt, b, p.MaxBackoffMillis)
+		b := backoffFor("some.cf", attempt, int64(attempt*7))
+		if b > maxBackoffMillis {
+			t.Errorf("attempt %d: backoff %v above cap %v", attempt, b, maxBackoffMillis)
 		}
-		if b < p.BaseBackoffMillis/2 {
+		if b < baseBackoffMillis/2 {
 			t.Errorf("attempt %d: backoff %v below half base", attempt, b)
 		}
 	}
 	// Deterministic: same inputs, same wait.
-	if p.backoffFor("cf", 2, 5) != p.backoffFor("cf", 2, 5) {
+	if backoffFor("cf", 2, 5) != backoffFor("cf", 2, 5) {
 		t.Error("backoff not deterministic")
 	}
 	// Jitter varies across operations.
-	if p.backoffFor("cf", 2, 5) == p.backoffFor("cf", 2, 6) {
+	if backoffFor("cf", 2, 5) == backoffFor("cf", 2, 6) {
 		t.Error("jitter did not vary with the operation counter")
 	}
 }
 
 // TestRetryOpBudgetBoundaryExact is the regression test for backoff
 // budget accounting: the final backoff truncates to the remaining
-// allowance, so a statement that spends its whole budget on backoff
-// charges exactly BudgetMillis — never a cap-sized overshoot past it.
+// allowance, so a statement whose failures leave less than one backoff
+// of its budget charges exactly the budget, never a cap-sized
+// overshoot past it. The first try wastes all but 0.25 ms of the
+// budget, less than the shortest backoff; the second wastes nothing.
 func TestRetryOpBudgetBoundaryExact(t *testing.T) {
-	p := RetryPolicy{
-		MaxAttempts:       1000,
-		BaseBackoffMillis: 4,
-		MaxBackoffMillis:  8,
-		BudgetMillis:      10,
-	}
-	e, reg := retryingExecutor(p)
+	e, reg := retryingExecutor()
 	bgt := &stmtBudget{}
-	// The fault itself wastes no simulated time, so every charged
-	// millisecond is backoff and the total is exactly the budget spend.
+	first := retryBudgetMillis - 0.25
+	calls := 0
 	total, err := e.retryOp(bgt, "cf", func() (float64, error) {
+		calls++
+		if calls == 1 {
+			return 0, &faults.Error{Kind: faults.Timeout, CF: "cf", Op: "get", SimMillis: first}
+		}
 		return 0, &faults.Error{Kind: faults.Transient, CF: "cf", Op: "get"}
 	})
-	if err == nil || !strings.Contains(err.Error(), "retry budget") {
-		t.Fatalf("err = %v, want retry budget exhausted", err)
+	if err == nil || !strings.Contains(err.Error(), "retry budget") || calls != 2 {
+		t.Fatalf("calls=%d err=%v, want retry budget exhausted on the second call", calls, err)
 	}
-	if total != p.BudgetMillis {
-		t.Errorf("charged %v ms, want exactly BudgetMillis %v", total, p.BudgetMillis)
+	if total != retryBudgetMillis {
+		t.Errorf("charged %v ms, want exactly the budget %v", total, retryBudgetMillis)
 	}
-	if bgt.spentMillis != p.BudgetMillis {
-		t.Errorf("budget spend %v, want exactly %v", bgt.spentMillis, p.BudgetMillis)
+	if bgt.spentMillis != retryBudgetMillis {
+		t.Errorf("budget spend %v, want exactly %v", bgt.spentMillis, retryBudgetMillis)
 	}
-	if got := RegisteredGauge(t, reg, "exec.backoff_sim_ms"); got != p.BudgetMillis {
-		t.Errorf("backoff charged %v, want exactly %v", got, p.BudgetMillis)
+	if got := RegisteredGauge(t, reg, "exec.backoff_sim_ms"); got != retryBudgetMillis-first {
+		t.Errorf("backoff charged %v, want exactly %v", got, retryBudgetMillis-first)
 	}
 }
 
-// TestRetryOpBudgetNeverOvershoots sweeps budgets against a wasteless
-// fault and checks no configuration charges past its own budget.
+// TestRetryOpBudgetNeverOvershoots sweeps the cost of a first failure
+// followed by wasteless ones and checks none charges past the budget.
 func TestRetryOpBudgetNeverOvershoots(t *testing.T) {
-	for _, budget := range []float64{1, 2.5, 7, 10, 33.25, 100} {
-		p := RetryPolicy{MaxAttempts: 1000, BaseBackoffMillis: 4, MaxBackoffMillis: 16, BudgetMillis: budget}
-		e, _ := retryingExecutor(p)
+	for _, first := range []float64{0, 1, 2.5, 7, 10, 33.25, 100, 240, 249.75} {
+		e, _ := retryingExecutor()
+		calls := 0
 		total, err := e.retryOp(&stmtBudget{}, "cf", func() (float64, error) {
+			calls++
+			if calls == 1 {
+				return 0, &faults.Error{Kind: faults.Timeout, CF: "cf", Op: "get", SimMillis: first}
+			}
 			return 0, &faults.Error{Kind: faults.Transient, CF: "cf", Op: "get"}
 		})
 		if err == nil {
-			t.Fatalf("budget %v: expected exhaustion", budget)
+			t.Fatalf("first failure %v ms: expected exhaustion", first)
 		}
-		if total > budget {
-			t.Errorf("budget %v: charged %v ms past the budget", budget, total)
+		if total > retryBudgetMillis {
+			t.Errorf("first failure %v ms: charged %v ms past the budget", first, total)
 		}
 	}
 }

@@ -19,8 +19,8 @@ import (
 // rows. On the NoSE, normalized and expert RUBiS schemas, every plan of
 // every query's failover list runs under six seeded bindings and then
 // with the query's first parameter unbound, once through each method, on
-// two copies of the data behind the same seeded transient faults and
-// the default retry policy. SimMillis must agree bit for bit, as must
+// two copies of the data behind the same seeded transient faults, which
+// the executor retries. SimMillis must agree bit for bit, as must
 // Retries, the error text and the log of store calls, retried attempts
 // included; RunQuery returns no rows.
 func TestRunQueryMatchesExecuteQuery(t *testing.T) {
@@ -47,7 +47,7 @@ func TestRunQueryMatchesExecuteQuery(t *testing.T) {
 				inj := faults.New(store, 3)
 				inj.SetDefaultProfile(faults.Profile{TransientRate: 0.05, TimeoutRate: 0.02})
 				log := &recorder{KVBackend: inj}
-				return executor.NewRetrying(log, cost.DefaultParams(), executor.DefaultRetryPolicy()), log
+				return executor.New(log, cost.DefaultParams()), log
 			}
 			full, fullLog := side()
 			bare, bareLog := side()

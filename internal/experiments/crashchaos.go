@@ -255,7 +255,7 @@ func chaosInsertParams(base, i int) executor.Params {
 // ErrUnavailable, the degraded outcome, which restart reports as
 // unavailable rather than as an error.
 func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc harness.ReplicationConfig, w harness.Weather,
-	v *verify.Verifier, durable []byte, pr *search.PhaseRecommendation, ropts harness.RecoverOptions,
+	v *verify.Verifier, durable []byte, pr *search.PhaseRecommendation, live migrate.LiveOptions,
 	settle func(*harness.System, *harness.RecoverReport) error) (unavailable bool, err error) {
 	j, recs, err := journal.Open(durable, journal.Options{})
 	if err != nil {
@@ -268,7 +268,7 @@ func (f *chaosFixture) restart(c *cell, name string, crashed *harness.System, rc
 	if err != nil {
 		return false, err
 	}
-	rep, err := sys.Recover(f.ds, recs, pr, ropts)
+	rep, err := sys.Recover(f.ds, recs, pr, live)
 	if err != nil {
 		return false, fmt.Errorf("recover: %w", err)
 	}
@@ -319,7 +319,7 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w har
 	// Unlimited fault budget: bad-weather backfill retries instead of
 	// aborting, so the sweep measures crashes, not budget policy (the
 	// budget boundary has its own tests).
-	liveOpts := migrate.LiveOptions{ChunkRecords: crashChaosChunkRecords, FaultBudget: -1, Params: migrate.DefaultCostParams()}
+	liveOpts := migrate.LiveOptions{ChunkRecords: crashChaosChunkRecords, FaultBudget: -1}
 	pr := &search.PhaseRecommendation{Rec: f.recB, Build: f.build, Drop: f.drop}
 	crashed := false
 	if _, err := sys.StartLiveMigration(f.ds, pr, liveOpts); err != nil {
@@ -372,7 +372,7 @@ func (f *chaosFixture) migrationRun(c *cell, rc harness.ReplicationConfig, w har
 		return nil
 	}
 
-	unavailable, err := f.restart(c, name+" recovered", sys, rc, w, v, j.Durable(), pr, harness.RecoverOptions{Live: liveOpts},
+	unavailable, err := f.restart(c, name+" recovered", sys, rc, w, v, j.Durable(), pr, liveOpts,
 		func(recovered *harness.System, rep *harness.RecoverReport) error {
 			cell.CrashRuns++
 			cell.RecoverySimMillis += rep.SimMillis
@@ -491,7 +491,7 @@ func (f *chaosFixture) siteRun(c *cell, rc harness.ReplicationConfig, w harness.
 	// No journal was attached, so nothing durable to replay and no
 	// migration in flight for recovery to find. The site table does not
 	// count unavailability.
-	_, err = f.restart(c, "restarted", sys, rc, w, v, nil, nil, harness.RecoverOptions{},
+	_, err = f.restart(c, "restarted", sys, rc, w, v, nil, nil, migrate.LiveOptions{},
 		func(_ *harness.System, rep *harness.RecoverReport) error {
 			if rep.Outcome != harness.RecoverNone {
 				return fmt.Errorf("recover outcome %v, want none (no migration in flight)", rep.Outcome)

@@ -195,7 +195,7 @@ func installOnce(rec *search.Recommendation, phases int) []*search.PhaseRecommen
 func serve(sys *harness.System, ds *backend.Dataset, plan []*search.PhaseRecommendation, cell *OnlineCell, run func(t int) error) error {
 	for t, pr := range plan {
 		if pr != nil {
-			res, err := sys.Migrate(ds, pr, migrate.DefaultCostParams())
+			res, err := sys.Migrate(ds, pr)
 			if err != nil {
 				return err
 			}

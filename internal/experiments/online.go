@@ -490,7 +490,7 @@ func (r *onlineRun) onlineLoop(sys *harness.System, cell *OnlineCell) (step, bet
 			return nil
 		}
 		if _, err := sys.StartLiveMigration(f.ds, &search.PhaseRecommendation{Rec: rec, Build: build, Drop: drop},
-			migrate.LiveOptions{Params: migrate.DefaultCostParams()}); err != nil {
+			migrate.LiveOptions{}); err != nil {
 			return err
 		}
 		pendingBuild = len(build)

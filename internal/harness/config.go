@@ -55,8 +55,7 @@ type Config struct {
 	Replication *ReplicationConfig
 
 	// FamilyWeather injects seeded faults per column family above the
-	// store or coordinator; nil means none. Faults returns the injector
-	// for per-family profiles and down marks.
+	// store or coordinator; nil means none.
 	FamilyWeather *Weather
 	// NodeWeather injects seeded faults per node inside the coordinator;
 	// nil means a healthy cluster. Requires Replication. MarkNodeDown
@@ -151,7 +150,7 @@ func (cfg Config) validate() error {
 // plane is assembled, once and bottom up, every layer counting into the
 // system's registry:
 //
-//	executor     retries under DefaultRetryPolicy iff any weather is declared
+//	executor     retries retryable faults, which only weather produces
 //	injector     per-family faults, if FamilyWeather
 //	tap          acknowledged writes to the Verifier, if one is given
 //	store        or, with Replication, the coordinator over the cluster's
@@ -220,11 +219,7 @@ func New(cfg Config) (*System, error) {
 		s.inj.SetObs(reg)
 		be = s.inj
 	}
-	var retry executor.RetryPolicy // the zero policy never retries
-	if cfg.FamilyWeather != nil || cfg.NodeWeather != nil {
-		retry = executor.DefaultRetryPolicy()
-	}
-	s.Exec = executor.NewRetrying(be, cfg.Latency, retry)
+	s.Exec = executor.New(be, cfg.Latency)
 	s.Exec.SetObs(reg)
 	return s, nil
 }
@@ -257,9 +252,3 @@ func NewSystem(name string, ds *backend.Dataset, rec *search.Recommendation, lat
 func NewReplicatedSystem(name string, ds *backend.Dataset, rec *search.Recommendation, lat cost.Params, cfg ReplicationConfig) (*System, error) {
 	return New(Config{Name: name, Rec: rec, Latency: lat, Dataset: ds, Replication: &cfg})
 }
-
-// Faults returns the per-family fault injector Config.FamilyWeather
-// declared, or nil. Production never reaches past the System for it;
-// the failover tests do, to degrade one family or mark it down: a
-// family is down exactly where its injector says so.
-func (s *System) Faults() *faults.Injector { return s.inj }

@@ -95,7 +95,7 @@ func TestBackfillCrossesTheDeclaredStack(t *testing.T) {
 			func(c *harness.Config) { c.Verifier = verify.New() })
 		ctrl, err := sys.StartLiveMigration(ds,
 			&search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()},
-			migrate.LiveOptions{ChunkRecords: 40, FaultBudget: 3, Params: migrate.DefaultCostParams()})
+			migrate.LiveOptions{ChunkRecords: 40, FaultBudget: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

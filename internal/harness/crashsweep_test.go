@@ -122,7 +122,7 @@ func newSweepFixture(t *testing.T, workers int) *sweepFixture {
 		query:       q1,
 		insert:      ins,
 		queryParams: executor.Params{"city": "c0", "rate": 60.0},
-		liveOpts:    migrate.LiveOptions{ChunkRecords: 5, Params: migrate.DefaultCostParams()},
+		liveOpts:    migrate.LiveOptions{ChunkRecords: 5},
 	}
 }
 
@@ -202,7 +202,7 @@ func runSweep(t *testing.T, f *sweepFixture, armAt int64) (appends int, outcome 
 		t.Fatalf("arm %d: reopen journal: %v", armAt, err)
 	}
 	sys2 := restartOver(t, "recovered", sys, v, j2)
-	rep, err := sys2.Recover(f.ds, recs, pr, harness.RecoverOptions{Live: f.liveOpts})
+	rep, err := sys2.Recover(f.ds, recs, pr, f.liveOpts)
 	if err != nil {
 		t.Fatalf("arm %d: recover: %v", armAt, err)
 	}

@@ -370,7 +370,7 @@ func (k *parkingKV) Get(name string, req backend.GetRequest) (*backend.GetResult
 func TestDegradedCountsTheStatementsOwnRetries(t *testing.T) {
 	f := newRedundantFixture(t)
 	kv := &parkingKV{KVBackend: f.sys.Store, parked: make(chan struct{}), release: make(chan struct{})}
-	f.sys.Exec = executor.NewRetrying(kv, cost.DefaultParams(), executor.DefaultRetryPolicy())
+	f.sys.Exec = executor.New(kv, cost.DefaultParams())
 	f.sys.Exec.SetObs(f.sys.Obs())
 
 	bDone := make(chan error)

@@ -238,11 +238,12 @@ func (s *System) adoptRecommendation(rec *search.Recommendation) {
 // writes are armed for its duration); it refuses while another
 // migration holds the system.
 //
-// The result carries the simulated milliseconds consumed; they also
-// land on the system's trace lane as one event and in the
+// The result carries the simulated milliseconds consumed, every put
+// plus each built family's setup charge (migrate.DefaultCostParams);
+// they also land on the system's trace lane as one event and in the
 // harness.migration* instruments — not harness.live.*, which book
 // background migrations only.
-func (s *System) Migrate(ds *backend.Dataset, pr *search.PhaseRecommendation, p migrate.CostParams) (*migrate.Result, error) {
+func (s *System) Migrate(ds *backend.Dataset, pr *search.PhaseRecommendation) (*migrate.Result, error) {
 	fail := func(err error) (*migrate.Result, error) {
 		return nil, fmt.Errorf("harness: %s: migrate to phase %q: %w", s.Name, phaseName(pr), err)
 	}
@@ -260,7 +261,7 @@ func (s *System) Migrate(ds *backend.Dataset, pr *search.PhaseRecommendation, p 
 		}
 		return res.SimMillis, nil
 	}
-	lm, err := s.beginLive(ds, pr, put, migrate.LiveOptions{Params: p}, nil)
+	lm, err := s.beginLive(ds, pr, put, migrate.LiveOptions{}, nil)
 	if err != nil {
 		return fail(err)
 	}

@@ -40,7 +40,7 @@ type liveMigration struct {
 // executed from now on are forwarded to them, and the historical
 // records are copied by repeated LiveStep calls interleaved with
 // statement execution. Backfill writes flow through the system's
-// executor — fault injector, coordinator, and retry policy included —
+// executor — fault injector, coordinator, and retries included —
 // so migrating under weather is charged and endangered like any other
 // traffic. The returned controller can be used to Abort or inspect
 // Progress; drive it with LiveStep rather than calling Step directly so

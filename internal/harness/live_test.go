@@ -74,7 +74,7 @@ func TestLiveMigrationServesWhileMigrating(t *testing.T) {
 	ctrl, err := sys.StartLiveMigration(ds, &search.PhaseRecommendation{
 		Rec:   rec,
 		Build: rec.Schema.Indexes(),
-	}, migrate.LiveOptions{ChunkRecords: 50, Params: migrate.DefaultCostParams()})
+	}, migrate.LiveOptions{ChunkRecords: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestLiveMigrationAbortRollsBackUnderFaults(t *testing.T) {
 
 	target := &search.Recommendation{Schema: extra, Queries: rec.Queries, Updates: rec.Updates}
 	_, err = sys.StartLiveMigration(ds, &search.PhaseRecommendation{Rec: target, Build: added},
-		migrate.LiveOptions{ChunkRecords: 8, FaultBudget: 3, Params: migrate.DefaultCostParams()})
+		migrate.LiveOptions{ChunkRecords: 8, FaultBudget: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestMigrateUnderConcurrentStatements(t *testing.T) {
 	}()
 
 	<-started
-	res, err := sys.Migrate(ds, pr, migrate.DefaultCostParams())
+	res, err := sys.Migrate(ds, pr)
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -320,13 +320,13 @@ func TestMigrateUnderConcurrentStatements(t *testing.T) {
 func TestMigrateRefusedDuringLiveMigration(t *testing.T) {
 	ds, _, rec, sys, _ := liveFixture(t)
 	pr := &search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()}
-	if _, err := sys.StartLiveMigration(ds, pr, migrate.LiveOptions{Params: migrate.DefaultCostParams()}); err != nil {
+	if _, err := sys.StartLiveMigration(ds, pr, migrate.LiveOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Migrate(ds, pr, migrate.DefaultCostParams()); err == nil {
+	if _, err := sys.Migrate(ds, pr); err == nil {
 		t.Fatal("stop-the-world Migrate allowed during a live migration")
 	}
-	if _, err := sys.StartLiveMigration(ds, pr, migrate.LiveOptions{Params: migrate.DefaultCostParams()}); err == nil {
+	if _, err := sys.StartLiveMigration(ds, pr, migrate.LiveOptions{}); err == nil {
 		t.Fatal("second concurrent live migration allowed")
 	}
 	if _, err := sys.DrainLiveMigration(0); err != nil {
@@ -340,8 +340,7 @@ func TestMigrateRefusedDuringLiveMigration(t *testing.T) {
 // trigger for TakeDriftTrigger.
 func TestDriftDetectorWiring(t *testing.T) {
 	ds, txns, rec, sys, cfg := liveFixture(t)
-	if _, err := sys.Migrate(ds, &search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()},
-		migrate.DefaultCostParams()); err != nil {
+	if _, err := sys.Migrate(ds, &search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()}); err != nil {
 		t.Fatal(err)
 	}
 

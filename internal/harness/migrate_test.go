@@ -59,7 +59,7 @@ func TestMigrateInstallsAndAdoptsRecommendation(t *testing.T) {
 	res, err := sys.Migrate(ds, &search.PhaseRecommendation{
 		Rec:   rec,
 		Build: rec.Schema.Indexes(),
-	}, migrate.DefaultCostParams())
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestMigrateResultGolden(t *testing.T) {
 		second.Build, second.Drop = migrate.Diff(expert.Schema, normalized.Schema)
 		steps = append(steps, second)
 		for _, pr := range steps {
-			res, err := sys.Migrate(ds, pr, migrate.DefaultCostParams())
+			res, err := sys.Migrate(ds, pr)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

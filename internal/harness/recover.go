@@ -27,9 +27,8 @@ const (
 	// RecoverCompleted: the migration had reached cutover; recovery
 	// rolled it forward — plans adopted, superseded families dropped.
 	RecoverCompleted
-	// RecoverRolledBack: an abort intent was journaled (or the caller
-	// chose rollback); recovery finished the rollback by dropping the
-	// migration's families.
+	// RecoverRolledBack: an abort intent was journaled; recovery
+	// finished the rollback by dropping the migration's families.
 	RecoverRolledBack
 )
 
@@ -47,18 +46,6 @@ func (o RecoverOutcome) String() string {
 	default:
 		return fmt.Sprintf("outcome(%d)", int(o))
 	}
-}
-
-// RecoverOptions tunes recovery.
-type RecoverOptions struct {
-	// RollBack makes an in-flight (pre-cutover) migration roll back
-	// instead of resuming. Migrations past cutover always roll forward —
-	// the crashed incarnation may already have served from the new
-	// schema, and rolling that back would un-happen acknowledged reads.
-	RollBack bool
-	// Live tunes the resumed controller (chunk size, fault budget). The
-	// journal is attached automatically.
-	Live migrate.LiveOptions
 }
 
 // RecoverReport describes what Recover did.
@@ -92,13 +79,19 @@ type RecoverReport struct {
 // no-lost-writes invariant, and the same weather as the crashed
 // incarnation so a resumed backfill crosses the same layers.
 //
+// The journal alone decides: an abort intent finishes the rollback, a
+// migration that reached cutover rolls forward (the crashed incarnation
+// may already have served from the new schema), and one still in
+// backfill resumes under live, which tunes the resumed controller
+// (chunk size, fault budget); the journal is attached automatically.
+//
 // Recovery is idempotent: it re-runs cleanly over a journal that
 // already contains recovery records, because every action it takes —
 // create-if-missing, drop, plan adoption — is a no-op the second time.
 // It never drops and re-creates a family that survived the crash:
 // survivors hold acknowledged dual-writes whose loss is exactly what
 // the verifier exists to catch.
-func (s *System) Recover(ds *backend.Dataset, recs []journal.Record, pr *search.PhaseRecommendation, ropts RecoverOptions) (*RecoverReport, error) {
+func (s *System) Recover(ds *backend.Dataset, recs []journal.Record, pr *search.PhaseRecommendation, live migrate.LiveOptions) (*RecoverReport, error) {
 	s.reg.Counter("harness.recover.attempts").Inc()
 	rep := &RecoverReport{}
 
@@ -205,25 +198,11 @@ func (s *System) Recover(ds *backend.Dataset, recs []journal.Record, pr *search.
 		return s.finishRecover(rep, RecoverCompleted)
 	}
 
-	if ropts.RollBack {
-		// Journal the intent first, exactly like a live abort, so a
-		// crash mid-rollback recovers to the same decision.
-		if err := s.journalRecover(journal.Record{Kind: journal.KindState, State: uint8(migrate.StateAborted)}, rep); err != nil {
-			return nil, err
-		}
-		// GC every build family, journaled as created or not: a crash at
-		// the KindCreated append leaves the family in the store without
-		// a journal record, and it must not survive as an orphan.
-		rep.OrphansDropped = s.dropFamilies(startRec.Build)
-		return s.finishRecover(rep, RecoverRolledBack)
-	}
-
 	// Resume: re-create only the families the crash left missing, then
 	// continue backfill from the durable watermark. Records copied after
 	// the last durable chunk record are re-put (idempotent).
-	opts := ropts.Live
-	opts.Journal = s.jr
-	ctrl, err := migrate.ResumeLive(ds, s.migrateStore(), pr.Build, pr.Drop, watermark, s.Exec.Put, opts)
+	live.Journal = s.jr
+	ctrl, err := migrate.ResumeLive(ds, s.migrateStore(), pr.Build, pr.Drop, watermark, s.Exec.Put, live)
 	if err != nil {
 		return nil, fmt.Errorf("harness: %s: recover %q: %w", s.Name, startRec.Name, err)
 	}

@@ -44,7 +44,7 @@ func crashRun(t *testing.T, arm func(buildFamilies int) int64) (ds *backend.Data
 
 	pr = &search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()}
 	_, err := sys.StartLiveMigration(ds, pr,
-		migrate.LiveOptions{ChunkRecords: 40, Params: migrate.DefaultCostParams()})
+		migrate.LiveOptions{ChunkRecords: 40})
 	if err != nil {
 		if faults.IsCrash(err) {
 			return ds, sys, pr, v, true
@@ -98,17 +98,14 @@ func restartOver(t *testing.T, name string, crashed *harness.System, v *verify.V
 // recoverSystem restarts a crashed incarnation: it re-reads the durable
 // journal bytes, declares a fresh system over the surviving store with
 // the reopened journal and the same verifier, and replays the journal.
-func recoverSystem(t *testing.T, ds *backend.Dataset, crashed incarnation, pr *search.PhaseRecommendation, v *verify.Verifier, ropts harness.RecoverOptions) (incarnation, *harness.RecoverReport) {
+func recoverSystem(t *testing.T, ds *backend.Dataset, crashed incarnation, pr *search.PhaseRecommendation, v *verify.Verifier) (incarnation, *harness.RecoverReport) {
 	t.Helper()
 	j2, recs, err := journal.Open(crashed.journal.Durable(), journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sys2 := incarnation{restartOver(t, "recovered", crashed.System, v, j2), j2}
-	if ropts.Live.Params == (migrate.CostParams{}) {
-		ropts.Live = migrate.LiveOptions{ChunkRecords: 40, Params: migrate.DefaultCostParams()}
-	}
-	rep, err := sys2.Recover(ds, recs, pr, ropts)
+	rep, err := sys2.Recover(ds, recs, pr, migrate.LiveOptions{ChunkRecords: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +135,7 @@ func TestRecoverResumesMidBackfill(t *testing.T) {
 	if !crashed {
 		t.Fatal("armed crash never fired")
 	}
-	sys2, rep := recoverSystem(t, ds, sys, pr, v, harness.RecoverOptions{})
+	sys2, rep := recoverSystem(t, ds, sys, pr, v)
 	if rep.Outcome != harness.RecoverResumed {
 		t.Fatalf("outcome = %v, want RecoverResumed", rep.Outcome)
 	}
@@ -195,7 +192,7 @@ func TestRecoverRollsForwardAtCutover(t *testing.T) {
 		if !crashed {
 			t.Fatalf("crash armed at %d never fired", armAt)
 		}
-		sys2, rep := recoverSystem(t, ds, sys, pr, v, harness.RecoverOptions{})
+		sys2, rep := recoverSystem(t, ds, sys, pr, v)
 		if rep.Outcome != harness.RecoverCompleted {
 			t.Fatalf("arm %d: outcome = %v, want RecoverCompleted", armAt, rep.Outcome)
 		}
@@ -212,17 +209,29 @@ func TestRecoverRollsForwardAtCutover(t *testing.T) {
 	}
 }
 
-// TestRecoverRollBackOption: the caller can choose to roll an in-flight
-// migration back instead of resuming; recovery garbage-collects every
-// family the crashed incarnation built and a second recovery over the
-// extended journal is an idempotent no-op rollback.
-func TestRecoverRollBackOption(t *testing.T) {
+// TestRecoverFinishesJournaledRollback: a crash between a live abort's
+// journaled intent and its drops leaves an in-flight migration whose
+// journal ends in the abort; recovery decides from the journal alone to
+// finish the rollback, garbage-collects every family the crashed
+// incarnation built, and a second recovery over the extended journal is
+// an idempotent no-op rollback.
+func TestRecoverFinishesJournaledRollback(t *testing.T) {
 	ds, sys, pr, v, crashed := crashRun(t, midBackfill)
 	if !crashed {
 		t.Fatal("armed crash never fired")
 	}
 	oldRec := sys.Rec()
-	sys2, rep := recoverSystem(t, ds, sys, pr, v, harness.RecoverOptions{RollBack: true})
+	// The crashed incarnation's last durable act was the abort intent,
+	// which Live.Abort journals before it drops anything.
+	j, _, err := journal.Open(sys.journal.Durable(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Append(journal.Record{Kind: journal.KindState, State: uint8(migrate.StateAborted)}); err != nil {
+		t.Fatal(err)
+	}
+	sys.journal = j
+	sys2, rep := recoverSystem(t, ds, sys, pr, v)
 	if rep.Outcome != harness.RecoverRolledBack {
 		t.Fatalf("outcome = %v, want RecoverRolledBack", rep.Outcome)
 	}
@@ -242,7 +251,7 @@ func TestRecoverRollBackOption(t *testing.T) {
 	// Idempotency: recover again over the journal that now carries the
 	// abort intent and the recovery record. Same decision, nothing left
 	// to drop.
-	sys3, rep3 := recoverSystem(t, ds, sys2, pr, v, harness.RecoverOptions{})
+	sys3, rep3 := recoverSystem(t, ds, sys2, pr, v)
 	if rep3.Outcome != harness.RecoverRolledBack {
 		t.Fatalf("second recovery outcome = %v, want RecoverRolledBack", rep3.Outcome)
 	}
@@ -261,7 +270,7 @@ func TestRecoverNoneAndValidation(t *testing.T) {
 	if crashed {
 		t.Fatal("clean run crashed")
 	}
-	sys2, rep := recoverSystem(t, ds, clean, pr, v, harness.RecoverOptions{})
+	sys2, rep := recoverSystem(t, ds, clean, pr, v)
 	if rep.Outcome != harness.RecoverNone {
 		t.Fatalf("outcome over a finished journal = %v, want RecoverNone", rep.Outcome)
 	}
@@ -269,7 +278,7 @@ func TestRecoverNoneAndValidation(t *testing.T) {
 
 	// Empty journal: nothing to do.
 	empty := restartOver(t, "empty", clean.System, nil, journal.New(journal.Options{}))
-	rep2, err := empty.Recover(ds, nil, nil, harness.RecoverOptions{})
+	rep2, err := empty.Recover(ds, nil, nil, migrate.LiveOptions{})
 	if err != nil || rep2.Outcome != harness.RecoverNone {
 		t.Fatalf("empty journal: outcome %v, err %v", rep2, err)
 	}
@@ -284,13 +293,13 @@ func TestRecoverNoneAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys4 := restartOver(t, "norec", sys3.System, nil, j2)
-	if _, err := sys4.Recover(ds3, recs, nil, harness.RecoverOptions{}); err == nil {
+	if _, err := sys4.Recover(ds3, recs, nil, migrate.LiveOptions{}); err == nil {
 		t.Fatal("recover of an in-flight migration without a recommendation succeeded")
 	}
 
 	// Mismatched recommendation: build set differs from the journal.
 	bad := &search.PhaseRecommendation{Rec: pr3.Rec, Build: pr3.Build[:len(pr3.Build)-1]}
-	if _, err := sys4.Recover(ds3, recs, bad, harness.RecoverOptions{}); err == nil {
+	if _, err := sys4.Recover(ds3, recs, bad, migrate.LiveOptions{}); err == nil {
 		t.Fatal("recover with a mismatched build set succeeded")
 	}
 }
@@ -360,7 +369,7 @@ func TestReplicatedCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sys2.Recover(f.ds, nil, nil, harness.RecoverOptions{})
+		rep, err := sys2.Recover(f.ds, nil, nil, migrate.LiveOptions{})
 		if err != nil || rep.Outcome != harness.RecoverNone {
 			t.Fatalf("%s: recover: outcome %v, err %v", site, rep, err)
 		}
@@ -388,7 +397,7 @@ func TestDrainExactFaultBudgetBoundary(t *testing.T) {
 			ds, _, rec, sys, _ := liveFixture(t)
 			ctrl, err := sys.StartLiveMigration(ds,
 				&search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()},
-				migrate.LiveOptions{ChunkRecords: 40, FaultBudget: budget, Params: migrate.DefaultCostParams()})
+				migrate.LiveOptions{ChunkRecords: 40, FaultBudget: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -441,7 +450,7 @@ func TestDrainStallAborts(t *testing.T) {
 	}
 	targetRec := &search.Recommendation{Schema: target}
 	_, err := sys.StartLiveMigration(ds, &search.PhaseRecommendation{Rec: targetRec, Build: added},
-		migrate.LiveOptions{ChunkRecords: 8, FaultBudget: -1, Params: migrate.DefaultCostParams()})
+		migrate.LiveOptions{ChunkRecords: 8, FaultBudget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +477,7 @@ func TestAbortStopsDualWriteForwardingRace(t *testing.T) {
 	ds, txns, rec, sys, cfg := liveFixture(t)
 	ctrl, err := sys.StartLiveMigration(ds,
 		&search.PhaseRecommendation{Rec: rec, Build: rec.Schema.Indexes()},
-		migrate.LiveOptions{ChunkRecords: 10, Params: migrate.DefaultCostParams()})
+		migrate.LiveOptions{ChunkRecords: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

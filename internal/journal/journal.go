@@ -22,7 +22,6 @@ import (
 	"sync"
 
 	"nose/internal/faults"
-	"nose/internal/obs"
 )
 
 // Kind discriminates journal records.
@@ -117,31 +116,21 @@ const syncMillis = 0.05
 type Options struct {
 	// Crashes injects crashes at the append point; nil never crashes.
 	Crashes *faults.Crashes
-	// Obs, when set, counts appends and bytes into a registry.
-	Obs *obs.Registry
 }
 
 // Journal is an append-only migration log with simulated fsync. All
 // methods are safe for concurrent use.
 type Journal struct {
-	mu        sync.Mutex
-	data      []byte
-	nextSeq   uint64
-	records   int
-	simMillis float64
-	crashes   *faults.Crashes
-
-	appends, bytes *obs.Counter
+	mu      sync.Mutex
+	data    []byte
+	nextSeq uint64
+	records int
+	crashes *faults.Crashes
 }
 
 // New returns an empty journal.
 func New(opts Options) *Journal {
-	j := &Journal{crashes: opts.Crashes}
-	if opts.Obs != nil {
-		j.appends = opts.Obs.Counter("journal.appends")
-		j.bytes = opts.Obs.Counter("journal.bytes")
-	}
-	return j
+	return &Journal{crashes: opts.Crashes}
 }
 
 // Open validates a durable byte stream (as read back after a crash) and
@@ -181,11 +170,6 @@ func (j *Journal) Append(r Record) (float64, error) {
 	j.nextSeq++
 	j.records++
 	j.data = append(j.data, frame...)
-	j.simMillis += syncMillis
-	if j.appends != nil {
-		j.appends.Inc()
-		j.bytes.Add(int64(len(frame)))
-	}
 	return syncMillis, nil
 }
 
@@ -202,15 +186,6 @@ func (j *Journal) Records() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.records
-}
-
-// SimMillis returns the simulated time spent on durable appends.
-// Production books each append's cost as Append returns it; the journal
-// tests check the running total against that sum.
-func (j *Journal) SimMillis() float64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.simMillis
 }
 
 // Replay decodes a journal byte stream into its records. A truncated

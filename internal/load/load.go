@@ -1,17 +1,14 @@
 // Package load is a deterministic discrete-event load generator: it
 // drives a harness.System with N simulated concurrent clients on the
 // simulated clock, so statement costs add up to latency-under-load
-// curves instead of isolated per-statement sums. Two arrival processes
-// are modeled, both drawn from one seeded RNG:
-//
-//   - Closed loop: a fixed client population; each client issues a
-//     transaction, waits for its simulated response, thinks for an
-//     exponential think time, and issues the next. Offered load is
-//     governed by the population size and self-throttles as latency
-//     grows — the classic benchmark-client shape.
-//   - Open: transactions arrive in a Poisson-style stream at a fixed
-//     rate regardless of completions — the internet-traffic shape that
-//     drives a saturated system's queues unboundedly.
+// curves instead of isolated per-statement sums. The arrival process is
+// a closed loop drawn from one seeded RNG: a fixed client population,
+// each client issuing a transaction, waiting for its simulated
+// response, thinking for an exponential think time, and issuing the
+// next. Offered load is governed by the population size and
+// self-throttles as latency grows — the classic benchmark-client
+// shape. (Open, rate-driven arrivals are parked until an experiment
+// needs them.)
 //
 // Concurrency is simulated, not executed: an event loop pops arrivals
 // in simulated-time order and runs each transaction to completion
@@ -57,18 +54,12 @@ type ParamFunc func(txn string) executor.Params
 
 // Options shapes a load run.
 type Options struct {
-	// Clients is the closed-loop client population. Ignored in open
-	// mode.
+	// Clients is the client population.
 	Clients int
-	// ThinkMillis is the closed-loop mean think time between a
-	// response and the client's next request (exponential draw).
-	// Zero means no think time: clients re-issue immediately.
+	// ThinkMillis is the mean think time between a response and the
+	// client's next request (exponential draw). Zero means no think
+	// time: clients re-issue immediately.
 	ThinkMillis float64
-	// Open switches to open arrivals at ArrivalPerSec.
-	Open bool
-	// ArrivalPerSec is the open-mode arrival rate, in transactions per
-	// simulated second.
-	ArrivalPerSec float64
 	// HorizonMillis is the simulated duration of the run: arrivals at
 	// or beyond the horizon are not admitted. Transactions in flight
 	// at the horizon run to completion and are measured.
@@ -76,7 +67,7 @@ type Options struct {
 	// WarmupMillis excludes the run's first arrivals from the measured
 	// statistics (they still execute and heat the queues).
 	WarmupMillis float64
-	// Seed drives every think-time, interarrival and mix draw.
+	// Seed drives every think-time and mix draw.
 	Seed int64
 }
 
@@ -109,7 +100,7 @@ type Result struct {
 type event struct {
 	at     float64
 	seq    int64 // tie-break: insertion order keeps the heap total
-	client int   // closed-loop client index; -1 for open arrivals
+	client int
 }
 
 // eventHeap is a plain binary min-heap ordered by (at, seq).
@@ -172,12 +163,8 @@ func Run(sys *harness.System, txns []Transaction, params ParamFunc, q *backend.N
 	if opts.WarmupMillis < 0 || opts.WarmupMillis >= opts.HorizonMillis {
 		return nil, fmt.Errorf("load: WarmupMillis %g outside [0, horizon)", opts.WarmupMillis)
 	}
-	if opts.Open {
-		if opts.ArrivalPerSec <= 0 {
-			return nil, errors.New("load: open mode needs ArrivalPerSec > 0")
-		}
-	} else if opts.Clients <= 0 {
-		return nil, errors.New("load: closed mode needs Clients > 0")
+	if opts.Clients <= 0 {
+		return nil, errors.New("load: Clients must be positive")
 	}
 	active := make([]Transaction, 0, len(txns))
 	totalWeight := 0.0
@@ -201,30 +188,21 @@ func Run(sys *harness.System, txns []Transaction, params ParamFunc, q *backend.N
 		seq++
 	}
 
-	if opts.Open {
-		perMs := opts.ArrivalPerSec / 1000.0
-		push(rng.ExpFloat64()/perMs, -1)
-	} else {
-		// Stagger the population's first requests across one mean think
-		// time so the run does not start with a synchronized burst.
-		for c := 0; c < opts.Clients; c++ {
-			first := 0.0
-			if opts.ThinkMillis > 0 {
-				first = rng.ExpFloat64() * opts.ThinkMillis
-			}
-			push(first, c)
+	// Stagger the population's first requests across one mean think
+	// time so the run does not start with a synchronized burst.
+	for c := 0; c < opts.Clients; c++ {
+		first := 0.0
+		if opts.ThinkMillis > 0 {
+			first = rng.ExpFloat64() * opts.ThinkMillis
 		}
+		push(first, c)
 	}
 
 	for len(heap) > 0 {
 		e := heap.pop()
 		if e.at >= opts.HorizonMillis {
-			// Past the horizon: the stream (or client) retires.
+			// Past the horizon: the client retires.
 			continue
-		}
-		if opts.Open && e.client == -1 {
-			perMs := opts.ArrivalPerSec / 1000.0
-			push(e.at+rng.ExpFloat64()/perMs, -1)
 		}
 
 		// Weighted mix draw, then one parameter binding for the whole
@@ -269,13 +247,11 @@ func Run(sys *harness.System, txns []Transaction, params ParamFunc, q *backend.N
 			return nil, fmt.Errorf("load: %s at t=%.3fms: %w", txn.Name, e.at, failed)
 		}
 
-		if !opts.Open {
-			next := t
-			if opts.ThinkMillis > 0 {
-				next += rng.ExpFloat64() * opts.ThinkMillis
-			}
-			push(next, e.client)
+		next := t
+		if opts.ThinkMillis > 0 {
+			next += rng.ExpFloat64() * opts.ThinkMillis
 		}
+		push(next, e.client)
 	}
 
 	window := opts.HorizonMillis - opts.WarmupMillis

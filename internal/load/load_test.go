@@ -157,26 +157,6 @@ func TestClosedLoopContention(t *testing.T) {
 	}
 }
 
-// TestOpenArrivals: open mode admits a Poisson-style stream whose
-// volume tracks the configured rate, independent of completions.
-func TestOpenArrivals(t *testing.T) {
-	f := newFixture(t)
-	sys, q := f.system(t, executor.One, 1)
-	r, err := load.Run(sys, f.txns, f.params, q, load.Options{
-		Open: true, ArrivalPerSec: 200, HorizonMillis: 1000, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 200/s over 1 simulated second: expect on the order of 200 arrivals.
-	if r.Started < 100 || r.Started > 400 {
-		t.Errorf("open arrivals at 200/s over 1s: started %d, want ~200", r.Started)
-	}
-	if r.Completed == 0 {
-		t.Errorf("no transactions completed: %+v", r)
-	}
-}
-
 // TestZeroCapacityBoundary is the exact-boundary acceptance test:
 // capacity 1 serves every transaction, capacity 0 surfaces
 // harness.ErrUnavailable through the coordinator for every one — both
@@ -212,9 +192,8 @@ func TestRunOptionValidation(t *testing.T) {
 	f := newFixture(t)
 	sys, q := f.system(t, executor.One, 1)
 	cases := []load.Options{
-		{},                               // no horizon
-		{HorizonMillis: 100},             // closed mode, no clients
-		{HorizonMillis: 100, Open: true}, // open mode, no rate
+		{},                   // no horizon
+		{HorizonMillis: 100}, // no clients
 		{HorizonMillis: 100, Clients: 1, WarmupMillis: 100}, // warmup >= horizon
 	}
 	for i, opts := range cases {

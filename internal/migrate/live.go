@@ -76,7 +76,7 @@ var ErrAborted = errors.New("migrate: live migration aborted")
 // backfill and returns the simulated milliseconds the write consumed —
 // including time spent on failed attempts. The harness injects a
 // PutFunc backed by its executor so backfill traffic flows through the
-// same fault injector and retry policy as client statements; migrate
+// same fault injector and retries as client statements; migrate
 // cannot import executor directly (executor depends on search, which
 // depends on migrate).
 type PutFunc func(cf string, partition, clustering, values []backend.Value) (float64, error)
@@ -101,10 +101,6 @@ type LiveOptions struct {
 	// the migration aborts and rolls back. Zero means
 	// DefaultFaultBudget; negative means unlimited.
 	FaultBudget int
-	// Params prices the per-family setup charge. Per-record cost is not
-	// estimated here: every put is charged at the simulated time the
-	// injected PutFunc actually consumed.
-	Params CostParams
 	// Journal, when set, durably records every state transition, family
 	// creation and backfill chunk watermark so a crashed migration can
 	// be recovered (see internal/journal and harness.Recover). Append
@@ -234,6 +230,10 @@ func StartLive(ds *backend.Dataset, s Store, build, drop []*schema.Index, put Pu
 // re-create would silently wipe (exactly the loss the verifier's I1
 // exists to catch).
 func open(ds *backend.Dataset, s Store, build, drop []*schema.Index, put PutFunc, opts LiveOptions, resume bool) (*Live, error) {
+	// Each family created is charged DefaultCostParams' setup price.
+	// Per-record cost is not estimated here: every put is charged at
+	// the simulated time the injected PutFunc actually consumed.
+	setup := DefaultCostParams().PerFamilyMillis
 	l := &Live{
 		state: StateDualWrite,
 		put:   put,
@@ -258,7 +258,7 @@ func open(ds *backend.Dataset, s Store, build, drop []*schema.Index, put PutFunc
 			if err := s.Create(def); err != nil {
 				return fail(fmt.Errorf("migrate: create %s: %w", x.Name, err))
 			}
-			l.res.SimMillis += l.opts.Params.PerFamilyMillis
+			l.res.SimMillis += setup
 			// Journal the creation after it succeeded: recovery garbage-
 			// collects created-but-unjournaled families by diffing the
 			// store against the journal. A crash here skips rollback —

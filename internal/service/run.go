@@ -21,6 +21,13 @@ const (
 	DefaultSimulateExecutions = 20
 	// DefaultSimulateSeed seeds dataset generation.
 	DefaultSimulateSeed = 1
+
+	// MaxSimulateUsers and MaxSimulateExecutions bound what a request
+	// may ask for, so an outside value cannot exhaust the daemon: the
+	// bound on users is nosebench's default scale (about 230 MB at
+	// peak), and the one on executions is fifty times the default.
+	MaxSimulateUsers      = 20_000
+	MaxSimulateExecutions = 1_000
 )
 
 // run executes one job and returns its canonical result document. The

@@ -72,10 +72,11 @@ type Request struct {
 	api.Request
 	// Seed seeds the simulate job's dataset generation; 0 means 1.
 	Seed int64
-	// Users scales the simulate job's RUBiS dataset; 0 means 2000.
+	// Users scales the simulate job's RUBiS dataset; 0 means 2000, and
+	// at most MaxSimulateUsers.
 	Users int
 	// Executions is the simulate job's measured executions per
-	// transaction; 0 means 20.
+	// transaction; 0 means 20, and at most MaxSimulateExecutions.
 	Executions int
 }
 
@@ -242,6 +243,10 @@ func (r Request) Validate() error {
 	}
 	if r.Users < 0 || r.Executions < 0 {
 		return fmt.Errorf("users and executions must not be negative")
+	}
+	if r.Users > MaxSimulateUsers || r.Executions > MaxSimulateExecutions {
+		return fmt.Errorf("users %d and executions %d must be at most %d and %d",
+			r.Users, r.Executions, MaxSimulateUsers, MaxSimulateExecutions)
 	}
 	return r.Request.Validate()
 }

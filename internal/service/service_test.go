@@ -482,3 +482,35 @@ func TestShutdownAbortsInFlight(t *testing.T) {
 		t.Fatal("submit after shutdown succeeded")
 	}
 }
+
+// TestValidateBoundsSimulateScale: the simulate job's users and
+// executions are outside input that sizes the dataset and the run, so
+// Validate rejects either above its documented maximum, and the daemon
+// answers such a request with a 400 instead of starting it.
+func TestValidateBoundsSimulateScale(t *testing.T) {
+	for _, tc := range []struct {
+		users, executions int
+		ok                bool
+	}{
+		{0, 0, true},
+		{service.MaxSimulateUsers, service.MaxSimulateExecutions, true},
+		{service.MaxSimulateUsers + 1, 0, false},
+		{0, service.MaxSimulateExecutions + 1, false},
+		{-1, 0, false},
+	} {
+		req := service.Request{Kind: "simulate", Users: tc.users, Executions: tc.executions}
+		if err := req.Validate(); (err == nil) != tc.ok {
+			t.Errorf("users=%d executions=%d: Validate() = %v, want ok=%v", tc.users, tc.executions, err, tc.ok)
+		}
+	}
+
+	ts, _ := newTestServer(t, service.Config{})
+	resp, err := http.Post(ts.URL+"/v1/jobs?kind=simulate&users=1000000000", "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("users=1e9: HTTP %d, want 400", resp.StatusCode)
+	}
+}

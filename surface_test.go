@@ -3,8 +3,10 @@ package nose_test
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,45 +16,68 @@ import (
 )
 
 // surfaceKeep lists the exported functions and methods under internal/
-// that no non-test code names, each with the reason it stays (the same
-// reason its doc comment gives). Keys are "package.Name": the check
-// resolves references by bare name, so one entry covers every method of
-// that name in the package. This is data, not a knob: an entry that no
-// longer matches an unreferenced declaration fails the test too.
+// that no non-test code uses, each with the reason it stays (the same
+// reason its doc comment gives). Keys are "package.Func" and
+// "package.Type.Method". This is data, not a knob: an entry that no
+// longer matches an unused declaration fails the test too.
 var surfaceKeep = map[string]string{
-	"backend.UpdateEntity":         "write side of the reference data: executor differential tests mirror writes into the dataset for Oracle",
-	"backend.RemoveEntity":         "write side of the reference data, as UpdateEntity",
-	"enumerator.EnumerateWorkload": "benchmark hook (root bench_test.go) and fixture of the planner and executor tests",
-	"executor.PendingHints":        "handoff, read-repair and crash-recovery tests read the hint backlog at one instant",
-	"faults.Fired":                 "journal and crash-scheduler tests ask which crash point fired",
-	"faults.SetProfile":            "failover, hedging and read-repair tests degrade one family or one node",
-	"harness.DrainLiveMigration":   "harness tests finish a migration after their workload and pin its stall guard; crashchaos steps under its own bound",
-	"journal.Replay":               "read-only decode the recovery tests and FuzzJournalReplay drive",
-	"planner.Signature":            "planner and search tests compare finished plans by structure",
-	"search.BuildPlans":            "benchmark hook: plan-space stage alone (root bench_test.go)",
-	"search.Prepare":               "benchmark hook: formulate once, time the solver alone (root bench_test.go)",
-	"workload.EqualityPredicates":  "the reference generators of the enumerator and planner tests split a query's predicates with it",
-	"workload.RangePredicates":     "the other half of that split, as EqualityPredicates",
-	"workload.WriteEntity":         "never called: the method that makes WriteStatement a distinct interface",
+	"backend.Dataset.UpdateEntity":      "write side of the reference data: executor differential tests mirror writes into the dataset for Oracle",
+	"backend.Dataset.RemoveEntity":      "write side of the reference data, as UpdateEntity",
+	"backend.Dataset.Disconnect":        "write side of the reference data, as UpdateEntity",
+	"backend.ReplicatedStore.RF":        "harness tests check the replication factor a declared cluster gets, clamped to its size",
+	"backend.ReplicatedStore.CFStats":   "harness restart tests count a family's records across a surviving cluster's replicas",
+	"enumerator.EnumerateWorkload":      "benchmark hook (root bench_test.go) and fixture of the planner and executor tests",
+	"executor.Coordinator.PendingHints": "handoff, read-repair and crash-recovery tests read the hint backlog at one instant",
+	"faults.Crashes.Fired":              "journal and crash-scheduler tests ask which crash point fired",
+	"faults.Injector.SetProfile":        "failover and harness tests degrade one family",
+	"faults.Injector.MarkDown":          "failover and harness tests take one family out",
+	"faults.Injector.MarkUp":            "failover tests bring a family back",
+	"faults.Nodes.SetProfile":           "hedging and read-repair tests degrade one node",
+	"harness.System.DrainLiveMigration": "harness tests finish a migration after their workload and pin its stall guard; crashchaos steps under its own bound",
+	"journal.Replay":                    "read-only decode the recovery tests and FuzzJournalReplay drive",
+	"model.Path.Reverse":                "the planner's internal tests walk a segment backwards to build the opposite plan",
+	"planner.Plan.Signature":            "planner and search tests compare finished plans by structure",
+	"search.BuildPlans":                 "benchmark hook: plan-space stage alone (root bench_test.go)",
+	"search.Prepare":                    "benchmark hook: formulate once, time the solver alone (root bench_test.go)",
+	"search.Prepared.Solve":             "the solver half of that hook, as Prepare",
+	"service.Server.ServeHTTP":          "net/http calls it: a Server is the daemon's http.Handler",
+	"workload.Query.EqualityPredicates": "the reference generators of the enumerator and planner tests split a query's predicates with it",
+	"workload.Query.RangePredicates":    "the other half of that split, as EqualityPredicates",
+	"workload.Insert.WriteEntity":       "never called: the method that makes WriteStatement a distinct interface",
+	"workload.Update.WriteEntity":       "as Insert.WriteEntity",
+	"workload.Delete.WriteEntity":       "as Insert.WriteEntity",
+	"workload.Connect.WriteEntity":      "as Insert.WriteEntity",
 }
 
-// checkSurface parses every non-test .go file under root (go/parser
-// only, no type checking) and returns, sorted:
+// checkSurface type-checks every non-test .go file under root — the
+// module's own packages from source with go/types, the standard library
+// from its export data — and returns, sorted:
 //
 //   - orphans: exported functions and methods declared under
-//     root/internal whose name no non-test file mentions — anywhere
-//     under root, as any identifier other than a declared function or
-//     interface method name — and that keep does not list;
-//   - stale: keys of keep that match no such unreferenced declaration,
-//     because the name is gone from internal/ or production now calls it.
+//     root/internal that no non-test file uses, and that keep does not
+//     list. A function or method is used where an identifier in a
+//     non-test file resolves to it; a method is also used where one
+//     resolves to the same-named method of an interface its receiver
+//     type satisfies, since that call may land on it. fmt calls String
+//     and Error on the values production formats, so fmt.Stringer and
+//     error count as such interfaces;
+//   - stale: keys of keep that match no such unused declaration,
+//     because the declaration is gone or production now uses it.
 //
-// Matching by bare name keeps the check to one pass over the syntax:
-// a method passes when production uses its name on any type. The
-// types-based count that resolves those is recorded in EXPERIMENTS.md.
+// Keys are "package.Func" and "package.Type.Method", so a method that
+// shares its name with one production calls on another type is still
+// an orphan.
 func checkSurface(root string, keep map[string]string) (orphans, stale []string, err error) {
-	type decl struct{ key, where, name string }
+	module, err := modulePath(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	type decl struct {
+		fn    *ast.FuncDecl
+		where string // file:line, relative to root
+	}
 	var decls []decl
-	referenced := map[string]bool{}
+	files := map[string][]*ast.File{} // import path -> non-test files
 	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -75,50 +100,105 @@ func checkSurface(root string, keep map[string]string) (orphans, stale []string,
 		if err != nil {
 			return err
 		}
-		internal := strings.HasPrefix(filepath.ToSlash(rel), "internal/")
-		declared := map[*ast.Ident]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				declared[n.Name] = true
-				if internal && n.Name.IsExported() {
-					where := f.Name.Name + "."
-					if n.Recv != nil {
-						where += receiverName(n.Recv.List[0].Type) + "."
-					}
-					pos := fset.Position(n.Pos())
-					decls = append(decls, decl{
-						key:   f.Name.Name + "." + n.Name.Name,
-						where: fmt.Sprintf("%s%s (%s:%d)", where, n.Name.Name, filepath.ToSlash(rel), pos.Line),
-						name:  n.Name.Name,
-					})
-				}
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, id := range m.Names {
-						declared[id] = true
-					}
-				}
-			case *ast.Ident:
-				if !declared[n] {
-					referenced[n.Name] = true
+		rel = filepath.ToSlash(rel)
+		pkgPath := module
+		if dir := filepath.ToSlash(filepath.Dir(rel)); dir != "." {
+			pkgPath += "/" + dir
+		}
+		files[pkgPath] = append(files[pkgPath], f)
+		if strings.HasPrefix(rel, "internal/") {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+					decls = append(decls, decl{fn, fmt.Sprintf("%s:%d", rel, fset.Position(fn.Pos()).Line)})
 				}
 			}
-			return true
-		})
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
+
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	checked := map[string]*types.Package{}
+	std := importer.ForCompiler(fset, "gc", nil)
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		src, ok := files[path]
+		if !ok {
+			return std.Import(path)
+		}
+		p, err := (&types.Config{Importer: imp}).Check(path, fset, src, info)
+		if err != nil {
+			return nil, err
+		}
+		checked[path] = p
+		return p, nil
+	}
+	for path := range files {
+		if _, err := imp(path); err != nil {
+			return nil, nil, err
+		}
+	}
+	fmtPkg, err := std.Import("fmt")
+	if err != nil {
+		return nil, nil, err
+	}
+
+	used := map[*types.Func]bool{}
+	viaInterface := []*types.Func{
+		fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface).Method(0),
+		types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0),
+	}
+	for _, obj := range info.Uses {
+		f, ok := obj.(*types.Func)
+		if !ok {
+			continue
+		}
+		f = f.Origin()
+		used[f] = true
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			viaInterface = append(viaInterface, f)
+		}
+	}
+	// satisfied reports whether production calls a method named name
+	// through an interface that the type a method is declared on
+	// satisfies.
+	satisfied := func(on *types.Named, name string) bool {
+		if on == nil || on.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, m := range viaInterface {
+			iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if m.Name() == name && types.Implements(types.NewPointer(on), iface) {
+				return true
+			}
+		}
+		return false
+	}
+
 	kept := map[string]bool{}
 	for _, d := range decls {
+		f := info.Defs[d.fn.Name].(*types.Func)
+		key := f.Pkg().Name() + "." + f.Name()
+		var on *types.Named
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			on = t.(*types.Named)
+			key = f.Pkg().Name() + "." + on.Obj().Name() + "." + f.Name()
+		}
 		switch {
-		case referenced[d.name]:
-		case keep[d.key] != "":
-			kept[d.key] = true
+		case used[f] || satisfied(on, f.Name()):
+		case keep[key] != "":
+			kept[key] = true
 		default:
-			orphans = append(orphans, d.where)
+			orphans = append(orphans, fmt.Sprintf("%s (%s)", key, d.where))
 		}
 	}
 	for key := range keep {
@@ -131,22 +211,23 @@ func checkSurface(root string, keep map[string]string) (orphans, stale []string,
 	return orphans, stale, nil
 }
 
-// receiverName names a method's receiver type: T for T, *T and T[P].
-func receiverName(t ast.Expr) string {
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return "?"
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// modulePath reads the module path from root's go.mod.
+func modulePath(root string) (string, error) {
+	data, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.Trim(strings.TrimSpace(rest), `"`), nil
 		}
 	}
+	return "", fmt.Errorf("%s/go.mod declares no module", root)
 }
 
 // TestInternalSurfaceIsCalled keeps "exported from internal/" meaning
@@ -175,12 +256,15 @@ func TestInternalSurfaceIsCalled(t *testing.T) {
 
 // TestSurfaceCheckerOnPlantedTree runs the checker over a small module
 // with one exported method nothing names, one function only a _test.go
-// file calls, one unreferenced function on the keep-list and one
-// function production calls: exactly the first two are reported, and a
-// keep-list entry naming nothing is reported stale.
+// file calls, one method whose name production calls on another type,
+// one unreferenced function on the keep-list, one function production
+// calls and one method production reaches through an interface: exactly
+// the first three are reported, and a keep-list entry naming nothing is
+// reported stale.
 func TestSurfaceCheckerOnPlantedTree(t *testing.T) {
 	root := t.TempDir()
 	for name, src := range map[string]string{
+		"go.mod": "module m\n",
 		"internal/a/a.go": `package a
 
 type T struct{}
@@ -190,6 +274,23 @@ func (T) Orphan() {}
 func (*T) unexported() {}
 func TestOnly() {}
 func Kept() {}
+
+// Collides shares its name with U.Collides, which production calls.
+func (T) Collides() {}
+
+type U struct{}
+
+func (U) Collides() {}
+
+// Runner is satisfied by V, whose Run production reaches only through
+// the interface.
+type Runner interface{ Run() }
+
+type V struct{}
+
+func (*V) Run() {}
+
+func Start(r Runner) { r.Run() }
 `,
 		"internal/a/a_test.go": `package a
 
@@ -207,7 +308,7 @@ import "m/internal/a"
 
 func Unlisted() {}
 
-func main() { a.Used() }
+func main() { a.Used(); a.U{}.Collides(); a.Start(&a.V{}) }
 `,
 	} {
 		path := filepath.Join(root, filepath.FromSlash(name))
@@ -225,7 +326,8 @@ func main() { a.Used() }
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"a.T.Orphan (internal/a/a.go:6)", "a.TestOnly (internal/a/a.go:8)"}; !slices.Equal(orphans, want) {
+	want := []string{"a.T.Collides (internal/a/a.go:12)", "a.T.Orphan (internal/a/a.go:6)", "a.TestOnly (internal/a/a.go:8)"}
+	if !slices.Equal(orphans, want) {
 		t.Errorf("orphans = %q, want %q", orphans, want)
 	}
 	if want := []string{"a.Vanished"}; !slices.Equal(stale, want) {
