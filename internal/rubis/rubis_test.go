@@ -1,9 +1,13 @@
 package rubis_test
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"nose/internal/backend"
+	"nose/internal/executor"
 	"nose/internal/model"
 	"nose/internal/rubis"
 	"nose/internal/workload"
@@ -151,30 +155,127 @@ func entityIDs(t *testing.T, ds *backend.Dataset, e *model.Entity) []backend.Val
 	return ids
 }
 
+// TestParamSourceCoversTransactions holds ParamSource to referenceSource,
+// the map-literal builder it replaced: at two seeds, 1,000 draws per
+// transaction name (and "") must bind every parameter any statement
+// uses, plus the fresh ids, with the same presence, Go type and value.
 func TestParamSourceCoversTransactions(t *testing.T) {
 	cfg := tinyConfig()
-	g := rubis.Graph(cfg)
-	txns, err := rubis.Transactions(g)
+	txns, err := rubis.Transactions(rubis.Graph(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := rubis.NewParamSource(cfg, 3)
+	names := []string{"bid", "bnid", "cid"}
 	for _, txn := range txns {
-		params := ps.Params(txn.Name)
 		for _, st := range txn.Statements {
 			for _, name := range statementParams(st) {
-				if _, ok := params[name]; !ok {
-					t.Errorf("%s: parameter ?%s not generated", txn.Name, name)
+				if !slices.Contains(names, name) {
+					names = append(names, name)
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	for _, seed := range []int64{3, 17} {
+		ps, ref := rubis.NewParamSource(cfg, seed), newReferenceSource(cfg, seed)
+		for _, txn := range append(txns, &rubis.Transaction{}) {
+			for i := 0; i < 1000; i++ {
+				got, want := ps.Params(txn.Name), ref.params(txn.Name)
+				for _, st := range txn.Statements {
+					for _, name := range statementParams(st) {
+						if _, ok := param(got, name); !ok {
+							t.Fatalf("%s: parameter ?%s not generated", txn.Name, name)
+						}
+					}
+				}
+				for _, name := range names {
+					gv, gok := param(got, name)
+					wv, wok := want[name]
+					if gok != wok || gv != wv {
+						t.Fatalf("seed %d %q draw %d: ?%s = %T %v (bound %v), want %T %v (bound %v)",
+							seed, txn.Name, i, name, gv, gv, gok, wv, wv, wok)
+					}
 				}
 			}
 		}
 	}
 	// Fresh insert ids do not collide across calls.
-	a := ps.Params("StoreBid")["bid"]
-	b := ps.Params("StoreBid")["bid"]
+	ps := rubis.NewParamSource(cfg, 3)
+	a, _ := param(ps.Params("StoreBid"), "bid")
+	b, _ := param(ps.Params("StoreBid"), "bid")
 	if a == b {
 		t.Error("StoreBid ids collide")
 	}
+}
+
+// param reads one binding of drawn parameters.
+func param(p executor.Params, name string) (backend.Value, bool) {
+	v, ok := p[name]
+	return v, ok
+}
+
+// referenceSource is ParamSource as a map literal: the same rng draws in
+// the literal's left-to-right order, the same fresh-id counters, the
+// same Go types.
+type referenceSource struct {
+	sizes                                                rubis.Sizes
+	rng                                                  *rand.Rand
+	nextBid, nextBuyNow, nextComment, nextItem, nextUser int64
+}
+
+func newReferenceSource(cfg rubis.Config, seed int64) *referenceSource {
+	s := rubis.SizesFor(cfg)
+	return &referenceSource{
+		sizes: s, rng: rand.New(rand.NewSource(seed)),
+		nextBid: int64(s.Bids), nextBuyNow: int64(s.BuyNows), nextComment: int64(s.Comments),
+		nextItem: int64(s.Items), nextUser: int64(s.Users),
+	}
+}
+
+func (ps *referenceSource) params(txn string) map[string]backend.Value {
+	const dayZero = 1_400_000_000
+	r := ps.rng
+	date := int64(dayZero + int64(r.Intn(3650))*86_400)
+	p := map[string]backend.Value{
+		"dummy":     int64(1),
+		"item":      int64(r.Intn(ps.sizes.Items)),
+		"user":      int64(r.Intn(ps.sizes.Users)),
+		"touser":    int64(r.Intn(ps.sizes.Users)),
+		"category":  int64(r.Intn(ps.sizes.Categories)),
+		"region":    int64(r.Intn(ps.sizes.Regions)),
+		"now":       date,
+		"end":       date + 30*86_400,
+		"qty":       int64(1 + r.Intn(5)),
+		"newqty":    int64(r.Intn(10)),
+		"amount":    float64(1 + r.Intn(5000)),
+		"rating":    int64(r.Intn(11) - 5),
+		"newrating": int64(r.Intn(40) - 10),
+		"nb":        int64(r.Intn(100)),
+		"text":      "generated comment",
+		"price":     float64(1 + r.Intn(5000)),
+		"rprice":    float64(1 + r.Intn(5000)),
+		"bnprice":   float64(1 + r.Intn(5000)),
+		"maxbid":    float64(0),
+		"name":      "new item",
+		"desc":      "new item description",
+		"nick":      "new user",
+		"email":     "new@rubis.example",
+		"balance":   float64(0),
+	}
+	next := func(n *int64) int64 { *n++; return *n }
+	switch txn {
+	case "StoreBid":
+		p["bid"] = next(&ps.nextBid)
+	case "StoreBuyNow":
+		p["bnid"] = next(&ps.nextBuyNow)
+	case "StoreComment":
+		p["cid"] = next(&ps.nextComment)
+	case "RegisterItem":
+		p["item"] = next(&ps.nextItem)
+	case "RegisterUser":
+		p["user"] = next(&ps.nextUser)
+	}
+	return p
 }
 
 // statementParams extracts the parameter names a statement uses.
