@@ -809,7 +809,7 @@ const (
 
 // TestExecTransactionAllocCeiling counts what the data plane allocates
 // per transaction: BenchmarkExecStatementRUBiS's schedule runs once
-// through ExecTransaction with its parameter maps drawn outside the
+// through ExecTransaction with its parameters drawn outside the
 // measured region and the collector off, so the executor's pooled
 // scratch stays warm. A get that copies its records again, a lookup
 // that allocates a partition key per driving row, or a harness query
@@ -845,6 +845,61 @@ func TestExecTransactionAllocCeiling(t *testing.T) {
 	}
 	t.Logf("ExecTransaction: %.2f allocations (ceiling %v), %.0f B (ceiling %v) per transaction",
 		allocs, execTransactionAllocCeiling, bytes, execTransactionByteCeiling)
+}
+
+// BenchmarkParamSource measures the parameter half of
+// BenchmarkExecStatementRUBiS's op alone: one op is one
+// rubis.ParamSource.Params for the bidding schedule's next transaction.
+func BenchmarkParamSource(b *testing.B) {
+	_, schedule, ps := biddingSchedule(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		paramSink = ps.Params(schedule[i%len(schedule)].Name)
+	}
+}
+
+// paramSink keeps BenchmarkParamSource's bindings live.
+var paramSink executor.Params
+
+// paramSourceAllocCeiling and paramSourceByteCeiling bound the mean
+// allocations and bytes of one ParamSource.Params over the bidding
+// schedule. Building a map of 24 or 25 bindings took 11.07 allocations
+// and 1,297 B; one struct of fixed slots, its values boxed as they are
+// drawn, takes 8.07 and 345 B (go1.24). Both ceilings are 1.3 times the
+// measured value.
+const (
+	paramSourceAllocCeiling = 10.5
+	paramSourceByteCeiling  = 449.0
+)
+
+// TestParamSourceAllocCeiling counts what drawing one transaction's
+// parameters allocates: the schedule's second half drawn once, the
+// first half as warm-up, the collector off. A source that builds a map
+// per transaction fails it. CI runs it by name with -count=1.
+func TestParamSourceAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	_, schedule, ps := biddingSchedule(t)
+	params := make([]executor.Params, len(schedule))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	half, next := len(schedule)/2, 0
+	total, totalBytes := allocsPerRun(1, func() {
+		for i := next; i < next+half; i++ {
+			params[i] = ps.Params(schedule[i].Name)
+		}
+		next += half
+	})
+	allocs, bytes := float64(total)/float64(half), float64(totalBytes)/float64(half)
+	if allocs > paramSourceAllocCeiling {
+		t.Errorf("ParamSource.Params allocates %.2f times per RUBiS transaction, ceiling %v", allocs, paramSourceAllocCeiling)
+	}
+	if bytes > paramSourceByteCeiling {
+		t.Errorf("ParamSource.Params allocates %.0f B per RUBiS transaction, ceiling %v", bytes, paramSourceByteCeiling)
+	}
+	t.Logf("ParamSource.Params: %.2f allocations (ceiling %v), %.0f B (ceiling %v) per transaction",
+		allocs, paramSourceAllocCeiling, bytes, paramSourceByteCeiling)
 }
 
 // BenchmarkBudgetSweep is the storage-budget ablation (paper §III-D,

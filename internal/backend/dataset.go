@@ -51,30 +51,34 @@ func ZeroValue(t model.AttributeType) Value {
 	}
 }
 
-// coerce normalizes a raw value into the Value domain for an attribute.
-func coerce(a *model.Attribute, v Value) (Value, error) {
+// Coerce normalizes a raw value into the Value domain for an attribute:
+// an int becomes the attribute's int64 or float64, and an int64 a
+// float attribute's float64. A value already of the attribute's type
+// comes back as it was, boxed once, so coercing it allocates nothing.
+// Any other value is an error.
+func Coerce(a *model.Attribute, v Value) (Value, error) {
 	switch a.Type {
 	case model.FloatType:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case int64:
 			return float64(x), nil
 		case int:
 			return float64(x), nil
 		}
 	case model.StringType:
-		if x, ok := v.(string); ok {
-			return x, nil
+		if _, ok := v.(string); ok {
+			return v, nil
 		}
 	case model.BooleanType:
-		if x, ok := v.(bool); ok {
-			return x, nil
+		if _, ok := v.(bool); ok {
+			return v, nil
 		}
 	default:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil
 		case int:
 			return int64(x), nil
 		}
@@ -93,7 +97,7 @@ func (d *Dataset) AddEntity(e *model.Entity, row map[string]Value) error {
 			qualified[a.QualifiedName()] = ZeroValue(a.Type)
 			continue
 		}
-		v, err := coerce(a, raw)
+		v, err := Coerce(a, raw)
 		if err != nil {
 			return err
 		}
@@ -157,7 +161,7 @@ func (d *Dataset) endpoints(edge *model.Edge, fromID, toID Value) (from, to int3
 // the row index of the instance with that id, or -1. Every entry point
 // that takes an id goes through it.
 func (d *Dataset) rowIndex(e *model.Entity, id Value) (int32, error) {
-	id, err := coerce(e.Key(), id)
+	id, err := Coerce(e.Key(), id)
 	if err != nil {
 		return -1, err
 	}
@@ -390,7 +394,7 @@ func (d *Dataset) UpdateEntity(e *model.Entity, id Value, attrs map[string]Value
 		if a == e.Key() {
 			return fmt.Errorf("backend: cannot change key of %s", e.Name)
 		}
-		v, err := coerce(a, raw)
+		v, err := Coerce(a, raw)
 		if err != nil {
 			return err
 		}

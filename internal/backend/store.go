@@ -38,12 +38,16 @@ type columnFamily struct {
 	parts map[string]*[]Record
 }
 
-// part returns a partition's records, nil when the partition was never
-// written; the caller holds cf.mu. The key is encoded into a stack
-// buffer, so the probe builds no string.
-func (cf *columnFamily) part(partition []Value) *[]Record {
-	var buf [keyBufSize]byte
-	return cf.parts[string(AppendKey(buf[:0], partition))]
+// keys encodes a partition key into buf, for probing cf.parts without
+// building a string, and checks a clustering key. Callers run it before
+// taking cf.mu: a component that is not a Value fails here, where it
+// cannot leave the lock held.
+func keys(buf []byte, partition, clustering []Value) ([]byte, error) {
+	key, err := appendKey(buf, partition)
+	if err == nil {
+		err = checkKey(clustering...)
+	}
+	return key, err
 }
 
 // search finds key in a partition's sorted records: its index, or the
@@ -203,11 +207,19 @@ func (s *Store) Get(name string, req GetRequest) (*GetResult, error) {
 		return nil, fmt.Errorf("backend: get on %q has a clustering range but the column family has no clustering columns",
 			name)
 	}
+	var buf [keyBufSize]byte
+	key, err := appendKey(buf[:0], req.Partition)
+	for i := 0; err == nil && i < len(req.Ranges); i++ {
+		err = checkKey(req.Ranges[i].Value)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("backend: get on %q: %w", name, err)
+	}
 	cf.mu.RLock()
 	defer cf.mu.RUnlock()
 
 	res := &GetResult{Records: req.Into[:0]}
-	if part := cf.part(req.Partition); part != nil {
+	if part := cf.parts[string(key)]; part != nil {
 		// Records sort by their first clustering value first, so each
 		// range cuts the partition at one binary search, exactly, for any
 		// number of clustering columns. GE and LT cut before the records
@@ -260,11 +272,16 @@ func (s *Store) Put(name string, partition, clustering []Value, values []Value) 
 		len(values) != len(cf.def.ValueCols) {
 		return nil, fmt.Errorf("backend: put on %q has mismatched arity", name)
 	}
+	var buf [keyBufSize]byte
+	key, err := keys(buf[:0], partition, clustering)
+	if err != nil {
+		return nil, fmt.Errorf("backend: put on %q: %w", name, err)
+	}
 	cf.mu.Lock()
-	part := cf.part(partition)
+	part := cf.parts[string(key)]
 	if part == nil {
 		part = new([]Record)
-		cf.parts[EncodeKey(partition)] = part
+		cf.parts[string(key)] = part
 	}
 	if i, found := search(*part, clustering); found {
 		(*part)[i].Values = values // a replace keeps the key first written
@@ -284,9 +301,14 @@ func (s *Store) Delete(name string, partition, clustering []Value) (bool, *PutRe
 	if err != nil {
 		return false, nil, err
 	}
+	var buf [keyBufSize]byte
+	key, err := keys(buf[:0], partition, clustering)
+	if err != nil {
+		return false, nil, fmt.Errorf("backend: delete on %q: %w", name, err)
+	}
 	cf.mu.Lock()
 	existed := false
-	if part := cf.part(partition); part != nil {
+	if part := cf.parts[string(key)]; part != nil {
 		var i int
 		if i, existed = search(*part, clustering); existed {
 			*part = slices.Delete(*part, i, i+1)

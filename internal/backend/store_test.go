@@ -1,8 +1,10 @@
 package backend_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"nose/internal/backend"
 	"nose/internal/cost"
@@ -316,5 +318,73 @@ func TestGetIntoReusesTheCallersBuffer(t *testing.T) {
 	res, err := s.Get("guests_by_city", backend.GetRequest{Partition: []backend.Value{"Waterloo"}, Into: buf[:0:2]})
 	if err != nil || len(res.Records) != 5 {
 		t.Fatalf("outgrown buffer: %v records, %v", len(res.Records), err)
+	}
+}
+
+// TestUnsupportedKeyValueReleasesLock hands each operation a key cell
+// that is not a Value (an int): it must fail with an error, and must not
+// leave the family's lock held, so a get on the same family right after
+// still returns.
+func TestUnsupportedKeyValueReleasesLock(t *testing.T) {
+	s := testStore(t)
+	createGuests(t, s)
+	if _, err := s.Put("guests_by_city", []backend.Value{"Waterloo"}, []backend.Value{100.0, int64(1)}, []backend.Value{"alice"}); err != nil {
+		t.Fatal(err)
+	}
+	ops := []struct {
+		name string
+		op   func() error
+	}{
+		{"put partition", func() error {
+			_, err := s.Put("guests_by_city", []backend.Value{3}, []backend.Value{100.0, int64(2)}, []backend.Value{"bob"})
+			return err
+		}},
+		{"put clustering", func() error {
+			_, err := s.Put("guests_by_city", []backend.Value{"Waterloo"}, []backend.Value{100.0, 2}, []backend.Value{"bob"})
+			return err
+		}},
+		{"delete clustering", func() error {
+			_, _, err := s.Delete("guests_by_city", []backend.Value{"Waterloo"}, []backend.Value{100.0, 1})
+			return err
+		}},
+		{"get partition", func() error {
+			_, err := s.Get("guests_by_city", backend.GetRequest{Partition: []backend.Value{3}})
+			return err
+		}},
+		{"get range", func() error {
+			_, err := s.Get("guests_by_city", backend.GetRequest{
+				Partition: []backend.Value{"Waterloo"},
+				Ranges:    []backend.ClusterRange{{Op: backend.GE, Value: 90}},
+			})
+			return err
+		}},
+	}
+	for _, o := range ops {
+		name := o.name
+		err := func() (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panicked: %v", r)
+					t.Errorf("%s: %v", name, err)
+				}
+			}()
+			return o.op()
+		}()
+		if err == nil {
+			t.Errorf("%s: an int key cell was accepted", name)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Get("guests_by_city", backend.GetRequest{Partition: []backend.Value{"Waterloo"}})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("after %s: %v", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("after %s: a get on the family did not return within 5 s", name)
+		}
 	}
 }

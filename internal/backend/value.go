@@ -115,8 +115,18 @@ const keyBufSize = 64
 // a buffer to reuse can probe a map with m[string(b)] without building
 // a string per lookup. Each component is self-delimiting (a tag byte,
 // then a fixed width or a length prefix), so appending several keys one
-// after another is injective over the concatenated components too.
+// after another is injective over the concatenated components too. It
+// panics on a component that is not a Value; appendKey reports it.
 func AppendKey(b []byte, key []Value) []byte {
+	b, err := appendKey(b, key)
+	if err != nil {
+		panic(err.Error())
+	}
+	return b
+}
+
+// appendKey is AppendKey, failing on a component that is not a Value.
+func appendKey(b []byte, key []Value) ([]byte, error) {
 	for _, v := range key {
 		switch x := v.(type) {
 		case int64:
@@ -132,8 +142,21 @@ func AppendKey(b []byte, key []Value) []byte {
 				b = append(b, 'b', 0)
 			}
 		default:
-			panic(fmt.Sprintf("backend: unsupported key value %T", v))
+			return b, fmt.Errorf("backend: unsupported key value %T", v)
 		}
 	}
-	return b
+	return b, nil
+}
+
+// checkKey fails on a key component that is not a Value: comparing it
+// would panic.
+func checkKey(key ...Value) error {
+	for _, v := range key {
+		switch v.(type) {
+		case int64, float64, string, bool:
+		default:
+			return fmt.Errorf("backend: unsupported key value %T", v)
+		}
+	}
+	return nil
 }

@@ -118,7 +118,7 @@ func TestExecuteQueryAllocationBudget(t *testing.T) {
 			for i := 0; i < n; i++ {
 				put(family(comments, 0), []backend.Value{user}, []backend.Value{int64(i)}, i)
 			}
-			return executor.Params{"user": user}
+			return executor.Bindings{"user": user}
 		}},
 		{"two lookups", history, func(n int) executor.Params {
 			item := int64(1_000_000 + n)
@@ -127,7 +127,7 @@ func TestExecuteQueryAllocationBudget(t *testing.T) {
 				put(family(history, 0), []backend.Value{item}, []backend.Value{int64(i), bidder}, i)
 				put(family(history, 1), []backend.Value{bidder}, nil, i)
 			}
-			return executor.Params{"item": item}
+			return executor.Bindings{"item": item}
 		}},
 	} {
 		var fixed, bare, bareBytes [2]float64

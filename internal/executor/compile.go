@@ -19,9 +19,10 @@ import (
 // names come from backend.DefFromIndex, so running a program never asks
 // the store for a definition.
 type program struct {
-	params []string // names of the parameters read; parameter i
-	width  int      // slots per row
-	plans  [][]any  // per plan (the query's, or each support plan's) its *lookupOp, filterOp, sortOp and limitOp steps
+	params []string           // names of the parameters read; parameter i
+	attrs  []*model.Attribute // the attribute each parameter is first used for; its binding is coerced to that type
+	width  int                // slots per row
+	plans  [][]any            // per plan (the query's, or each support plan's) its *lookupOp, filterOp, sortOp and limitOp steps
 
 	proj []int    // query: slots of the result columns
 	cols *columns // query: the result rows' header
@@ -92,8 +93,15 @@ func number(m map[string]int, name string) int {
 	return m[name]
 }
 
-func (c *compiler) param(name string) int { return number(c.params, name) }
-func (c *compiler) slot(name string) int  { return number(c.slots, name) }
+// param numbers a parameter, keeping the attribute it is first used for.
+func (c *compiler) param(name string, a *model.Attribute) int {
+	if _, ok := c.params[name]; !ok {
+		c.prog.attrs = append(c.prog.attrs, a)
+	}
+	return number(c.params, name)
+}
+
+func (c *compiler) slot(name string) int { return number(c.slots, name) }
 
 // plan compiles one step sequence onto the end of the program.
 func (c *compiler) plan(steps []planner.Step) error {
@@ -109,7 +117,7 @@ func (c *compiler) plan(steps []planner.Step) error {
 		case *planner.FilterStep:
 			f := make(filterOp, len(s.Predicates))
 			for j, p := range s.Predicates {
-				f[j] = pred{ref{c.param(p.Param), c.slot(p.Ref.Attr.QualifiedName())}, p.Op}
+				f[j] = pred{ref{c.param(p.Param, p.Ref.Attr), c.slot(p.Ref.Attr.QualifiedName())}, p.Op}
 			}
 			ops[i] = f
 		case *planner.SortStep:
@@ -131,14 +139,14 @@ func (c *compiler) plan(steps []planner.Step) error {
 func (c *compiler) lookup(s *planner.LookupStep) (*lookupOp, error) {
 	def := backend.DefFromIndex(s.Index)
 	o := &lookupOp{cf: def.Name, cols: def.PartitionCols, rangeParam: -1, limit: s.Limit}
-	eq := map[string]string{} // qualified attribute -> parameter name
+	eq := map[string]workload.Predicate{} // by qualified attribute
 	for _, p := range s.EqPredicates {
-		eq[p.Ref.Attr.QualifiedName()] = p.Param
+		eq[p.Ref.Attr.QualifiedName()] = p
 	}
 	for _, col := range def.PartitionCols {
 		src := ref{-1, c.slot(col)}
-		if name, ok := eq[col]; ok && (s.JoinKey == nil || col != s.JoinKey.QualifiedName()) {
-			src.param = c.param(name)
+		if p, ok := eq[col]; ok && (s.JoinKey == nil || col != s.JoinKey.QualifiedName()) {
+			src.param = c.param(p.Param, p.Ref.Attr)
 		}
 		o.part = append(o.part, src)
 	}
@@ -147,7 +155,7 @@ func (c *compiler) lookup(s *planner.LookupStep) (*lookupOp, error) {
 		if !ok {
 			return nil, fmt.Errorf("operator %v is not a range", rp.Op)
 		}
-		o.rangeOp, o.rangeParam = op, c.param(rp.Param)
+		o.rangeOp, o.rangeParam = op, c.param(rp.Param, rp.Ref.Attr)
 	}
 	c.lookups, c.defs = append(c.lookups, o), append(c.defs, def)
 	return o, nil
@@ -211,7 +219,7 @@ func compileWrite(ur *search.UpdateRecommendation) (*program, error) {
 	p := c.prog
 	overrides := map[string]int{}
 	seed := func(a *model.Attribute, param string) {
-		p.binds = append(p.binds, ref{c.param(param), c.slot(a.QualifiedName())})
+		p.binds = append(p.binds, ref{c.param(param, a), c.slot(a.QualifiedName())})
 	}
 	seedKey := func(where []workload.Predicate, key *model.Attribute) {
 		for _, w := range where {
@@ -224,8 +232,8 @@ func compileWrite(ur *search.UpdateRecommendation) (*program, error) {
 	case *workload.Update:
 		p.doDelete, p.doInsert = true, true
 		for _, asg := range st.Set {
-			overrides[asg.Attr.QualifiedName()] = c.param(asg.Param)
-			p.binds = append(p.binds, ref{c.param(asg.Param), -1})
+			overrides[asg.Attr.QualifiedName()] = c.param(asg.Param, asg.Attr)
+			p.binds = append(p.binds, ref{c.param(asg.Param, asg.Attr), -1})
 		}
 		seedKey(st.Where, st.Entity().Key())
 	case *workload.Delete:

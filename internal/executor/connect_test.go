@@ -57,7 +57,7 @@ func TestExecuteConnectCreatesRecords(t *testing.T) {
 	// additional reservation-guest pair that does not exist yet.
 	// Reservation 5's current guest connection stays; the view gains
 	// records for guest 40 as well once connected.
-	params := executor.Params{"gid": int64(40), "rid": int64(5)}
+	params := executor.Bindings{"gid": int64(40), "rid": int64(5)}
 	execWrite(t, ex, rec, conn, params)
 	if err := ds.Connect(g.MustEntity("Guest").Edge("Reservations"), int64(40), int64(5)); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestExecuteConnectCreatesRecords(t *testing.T) {
 
 	for city := 0; city < 5; city++ {
 		checkQueryAgainstOracle(t, ds, ex, rec, "GuestsByCity",
-			executor.Params{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
+			executor.Bindings{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
 	}
 }
 
@@ -89,7 +89,7 @@ func TestExecuteDisconnectRemovesRecords(t *testing.T) {
 		t.Fatal("no connected pair in dataset")
 	}
 
-	params := executor.Params{"gid": gid, "rid": rid}
+	params := executor.Bindings{"gid": gid, "rid": rid}
 	execWrite(t, ex, rec, disc, params)
 	if err := ds.Disconnect(guest.Edge("Reservations"), gid, rid); err != nil {
 		t.Fatal(err)
@@ -97,6 +97,6 @@ func TestExecuteDisconnectRemovesRecords(t *testing.T) {
 
 	for city := 0; city < 5; city++ {
 		checkQueryAgainstOracle(t, ds, ex, rec, "GuestsByCity",
-			executor.Params{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
+			executor.Bindings{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
 	}
 }

@@ -254,25 +254,29 @@ func (tw *twin) write(t *testing.T, st workload.Statement, params executor.Param
 // mirror applies a write statement to the base dataset, so that the
 // oracle answers over the data the executor's writes should have left.
 func mirror(ds *backend.Dataset, st workload.Statement, p executor.Params) error {
+	get := func(name string) backend.Value {
+		v, _ := p.Param(name)
+		return v
+	}
 	keyOf := func(where []workload.Predicate, key string) backend.Value {
 		for _, w := range where {
 			if w.Op == workload.Eq && w.Ref.Attr.Name == key {
-				return p[w.Param]
+				return get(w.Param)
 			}
 		}
 		return nil
 	}
 	switch s := st.(type) {
 	case *workload.Insert:
-		row := map[string]backend.Value{s.Entity.Key().Name: p[s.KeyParam]}
+		row := map[string]backend.Value{s.Entity.Key().Name: get(s.KeyParam)}
 		for _, a := range s.Set {
-			row[a.Attr.Name] = p[a.Param]
+			row[a.Attr.Name] = get(a.Param)
 		}
 		if err := ds.AddEntity(s.Entity, row); err != nil {
 			return err
 		}
 		for _, c := range s.Connections {
-			if err := ds.Connect(c.Edge, p[s.KeyParam], p[c.Param]); err != nil {
+			if err := ds.Connect(c.Edge, get(s.KeyParam), get(c.Param)); err != nil {
 				return err
 			}
 		}
@@ -280,16 +284,16 @@ func mirror(ds *backend.Dataset, st workload.Statement, p executor.Params) error
 	case *workload.Update:
 		attrs := map[string]backend.Value{}
 		for _, a := range s.Set {
-			attrs[a.Attr.Name] = p[a.Param]
+			attrs[a.Attr.Name] = get(a.Param)
 		}
 		return ds.UpdateEntity(s.Entity(), keyOf(s.Where, s.Entity().Key().Name), attrs)
 	case *workload.Delete:
 		return ds.RemoveEntity(s.Entity(), keyOf(s.Where, s.Entity().Key().Name))
 	case *workload.Connect:
 		if s.Disconnect {
-			return ds.Disconnect(s.Edge, p[s.FromParam], p[s.ToParam])
+			return ds.Disconnect(s.Edge, get(s.FromParam), get(s.ToParam))
 		}
-		return ds.Connect(s.Edge, p[s.FromParam], p[s.ToParam])
+		return ds.Connect(s.Edge, get(s.FromParam), get(s.ToParam))
 	}
 	return fmt.Errorf("mirror: unsupported statement %T", st)
 }

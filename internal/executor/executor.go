@@ -21,8 +21,33 @@ import (
 	"nose/internal/workload"
 )
 
-// Params binds statement parameter names to values.
-type Params map[string]backend.Value
+// Params binds statement parameter names to values. A program reads
+// each parameter it uses once per statement, through Param, and coerces
+// the value to the type of the attribute it first uses the parameter
+// for: an int binds an integer attribute as an int64. So a source that
+// draws values per execution can keep them in fixed slots and skip
+// building a map. A nil Params binds nothing.
+type Params interface {
+	// Param returns the value bound to name; false when name is unbound.
+	Param(name string) (backend.Value, bool)
+}
+
+// Bindings is Params as a map, for bindings written by hand.
+type Bindings map[string]backend.Value
+
+// Param returns b[name].
+func (b Bindings) Param(name string) (backend.Value, bool) {
+	v, ok := b[name]
+	return v, ok
+}
+
+// bound reads one parameter of params, which may be nil.
+func bound(params Params, name string) (backend.Value, bool) {
+	if params == nil {
+		return nil, false
+	}
+	return params.Param(name)
+}
 
 // Tuple is one result row: its values under the column header every row
 // of the result shares. Callers compare rows through CanonicalRows.
@@ -168,18 +193,26 @@ func (sc *scratch) window(n int) []backend.Value {
 	return sc.vals[len(sc.vals)-n:]
 }
 
-// enter resolves prog's parameters once and starts it on one empty row.
-func (sc *scratch) enter(prog *program, params Params) {
+// enter resolves prog's parameters once, each coerced to its
+// attribute's type, and starts prog on one empty row. It fails on a
+// bound value the attribute's type cannot hold.
+func (sc *scratch) enter(prog *program, params Params) error {
 	sc.prog, sc.vals = prog, sc.vals[:0]
 	sc.pv = sc.window(len(prog.params))
-	for i, name := range prog.params {
-		if v, ok := params[name]; ok {
-			sc.pv[i] = v
-		} else {
-			sc.pv[i] = absent{}
-		}
-	}
 	sc.rows = append(sc.rows[:0], sc.window(prog.width))
+	for i, name := range prog.params {
+		v, ok := bound(params, name)
+		if !ok {
+			sc.pv[i] = absent{}
+			continue
+		}
+		v, err := backend.Coerce(prog.attrs[i], v)
+		if err != nil {
+			return fmt.Errorf("parameter ?%s: %w", name, err)
+		}
+		sc.pv[i] = v
+	}
+	return nil
 }
 
 // param returns parameter i; false when i is -1 or the caller left the
@@ -220,9 +253,10 @@ func (e *Executor) query(plan *planner.Plan, params Params, rows bool) (*Result,
 	prog, err := compiled(e, plan, compileQuery)
 	if err == nil {
 		sc := e.scratch()
-		sc.enter(prog, params)
-		if res.SimMillis, err = e.run(prog.plans[0], sc); err == nil && rows {
-			res.Rows = sc.project()
+		if err = sc.enter(prog, params); err == nil {
+			if res.SimMillis, err = e.run(prog.plans[0], sc); err == nil && rows {
+				res.Rows = sc.project()
+			}
 		}
 		res.Retries = sc.bgt.retries
 		e.pool.Put(sc)
@@ -456,7 +490,9 @@ func (e *Executor) read(urs []*search.UpdateRecommendation, params Params, sc *s
 		if err != nil {
 			return err
 		}
-		sc.enter(prog, params)
+		if err := sc.enter(prog, params); err != nil {
+			return fmt.Errorf("executor: %q %w", workload.Label(ur.Plan.Statement), err)
+		}
 		for _, b := range prog.binds {
 			v, ok := sc.param(b.param)
 			if !ok {

@@ -143,12 +143,12 @@ func TestQueriesMatchOracle(t *testing.T) {
 	rec, _, ex := adviseAndInstall(t, ds, w)
 
 	for city := 0; city < 5; city++ {
-		params := executor.Params{"city": fmt.Sprintf("City%d", city), "rate": float64(120)}
+		params := executor.Bindings{"city": fmt.Sprintf("City%d", city), "rate": float64(120)}
 		checkQueryAgainstOracle(t, ds, ex, rec, "GuestsByCity", params)
 		checkQueryAgainstOracle(t, ds, ex, rec, "RoomsByCity", params)
 	}
 	for id := 0; id < 10; id++ {
-		params := executor.Params{"floor": int64(3), "id": int64(id)}
+		params := executor.Bindings{"floor": int64(3), "id": int64(id)}
 		checkQueryAgainstOracle(t, ds, ex, rec, "RatesByPOI", params)
 	}
 }
@@ -182,7 +182,7 @@ func TestAllPlansMatchOracle(t *testing.T) {
 	}
 	ex := executor.New(store, cost.DefaultParams())
 
-	params := executor.Params{"city": "City2", "rate": float64(100)}
+	params := executor.Bindings{"city": "City2", "rate": float64(100)}
 	want, err := executor.Oracle(ds, q, params)
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestOrderedQueryReturnsSortedRows(t *testing.T) {
 	w.Add(q, 1)
 	rec, _, ex := adviseAndInstall(t, ds, w)
 
-	params := executor.Params{"city": "City1"}
+	params := executor.Bindings{"city": "City1"}
 	got, err := ex.ExecuteQuery(rec.Queries[0].Plan, params)
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestExecuteUpdateMaintainsViews(t *testing.T) {
 	rec, _, ex := adviseAndInstall(t, ds, w)
 
 	// Execute the update against every maintained family.
-	params := executor.Params{"newname": "RENAMED", "gid": int64(7)}
+	params := executor.Bindings{"newname": "RENAMED", "gid": int64(7)}
 	var ursupd []*search.UpdateRecommendation
 	for _, ur := range rec.Updates {
 		if ur.Statement.Statement == upd {
@@ -269,7 +269,7 @@ func TestExecuteUpdateMaintainsViews(t *testing.T) {
 
 	for city := 0; city < 5; city++ {
 		checkQueryAgainstOracle(t, ds, ex, rec, "GuestsByCity",
-			executor.Params{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
+			executor.Bindings{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
 	}
 }
 
@@ -286,7 +286,7 @@ func TestExecuteInsertCreatesRecords(t *testing.T) {
 
 	rec, _, ex := adviseAndInstall(t, ds, w)
 
-	params := executor.Params{"rid": int64(99_999), "gid": int64(3), "roomid": int64(11)}
+	params := executor.Bindings{"rid": int64(99_999), "gid": int64(3), "roomid": int64(11)}
 	var ursins []*search.UpdateRecommendation
 	for _, ur := range rec.Updates {
 		if ur.Statement.Statement == ins {
@@ -303,7 +303,7 @@ func TestExecuteInsertCreatesRecords(t *testing.T) {
 
 	for city := 0; city < 5; city++ {
 		checkQueryAgainstOracle(t, ds, ex, rec, "GuestsByCity",
-			executor.Params{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
+			executor.Bindings{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
 	}
 }
 
@@ -319,7 +319,7 @@ func TestExecuteDeleteRemovesRecords(t *testing.T) {
 
 	rec, _, ex := adviseAndInstall(t, ds, w)
 
-	params := executor.Params{"gid": int64(12)}
+	params := executor.Bindings{"gid": int64(12)}
 	var ursdel []*search.UpdateRecommendation
 	for _, ur := range rec.Updates {
 		if ur.Statement.Statement == del {
@@ -333,7 +333,7 @@ func TestExecuteDeleteRemovesRecords(t *testing.T) {
 
 	for city := 0; city < 5; city++ {
 		checkQueryAgainstOracle(t, ds, ex, rec, "GuestsByCity",
-			executor.Params{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
+			executor.Bindings{"city": fmt.Sprintf("City%d", city), "rate": float64(60)})
 	}
 }
 
@@ -344,7 +344,7 @@ func TestExecuteQueryMissingParam(t *testing.T) {
 	q := workload.MustParseQuery(g, hotel.PrefixQuery)
 	w.Add(q, 1)
 	rec, _, ex := adviseAndInstall(t, ds, w)
-	if _, err := ex.ExecuteQuery(rec.Queries[0].Plan, executor.Params{"city": "City0"}); err == nil {
+	if _, err := ex.ExecuteQuery(rec.Queries[0].Plan, executor.Bindings{"city": "City0"}); err == nil {
 		t.Error("expected error for missing ?rate")
 	}
 }

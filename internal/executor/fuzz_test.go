@@ -98,7 +98,7 @@ func FuzzExecutorAgainstOracle(f *testing.F) {
 		for binding := 0; binding < 3; binding++ {
 			// Parameter names repeat across queries with different types,
 			// so each query is bound on its own.
-			params := executor.Params{}
+			params := executor.Bindings{}
 			for _, qr := range rec.Queries {
 				for _, p := range qr.Statement.Statement.(*workload.Query).Where {
 					params[p.Param] = cellOf(rng, p.Ref.Attr, 4)

@@ -14,6 +14,8 @@ import (
 // sorts, projects to distinct rows, and applies the limit. Integration
 // tests compare every schema's execution against this ground truth.
 //
+// Each predicate's parameter is read once per call and coerced to the
+// type of the attribute it filters on, as the executor coerces it.
 // Predicates read each combination in place, through
 // backend.Combination.Value; only a combination that passes them
 // becomes a map row. Past that it shares nothing with the compiled
@@ -22,9 +24,10 @@ import (
 // duplicates are found by concatenating per-cell EncodeKey strings —
 // the reference stays independent of what it checks.
 func Oracle(ds *backend.Dataset, q *workload.Query, params Params) ([]Tuple, error) {
+	wants := bindPredicates(q.Where, params)
 	var rows []map[string]backend.Value
 	err := ds.ForEachCombination(q.Path, func(c *backend.Combination) error {
-		ok, err := evalPredicates(q.Where, c, params)
+		ok, err := evalPredicates(q.Where, c, wants)
 		if err != nil {
 			return err
 		}
@@ -44,18 +47,39 @@ func Oracle(ds *backend.Dataset, q *workload.Query, params Params) ([]Tuple, err
 	return out, nil
 }
 
+// want is one predicate's binding, coerced to its attribute's type, or
+// the error evaluating the predicate reports.
+type want struct {
+	v   backend.Value
+	err error
+}
+
+// bindPredicates reads each predicate's parameter once, as the executor
+// does: coerced to the type of the attribute it filters on.
+func bindPredicates(preds []workload.Predicate, params Params) []want {
+	wants := make([]want, len(preds))
+	for i, p := range preds {
+		v, ok := bound(params, p.Param)
+		if !ok {
+			wants[i].err = fmt.Errorf("missing parameter ?%s", p.Param)
+		} else if wants[i].v, wants[i].err = backend.Coerce(p.Ref.Attr, v); wants[i].err != nil {
+			wants[i].err = fmt.Errorf("parameter ?%s: %w", p.Param, wants[i].err)
+		}
+	}
+	return wants
+}
+
 // evalPredicates applies predicates to one combination.
-func evalPredicates(preds []workload.Predicate, c *backend.Combination, params Params) (bool, error) {
-	for _, p := range preds {
+func evalPredicates(preds []workload.Predicate, c *backend.Combination, wants []want) (bool, error) {
+	for i, p := range preds {
 		have, ok := c.Value(p.Ref.Attr)
 		if !ok {
 			return false, fmt.Errorf("tuple lacks attribute %s for filtering", p.Ref.Attr.QualifiedName())
 		}
-		want, ok := params[p.Param]
-		if !ok {
-			return false, fmt.Errorf("missing parameter ?%s", p.Param)
+		if wants[i].err != nil {
+			return false, wants[i].err
 		}
-		if !holds(p.Op, backend.CompareValues(have, want)) {
+		if !holds(p.Op, backend.CompareValues(have, wants[i].v)) {
 			return false, nil
 		}
 	}

@@ -106,7 +106,7 @@ func (e *refExecutor) lookup(s *planner.LookupStep, params executor.Params, driv
 	}
 	var ranges []backend.ClusterRange
 	if rp := s.RangePredicate; rp != nil {
-		v, ok := params[rp.Param]
+		v, ok := params.Param(rp.Param)
 		if !ok {
 			return nil, 0, fmt.Errorf("missing parameter ?%s", rp.Param)
 		}
@@ -129,7 +129,7 @@ func (e *refExecutor) lookup(s *planner.LookupStep, params executor.Params, driv
 				partition[i] = v
 			default:
 				if pname, ok := eqByAttr[col]; ok {
-					if v, ok := params[pname]; ok {
+					if v, ok := params.Param(pname); ok {
 						partition[i] = v
 						continue
 					}
@@ -172,7 +172,7 @@ func refEvalPredicates(preds []workload.Predicate, t refTuple, params executor.P
 		if !ok {
 			return false, fmt.Errorf("tuple lacks attribute %s for filtering", p.Ref.Attr.QualifiedName())
 		}
-		want, ok := params[p.Param]
+		want, ok := params.Param(p.Param)
 		if !ok {
 			return false, fmt.Errorf("missing parameter ?%s", p.Param)
 		}
@@ -303,7 +303,7 @@ func refValueOf(t refTuple, a *model.Attribute, overrides refTuple) backend.Valu
 func refUpdateContext(stmt workload.WriteStatement, params executor.Params) (seeds []refTuple, overrides refTuple, doDelete, doInsert bool, err error) {
 	seed := refTuple{}
 	bind := func(a *model.Attribute, param string, into refTuple) {
-		v, ok := params[param]
+		v, ok := params.Param(param)
 		if !ok && err == nil {
 			err = fmt.Errorf("executor: %q missing parameter ?%s", workload.Label(stmt), param)
 		}

@@ -116,7 +116,7 @@ func (hp *handPlans) roomsLookup() *planner.LookupStep {
 	}}
 }
 
-var ritz = executor.Params{"id": int64(1), "city": "Paris", "name": "Ritz"}
+var ritz = executor.Bindings{"id": int64(1), "city": "Paris", "name": "Ritz"}
 
 // TestDedupeKeepsFirstByKeyEncoding: duplicates are rows whose projected
 // cells encode alike — int64(1) is not float64(1), floats compare by
@@ -204,10 +204,10 @@ func TestPartitionBindingPrecedence(t *testing.T) {
 			}},
 		},
 	}
-	if got, want := hp.run(t, plan, executor.Params{"city": "Paris", "id": int64(2), "room_city": "Lyon"}, hp.roomID), []backend.Value{int64(20)}; !reflect.DeepEqual(got, want) {
+	if got, want := hp.run(t, plan, executor.Bindings{"city": "Paris", "id": int64(2), "room_city": "Lyon"}, hp.roomID), []backend.Value{int64(20)}; !reflect.DeepEqual(got, want) {
 		t.Errorf("parameter over row: rooms %v, want %v", got, want)
 	}
-	if got, want := hp.run(t, plan, executor.Params{"city": "Paris", "id": int64(2)}, hp.roomID), []backend.Value{int64(10)}; !reflect.DeepEqual(got, want) {
+	if got, want := hp.run(t, plan, executor.Bindings{"city": "Paris", "id": int64(2)}, hp.roomID), []backend.Value{int64(10)}; !reflect.DeepEqual(got, want) {
 		t.Errorf("row when the parameter is unbound: rooms %v, want %v", got, want)
 	}
 }
@@ -230,7 +230,7 @@ func TestMissingParameterReportedWhereNeeded(t *testing.T) {
 		wantSim bool
 	}{
 		{"filter after a lookup", []planner.Step{hp.roomsLookup(), filter}, ritz, "missing parameter ?rate", true},
-		{"partition of the first lookup", []planner.Step{hp.roomsLookup(), filter}, executor.Params{"id": int64(1), "city": "Paris"}, "no binding for partition column Hotel.HotelName", false},
+		{"partition of the first lookup", []planner.Step{hp.roomsLookup(), filter}, executor.Bindings{"id": int64(1), "city": "Paris"}, "no binding for partition column Hotel.HotelName", false},
 		{"range of the first lookup", []planner.Step{rng}, ritz, "missing parameter ?from", false},
 	} {
 		plan := &planner.Plan{Query: query, Steps: tc.steps}
@@ -249,7 +249,7 @@ func TestMissingParameterReportedWhereNeeded(t *testing.T) {
 	}
 	// With no driving row there is nothing to filter and nothing to miss.
 	empty := &planner.Plan{Query: query, Steps: []planner.Step{hp.roomsLookup(), filter}}
-	if res, err := hp.ex.ExecuteQuery(empty, executor.Params{"id": int64(9), "city": "Paris", "name": "Ritz"}); err != nil || len(res.Rows) != 0 {
+	if res, err := hp.ex.ExecuteQuery(empty, executor.Bindings{"id": int64(9), "city": "Paris", "name": "Ritz"}); err != nil || len(res.Rows) != 0 {
 		t.Errorf("empty partition: rows %v, error %v", res, err)
 	}
 }

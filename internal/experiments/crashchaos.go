@@ -229,15 +229,15 @@ func buildChaosFixture(advisor search.Options) (*chaosFixture, error) {
 		drop:        drop,
 		query:       q1,
 		insert:      ins,
-		queryParams: executor.Params{"city": "c0", "rate": 60.0},
+		queryParams: executor.Bindings{"city": "c0", "rate": 60.0},
 		queryCF:     recA.Queries[0].Plan.Indexes()[0].Name,
 	}, nil
 }
 
 // insertParams yields a distinct reservation insert for step i; room 0
 // keeps the write in city c0's partition.
-func chaosInsertParams(base, i int) executor.Params {
-	return executor.Params{
+func chaosInsertParams(base, i int) executor.Bindings {
+	return executor.Bindings{
 		"rid":    int64(base + i),
 		"date":   int64(1_700_000_000 + i*86_400),
 		"gid":    int64(i % 8),

@@ -48,7 +48,7 @@ func TestConfigPutsEveryLayerInThePath(t *testing.T) {
 			params := f.params
 			if i%2 == 1 {
 				st = f.insert
-				params = executor.Params{"id": int64(1000 + i), "city": "c1", "name": fmt.Sprintf("w%d", i)}
+				params = executor.Bindings{"id": int64(1000 + i), "city": "c1", "name": fmt.Sprintf("w%d", i)}
 			}
 			ms, err := sys.ExecStatement(st, params)
 			out.millis += ms
@@ -200,7 +200,7 @@ func TestRestartOverSurvivingCluster(t *testing.T) {
 	if err := crashed.MarkNodeDown(replicas[0]); err != nil {
 		t.Fatal(err)
 	}
-	wp := executor.Params{"id": int64(500), "city": "c1", "name": "hinted"}
+	wp := executor.Bindings{"id": int64(500), "city": "c1", "name": "hinted"}
 	if _, err := crashed.ExecStatement(f.insert, wp); err != nil {
 		t.Fatal(err)
 	}

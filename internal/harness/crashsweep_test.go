@@ -121,14 +121,14 @@ func newSweepFixture(t *testing.T, workers int) *sweepFixture {
 		drop:        drop,
 		query:       q1,
 		insert:      ins,
-		queryParams: executor.Params{"city": "c0", "rate": 60.0},
+		queryParams: executor.Bindings{"city": "c0", "rate": 60.0},
 		liveOpts:    migrate.LiveOptions{ChunkRecords: 5},
 	}
 }
 
 // insertParams yields a unique reservation insert for step i.
 func (f *sweepFixture) insertParams(i int) executor.Params {
-	return executor.Params{
+	return executor.Bindings{
 		"rid":    int64(10_000 + i),
 		"date":   int64(1_700_000_000 + i*86_400),
 		"gid":    int64(i % 8),

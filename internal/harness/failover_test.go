@@ -90,7 +90,7 @@ func newRedundantFixture(t *testing.T, declare ...func(*harness.Config)) *redund
 		sys:    sys,
 		query:  q,
 		plans:  qr.Alternatives,
-		params: executor.Params{"city": "c1"},
+		params: executor.Bindings{"city": "c1"},
 	}
 }
 
@@ -307,13 +307,13 @@ func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := executor.Params{"id": int64(2), "name": "m"}
+	params := executor.Bindings{"id": int64(2), "name": "m"}
 	if _, err := sys.ExecStatement(ins, params); err != nil {
 		t.Fatalf("healthy write: %v", err)
 	}
 
 	sys.Faults().MarkDown(rec.Schema.Indexes()[0].Name)
-	_, err = sys.ExecStatement(ins, executor.Params{"id": int64(3), "name": "p"})
+	_, err = sys.ExecStatement(ins, executor.Bindings{"id": int64(3), "name": "p"})
 	if !errors.Is(err, harness.ErrUnavailable) {
 		t.Fatalf("write to down family: err = %v, want ErrUnavailable", err)
 	}

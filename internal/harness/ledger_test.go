@@ -62,7 +62,7 @@ func TestRegistryVocabulary(t *testing.T) {
 		params := f.params
 		if i%2 == 1 {
 			st = f.insert
-			params = executor.Params{"id": int64(1000 + i), "city": "c1", "name": fmt.Sprintf("w%d", i)}
+			params = executor.Bindings{"id": int64(1000 + i), "city": "c1", "name": fmt.Sprintf("w%d", i)}
 		}
 		if _, err := sys.ExecStatement(st, params); err != nil && !errors.Is(err, harness.ErrUnavailable) {
 			t.Fatal(err)

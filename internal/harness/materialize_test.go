@@ -99,7 +99,7 @@ func TestMaterializedRecordsPinned(t *testing.T) {
 	writeRecordDigests(t, &b, "hotel Normalized", hds, sch)
 	rng := rand.New(rand.NewSource(5))
 	for i := range bindings {
-		bindings[i] = executor.Params{
+		bindings[i] = executor.Bindings{
 			"city":  fmt.Sprintf("City%d", rng.Intn(4)),
 			"rate":  float64(40 + rng.Intn(8)*10),
 			"floor": int64(rng.Intn(4)),

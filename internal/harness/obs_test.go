@@ -45,7 +45,7 @@ func TestConcurrentStatementsUnderNodeFaults(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				wp := executor.Params{"id": int64(10_000 + g*1_000 + i), "city": "c1", "name": "w"}
+				wp := executor.Bindings{"id": int64(10_000 + g*1_000 + i), "city": "c1", "name": "w"}
 				if _, err := sys.ExecStatement(f.insert, wp); err != nil && !isUnavailable(err) {
 					t.Error(err)
 					return

@@ -325,7 +325,7 @@ func TestReplicatedCrashRecovery(t *testing.T) {
 		if err := sys.MarkNodeDown(replicas[0]); err != nil {
 			t.Fatal(err)
 		}
-		wp := executor.Params{"id": int64(500), "city": "c1", "name": "crashme"}
+		wp := executor.Bindings{"id": int64(500), "city": "c1", "name": "crashme"}
 		if _, err := sys.ExecStatement(f.insert, wp); err != nil {
 			t.Fatalf("%s: write with a replica down: %v", site, err)
 		}
@@ -345,7 +345,7 @@ func TestReplicatedCrashRecovery(t *testing.T) {
 			var err error
 			if site == faults.SiteHandoff {
 				_, err = sys.ExecStatement(f.insert,
-					executor.Params{"id": int64(600 + i), "city": "c1", "name": "again"})
+					executor.Bindings{"id": int64(600 + i), "city": "c1", "name": "again"})
 			} else {
 				_, err = sys.ExecStatement(f.query, f.params)
 			}

@@ -68,7 +68,7 @@ func newReplFixture(t *testing.T) *replFixture {
 		rec:    rec,
 		query:  q,
 		insert: ins,
-		params: executor.Params{"city": "c1"},
+		params: executor.Bindings{"city": "c1"},
 	}
 }
 
@@ -112,7 +112,7 @@ func TestReplicatedHealthyAllMatchesSingleStore(t *testing.T) {
 		if sm != rm {
 			t.Fatalf("query %d: replicated %.6fms != single-store %.6fms", i, rm, sm)
 		}
-		wp := executor.Params{"id": int64(100 + i), "city": "c1", "name": "w"}
+		wp := executor.Bindings{"id": int64(100 + i), "city": "c1", "name": "w"}
 		sm, err = single.ExecStatement(f.insert, wp)
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func TestReplicatedNodeDownPerLevel(t *testing.T) {
 		}
 
 		// The down replica misses the write; hinted handoff queues it.
-		wp := executor.Params{"id": int64(200), "city": "c1", "name": "w"}
+		wp := executor.Bindings{"id": int64(200), "city": "c1", "name": "w"}
 		if _, err := sys.ExecStatement(f.insert, wp); err != nil {
 			t.Fatalf("%v write with a replica down: %v", level, err)
 		}

@@ -49,7 +49,9 @@ type Transaction struct {
 // ParamFunc supplies parameter bindings for one execution of the named
 // transaction. It is called once per arrival, in deterministic event
 // order, so a seeded stateful source (e.g. rubis.ParamSource) keeps
-// runs reproducible.
+// runs reproducible. The bindings are any executor.Params: a source
+// that draws per arrival can hand back fixed slots rather than a map
+// (rubis.ParamSource does), and hand-written ones an executor.Bindings.
 type ParamFunc func(txn string) executor.Params
 
 // Options shapes a load run.

@@ -81,9 +81,9 @@ func (f *fixture) params(txn string) executor.Params {
 	f.next++
 	city := fmt.Sprintf("c%d", f.next%3)
 	if txn == "register" {
-		return executor.Params{"id": 1000 + f.next, "city": city, "name": "w"}
+		return executor.Bindings{"id": 1000 + f.next, "city": city, "name": "w"}
 	}
-	return executor.Params{"city": city}
+	return executor.Bindings{"city": city}
 }
 
 // system builds a fresh replicated system with queues of the given
@@ -175,7 +175,7 @@ func TestZeroCapacityBoundary(t *testing.T) {
 	}
 
 	sys, q = f.system(t, executor.Quorum, 0)
-	if _, err := sys.ExecStatement(f.txns[0].Statements[0], executor.Params{"city": "c1"}); !errors.Is(err, harness.ErrUnavailable) {
+	if _, err := sys.ExecStatement(f.txns[0].Statements[0], executor.Bindings{"city": "c1"}); !errors.Is(err, harness.ErrUnavailable) {
 		t.Fatalf("zero-capacity ExecStatement: err = %v, want harness.ErrUnavailable", err)
 	}
 	r, err = load.Run(sys, f.txns, f.params, q, opts)

@@ -163,48 +163,114 @@ func NewParamSource(cfg Config, seed int64) *ParamSource {
 	return ps
 }
 
-// Params builds bindings for one execution of the named transaction.
-// The returned map covers every parameter its statements use.
+// Params draws bindings for one execution of the named transaction,
+// covering every parameter its statements use. Each execution makes the
+// same rng draws in the same order whatever the transaction, then takes
+// a fresh id for an insert's key. The drawn values sit in the fixed
+// slots of one small struct, boxed as they are drawn so that reading
+// them allocates nothing; the constants and the name to slot mapping
+// are a switch. The executor reads each parameter a statement uses once,
+// so no map is built or hashed.
 func (ps *ParamSource) Params(txn string) executor.Params {
 	r := ps.rng
 	date := int64(dayZero + int64(r.Intn(3650))*86_400)
-	p := executor.Params{
-		"dummy":     int64(1),
-		"item":      int64(r.Intn(ps.sizes.Items)),
-		"user":      int64(r.Intn(ps.sizes.Users)),
-		"touser":    int64(r.Intn(ps.sizes.Users)),
-		"category":  int64(r.Intn(ps.sizes.Categories)),
-		"region":    int64(r.Intn(ps.sizes.Regions)),
-		"now":       date,
-		"end":       date + 30*86_400,
-		"qty":       int64(1 + r.Intn(5)),
-		"newqty":    int64(r.Intn(10)),
-		"amount":    float64(1 + r.Intn(5000)),
-		"rating":    int64(r.Intn(11) - 5),
-		"newrating": int64(r.Intn(40) - 10),
-		"nb":        int64(r.Intn(100)),
-		"text":      "generated comment",
-		"price":     float64(1 + r.Intn(5000)),
-		"rprice":    float64(1 + r.Intn(5000)),
-		"bnprice":   float64(1 + r.Intn(5000)),
-		"maxbid":    float64(0),
-		"name":      "new item",
-		"desc":      "new item description",
-		"nick":      "new user",
-		"email":     "new@rubis.example",
-		"balance":   float64(0),
+	// Go evaluates the literal's elements left to right: the draws follow
+	// its order, so reordering it changes every stream.
+	d := &drawn{
+		item:      int64(r.Intn(ps.sizes.Items)),
+		user:      int64(r.Intn(ps.sizes.Users)),
+		touser:    int64(r.Intn(ps.sizes.Users)),
+		category:  int64(r.Intn(ps.sizes.Categories)),
+		region:    int64(r.Intn(ps.sizes.Regions)),
+		now:       date,
+		end:       date + 30*86_400,
+		qty:       int64(1 + r.Intn(5)),
+		newqty:    int64(r.Intn(10)),
+		amount:    float64(1 + r.Intn(5000)),
+		rating:    int64(r.Intn(11) - 5),
+		newrating: int64(r.Intn(40) - 10),
+		nb:        int64(r.Intn(100)),
+		price:     float64(1 + r.Intn(5000)),
+		rprice:    float64(1 + r.Intn(5000)),
+		bnprice:   float64(1 + r.Intn(5000)),
 	}
 	switch txn {
 	case "StoreBid":
-		p["bid"] = ps.nextBid.Add(1)
+		d.freshName, d.fresh = "bid", ps.nextBid.Add(1)
 	case "StoreBuyNow":
-		p["bnid"] = ps.nextBuyNow.Add(1)
+		d.freshName, d.fresh = "bnid", ps.nextBuyNow.Add(1)
 	case "StoreComment":
-		p["cid"] = ps.nextComment.Add(1)
+		d.freshName, d.fresh = "cid", ps.nextComment.Add(1)
 	case "RegisterItem":
-		p["item"] = ps.nextItem.Add(1)
+		d.item = ps.nextItem.Add(1)
 	case "RegisterUser":
-		p["user"] = ps.nextUser.Add(1)
+		d.user = ps.nextUser.Add(1)
 	}
-	return p
+	return d
+}
+
+// drawn is one execution's bindings: a slot per drawn parameter, and the
+// fresh id of StoreBid, StoreBuyNow or StoreComment under its name.
+type drawn struct {
+	item, user, touser, category, region, now, end, qty, newqty backend.Value
+	amount, rating, newrating, nb, price, rprice, bnprice       backend.Value
+	fresh                                                       backend.Value
+	freshName                                                   string
+}
+
+// Param implements executor.Params.
+func (d *drawn) Param(name string) (backend.Value, bool) {
+	switch name {
+	case "item":
+		return d.item, true
+	case "user":
+		return d.user, true
+	case "touser":
+		return d.touser, true
+	case "category":
+		return d.category, true
+	case "region":
+		return d.region, true
+	case "now":
+		return d.now, true
+	case "end":
+		return d.end, true
+	case "qty":
+		return d.qty, true
+	case "newqty":
+		return d.newqty, true
+	case "amount":
+		return d.amount, true
+	case "rating":
+		return d.rating, true
+	case "newrating":
+		return d.newrating, true
+	case "nb":
+		return d.nb, true
+	case "price":
+		return d.price, true
+	case "rprice":
+		return d.rprice, true
+	case "bnprice":
+		return d.bnprice, true
+	case "bid", "bnid", "cid":
+		if name == d.freshName {
+			return d.fresh, true
+		}
+	case "dummy":
+		return int64(1), true
+	case "text":
+		return "generated comment", true
+	case "maxbid", "balance":
+		return float64(0), true
+	case "name":
+		return "new item", true
+	case "desc":
+		return "new item description", true
+	case "nick":
+		return "new user", true
+	case "email":
+		return "new@rubis.example", true
+	}
+	return nil, false
 }

@@ -210,7 +210,7 @@ func TestParamSourceCoversTransactions(t *testing.T) {
 
 // param reads one binding of drawn parameters.
 func param(p executor.Params, name string) (backend.Value, bool) {
-	v, ok := p[name]
+	v, ok := p.Param(name)
 	return v, ok
 }
 
