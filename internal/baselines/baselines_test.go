@@ -10,6 +10,7 @@ import (
 	"nose/internal/baselines"
 	"nose/internal/bip"
 	"nose/internal/cost"
+	"nose/internal/enumerator"
 	"nose/internal/executor"
 	"nose/internal/harness"
 	"nose/internal/planner"
@@ -19,6 +20,11 @@ import (
 )
 
 func tinyConfig() rubis.Config { return rubis.Config{Users: 300, Seed: 7} }
+
+// recommend derives the recommendation a baseline pool executes.
+func recommend(w *workload.Workload, pool *enumerator.Pool) (*search.Recommendation, error) {
+	return baselines.Recommend(w, pool)
+}
 
 // fixture caches the expensive advisor and baseline runs shared by the
 // integration tests.
@@ -100,7 +106,7 @@ func TestNormalizedCoversRUBiS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +136,7 @@ func TestExpertCoversRUBiS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := recommend(w, pool)
 	if err != nil {
 		t.Fatal(err)
 	}
