@@ -581,7 +581,7 @@ func BenchmarkDualWriteOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	from, err := baselines.Recommend(w, expertPool)
+	from, err := search.AdvisePinned(w, expertPool, search.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -589,7 +589,7 @@ func BenchmarkDualWriteOverhead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	to, err := baselines.Recommend(w, normPool)
+	to, err := search.AdvisePinned(w, normPool, search.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

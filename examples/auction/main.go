@@ -42,14 +42,18 @@ func main() {
 	fmt.Printf("NoSE recommends %d column families (%.1f MB) in %v\n\n",
 		rec.Schema.Len(), rec.Schema.TotalSizeBytes()/1e6, rec.Timings.Total)
 
+	// The normalized baseline is the advisor's own program over a fixed
+	// pool: every family installed and maintained, each statement on its
+	// cheapest plan, priced as NoSE's recommendation is.
 	normPool, err := baselines.Normalized(w)
 	if err != nil {
 		log.Fatal(err)
 	}
-	normRec, err := baselines.Recommend(w, normPool)
+	normRec, err := search.AdvisePinned(w, normPool, search.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	fmt.Printf("Estimated workload cost: NoSE %.2f, normalized %.2f\n\n", rec.Cost, normRec.Cost)
 
 	fmt.Println("Installing both schemas into the simulated record store...")
 	noseSys, err := harness.NewSystem("NoSE", ds, rec, cost.DefaultParams())

@@ -1,19 +1,13 @@
-// Package baselines builds the two comparison schemas of the paper's
-// evaluation (§VII-A): the fully normalized schema and the hand-made
-// "expert" schema, and derives executable recommendations (plans and
-// update maintenance) for any fixed schema by reusing the planner over
-// a frozen candidate pool.
+// Package baselines builds the pools of the two comparison schemas of
+// the paper's evaluation (§VII-A): the fully normalized schema and the
+// hand-made "expert" schema. search.AdvisePinned plans a pool as the
+// schema every family of which is installed and maintained.
 package baselines
 
 import (
-	"fmt"
-
-	"nose/internal/cost"
 	"nose/internal/enumerator"
 	"nose/internal/model"
-	"nose/internal/planner"
 	"nose/internal/schema"
-	"nose/internal/search"
 	"nose/internal/workload"
 )
 
@@ -66,56 +60,4 @@ func Normalized(w *workload.Workload) (*enumerator.Pool, error) {
 		}
 	}
 	return pool, nil
-}
-
-// Recommend derives an executable recommendation for a fixed schema:
-// every pool column family is selected, each query gets its cheapest
-// plan over the pool, and every write statement gets maintenance plans
-// (with support queries planned over the same pool). It mirrors what a
-// developer does when implementing a workload against a hand-designed
-// schema. Plans are costed by cost.Default under planner.DefaultConfig,
-// as the advisor's defaults cost them.
-func Recommend(w *workload.Workload, pool *enumerator.Pool) (*search.Recommendation, error) {
-	pl := planner.New(pool, cost.Default(), planner.DefaultConfig())
-	rec := &search.Recommendation{Schema: schema.NewSchema()}
-	for _, x := range pool.Indexes() {
-		rec.Schema.Add(x)
-	}
-
-	for _, ws := range w.Queries() {
-		q := ws.Statement.(*workload.Query)
-		space, err := pl.PlanQuery(q)
-		if err != nil {
-			return nil, fmt.Errorf("baselines: query %q not answerable by the schema: %w", workload.Label(q), err)
-		}
-		plan := space.Best(nil)
-		// Every pool family is installed, so the whole plan space is
-		// executable and doubles as the failover ranking.
-		rec.Queries = append(rec.Queries, &search.QueryRecommendation{
-			Statement: ws, Plan: plan, Alternatives: space.Plans,
-		})
-		rec.Cost += w.Weight(ws) * plan.Cost
-	}
-
-	for _, ws := range w.Updates() {
-		u := ws.Statement.(workload.WriteStatement)
-		for _, x := range pool.Indexes() {
-			if !enumerator.Modifies(u, x) {
-				continue
-			}
-			up := pl.PlanUpdate(u, x)
-			ur := &search.UpdateRecommendation{Statement: ws, Plan: up}
-			for _, sq := range enumerator.SupportQueries(u, x) {
-				space, err := pl.PlanQuery(sq)
-				if err != nil {
-					return nil, fmt.Errorf("baselines: support query for %q on %s not answerable: %w",
-						workload.Label(u), x.Name, err)
-				}
-				ur.SupportPlans = append(ur.SupportPlans, space.Best(nil))
-			}
-			rec.Updates = append(rec.Updates, ur)
-			rec.Cost += w.Weight(ws) * up.WriteCost
-		}
-	}
-	return rec, nil
 }

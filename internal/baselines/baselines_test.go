@@ -23,7 +23,7 @@ func tinyConfig() rubis.Config { return rubis.Config{Users: 300, Seed: 7} }
 
 // recommend derives the recommendation a baseline pool executes.
 func recommend(w *workload.Workload, pool *enumerator.Pool) (*search.Recommendation, error) {
-	return baselines.Recommend(w, pool)
+	return search.AdvisePinned(w, pool, search.Options{})
 }
 
 // fixture caches the expensive advisor and baseline runs shared by the
@@ -73,7 +73,7 @@ func getFixture(t *testing.T) *fixtureT {
 			fixErr = err
 			return
 		}
-		normRec, err := baselines.Recommend(w, normPool)
+		normRec, err := search.AdvisePinned(w, normPool, search.Options{})
 		if err != nil {
 			fixErr = err
 			return
@@ -83,7 +83,7 @@ func getFixture(t *testing.T) *fixtureT {
 			fixErr = err
 			return
 		}
-		expRec, err := baselines.Recommend(w, expPool)
+		expRec, err := search.AdvisePinned(w, expPool, search.Options{})
 		if err != nil {
 			fixErr = err
 			return

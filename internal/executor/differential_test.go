@@ -11,6 +11,7 @@ import (
 	"nose/internal/baselines"
 	"nose/internal/bip"
 	"nose/internal/cost"
+	"nose/internal/enumerator"
 	"nose/internal/executor"
 	"nose/internal/planner"
 	"nose/internal/rubis"
@@ -47,16 +48,35 @@ func oracleMismatch(ds *backend.Dataset, q *workload.Query, params executor.Para
 	return ""
 }
 
-// failoverList is a query's plans as the harness ranks them: the
-// recommended plan, then every other executable alternative.
-func failoverList(qr *search.QueryRecommendation) []*planner.Plan {
-	list := []*planner.Plan{qr.Plan}
-	for _, p := range qr.Alternatives {
-		if p != qr.Plan {
-			list = append(list, p)
+// planLists is each query's plans as the executor tests walk them, in
+// rec.Queries order: the recommended plan, then every other plan the
+// planner finds over the installed schema. That space holds every
+// failover alternative the harness ranks and the plans dominance pruning
+// keeps off the failover list, so the executor meets every plan shape
+// the schema admits.
+func planLists(t *testing.T, rec *search.Recommendation) [][]*planner.Plan {
+	t.Helper()
+	pool := enumerator.NewPool()
+	for _, x := range rec.Schema.Indexes() {
+		if _, err := pool.Add(x); err != nil {
+			t.Fatal(err)
 		}
 	}
-	return list
+	pl := planner.New(pool, cost.Default(), planner.Config{})
+	lists := make([][]*planner.Plan, len(rec.Queries))
+	for i, qr := range rec.Queries {
+		space, err := pl.PlanQuery(qr.Statement.Statement.(*workload.Query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lists[i] = []*planner.Plan{qr.Plan}
+		for _, p := range space.Plans {
+			if p.Signature() != qr.Plan.Signature() {
+				lists[i] = append(lists[i], p)
+			}
+		}
+	}
+	return lists
 }
 
 // onPath reports whether every column family the plan reads lies on
@@ -143,6 +163,7 @@ func (r *recorder) mutated() string {
 type twin struct {
 	ds       *backend.Dataset
 	rec      *search.Recommendation
+	plans    [][]*planner.Plan // planLists(rec)
 	ex       *executor.Executor
 	ref      *refExecutor
 	exLog    *recorder
@@ -161,29 +182,29 @@ func newTwin(t *testing.T, ds *backend.Dataset, rec *search.Recommendation) *twi
 		}
 		return &recorder{KVBackend: store}
 	}
-	tw := &twin{ds: ds, rec: rec, exLog: install(), refLog: install()}
+	tw := &twin{ds: ds, rec: rec, plans: planLists(t, rec), exLog: install(), refLog: install()}
 	tw.ex = executor.New(tw.exLog, cost.DefaultParams())
 	tw.ref = &refExecutor{store: tw.refLog, lat: cost.DefaultParams()}
 	return tw
 }
 
-// checkAllPlans runs every plan of every query's failover list through
+// checkAllPlans runs every plan of every query's plan list through
 // both executors: rows in order and simulated time bit for bit against
 // the reference, and against the oracle over the dataset's current
 // contents for the recommended plan and every alternative on the
 // query's path.
 func (tw *twin) checkAllPlans(t *testing.T, when string, params executor.Params) {
 	t.Helper()
-	for _, qr := range tw.rec.Queries {
-		tw.checkPlans(t, when, qr, params)
+	for i := range tw.rec.Queries {
+		tw.checkPlans(t, when, i, params)
 	}
 }
 
-// checkPlans is checkAllPlans for one query.
-func (tw *twin) checkPlans(t *testing.T, when string, qr *search.QueryRecommendation, params executor.Params) {
+// checkPlans is checkAllPlans for the i-th query.
+func (tw *twin) checkPlans(t *testing.T, when string, i int, params executor.Params) {
 	t.Helper()
-	q := qr.Statement.Statement.(*workload.Query)
-	for rank, plan := range failoverList(qr) {
+	q := tw.rec.Queries[i].Statement.Statement.(*workload.Query)
+	for rank, plan := range tw.plans[i] {
 		got, err := tw.ex.ExecuteQuery(plan, params)
 		if err != nil {
 			t.Fatalf("%s: %s: %v\nplan:\n%s", when, workload.Label(q), err, plan)
@@ -315,14 +336,14 @@ var rubisRecommendations = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return baselines.Recommend(w, pool)
+		return search.AdvisePinned(w, pool, search.Options{})
 	}},
 	{"Expert", func(w *workload.Workload) (*search.Recommendation, error) {
 		pool, err := baselines.ExpertRUBiS(w.Graph)
 		if err != nil {
 			return nil, err
 		}
-		return baselines.Recommend(w, pool)
+		return search.AdvisePinned(w, pool, search.Options{})
 	}},
 }
 
@@ -390,7 +411,7 @@ func TestCompiledPlansMatchOracle(t *testing.T) {
 
 // TestConcurrentQueriesShareNoScratch runs eight goroutines of
 // ExecuteQuery on one executor over a read-only store — each walking
-// every plan of the normalized and expert RUBiS schemas' failover lists
+// every plan of the normalized and expert RUBiS schemas' plan lists
 // from a different starting point — and requires every result to equal
 // the one a single goroutine got: a pooled scratch arena must never be
 // visible to two calls, and a returned row must never alias one. Run
@@ -429,11 +450,12 @@ func TestConcurrentQueriesShareNoScratch(t *testing.T) {
 		}
 		ex := executor.New(store, cost.DefaultParams())
 		ps := rubis.NewParamSource(cfg, 5)
+		lists := planLists(t, rec)
 		var calls []call
 		for i := 0; i < 3; i++ {
 			params := ps.Params("")
-			for _, qr := range rec.Queries {
-				for _, plan := range failoverList(qr) {
+			for _, list := range lists {
+				for _, plan := range list {
 					res, err := ex.ExecuteQuery(plan, params)
 					if err != nil {
 						t.Fatal(err)

@@ -361,7 +361,7 @@ func enumerateForTest(w *workload.Workload) (*testEnumeration, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := planner.New(res.Pool, cost.Default(), planner.DefaultConfig())
+	pl := planner.New(res.Pool, cost.Default(), planner.Config{})
 	q := w.Queries()[0].Statement.(*workload.Query)
 	space, err := pl.PlanQuery(q)
 	if err != nil {

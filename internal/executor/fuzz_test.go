@@ -59,7 +59,7 @@ func randomDataset(rng *rand.Rand, g *model.Graph, rows int) (*backend.Dataset, 
 // through the advisor and the compiled executor: the bytes pick a
 // randwork graph and workload, a small dataset over it and the
 // bindings; the workload is advised under a tiny node budget; every
-// plan of every query's failover list must equal the map-row reference
+// plan of every query's plan list must equal the map-row reference
 // interpreter (rows in order, SimMillis bit for bit), and every plan on
 // its query's own path must equal executor.Oracle.
 func FuzzExecutorAgainstOracle(f *testing.F) {
@@ -99,11 +99,11 @@ func FuzzExecutorAgainstOracle(f *testing.F) {
 			// Parameter names repeat across queries with different types,
 			// so each query is bound on its own.
 			params := executor.Bindings{}
-			for _, qr := range rec.Queries {
+			for i, qr := range rec.Queries {
 				for _, p := range qr.Statement.Statement.(*workload.Query).Where {
 					params[p.Param] = cellOf(rng, p.Ref.Attr, 4)
 				}
-				tw.checkPlans(t, fmt.Sprintf("binding %d", binding), qr, params)
+				tw.checkPlans(t, fmt.Sprintf("binding %d", binding), i, params)
 			}
 		}
 	})

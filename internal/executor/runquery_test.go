@@ -16,7 +16,7 @@ import (
 
 // TestRunQueryMatchesExecuteQuery: RunQuery is ExecuteQuery without the
 // rows. On the NoSE, normalized and expert RUBiS schemas, every plan of
-// every query's failover list runs under six seeded bindings and then
+// every query's plan list (planLists) runs under six seeded bindings and then
 // with the query's first parameter unbound, once through each method, on
 // two copies of the data behind the same seeded transient faults, which
 // the executor retries. SimMillis must agree bit for bit, as must
@@ -56,11 +56,12 @@ func TestRunQueryMatchesExecuteQuery(t *testing.T) {
 				bindings = append(bindings, ps.Params(""))
 			}
 			runs, retried, failed := 0, 0, 0
-			for _, qr := range rec.Queries {
+			lists := planLists(t, rec)
+			for qi, qr := range rec.Queries {
 				q := qr.Plan.Query
 				unbound := without{bindings[0], q.Where[0].Param}
 				for i, params := range append(bindings, unbound) {
-					for rank, plan := range failoverList(qr) {
+					for rank, plan := range lists[qi] {
 						at := fmt.Sprintf("%s binding %d rank %d", workload.Label(q), i, rank)
 						want, werr := full.ExecuteQuery(plan, params)
 						got, gerr := bare.RunQuery(plan, params)

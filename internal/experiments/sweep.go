@@ -256,7 +256,7 @@ func (f *fixture) advise(mix string) error {
 	if err != nil {
 		return err
 	}
-	norm, err := baselines.Recommend(f.w, normPool)
+	norm, err := search.AdvisePinned(f.w, normPool, search.Options{})
 	if err != nil {
 		return err
 	}
@@ -264,7 +264,7 @@ func (f *fixture) advise(mix string) error {
 	if err != nil {
 		return err
 	}
-	exp, err := baselines.Recommend(f.w, expPool)
+	exp, err := search.AdvisePinned(f.w, expPool, search.Options{})
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"nose/internal/backend"
-	"nose/internal/baselines"
 	"nose/internal/cost"
 	"nose/internal/enumerator"
 	"nose/internal/executor"
@@ -17,6 +16,7 @@ import (
 	"nose/internal/model"
 	"nose/internal/planner"
 	"nose/internal/schema"
+	"nose/internal/search"
 	"nose/internal/workload"
 )
 
@@ -70,7 +70,7 @@ func newRedundantFixture(t *testing.T, declare ...func(*harness.Config)) *redund
 		}
 	}
 
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestNewSystemSurfacesInstallErrors(t *testing.T) {
 		[]*model.Attribute{u.Key()}, nil, []*model.Attribute{name, email})); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 		[]*model.Attribute{u.Key()}, nil, []*model.Attribute{u.Attribute("UserName")})); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

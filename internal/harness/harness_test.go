@@ -7,6 +7,7 @@ import (
 	"nose/internal/cost"
 	"nose/internal/harness"
 	"nose/internal/rubis"
+	"nose/internal/search"
 	"nose/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func buildSystem(t *testing.T) (*harness.System, []*rubis.Transaction, rubis.Con
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

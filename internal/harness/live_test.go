@@ -38,7 +38,7 @@ func liveFixture(t *testing.T, declare ...func(*harness.Config)) (*backend.Datas
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestLiveMigrationAbortRollsBackUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

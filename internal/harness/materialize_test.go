@@ -58,14 +58,14 @@ func TestMaterializedRecordsPinned(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return baselines.Recommend(w, pool)
+			return search.AdvisePinned(w, pool, search.Options{})
 		}},
 		{"Normalized", func() (*search.Recommendation, error) {
 			pool, err := baselines.Normalized(w)
 			if err != nil {
 				return nil, err
 			}
-			return baselines.Recommend(w, pool)
+			return search.AdvisePinned(w, pool, search.Options{})
 		}},
 	} {
 		rec, err := s.pool()

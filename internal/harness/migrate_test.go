@@ -39,7 +39,7 @@ func TestMigrateInstallsAndAdoptsRecommendation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestMigrateResultGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec, err := baselines.Recommend(w, pool)
+		rec, err := search.AdvisePinned(w, pool, search.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"nose/internal/backend"
-	"nose/internal/baselines"
 	"nose/internal/cost"
 	"nose/internal/enumerator"
 	"nose/internal/executor"
@@ -47,7 +46,7 @@ func newReplFixture(t *testing.T) *replFixture {
 		[]*model.Attribute{u.Attribute("UserName")})); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"nose/internal/faults"
 	"nose/internal/harness"
 	"nose/internal/rubis"
+	"nose/internal/search"
 )
 
 // TestRetryTimesPinned pins what the executor's retries charge. Three
@@ -40,7 +41,7 @@ func TestRetryTimesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"nose/internal/backend"
-	"nose/internal/baselines"
 	"nose/internal/cost"
 	"nose/internal/enumerator"
 	"nose/internal/executor"
@@ -48,7 +47,7 @@ func newFixture(tb testing.TB) *fixture {
 		[]*model.Attribute{u.Attribute("UserName")})); err != nil {
 		tb.Fatal(err)
 	}
-	rec, err := baselines.Recommend(w, pool)
+	rec, err := search.AdvisePinned(w, pool, search.Options{})
 	if err != nil {
 		tb.Fatal(err)
 	}

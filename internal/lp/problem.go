@@ -115,8 +115,8 @@ func (p *Problem) Validate() error {
 		if c.lo > c.hi {
 			return fmt.Errorf("lp: col %d has lo %v > hi %v", j, c.lo, c.hi)
 		}
-		if math.IsNaN(c.obj) {
-			return fmt.Errorf("lp: col %d has NaN objective", j)
+		if math.IsNaN(c.obj) || math.IsInf(c.obj, 0) {
+			return fmt.Errorf("lp: col %d has %v objective", j, c.obj)
 		}
 	}
 	if p.byRow != nil {

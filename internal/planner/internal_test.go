@@ -60,7 +60,7 @@ func TestEstimateMonotonicInDrivingRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New(res.Pool, cost.Default(), DefaultConfig())
+	p := New(res.Pool, cost.Default(), Config{})
 	space, err := p.PlanQuery(q)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestSignatureLessPrefixEdge(t *testing.T) {
 	sortAAB := &SortStep{By: []workload.AttrRef{ref(a), ref(ab)}} // "S:E.A," + "E.AB,"
 	limit := &LimitStep{N: 5}
 
-	gen := newGenerator(New(enumerator.NewPool(), cost.Default(), DefaultConfig()))
+	gen := newGenerator(New(enumerator.NewPool(), cost.Default(), Config{}))
 	var chains []chain
 	for _, steps := range [][]Step{
 		{lookupA},

@@ -80,27 +80,6 @@ type PlanSpace struct {
 	Plans []*Plan
 }
 
-// Best returns the cheapest plan whose column families are all accepted
-// by the keep function. A nil keep accepts everything. It returns nil
-// when no plan qualifies.
-func (ps *PlanSpace) Best(keep func(*schema.Index) bool) *Plan {
-	for _, p := range ps.Plans {
-		ok := true
-		if keep != nil {
-			for _, x := range p.Indexes() {
-				if !keep(x) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			return p
-		}
-	}
-	return nil
-}
-
 // UpdatePlan describes how one write statement maintains one column
 // family (paper §VI-B): execute the support queries (whose own plans
 // the optimizer chooses), then issue delete and/or put requests.

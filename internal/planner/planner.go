@@ -29,13 +29,6 @@ type Config struct {
 // MaxPlansPerQuery zero.
 const DefaultMaxPlansPerQuery = 64
 
-// DefaultConfig returns the default planner configuration.
-func DefaultConfig() Config {
-	return Config{
-		MaxPlansPerQuery: DefaultMaxPlansPerQuery,
-	}
-}
-
 // Planner generates plan spaces for statements over a candidate pool.
 // It is safe for concurrent use: plan-space generation for different
 // statements may run on separate goroutines sharing one Planner.

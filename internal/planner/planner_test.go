@@ -8,7 +8,6 @@ import (
 	"nose/internal/enumerator"
 	"nose/internal/hotel"
 	"nose/internal/planner"
-	"nose/internal/schema"
 	"nose/internal/workload"
 )
 
@@ -20,7 +19,7 @@ func fixture(t *testing.T, w *workload.Workload) (*planner.Planner, *enumerator.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return planner.New(res.Pool, cost.Default(), planner.DefaultConfig()), res
+	return planner.New(res.Pool, cost.Default(), planner.Config{}), res
 }
 
 func TestPlanSpaceFigureSix(t *testing.T) {
@@ -212,36 +211,5 @@ func TestPlanDescribeOutput(t *testing.T) {
 	out := ps.Plans[0].String()
 	if !strings.Contains(out, "GuestsByCity") || !strings.Contains(out, "lookup") {
 		t.Errorf("plan rendering unexpected:\n%s", out)
-	}
-}
-
-func TestPlanSpaceBestWithFilter(t *testing.T) {
-	g := hotel.Graph()
-	w := workload.New(g)
-	q := workload.MustParseQuery(g, hotel.PrefixQuery)
-	w.Add(q, 1)
-	p, _ := fixture(t, w)
-	ps, _ := p.PlanQuery(q)
-
-	all := ps.Best(nil)
-	if all != ps.Plans[0] {
-		t.Error("Best(nil) should return the cheapest plan")
-	}
-	// Exclude the cheapest plan's indexes; Best must return another.
-	banned := map[string]bool{}
-	for _, x := range all.Indexes() {
-		banned[x.ID()] = true
-	}
-	alt := ps.Best(func(x *schema.Index) bool { return !banned[x.ID()] })
-	if alt == nil {
-		t.Fatal("Best found no alternative plan")
-	}
-	if alt == all {
-		t.Error("Best returned a plan using banned indexes")
-	}
-	for _, x := range alt.Indexes() {
-		if banned[x.ID()] {
-			t.Errorf("alternative plan still uses banned index %s", x)
-		}
 	}
 }

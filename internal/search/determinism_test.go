@@ -6,9 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"nose/internal/baselines"
 	"nose/internal/bip"
+	"nose/internal/enumerator"
 	"nose/internal/hotel"
 	"nose/internal/obs"
+	"nose/internal/planner"
 	"nose/internal/randwork"
 	"nose/internal/rubis"
 	"nose/internal/search"
@@ -201,20 +204,75 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestAdviseCostMatchesChosenPlans: the reported optimal cost must
-// equal the weighted sum of the chosen plans' costs plus maintenance.
+// TestAdviseCostMatchesChosenPlans: the reported cost must equal the
+// weighted sum of the chosen query plans' costs, each (write, family)
+// pair's write cost, and each write's distinct support plans' costs,
+// every support plan priced once however many families it serves. It
+// holds for NoSE's recommendation and for the pinned baselines alike.
 func TestAdviseCostMatchesChosenPlans(t *testing.T) {
-	g := hotel.Graph()
-	w := workload.New(g)
-	q := workload.MustParseQuery(g, hotel.ExampleQuery)
-	w.Add(q, 2.5)
-	rec, err := search.Advise(w, search.Options{})
-	if err != nil {
-		t.Fatal(err)
+	hotelW := func() (*search.Recommendation, *workload.Workload, error) {
+		g := hotel.Graph()
+		w := workload.New(g)
+		w.Add(workload.MustParseQuery(g, hotel.ExampleQuery), 2.5)
+		rec, err := search.Advise(w, search.Options{})
+		return rec, w, err
 	}
-	want := 2.5 * rec.Queries[0].Plan.Cost
-	if diff := rec.Cost - want; diff > 1e-6 || diff < -1e-6 {
-		t.Errorf("cost %v, plans sum to %v", rec.Cost, want)
+	rubisW := func(pool func(*workload.Workload) (*enumerator.Pool, error)) func() (*search.Recommendation, *workload.Workload, error) {
+		return func() (*search.Recommendation, *workload.Workload, error) {
+			w, _, err := rubis.Workload(rubis.Graph(rubis.DefaultConfig()))
+			if err != nil {
+				return nil, nil, err
+			}
+			if pool == nil {
+				rec, err := search.Advise(w, search.Options{})
+				return rec, w, err
+			}
+			p, err := pool(w)
+			if err != nil {
+				return nil, nil, err
+			}
+			rec, err := search.AdvisePinned(w, p, search.Options{})
+			return rec, w, err
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		recommend func() (*search.Recommendation, *workload.Workload, error)
+	}{
+		{"hotel", hotelW},
+		{"rubis-nose", rubisW(nil)},
+		{"rubis-normalized", rubisW(baselines.Normalized)},
+		{"rubis-expert", rubisW(func(w *workload.Workload) (*enumerator.Pool, error) {
+			return baselines.ExpertRUBiS(w.Graph)
+		})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec, w, err := tc.recommend()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0.0
+			for _, qr := range rec.Queries {
+				want += w.Weight(qr.Statement) * qr.Plan.Cost
+			}
+			support := 0
+			priced := map[*planner.Plan]bool{}
+			for _, ur := range rec.Updates {
+				want += w.Weight(ur.Statement) * ur.Plan.WriteCost
+				for _, sp := range ur.SupportPlans {
+					support++
+					if !priced[sp] {
+						priced[sp] = true
+						want += w.Weight(ur.Statement) * sp.Cost
+					}
+				}
+			}
+			if math.Abs(rec.Cost-want) > 1e-9*math.Abs(want) {
+				t.Errorf("cost %v, plans sum to %v", rec.Cost, want)
+			}
+			t.Logf("cost %v: %d queries, %d maintained families, %d support plans of which %d distinct",
+				rec.Cost, len(rec.Queries), len(rec.Updates), support, len(priced))
+		})
 	}
 }
 

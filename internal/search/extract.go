@@ -12,21 +12,15 @@ import (
 // extract reads the solver's variable assignment back into a
 // recommendation: the selected paid column families plus every free
 // family a chosen plan uses, one plan per query, and the maintenance
-// plans for every (update, selected family) pair.
+// plans for every (update, selected family) pair. Every plan is the
+// one the assignment chose: each query's choose row and each needed
+// support group's gate take exactly one.
 func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) error {
 	paidSelected := map[string]bool{}
 	for id, col := range refs.indexCol {
 		if res.X[col] >= 0.5 {
 			paidSelected[id] = true
 		}
-	}
-
-	// keep admits free indexes always and paid indexes when selected.
-	keep := func(x *schema.Index) bool {
-		if !b.paid(x.ID()) {
-			return true
-		}
-		return paidSelected[x.ID()]
 	}
 
 	perQuery := map[*queryBlock]*planner.Plan{}
@@ -52,13 +46,9 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 	for _, qb := range b.queries {
 		plan := perQuery[qb]
 		if plan == nil {
-			plan = qb.space.Best(keep)
-		}
-		if plan == nil {
-			return fmt.Errorf("search: no plan for query %q under the selected schema",
+			return fmt.Errorf("search: no plan chosen for query %q",
 				workload.Label(qb.ws.Statement))
 		}
-		perQuery[qb] = plan
 		markUsed(plan)
 	}
 	for _, ub := range b.updates {
@@ -75,13 +65,9 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 			}
 			plan := perGroup[g]
 			if plan == nil {
-				plan = g.space.Best(keep)
-			}
-			if plan == nil {
-				return fmt.Errorf("search: no support plan for update %q",
+				return fmt.Errorf("search: no support plan chosen for update %q",
 					workload.Label(ub.ws.Statement))
 			}
-			perGroup[g] = plan
 			markUsed(plan)
 		}
 	}
@@ -102,7 +88,7 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 		rec.Queries = append(rec.Queries, &QueryRecommendation{
 			Statement:    qb.ws,
 			Plan:         perQuery[qb],
-			Alternatives: executablePlans(qb.space, selected, perQuery[qb]),
+			Alternatives: executablePlans(qb.space, selected),
 		})
 	}
 	for _, ub := range b.updates {
@@ -117,10 +103,7 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 				}
 				plan := perGroup[g]
 				if plan == nil {
-					plan = g.space.Best(keep)
-				}
-				if plan == nil {
-					return fmt.Errorf("search: no support plan for update %q on %s",
+					return fmt.Errorf("search: no support plan chosen for update %q on %s",
 						workload.Label(ub.ws.Statement), x.Name)
 				}
 				ur.SupportPlans = append(ur.SupportPlans, plan)
@@ -133,12 +116,11 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 
 // executablePlans filters a query's plan space to the plans whose
 // column families are all installed in the recommended schema, keeping
-// the space's cheapest-first order. The chosen plan is guaranteed to be
-// present (prepended if the space somehow dropped it), so the harness
-// always has at least one alternative to execute.
-func executablePlans(space *planner.PlanSpace, installed map[string]bool, chosen *planner.Plan) []*planner.Plan {
+// the space's cheapest-first order. The chosen plan is among them: the
+// linking rows select the paid families it reads and extract installs
+// the free ones, so the harness always has a plan to execute.
+func executablePlans(space *planner.PlanSpace, installed map[string]bool) []*planner.Plan {
 	var out []*planner.Plan
-	sawChosen := false
 	for _, p := range space.Plans {
 		ok := true
 		for _, x := range p.Indexes() {
@@ -147,16 +129,9 @@ func executablePlans(space *planner.PlanSpace, installed map[string]bool, chosen
 				break
 			}
 		}
-		if !ok {
-			continue
+		if ok {
+			out = append(out, p)
 		}
-		if p == chosen {
-			sawChosen = true
-		}
-		out = append(out, p)
-	}
-	if !sawChosen && chosen != nil {
-		out = append([]*planner.Plan{chosen}, out...)
 	}
 	return out
 }

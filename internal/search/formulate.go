@@ -1,6 +1,7 @@
 package search
 
 import (
+	"fmt"
 	"math"
 	"sort"
 
@@ -56,6 +57,11 @@ type builder struct {
 	// read-mostly workloads.
 	maint map[string]float64
 
+	// pinned fixes every pool index present (AdvisePinned): each is
+	// paid, so its maintenance is priced, and pinned by a row, so the
+	// solver chooses plans only. No pool index is pruned.
+	pinned bool
+
 	// paidAll disables the free-family elision: every pool index gets a
 	// presence variable. The multi-interval series formulation needs
 	// this because presence is never free there — a family present in
@@ -94,8 +100,8 @@ type planRef struct {
 // index-addressed slots and update blocks are built independently, with
 // their maintenance-cost contributions merged in workload order so
 // floating-point accumulation is bit-identical for every worker count.
-func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.Result, opt Options) (*builder, error) {
-	b := &builder{w: w, pl: pl, pool: pl.Pool().Indexes(), opt: opt, maint: map[string]float64{}}
+func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.Result, pinned bool, opt Options) (*builder, error) {
+	b := &builder{w: w, pl: pl, pool: pl.Pool().Indexes(), opt: opt, pinned: pinned, maint: map[string]float64{}}
 	workers := par.Workers(opt.Workers)
 
 	qws := w.Queries()
@@ -151,8 +157,39 @@ func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.R
 	// Dominated plans first: candidates used only by dominated plans
 	// then fall to the unselectable prune below.
 	b.pruneDominatedPlans()
-	b.pruneUnselectable()
+	if !pinned {
+		b.pruneUnselectable()
+	}
+	if err := b.checkPrices(); err != nil {
+		return nil, err
+	}
 	return b, nil
+}
+
+// checkPrices rejects a statement whose weight overflows a price it
+// multiplies: an infinite objective coefficient proves nothing about
+// feasibility. Plan spaces are sorted cheapest first.
+func (b *builder) checkPrices() error {
+	last := func(space *planner.PlanSpace) float64 { return space.Plans[len(space.Plans)-1].Cost }
+	worst := map[*workload.WeightedStatement]float64{}
+	for _, qb := range b.queries {
+		worst[qb.ws] = last(qb.space)
+	}
+	for _, ub := range b.updates {
+		for _, up := range ub.plans {
+			worst[ub.ws] = math.Max(worst[ub.ws], up.WriteCost)
+		}
+		for _, g := range ub.groups {
+			worst[ub.ws] = math.Max(worst[ub.ws], last(g.space))
+		}
+	}
+	for _, ws := range b.w.Statements {
+		if weight := b.w.Weight(ws); math.IsInf(weight*worst[ws], 0) {
+			return fmt.Errorf("search: statement %q: weight %g times cost %g overflows",
+				workload.Label(ws.Statement), weight, worst[ws])
+		}
+	}
+	return nil
 }
 
 // pruneDominatedPlans drops every plan whose index set is a superset of
@@ -401,9 +438,9 @@ func mergeSelects(dst, src *workload.Query) {
 
 // paid reports whether an index needs a presence variable: it carries
 // maintenance cost, a storage budget prices every index, or the series
-// formulation demands explicit presence for everything.
+// or pinned formulation demands explicit presence for everything.
 func (b *builder) paid(id string) bool {
-	return b.paidAll || b.maint[id] > 0 || b.opt.SpaceBudgetBytes > 0
+	return b.paidAll || b.pinned || b.maint[id] > 0 || b.opt.SpaceBudgetBytes > 0
 }
 
 // formulatePhase emits one workload interval into prog — presence
@@ -462,6 +499,9 @@ func (b *builder) formulatePhase(prog *bip.Program, scale float64, costRow int, 
 		}
 		col := addBinary(obj, raw, entries...)
 		refs.indexCol[x.ID()] = col
+		if b.pinned {
+			prog.AddColEntry(col, prog.AddRow(1, 1), 1)
+		}
 		if storageRow >= 0 {
 			items = append(items, budgetCutItem{col: col, sizeMB: x.SizeBytes() / 1e6})
 		}
@@ -613,12 +653,17 @@ func addBudgetCuts(prog *bip.Program, items []budgetCutItem, budgetMB float64) i
 
 // greedyPhase writes a feasible warm-start assignment for one interval
 // into x and returns the paid families it selects: every query takes
-// its cheapest plan, the paid families those plans read are selected,
-// and every group forced by a selected family takes its cheapest
-// support plan — iterated to a fixpoint since support plans may read
-// further paid families.
+// its cheapest plan, the paid families those plans read are selected
+// (every pool family, when pinned), and every group forced by a
+// selected family takes its cheapest support plan — iterated to a
+// fixpoint since support plans may read further paid families.
 func (b *builder) greedyPhase(x []float64, refs *colRefs) map[string]bool {
 	selected := map[string]bool{}
+	if b.pinned {
+		for _, ix := range b.pool {
+			selected[ix.ID()] = true
+		}
+	}
 	markPaid := func(pl *planner.Plan) {
 		for _, ix := range pl.Indexes() {
 			if b.paid(ix.ID()) {

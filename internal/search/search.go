@@ -211,7 +211,23 @@ func (opt Options) withDefaults() Options {
 // Advise runs the full pipeline on a workload and returns the
 // recommendation: the static problem is a one-interval series.
 func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
-	sr, err := advise(w, nil, opt)
+	sr, err := advise(w, nil, nil, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sr.Phases[0].Rec, nil
+}
+
+// AdvisePinned runs the advisor's program over a fixed schema, as the
+// paper's baselines (§VII-A) are evaluated: every family of pool is
+// installed and maintained whether or not a plan reads it, and each
+// query and support query takes its cheapest plan over the pool. The
+// baselines are thereby planned, priced and filtered by the same code as
+// a recommendation: Cost prices each support plan once per group, and
+// Alternatives are the dominance-pruned plan spaces. With every family
+// pinned there is nothing for phase 2 to minimize, so only phase 1 runs.
+func AdvisePinned(w *workload.Workload, pool *enumerator.Pool, opt Options) (*Recommendation, error) {
+	sr, err := advise(w, nil, pool, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -221,10 +237,14 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 // advise is the one advisor driver. It solves w itself when phases is
 // nil and w.ForPhase(p) for each phase otherwise: one interval is paper
 // §V's static problem, several are the joint series program (see
-// AdviseSeries). It enumerates candidates once, then runs Prepared's
-// stages — plan and formulate, solve, extract — recording the run's
-// timings, problem sizes, spans and metrics.
-func advise(w *workload.Workload, phases []*workload.Phase, opt Options) (*SeriesRecommendation, error) {
+// AdviseSeries). It enumerates candidates once, or takes pinned as the
+// schema every family of which is present (see AdvisePinned), then runs
+// Prepared's stages — plan and formulate, solve, extract — recording
+// the run's timings, problem sizes, spans and metrics.
+func advise(w *workload.Workload, phases []*workload.Phase, pinned *enumerator.Pool, opt Options) (*SeriesRecommendation, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
 	opt = opt.withDefaults()
 	start := time.Now()
 	sr := &SeriesRecommendation{}
@@ -238,23 +258,27 @@ func advise(w *workload.Workload, phases []*workload.Phase, opt Options) (*Serie
 
 	// Candidate enumeration (Algorithm 1), once over every statement
 	// active in any interval: weights do not enter it.
-	t := time.Now()
-	sp := opt.Trace.Begin("enumerate", "advisor")
-	ew := w
-	if phases != nil {
-		ew = unionWorkload(w)
+	enumRes := &enumerator.Result{Pool: pinned}
+	if pinned == nil {
+		t := time.Now()
+		sp := opt.Trace.Begin("enumerate", "advisor")
+		ew := w
+		if phases != nil {
+			ew = unionWorkload(w)
+		}
+		var err error
+		enumRes, err = enumerator.EnumerateWorkloadCtx(opt.Ctx, ew, opt.Enumerator, opt.Workers, opt.Obs)
+		if err != nil {
+			sp.End()
+			return nil, err
+		}
+		sr.Timings.Enumeration = time.Since(t)
+		sp.SetArg("candidates", enumRes.Pool.Len()).End()
 	}
-	enumRes, err := enumerator.EnumerateWorkloadCtx(opt.Ctx, ew, opt.Enumerator, opt.Workers, opt.Obs)
-	if err != nil {
-		sp.End()
-		return nil, err
-	}
-	sr.Timings.Enumeration = time.Since(t)
 	sr.Stats.Candidates = enumRes.Pool.Len()
-	sp.SetArg("candidates", sr.Stats.Candidates).End()
 	opt.Obs.Counter("search.candidates").Add(int64(sr.Stats.Candidates))
 
-	p, err := prepare(w, phases, enumRes, opt, sr)
+	p, err := prepare(w, phases, enumRes, pinned != nil, opt, sr)
 	if err != nil {
 		return nil, err
 	}
@@ -270,8 +294,8 @@ func advise(w *workload.Workload, phases []*workload.Phase, opt Options) (*Serie
 	opt.Obs.Counter("search.plans_pruned_dominated").Add(int64(pruned))
 	opt.Obs.Counter("search.cuts").Add(int64(cuts))
 
-	t = time.Now()
-	sp = opt.Trace.Begin("extract", "advisor")
+	t := time.Now()
+	sp := opt.Trace.Begin("extract", "advisor")
 	if err := p.extract(res, refs, costs, sr); err != nil {
 		sp.End()
 		return nil, err

@@ -1,6 +1,8 @@
 package search_test
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"nose/internal/hotel"
@@ -186,6 +188,20 @@ func TestAdviseQueryWithoutPlansFails(t *testing.T) {
 	w.Add(bad, 1)
 	if _, err := search.Advise(w, search.Options{}); err == nil {
 		t.Error("expected error for un-plannable workload")
+	}
+}
+
+// TestAdviseValidatesWeights: a workload built in Go gets the weight
+// check a parsed one does, so a NaN weight is an error naming the
+// statement, not a statement silently left out.
+func TestAdviseValidatesWeights(t *testing.T) {
+	g := hotel.Graph()
+	w := workload.New(g)
+	q := workload.MustParseQuery(g, hotel.ExampleQuery)
+	q.Label = "GuestsByCity"
+	w.Add(q, math.NaN())
+	if _, err := search.Advise(w, search.Options{}); err == nil || !strings.Contains(err.Error(), "GuestsByCity") {
+		t.Errorf("Advise with a NaN weight returned %v, want an error naming GuestsByCity", err)
 	}
 }
 

@@ -81,7 +81,7 @@ func AdviseSeries(w *workload.Workload, opt Options) (*SeriesRecommendation, err
 	if err := w.ValidatePhases(); err != nil {
 		return nil, err
 	}
-	return advise(w, w.Phases, opt)
+	return advise(w, w.Phases, nil, opt)
 }
 
 // unionWorkload flattens a phased workload to the statements active in

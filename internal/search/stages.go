@@ -21,10 +21,8 @@ import (
 // and every support-query group. It exists so benchmarks can measure
 // this stage separately from enumeration and solving.
 func BuildPlans(w *workload.Workload, enumRes *enumerator.Result, opt Options) error {
-	opt = opt.withDefaults()
-	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)
-	_, err := newBuilder(w, pl, enumRes, opt)
-	return err
+	p := &Prepared{opt: opt.withDefaults()}
+	return p.plan(w, enumRes)
 }
 
 // Prepared is the advisor pipeline between enumeration and the answer:
@@ -35,6 +33,8 @@ func BuildPlans(w *workload.Workload, enumRes *enumerator.Result, opt Options) e
 type Prepared struct {
 	opt    Options
 	phases []*workload.Phase // nil for a static workload
+	// pinned is set when every pool family is present (AdvisePinned).
+	pinned bool
 	// builders holds one planned interval each; shares is each
 	// interval's share of the timeline (1 for a static workload).
 	builders []*builder
@@ -57,44 +57,22 @@ type Prepared struct {
 // Prepared.Solve, the benchmark hook that times the solver alone (root
 // bench_test.go).
 func Prepare(w *workload.Workload, enumRes *enumerator.Result, opt Options) (*Prepared, error) {
-	return prepare(w, nil, enumRes, opt.withDefaults(), &SeriesRecommendation{})
+	return prepare(w, nil, enumRes, false, opt.withDefaults(), &SeriesRecommendation{})
 }
 
-// prepare plans every interval over one planner — schema.Index pointers
-// are shared, so column family identity and naming are stable across a
-// series — formulates the phase-1 program (minimize weighted workload
-// cost) and builds its greedy warm start, recording stage times and the
-// problem size in sr.
-func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator.Result, opt Options, sr *SeriesRecommendation) (*Prepared, error) {
-	p := &Prepared{opt: opt, phases: phases}
+// prepare plans every interval, formulates the phase-1 program
+// (minimize weighted workload cost) and builds its greedy warm start,
+// recording stage times and the problem size in sr.
+func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator.Result, pinned bool, opt Options, sr *SeriesRecommendation) (*Prepared, error) {
+	p := &Prepared{opt: opt, phases: phases, pinned: pinned}
 	t := time.Now()
 	sp := opt.Trace.Begin("plan-spaces", "advisor")
-	pl := planner.New(enumRes.Pool, opt.CostModel, opt.Planner)
-	intervals := []*workload.Workload{w}
-	p.shares = []float64{1}
-	if phases != nil {
-		intervals, p.shares = nil, nil
-		total := w.TotalDuration()
-		for _, ph := range phases {
-			intervals = append(intervals, w.ForPhase(ph))
-			p.shares = append(p.shares, ph.EffectiveDuration()/total)
-		}
-	}
-	for i, iw := range intervals {
-		b, err := newBuilder(iw, pl, enumRes, opt)
-		if err != nil {
-			sp.End()
-			if phases != nil {
-				err = fmt.Errorf("search: phase %q: %w", phases[i].Name, err)
-			}
-			return nil, err
-		}
-		b.paidAll = len(intervals) > 1
-		p.builders = append(p.builders, b)
+	if err := p.plan(w, enumRes); err != nil {
+		sp.End()
+		return nil, err
 	}
 	sr.Timings.CostCalculation = time.Since(t)
 	sp.End()
-	publishPlanner(opt.Obs, pl.Counts())
 
 	t = time.Now()
 	sp = opt.Trace.Begin("formulate", "advisor")
@@ -123,6 +101,36 @@ func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator
 		prev = selected
 	}
 	return p, nil
+}
+
+// plan is the planning stage: one planner over enumRes's pool — so
+// schema.Index pointers are shared, and column family identity and
+// naming are stable across a series — and one builder per interval.
+func (p *Prepared) plan(w *workload.Workload, enumRes *enumerator.Result) error {
+	pl := planner.New(enumRes.Pool, p.opt.CostModel, p.opt.Planner)
+	intervals := []*workload.Workload{w}
+	p.shares = []float64{1}
+	if p.phases != nil {
+		intervals, p.shares = nil, nil
+		total := w.TotalDuration()
+		for _, ph := range p.phases {
+			intervals = append(intervals, w.ForPhase(ph))
+			p.shares = append(p.shares, ph.EffectiveDuration()/total)
+		}
+	}
+	for i, iw := range intervals {
+		b, err := newBuilder(iw, pl, enumRes, p.pinned, p.opt)
+		if err != nil {
+			if p.phases != nil {
+				err = fmt.Errorf("search: phase %q: %w", p.phases[i].Name, err)
+			}
+			return err
+		}
+		b.paidAll = len(intervals) > 1
+		p.builders = append(p.builders, b)
+	}
+	publishPlanner(p.opt.Obs, pl.Counts())
+	return nil
 }
 
 // formulate builds the program: every interval's formulation, its
@@ -220,6 +228,9 @@ func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []*colRefs, []f
 		return res1, p.refs, costs, nil
 	}
 	costs := []float64{res1.Objective}
+	if p.pinned {
+		return res1, p.refs, costs, nil
+	}
 
 	t = time.Now()
 	sp = opt.Trace.Begin("formulate phase 2", "advisor")

@@ -3,12 +3,15 @@ package api_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
+	"nose/internal/search"
 	"nose/internal/service/api"
 )
 
@@ -92,4 +95,53 @@ func TestHostileWorkerCountIsHarmless(t *testing.T) {
 		t.Errorf("workers=1<<20 allocated %d bytes, workers=4 %d: want at most twice", hostile, base)
 	}
 	t.Logf("allocated %d bytes at workers=4, %d at workers=1<<20", base, hostile)
+}
+
+// TestNonFiniteWeightsAreRejected: a weight or duration the advisor
+// cannot price is an error naming the statement or phase, never a
+// silently dropped statement, a solver failure or a false proof of
+// infeasibility. A weight of zero still excludes its statement.
+func TestNonFiniteWeightsAreRejected(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "hotel.nose"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stmt = "stmt 0.30 RoomsByCity:"
+	if !strings.Contains(string(src), stmt) {
+		t.Fatalf("hotel.nose has no %q", stmt)
+	}
+	weigh := func(spec string) string {
+		return strings.Replace(string(src), stmt, "stmt "+spec+" RoomsByCity:", 1)
+	}
+	for _, tc := range []struct {
+		name, dsl, mix, kind, names string
+	}{
+		{"NaN weight", weigh("NaN"), "", api.KindAdvise, "RoomsByCity"},
+		{"negative second mix", weigh("mix(a=1,b=-5)"), "b", api.KindAdvise, "RoomsByCity"},
+		{"NaN second mix", weigh("mix(a=1,b=NaN)"), "b", api.KindAdvise, "RoomsByCity"},
+		{"NaN override", string(src) + "phase launch RoomsByCity=NaN\nphase steady\n", "", api.KindSeries, "launch"},
+		{"Inf weight", weigh("Inf"), "", api.KindAdvise, "RoomsByCity"},
+		{"overflowing weight", weigh("1e308"), "", api.KindAdvise, "RoomsByCity"},
+		{"NaN duration", string(src) + "phase launch duration NaN\nphase steady\n", "", api.KindSeries, "launch"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := api.Request{DSL: tc.dsl, Mix: tc.mix, Workers: 1}.Run(context.Background(), tc.kind, nil, nil)
+			if err == nil {
+				t.Fatal("advised without an error")
+			}
+			if !strings.Contains(err.Error(), tc.names) {
+				t.Errorf("error %q does not name %s", err, tc.names)
+			}
+			if errors.Is(err, search.ErrInfeasible) {
+				t.Errorf("error %q claims the workload is infeasible", err)
+			}
+		})
+	}
+	doc, err := api.Request{DSL: weigh("0"), Workers: 1}.Run(context.Background(), api.KindAdvise, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(doc, []byte(`"RoomsByCity"`)) || !bytes.Contains(doc, []byte(`"GuestsByCity"`)) {
+		t.Errorf("a zero weight must exclude exactly its statement:\n%s", doc)
+	}
 }

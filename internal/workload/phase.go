@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Phase is one interval of a time-dependent workload: a named statement
 // mix that holds for a share of the timeline. A workload with phases
@@ -84,15 +87,16 @@ func (w *Workload) ForPhase(p *Phase) *Workload {
 
 // ValidatePhases checks the workload's phase sequence: overrides must
 // reference existing statement labels, mixes must be mentioned by some
-// statement, and weights and durations must be non-negative.
+// statement, override weights must be finite and non-negative, and
+// durations finite and positive (zero, unset, means 1).
 func (w *Workload) ValidatePhases() error {
 	mixes := map[string]bool{}
 	for _, m := range w.Mixes() {
 		mixes[m] = true
 	}
 	for i, p := range w.Phases {
-		if p.Duration < 0 {
-			return fmt.Errorf("workload: phase %q has negative duration", p.Name)
+		if p.Duration < 0 || math.IsNaN(p.Duration) || math.IsInf(p.Duration, 0) {
+			return fmt.Errorf("workload: phase %q has duration %g; a duration must be finite and positive", p.Name, p.Duration)
 		}
 		if p.Mix != "" && !mixes[p.Mix] {
 			return fmt.Errorf("workload: phase %q references unknown mix %q", p.Name, p.Mix)
@@ -101,8 +105,8 @@ func (w *Workload) ValidatePhases() error {
 			if w.StatementByLabel(label) == nil {
 				return fmt.Errorf("workload: phase %q overrides unknown statement %q", p.Name, label)
 			}
-			if v < 0 {
-				return fmt.Errorf("workload: phase %q gives statement %q a negative weight", p.Name, label)
+			if !validWeight(v) {
+				return fmt.Errorf("workload: phase %q gives statement %q weight %g; a weight must be finite and non-negative", p.Name, label, v)
 			}
 		}
 		for j := 0; j < i; j++ {

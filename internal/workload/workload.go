@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"nose/internal/model"
 )
@@ -163,17 +164,31 @@ func sortStrings(s []string) {
 	}
 }
 
-// Validate checks every statement against the conceptual model.
+// Validate checks every statement against the conceptual model, and
+// every weight it carries, by default or per mix: each must be finite
+// and non-negative (zero excludes the statement).
 func (w *Workload) Validate() error {
+	mixes := w.Mixes()
 	for _, ws := range w.Statements {
 		if q, ok := ws.Statement.(*Query); ok {
 			if err := q.Validate(); err != nil {
 				return fmt.Errorf("workload: statement %q: %w", Label(q), err)
 			}
 		}
-		if ws.Weight < 0 {
-			return fmt.Errorf("workload: statement %q has negative weight", Label(ws.Statement))
+		if !validWeight(ws.Weight) {
+			return fmt.Errorf("workload: statement %q has weight %g; a weight must be finite and non-negative", Label(ws.Statement), ws.Weight)
+		}
+		for _, mix := range mixes {
+			if v, ok := ws.MixWeights[mix]; ok && !validWeight(v) {
+				return fmt.Errorf("workload: statement %q has weight %g in mix %q; a weight must be finite and non-negative", Label(ws.Statement), v, mix)
+			}
 		}
 	}
 	return nil
+}
+
+// validWeight reports whether v is finite and non-negative: NaN fails
+// the comparison.
+func validWeight(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1)
 }
