@@ -63,7 +63,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print the recommendation as canonical JSON (the nosed wire format; byte-identical to the daemon's result for the same request)")
 	verbose := flag.Bool("v", false, "print update maintenance plans and timings")
 	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot of the advisor run to this file and print a summary")
-	solverStats := flag.Bool("solver-stats", false, "print LP solver statistics after the run: solves, warm-start hit rate, phase-2 roots started from phase 1's basis, pivots, refactorizations, per phase whether the solve was proven optimal or stopped at the node limit (with its relative gap), pruning and cuts")
+	solverStats := flag.Bool("solver-stats", false, "print LP solver statistics after the run: solves, warm-start hit rate, phase-2 roots started from phase 1's basis, pivots, refactorizations, columns fixed by their root reduced cost, per phase whether the solve was proven optimal or stopped at the node limit (with its relative gap), pruning and cuts")
 	tracePath := flag.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) of the advisor stages to this file")
 	flag.Parse()
 

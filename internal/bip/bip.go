@@ -20,6 +20,12 @@
 // runs primal simplex from the first program's root basis
 // (Options.RootBasis).
 //
+// After the root, every column whose root reduced cost alone lifts the
+// bound to the incumbent's cutoff is fixed at its root value in every node
+// (reduced-cost fixing, see rootFixing), and a better incumbent extends
+// that set: the relaxations then never pivot on the columns the root has
+// already priced out.
+//
 // A node is meant to cost its pivots and nothing else, so three kinds
 // of LP are never solved: a node whose bound, rounded up, cannot beat
 // the incumbent of a program with an integer-valued objective; a
@@ -28,10 +34,11 @@
 // pair's worker reuses.
 //
 // Nor does a node allocate for its solve. Every worker reads the one
-// validated program and hands its solver the node's fixes, which the
-// solver applies when it loads the node. The per-worker lp.Solvers come
-// from a pool shared by every Solve call and go back to it on every exit
-// path, so their buffers grow once per process, not once per call. A
+// validated program and hands its solver the node's fixes, merged with
+// the reduced-cost fixes in a buffer of its own, which the solver applies
+// when it loads the node. The per-worker lp.Solvers, and the call's other
+// buffers, come from pools shared by every Solve call and go back on
+// every exit path, so they grow once per process, not once per call. A
 // relaxation's point is read in the solver's storage and copied out, into
 // a buffer per batch slot, only where the branching pass keeps it: at an
 // integral node and at every 16th, which the rounding heuristic reads.
@@ -47,9 +54,11 @@
 package bip
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"nose/internal/lp"
@@ -280,6 +289,31 @@ func (h *nodeHeap) pop() *node {
 // nothing else: a reset solver's results and counters are a new one's.
 var solverPool = sync.Pool{New: func() any { return lp.NewSolver() }}
 
+// workspace is the storage of one Solve call that nothing it returns
+// refers to: the rounding heuristic's point and row activities, the
+// incumbent, the batch slots' point buffers, the reduced-cost candidates
+// and each worker's merged fix list. Like the solvers it comes from a
+// pool shared by every call, so it grows once per process.
+type workspace struct {
+	point, activity, incumbentX []float64
+	xs                          [][]float64 // slot i's buffer for batch[i].x
+	cands                       []rcCand
+	merged                      [][]lp.Fix // worker w's node fixes and the fixes in force
+}
+
+var workspacePool = sync.Pool{New: func() any {
+	return &workspace{xs: make([][]float64, batchWidth), merged: make([][]lp.Fix, batchWidth)}
+}}
+
+// resize returns s with length n, reusing its storage when it is large
+// enough; its contents are left as they were.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
 // Solve runs branch and bound and returns the best integer solution.
 // When Options.Ctx is cancelled the search stops at the next batch
 // boundary and returns the context's error. Solve leaves the program
@@ -302,9 +336,10 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		workers = batchWidth
 	}
 
-	// Every worker reads the one program, validated here so that the
-	// entries are walked once per call and the solves only read it; a
-	// node's bound fixes live in its worker's solver. Each worker owns a
+	// Every worker reads the one program, validated here — the first
+	// solve of a program checks it, every later one returns at once — so
+	// that the solves only read it; a node's bound fixes live in its
+	// worker's solver. Each worker owns a
 	// pooled solver, and worker 0's also serves the serial parts (root,
 	// seeding, rounding heuristic).
 	if err := p.lp.Validate(); err != nil {
@@ -314,6 +349,9 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	for w := range solvers {
 		solvers[w] = solverPool.Get().(*lp.Solver)
 	}
+	ws := workspacePool.Get().(*workspace)
+	var rc rootFixing
+	rc.cands = ws.cands[:0]
 
 	// Publish the aggregated LP work and return the solvers on every
 	// exit path. Summing the per-worker solver stats is worker-count
@@ -326,6 +364,8 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 			s.Reset()
 			solverPool.Put(s)
 		}
+		ws.cands = rc.cands[:0]
+		workspacePool.Put(ws)
 		opt.Obs.Counter("lp.solves").Add(total.Solves)
 		opt.Obs.Counter("lp.cold_solves").Add(total.ColdSolves)
 		opt.Obs.Counter("lp.pivots").Add(total.Pivots)
@@ -347,20 +387,14 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	prunedIntC := opt.Obs.Counter("bip.pruned_integral")
 	fixedEvalsC := opt.Obs.Counter("bip.fixed_evals")
 	incumbentsC := opt.Obs.Counter("bip.incumbents")
+	rcFixedC := opt.Obs.Counter("bip.rc_fixed")
+	rcRefixesC := opt.Obs.Counter("bip.rc_refixes")
 
 	integral := !testNoRounding && p.integerObjective()
 
 	res := &Result{Status: Optimal}
 	incumbent := math.Inf(1)
-	var incumbentX []float64
-
-	tryIncumbent := func(x []float64, obj float64) {
-		if obj < incumbent-1e-9 {
-			incumbent = obj
-			incumbentX = append(incumbentX[:0], x...)
-			incumbentsC.Inc()
-		}
-	}
+	incumbentX := ws.incumbentX[:0]
 
 	// lift rounds a relaxation bound up to the next value the objective
 	// can take: every column is binary, so with every objective
@@ -372,6 +406,32 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		}
 		return bound
 	}
+
+	// fixPriced extends the reduced-cost fixes in force to every column
+	// whose root gain now lifts the bound to the cutoff (see rootFixing).
+	fixPriced := func() {
+		cutoff := incumbent - gapSlack(opt.Gap, incumbent)
+		for ; rc.n < len(rc.cands); rc.n++ {
+			if b := rc.z + rc.cands[rc.n].gain; b < cutoff && lift(b) < cutoff {
+				break
+			}
+			rcFixedC.Inc()
+		}
+	}
+
+	tryIncumbent := func(x []float64, obj float64) {
+		if obj < incumbent-1e-9 {
+			incumbent = obj
+			incumbentX = append(incumbentX[:0], x...)
+			ws.incumbentX = incumbentX
+			incumbentsC.Inc()
+			if rc.n < len(rc.cands) {
+				rcRefixesC.Inc()
+				fixPriced()
+			}
+		}
+	}
+
 	// dominated reports, and counts, a node whose bound says its subtree
 	// holds nothing better than the incumbent.
 	dominated := func(bound float64) bool {
@@ -388,8 +448,14 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	}
 
 	// solveWith solves a node's relaxation on worker w's solver,
-	// warm-started from a parent basis when one is given.
+	// warm-started from a parent basis when one is given, with the
+	// reduced-cost fixes in force beside the node's own, merged in the
+	// worker's buffer.
 	solveWith := func(w int, fixes []lp.Fix, from *lp.Basis) (*lp.Solution, error) {
+		if rc.n > 0 {
+			ws.merged[w] = append(rc.appendFixes(ws.merged[w][:0]), fixes...)
+			fixes = ws.merged[w]
+		}
 		if from != nil {
 			return solvers[w].SolveFrom(p.lp, from, fixes...)
 		}
@@ -404,8 +470,9 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	// entries with the LP's feasibility tolerance and its objective
 	// summation order, so the incumbent is the one the LP would have
 	// reported.
-	point := make([]float64, p.NumCols())
-	activity := make([]float64, p.NumRows())
+	ws.point = resize(ws.point, p.NumCols())
+	ws.activity = resize(ws.activity, p.NumRows())
+	point, activity := ws.point, ws.activity
 	tryRounded := func(x []float64) {
 		fixedEvalsC.Inc()
 		for col := range point {
@@ -459,6 +526,10 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	if col := p.mostFractional(rootSol.X); col == -1 {
 		tryIncumbent(rootSol.X, rootSol.Objective)
 	} else {
+		if !testNoFixing {
+			rc.collect(rootSol, solvers[0].ReducedCosts())
+			fixPriced()
+		}
 		tryRounded(rootSol.X)
 		push(rootSol.Objective, nil, res.RootBasis)
 	}
@@ -499,7 +570,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	}
 	batch := make([]batchItem, 0, batchWidth)
 	units := make([]int, 0, batchWidth+1) // unit u is batch[units[u]:units[u+1]]
-	xs := make([][]float64, batchWidth)   // slot i's buffer for batch[i].x
+	xs := ws.xs
 
 	for round := 0; open.len() > 0; round++ {
 		if err := ctx.Err(); err != nil {
@@ -514,6 +585,13 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		for open.len() > 0 && len(batch) < width && res.Nodes < maxNodes {
 			nd := open.pop()
 			if dominated(nd.bound) {
+				continue
+			}
+			if rc.contradicts(nd.fixes) {
+				// Its subtree holds the other value of a column the root's
+				// reduced cost has since priced out: a bound that reaches
+				// the cutoff.
+				prunedC.Inc()
 				continue
 			}
 			res.Nodes++
@@ -603,6 +681,78 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	return res, nil
 }
 
+// rootFixing is reduced-cost fixing, the rule Cbc and Gurobi apply
+// after the root relaxation. At an optimum the objective of any feasible
+// point is the optimum plus, for every nonbasic variable, its reduced
+// cost times its move off its bound, and each such term is non-negative.
+// So a binary column nonbasic at the root, at value v with reduced cost
+// of magnitude g, takes 1−v only in points costing at least the root
+// objective plus g. Once that sum reaches the cutoff no point better
+// than the incumbent has it at 1−v, and every node solves with it fixed
+// at v: the simplex then never prices or pivots on it. The points a fix
+// removes are ones the search would refuse as incumbents anyway, so the
+// optimum it proves is unchanged; a node's bound can only rise. On RUBiS
+// at the daemon's defaults, whose greedy start is already optimal, not
+// even the tree changes, and only the LP work falls.
+//
+// The candidates are sorted by decreasing gain, so the fixes in force
+// are always a prefix, which a better incumbent only lengthens. The
+// prefix is shared by every node and merged with a node's own fixes when
+// its worker solves it; a node whose own fix contradicts it is dominated.
+type rootFixing struct {
+	z     float64  // root objective, less a safety margin for rounding error
+	cands []rcCand // nonbasic root columns at their root values, by decreasing gain
+	n     int      // cands[:n] are in force
+}
+
+// rcCand is a column fixed at its root value when in force, and the least
+// rise in objective of a point that leaves it there.
+type rcCand struct {
+	lp.Fix
+	gain float64
+}
+
+// collect takes the candidates from the root relaxation's optimum and
+// its reduced costs d, which are read before the solver solves again.
+func (rc *rootFixing) collect(root *lp.Solution, d []float64) {
+	rc.z = root.Objective - 1e-7*math.Max(1, math.Abs(root.Objective))
+	for col, v := range root.X {
+		switch {
+		case v == 0 && d[col] > 0:
+			rc.cands = append(rc.cands, rcCand{lp.Fix{Col: col, Val: 0}, d[col]})
+		case v == 1 && d[col] < 0:
+			rc.cands = append(rc.cands, rcCand{lp.Fix{Col: col, Val: 1}, -d[col]})
+		}
+	}
+	slices.SortFunc(rc.cands, func(a, b rcCand) int {
+		if c := cmp.Compare(b.gain, a.gain); c != 0 {
+			return c
+		}
+		return a.Col - b.Col
+	})
+}
+
+// appendFixes appends the fixes in force to dst.
+func (rc *rootFixing) appendFixes(dst []lp.Fix) []lp.Fix {
+	for _, c := range rc.cands[:rc.n] {
+		dst = append(dst, c.Fix)
+	}
+	return dst
+}
+
+// contradicts reports whether one of fixes holds a column in force at
+// its other value.
+func (rc *rootFixing) contradicts(fixes []lp.Fix) bool {
+	for _, f := range fixes {
+		for _, c := range rc.cands[:rc.n] {
+			if c.Col == f.Col && c.Val != f.Val {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func gapSlack(gap, incumbent float64) float64 {
 	slack := 1e-7
 	if gap > 0 && !math.IsInf(incumbent, 1) {
@@ -618,6 +768,10 @@ func gapSlack(gap, incumbent float64) float64 {
 // objective as real-valued: the oracle the bound rounding is checked
 // against.
 var testNoRounding bool
+
+// testNoFixing, when a test sets it, makes Solve fix no column by its
+// root reduced cost: the search the fixing is checked against.
+var testNoFixing bool
 
 // integerObjective reports whether every objective coefficient is an
 // integer, so that the objective takes integer values only.

@@ -3,10 +3,12 @@ package bip_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nose/internal/bip"
 	"nose/internal/lp"
+	"nose/internal/obs"
 )
 
 // randomSelectionProgram builds a random instance with the NoSE BIP
@@ -48,20 +50,31 @@ func randomSelectionProgram(rng *rand.Rand) *bip.Program {
 // TestWorkersInvariance: the solve must return bit-identical objective,
 // solution vector, status, and node count for every worker count —
 // batch composition is fixed-width, so the trajectory never depends on
-// Workers.
+// Workers — and the same bip.* and lp.* counters, among them the
+// columns reduced-cost fixing fixed and its re-derivations, which the
+// trials must exercise.
 func TestWorkersInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
+	var fixed, refixes int64
 	for trial := 0; trial < 15; trial++ {
 		p := randomSelectionProgram(rng)
 		var base *bip.Result
+		var baseCounters map[string]int64
 		for _, workers := range []int{1, 2, 8, 100} {
-			res, err := p.Solve(bip.Options{Workers: workers})
+			reg := obs.NewRegistry()
+			res, err := p.Solve(bip.Options{Workers: workers, Obs: reg})
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
+			counters := reg.Snapshot().Counters
 			if base == nil {
-				base = res
+				base, baseCounters = res, counters
+				fixed += counters["bip.rc_fixed"]
+				refixes += counters["bip.rc_refixes"]
 				continue
+			}
+			if !reflect.DeepEqual(counters, baseCounters) {
+				t.Errorf("trial %d workers %d: counters %v, %v at one worker", trial, workers, counters, baseCounters)
 			}
 			if res.Status != base.Status || res.HasSolution != base.HasSolution {
 				t.Fatalf("trial %d workers %d: status %v/%v vs %v/%v",
@@ -83,6 +96,10 @@ func TestWorkersInvariance(t *testing.T) {
 			}
 		}
 	}
+	if fixed == 0 || refixes == 0 {
+		t.Errorf("reduced-cost fixing fixed %d columns with %d re-derivations: the comparison never saw it", fixed, refixes)
+	}
+	t.Logf("%d columns fixed by reduced cost, %d re-derivations", fixed, refixes)
 }
 
 // TestWorkersInvarianceUnderLimits: worker-count invariance must hold

@@ -43,7 +43,7 @@ func knapsackProgram(seed int64, n, rows int) *bip.Program {
 // same bip.* and lp.* counters, at one worker and at four, as a solve
 // on solvers that never saw another program.
 func TestSolveRepeatable(t *testing.T) {
-	a, b := knapsackProgram(5, 30, 3), knapsackProgram(9, 40, 2)
+	a, b := knapsackProgram(5, 30, 3), knapsackProgram(9, 40, 3)
 	type run struct {
 		res      *bip.Result
 		counters map[string]int64

@@ -55,36 +55,11 @@ func randomIntegerProgram(rng *rand.Rand) (p *bip.Program, obj []float64, rows [
 	return p, obj, rows, lo, hi
 }
 
-// bruteForce enumerates all 2ⁿ assignments.
+// bruteForce enumerates all 2ⁿ assignments and returns the least
+// objective over the feasible ones.
 func bruteForce(obj []float64, rows [][]float64, lo, hi []float64) (best float64, feasible bool) {
-	n := len(obj)
-	best = math.Inf(1)
-	for mask := 0; mask < 1<<n; mask++ {
-		ok, val := true, 0.0
-		for i := range rows {
-			act := 0.0
-			for j := 0; j < n; j++ {
-				if mask>>j&1 == 1 {
-					act += rows[i][j]
-				}
-			}
-			if act < lo[i] || act > hi[i] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if mask>>j&1 == 1 {
-				val += obj[j]
-			}
-		}
-		feasible = true
-		best = math.Min(best, val)
-	}
-	return best, feasible
+	e := enumerate(obj, rows, lo, hi)
+	return e.best, e.feasible
 }
 
 // TestIntegerObjectiveAgainstBruteForce: on random all-binary programs

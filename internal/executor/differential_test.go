@@ -409,6 +409,51 @@ func TestCompiledPlansMatchOracle(t *testing.T) {
 	}
 }
 
+// TestFailoverAlternativesPinned pins, for each schema Fig. 11
+// compares, how many plans beyond the recommended one each RUBiS query
+// keeps for plan-level failover (QueryRecommendation.Alternatives, what
+// the harness reroutes to), at 300 users on the bidding mix. None keeps
+// any. Alternatives come from the dominance-pruned plan spaces, which
+// drop every plan that reads a superset of a cheaper plan's families;
+// NoSE's phase 2 then pays for as few families as the chosen plans need,
+// so every surviving alternative needs a family that is not installed.
+// On the baseline pools pruning leaves each query one plan, since every
+// other plan reads the cheapest one's families and more. A change that
+// adds or removes a reroute target fails here by name (DESIGN §5 item
+// 13 says what the count means for the chaos experiment).
+func TestFailoverAlternativesPinned(t *testing.T) {
+	want := map[string]string{
+		"NoSE":       "18 queries over 11 families, 0 alternatives",
+		"Normalized": "18 queries over 31 families, 0 alternatives",
+		"Expert":     "18 queries over 11 families, 0 alternatives",
+	}
+	w, _, err := rubis.Workload(rubis.Graph(rubis.Config{Users: 300, Seed: 7}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.ActiveMix != rubis.MixBidding {
+		t.Fatalf("the workload's mix is %q", w.ActiveMix)
+	}
+	for _, schema := range rubisRecommendations {
+		rec, err := schema.recommend(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alternatives := 0
+		for _, qr := range rec.Queries {
+			if len(qr.Alternatives) == 0 || qr.Alternatives[0] != qr.Plan {
+				t.Errorf("%s: %s: the failover list does not start with the recommended plan", schema.name, workload.Label(qr.Statement.Statement))
+				continue
+			}
+			alternatives += len(qr.Alternatives) - 1
+		}
+		got := fmt.Sprintf("%d queries over %d families, %d alternatives", len(rec.Queries), len(rec.Schema.Indexes()), alternatives)
+		if got != want[schema.name] {
+			t.Errorf("%s: %s, pinned %s", schema.name, got, want[schema.name])
+		}
+	}
+}
+
 // TestConcurrentQueriesShareNoScratch runs eight goroutines of
 // ExecuteQuery on one executor over a read-only store — each walking
 // every plan of the normalized and expert RUBiS schemas' plan lists

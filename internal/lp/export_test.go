@@ -11,9 +11,12 @@ import (
 // the tests solve one problem at a time.
 func (p *Problem) Solve() (*Solution, error) { return NewSolver().Solve(p) }
 
-// SetColBounds changes a column's bounds.
+// SetColBounds changes a column's bounds. It drops the problem's
+// validation with its row copy, so that the next solve checks the new
+// bounds.
 func (p *Problem) SetColBounds(col int, lo, hi float64) {
 	p.cols[col].lo, p.cols[col].hi = lo, hi
+	p.byRow = nil
 }
 
 // Clone returns a deep copy of the problem, sharing only the read-only
@@ -32,8 +35,12 @@ func (p *Problem) Clone() *Problem {
 	return cp
 }
 
-// SetObj changes a column's objective coefficient.
-func (p *Problem) SetObj(col int, obj float64) { p.cols[col].obj = obj }
+// SetObj changes a column's objective coefficient. Like SetColBounds it
+// drops the problem's validation.
+func (p *Problem) SetObj(col int, obj float64) {
+	p.cols[col].obj = obj
+	p.byRow = nil
+}
 
 // SolveDense runs the dense reference engine of dense_test.go.
 func SolveDense(p *Problem) (*Solution, error) { return solveDense(p) }

@@ -41,10 +41,11 @@ type Problem struct {
 	cols []column
 	rows []rowBounds
 	// byRow is the structural entries in row-major order. Validate builds
-	// it once it has checked every entry's row index, and AddRow, AddCol
-	// and AddEntry drop it, so nil means unchecked: Validate, which runs
-	// on every solve, walks the entries of a problem once, not once per
-	// branch and bound node. It is never written after it is built.
+	// it once it has checked every bound, objective coefficient and entry
+	// row index, and AddRow, AddCol and AddEntry drop it, so nil means
+	// unchecked: Validate, which runs on every solve, checks a problem
+	// once, not once per branch and bound node. It is never written after
+	// it is built.
 	byRow *rowMajor
 }
 
@@ -99,13 +100,17 @@ func (p *Problem) NumRows() int { return len(p.rows) }
 // NumCols returns the number of variables.
 func (p *Problem) NumCols() int { return len(p.cols) }
 
-// Validate checks bound sanity and entry indices. The entry indices are
-// walked, and the row-major copy of the entries built, only when a row,
-// a column or an entry was added since the last successful call; bounds
-// and objective are checked every time. Once it has succeeded, and until
-// the next AddRow, AddCol or AddEntry, it only reads the problem, so
-// several solvers may then solve one problem concurrently.
+// Validate checks bound sanity, objective coefficients and entry
+// indices, and builds the row-major copy of the entries. It does so only
+// when a row, a column or an entry was added since the last successful
+// call, which is the only way a problem changes: otherwise it returns at
+// once. Once it has succeeded, and until the next AddRow, AddCol or
+// AddEntry, it only reads the problem, so several solvers may then solve
+// one problem concurrently.
 func (p *Problem) Validate() error {
+	if p.byRow != nil {
+		return nil
+	}
 	for i, r := range p.rows {
 		if r.lo > r.hi {
 			return fmt.Errorf("lp: row %d has lo %v > hi %v", i, r.lo, r.hi)
@@ -118,9 +123,6 @@ func (p *Problem) Validate() error {
 		if math.IsNaN(c.obj) || math.IsInf(c.obj, 0) {
 			return fmt.Errorf("lp: col %d has %v objective", j, c.obj)
 		}
-	}
-	if p.byRow != nil {
-		return nil
 	}
 	// Counting sort by row: count row i at start[i+2], so that the
 	// prefix sums leave row i's first slot at start[i+1], which the fill

@@ -233,6 +233,17 @@ func (s *SolverStats) Add(o SolverStats) {
 // Stats returns the cumulative work counters for this solver.
 func (s *Solver) Stats() SolverStats { return s.stats }
 
+// ReducedCosts returns the reduced cost of every structural column at
+// the optimum the last solve on this solver reported: zero for a basic
+// or fixed column, and for a nonbasic one the rate at which the
+// objective rises as the column leaves its bound — non-negative at a
+// lower bound, non-positive at an upper one. Every solve prices them
+// from scratch before it accepts an optimum, so they carry no drift from
+// the pivots before it. The slice is the solver's storage, valid until
+// its next solve; it is meaningless after a solve that did not return
+// Optimal.
+func (s *Solver) ReducedCosts() []float64 { return s.d[:s.n] }
+
 // Reset zeroes the work counters, drops the factorization marked for
 // reuse and every reference to the last problem solved, and keeps the
 // buffers: a reset solver solves exactly as a new one does, bit for bit
@@ -662,6 +673,13 @@ func (s *Solver) iterate(c []float64, confirm bool) Status {
 		best := tol
 		bland := s.degens >= blandAfter
 		for j, d := range s.d {
+			// Whatever its status, a variable enters only with |d| above
+			// best, which is tol until a candidate raises it (Bland's
+			// rule takes the first candidate), so most are passed over on
+			// one load.
+			if d >= -best && d <= best {
+				continue
+			}
 			st := s.status[j]
 			if st == basic {
 				continue

@@ -302,6 +302,53 @@ func TestValidateErrors(t *testing.T) {
 	}
 }
 
+// TestValidateAfterChange: Validate checks a problem once and then
+// returns at once, so a change the test helpers make after a successful
+// solve must drop that check: an inverted column bound, a NaN or an
+// infinite objective set on a validated problem is still reported, by
+// Validate and by every solve path, and the problem solves again once
+// the change is undone.
+func TestValidateAfterChange(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		change, undo func(p *lp.Problem)
+	}{
+		{"inverted col bounds", func(p *lp.Problem) { p.SetColBounds(1, 2, 1) }, func(p *lp.Problem) { p.SetColBounds(1, 0, 1) }},
+		{"NaN objective", func(p *lp.Problem) { p.SetObj(0, math.NaN()) }, func(p *lp.Problem) { p.SetObj(0, 1) }},
+		{"infinite objective", func(p *lp.Problem) { p.SetObj(0, math.Inf(-1)) }, func(p *lp.Problem) { p.SetObj(0, 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := lp.NewProblem()
+			r := p.AddRow(1, inf())
+			p.AddCol(1, 0, 1, lp.Entry{Row: r, Coef: 1})
+			p.AddCol(2, 0, 1, lp.Entry{Row: r, Coef: 1})
+			s := lp.NewSolver()
+			sol, err := s.Solve(p)
+			if err != nil || sol.Status != lp.Optimal {
+				t.Fatalf("before the change: %v, %v", sol, err)
+			}
+			snap := s.Snapshot()
+			c.change(p)
+			if err := p.Validate(); err == nil {
+				t.Error("Validate accepts the changed problem")
+			}
+			if _, err := s.Solve(p); err == nil {
+				t.Error("Solve accepts the changed problem")
+			}
+			if _, err := s.SolveFrom(p, snap); err == nil {
+				t.Error("SolveFrom accepts the changed problem")
+			}
+			if _, err := s.SolvePrepended(p, snap); err == nil {
+				t.Error("SolvePrepended accepts the changed problem")
+			}
+			c.undo(p)
+			if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal || sol.Objective != 1 {
+				t.Errorf("after the change is undone: %+v, %v", sol, err)
+			}
+		})
+	}
+}
+
 func TestEmptyProblem(t *testing.T) {
 	p := lp.NewProblem()
 	sol := solve(t, p)

@@ -233,7 +233,8 @@ func (s *Snapshot) Format() string {
 // the eta-file fill they wrote and how many more were reused, the LPs
 // branch and bound never solved (fixed programs it evaluated, nodes it
 // dropped only because an integer-valued objective lets a bound round
-// up), per solver phase how
+// up), the columns branch and bound fixed by their root reduced cost and
+// how often a better incumbent re-derived that set, per solver phase how
 // many solves ran over how many nodes and how many of them stopped at
 // the node limit with what relative gap (a truncated solve's
 // recommendation is its best incumbent, not a proven optimum), and the
@@ -260,6 +261,8 @@ func (s *Snapshot) FormatSolverStats() string {
 		c["lp.refactors"], c["lp.refactor_nnz"], c["lp.factor_reuses"])
 	fmt.Fprintf(&b, "  LPs not solved           %d fixed programs evaluated, %d nodes pruned by integer rounding\n",
 		c["bip.fixed_evals"], c["bip.pruned_integral"])
+	fmt.Fprintf(&b, "  reduced-cost fixing      %d columns fixed by their root reduced cost, %d re-derivations after a new incumbent\n",
+		c["bip.rc_fixed"], c["bip.rc_refixes"])
 	for i, phase := range []string{"phase1", "phase2"} {
 		solves, cut := c["search."+phase+".solves"], c["search."+phase+".node_limit"]
 		if solves == 0 {
