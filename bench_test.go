@@ -382,25 +382,28 @@ func TestPlanSpacesAllocCeiling(t *testing.T) {
 
 // solveAllocCeiling and solveByteCeiling bound the allocations and the
 // bytes of one search.Prepared.Solve — both branch-and-bound phases and
-// phase 2's formulation — on RUBiS at the daemon's defaults and one
-// worker. They were 2,755 and 678,457 B while each solve grew its own LP
-// solvers, cloned the program and allocated every relaxation's point,
-// and were 1,923 and 234,105 B (go1.24) with pooled solvers, one shared
-// program and points in solver storage; they are 1,915 and 213,241 B
-// with branch and bound's own per-call buffers pooled beside the solvers
-// (the reduced-cost fixes are one shared list, never a copy per node).
-// Both ceilings are 1.3 times the measured value: headroom for other
-// toolchains, not for any of those coming back.
+// phase 2's derivation from phase 1's program — on RUBiS at the daemon's
+// defaults and one worker. They were 2,755 and 678,457 B while each solve
+// grew its own LP solvers, cloned the program and allocated every
+// relaxation's point, and were 1,923 and 234,105 B (go1.24) with pooled
+// solvers, one shared program and points in solver storage; 1,915 and
+// 213,241 B with branch and bound's own per-call buffers pooled beside
+// the solvers (the reduced-cost fixes are one shared list, never a copy
+// per node); and they are 200 and 104,513 B with phase 2's
+// program derived from phase 1's in a few arrays instead of formulated
+// again through maps and a slice per column. Both ceilings are 1.3 times
+// the measured value: headroom for other toolchains, not for any of those
+// coming back.
 const (
-	solveAllocCeiling = 2_500
-	solveByteCeiling  = 277_200
+	solveAllocCeiling = 260
+	solveByteCeiling  = 135_900
 )
 
 // TestSolveAllocCeiling counts what one Prepared.Solve allocates, with
 // the collector off so that the solvers an earlier solve returned to the
 // pool are still there: a solve that grows its own solvers again, copies
-// the program per worker or allocates a point per relaxation fails it.
-// CI runs it by name with -count=1.
+// the program per worker, allocates a point per relaxation or formulates
+// phase 2 again fails it. CI runs it by name with -count=1.
 func TestSolveAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -434,6 +437,56 @@ func TestSolveAllocCeiling(t *testing.T) {
 	}
 	t.Logf("Prepared.Solve: %d allocations (ceiling %d), %d B (ceiling %d)",
 		allocs, solveAllocCeiling, bytes, solveByteCeiling)
+}
+
+// prepareAllocCeiling and prepareByteCeiling bound the allocations and
+// the bytes of one search.Prepare — planning every statement, formulating
+// phase 1's program and its greedy start — on RUBiS at the daemon's
+// defaults and one worker. They were 7,752 and 614,564 B while the
+// formulation kept its column maps in four maps, a link-row map per plan
+// space and an entry slice per plan column that AddCol copied, and
+// Plan.Indexes built a slice on every call; they are 5,761 and
+// 542,656 B with the program counted, then written in place into arrays
+// allocated once, and each plan's families computed when the planner
+// builds it. Both ceilings are 1.3 times the measured value.
+const (
+	prepareAllocCeiling = 7_500
+	prepareByteCeiling  = 705_500
+)
+
+// TestPrepareAllocCeiling counts what one search.Prepare allocates on
+// RUBiS over an enumeration done beforehand: a formulation that builds a
+// map or a slice per column, or a planner that allocates per
+// Plan.Indexes call, fails it. CI runs it by name with -count=1.
+func TestPrepareAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	w, _, err := rubis.Workload(rubis.Graph(rubis.DefaultConfig()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enumRes, err := enumerator.EnumerateWorkload(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := search.Options{
+		Workers: 1,
+		Planner: planner.Config{MaxPlansPerQuery: planner.DefaultMaxPlansPerQuery},
+	}
+	allocs, bytes := allocsPerRun(5, func() {
+		if _, err := search.Prepare(w, enumRes, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > prepareAllocCeiling {
+		t.Errorf("search.Prepare allocates %d times on RUBiS, ceiling %d", allocs, prepareAllocCeiling)
+	}
+	if bytes > prepareByteCeiling {
+		t.Errorf("search.Prepare allocates %d B on RUBiS, ceiling %d", bytes, prepareByteCeiling)
+	}
+	t.Logf("search.Prepare: %d allocations (ceiling %d), %d B (ceiling %d)",
+		allocs, prepareAllocCeiling, bytes, prepareByteCeiling)
 }
 
 // allocsPerRun is testing.AllocsPerRun that also returns the bytes: the

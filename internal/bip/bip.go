@@ -85,6 +85,27 @@ func (p *Program) AddBinary(obj float64, entries ...lp.Entry) int {
 	return p.lp.AddCol(obj, 0, 1, entries...)
 }
 
+// AddBinaryRoom appends a binary variable with the given entries and room
+// for room entries in all, the rest added by AddColEntry in place.
+func (p *Program) AddBinaryRoom(obj float64, room int, entries ...lp.Entry) int {
+	return p.lp.AddColRoom(obj, 0, 1, room, entries...)
+}
+
+// Reserve makes room for rows more rows, cols more variables and entries
+// more coefficients: a program of a size counted beforehand is then built
+// in arrays allocated once.
+func (p *Program) Reserve(rows, cols, entries int) { p.lp.Reserve(rows, cols, entries) }
+
+// PinObjective returns the program that pins p's objective: p with the
+// leading row c·x ≤ hi, c being p's objective, and objective obj. The
+// advisor's second phase is its first pinned at the first's optimum, so
+// the second program's root relaxation warm-starts from the first's root
+// basis (Options.RootBasis). at places each column's coefficient on the
+// new row among its entries (see lp.Problem.PinObjective).
+func (p *Program) PinObjective(hi float64, obj []float64, at func(col, k int) int) *Program {
+	return &Program{lp: p.lp.PinObjective(hi, obj, at)}
+}
+
 // NumRows returns the number of constraint rows.
 func (p *Program) NumRows() int { return p.lp.NumRows() }
 

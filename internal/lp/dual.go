@@ -71,7 +71,11 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, er
 		s.stats.Fallbacks++
 		return s.solveCold(p, fixes)
 	}
-	s.install(p, from, 0, fixes)
+	if s.held == p && s.byRow == p.byRow {
+		s.reload(from, fixes)
+	} else {
+		s.install(p, from, 0, fixes)
+	}
 	if mark := &s.loaded; mark.from == from && mark.prob == p {
 		s.etaRow = s.etaRow[:mark.etas]
 		s.etaPiv = s.etaPiv[:mark.etas]
@@ -236,18 +240,67 @@ func (s *Solver) install(p *Problem, from *Basis, k int, fixes []Fix) {
 	for i, j := range from.basis {
 		s.basis[k+i] = shift(int(j))
 	}
-	for j := 0; j < n+2*m; j++ {
-		switch s.status[j] {
+	s.placeNonbasic()
+	s.held = p
+	s.fixed = append(s.fixed[:0], fixes...)
+}
+
+// placeNonbasic puts every nonbasic variable at the bound its status
+// names, or at zero when that bound is infinite, as a load leaves it;
+// a basic variable's value waits for computeBasics.
+func (s *Solver) placeNonbasic() {
+	for j, st := range s.status {
+		v := 0.0
+		switch st {
 		case atLower:
 			if lo := s.lo[j]; !math.IsInf(lo, -1) {
-				s.xval[j] = lo
+				v = lo
 			}
 		case atUpper:
 			if hi := s.hi[j]; !math.IsInf(hi, 1) {
-				s.xval[j] = hi
+				v = hi
 			}
 		}
+		s.xval[j] = v
 	}
+}
+
+// reload is install for the problem the solver already holds (s.held),
+// the difference between two loads of one problem being their fixes and
+// their basis. A warm solve changes no column's data and no bound, so
+// reload restores the bounds of the columns the previous load fixed,
+// applies the new fixes, takes the snapshot's artificial signs, statuses
+// and basis, and places the nonbasic variables; of the scratch a solve
+// leaves behind, only a pivot row computed and not yet applied (alpha
+// and reach) is read by the next solve before it is rewritten, so that
+// is cleared where reach marks it. Everything else refactor or the first
+// price rewrites. The state it leaves is a fresh install's, bit for bit.
+func (s *Solver) reload(from *Basis, fixes []Fix) {
+	p := s.held
+	for _, f := range s.fixed {
+		c := &p.cols[f.Col]
+		s.lo[f.Col], s.hi[f.Col] = c.lo, c.hi
+	}
+	s.fix(fixes)
+	s.fixed = append(s.fixed[:0], fixes...)
+	m := s.m
+	s.asign = from.asign
+	for i, sign := range from.asign {
+		s.single[m+i].Coef = float64(sign)
+	}
+	copy(s.status, from.status)
+	for i, j := range from.basis {
+		s.basis[i] = int(j)
+	}
+	s.placeNonbasic()
+	for wi, word := range s.reach {
+		for ; word != 0; word &= word - 1 {
+			s.alpha[wi<<6|bits.TrailingZeros64(word)] = 0
+		}
+		s.reach[wi] = 0
+	}
+	s.fresh = false
+	s.pivots, s.degens = 0, 0
 }
 
 // primalFeasible reports whether every basic variable lies within its

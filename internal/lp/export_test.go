@@ -108,12 +108,20 @@ func SharesRowCopy(a, b *Problem) bool { return a.byRow != nil && a.byRow == b.b
 // problem's own.
 func (p *Problem) ColEntries(j int) []Entry { return p.cols[j].entries }
 
+// RowBounds returns row i's activity bounds.
+func (p *Problem) RowBounds(i int) (lo, hi float64) { return p.rows[i].lo, p.rows[i].hi }
+
 // ColBounds returns column j's bounds.
 func (p *Problem) ColBounds(j int) (lo, hi float64) { return p.cols[j].lo, p.cols[j].hi }
 
+// Holds reports whether s holds p loaded, so that its next SolveFrom of
+// p reloads only the difference.
+func Holds(s *Solver, p *Problem) bool { return s.held == p && s.byRow == p.byRow }
+
 // SameSolverState compares, by bit pattern, everything a solve leaves in
 // a solver that a later one could read: the eta file, the basis order,
-// the basic and nonbasic values and the statuses.
+// the basic and nonbasic values, the statuses, the bounds, the reduced
+// costs and the pivot row with the variables it reaches.
 func SameSolverState(want, got *Solver) error {
 	for _, c := range []struct {
 		name      string
@@ -135,6 +143,10 @@ func SameSolverState(want, got *Solver) error {
 		{"etaVal", want.etaVal, got.etaVal},
 		{"xb", want.xb, got.xb},
 		{"xval", want.xval, got.xval},
+		{"lo", want.lo, got.lo},
+		{"hi", want.hi, got.hi},
+		{"d", want.d, got.d},
+		{"alpha", want.alpha, got.alpha},
 	} {
 		if err := sameFloats(c.name, c.want, c.got); err != nil {
 			return err
@@ -145,6 +157,9 @@ func SameSolverState(want, got *Solver) error {
 	}
 	if !slices.Equal(want.status, got.status) {
 		return fmt.Errorf("statuses differ")
+	}
+	if !slices.Equal(want.reach, got.reach) {
+		return fmt.Errorf("pivot row reach differs")
 	}
 	if want.updates != got.updates || want.updNNZ != got.updNNZ {
 		return fmt.Errorf("update counts %d/%d, want %d/%d", got.updates, got.updNNZ, want.updates, want.updNNZ)

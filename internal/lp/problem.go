@@ -25,6 +25,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Entry is one nonzero coefficient of a column.
@@ -47,6 +48,9 @@ type Problem struct {
 	// once, not once per branch and bound node. It is never written after
 	// it is built.
 	byRow *rowMajor
+	// spare is the entry storage Reserve set aside that no column has
+	// claimed yet: AddColRoom carves each column's entries from it.
+	spare []Entry
 }
 
 // rowMajor holds a problem's structural entries by row: row i's are
@@ -85,10 +89,75 @@ func (p *Problem) AddRow(lo, hi float64) int {
 // [lo, hi], and the given sparse constraint entries, returning its
 // index.
 func (p *Problem) AddCol(obj, lo, hi float64, entries ...Entry) int {
-	es := append([]Entry(nil), entries...)
-	p.cols = append(p.cols, column{obj: obj, lo: lo, hi: hi, entries: es})
+	return p.AddColRoom(obj, lo, hi, len(entries), entries...)
+}
+
+// AddColRoom is AddCol for a column that will hold room entries in all:
+// the given ones now and the rest appended by AddEntry, in place. The
+// column's storage comes from what Reserve set aside while it lasts.
+func (p *Problem) AddColRoom(obj, lo, hi float64, room int, entries ...Entry) int {
+	var es []Entry
+	if room = max(room, len(entries)); room <= len(p.spare) {
+		es, p.spare = p.spare[:0:room], p.spare[room:]
+	} else if room > 0 {
+		es = make([]Entry, 0, room)
+	}
+	p.cols = append(p.cols, column{obj: obj, lo: lo, hi: hi, entries: append(es, entries...)})
 	p.byRow = nil
 	return len(p.cols) - 1
+}
+
+// Reserve makes room for rows more rows, cols more columns and entries
+// more column entries, so that a problem whose size its builder has
+// counted is written into arrays allocated once.
+func (p *Problem) Reserve(rows, cols, entries int) {
+	p.rows = slices.Grow(p.rows, rows)
+	p.cols = slices.Grow(p.cols, cols)
+	if entries > len(p.spare) {
+		p.spare = make([]Entry, entries)
+	}
+}
+
+// PinObjective returns a new problem: p with one leading row c·x ≤ hi,
+// c being p's objective, p's rows following it in order,
+// and objective obj, one coefficient per column; p is left as it was.
+// Column j's coefficient on the new row, when c_j is nonzero, goes
+// at(j, k) entries into its k entries (at most k: last). The order of a
+// column's entries is the order the solver sums them in, which decides
+// which of several equal optima a solve reports, so a caller that
+// replaces building the pinned program row first places each
+// coefficient where that build did.
+func (p *Problem) PinObjective(hi float64, obj []float64, at func(col, k int) int) *Problem {
+	nnz := 0
+	for _, c := range p.cols {
+		nnz += len(c.entries)
+		if c.obj != 0 {
+			nnz++
+		}
+	}
+	q := &Problem{rows: make([]rowBounds, 0, len(p.rows)+1), cols: make([]column, len(p.cols))}
+	q.rows = append(append(q.rows, rowBounds{lo: math.Inf(-1), hi: hi}), p.rows...)
+	spare := make([]Entry, nnz)
+	for j, c := range p.cols {
+		k, pos := len(c.entries), -1
+		if c.obj != 0 {
+			pos = min(at(j, k), k)
+		}
+		es := spare[:0:len(spare)]
+		for i, e := range c.entries {
+			if i == pos {
+				es = append(es, Entry{Row: 0, Coef: c.obj})
+			}
+			es = append(es, Entry{Row: e.Row + 1, Coef: e.Coef})
+		}
+		if pos == k {
+			es = append(es, Entry{Row: 0, Coef: c.obj})
+		}
+		es = es[:len(es):len(es)]
+		spare = spare[len(es):]
+		q.cols[j] = column{obj: obj[j], lo: c.lo, hi: c.hi, entries: es}
+	}
+	return q
 }
 
 // Obj returns a column's objective coefficient.

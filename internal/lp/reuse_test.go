@@ -136,6 +136,62 @@ func TestFactorReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestReloadMatchesFreshLoad: a SolveFrom of the problem the solver
+// already holds loads only the difference from the last load — the
+// fixes it drops and adds, the snapshot's statuses and basis — and must
+// end exactly where the same call ends on a new solver: the solution,
+// the eta file, the basis, every value, status, bound and reduced cost,
+// and the pivot row, bit for bit. The walk is branch and bound's: each
+// step fixes one more column below a snapshot an earlier step took, and
+// some steps end infeasible, leaving a pivot row computed and never
+// applied for the next load to clear.
+func TestReloadMatchesFreshLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	reloads, infeasible := 0, 0
+	for trial := 0; trial < 12; trial++ {
+		p := advisorProblem(100+50*(trial%4), rng)
+		s := lp.NewSolver()
+		if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal {
+			t.Fatalf("trial %d: root solve: %v %v", trial, sol, err)
+		}
+		snaps, fixes := []*lp.Basis{s.Snapshot()}, [][]lp.Fix{nil}
+		for step := 0; step < 40; step++ {
+			i := rng.Intn(len(snaps))
+			fx := append(append([]lp.Fix(nil), fixes[i]...), lp.Fix{Col: rng.Intn(p.NumCols()), Val: float64(rng.Intn(2))})
+			if rng.Intn(4) == 0 {
+				s.ForgetLoad()
+			}
+			if lp.Holds(s, p) {
+				reloads++
+			}
+			got, err := s.SolveFrom(p, snaps[i], fx...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := lp.NewSolver()
+			want, err := fresh.SolveFrom(p, snaps[i], fx...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("trial %d step %d", trial, step)
+			sameSolution(t, what, want, got)
+			if err := lp.SameSolverState(fresh, s); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			switch got.Status {
+			case lp.Optimal:
+				snaps, fixes = append(snaps, s.Snapshot()), append(fixes, fx)
+			case lp.Infeasible:
+				infeasible++
+			}
+		}
+	}
+	if reloads < 300 || infeasible == 0 {
+		t.Errorf("%d of 480 loads were reloads, %d infeasible: the walk did not exercise reload", reloads, infeasible)
+	}
+	t.Logf("%d reloads, %d infeasible", reloads, infeasible)
+}
+
 // TestFactorReuseIsKeyedAndForgettable: the load is reused only for the
 // same snapshot on the same problem, and never after ForgetLoad or a
 // cold solve.

@@ -134,6 +134,12 @@ type Solver struct {
 	// loaded marks the factorization SolveFrom last loaded, while the
 	// eta file still starts with it (see loadMark).
 	loaded loadMark
+	// held is the problem install last loaded, while nothing but a warm
+	// solve has run on it since, and fixed the fixes that load applied:
+	// a SolveFrom of the same problem then reloads only what a solve
+	// changes (see reload). prepare drops it.
+	held  *Problem
+	fixed []Fix
 
 	stats SolverStats
 }
@@ -254,6 +260,7 @@ func (s *Solver) Reset() {
 	s.loaded = loadMark{basis: s.loaded.basis[:0]}
 	s.asign = nil
 	s.byRow = nil
+	s.held, s.fixed = nil, s.fixed[:0]
 	clear(s.entries)
 }
 
@@ -305,6 +312,7 @@ func (s *Solver) prepare(p *Problem) {
 	s.alpha = grow(s.alpha, total)
 	s.fresh = false
 	s.byRow = p.byRow
+	s.held = nil
 	s.entries = fit(s.entries, total)
 	s.status = grow(s.status, total) // atLower
 	s.basis = fit(s.basis, m)

@@ -20,14 +20,35 @@ type Plan struct {
 	Cost float64
 	// Rows is the estimated number of result rows.
 	Rows float64
+
+	// indexes is what Indexes returns, set when the planner builds the
+	// plan.
+	indexes []*schema.Index
 }
 
 // Indexes returns the distinct column families the plan reads, in first
+// use order. The slice is the plan's own, computed once when the planner
+// built it, and must be treated as read-only; for a plan built
+// elsewhere it is computed on each call.
+func (p *Plan) Indexes() []*schema.Index {
+	if p.indexes != nil {
+		return p.indexes
+	}
+	return stepIndexes(p.Steps)
+}
+
+// stepIndexes returns the distinct column families steps read, in first
 // use order. A plan has a handful of lookups, so a linear scan dedupes
 // them by ID.
-func (p *Plan) Indexes() []*schema.Index {
-	var out []*schema.Index
-	for _, s := range p.Steps {
+func stepIndexes(steps []Step) []*schema.Index {
+	n := 0
+	for _, s := range steps {
+		if _, ok := s.(*LookupStep); ok {
+			n++
+		}
+	}
+	out := make([]*schema.Index, 0, n)
+	for _, s := range steps {
 		if ls, ok := s.(*LookupStep); ok && !containsIndex(out, ls.Index) {
 			out = append(out, ls.Index)
 		}

@@ -39,7 +39,7 @@ func (p *Planner) PlanQuery(q *workload.Query) (*PlanSpace, error) {
 	plans := make([]*Plan, len(best))
 	for i := range best {
 		c := best[i].chain()
-		plans[i] = &Plan{Query: q, Steps: c.steps, Cost: c.cost.total, Rows: c.cost.rows}
+		plans[i] = &Plan{Query: q, Steps: c.steps, Cost: c.cost.total, Rows: c.cost.rows, indexes: stepIndexes(c.steps)}
 	}
 	return &PlanSpace{Query: q, Plans: plans}, nil
 }

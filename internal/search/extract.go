@@ -16,46 +16,55 @@ import (
 // one the assignment chose: each query's choose row and each needed
 // support group's gate take exactly one.
 func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) error {
-	paidSelected := map[string]bool{}
-	for id, col := range refs.indexCol {
-		if res.X[col] >= 0.5 {
-			paidSelected[id] = true
+	// chosen returns the plan of space the assignment takes, its plans
+	// being the columns from first on.
+	chosen := func(space *planner.PlanSpace, first int) *planner.Plan {
+		for k, pl := range space.Plans {
+			if res.X[first+k] >= 0.5 {
+				return pl
+			}
+		}
+		return nil
+	}
+	perQuery := make([]*planner.Plan, len(b.queries))
+	for i, qb := range b.queries {
+		perQuery[i] = chosen(qb.space, refs.queryCol[i])
+	}
+	perGroup := make([]*planner.Plan, 0, len(refs.zCol))
+	for _, ub := range b.updates {
+		for _, g := range ub.groups {
+			perGroup = append(perGroup, chosen(g.space, refs.zCol[len(perGroup)]+1))
 		}
 	}
 
-	perQuery := map[*queryBlock]*planner.Plan{}
-	perGroup := map[*supportGroup]*planner.Plan{}
-	for col, ref := range refs.planCols {
-		if res.X[col] < 0.5 {
-			continue
-		}
-		if ref.query != nil {
-			perQuery[ref.query] = ref.plan
-		} else {
-			perGroup[ref.group] = ref.plan
-		}
+	paidSelected := func(pos int) bool {
+		col := refs.indexCol[pos]
+		return col >= 0 && res.X[col] >= 0.5
 	}
-
-	used := map[string]bool{}
+	used := make([]bool, len(b.pool))
 	markUsed := func(pl *planner.Plan) {
 		for _, x := range pl.Indexes() {
-			used[x.ID()] = true
+			if pos, ok := b.at[x.ID()]; ok {
+				used[pos] = true
+			}
 		}
 	}
 
-	for _, qb := range b.queries {
-		plan := perQuery[qb]
-		if plan == nil {
+	for i, qb := range b.queries {
+		if perQuery[i] == nil {
 			return fmt.Errorf("search: no plan chosen for query %q",
 				workload.Label(qb.ws.Statement))
 		}
-		markUsed(plan)
+		markUsed(perQuery[i])
 	}
+	gi := 0
 	for _, ub := range b.updates {
 		for _, g := range ub.groups {
+			plan := perGroup[gi]
+			gi++
 			needed := false
 			for _, x := range g.indexes {
-				if paidSelected[x.ID()] {
+				if pos, ok := b.at[x.ID()]; ok && paidSelected(pos) {
 					needed = true
 					break
 				}
@@ -63,7 +72,6 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 			if !needed {
 				continue
 			}
-			plan := perGroup[g]
 			if plan == nil {
 				return fmt.Errorf("search: no support plan chosen for update %q",
 					workload.Label(ub.ws.Statement))
@@ -74,34 +82,34 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 
 	// The schema: paid selections plus used free families, pool order.
 	sch := schema.NewSchema()
-	selected := map[string]bool{}
-	for _, x := range b.pool {
-		id := x.ID()
-		if (b.paid(id) && paidSelected[id]) || (!b.paid(id) && used[id]) {
-			selected[id] = true
+	selected := make([]bool, len(b.pool))
+	for pos, x := range b.pool {
+		if paid := refs.indexCol[pos] >= 0; (paid && paidSelected(pos)) || (!paid && used[pos]) {
+			selected[pos] = true
 			sch.Add(x)
 		}
 	}
 	rec.Schema = sch
 
-	for _, qb := range b.queries {
+	for i, qb := range b.queries {
 		rec.Queries = append(rec.Queries, &QueryRecommendation{
 			Statement:    qb.ws,
-			Plan:         perQuery[qb],
-			Alternatives: executablePlans(qb.space, selected),
+			Plan:         perQuery[i],
+			Alternatives: b.executablePlans(qb.space, selected),
 		})
 	}
+	base := 0 // the number of ub's first group
 	for _, ub := range b.updates {
 		for _, x := range ub.order {
-			if !selected[x.ID()] {
+			if pos, ok := b.at[x.ID()]; !ok || !selected[pos] {
 				continue
 			}
 			ur := &UpdateRecommendation{Statement: ub.ws, Plan: ub.plans[x.ID()]}
-			for _, g := range ub.groups {
+			for k, g := range ub.groups {
 				if !groupNeeds(g, x) {
 					continue
 				}
-				plan := perGroup[g]
+				plan := perGroup[base+k]
 				if plan == nil {
 					return fmt.Errorf("search: no support plan chosen for update %q on %s",
 						workload.Label(ub.ws.Statement), x.Name)
@@ -110,21 +118,23 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 			}
 			rec.Updates = append(rec.Updates, ur)
 		}
+		base += len(ub.groups)
 	}
 	return nil
 }
 
 // executablePlans filters a query's plan space to the plans whose
-// column families are all installed in the recommended schema, keeping
-// the space's cheapest-first order. The chosen plan is among them: the
-// linking rows select the paid families it reads and extract installs
-// the free ones, so the harness always has a plan to execute.
-func executablePlans(space *planner.PlanSpace, installed map[string]bool) []*planner.Plan {
+// column families are all installed in the recommended schema (selected,
+// by pool position), keeping the space's cheapest-first order. The chosen
+// plan is among them: the linking rows select the paid families it reads
+// and extract installs the free ones, so the harness always has a plan
+// to execute.
+func (b *builder) executablePlans(space *planner.PlanSpace, selected []bool) []*planner.Plan {
 	var out []*planner.Plan
 	for _, p := range space.Plans {
 		ok := true
 		for _, x := range p.Indexes() {
-			if !installed[x.ID()] {
+			if pos, in := b.at[x.ID()]; !in || !selected[pos] {
 				ok = false
 				break
 			}

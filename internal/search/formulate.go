@@ -3,7 +3,9 @@ package search
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"nose/internal/bip"
 	"nose/internal/enumerator"
@@ -39,8 +41,7 @@ type updateBlock struct {
 	groups []*supportGroup
 }
 
-// builder holds everything needed to formulate the BIP (possibly
-// twice: once per solver phase).
+// builder holds everything needed to formulate one interval of the BIP.
 type builder struct {
 	w       *workload.Workload
 	pl      *planner.Planner
@@ -48,6 +49,10 @@ type builder struct {
 	queries []*queryBlock
 	updates []*updateBlock
 	opt     Options
+
+	// at is each pool family's position in pool, by ID: colRefs and the
+	// formulation's scratch are indexed by it.
+	at map[string]int
 
 	// maint is each index's weighted maintenance cost. Indexes with
 	// zero maintenance and no storage constraint are "free": including
@@ -77,22 +82,21 @@ type builder struct {
 	cuts        int
 }
 
-// colRefs maps BIP columns back to schema objects and plans.
+// colRefs maps one interval's BIP columns back to schema objects and
+// plans by position: a plan space's columns are consecutive, in plan
+// order, so a plan's column is its space's first plus its rank.
 type colRefs struct {
-	indexCol map[string]int // paid index ID -> column
-	// planCols records (owner, plan) per plan-choice column.
-	planCols map[int]planRef
-	// planCol is the reverse lookup: plan pointer -> column.
-	planCol map[*planner.Plan]int
-	// zCol is each support group's indicator column.
-	zCol map[*supportGroup]int
-}
-
-type planRef struct {
-	query *queryBlock   // non-nil for workload query plans
-	group *supportGroup // non-nil for support query plans
-	ub    *updateBlock  // owner of group
-	plan  *planner.Plan
+	// indexCol is each family's presence column, by position in the
+	// builder's pool; -1 for a free family.
+	indexCol []int
+	// queryCol is the column of plan 0 of each query's space, in
+	// b.queries order.
+	queryCol []int
+	// zCol is each support group's indicator column, groups numbered in
+	// update order; the group's plan columns follow it.
+	zCol []int
+	// planVars counts the plan-choice columns.
+	planVars int
 }
 
 // newBuilder plans every query and update in the workload. Plan-space
@@ -162,6 +166,10 @@ func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.R
 	}
 	if err := b.checkPrices(); err != nil {
 		return nil, err
+	}
+	b.at = make(map[string]int, len(b.pool))
+	for pos, x := range b.pool {
+		b.at[x.ID()] = pos
 	}
 	return b, nil
 }
@@ -443,34 +451,116 @@ func (b *builder) paid(id string) bool {
 	return b.paidAll || b.pinned || b.maint[id] > 0 || b.opt.SpaceBudgetBytes > 0
 }
 
+// layout is what formulatePhase emits for one interval, counted before
+// it emits it — the rows, the columns and the entries, each presence
+// column's entries (room, by pool position) and the budget cuts — so
+// that the program is allocated once and every column's entries are
+// written in place.
+type layout struct {
+	rows, cols, entries int
+	paid                []bool // by pool position
+	room                []int  // presence column entries, by pool position
+	cuts                []budgetCut
+}
+
+// measure counts what formulatePhase will emit for b, walking the same
+// structure in the same way.
+func (b *builder) measure() *layout {
+	n := len(b.pool)
+	lay := &layout{paid: make([]bool, n), room: make([]int, n)}
+	budget := b.opt.SpaceBudgetBytes > 0
+	if budget {
+		lay.rows++
+	}
+	var items []budgetCutItem
+	for pos, x := range b.pool {
+		if !b.paid(x.ID()) {
+			continue
+		}
+		lay.paid[pos] = true
+		lay.cols++
+		if budget {
+			lay.room[pos]++
+			items = append(items, budgetCutItem{pos: pos, sizeMB: x.SizeBytes() / 1e6})
+		}
+		if b.pinned {
+			lay.room[pos]++
+			lay.rows++
+		}
+	}
+	if budget {
+		lay.cuts = budgetCuts(items, b.opt.SpaceBudgetBytes/1e6)
+		for _, c := range lay.cuts {
+			lay.rows++
+			for _, it := range c.items {
+				lay.room[it.pos]++
+			}
+		}
+	}
+	// A space takes one column per plan, one entry per plan on its choose
+	// or gate row and one per paid family the plan reads, and one link
+	// row per paid family any of its plans reads, on which that family's
+	// column takes an entry.
+	seen := make([]int, n)
+	stamp := 0
+	space := func(s *planner.PlanSpace) {
+		stamp++
+		lay.cols += len(s.Plans)
+		for _, plan := range s.Plans {
+			lay.entries++
+			for _, x := range plan.Indexes() {
+				pos, ok := b.at[x.ID()]
+				if !ok || !lay.paid[pos] {
+					continue
+				}
+				lay.entries++
+				if seen[pos] != stamp {
+					seen[pos] = stamp
+					lay.rows++
+					lay.room[pos]++
+				}
+			}
+		}
+	}
+	for _, qb := range b.queries {
+		lay.rows++
+		space(qb.space)
+	}
+	for _, ub := range b.updates {
+		for _, g := range ub.groups {
+			lay.cols++
+			lay.rows += 2
+			lay.entries += 2
+			for _, x := range g.indexes {
+				if pos, ok := b.at[x.ID()]; ok && lay.paid[pos] {
+					lay.room[pos]++
+				}
+			}
+			space(g.space)
+		}
+	}
+	for _, r := range lay.room {
+		lay.entries += r
+	}
+	return lay
+}
+
 // formulatePhase emits one workload interval into prog — presence
 // columns, the storage row and its budget cuts, one choose row per
 // query, the plan-to-presence link rows and the support-group gates —
-// and returns the interval's column map. It is the only formulation of
-// that structure: the static program is one interval at scale 1 (an
-// exact multiplication, so its objective is the raw workload cost), and
+// and returns the interval's column map. lay is b.measure()'s count, with
+// room on the presence columns for the entries the caller adds after.
+// It is the only formulation of that structure: the static program is
+// one interval at scale 1 (an exact multiplication, so its objective is
+// the raw workload cost, and phase 2 pins it, see Prepared.phase2), and
 // the series program repeats it once per phase with scale set to the
 // phase's duration share before linking the intervals (see
-// Prepared.formulate). With costRow >= 0 every workload cost
-// coefficient moves onto that row and the objective becomes the number
-// of paid families. sink, when non-nil, is told every column's unscaled
-// cost, once per column in creation order.
-func (b *builder) formulatePhase(prog *bip.Program, scale float64, costRow int, sink func(raw float64)) *colRefs {
-	refs := &colRefs{
-		indexCol: map[string]int{},
-		planCols: map[int]planRef{},
-		planCol:  map[*planner.Plan]int{},
-		zCol:     map[*supportGroup]int{},
-	}
-	price := func(entries []lp.Entry, raw float64) ([]lp.Entry, float64) {
-		c := scale * raw
-		if costRow >= 0 && c != 0 {
-			return append(entries, lp.Entry{Row: costRow, Coef: c}), 0
-		}
-		return entries, c
-	}
-	addBinary := func(obj, raw float64, entries ...lp.Entry) int {
-		col := prog.AddBinary(obj, entries...)
+// Prepared.formulate). sink, when non-nil, is told every column's
+// unscaled cost, once per column in creation order.
+func (b *builder) formulatePhase(prog *bip.Program, lay *layout, scale float64, sink func(raw float64)) *colRefs {
+	refs := &colRefs{indexCol: make([]int, len(b.pool)), queryCol: make([]int, len(b.queries))}
+	addBinary := func(raw float64, room int, entries ...lp.Entry) int {
+		col := prog.AddBinaryRoom(scale*raw, room, entries...)
 		if sink != nil {
 			sink(raw)
 		}
@@ -478,74 +568,73 @@ func (b *builder) formulatePhase(prog *bip.Program, scale float64, costRow int, 
 	}
 
 	// Presence variables for paid indexes.
-	budgetMB := b.opt.SpaceBudgetBytes / 1e6
 	storageRow := -1
 	if b.opt.SpaceBudgetBytes > 0 {
-		storageRow = prog.AddRow(math.Inf(-1), budgetMB)
+		storageRow = prog.AddRow(math.Inf(-1), b.opt.SpaceBudgetBytes/1e6)
 	}
-	var items []budgetCutItem
-	for _, x := range b.pool {
-		if !b.paid(x.ID()) {
+	for pos, x := range b.pool {
+		refs.indexCol[pos] = -1
+		if !lay.paid[pos] {
 			continue
 		}
-		var entries []lp.Entry
+		col := addBinary(b.maint[x.ID()], lay.room[pos])
 		if storageRow >= 0 {
-			entries = append(entries, lp.Entry{Row: storageRow, Coef: x.SizeBytes() / 1e6})
+			prog.AddColEntry(col, storageRow, x.SizeBytes()/1e6)
 		}
-		raw := b.maint[x.ID()]
-		entries, obj := price(entries, raw)
-		if costRow >= 0 {
-			obj = 1 // phase 2 minimizes the number of paid families
-		}
-		col := addBinary(obj, raw, entries...)
-		refs.indexCol[x.ID()] = col
+		refs.indexCol[pos] = col
 		if b.pinned {
 			prog.AddColEntry(col, prog.AddRow(1, 1), 1)
 		}
-		if storageRow >= 0 {
-			items = append(items, budgetCutItem{col: col, sizeMB: x.SizeBytes() / 1e6})
+	}
+	for _, c := range lay.cuts {
+		row := prog.AddRow(math.Inf(-1), c.hi)
+		for _, it := range c.items {
+			prog.AddColEntry(refs.indexCol[it.pos], row, 1)
 		}
 	}
-	if storageRow >= 0 {
-		b.cuts += addBudgetCuts(prog, items, budgetMB)
-	}
+	b.cuts += len(lay.cuts)
 
 	// Plan choice variables with linking constraints to paid indexes,
-	// aggregated per (plan space, index).
-	addPlanVars := func(space *planner.PlanSpace, chooseRow int, weight float64, mk func(*planner.Plan) planRef) {
-		linkRow := map[string]int{}
-		var linkOrder []string
+	// aggregated per (plan space, index): a space's link rows are made in
+	// the order its plans first read their families, and the families'
+	// entries on them are added in ID order. It returns the space's first
+	// column.
+	linkRow := make([]int, len(b.pool))
+	seen := make([]int, len(b.pool))
+	stamp := 0
+	var links []int
+	var entries []lp.Entry
+	addPlanVars := func(space *planner.PlanSpace, chooseRow int, weight float64) int {
+		stamp++
+		links = links[:0]
+		first := prog.NumCols()
 		for _, plan := range space.Plans {
-			entries := []lp.Entry{{Row: chooseRow, Coef: 1}}
+			entries = append(entries[:0], lp.Entry{Row: chooseRow, Coef: 1})
 			for _, x := range plan.Indexes() {
-				if !b.paid(x.ID()) {
+				pos, ok := b.at[x.ID()]
+				if !ok || refs.indexCol[pos] < 0 {
 					continue
 				}
-				r, ok := linkRow[x.ID()]
-				if !ok {
-					r = prog.AddRow(math.Inf(-1), 0)
-					linkRow[x.ID()] = r
-					linkOrder = append(linkOrder, x.ID())
+				if seen[pos] != stamp {
+					seen[pos] = stamp
+					linkRow[pos] = prog.AddRow(math.Inf(-1), 0)
+					links = append(links, pos)
 				}
-				entries = append(entries, lp.Entry{Row: r, Coef: 1})
+				entries = append(entries, lp.Entry{Row: linkRow[pos], Coef: 1})
 			}
-			raw := weight * plan.Cost
-			entries, obj := price(entries, raw)
-			col := addBinary(obj, raw, entries...)
-			refs.planCols[col] = mk(plan)
-			refs.planCol[plan] = col
+			addBinary(weight*plan.Cost, len(entries), entries...)
 		}
-		sort.Strings(linkOrder)
-		for _, id := range linkOrder {
-			prog.AddColEntry(refs.indexCol[id], linkRow[id], -1)
+		refs.planVars += len(space.Plans)
+		slices.SortFunc(links, func(i, j int) int { return strings.Compare(b.pool[i].ID(), b.pool[j].ID()) })
+		for _, pos := range links {
+			prog.AddColEntry(refs.indexCol[pos], linkRow[pos], -1)
 		}
+		return first
 	}
 
-	for _, qb := range b.queries {
+	for i, qb := range b.queries {
 		chooseRow := prog.AddRow(1, 1)
-		addPlanVars(qb.space, chooseRow, b.w.Weight(qb.ws), func(pl *planner.Plan) planRef {
-			return planRef{query: qb, plan: pl}
-		})
+		refs.queryCol[i] = addPlanVars(qb.space, chooseRow, b.w.Weight(qb.ws))
 	}
 
 	// Support query groups: an indicator z forced on by any modified
@@ -553,8 +642,8 @@ func (b *builder) formulatePhase(prog *bip.Program, scale float64, costRow int, 
 	// support plans to the paid families they read.
 	for _, ub := range b.updates {
 		for _, g := range ub.groups {
-			zCol := addBinary(0, 0)
-			refs.zCol[g] = zCol
+			zCol := addBinary(0, 2)
+			refs.zCol = append(refs.zCol, zCol)
 			gateRow := prog.AddRow(0, 0)
 			prog.AddColEntry(zCol, gateRow, -1)
 			// Sum of the group's modified families minus |group|·z <= 0:
@@ -565,23 +654,31 @@ func (b *builder) formulatePhase(prog *bip.Program, scale float64, costRow int, 
 			force := prog.AddRow(math.Inf(-1), 0)
 			prog.AddColEntry(zCol, force, -float64(len(g.indexes)))
 			for _, x := range g.indexes {
-				prog.AddColEntry(refs.indexCol[x.ID()], force, 1)
+				if pos, ok := b.at[x.ID()]; ok && refs.indexCol[pos] >= 0 {
+					prog.AddColEntry(refs.indexCol[pos], force, 1)
+				}
 			}
-			addPlanVars(g.space, gateRow, b.w.Weight(ub.ws), func(pl *planner.Plan) planRef {
-				return planRef{group: g, ub: ub, plan: pl}
-			})
+			addPlanVars(g.space, gateRow, b.w.Weight(ub.ws))
 		}
 	}
 	return refs
 }
 
-// budgetCutItem pairs a presence column with its storage footprint.
+// budgetCutItem pairs a paid family, by pool position, with its storage
+// footprint.
 type budgetCutItem struct {
-	col    int
+	pos    int
 	sizeMB float64
 }
 
-// addBudgetCuts tightens a storage-constrained formulation with simple
+// budgetCut is one valid inequality over presence variables: the
+// presence of items sums to at most hi.
+type budgetCut struct {
+	items []budgetCutItem
+	hi    float64
+}
+
+// budgetCuts tightens a storage-constrained formulation with simple
 // families of valid inequalities over the presence variables — cuts the
 // LP relaxation cannot see but every integer solution must satisfy:
 //
@@ -596,11 +693,12 @@ type budgetCutItem struct {
 //
 // Tightening the relaxation raises node bounds, so branch and bound
 // prunes earlier. Item order is deterministic (size descending, caller
-// order on ties); it returns the number of cut rows added.
-func addBudgetCuts(prog *bip.Program, items []budgetCutItem, budgetMB float64) int {
+// order on ties); the cuts are returned in the order their rows are
+// added.
+func budgetCuts(items []budgetCutItem, budgetMB float64) []budgetCut {
 	sorted := append([]budgetCutItem(nil), items...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].sizeMB > sorted[j].sizeMB })
-	cuts := 0
+	var cuts []budgetCut
 
 	var oversized, big []budgetCutItem
 	for _, it := range sorted {
@@ -612,18 +710,10 @@ func addBudgetCuts(prog *bip.Program, items []budgetCutItem, budgetMB float64) i
 		}
 	}
 	if len(oversized) > 0 {
-		row := prog.AddRow(math.Inf(-1), 0)
-		for _, it := range oversized {
-			prog.AddColEntry(it.col, row, 1)
-		}
-		cuts++
+		cuts = append(cuts, budgetCut{items: oversized, hi: 0})
 	}
 	if len(big) >= 2 {
-		row := prog.AddRow(math.Inf(-1), 1)
-		for _, it := range big {
-			prog.AddColEntry(it.col, row, 1)
-		}
-		cuts++
+		cuts = append(cuts, budgetCut{items: big, hi: 1})
 	}
 
 	// Greedy minimal cover over budget-feasible items.
@@ -641,52 +731,49 @@ func addBudgetCuts(prog *bip.Program, items []budgetCutItem, budgetMB float64) i
 		// clique cut (which is at least as strong).
 		twoBig := len(cover) == 2 && cover[1].sizeMB > budgetMB/2 && len(big) >= 2
 		if !twoBig {
-			row := prog.AddRow(math.Inf(-1), float64(len(cover)-1))
-			for _, it := range cover {
-				prog.AddColEntry(it.col, row, 1)
-			}
-			cuts++
+			cuts = append(cuts, budgetCut{items: cover, hi: float64(len(cover) - 1)})
 		}
 	}
 	return cuts
 }
 
 // greedyPhase writes a feasible warm-start assignment for one interval
-// into x and returns the paid families it selects: every query takes
-// its cheapest plan, the paid families those plans read are selected
-// (every pool family, when pinned), and every group forced by a
-// selected family takes its cheapest support plan — iterated to a
-// fixpoint since support plans may read further paid families.
-func (b *builder) greedyPhase(x []float64, refs *colRefs) map[string]bool {
-	selected := map[string]bool{}
+// into x and returns the paid families it selects, by pool position:
+// every query takes its cheapest plan, the paid families those plans
+// read are selected (every pool family, when pinned), and every group
+// forced by a selected family takes its cheapest support plan — iterated
+// to a fixpoint since support plans may read further paid families.
+func (b *builder) greedyPhase(x []float64, refs *colRefs) []bool {
+	selected := make([]bool, len(b.pool))
 	if b.pinned {
-		for _, ix := range b.pool {
-			selected[ix.ID()] = true
+		for pos := range selected {
+			selected[pos] = true
 		}
 	}
 	markPaid := func(pl *planner.Plan) {
 		for _, ix := range pl.Indexes() {
-			if b.paid(ix.ID()) {
-				selected[ix.ID()] = true
+			if pos, ok := b.at[ix.ID()]; ok && refs.indexCol[pos] >= 0 {
+				selected[pos] = true
 			}
 		}
 	}
-	for _, qb := range b.queries {
-		pl := qb.space.Plans[0]
-		x[refs.planCol[pl]] = 1
-		markPaid(pl)
+	for i, qb := range b.queries {
+		x[refs.queryCol[i]] = 1
+		markPaid(qb.space.Plans[0])
 	}
-	chosen := map[*supportGroup]bool{}
+	chosen := make([]bool, len(refs.zCol))
 	for changed := true; changed; {
 		changed = false
+		gi := -1 // g's number
 		for _, ub := range b.updates {
 			for _, g := range ub.groups {
-				if chosen[g] {
+				gi++
+				if chosen[gi] {
 					continue
 				}
 				forced := false
 				for _, ix := range g.indexes {
-					if selected[ix.ID()] {
+					if pos, ok := b.at[ix.ID()]; ok && selected[pos] {
 						forced = true
 						break
 					}
@@ -694,17 +781,18 @@ func (b *builder) greedyPhase(x []float64, refs *colRefs) map[string]bool {
 				if !forced {
 					continue
 				}
-				chosen[g] = true
+				chosen[gi] = true
 				changed = true
-				pl := g.space.Plans[0]
-				x[refs.planCol[pl]] = 1
-				x[refs.zCol[g]] = 1
-				markPaid(pl)
+				x[refs.zCol[gi]] = 1
+				x[refs.zCol[gi]+1] = 1 // its cheapest plan
+				markPaid(g.space.Plans[0])
 			}
 		}
 	}
-	for id := range selected {
-		x[refs.indexCol[id]] = 1
+	for pos, sel := range selected {
+		if sel {
+			x[refs.indexCol[pos]] = 1
+		}
 	}
 	return selected
 }

@@ -282,7 +282,7 @@ func advise(w *workload.Workload, phases []*workload.Phase, pinned *enumerator.P
 	if err != nil {
 		return nil, err
 	}
-	res, refs, costs, err := p.solve(sr)
+	res, costs, err := p.solve(sr)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +296,7 @@ func advise(w *workload.Workload, phases []*workload.Phase, pinned *enumerator.P
 
 	t := time.Now()
 	sp := opt.Trace.Begin("extract", "advisor")
-	if err := p.extract(res, refs, costs, sr); err != nil {
+	if err := p.extract(res, costs, sr); err != nil {
 		sp.End()
 		return nil, err
 	}

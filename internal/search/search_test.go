@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nose/internal/hotel"
+	"nose/internal/obs"
 	"nose/internal/planner"
 	"nose/internal/schema"
 	"nose/internal/search"
@@ -136,6 +137,24 @@ func TestAdviseSpaceConstraint(t *testing.T) {
 	// The constrained workload must cost at least as much.
 	if constrained.Cost < free.Cost-1e-9 {
 		t.Errorf("constrained cost %v < unconstrained %v", constrained.Cost, free.Cost)
+	}
+}
+
+// TestBudgetCutsCountedOnce: search.cuts counts the cut rows of the one
+// program an advise formulates, at most three per interval (oversized,
+// clique, cover), however many solver phases run on it. At a 20 MB
+// budget the hotel workload's program has two.
+func TestBudgetCutsCountedOnce(t *testing.T) {
+	reg := obs.NewRegistry()
+	rec, err := search.Advise(hotelWorkload(t), search.Options{Workers: 1, SpaceBudgetBytes: 2e7, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Stats.Phase2.Ran {
+		t.Fatal("phase 2 did not run")
+	}
+	if cuts := reg.Snapshot().Counters["search.cuts"]; cuts != 2 {
+		t.Errorf("search.cuts = %d, want the program's 2 cut rows", cuts)
 	}
 }
 

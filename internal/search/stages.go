@@ -40,15 +40,17 @@ type Prepared struct {
 	builders []*builder
 	shares   []float64
 
+	// prog is the one formulated program, and phase 2's is derived from
+	// it (phase2), so refs maps the columns of both.
 	prog      *bip.Program
 	refs      []*colRefs // per interval; indexCol is its presence columns
 	incumbent []float64
 
 	// With several intervals: each interval's migration column per
-	// family ID, and the per-column sink of the intervals' columns (they
-	// precede every migration column), so post-solve cost sums
-	// accumulate in creation order.
-	migCols  []map[string]int
+	// family, by position in its builder's pool, and the per-column sink
+	// of the intervals' columns (they precede every migration column), so
+	// post-solve cost sums accumulate in creation order.
+	migCols  [][]int
 	colPhase []int     // owning interval
 	colRaw   []float64 // unscaled in-interval workload cost
 }
@@ -76,10 +78,10 @@ func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator
 
 	t = time.Now()
 	sp = opt.Trace.Begin("formulate", "advisor")
-	p.prog, p.refs = p.formulate(nil)
+	p.prog, p.refs = p.formulate()
 	sr.Timings.BIPConstruction = time.Since(t)
 	for _, refs := range p.refs {
-		sr.Stats.PlanVariables += len(refs.planCols)
+		sr.Stats.PlanVariables += refs.planVars
 	}
 	sr.Stats.Constraints = p.prog.NumRows()
 	sp.SetArg("plan_variables", sr.Stats.PlanVariables).
@@ -90,13 +92,19 @@ func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator
 	// The greedy start: each interval takes its greedy assignment, and
 	// migration columns cover the presence transitions between them.
 	p.incumbent = make([]float64, p.prog.NumCols())
-	var prev map[string]bool
+	var prev []bool // the previous interval's selection
 	for t, b := range p.builders {
 		selected := b.greedyPhase(p.incumbent, p.refs[t])
-		for id := range selected {
-			if p.migCols != nil && !prev[id] {
-				p.incumbent[p.migCols[t][id]] = 1
+		for pos, sel := range selected {
+			if !sel || p.migCols == nil {
+				continue
 			}
+			if t > 0 {
+				if q, ok := p.builders[t-1].at[b.pool[pos].ID()]; ok && prev[q] {
+					continue
+				}
+			}
+			p.incumbent[p.migCols[t][pos]] = 1
 		}
 		prev = selected
 	}
@@ -133,29 +141,52 @@ func (p *Prepared) plan(w *workload.Workload, enumRes *enumerator.Result) error 
 	return nil
 }
 
-// formulate builds the program: every interval's formulation, its
-// objective scaled by the interval's share. With pinCost nil it
-// minimizes weighted workload cost; with pinCost set (one interval
-// only) it constrains the cost to that value and minimizes the number of
-// paid column families (paper §V's second phase; free families enter
-// the schema only when a chosen plan uses them, so they need no
-// minimization). Several intervals are linked by one migration column
-// per (interval, candidate),
+// formulate builds the program, once per advise: every interval's
+// formulation, its objective scaled by the interval's share, minimizing
+// weighted workload cost. Every interval is measured first, so the
+// program's rows, columns and entries are allocated once and each
+// column's entries written in place. Several intervals are linked by one
+// migration column per (interval, candidate),
 //
 //	y[t][i] − y[t−1][i] − m[t][i] ≤ 0,
 //
 // so m[t][i] covers any presence not inherited from the previous
 // interval. The first interval inherits nothing, so its whole schema is
 // charged as the initial build.
-func (p *Prepared) formulate(pinCost *float64) (*bip.Program, []*colRefs) {
-	prog := bip.New()
-	costRow := -1
-	if pinCost != nil {
-		slack := math.Max(1e-6, 1e-9*math.Abs(*pinCost))
-		costRow = prog.AddRow(math.Inf(-1), *pinCost+slack)
-	}
+func (p *Prepared) formulate() (*bip.Program, []*colRefs) {
 	series := len(p.builders) > 1
+	lays := make([]*layout, len(p.builders))
+	var rows, cols, entries int
+	for t, b := range p.builders {
+		lay := b.measure()
+		if series {
+			// One migration row and column per family, the column with
+			// one entry; the family's presence column takes an entry on
+			// its interval's row and on the next interval's, if that has
+			// the family.
+			for pos, x := range b.pool {
+				k := 1
+				if t+1 < len(p.builders) {
+					if _, ok := p.builders[t+1].at[x.ID()]; ok {
+						k++
+					}
+				}
+				lay.room[pos] += k
+				lay.entries += k
+			}
+			n := len(b.pool)
+			rows, cols, entries = rows+n, cols+n, entries+n
+		}
+		lays[t] = lay
+		rows, cols, entries = rows+lay.rows, cols+lay.cols, entries+lay.entries
+	}
+	prog := bip.New()
+	prog.Reserve(rows, cols, entries)
 	refs := make([]*colRefs, len(p.builders))
+	if series {
+		p.colPhase = make([]int, 0, cols)
+		p.colRaw = make([]float64, 0, cols)
+	}
 	for t, b := range p.builders {
 		var sink func(raw float64)
 		if series {
@@ -164,22 +195,21 @@ func (p *Prepared) formulate(pinCost *float64) (*bip.Program, []*colRefs) {
 				p.colRaw = append(p.colRaw, raw)
 			}
 		}
-		refs[t] = b.formulatePhase(prog, p.shares[t], costRow, sink)
+		refs[t] = b.formulatePhase(prog, lays[t], p.shares[t], sink)
 	}
 	if !series {
 		return prog, refs
 	}
 	for t, b := range p.builders {
-		mcols := map[string]int{}
+		mcols := make([]int, len(b.pool))
 		p.migCols = append(p.migCols, mcols)
-		for _, x := range b.pool {
-			id := x.ID()
+		for pos, x := range b.pool {
 			row := prog.AddRow(math.Inf(-1), 0)
-			mcols[id] = prog.AddBinary(migrate.BuildCost(x, p.opt.Migration), lp.Entry{Row: row, Coef: -1})
-			prog.AddColEntry(refs[t].indexCol[id], row, 1)
+			mcols[pos] = prog.AddBinary(migrate.BuildCost(x, p.opt.Migration), lp.Entry{Row: row, Coef: -1})
+			prog.AddColEntry(refs[t].indexCol[pos], row, 1)
 			if t > 0 {
-				if prev, ok := refs[t-1].indexCol[id]; ok {
-					prog.AddColEntry(prev, row, -1)
+				if q, ok := p.builders[t-1].at[x.ID()]; ok {
+					prog.AddColEntry(refs[t-1].indexCol[q], row, -1)
 				}
 			}
 		}
@@ -187,18 +217,48 @@ func (p *Prepared) formulate(pinCost *float64) (*bip.Program, []*colRefs) {
 	return prog, refs
 }
 
+// phase2 derives paper §V's second program from the first: the same
+// program with the leading row Σ c_j·x_j ≤ cost + slack, c being phase
+// 1's objective, and the objective 1 on every presence column and 0
+// elsewhere, so that it minimizes the number of paid column families at
+// the pinned workload cost (free families enter the schema only when a
+// chosen plan uses them, so they need no minimization). One interval
+// only: a series has no phase 2. Each column's cost coefficient goes
+// right after the entries a row-first build would have created the
+// column with: after a presence column's storage entry, and last on a
+// plan column, which takes no entry after it is created.
+func (p *Prepared) phase2(cost float64) *bip.Program {
+	slack := math.Max(1e-6, 1e-9*math.Abs(cost))
+	obj := make([]float64, p.prog.NumCols())
+	for _, col := range p.refs[0].indexCol {
+		if col >= 0 {
+			obj[col] = 1
+		}
+	}
+	lead := 0 // a presence column's entries before its cost
+	if p.opt.SpaceBudgetBytes > 0 {
+		lead = 1
+	}
+	return p.prog.PinObjective(cost+slack, obj, func(col, k int) int {
+		if obj[col] != 0 {
+			return lead
+		}
+		return k
+	})
+}
+
 // solve runs the solver phases and returns the assignment to extract,
-// the column maps it is expressed in, and each interval's unscaled
-// workload cost. Phase 1 minimizes workload cost (plus migration charges
-// across intervals). One interval then pins that cost and minimizes the
-// number of paid column families (paper §V); a series has no phase 2,
-// since with migration charges in the objective gratuitous families
-// already cost their build, and it follows its presence assignment
-// literally, so the migrations reported are exactly the ones charged.
-// A phase-2 failure is not an error: the phase-1 assignment is already
-// optimal in cost. A cancelled or timed-out phase 2 is, since the caller
-// asked for no answer.
-func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []*colRefs, []float64, error) {
+// which p.refs maps, and each interval's unscaled workload cost. Phase 1
+// minimizes workload cost (plus migration charges across intervals). One
+// interval then pins that cost and minimizes the number of paid column
+// families (paper §V) over the program phase2 derives from phase 1's; a
+// series has no phase 2, since with migration charges in the objective
+// gratuitous families already cost their build, and it follows its
+// presence assignment literally, so the migrations reported are exactly
+// the ones charged. A phase-2 failure is not an error: the phase-1
+// assignment is already optimal in cost. A cancelled or timed-out phase
+// 2 is, since the caller asked for no answer.
+func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []float64, error) {
 	opt := p.opt
 	phase1 := opt.BIP
 	phase1.Incumbent = p.incumbent
@@ -208,14 +268,14 @@ func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []*colRefs, []f
 	sr.Timings.BIPSolving = time.Since(t)
 	if err != nil {
 		sp.End()
-		return nil, nil, nil, fmt.Errorf("search: phase 1 solve: %w", err)
+		return nil, nil, fmt.Errorf("search: phase 1 solve: %w", err)
 	}
 	sr.Stats.Phase1 = endSolve(sp, res1)
 	if !res1.HasSolution {
 		if res1.Status == bip.Infeasible {
-			return nil, nil, nil, fmt.Errorf("search: phase 1 %v: %w", res1.Status, ErrInfeasible)
+			return nil, nil, fmt.Errorf("search: phase 1 %v: %w", res1.Status, ErrInfeasible)
 		}
-		return nil, nil, nil, fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
+		return nil, nil, fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
 	}
 	sr.Stats.Nodes = res1.Nodes
 	if len(p.builders) > 1 {
@@ -225,16 +285,16 @@ func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []*colRefs, []f
 				costs[p.colPhase[col]] += raw
 			}
 		}
-		return res1, p.refs, costs, nil
+		return res1, costs, nil
 	}
 	costs := []float64{res1.Objective}
 	if p.pinned {
-		return res1, p.refs, costs, nil
+		return res1, costs, nil
 	}
 
 	t = time.Now()
 	sp = opt.Trace.Begin("formulate phase 2", "advisor")
-	prog2, refs2 := p.formulate(&res1.Objective)
+	prog2 := p.phase2(res1.Objective)
 	sr.Timings.BIPConstruction += time.Since(t)
 	sp.End()
 
@@ -251,23 +311,23 @@ func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []*colRefs, []f
 	if err != nil {
 		sp.End()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, nil, nil, fmt.Errorf("search: phase 2 solve: %w", err)
+			return nil, nil, fmt.Errorf("search: phase 2 solve: %w", err)
 		}
-		return res1, p.refs, costs, nil
+		return res1, costs, nil
 	}
 	sr.Stats.Phase2 = endSolve(sp, res2)
 	if !res2.HasSolution {
-		return res1, p.refs, costs, nil
+		return res1, costs, nil
 	}
 	sr.Stats.Nodes += res2.Nodes
-	return res2, refs2, costs, nil
+	return res2, costs, nil
 }
 
-// Solve runs the solver phases exactly as Advise does (the phase-2
-// program is formulated here, so the split of work between construction
-// and solving is Advise's too) and discards the assignment.
+// Solve runs the solver phases exactly as Advise does (phase 2's program
+// is derived from phase 1's here, so the split of work between
+// construction and solving is Advise's too) and discards the assignment.
 func (p *Prepared) Solve() error {
-	_, _, _, err := p.solve(&SeriesRecommendation{})
+	_, _, err := p.solve(&SeriesRecommendation{})
 	return err
 }
 
@@ -275,11 +335,11 @@ func (p *Prepared) Solve() error {
 // and the migration schedule, accumulating costs in interval order so
 // the reported numbers are bit-identical across runs and worker counts.
 // One interval charges no migration.
-func (p *Prepared) extract(res *bip.Result, refs []*colRefs, costs []float64, sr *SeriesRecommendation) error {
+func (p *Prepared) extract(res *bip.Result, costs []float64, sr *SeriesRecommendation) error {
 	var prev *schema.Schema
 	for t, b := range p.builders {
 		rec := &Recommendation{Cost: costs[t]}
-		if err := b.extract(res, refs[t], rec); err != nil {
+		if err := b.extract(res, p.refs[t], rec); err != nil {
 			if p.phases != nil {
 				err = fmt.Errorf("search: phase %q: %w", p.phases[t].Name, err)
 			}
