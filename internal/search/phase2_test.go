@@ -11,7 +11,9 @@ import (
 	"strings"
 	"testing"
 
+	"nose/internal/baselines"
 	"nose/internal/bip"
+	"nose/internal/enumerator"
 	"nose/internal/planner"
 	"nose/internal/randwork"
 	"nose/internal/rubis"
@@ -25,6 +27,8 @@ type phase2Input struct {
 	name string
 	w    *workload.Workload
 	opt  search.Options
+	// pool, when set, is advised pinned (search.AdvisePinned).
+	pool *enumerator.Pool
 }
 
 // phase2Inputs returns the inputs of TestPhase2AnswersPinned: the RUBiS
@@ -33,7 +37,13 @@ type phase2Input struct {
 // the daemon's defaults; and randwork factors 1 to 3 at seeds 5 and 42,
 // advised at bench's advise-randwork options. write10 is the mix whose
 // phase 2 runs a real tree (about 1,300 nodes a variant), so it gets the
-// most variants. short keeps two variants a mix and factor 1.
+// most variants. Then jittered bidding and write10 again, under a 12 MB
+// space budget that binds on both (their schemas take 13.6 and 12.5 MB
+// without one), which brings in the storage row, the budget cuts and
+// phase 2's cost coefficient placed after a presence column's storage
+// entry; and the Normalized baseline of each, advised pinned, which
+// brings in the rows that fix every family present. short keeps two
+// variants a mix and factor 1.
 func phase2Inputs(t *testing.T, short bool) []phase2Input {
 	t.Helper()
 	daemon := search.Options{
@@ -66,7 +76,7 @@ func phase2Inputs(t *testing.T, short bool) []phase2Input {
 			for _, ws := range base.Statements {
 				w.Add(ws.Statement, base.Weight(ws)*(1+0.05*(2*rng.Float64()-1)))
 			}
-			inputs = append(inputs, phase2Input{fmt.Sprintf("rubis/%s/%d", mix.name, v), w, daemon})
+			inputs = append(inputs, phase2Input{name: fmt.Sprintf("rubis/%s/%d", mix.name, v), w: w, opt: daemon})
 		}
 	}
 	factors := 3
@@ -79,7 +89,32 @@ func phase2Inputs(t *testing.T, short bool) []phase2Input {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inputs = append(inputs, phase2Input{fmt.Sprintf("randwork/f%d/s%d", f, seed), w, bench})
+			inputs = append(inputs, phase2Input{name: fmt.Sprintf("randwork/f%d/s%d", f, seed), w: w, opt: bench})
+		}
+	}
+	budgeted := daemon
+	budgeted.SpaceBudgetBytes = 12e6
+	variants := 3
+	if short {
+		variants = 2
+	}
+	for _, mix := range []string{rubis.MixBidding, rubis.MixWrite10} {
+		base.ActiveMix = mix
+		rng := rand.New(rand.NewSource(2))
+		for v := 0; v < variants; v++ {
+			w := workload.New(base.Graph)
+			for _, ws := range base.Statements {
+				w.Add(ws.Statement, base.Weight(ws)*(1+0.05*(2*rng.Float64()-1)))
+			}
+			inputs = append(inputs, phase2Input{name: fmt.Sprintf("rubis/%s/space12MB/%d", mix, v), w: w, opt: budgeted})
+			if v > 0 {
+				continue
+			}
+			pool, err := baselines.Normalized(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs = append(inputs, phase2Input{name: fmt.Sprintf("rubis/%s/normalized", mix), w: w, pool: pool})
 		}
 	}
 	return inputs
@@ -100,7 +135,13 @@ func TestPhase2AnswersPinned(t *testing.T) {
 	short := testing.Short() || raceEnabled
 	var got strings.Builder
 	for _, in := range phase2Inputs(t, short && !*updateGolden) {
-		rec, err := search.Advise(in.w, in.opt)
+		advise := search.Advise
+		if in.pool != nil {
+			advise = func(w *workload.Workload, opt search.Options) (*search.Recommendation, error) {
+				return search.AdvisePinned(w, in.pool, opt)
+			}
+		}
+		rec, err := advise(in.w, in.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
