@@ -445,18 +445,36 @@ func TestSolveAllocCeiling(t *testing.T) {
 // defaults and one worker. They were 7,752 and 614,564 B while the
 // formulation kept its column maps in four maps, a link-row map per plan
 // space and an entry slice per plan column that AddCol copied, and
-// Plan.Indexes built a slice on every call; they are 5,761 and
-// 542,656 B with the program counted, then written in place into arrays
-// allocated once, and each plan's families computed when the planner
-// builds it. Both ceilings are 1.3 times the measured value.
+// Plan.Indexes built a slice on every call; 5,761 and 542,656 B with
+// the program counted by a mirror of the formulation, then written in
+// place into arrays allocated once, and each plan's families computed
+// when the planner builds it; and they are 5,768 and 549,396 B with the
+// formulation run twice instead, into a counter and then into the
+// program reserved from its count. Both ceilings are 1.3 times the
+// measured value.
+//
+// formulateAllocCeiling and formulateByteCeiling bound what Prepare
+// allocates beyond search.BuildPlans on the same input: the formulation
+// and the greedy start alone, which the whole-Prepare ceilings, planning
+// being most of Prepare, cannot see. That difference was 35 allocations
+// and 42,628 B while a mirror of the formulation counted the program,
+// and is 41 and 49,132 B with the formulation counting itself (the
+// counter's per-column slice grows by append); both ceilings are 1.3
+// times the latter. A formulation that grows every column's entries by
+// append fails it: with the count run but the program not reserved from
+// it, the difference is 479 allocations and 72,796 B, while the whole
+// Prepare, at 6,206 and 573,060 B, passes its own ceilings.
 const (
-	prepareAllocCeiling = 7_500
-	prepareByteCeiling  = 705_500
+	prepareAllocCeiling   = 7_500
+	prepareByteCeiling    = 705_500
+	formulateAllocCeiling = 53
+	formulateByteCeiling  = 63_900
 )
 
 // TestPrepareAllocCeiling counts what one search.Prepare allocates on
-// RUBiS over an enumeration done beforehand: a formulation that builds a
-// map or a slice per column, or a planner that allocates per
+// RUBiS over an enumeration done beforehand, and what it allocates beyond
+// one search.BuildPlans with the same options: a formulation that builds
+// a map or a slice per column, or a planner that allocates per
 // Plan.Indexes call, fails it. CI runs it by name with -count=1.
 func TestPrepareAllocCeiling(t *testing.T) {
 	if raceEnabled {
@@ -487,6 +505,21 @@ func TestPrepareAllocCeiling(t *testing.T) {
 	}
 	t.Logf("search.Prepare: %d allocations (ceiling %d), %d B (ceiling %d)",
 		allocs, prepareAllocCeiling, bytes, prepareByteCeiling)
+
+	planAllocs, planBytes := allocsPerRun(5, func() {
+		if err := search.BuildPlans(w, enumRes, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	fAllocs, fBytes := int64(allocs)-int64(planAllocs), int64(bytes)-int64(planBytes)
+	if fAllocs > formulateAllocCeiling {
+		t.Errorf("search.Prepare allocates %d times beyond search.BuildPlans on RUBiS, ceiling %d", fAllocs, formulateAllocCeiling)
+	}
+	if fBytes > formulateByteCeiling {
+		t.Errorf("search.Prepare allocates %d B beyond search.BuildPlans on RUBiS, ceiling %d", fBytes, formulateByteCeiling)
+	}
+	t.Logf("search.Prepare beyond search.BuildPlans: %d allocations (ceiling %d), %d B (ceiling %d)",
+		fAllocs, formulateAllocCeiling, fBytes, formulateByteCeiling)
 }
 
 // allocsPerRun is testing.AllocsPerRun that also returns the bytes: the

@@ -85,16 +85,11 @@ func (p *Program) AddBinary(obj float64, entries ...lp.Entry) int {
 	return p.lp.AddCol(obj, 0, 1, entries...)
 }
 
-// AddBinaryRoom appends a binary variable with the given entries and room
-// for room entries in all, the rest added by AddColEntry in place.
-func (p *Program) AddBinaryRoom(obj float64, room int, entries ...lp.Entry) int {
-	return p.lp.AddColRoom(obj, 0, 1, room, entries...)
-}
-
-// Reserve makes room for rows more rows, cols more variables and entries
-// more coefficients: a program of a size counted beforehand is then built
-// in arrays allocated once.
-func (p *Program) Reserve(rows, cols, entries int) { p.lp.Reserve(rows, cols, entries) }
+// Reserve makes room for rows more rows and len(room) more variables,
+// the k-th variable added next holding room[k] coefficients in all: a
+// program whose size was counted beforehand is then built in arrays
+// allocated once.
+func (p *Program) Reserve(rows int, room []int) { p.lp.Reserve(rows, room) }
 
 // PinObjective returns the program that pins p's objective: p with the
 // leading row c·x ≤ hi, c being p's objective, and objective obj. The

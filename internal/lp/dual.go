@@ -187,24 +187,12 @@ func fits(p *Problem, from *Basis) (k int, ok bool) {
 // bound their status names under p's bounds, and the basis is left in
 // s.basis for refactor.
 func (s *Solver) install(p *Problem, from *Basis, k int, fixes []Fix) {
-	s.prepare(p)
+	s.load(p, fixes)
 	m, n := s.m, s.n
 	m0 := m - k
-	for j, c := range p.cols {
-		s.lo[j], s.hi[j] = c.lo, c.hi
-		s.entries[j] = c.entries
-		s.obj[j] = c.obj
-	}
-	s.fix(fixes)
 	s.asign = nil
 	if k == 0 {
 		s.asign = from.asign
-	}
-	for i, r := range p.rows {
-		j := n + i
-		s.lo[j], s.hi[j] = -r.hi, -r.lo
-		s.single[i] = Entry{Row: i, Coef: 1}
-		s.entries[j] = s.single[i : i+1]
 	}
 	for i := 0; i < m; i++ {
 		j := n + m + i

@@ -121,12 +121,12 @@ func TestPinObjectiveMatchesRowFirst(t *testing.T) {
 // block, and a column that outgrows its room still takes them.
 func TestReservedColumnsFillInPlace(t *testing.T) {
 	p := lp.NewProblem()
-	p.Reserve(3, 2, 5)
+	p.Reserve(3, []int{3, 2})
 	for i := 0; i < 3; i++ {
 		p.AddRow(math.Inf(-1), 1)
 	}
-	p.AddColRoom(1, 0, 1, 3, lp.Entry{Row: 0, Coef: 1})
-	p.AddColRoom(-1, 0, 1, 2)
+	p.AddCol(1, 0, 1, lp.Entry{Row: 0, Coef: 1})
+	p.AddCol(-1, 0, 1)
 	p.AddEntry(1, 0, 1)
 	first, second := &p.ColEntries(0)[0], &p.ColEntries(1)[0]
 	p.AddEntry(0, 1, 2)

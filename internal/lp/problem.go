@@ -48,8 +48,11 @@ type Problem struct {
 	// once, not once per branch and bound node. It is never written after
 	// it is built.
 	byRow *rowMajor
-	// spare is the entry storage Reserve set aside that no column has
-	// claimed yet: AddColRoom carves each column's entries from it.
+	// room is each column still to come that Reserve made room for, its
+	// entries in all, in the order the columns are added, and spare the
+	// entry storage Reserve set aside that no column has claimed yet:
+	// AddCol carves each such column's entries from it.
+	room  []int
 	spare []Entry
 }
 
@@ -87,35 +90,40 @@ func (p *Problem) AddRow(lo, hi float64) int {
 
 // AddCol appends a variable with objective coefficient obj, bounds
 // [lo, hi], and the given sparse constraint entries, returning its
-// index.
+// index. A column Reserve made room for takes its storage, for these
+// entries and those AddEntry appends later, from what Reserve set aside
+// while it lasts.
 func (p *Problem) AddCol(obj, lo, hi float64, entries ...Entry) int {
-	return p.AddColRoom(obj, lo, hi, len(entries), entries...)
-}
-
-// AddColRoom is AddCol for a column that will hold room entries in all:
-// the given ones now and the rest appended by AddEntry, in place. The
-// column's storage comes from what Reserve set aside while it lasts.
-func (p *Problem) AddColRoom(obj, lo, hi float64, room int, entries ...Entry) int {
+	n := len(entries)
+	if len(p.room) > 0 {
+		n, p.room = max(n, p.room[0]), p.room[1:]
+	}
 	var es []Entry
-	if room = max(room, len(entries)); room <= len(p.spare) {
-		es, p.spare = p.spare[:0:room], p.spare[room:]
-	} else if room > 0 {
-		es = make([]Entry, 0, room)
+	if n <= len(p.spare) {
+		es, p.spare = p.spare[:0:n], p.spare[n:]
+	} else if n > 0 {
+		es = make([]Entry, 0, n)
 	}
 	p.cols = append(p.cols, column{obj: obj, lo: lo, hi: hi, entries: append(es, entries...)})
 	p.byRow = nil
 	return len(p.cols) - 1
 }
 
-// Reserve makes room for rows more rows, cols more columns and entries
-// more column entries, so that a problem whose size its builder has
-// counted is written into arrays allocated once.
-func (p *Problem) Reserve(rows, cols, entries int) {
+// Reserve makes room for rows more rows and len(room) more columns, the
+// k-th column added next holding room[k] entries in all, so that a
+// problem whose size its builder has counted is written into arrays
+// allocated once.
+func (p *Problem) Reserve(rows int, room []int) {
 	p.rows = slices.Grow(p.rows, rows)
-	p.cols = slices.Grow(p.cols, cols)
+	p.cols = slices.Grow(p.cols, len(room))
+	entries := 0
+	for _, k := range room {
+		entries += k
+	}
 	if entries > len(p.spare) {
 		p.spare = make([]Entry, entries)
 	}
+	p.room = room
 }
 
 // PinObjective returns a new problem: p with one leading row c·x ≤ hi,

@@ -421,27 +421,35 @@ func (s *Solver) fix(fixes []Fix) {
 	}
 }
 
-// solveCold runs the standard two-phase solve from a slack crash basis:
-// every structural starts nonbasic at a finite bound, a row whose
-// activity there already lies within its bounds starts on its slack,
-// and only the rows that point violates start on an artificial.
-func (s *Solver) solveCold(p *Problem, fixes []Fix) (*Solution, error) {
+// load sizes the solver for p and loads its columns, each of fixes
+// pinning its own, and one slack per row: a·x + s_i = 0 with s_i in
+// [-hi, -lo]. The artificials are the caller's: solveCold's crash basis
+// and install's snapshot each set them up their own way.
+func (s *Solver) load(p *Problem, fixes []Fix) {
 	s.prepare(p)
-	s.asign = nil
-	m, n := s.m, s.n
-
+	n := s.n
 	for j, c := range p.cols {
 		s.lo[j], s.hi[j] = c.lo, c.hi
 		s.entries[j] = c.entries
+		s.obj[j] = c.obj
 	}
 	s.fix(fixes)
-	// Slack variable for row i: a·x + s_i = 0 with s_i in [-hi, -lo].
 	for i, r := range p.rows {
 		j := n + i
 		s.lo[j], s.hi[j] = -r.hi, -r.lo
 		s.single[i] = Entry{Row: i, Coef: 1}
 		s.entries[j] = s.single[i : i+1]
 	}
+}
+
+// solveCold runs the standard two-phase solve from a slack crash basis:
+// every structural starts nonbasic at a finite bound, a row whose
+// activity there already lies within its bounds starts on its slack,
+// and only the rows that point violates start on an artificial.
+func (s *Solver) solveCold(p *Problem, fixes []Fix) (*Solution, error) {
+	s.load(p, fixes)
+	s.asign = nil
+	m, n := s.m, s.n
 
 	// Nonbasic structural variables start at a finite bound; res
 	// accumulates each row's activity there.
@@ -519,9 +527,6 @@ func (s *Solver) solveCold(p *Problem, fixes []Fix) (*Solution, error) {
 	}
 
 	// Phase 2: minimize the real objective.
-	for j, c := range p.cols {
-		s.obj[j] = c.obj
-	}
 	s.price(s.obj)
 	st := s.iterate(s.obj, true)
 	switch st {

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"nose/internal/bip"
 	"nose/internal/enumerator"
 	"nose/internal/lp"
 	"nose/internal/par"
@@ -76,10 +75,19 @@ type builder struct {
 	paidAll bool
 
 	// prunedPlans counts plans removed by dominance pruning and cuts
-	// counts cutting-plane rows added during formulation; both feed the
+	// the cutting-plane rows of the interval's formulation; both feed the
 	// obs registry.
 	prunedPlans int
 	cuts        int
+
+	// formulatePhase's scratch, kept across its counting and writing
+	// passes: a plan space's link row per family (linkRow), the stamp
+	// marking the families that have one (seen, stamp), those families in
+	// the order their rows were made (links), and one plan column's
+	// entries.
+	linkRow, seen, links []int
+	stamp                int
+	entries              []lp.Entry
 }
 
 // colRefs maps one interval's BIP columns back to schema objects and
@@ -451,189 +459,126 @@ func (b *builder) paid(id string) bool {
 	return b.paidAll || b.pinned || b.maint[id] > 0 || b.opt.SpaceBudgetBytes > 0
 }
 
-// layout is what formulatePhase emits for one interval, counted before
-// it emits it — the rows, the columns and the entries, each presence
-// column's entries (room, by pool position) and the budget cuts — so
-// that the program is allocated once and every column's entries are
-// written in place.
-type layout struct {
-	rows, cols, entries int
-	paid                []bool // by pool position
-	room                []int  // presence column entries, by pool position
-	cuts                []budgetCut
+// emitter is what the formulation writes a program into: the program
+// itself, or a counter that sizes it first. formulatePhase and the series
+// linking in Prepared.emit are the only code that knows the program's rows
+// and columns, and both write through it.
+type emitter interface {
+	AddRow(lo, hi float64) int
+	AddBinary(obj float64, entries ...lp.Entry) int
+	AddColEntry(col, row int, coef float64)
+	NumCols() int
 }
 
-// measure counts what formulatePhase will emit for b, walking the same
-// structure in the same way.
-func (b *builder) measure() *layout {
-	n := len(b.pool)
-	lay := &layout{paid: make([]bool, n), room: make([]int, n)}
-	budget := b.opt.SpaceBudgetBytes > 0
-	if budget {
-		lay.rows++
-	}
-	var items []budgetCutItem
-	for pos, x := range b.pool {
-		if !b.paid(x.ID()) {
-			continue
-		}
-		lay.paid[pos] = true
-		lay.cols++
-		if budget {
-			lay.room[pos]++
-			items = append(items, budgetCutItem{pos: pos, sizeMB: x.SizeBytes() / 1e6})
-		}
-		if b.pinned {
-			lay.room[pos]++
-			lay.rows++
-		}
-	}
-	if budget {
-		lay.cuts = budgetCuts(items, b.opt.SpaceBudgetBytes/1e6)
-		for _, c := range lay.cuts {
-			lay.rows++
-			for _, it := range c.items {
-				lay.room[it.pos]++
-			}
-		}
-	}
-	// A space takes one column per plan, one entry per plan on its choose
-	// or gate row and one per paid family the plan reads, and one link
-	// row per paid family any of its plans reads, on which that family's
-	// column takes an entry.
-	seen := make([]int, n)
-	stamp := 0
-	space := func(s *planner.PlanSpace) {
-		stamp++
-		lay.cols += len(s.Plans)
-		for _, plan := range s.Plans {
-			lay.entries++
-			for _, x := range plan.Indexes() {
-				pos, ok := b.at[x.ID()]
-				if !ok || !lay.paid[pos] {
-					continue
-				}
-				lay.entries++
-				if seen[pos] != stamp {
-					seen[pos] = stamp
-					lay.rows++
-					lay.room[pos]++
-				}
-			}
-		}
-	}
-	for _, qb := range b.queries {
-		lay.rows++
-		space(qb.space)
-	}
-	for _, ub := range b.updates {
-		for _, g := range ub.groups {
-			lay.cols++
-			lay.rows += 2
-			lay.entries += 2
-			for _, x := range g.indexes {
-				if pos, ok := b.at[x.ID()]; ok && lay.paid[pos] {
-					lay.room[pos]++
-				}
-			}
-			space(g.space)
-		}
-	}
-	for _, r := range lay.room {
-		lay.entries += r
-	}
-	return lay
+// counter is the emitter that only counts: the rows, and each column's
+// entries, which is what bip.Program.Reserve takes.
+type counter struct {
+	rows int
+	room []int
 }
 
-// formulatePhase emits one workload interval into prog — presence
-// columns, the storage row and its budget cuts, one choose row per
-// query, the plan-to-presence link rows and the support-group gates —
-// and returns the interval's column map. lay is b.measure()'s count, with
-// room on the presence columns for the entries the caller adds after.
-// It is the only formulation of that structure: the static program is
-// one interval at scale 1 (an exact multiplication, so its objective is
-// the raw workload cost, and phase 2 pins it, see Prepared.phase2), and
-// the series program repeats it once per phase with scale set to the
-// phase's duration share before linking the intervals (see
-// Prepared.formulate). sink, when non-nil, is told every column's
-// unscaled cost, once per column in creation order.
-func (b *builder) formulatePhase(prog *bip.Program, lay *layout, scale float64, sink func(raw float64)) *colRefs {
-	refs := &colRefs{indexCol: make([]int, len(b.pool)), queryCol: make([]int, len(b.queries))}
-	addBinary := func(raw float64, room int, entries ...lp.Entry) int {
-		col := prog.AddBinaryRoom(scale*raw, room, entries...)
+func (c *counter) AddRow(_, _ float64) int { c.rows++; return c.rows - 1 }
+
+func (c *counter) AddBinary(_ float64, entries ...lp.Entry) int {
+	c.room = append(c.room, len(entries))
+	return len(c.room) - 1
+}
+
+func (c *counter) AddColEntry(col, _ int, _ float64) { c.room[col]++ }
+
+func (c *counter) NumCols() int { return len(c.room) }
+
+// formulatePhase emits one workload interval into e — presence columns,
+// the storage row and its budget cuts, one choose row per query, the
+// plan-to-presence link rows and the support-group gates — and fills refs,
+// the interval's column map. It is the only formulation of that structure:
+// the static program is one interval at scale 1 (an exact multiplication,
+// so its objective is the raw workload cost, and phase 2 pins it, see
+// Prepared.phase2), and the series program repeats it once per phase with
+// scale set to the phase's duration share before linking the intervals
+// (see Prepared.emit). sink, when non-nil, is told every column's unscaled
+// cost, once per column in creation order.
+func (b *builder) formulatePhase(e emitter, refs *colRefs, scale float64, sink func(raw float64)) {
+	refs.zCol, refs.planVars = refs.zCol[:0], 0
+	addBinary := func(raw float64, entries ...lp.Entry) int {
+		col := e.AddBinary(scale*raw, entries...)
 		if sink != nil {
 			sink(raw)
 		}
 		return col
 	}
 
-	// Presence variables for paid indexes.
+	// Presence variables for paid indexes, and the budget cuts over them.
 	storageRow := -1
+	var items []budgetCutItem
 	if b.opt.SpaceBudgetBytes > 0 {
-		storageRow = prog.AddRow(math.Inf(-1), b.opt.SpaceBudgetBytes/1e6)
+		storageRow = e.AddRow(math.Inf(-1), b.opt.SpaceBudgetBytes/1e6)
 	}
 	for pos, x := range b.pool {
 		refs.indexCol[pos] = -1
-		if !lay.paid[pos] {
+		if !b.paid(x.ID()) {
 			continue
 		}
-		col := addBinary(b.maint[x.ID()], lay.room[pos])
+		col := addBinary(b.maint[x.ID()])
 		if storageRow >= 0 {
-			prog.AddColEntry(col, storageRow, x.SizeBytes()/1e6)
+			e.AddColEntry(col, storageRow, x.SizeBytes()/1e6)
+			items = append(items, budgetCutItem{pos: pos, sizeMB: x.SizeBytes() / 1e6})
 		}
 		refs.indexCol[pos] = col
 		if b.pinned {
-			prog.AddColEntry(col, prog.AddRow(1, 1), 1)
+			e.AddColEntry(col, e.AddRow(1, 1), 1)
 		}
 	}
-	for _, c := range lay.cuts {
-		row := prog.AddRow(math.Inf(-1), c.hi)
+	var cuts []budgetCut
+	if storageRow >= 0 {
+		cuts = budgetCuts(items, b.opt.SpaceBudgetBytes/1e6)
+	}
+	for _, c := range cuts {
+		row := e.AddRow(math.Inf(-1), c.hi)
 		for _, it := range c.items {
-			prog.AddColEntry(refs.indexCol[it.pos], row, 1)
+			e.AddColEntry(refs.indexCol[it.pos], row, 1)
 		}
 	}
-	b.cuts += len(lay.cuts)
+	b.cuts = len(cuts)
 
 	// Plan choice variables with linking constraints to paid indexes,
 	// aggregated per (plan space, index): a space's link rows are made in
 	// the order its plans first read their families, and the families'
 	// entries on them are added in ID order. It returns the space's first
-	// column.
-	linkRow := make([]int, len(b.pool))
-	seen := make([]int, len(b.pool))
-	stamp := 0
-	var links []int
-	var entries []lp.Entry
+	// column. The scratch is the builder's, kept across the passes.
+	if b.seen == nil {
+		b.linkRow, b.seen = make([]int, len(b.pool)), make([]int, len(b.pool))
+	}
 	addPlanVars := func(space *planner.PlanSpace, chooseRow int, weight float64) int {
-		stamp++
-		links = links[:0]
-		first := prog.NumCols()
+		b.stamp++
+		b.links = b.links[:0]
+		first := e.NumCols()
 		for _, plan := range space.Plans {
-			entries = append(entries[:0], lp.Entry{Row: chooseRow, Coef: 1})
+			b.entries = append(b.entries[:0], lp.Entry{Row: chooseRow, Coef: 1})
 			for _, x := range plan.Indexes() {
 				pos, ok := b.at[x.ID()]
 				if !ok || refs.indexCol[pos] < 0 {
 					continue
 				}
-				if seen[pos] != stamp {
-					seen[pos] = stamp
-					linkRow[pos] = prog.AddRow(math.Inf(-1), 0)
-					links = append(links, pos)
+				if b.seen[pos] != b.stamp {
+					b.seen[pos] = b.stamp
+					b.linkRow[pos] = e.AddRow(math.Inf(-1), 0)
+					b.links = append(b.links, pos)
 				}
-				entries = append(entries, lp.Entry{Row: linkRow[pos], Coef: 1})
+				b.entries = append(b.entries, lp.Entry{Row: b.linkRow[pos], Coef: 1})
 			}
-			addBinary(weight*plan.Cost, len(entries), entries...)
+			addBinary(weight*plan.Cost, b.entries...)
 		}
 		refs.planVars += len(space.Plans)
-		slices.SortFunc(links, func(i, j int) int { return strings.Compare(b.pool[i].ID(), b.pool[j].ID()) })
-		for _, pos := range links {
-			prog.AddColEntry(refs.indexCol[pos], linkRow[pos], -1)
+		slices.SortFunc(b.links, func(i, j int) int { return strings.Compare(b.pool[i].ID(), b.pool[j].ID()) })
+		for _, pos := range b.links {
+			e.AddColEntry(refs.indexCol[pos], b.linkRow[pos], -1)
 		}
 		return first
 	}
 
 	for i, qb := range b.queries {
-		chooseRow := prog.AddRow(1, 1)
+		chooseRow := e.AddRow(1, 1)
 		refs.queryCol[i] = addPlanVars(qb.space, chooseRow, b.w.Weight(qb.ws))
 	}
 
@@ -642,26 +587,25 @@ func (b *builder) formulatePhase(prog *bip.Program, lay *layout, scale float64, 
 	// support plans to the paid families they read.
 	for _, ub := range b.updates {
 		for _, g := range ub.groups {
-			zCol := addBinary(0, 2)
+			zCol := addBinary(0)
 			refs.zCol = append(refs.zCol, zCol)
-			gateRow := prog.AddRow(0, 0)
-			prog.AddColEntry(zCol, gateRow, -1)
+			gateRow := e.AddRow(0, 0)
+			e.AddColEntry(zCol, gateRow, -1)
 			// Sum of the group's modified families minus |group|·z <= 0:
 			// any selected family forces z (and hence a support plan).
 			// Aggregating keeps one row per group; integrality of z
 			// makes the aggregate exact. Modified families always carry
 			// maintenance cost, hence are always paid.
-			force := prog.AddRow(math.Inf(-1), 0)
-			prog.AddColEntry(zCol, force, -float64(len(g.indexes)))
+			force := e.AddRow(math.Inf(-1), 0)
+			e.AddColEntry(zCol, force, -float64(len(g.indexes)))
 			for _, x := range g.indexes {
 				if pos, ok := b.at[x.ID()]; ok && refs.indexCol[pos] >= 0 {
-					prog.AddColEntry(refs.indexCol[pos], force, 1)
+					e.AddColEntry(refs.indexCol[pos], force, 1)
 				}
 			}
 			addPlanVars(g.space, gateRow, b.w.Weight(ub.ws))
 		}
 	}
-	return refs
 }
 
 // budgetCutItem pairs a paid family, by pool position, with its storage

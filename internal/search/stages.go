@@ -9,7 +9,6 @@ import (
 
 	"nose/internal/bip"
 	"nose/internal/enumerator"
-	"nose/internal/lp"
 	"nose/internal/migrate"
 	"nose/internal/planner"
 	"nose/internal/schema"
@@ -141,80 +140,72 @@ func (p *Prepared) plan(w *workload.Workload, enumRes *enumerator.Result) error 
 	return nil
 }
 
-// formulate builds the program, once per advise: every interval's
-// formulation, its objective scaled by the interval's share, minimizing
-// weighted workload cost. Every interval is measured first, so the
-// program's rows, columns and entries are allocated once and each
-// column's entries written in place. Several intervals are linked by one
-// migration column per (interval, candidate),
+// formulate builds the program, once per advise. It runs the one
+// emission (emit) twice: into a counter, and then into the program
+// reserved from that count, so the program's rows, columns and entries are
+// allocated once and each column's entries written in place.
+func (p *Prepared) formulate() (*bip.Program, []*colRefs) {
+	refs := make([]*colRefs, len(p.builders))
+	for t, b := range p.builders {
+		refs[t] = &colRefs{indexCol: make([]int, len(b.pool)), queryCol: make([]int, len(b.queries))}
+	}
+	count := &counter{}
+	p.emit(count, refs, false)
+	prog := bip.New()
+	prog.Reserve(count.rows, count.room)
+	if len(p.builders) > 1 {
+		p.colPhase = make([]int, 0, len(count.room))
+		p.colRaw = make([]float64, 0, len(count.room))
+	}
+	p.emit(prog, refs, true)
+	return prog, refs
+}
+
+// emit writes the program into e: every interval's formulation, its
+// objective scaled by the interval's share, minimizing weighted workload
+// cost, with refs filled as each interval's column map. Several intervals
+// are linked by one migration column per (interval, candidate),
 //
 //	y[t][i] − y[t−1][i] − m[t][i] ≤ 0,
 //
 // so m[t][i] covers any presence not inherited from the previous
 // interval. The first interval inherits nothing, so its whole schema is
-// charged as the initial build.
-func (p *Prepared) formulate() (*bip.Program, []*colRefs) {
+// charged as the initial build. Only the pass that writes the program
+// (write) records the migration columns and the per-column sink.
+func (p *Prepared) emit(e emitter, refs []*colRefs, write bool) {
 	series := len(p.builders) > 1
-	lays := make([]*layout, len(p.builders))
-	var rows, cols, entries int
-	for t, b := range p.builders {
-		lay := b.measure()
-		if series {
-			// One migration row and column per family, the column with
-			// one entry; the family's presence column takes an entry on
-			// its interval's row and on the next interval's, if that has
-			// the family.
-			for pos, x := range b.pool {
-				k := 1
-				if t+1 < len(p.builders) {
-					if _, ok := p.builders[t+1].at[x.ID()]; ok {
-						k++
-					}
-				}
-				lay.room[pos] += k
-				lay.entries += k
-			}
-			n := len(b.pool)
-			rows, cols, entries = rows+n, cols+n, entries+n
-		}
-		lays[t] = lay
-		rows, cols, entries = rows+lay.rows, cols+lay.cols, entries+lay.entries
-	}
-	prog := bip.New()
-	prog.Reserve(rows, cols, entries)
-	refs := make([]*colRefs, len(p.builders))
-	if series {
-		p.colPhase = make([]int, 0, cols)
-		p.colRaw = make([]float64, 0, cols)
-	}
 	for t, b := range p.builders {
 		var sink func(raw float64)
-		if series {
+		if series && write {
 			sink = func(raw float64) {
 				p.colPhase = append(p.colPhase, t)
 				p.colRaw = append(p.colRaw, raw)
 			}
 		}
-		refs[t] = b.formulatePhase(prog, lays[t], p.shares[t], sink)
+		b.formulatePhase(e, refs[t], p.shares[t], sink)
 	}
 	if !series {
-		return prog, refs
+		return
 	}
 	for t, b := range p.builders {
-		mcols := make([]int, len(b.pool))
-		p.migCols = append(p.migCols, mcols)
+		if write {
+			p.migCols = append(p.migCols, make([]int, len(b.pool)))
+		}
 		for pos, x := range b.pool {
-			row := prog.AddRow(math.Inf(-1), 0)
-			mcols[pos] = prog.AddBinary(migrate.BuildCost(x, p.opt.Migration), lp.Entry{Row: row, Coef: -1})
-			prog.AddColEntry(refs[t].indexCol[pos], row, 1)
+			row := e.AddRow(math.Inf(-1), 0)
+			col := e.AddBinary(migrate.BuildCost(x, p.opt.Migration))
+			e.AddColEntry(col, row, -1)
+			e.AddColEntry(refs[t].indexCol[pos], row, 1)
 			if t > 0 {
 				if q, ok := p.builders[t-1].at[x.ID()]; ok {
-					prog.AddColEntry(refs[t-1].indexCol[q], row, -1)
+					e.AddColEntry(refs[t-1].indexCol[q], row, -1)
 				}
+			}
+			if write {
+				p.migCols[t][pos] = col
 			}
 		}
 	}
-	return prog, refs
 }
 
 // phase2 derives paper §V's second program from the first: the same
