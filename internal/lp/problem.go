@@ -48,10 +48,10 @@ type Problem struct {
 	// once, not once per branch and bound node. It is never written after
 	// it is built.
 	byRow *rowMajor
-	// room is each column still to come that Reserve made room for, its
-	// entries in all, in the order the columns are added, and spare the
-	// entry storage Reserve set aside that no column has claimed yet:
-	// AddCol carves each such column's entries from it.
+	// room is the entry count Reserve made room for of each column still
+	// to come, in the order they are added, and spare the storage set
+	// aside for them that no column has claimed yet: AddCol carves each
+	// such column's entries from it.
 	room  []int
 	spare []Entry
 }
@@ -120,10 +120,7 @@ func (p *Problem) Reserve(rows int, room []int) {
 	for _, k := range room {
 		entries += k
 	}
-	if entries > len(p.spare) {
-		p.spare = make([]Entry, entries)
-	}
-	p.room = room
+	p.room, p.spare = room, make([]Entry, entries)
 }
 
 // PinObjective returns a new problem: p with one leading row c·x ≤ hi,
