@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	nose -in workload.nose [-space bytes] [-mix name] [-max-plans n] [-workers n] [-phases] [-faults] [-rf n] [-drift-report] [-json] [-v]
+//	nose -in workload.nose [-space bytes] [-mix name] [-max-plans n] [-workers n] [-phases] [-drift-report] [-json] [-v]
 //
 // With -json the recommendation (or, with -phases, the schema series,
 // or, with -drift-report, the drift report document) is printed as
@@ -19,13 +19,6 @@
 // phase, linked by migration charges, printed as a schema series with
 // the column families built and dropped at each boundary (see
 // search.AdviseSeries).
-//
-// With -faults the report includes each query's failover readiness:
-// how many executable alternative plans the recommended schema keeps,
-// i.e. how many column families can fail before the query becomes
-// unavailable. With -rf it also prints the node-failure tolerance of a
-// replicated deployment at each consistency level (see
-// internal/backend.ReplicatedStore).
 //
 // With -drift-report (and a workload declaring at least two mixes) the
 // report adds one line per declared mix: its total-variation divergence
@@ -42,7 +35,6 @@ import (
 	"os"
 	"time"
 
-	"nose/internal/executor"
 	"nose/internal/obs"
 	"nose/internal/planner"
 	"nose/internal/search"
@@ -57,13 +49,11 @@ func main() {
 	maxPlans := flag.Int("max-plans", planner.DefaultMaxPlansPerQuery, "plan space bound per query")
 	workers := flag.Int("workers", 0, "advisor worker goroutines; 0 means all CPUs (the recommendation is identical for every value)")
 	phases := flag.Bool("phases", false, "advise a per-phase schema series with migration charges (requires phase blocks in the workload)")
-	faultsReport := flag.Bool("faults", false, "print each query's failover readiness (executable alternative plans)")
 	driftReport := flag.Bool("drift-report", false, "print each declared mix's divergence from the active mix and the schema migration it would require")
-	rf := flag.Int("rf", 0, "with -faults: also print node-failure tolerance for a replicated deployment at this replication factor")
 	jsonOut := flag.Bool("json", false, "print the recommendation as canonical JSON (the nosed wire format; byte-identical to the daemon's result for the same request)")
 	verbose := flag.Bool("v", false, "print update maintenance plans and timings")
 	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot of the advisor run to this file and print a summary")
-	solverStats := flag.Bool("solver-stats", false, "print LP solver statistics after the run: solves, warm-start hit rate, phase-2 roots started from phase 1's basis, pivots, refactorizations, columns fixed by their root reduced cost, per phase whether the solve was proven optimal or stopped at the node limit (with its relative gap), pruning and cuts")
+	solverStats := flag.Bool("solver-stats", false, "print LP solver statistics after the run: solves, warm-start hit rate (phase 2's root, started from phase 1's basis, included), pivots, refactorizations, columns fixed by their root reduced cost, per phase whether the solve was proven optimal or stopped at the node limit (with its relative gap), pruning and cuts")
 	tracePath := flag.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) of the advisor stages to this file")
 	flag.Parse()
 
@@ -144,26 +134,6 @@ func main() {
 	for _, qr := range rec.Queries {
 		fmt.Printf("\n%s (weight %.3f)\n", workload.Label(qr.Statement.Statement), w.Weight(qr.Statement))
 		fmt.Print(qr.Plan)
-	}
-
-	if *faultsReport {
-		fmt.Println("\nFailover readiness (executable plans per query under the recommended schema):")
-		for _, qr := range rec.Queries {
-			alts := len(qr.Alternatives)
-			note := ""
-			if alts <= 1 {
-				note = "  (no alternative: one failed column family makes this query unavailable)"
-			}
-			fmt.Printf("  %-60s %d plan(s)%s\n", workload.Label(qr.Statement.Statement), alts, note)
-		}
-		if *rf > 0 {
-			fmt.Printf("\nReplication tolerance at RF=%d (node failures a replica set survives per partition):\n", *rf)
-			for _, level := range []executor.Consistency{executor.One, executor.Quorum, executor.All} {
-				tolerated := *rf - level.Required(*rf)
-				fmt.Printf("  %-8s requires %d/%d replicas: tolerates %d node(s) down\n",
-					level, level.Required(*rf), *rf, tolerated)
-			}
-		}
 	}
 
 	if *driftReport {

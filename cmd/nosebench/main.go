@@ -97,7 +97,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file and print a summary on exit")
-	solverStats := flag.Bool("solver-stats", false, "print LP solver statistics on exit: solves, warm-start hit rate, phase-2 roots started from phase 1's basis, pivots, refactorizations, columns fixed by their root reduced cost, per phase whether the solve was proven optimal or stopped at the node limit (with its relative gap), pruning and cuts")
+	solverStats := flag.Bool("solver-stats", false, "print LP solver statistics on exit: solves, warm-start hit rate (phase 2's roots, started from phase 1's basis, included), pivots, refactorizations, columns fixed by their root reduced cost, per phase whether the solve was proven optimal or stopped at the node limit (with its relative gap), pruning and cuts")
 	tracePath := flag.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) of the run to this file")
 
 	// The experiments, in the order the help text lists them. Every run

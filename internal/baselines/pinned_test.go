@@ -21,8 +21,7 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // schema's families in order, each query's plan signature, and each
 // (write, family) maintenance plan with its support plans' signatures in
 // order. A change to how a fixed schema is planned must leave every line
-// byte-identical (-update rewrites the golden file). Failover
-// alternatives are not pinned.
+// byte-identical (-update rewrites the golden file).
 func TestBaselineRecommendationsPinned(t *testing.T) {
 	g := rubis.Graph(tinyConfig())
 	w, _, err := rubis.Workload(g)

@@ -169,8 +169,8 @@ type Options struct {
 	// by leading rows, as many as it has more: the same columns with the
 	// same bounds, and any objective. The root then runs primal simplex
 	// from that basis with the new rows' slacks basic (lp.Solver.
-	// SolvePrepended), falling back to a cold solve when that point
-	// violates a new row.
+	// SolveFrom), falling back to a cold solve when that point violates
+	// a new row.
 	RootBasis *lp.Basis
 }
 
@@ -394,7 +394,6 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		opt.Obs.Counter("lp.warm_starts").Add(total.WarmStarts)
 		opt.Obs.Counter("lp.warm_infeasible").Add(total.WarmInfeasible)
 		opt.Obs.Counter("lp.dual_pivots").Add(total.DualPivots)
-		opt.Obs.Counter("lp.primal_warm_starts").Add(total.PrimalWarmStarts)
 		opt.Obs.Counter("lp.warm_fallbacks").Add(total.Fallbacks)
 	}()
 	nodesC := opt.Obs.Counter("bip.nodes")
@@ -520,13 +519,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 
 	// The root's point is read in its solver's storage: everything
 	// below that reads it runs before worker 0 solves again.
-	var rootSol *lp.Solution
-	var err error
-	if opt.RootBasis != nil {
-		rootSol, err = solvers[0].SolvePrepended(p.lp, opt.RootBasis)
-	} else {
-		rootSol, err = solvers[0].Solve(p.lp)
-	}
+	rootSol, err := solveWith(0, nil, opt.RootBasis)
 	if err != nil {
 		return nil, err
 	}

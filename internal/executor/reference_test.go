@@ -18,7 +18,7 @@ import (
 // refExecutor is the map-row interpreter the compiled executor
 // replaced: PR 15's run/lookup/projectDistinct/ExecuteWrite, kept on
 // the test side as the reference for what a plan — any plan, including
-// failover alternatives that do not answer their query exactly — must
+// ones off the query's path that do not answer it exactly — must
 // return and cost. Every row is a map keyed by qualified attribute
 // name, every column family definition is asked of the store, every
 // dedupe key is a concatenated string. It does not retry: it is only

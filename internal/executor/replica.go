@@ -109,8 +109,8 @@ type CoordinatorOptions struct {
 // the read consistency level, every Put/Delete to all replicas waiting
 // for enough acknowledgements, with node-level faults (from
 // faults.Nodes) injected per replica attempt. It implements
-// backend.KVBackend, so the executor, its retries and plan-level
-// failover all work unchanged on top of it.
+// backend.KVBackend, so the executor and its retries work unchanged on
+// top of it.
 //
 // Recovery is modeled after the real systems:
 //
@@ -261,8 +261,8 @@ func (c *Coordinator) Def(name string) (backend.ColumnFamilyDef, error) {
 // coordFault builds the coordinator-level error for an operation that
 // could not reach its consistency level. The kind follows the worst
 // replica failure seen: any down replica makes the whole operation
-// Unavailable (retrying cannot help inside the window; plan failover
-// can), while purely flaky failures stay Transient and retryable.
+// Unavailable (retrying cannot help inside the window), while purely
+// flaky failures stay Transient and retryable.
 func coordFault(sawDown bool, cf, op string, simMillis float64) *faults.Error {
 	kind := faults.Transient
 	if sawDown {

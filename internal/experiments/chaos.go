@@ -36,16 +36,16 @@ type ChaosCell struct {
 	// System names the measured schema (see SystemNames).
 	System string
 	// AvgMillis is the average simulated response time of the
-	// transactions that completed, retries and failovers included.
+	// transactions that completed, retries included.
 	AvgMillis float64
 	// Completed and Unavailable partition the attempted transactions:
-	// Unavailable counts those abandoned because some statement had no
-	// surviving plan.
+	// Unavailable counts those abandoned because some statement's plan
+	// met a fault that outlived its retries.
 	Completed   int64
 	Unavailable int64
 	// Counters is the system's registry counters at the end of the
-	// rate: retries (exec.*), failovers (harness.*), injected faults
-	// (faults.*).
+	// rate: retries (exec.*), statement outcomes (harness.*), injected
+	// faults (faults.*).
 	Counters map[string]int64
 }
 
@@ -58,10 +58,9 @@ type ChaosResult struct {
 
 // RunChaos sweeps fault rates over the three schemas of Fig. 11 and
 // measures how gracefully each degrades: transactions that complete
-// despite faults (slower, via retries and plan failover) versus
-// transactions lost to ErrUnavailable. Index-redundant schemas keep
-// alternative plans alive and should lose fewer transactions than the
-// minimal ones. Everything is deterministic: the same config and seed
+// despite faults (slower, via retries) versus transactions lost to
+// ErrUnavailable when a statement's plan meets a fault that outlives its
+// retries. Everything is deterministic: the same config and seed
 // reproduce the same result, and rate 0 executes the exact unfaulted
 // harness path.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
@@ -110,15 +109,15 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 // Format renders the sweep as a data table: per rate and system, the
 // average response time of completed transactions, the count lost to
-// unavailability, and the retry/failover work spent surviving.
+// unavailability, and the retries spent surviving.
 func (r *ChaosResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s %-12s %12s %10s %12s %10s %10s\n",
-		"Rate", "System", "Avg(ms)", "Completed", "Unavailable", "Retries", "Failovers")
+	fmt.Fprintf(&b, "%-8s %-12s %12s %10s %12s %10s\n",
+		"Rate", "System", "Avg(ms)", "Completed", "Unavailable", "Retries")
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "%-8.3f %-12s %12.3f %10d %12d %10d %10d\n",
+		fmt.Fprintf(&b, "%-8.3f %-12s %12.3f %10d %12d %10d\n",
 			c.Rate, c.System, c.AvgMillis, c.Completed, c.Unavailable,
-			c.Counters["exec.retries"], c.Counters["harness.failovers"])
+			c.Counters["exec.retries"])
 	}
 	return b.String()
 }

@@ -107,13 +107,13 @@ func TestRunChaosDeterministicSweep(t *testing.T) {
 	healthy, faulted := res.Cells[:len(experiments.SystemNames)], res.Cells[len(experiments.SystemNames):]
 
 	// Rate 0 must be indistinguishable from the unfaulted harness: no
-	// retries, no failovers, nothing injected, nothing lost.
+	// retries, nothing injected, nothing lost.
 	for i, c := range healthy {
 		name := c.System
 		if c.Rate != 0 || name != experiments.SystemNames[i] {
 			t.Errorf("cell %d is (%g, %s), want (0, %s)", i, c.Rate, name, experiments.SystemNames[i])
 		}
-		if c.Unavailable != 0 || counter(t, c.Counters, "exec.retries") != 0 || counter(t, c.Counters, "harness.failovers") != 0 {
+		if c.Unavailable != 0 || counter(t, c.Counters, "exec.retries") != 0 {
 			t.Errorf("rate 0 on %s not clean: %v", name, c.Counters)
 		}
 		if _, ok := c.Counters["faults.ops"]; ok {
@@ -125,13 +125,13 @@ func TestRunChaosDeterministicSweep(t *testing.T) {
 	}
 
 	// At a nonzero rate the injector must have fired and the systems
-	// must have paid for it (retries or failovers or losses).
+	// must have paid for it (retries or losses).
 	for _, c := range faulted {
 		name := c.System
 		if counter(t, c.Counters, "faults.ops") == 0 {
 			t.Errorf("rate 0.02 on %s: injector saw no operations", name)
 		}
-		work := counter(t, c.Counters, "exec.retries") + counter(t, c.Counters, "harness.failovers") + c.Unavailable
+		work := counter(t, c.Counters, "exec.retries") + c.Unavailable
 		injected := counter(t, c.Counters, "faults.transients") + counter(t, c.Counters, "faults.timeouts") + counter(t, c.Counters, "faults.unavailables")
 		if injected > 0 && work == 0 {
 			t.Errorf("rate 0.02 on %s: faults injected but no degradation recorded: %v", name, c.Counters)

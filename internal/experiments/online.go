@@ -59,10 +59,10 @@ type OnlineConfig struct {
 	// drift package defaults.
 	Detector drift.Config
 	// PenaltyMillis is the SLA penalty charged per transaction lost to
-	// unavailability — a query with no surviving plan under faults, or
-	// no plan at all because the serving schema was never advised for
-	// it. An unanswerable request is not free: the client waits out a
-	// timeout and errors. Zero means DefaultOnlinePenaltyMillis;
+	// unavailability — a statement whose plan met a fault that outlived
+	// its retries, or no plan at all because the serving schema was
+	// never advised for it. An unanswerable request is not free: the
+	// client waits out a timeout and errors. Zero means DefaultOnlinePenaltyMillis;
 	// negative disables the penalty.
 	PenaltyMillis float64
 }
@@ -97,9 +97,9 @@ type OnlineCell struct {
 	// Aborts counts live migrations rolled back after exceeding their
 	// fault budget (online only).
 	Aborts int
-	// Unavailable counts transactions lost: no surviving plan under
-	// node faults (harness.ErrUnavailable) or no plan at all because
-	// the serving schema was never advised for the statement
+	// Unavailable counts transactions lost: a plan that met a fault
+	// outliving its retries (harness.ErrUnavailable) or no plan at all
+	// because the serving schema was never advised for the statement
 	// (harness.ErrNoPlan — the cost of serving drifted traffic on a
 	// stale schema).
 	Unavailable int64
@@ -362,8 +362,8 @@ func (r *onlineRun) system(name string) (*harness.System, error) {
 }
 
 // phase runs phase t of the schedule against a system: paired
-// parameter sequences per transaction type, lost transactions (no
-// surviving plan under faults, no plan at all on a stale schema)
+// parameter sequences per transaction type, lost transactions (a plan
+// felled by faults, no plan at all on a stale schema)
 // counted and penalized rather than fatal, and an optional between
 // callback invoked after every transaction (the online strategy
 // advances its background migration there).

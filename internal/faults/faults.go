@@ -12,8 +12,8 @@
 // each node of a replicated store one. A fixed seed and operation
 // sequence always yields the same faults. Faults are classified by
 // Kind: transient errors and timeouts are worth retrying, while an
-// unavailable domain stays down for a window of operations and calls
-// for plan-level failover instead.
+// unavailable domain stays down for a window of operations, so retrying
+// inside it cannot help.
 package faults
 
 import (
@@ -39,8 +39,7 @@ const (
 	Timeout
 	// Unavailable means the column family is down — either inside an
 	// injected unavailability window or marked down explicitly. Retries
-	// within the window cannot succeed; callers should fail over to a
-	// plan that avoids the family.
+	// within the window cannot succeed, so the statement is unavailable.
 	Unavailable
 )
 
@@ -59,7 +58,7 @@ func (k Kind) String() string {
 }
 
 // Error is one injected fault, carrying the classification the caller
-// needs to pick between retry and failover, and the simulated time the
+// needs to decide whether to retry, and the simulated time the
 // failed operation consumed before surfacing.
 type Error struct {
 	// Kind classifies the fault.
@@ -351,7 +350,7 @@ func New(inner backend.KVBackend, seed int64) *Injector {
 
 // SetProfile applies a profile to one column family. Production
 // declares weather once through harness.Config (SetDefaultProfile); the
-// failover tests degrade a single family.
+// harness tests degrade a single family.
 func (i *Injector) SetProfile(cf string, p Profile) {
 	i.with(cf, func(d *domain) { d.setProfile(p) })
 }

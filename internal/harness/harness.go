@@ -5,15 +5,14 @@
 // System per schema under comparison. A System is declared as a Config
 // and built by New, which stacks its layers once (config.go).
 //
-// A System also implements graceful degradation: it keeps every
-// query's ranked alternative plans (the planner retains up to
-// MaxPlansPerQuery of them), and when a plan attempt dies on a column
-// family that is down — inside an injected down window, or marked down
-// through Faults — it fails over to the cheapest surviving plan that
-// avoids the family.
-// Statements with no surviving plan fail with ErrUnavailable rather
-// than an opaque error, and every retry, failover and unavailability is
-// counted in the system's registry (see Obs).
+// A statement runs its one recommended plan. The executor retries
+// retryable faults; a fault that outlives its retries — a column family
+// inside an injected down window, or marked down through Faults — fails
+// the statement with ErrUnavailable rather than an opaque error, and
+// every retry and unavailability is counted in the system's registry
+// (see Obs). Paper §V's phase 2 keeps as few column families as the
+// optimal cost allows, so a recommended schema rarely holds a second
+// way to answer a query.
 package harness
 
 import (
@@ -35,18 +34,18 @@ import (
 	"nose/internal/workload"
 )
 
-// ErrUnavailable reports that no surviving plan can answer a statement:
-// every alternative touches a column family that is down, or a write's
-// maintained family is unreachable. It is the explicit degraded-mode
-// outcome — callers can detect it with errors.Is and keep serving the
-// rest of the workload.
+// ErrUnavailable reports that a statement's plan met a fault that
+// outlived the executor's retries: a column family the query reads, or
+// one the write maintains, is unreachable. It is the explicit
+// degraded-mode outcome — callers can detect it with errors.Is and keep
+// serving the rest of the workload.
 var ErrUnavailable = errors.New("statement unavailable: no surviving plan")
 
 // ErrNoPlan reports that the serving schema has no plan at all for a
 // statement — the schema was never advised for it. For a query that
 // means no column family can answer it; for a write it means no column
 // family stores the written entity, so the data would silently vanish.
-// Distinct from ErrUnavailable (plans exist but every one is down):
+// Distinct from ErrUnavailable (a plan exists but its family is down):
 // ErrNoPlan means the statement cannot be served until a migration
 // installs a schema that covers it. Callers can detect it with
 // errors.Is and count the statement as lost.
@@ -58,12 +57,9 @@ var ErrNoPlan = errors.New("no plan for statement")
 // cutover is atomic and execution never observes a half-adopted
 // recommendation.
 type planTable struct {
-	rec *search.Recommendation
-	// planLists ranks each query's executable plans for failover: the
-	// recommended plan first, then the remaining alternatives cheapest
-	// first.
-	planLists map[workload.Statement][]*planner.Plan
-	writeRecs map[workload.Statement][]*search.UpdateRecommendation
+	rec        *search.Recommendation
+	queryPlans map[workload.Statement]*planner.Plan
+	writeRecs  map[workload.Statement][]*search.UpdateRecommendation
 }
 
 // System is one installed schema with its recommended plans.
@@ -133,7 +129,6 @@ func (s *System) Obs() *obs.Registry { return s.reg }
 // atomic addition.
 type robustCounters struct {
 	statements         *obs.Counter
-	failovers          *obs.Counter
 	unavailable        *obs.Counter
 	degradedStatements *obs.Counter
 	degradedSimMs      *obs.Gauge
@@ -144,7 +139,6 @@ type robustCounters struct {
 func newRobustCounters(r *obs.Registry) robustCounters {
 	return robustCounters{
 		statements:         r.Counter("harness.statements"),
-		failovers:          r.Counter("harness.failovers"),
 		unavailable:        r.Counter("harness.unavailable"),
 		degradedStatements: r.Counter("harness.degraded_statements"),
 		degradedSimMs:      r.Gauge("harness.degraded_sim_ms"),
@@ -153,16 +147,15 @@ func newRobustCounters(r *obs.Registry) robustCounters {
 }
 
 // record books one statement execution's outcome: a statement that
-// needed a retry or a failover is degraded, and its simulated time adds
-// to harness.degraded_sim_ms.
-func (c *robustCounters) record(millis float64, failovers int64, unavailable, degraded bool) {
+// completed after a retry is degraded, and its simulated time adds to
+// harness.degraded_sim_ms.
+func (c *robustCounters) record(millis float64, unavailable, degraded bool) {
 	c.statements.Inc()
-	c.failovers.Add(failovers)
 	c.statementLat.Observe(millis)
 	if unavailable {
 		c.unavailable.Inc()
 	}
-	if degraded || failovers > 0 {
+	if degraded {
 		c.degradedStatements.Inc()
 		c.degradedSimMs.Add(millis)
 	}
@@ -207,18 +200,12 @@ func (s *System) traceStatement(st workload.Statement, ms float64, err error) {
 // over).
 func (s *System) adoptRecommendation(rec *search.Recommendation) {
 	pt := &planTable{
-		rec:       rec,
-		planLists: map[workload.Statement][]*planner.Plan{},
-		writeRecs: map[workload.Statement][]*search.UpdateRecommendation{},
+		rec:        rec,
+		queryPlans: map[workload.Statement]*planner.Plan{},
+		writeRecs:  map[workload.Statement][]*search.UpdateRecommendation{},
 	}
 	for _, qr := range rec.Queries {
-		list := []*planner.Plan{qr.Plan}
-		for _, p := range qr.Alternatives {
-			if p != qr.Plan {
-				list = append(list, p)
-			}
-		}
-		pt.planLists[qr.Statement.Statement] = list
+		pt.queryPlans[qr.Statement.Statement] = qr.Plan
 	}
 	for _, ur := range rec.Updates {
 		st := ur.Statement.Statement
@@ -363,42 +350,6 @@ func (s *System) MarkNodeUp(node int) error {
 	return s.nodeInj.MarkUp(node)
 }
 
-// planSurvives reports whether a plan touches none of the avoided
-// column families.
-func planSurvives(p *planner.Plan, avoid map[string]bool) bool {
-	if len(avoid) == 0 {
-		return true
-	}
-	for _, x := range p.Indexes() {
-		if avoid[x.Name] {
-			return false
-		}
-	}
-	return true
-}
-
-// pickPlan returns the best untried plan avoiding the down families,
-// plus the number of plans it disqualified on the way — each one is a
-// failover away from the preferred plan. Disqualified plans are added
-// to tried so repeated picks within one statement never recount them
-// (the avoid set only grows). tried may be nil while avoid is empty:
-// nothing is disqualified then.
-func pickPlan(plans []*planner.Plan, avoid map[string]bool, tried map[*planner.Plan]bool) (*planner.Plan, int64) {
-	skipped := int64(0)
-	for _, p := range plans {
-		if tried[p] {
-			continue
-		}
-		if !planSurvives(p, avoid) {
-			tried[p] = true
-			skipped++
-			continue
-		}
-		return p, skipped
-	}
-	return nil, skipped
-}
-
 // ExecStatement executes one workload statement with the given
 // parameters, returning the simulated response time in milliseconds.
 // On error the returned time still carries the simulated work consumed
@@ -415,8 +366,8 @@ func (s *System) ExecStatement(st workload.Statement, params executor.Params) (f
 // against one consistent plan-table snapshot.
 func (s *System) execStatement(st workload.Statement, params executor.Params) (float64, error) {
 	pt := s.plans.Load()
-	if plans, ok := pt.planLists[st]; ok {
-		return s.execQuery(st, plans, params)
+	if plan, ok := pt.queryPlans[st]; ok {
+		return s.execQuery(st, plan, params)
 	}
 	if urs, ok := pt.writeRecs[st]; ok {
 		return s.execWrite(st, urs, params)
@@ -435,54 +386,30 @@ func (s *System) execStatement(st workload.Statement, params executor.Params) (f
 	return 0, fmt.Errorf("harness: system %s: statement %q: %w", s.Name, workload.Label(st), ErrNoPlan)
 }
 
-// execQuery runs a query with plan-level failover: each plan attempt
-// that dies on a surviving fault disqualifies the fault's column family
-// and reroutes to the cheapest remaining plan that avoids every down
-// family.
-func (s *System) execQuery(st workload.Statement, plans []*planner.Plan, params executor.Params) (float64, error) {
-	// Both sets stay nil until a fault survives the executor's retries.
-	var avoid map[string]bool
-	var tried map[*planner.Plan]bool
+// execQuery runs a query's plan. A fault that survives the executor's
+// retries (or is an outright unavailability) makes the query
+// unavailable; any other error is a bug or a validation failure.
+func (s *System) execQuery(st workload.Statement, plan *planner.Plan, params executor.Params) (float64, error) {
+	res, err := s.Exec.RunQuery(plan, params)
 	total := 0.0
-	failovers, retries := int64(0), int64(0)
-	for {
-		plan, skipped := pickPlan(plans, avoid, tried)
-		failovers += skipped
-		if plan == nil {
-			s.robust.record(total, failovers, true, false)
-			return total, fmt.Errorf("harness: %s: query %q: %w", s.Name, workload.Label(st), ErrUnavailable)
-		}
-		res, err := s.Exec.RunQuery(plan, params)
-		if res != nil {
-			total += res.SimMillis
-			retries += res.Retries
-		}
-		if err == nil {
-			s.robust.record(total, failovers, false, retries > 0)
-			return total, nil
-		}
-		fe, ok := faults.AsFault(err)
-		if !ok {
-			// Not store weather: a bug or a validation failure.
-			s.robust.record(total, failovers, false, failovers > 0)
-			return total, err
-		}
-		// The fault survived the executor's retries (or is an outright
-		// unavailability): take the family out of this execution's
-		// rotation and fail over.
-		if tried == nil {
-			avoid, tried = map[string]bool{}, map[*planner.Plan]bool{}
-		}
-		tried[plan] = true
-		avoid[fe.CF] = true
-		failovers++
+	if res != nil {
+		total = res.SimMillis
 	}
+	if err == nil {
+		s.robust.record(total, false, res.Retries > 0)
+		return total, nil
+	}
+	if _, ok := faults.AsFault(err); ok {
+		s.robust.record(total, true, false)
+		return total, fmt.Errorf("harness: %s: query %q: %w", s.Name, workload.Label(st), ErrUnavailable)
+	}
+	s.robust.record(total, false, false)
+	return total, err
 }
 
-// execWrite runs a write statement's maintenance. Writes have no
-// alternative plans — each maintained column family must be written —
-// so a surviving fault degrades to ErrUnavailable instead of failing
-// over.
+// execWrite runs a write statement's maintenance: each maintained
+// column family must be written, so a surviving fault degrades to
+// ErrUnavailable as it does for a query.
 func (s *System) execWrite(st workload.Statement, urs []*search.UpdateRecommendation, params executor.Params) (float64, error) {
 	res, err := s.Exec.ExecuteWrite(urs, params)
 	total := 0.0
@@ -492,14 +419,14 @@ func (s *System) execWrite(st workload.Statement, urs []*search.UpdateRecommenda
 	if err == nil {
 		fms, _ := s.forwardDualWrites(st, params)
 		total += fms
-		s.robust.record(total, 0, false, res.Retries > 0)
+		s.robust.record(total, false, res.Retries > 0)
 		return total, nil
 	}
 	if _, ok := faults.AsFault(err); ok {
-		s.robust.record(total, 0, true, false)
+		s.robust.record(total, true, false)
 		return total, fmt.Errorf("harness: %s: write %q: %w (%v)", s.Name, workload.Label(st), ErrUnavailable, err)
 	}
-	s.robust.record(total, 0, false, false)
+	s.robust.record(total, false, false)
 	return total, err
 }
 

@@ -77,7 +77,7 @@ func TestRegistryVocabulary(t *testing.T) {
 		"faults.ops", "faults.transients", "faults.timeouts", "faults.unavailables",
 		"nodefaults.ops", "nodefaults.flaky", "nodefaults.down_rejections",
 		"nodefaults.down_windows", "nodefaults.slow_windows",
-		"harness.statements", "harness.failovers", "harness.unavailable", "harness.degraded_statements",
+		"harness.statements", "harness.unavailable", "harness.degraded_statements",
 	} {
 		if counter(t, sys, name) == 0 {
 			t.Errorf("counter %s = 0: the faulted mix should exercise it", name)
@@ -95,7 +95,7 @@ func TestRegistryVocabulary(t *testing.T) {
 	}
 	advise := reg.Snapshot().Counters
 	for name, exercised := range map[string]bool{
-		"lp.solves": true, "lp.cold_solves": true, "lp.warm_starts": true, "lp.primal_warm_starts": true,
+		"lp.solves": true, "lp.cold_solves": true, "lp.warm_starts": true,
 		"lp.warm_infeasible": false, "lp.warm_fallbacks": false, "lp.pivots": true, "lp.phase1_pivots": true, "lp.dual_pivots": true,
 		"lp.degenerate_pivots": true, "lp.refactors": true, "lp.refactor_nnz": true, "lp.factor_reuses": true,
 		"lp.prices": true,
@@ -122,29 +122,29 @@ func hotelWorkload() *workload.Workload {
 	return w
 }
 
-// TestRobustnessFailoverCountersGolden pins the exact counter values a
-// deterministic failover scenario produces: one healthy execution, one
-// rerouted execution (one failover, degraded), one unavailable
-// execution with every family down.
-func TestRobustnessFailoverCountersGolden(t *testing.T) {
-	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
-	if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
-		t.Fatal(err)
-	}
-	f.sys.Faults().MarkDown(planCF(t, f.plans[0]))
-	if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
-		t.Fatal(err)
-	}
-	f.sys.Faults().MarkDown(planCF(t, f.plans[1]))
-	if _, err := f.sys.ExecStatement(f.query, f.params); err == nil {
-		t.Fatal("expected unavailability with every family down")
+// TestRobustnessUnavailabilityCountersGolden pins the exact counter
+// values a deterministic unavailability scenario produces: one healthy
+// execution, one unavailable execution with the query's family down,
+// and one healthy execution after the family comes back. Nothing
+// retried, so nothing is degraded.
+func TestRobustnessUnavailabilityCountersGolden(t *testing.T) {
+	f := newQueryFixture(t, familyWeather(1, faults.Profile{}))
+	for i, down := range []bool{false, true, false} {
+		if down {
+			f.sys.Faults().MarkDown(f.cf)
+		} else {
+			f.sys.Faults().MarkUp(f.cf)
+		}
+		if _, lost := f.exec(t); lost != down {
+			t.Fatalf("execution %d: unavailable %v, want %v", i, lost, down)
+		}
 	}
 
 	for name, want := range map[string]int64{
 		"harness.statements":          3,
-		"harness.failovers":           3,
 		"harness.unavailable":         1,
-		"harness.degraded_statements": 2,
+		"harness.degraded_statements": 0,
+		"faults.unavailables":         1,
 		"exec.retries":                0,
 	} {
 		if got := counter(t, f.sys, name); got != want {

@@ -226,7 +226,7 @@ func TestMarkNodeDownRequiresNodeFaults(t *testing.T) {
 
 // TestFamilyFaultsLayerOverReplication: the per-family injector still
 // wraps a replicated system's coordinator, so column-family weather and
-// plan-level failover work on top of replication.
+// the unavailability it causes work on top of replication.
 func TestFamilyFaultsLayerOverReplication(t *testing.T) {
 	f := newReplFixture(t)
 	sys := f.system(t, harness.Config{

@@ -3,7 +3,7 @@ package harness_test
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"math"
 	"sync/atomic"
 	"testing"
 
@@ -14,56 +14,45 @@ import (
 	"nose/internal/faults"
 	"nose/internal/harness"
 	"nose/internal/model"
-	"nose/internal/planner"
 	"nose/internal/schema"
 	"nose/internal/search"
 	"nose/internal/workload"
 )
 
-// redundantFixture builds a one-entity model whose single query has two
-// executable plans over two distinct column families — the smallest
-// schema with enough redundancy to fail over.
-type redundantFixture struct {
+// queryFixture builds a one-entity model whose single query is answered
+// by one column family: the one plan the advisor keeps, so a fault that
+// outlives the executor's retries leaves the query nothing to run.
+type queryFixture struct {
 	sys    *harness.System
 	query  *workload.Query
-	plans  []*planner.Plan
+	cf     string // the family the query's plan reads
 	params executor.Params
 }
 
-func newRedundantFixture(t *testing.T, declare ...func(*harness.Config)) *redundantFixture {
+func newQueryFixture(t *testing.T, declare ...func(*harness.Config)) *queryFixture {
 	t.Helper()
 	g := model.NewGraph()
 	u := g.AddEntity("User", "UserID", 100)
 	u.AddAttributeCard("UserCity", model.StringType, 3)
 	u.AddAttribute("UserName", model.StringType)
-	u.AddAttribute("UserEmail", model.StringType)
 
 	q := workload.MustParseQuery(g, `SELECT User.UserName FROM User WHERE User.UserCity = ?city`)
 	w := workload.New(g)
 	w.Add(q, 1)
 
-	city := u.Attribute("UserCity")
-	name := u.Attribute("UserName")
-	email := u.Attribute("UserEmail")
 	pool := enumerator.NewPool()
-	// Two column families both partitioned by city and both answering
-	// the query: one narrow, one wide.
 	if _, err := pool.Add(schema.New(model.NewPath(u),
-		[]*model.Attribute{city}, []*model.Attribute{u.Key()}, []*model.Attribute{name})); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Add(schema.New(model.NewPath(u),
-		[]*model.Attribute{city}, []*model.Attribute{u.Key()}, []*model.Attribute{name, email})); err != nil {
+		[]*model.Attribute{u.Attribute("UserCity")}, []*model.Attribute{u.Key()},
+		[]*model.Attribute{u.Attribute("UserName")})); err != nil {
 		t.Fatal(err)
 	}
 
 	ds := backend.NewDataset(g)
 	for i := 0; i < 30; i++ {
 		err := ds.AddEntity(u, map[string]backend.Value{
-			"UserID":    i,
-			"UserCity":  fmt.Sprintf("c%d", i%3),
-			"UserName":  fmt.Sprintf("name%d", i),
-			"UserEmail": fmt.Sprintf("mail%d", i),
+			"UserID":   i,
+			"UserCity": fmt.Sprintf("c%d", i%3),
+			"UserName": fmt.Sprintf("name%d", i),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +63,7 @@ func newRedundantFixture(t *testing.T, declare ...func(*harness.Config)) *redund
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := harness.Config{Name: "redundant", Rec: rec, Latency: cost.DefaultParams(), Dataset: ds}
+	sc := harness.Config{Name: "one-plan", Rec: rec, Latency: cost.DefaultParams(), Dataset: ds}
 	for _, d := range declare {
 		d(&sc)
 	}
@@ -82,88 +71,51 @@ func newRedundantFixture(t *testing.T, declare ...func(*harness.Config)) *redund
 	if err != nil {
 		t.Fatal(err)
 	}
-	qr := rec.Queries[0]
-	if len(qr.Alternatives) < 2 {
-		t.Fatalf("fixture needs >= 2 alternative plans, got %d", len(qr.Alternatives))
-	}
-	return &redundantFixture{
-		sys:    sys,
-		query:  q,
-		plans:  qr.Alternatives,
-		params: executor.Bindings{"city": "c1"},
-	}
-}
-
-// planCF returns the (single) column family a fixture plan reads.
-func planCF(t *testing.T, p *planner.Plan) string {
-	t.Helper()
-	xs := p.Indexes()
+	xs := rec.Queries[0].Plan.Indexes()
 	if len(xs) != 1 {
 		t.Fatalf("fixture plan should read one column family, reads %d", len(xs))
 	}
-	return xs[0].Name
+	return &queryFixture{sys: sys, query: q, cf: xs[0].Name, params: executor.Bindings{"city": "c1"}}
 }
 
-func TestFailoverPlansReturnIdenticalRows(t *testing.T) {
-	f := newRedundantFixture(t)
-	r0, err := f.sys.Exec.ExecuteQuery(f.plans[0], f.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := f.sys.Exec.ExecuteQuery(f.plans[1], f.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r0.Rows) == 0 {
-		t.Fatal("fixture query returned no rows")
-	}
-	if c0, c1 := executor.CanonicalRows(r0.Rows), executor.CanonicalRows(r1.Rows); !reflect.DeepEqual(c0, c1) {
-		t.Errorf("alternative plan rows differ:\n%v\n%v", c0, c1)
-	}
-}
-
-func TestMarkDownFailsOverToSurvivingPlan(t *testing.T) {
-	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
+// exec runs the fixture's query once and reports whether it was
+// unavailable; any other error fails the test.
+func (f *queryFixture) exec(t *testing.T) (ms float64, unavailable bool) {
+	t.Helper()
 	ms, err := f.sys.ExecStatement(f.query, f.params)
-	if err != nil || ms <= 0 {
-		t.Fatalf("healthy execution: ms=%v err=%v", ms, err)
-	}
-
-	primary := planCF(t, f.plans[0])
-	f.sys.Faults().MarkDown(primary)
-	ms, err = f.sys.ExecStatement(f.query, f.params)
-	if err != nil {
-		t.Fatalf("failover execution: %v", err)
-	}
-	if ms <= 0 {
-		t.Error("failover execution charged no time")
-	}
-	if counter(t, f.sys, "harness.failovers") == 0 {
-		t.Error("no failover recorded for rerouted statement")
-	}
-	if counter(t, f.sys, "harness.degraded_statements") == 0 {
-		t.Error("rerouted statement not counted as degraded")
-	}
-
-	// Recovery: marking the family back up restores the primary plan
-	// path and stops accumulating failovers.
-	f.sys.Faults().MarkUp(primary)
-	before := counter(t, f.sys, "harness.failovers")
-	if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
+	if err != nil && !errors.Is(err, harness.ErrUnavailable) {
 		t.Fatal(err)
 	}
-	if got := counter(t, f.sys, "harness.failovers"); got != before {
-		t.Errorf("failovers grew after recovery: %d -> %d", before, got)
+	return ms, err != nil
+}
+
+// TestMarkDownMakesQueryUnavailable: a marked-down family makes the
+// query that reads it unavailable, and MarkUp serves it again.
+func TestMarkDownMakesQueryUnavailable(t *testing.T) {
+	f := newQueryFixture(t, familyWeather(1, faults.Profile{}))
+	if ms, lost := f.exec(t); lost || ms <= 0 {
+		t.Fatalf("healthy execution: ms=%v unavailable=%v", ms, lost)
+	}
+	f.sys.Faults().MarkDown(f.cf)
+	if _, lost := f.exec(t); !lost {
+		t.Fatal("query over a marked-down family was served")
+	}
+	f.sys.Faults().MarkUp(f.cf)
+	if _, lost := f.exec(t); lost {
+		t.Fatal("query unavailable after MarkUp")
+	}
+	if got := counter(t, f.sys, "harness.unavailable"); got != 1 {
+		t.Errorf("harness.unavailable = %d, want 1", got)
 	}
 }
 
+// TestAllPlansDownYieldsErrUnavailable: with the family of the query's
+// one plan down the query fails with ErrUnavailable, which is counted
+// as unavailable and, having retried nothing, not as degraded — as an
+// unavailable write is not.
 func TestAllPlansDownYieldsErrUnavailable(t *testing.T) {
-	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
-	for _, p := range f.plans {
-		for _, x := range p.Indexes() {
-			f.sys.Faults().MarkDown(x.Name)
-		}
-	}
+	f := newQueryFixture(t, familyWeather(1, faults.Profile{}))
+	f.sys.Faults().MarkDown(f.cf)
 	_, err := f.sys.ExecStatement(f.query, f.params)
 	if !errors.Is(err, harness.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
@@ -171,60 +123,53 @@ func TestAllPlansDownYieldsErrUnavailable(t *testing.T) {
 	if got := counter(t, f.sys, "harness.unavailable"); got != 1 {
 		t.Errorf("harness.unavailable = %d, want 1", got)
 	}
-}
-
-// TestInjectedUnavailabilityDiscoversFailover exercises the discovery
-// path: the harness does not know the family is down (only the
-// injector does), so the primary plan is attempted, fails Unavailable,
-// and the statement reroutes — charging the wasted attempt.
-func TestInjectedUnavailabilityDiscoversFailover(t *testing.T) {
-	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
-	inj := f.sys.Faults()
-
-	healthy, err := f.sys.ExecStatement(f.query, f.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	inj.MarkDown(planCF(t, f.plans[0]))
-	ms, err := f.sys.ExecStatement(f.query, f.params)
-	if err != nil {
-		t.Fatalf("discovered failover: %v", err)
-	}
-	if ms <= healthy {
-		t.Errorf("degraded execution (%.3fms) should cost more than healthy (%.3fms)", ms, healthy)
-	}
-	if counter(t, f.sys, "harness.failovers") == 0 {
-		t.Error("no failover recorded")
-	}
-	if counter(t, f.sys, "faults.unavailables") == 0 {
-		t.Error("injector counted no unavailability")
+	if got := counter(t, f.sys, "harness.degraded_statements"); got != 0 {
+		t.Errorf("harness.degraded_statements = %d, want 0", got)
 	}
 }
 
-// TestRetryExhaustionFailsOver drives a family that keeps throwing
-// transient errors: the executor retries, gives up, and the harness
-// reroutes to the healthy family.
-func TestRetryExhaustionFailsOver(t *testing.T) {
-	f := newRedundantFixture(t, familyWeather(1, faults.Profile{}))
-	inj := f.sys.Faults()
-	inj.SetProfile(planCF(t, f.plans[0]), faults.Profile{TransientRate: 1})
-
-	ms, err := f.sys.ExecStatement(f.query, f.params)
-	if err != nil {
-		t.Fatalf("retry-exhausted failover: %v", err)
+// TestInjectedUnavailabilityChargesWastedAttempt exercises discovery:
+// the harness does not know the family is down (only the injector
+// does), so the plan is attempted, fails Unavailable, and the wasted
+// attempt's simulated time is charged to the unavailable statement.
+func TestInjectedUnavailabilityChargesWastedAttempt(t *testing.T) {
+	f := newQueryFixture(t, familyWeather(1, faults.Profile{}))
+	f.sys.Faults().MarkDown(f.cf)
+	ms, lost := f.exec(t)
+	if !lost {
+		t.Fatal("query over a down family was served")
 	}
 	if ms <= 0 {
-		t.Error("no time charged")
+		t.Error("the failed attempt charged no time")
 	}
-	if retries, exhausted := counter(t, f.sys, "exec.retries"), counter(t, f.sys, "exec.retry_exhausted"); retries == 0 || exhausted == 0 {
-		t.Errorf("%d retries, %d exhausted; want both", retries, exhausted)
+	if counter(t, f.sys, "faults.unavailables") != 1 {
+		t.Error("injector did not count the one unavailable attempt")
 	}
-	if counter(t, f.sys, "harness.failovers") == 0 {
-		t.Error("no failover recorded")
+	if h := f.sys.Obs().Snapshot().Histograms["harness.statement.sim_ms"]; h.Count != 1 || h.Sum != ms {
+		t.Errorf("statement latency histogram holds %d statements, %v ms; the statement returned %v ms", h.Count, h.Sum, ms)
 	}
-	if gauge(t, f.sys, "exec.backoff_sim_ms") <= 0 || gauge(t, f.sys, "exec.wasted_sim_ms") <= 0 {
-		t.Error("retry latency not charged")
+}
+
+// TestRetryExhaustionIsUnavailable drives a family that keeps throwing
+// transient errors: the executor retries, gives up, and the query is
+// unavailable with every attempt and backoff charged to it.
+func TestRetryExhaustionIsUnavailable(t *testing.T) {
+	f := newQueryFixture(t, familyWeather(1, faults.Profile{}))
+	f.sys.Faults().SetProfile(f.cf, faults.Profile{TransientRate: 1})
+
+	ms, lost := f.exec(t)
+	if !lost {
+		t.Fatal("query over an always-failing family was served")
+	}
+	if retries, exhausted := counter(t, f.sys, "exec.retries"), counter(t, f.sys, "exec.retry_exhausted"); retries == 0 || exhausted != 1 {
+		t.Errorf("%d retries, %d exhausted; want some and 1", retries, exhausted)
+	}
+	backoff, wasted := gauge(t, f.sys, "exec.backoff_sim_ms"), gauge(t, f.sys, "exec.wasted_sim_ms")
+	if backoff <= 0 || wasted <= 0 {
+		t.Fatalf("retry latency not charged: backoff %v, wasted %v", backoff, wasted)
+	}
+	if math.Abs(ms-(backoff+wasted)) > 1e-9 {
+		t.Errorf("statement charged %v ms, its attempts and backoff %v", ms, backoff+wasted)
 	}
 }
 
@@ -273,9 +218,8 @@ func TestNewSystemSurfacesInstallErrors(t *testing.T) {
 }
 
 // TestWriteToDownFamilyIsUnavailable checks the write path's explicit
-// degradation: a write statement whose maintained family is down has no
-// alternative plan and must fail with ErrUnavailable, not an opaque
-// error.
+// degradation: a write statement whose maintained family is down must
+// fail with ErrUnavailable, not an opaque error.
 func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 	g := model.NewGraph()
 	u := g.AddEntity("User", "UserID", 10)
@@ -323,10 +267,10 @@ func TestWriteToDownFamilyIsUnavailable(t *testing.T) {
 }
 
 // TestTransientFaultRetriedInPlace checks the happy retry path: a
-// modest transient rate is absorbed by retries without failing over,
-// and the degraded statements cost more than healthy ones.
+// modest transient rate is absorbed by retries, and the degraded
+// statements are costed.
 func TestTransientFaultRetriedInPlace(t *testing.T) {
-	f := newRedundantFixture(t, familyWeather(1, faults.Profile{TransientRate: 0.3}))
+	f := newQueryFixture(t, familyWeather(1, faults.Profile{TransientRate: 0.3}))
 	for i := 0; i < 50; i++ {
 		if _, err := f.sys.ExecStatement(f.query, f.params); err != nil {
 			t.Fatal(err)
@@ -368,7 +312,7 @@ func (k *parkingKV) Get(name string, req backend.GetRequest) (*backend.GetResult
 // exec.retries counter around each statement, so A's retry, landing
 // between B's snapshots, marked B degraded too.)
 func TestDegradedCountsTheStatementsOwnRetries(t *testing.T) {
-	f := newRedundantFixture(t)
+	f := newQueryFixture(t)
 	kv := &parkingKV{KVBackend: f.sys.Store, parked: make(chan struct{}), release: make(chan struct{})}
 	f.sys.Exec = executor.New(kv, cost.DefaultParams())
 	f.sys.Exec.SetObs(f.sys.Obs())

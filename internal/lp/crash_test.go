@@ -290,10 +290,10 @@ func TestCrashInfeasible(t *testing.T) {
 
 // TestCrashSnapshotWarmStarts: the snapshot of a crash-started solve —
 // slacks basic on the rows the start met, their artificials pinned at
-// zero under sign +1 — is a basis SolveFrom and SolvePrepended load as
-// it is. SolveFrom from it on the same program, and after a bound fix,
-// and SolvePrepended after loose leading rows, each end at the cold
-// objective within 1e-9 without falling back.
+// zero under sign +1 — is a basis SolveFrom loads as it is. SolveFrom
+// from it on the same program, after a bound fix, and after loose
+// leading rows, each end at the cold objective within 1e-9 without
+// falling back.
 func TestCrashSnapshotWarmStarts(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	checked := 0
@@ -337,7 +337,7 @@ func TestCrashSnapshotWarmStarts(t *testing.T) {
 		}
 
 		ext := prependRows(rng, p, cold.X, 1+rng.Intn(2), false)
-		if !checkPrepended(t, lp.NewSolver(), ext, snap, what+": SolvePrepended") {
+		if !checkPrepended(t, lp.NewSolver(), ext, snap, what+": SolveFrom after leading rows") {
 			t.Fatalf("%s: loose leading rows fell back cold", what)
 		}
 		checked++

@@ -44,13 +44,26 @@ func (s *Solver) Snapshot() *Basis {
 }
 
 // SolveFrom solves p, with each of fixes pinning its column, starting
-// from a basis snapshot taken at the optimum of a problem identical to p
-// except for column bounds (its own fixes included). Such a basis stays
-// dual feasible — bound changes never touch reduced costs — so the
-// bounded dual simplex drives out the (typically one or two) primal
-// bound violations in a handful of pivots instead of a full two-phase
-// solve. Both phases of work are skipped entirely when the old optimum
-// is still primal feasible.
+// from a basis snapshot taken at the optimum of a program p extends by k
+// ≥ 0 leading rows, k being how many more rows p has: the same columns
+// with the same bounds apart from fixes, possibly entries on the new
+// rows, and, when k > 0, any objective.
+//
+// With k = 0 — branch and bound's children, which differ from their
+// parent only in column bounds — the basis stays dual feasible, since
+// bound changes never touch reduced costs, so the bounded dual simplex
+// drives out the (typically one or two) primal bound violations in a
+// handful of pivots instead of a full two-phase solve. Both phases of
+// work are skipped entirely when the old optimum is still primal
+// feasible.
+//
+// With k > 0 the old basis with each new row's slack basic is a basis
+// of p, but a new objective leaves it no dual feasibility for the dual
+// simplex to keep. When its point satisfies the new rows and every bound
+// to within feasTol — as phase 1's root relaxation satisfies the cost
+// row that pins its own integer optimum in phase 2 — it is primal
+// feasible, and primal simplex runs from it; only the new objective's
+// pivots remain. Otherwise it falls back cold.
 //
 // The result is a pure function of (p, from, fixes): any numerical
 // trouble falls back deterministically to a cold Solve with the same
@@ -67,14 +80,15 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, er
 		return nil, err
 	}
 	s.stats.Solves++
-	if k, ok := fits(p, from); !ok || k != 0 {
+	k, ok := fits(p, from)
+	if !ok {
 		s.stats.Fallbacks++
 		return s.solveCold(p, fixes)
 	}
-	if s.held == p && s.byRow == p.byRow {
+	if k == 0 && s.held == p && s.byRow == p.byRow {
 		s.reload(from, fixes)
 	} else {
-		s.install(p, from, 0, fixes)
+		s.install(p, from, k, fixes)
 	}
 	if mark := &s.loaded; mark.from == from && mark.prob == p {
 		s.etaRow = s.etaRow[:mark.etas]
@@ -94,6 +108,10 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, er
 		mark.from, mark.prob = from, p
 		mark.etas, mark.nnz = len(s.etaRow), len(s.etaIdx)
 		mark.basis = append(mark.basis[:0], s.basis...)
+	}
+	if k > 0 && !s.primalFeasible() {
+		s.stats.Fallbacks++
+		return s.solveCold(p, fixes)
 	}
 
 	s.price(s.obj)
@@ -121,49 +139,6 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, er
 	return s.extract(p), nil
 }
 
-// SolvePrepended solves p starting from the optimal basis of a program
-// p extends: p's rows are k new rows followed by the old program's rows
-// in order, where k is how many more rows p has than from, its columns
-// are the old program's, with the same bounds and possibly entries on
-// the new rows, and its objective is arbitrary. The old basis with each
-// new row's slack basic is a basis of p. When its point satisfies the
-// new rows and every bound to within feasTol — as phase 1's root
-// relaxation satisfies the cost row that pins its own integer optimum in
-// phase 2 — it is primal feasible, and primal simplex runs from it; only
-// the new objective's pivots remain.
-//
-// Like SolveFrom the result is a pure function of (p, from): an
-// unusable snapshot, a singular load, a primal-infeasible load or the
-// iteration limit falls back deterministically to a cold solve, and is
-// counted as a fallback.
-func (s *Solver) SolvePrepended(p *Problem, from *Basis) (*Solution, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	s.stats.Solves++
-	k, ok := fits(p, from)
-	if !ok {
-		s.stats.Fallbacks++
-		return s.solveCold(p, nil)
-	}
-	s.install(p, from, k, nil)
-	if !s.refactor() || !s.primalFeasible() {
-		s.stats.Fallbacks++
-		return s.solveCold(p, nil)
-	}
-	s.price(s.obj)
-	st := s.iterate(s.obj, true)
-	if st == IterationLimit {
-		s.stats.Fallbacks++
-		return s.solveCold(p, nil)
-	}
-	s.stats.PrimalWarmStarts++
-	if st == Unbounded {
-		return &Solution{Status: Unbounded}, nil
-	}
-	return s.extract(p), nil
-}
-
 // fits reports whether from has the shape of a basis of a program that
 // p extends by k ≥ 0 leading rows, k being how many more rows p has: one
 // status per structural, slack and artificial variable of that program
@@ -179,7 +154,7 @@ func fits(p *Problem, from *Basis) (k int, ok bool) {
 
 // install loads p's columns, each of fixes pinning its own, and the
 // basis from, taken on a program p extends by k leading rows (see
-// SolvePrepended; k is 0 for SolveFrom).
+// SolveFrom).
 // Every artificial is pinned at zero, as the solve that took the
 // snapshot left them after its phase 1, under the column sign that solve
 // chose; a new row's artificial is nonbasic and its slack basic. Old

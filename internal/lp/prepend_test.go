@@ -45,15 +45,16 @@ func prependRows(rng *rand.Rand, p *lp.Problem, x0 []float64, k int, cut bool) *
 	return lp.WithLeadingRows(p, lo, hi, a, obj)
 }
 
-// checkPrepended solves p2 from snap (the optimal basis of the program
-// it extends by leading rows) on s and cold on a fresh solver, and fails
-// unless both end the same way, at objectives within 1e-9, and a fresh
-// solver's warm start reproduces s's bit for bit. It reports whether s
-// completed on the primal warm path rather than falling back.
+// checkPrepended solves p2 with SolveFrom from snap (the optimal basis of
+// the program it extends by leading rows) on s and cold on a fresh
+// solver, and fails unless both end the same way, at objectives within
+// 1e-9, and a fresh solver's warm start reproduces s's bit for bit. It
+// reports whether s completed on the warm path, which for a new
+// objective is primal simplex alone, rather than falling back.
 func checkPrepended(t *testing.T, s *lp.Solver, p2 *lp.Problem, snap *lp.Basis, what string) bool {
 	t.Helper()
 	before := s.Stats()
-	got, err := s.SolvePrepended(p2, snap)
+	got, err := s.SolveFrom(p2, snap)
 	if err != nil {
 		t.Fatalf("%s: warm solve: %v", what, err)
 	}
@@ -62,37 +63,38 @@ func checkPrepended(t *testing.T, s *lp.Solver, p2 *lp.Problem, snap *lp.Basis, 
 	if err != nil {
 		t.Fatalf("%s: cold solve: %v", what, err)
 	}
-	again, err := lp.NewSolver().SolvePrepended(p2, snap)
+	again, err := lp.NewSolver().SolveFrom(p2, snap)
 	if err != nil {
 		t.Fatalf("%s: fresh warm solve: %v", what, err)
 	}
 	sameSolution(t, what+": fresh solver", got, again)
 
-	primal := after.PrimalWarmStarts - before.PrimalWarmStarts
+	warm := after.WarmStarts - before.WarmStarts
 	fallbacks := after.Fallbacks - before.Fallbacks
-	if after.Solves-before.Solves != 1 || primal+fallbacks != 1 {
-		t.Fatalf("%s: one call counted %d solves, %d primal warm starts, %d fallbacks",
-			what, after.Solves-before.Solves, primal, fallbacks)
+	if after.Solves-before.Solves != 1 || warm+fallbacks != 1 {
+		t.Fatalf("%s: one call counted %d solves, %d warm starts, %d fallbacks",
+			what, after.Solves-before.Solves, warm, fallbacks)
 	}
 	if after.DualPivots != before.DualPivots {
-		t.Fatalf("%s: the primal warm start took %d dual pivots", what, after.DualPivots-before.DualPivots)
+		t.Fatalf("%s: the warm start of the extended program took %d dual pivots", what, after.DualPivots-before.DualPivots)
 	}
 	if got.Status == lp.IterationLimit || want.Status == lp.IterationLimit {
-		return primal == 1
+		return warm == 1
 	}
 	if got.Status != want.Status {
-		t.Fatalf("%s: warm status %v, cold status %v (primal warm start: %v)", what, got.Status, want.Status, primal == 1)
+		t.Fatalf("%s: warm status %v, cold status %v (warm start: %v)", what, got.Status, want.Status, warm == 1)
 	}
 	if got.Status == lp.Optimal && math.Abs(got.Objective-want.Objective) > 1e-9*(1+math.Abs(want.Objective)) {
 		t.Fatalf("%s: warm objective %v, cold objective %v", what, got.Objective, want.Objective)
 	}
-	return primal == 1
+	return warm == 1
 }
 
 // TestSolvePrependedMatchesCold is the differential test of phase 2's
-// root warm start over random bounded programs: solve one, prepend 1–3
-// rows and change the objective, and the warm solve must end as a cold
-// solve of the extended program does. Loose rows keep the old optimum
+// root warm start, SolveFrom over a program with prepended rows, on
+// random bounded programs: solve one, prepend 1–3 rows and change the
+// objective, and the warm solve must end as a cold solve of the
+// extended program does. Loose rows keep the old optimum
 // feasible and must run on the primal warm path; a cut row makes the
 // load primal infeasible and must take the counted cold fallback, never
 // report a false Infeasible.
@@ -132,9 +134,9 @@ func TestSolvePrependedMatchesCold(t *testing.T) {
 	}
 }
 
-// TestSolvePrependedUnusableSnapshot: a nil snapshot, or one that is
-// not the basis of p less some leading rows, falls back cold and counts
-// it; the snapshot of p itself loads as it is.
+// TestSolvePrependedUnusableSnapshot: SolveFrom from a nil snapshot, or
+// from one that is not the basis of p less some leading rows, falls back
+// cold and counts it; the snapshot of p itself loads as it is.
 func TestSolvePrependedUnusableSnapshot(t *testing.T) {
 	p := lp.NewProblem()
 	r := p.AddRow(1, 1)
@@ -147,7 +149,7 @@ func TestSolvePrependedUnusableSnapshot(t *testing.T) {
 	snap := s.Snapshot()
 	solve := func(q *lp.Problem, from *lp.Basis) {
 		t.Helper()
-		sol, err := s.SolvePrepended(q, from)
+		sol, err := s.SolveFrom(q, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,20 +165,21 @@ func TestSolvePrependedUnusableSnapshot(t *testing.T) {
 	wide.AddCol(0, 0, 1)
 	solve(wide, snap)
 	solve(p, nil)
-	if st := s.Stats(); st.Fallbacks != 3 || st.PrimalWarmStarts != 0 {
-		t.Errorf("%d fallbacks and %d primal warm starts, want 3 and 0", st.Fallbacks, st.PrimalWarmStarts)
+	if st := s.Stats(); st.Fallbacks != 3 || st.WarmStarts != 0 {
+		t.Errorf("%d fallbacks and %d warm starts, want 3 and 0", st.Fallbacks, st.WarmStarts)
 	}
 	before := s.Stats()
 	solve(p, snap)
-	if st := s.Stats(); st.PrimalWarmStarts != 1 || st.Pivots != before.Pivots {
-		t.Errorf("the snapshot of p itself: %d primal warm starts, %d pivots; want 1 and none", st.PrimalWarmStarts, st.Pivots-before.Pivots)
+	if st := s.Stats(); st.WarmStarts != 1 || st.Pivots != before.Pivots {
+		t.Errorf("the snapshot of p itself: %d warm starts, %d pivots; want 1 and none", st.WarmStarts, st.Pivots-before.Pivots)
 	}
 }
 
 // FuzzSolvePrepended decodes bytes into a small bounded LP, solves it,
 // prepends rows decoded from the rest of the input (loose or cutting off
-// the optimum) with a new objective, and checks the warm solve against a
-// cold one as TestSolvePrependedMatchesCold does.
+// the optimum) with a new objective, and checks SolveFrom over the
+// extended program against a cold solve as TestSolvePrependedMatchesCold
+// does.
 func FuzzSolvePrepended(f *testing.F) {
 	f.Add([]byte{3, 4, 1, 200, 13, 7, 90, 41, 0, 255, 18, 6, 2, 9, 77})
 	f.Add([]byte{1, 1, 128, 1, 0})

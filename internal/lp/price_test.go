@@ -124,7 +124,7 @@ func TestMaintainedReducedCostsMatchFresh(t *testing.T) {
 			}
 			snap := s.Snapshot()
 			before := s.Stats()
-			if _, err := s.SolvePrepended(prependRows(rng, p, sol.X, 1+rng.Intn(3), false), snap); err != nil {
+			if _, err := s.SolveFrom(prependRows(rng, p, sol.X, 1+rng.Intn(3), false), snap); err != nil {
 				t.Fatal(err)
 			}
 			if after := s.Stats(); after.Fallbacks == before.Fallbacks {

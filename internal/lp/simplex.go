@@ -167,9 +167,8 @@ type loadMark struct {
 // summing them across per-worker solvers yields the same totals at any
 // worker count.
 type SolverStats struct {
-	// Solves is the number of solve requests (Solve, SolveFrom and
-	// SolvePrepended): ColdSolves + WarmStarts + PrimalWarmStarts +
-	// Fallbacks.
+	// Solves is the number of solve requests (Solve and SolveFrom):
+	// ColdSolves + WarmStarts + Fallbacks.
 	Solves int64
 	// ColdSolves counts Solve calls, which start from the slack crash
 	// basis by request.
@@ -199,21 +198,18 @@ type SolverStats struct {
 	// into the eta file: the fill a better elimination order would
 	// have to reduce.
 	RefactorNNZ int64
-	// WarmStarts counts SolveFrom calls that completed on the
-	// warm-started dual simplex path, whatever the answer.
+	// WarmStarts counts SolveFrom calls that completed from the
+	// snapshot's basis, whatever the answer: on the dual simplex path
+	// or, for a program extended by leading rows, the primal one.
 	WarmStarts int64
 	// WarmInfeasible counts the WarmStarts whose answer was the dual
 	// simplex's proof that the problem is infeasible.
 	WarmInfeasible int64
 	// DualPivots counts pivots taken by the dual simplex.
 	DualPivots int64
-	// PrimalWarmStarts counts SolvePrepended calls that completed on the
-	// primal simplex path from the extended snapshot, whatever the
-	// answer.
-	PrimalWarmStarts int64
-	// Fallbacks counts SolveFrom and SolvePrepended calls that abandoned
-	// the warm start (unusable snapshot, a primal-infeasible load or
-	// numerical trouble) and re-solved cold.
+	// Fallbacks counts SolveFrom calls that abandoned the warm start
+	// (unusable snapshot, a primal-infeasible load of an extended
+	// program or numerical trouble) and re-solved cold.
 	Fallbacks int64
 }
 
@@ -232,7 +228,6 @@ func (s *SolverStats) Add(o SolverStats) {
 	s.WarmStarts += o.WarmStarts
 	s.WarmInfeasible += o.WarmInfeasible
 	s.DualPivots += o.DualPivots
-	s.PrimalWarmStarts += o.PrimalWarmStarts
 	s.Fallbacks += o.Fallbacks
 }
 

@@ -338,9 +338,6 @@ func TestValidateAfterChange(t *testing.T) {
 			if _, err := s.SolveFrom(p, snap); err == nil {
 				t.Error("SolveFrom accepts the changed problem")
 			}
-			if _, err := s.SolvePrepended(p, snap); err == nil {
-				t.Error("SolvePrepended accepts the changed problem")
-			}
 			c.undo(p)
 			if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal || sol.Objective != 1 {
 				t.Errorf("after the change is undone: %+v, %v", sol, err)

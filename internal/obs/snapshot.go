@@ -226,7 +226,7 @@ func (s *Snapshot) Format() string {
 
 // FormatSolverStats renders the LP-solver portion of a snapshot as a
 // short human-readable block: solve and warm-start counts with the hit
-// rate, the phase-2 roots started from phase 1's root basis, pivot
+// rate (phase-2 roots started from phase 1's root basis included), pivot
 // breakdown (dual, degenerate, and the feasibility pivots cold solves
 // spent in their phase 1), the full pricing passes (every other pivot
 // updates the reduced costs from its pivot row), refactorizations with
@@ -251,8 +251,8 @@ func (s *Snapshot) FormatSolverStats() string {
 	if solves > 0 {
 		fmt.Fprintf(&b, " = %.0f%%", 100*float64(warm)/float64(solves))
 	}
-	fmt.Fprintf(&b, ", %d of them proved infeasible; %d phase-2 roots started from phase 1's basis; %d cold fallbacks)\n",
-		c["lp.warm_infeasible"], c["lp.primal_warm_starts"], c["lp.warm_fallbacks"])
+	fmt.Fprintf(&b, ", %d of them proved infeasible; %d cold fallbacks)\n",
+		c["lp.warm_infeasible"], c["lp.warm_fallbacks"])
 	fmt.Fprintf(&b, "  simplex pivots           %d (%d dual, %d degenerate, %d in cold solves' phase 1)\n",
 		c["lp.pivots"], c["lp.dual_pivots"], c["lp.degenerate_pivots"], c["lp.phase1_pivots"])
 	fmt.Fprintf(&b, "  full pricing passes      %d (the other pivots update reduced costs from the pivot row)\n",

@@ -155,7 +155,7 @@ func TestAdviseWorkerInvariance(t *testing.T) {
 				return rec, counters
 			}
 			base, baseCounters := run(1)
-			for _, name := range []string{"bip.nodes", "bip.fixed_evals", "lp.solves", "lp.phase1_pivots", "lp.prices", "lp.factor_reuses", "lp.primal_warm_starts",
+			for _, name := range []string{"bip.nodes", "bip.fixed_evals", "lp.solves", "lp.phase1_pivots", "lp.prices", "lp.factor_reuses", "lp.warm_starts",
 				"search.phase1.nodes", "search.phase2.solves",
 				"planner.segment_requests", "planner.segments", "planner.step_requests", "planner.steps",
 				"planner.candidates_examined", "planner.chains_joined"} {
@@ -277,14 +277,14 @@ func TestAdviseCostMatchesChosenPlans(t *testing.T) {
 }
 
 // TestLPSolveAccounting: every LP solve request ends in exactly one of
-// four ways — cold by request, on the dual warm-started path of a node
-// (whatever its answer, a proof of infeasibility included), on the
-// primal warm-started path of phase 2's root, or warm-started and fallen
-// back cold — so the four counters add up to lp.solves, and
-// -solver-stats' warm-start share is a share of everything. Every input
-// here runs phase 2, whose root starts from phase 1's root basis, which
-// satisfies the pinned cost row: that root is one primal warm start and
-// never a fallback.
+// three ways — cold by request, warm-started from a snapshot (a node on
+// the dual path, whatever its answer, a proof of infeasibility included,
+// or phase 2's root on the primal one), or warm-started and fallen back
+// cold — so the three counters add up to lp.solves, and -solver-stats'
+// warm-start share is a share of everything. Every input here runs
+// phase 2, whose root starts from phase 1's root basis, which satisfies
+// the pinned cost row: that root is a warm start and never a fallback,
+// so phase 1's root is the one cold solve.
 func TestLPSolveAccounting(t *testing.T) {
 	var infeasible int64
 	for _, tc := range []struct {
@@ -319,12 +319,11 @@ func TestLPSolveAccounting(t *testing.T) {
 			}
 			c := reg.Snapshot().Counters
 			solves, cold, warm, fallbacks := c["lp.solves"], c["lp.cold_solves"], c["lp.warm_starts"], c["lp.warm_fallbacks"]
-			primal := c["lp.primal_warm_starts"]
-			if solves == 0 || cold+warm+primal+fallbacks != solves {
-				t.Errorf("lp.solves %d != %d cold + %d warm + %d primal warm + %d fallbacks", solves, cold, warm, primal, fallbacks)
+			if solves == 0 || cold+warm+fallbacks != solves {
+				t.Errorf("lp.solves %d != %d cold + %d warm + %d fallbacks", solves, cold, warm, fallbacks)
 			}
-			if primal != 1 || fallbacks != 0 {
-				t.Errorf("phase 2's root: %d primal warm starts and %d fallbacks, want 1 and 0", primal, fallbacks)
+			if cold != 1 || fallbacks != 0 {
+				t.Errorf("%d cold solves and %d fallbacks, want 1 (phase 1's root) and 0", cold, fallbacks)
 			}
 			inf := c["lp.warm_infeasible"]
 			if inf > warm {

@@ -92,11 +92,7 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 	rec.Schema = sch
 
 	for i, qb := range b.queries {
-		rec.Queries = append(rec.Queries, &QueryRecommendation{
-			Statement:    qb.ws,
-			Plan:         perQuery[i],
-			Alternatives: b.executablePlans(qb.space, selected),
-		})
+		rec.Queries = append(rec.Queries, &QueryRecommendation{Statement: qb.ws, Plan: perQuery[i]})
 	}
 	base := 0 // the number of ub's first group
 	for _, ub := range b.updates {
@@ -121,29 +117,6 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 		base += len(ub.groups)
 	}
 	return nil
-}
-
-// executablePlans filters a query's plan space to the plans whose
-// column families are all installed in the recommended schema (selected,
-// by pool position), keeping the space's cheapest-first order. The chosen
-// plan is among them: the linking rows select the paid families it reads
-// and extract installs the free ones, so the harness always has a plan
-// to execute.
-func (b *builder) executablePlans(space *planner.PlanSpace, selected []bool) []*planner.Plan {
-	var out []*planner.Plan
-	for _, p := range space.Plans {
-		ok := true
-		for _, x := range p.Indexes() {
-			if pos, in := b.at[x.ID()]; !in || !selected[pos] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func groupNeeds(g *supportGroup, x *schema.Index) bool {

@@ -211,9 +211,9 @@ func (b *builder) checkPrices() error {
 // pruneDominatedPlans drops every plan whose index set is a superset of
 // an earlier (hence cheaper-or-equal: plan spaces are sorted by cost
 // with a deterministic tiebreak) plan's in the same space. The removal
-// is exact for both solver phases and for plan-level failover: wherever
-// the dominated plan is feasible or executable, the dominating plan is
-// too, at no greater cost, and it is ranked first. Shrinking the plan
+// is exact for both solver phases: wherever the dominated plan is
+// feasible, the dominating plan is too, at no greater cost, and it is
+// ranked first. Shrinking the plan
 // spaces before formulation removes their columns and linking rows from
 // the BIP entirely.
 func (b *builder) pruneDominatedPlans() {

@@ -145,14 +145,6 @@ type QueryRecommendation struct {
 	Statement *workload.WeightedStatement
 	// Plan is the recommended implementation plan.
 	Plan *planner.Plan
-	// Alternatives are every plan from the query's plan space that is
-	// executable against the recommended schema (all its column
-	// families are installed), cheapest first and including Plan. The
-	// harness uses them for plan-level failover when a column family is
-	// down: NoSE's index redundancy means a query often has several
-	// ways to be answered, and keeping the ranked survivors is what
-	// lets execution degrade gracefully instead of failing.
-	Alternatives []*planner.Plan
 }
 
 // UpdateRecommendation describes how one write statement maintains one
@@ -223,9 +215,9 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 // installed and maintained whether or not a plan reads it, and each
 // query and support query takes its cheapest plan over the pool. The
 // baselines are thereby planned, priced and filtered by the same code as
-// a recommendation: Cost prices each support plan once per group, and
-// Alternatives are the dominance-pruned plan spaces. With every family
-// pinned there is nothing for phase 2 to minimize, so only phase 1 runs.
+// a recommendation, and Cost prices each support plan once per group.
+// With every family pinned there is nothing for phase 2 to minimize, so
+// only phase 1 runs.
 func AdvisePinned(w *workload.Workload, pool *enumerator.Pool, opt Options) (*Recommendation, error) {
 	sr, err := advise(w, nil, pool, opt)
 	if err != nil {

@@ -46,10 +46,6 @@ type QueryPlan struct {
 	Steps []string `json:"steps"`
 	// ColumnFamilies names the families the plan reads, in use order.
 	ColumnFamilies []string `json:"column_families"`
-	// Alternatives counts the executable plans the recommended schema
-	// keeps for this query (including the chosen one) — its failover
-	// readiness.
-	Alternatives int `json:"alternatives"`
 }
 
 // UpdatePlan is one (write statement, maintained family) pair.
@@ -180,10 +176,9 @@ func Advise(w *workload.Workload, rec *search.Recommendation) *AdviseResult {
 	}
 	for _, qr := range rec.Queries {
 		qp := QueryPlan{
-			Label:        workload.Label(qr.Statement.Statement),
-			Weight:       w.Weight(qr.Statement),
-			Cost:         qr.Plan.Cost,
-			Alternatives: len(qr.Alternatives),
+			Label:  workload.Label(qr.Statement.Statement),
+			Weight: w.Weight(qr.Statement),
+			Cost:   qr.Plan.Cost,
 		}
 		for _, s := range qr.Plan.Steps {
 			qp.Steps = append(qp.Steps, s.Describe())

@@ -29,9 +29,9 @@ var surfaceKeep = map[string]string{
 	"enumerator.EnumerateWorkload":      "benchmark hook (root bench_test.go) and fixture of the planner and executor tests",
 	"executor.Coordinator.PendingHints": "handoff, read-repair and crash-recovery tests read the hint backlog at one instant",
 	"faults.Crashes.Fired":              "journal and crash-scheduler tests ask which crash point fired",
-	"faults.Injector.SetProfile":        "failover and harness tests degrade one family",
-	"faults.Injector.MarkDown":          "failover and harness tests take one family out",
-	"faults.Injector.MarkUp":            "failover tests bring a family back",
+	"faults.Injector.SetProfile":        "harness tests degrade one family",
+	"faults.Injector.MarkDown":          "harness tests take one family out",
+	"faults.Injector.MarkUp":            "harness tests bring a family back and see its query served again",
 	"faults.Nodes.SetProfile":           "hedging and read-repair tests degrade one node",
 	"harness.System.DrainLiveMigration": "harness tests finish a migration after their workload and pin its stall guard; crashchaos steps under its own bound",
 	"journal.Replay":                    "read-only decode the recovery tests and FuzzJournalReplay drive",
