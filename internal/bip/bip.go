@@ -56,6 +56,7 @@ package bip
 import (
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"slices"
@@ -100,6 +101,12 @@ func (p *Program) Reserve(rows int, room []int) { p.lp.Reserve(rows, room) }
 func (p *Program) PinObjective(hi float64, obj []float64, at func(col, k int) int) *Program {
 	return &Program{lp: p.lp.PinObjective(hi, obj, at)}
 }
+
+// Fingerprint returns the SHA-256 digest of the program's LP (see
+// lp.Problem.Fingerprint): equal for two programs exactly when their
+// rows, columns, objectives and the order of every column's entries
+// agree, bit for bit.
+func (p *Program) Fingerprint() [sha256.Size]byte { return p.lp.Fingerprint() }
 
 // NumRows returns the number of constraint rows.
 func (p *Program) NumRows() int { return p.lp.NumRows() }

@@ -146,3 +146,39 @@ func TestReservedColumnsFillInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFingerprintMatchesSameProblem: two problems have equal
+// fingerprints exactly when sameProblem finds them equal, bit for bit
+// and entry for entry. The pairs are one problem pinned with every
+// objective coefficient placed first among its column's entries and
+// placed last, which differ in entry order alone wherever a column with
+// a coefficient has an entry, and the same pin built row first.
+func TestFingerprintMatchesSameProblem(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	var equal, differ int
+	for trial := 0; trial < 300; trial++ {
+		p := randomProblem(rng)
+		obj := make([]float64, p.NumCols())
+		for j := range obj {
+			obj[j] = float64(rng.Intn(3))
+		}
+		firstAt := func(_, _ int) int { return 0 }
+		first := p.PinObjective(1, obj, firstAt)
+		last := p.PinObjective(1, obj, func(_, k int) int { return k })
+		same := sameProblem(first, last) == nil
+		if (first.Fingerprint() == last.Fingerprint()) != same {
+			t.Fatalf("trial %d: fingerprints equal %v, problems equal %v", trial, !same, same)
+		}
+		if same {
+			equal++
+		} else {
+			differ++
+		}
+		if first.Fingerprint() != pinRowFirst(p, 1, obj, firstAt).Fingerprint() {
+			t.Fatalf("trial %d: one problem built two ways has two fingerprints", trial)
+		}
+	}
+	if equal == 0 || differ == 0 {
+		t.Errorf("%d equal and %d differing pairs: both cases must occur", equal, differ)
+	}
+}

@@ -23,6 +23,8 @@
 package lp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
@@ -173,6 +175,42 @@ func (p *Problem) NumRows() int { return len(p.rows) }
 
 // NumCols returns the number of variables.
 func (p *Problem) NumCols() int { return len(p.cols) }
+
+// Fingerprint returns a SHA-256 digest of the problem as the solver
+// reads it: the row and column counts, each row's bounds, and then per
+// column its bounds, its objective coefficient and its entries in
+// stored order, every float as its bit pattern. The order of a column's
+// entries is the order the solver sums them in, so two builds of one
+// program whose entries differ only in order have different
+// fingerprints.
+func (p *Problem) Fingerprint() [sha256.Size]byte {
+	h := sha256.New()
+	var b []byte
+	put := func(vs ...float64) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+	}
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.rows)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.cols)))
+	for _, r := range p.rows {
+		put(r.lo, r.hi)
+	}
+	for _, c := range p.cols {
+		put(c.lo, c.hi, c.obj)
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(c.entries)))
+		for _, e := range c.entries {
+			b = binary.LittleEndian.AppendUint64(b, uint64(e.Row))
+			put(e.Coef)
+		}
+		h.Write(b)
+		b = b[:0]
+	}
+	h.Write(b)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
 
 // Validate checks bound sanity, objective coefficients and entry
 // indices, and builds the row-major copy of the entries. It does so only

@@ -26,6 +26,7 @@ var surfaceKeep = map[string]string{
 	"backend.Dataset.Disconnect":        "write side of the reference data, as UpdateEntity",
 	"backend.ReplicatedStore.RF":        "harness tests check the replication factor a declared cluster gets, clamped to its size",
 	"backend.ReplicatedStore.CFStats":   "harness restart tests count a family's records across a surviving cluster's replicas",
+	"bip.Program.Fingerprint":           "search's TestProgramsPinned pins both phases' programs by it, entry order included, which no answer pin catches",
 	"enumerator.EnumerateWorkload":      "benchmark hook (root bench_test.go) and fixture of the planner and executor tests",
 	"executor.Coordinator.PendingHints": "handoff, read-repair and crash-recovery tests read the hint backlog at one instant",
 	"faults.Crashes.Fired":              "journal and crash-scheduler tests ask which crash point fired",
