@@ -159,10 +159,10 @@ type Options struct {
 	// so the explored tree, incumbent, objective, and node count are
 	// bit-identical for every worker count.
 	Workers int
-	// Obs, when non-nil, receives search counters (bip.* and the
-	// aggregated lp.* solver totals). Every counter recorded here is
-	// worker-count invariant: the explored tree is, and LP work sums
-	// commute across the per-worker solvers.
+	// Obs, when non-nil, receives search counters (bip.*) and, through
+	// each worker's solver (lp.Solver.SetObs), the lp.* ones. Every
+	// counter recorded here is worker-count invariant: the explored tree
+	// is, and LP work sums commute across the per-worker solvers.
 	Obs *obs.Registry
 	// Ctx, when non-nil, cancels the search: Solve checks it once per
 	// node batch — before popping the batch's nodes — and returns
@@ -371,37 +371,20 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	solvers := make([]*lp.Solver, workers)
 	for w := range solvers {
 		solvers[w] = solverPool.Get().(*lp.Solver)
+		solvers[w].SetObs(opt.Obs)
 	}
 	ws := workspacePool.Get().(*workspace)
 	var rc rootFixing
 	rc.cands = ws.cands[:0]
 
-	// Publish the aggregated LP work and return the solvers on every
-	// exit path. Summing the per-worker solver stats is worker-count
-	// invariant because the set of relaxations solved is, and addition
-	// commutes.
+	// Return the solvers and the workspace on every exit path.
 	defer func() {
-		var total lp.SolverStats
 		for _, s := range solvers {
-			total.Add(s.Stats())
 			s.Reset()
 			solverPool.Put(s)
 		}
 		ws.cands = rc.cands[:0]
 		workspacePool.Put(ws)
-		opt.Obs.Counter("lp.solves").Add(total.Solves)
-		opt.Obs.Counter("lp.cold_solves").Add(total.ColdSolves)
-		opt.Obs.Counter("lp.pivots").Add(total.Pivots)
-		opt.Obs.Counter("lp.phase1_pivots").Add(total.Phase1Pivots)
-		opt.Obs.Counter("lp.degenerate_pivots").Add(total.DegeneratePivots)
-		opt.Obs.Counter("lp.refactors").Add(total.Refactors)
-		opt.Obs.Counter("lp.prices").Add(total.Prices)
-		opt.Obs.Counter("lp.refactor_nnz").Add(total.RefactorNNZ)
-		opt.Obs.Counter("lp.factor_reuses").Add(total.FactorReuses)
-		opt.Obs.Counter("lp.warm_starts").Add(total.WarmStarts)
-		opt.Obs.Counter("lp.warm_infeasible").Add(total.WarmInfeasible)
-		opt.Obs.Counter("lp.dual_pivots").Add(total.DualPivots)
-		opt.Obs.Counter("lp.warm_fallbacks").Add(total.Fallbacks)
 	}()
 	nodesC := opt.Obs.Counter("bip.nodes")
 	batchesC := opt.Obs.Counter("bip.batches")
@@ -478,10 +461,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 			ws.merged[w] = append(rc.appendFixes(ws.merged[w][:0]), fixes...)
 			fixes = ws.merged[w]
 		}
-		if from != nil {
-			return solvers[w].SolveFrom(p.lp, from, fixes...)
-		}
-		return solvers[w].Solve(p.lp, fixes...)
+		return solvers[w].SolveFrom(p.lp, from, fixes...)
 	}
 
 	// tryRounded rounds x — a seeded assignment, or a relaxation's

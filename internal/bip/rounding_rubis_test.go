@@ -59,7 +59,7 @@ func TestRoundingKeepsRUBiSAnswers(t *testing.T) {
 		t.Errorf("phase 1 explored %d nodes with rounding and %d without: its objective is a cost, not a count",
 			on["search.phase1.nodes"], off["search.phase1.nodes"])
 	}
-	t.Logf("%d advises: %d → %d nodes", 16*seeds, off["search.nodes"], on["search.nodes"])
+	t.Logf("%d advises: %d → %d nodes", 16*seeds, off["bip.nodes"], on["bip.nodes"])
 }
 
 // forDaemonRUBiSInputs calls fn with the inputs bench/'s daemon-rubis

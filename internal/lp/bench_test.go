@@ -32,13 +32,13 @@ func benchProblem(groups, perGroup int, rng *rand.Rand) *lp.Problem {
 func BenchmarkSimplex(b *testing.B) {
 	p := benchProblem(24, 6, rand.New(rand.NewSource(7)))
 	s := lp.NewSolver()
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.SolveFrom(p, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := s.Solve(p)
+		sol, err := s.SolveFrom(p, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,7 +72,7 @@ func BenchmarkSimplexFresh(b *testing.B) {
 func BenchmarkSimplexWarmStart(b *testing.B) {
 	p := benchProblem(24, 6, rand.New(rand.NewSource(7)))
 	s := lp.NewSolver()
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.SolveFrom(p, nil); err != nil {
 		b.Fatal(err)
 	}
 	snap := s.Snapshot()
@@ -96,14 +96,14 @@ func BenchmarkSimplexWarmStart(b *testing.B) {
 func BenchmarkSimplexCold(b *testing.B) {
 	p := benchProblem(24, 6, rand.New(rand.NewSource(7)))
 	s := lp.NewSolver()
-	if _, err := s.Solve(p); err != nil {
+	if _, err := s.SolveFrom(p, nil); err != nil {
 		b.Fatal(err)
 	}
 	p.SetColBounds(5, 1, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sol, err := s.Solve(p)
+		sol, err := s.SolveFrom(p, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func BenchmarkRefactor(b *testing.B) {
 				b.Fatalf("generator built %d rows, want %d", p.NumRows(), rows)
 			}
 			s := lp.NewSolver()
-			if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal {
+			if sol, err := s.SolveFrom(p, nil); err != nil || sol.Status != lp.Optimal {
 				b.Fatalf("root solve: %v, %v", sol, err)
 			}
 			b.ReportAllocs()
@@ -193,6 +193,7 @@ func BenchmarkRefactor(b *testing.B) {
 func TestSolverReuseMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := lp.NewSolver()
+	stats := counted(s)
 	same := func(trial int, reused, fresh *lp.Solution) {
 		t.Helper()
 		if reused.Status != fresh.Status {
@@ -218,7 +219,7 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 		} else {
 			p = benchProblem(2+rng.Intn(8), 1+rng.Intn(5), rng)
 		}
-		reused, err := s.Solve(p)
+		reused, err := s.SolveFrom(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,12 +241,12 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 				}
 			}
 		}
-		before := s.Stats().Fallbacks
+		before := stats()["lp.warm_fallbacks"]
 		reused, err = s.SolveFrom(broken, snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Stats().Fallbacks == before {
+		if stats()["lp.warm_fallbacks"] == before {
 			continue // every cancelled column was nonbasic at its bound
 		}
 		fresh, err = broken.Solve()
@@ -254,8 +255,8 @@ func TestSolverReuseMatchesFresh(t *testing.T) {
 		}
 		same(trial, reused, fresh)
 	}
-	if s.Stats().Fallbacks < 10 {
-		t.Errorf("%d failed basis loads; most large trials should produce one", s.Stats().Fallbacks)
+	if stats()["lp.warm_fallbacks"] < 10 {
+		t.Errorf("%d failed basis loads; most large trials should produce one", stats()["lp.warm_fallbacks"])
 	}
 }
 

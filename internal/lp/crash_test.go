@@ -123,7 +123,8 @@ func sameObjective(t *testing.T, what string, got, want *lp.Solution) bool {
 func crashSolve(t *testing.T, p *lp.Problem, what string) (*lp.Solver, *lp.Solution, int64) {
 	t.Helper()
 	s := lp.NewSolver()
-	got, err := s.Solve(p)
+	stats := counted(s)
+	got, err := s.SolveFrom(p, nil)
 	if err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
@@ -132,7 +133,7 @@ func crashSolve(t *testing.T, p *lp.Problem, what string) (*lp.Solver, *lp.Solut
 		t.Fatalf("%s: dense: %v", what, err)
 	}
 	sameObjective(t, what+" against the dense oracle", got, want)
-	return s, got, s.Stats().Phase1Pivots
+	return s, got, stats()["lp.phase1_pivots"]
 }
 
 // TestCrashAllRowsSatisfied: when the starting point satisfies every
@@ -307,12 +308,13 @@ func TestCrashSnapshotWarmStarts(t *testing.T) {
 		snap := s.Snapshot()
 
 		w := lp.NewSolver()
+		wStats := counted(w)
 		got, err := w.SolveFrom(p, snap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameObjective(t, what+": SolveFrom the solved program", got, cold)
-		if st := w.Stats(); st.Fallbacks != 0 {
+		if st := wStats(); st["lp.warm_fallbacks"] != 0 {
 			t.Fatalf("%s: reloading the optimum fell back cold", what)
 		}
 
@@ -328,7 +330,7 @@ func TestCrashSnapshotWarmStarts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := lp.NewSolver().Solve(p)
+			want, err := lp.NewSolver().SolveFrom(p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,7 +60,7 @@ func randomProblem(rng *rand.Rand) *lp.Problem {
 // Trials where either engine hits its iteration limit are skipped.
 func checkAgainstDense(t *testing.T, p *lp.Problem, trial int) {
 	t.Helper()
-	fast, err := lp.NewSolver().Solve(p)
+	fast, err := lp.NewSolver().SolveFrom(p, nil)
 	if err != nil {
 		t.Fatalf("trial %d: sparse solve: %v", trial, err)
 	}
@@ -131,7 +131,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 	warm := lp.NewSolver()
 	for trial := 0; trial < 200; trial++ {
 		p := randomBinaryProblem(rng)
-		root, err := warm.Solve(p)
+		root, err := warm.SolveFrom(p, nil)
 		if err != nil {
 			t.Fatalf("trial %d: root solve: %v", trial, err)
 		}
@@ -150,7 +150,7 @@ func TestWarmStartMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: warm solve: %v", trial, err)
 		}
-		want, err := lp.NewSolver().Solve(p)
+		want, err := lp.NewSolver().SolveFrom(p, nil)
 		if err != nil {
 			t.Fatalf("trial %d: cold solve: %v", trial, err)
 		}
@@ -178,7 +178,7 @@ func TestSnapshotSharedAcrossSolvers(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		p := randomBinaryProblem(rng)
 		a, b := lp.NewSolver(), lp.NewSolver()
-		root, err := a.Solve(p)
+		root, err := a.SolveFrom(p, nil)
 		if err != nil || root.Status != lp.Optimal {
 			continue
 		}
@@ -189,7 +189,7 @@ func TestSnapshotSharedAcrossSolvers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, err := lp.NewSolver().Solve(p)
+		want, err := lp.NewSolver().SolveFrom(p, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -202,20 +202,25 @@ func TestSnapshotSharedAcrossSolvers(t *testing.T) {
 	}
 }
 
-// TestSolveFromNilFallsBack checks the deterministic cold fallback for
-// absent or shape-mismatched snapshots.
-func TestSolveFromNilFallsBack(t *testing.T) {
+// TestSolveFromNilIsCold: a nil snapshot asks for a cold solve, counted
+// in lp.cold_solves, and a snapshot of the wrong shape falls back to
+// one, counted in lp.warm_fallbacks.
+func TestSolveFromNilIsCold(t *testing.T) {
 	p := lp.NewProblem()
 	r := p.AddRow(1, 1)
 	p.AddCol(1, 0, 1, lp.Entry{Row: r, Coef: 1})
 	p.AddCol(2, 0, 1, lp.Entry{Row: r, Coef: 1})
 	s := lp.NewSolver()
+	stats := counted(s)
 	sol, err := s.SolveFrom(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sol.Status != lp.Optimal || math.Abs(sol.Objective-1) > 1e-9 {
-		t.Fatalf("nil fallback: %v obj %v", sol.Status, sol.Objective)
+		t.Fatalf("cold solve: %v obj %v", sol.Status, sol.Objective)
+	}
+	if st := stats(); st["lp.cold_solves"] != 1 || st["lp.warm_fallbacks"] != 0 {
+		t.Errorf("%d cold solves and %d fallbacks, want 1 and 0", st["lp.cold_solves"], st["lp.warm_fallbacks"])
 	}
 	snap := s.Snapshot()
 	p.AddCol(0, 0, 1) // changes the shape; snapshot no longer matches
@@ -226,9 +231,8 @@ func TestSolveFromNilFallsBack(t *testing.T) {
 	if sol.Status != lp.Optimal || math.Abs(sol.Objective-1) > 1e-9 {
 		t.Fatalf("shape fallback: %v obj %v", sol.Status, sol.Objective)
 	}
-	st := s.Stats()
-	if st.Fallbacks != 2 {
-		t.Errorf("fallbacks = %d, want 2", st.Fallbacks)
+	if st := stats(); st["lp.solves"] != 2 || st["lp.cold_solves"] != 1 || st["lp.warm_fallbacks"] != 1 {
+		t.Errorf("%d solves, %d cold and %d fallbacks, want 2, 1 and 1", st["lp.solves"], st["lp.cold_solves"], st["lp.warm_fallbacks"])
 	}
 }
 
@@ -276,7 +280,7 @@ func FuzzSimplex(f *testing.F) {
 			hi := float64(next() % 8)
 			p.AddCol(obj, 0, hi, es...)
 		}
-		fast, err := lp.NewSolver().Solve(p)
+		fast, err := lp.NewSolver().SolveFrom(p, nil)
 		if err != nil {
 			t.Fatalf("sparse: %v", err)
 		}

@@ -20,7 +20,7 @@ type Basis struct {
 }
 
 // Snapshot captures the current basis. It must be called directly after
-// a Solve or SolveFrom on this solver that returned Optimal; the
+// a SolveFrom on this solver that returned Optimal; the
 // snapshot then warm-starts later solves of the same problem shape with
 // modified column bounds. The artificial signs never change below one
 // cold solve, so a snapshot of a solve that SolveFrom loaded shares the
@@ -43,11 +43,13 @@ func (s *Solver) Snapshot() *Basis {
 	return b
 }
 
-// SolveFrom solves p, with each of fixes pinning its column, starting
-// from a basis snapshot taken at the optimum of a program p extends by k
-// ≥ 0 leading rows, k being how many more rows p has: the same columns
-// with the same bounds apart from fixes, possibly entries on the new
-// rows, and, when k > 0, any objective.
+// SolveFrom solves p, with each of fixes pinning its column. With a nil
+// from it is a cold solve: the two-phase bounded revised simplex method
+// from a slack crash basis. Otherwise it starts from a basis snapshot
+// taken at the optimum of a program p extends by k ≥ 0 leading rows, k
+// being how many more rows p has: the same columns with the same bounds
+// apart from fixes, possibly entries on the new rows, and, when k > 0,
+// any objective.
 //
 // With k = 0 — branch and bound's children, which differ from their
 // parent only in column bounds — the basis stays dual feasible, since
@@ -66,10 +68,9 @@ func (s *Solver) Snapshot() *Basis {
 // pivots remain. Otherwise it falls back cold.
 //
 // The result is a pure function of (p, from, fixes): any numerical
-// trouble falls back deterministically to a cold Solve with the same
+// trouble falls back deterministically to a cold solve with the same
 // fixes, so callers may use SolveFrom from any worker without affecting
-// reproducibility. An unusable snapshot (nil or wrong shape) also falls
-// back cold.
+// reproducibility. A snapshot of the wrong shape also falls back cold.
 //
 // A call that follows, on this solver, a SolveFrom of the same problem
 // from the same snapshot skips the load-time refactorization when the
@@ -79,10 +80,24 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, er
 	if err := validate(p, fixes); err != nil {
 		return nil, err
 	}
-	s.stats.Solves++
+	s.c.solves.Inc()
+	sol := s.solve(p, from, fixes)
+	s.c.pivots.Add(s.pivots)
+	s.c.dualPivots.Add(s.dualPivots)
+	s.c.degeneratePivots.Add(s.degenerate)
+	s.pivots, s.dualPivots, s.degenerate = 0, 0, 0
+	return sol, nil
+}
+
+// solve is SolveFrom on a validated problem.
+func (s *Solver) solve(p *Problem, from *Basis, fixes []Fix) *Solution {
+	if from == nil {
+		s.c.coldSolves.Inc()
+		return s.solveCold(p, fixes)
+	}
 	k, ok := fits(p, from)
 	if !ok {
-		s.stats.Fallbacks++
+		s.c.fallbacks.Inc()
 		return s.solveCold(p, fixes)
 	}
 	if k == 0 && s.held == p && s.byRow == p.byRow {
@@ -99,10 +114,10 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, er
 		s.updates, s.updNNZ = 0, 0
 		copy(s.basis, mark.basis)
 		s.computeBasics()
-		s.stats.FactorReuses++
+		s.c.factorReuses.Inc()
 	} else {
 		if !s.refactor() {
-			s.stats.Fallbacks++
+			s.c.fallbacks.Inc()
 			return s.solveCold(p, fixes)
 		}
 		mark.from, mark.prob = from, p
@@ -110,18 +125,18 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, er
 		mark.basis = append(mark.basis[:0], s.basis...)
 	}
 	if k > 0 && !s.primalFeasible() {
-		s.stats.Fallbacks++
+		s.c.fallbacks.Inc()
 		return s.solveCold(p, fixes)
 	}
 
 	s.price(s.obj)
 	switch s.dualIterate(s.obj) {
 	case Infeasible:
-		s.stats.WarmStarts++
-		s.stats.WarmInfeasible++
-		return &Solution{Status: Infeasible}, nil
+		s.c.warmStarts.Inc()
+		s.c.warmInfeasible.Inc()
+		return &Solution{Status: Infeasible}
 	case IterationLimit:
-		s.stats.Fallbacks++
+		s.c.fallbacks.Inc()
 		return s.solveCold(p, fixes)
 	}
 	// Primal cleanup certifies optimality against freshly priced reduced
@@ -129,14 +144,14 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, er
 	// drift); usually 0 pivots.
 	st := s.iterate(s.obj, true)
 	if st == IterationLimit {
-		s.stats.Fallbacks++
+		s.c.fallbacks.Inc()
 		return s.solveCold(p, fixes)
 	}
-	s.stats.WarmStarts++
+	s.c.warmStarts.Inc()
 	if st == Unbounded {
-		return &Solution{Status: Unbounded}, nil
+		return &Solution{Status: Unbounded}
 	}
-	return s.extract(p), nil
+	return s.extract(p)
 }
 
 // fits reports whether from has the shape of a basis of a program that
@@ -144,9 +159,6 @@ func (s *Solver) SolveFrom(p *Problem, from *Basis, fixes ...Fix) (*Solution, er
 // status per structural, slack and artificial variable of that program
 // and one basic variable per row.
 func fits(p *Problem, from *Basis) (k int, ok bool) {
-	if from == nil {
-		return 0, false
-	}
 	m0 := len(from.basis)
 	k = len(p.rows) - m0
 	return k, k >= 0 && len(from.status) == len(p.cols)+2*m0
@@ -263,7 +275,7 @@ func (s *Solver) reload(from *Basis, fixes []Fix) {
 		s.reach[wi] = 0
 	}
 	s.fresh = false
-	s.pivots, s.degens = 0, 0
+	s.degens = 0
 }
 
 // primalFeasible reports whether every basic variable lies within its
@@ -384,7 +396,7 @@ func (s *Solver) dualIterate(c []float64) Status {
 		}
 		dx := (s.xb[r] - bound) / piv
 		if math.Abs(dx) < tol {
-			s.stats.DegeneratePivots++
+			s.degenerate++
 		}
 
 		newVal := s.xval[q] + dx
@@ -405,8 +417,7 @@ func (s *Solver) dualIterate(c []float64) Status {
 		s.updNNZ += s.appendEta(w, r)
 		s.updates++
 		s.pivots++
-		s.stats.Pivots++
-		s.stats.DualPivots++
+		s.dualPivots++
 		if s.updates >= refactorEvery || s.updNNZ > s.fillMax {
 			if !s.refactor() {
 				return IterationLimit

@@ -9,7 +9,7 @@ import (
 )
 
 // TestEvalMatchesFixedSolves: Eval on a 0/1 point against the two ways
-// branch and bound used to get the same answer — a cold Solve and a
+// branch and bound used to get the same answer — a cold solve and a
 // SolveFrom the relaxation's basis, both with every column fixed at the
 // point. Status must agree, and for a feasible point Objective and X
 // must be equal with ==, not within a tolerance. Rows are drawn around
@@ -76,7 +76,7 @@ func TestEvalMatchesFixedSolves(t *testing.T) {
 		// The relaxation's basis, when it has one, is the warm start.
 		relax := lp.NewSolver()
 		var snap *lp.Basis
-		if sol, err := relax.Solve(p); err != nil {
+		if sol, err := relax.SolveFrom(p, nil); err != nil {
 			t.Fatal(err)
 		} else if sol.Status == lp.Optimal {
 			snap = relax.Snapshot()
@@ -113,7 +113,7 @@ func TestEvalMatchesFixedSolves(t *testing.T) {
 				}
 			}
 		}
-		sol, err := lp.NewSolver().Solve(p)
+		sol, err := lp.NewSolver().SolveFrom(p, nil)
 		check("cold", sol, err)
 		if snap != nil {
 			sol, err = lp.NewSolver().SolveFrom(p, snap)

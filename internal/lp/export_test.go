@@ -9,7 +9,7 @@ import (
 // Solve runs the two-phase bounded revised simplex method on a fresh
 // solver. Production always holds a Solver (bip keeps one per worker);
 // the tests solve one problem at a time.
-func (p *Problem) Solve() (*Solution, error) { return NewSolver().Solve(p) }
+func (p *Problem) Solve() (*Solution, error) { return NewSolver().SolveFrom(p, nil) }
 
 // SetColBounds changes a column's bounds. It drops the problem's
 // validation with its row copy, so that the next solve checks the new

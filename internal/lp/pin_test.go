@@ -102,11 +102,11 @@ func TestPinObjectiveMatchesRowFirst(t *testing.T) {
 		if err := sameProblem(before, pinRowFirst(p, 0, make([]float64, p.NumCols()), func(_, k int) int { return k })); err != nil {
 			t.Fatalf("trial %d: PinObjective changed its source: %v", trial, err)
 		}
-		ws, err := lp.NewSolver().Solve(want)
+		ws, err := lp.NewSolver().SolveFrom(want, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gs, err := lp.NewSolver().Solve(got)
+		gs, err := lp.NewSolver().SolveFrom(got, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

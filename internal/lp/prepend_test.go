@@ -53,13 +53,14 @@ func prependRows(rng *rand.Rand, p *lp.Problem, x0 []float64, k int, cut bool) *
 // objective is primal simplex alone, rather than falling back.
 func checkPrepended(t *testing.T, s *lp.Solver, p2 *lp.Problem, snap *lp.Basis, what string) bool {
 	t.Helper()
-	before := s.Stats()
+	stats := counted(s)
+	before := stats()
 	got, err := s.SolveFrom(p2, snap)
 	if err != nil {
 		t.Fatalf("%s: warm solve: %v", what, err)
 	}
-	after := s.Stats()
-	want, err := lp.NewSolver().Solve(p2)
+	after := stats()
+	want, err := lp.NewSolver().SolveFrom(p2, nil)
 	if err != nil {
 		t.Fatalf("%s: cold solve: %v", what, err)
 	}
@@ -69,14 +70,14 @@ func checkPrepended(t *testing.T, s *lp.Solver, p2 *lp.Problem, snap *lp.Basis, 
 	}
 	sameSolution(t, what+": fresh solver", got, again)
 
-	warm := after.WarmStarts - before.WarmStarts
-	fallbacks := after.Fallbacks - before.Fallbacks
-	if after.Solves-before.Solves != 1 || warm+fallbacks != 1 {
+	warm := after["lp.warm_starts"] - before["lp.warm_starts"]
+	fallbacks := after["lp.warm_fallbacks"] - before["lp.warm_fallbacks"]
+	if after["lp.solves"]-before["lp.solves"] != 1 || warm+fallbacks != 1 {
 		t.Fatalf("%s: one call counted %d solves, %d warm starts, %d fallbacks",
-			what, after.Solves-before.Solves, warm, fallbacks)
+			what, after["lp.solves"]-before["lp.solves"], warm, fallbacks)
 	}
-	if after.DualPivots != before.DualPivots {
-		t.Fatalf("%s: the warm start of the extended program took %d dual pivots", what, after.DualPivots-before.DualPivots)
+	if after["lp.dual_pivots"] != before["lp.dual_pivots"] {
+		t.Fatalf("%s: the warm start of the extended program took %d dual pivots", what, after["lp.dual_pivots"]-before["lp.dual_pivots"])
 	}
 	if got.Status == lp.IterationLimit || want.Status == lp.IterationLimit {
 		return warm == 1
@@ -107,7 +108,7 @@ func TestSolvePrependedMatchesCold(t *testing.T) {
 		if trial%2 == 1 {
 			p = randomProblem(rng)
 		}
-		sol, err := s.Solve(p)
+		sol, err := s.SolveFrom(p, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -134,19 +135,21 @@ func TestSolvePrependedMatchesCold(t *testing.T) {
 	}
 }
 
-// TestSolvePrependedUnusableSnapshot: SolveFrom from a nil snapshot, or
-// from one that is not the basis of p less some leading rows, falls back
-// cold and counts it; the snapshot of p itself loads as it is.
+// TestSolvePrependedUnusableSnapshot: SolveFrom from a snapshot that is
+// not the basis of p less some leading rows falls back cold and counts
+// it, from a nil one it solves cold by request; the snapshot of p itself
+// loads as it is.
 func TestSolvePrependedUnusableSnapshot(t *testing.T) {
 	p := lp.NewProblem()
 	r := p.AddRow(1, 1)
 	p.AddCol(1, 0, 1, lp.Entry{Row: r, Coef: 1})
 	p.AddCol(2, 0, 1, lp.Entry{Row: r, Coef: 1})
 	s := lp.NewSolver()
-	if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal {
+	if sol, err := s.SolveFrom(p, nil); err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("solve: %v %v", sol, err)
 	}
 	snap := s.Snapshot()
+	stats := counted(s)
 	solve := func(q *lp.Problem, from *lp.Basis) {
 		t.Helper()
 		sol, err := s.SolveFrom(q, from)
@@ -165,13 +168,13 @@ func TestSolvePrependedUnusableSnapshot(t *testing.T) {
 	wide.AddCol(0, 0, 1)
 	solve(wide, snap)
 	solve(p, nil)
-	if st := s.Stats(); st.Fallbacks != 3 || st.WarmStarts != 0 {
-		t.Errorf("%d fallbacks and %d warm starts, want 3 and 0", st.Fallbacks, st.WarmStarts)
+	if st := stats(); st["lp.warm_fallbacks"] != 2 || st["lp.cold_solves"] != 1 || st["lp.warm_starts"] != 0 {
+		t.Errorf("%d fallbacks, %d cold solves and %d warm starts, want 2, 1 and 0", st["lp.warm_fallbacks"], st["lp.cold_solves"], st["lp.warm_starts"])
 	}
-	before := s.Stats()
+	before := stats()
 	solve(p, snap)
-	if st := s.Stats(); st.WarmStarts != 1 || st.Pivots != before.Pivots {
-		t.Errorf("the snapshot of p itself: %d warm starts, %d pivots; want 1 and none", st.WarmStarts, st.Pivots-before.Pivots)
+	if st := stats(); st["lp.warm_starts"] != 1 || st["lp.pivots"] != before["lp.pivots"] {
+		t.Errorf("the snapshot of p itself: %d warm starts, %d pivots; want 1 and none", st["lp.warm_starts"], st["lp.pivots"]-before["lp.pivots"])
 	}
 }
 
@@ -221,7 +224,7 @@ func FuzzSolvePrepended(f *testing.F) {
 			p.AddCol(float64(int(next())-128)/16, 0, float64(next()%8), es...)
 		}
 		s := lp.NewSolver()
-		sol, err := s.Solve(p)
+		sol, err := s.SolveFrom(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,7 +43,7 @@ func TestMaintainedReducedCostsMatchFresh(t *testing.T) {
 			if trial%4 == 0 {
 				p = advisorProblem(100+rng.Intn(300), rng)
 			}
-			if _, err := s.Solve(p); err != nil {
+			if _, err := s.SolveFrom(p, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -57,15 +57,16 @@ func TestMaintainedReducedCostsMatchFresh(t *testing.T) {
 		defer restore()
 		rng := rand.New(rand.NewSource(43))
 		s := lp.NewSolver()
+		stats := counted(s)
 		var dual int64
 		warm := func(p *lp.Problem, snap *lp.Basis) *lp.Solution {
 			t.Helper()
-			before := s.Stats().DualPivots
+			before := stats()["lp.dual_pivots"]
 			sol, err := s.SolveFrom(p, snap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dual += s.Stats().DualPivots - before
+			dual += stats()["lp.dual_pivots"] - before
 			return sol
 		}
 		for trial := 0; trial < 200; trial++ {
@@ -73,7 +74,7 @@ func TestMaintainedReducedCostsMatchFresh(t *testing.T) {
 			if trial%4 == 0 {
 				p = advisorProblem(100+rng.Intn(300), rng)
 			}
-			sol, err := s.Solve(p)
+			sol, err := s.SolveFrom(p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,16 +88,16 @@ func TestMaintainedReducedCostsMatchFresh(t *testing.T) {
 		// Cutting every route's capacity of a transportation program is a
 		// dual solve long enough to refactorize on the way.
 		p := transportProblem(30, rng)
-		if _, err := s.Solve(p); err != nil {
+		if _, err := s.SolveFrom(p, nil); err != nil {
 			t.Fatal(err)
 		}
 		snap := s.Snapshot()
 		for j := 0; j < p.NumCols(); j++ {
 			p.SetColBounds(j, 0, 0.15)
 		}
-		refactors := s.Stats().Refactors
+		refactors := stats()["lp.refactors"]
 		warm(p, snap)
-		if s.Stats().Refactors-refactors < 2 {
+		if stats()["lp.refactors"]-refactors < 2 {
 			t.Error("the transport solve did not refactorize mid-solve")
 		}
 		if checked() == 0 || dual == 0 {
@@ -109,13 +110,14 @@ func TestMaintainedReducedCostsMatchFresh(t *testing.T) {
 		defer restore()
 		rng := rand.New(rand.NewSource(47))
 		s := lp.NewSolver()
+		stats := counted(s)
 		var primal int64
 		for trial := 0; trial < 300; trial++ {
 			p := randomBinaryProblem(rng)
 			if trial%2 == 1 {
 				p = randomProblem(rng)
 			}
-			sol, err := s.Solve(p)
+			sol, err := s.SolveFrom(p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,12 +125,12 @@ func TestMaintainedReducedCostsMatchFresh(t *testing.T) {
 				continue
 			}
 			snap := s.Snapshot()
-			before := s.Stats()
+			before := stats()
 			if _, err := s.SolveFrom(prependRows(rng, p, sol.X, 1+rng.Intn(3), false), snap); err != nil {
 				t.Fatal(err)
 			}
-			if after := s.Stats(); after.Fallbacks == before.Fallbacks {
-				primal += after.Pivots - before.Pivots
+			if after := stats(); after["lp.warm_fallbacks"] == before["lp.warm_fallbacks"] {
+				primal += after["lp.pivots"] - before["lp.pivots"]
 			}
 		}
 		if primal == 0 {
@@ -179,19 +181,20 @@ func TestDualRatioTieBreak(t *testing.T) {
 	tc := p.AddCol(0, 0, 10, lp.Entry{Row: r1, Coef: 1})
 
 	s := lp.NewSolver()
-	if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal || sol.X[x0] != 0 || sol.X[x1] != 1 {
+	stats := counted(s)
+	if sol, err := s.SolveFrom(p, nil); err != nil || sol.Status != lp.Optimal || sol.X[x0] != 0 || sol.X[x1] != 1 {
 		t.Fatalf("root solve: %+v, %v", sol, err)
 	}
 	snap := s.Snapshot()
 	p.SetColBounds(tc, 0, 0.25)
-	before := s.Stats()
+	before := stats()
 	sol, err := s.SolveFrom(p, snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := s.Stats()
-	if dual := after.DualPivots - before.DualPivots; dual != 1 || after.Fallbacks != before.Fallbacks {
-		t.Fatalf("%d dual pivots, %d fallbacks; want one dual pivot on the warm path", dual, after.Fallbacks-before.Fallbacks)
+	after := stats()
+	if dual := after["lp.dual_pivots"] - before["lp.dual_pivots"]; dual != 1 || after["lp.warm_fallbacks"] != before["lp.warm_fallbacks"] {
+		t.Fatalf("%d dual pivots, %d fallbacks; want one dual pivot on the warm path", dual, after["lp.warm_fallbacks"]-before["lp.warm_fallbacks"])
 	}
 	if sol.Status != lp.Optimal || sol.Objective != -0.75 {
 		t.Fatalf("%v objective %v, want optimal -0.75", sol.Status, sol.Objective)
@@ -207,7 +210,8 @@ func TestDualRatioTieBreak(t *testing.T) {
 func TestWarmSolveAllocations(t *testing.T) {
 	p := advisorProblem(244, rand.New(rand.NewSource(7)))
 	s := lp.NewSolver()
-	root, err := s.Solve(p)
+	stats := counted(s)
+	root, err := s.SolveFrom(p, nil)
 	if err != nil || root.Status != lp.Optimal {
 		t.Fatalf("root solve: %v, %v", root, err)
 	}
@@ -218,13 +222,13 @@ func TestWarmSolveAllocations(t *testing.T) {
 			break
 		}
 	}
-	before := s.Stats().DualPivots
+	before := stats()["lp.dual_pivots"]
 	allocs := testing.AllocsPerRun(20, func() {
 		if sol, err := s.SolveFrom(p, snap); err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("warm solve: %v, %v", sol, err)
 		}
 	})
-	if s.Stats().DualPivots == before {
+	if stats()["lp.dual_pivots"] == before {
 		t.Fatal("the warm solve took no dual pivot")
 	}
 	if allocs != 1 {

@@ -359,7 +359,7 @@ func (p *Problem) ColEntryCount(col int) int { return len(p.cols[col].entries) }
 // Fix pins a column at one value for a single solve, overriding its
 // bounds in the solver and leaving the problem untouched: branch and
 // bound solves every node of a program from one shared, read-only
-// Problem by passing the node's fixes to Solve or SolveFrom.
+// Problem by passing the node's fixes to SolveFrom.
 type Fix struct {
 	// Col is the fixed column.
 	Col int

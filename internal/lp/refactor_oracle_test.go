@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"nose/internal/obs"
 )
 
 // refactorOracle is the refactorization as it stood before eliminate
@@ -13,7 +15,7 @@ import (
 // full clear of w. It is kept verbatim as the reference the production
 // refactor must reproduce bit for bit (TestRefactorMatchesOracle).
 func (s *Solver) refactorOracle() bool {
-	s.stats.Refactors++
+	s.c.refactors.Inc()
 	m := s.m
 	s.etaRow = s.etaRow[:0]
 	s.etaPiv = s.etaPiv[:0]
@@ -176,7 +178,8 @@ func refactorInput(s *Solver) *Solver {
 // which must hold the same input, and compares what they leave behind
 // by bit pattern, not within a tolerance.
 func compareRefactor(want, got *Solver) error {
-	nnzBefore := got.stats.RefactorNNZ
+	reg := obs.NewRegistry()
+	got.SetObs(reg)
 	wantOK, gotOK := want.refactorOracle(), got.refactor()
 	if wantOK != gotOK {
 		return fmt.Errorf("m=%d: oracle returned %v, refactor %v", want.m, wantOK, gotOK)
@@ -210,8 +213,8 @@ func compareRefactor(want, got *Solver) error {
 	if err := sameFloats("xval", want.xval, got.xval); err != nil {
 		return err
 	}
-	if counted := got.stats.RefactorNNZ - nnzBefore; counted != int64(len(got.etaIdx)) {
-		return fmt.Errorf("m=%d: RefactorNNZ grew by %d, eta file holds %d", got.m, counted, len(got.etaIdx))
+	if counted := reg.Counter("lp.refactor_nnz").Value(); counted != int64(len(got.etaIdx)) {
+		return fmt.Errorf("m=%d: lp.refactor_nnz grew by %d, eta file holds %d", got.m, counted, len(got.etaIdx))
 	}
 	return nil
 }

@@ -2,13 +2,14 @@ package lp_test
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"testing"
 
 	"nose/internal/lp"
+	"nose/internal/obs"
 )
 
 // sameSolution compares two solutions by bit pattern.
@@ -67,7 +68,7 @@ func TestFactorReuseMatchesFresh(t *testing.T) {
 	// and reports whether the first refactorized mid-solve.
 	secondChild := func(name string, p *lp.Problem, first, second child) bool {
 		root := lp.NewSolver()
-		if sol, err := root.Solve(p); err != nil || sol.Status != lp.Optimal {
+		if sol, err := root.SolveFrom(p, nil); err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("%s: root solve: %v %v", name, sol, err)
 		}
 		snap := root.Snapshot()
@@ -90,12 +91,13 @@ func TestFactorReuseMatchesFresh(t *testing.T) {
 		}
 
 		pair, fresh := lp.NewSolver(), lp.NewSolver()
+		pairStats, freshStats := counted(pair), counted(fresh)
 		_, firstRefactors := solve(pair, first)
 		midSolve := firstRefactors > 1 // beyond the load-time one
-		before := pair.Stats()
+		before := pairStats()
 		got, pairRefactors := solve(pair, second)
 		want, freshRefactors := solve(fresh, second)
-		after := pair.Stats()
+		after := pairStats()
 
 		sameSolution(t, name, want, got)
 		if err := lp.SameSolverState(fresh, pair); err != nil {
@@ -105,11 +107,11 @@ func TestFactorReuseMatchesFresh(t *testing.T) {
 		if midSolve {
 			saved = 0
 		}
-		if reuses := after.FactorReuses - before.FactorReuses; reuses != saved || int64(freshRefactors-pairRefactors) != saved {
+		if reuses := after["lp.factor_reuses"] - before["lp.factor_reuses"]; reuses != saved || int64(freshRefactors-pairRefactors) != saved {
 			t.Errorf("%s (first child refactorized mid-solve: %v): second child reused %d loads and refactorized %d times, the fresh solver %d times",
 				name, midSolve, reuses, pairRefactors, freshRefactors)
 		}
-		if want, got := fresh.Stats().Pivots, after.Pivots-before.Pivots; got != want {
+		if want, got := freshStats()["lp.pivots"], after["lp.pivots"]-before["lp.pivots"]; got != want {
 			t.Errorf("%s: second child took %d pivots, the fresh solver %d", name, got, want)
 		}
 		return midSolve
@@ -151,7 +153,7 @@ func TestReloadMatchesFreshLoad(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		p := advisorProblem(100+50*(trial%4), rng)
 		s := lp.NewSolver()
-		if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal {
+		if sol, err := s.SolveFrom(p, nil); err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("trial %d: root solve: %v %v", trial, sol, err)
 		}
 		snaps, fixes := []*lp.Basis{s.Snapshot()}, [][]lp.Fix{nil}
@@ -199,13 +201,14 @@ func TestFactorReuseIsKeyedAndForgettable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	p := advisorProblem(200, rng)
 	s := lp.NewSolver()
-	if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal {
+	if sol, err := s.SolveFrom(p, nil); err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("root solve: %v %v", sol, err)
 	}
 	snap := s.Snapshot()
 	twin := s.Snapshot()
 	clone := p.Clone()
-	reuses := func() int64 { return s.Stats().FactorReuses }
+	stats := counted(s)
+	reuses := func() int64 { return stats()["lp.factor_reuses"] }
 	solve := func(p *lp.Problem, from *lp.Basis) {
 		t.Helper()
 		if _, err := s.SolveFrom(p, from); err != nil {
@@ -232,7 +235,7 @@ func TestFactorReuseIsKeyedAndForgettable(t *testing.T) {
 	if reuses() != 2 {
 		t.Errorf("reuse after ForgetLoad: %d reuses", reuses())
 	}
-	if _, err := s.Solve(clone); err != nil {
+	if _, err := s.SolveFrom(clone, nil); err != nil {
 		t.Fatal(err)
 	}
 	solve(clone, twin)
@@ -272,35 +275,33 @@ func solveSequence(t *testing.T, s *lp.Solver, p, p2 *lp.Problem, a, b int) []re
 		steps = append(steps, st)
 		return st.snap
 	}
-	root := record(s.Solve(p))
+	root := record(s.SolveFrom(p, nil))
 	if root == nil {
 		t.Fatalf("root solve ended %v", steps[0].sol.Status)
 	}
 	record(s.SolveFrom(p, root, lp.Fix{Col: a, Val: 1}))
 	record(s.SolveFrom(p, root, lp.Fix{Col: a, Val: 0}))
-	record(s.Solve(p, lp.Fix{Col: a, Val: 0}, lp.Fix{Col: b, Val: 1}))
+	record(s.SolveFrom(p, nil, lp.Fix{Col: a, Val: 0}, lp.Fix{Col: b, Val: 1}))
 	record(s.SolveFrom(p2, root))
 	return steps
 }
 
-// statsDelta returns after − before, counter by counter.
-func statsDelta(before, after lp.SolverStats) lp.SolverStats {
-	d := after
-	bv, dv := reflect.ValueOf(before), reflect.ValueOf(&d).Elem()
-	for i := 0; i < dv.NumField(); i++ {
-		dv.Field(i).SetInt(dv.Field(i).Int() - bv.Field(i).Int())
-	}
-	return d
+// counted binds s's work counters to a registry of its own and returns
+// a function that reads them, by name.
+func counted(s *lp.Solver) func() map[string]int64 {
+	r := obs.NewRegistry()
+	s.SetObs(r)
+	return func() map[string]int64 { return r.Snapshot().Counters }
 }
 
 // TestReusedSolverMatchesFresh: a solver that has already solved a
 // larger and a smaller unrelated program — cold, warm from a snapshot
 // under fixes, and warm from a prepended root — solves a third exactly
 // as a new solver does: every objective, point and snapshot bit for bit,
-// the same work counted, and the same state left behind. After Reset its
-// counters are a new solver's too. Branch and bound pools its solvers on
-// this. Every snapshot's artificial signs, shared or copied, are the
-// ones the solver holds.
+// the same work counted, and the same state left behind. After Reset it
+// solves as a new solver does too, and counts nothing until it is bound
+// again. Branch and bound pools its solvers on this. Every snapshot's
+// artificial signs, shared or copied, are the ones the solver holds.
 func TestReusedSolverMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	type program struct {
@@ -309,7 +310,7 @@ func TestReusedSolverMatchesFresh(t *testing.T) {
 	}
 	build := func(rows int) program {
 		p := advisorProblem(rows, rng)
-		sol, err := lp.NewSolver().Solve(p)
+		sol, err := lp.NewSolver().SolveFrom(p, nil)
 		if err != nil || sol.Status != lp.Optimal {
 			t.Fatalf("%d rows: root solve: %v %v", rows, sol, err)
 		}
@@ -318,9 +319,11 @@ func TestReusedSolverMatchesFresh(t *testing.T) {
 	large, small, target := build(400), build(60), build(200)
 
 	fresh := lp.NewSolver()
+	freshStats := counted(fresh)
 	want := solveSequence(t, fresh, target.p, target.p2, target.a, target.b)
-	compare := func(what string, s *lp.Solver, before lp.SolverStats) {
+	compare := func(what string, s *lp.Solver) func() map[string]int64 {
 		t.Helper()
+		stats := counted(s)
 		got := solveSequence(t, s, target.p, target.p2, target.a, target.b)
 		for i := range want {
 			step := fmt.Sprintf("%s, solve %d", what, i)
@@ -334,24 +337,34 @@ func TestReusedSolverMatchesFresh(t *testing.T) {
 				}
 			}
 		}
-		if d := statsDelta(before, s.Stats()); d != fresh.Stats() {
-			t.Errorf("%s: counted %+v, a new solver %+v", what, d, fresh.Stats())
+		if got, want := stats(), freshStats(); !maps.Equal(got, want) {
+			t.Errorf("%s: counted %v, a new solver %v", what, got, want)
 		}
 		if err := lp.SameSolverState(fresh, s); err != nil {
 			t.Errorf("%s: %v", what, err)
 		}
+		return stats
 	}
 
 	s := lp.NewSolver()
+	stats := counted(s)
 	for _, pr := range []program{large, small} {
 		solveSequence(t, s, pr.p, pr.p2, pr.a, pr.b)
 	}
-	if st := s.Stats(); st.WarmStarts == 0 || st.FactorReuses == 0 {
+	if st := stats(); st["lp.warm_starts"] == 0 || st["lp.factor_reuses"] == 0 {
 		t.Fatalf("the unrelated solves took no warm path: %+v", st)
 	}
-	compare("after a larger and a smaller program", s, s.Stats())
+	compare("after a larger and a smaller program", s)
 	s.Reset()
-	compare("after Reset", s, lp.SolverStats{})
+	stats = compare("after Reset", s)
+	s.Reset()
+	before := stats()
+	if _, err := s.SolveFrom(small.p, nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := stats(); !maps.Equal(after, before) {
+		t.Errorf("a solve after Reset counted into the registry bound before it: %v, then %v", before, after)
+	}
 }
 
 // TestOneMoreRowFitsBuffers: a solver sized by one program also fits
@@ -366,7 +379,7 @@ func TestOneMoreRowFitsBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	p := advisorProblem(244, rng)
 	s := lp.NewSolver()
-	sol, err := s.Solve(p)
+	sol, err := s.SolveFrom(p, nil)
 	if err != nil || sol.Status != lp.Optimal {
 		t.Fatalf("root solve: %v %v", sol, err)
 	}

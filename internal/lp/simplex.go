@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"nose/internal/obs"
 )
 
 const (
@@ -127,9 +129,13 @@ type Solver struct {
 	touched  []uint64 // bitset of the rows of w written for one column
 	heap     []int32  // pending eta indices, a binary min-heap
 
-	pivots   int
-	degens   int
+	degens   int // consecutive degenerate pivots, for Bland's rule
 	maxIters int
+
+	// pivots, dualPivots and degenerate tally the pivots of the SolveFrom
+	// call in progress, which adds them to their counters as it returns:
+	// a shared counter per pivot would cost the pivot loop an atomic add.
+	pivots, dualPivots, degenerate int64
 
 	// loaded marks the factorization SolveFrom last loaded, while the
 	// eta file still starts with it (see loadMark).
@@ -141,7 +147,7 @@ type Solver struct {
 	held  *Problem
 	fixed []Fix
 
-	stats SolverStats
+	c counters
 }
 
 // loadMark remembers the one factorization a solver may reuse: the
@@ -162,77 +168,67 @@ type loadMark struct {
 	basis []int    // basis order after that refactor's permutation
 }
 
-// SolverStats accumulates work counters across every solve call on one
-// Solver. All counts are pure functions of the problems solved, so
-// summing them across per-worker solvers yields the same totals at any
-// worker count.
-type SolverStats struct {
-	// Solves is the number of solve requests (Solve and SolveFrom):
-	// ColdSolves + WarmStarts + Fallbacks.
-	Solves int64
-	// ColdSolves counts Solve calls, which start from the slack crash
-	// basis by request.
-	ColdSolves int64
-	// Pivots is the total number of simplex pivots, primal and dual.
-	Pivots int64
-	// Phase1Pivots counts the Pivots cold solves, fallbacks included,
-	// spend driving artificials out before phase 2.
-	Phase1Pivots int64
-	// DegeneratePivots counts pivots with (near-)zero step length.
-	DegeneratePivots int64
-	// Refactors counts eta-file rebuilds from the basis columns,
-	// including the initial basis load of each solve that did not reuse
-	// the previous load's.
-	Refactors int64
-	// Prices counts full pricing passes — a btran of the basic costs and
-	// a pass over every column. A solve runs one when it loads its basis
-	// or changes objective, one after each refactorization and one to
-	// confirm optimality; every other pivot updates the reduced costs
-	// from its pivot row.
-	Prices int64
-	// FactorReuses counts SolveFrom calls that found the snapshot's
-	// factorization still at the head of the eta file and skipped the
-	// load-time refactorization.
-	FactorReuses int64
-	// RefactorNNZ counts the off-pivot nonzeros refactorizations wrote
-	// into the eta file: the fill a better elimination order would
-	// have to reduce.
-	RefactorNNZ int64
-	// WarmStarts counts SolveFrom calls that completed from the
-	// snapshot's basis, whatever the answer: on the dual simplex path
-	// or, for a program extended by leading rows, the primal one.
-	WarmStarts int64
-	// WarmInfeasible counts the WarmStarts whose answer was the dual
-	// simplex's proof that the problem is infeasible.
-	WarmInfeasible int64
-	// DualPivots counts pivots taken by the dual simplex.
-	DualPivots int64
-	// Fallbacks counts SolveFrom calls that abandoned the warm start
-	// (unusable snapshot, a primal-infeasible load of an extended
-	// program or numerical trouble) and re-solved cold.
-	Fallbacks int64
+// counters are the lp.* counters SetObs bound, nil (counting nothing)
+// until it has.
+type counters struct {
+	solves, coldSolves, warmStarts, warmInfeasible, fallbacks *obs.Counter
+	pivots, phase1Pivots, degeneratePivots, dualPivots        *obs.Counter
+	refactors, refactorNNZ, factorReuses, prices              *obs.Counter
 }
 
-// Add accumulates another stats value, for aggregating per-worker
-// solvers.
-func (s *SolverStats) Add(o SolverStats) {
-	s.Solves += o.Solves
-	s.ColdSolves += o.ColdSolves
-	s.Pivots += o.Pivots
-	s.Phase1Pivots += o.Phase1Pivots
-	s.DegeneratePivots += o.DegeneratePivots
-	s.Refactors += o.Refactors
-	s.Prices += o.Prices
-	s.FactorReuses += o.FactorReuses
-	s.RefactorNNZ += o.RefactorNNZ
-	s.WarmStarts += o.WarmStarts
-	s.WarmInfeasible += o.WarmInfeasible
-	s.DualPivots += o.DualPivots
-	s.Fallbacks += o.Fallbacks
+// SetObs binds the solver's work counters to r's lp.* counters; a nil r
+// binds none. Every solver bound to one registry adds into the same
+// counters, and every count is a pure function of the problems solved,
+// so the totals are the same however the solves are spread over
+// solvers, and so at any worker count. The pivot counts are tallied in
+// the solver and added when its SolveFrom call returns.
+//
+//   - lp.solves counts SolveFrom calls, the sum of lp.cold_solves,
+//     lp.warm_starts and lp.warm_fallbacks.
+//   - lp.cold_solves counts calls given no snapshot, which start from
+//     the slack crash basis.
+//   - lp.warm_starts counts calls that completed from the snapshot's
+//     basis, whatever the answer: on the dual simplex path or, for a
+//     program extended by leading rows, the primal one.
+//   - lp.warm_infeasible counts the warm starts whose answer was the
+//     dual simplex's proof that the problem is infeasible.
+//   - lp.warm_fallbacks counts calls that abandoned the warm start (a
+//     snapshot of the wrong shape, a primal-infeasible load of an
+//     extended program or numerical trouble) and re-solved cold.
+//   - lp.pivots counts simplex pivots, primal and dual; lp.dual_pivots
+//     those the dual simplex took, lp.degenerate_pivots those with
+//     (near-)zero step length, and lp.phase1_pivots those cold solves,
+//     fallbacks included, spent driving artificials out before phase 2.
+//   - lp.refactors counts eta-file rebuilds from the basis columns,
+//     including the basis load of each call that did not reuse the
+//     previous load's, and lp.refactor_nnz the off-pivot nonzeros they
+//     wrote into the eta file: the fill a better elimination order would
+//     have to reduce.
+//   - lp.factor_reuses counts calls that found the snapshot's
+//     factorization still at the head of the eta file and skipped the
+//     load-time refactorization.
+//   - lp.prices counts full pricing passes — a btran of the basic costs
+//     and a pass over every column. A solve runs one when it loads its
+//     basis or changes objective, one after each refactorization and one
+//     to confirm optimality; every other pivot updates the reduced costs
+//     from its pivot row.
+func (s *Solver) SetObs(r *obs.Registry) {
+	s.c = counters{
+		solves:           r.Counter("lp.solves"),
+		coldSolves:       r.Counter("lp.cold_solves"),
+		warmStarts:       r.Counter("lp.warm_starts"),
+		warmInfeasible:   r.Counter("lp.warm_infeasible"),
+		fallbacks:        r.Counter("lp.warm_fallbacks"),
+		pivots:           r.Counter("lp.pivots"),
+		phase1Pivots:     r.Counter("lp.phase1_pivots"),
+		degeneratePivots: r.Counter("lp.degenerate_pivots"),
+		dualPivots:       r.Counter("lp.dual_pivots"),
+		refactors:        r.Counter("lp.refactors"),
+		refactorNNZ:      r.Counter("lp.refactor_nnz"),
+		factorReuses:     r.Counter("lp.factor_reuses"),
+		prices:           r.Counter("lp.prices"),
+	}
 }
-
-// Stats returns the cumulative work counters for this solver.
-func (s *Solver) Stats() SolverStats { return s.stats }
 
 // ReducedCosts returns the reduced cost of every structural column at
 // the optimum the last solve on this solver reported: zero for a basic
@@ -245,13 +241,14 @@ func (s *Solver) Stats() SolverStats { return s.stats }
 // Optimal.
 func (s *Solver) ReducedCosts() []float64 { return s.d[:s.n] }
 
-// Reset zeroes the work counters, drops the factorization marked for
+// Reset unbinds the work counters, drops the factorization marked for
 // reuse and every reference to the last problem solved, and keeps the
 // buffers: a reset solver solves exactly as a new one does, bit for bit
-// and counter for counter, only without growing its storage again.
-// Branch and bound pools its solvers across calls through it.
+// and, once bound again, counter for counter, only without growing its
+// storage again. Branch and bound pools its solvers across calls
+// through it.
 func (s *Solver) Reset() {
-	s.stats = SolverStats{}
+	s.c = counters{}
 	s.loaded = loadMark{basis: s.loaded.basis[:0]}
 	s.asign = nil
 	s.byRow = nil
@@ -324,7 +321,7 @@ func (s *Solver) prepare(p *Problem) {
 	s.touched = fit(s.touched, (m+63)/64)
 	s.reach = grow(s.reach, (total+63)/64)
 	s.fillMax = 16*m + 2048
-	s.pivots, s.degens = 0, 0
+	s.degens = 0
 	s.maxIters = 2000 + 40*(m+n)
 }
 
@@ -385,17 +382,6 @@ func (s *Solver) appendEta(w []float64, r int) int {
 	return nnz
 }
 
-// Solve runs the two-phase bounded revised simplex method on p with
-// each of fixes pinning its column, reusing the solver's buffers.
-func (s *Solver) Solve(p *Problem, fixes ...Fix) (*Solution, error) {
-	if err := validate(p, fixes); err != nil {
-		return nil, err
-	}
-	s.stats.Solves++
-	s.stats.ColdSolves++
-	return s.solveCold(p, fixes)
-}
-
 // validate checks p, and that every fix names one of its columns.
 func validate(p *Problem, fixes []Fix) error {
 	if err := p.Validate(); err != nil {
@@ -441,7 +427,7 @@ func (s *Solver) load(p *Problem, fixes []Fix) {
 // every structural starts nonbasic at a finite bound, a row whose
 // activity there already lies within its bounds starts on its slack,
 // and only the rows that point violates start on an artificial.
-func (s *Solver) solveCold(p *Problem, fixes []Fix) (*Solution, error) {
+func (s *Solver) solveCold(p *Problem, fixes []Fix) *Solution {
 	s.load(p, fixes)
 	s.asign = nil
 	m, n := s.m, s.n
@@ -486,7 +472,7 @@ func (s *Solver) solveCold(p *Problem, fixes []Fix) (*Solution, error) {
 	// The crash basis refactors into m trivial singleton etas and
 	// recomputes xb, sharing the general load path.
 	if !s.refactor() {
-		return &Solution{Status: IterationLimit}, nil
+		return &Solution{Status: IterationLimit}
 	}
 
 	// Phase 1: minimize the sum of artificial variables, needed only when
@@ -500,7 +486,7 @@ func (s *Solver) solveCold(p *Problem, fixes []Fix) (*Solution, error) {
 		}
 	}
 	if needPhase1 {
-		before := s.stats.Pivots
+		before := s.pivots
 		s.price(phase1)
 		st := s.iterate(phase1, false)
 		if st == Optimal && s.objectiveOf(phase1) > 1e-6 {
@@ -508,12 +494,12 @@ func (s *Solver) solveCold(p *Problem, fixes []Fix) (*Solution, error) {
 			// program infeasible; a feasible end needs no confirmation.
 			st = s.iterate(phase1, true)
 		}
-		s.stats.Phase1Pivots += s.stats.Pivots - before
+		s.c.phase1Pivots.Add(s.pivots - before)
 		if st == IterationLimit {
-			return &Solution{Status: IterationLimit}, nil
+			return &Solution{Status: IterationLimit}
 		}
 		if s.objectiveOf(phase1) > 1e-6 {
-			return &Solution{Status: Infeasible}, nil
+			return &Solution{Status: Infeasible}
 		}
 	}
 	// Pin artificials to zero for phase 2.
@@ -526,11 +512,11 @@ func (s *Solver) solveCold(p *Problem, fixes []Fix) (*Solution, error) {
 	st := s.iterate(s.obj, true)
 	switch st {
 	case Unbounded:
-		return &Solution{Status: Unbounded}, nil
+		return &Solution{Status: Unbounded}
 	case IterationLimit:
-		return &Solution{Status: IterationLimit}, nil
+		return &Solution{Status: IterationLimit}
 	}
-	return s.extract(p), nil
+	return s.extract(p)
 }
 
 // extract reads the optimal point back out of the solver state, into
@@ -602,7 +588,7 @@ func (s *Solver) price(c []float64) {
 		s.d[j] = dj
 	}
 	s.fresh = true
-	s.stats.Prices++
+	s.c.prices.Inc()
 }
 
 // pivotRow computes row r of B⁻¹A into alpha and marks the variables it
@@ -772,7 +758,7 @@ func (s *Solver) iterate(c []float64, confirm bool) Status {
 		}
 		if tMax < tol {
 			s.degens++
-			s.stats.DegeneratePivots++
+			s.degenerate++
 		} else {
 			s.degens = 0
 		}
@@ -821,7 +807,6 @@ func (s *Solver) iterate(c []float64, confirm bool) Status {
 		s.xval[entering] = newEnterVal
 
 		s.pivots++
-		s.stats.Pivots++
 		if s.updates >= refactorEvery || s.updNNZ > s.fillMax {
 			if !s.refactor() {
 				return IterationLimit
@@ -856,7 +841,9 @@ func (s *Solver) refactor() bool {
 	if testHookRefactor != nil {
 		testHookRefactor(s)
 	}
-	s.stats.Refactors++
+	s.c.refactors.Inc()
+	// The refactorization writes every eta into the emptied file.
+	defer func() { s.c.refactorNNZ.Add(int64(len(s.etaIdx))) }()
 	s.loaded.from = nil
 	m := s.m
 	s.etaRow = s.etaRow[:0]
@@ -1060,7 +1047,6 @@ func (s *Solver) eliminate(k int) int {
 		return -1 // w and touched stay dirty; refactor clears them on entry
 	}
 	piv := w[r]
-	first := len(s.etaIdx)
 	for wi, word := range touched {
 		for ; word != 0; word &= word - 1 {
 			i := wi<<6 | bits.TrailingZeros64(word)
@@ -1074,7 +1060,6 @@ func (s *Solver) eliminate(k int) int {
 		}
 		touched[wi] = 0
 	}
-	s.stats.RefactorNNZ += int64(len(s.etaIdx) - first)
 	etaAt[r] = int32(len(s.etaRow))
 	s.etaRow = append(s.etaRow, int32(r))
 	s.etaPiv = append(s.etaPiv, piv)

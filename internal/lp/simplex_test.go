@@ -293,7 +293,7 @@ func TestValidateErrors(t *testing.T) {
 	p4.AddCol(1, 0, 1)
 	s := lp.NewSolver()
 	for _, col := range []int{-1, 1} {
-		if _, err := s.Solve(p4, lp.Fix{Col: col}); err == nil {
+		if _, err := s.SolveFrom(p4, nil, lp.Fix{Col: col}); err == nil {
 			t.Errorf("expected validation error for a fix of column %d of 1", col)
 		}
 		if _, err := s.SolveFrom(p4, nil, lp.Fix{Col: col}); err == nil {
@@ -323,7 +323,7 @@ func TestValidateAfterChange(t *testing.T) {
 			p.AddCol(1, 0, 1, lp.Entry{Row: r, Coef: 1})
 			p.AddCol(2, 0, 1, lp.Entry{Row: r, Coef: 1})
 			s := lp.NewSolver()
-			sol, err := s.Solve(p)
+			sol, err := s.SolveFrom(p, nil)
 			if err != nil || sol.Status != lp.Optimal {
 				t.Fatalf("before the change: %v, %v", sol, err)
 			}
@@ -332,14 +332,14 @@ func TestValidateAfterChange(t *testing.T) {
 			if err := p.Validate(); err == nil {
 				t.Error("Validate accepts the changed problem")
 			}
-			if _, err := s.Solve(p); err == nil {
+			if _, err := s.SolveFrom(p, nil); err == nil {
 				t.Error("Solve accepts the changed problem")
 			}
 			if _, err := s.SolveFrom(p, snap); err == nil {
 				t.Error("SolveFrom accepts the changed problem")
 			}
 			c.undo(p)
-			if sol, err := s.Solve(p); err != nil || sol.Status != lp.Optimal || sol.Objective != 1 {
+			if sol, err := s.SolveFrom(p, nil); err != nil || sol.Status != lp.Optimal || sol.Objective != 1 {
 				t.Errorf("after the change is undone: %+v, %v", sol, err)
 			}
 		})

@@ -239,9 +239,11 @@ func (s *Snapshot) Format() string {
 // the node limit with what relative gap (a truncated solve's
 // recommendation is its best incumbent, not a proven optimum), and the
 // formulation-side dominance pruning and cutting-plane counters.
-// internal/bip publishes the lp.* totals (aggregated lp.SolverStats)
-// and internal/search the search.* ones; the nose and nosebench
-// -solver-stats flags print this block after a run.
+// Each counter is recorded by the package that does the work: lp.* by
+// every lp.Solver that internal/bip binds to the run's registry
+// (lp.Solver.SetObs), bip.* by internal/bip and search.* by
+// internal/search; the nose and nosebench -solver-stats flags print this
+// block after a run.
 func (s *Snapshot) FormatSolverStats() string {
 	c := s.Counters
 	var b strings.Builder

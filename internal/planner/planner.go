@@ -9,6 +9,7 @@ import (
 	"nose/internal/cost"
 	"nose/internal/enumerator"
 	"nose/internal/model"
+	"nose/internal/obs"
 	"nose/internal/schema"
 	"nose/internal/workload"
 )
@@ -57,22 +58,12 @@ type Planner struct {
 	// next ones: as many as ever ran at once, kept for the planner's
 	// life. See the scratch type.
 	idle []*scratch
-	// counts sums what finished PlanQuery calls counted.
-	counts Counts
-}
 
-// Counts sizes the generation work a planner has done so far: how many
-// segments and steps its plan spaces asked for and how many distinct
-// ones that made it build, how many candidate families segment
-// generation examined and how many candidate chains decomposition
-// joined. Every field is a request count or a table size — none depends
-// on which worker got where first — so they are equal at any worker
-// count.
-type Counts struct {
-	SegmentRequests, Segments int64
-	StepRequests, Steps       int64
-	CandidatesExamined        int64
-	ChainsJoined              int64
+	// count holds the planner.* counters SetObs bound, nil (counting
+	// nothing) until it has; the step table holds planner.steps.
+	count struct {
+		segmentRequests, segments, stepRequests, examined, joined *obs.Counter
+	}
 }
 
 // New returns a planner over the given candidate pool and cost model.
@@ -121,14 +112,28 @@ func appendAttrKey(dst []byte, attrs []*model.Attribute) []byte {
 // Pool returns the candidate pool the planner plans over.
 func (p *Planner) Pool() *enumerator.Pool { return p.pool }
 
-// Counts returns the planner's generation counts so far.
-func (p *Planner) Counts() Counts {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	c := p.counts
-	c.Segments = int64(len(p.segments))
-	c.Steps = int64(p.table.size())
-	return c
+// SetObs binds the planner's generation counters to r's planner.*
+// counters; a nil r binds none. They count how many segments and steps
+// its plan spaces asked for and how many distinct ones that made it
+// build, how many candidate families segment generation examined and
+// how many candidate chains decomposition joined:
+//
+//   - planner.segment_requests and planner.segments;
+//   - planner.step_requests and planner.steps;
+//   - planner.candidates_examined;
+//   - planner.chains_joined.
+//
+// Each is a request count or a count of distinct values built, none of
+// which depends on which worker got where first, so they are equal at
+// any worker count. A PlanQuery call adds its requests when it ends.
+// Bind before planning: what the planner did before is not counted.
+func (p *Planner) SetObs(r *obs.Registry) {
+	p.count.segmentRequests = r.Counter("planner.segment_requests")
+	p.count.segments = r.Counter("planner.segments")
+	p.count.stepRequests = r.Counter("planner.step_requests")
+	p.table.created = r.Counter("planner.steps")
+	p.count.examined = r.Counter("planner.candidates_examined")
+	p.count.joined = r.Counter("planner.chains_joined")
 }
 
 // costState is the state of the costing fold: the expected row

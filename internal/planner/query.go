@@ -45,13 +45,12 @@ func (p *Planner) PlanQuery(q *workload.Query) (*PlanSpace, error) {
 }
 
 // generator is the state of one PlanQuery call: the planner, working
-// memory borrowed from it, and what the call has counted.
+// memory borrowed from it, and what the call has counted, which is added
+// to the planner's counters when the call ends.
 type generator struct {
 	*Planner
 	*scratch
-	// counts is added to the planner's when the call ends. Only the
-	// request fields are used.
-	counts Counts
+	segmentRequests, stepRequests, examined, joined int64
 }
 
 // scratch is what generation would otherwise allocate and discard per
@@ -104,15 +103,15 @@ func newGenerator(p *Planner) *generator {
 	return &generator{Planner: p, scratch: sc}
 }
 
-// release returns the generator's scratch to the planner and reports
-// its counts.
+// release returns the generator's scratch to the planner and adds its
+// counts to the planner's counters.
 func (g *generator) release() {
+	g.count.segmentRequests.Add(g.segmentRequests)
+	g.count.stepRequests.Add(g.stepRequests)
+	g.count.examined.Add(g.examined)
+	g.count.joined.Add(g.joined)
 	g.mu.Lock()
 	g.idle = append(g.idle, g.scratch)
-	g.Planner.counts.SegmentRequests += g.counts.SegmentRequests
-	g.Planner.counts.StepRequests += g.counts.StepRequests
-	g.Planner.counts.CandidatesExamined += g.counts.CandidatesExamined
-	g.Planner.counts.ChainsJoined += g.counts.ChainsJoined
 	g.mu.Unlock()
 }
 
@@ -142,7 +141,7 @@ type candidate struct {
 
 // chainOf costs a sequence of interned steps from scratch.
 func (g *generator) chainOf(sts ...interned) chain {
-	g.counts.StepRequests += int64(len(sts))
+	g.stepRequests += int64(len(sts))
 	steps := make([]Step, len(sts))
 	var buf [32]byte // most chains are a handful of steps: one allocation, for the string
 	id := buf[:0]
@@ -524,7 +523,7 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo, depth int) []chai
 			continue
 		}
 		rems := g.chains(g.sub.Remainder(depth, q, s), memo, depth+1)
-		g.counts.ChainsJoined += int64(len(firsts) * len(rems))
+		g.joined += int64(len(firsts) * len(rems))
 		for f := range firsts {
 			for r := range rems {
 				b.add(g.join(&firsts[f], &rems[r]))
@@ -616,13 +615,14 @@ type segment struct {
 // ordering) — a worker that asks while another generates waits — and
 // the chains returned are shared: read-only, steps included.
 func (g *generator) segmentVariants(pq *workload.Query, order []workload.AttrRef) []chain {
-	g.counts.SegmentRequests++
+	g.segmentRequests++
 	g.key = segmentKey(g.key[:0], pq, order)
 	g.mu.Lock()
 	seg := g.segments[string(g.key)]
 	if seg == nil {
 		seg = &segment{}
 		g.segments[string(g.key)] = seg
+		g.count.segments.Inc()
 	}
 	g.mu.Unlock()
 	seg.once.Do(func() { seg.chains = g.generateSegment(pq, order) })
@@ -731,7 +731,7 @@ func (g *generator) lookupVariants(out []chain, rq *workload.Query, removed []wo
 	g.shapes, g.shapeAttrs = shapes, g.shapeAttrs[:0]
 
 	for _, cf := range g.candidatesFor(partition) {
-		g.counts.CandidatesExamined++
+		g.examined++
 		if !pathCoversSegment(cf.Path, rq.Path) {
 			continue
 		}

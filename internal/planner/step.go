@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"nose/internal/model"
+	"nose/internal/obs"
 	"nose/internal/schema"
 	"nose/internal/workload"
 )
@@ -188,6 +189,9 @@ type stepTable struct {
 	reps    []classRep
 	// enrich memoises enrichStep per entity and attribute set.
 	enrich map[*model.Entity][]enrichment
+	// created counts the steps interned (planner.steps, see
+	// Planner.SetObs).
+	created *obs.Counter
 }
 
 // interned is a canonical step with the class of its signature.
@@ -333,6 +337,7 @@ func (t *stepTable) add(k stepKey, st Step) interned {
 	}
 	e := interned{st, class}
 	t.steps[k] = e
+	t.created.Inc()
 	return e
 }
 
@@ -418,13 +423,6 @@ func (t *stepTable) limit(n int) interned {
 		return e
 	}
 	return t.add(k, &LimitStep{N: n})
-}
-
-// size returns the number of distinct steps interned.
-func (t *stepTable) size() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.steps)
 }
 
 // enrichStep returns the id-keyed lookup supplying the given attributes

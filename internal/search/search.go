@@ -66,8 +66,8 @@ type Options struct {
 	// Nil means context.Background() (never cancelled).
 	Ctx context.Context
 	// Obs, when non-nil, receives pipeline metrics: deterministic
-	// search.*/enum.*/bip.*/lp.* counters and wall-clock stage gauges.
-	// Nil disables metrics at no cost.
+	// search.*/enum.*/planner.*/bip.*/lp.* counters and wall-clock stage
+	// gauges. Nil disables metrics at no cost.
 	Obs *obs.Registry
 	// Trace, when non-nil, records one wall-clock span per advisor
 	// stage, viewable in about:tracing/Perfetto.
@@ -302,13 +302,12 @@ func advise(w *workload.Workload, phases []*workload.Phase, pinned *enumerator.P
 }
 
 // publishRun records the run-level metrics that are only known at the
-// end: solver node totals, wall-clock stage gauges and, for a series,
+// end: each solver phase, wall-clock stage gauges and, for a series,
 // its phases and migrations.
 func publishRun(opt Options, series bool, sr *SeriesRecommendation) {
 	if opt.Obs == nil {
 		return
 	}
-	opt.Obs.Counter("search.nodes").Add(int64(sr.Stats.Nodes))
 	publishSolve(opt.Obs, "phase1", sr.Stats.Phase1)
 	publishSolve(opt.Obs, "phase2", sr.Stats.Phase2)
 	publishTimings(opt.Obs, sr.Timings)
@@ -326,18 +325,6 @@ func publishRun(opt Options, series bool, sr *SeriesRecommendation) {
 	}
 	opt.Obs.Counter("search.series_migrations").Add(int64(migrations))
 	opt.Obs.Gauge("search.series_migration_cost").Add(sr.MigrationCost)
-}
-
-// publishPlanner reports how much generation a run's planner did: the
-// segments and steps its plan spaces asked for against the distinct ones
-// it built, the candidate families it examined and the chains it joined.
-func publishPlanner(r *obs.Registry, c planner.Counts) {
-	r.Counter("planner.segment_requests").Add(c.SegmentRequests)
-	r.Counter("planner.segments").Add(c.Segments)
-	r.Counter("planner.step_requests").Add(c.StepRequests)
-	r.Counter("planner.steps").Add(c.Steps)
-	r.Counter("planner.candidates_examined").Add(c.CandidatesExamined)
-	r.Counter("planner.chains_joined").Add(c.ChainsJoined)
 }
 
 // publishSolve counts one solver phase, its nodes, whether it was

@@ -115,6 +115,7 @@ func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator
 // naming are stable across a series — and one builder per interval.
 func (p *Prepared) plan(w *workload.Workload, enumRes *enumerator.Result) error {
 	pl := planner.New(enumRes.Pool, p.opt.CostModel, p.opt.Planner)
+	pl.SetObs(p.opt.Obs)
 	intervals := []*workload.Workload{w}
 	p.shares = []float64{1}
 	if p.phases != nil {
@@ -136,7 +137,6 @@ func (p *Prepared) plan(w *workload.Workload, enumRes *enumerator.Result) error 
 		b.paidAll = len(intervals) > 1
 		p.builders = append(p.builders, b)
 	}
-	publishPlanner(p.opt.Obs, pl.Counts())
 	return nil
 }
 
