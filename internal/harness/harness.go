@@ -39,7 +39,7 @@ import (
 // one the write maintains, is unreachable. It is the explicit
 // degraded-mode outcome — callers can detect it with errors.Is and keep
 // serving the rest of the workload.
-var ErrUnavailable = errors.New("statement unavailable: no surviving plan")
+var ErrUnavailable = errors.New("statement unavailable: a column family it needs is unreachable")
 
 // ErrNoPlan reports that the serving schema has no plan at all for a
 // statement — the schema was never advised for it. For a query that

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -512,5 +513,56 @@ func TestValidateBoundsSimulateScale(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("users=1e9: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestListJobs: GET /v1/jobs lists every job in submission order with
+// its status, a failed one with its error.
+func TestListJobs(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{})
+	hotel := hotelDSL(t)
+	noEquality := strings.Replace(hotel, "WHERE Room.Hotel.HotelCity = ?city AND Room.RoomRate > ?rate", "WHERE Room.RoomRate > ?rate", 1)
+	var want []service.Status
+	for _, body := range []string{hotel, noEquality, hotel} {
+		want = append(want, submit(t, ts, "wait=1", body))
+	}
+	if want[1].State != service.Failed || want[0].State != service.Done || want[2].State != service.Done {
+		t.Fatalf("submitted jobs ended %s, %s and %s, want done, failed and done", want[0].State, want[1].State, want[2].State)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/jobs: HTTP %d", resp.StatusCode)
+	}
+	var got struct {
+		Jobs []service.Status `json:"jobs"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Jobs, want) {
+		t.Errorf("listed %+v, want the submitted %+v in order", got.Jobs, want)
+	}
+}
+
+// TestHealthz: GET /v1/healthz answers 200 with {"ok": true}.
+func TestHealthz(t *testing.T) {
+	ts, _ := newTestServer(t, service.Config{})
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		OK *bool `json:"ok"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || body.OK == nil || !*body.OK {
+		t.Errorf("HTTP %d, ok %v; want 200 and true", resp.StatusCode, body.OK)
 	}
 }
