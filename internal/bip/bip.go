@@ -37,15 +37,18 @@
 // validated program and hands its solver the node's fixes, merged with
 // the reduced-cost fixes in a buffer of its own, which the solver applies
 // when it loads the node. The per-worker lp.Solvers, and the call's other
-// buffers, come from pools shared by every Solve call and go back on
-// every exit path, so they grow once per process, not once per call. A
-// relaxation's point is read in the solver's storage and copied out, into
-// a buffer per batch slot, only where the branching pass keeps it: at an
-// integral node and at every 16th, which the rounding heuristic reads.
-// What a node does allocate is its own record: its relaxation's Solution
-// header, the basis snapshot a branching node hands its children
-// (statuses and basis order; the artificial signs are shared with the
-// basis it was loaded from), and each child's fix list.
+// buffers, come from free lists shared by every Solve call and go back on
+// every exit path. The collector never empties a free list, as it does a
+// sync.Pool several times per advise of a large workload, so they grow
+// once per process, not once per call. A relaxation's point is read in
+// the solver's storage and copied out, into a buffer per batch slot, only
+// where the branching pass keeps it: at an integral node and at every
+// 16th, which the rounding heuristic reads. What a node does allocate is
+// its own record: its relaxation's Solution header, the basis snapshot a
+// branching node hands its children (as a rule the statuses and basis
+// positions that differ from the snapshot it was loaded from, see
+// lp.Basis; the artificial signs are shared with it), and each child's
+// fix list.
 //
 // NoSE's schema optimizer (paper §V) formulates column family selection
 // as such a program; the paper hands it to Gurobi, whose parallel
@@ -305,18 +308,48 @@ func (h *nodeHeap) pop() *node {
 	return top
 }
 
-// solverPool holds the LP solvers of finished Solve calls, each Reset:
-// a solve takes one per worker, so the buffers a relaxation needs are
+// freeList holds what finished Solve calls handed back for the next
+// ones: as many as were ever out at once, kept for the process's life.
+// Unlike a sync.Pool, which the collector empties — and an advise of
+// randwork allocates enough for it to run several times, so every advise
+// would find the pool empty and regrow its solvers — nothing here is
+// ever dropped, so what it holds grows once per process.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+	fresh func() T
+}
+
+// get takes an item, or makes one when none is free.
+func (l *freeList[T]) get() T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.items); n > 0 {
+		v := l.items[n-1]
+		l.items = l.items[:n-1]
+		return v
+	}
+	return l.fresh()
+}
+
+// put hands an item back.
+func (l *freeList[T]) put(v T) {
+	l.mu.Lock()
+	l.items = append(l.items, v)
+	l.mu.Unlock()
+}
+
+// solvers holds the LP solvers of finished Solve calls, each Reset: a
+// solve takes one per worker, so the buffers a relaxation needs are
 // grown by the first solves of a process and reused by every later one.
-// The collector may empty it at any time, which costs a regrowth and
-// nothing else: a reset solver's results and counters are a new one's.
-var solverPool = sync.Pool{New: func() any { return lp.NewSolver() }}
+// A reset solver's results and counters are a new one's.
+var solvers = freeList[*lp.Solver]{fresh: lp.NewSolver}
 
 // workspace is the storage of one Solve call that nothing it returns
 // refers to: the rounding heuristic's point and row activities, the
 // incumbent, the batch slots' point buffers, the reduced-cost candidates
-// and each worker's merged fix list. Like the solvers it comes from a
-// pool shared by every call, so it grows once per process.
+// and each worker's merged fix list. Like the solvers it is kept across
+// calls, so it grows once per process.
 type workspace struct {
 	point, activity, incumbentX []float64
 	xs                          [][]float64 // slot i's buffer for batch[i].x
@@ -324,7 +357,7 @@ type workspace struct {
 	merged                      [][]lp.Fix // worker w's node fixes and the fixes in force
 }
 
-var workspacePool = sync.Pool{New: func() any {
+var workspaces = freeList[*workspace]{fresh: func() *workspace {
 	return &workspace{xs: make([][]float64, batchWidth), merged: make([][]lp.Fix, batchWidth)}
 }}
 
@@ -362,29 +395,29 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	// Every worker reads the one program, validated here — the first
 	// solve of a program checks it, every later one returns at once — so
 	// that the solves only read it; a node's bound fixes live in its
-	// worker's solver. Each worker owns a
-	// pooled solver, and worker 0's also serves the serial parts (root,
-	// seeding, rounding heuristic).
+	// worker's solver. Each worker owns a solver from the free list, and
+	// worker 0's also serves the serial parts (root, seeding, rounding
+	// heuristic).
 	if err := p.lp.Validate(); err != nil {
 		return nil, err
 	}
-	solvers := make([]*lp.Solver, workers)
-	for w := range solvers {
-		solvers[w] = solverPool.Get().(*lp.Solver)
-		solvers[w].SetObs(opt.Obs)
+	held := make([]*lp.Solver, workers)
+	for w := range held {
+		held[w] = solvers.get()
+		held[w].SetObs(opt.Obs)
 	}
-	ws := workspacePool.Get().(*workspace)
+	ws := workspaces.get()
 	var rc rootFixing
 	rc.cands = ws.cands[:0]
 
 	// Return the solvers and the workspace on every exit path.
 	defer func() {
-		for _, s := range solvers {
+		for _, s := range held {
 			s.Reset()
-			solverPool.Put(s)
+			solvers.put(s)
 		}
 		ws.cands = rc.cands[:0]
-		workspacePool.Put(ws)
+		workspaces.put(ws)
 	}()
 	nodesC := opt.Obs.Counter("bip.nodes")
 	batchesC := opt.Obs.Counter("bip.batches")
@@ -461,7 +494,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 			ws.merged[w] = append(rc.appendFixes(ws.merged[w][:0]), fixes...)
 			fixes = ws.merged[w]
 		}
-		return solvers[w].SolveFrom(p.lp, from, fixes...)
+		return held[w].SolveFrom(p.lp, from, fixes...)
 	}
 
 	// tryRounded rounds x — a seeded assignment, or a relaxation's
@@ -518,12 +551,12 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 	case lp.IterationLimit:
 		return nil, fmt.Errorf("bip: relaxation hit the iteration limit")
 	}
-	res.RootBasis = solvers[0].Snapshot()
+	res.RootBasis = held[0].Snapshot()
 	if col := p.mostFractional(rootSol.X); col == -1 {
 		tryIncumbent(rootSol.X, rootSol.Objective)
 	} else {
 		if !testNoFixing {
-			rc.collect(rootSol, solvers[0].ReducedCosts())
+			rc.collect(rootSol, held[0].ReducedCosts())
 			fixPriced()
 		}
 		tryRounded(rootSol.X)
@@ -609,7 +642,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 		// looks again — already dominates it.
 		cutoff := incumbent - gapSlack(opt.Gap, incumbent)
 		par.DoWorker(len(units)-1, workers, func(w, u int) {
-			solvers[w].ForgetLoad()
+			held[w].ForgetLoad()
 			for i := units[u]; i < units[u+1]; i++ {
 				it := &batch[i]
 				it.sol, it.err = solveWith(w, it.nd.fixes, it.nd.basis)
@@ -622,7 +655,7 @@ func (p *Program) Solve(opt Options) (*Result, error) {
 					it.x = xs[i]
 				}
 				if it.col != -1 && lift(it.sol.Objective) < cutoff {
-					it.snap = solvers[w].Snapshot()
+					it.snap = held[w].Snapshot()
 				}
 			}
 		})

@@ -10,9 +10,29 @@ import (
 // plus the basic variable at each row position. Branch and bound
 // captures one per expanded node and warm-starts both children from it
 // via SolveFrom. A Basis is safe to share across goroutines.
+//
+// A snapshot is whole or a delta. A whole one holds every status and the
+// whole basis order. A delta holds only the statuses and basis positions
+// that differ from its parent, the snapshot the solve that took it was
+// loaded from, packed into one []int32: a branch and bound child ends a
+// few pivots from its parent, so its basis differs in a few places. A
+// delta keeps its parent, and so the chain of ancestors up to a whole
+// snapshot, alive; a load flattens that chain into solver scratch.
 type Basis struct {
+	// status is every variable's status in a whole snapshot, nil in a
+	// delta.
 	status []varStatus
-	basis  []int32
+	// basis is the basic variable at each row position in a whole
+	// snapshot. In a delta it holds the changes: basis[:nstat] are the
+	// statuses that differ from the parent's, variable j at status st as
+	// j<<2 | st, and the rest are pairs (i, j), variable j basic at row
+	// position i.
+	basis []int32
+	nstat int
+	// parent is the snapshot a delta applies to, nil in a whole one;
+	// chain is the packed changes held by the delta and its ancestors.
+	parent *Basis
+	chain  int
 	// asign records each artificial column's sign, which the cold solve
 	// chose from its starting residuals; warm starts must rebuild the
 	// identical basis matrix.
@@ -20,12 +40,38 @@ type Basis struct {
 }
 
 // Snapshot captures the current basis. It must be called directly after
-// a SolveFrom on this solver that returned Optimal; the
-// snapshot then warm-starts later solves of the same problem shape with
-// modified column bounds. The artificial signs never change below one
-// cold solve, so a snapshot of a solve that SolveFrom loaded shares the
-// loaded basis's signs instead of copying them.
+// a SolveFrom on this solver that returned Optimal; the snapshot then
+// warm-starts later solves of the same problem shape with modified
+// column bounds. The artificial signs never change below one cold solve,
+// so a snapshot of a solve that SolveFrom loaded shares the loaded
+// basis's signs instead of copying them.
+//
+// After a warm solve loaded from a snapshot of the same shape (no rows
+// prepended) the snapshot is a delta against it, one struct and one
+// []int32, unless that would not be smaller: unless the changes, added
+// to those of the chain of deltas it would extend, take as many bytes as
+// a whole snapshot. So a load never reads more than about twice a whole
+// snapshot's worth. After a cold solve, or one loaded with leading rows
+// prepended, the snapshot is whole.
 func (s *Solver) Snapshot() *Basis {
+	b := s.snapshot()
+	if testHookSnapshot != nil {
+		testHookSnapshot(s, b)
+	}
+	return b
+}
+
+// testHookSnapshot, when a test sets it, sees every snapshot as Snapshot
+// returns it, with the solver that took it.
+var testHookSnapshot func(*Solver, *Basis)
+
+// snapshot is Snapshot.
+func (s *Solver) snapshot() *Basis {
+	if s.base != nil {
+		if b := s.delta(); b != nil {
+			return b
+		}
+	}
 	b := &Basis{
 		status: append([]varStatus(nil), s.status...),
 		basis:  make([]int32, s.m),
@@ -41,6 +87,72 @@ func (s *Solver) Snapshot() *Basis {
 		}
 	}
 	return b
+}
+
+// delta returns the current basis as a delta against s.base, the
+// snapshot this solve loaded, or nil when a whole snapshot is no larger.
+func (s *Solver) delta() *Basis {
+	status, basis := s.view(s.base)
+	nstat, npos := 0, 0
+	for j, st := range s.status {
+		if st != status[j] {
+			nstat++
+		}
+	}
+	for i, j := range s.basis {
+		if int32(j) != basis[i] {
+			npos++
+		}
+	}
+	n := nstat + 2*npos
+	if 4*(s.base.chain+n) >= len(s.status)+4*s.m {
+		return nil
+	}
+	b := &Basis{basis: make([]int32, 0, n), nstat: nstat, parent: s.base, chain: s.base.chain + n, asign: s.asign}
+	for j, st := range s.status {
+		if st != status[j] {
+			b.basis = append(b.basis, int32(j)<<2|int32(st))
+		}
+	}
+	for i, j := range s.basis {
+		if int32(j) != basis[i] {
+			b.basis = append(b.basis, int32(i), int32(j))
+		}
+	}
+	return b
+}
+
+// view returns from's statuses and basis order: a whole snapshot's own,
+// and a delta's flattened into solver scratch, where they stay until the
+// solver flattens another. Flattening walks the chain up to its whole
+// snapshot, in a stack kept in scratch too, and applies the deltas from
+// there down, so a load from a delta allocates nothing once the scratch
+// has grown.
+func (s *Solver) view(from *Basis) ([]varStatus, []int32) {
+	if from.parent == nil {
+		return from.status, from.basis
+	}
+	if s.flat != from {
+		stack := s.stack[:0]
+		root := from
+		for ; root.parent != nil; root = root.parent {
+			stack = append(stack, root)
+		}
+		status := append(s.flatStatus[:0], root.status...)
+		basis := append(s.flatBasis[:0], root.basis...)
+		for k := len(stack) - 1; k >= 0; k-- {
+			d := stack[k]
+			for _, v := range d.basis[:d.nstat] {
+				status[v>>2] = varStatus(v & 3)
+			}
+			for t := d.nstat; t < len(d.basis); t += 2 {
+				basis[d.basis[t]] = d.basis[t+1]
+			}
+		}
+		clear(stack)
+		s.stack, s.flatStatus, s.flatBasis, s.flat = stack[:0], status, basis, from
+	}
+	return s.flatStatus, s.flatBasis
 }
 
 // SolveFrom solves p, with each of fixes pinning its column. With a nil
@@ -95,15 +207,10 @@ func (s *Solver) solve(p *Problem, from *Basis, fixes []Fix) *Solution {
 		s.c.coldSolves.Inc()
 		return s.solveCold(p, fixes)
 	}
-	k, ok := fits(p, from)
+	k, ok := s.loadBasis(p, from, fixes)
 	if !ok {
 		s.c.fallbacks.Inc()
 		return s.solveCold(p, fixes)
-	}
-	if k == 0 && s.held == p && s.byRow == p.byRow {
-		s.reload(from, fixes)
-	} else {
-		s.install(p, from, k, fixes)
 	}
 	if mark := &s.loaded; mark.from == from && mark.prob == p {
 		s.etaRow = s.etaRow[:mark.etas]
@@ -154,26 +261,48 @@ func (s *Solver) solve(p *Problem, from *Basis, fixes []Fix) *Solution {
 	return s.extract(p)
 }
 
-// fits reports whether from has the shape of a basis of a program that
-// p extends by k ≥ 0 leading rows, k being how many more rows p has: one
-// status per structural, slack and artificial variable of that program
-// and one basic variable per row.
-func fits(p *Problem, from *Basis) (k int, ok bool) {
-	m0 := len(from.basis)
+// loadBasis loads p and the snapshot from, each of fixes pinning its
+// column, leaving the basis in s.basis for refactor: through reload when
+// s holds p and from has p's shape, else through install. It reports how
+// many leading rows p has beyond from's program, and false, loading
+// nothing, when from is no basis of a program p extends.
+func (s *Solver) loadBasis(p *Problem, from *Basis, fixes []Fix) (k int, ok bool) {
+	status, basis := s.view(from)
+	if k, ok = fits(p, status, basis); !ok {
+		return k, false
+	}
+	if k == 0 && s.held == p && s.byRow == p.byRow {
+		s.reload(from, status, basis, fixes)
+	} else {
+		s.install(p, from, status, basis, k, fixes)
+	}
+	s.base = nil
+	if k == 0 {
+		s.base = from
+	}
+	return k, true
+}
+
+// fits reports whether a snapshot's statuses and basis order have the
+// shape of a basis of a program that p extends by k ≥ 0 leading rows, k
+// being how many more rows p has: one status per structural, slack and
+// artificial variable of that program and one basic variable per row.
+func fits(p *Problem, status []varStatus, basis []int32) (k int, ok bool) {
+	m0 := len(basis)
 	k = len(p.rows) - m0
-	return k, k >= 0 && len(from.status) == len(p.cols)+2*m0
+	return k, k >= 0 && len(status) == len(p.cols)+2*m0
 }
 
 // install loads p's columns, each of fixes pinning its own, and the
 // basis from, taken on a program p extends by k leading rows (see
-// SolveFrom).
+// SolveFrom), whose statuses and basis order view returned.
 // Every artificial is pinned at zero, as the solve that took the
 // snapshot left them after its phase 1, under the column sign that solve
 // chose; a new row's artificial is nonbasic and its slack basic. Old
 // slacks and artificials move up k rows. Nonbasic variables sit at the
 // bound their status names under p's bounds, and the basis is left in
 // s.basis for refactor.
-func (s *Solver) install(p *Problem, from *Basis, k int, fixes []Fix) {
+func (s *Solver) install(p *Problem, from *Basis, status []varStatus, basis []int32, k int, fixes []Fix) {
 	s.load(p, fixes)
 	m, n := s.m, s.n
 	m0 := m - k
@@ -204,7 +333,7 @@ func (s *Solver) install(p *Problem, from *Basis, k int, fixes []Fix) {
 			return j + 2*k
 		}
 	}
-	for j, st := range from.status {
+	for j, st := range status {
 		s.status[shift(j)] = st
 	}
 	for i := 0; i < k; i++ {
@@ -212,7 +341,7 @@ func (s *Solver) install(p *Problem, from *Basis, k int, fixes []Fix) {
 		s.status[n+m+i] = atLower
 		s.basis[i] = n + i
 	}
-	for i, j := range from.basis {
+	for i, j := range basis {
 		s.basis[k+i] = shift(int(j))
 	}
 	s.placeNonbasic()
@@ -250,7 +379,7 @@ func (s *Solver) placeNonbasic() {
 // and reach) is read by the next solve before it is rewritten, so that
 // is cleared where reach marks it. Everything else refactor or the first
 // price rewrites. The state it leaves is a fresh install's, bit for bit.
-func (s *Solver) reload(from *Basis, fixes []Fix) {
+func (s *Solver) reload(from *Basis, status []varStatus, basis []int32, fixes []Fix) {
 	p := s.held
 	for _, f := range s.fixed {
 		c := &p.cols[f.Col]
@@ -263,8 +392,8 @@ func (s *Solver) reload(from *Basis, fixes []Fix) {
 	for i, sign := range from.asign {
 		s.single[m+i].Coef = float64(sign)
 	}
-	copy(s.status, from.status)
-	for i, j := range from.basis {
+	copy(s.status, status)
+	for i, j := range basis {
 		s.basis[i] = int(j)
 	}
 	s.placeNonbasic()

@@ -196,11 +196,14 @@ func WithLeadingRows(p *Problem, lo, hi []float64, a [][]float64, obj []float64)
 	return cp
 }
 
-// CopiedSnapshot is Snapshot with the artificial signs always read
-// back out of the solver, never shared with the basis it was loaded
+// CopiedSnapshot is Snapshot always whole, with the artificial signs
+// read back out of the solver, never shared with the basis it was loaded
 // from.
 func CopiedSnapshot(s *Solver) *Basis {
-	b := s.Snapshot()
+	base := s.base
+	s.base = nil
+	b := s.snapshot()
+	s.base = base
 	b.asign = make([]int8, s.m)
 	for i := range b.asign {
 		b.asign[i] = int8(s.single[s.m+i].Coef)
@@ -208,13 +211,81 @@ func CopiedSnapshot(s *Solver) *Basis {
 	return b
 }
 
-// SameBasis compares two snapshots by content: every status, the basis
-// order and the artificial signs.
+// Taken is what the snapshot hook reports of one Snapshot call.
+type Taken struct {
+	// Whole is Snap's basis as a whole snapshot (CopiedSnapshot).
+	Snap, Whole *Basis
+	// Load is how the solve that ended at Snap started: "cold" (a cold
+	// solve, a fallback included), "prepended" (a snapshot of a program
+	// the problem extends by leading rows) or "warm" (a snapshot of the
+	// problem's own shape).
+	Load string
+	// Problem and Fixes are the problem and fixes of a warm solve, which
+	// Snap can be loaded back into.
+	Problem *Problem
+	Fixes   []Fix
+}
+
+// SetSnapshotHook calls f with every snapshot any solver takes, and
+// returns the function that removes it.
+func SetSnapshotHook(f func(Taken)) (restore func()) {
+	testHookSnapshot = func(s *Solver, b *Basis) {
+		t := Taken{Snap: b, Whole: CopiedSnapshot(s), Load: "warm"}
+		switch {
+		case s.held == nil:
+			t.Load = "cold"
+		case s.asign == nil:
+			t.Load = "prepended"
+		default:
+			t.Problem, t.Fixes = s.held, slices.Clone(s.fixed)
+		}
+		f(t)
+	}
+	return func() { testHookSnapshot = nil }
+}
+
+// LoadSnapshot loads p and from into s, each of fixes pinning its
+// column, as SolveFrom does before it refactorizes: a delta is flattened
+// again even when s flattened it last.
+func (s *Solver) LoadSnapshot(p *Problem, from *Basis, fixes ...Fix) bool {
+	s.flat = nil
+	_, ok := s.loadBasis(p, from, fixes)
+	return ok
+}
+
+// Flatten returns b's statuses and basis order in new slices: a whole
+// snapshot's own, and a delta's applied to its parent's, flattened.
+func Flatten(b *Basis) (status []int8, basis []int32) {
+	if b.parent == nil {
+		status = make([]int8, len(b.status))
+		for j, st := range b.status {
+			status[j] = int8(st)
+		}
+		return status, slices.Clone(b.basis)
+	}
+	status, basis = Flatten(b.parent)
+	for _, v := range b.basis[:b.nstat] {
+		status[v>>2] = int8(v & 3)
+	}
+	for t := b.nstat; t < len(b.basis); t += 2 {
+		basis[b.basis[t]] = b.basis[t+1]
+	}
+	return status, basis
+}
+
+// IsDelta reports whether b stores its changes against a parent rather
+// than every status and the whole basis order.
+func IsDelta(b *Basis) bool { return b.parent != nil }
+
+// SameBasis compares two snapshots by content, whole or delta: every
+// status, the basis order and the artificial signs.
 func SameBasis(want, got *Basis) error {
-	if !slices.Equal(want.status, got.status) {
+	ws, wb := Flatten(want)
+	gs, gb := Flatten(got)
+	if !slices.Equal(ws, gs) {
 		return fmt.Errorf("snapshot statuses differ")
 	}
-	if err := sameInt32("snapshot basis", want.basis, got.basis); err != nil {
+	if err := sameInt32("snapshot basis", wb, gb); err != nil {
 		return err
 	}
 	if !slices.Equal(want.asign, got.asign) {

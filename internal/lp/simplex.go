@@ -41,7 +41,8 @@ const (
 // of same-shaped relaxations. Its buffers grow to fit the largest
 // problem it has solved and the longest eta file it has built; once they
 // have, a solve allocates only its Solution, whose X is the solver's own
-// storage, and a Snapshot only the statuses and basis order it copies.
+// storage, and a Snapshot only the statuses and basis order it copies,
+// or their changes since the snapshot the solve was loaded from.
 // Reset readies a solver for reuse on unrelated problems.
 //
 // The basis inverse is kept in product form as an eta file — a sequence
@@ -146,6 +147,15 @@ type Solver struct {
 	// changes (see reload). prepare drops it.
 	held  *Problem
 	fixed []Fix
+
+	// base is the snapshot the current solve loaded without prepending
+	// rows, nil after a cold solve or one that prepended them: Snapshot
+	// stores its basis as a delta against base. flat is the delta view
+	// last flattened, into flatStatus and flatBasis, through stack.
+	base, flat *Basis
+	flatStatus []varStatus
+	flatBasis  []int32
+	stack      []*Basis
 
 	c counters
 }
@@ -253,6 +263,7 @@ func (s *Solver) Reset() {
 	s.asign = nil
 	s.byRow = nil
 	s.held, s.fixed = nil, s.fixed[:0]
+	s.base, s.flat = nil, nil
 	clear(s.entries)
 }
 
@@ -429,7 +440,7 @@ func (s *Solver) load(p *Problem, fixes []Fix) {
 // and only the rows that point violates start on an artificial.
 func (s *Solver) solveCold(p *Problem, fixes []Fix) *Solution {
 	s.load(p, fixes)
-	s.asign = nil
+	s.asign, s.base = nil, nil
 	m, n := s.m, s.n
 
 	// Nonbasic structural variables start at a finite bound; res

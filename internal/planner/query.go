@@ -58,6 +58,12 @@ type generator struct {
 // its planner for the length of the call; nothing in it outlives a call
 // as data, so which one a call gets changes no result.
 type scratch struct {
+	// blocks hold the chain lists chains memoises, carved one after
+	// another (see carve) and reset when the call ends: no list outlives
+	// its PlanQuery call, since a plan copies its chain's header and
+	// steps are on the heap. blocks[block] is being carved.
+	blocks [][]chain
+	block  int
 	// seen and costs are dedupe's duplicate set and cut's cost column.
 	seen  []seenSlot
 	costs []float64
@@ -110,9 +116,38 @@ func (g *generator) release() {
 	g.count.stepRequests.Add(g.stepRequests)
 	g.count.examined.Add(g.examined)
 	g.count.joined.Add(g.joined)
+	for i, b := range g.blocks {
+		clear(b)
+		g.blocks[i] = b[:0]
+	}
+	g.block = 0
 	g.mu.Lock()
 	g.idle = append(g.idle, g.scratch)
 	g.mu.Unlock()
+}
+
+// carve returns a list of n chains from the scratch's blocks: the rest
+// of the block being carved when n fit there, else the next block with
+// room, else a new one, at least twice the size of the last. The blocks
+// thus grow to what the calls a scratch serves demand, and then a call
+// allocates no chain list.
+func (sc *scratch) carve(n int) []chain {
+	if n == 0 {
+		return nil
+	}
+	for ; sc.block < len(sc.blocks); sc.block++ {
+		if b := sc.blocks[sc.block]; len(b)+n <= cap(b) {
+			sc.blocks[sc.block] = b[:len(b)+n]
+			return b[len(b) : len(b)+n : len(b)+n]
+		}
+	}
+	size := n
+	if k := len(sc.blocks); k > 0 {
+		size = max(n, 2*cap(sc.blocks[k-1]))
+	}
+	b := make([]chain, n, size)
+	sc.blocks = append(sc.blocks, b)
+	return b[:n:n]
 }
 
 // chain is a step sequence together with its identity and cost, both
@@ -531,7 +566,7 @@ func (g *generator) chains(q *workload.Query, memo *chainMemo, depth int) []chai
 		}
 	}
 	kept := b.finish()
-	chains := make([]chain, len(kept))
+	chains := g.carve(len(kept))
 	for i := range kept {
 		chains[i] = kept[i].chain()
 	}

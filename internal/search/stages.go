@@ -44,6 +44,9 @@ type Prepared struct {
 	prog      *bip.Program
 	refs      []*colRefs // per interval; indexCol is its presence columns
 	incumbent []float64
+	// greedyBytes is the size of the largest interval schema the greedy
+	// start selects: what its paid families take against a space budget.
+	greedyBytes float64
 
 	// With several intervals: each interval's migration column per
 	// family, by position in its builder's pool, and the per-column sink
@@ -94,7 +97,11 @@ func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator
 	var prev []bool // the previous interval's selection
 	for t, b := range p.builders {
 		selected := b.greedyPhase(p.incumbent, p.refs[t])
+		size := 0.0
 		for pos, sel := range selected {
+			if sel {
+				size += b.pool[pos].SizeBytes()
+			}
 			if !sel || p.migCols == nil {
 				continue
 			}
@@ -105,6 +112,7 @@ func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator
 			}
 			p.incumbent[p.migCols[t][pos]] = 1
 		}
+		p.greedyBytes = max(p.greedyBytes, size)
 		prev = selected
 	}
 	return p, nil
@@ -266,7 +274,15 @@ func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []float64, erro
 		if res1.Status == bip.Infeasible {
 			return nil, nil, fmt.Errorf("search: phase 1 %v: %w", res1.Status, ErrInfeasible)
 		}
-		return nil, nil, fmt.Errorf("search: phase 1 %v: no feasible schema", res1.Status)
+		// Branch and bound adopts a feasible seed, so the greedy start was
+		// infeasible: say by how much, since a budget below its schema's
+		// size is the usual reason.
+		budget := "no space budget"
+		if b := opt.SpaceBudgetBytes; b > 0 {
+			budget = fmt.Sprintf("a space budget of %.1f MB", b/1e6)
+		}
+		return nil, nil, fmt.Errorf("search: phase 1 %v: no feasible schema: the search started with no incumbent, the greedy start's schema taking %.1f MB against %s",
+			res1.Status, p.greedyBytes/1e6, budget)
 	}
 	sr.Stats.Nodes = res1.Nodes
 	if len(p.builders) > 1 {

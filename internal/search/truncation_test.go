@@ -2,12 +2,14 @@ package search_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"nose/internal/bip"
 	"nose/internal/hotel"
 	"nose/internal/obs"
+	"nose/internal/planner"
 	"nose/internal/randwork"
 	"nose/internal/search"
 	"nose/internal/workload"
@@ -73,4 +75,44 @@ func TestTruncatedSolveIsReported(t *testing.T) {
 	if stats := snap.FormatSolverStats(); !strings.Contains(stats, "phase 1 solves           1 (proven optimal)") {
 		t.Errorf("-solver-stats on a complete solve:\n%s", stats)
 	}
+}
+
+// TestBudgetedAdviseSaysWhyItFindsNothing: randwork factor 1 seed 5 at
+// the benchmark's advisor options, under half its unbudgeted schema's
+// size, ends phase 1 at the node limit with no schema, because the greedy
+// start takes each query's cheapest plan whatever it stores and branch
+// and bound refuses it as its seed. The error must say so: that the
+// search started with no incumbent, and the greedy start's size against
+// the budget. A greedy start that respects the budget makes the advise
+// succeed, which passes too.
+func TestBudgetedAdviseSaysWhyItFindsNothing(t *testing.T) {
+	w, err := randwork.Generate(randwork.Config{Factor: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := search.Options{
+		Planner:         planner.Config{MaxPlansPerQuery: 16},
+		MaxSupportPlans: 4,
+		BIP:             bip.Options{MaxNodes: 60, Gap: 0.01},
+	}
+	free, err := search.Advise(w, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.SpaceBudgetBytes = free.Schema.TotalSizeBytes() / 2
+	rec, err := search.Advise(w, opt)
+	if err == nil {
+		if size := rec.Schema.TotalSizeBytes(); size > opt.SpaceBudgetBytes {
+			t.Fatalf("schema of %.0f B under a budget of %.0f B", size, opt.SpaceBudgetBytes)
+		}
+		t.Logf("the advise found a schema under the budget; nothing to explain")
+		return
+	}
+	budget := fmt.Sprintf("against a space budget of %.1f MB", opt.SpaceBudgetBytes/1e6)
+	for _, want := range []string{"no feasible schema", "started with no incumbent", "greedy start's schema taking ", budget} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	t.Log(err)
 }
