@@ -1051,6 +1051,63 @@ func TestParamSourceAllocCeiling(t *testing.T) {
 		allocs, paramSourceAllocCeiling, bytes, paramSourceByteCeiling)
 }
 
+// datasetByteCeiling and datasetObjectCeiling bound the live heap of
+// the RUBiS dataset at 2,000 users (seed 1): 10,482 rows of 51,384
+// cells over eight entities, and 18,800 relationship instances, each
+// linked both ways. Position-addressed rows (go1.24) hold
+//
+//   - the cells, 16 B each in 256-row blocks: 54,016 allocated, 864 KB
+//     in 44 objects;
+//   - the row lists, a 24 B slice header per row with append's slack:
+//     13,072 headers, 314 KB in 8 objects;
+//   - the boxed values the cells point at: 32,239 numbers outside 0–255
+//     at 8 B (258 KB) and 8,082 strings at a 16 B header plus 111 KB of
+//     bytes (≈ 260 KB), one object per number and two per string, fewer
+//     where the runtime's tiny allocator packs two into one block;
+//   - the adjacency, 40,249 from-row list headers at 24 B (966 KB in 22
+//     objects) and 37,600 row indices in 26,165 lists of capacity 64,160
+//     (257 KB);
+//   - the id maps, 10,482 int64 keys in eight map[int64]int32: the rest,
+//     ≈ 0.6 MB.
+//
+// That measured 3.58 MB in 60,363 objects; the qualified-name row maps
+// it replaced took 6.59 MB in 93,792. Both ceilings are 1.3 times the
+// measured value.
+const (
+	datasetByteCeiling   = 4_660_000
+	datasetObjectCeiling = 78_500
+)
+
+// TestDatasetHeapCeiling pins the dataset's memory: RUBiS at 2,000
+// users is generated between two collections, and the live heap it
+// adds is held to the ceilings above. A row that goes back to a map, a
+// cell per allocation or an id map that encodes its keys fails it. CI
+// runs it by name with -count=1.
+func TestDatasetHeapCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ds, err := rubis.Generate(rubis.Config{Users: 2_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(ds)
+	bytes, objects := int64(after.HeapAlloc)-int64(before.HeapAlloc), int64(after.HeapObjects)-int64(before.HeapObjects)
+	if bytes > datasetByteCeiling {
+		t.Errorf("the RUBiS dataset at 2,000 users holds %d live bytes, ceiling %d", bytes, datasetByteCeiling)
+	}
+	if objects > datasetObjectCeiling {
+		t.Errorf("the RUBiS dataset at 2,000 users holds %d live objects, ceiling %d", objects, datasetObjectCeiling)
+	}
+	t.Logf("RUBiS dataset at 2,000 users: %d B (ceiling %d), %d objects (ceiling %d)",
+		bytes, datasetByteCeiling, objects, datasetObjectCeiling)
+}
+
 // BenchmarkBudgetSweep is the storage-budget ablation (paper §III-D,
 // §IX): the space constraint trades schema size against workload cost.
 func BenchmarkBudgetSweep(b *testing.B) {

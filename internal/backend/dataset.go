@@ -3,6 +3,7 @@ package backend
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nose/internal/model"
 	"nose/internal/schema"
@@ -16,23 +17,40 @@ import (
 // Rows are addressed by index: an entity's rows sit in insertion order,
 // a removed row leaves a nil tombstone so later indices stay valid, and
 // adjacency links row indices, so a path walk follows integers and
-// hashes nothing. Ids are hashed only where they come in, through byID.
+// hashes nothing. A row is a slice of cells, cell i holding the
+// attribute at Position i of its entity's definition order, so a read
+// indexes a slice and hashes no name. Ids are hashed only where they
+// come in, through each entity's id map, as int64 keys.
 type Dataset struct {
 	// Graph is the conceptual model the data instantiates.
 	Graph *model.Graph
 
-	rows map[*model.Entity][]map[string]Value // qualified attr name -> value; nil once removed
-	byID map[*model.Entity]map[string]int     // encoded id -> row index
-	adj  map[*model.Edge][][]int32            // from-row index -> to-row indices, in link order
+	tables map[*model.Entity]*table
+	adj    map[*model.Edge][][]int32 // from-row index -> to-row indices, in link order
 }
+
+// table is one entity's instances.
+type table struct {
+	// attrs is the entity's attributes in definition order: cell i of
+	// a row holds attrs[i]. A row added before the entity gained an
+	// attribute is shorter than attrs and lacks it.
+	attrs []*model.Attribute
+	rows  [][]Value       // in insertion order; nil once removed
+	byID  map[int64]int32 // id -> row index
+	// free is the unused tail of the block rows are carved from, so
+	// adding a row allocates a block per rowBlock rows, not a slice.
+	free []Value
+}
+
+// rowBlock is how many rows' cells one block holds.
+const rowBlock = 256
 
 // NewDataset returns an empty dataset over the model.
 func NewDataset(g *model.Graph) *Dataset {
 	return &Dataset{
-		Graph: g,
-		rows:  map[*model.Entity][]map[string]Value{},
-		byID:  map[*model.Entity]map[string]int{},
-		adj:   map[*model.Edge][][]int32{},
+		Graph:  g,
+		tables: map[*model.Entity]*table{},
+		adj:    map[*model.Edge][][]int32{},
 	}
 }
 
@@ -90,40 +108,65 @@ func Coerce(a *model.Attribute, v Value) (Value, error) {
 // names to values; missing attributes default to zero values, and the
 // key attribute must be present and unique.
 func (d *Dataset) AddEntity(e *model.Entity, row map[string]Value) error {
-	qualified := make(map[string]Value, len(row))
-	for _, a := range e.Attributes() {
+	t := d.tables[e]
+	if t == nil {
+		t = &table{attrs: e.Attributes(), byID: map[int64]int32{}}
+		d.tables[e] = t
+	}
+	for name := range row {
+		a := e.Attribute(name)
+		if a == nil {
+			return fmt.Errorf("backend: entity %s has no attribute %q", e.Name, name)
+		}
+		if a.Position() >= len(t.attrs) { // defined after the entity's first row
+			t.attrs = e.Attributes()
+		}
+	}
+	if len(t.free) < len(t.attrs) {
+		t.free = make([]Value, rowBlock*len(t.attrs))
+	}
+	cells := t.free[:len(t.attrs):len(t.attrs)]
+	for i, a := range t.attrs {
 		raw, ok := row[a.Name]
 		if !ok {
-			qualified[a.QualifiedName()] = ZeroValue(a.Type)
+			cells[i] = ZeroValue(a.Type)
 			continue
 		}
 		v, err := Coerce(a, raw)
 		if err != nil {
 			return err
 		}
-		qualified[a.QualifiedName()] = v
+		cells[i] = v
 	}
-	for name := range row {
-		if e.Attribute(name) == nil {
-			return fmt.Errorf("backend: entity %s has no attribute %q", e.Name, name)
-		}
+	id, err := keyOf(e, cells[e.Key().Position()])
+	if err != nil {
+		return err
 	}
-	id := qualified[e.Key().QualifiedName()]
-	ids := d.byID[e]
-	if ids == nil {
-		ids = map[string]int{}
-		d.byID[e] = ids
-	}
-	ek := EncodeKey([]Value{id})
-	if _, dup := ids[ek]; dup {
+	if _, dup := t.byID[id]; dup {
 		return fmt.Errorf("backend: duplicate %s id %v", e.Name, id)
 	}
-	if len(d.rows[e]) >= math.MaxInt32 {
-		return fmt.Errorf("backend: %s already has %d rows, adjacency addresses no more", e.Name, len(d.rows[e]))
+	if len(t.rows) >= math.MaxInt32 {
+		return fmt.Errorf("backend: %s already has %d rows, adjacency addresses no more", e.Name, len(t.rows))
 	}
-	ids[ek] = len(d.rows[e])
-	d.rows[e] = append(d.rows[e], qualified)
+	t.free = t.free[len(cells):]
+	t.byID[id] = int32(len(t.rows))
+	t.rows = append(t.rows, cells)
 	return nil
+}
+
+// keyOf coerces an id to its entity's key type, IDType, as AddEntity
+// stores it: an int64. Coercing an int allocates nothing.
+func keyOf(e *model.Entity, id Value) (int64, error) {
+	switch x := id.(type) {
+	case int64:
+		return x, nil
+	case int:
+		return int64(x), nil
+	}
+	if _, err := Coerce(e.Key(), id); err != nil {
+		return 0, err
+	}
+	return 0, fmt.Errorf("backend: %s key %s is %s, not an id", e.Name, e.Key().QualifiedName(), e.Key().Type)
 }
 
 // Connect records one relationship instance between existing entities,
@@ -161,15 +204,19 @@ func (d *Dataset) endpoints(edge *model.Edge, fromID, toID Value) (from, to int3
 // the row index of the instance with that id, or -1. Every entry point
 // that takes an id goes through it.
 func (d *Dataset) rowIndex(e *model.Entity, id Value) (int32, error) {
-	id, err := Coerce(e.Key(), id)
+	k, err := keyOf(e, id)
 	if err != nil {
 		return -1, err
 	}
-	idx, ok := d.byID[e][EncodeKey([]Value{id})]
+	t := d.tables[e]
+	if t == nil {
+		return -1, nil
+	}
+	idx, ok := t.byID[k]
 	if !ok {
 		return -1, nil
 	}
-	return int32(idx), nil
+	return idx, nil
 }
 
 func (d *Dataset) link(edge *model.Edge, from, to int32) {
@@ -179,17 +226,6 @@ func (d *Dataset) link(edge *model.Edge, from, to int32) {
 		d.adj[edge] = lists
 	}
 	lists[from] = append(lists[from], to)
-}
-
-// EntityRow returns the instance with the given id (qualified attr
-// names), or nil when there is none or the id cannot be the entity's
-// key.
-func (d *Dataset) EntityRow(e *model.Entity, id Value) map[string]Value {
-	idx, err := d.rowIndex(e, id)
-	if err != nil || idx < 0 {
-		return nil
-	}
-	return d.rows[e][idx]
 }
 
 // DefFromIndex derives the store definition of a column family from
@@ -238,62 +274,72 @@ func (d *Dataset) Install(s Installer, x *schema.Index) error {
 // entities along x's path, in the dataset's deterministic iteration
 // order — calling fn with each record's partition, clustering and value
 // cells in definition order (see DefFromIndex). The slices are fresh per
-// record; fn may retain them. Installing a family, backfilling it during
-// a migration and reconstructing a backfill snapshot after a crash all
-// read from here, so they agree on every record by construction.
+// record, cut from one array; fn may retain them. Installing a family,
+// backfilling it during a migration and reconstructing a backfill
+// snapshot after a crash all read from here, so they agree on every
+// record by construction.
 func (d *Dataset) ForEachRecord(x *schema.Index, fn func(partition, clustering, values []Value) error) error {
-	partition, clustering, values := columnsOf(x.Path, x.Partition), columnsOf(x.Path, x.Clustering), columnsOf(x.Path, x.Values)
+	np, nc := len(x.Partition), len(x.Clustering)
+	cols := columnsOf(x.Path, slices.Concat(x.Partition, x.Clustering, x.Values))
 	return d.ForEachCombination(x.Path, func(c *Combination) error {
-		return fn(c.cells(partition), c.cells(clustering), c.cells(values))
+		cells := make([]Value, len(cols))
+		for i, col := range cols {
+			cells[i], _ = c.Value(col)
+		}
+		return fn(cells[:np:np], cells[np:np+nc:np+nc], cells[np+nc:])
 	})
 }
 
-// column is where a combination holds one attribute: the path position
-// whose row carries it (-1 when none does) and its qualified name.
-type column struct {
-	pos  int
-	name string
+// Column is where the combinations of one path hold one attribute:
+// the path position whose row carries it and the attribute's cell in
+// that row. ColumnOf resolves it once; Combination.Value then reads it
+// by two slice indices.
+type Column struct {
+	pos, cell int
 }
 
-// columnsOf resolves attributes to the path positions that hold them.
-func columnsOf(path model.Path, attrs []*model.Attribute) []column {
-	out := make([]column, len(attrs))
+// ColumnOf resolves attribute a on path: the last position of a's
+// entity on the path — the row whose value a merge of the path's rows
+// in order would keep — and a's position in its entity. An attribute
+// whose entity the path never visits resolves to a column no
+// combination holds.
+func ColumnOf(path model.Path, a *model.Attribute) Column {
+	for i := len(path.Edges); i >= 0; i-- {
+		if path.EntityAt(i) == a.Entity {
+			return Column{i, a.Position()}
+		}
+	}
+	return Column{-1, -1}
+}
+
+// columnsOf resolves attributes on a path, once per family.
+func columnsOf(path model.Path, attrs []*model.Attribute) []Column {
+	out := make([]Column, len(attrs))
 	for i, a := range attrs {
-		out[i] = column{lastPosition(path, a.Entity), a.QualifiedName()}
+		out[i] = ColumnOf(path, a)
 	}
 	return out
 }
 
-// lastPosition is the last position of e on the path, or -1: the row
-// whose value a merge of the path's rows in order would keep.
-func lastPosition(path model.Path, e *model.Entity) int {
-	for i := len(path.Edges); i >= 0; i-- {
-		if path.EntityAt(i) == e {
-			return i
-		}
-	}
-	return -1
-}
-
 // Combination is one complete combination of connected entity
-// instances along a path: the row at each path position.
-// ForEachCombination reuses it across calls, so a caller reads what it
-// needs during the call and copies values it retains.
+// instances along a path: the row at each path position, each row's
+// cells in its entity's definition order. ForEachCombination reuses it
+// across calls, so a caller reads what it needs during the call and
+// copies values it retains.
 type Combination struct {
-	path model.Path
-	rows []map[string]Value
+	rows  [][]Value
+	attrs [][]*model.Attribute // each position's attributes, cell by cell
 }
 
-// Value returns attribute a's value in the combination: from the row at
-// the last path position holding a's entity, the value a merge of the
-// rows in path order keeps. ok is false when no position holds it.
-func (c *Combination) Value(a *model.Attribute) (Value, bool) {
-	pos := lastPosition(c.path, a.Entity)
-	if pos < 0 {
+// Value returns the combination's value in col, which ColumnOf resolved
+// on the path the combination walks. ok is false when no position holds
+// the column: its entity is not on the path, or the row predates the
+// attribute.
+func (c *Combination) Value(col Column) (Value, bool) {
+	if col.pos < 0 || col.cell < 0 || col.cell >= len(c.rows[col.pos]) {
 		return nil, false
 	}
-	v, ok := c.rows[pos][a.QualifiedName()]
-	return v, ok
+	return c.rows[col.pos][col.cell], true
 }
 
 // Tuple returns a fresh map of the combination's rows merged in path
@@ -304,23 +350,12 @@ func (c *Combination) Tuple() map[string]Value {
 		n += len(row)
 	}
 	t := make(map[string]Value, n)
-	for _, row := range c.rows {
-		for k, v := range row {
-			t[k] = v
+	for pos, row := range c.rows {
+		for i, v := range row {
+			t[c.attrs[pos][i].QualifiedName()] = v
 		}
 	}
 	return t
-}
-
-// cells copies resolved columns out of a combination.
-func (c *Combination) cells(cols []column) []Value {
-	out := make([]Value, len(cols))
-	for i, col := range cols {
-		if col.pos >= 0 {
-			out[i] = c.rows[col.pos][col.name]
-		}
-	}
-	return out
 }
 
 // ForEachCombination enumerates the connected entity combinations
@@ -331,11 +366,13 @@ func (c *Combination) cells(cols []column) []Value {
 // Combination is reused across calls.
 func (d *Dataset) ForEachCombination(path model.Path, fn func(*Combination) error) error {
 	n := path.Len()
-	c := &Combination{path: path, rows: make([]map[string]Value, n)}
-	rows := make([][]map[string]Value, n)
+	c := &Combination{rows: make([][]Value, n), attrs: make([][]*model.Attribute, n)}
+	rows := make([][][]Value, n)
 	adj := make([][][]int32, n-1)
 	for i := range rows {
-		rows[i] = d.rows[path.EntityAt(i)]
+		if t := d.tables[path.EntityAt(i)]; t != nil {
+			rows[i], c.attrs[i] = t.rows, t.attrs
+		}
 		if i > 0 {
 			adj[i-1] = d.adj[path.Edges[i-1]]
 		}
@@ -382,10 +419,14 @@ func (d *Dataset) ForEachCombination(path model.Path, fn func(*Combination) erro
 // write they execute into the dataset so that Oracle answers over the
 // data those writes should have left.
 func (d *Dataset) UpdateEntity(e *model.Entity, id Value, attrs map[string]Value) error {
-	row := d.EntityRow(e, id)
-	if row == nil {
+	idx, err := d.rowIndex(e, id)
+	if err != nil {
+		return err
+	}
+	if idx < 0 {
 		return fmt.Errorf("backend: no %s with id %v", e.Name, id)
 	}
+	row := d.tables[e].rows[idx]
 	for name, raw := range attrs {
 		a := e.Attribute(name)
 		if a == nil {
@@ -394,11 +435,14 @@ func (d *Dataset) UpdateEntity(e *model.Entity, id Value, attrs map[string]Value
 		if a == e.Key() {
 			return fmt.Errorf("backend: cannot change key of %s", e.Name)
 		}
+		if a.Position() >= len(row) {
+			return fmt.Errorf("backend: %s %v predates attribute %q", e.Name, id, name)
+		}
 		v, err := Coerce(a, raw)
 		if err != nil {
 			return err
 		}
-		row[a.QualifiedName()] = v
+		row[a.Position()] = v
 	}
 	return nil
 }
@@ -439,7 +483,6 @@ func (d *Dataset) RemoveEntity(e *model.Entity, id Value) error {
 	if idx < 0 {
 		return fmt.Errorf("backend: no %s with id %v", e.Name, id)
 	}
-	key := d.rows[e][idx][e.Key().QualifiedName()]
 	for _, edge := range e.Edges() {
 		if lists := d.adj[edge]; int(idx) < len(lists) {
 			for _, to := range lists[idx] {
@@ -449,7 +492,9 @@ func (d *Dataset) RemoveEntity(e *model.Entity, id Value) error {
 		}
 	}
 	// Tombstone the row; index positions of other rows stay valid.
-	d.rows[e][idx] = nil
-	delete(d.byID[e], EncodeKey([]Value{key}))
+	t := d.tables[e]
+	k, _ := keyOf(e, id)
+	delete(t.byID, k)
+	t.rows[idx] = nil
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nose/internal/backend"
@@ -113,6 +114,106 @@ func pathsUpTo(g *model.Graph, n int) []model.Path {
 	return out
 }
 
+// mirror applies each operation to a Dataset and to the reference
+// model, requiring both to accept or refuse it alike.
+type mirror struct {
+	t     *testing.T
+	ds    *backend.Dataset
+	ref   *refDataset
+	edges []*model.Edge
+}
+
+func newMirror(t *testing.T, g *model.Graph) *mirror {
+	m := &mirror{t: t, ds: backend.NewDataset(g), ref: &refDataset{rows: map[*model.Entity][]refRow{}, links: map[*model.Edge][][2]int64{}}}
+	for _, e := range g.Entities() {
+		m.edges = append(m.edges, e.Edges()...)
+	}
+	return m
+}
+
+func (m *mirror) add(op int, e *model.Entity, attrs map[string]backend.Value) {
+	m.t.Helper()
+	id := attrs[e.Key().Name].(int64)
+	err := m.ds.AddEntity(e, attrs)
+	if dup := m.ref.find(e, id) >= 0; dup != (err != nil) {
+		m.t.Fatalf("op %d: add %s %d: err %v, duplicate %v", op, e.Name, id, err, dup)
+	}
+	if err == nil {
+		row := refRow{id, map[string]backend.Value{}}
+		for _, a := range e.Attributes() {
+			row.attrs[a.QualifiedName()] = backend.ZeroValue(a.Type)
+			if v, ok := attrs[a.Name]; ok {
+				row.attrs[a.QualifiedName()] = v
+			}
+		}
+		m.ref.rows[e] = append(m.ref.rows[e], row)
+	}
+}
+
+func (m *mirror) connect(op int, edge *model.Edge, from, to int64) {
+	m.t.Helper()
+	err := m.ds.Connect(edge, from, to)
+	if exist := m.ref.find(edge.From, from) >= 0 && m.ref.find(edge.To, to) >= 0; exist != (err == nil) {
+		m.t.Fatalf("op %d: connect %s %d %d: err %v, endpoints exist %v", op, edge.Name, from, to, err, exist)
+	}
+	if err == nil {
+		m.ref.links[edge] = append(m.ref.links[edge], [2]int64{from, to})
+		m.ref.links[edge.Inverse] = append(m.ref.links[edge.Inverse], [2]int64{to, from})
+	}
+}
+
+func (m *mirror) disconnect(op int, edge *model.Edge, from, to int64) {
+	m.t.Helper()
+	if err := m.ds.Disconnect(edge, from, to); err != nil {
+		m.t.Fatalf("op %d: disconnect: %v", op, err)
+	}
+	m.ref.unlink(edge, from, to)
+	m.ref.unlink(edge.Inverse, to, from)
+}
+
+func (m *mirror) update(op int, e *model.Entity, id int64, attrs map[string]backend.Value) {
+	m.t.Helper()
+	err := m.ds.UpdateEntity(e, id, attrs)
+	i := m.ref.find(e, id)
+	if (i >= 0) != (err == nil) {
+		m.t.Fatalf("op %d: update %s %d: err %v", op, e.Name, id, err)
+	}
+	if i >= 0 {
+		for name, v := range attrs {
+			m.ref.rows[e][i].attrs[e.Attribute(name).QualifiedName()] = v
+		}
+	}
+}
+
+func (m *mirror) remove(op int, e *model.Entity, id int64) {
+	m.t.Helper()
+	err := m.ds.RemoveEntity(e, id)
+	i := m.ref.find(e, id)
+	if (i >= 0) != (err == nil) {
+		m.t.Fatalf("op %d: remove %s %d: err %v", op, e.Name, id, err)
+	}
+	if i >= 0 {
+		m.ref.rows[e] = append(m.ref.rows[e][:i:i], m.ref.rows[e][i+1:]...)
+		for _, edge := range m.edges {
+			var kept [][2]int64
+			for _, p := range m.ref.links[edge] {
+				if !(edge.From == e && p[0] == id) && !(edge.To == e && p[1] == id) {
+					kept = append(kept, p)
+				}
+			}
+			m.ref.links[edge] = kept
+		}
+	}
+}
+
+// check requires every path to match the reference (see checkPath).
+func (m *mirror) check(op int, paths []model.Path) {
+	m.t.Helper()
+	for _, path := range paths {
+		checkPath(m.t, m.ds, m.ref, path, op)
+	}
+}
+
 // checkDatasetAgainstReference drives ops adds, connects (duplicates
 // included), disconnects, updates and removes drawn from c into a
 // Dataset and the reference model, checking every path of up to three
@@ -121,131 +222,89 @@ func checkDatasetAgainstReference(t *testing.T, c chooser, ops, check int) {
 	t.Helper()
 	g := refGraph()
 	entities := g.Entities()
-	var edges []*model.Edge
-	for _, e := range entities {
-		edges = append(edges, e.Edges()...)
-	}
 	paths := pathsUpTo(g, 3)
-	ds := backend.NewDataset(g)
-	ref := &refDataset{rows: map[*model.Entity][]refRow{}, links: map[*model.Edge][][2]int64{}}
+	m := newMirror(t, g)
 	for op := 1; op <= ops; op++ {
 		switch choice := c.Intn(12); {
 		case choice < 3:
 			e := entities[c.Intn(len(entities))]
-			id := int64(c.Intn(8))
-			attrs := map[string]backend.Value{e.Key().Name: id, "N": int64(c.Intn(5))}
+			attrs := map[string]backend.Value{e.Key().Name: int64(c.Intn(8)), "N": int64(c.Intn(5))}
 			if c.Intn(2) == 0 {
 				attrs["S"] = string(rune('a' + c.Intn(4)))
 			}
-			err := ds.AddEntity(e, attrs)
-			if dup := ref.find(e, id) >= 0; dup != (err != nil) {
-				t.Fatalf("op %d: add %s %d: err %v, duplicate %v", op, e.Name, id, err, dup)
-			}
-			if err == nil {
-				row := refRow{id, map[string]backend.Value{}}
-				for _, a := range e.Attributes() {
-					row.attrs[a.QualifiedName()] = backend.ZeroValue(a.Type)
-					if v, ok := attrs[a.Name]; ok {
-						row.attrs[a.QualifiedName()] = v
-					}
-				}
-				ref.rows[e] = append(ref.rows[e], row)
-			}
+			m.add(op, e, attrs)
 		case choice < 7: // connect, or connect a linked pair again
-			edge := edges[c.Intn(len(edges))]
+			edge := m.edges[c.Intn(len(m.edges))]
 			from, to := int64(c.Intn(8)), int64(c.Intn(8))
-			if pairs := ref.links[edge]; choice == 6 && len(pairs) > 0 {
+			if pairs := m.ref.links[edge]; choice == 6 && len(pairs) > 0 {
 				p := pairs[c.Intn(len(pairs))]
 				from, to = p[0], p[1]
 			}
-			err := ds.Connect(edge, from, to)
-			if exist := ref.find(edge.From, from) >= 0 && ref.find(edge.To, to) >= 0; exist != (err == nil) {
-				t.Fatalf("op %d: connect %s %d %d: err %v, endpoints exist %v", op, edge.Name, from, to, err, exist)
-			}
-			if err == nil {
-				ref.links[edge] = append(ref.links[edge], [2]int64{from, to})
-				ref.links[edge.Inverse] = append(ref.links[edge.Inverse], [2]int64{to, from})
-			}
+			m.connect(op, edge, from, to)
 		case choice < 9: // disconnect a linked pair, or a drawn one
-			edge := edges[c.Intn(len(edges))]
+			edge := m.edges[c.Intn(len(m.edges))]
 			from, to := int64(c.Intn(8)), int64(c.Intn(8))
-			if pairs := ref.links[edge]; choice == 7 && len(pairs) > 0 {
+			if pairs := m.ref.links[edge]; choice == 7 && len(pairs) > 0 {
 				p := pairs[c.Intn(len(pairs))]
 				from, to = p[0], p[1]
 			}
-			if err := ds.Disconnect(edge, from, to); err != nil {
-				t.Fatalf("op %d: disconnect: %v", op, err)
-			}
-			ref.unlink(edge, from, to)
-			ref.unlink(edge.Inverse, to, from)
+			m.disconnect(op, edge, from, to)
 		case choice < 10:
 			e := entities[c.Intn(len(entities))]
-			id := int64(c.Intn(8))
-			n := int64(c.Intn(5))
-			err := ds.UpdateEntity(e, id, map[string]backend.Value{"N": n})
-			i := ref.find(e, id)
-			if (i >= 0) != (err == nil) {
-				t.Fatalf("op %d: update %s %d: err %v", op, e.Name, id, err)
-			}
-			if i >= 0 {
-				ref.rows[e][i].attrs[e.Attribute("N").QualifiedName()] = n
-			}
+			m.update(op, e, int64(c.Intn(8)), map[string]backend.Value{"N": int64(c.Intn(5))})
 		default:
 			e := entities[c.Intn(len(entities))]
-			id := int64(c.Intn(8))
-			err := ds.RemoveEntity(e, id)
-			i := ref.find(e, id)
-			if (i >= 0) != (err == nil) {
-				t.Fatalf("op %d: remove %s %d: err %v", op, e.Name, id, err)
-			}
-			if i >= 0 {
-				ref.rows[e] = append(ref.rows[e][:i:i], ref.rows[e][i+1:]...)
-				for _, edge := range edges {
-					var kept [][2]int64
-					for _, p := range ref.links[edge] {
-						if !(edge.From == e && p[0] == id) && !(edge.To == e && p[1] == id) {
-							kept = append(kept, p)
-						}
-					}
-					ref.links[edge] = kept
-				}
-			}
+			m.remove(op, e, int64(c.Intn(8)))
 		}
 		if op%check == 0 {
-			for _, path := range paths {
-				checkPath(t, ds, ref, path, op)
-			}
+			m.check(op, paths)
 		}
 	}
-	for _, path := range paths {
-		checkPath(t, ds, ref, path, ops)
-	}
+	m.check(ops, paths)
 }
 
-// checkPath requires a path's combinations, each one's Value for every
-// attribute on the path, and the records of a family over the path to
-// equal the reference enumeration, in order.
+// checkPath requires a path's combinations to equal the reference
+// enumeration, in order: each one's Tuple the reference's merged row,
+// its Value for every attribute on the path that row's value, and its
+// Value for every attribute of an entity the path never visits absent.
+// The records of a family over the path must equal the reference's too.
 func checkPath(t *testing.T, ds *backend.Dataset, ref *refDataset, path model.Path, op int) {
 	t.Helper()
 	want := ref.combinations(path)
-	var got []map[string]backend.Value
+	var onPath, offPath []*model.Attribute
+	for _, e := range ds.Graph.Entities() {
+		if slices.Contains(path.Entities(), e) {
+			onPath = append(onPath, e.Attributes()...)
+		} else {
+			offPath = append(offPath, e.Attributes()...)
+		}
+	}
+	i := 0
 	err := ds.ForEachCombination(path, func(c *backend.Combination) error {
-		tuple := c.Tuple()
-		for _, e := range path.Entities() {
-			for _, a := range e.Attributes() {
-				if v, ok := c.Value(a); !ok || v != tuple[a.QualifiedName()] {
-					return fmt.Errorf("Value(%s) = %v, %v; the tuple holds %v", a.QualifiedName(), v, ok, tuple[a.QualifiedName()])
-				}
+		if i >= len(want) {
+			return fmt.Errorf("combination %d past the reference's %d", i, len(want))
+		}
+		if tuple := c.Tuple(); !reflect.DeepEqual(tuple, want[i]) {
+			return fmt.Errorf("combination %d: Tuple() = %v, the reference merged %v", i, tuple, want[i])
+		}
+		for _, a := range onPath {
+			if v, ok := c.Value(backend.ColumnOf(path, a)); !ok || v != want[i][a.QualifiedName()] {
+				return fmt.Errorf("combination %d: Value(%s) = %v, %v; the reference holds %v", i, a.QualifiedName(), v, ok, want[i][a.QualifiedName()])
 			}
 		}
-		got = append(got, tuple)
+		for _, a := range offPath {
+			if v, ok := c.Value(backend.ColumnOf(path, a)); ok {
+				return fmt.Errorf("combination %d: Value(%s) = %v, but the path never visits %s", i, a.QualifiedName(), v, a.Entity.Name)
+			}
+		}
+		i++
 		return nil
 	})
+	if err == nil && i != len(want) {
+		err = fmt.Errorf("%d combinations, want %d", i, len(want))
+	}
 	if err != nil {
 		t.Fatalf("op %d: path %v: %v", op, path, err)
-	}
-	if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-		t.Fatalf("op %d: path %v: combinations\n got %v\nwant %v", op, path, got, want)
 	}
 
 	// A family over the path: the start's key partitions it, every
@@ -264,7 +323,7 @@ func checkPath(t *testing.T, ds *backend.Dataset, ref *refDataset, path model.Pa
 		}
 		return out
 	}
-	i := 0
+	i = 0
 	err = ds.ForEachRecord(x, func(partition, clustering, values []backend.Value) error {
 		if i >= len(want) {
 			return fmt.Errorf("record %d past the reference's %d", i, len(want))
@@ -285,6 +344,42 @@ func checkPath(t *testing.T, ds *backend.Dataset, ref *refDataset, path model.Pa
 	}
 	if err != nil {
 		t.Fatalf("op %d: path %v: %v", op, path, err)
+	}
+}
+
+// TestAccessorsAfterNeighbourWrites updates and removes rows next to
+// live ones — in insertion order, so in the same block of cells — and
+// requires every path's Tuple, Value and records to match the reference
+// after each write: a write lands in its own row's cells only, and a
+// tombstone hides its row alone.
+func TestAccessorsAfterNeighbourWrites(t *testing.T) {
+	g := refGraph()
+	a, b := g.MustEntity("A"), g.MustEntity("B")
+	paths := pathsUpTo(g, 3)
+	m := newMirror(t, g)
+	op := 0
+	for id := int64(0); id < 5; id++ {
+		for _, e := range []*model.Entity{a, b} {
+			m.add(op, e, map[string]backend.Value{e.Key().Name: id, "N": id, "S": fmt.Sprint(e.Name, id)})
+		}
+		m.connect(op, a.Edge("Bs"), id, id)
+		if id > 0 {
+			m.connect(op, a.Edge("Children"), id-1, id)
+		}
+	}
+	m.check(op, paths)
+	for _, write := range []func(){
+		func() { m.update(op, a, 2, map[string]backend.Value{"N": int64(9)}) },
+		func() { m.remove(op, a, 1) },
+		func() { m.update(op, a, 2, map[string]backend.Value{"S": "z"}) },
+		func() { m.remove(op, a, 3) },
+		func() { m.update(op, b, 2, map[string]backend.Value{"N": int64(7), "S": "y"}) },
+		func() { m.remove(op, b, 1) },
+		func() { m.remove(op, a, 2) },
+	} {
+		op++
+		write()
+		m.check(op, paths)
 	}
 }
 

@@ -250,9 +250,10 @@ func TestDatasetValidation(t *testing.T) {
 		t.Error("phantom row")
 	}
 	var reservations []backend.Value
-	err := ds.ForEachCombination(model.NewPath(guest).Append(guest.Edge("Reservations")), func(c *backend.Combination) error {
-		if id, _ := c.Value(guest.Key()); id == int64(0) {
-			rid, _ := c.Value(guest.Edge("Reservations").To.Key())
+	path := model.NewPath(guest).Append(guest.Edge("Reservations"))
+	err := ds.ForEachCombination(path, func(c *backend.Combination) error {
+		if id, _ := c.Value(backend.ColumnOf(path, guest.Key())); id == int64(0) {
+			rid, _ := c.Value(backend.ColumnOf(path, path.End().Key()))
 			reservations = append(reservations, rid)
 		}
 		return nil

@@ -77,10 +77,11 @@ func TestExecuteDisconnectRemovesRecords(t *testing.T) {
 	guest := g.MustEntity("Guest")
 	var gid, rid int64
 	found := false
-	must(t, ds.ForEachCombination(model.NewPath(guest).Append(guest.Edge("Reservations")), func(c *backend.Combination) error {
+	path := model.NewPath(guest).Append(guest.Edge("Reservations"))
+	must(t, ds.ForEachCombination(path, func(c *backend.Combination) error {
 		if !found {
-			g, _ := c.Value(guest.Key())
-			r, _ := c.Value(guest.Edge("Reservations").To.Key())
+			g, _ := c.Value(backend.ColumnOf(path, guest.Key()))
+			r, _ := c.Value(backend.ColumnOf(path, path.End().Key()))
 			gid, rid, found = g.(int64), r.(int64), true
 		}
 		return nil

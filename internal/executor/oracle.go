@@ -15,8 +15,9 @@ import (
 // tests compare every schema's execution against this ground truth.
 //
 // Each predicate's parameter is read once per call and coerced to the
-// type of the attribute it filters on, as the executor coerces it.
-// Predicates read each combination in place, through
+// type of the attribute it filters on, as the executor coerces it, and
+// its attribute is resolved to a backend.Column on the query path once
+// per call. Predicates read each combination in place, through
 // backend.Combination.Value; only a combination that passes them
 // becomes a map row. Past that it shares nothing with the compiled
 // executor but the Tuple it hands back: rows are maps keyed by
@@ -24,7 +25,7 @@ import (
 // duplicates are found by concatenating per-cell EncodeKey strings —
 // the reference stays independent of what it checks.
 func Oracle(ds *backend.Dataset, q *workload.Query, params Params) ([]Tuple, error) {
-	wants := bindPredicates(q.Where, params)
+	wants := bindPredicates(q, params)
 	var rows []map[string]backend.Value
 	err := ds.ForEachCombination(q.Path, func(c *backend.Combination) error {
 		ok, err := evalPredicates(q.Where, c, wants)
@@ -47,18 +48,22 @@ func Oracle(ds *backend.Dataset, q *workload.Query, params Params) ([]Tuple, err
 	return out, nil
 }
 
-// want is one predicate's binding, coerced to its attribute's type, or
-// the error evaluating the predicate reports.
+// want is one predicate's column on the query path and its binding,
+// coerced to its attribute's type, or the error evaluating the
+// predicate reports.
 type want struct {
+	col backend.Column
 	v   backend.Value
 	err error
 }
 
-// bindPredicates reads each predicate's parameter once, as the executor
-// does: coerced to the type of the attribute it filters on.
-func bindPredicates(preds []workload.Predicate, params Params) []want {
-	wants := make([]want, len(preds))
-	for i, p := range preds {
+// bindPredicates resolves each predicate's attribute on the query path
+// and reads its parameter once, as the executor does: coerced to the
+// type of the attribute it filters on.
+func bindPredicates(q *workload.Query, params Params) []want {
+	wants := make([]want, len(q.Where))
+	for i, p := range q.Where {
+		wants[i].col = backend.ColumnOf(q.Path, p.Ref.Attr)
 		v, ok := bound(params, p.Param)
 		if !ok {
 			wants[i].err = fmt.Errorf("missing parameter ?%s", p.Param)
@@ -72,7 +77,7 @@ func bindPredicates(preds []workload.Predicate, params Params) []want {
 // evalPredicates applies predicates to one combination.
 func evalPredicates(preds []workload.Predicate, c *backend.Combination, wants []want) (bool, error) {
 	for i, p := range preds {
-		have, ok := c.Value(p.Ref.Attr)
+		have, ok := c.Value(wants[i].col)
 		if !ok {
 			return false, fmt.Errorf("tuple lacks attribute %s for filtering", p.Ref.Attr.QualifiedName())
 		}

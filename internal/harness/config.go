@@ -10,6 +10,7 @@ import (
 	"nose/internal/faults"
 	"nose/internal/journal"
 	"nose/internal/obs"
+	"nose/internal/par"
 	"nose/internal/search"
 	"nose/internal/verify"
 )
@@ -180,7 +181,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.Replication == nil {
 		if s.Store == nil {
 			s.Store = backend.NewStore(cfg.Latency)
-			if err := install(cfg, s.Store); err != nil {
+			if err := install(cfg, s.Store, par.Workers(0)); err != nil {
 				return nil, err
 			}
 		}
@@ -190,7 +191,7 @@ func New(cfg Config) (*System, error) {
 		rc := cfg.Replication.Normalized()
 		if s.Repl == nil {
 			s.Repl = backend.NewReplicatedStore(cfg.Latency, rc.Nodes, rc.RF)
-			if err := install(cfg, s.Repl); err != nil {
+			if err := install(cfg, s.Repl, par.Workers(0)); err != nil {
 				return nil, err
 			}
 		}
@@ -225,11 +226,22 @@ func New(cfg Config) (*System, error) {
 }
 
 // install loads every column family of the recommended schema from the
-// dataset.
-func install(cfg Config, into backend.Installer) error {
-	for _, x := range cfg.Rec.Schema.Indexes() {
-		if err := cfg.Dataset.Install(into, x); err != nil {
-			return fmt.Errorf("harness: installing %s for %s: %w", x.Name, cfg.Name, err)
+// dataset, the families on up to workers goroutines (New passes
+// par.Workers(0)). Each family's records are put by one goroutine in
+// the dataset's order, and families share no record, so the store holds
+// the same records at any worker count. Of several failures it reports
+// the first family's, in schema order.
+func install(cfg Config, into backend.Installer, workers int) error {
+	xs := cfg.Rec.Schema.Indexes()
+	errs := make([]error, len(xs))
+	par.Do(len(xs), workers, func(i int) {
+		if err := cfg.Dataset.Install(into, xs[i]); err != nil {
+			errs[i] = fmt.Errorf("harness: installing %s for %s: %w", xs[i].Name, cfg.Name, err)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil

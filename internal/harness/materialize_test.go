@@ -6,13 +6,16 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"nose/internal/backend"
 	"nose/internal/baselines"
 	"nose/internal/bip"
+	"nose/internal/cost"
 	"nose/internal/executor"
+	"nose/internal/harness"
 	"nose/internal/planner"
 	"nose/internal/rubis"
 	"nose/internal/schema"
@@ -129,6 +132,84 @@ func TestMaterializedRecordsPinned(t *testing.T) {
 		}
 		if g != w {
 			t.Errorf("line %d:\n got %q\nwant %q", i+1, g, w)
+		}
+	}
+}
+
+// TestInstallIsWorkerInvariant installs the NoSE and Expert RUBiS
+// schemas (300 users, seed 1) into a store and into a five-node RF 3
+// cluster at one install worker and at two, and requires every family
+// on every store to hold the same partitions with the same records in
+// the same order: families install in parallel, each family's records
+// in the dataset's order.
+func TestInstallIsWorkerInvariant(t *testing.T) {
+	ds, err := rubis.Generate(rubis.Config{Users: 300, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := rubis.Workload(ds.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nose, err := search.Advise(w, search.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := baselines.ExpertRUBiS(w.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expert, err := search.AdvisePinned(w, pool, search.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat := cost.DefaultParams()
+	for _, rec := range []*search.Recommendation{nose, expert} {
+		cfg := harness.Config{Name: "install", Rec: rec, Dataset: ds}
+		// stores installs the schema at a worker count and returns the
+		// single store followed by the cluster's nodes.
+		stores := func(workers int) []*backend.Store {
+			s := backend.NewStore(lat)
+			r := backend.NewReplicatedStore(lat, 5, 3)
+			for _, into := range []backend.Installer{s, r} {
+				if err := harness.Install(cfg, into, workers); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out := []*backend.Store{s}
+			for i := 0; i < r.NodeCount(); i++ {
+				out = append(out, r.Node(i))
+			}
+			return out
+		}
+		one, two := stores(1), stores(2)
+		for _, x := range rec.Schema.Indexes() {
+			var partitions [][]backend.Value
+			seen := map[string]bool{}
+			err := ds.ForEachRecord(x, func(partition, _, _ []backend.Value) error {
+				if k := backend.EncodeKey(partition); !seen[k] {
+					seen[k] = true
+					partitions = append(partitions, partition)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range one {
+				st1, err1 := one[i].CFStats(x.Name)
+				st2, err2 := two[i].CFStats(x.Name)
+				if err1 != nil || err2 != nil || st1 != st2 {
+					t.Fatalf("%s on store %d: %+v (%v) at one worker, %+v (%v) at two", x.Name, i, st1, err1, st2, err2)
+				}
+				for _, p := range partitions {
+					r1, err1 := one[i].Get(x.Name, backend.GetRequest{Partition: p})
+					r2, err2 := two[i].Get(x.Name, backend.GetRequest{Partition: p})
+					if err1 != nil || err2 != nil || !reflect.DeepEqual(r1.Records, r2.Records) {
+						t.Fatalf("%s on store %d, partition %v: %v (%v) at one worker, %v (%v) at two", x.Name, i, p, r1, err1, r2, err2)
+					}
+				}
+			}
 		}
 	}
 }

@@ -7,7 +7,10 @@
 // are binary, and queries traverse simple paths through the graph.
 package model
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // AttributeType enumerates the value domains an attribute may have.
 // Types matter for two things: default storage sizes used by the schema
@@ -114,6 +117,9 @@ type Attribute struct {
 	// qualified caches QualifiedName for attributes an entity created;
 	// a hand-built literal leaves it empty.
 	qualified string
+	// position caches Position plus one for attributes an entity
+	// created; a hand-built literal leaves it zero.
+	position int
 }
 
 // QualifiedName returns "Entity.Attribute", the form used in statements
@@ -123,6 +129,16 @@ func (a *Attribute) QualifiedName() string {
 		return a.qualified
 	}
 	return a.Entity.Name + "." + a.Name
+}
+
+// Position returns the attribute's index in its entity's definition
+// order (Entity.Attributes): 0 for the key. An attribute its entity
+// does not define has position -1.
+func (a *Attribute) Position() int {
+	if a.position > 0 {
+		return a.position - 1
+	}
+	return slices.Index(a.Entity.attrOrder, a.Name)
 }
 
 // StorageSize returns the storage footprint of one value in bytes.

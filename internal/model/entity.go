@@ -29,7 +29,7 @@ func NewEntity(name, keyName string, count int) *Entity {
 		attrs: make(map[string]*Attribute),
 		edges: make(map[string]*Edge),
 	}
-	key := &Attribute{Entity: e, Name: keyName, Type: IDType, qualified: name + "." + keyName}
+	key := &Attribute{Entity: e, Name: keyName, Type: IDType, qualified: name + "." + keyName, position: 1}
 	e.key = key
 	e.attrs[keyName] = key
 	e.attrOrder = append(e.attrOrder, keyName)
@@ -46,7 +46,7 @@ func (e *Entity) AddAttribute(name string, typ AttributeType) *Attribute {
 	if _, ok := e.attrs[name]; ok {
 		panic(fmt.Sprintf("model: duplicate attribute %s.%s", e.Name, name))
 	}
-	a := &Attribute{Entity: e, Name: name, Type: typ, qualified: e.Name + "." + name}
+	a := &Attribute{Entity: e, Name: name, Type: typ, qualified: e.Name + "." + name, position: len(e.attrOrder) + 1}
 	e.attrs[name] = a
 	e.attrOrder = append(e.attrOrder, name)
 	return a

@@ -47,6 +47,26 @@ func TestEntityBasics(t *testing.T) {
 	}
 }
 
+// TestAttributePosition: an attribute's Position is its index in
+// Attributes, the key's 0, whether the entity created it or a literal
+// names it; an attribute its entity does not define has -1.
+func TestAttributePosition(t *testing.T) {
+	g := testGraph(t)
+	for _, e := range g.Entities() {
+		for i, a := range e.Attributes() {
+			if got := a.Position(); got != i {
+				t.Errorf("%s.Position() = %d, want %d", a.QualifiedName(), got, i)
+			}
+			if got := (&Attribute{Entity: e, Name: a.Name}).Position(); got != i {
+				t.Errorf("literal %s.Position() = %d, want %d", a.QualifiedName(), got, i)
+			}
+		}
+		if got := (&Attribute{Entity: e, Name: "Missing"}).Position(); got != -1 {
+			t.Errorf("%s.Missing.Position() = %d, want -1", e.Name, got)
+		}
+	}
+}
+
 func TestDuplicateEntityPanics(t *testing.T) {
 	g := testGraph(t)
 	defer func() {

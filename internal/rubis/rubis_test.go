@@ -124,8 +124,10 @@ func TestGenerateMatchesModelCounts(t *testing.T) {
 	item := g.MustEntity("Item")
 	for _, edge := range []string{"Category", "Seller"} {
 		links := map[backend.Value]int{}
-		err := ds.ForEachCombination(model.NewPath(item).Append(item.Edge(edge)), func(c *backend.Combination) error {
-			id, _ := c.Value(item.Key())
+		path := model.NewPath(item).Append(item.Edge(edge))
+		key := backend.ColumnOf(path, item.Key())
+		err := ds.ForEachCombination(path, func(c *backend.Combination) error {
+			id, _ := c.Value(key)
 			links[id]++
 			return nil
 		})
@@ -144,8 +146,10 @@ func TestGenerateMatchesModelCounts(t *testing.T) {
 func entityIDs(t *testing.T, ds *backend.Dataset, e *model.Entity) []backend.Value {
 	t.Helper()
 	var ids []backend.Value
-	err := ds.ForEachCombination(model.NewPath(e), func(c *backend.Combination) error {
-		id, _ := c.Value(e.Key())
+	path := model.NewPath(e)
+	key := backend.ColumnOf(path, e.Key())
+	err := ds.ForEachCombination(path, func(c *backend.Combination) error {
+		id, _ := c.Value(key)
 		ids = append(ids, id)
 		return nil
 	})
