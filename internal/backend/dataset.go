@@ -247,10 +247,12 @@ func DefFromIndex(x *schema.Index) ColumnFamilyDef {
 
 // Installer is the write surface Install needs: *Store satisfies it
 // (single-node install) and so does *ReplicatedStore (every record
-// lands on all RF replicas of its partition).
+// lands on all RF replicas of its partition). Write returns a record's
+// service time, not a result to drop, so an install allocates only
+// what the store keeps.
 type Installer interface {
 	Create(def ColumnFamilyDef) error
-	Put(name string, partition, clustering []Value, values []Value) (*PutResult, error)
+	Write(name string, partition, clustering []Value, values []Value) (float64, error)
 }
 
 // Install creates the column family for x and materializes its records
@@ -264,7 +266,7 @@ func (d *Dataset) Install(s Installer, x *schema.Index) error {
 		return err
 	}
 	return d.ForEachRecord(x, func(partition, clustering, values []Value) error {
-		_, err := s.Put(x.Name, partition, clustering, values)
+		_, err := s.Write(x.Name, partition, clustering, values)
 		return err
 	})
 }

@@ -18,8 +18,8 @@ import (
 // column families plus placement. Runtime semantics (consistency
 // levels, quorums, hedged reads, hinted handoff, read repair) live in
 // executor.Coordinator, which drives the per-node stores through this
-// type. The direct Put/Delete methods here write synchronously to every
-// replica and exist for bulk loading; they model an offline load with
+// type. The direct Write method here writes synchronously to every
+// replica and exists for bulk loading; it models an offline load with
 // no weather, not a coordinated write.
 type ReplicatedStore struct {
 	nodes []*Store
@@ -124,22 +124,23 @@ func (r *ReplicatedStore) ReplicasFor(dst []int, cf string, partition []Value) [
 	return dst
 }
 
-// Put writes one record synchronously to every replica of its
+// Write writes one record synchronously to every replica of its
 // partition — the bulk-load path. Runtime writes go through
 // executor.Coordinator instead. The returned time is one replica's
 // write cost: replicas apply in parallel and loading is not charged
-// against any statement. Production reaches it only through Installer
-// (Dataset.Install), never by name.
-func (r *ReplicatedStore) Put(name string, partition, clustering []Value, values []Value) (*PutResult, error) {
-	var last *PutResult
-	for _, node := range r.ReplicasFor(nil, name, partition) {
-		pr, err := r.nodes[node].Put(name, partition, clustering, values)
-		if err != nil {
-			return nil, err
+// against any statement. The replicas are placed in a stack buffer (a
+// factor above its eight spills to the heap), so a write allocates
+// only what the node stores keep.
+func (r *ReplicatedStore) Write(name string, partition, clustering []Value, values []Value) (float64, error) {
+	var rbuf [8]int
+	ms := 0.0
+	for _, node := range r.ReplicasFor(rbuf[:0], name, partition) {
+		var err error
+		if ms, err = r.nodes[node].Write(name, partition, clustering, values); err != nil {
+			return 0, err
 		}
-		last = pr
 	}
-	return last, nil
+	return ms, nil
 }
 
 // CFStats aggregates a column family's contents across nodes. Each

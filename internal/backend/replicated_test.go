@@ -80,7 +80,7 @@ func TestBulkLoadWritesEveryReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := []backend.Value{int64(42)}
-	if _, err := s.Put("cf1", p, []backend.Value{int64(0)}, []backend.Value{"v"}); err != nil {
+	if _, err := s.Write("cf1", p, []backend.Value{int64(0)}, []backend.Value{"v"}); err != nil {
 		t.Fatal(err)
 	}
 	replicas := s.ReplicasFor(nil, "cf1", p)

@@ -172,7 +172,9 @@ type GetRequest struct {
 	// Into, when non-nil, is a buffer the caller owns: the records are
 	// appended to Into[:0] and the result's Records is that slice, on
 	// Into's array when its capacity suffices. Nil gets a fresh, exactly
-	// sized slice.
+	// sized slice. executor.Coordinator gives Into to its first replica
+	// read and, when another replica answers, copies that answer over
+	// the first's; nothing writes to Into once the call has returned.
 	Into []Record
 }
 
@@ -193,18 +195,32 @@ type GetResult struct {
 	SimMillis float64
 }
 
-// Get executes one get request against a column family.
+// Get executes one get request against a column family. It allocates
+// its result and, when req.Into is nil, the records' slice; Read is the
+// same get into a result the caller owns.
 func (s *Store) Get(name string, req GetRequest) (*GetResult, error) {
-	cf, err := s.cf(name)
-	if err != nil {
+	res := new(GetResult)
+	if err := s.Read(name, req, res); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// Read executes one get request into res: res.Records becomes the
+// matching records appended to req.Into[:0] and res.SimMillis the
+// service time charged. It allocates only when req.Into is nil or too
+// small to hold the records, and retains none of its arguments.
+func (s *Store) Read(name string, req GetRequest, res *GetResult) error {
+	cf, err := s.cf(name)
+	if err != nil {
+		return err
+	}
 	if len(req.Partition) != len(cf.def.PartitionCols) {
-		return nil, fmt.Errorf("backend: get on %q supplies %d of %d partition key values",
+		return fmt.Errorf("backend: get on %q supplies %d of %d partition key values",
 			name, len(req.Partition), len(cf.def.PartitionCols))
 	}
 	if len(req.Ranges) > 0 && len(cf.def.ClusteringCols) == 0 {
-		return nil, fmt.Errorf("backend: get on %q has a clustering range but the column family has no clustering columns",
+		return fmt.Errorf("backend: get on %q has a clustering range but the column family has no clustering columns",
 			name)
 	}
 	var buf [keyBufSize]byte
@@ -213,22 +229,22 @@ func (s *Store) Get(name string, req GetRequest) (*GetResult, error) {
 		err = checkKey(req.Ranges[i].Value)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("backend: get on %q: %w", name, err)
+		return fmt.Errorf("backend: get on %q: %w", name, err)
 	}
 	cf.mu.RLock()
 	defer cf.mu.RUnlock()
 
-	res := &GetResult{Records: req.Into[:0]}
+	recs := req.Into[:0]
 	if part := cf.parts[string(key)]; part != nil {
 		// Records sort by their first clustering value first, so each
 		// range cuts the partition at one binary search, exactly, for any
 		// number of clustering columns. GE and LT cut before the records
 		// equal to the bound, GT and LE after them.
-		recs := *part
-		lo, hi := 0, len(recs)
+		stored := *part
+		lo, hi := 0, len(stored)
 		for _, r := range req.Ranges {
-			i := sort.Search(len(recs), func(i int) bool {
-				c := CompareValues(recs[i].Clustering[0], r.Value)
+			i := sort.Search(len(stored), func(i int) bool {
+				c := CompareValues(stored[i].Clustering[0], r.Value)
 				return c > 0 || c == 0 && (r.Op == GE || r.Op == LT)
 			})
 			if r.Op == GT || r.Op == GE {
@@ -244,15 +260,18 @@ func (s *Store) Get(name string, req GetRequest) (*GetResult, error) {
 		// The records alias the partition's keys and cells, so the copy
 		// of the slice is all a get allocates, and nothing when the
 		// caller's buffer holds it.
-		if res.Records == nil {
-			res.Records = make([]Record, 0, hi-lo)
+		if recs == nil {
+			recs = make([]Record, 0, hi-lo)
 		}
-		res.Records = append(res.Records, recs[lo:hi]...)
+		recs = append(recs, stored[lo:hi]...)
 	}
-	res.SimMillis = s.lat.RequestCost + s.lat.PartitionCost + s.lat.RowCost*float64(len(res.Records))
+	*res = GetResult{
+		Records:   recs,
+		SimMillis: s.lat.RequestCost + s.lat.PartitionCost + s.lat.RowCost*float64(len(recs)),
+	}
 	s.so.gets.Inc()
-	s.so.recordsRead.Add(int64(len(res.Records)))
-	return res, nil
+	s.so.recordsRead.Add(int64(len(recs)))
+	return nil
 }
 
 // PutResult carries a put's simulated service time.
@@ -261,21 +280,32 @@ type PutResult struct {
 	SimMillis float64
 }
 
-// Put inserts or replaces one record.
+// Put inserts or replaces one record. Write is the same put without
+// the result's allocation.
 func (s *Store) Put(name string, partition, clustering []Value, values []Value) (*PutResult, error) {
-	cf, err := s.cf(name)
+	ms, err := s.Write(name, partition, clustering, values)
 	if err != nil {
 		return nil, err
+	}
+	return &PutResult{SimMillis: ms}, nil
+}
+
+// Write inserts or replaces one record, returning the service time
+// charged.
+func (s *Store) Write(name string, partition, clustering []Value, values []Value) (float64, error) {
+	cf, err := s.cf(name)
+	if err != nil {
+		return 0, err
 	}
 	if len(partition) != len(cf.def.PartitionCols) ||
 		len(clustering) != len(cf.def.ClusteringCols) ||
 		len(values) != len(cf.def.ValueCols) {
-		return nil, fmt.Errorf("backend: put on %q has mismatched arity", name)
+		return 0, fmt.Errorf("backend: put on %q has mismatched arity", name)
 	}
 	var buf [keyBufSize]byte
 	key, err := keys(buf[:0], partition, clustering)
 	if err != nil {
-		return nil, fmt.Errorf("backend: put on %q: %w", name, err)
+		return 0, fmt.Errorf("backend: put on %q: %w", name, err)
 	}
 	cf.mu.Lock()
 	part := cf.parts[string(key)]
@@ -291,20 +321,31 @@ func (s *Store) Put(name string, partition, clustering []Value, values []Value) 
 	cf.mu.Unlock()
 	cells := float64(len(partition) + len(clustering) + len(values))
 	s.so.puts.Inc()
-	return &PutResult{SimMillis: s.lat.InsertRequestCost + s.lat.InsertCellCost*cells}, nil
+	return s.lat.InsertRequestCost + s.lat.InsertCellCost*cells, nil
 }
 
 // Delete removes one record by its full primary key, reporting whether
-// it existed.
+// it existed. Remove is the same delete without the result's
+// allocation.
 func (s *Store) Delete(name string, partition, clustering []Value) (bool, *PutResult, error) {
-	cf, err := s.cf(name)
+	existed, ms, err := s.Remove(name, partition, clustering)
 	if err != nil {
 		return false, nil, err
+	}
+	return existed, &PutResult{SimMillis: ms}, nil
+}
+
+// Remove removes one record by its full primary key, reporting whether
+// it existed and the service time charged.
+func (s *Store) Remove(name string, partition, clustering []Value) (bool, float64, error) {
+	cf, err := s.cf(name)
+	if err != nil {
+		return false, 0, err
 	}
 	var buf [keyBufSize]byte
 	key, err := keys(buf[:0], partition, clustering)
 	if err != nil {
-		return false, nil, fmt.Errorf("backend: delete on %q: %w", name, err)
+		return false, 0, fmt.Errorf("backend: delete on %q: %w", name, err)
 	}
 	cf.mu.Lock()
 	existed := false
@@ -316,7 +357,7 @@ func (s *Store) Delete(name string, partition, clustering []Value) (bool, *PutRe
 	}
 	cf.mu.Unlock()
 	s.so.deletes.Inc()
-	return existed, &PutResult{SimMillis: s.lat.DeleteRequestCost}, nil
+	return existed, s.lat.DeleteRequestCost, nil
 }
 
 // Stats summarizes a column family's contents.

@@ -207,3 +207,41 @@ func TestExecuteQueryAllocationBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestCoordinatedOperationAllocatesOneResult: on a healthy five-node
+// cluster at RF 3, a coordinated put, delete and get each allocate
+// exactly their one result at every consistency level — no result per
+// replica, and for a get whose buffer holds the records no slice. The
+// put replaces a record, so the stores keep nothing new, and the
+// delete's warm-up call removes the record the measured calls then miss.
+func TestCoordinatedOperationAllocatesOneResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, level := range []executor.Consistency{executor.One, executor.Quorum, executor.All} {
+		_, coord, _, _ := newCluster(t, 5, 3, level, level, false)
+		p, c, v := vals(int64(1)), vals(int64(0)), vals("v")
+		if _, err := coord.Put("cf1", p, c, v); err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]backend.Record, 0, 4)
+		var err error
+		ops := []struct {
+			name string
+			op   func()
+		}{
+			{"Put", func() { _, err = coord.Put("cf1", p, c, v) }},
+			{"Get", func() { _, err = coord.Get("cf1", backend.GetRequest{Partition: p, Into: buf}) }},
+			{"Delete", func() { _, _, err = coord.Delete("cf1", p, c) }},
+		}
+		for _, o := range ops {
+			allocs := testing.AllocsPerRun(100, o.op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if allocs != 1 {
+				t.Errorf("%v %s allocates %v times, want its one result", level, o.name, allocs)
+			}
+		}
+	}
+}

@@ -142,6 +142,10 @@ type Coordinator struct {
 	queues *backend.NodeQueues
 	hints  map[hintKey][]hint
 	co     coordObs
+	// scratch holds the records of every replica read but the first,
+	// per read slot and for the hedge: reads reuse its arrays, and no
+	// answer aliases them.
+	scratch [][]backend.Record
 }
 
 // coordObs holds the coordinator's instruments — its only counters.
@@ -274,8 +278,14 @@ func coordFault(sawDown bool, cf, op string, simMillis float64) *faults.Error {
 // Get implements backend.KVBackend with read-consistency fan-out,
 // hedged reads and read repair. The caller's req.Into goes to the first
 // replica read issued and to no other: each further slot and the hedge
-// read into their own slices, so a second replica's answer can never
-// overwrite the first's.
+// read into scratch the coordinator owns (c.scratch, under c.mu), so a
+// second replica's answer can never overwrite the first's. When the
+// first read answers, its records stay in req.Into's array; when
+// another answers — a fresher replica while hints are pending, or a
+// hedge that beat the first — its records are copied out of the
+// scratch into the first read's slice, so the answer never aliases the
+// scratch. The result is the one allocation a healthy read makes beyond
+// what req.Into cannot hold.
 func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResult, error) {
 	var rbuf [stackReplicas]int
 	replicas := c.repl.ReplicasFor(rbuf[:0], name, req.Partition)
@@ -284,14 +294,21 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.co.reads.Inc()
+	// Scratch is indexed by slot, the hedge's at need; slot 0 reads
+	// into req.Into and leaves its entry unused.
+	for len(c.scratch) < need+1 {
+		c.scratch = append(c.scratch, nil)
+	}
 
 	// Each of the `need` parallel requests occupies a slot; a failed
 	// replica re-dispatches the slot to the next unused replica, the
-	// slot's elapsed time accumulating across attempts.
+	// slot's elapsed time accumulating across attempts. first marks the
+	// contact whose records are on req.Into's array.
 	type contact struct {
 		node   int
-		res    *backend.GetResult
+		res    backend.GetResult
 		millis float64
+		first  bool
 	}
 	var cbuf [stackReplicas]contact
 	contacts := cbuf[:0]
@@ -319,14 +336,14 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 				}
 				continue
 			}
-			res, err := c.repl.Node(node).Get(name, req)
-			req.Into = nil
-			if err != nil {
+			ct := contact{node: node, first: s == 0}
+			if err := c.readReplica(node, name, req, &ct.res, s); err != nil {
 				return nil, err
 			}
-			service := res.SimMillis * factor
+			service := ct.res.SimMillis * factor
 			t += c.admit(node, service) + service
-			contacts = append(contacts, contact{node: node, res: res, millis: t})
+			ct.millis = t
+			contacts = append(contacts, ct)
 			filled = true
 			break
 		}
@@ -340,6 +357,9 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 	}
 
 	// The coordinated latency is the slowest slot (parallel fan-out).
+	// The first read's slice is kept apart from its contact, which a
+	// hedge may replace: another replica's answer is copied into it.
+	firstRecs := contacts[0].res.Records
 	slowest := 0
 	for i := range contacts {
 		if contacts[i].millis > contacts[slowest].millis {
@@ -357,14 +377,14 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 		c.co.replicaReads.Inc()
 		fe, factor := c.nodes.Decide(node, name, "get")
 		if fe == nil {
-			res, err := c.repl.Node(node).Get(name, req)
-			if err != nil {
+			ct := contact{node: node}
+			if err := c.readReplica(node, name, req, &ct.res, need); err != nil {
 				return nil, err
 			}
-			service := res.SimMillis * factor
-			hedged := hedgeDelayMillis + c.admit(node, service) + service
-			if hedged < latency {
-				contacts[slowest] = contact{node: node, res: res, millis: hedged}
+			service := ct.res.SimMillis * factor
+			ct.millis = hedgeDelayMillis + c.admit(node, service) + service
+			if ct.millis < latency {
+				contacts[slowest] = ct
 				c.co.hedgeWins.Inc()
 				latency = 0
 				for i := range contacts {
@@ -418,12 +438,31 @@ func (c *Coordinator) Get(name string, req backend.GetRequest) (*backend.GetResu
 		}
 	}
 
-	// The answering replica's result is fresh and no one else's: it
-	// carries the coordinated time back.
+	// The answering replica's records are fresh and carry the
+	// coordinated time back; scratch records are copied out first.
+	recs := contacts[chosen].res.Records
+	if !contacts[chosen].first {
+		recs = append(firstRecs[:0], recs...)
+	}
 	c.co.readLat.Observe(latency + repair)
-	res := contacts[chosen].res
-	res.SimMillis = latency + repair
-	return res, nil
+	return &backend.GetResult{Records: recs, SimMillis: latency + repair}, nil
+}
+
+// readReplica reads one replica into res for slot: slot 0, the first
+// read issued, into the caller's req.Into; any other into the slot's
+// scratch, whose grown array the coordinator keeps for its next read.
+// Callers hold c.mu.
+func (c *Coordinator) readReplica(node int, name string, req backend.GetRequest, res *backend.GetResult, slot int) error {
+	if slot > 0 {
+		req.Into = c.scratch[slot]
+	}
+	if err := c.repl.Node(node).Read(name, req, res); err != nil {
+		return err
+	}
+	if slot > 0 {
+		c.scratch[slot] = res.Records[:0]
+	}
+	return nil
 }
 
 // Put implements backend.KVBackend with write-consistency fan-out and
@@ -516,22 +555,20 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 				return false, nil, err
 			}
 		}
+		var ms float64
+		var err error
 		if del {
-			ex, pr, derr := c.repl.Node(node).Delete(name, partition, clustering)
-			if derr != nil {
-				return false, nil, derr
-			}
+			var ex bool
+			ex, ms, err = c.repl.Node(node).Remove(name, partition, clustering)
 			existed = existed || ex
-			service := pr.SimMillis * factor
-			t += c.admit(node, service) + service
 		} else {
-			pr, perr := c.repl.Node(node).Put(name, partition, clustering, values)
-			if perr != nil {
-				return false, nil, perr
-			}
-			service := pr.SimMillis * factor
-			t += c.admit(node, service) + service
+			ms, err = c.repl.Node(node).Write(name, partition, clustering, values)
 		}
+		if err != nil {
+			return false, nil, err
+		}
+		service := ms * factor
+		t += c.admit(node, service) + service
 		ackTimes = append(ackTimes, t)
 	}
 
@@ -563,19 +600,17 @@ func (c *Coordinator) replayLocked(k hintKey) (float64, error) {
 	node := c.repl.Node(k.node)
 	t := 0.0
 	for _, h := range hs {
+		var ms float64
+		var err error
 		if h.delete {
-			_, pr, err := node.Delete(k.cf, h.partition, h.clustering)
-			if err != nil {
-				return t, err
-			}
-			t += pr.SimMillis
+			_, ms, err = node.Remove(k.cf, h.partition, h.clustering)
 		} else {
-			pr, err := node.Put(k.cf, h.partition, h.clustering, h.values)
-			if err != nil {
-				return t, err
-			}
-			t += pr.SimMillis
+			ms, err = node.Write(k.cf, h.partition, h.clustering, h.values)
 		}
+		if err != nil {
+			return t, err
+		}
+		t += ms
 		c.co.hintsReplayed.Inc()
 	}
 	return t, nil

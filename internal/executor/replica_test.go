@@ -3,6 +3,8 @@ package executor_test
 import (
 	"maps"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"nose/internal/backend"
@@ -405,4 +407,104 @@ func TestCoordinatorGetIntoHoldsTheFreshAnswer(t *testing.T) {
 	if got := executor.RegisteredCounter(t, reg, "coord.read_repairs"); got != 1 {
 		t.Errorf("coord.read_repairs = %d, want 1 (the second replica repaired after answering)", got)
 	}
+}
+
+// TestCoordinatorAnswersNeverAliasScratch: a coordinated read answered
+// by a replica other than the first — a fresh one while the first has
+// hints pending, or a hedge that beat the first — returns records
+// copied out of the coordinator's scratch into the caller's buffer.
+// Later coordinated puts and gets reuse that scratch and must leave the
+// answer as it was; and the caller's buffer, once the call returns, is
+// written by no further replica read.
+func TestCoordinatorAnswersNeverAliasScratch(t *testing.T) {
+	cases := []struct {
+		name  string
+		read  executor.Consistency
+		hedge bool
+		// stage runs after partition p holds "old" on every replica and
+		// arranges that the next read is answered, want, by a replica
+		// other than the first, counting counter once.
+		stage   func(t *testing.T, repl *backend.ReplicatedStore, coord *executor.Coordinator, ns *faults.Nodes, p []backend.Value)
+		want    string
+		counter string
+	}{{
+		name: "hints pending on the first replica", read: executor.Quorum,
+		stage: func(t *testing.T, repl *backend.ReplicatedStore, coord *executor.Coordinator, ns *faults.Nodes, p []backend.Value) {
+			first := repl.ReplicasFor(nil, "cf1", p)[0]
+			must(t, ns.MarkDown(first))
+			if _, err := coord.Put("cf1", p, vals(int64(0)), vals("new")); err != nil {
+				t.Fatal(err)
+			}
+			must(t, ns.MarkUp(first))
+		},
+		want: "new", counter: "coord.read_repairs",
+	}, {
+		name: "a hedge wins slot 0", read: executor.One, hedge: true,
+		stage: func(t *testing.T, repl *backend.ReplicatedStore, coord *executor.Coordinator, ns *faults.Nodes, p []backend.Value) {
+			// SlowRate 1 opens a slow window on the primary's next
+			// operation, long enough for every read below.
+			first := repl.ReplicasFor(nil, "cf1", p)[0]
+			must(t, ns.SetProfile(first, faults.Profile{SlowRate: 1, SlowFactor: 50}))
+		},
+		want: "old", counter: "coord.hedge_wins",
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			repl, coord, ns, reg := newCluster(t, 3, 3, tc.read, executor.Quorum, tc.hedge)
+			p := vals(int64(11))
+			if _, err := coord.Put("cf1", p, vals(int64(0)), vals("old")); err != nil {
+				t.Fatal(err)
+			}
+			tc.stage(t, repl, coord, ns, p)
+
+			buf := make([]backend.Record, 0, 4)
+			r, err := coord.Get("cf1", backend.GetRequest{Partition: p, Into: buf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := executor.RegisteredCounter(t, reg, tc.counter); got != 1 {
+				t.Fatalf("%s = %d, want 1: the read was not answered past the first replica", tc.counter, got)
+			}
+			if len(r.Records) != 1 || r.Records[0].Values[0] != tc.want {
+				t.Fatalf("answer = %v, want [%s]", r.Records, tc.want)
+			}
+			if &r.Records[0] != &buf[:1][0] {
+				t.Error("the answer is not in the caller's buffer")
+			}
+			answer := cloneRecords(r.Records)
+			held := cloneRecords(buf[:cap(buf)])
+
+			// A further put and get: the get reads two replicas again, the
+			// second into the same scratch.
+			if _, err := coord.Put("cf1", p, vals(int64(0)), vals("later")); err != nil {
+				t.Fatal(err)
+			}
+			reads := executor.RegisteredCounter(t, reg, "coord.replica_reads")
+			r2, err := coord.Get("cf1", backend.GetRequest{Partition: p, Into: make([]backend.Record, 0, 4)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := executor.RegisteredCounter(t, reg, "coord.replica_reads") - reads; got != 2 {
+				t.Fatalf("the second get read %d replicas, want 2", got)
+			}
+			if len(r2.Records) != 1 || r2.Records[0].Values[0] != "later" {
+				t.Fatalf("second answer = %v, want [later]", r2.Records)
+			}
+			if !reflect.DeepEqual(r.Records, answer) {
+				t.Errorf("the first answer changed under later operations: %v, was %v", r.Records, answer)
+			}
+			if !reflect.DeepEqual(buf[:cap(buf)], held) {
+				t.Errorf("the caller's buffer was written after its get returned: %v, was %v", buf[:cap(buf)], held)
+			}
+		})
+	}
+}
+
+// cloneRecords copies records and their key and value slices.
+func cloneRecords(recs []backend.Record) []backend.Record {
+	out := make([]backend.Record, len(recs))
+	for i, r := range recs {
+		out[i] = backend.Record{Clustering: slices.Clone(r.Clustering), Values: slices.Clone(r.Values)}
+	}
+	return out
 }

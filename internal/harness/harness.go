@@ -241,12 +241,11 @@ func (s *System) Migrate(ds *backend.Dataset, pr *search.PhaseRecommendation) (*
 		// to the verifier; this copy bypasses the executor, and a write
 		// the verifier never saw would read as a lost one where it lands
 		// on an overlapping statement's dual write.
-		res, err := s.verifier.AckPut(store.Put, cf, partition, clustering, values)
+		ms, err := verify.AckPut(s.verifier, store.Write, cf, partition, clustering, values)
 		if err != nil {
 			putErr = err
-			return 0, err
 		}
-		return res.SimMillis, nil
+		return ms, err
 	}
 	lm, err := s.beginLive(ds, pr, put, migrate.LiveOptions{}, nil)
 	if err != nil {

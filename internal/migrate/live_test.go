@@ -14,7 +14,7 @@ import (
 	"nose/internal/schema"
 )
 
-// flakyStore wraps a real store and fails every Put after the first
+// flakyStore wraps a real store and fails every Write after the first
 // failAfter successes — an injected mid-build failure for the rollback
 // regression test.
 type flakyStore struct {
@@ -25,11 +25,11 @@ type flakyStore struct {
 
 var errInjectedPut = errors.New("injected put failure")
 
-func (f *flakyStore) Put(name string, partition, clustering, values []backend.Value) (*backend.PutResult, error) {
+func (f *flakyStore) Write(name string, partition, clustering, values []backend.Value) (float64, error) {
 	if f.puts++; f.puts > f.failAfter {
-		return nil, errInjectedPut
+		return 0, errInjectedPut
 	}
-	return f.Store.Put(name, partition, clustering, values)
+	return f.Store.Write(name, partition, clustering, values)
 }
 
 // readable reports whether the family exists in the store: every
@@ -76,15 +76,9 @@ func TestApplyDropsPartialFamilyOnFailure(t *testing.T) {
 	}
 }
 
-// storePut adapts a store's Put to the live controller's PutFunc.
+// storePut adapts a store's Write to the live controller's PutFunc.
 func storePut(s *backend.Store) migrate.PutFunc {
-	return func(cf string, partition, clustering, values []backend.Value) (float64, error) {
-		pr, err := s.Put(cf, partition, clustering, values)
-		if err != nil {
-			return 0, err
-		}
-		return pr.SimMillis, nil
-	}
+	return s.Write
 }
 
 // TestLiveMigrationWalksStateMachine drives a healthy migration end to
@@ -187,11 +181,7 @@ func TestLiveMigrationRetriesFailedRecord(t *testing.T) {
 			fails--
 			return 0.5, errInjectedPut // failed attempt still costs time
 		}
-		pr, err := s.Put(cf, partition, clustering, values)
-		if err != nil {
-			return 0, err
-		}
-		return pr.SimMillis, nil
+		return s.Write(cf, partition, clustering, values)
 	}
 	l, err := migrate.StartLive(ds, s, []*schema.Index{pk}, nil, put,
 		migrate.LiveOptions{ChunkRecords: 64, FaultBudget: 8})

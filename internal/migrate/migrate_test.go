@@ -132,17 +132,16 @@ func TestDiff(t *testing.T) {
 }
 
 // apply drives a live migration from StartLive to StateDone in one go,
-// the way harness.System.Migrate does: the copy is the store's own put,
+// the way harness.System.Migrate does: the copy is the store's own write,
 // and the first failed put aborts the migration and is returned.
 func apply(ds *backend.Dataset, s migrate.Store, build, drop []*schema.Index) (*migrate.Result, error) {
 	var putErr error
 	put := func(cf string, partition, clustering, values []backend.Value) (float64, error) {
-		pr, err := s.Put(cf, partition, clustering, values)
+		ms, err := s.Write(cf, partition, clustering, values)
 		if err != nil {
 			putErr = err
-			return 0, err
 		}
-		return pr.SimMillis, nil
+		return ms, err
 	}
 	l, err := migrate.StartLive(ds, s, build, drop, put, migrate.LiveOptions{})
 	if err != nil {

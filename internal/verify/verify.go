@@ -111,9 +111,11 @@ func (v *Verifier) NoteCutover(rows []Row) {
 // order their writes reached the store; noted separately, the later
 // record could name the overwritten value and read as a lost write. The
 // Tap routes every put here; a copy that bypasses the tap (a bulk load)
-// calls it directly. A nil verifier just performs the write.
-func (v *Verifier) AckPut(put func(cf string, partition, clustering, values []backend.Value) (*backend.PutResult, error),
-	cf string, partition, clustering, values []backend.Value) (*backend.PutResult, error) {
+// calls it directly. A nil verifier just performs the write. R is what
+// the write returns: a KVBackend put's *backend.PutResult, or an
+// Installer write's service time.
+func AckPut[R any](v *Verifier, put func(cf string, partition, clustering, values []backend.Value) (R, error),
+	cf string, partition, clustering, values []backend.Value) (R, error) {
 	if v == nil {
 		return put(cf, partition, clustering, values)
 	}
@@ -171,7 +173,7 @@ func (t *Tap) Get(name string, req backend.GetRequest) (*backend.GetResult, erro
 
 // Put implements backend.KVBackend, recording acknowledged puts.
 func (t *Tap) Put(name string, partition, clustering []backend.Value, values []backend.Value) (*backend.PutResult, error) {
-	return t.v.AckPut(t.inner.Put, name, partition, clustering, values)
+	return AckPut(t.v, t.inner.Put, name, partition, clustering, values)
 }
 
 // Delete implements backend.KVBackend, recording acknowledged deletes.
