@@ -960,13 +960,14 @@ func BenchmarkExecStatementRUBiS(b *testing.B) {
 // mean allocations and bytes of one harness.ExecTransaction over the
 // bidding schedule, parameters drawn beforehand. A transaction took 12.51
 // allocations and 1,034 B while every get copied its records and a
-// partition key and the harness projected rows it dropped, and takes
+// partition key and the harness projected rows it dropped, and took
 // 3.54 and 157 B (go1.24) with gets reading into the executor's buffers
-// and the harness running plans without rows. Both ceilings are 1.3
-// times the measured value.
+// and the harness running plans without rows. With RunQuery returning
+// its Result by value instead of allocating one per query, it
+// takes 2.35 and 100 B. Both ceilings are 1.3 times the measured value.
 const (
-	execTransactionAllocCeiling = 4.6
-	execTransactionByteCeiling  = 204.0
+	execTransactionAllocCeiling = 3.1
+	execTransactionByteCeiling  = 130.0
 )
 
 // TestExecTransactionAllocCeiling counts what the data plane allocates
@@ -1024,12 +1025,13 @@ func transactionAllocs(t *testing.T, sys *harness.System, schedule []*rubis.Tran
 // second replica's read copied its records into a fresh slice, a
 // transaction took 20.65 allocations and 994 B. With further replicas
 // read into the coordinator's scratch and written through the stores'
-// result-free cores it takes 9.92 and 627 B (go1.24): one result per
+// result-free cores it took 9.92 and 627 B (go1.24): one result per
 // coordinated operation, the rest what three replicas' stores keep of
-// each inserted record. Both ceilings are 1.3 times the measured value.
+// each inserted record. With RunQuery returning its Result by value it
+// takes 9.24 and 592 B. Both ceilings are 1.3 times the measured value.
 const (
-	quorumTransactionAllocCeiling = 12.9
-	quorumTransactionByteCeiling  = 815.0
+	quorumTransactionAllocCeiling = 12.1
+	quorumTransactionByteCeiling  = 770.0
 )
 
 // TestQuorumTransactionAllocCeiling counts what the replicated data

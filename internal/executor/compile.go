@@ -17,7 +17,9 @@ import (
 // is resolved once to a parameter index or to a slot of the statement's
 // row layout. Only attributes something reads get a slot, and column
 // names come from backend.DefFromIndex, so running a program never asks
-// the store for a definition.
+// the store for a definition. A lookup moves a fetched cell into its
+// slot only when a later step reads the slot (compiler.finish), and
+// moves that only the projection reads come last in its move list.
 type program struct {
 	params []string           // names of the parameters read; parameter i
 	attrs  []*model.Attribute // the attribute each parameter is first used for; its binding is coerced to that type
@@ -40,7 +42,9 @@ type (
 	limitOp  int
 )
 
-// lookupOp is a compiled LookupStep: one get per driving row.
+// lookupOp is a compiled LookupStep: one get per driving row. Each
+// fetched record extends its driving row by moves; a lookup that runs
+// no move appends the driving row itself.
 type lookupOp struct {
 	cf         string
 	cols       []string // partition column names, for diagnostics
@@ -48,9 +52,32 @@ type lookupOp struct {
 	rangeOp    backend.RangeOp
 	rangeParam int // -1 without a range predicate
 	limit      int
-	// Where the fetched cells some step reads land: {index in the
-	// partition key, clustering key or values, slot}.
-	fromPart, fromClus, fromVals [][2]int
+	// moves are the fetched cells a later step reads, each with the
+	// slot it lands in. moves[:live] feed a later lookup, filter or
+	// sort, or a write's cells; moves[live:] feed only the projection,
+	// and a run that builds no rows skips them.
+	moves []move
+	live  int
+}
+
+// move copies one fetched cell into a row: cell from of the partition
+// key, the clustering key or the values, by src, into slot to.
+type move struct {
+	src      moveSrc
+	from, to int
+}
+
+type moveSrc uint8
+
+const (
+	fromPart moveSrc = iota
+	fromClus
+	fromVals
+)
+
+// sources are a definition's column names by moveSrc.
+func sources(def backend.ColumnFamilyDef) [3][]string {
+	return [...][]string{fromPart: def.PartitionCols, fromClus: def.ClusteringCols, fromVals: def.ValueCols}
 }
 
 // ref names a parameter and a slot; either is -1 when there is none.
@@ -77,8 +104,8 @@ var rangeOps = map[workload.Op]backend.RangeOp{
 type compiler struct {
 	prog          *program
 	params, slots map[string]int
-	lookups       []*lookupOp               // with their definitions: moves wait until every reader,
-	defs          []backend.ColumnFamilyDef // later steps included, has claimed its slot
+	lookups       []*lookupOp               // in execution order, with their definitions: moves
+	defs          []backend.ColumnFamilyDef // wait until every reader has claimed its slot
 }
 
 func newCompiler() *compiler {
@@ -161,26 +188,76 @@ func (c *compiler) lookup(s *planner.LookupStep) (*lookupOp, error) {
 	return o, nil
 }
 
-// finish fixes the parameter table and the row width, and points every
-// lookup's fetched cells at the slots that were claimed.
+// finish fixes the parameter table and the row width, and gives every
+// lookup its moves by a backward walk over the program's steps that
+// tracks which slots a later step reads. Two sets are walked together:
+// live omits the projection's reads and seen includes them, so a move
+// into a slot in live is needed by every run and one into a slot only in
+// seen by the projection alone. A write's cells are read after its last
+// plan; a lookup kills the slots it moves into and then reads its
+// partition sources.
 func (c *compiler) finish() *program {
-	moves := func(cols []string) (ms [][2]int) {
-		for from, col := range cols {
-			if to, ok := c.slots[col]; ok {
-				ms = append(ms, [2]int{from, to})
+	p := c.prog
+	p.width = len(c.slots)
+	live, seen := make([]bool, p.width), make([]bool, p.width)
+	read := func(slot int) { live[slot], seen[slot] = true, true }
+	for _, cl := range p.cells {
+		read(cl.slot)
+	}
+	for _, slot := range p.proj {
+		seen[slot] = true
+	}
+	k := len(c.lookups)
+	for i := len(p.plans) - 1; i >= 0; i-- {
+		for j := len(p.plans[i]) - 1; j >= 0; j-- {
+			switch o := p.plans[i][j].(type) {
+			case *lookupOp:
+				k--
+				c.moves(o, c.defs[k], live, seen)
+				for _, src := range o.part {
+					read(src.slot)
+				}
+			case filterOp:
+				for _, pr := range o {
+					read(pr.slot)
+				}
+			case sortOp:
+				for _, slot := range o {
+					read(slot)
+				}
 			}
 		}
-		return ms
 	}
-	for i, o := range c.lookups {
-		o.fromPart, o.fromClus, o.fromVals = moves(c.defs[i].PartitionCols), moves(c.defs[i].ClusteringCols), moves(c.defs[i].ValueCols)
-	}
-	c.prog.params = make([]string, len(c.params))
+	p.params = make([]string, len(c.params))
 	for name, i := range c.params {
-		c.prog.params[i] = name
+		p.params[i] = name
 	}
-	c.prog.width = len(c.slots)
-	return c.prog
+	return p
+}
+
+// moves fills o's move list from the slots read after it, and kills
+// those slots. A partition column its driving row supplies is already
+// in its slot, so only one a parameter supplies is moved.
+func (c *compiler) moves(o *lookupOp, def backend.ColumnFamilyDef, live, seen []bool) {
+	var tail []move
+	for src, cols := range sources(def) {
+		for from, col := range cols {
+			to, ok := c.slots[col]
+			if !ok || moveSrc(src) == fromPart && o.part[from].param < 0 {
+				continue
+			}
+			if m := (move{moveSrc(src), from, to}); live[to] {
+				o.moves = append(o.moves, m)
+			} else if seen[to] {
+				tail = append(tail, m)
+			}
+		}
+	}
+	o.live = len(o.moves)
+	o.moves = append(o.moves, tail...)
+	for _, m := range o.moves {
+		live[m.to], seen[m.to] = false, false
+	}
 }
 
 // compileQuery lowers a query plan: its steps, then the projection to

@@ -156,16 +156,18 @@ func (r *recorder) mutated() string {
 	return ""
 }
 
-// twin is one recommendation installed twice from the same dataset: one
-// store under the compiled executor, one under the reference
-// interpreter, both behind recorders.
+// twin is one recommendation installed three times from the same
+// dataset: one store under the compiled executor's ExecuteQuery, one
+// under its RunQuery (bare), one under the reference interpreter, all
+// behind recorders.
 type twin struct {
 	ds       *backend.Dataset
 	rec      *search.Recommendation
 	plans    [][]*planner.Plan // planLists(rec)
-	ex       *executor.Executor
+	ex, bare *executor.Executor
 	ref      *refExecutor
 	exLog    *recorder
+	bareLog  *recorder
 	refLog   *recorder
 	checked  int // plans compared with the reference
 	oracled  int // of which also compared with the oracle
@@ -181,8 +183,9 @@ func newTwin(t *testing.T, ds *backend.Dataset, rec *search.Recommendation) *twi
 		}
 		return &recorder{KVBackend: store}
 	}
-	tw := &twin{ds: ds, rec: rec, plans: planLists(t, rec), exLog: install(), refLog: install()}
+	tw := &twin{ds: ds, rec: rec, plans: planLists(t, rec), exLog: install(), bareLog: install(), refLog: install()}
 	tw.ex = executor.New(tw.exLog, cost.DefaultParams())
+	tw.bare = executor.New(tw.bareLog, cost.DefaultParams())
 	tw.ref = &refExecutor{store: tw.refLog, lat: cost.DefaultParams()}
 	return tw
 }
@@ -191,7 +194,8 @@ func newTwin(t *testing.T, ds *backend.Dataset, rec *search.Recommendation) *twi
 // both executors: rows in order and simulated time bit for bit against
 // the reference, and against the oracle over the dataset's current
 // contents for the recommended plan and every other plan on the
-// query's path.
+// query's path. RunQuery on the bare side must match ExecuteQuery on
+// the time bit for bit, the retries, the error text and the store calls.
 func (tw *twin) checkAllPlans(t *testing.T, when string, params executor.Params) {
 	t.Helper()
 	for i := range tw.rec.Queries {
@@ -204,7 +208,15 @@ func (tw *twin) checkPlans(t *testing.T, when string, i int, params executor.Par
 	t.Helper()
 	q := tw.rec.Queries[i].Statement.Statement.(*workload.Query)
 	for rank, plan := range tw.plans[i] {
+		calls := len(tw.exLog.log)
 		got, err := tw.ex.ExecuteQuery(plan, params)
+		bare, bareErr := tw.bare.RunQuery(plan, params)
+		if fmt.Sprint(bareErr) != fmt.Sprint(err) || math.Float64bits(bare.SimMillis) != math.Float64bits(got.SimMillis) ||
+			bare.Retries != got.Retries || bare.Rows != nil || !slices.Equal(tw.bareLog.log[calls:], tw.exLog.log[calls:]) {
+			t.Fatalf("%s: %s rank %d: RunQuery took %v ms and %d retries, returned %d rows and error %v, and made %d store calls; ExecuteQuery %v ms, %d retries, error %v, %d calls\nplan:\n%s",
+				when, workload.Label(q), rank, bare.SimMillis, bare.Retries, len(bare.Rows), bareErr, len(tw.bareLog.log)-calls,
+				got.SimMillis, got.Retries, err, len(tw.exLog.log)-calls, plan)
+		}
 		if err != nil {
 			t.Fatalf("%s: %s: %v\nplan:\n%s", when, workload.Label(q), err, plan)
 		}
@@ -248,6 +260,9 @@ func (tw *twin) write(t *testing.T, st workload.Statement, params executor.Param
 		res, err := tw.ex.ExecuteWrite(urs, params)
 		if err != nil {
 			t.Fatalf("%s: %v", workload.Label(st), err)
+		}
+		if _, err := tw.bare.ExecuteWrite(urs, params); err != nil || !slices.Equal(tw.bareLog.log, tw.exLog.log) {
+			t.Fatalf("%s: the bare side's write failed (%v) or made other store calls", workload.Label(st), err)
 		}
 		if res.Rows != nil {
 			t.Errorf("%s: a write returned %d rows", workload.Label(st), len(res.Rows))
@@ -351,7 +366,8 @@ var rubisRecommendations = []struct {
 // every query's every plan — the recommended one and the planner's
 // others over the installed schema — under six seeded bindings, against the map-row
 // reference interpreter (rows in order, SimMillis bit for bit) and
-// against executor.Oracle; then every write statement executed on both
+// against executor.Oracle, and through RunQuery against ExecuteQuery;
+// then every write statement executed on both
 // sides (same puts and deletes, same SimMillis) and mirrored into the
 // dataset, with every plan re-checked under the written transaction's
 // own bindings — the ones that reach the rows just written — after

@@ -157,11 +157,16 @@ func compiled[K any](e *Executor, key *K, compile func(*K) (*program, error)) (*
 }
 
 // scratch is one statement execution's working memory. Rows are
-// prog.width-value windows of one arena; a step rewrites rows in place
-// or builds next and swaps. Nothing in it outlives the call: results
-// are copied out and written cells are allocated fresh.
+// prog.width-value windows of one arena; a step compacts or reorders
+// the row list in place or builds next and swaps. A row is immutable
+// once built: a lookup writes only the fresh copy it extends, and a
+// write's seed row is written before any plan runs. So a lookup with no
+// move appends its driving row itself, once per fetched record, and
+// rows may share a window. Nothing in it outlives the call: results are
+// copied out and written cells are allocated fresh.
 type scratch struct {
 	prog       *program
+	projected  bool            // the rows will be projected: lookups run their projection-only moves too
 	pv         []backend.Value // prog's parameters by index; absent{} marks an unbound one
 	vals       []backend.Value // arena
 	rows, next [][]backend.Value
@@ -182,7 +187,7 @@ func (e *Executor) scratch() *scratch {
 	if sc == nil {
 		sc = &scratch{seen: map[string]struct{}{}}
 	}
-	sc.writes, sc.bgt = sc.writes[:0], stmtBudget{}
+	sc.projected, sc.writes, sc.bgt = false, sc.writes[:0], stmtBudget{}
 	return sc
 }
 
@@ -234,25 +239,28 @@ func (sc *scratch) missing(i int) error {
 // before the failure so callers can charge partial work (e.g. a failed
 // plan attempt before failing over to another plan).
 func (e *Executor) ExecuteQuery(plan *planner.Plan, params Params) (*Result, error) {
-	return e.query(plan, params, true)
+	res, err := e.query(plan, params, true)
+	return &res, err
 }
 
 // RunQuery runs a query plan exactly as ExecuteQuery does — the same
 // gets, simulated time, retries and errors — but builds no rows: the
 // result's Rows is nil. Projection charges no simulated time, so a
 // caller that only times the query, as the harness does, loses nothing
-// by skipping it.
-func (e *Executor) RunQuery(plan *planner.Plan, params Params) (*Result, error) {
+// by skipping it, nor by skipping the moves of cells only the projection
+// reads. The result is returned by value, so no Result is allocated.
+func (e *Executor) RunQuery(plan *planner.Plan, params Params) (Result, error) {
 	return e.query(plan, params, false)
 }
 
 // query backs ExecuteQuery and RunQuery; rows selects whether the
 // surviving rows are projected and copied out.
-func (e *Executor) query(plan *planner.Plan, params Params, rows bool) (*Result, error) {
-	res := &Result{}
+func (e *Executor) query(plan *planner.Plan, params Params, rows bool) (Result, error) {
+	var res Result
 	prog, err := compiled(e, plan, compileQuery)
 	if err == nil {
 		sc := e.scratch()
+		sc.projected = rows
 		if err = sc.enter(prog, params); err == nil {
 			if res.SimMillis, err = e.run(prog.plans[0], sc); err == nil && rows {
 				res.Rows = sc.project()
@@ -321,7 +329,9 @@ func (e *Executor) run(ops []any, sc *scratch) (float64, error) {
 }
 
 // lookup executes one lookup step: one get per driving row, each fetched
-// record extending a copy of its driving row. Every get reuses the
+// record extending a copy of its driving row by the lookup's moves, or
+// adding the driving row itself when there is no move to run (rows are
+// immutable once built; see scratch). Every get reuses the
 // scratch's partition key and reads into its record buffer: the store
 // retains neither, and a get's records are consumed before the next get
 // (or a retry of the same one) rewrites the buffer. The returned millis
@@ -345,6 +355,10 @@ func (e *Executor) lookup(o *lookupOp, sc *scratch) (float64, error) {
 		}
 		return res.SimMillis, nil
 	}
+	moves := o.moves[:o.live]
+	if sc.projected {
+		moves = o.moves
+	}
 	sim := 0.0
 	sc.next = sc.next[:0]
 	for _, row := range sc.rows {
@@ -365,17 +379,23 @@ func (e *Executor) lookup(o *lookupOp, sc *scratch) (float64, error) {
 		if err != nil {
 			return sim, err
 		}
-		for _, rec := range res.Records {
+		for i := range res.Records {
+			if len(moves) == 0 {
+				sc.next = append(sc.next, row)
+				continue
+			}
+			rec := &res.Records[i]
 			sc.vals = append(sc.vals, row...)
 			out := sc.vals[len(sc.vals)-len(row):]
-			for _, m := range o.fromPart {
-				out[m[1]] = req.Partition[m[0]]
-			}
-			for _, m := range o.fromClus {
-				out[m[1]] = rec.Clustering[m[0]]
-			}
-			for _, m := range o.fromVals {
-				out[m[1]] = rec.Values[m[0]]
+			for _, m := range moves {
+				switch m.src {
+				case fromPart:
+					out[m.to] = req.Partition[m.from]
+				case fromClus:
+					out[m.to] = rec.Clustering[m.from]
+				default:
+					out[m.to] = rec.Values[m.from]
+				}
 			}
 			sc.next = append(sc.next, out)
 		}

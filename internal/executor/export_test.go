@@ -5,6 +5,7 @@ import (
 
 	"nose/internal/backend"
 	"nose/internal/obs"
+	"nose/internal/planner"
 )
 
 // Get returns the value of a column by qualified attribute name. No
@@ -41,4 +42,49 @@ func RegisteredGauge(t testing.TB, r *obs.Registry, name string) float64 {
 		t.Fatalf("gauge %q is not registered", name)
 	}
 	return v
+}
+
+// CompiledMoves compiles a query plan and names, per lookup step in
+// plan order, the fetched columns it moves on every run (live) and
+// those it moves only for the projection (projOnly), each list in
+// partition, clustering, value order.
+func CompiledMoves(plan *planner.Plan) (live, projOnly [][]string, err error) {
+	prog, err := compileQuery(plan)
+	if err != nil {
+		return nil, nil, err
+	}
+	for i, op := range prog.plans[0] {
+		o, ok := op.(*lookupOp)
+		if !ok {
+			continue
+		}
+		cols := sources(backend.DefFromIndex(plan.Steps[i].(*planner.LookupStep).Index))
+		names := func(ms []move) []string {
+			out := []string{}
+			for _, m := range ms {
+				out = append(out, cols[m.src][m.from])
+			}
+			return out
+		}
+		live, projOnly = append(live, names(o.moves[:o.live])), append(projOnly, names(o.moves[o.live:]))
+	}
+	return live, projOnly, nil
+}
+
+// QueryRows runs a query plan's steps as ExecuteQuery (project) or
+// RunQuery (!project) runs them and returns the rows left before the
+// projection, so a test can see which rows share a window. The scratch
+// is not returned to the pool.
+func (e *Executor) QueryRows(plan *planner.Plan, params Params, project bool) ([][]backend.Value, error) {
+	prog, err := compileQuery(plan)
+	if err != nil {
+		return nil, err
+	}
+	sc := e.scratch()
+	sc.projected = project
+	if err := sc.enter(prog, params); err != nil {
+		return nil, err
+	}
+	_, err = e.run(prog.plans[0], sc)
+	return sc.rows, err
 }

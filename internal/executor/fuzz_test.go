@@ -60,8 +60,11 @@ func randomDataset(rng *rand.Rand, g *model.Graph, rows int) (*backend.Dataset, 
 // randwork graph and workload, a small dataset over it and the
 // bindings; the workload is advised under a tiny node budget; every
 // plan of every query's plan list must equal the map-row reference
-// interpreter (rows in order, SimMillis bit for bit), and every plan on
-// its query's own path must equal executor.Oracle.
+// interpreter (rows in order, SimMillis bit for bit), every plan on
+// its query's own path must equal executor.Oracle, and RunQuery must
+// equal ExecuteQuery on SimMillis bit for bit, Retries, the error text
+// and the store calls. Joins through slots and filters, sorts and
+// limits after a lookup are where a wrongly dropped move would show.
 func FuzzExecutorAgainstOracle(f *testing.F) {
 	for _, seed := range [][]byte{
 		{1}, {2, 3, 1, 7}, {0xff, 4, 5, 6, 7, 8, 9, 10, 11}, []byte("compiled plans"), {9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9},

@@ -253,3 +253,119 @@ func TestMissingParameterReportedWhereNeeded(t *testing.T) {
 		t.Errorf("empty partition: rows %v, error %v", res, err)
 	}
 }
+
+// TestLookupsMoveOnlyLiveCells pins what each compiled lookup moves: a
+// fetched cell that a later lookup's partition, a filter or a sort reads
+// moves on every run; one only the projection reads moves only when
+// ExecuteQuery projects; one nobody reads after the lookup, its own
+// partition columns among them, never moves. A lookup left with nothing
+// to move adds its driving row itself, so its output rows share their
+// driving rows' windows. Every plan also runs against the reference
+// interpreter, and RunQuery must agree with ExecuteQuery on the time.
+func TestLookupsMoveOnlyLiveCells(t *testing.T) {
+	hp := newHandPlans(t)
+	hotelCity, hotelName := hp.byCity.Partition[0], hp.byCity.Values[0]
+	floor := hp.rooms.Values[1]
+	hp.put(t, hp.byCity, []backend.Value{"Paris"}, []backend.Value{int64(1)}, []backend.Value{"Ritz"})
+	hp.put(t, hp.byCity, []backend.Value{"Paris"}, []backend.Value{int64(2)}, []backend.Value{"Crillon"})
+	hp.roomsOf(t, float64(300), float64(100), float64(200))
+	query := func(sel ...*model.Attribute) *workload.Query {
+		q := &workload.Query{Label: "hand", Graph: hp.g}
+		for _, a := range sel {
+			q.Select = append(q.Select, ref(a))
+		}
+		return q
+	}
+	for _, tc := range []struct {
+		name           string
+		plan           *planner.Plan
+		params         executor.Params
+		column         *model.Attribute
+		live, projOnly [][]string
+		// windows counts the distinct windows among the rows left
+		// before the projection, ExecuteQuery's then RunQuery's.
+		rows, windows, bareWindows int
+	}{
+		{
+			// byCity's HotelCity comes from ?city, and rooms reads it from
+			// the row; rooms' own partition columns are in their slots.
+			name: "join, filter and sort",
+			plan: &planner.Plan{Query: query(hp.roomID), Steps: []planner.Step{
+				&planner.LookupStep{Index: hp.byCity, EqPredicates: []workload.Predicate{eq(hotelCity, "city")}},
+				&planner.LookupStep{Index: hp.rooms, JoinKey: hp.hotelID},
+				&planner.FilterStep{Predicates: []workload.Predicate{{Ref: ref(hp.rate), Op: workload.Gt, Param: "rate"}}},
+				&planner.SortStep{By: []workload.AttrRef{ref(floor)}},
+			}},
+			params: executor.Bindings{"city": "Paris", "rate": float64(150)},
+			column: hp.roomID,
+			live: [][]string{
+				{"Hotel.HotelCity", "Hotel.HotelID", "Hotel.HotelName"},
+				{"Room.RoomRate", "Room.RoomFloor"},
+			},
+			projOnly: [][]string{{}, {"Room.RoomID"}},
+			rows:     2, windows: 2, bareWindows: 2,
+		},
+		{
+			// HotelID and HotelName have slots, claimed by rooms'
+			// partition, but nothing after rooms reads them: neither
+			// lookup moves them, and byCity has nothing to move.
+			name: "cells nobody reads",
+			plan: &planner.Plan{Query: query(hp.roomID), Steps: []planner.Step{
+				hp.roomsLookup(),
+				&planner.LookupStep{Index: hp.byCity, JoinKey: hotelCity},
+			}},
+			params:   ritz,
+			column:   hp.roomID,
+			live:     [][]string{{"Hotel.HotelCity"}, {}},
+			projOnly: [][]string{{"Room.RoomID"}, {}},
+			rows:     6, windows: 3, bareWindows: 3,
+		},
+		{
+			// HotelName comes from ?name, so the projection reads it only
+			// once moved. RunQuery has nothing to move, so every row is
+			// the first.
+			name:     "projection only",
+			plan:     &planner.Plan{Query: query(hp.roomID, hotelName), Steps: []planner.Step{hp.roomsLookup()}},
+			params:   ritz,
+			column:   hp.roomID,
+			live:     [][]string{{}},
+			projOnly: [][]string{{"Hotel.HotelName", "Room.RoomID"}},
+			rows:     3, windows: 3, bareWindows: 1,
+		},
+	} {
+		live, projOnly, err := executor.CompiledMoves(tc.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(live, tc.live) || !reflect.DeepEqual(projOnly, tc.projOnly) {
+			t.Errorf("%s: lookups move %q on every run and %q for the projection, want %q and %q",
+				tc.name, live, projOnly, tc.live, tc.projOnly)
+		}
+		hp.run(t, tc.plan, tc.params, tc.column)
+		full, err := hp.ex.ExecuteQuery(tc.plan, tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bare, err := hp.ex.RunQuery(tc.plan, tc.params)
+		if err != nil || math.Float64bits(bare.SimMillis) != math.Float64bits(full.SimMillis) || bare.Rows != nil {
+			t.Errorf("%s: RunQuery %v ms, %d rows, error %v; ExecuteQuery %v ms", tc.name, bare.SimMillis, len(bare.Rows), err, full.SimMillis)
+		}
+		for _, project := range []bool{true, false} {
+			rows, err := hp.ex.QueryRows(tc.plan, tc.params, project)
+			if err != nil {
+				t.Fatal(err)
+			}
+			windows := map[*backend.Value]bool{}
+			for _, row := range rows {
+				windows[&row[0]] = true
+			}
+			want := tc.windows
+			if !project {
+				want = tc.bareWindows
+			}
+			if len(rows) != tc.rows || len(windows) != want {
+				t.Errorf("%s (projected %v): %d rows in %d windows, want %d in %d", tc.name, project, len(rows), len(windows), tc.rows, want)
+			}
+		}
+	}
+}

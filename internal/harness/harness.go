@@ -390,10 +390,7 @@ func (s *System) execStatement(st workload.Statement, params executor.Params) (f
 // unavailable; any other error is a bug or a validation failure.
 func (s *System) execQuery(st workload.Statement, plan *planner.Plan, params executor.Params) (float64, error) {
 	res, err := s.Exec.RunQuery(plan, params)
-	total := 0.0
-	if res != nil {
-		total = res.SimMillis
-	}
+	total := res.SimMillis
 	if err == nil {
 		s.robust.record(total, false, res.Retries > 0)
 		return total, nil
