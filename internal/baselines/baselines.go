@@ -1,7 +1,10 @@
 // Package baselines builds the pools of the two comparison schemas of
 // the paper's evaluation (§VII-A): the fully normalized schema and the
 // hand-made "expert" schema. search.AdvisePinned plans a pool as the
-// schema every family of which is installed and maintained.
+// schema every family of which is installed and maintained, and prices
+// it by evaluating the advisor's own program at that schema: nothing is
+// solved, so a baseline's Cost is the objective of the one point there
+// is.
 package baselines
 
 import (

@@ -111,6 +111,14 @@ func (p *Program) PinObjective(hi float64, obj []float64, at func(col, k int) in
 // agree, bit for bit.
 func (p *Program) Fingerprint() [sha256.Size]byte { return p.lp.Fingerprint() }
 
+// Eval scores x, a 0-1 point: its objective, and whether it satisfies
+// every row within the LP's feasibility tolerance. It is the arithmetic
+// and summation order Solve scores a seeded or rounded incumbent with,
+// so a point evaluated here costs what Solve would report for it.
+func (p *Program) Eval(x []float64) (obj float64, feasible bool) {
+	return p.lp.Eval(x, make([]float64, p.NumRows()))
+}
+
 // NumRows returns the number of constraint rows.
 func (p *Program) NumRows() int { return p.lp.NumRows() }
 

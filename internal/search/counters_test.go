@@ -27,7 +27,8 @@ import (
 // Between them they run both
 // phases, a budget with its cuts, a joint series program and a pinned
 // schema, so every enumerator, planner, search, bip and lp counter the
-// advisor records is exercised. A change that moves where a counter is
+// advisor records is exercised; the pinned schema is evaluated, not
+// solved, so it records no bip, lp or phase-1 counter. A change that moves where a counter is
 // recorded but not what the advisor does leaves every line as it is.
 // Regenerate, only for a change that means to move a count, with:
 //

@@ -11,7 +11,7 @@ import (
 // AdvisePinned does over pool when pool is non-nil, and returns the
 // fingerprint of phase 1's program and of the phase-2 program derived
 // from phase 1's optimum; phase2 is nil when no phase 2 runs (a pinned
-// pool).
+// pool, which is evaluated, not solved).
 func ProgramFingerprints(w *workload.Workload, pool *enumerator.Pool, opt Options) (phase1 [sha256.Size]byte, phase2 *[sha256.Size]byte, err error) {
 	opt = opt.withDefaults()
 	enumRes := &enumerator.Result{Pool: pool}

@@ -3,73 +3,56 @@ package search
 import (
 	"fmt"
 
-	"nose/internal/bip"
 	"nose/internal/planner"
 	"nose/internal/schema"
 	"nose/internal/workload"
 )
 
-// extract reads the solver's variable assignment back into a
-// recommendation: the selected paid column families plus every free
+// extract reads a point of the program, solved or evaluated, back into
+// a recommendation: the selected paid column families plus every free
 // family a chosen plan uses, one plan per query, and the maintenance
 // plans for every (update, selected family) pair. Every plan is the
-// one the assignment chose: each query's choose row and each needed
-// support group's gate take exactly one.
-func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) error {
+// one the point chose: each query's choose row and each needed support
+// group's gate take exactly one.
+func (b *builder) extract(x []float64, refs *colRefs, rec *Recommendation) error {
 	// chosen returns the plan of space the assignment takes, its plans
 	// being the columns from first on.
 	chosen := func(space *planner.PlanSpace, first int) *planner.Plan {
 		for k, pl := range space.Plans {
-			if res.X[first+k] >= 0.5 {
+			if x[first+k] >= 0.5 {
 				return pl
 			}
 		}
 		return nil
 	}
-	perQuery := make([]*planner.Plan, len(b.queries))
-	for i, qb := range b.queries {
-		perQuery[i] = chosen(qb.space, refs.queryCol[i])
+	// present marks the selected paid families and then every free
+	// family a chosen plan reads: the schema, by pool position.
+	present := make([]bool, len(b.pool))
+	for pos, col := range refs.indexCol {
+		present[pos] = col >= 0 && x[col] >= 0.5
 	}
-	perGroup := make([]*planner.Plan, 0, len(refs.zCol))
-	for _, ub := range b.updates {
-		for _, g := range ub.groups {
-			perGroup = append(perGroup, chosen(g.space, refs.zCol[len(perGroup)]+1))
-		}
-	}
-
-	paidSelected := func(pos int) bool {
-		col := refs.indexCol[pos]
-		return col >= 0 && res.X[col] >= 0.5
-	}
-	used := make([]bool, len(b.pool))
 	markUsed := func(pl *planner.Plan) {
-		for _, x := range pl.Indexes() {
-			if pos, ok := b.at[x.ID()]; ok {
-				used[pos] = true
+		for _, ix := range pl.Indexes() {
+			if pos, ok := b.at[ix.ID()]; ok && refs.indexCol[pos] < 0 {
+				present[pos] = true
 			}
 		}
 	}
 
+	perQuery := make([]*planner.Plan, len(b.queries))
 	for i, qb := range b.queries {
-		if perQuery[i] == nil {
+		if perQuery[i] = chosen(qb.space, refs.queryCol[i]); perQuery[i] == nil {
 			return fmt.Errorf("search: no plan chosen for query %q",
 				workload.Label(qb.ws.Statement))
 		}
 		markUsed(perQuery[i])
 	}
-	gi := 0
+	perGroup := make([]*planner.Plan, 0, len(refs.zCol))
 	for _, ub := range b.updates {
 		for _, g := range ub.groups {
-			plan := perGroup[gi]
-			gi++
-			needed := false
-			for _, x := range g.indexes {
-				if pos, ok := b.at[x.ID()]; ok && paidSelected(pos) {
-					needed = true
-					break
-				}
-			}
-			if !needed {
+			plan := chosen(g.space, refs.zCol[len(perGroup)]+1)
+			perGroup = append(perGroup, plan)
+			if !b.forces(g, refs, present) {
 				continue
 			}
 			if plan == nil {
@@ -80,13 +63,10 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 		}
 	}
 
-	// The schema: paid selections plus used free families, pool order.
 	sch := schema.NewSchema()
-	selected := make([]bool, len(b.pool))
-	for pos, x := range b.pool {
-		if paid := refs.indexCol[pos] >= 0; (paid && paidSelected(pos)) || (!paid && used[pos]) {
-			selected[pos] = true
-			sch.Add(x)
+	for pos, ix := range b.pool {
+		if present[pos] {
+			sch.Add(ix)
 		}
 	}
 	rec.Schema = sch
@@ -96,19 +76,19 @@ func (b *builder) extract(res *bip.Result, refs *colRefs, rec *Recommendation) e
 	}
 	base := 0 // the number of ub's first group
 	for _, ub := range b.updates {
-		for _, x := range ub.order {
-			if pos, ok := b.at[x.ID()]; !ok || !selected[pos] {
+		for _, ix := range ub.order {
+			if pos, ok := b.at[ix.ID()]; !ok || !present[pos] {
 				continue
 			}
-			ur := &UpdateRecommendation{Statement: ub.ws, Plan: ub.plans[x.ID()]}
+			ur := &UpdateRecommendation{Statement: ub.ws, Plan: ub.plans[ix.ID()]}
 			for k, g := range ub.groups {
-				if !groupNeeds(g, x) {
+				if !groupNeeds(g, ix) {
 					continue
 				}
 				plan := perGroup[base+k]
 				if plan == nil {
 					return fmt.Errorf("search: no support plan chosen for update %q on %s",
-						workload.Label(ub.ws.Statement), x.Name)
+						workload.Label(ub.ws.Statement), ix.Name)
 				}
 				ur.SupportPlans = append(ur.SupportPlans, plan)
 			}

@@ -61,17 +61,13 @@ type builder struct {
 	// read-mostly workloads.
 	maint map[string]float64
 
-	// pinned fixes every pool index present (AdvisePinned): each is
-	// paid, so its maintenance is priced, and pinned by a row, so the
-	// solver chooses plans only. No pool index is pruned.
-	pinned bool
-
 	// paidAll disables the free-family elision: every pool index gets a
 	// presence variable. The multi-interval series formulation needs
 	// this because presence is never free there — a family present in
 	// one phase but not the previous one is charged its migration build
 	// cost, so the solver must decide presence explicitly even for
-	// maintenance-free families.
+	// maintenance-free families. A pinned pool (AdvisePinned) sets it
+	// too, so that every family's maintenance is priced.
 	paidAll bool
 
 	// prunedPlans counts plans removed by dominance pruning and cuts
@@ -107,13 +103,15 @@ type colRefs struct {
 	planVars int
 }
 
-// newBuilder plans every query and update in the workload. Plan-space
+// newBuilder plans every query and update in the workload, and with
+// prune drops the pool families no plan reads (pruneUnselectable); a
+// pinned pool keeps every family. Plan-space
 // generation fans across a bounded worker pool: queries fill
 // index-addressed slots and update blocks are built independently, with
 // their maintenance-cost contributions merged in workload order so
 // floating-point accumulation is bit-identical for every worker count.
-func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.Result, pinned bool, opt Options) (*builder, error) {
-	b := &builder{w: w, pl: pl, pool: pl.Pool().Indexes(), opt: opt, pinned: pinned, maint: map[string]float64{}}
+func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.Result, prune bool, opt Options) (*builder, error) {
+	b := &builder{w: w, pl: pl, pool: pl.Pool().Indexes(), opt: opt, maint: map[string]float64{}}
 	workers := par.Workers(opt.Workers)
 
 	qws := w.Queries()
@@ -169,7 +167,7 @@ func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.R
 	// Dominated plans first: candidates used only by dominated plans
 	// then fall to the unselectable prune below.
 	b.pruneDominatedPlans()
-	if !pinned {
+	if prune {
 		b.pruneUnselectable()
 	}
 	if err := b.checkPrices(); err != nil {
@@ -453,10 +451,10 @@ func mergeSelects(dst, src *workload.Query) {
 }
 
 // paid reports whether an index needs a presence variable: it carries
-// maintenance cost, a storage budget prices every index, or the series
-// or pinned formulation demands explicit presence for everything.
+// maintenance cost, a storage budget prices every index, or paidAll
+// demands explicit presence for everything.
 func (b *builder) paid(id string) bool {
-	return b.paidAll || b.pinned || b.maint[id] > 0 || b.opt.SpaceBudgetBytes > 0
+	return b.paidAll || b.maint[id] > 0 || b.opt.SpaceBudgetBytes > 0
 }
 
 // emitter is what the formulation writes a program into: the program
@@ -525,9 +523,6 @@ func (b *builder) formulatePhase(e emitter, refs *colRefs, scale float64, sink f
 			items = append(items, budgetCutItem{pos: pos, sizeMB: x.SizeBytes() / 1e6})
 		}
 		refs.indexCol[pos] = col
-		if b.pinned {
-			e.AddColEntry(col, e.AddRow(1, 1), 1)
-		}
 	}
 	var cuts []budgetCut
 	if storageRow >= 0 {
@@ -681,62 +676,99 @@ func budgetCuts(items []budgetCutItem, budgetMB float64) []budgetCut {
 	return cuts
 }
 
-// greedyPhase writes a feasible warm-start assignment for one interval
-// into x and returns the paid families it selects, by pool position:
-// every query takes its cheapest plan, the paid families those plans
-// read are selected (every pool family, when pinned), and every group
-// forced by a selected family takes its cheapest support plan — iterated
-// to a fixpoint since support plans may read further paid families.
-func (b *builder) greedyPhase(x []float64, refs *colRefs) []bool {
+// greedySchema is the warm start's selection rule, by pool position:
+// the paid families plan 0 of every query reads, and those plan 0 of
+// every support group they force reads, to a fixpoint, since a support
+// plan may read further paid families. Plan 0 is a space's cheapest, so
+// evaluate gives each query and forced group its plan 0.
+func (b *builder) greedySchema(refs *colRefs) []bool {
 	selected := make([]bool, len(b.pool))
-	if b.pinned {
-		for pos := range selected {
-			selected[pos] = true
+	mark := func(pl *planner.Plan) (grew bool) {
+		for _, ix := range pl.Indexes() {
+			if pos, ok := b.at[ix.ID()]; ok && refs.indexCol[pos] >= 0 && !selected[pos] {
+				selected[pos], grew = true, true
+			}
+		}
+		return grew
+	}
+	for _, qb := range b.queries {
+		mark(qb.space.Plans[0])
+	}
+	for grew := true; grew; {
+		grew = false
+		for _, ub := range b.updates {
+			for _, g := range ub.groups {
+				if b.forces(g, refs, selected) && mark(g.space.Plans[0]) {
+					grew = true
+				}
+			}
 		}
 	}
-	markPaid := func(pl *planner.Plan) {
-		for _, ix := range pl.Indexes() {
-			if pos, ok := b.at[ix.ID()]; ok && refs.indexCol[pos] >= 0 {
-				selected[pos] = true
+	return selected
+}
+
+// evaluate writes into x, over every column of one interval, the point
+// the program implies when the paid families selected marks, by pool
+// position, are the ones present (free families always are): each query
+// takes its cheapest plan whose paid families are all present, each
+// support group a present family forces takes its cheapest such plan,
+// every other group stays off, and the presence columns follow selected.
+// With presence fixed the program separates, so no point with that
+// presence costs less. A query or forced group that no plan covers is
+// left with none, which bip.Program.Eval reports infeasible.
+func (b *builder) evaluate(x []float64, refs *colRefs, selected []bool) {
+	for pos, col := range refs.indexCol {
+		if col >= 0 {
+			x[col] = 0
+			if selected[pos] {
+				x[col] = 1
+			}
+		}
+	}
+	// take sets the columns of space, from first on, to its first plan
+	// that reads only present families, or to none when off.
+	take := func(space *planner.PlanSpace, first int, on bool) {
+		for k, pl := range space.Plans {
+			x[first+k] = 0
+			if on && b.covered(pl, refs, selected) {
+				x[first+k], on = 1, false
 			}
 		}
 	}
 	for i, qb := range b.queries {
-		x[refs.queryCol[i]] = 1
-		markPaid(qb.space.Plans[0])
+		take(qb.space, refs.queryCol[i], true)
 	}
-	chosen := make([]bool, len(refs.zCol))
-	for changed := true; changed; {
-		changed = false
-		gi := -1 // g's number
-		for _, ub := range b.updates {
-			for _, g := range ub.groups {
-				gi++
-				if chosen[gi] {
-					continue
-				}
-				forced := false
-				for _, ix := range g.indexes {
-					if pos, ok := b.at[ix.ID()]; ok && selected[pos] {
-						forced = true
-						break
-					}
-				}
-				if !forced {
-					continue
-				}
-				chosen[gi] = true
-				changed = true
+	gi := 0 // g's number
+	for _, ub := range b.updates {
+		for _, g := range ub.groups {
+			on := b.forces(g, refs, selected)
+			x[refs.zCol[gi]] = 0
+			if on {
 				x[refs.zCol[gi]] = 1
-				x[refs.zCol[gi]+1] = 1 // its cheapest plan
-				markPaid(g.space.Plans[0])
 			}
+			take(g.space, refs.zCol[gi]+1, on)
+			gi++
 		}
 	}
-	for pos, sel := range selected {
-		if sel {
-			x[refs.indexCol[pos]] = 1
+}
+
+// covered reports whether every paid family pl reads is selected.
+func (b *builder) covered(pl *planner.Plan, refs *colRefs, selected []bool) bool {
+	for _, ix := range pl.Indexes() {
+		if pos, ok := b.at[ix.ID()]; ok && refs.indexCol[pos] >= 0 && !selected[pos] {
+			return false
 		}
 	}
-	return selected
+	return true
+}
+
+// forces reports whether a selected paid family forces support group g
+// on: the group's query runs once any family it maintains is present.
+func (b *builder) forces(g *supportGroup, refs *colRefs, selected []bool) bool {
+	for _, ix := range g.indexes {
+		if pos, ok := b.at[ix.ID()]; ok && refs.indexCol[pos] >= 0 && selected[pos] {
+			return true
+		}
+	}
+	return false
 }

@@ -27,7 +27,7 @@ type phase2Input struct {
 	name string
 	w    *workload.Workload
 	opt  search.Options
-	// pool, when set, is advised pinned (search.AdvisePinned).
+	// pool, when set, is the schema evaluated (search.AdvisePinned).
 	pool *enumerator.Pool
 }
 
@@ -42,7 +42,8 @@ type phase2Input struct {
 // without one), which brings in the storage row, the budget cuts and
 // phase 2's cost coefficient placed after a presence column's storage
 // entry; and the Normalized baseline of each, advised pinned, which
-// brings in the rows that fix every family present. short keeps two
+// brings in a pool kept whole, every family with a presence column, and
+// the point evaluated with every family present. short keeps two
 // variants a mix and factor 1.
 func phase2Inputs(t *testing.T, short bool) []phase2Input {
 	t.Helper()
@@ -156,7 +157,8 @@ func TestPhase2AnswersPinned(t *testing.T) {
 
 // TestProgramsPinned pins, by lp.Problem.Fingerprint, both programs
 // each phase2Inputs advise formulates: phase 1's, and the phase-2 program
-// derived from it at phase 1's optimum (none for a pinned pool). The
+// derived from it at phase 1's optimum (none for a pinned pool, which is
+// evaluated, not solved). The
 // fingerprint covers every column's entries in stored order, which
 // decides the order the solver sums them in; TestPhase2AnswersPinned
 // does not catch every reordering, since most leave the answer as it

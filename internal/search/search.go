@@ -24,8 +24,9 @@ import (
 
 // ErrInfeasible is wrapped by the error Advise or AdviseSeries returns
 // when phase 1 proves that no schema satisfies the constraints, as when
-// no covering schema fits a space budget. A node limit reached before
-// any schema was found proves nothing and does not wrap it.
+// no covering schema fits a space budget, and by AdvisePinned's when the
+// pinned schema breaks the budget. A node limit reached before any
+// schema was found proves nothing and does not wrap it.
 var ErrInfeasible = errors.New("no feasible schema")
 
 // Options configures an advisor run.
@@ -169,7 +170,8 @@ type Recommendation struct {
 	// Updates holds one entry per (write statement, maintained family)
 	// pair.
 	Updates []*UpdateRecommendation
-	// Cost is the optimal weighted workload cost under the cost model.
+	// Cost is the weighted workload cost of the recommendation under the
+	// cost model: the optimum found, or a pinned schema's evaluated cost.
 	Cost float64
 	// Timings breaks down the advisor runtime.
 	Timings Timings
@@ -210,14 +212,15 @@ func Advise(w *workload.Workload, opt Options) (*Recommendation, error) {
 	return sr.Phases[0].Rec, nil
 }
 
-// AdvisePinned runs the advisor's program over a fixed schema, as the
+// AdvisePinned evaluates the advisor's program at a fixed schema, as the
 // paper's baselines (§VII-A) are evaluated: every family of pool is
 // installed and maintained whether or not a plan reads it, and each
 // query and support query takes its cheapest plan over the pool. The
 // baselines are thereby planned, priced and filtered by the same code as
-// a recommendation, and Cost prices each support plan once per group.
-// With every family pinned there is nothing for phase 2 to minimize, so
-// only phase 1 runs.
+// a recommendation, and Cost, the program's objective at that point,
+// prices each support plan once per group. With every family present
+// there is nothing to search: no solver phase runs, and a schema larger
+// than Options.SpaceBudgetBytes returns an error wrapping ErrInfeasible.
 func AdvisePinned(w *workload.Workload, pool *enumerator.Pool, opt Options) (*Recommendation, error) {
 	sr, err := advise(w, nil, pool, opt)
 	if err != nil {
@@ -231,8 +234,9 @@ func AdvisePinned(w *workload.Workload, pool *enumerator.Pool, opt Options) (*Re
 // §V's static problem, several are the joint series program (see
 // AdviseSeries). It enumerates candidates once, or takes pinned as the
 // schema every family of which is present (see AdvisePinned), then runs
-// Prepared's stages — plan and formulate, solve, extract — recording
-// the run's timings, problem sizes, spans and metrics.
+// Prepared's stages — plan and formulate, then solve, or for a pinned
+// pool evaluate, then extract — recording the run's timings, problem
+// sizes, spans and metrics.
 func advise(w *workload.Workload, phases []*workload.Phase, pinned *enumerator.Pool, opt Options) (*SeriesRecommendation, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
@@ -274,7 +278,12 @@ func advise(w *workload.Workload, phases []*workload.Phase, pinned *enumerator.P
 	if err != nil {
 		return nil, err
 	}
-	res, costs, err := p.solve(sr)
+	var x, costs []float64
+	if pinned == nil {
+		x, costs, err = p.solve(sr)
+	} else {
+		x, costs, err = p.evaluated()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +297,7 @@ func advise(w *workload.Workload, phases []*workload.Phase, pinned *enumerator.P
 
 	t := time.Now()
 	sp := opt.Trace.Begin("extract", "advisor")
-	if err := p.extract(res, costs, sr); err != nil {
+	if err := p.extract(x, costs, sr); err != nil {
 		sp.End()
 		return nil, err
 	}

@@ -21,19 +21,18 @@ import (
 // this stage separately from enumeration and solving.
 func BuildPlans(w *workload.Workload, enumRes *enumerator.Result, opt Options) error {
 	p := &Prepared{opt: opt.withDefaults()}
-	return p.plan(w, enumRes)
+	return p.plan(w, enumRes, false)
 }
 
 // Prepared is the advisor pipeline between enumeration and the answer:
-// every interval planned, the phase-1 program formulated and its greedy
-// warm start built. Its stages are formulate, solve and extract; advise
-// runs them once, and benchmarks re-run solve to time the branch and
-// bound phases in isolation.
+// every interval planned, the phase-1 program formulated and its start
+// point evaluated (the greedy warm start, or a pinned pool's only
+// point). Its stages are formulate, solve or evaluated, and extract;
+// advise runs them once, and benchmarks re-run solve to time the branch
+// and bound phases in isolation.
 type Prepared struct {
 	opt    Options
 	phases []*workload.Phase // nil for a static workload
-	// pinned is set when every pool family is present (AdvisePinned).
-	pinned bool
 	// builders holds one planned interval each; shares is each
 	// interval's share of the timeline (1 for a static workload).
 	builders []*builder
@@ -44,9 +43,9 @@ type Prepared struct {
 	prog      *bip.Program
 	refs      []*colRefs // per interval; indexCol is its presence columns
 	incumbent []float64
-	// greedyBytes is the size of the largest interval schema the greedy
-	// start selects: what its paid families take against a space budget.
-	greedyBytes float64
+	// startBytes is the size of the largest interval schema the start
+	// point selects: what its paid families take against a space budget.
+	startBytes float64
 
 	// With several intervals: each interval's migration column per
 	// family, by position in its builder's pool, and the per-column sink
@@ -65,13 +64,14 @@ func Prepare(w *workload.Workload, enumRes *enumerator.Result, opt Options) (*Pr
 }
 
 // prepare plans every interval, formulates the phase-1 program
-// (minimize weighted workload cost) and builds its greedy warm start,
-// recording stage times and the problem size in sr.
+// (minimize weighted workload cost) and evaluates its start point,
+// recording stage times and the problem size in sr. The start is the
+// greedy warm start, or with pinned every pool family present.
 func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator.Result, pinned bool, opt Options, sr *SeriesRecommendation) (*Prepared, error) {
-	p := &Prepared{opt: opt, phases: phases, pinned: pinned}
+	p := &Prepared{opt: opt, phases: phases}
 	t := time.Now()
 	sp := opt.Trace.Begin("plan-spaces", "advisor")
-	if err := p.plan(w, enumRes); err != nil {
+	if err := p.plan(w, enumRes, pinned); err != nil {
 		sp.End()
 		return nil, err
 	}
@@ -91,12 +91,21 @@ func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator
 	opt.Obs.Counter("search.plan_variables").Add(int64(sr.Stats.PlanVariables))
 	opt.Obs.Counter("search.constraints").Add(int64(sr.Stats.Constraints))
 
-	// The greedy start: each interval takes its greedy assignment, and
-	// migration columns cover the presence transitions between them.
+	// The start: each interval evaluates its selection, and migration
+	// columns cover the presence transitions between them.
 	p.incumbent = make([]float64, p.prog.NumCols())
 	var prev []bool // the previous interval's selection
 	for t, b := range p.builders {
-		selected := b.greedyPhase(p.incumbent, p.refs[t])
+		var selected []bool
+		if pinned {
+			selected = make([]bool, len(b.pool))
+			for pos := range selected {
+				selected[pos] = true
+			}
+		} else {
+			selected = b.greedySchema(p.refs[t])
+		}
+		b.evaluate(p.incumbent, p.refs[t], selected)
 		size := 0.0
 		for pos, sel := range selected {
 			if sel {
@@ -112,7 +121,7 @@ func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator
 			}
 			p.incumbent[p.migCols[t][pos]] = 1
 		}
-		p.greedyBytes = max(p.greedyBytes, size)
+		p.startBytes = max(p.startBytes, size)
 		prev = selected
 	}
 	return p, nil
@@ -120,8 +129,9 @@ func prepare(w *workload.Workload, phases []*workload.Phase, enumRes *enumerator
 
 // plan is the planning stage: one planner over enumRes's pool — so
 // schema.Index pointers are shared, and column family identity and
-// naming are stable across a series — and one builder per interval.
-func (p *Prepared) plan(w *workload.Workload, enumRes *enumerator.Result) error {
+// naming are stable across a series — and one builder per interval. A
+// pinned pool keeps every family, each with a presence column.
+func (p *Prepared) plan(w *workload.Workload, enumRes *enumerator.Result, pinned bool) error {
 	pl := planner.New(enumRes.Pool, p.opt.CostModel, p.opt.Planner)
 	pl.SetObs(p.opt.Obs)
 	intervals := []*workload.Workload{w}
@@ -135,14 +145,14 @@ func (p *Prepared) plan(w *workload.Workload, enumRes *enumerator.Result) error 
 		}
 	}
 	for i, iw := range intervals {
-		b, err := newBuilder(iw, pl, enumRes, p.pinned, p.opt)
+		b, err := newBuilder(iw, pl, enumRes, !pinned, p.opt)
 		if err != nil {
 			if p.phases != nil {
 				err = fmt.Errorf("search: phase %q: %w", p.phases[i].Name, err)
 			}
 			return err
 		}
-		b.paidAll = len(intervals) > 1
+		b.paidAll = pinned || len(intervals) > 1
 		p.builders = append(p.builders, b)
 	}
 	return nil
@@ -246,7 +256,7 @@ func (p *Prepared) phase2(cost float64) *bip.Program {
 	})
 }
 
-// solve runs the solver phases and returns the assignment to extract,
+// solve runs the solver phases and returns the point to extract,
 // which p.refs maps, and each interval's unscaled workload cost. Phase 1
 // minimizes workload cost (plus migration charges across intervals). One
 // interval then pins that cost and minimizes the number of paid column
@@ -257,7 +267,7 @@ func (p *Prepared) phase2(cost float64) *bip.Program {
 // the ones charged. A phase-2 failure is not an error: the phase-1
 // assignment is already optimal in cost. A cancelled or timed-out phase
 // 2 is, since the caller asked for no answer.
-func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []float64, error) {
+func (p *Prepared) solve(sr *SeriesRecommendation) ([]float64, []float64, error) {
 	opt := p.opt
 	phase1 := opt.BIP
 	phase1.Incumbent = p.incumbent
@@ -282,7 +292,7 @@ func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []float64, erro
 			budget = fmt.Sprintf("a space budget of %.1f MB", b/1e6)
 		}
 		return nil, nil, fmt.Errorf("search: phase 1 %v: no feasible schema: the search started with no incumbent, the greedy start's schema taking %.1f MB against %s",
-			res1.Status, p.greedyBytes/1e6, budget)
+			res1.Status, p.startBytes/1e6, budget)
 	}
 	sr.Stats.Nodes = res1.Nodes
 	if len(p.builders) > 1 {
@@ -292,12 +302,9 @@ func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []float64, erro
 				costs[p.colPhase[col]] += raw
 			}
 		}
-		return res1, costs, nil
+		return res1.X, costs, nil
 	}
 	costs := []float64{res1.Objective}
-	if p.pinned {
-		return res1, costs, nil
-	}
 
 	t = time.Now()
 	sp = opt.Trace.Begin("formulate phase 2", "advisor")
@@ -320,14 +327,27 @@ func (p *Prepared) solve(sr *SeriesRecommendation) (*bip.Result, []float64, erro
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return nil, nil, fmt.Errorf("search: phase 2 solve: %w", err)
 		}
-		return res1, costs, nil
+		return res1.X, costs, nil
 	}
 	sr.Stats.Phase2 = endSolve(sp, res2)
 	if !res2.HasSolution {
-		return res1, costs, nil
+		return res1.X, costs, nil
 	}
 	sr.Stats.Nodes += res2.Nodes
-	return res2, costs, nil
+	return res2.X, costs, nil
+}
+
+// evaluated is solve's counterpart for a pinned pool: with every
+// family present there is nothing to search, so the start point, which
+// evaluate built, is the answer, priced by the program's own Eval. A
+// schema that breaks the space budget is the one way it can fail.
+func (p *Prepared) evaluated() ([]float64, []float64, error) {
+	cost, ok := p.prog.Eval(p.incumbent)
+	if !ok {
+		return nil, nil, fmt.Errorf("search: the pinned schema takes %.1f MB against a space budget of %.1f MB: %w",
+			p.startBytes/1e6, p.opt.SpaceBudgetBytes/1e6, ErrInfeasible)
+	}
+	return p.incumbent, []float64{cost}, nil
 }
 
 // Solve runs the solver phases exactly as Advise does (phase 2's program
@@ -342,11 +362,11 @@ func (p *Prepared) Solve() error {
 // and the migration schedule, accumulating costs in interval order so
 // the reported numbers are bit-identical across runs and worker counts.
 // One interval charges no migration.
-func (p *Prepared) extract(res *bip.Result, costs []float64, sr *SeriesRecommendation) error {
+func (p *Prepared) extract(x []float64, costs []float64, sr *SeriesRecommendation) error {
 	var prev *schema.Schema
 	for t, b := range p.builders {
 		rec := &Recommendation{Cost: costs[t]}
-		if err := b.extract(res, p.refs[t], rec); err != nil {
+		if err := b.extract(x, p.refs[t], rec); err != nil {
 			if p.phases != nil {
 				err = fmt.Errorf("search: phase %q: %w", p.phases[t].Name, err)
 			}
