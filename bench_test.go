@@ -11,7 +11,6 @@ package nose_test
 //	go test -bench=Fig11 -users-scale 20000   (via cmd/nosebench instead)
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -262,21 +261,6 @@ func rubisWorkload(b *testing.B) *workload.Workload {
 // on a single-core host the higher counts measure coordination overhead
 // rather than speedup.
 var workerCounts = []int{1, 2, 4}
-
-// BenchmarkAdvisorEnumeration isolates candidate enumeration across
-// worker counts.
-func BenchmarkAdvisorEnumeration(b *testing.B) {
-	w := rubisWorkload(b)
-	for _, workers := range workerCounts {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, enumerator.Features{}, workers, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAdvisorFormulation isolates plan-space generation and cost
 // estimation (the newBuilder stage) across worker counts: enumeration

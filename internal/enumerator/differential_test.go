@@ -42,9 +42,8 @@ func enumerationFingerprint(w *workload.Workload, pool []*schema.Index, support 
 }
 
 // compareWithReference enumerates w with the un-memoised per-item
-// reference and with the product at each worker count, and requires
-// identical fingerprints.
-func compareWithReference(t *testing.T, w *workload.Workload, feats enumerator.Features, workerCounts ...int) {
+// reference and with the product, and requires identical fingerprints.
+func compareWithReference(t *testing.T, w *workload.Workload, feats enumerator.Features) {
 	t.Helper()
 	refReg := obs.NewRegistry()
 	ref, err := refEnumerateWorkload(w, feats, refReg)
@@ -52,20 +51,18 @@ func compareWithReference(t *testing.T, w *workload.Workload, feats enumerator.F
 		t.Fatal(err)
 	}
 	want := enumerationFingerprint(w, ref.pool.Indexes(), ref.support, refReg)
-	for _, workers := range workerCounts {
-		reg := obs.NewRegistry()
-		res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, feats, workers, reg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := enumerationFingerprint(w, res.Pool.Indexes(), res.Support, reg)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d fingerprint lines vs %d from the reference", workers, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: line %d differs\n got: %s\nwant: %s", workers, i, got[i], want[i])
-			}
+	reg := obs.NewRegistry()
+	res, err := enumerator.EnumerateWorkloadCtx(context.Background(), w, feats, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := enumerationFingerprint(w, res.Pool.Indexes(), res.Support, reg)
+	if len(got) != len(want) {
+		t.Fatalf("%d fingerprint lines vs %d from the reference", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("line %d differs\n got: %s\nwant: %s", i, got[i], want[i])
 		}
 	}
 }
@@ -91,12 +88,12 @@ func rubisWorkload(t *testing.T) *workload.Workload {
 	return w
 }
 
-// TestParallelEnumerationIdentical: for every worker count the pool
-// content, candidate naming, insertion order, support-query maps and
-// counters must be byte-identical to the reference's serial run.
-func TestParallelEnumerationIdentical(t *testing.T) {
-	t.Run("hotel", func(t *testing.T) { compareWithReference(t, hotelWorkload(), enumerator.Features{}, 1, 2, 4, 8) })
-	t.Run("rubis", func(t *testing.T) { compareWithReference(t, rubisWorkload(t), enumerator.Features{}, 1, 2, 4, 8) })
+// TestEnumerationMatchesReference: the pool content, candidate naming,
+// insertion order, support-query maps and counters must be
+// byte-identical to the reference's.
+func TestEnumerationMatchesReference(t *testing.T) {
+	t.Run("hotel", func(t *testing.T) { compareWithReference(t, hotelWorkload(), enumerator.Features{}) })
+	t.Run("rubis", func(t *testing.T) { compareWithReference(t, rubisWorkload(t), enumerator.Features{}) })
 }
 
 // TestEnumerationMatchesReferenceRandwork is the differential test over
@@ -113,7 +110,7 @@ func TestEnumerationMatchesReferenceRandwork(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				compareWithReference(t, w, enumerator.Features{}, 1, 2, 4, 8)
+				compareWithReference(t, w, enumerator.Features{})
 			})
 		}
 	}
@@ -125,7 +122,7 @@ func TestEnumerationMatchesReferenceRandwork(t *testing.T) {
 func TestEnumerationMatchesReferenceFeatures(t *testing.T) {
 	for _, feats := range []enumerator.Features{{SkipReverse: true}, {SkipCombine: true}, {SkipReverse: true, SkipCombine: true}} {
 		t.Run(fmt.Sprintf("%+v", feats), func(t *testing.T) {
-			compareWithReference(t, rubisWorkload(t), feats, 1, 4)
+			compareWithReference(t, rubisWorkload(t), feats)
 		})
 	}
 }
@@ -197,7 +194,7 @@ func cyclicWorkload(t *testing.T) *workload.Workload {
 }
 
 func TestEnumerationMatchesReferenceCyclic(t *testing.T) {
-	compareWithReference(t, cyclicWorkload(t), enumerator.Features{}, 1, 2, 4, 8)
+	compareWithReference(t, cyclicWorkload(t), enumerator.Features{})
 }
 
 // TestSignaturesKeepPathPositions: over A.peers, a relationship from A
@@ -226,5 +223,5 @@ func TestSignaturesKeepPathPositions(t *testing.T) {
 	w := workload.New(g)
 	w.Add(q1, 1)
 	w.Add(q2, 1)
-	compareWithReference(t, w, enumerator.Features{}, 1, 2, 4, 8)
+	compareWithReference(t, w, enumerator.Features{})
 }

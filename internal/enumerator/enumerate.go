@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 
 	"nose/internal/model"
 	"nose/internal/schema"
@@ -44,96 +43,41 @@ func (p *Pool) Indexes() []*schema.Index { return p.s.Indexes() }
 // Len returns the number of distinct candidates.
 func (p *Pool) Len() int { return p.s.Len() }
 
-// run is the state of one enumeration (one EnumerateWorkloadCtx
-// call), shared by its workers: the canonical instance of
-// every candidate structure generated so far, and the memos of the two
-// pure functions of Algorithm 1. A workload asks for the same
-// enumeration over and over — every (update, candidate) pair poses
-// support queries, and most pose ones already seen — so each distinct
-// query signature is enumerated exactly once, by whichever worker asks
-// first, and replayed as a list of pointers. The run dies with the call.
+// run is the state of one enumeration (one EnumerateWorkloadCtx call):
+// the canonical instance of every candidate structure generated so far,
+// the memos of the two pure functions of Algorithm 1, and the scratch
+// its requests build keys, sub-queries and lists in. A workload asks
+// for the same enumeration over and over — every (update, candidate)
+// pair poses support queries, and most pose ones already seen — so each
+// distinct query signature is enumerated exactly once and replayed as a
+// list of pointers. The run dies with the call.
 //
-// Every key is built in a worker's buffer and looked up as
+// Every key is built in a reused buffer and looked up as
 // m[string(buf)], which allocates nothing; a key string is allocated
-// only when an entry is first stored.
+// only when an entry is first stored. Nothing in the scratch outlives a
+// request as data; what a request keeps it copies out.
 type run struct {
 	feats Features
 
 	// byID interns candidates by schema ID: one validated, unnamed
 	// *schema.Index per structure, numbered in interning order, so the
-	// memoised lists and every worker's item compare and dedupe by
+	// memoised lists and every workload item compare and dedupe by
 	// number.
-	mu    sync.Mutex
 	byID  map[string]*cand
 	cands []cand
 
 	// views memoises wholeQueryCandidates by prefix-query signature.
-	views memo
+	views map[string][]*cand
 	// queries memoises top-level enumeration (both orientations, one
 	// visited set) by query signature.
-	queries memo
-}
+	queries map[string][]*cand
 
-// cand is an interned candidate with its run-local number.
-type cand struct {
-	x *schema.Index
-	n int
-}
-
-func newRun(feats Features) *run {
-	return &run{
-		feats:   feats,
-		byID:    map[string]*cand{},
-		views:   memo{m: map[string]*memoEntry{}},
-		queries: memo{m: map[string]*memoEntry{}},
-	}
-}
-
-// memo holds one list per signature. The first worker to ask for a
-// signature computes its list; one that asks meanwhile waits for it
-// rather than computing a second copy, so the work a run does — and
-// with it the time and memory — does not depend on how its workers
-// interleave. Neither memoised function calls back into its own memo
-// (enumerate is the top level, wholeQueryCandidates only interns), so a
-// waiter never waits on itself.
-type memo struct {
-	mu sync.Mutex
-	m  map[string]*memoEntry
-	// entries is the block new entries are carved from.
-	entries []memoEntry
-}
-
-type memoEntry struct {
-	once sync.Once
-	list []*cand
-}
-
-func (m *memo) entry(sig []byte) *memoEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e := m.m[string(sig)]
-	if e == nil {
-		if len(m.entries) == cap(m.entries) {
-			m.entries = make([]memoEntry, 0, 64)
-		}
-		m.entries = append(m.entries, memoEntry{})
-		e = &m.entries[len(m.entries)-1]
-		m.m[string(sig)] = e
-	}
-	return e
-}
-
-// work is one worker's view of a run: the run plus the scratch its
-// requests build keys, sub-queries and lists in. Nothing in the scratch
-// outlives a request as data; what a request keeps it copies out.
-type work struct {
-	*run
 	// sig and id are the signature and schema ID buffers.
 	sig, id []byte
-	// visited numbers the sub-query signatures this worker's walks have
+	// visited numbers the sub-query signatures the run's walks have
 	// decomposed, and lastWalk holds, per number, the last walk that
 	// did: a signature is visited in the walk in progress when that is
-	// walks. Keys are allocated once per worker, not once per walk.
+	// walks. Keys are allocated once per run, not once per walk.
 	visited  map[string]int
 	lastWalk []int
 	walks    int
@@ -146,8 +90,20 @@ type work struct {
 	walk, view collector
 }
 
-func (r *run) newWork() *work {
-	return &work{run: r, visited: map[string]int{}}
+// cand is an interned candidate with its run-local number.
+type cand struct {
+	x *schema.Index
+	n int
+}
+
+func newRun(feats Features) *run {
+	return &run{
+		feats:   feats,
+		byID:    map[string]*cand{},
+		views:   map[string][]*cand{},
+		queries: map[string][]*cand{},
+		visited: map[string]int{},
+	}
 }
 
 // intern returns the run's candidate for the structure (path,
@@ -155,31 +111,23 @@ func (r *run) newWork() *work {
 // it with schema.New if it is the first of its structure. partition and
 // values are reordered canonically in place; path may be scratch, as a
 // new candidate gets its own copy.
-func (w *work) intern(path model.Path, partition, clustering, values []*model.Attribute) *cand {
-	w.id = schema.AppendID(w.id[:0], path, partition, clustering, values)
-	w.mu.Lock()
-	c := w.byID[string(w.id)]
-	w.mu.Unlock()
-	if c != nil {
+func (r *run) intern(path model.Path, partition, clustering, values []*model.Attribute) *cand {
+	r.id = schema.AppendID(r.id[:0], path, partition, clustering, values)
+	if c := r.byID[string(r.id)]; c != nil {
 		return c
 	}
 	x := schema.New(model.Path{Start: path.Start, Edges: slices.Clone(path.Edges)}, partition, clustering, values)
 	if err := x.Validate(); err != nil {
 		panic(fmt.Sprintf("enumerator: generated invalid candidate: %v", err))
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if c := w.byID[x.ID()]; c != nil {
-		return c
-	}
-	if len(w.cands) == cap(w.cands) {
+	if len(r.cands) == cap(r.cands) {
 		// A new block rather than a grown one: interned candidates are
 		// referred to by pointer.
-		w.cands = make([]cand, 0, 256)
+		r.cands = make([]cand, 0, 256)
 	}
-	w.cands = append(w.cands, cand{x: x, n: len(w.byID)})
-	c = &w.cands[len(w.cands)-1]
-	w.byID[x.ID()] = c
+	r.cands = append(r.cands, cand{x: x, n: len(r.byID)})
+	c := &r.cands[len(r.cands)-1]
+	r.byID[x.ID()] = c
 	return c
 }
 
@@ -240,21 +188,24 @@ func (c *collector) take() []*cand {
 // depth-first walk does), and pool order assigns the cfN names, so it
 // must not move. A whole walk from an empty visited set is a pure
 // function of the signature.
-func (w *work) enumerate(q *workload.Query) ([]*cand, error) {
+func (r *run) enumerate(q *workload.Query) ([]*cand, error) {
 	if !q.HasEquality() {
 		return nil, fmt.Errorf("enumerator: query %q has no equality predicate; no valid get request can anchor it", workload.Label(q))
 	}
-	w.sig = AppendSignature(w.sig[:0], q)
-	e := w.queries.entry(w.sig)
-	e.once.Do(func() {
-		w.walks++
-		w.decompose(q, 0)
-		if !w.feats.SkipReverse && len(q.Path.Edges) > 0 {
-			w.decompose(w.sub.Reverse(q), 0)
-		}
-		e.list = w.walk.take()
-	})
-	return e.list, nil
+	r.sig = AppendSignature(r.sig[:0], q)
+	if list, ok := r.queries[string(r.sig)]; ok {
+		return list, nil
+	}
+	// decompose rewrites sig, so the key is taken before the walk.
+	key := string(r.sig)
+	r.walks++
+	r.decompose(q, 0)
+	if !r.feats.SkipReverse && len(q.Path.Edges) > 0 {
+		r.decompose(r.sub.Reverse(q), 0)
+	}
+	list := r.walk.take()
+	r.queries[key] = list
+	return list, nil
 }
 
 // decompose splits q at every path position. The visited set records
@@ -263,25 +214,25 @@ func (w *work) enumerate(q *workload.Query) ([]*cand, error) {
 // (only the predicate at the end changes to an id equality), which
 // would otherwise recurse forever. depth is q's recursion depth, which
 // picks the scratch its own prefix and remainder queries are built in.
-func (w *work) decompose(q *workload.Query, depth int) {
-	w.sig = AppendSignature(w.sig[:0], q)
-	v, ok := w.visited[string(w.sig)]
+func (r *run) decompose(q *workload.Query, depth int) {
+	r.sig = AppendSignature(r.sig[:0], q)
+	v, ok := r.visited[string(r.sig)]
 	if !ok {
-		v = len(w.lastWalk)
-		w.visited[string(w.sig)] = v
-		w.lastWalk = append(w.lastWalk, 0)
+		v = len(r.lastWalk)
+		r.visited[string(r.sig)] = v
+		r.lastWalk = append(r.lastWalk, 0)
 	}
-	if w.lastWalk[v] == w.walks {
+	if r.lastWalk[v] == r.walks {
 		return
 	}
-	w.lastWalk[v] = w.walks
+	r.lastWalk[v] = r.walks
 	n := q.Path.Len() - 1
 	for s := 0; s <= n; s++ {
-		if prefix := w.sub.Prefix(depth, q, s); prefix.HasEquality() {
-			w.walk.add(w.wholeQueryCandidates(prefix)...)
+		if prefix := r.sub.Prefix(depth, q, s); prefix.HasEquality() {
+			r.walk.add(r.wholeQueryCandidates(prefix)...)
 		}
 		if s > 0 {
-			w.decompose(w.sub.Remainder(depth, q, s), depth+1)
+			r.decompose(r.sub.Remainder(depth, q, s), depth+1)
 		}
 	}
 }
@@ -331,42 +282,46 @@ func appendRef(b []byte, r workload.AttrRef) []byte {
 // key-only and id-to-attribute splits, and all relaxed variants — as an
 // ordered list of distinct canonical instances, computed on the first
 // request for pq's signature.
-func (w *work) wholeQueryCandidates(pq *workload.Query) []*cand {
-	w.sig = AppendSignature(w.sig[:0], pq)
-	e := w.views.entry(w.sig)
-	e.once.Do(func() { e.list = w.viewFamilies(pq) })
-	return e.list
+func (r *run) wholeQueryCandidates(pq *workload.Query) []*cand {
+	r.sig = AppendSignature(r.sig[:0], pq)
+	if list, ok := r.views[string(r.sig)]; ok {
+		return list
+	}
+	key := string(r.sig)
+	list := r.viewFamilies(pq)
+	r.views[key] = list
+	return list
 }
 
 // viewFamilies computes wholeQueryCandidates.
-func (w *work) viewFamilies(pq *workload.Query) []*cand {
-	w.addViewFamily(pq)
+func (r *run) viewFamilies(pq *workload.Query) []*cand {
+	r.addViewFamily(pq)
 
 	// Predicate relaxation: every non-empty subset of the relaxable
 	// predicates may be removed, provided at least one equality
 	// predicate remains (paper §IV-A2).
-	w.relaxable = appendRelaxable(w.relaxable[:0], pq)
-	relaxable := w.relaxable
+	r.relaxable = appendRelaxable(r.relaxable[:0], pq)
+	relaxable := r.relaxable
 	variants, n := [2]*workload.Query{pq}, 1
 	if len(pq.Order) > 0 {
-		variants[1], n = w.sub.RelaxOrder(pq), 2
+		variants[1], n = r.sub.RelaxOrder(pq), 2
 	}
 	for _, base := range variants[:n] {
 		for mask := 1; mask < 1<<len(relaxable); mask++ {
-			removed := w.removed[:0]
+			removed := r.removed[:0]
 			for i, p := range relaxable {
 				if mask&(1<<i) != 0 {
 					removed = append(removed, p)
 				}
 			}
-			w.removed = removed
-			w.addViewFamily(w.sub.Relax(base, removed))
+			r.removed = removed
+			r.addViewFamily(r.sub.Relax(base, removed))
 		}
 		if base != pq {
-			w.addViewFamily(base)
+			r.addViewFamily(base)
 		}
 	}
-	return w.view.take()
+	return r.view.take()
 }
 
 // Combine supplements the pool with candidates merged from compatible

@@ -16,7 +16,7 @@ import (
 // (paper §IV-A2 and Fig. 5). Production enumerates whole workloads; the
 // per-query tests (Fig. 6) need the one-query view.
 func EnumerateQuery(pool *Pool, q *workload.Query) error {
-	list, err := newRun(Features{}).newWork().enumerate(q)
+	list, err := newRun(Features{}).enumerate(q)
 	if err != nil {
 		return err
 	}
@@ -30,7 +30,7 @@ func EnumerateQuery(pool *Pool, q *workload.Query) error {
 // run's intern table: every key with the candidate interned under it.
 func InternTable(w *workload.Workload) (map[string]*schema.Index, error) {
 	r := newRun(Features{})
-	if _, err := r.enumerateWorkload(context.Background(), w, 1, nil); err != nil {
+	if _, err := r.enumerateWorkload(context.Background(), w, nil); err != nil {
 		return nil, err
 	}
 	table := make(map[string]*schema.Index, len(r.byID))
@@ -55,7 +55,7 @@ func RelaxQuery(q *workload.Query, removed []workload.Predicate) *workload.Query
 
 // The three functions below build a view family one schema.New per
 // structure, with no interning and no scratch. Production looks each
-// structure up before building it (work.addViewFamily); the Fig. 6
+// structure up before building it (run.addViewFamily); the Fig. 6
 // tests and the reference enumeration use these as its oracle.
 
 // MaterializedView builds the column family that answers q with a

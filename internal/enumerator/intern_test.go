@@ -99,7 +99,7 @@ func TestInternKeysIdentifyStructures(t *testing.T) {
 				}
 			}
 			reg := obs.NewRegistry()
-			res, err := enumerator.EnumerateWorkloadCtx(context.Background(), tc.w, enumerator.Features{}, 1, reg)
+			res, err := enumerator.EnumerateWorkloadCtx(context.Background(), tc.w, enumerator.Features{}, reg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,11 +25,11 @@ import (
 //
 // A query without an equality predicate has none: no valid get request
 // could be constructed.
-func (w *work) addViewFamily(pq *workload.Query) {
+func (r *run) addViewFamily(pq *workload.Query) {
 	if !pq.HasEquality() {
 		return
 	}
-	part, clust, vals := w.part[:0], w.clust[:0], w.vals[:0]
+	part, clust, vals := r.part[:0], r.clust[:0], r.vals[:0]
 	inKey := func(a *model.Attribute) bool {
 		return slices.Contains(part, a) || slices.Contains(clust, a) || slices.Contains(vals, a)
 	}
@@ -60,27 +60,27 @@ func (w *work) addViewFamily(pq *workload.Query) {
 			vals = append(vals, s.Attr)
 		}
 	}
-	w.part, w.clust, w.vals = part, clust, vals
-	w.view.add(w.intern(pq.Path, part, clust, vals))
+	r.part, r.clust, r.vals = part, clust, vals
+	r.view.add(r.intern(pq.Path, part, clust, vals))
 	if len(vals) > 0 {
-		w.view.add(w.intern(pq.Path, part, clust, nil))
+		r.view.add(r.intern(pq.Path, part, clust, nil))
 	}
 
 	for i, s := range pq.Select {
 		e := s.Attr.Entity
-		if s.Attr == e.Key() || slices.ContainsFunc(pq.Select[:i], func(r workload.AttrRef) bool {
-			return r.Attr.Entity == e && r.Attr != e.Key()
+		if s.Attr == e.Key() || slices.ContainsFunc(pq.Select[:i], func(ref workload.AttrRef) bool {
+			return ref.Attr.Entity == e && ref.Attr != e.Key()
 		}) {
 			continue
 		}
-		w.part = append(w.part[:0], e.Key())
-		w.vals = w.vals[:0]
-		for _, r := range pq.Select[i:] {
-			if r.Attr.Entity == e && r.Attr != e.Key() {
-				w.vals = append(w.vals, r.Attr)
+		r.part = append(r.part[:0], e.Key())
+		r.vals = r.vals[:0]
+		for _, ref := range pq.Select[i:] {
+			if ref.Attr.Entity == e && ref.Attr != e.Key() {
+				r.vals = append(r.vals, ref.Attr)
 			}
 		}
-		w.view.add(w.intern(model.NewPath(e), w.part, nil, w.vals))
+		r.view.add(r.intern(model.NewPath(e), r.part, nil, r.vals))
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package par is the repository's tiny parallelism kernel: a bounded
-// parallel-for used by the advisor's candidate enumeration, plan-space
-// generation and branch and bound solver, and by the harness's install,
-// which materializes a schema's column families one per worker. Callers
+// parallel-for used by the advisor's plan-space generation and branch
+// and bound solver, and by the harness's install, which materializes a
+// schema's column families one per worker. Callers
 // write results into index-addressed slots (or, for install, into
 // distinct families) and assemble them in deterministic order after
 // the barrier, so worker count never changes observable output — only

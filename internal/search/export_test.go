@@ -16,7 +16,7 @@ func ProgramFingerprints(w *workload.Workload, pool *enumerator.Pool, opt Option
 	opt = opt.withDefaults()
 	enumRes := &enumerator.Result{Pool: pool}
 	if pool == nil {
-		if enumRes, err = enumerator.EnumerateWorkloadCtx(opt.Ctx, w, opt.Enumerator, opt.Workers, nil); err != nil {
+		if enumRes, err = enumerator.EnumerateWorkloadCtx(opt.Ctx, w, opt.Enumerator, nil); err != nil {
 			return phase1, nil, err
 		}
 	}

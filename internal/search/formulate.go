@@ -110,14 +110,14 @@ type colRefs struct {
 // index-addressed slots and update blocks are built independently, with
 // their maintenance-cost contributions merged in workload order so
 // floating-point accumulation is bit-identical for every worker count.
+// opt has been through withDefaults, so opt.Workers is positive.
 func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.Result, prune bool, opt Options) (*builder, error) {
 	b := &builder{w: w, pl: pl, pool: pl.Pool().Indexes(), opt: opt, maint: map[string]float64{}}
-	workers := par.Workers(opt.Workers)
 
 	qws := w.Queries()
 	qblocks := make([]*queryBlock, len(qws))
 	qerrs := make([]error, len(qws))
-	par.Do(len(qws), workers, func(i int) {
+	par.Do(len(qws), opt.Workers, func(i int) {
 		// The plan-space fan-out is the advisor's costing hot loop;
 		// checking the context per item keeps a cancelled solve from
 		// planning the rest of the workload.
@@ -144,7 +144,7 @@ func newBuilder(w *workload.Workload, pl *planner.Planner, enumRes *enumerator.R
 	ublocks := make([]*updateBlock, len(uws))
 	umaints := make([]map[string]float64, len(uws))
 	uerrs := make([]error, len(uws))
-	par.Do(len(uws), workers, func(i int) {
+	par.Do(len(uws), opt.Workers, func(i int) {
 		if err := opt.Ctx.Err(); err != nil {
 			uerrs[i] = err
 			return

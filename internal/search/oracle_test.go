@@ -28,7 +28,7 @@ func TestAdviseMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := opt.withDefaults()
-		enumRes, err := enumerator.EnumerateWorkloadCtx(o.Ctx, w, o.Enumerator, o.Workers, nil)
+		enumRes, err := enumerator.EnumerateWorkloadCtx(o.Ctx, w, o.Enumerator, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

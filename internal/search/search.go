@@ -31,12 +31,12 @@ var ErrInfeasible = errors.New("no feasible schema")
 
 // Options configures an advisor run.
 type Options struct {
-	// Workers bounds the goroutines fanned across the pipeline:
-	// candidate enumeration, plan-space generation, and the LP
-	// relaxations inside the branch and bound solver. Zero or negative
-	// means runtime.NumCPU(). The recommendation — schema, plans,
-	// objective — is bit-identical for every value; workers only change
-	// wall-clock time.
+	// Workers bounds the goroutines fanned across plan-space
+	// generation and the LP relaxations inside the branch and bound
+	// solver; candidate enumeration runs on the calling goroutine. Zero
+	// or negative means runtime.NumCPU(). The recommendation — schema,
+	// plans, objective — is bit-identical for every value; workers only
+	// change wall-clock time.
 	Workers int
 	// CostModel prices plan operations; nil means cost.Default().
 	CostModel cost.Model
@@ -263,7 +263,7 @@ func advise(w *workload.Workload, phases []*workload.Phase, pinned *enumerator.P
 			ew = unionWorkload(w)
 		}
 		var err error
-		enumRes, err = enumerator.EnumerateWorkloadCtx(opt.Ctx, ew, opt.Enumerator, opt.Workers, opt.Obs)
+		enumRes, err = enumerator.EnumerateWorkloadCtx(opt.Ctx, ew, opt.Enumerator, opt.Obs)
 		if err != nil {
 			sp.End()
 			return nil, err

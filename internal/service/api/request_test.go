@@ -64,12 +64,12 @@ func TestMixOnlyFileAdvisesReproducibly(t *testing.T) {
 }
 
 // TestHostileWorkerCountIsHarmless: a request's worker count is outside
-// input, and per-worker state must be sized by the workers that can run,
-// not by the count asked for. Advising the hotel example at a million
+// input, and the stages that fan out — plan spaces and branch and
+// bound — must size per-worker state by the workers that can run, not
+// by the count asked for. Advising the hotel example at a million
 // workers returns the same document as at four and allocates at most
-// twice the bytes. Per-worker state sized by the request once made this
-// an eight-byte slot per requested worker: 8 GB at workers=1e9, an
-// unrecoverable out-of-memory crash of the daemon.
+// twice the bytes. An eight-byte slot per requested worker is 8 GB at
+// workers=1e9: an unrecoverable out-of-memory crash of the daemon.
 func TestHostileWorkerCountIsHarmless(t *testing.T) {
 	dsl, err := os.ReadFile(filepath.Join("..", "..", "..", "testdata", "hotel.nose"))
 	if err != nil {
