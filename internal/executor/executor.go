@@ -26,7 +26,8 @@ import (
 // the value to the type of the attribute it first uses the parameter
 // for: an int binds an integer attribute as an int64. So a source that
 // draws values per execution can keep them in fixed slots and skip
-// building a map. A nil Params binds nothing.
+// building a map, and hand back values it boxed once and shares
+// (rubis.ParamSource interns them). A nil Params binds nothing.
 type Params interface {
 	// Param returns the value bound to name; false when name is unbound.
 	Param(name string) (backend.Value, bool)

@@ -3,7 +3,6 @@ package rubis
 import (
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"nose/internal/backend"
 	"nose/internal/executor"
@@ -144,117 +143,198 @@ func Generate(cfg Config) (*backend.Dataset, error) {
 // ParamSource generates parameter bindings for transaction executions:
 // existing ids for reads, fresh ids for inserts, deterministically from
 // a seed.
+//
+// Params runs on one goroutine at a time, as its *rand.Rand requires;
+// each caller owns its source. A binding Params returned may be read
+// from any goroutine once it has been handed over: the intern tables
+// never grow, and a slot is written once, before any binding that
+// refers to it is returned. Stored records share the interned boxes,
+// which are never written again.
 type ParamSource struct {
 	sizes Sizes
 	rng   *rand.Rand
 	// fresh id counters start above the generated ranges.
-	nextBid, nextBuyNow, nextComment, nextItem, nextUser atomic.Int64
+	nextBid, nextBuyNow, nextComment, nextItem, nextUser int64
+	// The intern tables hold one boxed value per value a draw can
+	// produce, filled the first time it is drawn: ids by id, dates by
+	// day, prices by price and ratings by rating+ratingBase.
+	ids, dates, prices, ratings []backend.Value
 }
+
+// The ranges Params draws from, which size the intern tables.
+const (
+	// days is the number of days a date is drawn from; a binding's end
+	// date is endDays after its date.
+	days, endDays = 3650, 30
+	// maxPrice is the highest drawn price or amount.
+	maxPrice = 5000
+	// A new user rating is drawn from [-ratingBase, ratingSpan-ratingBase),
+	// which holds every other drawn rating too.
+	ratingBase, ratingSpan = 10, 40
+)
 
 // NewParamSource returns a parameter source for a configuration.
 func NewParamSource(cfg Config, seed int64) *ParamSource {
 	s := SizesFor(cfg)
-	ps := &ParamSource{sizes: s, rng: rand.New(rand.NewSource(seed))}
-	ps.nextBid.Store(int64(s.Bids))
-	ps.nextBuyNow.Store(int64(s.BuyNows))
-	ps.nextComment.Store(int64(s.Comments))
-	ps.nextItem.Store(int64(s.Items))
-	ps.nextUser.Store(int64(s.Users))
-	return ps
+	return &ParamSource{
+		sizes: s, rng: rand.New(rand.NewSource(seed)),
+		nextBid: int64(s.Bids), nextBuyNow: int64(s.BuyNows), nextComment: int64(s.Comments),
+		nextItem: int64(s.Items), nextUser: int64(s.Users),
+		ids:     make([]backend.Value, max(s.Users, s.Items, s.Categories, s.Regions)),
+		dates:   make([]backend.Value, days+endDays),
+		prices:  make([]backend.Value, maxPrice+1),
+		ratings: make([]backend.Value, ratingSpan),
+	}
 }
 
 // Params draws bindings for one execution of the named transaction,
 // covering every parameter its statements use. Each execution makes the
 // same rng draws in the same order whatever the transaction, then takes
-// a fresh id for an insert's key. The drawn values sit in the fixed
-// slots of one small struct, boxed as they are drawn so that reading
-// them allocates nothing; the constants and the name to slot mapping
-// are a switch. The executor reads each parameter a statement uses once,
-// so no map is built or hashed.
+// a fresh id for an insert's key. The draws sit in one small struct as
+// raw numbers, and each number's boxed value is interned in the source
+// the first time it is drawn, so neither the draw nor a read boxes it
+// again; only a fresh id, which is never drawn twice, is boxed here.
+// The constants and the name to slot mapping are a switch, so no map is
+// built or hashed.
 func (ps *ParamSource) Params(txn string) executor.Params {
 	r := ps.rng
-	date := int64(dayZero + int64(r.Intn(3650))*86_400)
+	day := int16(r.Intn(days))
 	// Go evaluates the literal's elements left to right: the draws follow
 	// its order, so reordering it changes every stream.
 	d := &drawn{
-		item:      int64(r.Intn(ps.sizes.Items)),
-		user:      int64(r.Intn(ps.sizes.Users)),
-		touser:    int64(r.Intn(ps.sizes.Users)),
-		category:  int64(r.Intn(ps.sizes.Categories)),
-		region:    int64(r.Intn(ps.sizes.Regions)),
-		now:       date,
-		end:       date + 30*86_400,
-		qty:       int64(1 + r.Intn(5)),
-		newqty:    int64(r.Intn(10)),
-		amount:    float64(1 + r.Intn(5000)),
-		rating:    int64(r.Intn(11) - 5),
-		newrating: int64(r.Intn(40) - 10),
-		nb:        int64(r.Intn(100)),
-		price:     float64(1 + r.Intn(5000)),
-		rprice:    float64(1 + r.Intn(5000)),
-		bnprice:   float64(1 + r.Intn(5000)),
+		src:       ps,
+		day:       day,
+		item:      int32(r.Intn(ps.sizes.Items)),
+		user:      int32(r.Intn(ps.sizes.Users)),
+		touser:    int32(r.Intn(ps.sizes.Users)),
+		category:  int16(r.Intn(ps.sizes.Categories)),
+		region:    int16(r.Intn(ps.sizes.Regions)),
+		qty:       int8(1 + r.Intn(5)),
+		newqty:    int8(r.Intn(10)),
+		amount:    int16(1 + r.Intn(maxPrice)),
+		rating:    int8(r.Intn(11) - 5),
+		newrating: int8(r.Intn(ratingSpan) - ratingBase),
+		nb:        int8(r.Intn(100)),
+		price:     int16(1 + r.Intn(maxPrice)),
+		rprice:    int16(1 + r.Intn(maxPrice)),
+		bnprice:   int16(1 + r.Intn(maxPrice)),
+	}
+	for _, id := range [...]int{int(d.item), int(d.user), int(d.touser), int(d.category), int(d.region)} {
+		intern(ps.ids, id, int64(id))
+	}
+	for _, i := range [...]int{int(day), int(day) + endDays} {
+		intern(ps.dates, i, int64(dayZero+int64(i)*86_400))
+	}
+	for _, p := range [...]int16{d.amount, d.price, d.rprice, d.bnprice} {
+		intern(ps.prices, int(p), float64(p))
+	}
+	for _, rating := range [...]int8{d.rating, d.newrating} {
+		intern(ps.ratings, int(rating)+ratingBase, int64(rating))
 	}
 	switch txn {
 	case "StoreBid":
-		d.freshName, d.fresh = "bid", ps.nextBid.Add(1)
+		ps.nextBid++
+		d.freshName, d.fresh = freshBid, ps.nextBid
 	case "StoreBuyNow":
-		d.freshName, d.fresh = "bnid", ps.nextBuyNow.Add(1)
+		ps.nextBuyNow++
+		d.freshName, d.fresh = freshBuyNow, ps.nextBuyNow
 	case "StoreComment":
-		d.freshName, d.fresh = "cid", ps.nextComment.Add(1)
+		ps.nextComment++
+		d.freshName, d.fresh = freshComment, ps.nextComment
 	case "RegisterItem":
-		d.item = ps.nextItem.Add(1)
+		ps.nextItem++
+		d.freshName, d.fresh = freshItem, ps.nextItem
 	case "RegisterUser":
-		d.user = ps.nextUser.Add(1)
+		ps.nextUser++
+		d.freshName, d.fresh = freshUser, ps.nextUser
 	}
 	return d
 }
 
-// drawn is one execution's bindings: a slot per drawn parameter, and the
-// fresh id of StoreBid, StoreBuyNow or StoreComment under its name.
+// intern boxes v into tab[i] unless that slot already holds it.
+func intern[T int64 | float64](tab []backend.Value, i int, v T) {
+	if tab[i] == nil {
+		tab[i] = v
+	}
+}
+
+// The parameter a drawn binding's fresh id is bound to.
+const (
+	freshNone int8 = iota
+	freshBid
+	freshBuyNow
+	freshComment
+	freshItem
+	freshUser
+)
+
+// drawn is one execution's bindings: the raw draws, read through their
+// source's intern tables, and the fresh id of an insert, boxed when
+// drawn and bound to the parameter freshName names. now and end are
+// the dates of day and of endDays later. qty, newqty and nb stay below
+// 256, which the runtime boxes without allocating.
 type drawn struct {
-	item, user, touser, category, region, now, end, qty, newqty backend.Value
-	amount, rating, newrating, nb, price, rprice, bnprice       backend.Value
-	fresh                                                       backend.Value
-	freshName                                                   string
+	src                                *ParamSource
+	item, user, touser                 int32
+	day, category, region              int16
+	amount, price, rprice, bnprice     int16
+	qty, newqty, rating, newrating, nb int8
+	freshName                          int8
+	fresh                              backend.Value
 }
 
 // Param implements executor.Params.
 func (d *drawn) Param(name string) (backend.Value, bool) {
+	ps := d.src
 	switch name {
 	case "item":
-		return d.item, true
+		if d.freshName == freshItem {
+			return d.fresh, true
+		}
+		return ps.ids[d.item], true
 	case "user":
-		return d.user, true
+		if d.freshName == freshUser {
+			return d.fresh, true
+		}
+		return ps.ids[d.user], true
 	case "touser":
-		return d.touser, true
+		return ps.ids[d.touser], true
 	case "category":
-		return d.category, true
+		return ps.ids[d.category], true
 	case "region":
-		return d.region, true
+		return ps.ids[d.region], true
 	case "now":
-		return d.now, true
+		return ps.dates[d.day], true
 	case "end":
-		return d.end, true
+		return ps.dates[d.day+endDays], true
 	case "qty":
-		return d.qty, true
+		return int64(d.qty), true
 	case "newqty":
-		return d.newqty, true
+		return int64(d.newqty), true
 	case "amount":
-		return d.amount, true
+		return ps.prices[d.amount], true
 	case "rating":
-		return d.rating, true
+		return ps.ratings[d.rating+ratingBase], true
 	case "newrating":
-		return d.newrating, true
+		return ps.ratings[d.newrating+ratingBase], true
 	case "nb":
-		return d.nb, true
+		return int64(d.nb), true
 	case "price":
-		return d.price, true
+		return ps.prices[d.price], true
 	case "rprice":
-		return d.rprice, true
+		return ps.prices[d.rprice], true
 	case "bnprice":
-		return d.bnprice, true
-	case "bid", "bnid", "cid":
-		if name == d.freshName {
+		return ps.prices[d.bnprice], true
+	case "bid":
+		if d.freshName == freshBid {
+			return d.fresh, true
+		}
+	case "bnid":
+		if d.freshName == freshBuyNow {
+			return d.fresh, true
+		}
+	case "cid":
+		if d.freshName == freshComment {
 			return d.fresh, true
 		}
 	case "dummy":

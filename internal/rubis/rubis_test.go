@@ -1,9 +1,11 @@
 package rubis_test
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"nose/internal/backend"
@@ -163,8 +165,116 @@ func entityIDs(t *testing.T, ds *backend.Dataset, e *model.Entity) []backend.Val
 // the map-literal builder it replaced: at two seeds, 1,000 draws per
 // transaction name (and "") must bind every parameter any statement
 // uses, plus the fresh ids, with the same presence, Go type and value.
+// It runs at the tiny config and at 10,000 users, where ids, dates,
+// prices and negative ratings fall outside the 0–255 the runtime boxes
+// without allocating, so every interned table is exercised.
 func TestParamSourceCoversTransactions(t *testing.T) {
-	cfg := tinyConfig()
+	for _, cfg := range []rubis.Config{tinyConfig(), benchConfig()} {
+		txns, names := transactionParams(t, cfg)
+		for _, seed := range []int64{3, 17} {
+			ps, ref := rubis.NewParamSource(cfg, seed), newReferenceSource(cfg, seed)
+			for _, txn := range append(txns, &rubis.Transaction{}) {
+				for i := 0; i < 1000; i++ {
+					got, want := ps.Params(txn.Name), ref.params(txn.Name)
+					for _, st := range txn.Statements {
+						for _, name := range statementParams(st) {
+							if _, ok := param(got, name); !ok {
+								t.Fatalf("%s: parameter ?%s not generated", txn.Name, name)
+							}
+						}
+					}
+					if err := sameBindings(got, want, names); err != nil {
+						t.Fatalf("users %d seed %d %q draw %d: %v", cfg.Users, seed, txn.Name, i, err)
+					}
+				}
+			}
+		}
+	}
+	// Fresh insert ids do not collide across calls.
+	ps := rubis.NewParamSource(tinyConfig(), 3)
+	a, _ := param(ps.Params("StoreBid"), "bid")
+	b, _ := param(ps.Params("StoreBid"), "bid")
+	if a == b {
+		t.Error("StoreBid ids collide")
+	}
+}
+
+// TestParamReadsAllocateNothing holds reading a binding to zero
+// allocations: after 100 draws per transaction name at 10,000 users,
+// reading every parameter name of every binding boxes nothing, since
+// each value was interned when it was drawn.
+func TestParamReadsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := benchConfig()
+	txns, names := transactionParams(t, cfg)
+	ps := rubis.NewParamSource(cfg, 3)
+	for _, txn := range txns {
+		drawn := make([]executor.Params, 100)
+		for i := range drawn {
+			drawn[i] = ps.Params(txn.Name)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			for _, p := range drawn {
+				for _, name := range names {
+					valueSink, _ = p.Param(name)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: reading %d bindings allocates %v times", txn.Name, len(drawn), allocs)
+		}
+	}
+}
+
+// valueSink keeps TestParamReadsAllocateNothing's reads live.
+var valueSink backend.Value
+
+// TestParamBindingsReadAcrossGoroutines hands bindings from the
+// goroutine that draws them to four readers, as a load generator hands
+// them to its clients: each reader must see every name bound as the
+// map-literal reference binds it, while the drawing goroutine goes on
+// filling intern slots. Run it under -race.
+func TestParamBindingsReadAcrossGoroutines(t *testing.T) {
+	cfg := benchConfig()
+	txns, names := transactionParams(t, cfg)
+	type pair struct {
+		txn  string
+		got  executor.Params
+		want map[string]backend.Value
+	}
+	pairs := make(chan pair)
+	go func() {
+		defer close(pairs)
+		ps, ref := rubis.NewParamSource(cfg, 5), newReferenceSource(cfg, 5)
+		for i := 0; i < 5000; i++ {
+			txn := txns[i%len(txns)].Name
+			pairs <- pair{txn, ps.Params(txn), ref.params(txn)}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := range pairs {
+				if err := sameBindings(p.got, p.want, names); err != nil {
+					t.Errorf("%s: %v", p.txn, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// benchConfig is the scale the repository benchmark draws parameters at.
+func benchConfig() rubis.Config { return rubis.Config{Users: 10000, Seed: 7} }
+
+// transactionParams returns cfg's RUBiS transactions and, sorted, every
+// parameter name their statements use plus the fresh ids' names.
+func transactionParams(t *testing.T, cfg rubis.Config) ([]*rubis.Transaction, []string) {
+	t.Helper()
 	txns, err := rubis.Transactions(rubis.Graph(cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -180,36 +290,20 @@ func TestParamSourceCoversTransactions(t *testing.T) {
 		}
 	}
 	sort.Strings(names)
-	for _, seed := range []int64{3, 17} {
-		ps, ref := rubis.NewParamSource(cfg, seed), newReferenceSource(cfg, seed)
-		for _, txn := range append(txns, &rubis.Transaction{}) {
-			for i := 0; i < 1000; i++ {
-				got, want := ps.Params(txn.Name), ref.params(txn.Name)
-				for _, st := range txn.Statements {
-					for _, name := range statementParams(st) {
-						if _, ok := param(got, name); !ok {
-							t.Fatalf("%s: parameter ?%s not generated", txn.Name, name)
-						}
-					}
-				}
-				for _, name := range names {
-					gv, gok := param(got, name)
-					wv, wok := want[name]
-					if gok != wok || gv != wv {
-						t.Fatalf("seed %d %q draw %d: ?%s = %T %v (bound %v), want %T %v (bound %v)",
-							seed, txn.Name, i, name, gv, gv, gok, wv, wv, wok)
-					}
-				}
-			}
+	return txns, names
+}
+
+// sameBindings compares got with the reference bindings want on every
+// name: presence, Go type and value.
+func sameBindings(got executor.Params, want map[string]backend.Value, names []string) error {
+	for _, name := range names {
+		gv, gok := param(got, name)
+		wv, wok := want[name]
+		if gok != wok || gv != wv {
+			return fmt.Errorf("?%s = %T %v (bound %v), want %T %v (bound %v)", name, gv, gv, gok, wv, wv, wok)
 		}
 	}
-	// Fresh insert ids do not collide across calls.
-	ps := rubis.NewParamSource(cfg, 3)
-	a, _ := param(ps.Params("StoreBid"), "bid")
-	b, _ := param(ps.Params("StoreBid"), "bid")
-	if a == b {
-		t.Error("StoreBid ids collide")
-	}
+	return nil
 }
 
 // param reads one binding of drawn parameters.
