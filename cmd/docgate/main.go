@@ -123,9 +123,10 @@ func checkLinks(doc string) ([]string, error) {
 	return violations, nil
 }
 
-// flagRe matches flag definitions in a command's Go source:
-// flag.String("name", ...), flag.Int64("name", ...), etc.
-var flagRe = regexp.MustCompile(`flag\.(?:String|Bool|Int64|Int|Float64|Duration)\(\s*"([^"]+)"`)
+// flagRe matches flag definitions in a command's Go source, on the
+// flag package or on a FlagSet named flags: flag.String("name", ...),
+// flags.Int64("name", ...), etc.
+var flagRe = regexp.MustCompile(`\bflags?\.(?:String|Bool|Int64|Int|Float64|Duration)\(\s*"([^"]+)"`)
 
 // checkFlags verifies every flag a command defines is mentioned in the
 // README as `-name`.

@@ -46,6 +46,8 @@ func main() {
 	_ = flag.String("in", "", "input")
 	_ = flag.Int("workers", 0, "workers")
 	_ = flag.Bool("hidden", false, "undocumented")
+	flags := flag.NewFlagSet("tool", flag.ContinueOnError)
+	_ = flags.Float64("unlisted", 0, "undocumented, on a flag set")
 }
 `)
 	readme := "| `-in` | input |\n| `-workers` | workers |\n"
@@ -53,8 +55,8 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v) != 1 || !strings.Contains(v[0], "-hidden") {
-		t.Errorf("violations = %v, want exactly -hidden", v)
+	if len(v) != 2 || !strings.Contains(v[0], "-hidden") || !strings.Contains(v[1], "-unlisted") {
+		t.Errorf("violations = %v, want exactly -hidden and -unlisted", v)
 	}
 }
 

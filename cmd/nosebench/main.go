@@ -52,8 +52,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -73,35 +75,53 @@ import (
 type result interface{ Format() string }
 
 func main() {
-	users := flag.Int("users", 20_000, "RUBiS users (the paper used 200000)")
-	executions := flag.Int("executions", 50, "measured executions per transaction type")
-	factors := flag.Int("factors", 4, "max scale factor for fig13 (the paper used 10; all ten run in seconds, most ending at the -max-nodes limit with the gap fig13 prints)")
-	maxPlans := flag.Int("max-plans", experiments.DefaultMaxPlans, "plan space bound per query for the advisor")
-	space := flag.Float64("space", 0, "advisor space budget in MB; 0 means unlimited")
-	maxNodes := flag.Int("max-nodes", experiments.DefaultMaxNodes, "branch and bound node budget per solve")
-	workers := flag.Int("workers", 0, "advisor worker goroutines; 0 means all CPUs (results are identical for every value)")
-	faultRates := flag.String("faults", "", "comma-separated fault rates for the chaos, quorum and crashchaos experiments")
-	seed := flag.Int64("seed", 7, "seed for the chaos, quorum, load, crashchaos, drift and online experiments; the same seed reproduces a table bit for bit")
-	nodes := flag.Int("nodes", 5, "cluster size for the quorum, load and crashchaos experiments")
-	rf := flag.Int("rf", 3, "replication factor for the quorum, load and crashchaos experiments")
-	clients := flag.String("clients", "", "comma-separated closed-loop client populations for the load experiment; empty means 1,2,4,8,16,32,64")
-	capacity := flag.Int("capacity", experiments.DefaultLoadCapacity, "parallel servers per node for the load experiment's service queues")
-	think := flag.Float64("think", experiments.DefaultLoadThinkMillis, "mean client think time in simulated ms for the load experiment")
-	horizon := flag.Float64("horizon", experiments.DefaultLoadHorizonMillis, "simulated duration of each load cell in ms (first tenth is warmup)")
-	driftRates := flag.String("drift", "", "comma-separated drift rates in [0,1] for the drift and online experiments")
-	phases := flag.Int("phases", experiments.DefaultDriftPhases, "workload phases for the drift and online experiments")
-	faultRate := flag.Float64("fault-rate", experiments.DefaultOnlineFaultRate, "node fault rate for the online experiment's faulted rows; 0 skips them")
-	penalty := flag.Float64("penalty", experiments.DefaultOnlinePenaltyMillis, "SLA penalty in simulated ms per lost transaction in the online experiment; negative disables")
-	driftWindow := flag.Int("drift-window", 0, "online experiment: drift detector window size in statements; 0 means the drift package default")
-	driftConfirm := flag.Int("drift-confirm", 0, "online experiment: consecutive over-threshold windows required to trigger; 0 means the drift package default")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	metricsPath := flag.String("metrics", "", "write a JSON metrics snapshot to this file and print a summary on exit")
-	solverStats := flag.Bool("solver-stats", false, "print LP solver statistics on exit: solves, warm-start hit rate (phase 2's roots, started from phase 1's basis, included), pivots, refactorizations, columns fixed by their root reduced cost, per phase whether the solve was proven optimal or stopped at the node limit (with its relative gap), pruning and cuts")
-	tracePath := flag.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) of the run to this file")
+	err := run(os.Args[1:], os.Stdout)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2) // the flag set has printed the error and the usage
+	default:
+		fmt.Fprintln(os.Stderr, "nosebench:", err)
+		os.Exit(1)
+	}
+}
+
+// errUsage marks a command line the flag set rejected.
+var errUsage = errors.New("usage")
+
+// run parses args, runs the chosen experiment and prints its table to
+// stdout.
+func run(args []string, stdout io.Writer) (err error) {
+	flags := flag.NewFlagSet("nosebench", flag.ContinueOnError)
+	users := flags.Int("users", 20_000, "RUBiS users (the paper used 200000)")
+	executions := flags.Int("executions", 50, "measured executions per transaction type")
+	factors := flags.Int("factors", 4, "max scale factor for fig13 (the paper used 10; all ten run in seconds, most ending at the -max-nodes limit with the gap fig13 prints)")
+	maxPlans := flags.Int("max-plans", experiments.DefaultMaxPlans, "plan space bound per query for the advisor")
+	space := flags.Float64("space", 0, "advisor space budget in MB; 0 means unlimited")
+	maxNodes := flags.Int("max-nodes", experiments.DefaultMaxNodes, "branch and bound node budget per solve")
+	workers := flags.Int("workers", 0, "advisor worker goroutines; 0 means all CPUs (results are identical for every value)")
+	faultRates := flags.String("faults", "", "comma-separated fault rates for the chaos, quorum and crashchaos experiments")
+	seed := flags.Int64("seed", 7, "seed for the chaos, quorum, load, crashchaos, drift and online experiments; the same seed reproduces a table bit for bit")
+	nodes := flags.Int("nodes", 5, "cluster size for the quorum, load and crashchaos experiments")
+	rf := flags.Int("rf", 3, "replication factor for the quorum, load and crashchaos experiments")
+	clients := flags.String("clients", "", "comma-separated closed-loop client populations for the load experiment; empty means 1,2,4,8,16,32,64")
+	capacity := flags.Int("capacity", experiments.DefaultLoadCapacity, "parallel servers per node for the load experiment's service queues")
+	think := flags.Float64("think", experiments.DefaultLoadThinkMillis, "mean client think time in simulated ms for the load experiment")
+	horizon := flags.Float64("horizon", experiments.DefaultLoadHorizonMillis, "simulated duration of each load cell in ms (first tenth is warmup)")
+	driftRates := flags.String("drift", "", "comma-separated drift rates in [0,1] for the drift and online experiments")
+	phases := flags.Int("phases", experiments.DefaultDriftPhases, "workload phases for the drift and online experiments")
+	faultRate := flags.Float64("fault-rate", experiments.DefaultOnlineFaultRate, "node fault rate for the online experiment's faulted rows; 0 skips them")
+	penalty := flags.Float64("penalty", experiments.DefaultOnlinePenaltyMillis, "SLA penalty in simulated ms per lost transaction in the online experiment; negative disables")
+	driftWindow := flags.Int("drift-window", 0, "online experiment: drift detector window size in statements; 0 means the drift package default")
+	driftConfirm := flags.Int("drift-confirm", 0, "online experiment: consecutive over-threshold windows required to trigger; 0 means the drift package default")
+	cpuProfile := flags.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := flags.String("memprofile", "", "write a heap profile to this file on exit")
+	metricsPath := flags.String("metrics", "", "write a JSON metrics snapshot to this file and print a summary on exit")
+	solverStats := flags.Bool("solver-stats", false, "print LP solver statistics on exit: solves, warm-start hit rate (phase 2's roots, started from phase 1's basis, included), pivots, refactorizations, columns fixed by their root reduced cost, per phase whether the solve was proven optimal or stopped at the node limit (with its relative gap), pruning and cuts")
+	tracePath := flags.String("trace", "", "write a Chrome trace (chrome://tracing, Perfetto) of the run to this file")
 
 	// The experiments, in the order the help text lists them. Every run
-	// reads its flags when called, after flag.Parse.
+	// reads its flags when called, after flags.Parse.
 	var (
 		opts           search.Options
 		cfg            experiments.Fig11Config
@@ -162,31 +182,32 @@ func main() {
 	for _, e := range table {
 		names = append(names, e.name)
 	}
-	experiment := flag.String("experiment", "fig11", "one of "+strings.Join(names, ", "))
-	flag.Parse()
+	experiment := flags.String("experiment", "fig11", "one of "+strings.Join(names, ", "))
+	if err := flags.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fatal(err)
+			f, ferr := os.Create(*memProfile)
+			if ferr != nil {
+				err = errors.Join(err, ferr)
+				return
 			}
 			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
+			err = errors.Join(err, pprof.WriteHeapProfile(f))
 		}()
 	}
 
@@ -199,9 +220,7 @@ func main() {
 		tracer = obs.NewTracer()
 	}
 	defer func() {
-		if err := obs.WriteFiles(os.Stdout, *metricsPath, reg, *tracePath, tracer, *solverStats); err != nil {
-			fatal(err)
-		}
+		err = errors.Join(err, obs.WriteFiles(stdout, *metricsPath, reg, *tracePath, tracer, *solverStats))
 	}()
 
 	opts = search.Options{
@@ -218,15 +237,14 @@ func main() {
 		Executions: *executions,
 		Advisor:    opts,
 	}
-	var err error
 	if faults, err = parseRates(*faultRates); err != nil {
-		fatal(err)
+		return err
 	}
 	if drifts, err = parseRates(*driftRates); err != nil {
-		fatal(err)
+		return err
 	}
 	if populations, err = parseCounts(*clients); err != nil {
-		fatal(err)
+		return err
 	}
 
 	for _, e := range table {
@@ -235,13 +253,13 @@ func main() {
 		}
 		res, err := e.run()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(e.title)
-		fmt.Print(res.Format())
-		return
+		fmt.Fprintln(stdout, e.title)
+		fmt.Fprint(stdout, res.Format())
+		return nil
 	}
-	fatal(fmt.Errorf("unknown experiment %q; want one of %s", *experiment, strings.Join(names, ", ")))
+	return fmt.Errorf("unknown experiment %q; want one of %s", *experiment, strings.Join(names, ", "))
 }
 
 // parseRates parses a comma-separated rate list (fault or drift rates);
@@ -282,9 +300,4 @@ func parseCounts(s string) ([]int, error) {
 		counts = append(counts, n)
 	}
 	return counts, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "nosebench:", err)
-	os.Exit(1)
 }

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"nose/internal/baselines"
 	"nose/internal/cost"
@@ -20,26 +22,33 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run plays the scenario, printing its progress and results to out.
+func run(out io.Writer) error {
 	cfg := rubis.Config{Users: 2_000, Seed: 1}
 
-	fmt.Println("Generating RUBiS dataset...")
+	fmt.Fprintln(out, "Generating RUBiS dataset...")
 	ds, err := rubis.Generate(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	w, txns, err := rubis.Workload(ds.Graph)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("Running the schema advisor (bidding mix)...")
+	fmt.Fprintln(out, "Running the schema advisor (bidding mix)...")
 	rec, err := search.Advise(w, search.Options{
 		Planner: planner.Config{MaxPlansPerQuery: 24},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("NoSE recommends %d column families (%.1f MB) in %v\n\n",
+	fmt.Fprintf(out, "NoSE recommends %d column families (%.1f MB) in %v\n\n",
 		rec.Schema.Len(), rec.Schema.TotalSizeBytes()/1e6, rec.Timings.Total)
 
 	// The normalized baseline is the advisor's own program over a fixed
@@ -47,25 +56,25 @@ func main() {
 	// cheapest plan, priced as NoSE's recommendation is.
 	normPool, err := baselines.Normalized(w)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	normRec, err := search.AdvisePinned(w, normPool, search.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("Estimated workload cost: NoSE %.2f, normalized %.2f\n\n", rec.Cost, normRec.Cost)
+	fmt.Fprintf(out, "Estimated workload cost: NoSE %.2f, normalized %.2f\n\n", rec.Cost, normRec.Cost)
 
-	fmt.Println("Installing both schemas into the simulated record store...")
+	fmt.Fprintln(out, "Installing both schemas into the simulated record store...")
 	noseSys, err := harness.NewSystem("NoSE", ds, rec, cost.DefaultParams())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	normSys, err := harness.NewSystem("Normalized", ds, normRec, cost.DefaultParams())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("\n%-24s %14s %14s\n", "Transaction", "NoSE (ms)", "Normalized")
+	fmt.Fprintf(out, "\n%-24s %14s %14s\n", "Transaction", "NoSE (ms)", "Normalized")
 	const executions = 20
 	for _, txn := range txns {
 		var totals [2]float64
@@ -74,12 +83,13 @@ func main() {
 			for n := 0; n < executions; n++ {
 				ms, err := sys.ExecTransaction(txn.Statements, ps.Params(txn.Name))
 				if err != nil {
-					log.Fatalf("%s on %s: %v", txn.Name, sys.Name, err)
+					return fmt.Errorf("%s on %s: %w", txn.Name, sys.Name, err)
 				}
 				totals[i] += ms
 			}
 		}
-		fmt.Printf("%-24s %14.3f %14.3f\n",
+		fmt.Fprintf(out, "%-24s %14.3f %14.3f\n",
 			txn.Name, totals[0]/executions, totals[1]/executions)
 	}
+	return nil
 }

@@ -502,6 +502,15 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 		}
 		return hintKey{node: node, cf: name, part: pk}
 	}
+	// queueHint records that node missed this write, so handoff can
+	// converge it later.
+	queueHint := func(node int) {
+		k := hintKeyOf(node)
+		c.hints[k] = append(c.hints[k], hint{
+			partition: partition, clustering: clustering, values: values, delete: del,
+		})
+		c.co.hintsQueued.Inc()
+	}
 	var abuf [stackReplicas]float64
 	ackTimes := abuf[:0]
 	worstFail := 0.0
@@ -513,11 +522,7 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 			// Zero service capacity: the replica misses the write, like
 			// a downed node, and converges later via hinted handoff.
 			sawDown = true
-			k := hintKeyOf(node)
-			c.hints[k] = append(c.hints[k], hint{
-				partition: partition, clustering: clustering, values: values, delete: del,
-			})
-			c.co.hintsQueued.Inc()
+			queueHint(node)
 			continue
 		}
 		fe, factor := c.nodes.Decide(node, name, op)
@@ -532,11 +537,7 @@ func (c *Coordinator) applyWrite(name string, partition, clustering []backend.Va
 			// can converge it later. Hints are queued even when the
 			// coordinated write will fail — any replica that did apply
 			// the write has diverged, and convergence must win.
-			k := hintKeyOf(node)
-			c.hints[k] = append(c.hints[k], hint{
-				partition: partition, clustering: clustering, values: values, delete: del,
-			})
-			c.co.hintsQueued.Inc()
+			queueHint(node)
 			continue
 		}
 		// Handoff: replay this partition's pending hints first so the

@@ -30,10 +30,10 @@ type Config struct {
 	BaseUpdates int
 	// RingNeighbors is the Watts–Strogatz ring degree; zero means 4.
 	RingNeighbors int
-	// Rewire is the Watts–Strogatz rewiring probability; zero means
-	// 0.1.
-	Rewire float64
 }
+
+// rewire is the Watts–Strogatz rewiring probability.
+const rewire = 0.1
 
 func (c Config) withDefaults() Config {
 	if c.Factor <= 0 {
@@ -51,9 +51,6 @@ func (c Config) withDefaults() Config {
 	if c.RingNeighbors <= 0 {
 		c.RingNeighbors = 4
 	}
-	if c.Rewire <= 0 {
-		c.Rewire = 0.1
-	}
 	return c
 }
 
@@ -64,7 +61,7 @@ func Generate(cfg Config) (*workload.Workload, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.BaseEntities * cfg.Factor
 
-	g, err := entityGraph(rng, n, cfg.RingNeighbors, cfg.Rewire)
+	g, err := entityGraph(rng, n, cfg.RingNeighbors, rewire)
 	if err != nil {
 		return nil, err
 	}

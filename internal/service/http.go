@@ -14,7 +14,7 @@ import (
 // MaxRequestBytes bounds a job submission body (the workload DSL).
 const MaxRequestBytes = 1 << 20
 
-// Route documents one registered endpoint. The handler registers
+// Route documents one registered endpoint. NewServer registers
 // exactly this table, and cmd/docgate's route drift guard checks that
 // docs/API.md documents every entry — the table is the single source
 // of truth for both.
@@ -23,19 +23,21 @@ type Route struct {
 	Method string
 	// Pattern is the net/http ServeMux pattern (Go 1.22 syntax).
 	Pattern string
+	// Handler serves the route, as a method expression of Server.
+	Handler func(*Server, http.ResponseWriter, *http.Request)
 }
 
 // Routes lists every endpoint the daemon serves, in documentation
 // order.
 var Routes = []Route{
-	{"POST", "/v1/jobs"},             // submit a job: workload DSL body, kind and knobs as query parameters
-	{"GET", "/v1/jobs"},              // list all jobs in submission order
-	{"GET", "/v1/jobs/{id}"},         // poll one job's status
-	{"GET", "/v1/jobs/{id}/result"},  // fetch a finished job's canonical result document
-	{"GET", "/v1/jobs/{id}/events"},  // stream the job's lifecycle and trace events (NDJSON or SSE)
-	{"GET", "/v1/jobs/{id}/metrics"}, // fetch the job's obs metrics snapshot
-	{"DELETE", "/v1/jobs/{id}"},      // cancel a queued or running job
-	{"GET", "/v1/healthz"},           // liveness probe
+	{"POST", "/v1/jobs", (*Server).handleSubmit},              // submit a job: workload DSL body, kind and knobs as query parameters
+	{"GET", "/v1/jobs", (*Server).handleList},                 // list all jobs in submission order
+	{"GET", "/v1/jobs/{id}", (*Server).handleGet},             // poll one job's status
+	{"GET", "/v1/jobs/{id}/result", (*Server).handleResult},   // fetch a finished job's canonical result document
+	{"GET", "/v1/jobs/{id}/events", (*Server).handleEvents},   // stream the job's lifecycle and trace events (NDJSON or SSE)
+	{"GET", "/v1/jobs/{id}/metrics", (*Server).handleMetrics}, // fetch the job's obs metrics snapshot
+	{"DELETE", "/v1/jobs/{id}", (*Server).handleCancel},       // cancel a queued or running job
+	{"GET", "/v1/healthz", (*Server).handleHealthz},           // liveness probe
 }
 
 // Server serves the HTTP API over a Manager.
@@ -50,23 +52,8 @@ type Server struct {
 // disables server metrics.
 func NewServer(m *Manager, reg *obs.Registry) *Server {
 	s := &Server{manager: m, reg: reg, mux: http.NewServeMux()}
-	handlers := map[string]http.HandlerFunc{
-		"POST /v1/jobs":             s.handleSubmit,
-		"GET /v1/jobs":              s.handleList,
-		"GET /v1/jobs/{id}":         s.handleGet,
-		"GET /v1/jobs/{id}/result":  s.handleResult,
-		"GET /v1/jobs/{id}/events":  s.handleEvents,
-		"GET /v1/jobs/{id}/metrics": s.handleMetrics,
-		"DELETE /v1/jobs/{id}":      s.handleCancel,
-		"GET /v1/healthz":           s.handleHealthz,
-	}
 	for _, r := range Routes {
-		key := r.Method + " " + r.Pattern
-		h, ok := handlers[key]
-		if !ok {
-			panic("service: route " + key + " has no handler")
-		}
-		s.mux.Handle(key, s.instrument(r, h))
+		s.mux.Handle(r.Method+" "+r.Pattern, s.instrument(r))
 	}
 	return s
 }
@@ -74,11 +61,12 @@ func NewServer(m *Manager, reg *obs.Registry) *Server {
 // ServeHTTP dispatches to the registered routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// instrument wraps a handler with per-route metrics: a volatile
-// request counter and latency histogram per route (volatile because
-// request arrival is wall-clock, not part of any deterministic
-// fingerprint).
-func (s *Server) instrument(route Route, h http.HandlerFunc) http.Handler {
+// instrument binds a route's handler to s and wraps it with per-route
+// metrics: a volatile request counter and latency histogram per route
+// (volatile because request arrival is wall-clock, not part of any
+// deterministic fingerprint).
+func (s *Server) instrument(route Route) http.Handler {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { route.Handler(s, w, r) })
 	if s.reg == nil {
 		return h
 	}

@@ -1,6 +1,7 @@
 package nose_test
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -50,36 +52,53 @@ var surfaceKeep = map[string]string{
 	"workload.Connect.WriteEntity":      "as Insert.WriteEntity",
 }
 
-// checkSurface type-checks every non-test .go file under root — the
-// module's own packages from source with go/types, the standard library
-// from its export data — and returns, sorted:
-//
-//   - orphans: exported functions and methods declared under
-//     root/internal that no non-test file uses, and that keep does not
-//     list. A function or method is used where an identifier in a
-//     non-test file resolves to it; a method is also used where one
-//     resolves to the same-named method of an interface its receiver
-//     type satisfies, since that call may land on it. fmt calls String
-//     and Error on the values production formats, so fmt.Stringer and
-//     error count as such interfaces;
-//   - stale: keys of keep that match no such unused declaration,
-//     because the declaration is gone or production now uses it.
-//
-// Keys are "package.Func" and "package.Type.Method", so a method that
-// shares its name with one production calls on another type is still
-// an orphan.
-func checkSurface(root string, keep map[string]string) (orphans, stale []string, err error) {
-	module, err := modulePath(root)
+// module is a type-checked Go module: every non-test .go file under its
+// root outside testdata and dot directories, the module's own packages
+// checked from source with go/types, the standard library read from its
+// export data.
+type module struct {
+	path   string // module path, from go.mod
+	fset   *token.FileSet
+	files  []*srcFile          // in walk order
+	byName map[string]*srcFile // by file name as parsed
+	info   *types.Info
+	std    types.Importer
+	pkgs   map[string]*types.Package // the module's packages, by import path
+	uses   map[types.Object][]use    // every use in a non-test file, in source order
+}
+
+// srcFile is one non-test file of a module.
+type srcFile struct {
+	rel string // slash-separated path relative to the module root
+	dir string // rel's directory: "." for the root package
+	ast *ast.File
+}
+
+// use is one identifier in a non-test file that resolves to an object.
+type use struct {
+	file *srcFile
+	pos  token.Pos
+}
+
+// loadModule parses and type-checks the module at root.
+func loadModule(root string) (*module, error) {
+	path, err := modulePath(root)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	type decl struct {
-		fn    *ast.FuncDecl
-		where string // file:line, relative to root
+	m := &module{
+		path:   path,
+		fset:   token.NewFileSet(),
+		byName: map[string]*srcFile{},
+		info: &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		},
+		pkgs: map[string]*types.Package{},
+		uses: map[types.Object][]use{},
 	}
-	var decls []decl
 	files := map[string][]*ast.File{} // import path -> non-test files
-	fset := token.NewFileSet()
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -93,7 +112,7 @@ func checkSurface(root string, keep map[string]string) (orphans, stale []string,
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
@@ -101,66 +120,126 @@ func checkSurface(root string, keep map[string]string) (orphans, stale []string,
 		if err != nil {
 			return err
 		}
-		rel = filepath.ToSlash(rel)
-		pkgPath := module
-		if dir := filepath.ToSlash(filepath.Dir(rel)); dir != "." {
-			pkgPath += "/" + dir
-		}
-		files[pkgPath] = append(files[pkgPath], f)
-		if strings.HasPrefix(rel, "internal/") {
-			for _, d := range f.Decls {
-				if fn, ok := d.(*ast.FuncDecl); ok && fn.Name.IsExported() {
-					decls = append(decls, decl{fn, fmt.Sprintf("%s:%d", rel, fset.Position(fn.Pos()).Line)})
-				}
-			}
-		}
+		sf := &srcFile{rel: filepath.ToSlash(rel), dir: filepath.ToSlash(filepath.Dir(rel)), ast: f}
+		m.files = append(m.files, sf)
+		m.byName[m.fset.Position(f.Pos()).Filename] = sf
+		files[m.importPath(sf.dir)] = append(files[m.importPath(sf.dir)], f)
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	checked := map[string]*types.Package{}
-	std := importer.ForCompiler(fset, "gc", nil)
+	m.std = importer.ForCompiler(m.fset, "gc", nil)
 	var imp importerFunc
 	imp = func(path string) (*types.Package, error) {
-		if p := checked[path]; p != nil {
+		if p := m.pkgs[path]; p != nil {
 			return p, nil
 		}
 		src, ok := files[path]
 		if !ok {
-			return std.Import(path)
+			return m.std.Import(path)
 		}
-		p, err := (&types.Config{Importer: imp}).Check(path, fset, src, info)
+		p, err := (&types.Config{Importer: imp}).Check(path, m.fset, src, m.info)
 		if err != nil {
 			return nil, err
 		}
-		checked[path] = p
+		m.pkgs[path] = p
 		return p, nil
 	}
 	for path := range files {
 		if _, err := imp(path); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	fmtPkg, err := std.Import("fmt")
+	for id, obj := range m.info.Uses {
+		obj = origin(obj)
+		m.uses[obj] = append(m.uses[obj], use{m.fileOf(id.Pos()), id.Pos()})
+	}
+	for _, us := range m.uses {
+		slices.SortFunc(us, func(a, b use) int { return cmp.Compare(a.pos, b.pos) })
+	}
+	return m, nil
+}
+
+// importPath is the import path of the module's package in dir, a
+// directory relative to the module root.
+func (m *module) importPath(dir string) string {
+	if dir == "." {
+		return m.path
+	}
+	return m.path + "/" + dir
+}
+
+// fileOf is the non-test file that holds pos.
+func (m *module) fileOf(pos token.Pos) *srcFile { return m.byName[m.fset.Position(pos).Filename] }
+
+// where is file:line of pos, relative to the module root.
+func (m *module) where(pos token.Pos) string {
+	return fmt.Sprintf("%s:%d", m.fileOf(pos).rel, m.fset.Position(pos).Line)
+}
+
+// origin maps an instantiated generic function or field to its
+// declaration, so a use through an instance counts as a use of it.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// repo is the module this test binary runs in, type-checked once and
+// shared by every test that reads the source.
+var repo struct {
+	once sync.Once
+	m    *module
+	err  error
+}
+
+// repoModule returns the type-checked module rooted at the working
+// directory, loading it on first use.
+func repoModule(t *testing.T) *module {
+	t.Helper()
+	repo.once.Do(func() { repo.m, repo.err = loadModule(".") })
+	if repo.err != nil {
+		t.Fatal(repo.err)
+	}
+	return repo.m
+}
+
+// checkSurface returns, sorted:
+//
+//   - orphans: exported functions and methods declared under
+//     internal/ that no non-test file of m uses, and that keep does not
+//     list. A function or method is used where an identifier in a
+//     non-test file resolves to it; a method is also used where one
+//     resolves to the same-named method of an interface its receiver
+//     type satisfies, since that call may land on it. fmt calls String
+//     and Error on the values production formats, so fmt.Stringer and
+//     error count as such interfaces;
+//   - stale: keys of keep that match no such unused declaration,
+//     because the declaration is gone or production now uses it.
+//
+// Keys are "package.Func" and "package.Type.Method", so a method that
+// shares its name with one production calls on another type is still
+// an orphan.
+func checkSurface(m *module, keep map[string]string) (orphans, stale []string, err error) {
+	fmtPkg, err := m.std.Import("fmt")
 	if err != nil {
 		return nil, nil, err
 	}
-
-	used := map[*types.Func]bool{}
 	viaInterface := []*types.Func{
 		fmtPkg.Scope().Lookup("Stringer").Type().Underlying().(*types.Interface).Method(0),
 		types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0),
 	}
-	for _, obj := range info.Uses {
+	for obj := range m.uses {
 		f, ok := obj.(*types.Func)
 		if !ok {
 			continue
 		}
-		f = f.Origin()
-		used[f] = true
 		if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
 			viaInterface = append(viaInterface, f)
 		}
@@ -182,24 +261,33 @@ func checkSurface(root string, keep map[string]string) (orphans, stale []string,
 	}
 
 	kept := map[string]bool{}
-	for _, d := range decls {
-		f := info.Defs[d.fn.Name].(*types.Func)
-		key := f.Pkg().Name() + "." + f.Name()
-		var on *types.Named
-		if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-			t := recv.Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			on = t.(*types.Named)
-			key = f.Pkg().Name() + "." + on.Obj().Name() + "." + f.Name()
+	for _, sf := range m.files {
+		if !strings.HasPrefix(sf.rel, "internal/") {
+			continue
 		}
-		switch {
-		case used[f] || satisfied(on, f.Name()):
-		case keep[key] != "":
-			kept[key] = true
-		default:
-			orphans = append(orphans, fmt.Sprintf("%s (%s)", key, d.where))
+		for _, d := range sf.ast.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			f := m.info.Defs[fn.Name].(*types.Func)
+			key := f.Pkg().Name() + "." + f.Name()
+			var on *types.Named
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+				t := recv.Type()
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				on = t.(*types.Named)
+				key = f.Pkg().Name() + "." + on.Obj().Name() + "." + f.Name()
+			}
+			switch {
+			case len(m.uses[f]) > 0 || satisfied(on, f.Name()):
+			case keep[key] != "":
+				kept[key] = true
+			default:
+				orphans = append(orphans, fmt.Sprintf("%s (%s)", key, m.where(fn.Pos())))
+			}
 		}
 	}
 	for key := range keep {
@@ -238,7 +326,7 @@ func modulePath(root string) (string, error) {
 // A new helper only its tests call belongs in a _test.go file (or
 // export_test.go), not in the package's surface.
 func TestInternalSurfaceIsCalled(t *testing.T) {
-	orphans, stale, err := checkSurface(".", surfaceKeep)
+	orphans, stale, err := checkSurface(repoModule(t), surfaceKeep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +351,7 @@ func TestInternalSurfaceIsCalled(t *testing.T) {
 // the first three are reported, and a keep-list entry naming nothing is
 // reported stale.
 func TestSurfaceCheckerOnPlantedTree(t *testing.T) {
-	root := t.TempDir()
-	for name, src := range map[string]string{
+	m := plantModule(t, map[string]string{
 		"go.mod": "module m\n",
 		"internal/a/a.go": `package a
 
@@ -311,16 +398,8 @@ func Unlisted() {}
 
 func main() { a.Used(); a.U{}.Collides(); a.Start(&a.V{}) }
 `,
-	} {
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	orphans, stale, err := checkSurface(root, map[string]string{
+	})
+	orphans, stale, err := checkSurface(m, map[string]string{
 		"a.Kept":     "planted keep",
 		"a.Vanished": "names nothing",
 	})
@@ -334,4 +413,25 @@ func main() { a.Used(); a.U{}.Collides(); a.Start(&a.V{}) }
 	if want := []string{"a.Vanished"}; !slices.Equal(stale, want) {
 		t.Errorf("stale = %q, want %q", stale, want)
 	}
+}
+
+// plantModule writes files, keyed by slash path, into a fresh directory
+// and loads the module there.
+func plantModule(t *testing.T, files map[string]string) *module {
+	t.Helper()
+	root := t.TempDir()
+	for name, src := range files {
+		path := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := loadModule(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
