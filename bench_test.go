@@ -187,7 +187,7 @@ const (
 // TestAdvisorRUBiSPivotCeiling is BenchmarkAdvisorRUBiSExact's LP work
 // as a test, so that a start or pricing change that sends the cold root
 // back into degenerate feasibility pivots, or that prices every pivot
-// from scratch again, fails by name. CI runs it by name with -count=1.
+// from scratch again, fails by name.
 func TestAdvisorRUBiSPivotCeiling(t *testing.T) {
 	w, _, err := rubis.Workload(rubis.Graph(rubis.DefaultConfig()))
 	if err != nil {
@@ -331,9 +331,9 @@ const (
 )
 
 // TestPlanSpacesAllocCeiling is BenchmarkPlanSpacesRandwork's
-// allocation count and bytes as a test, so that per-candidate garbage
-// cannot creep back into plan-space generation unnoticed. CI runs it by
-// name with -count=1.
+// allocation count and bytes as a test, so that per-candidate strings
+// or maps, or a candidate array as large as the joins, cannot creep
+// back into plan-space generation unnoticed.
 func TestPlanSpacesAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans a 75-statement workload several times")
@@ -391,8 +391,7 @@ const (
 // the collector off: a solve that grows its own solvers again, copies
 // the program per worker, allocates a point per relaxation, copies every
 // status of a branching node's basis or formulates phase 2 again fails
-// it. TestSolveAllocAfterCollection covers the collector. CI runs it by
-// name with -count=1.
+// it. TestSolveAllocAfterCollection covers the collector.
 func TestSolveAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -436,8 +435,7 @@ func TestSolveAllocCeiling(t *testing.T) {
 // keeps branch and bound's solvers and buffers between calls must
 // survive a collection, or every solve grows them again: 2,775,608 B
 // against 1,154,040 B while they sat in a sync.Pool (go1.24); 385,912 B
-// either way since they are kept in free lists. CI runs it by name with
-// -count=1.
+// either way since they are kept in free lists.
 func TestSolveAllocAfterCollection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("plans a 75-statement workload")
@@ -517,8 +515,9 @@ const (
 // TestPrepareAllocCeiling counts what one search.Prepare allocates on
 // RUBiS over an enumeration done beforehand, and what it allocates beyond
 // one search.BuildPlans with the same options: a formulation that builds
-// a map or a slice per column, or a planner that allocates per
-// Plan.Indexes call, fails it. CI runs it by name with -count=1.
+// a map or a slice per column, grows its columns by append instead of
+// writing them into the storage its count reserved, or a planner that
+// allocates per Plan.Indexes call, fails it.
 func TestPrepareAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -960,7 +959,7 @@ const (
 // measured region and the collector off, so the executor's pooled
 // scratch stays warm. A get that copies its records again, a lookup
 // that allocates a partition key per driving row, or a harness query
-// that builds rows it drops fails it. CI runs it by name with -count=1.
+// that builds rows it drops fails it.
 func TestExecTransactionAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -1023,8 +1022,7 @@ const (
 // biddingSchedule draws, through ExecTransaction on five nodes at RF 3
 // and QUORUM, measured as TestExecTransactionAllocCeiling measures. A
 // replica read or write that allocates a result the coordinator drops,
-// or a second replica's records copied into a fresh slice, fails it. CI
-// runs it by name with -count=1.
+// or a second replica's records copied into a fresh slice, fails it.
 func TestQuorumTransactionAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -1075,7 +1073,7 @@ const (
 // TestParamSourceAllocCeiling counts what drawing one transaction's
 // parameters allocates: the schedule's second half drawn once, the
 // first half as warm-up, the collector off. A source that builds a map
-// per transaction fails it. CI runs it by name with -count=1.
+// per transaction, or boxes a drawn value per draw, fails it.
 func TestParamSourceAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -1131,8 +1129,7 @@ const (
 // TestDatasetHeapCeiling pins the dataset's memory: RUBiS at 2,000
 // users is generated between two collections, and the live heap it
 // adds is held to the ceilings above. A row that goes back to a map, a
-// cell per allocation or an id map that encodes its keys fails it. CI
-// runs it by name with -count=1.
+// cell per allocation or an id map that encodes its keys fails it.
 func TestDatasetHeapCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")

@@ -24,9 +24,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 
 	"nose/internal/service"
@@ -123,29 +127,34 @@ func checkLinks(doc string) ([]string, error) {
 	return violations, nil
 }
 
-// flagRe matches flag definitions in a command's Go source, on the
-// flag package or on a FlagSet named flags: flag.String("name", ...),
-// flags.Int64("name", ...), etc.
-var flagRe = regexp.MustCompile(`\bflags?\.(?:String|Bool|Int64|Int|Float64|Duration)\(\s*"([^"]+)"`)
-
 // checkFlags verifies every flag a command defines is mentioned in the
-// README as `-name`.
+// README as `-name`. It parses the command's non-test files and takes
+// the name argument of every flag-definition call on the flag package
+// or on a variable assigned from flag.NewFlagSet, whatever either is
+// called in the file.
 func checkFlags(dir, readmeName, readme string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var violations []string
+	fset := token.NewFileSet()
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
 			continue
 		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
 		if err != nil {
 			return nil, err
 		}
-		for _, m := range flagRe.FindAllStringSubmatch(string(src), -1) {
-			name := m[1]
+		for _, arg := range flagNames(f) {
+			lit, ok := arg.(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				violations = append(violations,
+					fmt.Sprintf("%s: a flag's name is not a string literal", fset.Position(arg.Pos())))
+				continue
+			}
+			name, _ := strconv.Unquote(lit.Value) // a parsed string literal always unquotes
 			if !strings.Contains(readme, "`-"+name+"`") {
 				violations = append(violations,
 					fmt.Sprintf("%s defines flag -%s, absent from %s (add a `-%s` row to its flag table)",
@@ -154,6 +163,89 @@ func checkFlags(dir, readmeName, readme string) ([]string, error) {
 		}
 	}
 	return violations, nil
+}
+
+// flagDefiners are the flag package's functions, and *flag.FlagSet's
+// methods, that define a flag. Each takes the flag's name first, or
+// second when its name ends in Var (the first is then where the value
+// lives).
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolVar": true, "Int": true, "IntVar": true,
+	"Int64": true, "Int64Var": true, "Uint": true, "UintVar": true,
+	"Uint64": true, "Uint64Var": true, "Float64": true, "Float64Var": true,
+	"String": true, "StringVar": true, "Duration": true, "DurationVar": true,
+	"Var": true, "TextVar": true, "Func": true, "BoolFunc": true,
+}
+
+// flagNames returns, in source order, the name argument of every flag
+// definition in f.
+func flagNames(f *ast.File) []ast.Expr {
+	pkg := ""
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"flag"` {
+			pkg = "flag"
+			if imp.Name != nil {
+				pkg = imp.Name.Name
+			}
+		}
+	}
+	if pkg == "" {
+		return nil
+	}
+	// isPkgCall reports whether e calls pkg.fn.
+	isPkgCall := func(e ast.Expr, fn string) bool {
+		call, ok := e.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		id, ok := sel.X.(*ast.Ident)
+		return ok && id.Name == pkg && sel.Sel.Name == fn
+	}
+	sets := map[string]bool{pkg: true}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				if id, ok := n.Lhs[i].(*ast.Ident); ok && isPkgCall(rhs, "NewFlagSet") {
+					sets[id.Name] = true
+				}
+			}
+		case *ast.ValueSpec:
+			for i, v := range n.Values {
+				if isPkgCall(v, "NewFlagSet") {
+					sets[n.Names[i].Name] = true
+				}
+			}
+		}
+		return true
+	})
+	var names []ast.Expr
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || !flagDefiners[sel.Sel.Name] {
+			return true
+		}
+		if id, ok := sel.X.(*ast.Ident); !ok || !sets[id.Name] {
+			return true
+		}
+		arg := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1
+		}
+		if arg < len(call.Args) {
+			names = append(names, call.Args[arg])
+		}
+		return true
+	})
+	return names
 }
 
 // routeRe matches backticked route spans in the API reference:

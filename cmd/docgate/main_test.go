@@ -42,12 +42,24 @@ func TestCheckFlags(t *testing.T) {
 	dir := t.TempDir()
 	write(t, dir, "tool/main.go", `package main
 import "flag"
+var level flag.Value
 func main() {
 	_ = flag.String("in", "", "input")
 	_ = flag.Int("workers", 0, "workers")
 	_ = flag.Bool("hidden", false, "undocumented")
 	flags := flag.NewFlagSet("tool", flag.ContinueOnError)
 	_ = flags.Float64("unlisted", 0, "undocumented, on a flag set")
+	flag.Var(level, "level", "undocumented, through Var")
+	flag.Func("each", "undocumented, through Func", func(string) error { return nil })
+}
+`)
+	write(t, dir, "tool/set.go", `package main
+import f "flag"
+func set() {
+	var n int
+	fs := f.NewFlagSet("set", f.ExitOnError)
+	fs.IntVar(&n, "count", 0, "undocumented, on a set named fs of an aliased import")
+	fs.IntVar(&n, "workers", 0, "documented")
 }
 `)
 	readme := "| `-in` | input |\n| `-workers` | workers |\n"
@@ -55,8 +67,14 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v) != 2 || !strings.Contains(v[0], "-hidden") || !strings.Contains(v[1], "-unlisted") {
-		t.Errorf("violations = %v, want exactly -hidden and -unlisted", v)
+	want := []string{"-hidden", "-unlisted", "-level", "-each", "-count"}
+	if len(v) != len(want) {
+		t.Fatalf("violations = %v, want exactly %v", v, want)
+	}
+	for i, name := range want {
+		if !strings.Contains(v[i], "flag "+name+",") {
+			t.Errorf("violation %d = %q, want %s", i, v[i], name)
+		}
 	}
 }
 
@@ -77,7 +95,7 @@ func TestRepoDocsInSync(t *testing.T) {
 			t.Error(s)
 		}
 	}
-	for _, dir := range []string{"cmd/nose", "cmd/nosebench"} {
+	for _, dir := range []string{"cmd/nose", "cmd/nosebench", "cmd/nosed"} {
 		v, err := checkFlags(filepath.Join(root, dir), "README.md", string(readme))
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,8 @@
 // canonical JSON in the nosed wire format (internal/service/api)
 // instead of the human-readable report. The bytes are deterministic and
 // identical to what the nosed daemon serves for the same request: both
-// are produced by api.Request.Run, and CI still diffs the two.
+// are produced by api.Request.Run, and internal/service's
+// TestHTTPAdviseByteIdenticalToCLI diffs the two.
 //
 // With -phases (and a workload whose .nose file declares phase blocks)
 // the advisor solves the time-dependent problem instead: one schema per

@@ -12,9 +12,9 @@
 //     WindowStatements statements; divergence is only evaluated when a
 //     window closes, so single statements never decide anything.
 //   - Confirmation + hysteresis: a trigger needs ConfirmWindows
-//     consecutive windows over Threshold, and after firing the detector
-//     disarms until divergence falls below RearmBelow — sustained drift
-//     fires exactly once, not once per window.
+//     consecutive windows at or over DefaultThreshold, and after firing
+//     the detector disarms until divergence falls below half of it —
+//     sustained drift fires exactly once, not once per window.
 //   - Cooldown: after a trigger, CooldownWindows windows must pass
 //     before the next trigger, bounding the migration rate even if the
 //     caller re-arms aggressively.
@@ -39,13 +39,6 @@ type Config struct {
 	// WindowStatements is the number of observed statements per
 	// decision window; zero means DefaultWindowStatements.
 	WindowStatements int
-	// Threshold is the total-variation divergence at or above which a
-	// window counts toward a trigger; zero means DefaultThreshold.
-	Threshold float64
-	// RearmBelow is the divergence below which a disarmed detector
-	// re-arms (hysteresis). Zero means half the threshold. It is
-	// clamped to at most Threshold.
-	RearmBelow float64
 	// ConfirmWindows is the number of consecutive over-threshold
 	// windows required to trigger; zero means DefaultConfirmWindows.
 	ConfirmWindows int
@@ -55,7 +48,9 @@ type Config struct {
 	CooldownWindows int
 }
 
-// Default detector tuning.
+// Default detector tuning. DefaultThreshold is the total-variation
+// divergence at or above which a window counts toward a trigger; no
+// configuration changes it.
 const (
 	DefaultWindowStatements = 40
 	DefaultThreshold        = 0.25
@@ -63,19 +58,14 @@ const (
 	DefaultCooldownWindows  = 3
 )
 
-// Normalized fills config defaults.
-func (c Config) Normalized() Config {
+// rearmBelow is the divergence below which a disarmed detector re-arms
+// (hysteresis).
+const rearmBelow = DefaultThreshold / 2
+
+// normalized fills config defaults.
+func (c Config) normalized() Config {
 	if c.WindowStatements <= 0 {
 		c.WindowStatements = DefaultWindowStatements
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = DefaultThreshold
-	}
-	if c.RearmBelow <= 0 {
-		c.RearmBelow = c.Threshold / 2
-	}
-	if c.RearmBelow > c.Threshold {
-		c.RearmBelow = c.Threshold
 	}
 	if c.ConfirmWindows <= 0 {
 		c.ConfirmWindows = DefaultConfirmWindows
@@ -137,7 +127,7 @@ type detectorObs struct {
 // matches nothing, so any traffic diverges fully.
 func New(cfg Config, target map[string]float64) *Detector {
 	return &Detector{
-		cfg:    cfg.Normalized(),
+		cfg:    cfg.normalized(),
 		target: Normalize(target),
 		window: map[string]int64{},
 		armed:  true,
@@ -204,11 +194,11 @@ func (d *Detector) closeWindow() Decision {
 	d.do.lastDivergence.Set(div)
 
 	dec := Decision{WindowClosed: true, Divergence: div}
-	over := div >= d.cfg.Threshold
+	over := div >= DefaultThreshold
 
 	if d.cooldown > 0 {
 		d.cooldown--
-		if div < d.cfg.RearmBelow {
+		if div < rearmBelow {
 			d.armed = true
 			d.streak = 0
 		}
@@ -238,7 +228,7 @@ func (d *Detector) closeWindow() Decision {
 		d.do.suppressed.Inc()
 	default:
 		d.streak = 0
-		if div < d.cfg.RearmBelow {
+		if div < rearmBelow {
 			d.armed = true
 		}
 	}

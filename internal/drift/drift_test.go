@@ -83,8 +83,6 @@ var (
 func testConfig() drift.Config {
 	return drift.Config{
 		WindowStatements: 40,
-		Threshold:        0.25,
-		RearmBelow:       0.10,
 		ConfirmWindows:   2,
 		CooldownWindows:  3,
 	}

@@ -17,7 +17,7 @@ import (
 // in reused storage, structures looked up before they are built and
 // lists deduplicated by candidate number 43.6 k (go1.24). The budget is
 // 1.3 times that, so a per-request string, map or query fails here
-// rather than in a profile. CI runs it by name with -count=1.
+// rather than in a profile.
 func TestEnumerateWorkloadAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -23,7 +23,7 @@ func crashChaosTestConfig(workers int) experiments.CrashChaosConfig {
 // crash-restarts — must recover every run to a verifier-clean state,
 // reproduce bit for bit from its config and seed, and be byte-identical
 // at any advisor worker count. Its Format output is the fingerprint the
-// CI determinism smoke compares.
+// sweep goldens compare.
 func TestRunCrashChaosDeterministicSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")

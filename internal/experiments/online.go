@@ -258,8 +258,8 @@ func readviseWorkload(w *workload.Workload, txns []*rubis.Transaction, mix map[s
 // the phase oracle, and the online detector+live-migration loop on
 // total simulated cost. Everything is deterministic: the same config
 // and seed reproduce the same table at any advisor worker count, which
-// is what the CI determinism smoke fingerprints. The expected shape:
-// at rate 0 all three strategies tie (the detector never fires); as
+// is what cmd/nosebench's TestSmokesMatchGoldens pins. The expected
+// shape: at rate 0 all three strategies tie (the detector never fires); as
 // drift grows, online beats once by migrating toward the traffic it
 // actually sees, and the oracle bounds online from below because it
 // knows the timeline in advance and pays no detection lag.
@@ -501,8 +501,7 @@ func (r *onlineRun) onlineLoop(sys *harness.System, cell *OnlineCell) (step, bet
 }
 
 // Format renders the sweep as a comparison table; its exact bytes are
-// the determinism fingerprint the CI smoke compares across worker
-// counts.
+// the determinism fingerprint the goldens compare across worker counts.
 func (r *OnlineResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "online sweep: %d phases, %d transactions/phase, node fault rate %g, %g ms penalty per lost transaction\n",

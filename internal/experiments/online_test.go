@@ -33,7 +33,7 @@ func onlineTestConfig(workers int) experiments.OnlineConfig {
 // re-advising, live migration with dual writes, node-faulted rows — must
 // reproduce bit for bit from its config and seed, and be byte-identical
 // at any advisor worker count. Its Format output is the fingerprint the
-// CI determinism smoke compares.
+// sweep goldens compare.
 func TestRunOnlineDeterministicSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment harness is slow")

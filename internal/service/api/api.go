@@ -8,8 +8,8 @@
 // timings) are excluded. Because the advisor itself is worker-count
 // invariant and both doors call Request.Run, the same workload DSL and
 // knobs produce byte-identical encodings whether the run was submitted
-// over HTTP or executed by the CLI; CI diffs `nose -json` output
-// against the daemon's stored result as a tripwire.
+// over HTTP or executed by the CLI; internal/service's tests diff
+// `nose -json` output against the daemon's stored result as a tripwire.
 package api
 
 import (

@@ -128,7 +128,7 @@ func Drift(w *workload.Workload, rec *search.Recommendation, opts search.Options
 	}
 	report := &DriftReport{
 		ActiveMix: w.ActiveMix,
-		Threshold: drift.Config{}.Normalized().Threshold,
+		Threshold: drift.DefaultThreshold,
 		Schema:    *Advise(w, rec),
 	}
 	for _, mix := range mixes {

@@ -75,17 +75,30 @@ func TestHostileWorkerCountIsHarmless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// advise returns one advise's document and bytes, measured as the
+	// executor's allocation test measures: at GOMAXPROCS 1 after a
+	// warm-up advise, and the least of three windows, since TotalAlloc
+	// counts the whole process and a window in which something else
+	// allocates reads high.
 	advise := func(workers int) ([]byte, uint64) {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		doc, err := api.Request{DSL: string(dsl), Workers: workers}.Run(context.Background(), api.KindAdvise, nil, nil)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var doc []byte
+		least := uint64(math.MaxUint64)
+		for window := 0; window <= 3; window++ { // window 0 warms up
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d, err := api.Request{DSL: string(dsl), Workers: workers}.Run(context.Background(), api.KindAdvise, nil, nil)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if window > 0 {
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			doc = d
 		}
-		return doc, after.TotalAlloc - before.TotalAlloc
+		return doc, least
 	}
-	advise(4) // warm up lazily built package state
 	want, base := advise(4)
 	got, hostile := advise(1 << 20)
 	if !bytes.Equal(got, want) {

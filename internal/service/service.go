@@ -15,8 +15,8 @@
 // -json -in <dsl>` output. This holds because both run
 // api.Request.Run, the advisor is worker-count invariant, the wire
 // encoding (internal/service/api) is canonical, and results never embed
-// wall-clock readings. CI diffs a daemon result against the CLI's for
-// each advisor kind, as a tripwire.
+// wall-clock readings. TestHTTPAdviseByteIdenticalToCLI diffs a daemon
+// result against the CLI's for each advisor kind, as a tripwire.
 //
 // # Session isolation
 //
@@ -109,8 +109,8 @@ type Job struct {
 }
 
 // Status is a job's public snapshot. ID is deliberately the first
-// field: the wire JSON leads with it, which keeps shell clients (and
-// the CI smoke test) trivial.
+// field: the wire JSON leads with it, which keeps shell clients
+// trivial.
 type Status struct {
 	// ID is the job identifier, e.g. "job-1".
 	ID string `json:"id"`

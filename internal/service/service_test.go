@@ -83,7 +83,7 @@ func fetchResult(t *testing.T, ts *httptest.Server, id string) []byte {
 func buildCLI(t *testing.T) string {
 	t.Helper()
 	if _, err := exec.LookPath("go"); err != nil {
-		t.Skip("go tool unavailable; CI's smoke step covers the CLI diff")
+		t.Skip("go tool unavailable to build cmd/nose")
 	}
 	bin := filepath.Join(t.TempDir(), "nose")
 	cmd := exec.Command("go", "build", "-o", bin, "./cmd/nose")
